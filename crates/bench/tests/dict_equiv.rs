@@ -48,8 +48,8 @@ fn table(name: &str, rows: Vec<(Value, Value)>) -> (String, Relation) {
 }
 
 /// Two catalogs over the same logical data: every table row-major in
-/// one, columnar-at-rest (text keys dictionary-encoded) in the other —
-/// forced explicitly, independent of the `MAYBMS_COLUMNAR_STORE` gate.
+/// one (overwritten after the catalog's columnar install),
+/// columnar-at-rest (text keys dictionary-encoded) in the other.
 fn catalogs(tables: Vec<(String, Relation)>) -> (Catalog, Catalog) {
     let mut rows = Catalog::new();
     let mut cols = Catalog::new();

@@ -15,8 +15,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use maybms_engine::{Field, Relation, Schema, Tuple, Value};
+use maybms_pipe::UStream;
 use maybms_sql::{parse_statement, parse_statements, InsertSource, Statement};
-use maybms_store::{Op, Store, StoreStatus, Vfs};
+use maybms_store::{Op, Store, StoreError, StoreStatus, Vfs};
 use maybms_urel::{URelation, UTuple, WorldTable};
 
 use crate::agg::ConfContext;
@@ -93,14 +94,12 @@ impl MayBms {
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>) -> Result<MayBms> {
         let (store, recovered) = Store::open(vfs)?;
         let mut tables = recovered.tables;
-        // Recovered tables (row-image WAL replays, legacy snapshots) are
-        // compacted to the at-rest representation once, here — the same
-        // install discipline as live DDL/DML.
-        if maybms_engine::columnar_store_default() {
-            for t in tables.values_mut() {
-                if !t.is_columnar() {
-                    *t = t.compact();
-                }
+        // Tables recovered as row images (logs and snapshots written
+        // before the columnar store) are compacted to the at-rest
+        // representation once, here.
+        for t in tables.values_mut() {
+            if !t.is_columnar() {
+                *t = t.compact();
             }
         }
         Ok(MayBms {
@@ -162,8 +161,10 @@ impl MayBms {
     /// Log `op` to the WAL (fsynced, when durable) and then install it in
     /// the in-memory catalog. Ordering matters: the record hits disk
     /// first, so the catalog never holds a change the log could lose.
-    /// Callers validate before building the op; an apply failure after
-    /// that is an internal invariant break.
+    /// The op is checked against the catalog before it is logged, so a
+    /// record that could not apply is never written; `INSERT` / `UPDATE`
+    /// / `DELETE` then apply to the columnar table in place, at the cost
+    /// of the rows they touch.
     fn commit(&mut self, op: Op) -> Result<()> {
         // Abort-before-log: every catalog mutation passes through here,
         // and nothing is durable or installed until `store.log` below
@@ -172,14 +173,19 @@ impl MayBms {
         // bit-identical to the pre-statement state.
         maybms_gov::check()
             .map_err(|g| CoreError::Engine(maybms_engine::EngineError::Gov(g)))?;
-        // Pivot full table images *before* logging so the WAL record
-        // carries the columnar representation (op tag 5) and recovery
-        // restores it without re-pivoting; the post-apply compact below
-        // then finds the installed table already columnar.
+        maybms_store::check_op(&self.tables, &op).map_err(|reason| StoreError::Corrupt {
+            path: maybms_store::wal::WAL_FILE.into(),
+            // Where the refused record would have started.
+            offset: self.durability_status().map_or(0, |s| {
+                maybms_store::wal::WAL_MAGIC.len() as u64 + s.wal_bytes
+            }),
+            reason,
+        })?;
+        // Pivot a full table image *before* logging so the WAL record
+        // carries the columnar representation and recovery restores it
+        // without re-pivoting.
         let op = match op {
-            Op::PutTable { name, table }
-                if maybms_engine::columnar_store_default() && !table.is_columnar() =>
-            {
+            Op::PutTable { name, table } if !table.is_columnar() => {
                 Op::PutTable { name, table: table.compact() }
             }
             op => op,
@@ -187,24 +193,8 @@ impl MayBms {
         if let Some(store) = &mut self.store {
             store.log(&op, &self.wt)?;
         }
-        let affected = match &op {
-            Op::CreateTable { name, .. }
-            | Op::PutTable { name, .. }
-            | Op::DropTable { name } => name.clone(),
-            Op::InsertRows { table, .. } | Op::ReplaceRows { table, .. } => table.clone(),
-        };
         maybms_store::apply_op(&mut self.tables, op)
-            .map_err(|e| plan_err(format!("internal: logged op failed to apply: {e}")))?;
-        // Re-install the at-rest representation: the one pivot per
-        // statement the columnar store pays (gated like every install).
-        if maybms_engine::columnar_store_default() {
-            if let Some(t) = self.tables.get_mut(&affected) {
-                if !t.is_columnar() {
-                    *t = t.compact();
-                }
-            }
-        }
-        Ok(())
+            .map_err(|e| plan_err(format!("internal: logged op failed to apply: {e}")))
     }
 
     /// Access the world table (variable registry).
@@ -258,11 +248,7 @@ impl MayBms {
 
     /// Look up a stored table.
     pub fn table(&self, name: &str) -> Result<&URelation> {
-        self.tables.get(&name.to_ascii_lowercase()).ok_or_else(|| {
-            CoreError::Engine(maybms_engine::EngineError::TableNotFound {
-                name: name.to_string(),
-            })
-        })
+        Ok(self.stored(name)?.1)
     }
 
     /// Names of all stored tables.
@@ -531,11 +517,11 @@ impl MayBms {
                 Ok(StatementResult::Ok { message: format!("INSERT {n}") })
             }
             Statement::Update { table, assignments, filter } => {
-                let n = self.update(table, assignments, filter.as_ref())?;
+                let n = self.update(table, assignments, filter.as_ref(), stats)?;
                 Ok(StatementResult::Ok { message: format!("UPDATE {n}") })
             }
             Statement::Delete { table, filter } => {
-                let n = self.delete(table, filter.as_ref())?;
+                let n = self.delete(table, filter.as_ref(), stats)?;
                 Ok(StatementResult::Ok { message: format!("DELETE {n}") })
             }
             Statement::Drop { table, if_exists } => {
@@ -586,12 +572,7 @@ impl MayBms {
                 }
             }
         };
-        let key = table.to_ascii_lowercase();
-        let target = self.tables.get(&key).ok_or_else(|| {
-            CoreError::Engine(maybms_engine::EngineError::TableNotFound {
-                name: table.to_string(),
-            })
-        })?;
+        let (key, target) = self.stored(table)?;
         let arity = target.schema().len();
         // Column mapping.
         let mapping: Option<Vec<usize>> = match columns {
@@ -603,8 +584,8 @@ impl MayBms {
             ),
         };
         // Validate every row and assemble the physical insert set before
-        // anything is logged or installed: a mid-statement arity error
-        // must leave both the WAL and the table untouched.
+        // anything is logged or installed: a mid-statement arity or type
+        // error must leave both the WAL and the table untouched.
         let mut new_rows = Vec::with_capacity(rows.len());
         for row in rows {
             let tuple = match &mapping {
@@ -640,6 +621,9 @@ impl MayBms {
                     Tuple::new(vals)
                 }
             };
+            for (field, v) in target.schema().fields().iter().zip(tuple.values()) {
+                check_cell_type(field, v)?;
+            }
             new_rows.push(UTuple::certain(tuple));
         }
         let n = new_rows.len();
@@ -649,80 +633,117 @@ impl MayBms {
         Ok(n)
     }
 
+    /// The stored table `name`, or the engine's not-found error.
+    fn stored(&self, name: &str) -> Result<(String, &URelation)> {
+        let key = name.to_ascii_lowercase();
+        match self.tables.get(&key) {
+            Some(t) => Ok((key, t)),
+            None => Err(CoreError::Engine(maybms_engine::EngineError::TableNotFound {
+                name: name.to_string(),
+            })),
+        }
+    }
+
     fn update(
         &mut self,
         table: &str,
         assignments: &[(String, maybms_sql::Expr)],
         filter: Option<&maybms_sql::Expr>,
+        stats: &Arc<maybms_obs::QueryStats>,
     ) -> Result<usize> {
-        let key = table.to_ascii_lowercase();
-        let target = self.tables.get(&key).ok_or_else(|| {
-            CoreError::Engine(maybms_engine::EngineError::TableNotFound {
-                name: table.to_string(),
-            })
-        })?;
-        let schema = target.schema().clone();
-        let pred = filter.map(|f| Ok::<_, CoreError>(scalar(f)?.bind(&schema)?)).transpose()?;
-        let sets: Vec<(usize, maybms_engine::Expr)> = assignments
+        let (key, target) = self.stored(table)?;
+        let schema = target.schema();
+        let sets: Vec<(u32, maybms_engine::Expr)> = assignments
             .iter()
             .map(|(c, e)| {
-                Ok::<_, CoreError>((schema.index_of(None, c)?, scalar(e)?.bind(&schema)?))
+                Ok::<_, CoreError>((
+                    schema.index_of(None, c)? as u32,
+                    scalar(e)?.bind(schema)?,
+                ))
             })
             .collect::<Result<_>>()?;
-        // Build the full post-image off to the side (logged physically:
-        // replaying expressions would be fragile), then commit it as one
-        // atomic replace. An evaluation error leaves the table untouched.
-        let mut rows = target.tuples().to_vec();
-        let mut n = 0;
-        for t in &mut rows {
-            let hit = match &pred {
-                None => true,
-                Some(p) => p.eval_predicate(&t.data)?,
-            };
-            if hit {
-                let mut vals = t.data.values().to_vec();
-                for (i, e) in &sets {
-                    vals[*i] = e.eval(&t.data)?;
-                }
-                t.data = Tuple::new(vals);
-                n += 1;
+        let positions = target_positions(target, filter, stats)?;
+        // Evaluate the SET expressions on the hit rows only, off to the
+        // side: the changed cells are logged physically (replaying
+        // expressions would be fragile) and an evaluation or type error
+        // leaves the table and the log untouched.
+        let mut cells = Vec::with_capacity(positions.len() * sets.len());
+        let mut row = Vec::new();
+        let mut gov = maybms_gov::Ticker::new();
+        for &p in &positions {
+            gov.tick()
+                .map_err(|g| CoreError::Engine(maybms_engine::EngineError::Gov(g)))?;
+            target.write_row(p as usize, &mut row);
+            for (c, e) in &sets {
+                let v = e.eval_values(&row)?;
+                check_cell_type(schema.field(*c as usize), &v)?;
+                cells.push(v);
             }
         }
+        let n = positions.len();
         if n > 0 {
-            self.commit(Op::ReplaceRows { table: key, rows })?;
+            let columns = sets.iter().map(|(c, _)| *c).collect();
+            self.commit(Op::UpdateRows { table: key, positions, columns, cells })?;
         }
         Ok(n)
     }
 
-    fn delete(&mut self, table: &str, filter: Option<&maybms_sql::Expr>) -> Result<usize> {
-        let key = table.to_ascii_lowercase();
-        let target = self.tables.get(&key).ok_or_else(|| {
-            CoreError::Engine(maybms_engine::EngineError::TableNotFound {
-                name: table.to_string(),
-            })
-        })?;
-        let schema = target.schema().clone();
-        let pred = filter.map(|f| Ok::<_, CoreError>(scalar(f)?.bind(&schema)?)).transpose()?;
-        let before = target.len();
-        // Compute the surviving rows first; a predicate error must leave
-        // the table (and the log) untouched.
-        let rows: Vec<UTuple> = match pred {
-            None => Vec::new(),
-            Some(p) => {
-                let mut kept = Vec::new();
-                for t in target.tuples() {
-                    if !p.eval_predicate(&t.data)? {
-                        kept.push(t.clone());
-                    }
-                }
-                kept
-            }
-        };
-        let n = before - rows.len();
+    fn delete(
+        &mut self,
+        table: &str,
+        filter: Option<&maybms_sql::Expr>,
+        stats: &Arc<maybms_obs::QueryStats>,
+    ) -> Result<usize> {
+        let (key, target) = self.stored(table)?;
+        // A predicate error must leave the table (and the log) untouched.
+        let positions = target_positions(target, filter, stats)?;
+        let n = positions.len();
         if n > 0 {
-            self.commit(Op::ReplaceRows { table: key, rows })?;
+            self.commit(Op::DeleteRows { table: key, positions })?;
         }
         Ok(n)
+    }
+}
+
+/// The positions of `target`'s rows that `filter` keeps (all of them
+/// without one), ascending: the predicate runs as a filter-only pipeline
+/// over the stored table — zero-pivot, vectorised, morsel-parallel and
+/// governor-checked like any scan, and identical at any thread count.
+fn target_positions(
+    target: &URelation,
+    filter: Option<&maybms_sql::Expr>,
+    stats: &Arc<maybms_obs::QueryStats>,
+) -> Result<Vec<u32>> {
+    let mut stream = UStream::new(target.clone());
+    if let Some(f) = filter {
+        stream = stream.filter(&scalar(f)?)?;
+    }
+    let pipe_stats = Arc::new(stream.stats_skeleton("DML target scan"));
+    stats.register_pipeline(pipe_stats.clone());
+    let sel = stream.select_positions(
+        &maybms_par::pool(),
+        maybms_engine::ops::PAR_MIN_CHUNK,
+        maybms_pipe::columnar_default(),
+        Some(&pipe_stats),
+    )?;
+    sel.into_iter()
+        .map(|i| u32::try_from(i).map_err(|_| plan_err("table exceeds 2^32 rows")))
+        .collect()
+}
+
+/// Reject a value from another type family than its column's declared
+/// type (text / numeric / boolean). NULL fits every column, a column of
+/// unknown type (`CREATE TABLE AS` over an untyped expression) takes
+/// anything, and integers and floats share the numeric family — they are
+/// stored as given.
+fn check_cell_type(field: &Field, v: &Value) -> Result<()> {
+    use maybms_engine::DataType::{Float, Int, Unknown};
+    match (field.dtype, v.data_type()) {
+        (Unknown, _) | (_, Unknown) | (Int | Float, Int | Float) => Ok(()),
+        (want, got) if want == got => Ok(()),
+        (want, got) => Err(CoreError::Engine(maybms_engine::EngineError::TypeMismatch {
+            message: format!("column {} is {want} but the value {v} is {got}", field.name),
+        })),
     }
 }
 
@@ -856,6 +877,44 @@ mod tests {
         assert_eq!(r.tuples()[0].value(0), &Value::Int(1));
         assert_eq!(r.tuples()[0].value(1), &Value::str("x"));
         assert_eq!(r.tuples()[0].value(2), &Value::Null);
+    }
+
+    fn rows_of(db: &MayBms) -> Vec<Vec<Value>> {
+        db.table("t").unwrap().tuples().iter().map(|t| t.data.values().to_vec()).collect()
+    }
+
+    /// `INSERT` and `UPDATE` check values against the declared column types
+    /// before anything is logged: text, numeric and boolean do not mix.
+    #[test]
+    fn cross_family_values_are_rejected_before_anything_changes() {
+        let mut db = MayBms::new();
+        db.run("create table t (a bigint, b text, c boolean)").unwrap();
+        db.run("insert into t values (1, 'x', true)").unwrap();
+        let before = rows_of(&db);
+        for sql in [
+            "insert into t values ('x', 3, true)",
+            "insert into t values (2, 'y', false), (3, 4, true)",
+            "insert into t (c, a) values (1, 1)",
+            "update t set a = 'seven'",
+            "update t set b = a",
+            "update t set c = 0",
+        ] {
+            let err = db.run(sql).unwrap_err();
+            assert!(err.to_string().contains("type mismatch"), "{sql}: {err}");
+            assert_eq!(rows_of(&db), before, "{sql} changed the table");
+        }
+        // NULL fits everywhere, integers and floats share a family, and a
+        // CTAS column of unknown type takes anything.
+        db.run("insert into t values (null, null, null), (2.5, 'y', false)").unwrap();
+        db.run("update t set a = 7.5 where b = 'x'").unwrap();
+        db.run("create table u as select null as z from t").unwrap();
+        db.run("insert into u values ('text'), (1)").unwrap();
+        assert_eq!(db.table("u").unwrap().len(), 5);
+        // The statement from the bug report fails at INSERT, not at query time.
+        let mut db = MayBms::new();
+        db.run("create table t (a bigint, b text)").unwrap();
+        assert!(db.run("insert into t values ('x', 3)").is_err());
+        assert_eq!(db.table("t").unwrap().len(), 0);
     }
 
     #[test]

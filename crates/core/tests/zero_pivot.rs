@@ -13,11 +13,6 @@ use maybms_engine::{rel, DataType, Value};
 
 #[test]
 fn kernel_eligible_scan_is_zero_pivot_and_marked_in_explain() {
-    if !maybms_engine::columnar_store_default() {
-        // Legacy row-store leg (MAYBMS_COLUMNAR_STORE=0): scans pivot
-        // per-morsel by design; the zero-pivot contract doesn't apply.
-        return;
-    }
     let mut db = MayBms::new();
     let rows: Vec<Vec<Value>> = (0..1000)
         .map(|i| {

@@ -10,32 +10,6 @@ use std::collections::BTreeMap;
 use crate::error::{EngineError, Result};
 use crate::tuple::Relation;
 
-/// Is columnar-at-rest catalog storage enabled by default?
-///
-/// On unless `MAYBMS_COLUMNAR_STORE=0` — table installs ([`Catalog`]
-/// registration here, DDL/DML and recovery in `maybms-core`) compact
-/// their relations to the column-major, dictionary-encoded at-rest form
-/// when set. Read once per process. Orthogonal to `MAYBMS_COLUMNAR`
-/// (vectorised *execution*): either can be toggled alone, and all four
-/// combinations are bit-identical by the determinism contract.
-pub fn columnar_store_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("MAYBMS_COLUMNAR_STORE").map_or(true, |v| v.trim() != "0")
-    })
-}
-
-/// Compact `relation` to the at-rest representation when the
-/// columnar-store gate is on; identity otherwise (and for
-/// already-columnar input).
-fn install(relation: Relation) -> Relation {
-    if columnar_store_default() && !relation.is_columnar() {
-        relation.compact()
-    } else {
-        relation
-    }
-}
-
 /// A named collection of materialised relations.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
@@ -53,20 +27,20 @@ impl Catalog {
     }
 
     /// Register a table; errors if the name is taken. Installs the
-    /// at-rest (columnar) representation unless gated off — the *one*
-    /// pivot a stored table pays.
+    /// at-rest (columnar) representation — the *one* pivot a stored
+    /// table pays.
     pub fn create(&mut self, name: &str, relation: Relation) -> Result<()> {
         let k = Self::key(name);
         if self.tables.contains_key(&k) {
             return Err(EngineError::TableExists { name: name.to_string() });
         }
-        self.tables.insert(k, install(relation));
+        self.tables.insert(k, relation.compact());
         Ok(())
     }
 
     /// Replace or register a table (compacted like [`Catalog::create`]).
     pub fn create_or_replace(&mut self, name: &str, relation: Relation) {
-        self.tables.insert(Self::key(name), install(relation));
+        self.tables.insert(Self::key(name), relation.compact());
     }
 
     /// Look up a table.

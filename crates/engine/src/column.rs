@@ -31,6 +31,13 @@
 //!   `value_at` decodes to the exact `Arc<str>` that was encoded (an
 //!   `Arc` bump), keeping the bijection.
 //!
+//! A batch at rest in the catalog is also what DML edits:
+//! [`ColumnBatch::append_rows`], [`ColumnBatch::set_cells`] and
+//! [`ColumnBatch::delete_rows`] change it in place, keeping every
+//! invariant above — the result is the batch a fresh pivot of the edited
+//! rows would build, except that dictionary entries no row uses any more
+//! stay interned.
+//!
 //! Every call to [`ColumnBatch::pivot`] bumps the process-wide
 //! `maybms_pipe_pivots_total` / `maybms_pipe_pivot_rows_total` counters,
 //! so "zero pivots end-to-end" is an observable claim, not an intention.
@@ -71,9 +78,42 @@ impl NullMask {
         self.bits[word] |= 1 << (i % 64);
     }
 
+    /// Mark row `i` non-null. Trailing all-clear words are trimmed, so
+    /// equal masks stay structurally equal.
+    pub fn clear(&mut self, i: usize) {
+        if let Some(w) = self.bits.get_mut(i / 64) {
+            *w &= !(1 << (i % 64));
+            self.trim();
+        }
+    }
+
+    fn trim(&mut self) {
+        while self.bits.last() == Some(&0) {
+            self.bits.pop();
+        }
+    }
+
     /// True iff any row is null. O(words), with the empty-mask fast path.
     pub fn any(&self) -> bool {
         self.bits.iter().any(|w| *w != 0)
+    }
+
+    /// Drop the rows at `positions` (strictly increasing), shifting later
+    /// rows down. O(nulls · log positions): only set bits are visited.
+    pub fn delete_rows(&mut self, positions: &[u32]) {
+        let mut out = NullMask::none();
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let i = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let below = positions.partition_point(|&p| (p as usize) < i);
+                if positions.get(below).is_none_or(|&p| p as usize != i) {
+                    out.set_null(i - below);
+                }
+            }
+        }
+        *self = out;
     }
 
     /// Mask for the rows at `sel`, in that order.
@@ -117,6 +157,18 @@ pub struct StrDict {
     hashes: OnceLock<Vec<u64>>,
 }
 
+// A clone is a new dictionary lifetime: it may diverge from the original
+// (copy-on-write DML interns into it), so the cached hashes start cold.
+impl Clone for StrDict {
+    fn clone(&self) -> StrDict {
+        StrDict {
+            entries: self.entries.clone(),
+            lookup: self.lookup.clone(),
+            hashes: OnceLock::new(),
+        }
+    }
+}
+
 impl PartialEq for StrDict {
     fn eq(&self, other: &StrDict) -> bool {
         self.entries == other.entries
@@ -129,11 +181,13 @@ impl StrDict {
         StrDict::default()
     }
 
-    /// The code for `s`, interning it on first sight.
+    /// The code for `s`, interning it on first sight. A new entry drops
+    /// the cached per-entry hashes (they no longer cover every code).
     pub fn intern(&mut self, s: &Arc<str>) -> u32 {
         if let Some(&code) = self.lookup.get(s) {
             return code;
         }
+        self.hashes.take();
         let code = self.entries.len() as u32;
         self.entries.push(s.clone());
         self.lookup.insert(s.clone(), code);
@@ -446,6 +500,133 @@ impl Column {
             _ => self.clone(),
         }
     }
+
+    /// Append `v` in place. A value of the column's own variant (or
+    /// NULL) grows the typed vector — `Dict` columns intern into their
+    /// existing dictionary, copy-on-write if a reader still shares it —
+    /// and anything else re-types the column the way [`ColumnBuilder`]
+    /// would have, had it seen the whole sequence.
+    pub fn push(&mut self, v: &Value) {
+        let i = self.len;
+        match (&mut self.data, v) {
+            (ColumnData::Const(c), _) if c == v && c.data_type() == v.data_type() => {}
+            (ColumnData::Values(xs), _) => xs.push(v.clone()),
+            (ColumnData::Const(_), _) => return self.rebuild(|vals| vals.push(v.clone())),
+            (data, Value::Null) => {
+                self.nulls.set_null(i);
+                match data {
+                    ColumnData::Int(xs) => xs.push(0),
+                    ColumnData::Float(xs) => xs.push(0.0),
+                    ColumnData::Bool(xs) => xs.push(false),
+                    ColumnData::Str(xs) => xs.push(Arc::from("")),
+                    ColumnData::Dict { codes, .. } => codes.push(0),
+                    ColumnData::Values(_) | ColumnData::Const(_) => unreachable!("handled above"),
+                }
+            }
+            (ColumnData::Int(xs), Value::Int(x)) => xs.push(*x),
+            (ColumnData::Float(xs), Value::Float(x)) => xs.push(*x),
+            (ColumnData::Bool(xs), Value::Bool(x)) => xs.push(*x),
+            (ColumnData::Str(xs), Value::Str(s)) => xs.push(s.clone()),
+            (ColumnData::Dict { codes, dict }, Value::Str(s)) => codes.push(intern_cow(dict, s)),
+            _ => return self.rebuild(|vals| vals.push(v.clone())),
+        }
+        self.len += 1;
+    }
+
+    /// Overwrite row `i` with `v` in place; same typing rules as
+    /// [`Column::push`].
+    pub fn set(&mut self, i: usize, v: &Value) {
+        assert!(i < self.len, "cell {i} out of range ({} rows)", self.len);
+        match (&mut self.data, v) {
+            (ColumnData::Const(c), _) if c == v && c.data_type() == v.data_type() => {}
+            (ColumnData::Values(xs), _) => xs[i] = v.clone(),
+            (ColumnData::Const(_), _) => self.rebuild(|vals| vals[i] = v.clone()),
+            (data, Value::Null) => {
+                // Same placeholder a fresh build leaves in a NULL slot.
+                self.nulls.set_null(i);
+                match data {
+                    ColumnData::Int(xs) => xs[i] = 0,
+                    ColumnData::Float(xs) => xs[i] = 0.0,
+                    ColumnData::Bool(xs) => xs[i] = false,
+                    ColumnData::Str(xs) => xs[i] = Arc::from(""),
+                    ColumnData::Dict { codes, .. } => codes[i] = 0,
+                    ColumnData::Values(_) | ColumnData::Const(_) => unreachable!("handled above"),
+                }
+            }
+            (ColumnData::Int(xs), Value::Int(x)) => {
+                xs[i] = *x;
+                self.nulls.clear(i);
+            }
+            (ColumnData::Float(xs), Value::Float(x)) => {
+                xs[i] = *x;
+                self.nulls.clear(i);
+            }
+            (ColumnData::Bool(xs), Value::Bool(x)) => {
+                xs[i] = *x;
+                self.nulls.clear(i);
+            }
+            (ColumnData::Str(xs), Value::Str(s)) => {
+                xs[i] = s.clone();
+                self.nulls.clear(i);
+            }
+            (ColumnData::Dict { codes, dict }, Value::Str(s)) => {
+                codes[i] = intern_cow(dict, s);
+                self.nulls.clear(i);
+            }
+            _ => self.rebuild(|vals| vals[i] = v.clone()),
+        }
+    }
+
+    /// Remove the rows at `positions` (strictly increasing, in range),
+    /// keeping the others in order. Dictionary entries the removed rows
+    /// were the last users of stay interned.
+    pub fn delete_rows(&mut self, positions: &[u32]) {
+        match &mut self.data {
+            ColumnData::Const(_) => {}
+            ColumnData::Int(v) => remove_sorted(v, positions),
+            ColumnData::Float(v) => remove_sorted(v, positions),
+            ColumnData::Bool(v) => remove_sorted(v, positions),
+            ColumnData::Str(v) => remove_sorted(v, positions),
+            ColumnData::Dict { codes, .. } => remove_sorted(codes, positions),
+            ColumnData::Values(v) => remove_sorted(v, positions),
+        }
+        self.nulls.delete_rows(positions);
+        self.len -= positions.len();
+    }
+
+    /// Variant mismatch: re-type the column from its edited values, as
+    /// the at-rest compaction (build, then dictionary-encode) would.
+    fn rebuild(&mut self, edit: impl FnOnce(&mut Vec<Value>)) {
+        let mut vals: Vec<Value> = (0..self.len).map(|i| self.value_at(i)).collect();
+        edit(&mut vals);
+        let col = Column::from_values(vals);
+        *self = if matches!(col.data, ColumnData::Str(_)) { col.dict_encode() } else { col };
+    }
+}
+
+/// The code for `s` in `dict`, interning it if unseen — copy-on-write:
+/// the dictionary is cloned first only when a new entry must be added
+/// while a reader (a held query result, a morsel slice) still shares it.
+fn intern_cow(dict: &mut Arc<StrDict>, s: &Arc<str>) -> u32 {
+    match dict.code_of(s) {
+        Some(code) => code,
+        None => Arc::make_mut(dict).intern(s),
+    }
+}
+
+/// Remove the elements at `positions` (strictly increasing, in range),
+/// shifting the survivors down in one pass from the first hole.
+pub fn remove_sorted<T>(v: &mut Vec<T>, positions: &[u32]) {
+    let Some(&first) = positions.first() else { return };
+    let mut w = first as usize;
+    for (k, &p) in positions.iter().enumerate() {
+        let end = positions.get(k + 1).map_or(v.len(), |&q| q as usize);
+        for r in p as usize + 1..end {
+            v.swap(w, r);
+            w += 1;
+        }
+    }
+    v.truncate(w);
 }
 
 /// Incremental [`Column`] builder: starts optimistic (typed on the first
@@ -662,12 +843,46 @@ impl ColumnBatch {
     }
 
     /// Dictionary-encode every `Str` column (see [`Column::dict_encode`])
-    /// — the at-rest compaction applied once at load/CTAS/INSERT.
+    /// — the at-rest compaction applied once, when a table is installed.
     pub fn dict_encode(&self) -> ColumnBatch {
         ColumnBatch {
             columns: self.columns.iter().map(Column::dict_encode).collect(),
             rows: self.rows,
         }
+    }
+
+    /// Append `rows` (each of this batch's arity) in place — the INSERT
+    /// path: typed vectors grow and dictionaries extend in
+    /// first-appearance order, exactly what re-pivoting the whole table
+    /// would produce, at the cost of the new rows only.
+    pub fn append_rows<'a>(&mut self, rows: impl Iterator<Item = &'a [Value]>) {
+        for row in rows {
+            debug_assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
+            for (c, v) in self.columns.iter_mut().zip(row) {
+                c.push(v);
+            }
+            self.rows += 1;
+        }
+    }
+
+    /// Overwrite the cells at `positions` × `cols` in place. `cells` is
+    /// row-major: `cells[p * cols.len() + c]` lands at row
+    /// `positions[p]`, column `cols[c]`.
+    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &[Value]) {
+        assert_eq!(cells.len(), positions.len() * cols.len(), "cell count mismatch");
+        for (p, row) in positions.iter().zip(cells.chunks(cols.len().max(1))) {
+            for (c, v) in cols.iter().zip(row) {
+                self.columns[*c as usize].set(*p as usize, v);
+            }
+        }
+    }
+
+    /// Remove the rows at `positions` (strictly increasing, in range).
+    pub fn delete_rows(&mut self, positions: &[u32]) {
+        for c in &mut self.columns {
+            c.delete_rows(positions);
+        }
+        self.rows -= positions.len();
     }
 
     /// Write row `i` into `out` (cleared first) — the row ↔ column
@@ -918,6 +1133,138 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(m.pivots.get(), p1);
         assert_eq!(m.pivot_rows.get(), r1);
+    }
+
+    /// What the at-rest compaction makes of `values`: the oracle every
+    /// in-place edit must agree with, representation included.
+    fn at_rest(values: &[Value]) -> Column {
+        Column::from_values(values.to_vec()).dict_encode()
+    }
+
+    #[test]
+    fn push_builds_the_same_column_as_a_full_rebuild() {
+        let sequences: Vec<Vec<Value>> = vec![
+            vec![Value::Int(1), Value::Null, Value::Int(3)],
+            vec![Value::Null, Value::Null, Value::Float(-0.0), Value::Float(1.5)],
+            vec![Value::str("b"), Value::str("a"), Value::Null, Value::str("b"), Value::str("c")],
+            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+            // Variant changes mid-column: typed → per-row values.
+            vec![Value::Int(1), Value::Null, Value::Float(1.0), Value::str("x")],
+            vec![Value::Null, Value::str("s"), Value::Int(2)],
+            vec![Value::Null, Value::Null],
+        ];
+        for seq in sequences {
+            // Start from every prefix at rest, push the remainder.
+            for split in 0..=seq.len() {
+                let mut col = at_rest(&seq[..split]);
+                for v in &seq[split..] {
+                    col.push(v);
+                }
+                assert_eq!(col, at_rest(&seq), "{seq:?} split at {split}");
+                assert_eq!(col.len(), seq.len());
+            }
+        }
+    }
+
+    #[test]
+    fn set_and_delete_match_the_row_oracle() {
+        let base: Vec<Value> =
+            vec![Value::str("a"), Value::Null, Value::str("b"), Value::str("a"), Value::Null];
+        let ints: Vec<Value> =
+            (0..70).map(|i| if i % 9 == 0 { Value::Null } else { Value::Int(i) }).collect();
+        for (seq, edits) in [
+            (base.clone(), vec![(1, Value::str("new")), (0, Value::Null), (4, Value::str("a"))]),
+            (base, vec![(2, Value::Int(7))]),
+            (ints.clone(), vec![(0, Value::Int(-1)), (69, Value::Null), (9, Value::Float(0.5))]),
+        ] {
+            let mut col = at_rest(&seq);
+            let mut want = seq.clone();
+            for (i, v) in &edits {
+                col.set(*i, v);
+                want[*i] = v.clone();
+                for (j, w) in want.iter().enumerate() {
+                    assert_eq!(&col.value_at(j), w);
+                    assert_eq!(col.value_at(j).data_type(), w.data_type());
+                    assert_eq!(col.is_null(j), w.is_null());
+                }
+            }
+        }
+        // Deleting shifts values and null bits alike, across mask words.
+        let all: Vec<u32> = (0..70).collect();
+        for positions in [vec![], vec![0], vec![69], vec![0, 9, 10, 63, 64, 65], all] {
+            let mut col = at_rest(&ints);
+            col.delete_rows(&positions);
+            let want: Vec<Value> = ints
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !positions.contains(&(*i as u32)))
+                .map(|(_, v)| v.clone())
+                .collect();
+            assert_eq!(col.len(), want.len());
+            for (j, w) in want.iter().enumerate() {
+                assert_eq!(&col.value_at(j), w, "row {j} after deleting {positions:?}");
+            }
+            assert_eq!(col.has_nulls(), want.iter().any(Value::is_null));
+        }
+    }
+
+    #[test]
+    fn interning_is_copy_on_write_and_drops_cached_hashes() {
+        let mut col = at_rest(&[Value::str("a"), Value::str("b")]);
+        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        let reader = dict.clone();
+        assert_eq!(reader.cached_hashes(|e| vec![7; e.len()]), &[7, 7]);
+        // A string already interned needs no new entry: no copy.
+        col.push(&Value::str("a"));
+        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        assert!(Arc::ptr_eq(dict, &reader));
+        // An unseen string is interned into a private copy; the reader's
+        // dictionary (and its cached hashes) stay as they were, and the
+        // writer's cache is recomputed over all three entries.
+        col.push(&Value::str("c"));
+        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        assert!(!Arc::ptr_eq(dict, &reader));
+        assert_eq!(reader.len(), 2);
+        assert_eq!(dict.cached_hashes(|e| vec![9; e.len()]), &[9, 9, 9]);
+        assert_eq!(reader.cached_hashes(|_| unreachable!("already cached")), &[7, 7]);
+        drop(reader);
+        // Sole owner: the next unseen string extends the dictionary in
+        // place and resets the hashes it had cached.
+        let before = Arc::as_ptr(dict);
+        col.set(0, &Value::str("d"));
+        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        assert_eq!(Arc::as_ptr(dict), before);
+        assert_eq!(dict.cached_hashes(|e| vec![1; e.len()]), &[1, 1, 1, 1]);
+        assert_eq!(col.value_at(0), Value::str("d"));
+    }
+
+    #[test]
+    fn batch_edits_apply_by_position_and_column() {
+        let rows: Vec<Vec<Value>> = (0..5)
+            .map(|i| vec![Value::Int(i), Value::str(format!("s{}", i % 2)), Value::Float(i as f64)])
+            .collect();
+        let mut batch =
+            ColumnBatch::pivot(5, rows.iter().map(|r| r.as_slice()), &[0, 1, 2]).dict_encode();
+        let extra = [vec![Value::Int(5), Value::Null, Value::Float(5.0)]];
+        batch.append_rows(extra.iter().map(|r| r.as_slice()));
+        batch.set_cells(
+            &[1, 4],
+            &[2, 0],
+            &[Value::Float(-1.0), Value::Int(10), Value::Null, Value::Int(40)],
+        );
+        batch.delete_rows(&[0, 3]);
+        let mut got = Vec::new();
+        let want = [
+            vec![Value::Int(10), Value::str("s1"), Value::Float(-1.0)],
+            vec![Value::Int(2), Value::str("s0"), Value::Float(2.0)],
+            vec![Value::Int(40), Value::str("s0"), Value::Null],
+            vec![Value::Int(5), Value::Null, Value::Float(5.0)],
+        ];
+        assert_eq!(batch.rows(), want.len());
+        for (i, w) in want.iter().enumerate() {
+            batch.write_row(i, &mut got);
+            assert_eq!(&got, w, "row {i}");
+        }
     }
 
     #[test]

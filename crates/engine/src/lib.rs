@@ -70,7 +70,7 @@ pub mod tuple;
 pub mod types;
 pub mod vector;
 
-pub use catalog::{columnar_store_default, Catalog};
+pub use catalog::Catalog;
 pub use column::{Column, ColumnBatch, ColumnBuilder, ColumnData, NullMask, StrDict};
 pub use error::{EngineError, Result};
 pub use expr::{BinaryOp, Expr, UnaryOp};

@@ -35,7 +35,7 @@
 //!   bookkeeping lives). The planner decides eligibility per stage at
 //!   plan time; `EXPLAIN` marks those stages `(vectorised)`. Off-switch:
 //!   `MAYBMS_COLUMNAR=0` (see [`columnar_default`]);
-//! * when the source table is **columnar at rest** (the catalog default
+//! * when the source table is **columnar at rest** (every stored table
 //!   since the storage refactor — see `maybms_engine::catalog`), a
 //!   kernel-eligible scan skips the per-morsel pivot entirely: stages
 //!   borrow the stored column slices (dictionary codes included) and

@@ -561,15 +561,10 @@ fn describe_source(source: &Source, depth: usize, out: &mut String) {
     match source {
         Source::Scan { table, alias } => {
             indent(out, depth);
-            // Under the columnar store gate, catalog tables are installed
-            // column-major at rest: the scan hands kernel prefixes column
-            // slices and never pivots (`maybms_pipe_pivots_total` stays
-            // flat across the query).
-            let mark = if maybms_engine::columnar_store_default() {
-                " (columnar, zero-pivot)"
-            } else {
-                ""
-            };
+            // Catalog tables are installed column-major at rest: the scan
+            // hands kernel prefixes column slices and never pivots
+            // (`maybms_pipe_pivots_total` stays flat across the query).
+            let mark = " (columnar, zero-pivot)";
             match alias {
                 Some(a) => {
                     let _ = writeln!(out, "source: scan {table} as {a}{mark}");

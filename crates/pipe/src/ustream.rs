@@ -185,38 +185,90 @@ impl UStream {
         columnar: bool,
         stats: Option<&maybms_obs::PipelineStats>,
     ) -> Result<URelation> {
+        self.run_spanned(pool, min_morsel, columnar, stats, |source, schema, fused| {
+            let out = match fused {
+                None => source.with_schema(schema),
+                // Filter-only pipeline: gather shares rows (data + WSDs)
+                // with the source, like chained `algebra::select`.
+                Some(FusedOutput::Select(sel)) => source.gather(&sel).with_schema(schema),
+                Some(FusedOutput::Rows(tuples, wsds)) => URelation::new(
+                    schema,
+                    tuples
+                        .into_iter()
+                        .zip(wsds)
+                        .map(|(data, wsd)| UTuple::new(data, wsd))
+                        .collect(),
+                ),
+            };
+            let rows = out.len();
+            Ok((out, rows))
+        })
+    }
+
+    /// Run a **filter-only** pipeline and return the positions of the
+    /// surviving source rows, in order, instead of gathering them — how
+    /// `UPDATE` / `DELETE` find their targets. Same executor, span and
+    /// stats as [`UStream::collect_stats`]: zero-pivot and vectorised
+    /// over a columnar-at-rest source, morsel-parallel, governor-checked,
+    /// identical at any thread count. Errors on a stream holding a
+    /// projection or join stage (its rows are not source rows).
+    pub fn select_positions(
+        self,
+        pool: &ThreadPool,
+        min_morsel: usize,
+        columnar: bool,
+        stats: Option<&maybms_obs::PipelineStats>,
+    ) -> Result<Vec<usize>> {
+        self.run_spanned(pool, min_morsel, columnar, stats, |source, _, fused| {
+            let sel: Vec<usize> = match fused {
+                None => (0..source.len()).collect(),
+                Some(FusedOutput::Select(sel)) => sel,
+                Some(FusedOutput::Rows(..)) => {
+                    return Err(EngineError::InvalidOperator {
+                        message: "row positions requested from a pipeline that constructs rows"
+                            .into(),
+                    }
+                    .into())
+                }
+            };
+            let rows = sel.len();
+            Ok((sel, rows))
+        })
+    }
+
+    /// Run the stages under a `pipeline` span and hand the fused output
+    /// (`None` for a stage-less stream) to `finish`, which builds the
+    /// result from it and says how many rows it holds.
+    fn run_spanned<T>(
+        self,
+        pool: &ThreadPool,
+        min_morsel: usize,
+        columnar: bool,
+        stats: Option<&maybms_obs::PipelineStats>,
+        finish: impl FnOnce(URelation, Arc<Schema>, Option<FusedOutput<Wsd>>) -> Result<(T, usize)>,
+    ) -> Result<T> {
         let UStream { source, stages, schema } = self;
-        // The span opens before the stage-less early return so pipeline
-        // span count always equals EXPLAIN ANALYZE's pipeline count
+        // The span opens before the stage-less case so pipeline span
+        // count always equals EXPLAIN ANALYZE's pipeline count
         // (stage-less pipelines register stats too).
         let mut span = maybms_obs::trace::span("pipeline");
         span.attr("stages", stages.len());
         span.attr("source_rows", source.len());
         if stages.is_empty() {
-            span.attr("rows_out", source.len());
-            return Ok(source.with_schema(schema));
+            let (out, rows) = finish(source, schema, None)?;
+            span.attr("rows_out", rows);
+            return Ok(out);
         }
         let t0 = stats.map(|_| std::time::Instant::now());
-        let out = match fuse::run(&source, &stages, pool, min_morsel, columnar, stats)? {
-            // Filter-only pipeline: gather shares rows (data + WSDs)
-            // with the source, like chained `algebra::select`.
-            FusedOutput::Select(sel) => source.gather(&sel).with_schema(schema),
-            FusedOutput::Rows(tuples, wsds) => URelation::new(
-                schema,
-                tuples
-                    .into_iter()
-                    .zip(wsds)
-                    .map(|(data, wsd)| UTuple::new(data, wsd))
-                    .collect(),
-            ),
-        };
+        let fused = fuse::run(&source, &stages, pool, min_morsel, columnar, stats)?;
+        let (out, rows) = finish(source, schema, Some(fused))?;
         if let (Some(st), Some(t0)) = (stats, t0) {
             st.record_wall(t0.elapsed());
             // Morsel counts are thread-dependent — attrs are excluded
             // from the determinism contract (unlike span labels/links).
             span.attr("morsels", st.morsels.get());
         }
-        span.attr("rows_out", out.len());
+        span.attr("rows_out", rows);
         Ok(out)
     }
 
@@ -495,6 +547,49 @@ mod tests {
         let want = algebra::select(&u, &pred).unwrap();
         assert_eq!(got.tuples(), want.tuples());
         assert_eq!(got.tuples()[0].wsd, Wsd::of(Var(0), 0));
+    }
+
+    #[test]
+    fn select_positions_names_the_rows_collect_would_gather() {
+        let base = rel(
+            &[("k", DataType::Int), ("s", DataType::Text)],
+            (0..500i64)
+                .map(|k| vec![k.into(), format!("s{}", k % 7).into()])
+                .collect(),
+        );
+        // Columnar at rest (the zero-pivot scan) and row-major alike.
+        for u in [URelation::from_certain(&base).compact(), URelation::from_certain(&base)] {
+            let pred = Expr::col("k")
+                .binary(maybms_engine::BinaryOp::Gt, Expr::lit(40i64))
+                .and(Expr::col("s").eq(Expr::lit("s3")));
+            let want: Vec<usize> = (0..500).filter(|k| *k > 40 && k % 7 == 3).collect();
+            for threads in [1, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                for min_morsel in [1, 64, 4096] {
+                    let got = UStream::new(u.clone())
+                        .filter(&pred)
+                        .unwrap()
+                        .select_positions(&pool, min_morsel, true, None)
+                        .unwrap();
+                    assert_eq!(got, want, "threads {threads}, morsel {min_morsel}");
+                }
+            }
+            let pool = ThreadPool::new(2);
+            // No predicate: every row. A constant-false one: none.
+            let all = UStream::new(u.clone()).select_positions(&pool, 64, true, None).unwrap();
+            assert_eq!(all, (0..500).collect::<Vec<_>>());
+            let none = UStream::new(u.clone())
+                .filter(&Expr::lit(false))
+                .unwrap()
+                .select_positions(&pool, 64, true, None)
+                .unwrap();
+            assert!(none.is_empty());
+            // Rows a projection built have no source position.
+            let projected = UStream::new(u.clone())
+                .project(&[ProjectItem::new(Expr::ColumnIdx(0), "k")])
+                .unwrap();
+            assert!(projected.select_positions(&pool, 64, true, None).is_err());
+        }
     }
 
     #[test]

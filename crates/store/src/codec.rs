@@ -209,7 +209,7 @@ impl<'a> Reader<'a> {
     /// A collection count, sanity-bounded so a corrupt length cannot
     /// drive a multi-gigabyte allocation before the bounds checks kick
     /// in element-by-element.
-    fn count(&mut self, what: &str) -> DecodeResult<usize> {
+    pub(crate) fn count(&mut self, what: &str) -> DecodeResult<usize> {
         let n = self.u32()? as usize;
         // Each element consumes at least one byte; more than `remaining`
         // elements is provably corrupt.

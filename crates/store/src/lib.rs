@@ -3,10 +3,11 @@
 //!
 //! The store persists the *catalog* — stored U-relations plus the world
 //! table — not query results. Mutating statements log a physical
-//! [`Op`] (row images, not SQL text: `repair key` / `pick tuples`
-//! introduce world-table variables nondeterministically relative to a
-//! replay context, so logical replay would misalign variable ids) to a
-//! checksummed WAL before the change is installed in memory.
+//! [`Op`] (the rows appended, the cells changed, the positions removed —
+//! not SQL text: `repair key` / `pick tuples` introduce world-table
+//! variables nondeterministically relative to a replay context, so
+//! logical replay would misalign variable ids) to a checksummed WAL
+//! before the change is installed in memory.
 //! [`Store::checkpoint`] folds everything into one atomically-renamed
 //! snapshot and empties the log; [`Store::open`] recovers by loading
 //! the snapshot and replaying the WAL tail, truncating at the first
@@ -30,6 +31,6 @@ pub mod wal;
 
 pub use error::{Result, StoreError};
 pub use snapshot::Catalog;
-pub use store::{apply_op, fingerprint, Recovered, Store, StoreStatus};
+pub use store::{apply_op, check_op, fingerprint, Recovered, Store, StoreStatus};
 pub use vfs::{maybe_chaos, ChaosVfs, FaultMode, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{Op, WalRecord, WorldExt};

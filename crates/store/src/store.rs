@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use maybms_urel::{Var, WorldTable};
+use maybms_urel::{URelation, Var, WorldTable};
 
 use crate::codec::{self, Writer};
 use crate::error::{Result, StoreError};
@@ -32,43 +32,106 @@ use crate::snapshot::{self, Catalog};
 use crate::vfs::{Vfs, VfsFile};
 use crate::wal::{self, Op, WalRecord, WAL_FILE, WAL_MAGIC};
 
-/// Apply one logged operation to a catalog. Shared by live execution
-/// (after the WAL append succeeds) and recovery replay, so the two can
-/// never disagree about what an [`Op`] means. Errors are descriptive
-/// strings; callers wrap them with context (file offset on replay).
-pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String> {
+/// Is `op` applicable to `tables`? Everything [`apply_op`] can reject is
+/// rejected here, without touching the catalog: live execution checks
+/// before the WAL append (so a bad op is never logged), replay checks
+/// before applying (so a bad record never half-applies).
+pub fn check_op(tables: &Catalog, op: &Op) -> std::result::Result<(), String> {
+    let existing = |what: &str, name: &str| {
+        tables.get(name).ok_or_else(|| format!("{what} {name}: no such table"))
+    };
     match op {
-        Op::CreateTable { name, schema } => {
-            if tables.contains_key(&name) {
+        Op::CreateTable { name, .. } | Op::PutTable { name, .. } => {
+            if tables.contains_key(name) {
                 return Err(format!("create table {name}: already exists"));
             }
-            tables.insert(
-                name,
-                maybms_urel::URelation::empty(Arc::new(schema)),
-            );
-        }
-        Op::PutTable { name, table } => {
-            if tables.contains_key(&name) {
-                return Err(format!("put table {name}: already exists"));
-            }
-            tables.insert(name, table);
         }
         Op::InsertRows { table, rows } => {
-            let t = tables
-                .get_mut(&table)
-                .ok_or_else(|| format!("insert into {table}: no such table"))?;
-            t.tuples_mut().extend(rows);
+            let arity = existing("insert into", table)?.schema().len();
+            if let Some(t) = rows.iter().find(|t| t.data.arity() != arity) {
+                return Err(format!(
+                    "insert into {table}: row arity {} does not match table arity {arity}",
+                    t.data.arity()
+                ));
+            }
         }
-        Op::ReplaceRows { table, rows } => {
-            let t = tables
-                .get_mut(&table)
-                .ok_or_else(|| format!("replace rows of {table}: no such table"))?;
-            *t.tuples_mut() = rows;
+        Op::ReplaceRows { table, .. } => {
+            existing("replace rows of", table)?;
+        }
+        Op::UpdateRows { table, positions, columns, cells } => {
+            let t = existing("update", table)?;
+            check_positions(table, positions, t.len())?;
+            if let Some(c) = columns.iter().find(|&&c| c as usize >= t.schema().len()) {
+                return Err(format!(
+                    "update {table}: column {c} out of range ({} columns)",
+                    t.schema().len()
+                ));
+            }
+            if positions.len().checked_mul(columns.len()) != Some(cells.len()) {
+                return Err(format!(
+                    "update {table}: cell count {} is not {} positions × {} columns",
+                    cells.len(),
+                    positions.len(),
+                    columns.len()
+                ));
+            }
+        }
+        Op::DeleteRows { table, positions } => {
+            check_positions(table, positions, existing("delete from", table)?.len())?;
         }
         Op::DropTable { name } => {
-            if tables.remove(&name).is_none() {
-                return Err(format!("drop table {name}: no such table"));
-            }
+            existing("drop table", name)?;
+        }
+    }
+    Ok(())
+}
+
+/// Delta positions must be strictly increasing and inside the table.
+fn check_positions(table: &str, positions: &[u32], rows: usize) -> std::result::Result<(), String> {
+    if let Some(w) = positions.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(format!(
+            "{table}: row positions not strictly increasing ({} then {})",
+            w[0], w[1]
+        ));
+    }
+    match positions.last() {
+        Some(&p) if p as usize >= rows => {
+            Err(format!("{table}: row position {p} out of range ({rows} rows)"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Apply one logged operation to a catalog. Shared by live execution
+/// (after the WAL append succeeds) and recovery replay, so the two can
+/// never disagree about what an [`Op`] means. The op is checked first
+/// ([`check_op`]) and applies whole or not at all; `INSERT` and the
+/// positional deltas mutate the columnar table in place. Errors are
+/// descriptive strings; callers wrap them with context (file offset on
+/// replay).
+pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String> {
+    check_op(tables, &op)?;
+    fn target<'a>(tables: &'a mut Catalog, name: &str) -> &'a mut URelation {
+        tables.get_mut(name).expect("check_op found the table")
+    }
+    match op {
+        Op::CreateTable { name, schema } => {
+            tables.insert(name, URelation::empty(Arc::new(schema)));
+        }
+        Op::PutTable { name, table } => {
+            tables.insert(name, table);
+        }
+        Op::InsertRows { table, rows } => target(tables, &table).append_rows(&rows),
+        Op::ReplaceRows { table, rows } => {
+            let t = target(tables, &table);
+            *t = URelation::new(t.schema().clone(), rows).compact();
+        }
+        Op::UpdateRows { table, positions, columns, cells } => {
+            target(tables, &table).set_cells(&positions, &columns, &cells)
+        }
+        Op::DeleteRows { table, positions } => target(tables, &table).delete_rows(&positions),
+        Op::DropTable { name } => {
+            tables.remove(&name);
         }
     }
     Ok(())
@@ -462,15 +525,27 @@ mod tests {
                 table: "t".into(),
                 rows: vec![row(vec![Value::Int(1)]), row(vec![Value::Int(2)])],
             },
-            Op::ReplaceRows { table: "t".into(), rows: vec![row(vec![Value::Int(9)])] },
+            Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Int(3)])] },
+            Op::UpdateRows {
+                table: "t".into(),
+                positions: vec![0, 2],
+                columns: vec![0],
+                cells: vec![Value::Int(10), Value::Null],
+            },
+            Op::DeleteRows { table: "t".into(), positions: vec![1] },
         ];
         for op in &ops {
             store.log(op, &wt).unwrap();
             apply_op(&mut rec.tables, op.clone()).unwrap();
         }
+        // The deltas applied in place: still columnar, no row image.
+        assert!(rec.tables["t"].is_columnar());
+        let got: Vec<Value> =
+            rec.tables["t"].tuples().iter().map(|t| t.data.value(0).clone()).collect();
+        assert_eq!(got, vec![Value::Int(10), Value::Null]);
         drop(store);
         let (_, rec2) = open_mem(&vfs);
-        assert_eq!(rec2.replayed, 3);
+        assert_eq!(rec2.replayed, 5);
         assert_eq!(rec2.tables, rec.tables);
         assert_eq!(fingerprint(&rec2.tables, &rec2.wt), fingerprint(&rec.tables, &wt));
     }
@@ -644,6 +719,64 @@ mod tests {
         assert!(m.wal_appends.get() > appends);
         assert!(m.wal_fsync_seconds.count() > fsyncs);
         assert!(m.checkpoints.get() > checkpoints);
+    }
+
+    #[test]
+    fn invalid_delta_is_refused_whole_and_corrupt_on_replay() {
+        let schema = Schema::from_pairs(&[("a", DataType::Int)]);
+        let setup = [
+            Op::CreateTable { name: "t".into(), schema },
+            Op::InsertRows {
+                table: "t".into(),
+                rows: vec![row(vec![Value::Int(1)]), row(vec![Value::Int(2)])],
+            },
+        ];
+        let update = |positions: Vec<u32>, columns: Vec<u32>, cells: Vec<Value>| Op::UpdateRows {
+            table: "t".into(),
+            positions,
+            columns,
+            cells,
+        };
+        let bad = [
+            (Op::DeleteRows { table: "t".into(), positions: vec![0, 2] }, "out of range"),
+            (Op::DeleteRows { table: "t".into(), positions: vec![1, 0] }, "strictly increasing"),
+            (Op::DeleteRows { table: "t".into(), positions: vec![1, 1] }, "strictly increasing"),
+            (update(vec![2], vec![0], vec![Value::Int(0)]), "out of range"),
+            (update(vec![0], vec![1], vec![Value::Int(0)]), "column 1 out of range"),
+            (update(vec![0, 1], vec![0], vec![Value::Int(0)]), "cell count 1 is not 2 positions"),
+            (
+                Op::InsertRows { table: "t".into(), rows: vec![row(vec![])] },
+                "row arity 0 does not match table arity 1",
+            ),
+        ];
+        for (op, want) in bad {
+            let vfs = MemVfs::new();
+            let wt = WorldTable::new();
+            let (mut store, mut rec) = open_mem(&vfs);
+            for op in &setup {
+                store.log(op, &wt).unwrap();
+                apply_op(&mut rec.tables, op.clone()).unwrap();
+            }
+            // Live: refused before anything changes.
+            let before = fingerprint(&rec.tables, &wt);
+            let err = check_op(&rec.tables, &op).unwrap_err();
+            assert!(err.contains(want), "{err}");
+            assert!(apply_op(&mut rec.tables, op.clone()).is_err());
+            assert_eq!(fingerprint(&rec.tables, &wt), before);
+            // Replay: a well-formed record that does not fit its table is
+            // corruption at that record's offset, not a panic.
+            let offset = WAL_MAGIC.len() as u64 + store.status().wal_bytes;
+            store.log(&op, &wt).unwrap();
+            drop(store);
+            match Store::open(Arc::new(vfs.clone())) {
+                Err(StoreError::Corrupt { path, offset: at, reason }) => {
+                    assert_eq!(path, WAL_FILE);
+                    assert_eq!(at, offset, "reported at the offending record's frame");
+                    assert!(reason.contains(want), "{reason}");
+                }
+                other => panic!("expected corrupt ({want}), got {other:?}"),
+            }
+        }
     }
 
     #[test]

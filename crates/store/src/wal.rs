@@ -20,8 +20,8 @@
 //! not decode is genuine corruption (bit rot, hand editing) and is an
 //! error carrying the file offset.
 
-use maybms_urel::URelation;
-use maybms_urel::UTuple;
+use maybms_engine::Value;
+use maybms_urel::{URelation, UTuple};
 
 use crate::codec::{self, Reader, Writer};
 use crate::error::{Result, StoreError};
@@ -60,13 +60,36 @@ pub enum Op {
         /// The appended rows.
         rows: Vec<UTuple>,
     },
-    /// `UPDATE` / `DELETE`: the table's full post-statement row list
-    /// (schema unchanged).
+    /// The table's full post-statement row list (schema unchanged) —
+    /// what `UPDATE` / `DELETE` logged before the positional deltas
+    /// below. No statement emits it any more; it is kept so logs written
+    /// by earlier builds still replay.
     ReplaceRows {
         /// Catalog key (lowercased).
         table: String,
         /// The replacement rows.
         rows: Vec<UTuple>,
+    },
+    /// `UPDATE`: the post-image of the changed cells only. `cells` is
+    /// row-major — `cells[p * columns.len() + c]` lands at row
+    /// `positions[p]`, column `columns[c]` — and conditions are
+    /// untouched.
+    UpdateRows {
+        /// Catalog key (lowercased).
+        table: String,
+        /// Row positions in the table, strictly increasing.
+        positions: Vec<u32>,
+        /// The assigned columns (schema indices), in `SET` order.
+        columns: Vec<u32>,
+        /// `positions.len() * columns.len()` new values.
+        cells: Vec<Value>,
+    },
+    /// `DELETE`: the positions of the removed rows.
+    DeleteRows {
+        /// Catalog key (lowercased).
+        table: String,
+        /// Row positions in the table, strictly increasing.
+        positions: Vec<u32>,
     },
     /// `DROP TABLE`.
     DropTable {
@@ -84,6 +107,12 @@ impl Op {
             Op::InsertRows { table, rows } => format!("insert {table} (+{} rows)", rows.len()),
             Op::ReplaceRows { table, rows } => {
                 format!("replace {table} ({} rows)", rows.len())
+            }
+            Op::UpdateRows { table, positions, columns, .. } => {
+                format!("update {table} ({} rows × {} columns)", positions.len(), columns.len())
+            }
+            Op::DeleteRows { table, positions } => {
+                format!("delete {table} (-{} rows)", positions.len())
             }
             Op::DropTable { name } => format!("drop {name}"),
         }
@@ -123,6 +152,18 @@ fn get_rows(r: &mut Reader<'_>) -> codec::DecodeResult<Vec<UTuple>> {
     Ok(rows)
 }
 
+fn put_u32s(w: &mut Writer, xs: &[u32]) {
+    w.put_u32(xs.len() as u32);
+    for &x in xs {
+        w.put_u32(x);
+    }
+}
+
+fn get_u32s(r: &mut Reader<'_>, what: &str) -> codec::DecodeResult<Vec<u32>> {
+    let n = r.count(what)?;
+    (0..n).map(|_| r.u32()).collect()
+}
+
 /// Encode a record payload (no framing).
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let mut w = Writer::new();
@@ -142,20 +183,13 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
             codec::put_schema(&mut w, schema);
         }
         Op::PutTable { name, table } => {
-            // Columnar-at-rest tables log under tag 5 so the exact
-            // representation (dictionaries included) replays without a
-            // re-pivot; row-major tables keep the pre-columnar tag 1,
-            // so a store running with MAYBMS_COLUMNAR_STORE=0 appends
-            // records any pre-refactor reader could still decode.
-            if table.is_columnar() {
-                w.put_u8(5);
-                w.put_str(name);
-                codec::put_urelation_any(&mut w, table);
-            } else {
-                w.put_u8(1);
-                w.put_str(name);
-                codec::put_urelation(&mut w, table);
-            }
+            // Tag 5 carries the exact storage representation
+            // (dictionaries included), so a columnar table replays
+            // without a re-pivot. Tag 1, the pre-columnar row image, is
+            // decode-only.
+            w.put_u8(5);
+            w.put_str(name);
+            codec::put_urelation_any(&mut w, table);
         }
         Op::InsertRows { table, rows } => {
             w.put_u8(2);
@@ -170,6 +204,21 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
         Op::DropTable { name } => {
             w.put_u8(4);
             w.put_str(name);
+        }
+        Op::UpdateRows { table, positions, columns, cells } => {
+            w.put_u8(6);
+            w.put_str(table);
+            put_u32s(&mut w, positions);
+            put_u32s(&mut w, columns);
+            w.put_u32(cells.len() as u32);
+            for v in cells {
+                codec::put_value(&mut w, v);
+            }
+        }
+        Op::DeleteRows { table, positions } => {
+            w.put_u8(7);
+            w.put_str(table);
+            put_u32s(&mut w, positions);
         }
     }
     w.finish()
@@ -200,6 +249,19 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
         3 => Op::ReplaceRows { table: r.str()?, rows: get_rows(&mut r)? },
         4 => Op::DropTable { name: r.str()? },
         5 => Op::PutTable { name: r.str()?, table: codec::get_urelation_any(&mut r)? },
+        // The deltas decode structurally; whether positions, columns and
+        // cell count fit each other and the table is `check_op`'s call,
+        // made before a record is logged and again before it replays.
+        6 => Op::UpdateRows {
+            table: r.str()?,
+            positions: get_u32s(&mut r, "position")?,
+            columns: get_u32s(&mut r, "column")?,
+            cells: {
+                let n = r.count("cell")?;
+                (0..n).map(|_| codec::get_value(&mut r)).collect::<codec::DecodeResult<_>>()?
+            },
+        },
+        7 => Op::DeleteRows { table: r.str()?, positions: get_u32s(&mut r, "position")? },
         t => {
             return Err(codec::CodecError {
                 offset: r.offset(),
@@ -360,8 +422,19 @@ mod tests {
         assert_eq!(encode_record(&decoded), payload);
     }
 
+    /// Payload prefix of a record with no world extension: LSN, tag 0,
+    /// then the op tag and the table name.
+    fn op_header(lsn: u64, tag: u8, table: &str) -> Writer {
+        let mut w = Writer::new();
+        w.put_u64(lsn);
+        w.put_u8(0);
+        w.put_u8(tag);
+        w.put_str(table);
+        w
+    }
+
     #[test]
-    fn row_major_put_table_still_logs_under_pre_columnar_tag() {
+    fn put_table_always_logs_under_the_columnar_tag_and_tag_1_still_decodes() {
         use maybms_engine::rel;
         use maybms_urel::URelation;
         let base = rel(&[("n", DataType::Int)], vec![vec![1.into()]]);
@@ -370,14 +443,99 @@ mod tests {
         let record = WalRecord {
             lsn: 1,
             world_ext: None,
-            op: Op::PutTable { name: "t".into(), table },
+            op: Op::PutTable { name: "t".into(), table: table.clone() },
         };
+        // Offset 8 (lsn) + 1 (world-ext tag): even a row-major image is
+        // written under tag 5 — nothing encodes the pre-columnar tag 1.
         let payload = encode_record(&record);
-        // Offset 8 (lsn) + 1 (world-ext tag): the op tag must be the
-        // pre-columnar 1, keeping row-image appends readable by older
-        // builds.
-        assert_eq!(payload[9], 1);
+        assert_eq!(payload[9], 5);
         assert_eq!(decode_record(&payload).unwrap(), record);
+        // A tag-1 record as earlier builds wrote it decodes to the same op.
+        let mut w = op_header(1, 1, "t");
+        codec::put_urelation(&mut w, &table);
+        assert_eq!(decode_record(&w.finish()).unwrap(), record);
+    }
+
+    #[test]
+    fn delta_records_roundtrip_byte_identical() {
+        use maybms_engine::Value;
+        for op in [
+            Op::UpdateRows {
+                table: "t".into(),
+                positions: vec![0, 3, 4],
+                columns: vec![2, 0],
+                cells: vec![
+                    Value::Float(-0.0),
+                    Value::Int(1),
+                    Value::Null,
+                    Value::str("x"),
+                    Value::Float(0.1 + 0.2),
+                    Value::Bool(true),
+                ],
+            },
+            Op::UpdateRows {
+                table: "t".into(),
+                positions: vec![],
+                columns: vec![1],
+                cells: vec![],
+            },
+            Op::DeleteRows { table: "t".into(), positions: vec![1, 2, 9] },
+            Op::DeleteRows { table: "t".into(), positions: vec![] },
+        ] {
+            let record = WalRecord { lsn: 3, world_ext: None, op };
+            let payload = encode_record(&record);
+            let decoded = decode_record(&payload).unwrap();
+            assert_eq!(decoded, record);
+            assert_eq!(encode_record(&decoded), payload);
+        }
+        // Tags 6 and 7, after lsn (8 bytes) and the world-ext tag.
+        let update = Op::UpdateRows {
+            table: "t".into(),
+            positions: vec![0],
+            columns: vec![0],
+            cells: vec![Value::Int(1)],
+        };
+        assert_eq!(encode_record(&WalRecord { lsn: 0, world_ext: None, op: update })[9], 6);
+        let delete = Op::DeleteRows { table: "t".into(), positions: vec![0] };
+        assert_eq!(encode_record(&WalRecord { lsn: 0, world_ext: None, op: delete })[9], 7);
+    }
+
+    /// A CRC-valid frame around `payload` must scan as corruption at an
+    /// offset inside the frame — never a panic, never a torn tail.
+    fn assert_corrupt(payload: Vec<u8>, want: &str) {
+        let mut bytes = WAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        match scan(&bytes) {
+            Err(StoreError::Corrupt { path, offset, reason }) => {
+                assert_eq!(path, WAL_FILE);
+                assert!(
+                    offset >= WAL_MAGIC.len() as u64 + 8 && offset <= bytes.len() as u64,
+                    "offset {offset} outside the frame"
+                );
+                assert!(reason.contains(want), "{reason}");
+            }
+            other => panic!("expected corrupt ({want}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_or_padded_delta_records_are_corrupt_with_an_offset() {
+        // Declared cells that are not there, and bytes nobody declared.
+        let mut w = op_header(0, 6, "t");
+        put_u32s(&mut w, &[0]);
+        put_u32s(&mut w, &[0]);
+        w.put_u32(1);
+        assert_corrupt(w.finish(), "cell count 1 exceeds remaining bytes");
+        let mut w = op_header(0, 7, "t");
+        put_u32s(&mut w, &[0]);
+        w.put_u8(0);
+        assert_corrupt(w.finish(), "trailing bytes");
+        // A hostile position count fails before anything is allocated.
+        let mut w = op_header(0, 7, "t");
+        w.put_u32(u32::MAX);
+        assert_corrupt(w.finish(), "position count");
     }
 
     #[test]

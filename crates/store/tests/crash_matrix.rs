@@ -100,6 +100,25 @@ fn workload() -> Vec<Step> {
                 rows: vec![certain(vec![Value::Int(3), Value::Null, Value::Null])],
             }),
         },
+        // Positional deltas on the un-checkpointed tail, on a certain
+        // and on an uncertain table: a new dictionary entry, a NULL, a
+        // variant change (Float column taking an Int), then deletes.
+        step(Op::UpdateRows {
+            table: "t".into(),
+            positions: vec![0, 2],
+            columns: vec![2, 1],
+            cells: vec![Value::str("new"), Value::Null, Value::str("x"), Value::Int(7)],
+        }),
+        step(Op::DeleteRows { table: "t".into(), positions: vec![1] }),
+        step(Op::UpdateRows {
+            table: "picks".into(),
+            positions: vec![1],
+            columns: vec![0],
+            cells: vec![Value::Int(21)],
+        }),
+        step(Op::DeleteRows { table: "picks".into(), positions: vec![0] }),
+        // The pre-delta full-image op: no statement emits it any more,
+        // but a log holding one must replay through any fault.
         step(Op::ReplaceRows {
             table: "picks".into(),
             rows: vec![UTuple::new(
@@ -248,14 +267,58 @@ fn run_matrix(mode: FaultMode) {
     assert!(points >= 20, "matrix covered only {points} fault points");
 }
 
-/// A data directory written *before* the columnar refactor — no
-/// snapshot, a WAL holding only row-image records (op tags 0–4, exactly
-/// what row-major tables still encode to) — must recover cleanly, and a
-/// checkpoint taken afterwards re-persists the state in the current
-/// format without losing a row.
+/// One WAL frame exactly as an earlier build wrote it, assembled byte by
+/// byte so the fixture does not depend on what today's encoder emits:
+/// `[len][crc]` around `lsn, world-ext, op tag, table name, body`.
+fn legacy_frame(
+    lsn: u64,
+    world_ext: Option<(u32, Vec<Vec<f64>>)>,
+    tag: u8,
+    name: &str,
+    body: Vec<u8>,
+) -> Vec<u8> {
+    use maybms_store::codec;
+    let mut payload = lsn.to_le_bytes().to_vec();
+    match world_ext {
+        None => payload.push(0),
+        Some((first, dists)) => {
+            payload.push(1);
+            payload.extend_from_slice(&first.to_le_bytes());
+            let mut w = codec::Writer::new();
+            codec::put_dists(&mut w, &dists);
+            payload.extend_from_slice(&w.finish());
+        }
+    }
+    payload.push(tag);
+    payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    payload.extend_from_slice(name.as_bytes());
+    payload.extend_from_slice(&body);
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// The row list of a tag-2 / tag-3 record: count, then each tuple.
+fn legacy_rows(rows: &[UTuple]) -> Vec<u8> {
+    let mut w = maybms_store::codec::Writer::new();
+    for t in rows {
+        maybms_store::codec::put_utuple(&mut w, t);
+    }
+    let mut body = (rows.len() as u32).to_le_bytes().to_vec();
+    body.extend_from_slice(&w.finish());
+    body
+}
+
+/// A data directory written *before* the columnar store and the
+/// positional deltas — no snapshot, a WAL holding a row-image `PutTable`
+/// (tag 1) and full-image `ReplaceRows` records (tag 3), neither of
+/// which anything encodes any more — must recover cleanly, take new
+/// writes, and re-persist in the current format on checkpoint without
+/// losing a row.
 #[test]
 fn pre_refactor_row_image_wal_recovers() {
-    use maybms_store::wal;
+    use maybms_store::{codec, wal};
 
     let t_schema = Schema::from_pairs(&[("a", DataType::Int), ("c", DataType::Text)]);
     let mut old_table = URelation::empty(Arc::new(Schema::from_pairs(&[(
@@ -267,49 +330,86 @@ fn pre_refactor_row_image_wal_recovers() {
         Wsd::of(Var(0), 1),
     ));
     assert!(!old_table.is_columnar(), "fixture must be a row image");
-    let records = vec![
-        wal::WalRecord {
-            lsn: 0,
-            world_ext: None,
-            op: Op::CreateTable { name: "t".into(), schema: t_schema },
-        },
-        wal::WalRecord {
-            lsn: 1,
-            world_ext: None,
-            op: Op::InsertRows {
-                table: "t".into(),
-                rows: vec![certain(vec![Value::Int(1), Value::str("x")])],
-            },
-        },
-        wal::WalRecord {
-            lsn: 2,
-            world_ext: Some((0, vec![vec![0.4, 0.6]])),
-            op: Op::PutTable { name: "picks".into(), table: old_table },
-        },
-    ];
-    let mem = MemVfs::new();
+    let mut schema_body = codec::Writer::new();
+    codec::put_schema(&mut schema_body, &t_schema);
+    let mut image_body = codec::Writer::new();
+    codec::put_urelation(&mut image_body, &old_table);
     let mut bytes = wal::WAL_MAGIC.to_vec();
-    for r in &records {
-        bytes.extend_from_slice(&wal::frame_record(r));
-    }
+    bytes.extend(legacy_frame(0, None, 0, "t", schema_body.finish()));
+    bytes.extend(legacy_frame(
+        1,
+        None,
+        2,
+        "t",
+        legacy_rows(&[
+            certain(vec![Value::Int(1), Value::str("x")]),
+            certain(vec![Value::Int(2), Value::str("y")]),
+        ]),
+    ));
+    bytes.extend(legacy_frame(
+        2,
+        Some((0, vec![vec![0.4, 0.6]])),
+        1,
+        "picks",
+        image_body.finish(),
+    ));
+    // An `UPDATE` and a `DELETE` as they used to log: the whole table.
+    bytes.extend(legacy_frame(
+        3,
+        None,
+        3,
+        "t",
+        legacy_rows(&[
+            certain(vec![Value::Int(1), Value::str("x")]),
+            certain(vec![Value::Int(3), Value::str("y")]),
+        ]),
+    ));
+    bytes.extend(legacy_frame(
+        4,
+        None,
+        3,
+        "t",
+        legacy_rows(&[certain(vec![Value::Int(3), Value::str("y")])]),
+    ));
+    let mem = MemVfs::new();
     let mut f = mem.create(wal::WAL_FILE).unwrap();
     f.append(&bytes).unwrap();
     f.sync().unwrap();
     drop(f);
 
-    let (mut store, rec) = Store::open(Arc::new(mem.clone())).expect("legacy WAL recovers");
+    let (mut store, mut rec) = Store::open(Arc::new(mem.clone())).expect("legacy WAL recovers");
+    assert_eq!(rec.replayed, 5);
     assert_eq!(rec.tables.len(), 2);
-    assert_eq!(rec.tables["t"].len(), 1);
     assert_eq!(rec.tables["picks"].len(), 1);
     assert_eq!(rec.wt.num_vars(), 1);
-    let fp = fingerprint(&rec.tables, &rec.wt);
+    let t = &rec.tables["t"];
+    assert_eq!(t.len(), 1);
+    assert_eq!(t.tuples()[0].data.values(), [Value::Int(3), Value::str("y")]);
+    // Recovery left the replayed records as they were on disk.
+    assert_eq!(mem.read(wal::WAL_FILE).unwrap(), bytes);
 
-    // Checkpoint rewrites the state in the current snapshot format;
-    // reopening must land on the identical state.
-    store.checkpoint(&rec.tables, &rec.wt).unwrap();
+    // New writes land as deltas behind the old records…
+    let update = Op::UpdateRows {
+        table: "t".into(),
+        positions: vec![0],
+        columns: vec![1],
+        cells: vec![Value::str("z")],
+    };
+    store.log(&update, &rec.wt).unwrap();
+    apply_op(&mut rec.tables, update).unwrap();
+    let fp = fingerprint(&rec.tables, &rec.wt);
     drop(store);
-    let (_, rec2) = Store::open(Arc::new(mem)).expect("reopen after checkpoint");
+    let (mut store, rec2) = Store::open(Arc::new(mem.clone())).expect("mixed WAL recovers");
+    assert_eq!(rec2.replayed, 6);
     assert_eq!(fingerprint(&rec2.tables, &rec2.wt), fp);
+
+    // …and a checkpoint rewrites the state in the current snapshot
+    // format; reopening must land on the identical state.
+    store.checkpoint(&rec2.tables, &rec2.wt).unwrap();
+    drop(store);
+    let (_, rec3) = Store::open(Arc::new(mem)).expect("reopen after checkpoint");
+    assert_eq!(rec3.replayed, 0);
+    assert_eq!(fingerprint(&rec3.tables, &rec3.wt), fp);
 }
 
 #[test]

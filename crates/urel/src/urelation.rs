@@ -23,9 +23,14 @@
 //! strings included) with the per-tuple WSDs kept as a parallel sidecar
 //! vector — the at-rest representation catalog installs produce via
 //! [`URelation::compact`]. The `UTuple` row view is materialised lazily,
-//! once; mutation ([`URelation::tuples_mut`]) decays the store to rows
-//! first, so the at-rest batch never changes after construction and scans
-//! can borrow column slices from it without per-morsel pivots.
+//! once. DML mutates the at-rest body **in place**
+//! ([`URelation::append_rows`], [`URelation::set_cells`],
+//! [`URelation::delete_rows`]) at a cost proportional to the rows
+//! touched, copy-on-write: the body is cloned first only if a reader (a
+//! held query result) still shares its `Arc`, so readers never observe a
+//! write. The row view is dropped by a write, not rebuilt.
+//! [`URelation::tuples_mut`] still decays the store to rows — that is
+//! for building query results, not for stored tables.
 
 use std::sync::{Arc, OnceLock};
 
@@ -78,9 +83,9 @@ enum Store {
     Columnar(Arc<ColumnarURel>),
 }
 
-/// An immutable columnar U-relation body: data columns, parallel WSDs,
-/// and the lazily materialised `UTuple` view (built at most once; all
-/// clones share it through the `Arc`).
+/// A columnar U-relation body: data columns, parallel WSDs, and the
+/// lazily materialised `UTuple` view (built at most once between writes;
+/// all clones share it through the `Arc`).
 #[derive(Debug)]
 struct ColumnarURel {
     batch: ColumnBatch,
@@ -105,6 +110,14 @@ impl ColumnarURel {
             Some(rows) => rows,
             None => zip_batch(self.batch.to_tuple_batch(), self.wsds),
         }
+    }
+}
+
+// The copy-on-write clone a writer takes when a reader shares the body:
+// the row view is about to go stale, so it is not copied.
+impl Clone for ColumnarURel {
+    fn clone(&self) -> ColumnarURel {
+        ColumnarURel::new(self.batch.clone(), self.wsds.clone())
     }
 }
 
@@ -211,8 +224,62 @@ impl URelation {
         }
     }
 
-    /// Mutable access (updates). Decays a columnar store to rows first —
-    /// the at-rest batch itself never mutates.
+    /// The at-rest body for an in-place write: a row store is compacted
+    /// first (only freshly created empty tables and legacy row images
+    /// are), a shared body is cloned (copy-on-write), and the row view
+    /// is dropped.
+    fn columnar_mut(&mut self) -> &mut ColumnarURel {
+        if !self.is_columnar() {
+            *self = self.compact();
+        }
+        let Store::Columnar(arc) = &mut self.store else {
+            unreachable!("just compacted")
+        };
+        let body = Arc::make_mut(arc);
+        body.rows.take();
+        body
+    }
+
+    /// Append `rows` in place (INSERT). Caller guarantees each row has
+    /// the schema's arity.
+    pub fn append_rows(&mut self, rows: &[UTuple]) {
+        let body = self.columnar_mut();
+        body.batch.append_rows(rows.iter().map(|t| t.data.values()));
+        body.wsds.extend(rows.iter().map(|t| t.wsd.clone()));
+    }
+
+    /// Overwrite the data cells at `positions` × `cols` in place
+    /// (UPDATE); conditions are untouched. `cells` is row-major over
+    /// `positions`. Caller guarantees positions and columns are in range
+    /// and `cells.len() == positions.len() * cols.len()`.
+    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &[maybms_engine::Value]) {
+        self.columnar_mut().batch.set_cells(positions, cols, cells);
+    }
+
+    /// Remove the tuples at `positions` (strictly increasing, in range)
+    /// in place (DELETE), data and conditions alike.
+    pub fn delete_rows(&mut self, positions: &[u32]) {
+        let body = self.columnar_mut();
+        body.batch.delete_rows(positions);
+        maybms_engine::column::remove_sorted(&mut body.wsds, positions);
+    }
+
+    /// Write tuple `i`'s data values into `out` (cleared first) without
+    /// materialising the row view of a columnar store.
+    pub fn write_row(&self, i: usize, out: &mut Vec<maybms_engine::Value>) {
+        match &self.store {
+            Store::Rows(t) => {
+                out.clear();
+                out.extend_from_slice(t[i].data.values());
+            }
+            Store::Columnar(c) => c.batch.write_row(i, out),
+        }
+    }
+
+    /// Mutable row access for building query results. Decays a columnar
+    /// store to rows first; stored tables are written through
+    /// [`URelation::append_rows`] / [`URelation::set_cells`] /
+    /// [`URelation::delete_rows`] instead.
     pub fn tuples_mut(&mut self) -> &mut Vec<UTuple> {
         if matches!(self.store, Store::Columnar(_)) {
             let store = std::mem::replace(&mut self.store, Store::Rows(Vec::new()));
@@ -449,6 +516,46 @@ mod tests {
         m.tuples_mut().pop();
         assert!(!m.is_columnar());
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn in_place_writes_keep_columns_conditions_and_readers() {
+        let x = Var(0);
+        let mut u = URelation::from_certain(&base());
+        u.tuples_mut()[1].wsd = Wsd::of(x, 1);
+        let mut table = u.compact();
+        let reader = table.clone();
+        let _ = table.tuples(); // warm row view: a write must drop it
+        let extra = UTuple::new(
+            Tuple::new(vec!["Duncan".into(), "SL".into()]),
+            Wsd::of(x, 0),
+        );
+        table.append_rows(std::slice::from_ref(&extra));
+        table.set_cells(&[0, 2], &[1], &["SE".into(), Value::Null]);
+        assert!(table.is_columnar());
+        let got: Vec<(Vec<Value>, Wsd)> =
+            table.tuples().iter().map(|t| (t.data.values().to_vec(), t.wsd.clone())).collect();
+        assert_eq!(
+            got,
+            vec![
+                (vec!["Bryant".into(), "SE".into()], Wsd::tautology()),
+                (vec!["Bryant".into(), "SE".into()], Wsd::of(x, 1)),
+                (vec!["Duncan".into(), Value::Null], Wsd::of(x, 0)),
+            ]
+        );
+        table.delete_rows(&[0, 2]);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.tuples()[0].wsd, Wsd::of(x, 1));
+        let mut row = Vec::new();
+        table.write_row(0, &mut row);
+        assert_eq!(row, vec![Value::str("Bryant"), Value::str("SE")]);
+        // The reader that shared the body saw none of it.
+        assert_eq!(reader, u);
+        // A fresh empty table takes its first rows in place too.
+        let mut empty = URelation::empty(u.schema().clone());
+        empty.append_rows(&[extra]);
+        assert!(empty.is_columnar());
+        assert_eq!(empty.len(), 1);
     }
 
     #[test]

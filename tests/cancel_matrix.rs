@@ -19,7 +19,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use maybms::store::{Catalog, FaultMode, FaultVfs, MemVfs};
+use maybms::store::{Catalog, FaultMode, FaultVfs, MemVfs, Vfs};
 use maybms::{store, MayBms};
 use maybms_gov::{testing, AbortKind, GovError};
 
@@ -94,6 +94,7 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
                 let mem = MemVfs::new();
                 let mut db = seed(&mem);
                 let baseline = fp(&db);
+                let wal_before = mem.read("wal").unwrap();
                 let mut completed = false;
                 for nth in 1..=MAX_SWEEP {
                     testing::abort_at_checkpoint(nth, kind);
@@ -118,6 +119,11 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
                                 "{label}/{kind:?}/t{threads} nth={nth}: abort mutated state"
                             );
                             // …and nothing leaked into the durable log.
+                            assert_eq!(
+                                mem.read("wal").unwrap(),
+                                wal_before,
+                                "{label}/{kind:?}/t{threads} nth={nth}: abort wrote WAL bytes"
+                            );
                             let recovered =
                                 MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
                             assert_eq!(
@@ -153,6 +159,35 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
         }
     }
     maybms_par::set_threads(before_threads);
+}
+
+/// The same contract for statements that fail on their own: an error in
+/// the predicate, in a `SET` expression, or a value of the wrong type
+/// family surfaces before anything is logged or installed.
+#[test]
+fn failed_dml_leaves_catalog_world_table_and_wal_untouched() {
+    let _l = lock();
+    let mem = MemVfs::new();
+    let mut db = seed(&mem);
+    let baseline = fp(&db);
+    let vars = db.world_table().num_vars();
+    let wal_before = mem.read("wal").unwrap();
+    for sql in [
+        "delete from games where player + 1 > 2",
+        "update games set pts = pts + 1 where player + 1 > 2",
+        "update games set pts = player + 1 where pts > 20",
+        "update games set pts = 'forty' where pts > 20",
+        "update picks set w = player",
+        "insert into games values ('Ginobili', 17, 0.9), ('Horry', 'six', 0.1)",
+        "insert into games values ('Ginobili', 17)",
+    ] {
+        assert!(db.run(sql).is_err(), "{sql} must fail");
+        assert_eq!(fp(&db), baseline, "{sql} changed the catalog");
+        assert_eq!(db.world_table().num_vars(), vars, "{sql} grew the world table");
+        assert_eq!(mem.read("wal").unwrap(), wal_before, "{sql} wrote WAL bytes");
+    }
+    db.run("update games set pts = pts + 1 where pts > 20").unwrap();
+    assert_ne!(mem.read("wal").unwrap(), wal_before);
 }
 
 // ---------------------------------------------------------------------
