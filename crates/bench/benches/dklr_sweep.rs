@@ -4,10 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_bench::workloads::{random_dnf, DnfParams};
-use maybms_conf::dklr::{approximate, stopping_rule, DklrOptions};
+use maybms_conf::dklr::{approximate_seeded, stopping_rule_seeded, DklrOptions};
 use maybms_conf::karp_luby::KarpLuby;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn bench_dklr(c: &mut Criterion) {
     let (wt, dnf) = random_dnf(
@@ -24,9 +22,10 @@ fn bench_dklr(c: &mut Criterion) {
             BenchmarkId::new("aa", format!("eps{epsilon}")),
             &epsilon,
             |b, &eps| {
-                let mut rng = StdRng::seed_from_u64(5);
+                let mut seed = 5;
                 b.iter(|| {
-                    approximate(&kl, &wt, &DklrOptions::new(eps, 0.1), &mut rng)
+                    seed += 1;
+                    approximate_seeded(&kl, &DklrOptions::new(eps, 0.1), seed)
                         .unwrap()
                         .samples
                 })
@@ -36,9 +35,10 @@ fn bench_dklr(c: &mut Criterion) {
             BenchmarkId::new("stopping_rule", format!("eps{epsilon}")),
             &epsilon,
             |b, &eps| {
-                let mut rng = StdRng::seed_from_u64(5);
+                let mut seed = 5;
                 b.iter(|| {
-                    stopping_rule(&kl, &wt, &DklrOptions::new(eps, 0.1), &mut rng)
+                    seed += 1;
+                    stopping_rule_seeded(&kl, &DklrOptions::new(eps, 0.1), seed)
                         .unwrap()
                         .samples
                 })

@@ -5,11 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_bench::workloads::{random_dnf, DnfParams};
-use maybms_conf::dklr::{approximate, DklrOptions};
+use maybms_conf::dklr::{approximate_seeded, DklrOptions};
 use maybms_conf::exact;
 use maybms_conf::karp_luby::KarpLuby;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const CLAUSES: usize = 40;
 const RATIOS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
@@ -35,9 +33,10 @@ fn bench_crossover(c: &mut Criterion) {
             BenchmarkId::new("aconf_0.1_0.1", format!("ratio{ratio}")),
             &ratio,
             |b, _| {
-                let mut rng = StdRng::seed_from_u64(99);
+                let mut seed = 99;
                 b.iter(|| {
-                    approximate(&kl, &wt, &DklrOptions::new(0.1, 0.1), &mut rng)
+                    seed += 1;
+                    approximate_seeded(&kl, &DklrOptions::new(0.1, 0.1), seed)
                         .unwrap()
                         .estimate
                 })

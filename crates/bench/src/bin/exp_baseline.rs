@@ -54,7 +54,6 @@ use std::time::Instant;
 
 use maybms_bench::{naive, workloads};
 use maybms_conf::exact::{self, ExactOptions};
-use maybms_conf::karp_luby::KarpLuby;
 use maybms_core::agg as coreagg;
 use maybms_core::translate::AggSpec;
 use maybms_engine::{ops, BinaryOp, Catalog, DataType, Expr, Field, PhysicalPlan};
@@ -62,8 +61,6 @@ use maybms_pipe::UStream;
 use maybms_urel::pick::PickTuplesOptions;
 use maybms_urel::repair::RepairKeyOptions;
 use maybms_urel::{algebra, URelation, WorldTable};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 struct Outcome {
     name: &'static str,
@@ -578,36 +575,6 @@ fn main() {
         stats: take_delta(&mut mark),
     });
 
-    // Karp–Luby sampling at a fixed sample count: the sequential
-    // single-stream estimator vs the seeded batch-parallel one.
-    let (kwt, kdnf) = workloads::random_dnf(
-        91,
-        workloads::DnfParams { clauses: 40, vars: 20, clause_len: 3, domain: 2 },
-    );
-    let kl = KarpLuby::new(&kdnf, &kwt).unwrap();
-    let samples = if quick { 20_000 } else { 200_000 };
-    let (n, o, out) = compare(
-        reps,
-        || {
-            let mut rng = StdRng::seed_from_u64(1);
-            std::hint::black_box(kl.estimate(&kwt, samples, &mut rng));
-            samples
-        },
-        || {
-            std::hint::black_box(kl.estimate_seeded(&kwt, samples, 1, &pool4));
-            samples
-        },
-    );
-    outcomes.push(Outcome {
-        name: "karp_luby_par4",
-        rows_in: kdnf.len(),
-        rows_out: out,
-        naive: n,
-        optimized: o,
-        pipelined: None,
-        stats: take_delta(&mut mark),
-    });
-
     // -- Streaming (maybms-pipe) three-way workloads -------------------
     // A σ→π→σ→π chain: the materialising path builds three intermediate
     // relations; the pipelined path fuses all four stages into one
@@ -1111,8 +1078,8 @@ fn main() {
          per-row WSD heap allocation); optimized = zero-clone core (selection \
          vectors, hashed keys, batched rows, inline WSDs); *_par4 workloads run \
          the optimized operators on an explicit 4-thread maybms-par pool \
-         (conf_dtree_par4 and karp_luby_par4 baselines are the *sequential \
-         optimized* algorithms, isolating the scheduler; with cores=1 the par \
+         (the conf_dtree_par4 baseline is the *sequential optimized* \
+         algorithm, isolating the scheduler; with cores=1 the par \
          columns bound threading overhead, not multicore scaling); workloads \
          with pipelined_ms additionally run the maybms-pipe morsel-driven \
          streaming executor over the same plan, columnar path at its \

@@ -7,11 +7,9 @@
 use std::time::Instant;
 
 use maybms_bench::workloads::{random_dnf, DnfParams};
-use maybms_conf::dklr::{approximate, DklrOptions};
+use maybms_conf::dklr::{approximate_seeded, DklrOptions};
 use maybms_conf::exact;
 use maybms_conf::karp_luby::KarpLuby;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -39,12 +37,11 @@ fn main() {
         }
 
         let kl = KarpLuby::new(&dnf, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(99);
         let mut approx_times = Vec::new();
         let mut p_approx = 0.0;
-        for _ in 0..5 {
+        for seed in 99..104 {
             let t0 = Instant::now();
-            p_approx = approximate(&kl, &wt, &DklrOptions::new(0.1, 0.1), &mut rng)
+            p_approx = approximate_seeded(&kl, &DklrOptions::new(0.1, 0.1), seed)
                 .unwrap()
                 .estimate;
             approx_times.push(t0.elapsed().as_secs_f64() * 1e3);

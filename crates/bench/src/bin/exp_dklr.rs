@@ -3,11 +3,9 @@
 //! guarantee in action.
 
 use maybms_bench::workloads::{random_dnf, DnfParams};
-use maybms_conf::dklr::{approximate, stopping_rule, DklrOptions};
+use maybms_conf::dklr::{approximate_seeded, stopping_rule_seeded, DklrOptions};
 use maybms_conf::exact;
 use maybms_conf::karp_luby::KarpLuby;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let (wt, dnf) = random_dnf(
@@ -21,17 +19,17 @@ fn main() {
         "{:>7} {:>14} {:>14} {:>12} {:>12}",
         "eps", "AA samples", "SRA samples", "mean |rel|", "fail rate"
     );
-    let runs = 20;
+    let runs = 20u32;
     for eps in [0.5, 0.2, 0.1, 0.05, 0.02] {
         let opts = DklrOptions::new(eps, 0.05);
-        let mut rng = StdRng::seed_from_u64(77);
         let mut aa_samples = 0u64;
         let mut sra_samples = 0u64;
         let mut rel_sum = 0.0;
         let mut failures = 0u32;
-        for _ in 0..runs {
-            let aa = approximate(&kl, &wt, &opts, &mut rng).unwrap();
-            let sra = stopping_rule(&kl, &wt, &opts, &mut rng).unwrap();
+        for run in 0..runs {
+            let seed = 77 + u64::from(run);
+            let aa = approximate_seeded(&kl, &opts, seed).unwrap();
+            let sra = stopping_rule_seeded(&kl, &opts, seed).unwrap();
             aa_samples += aa.samples;
             sra_samples += sra.samples;
             let rel = ((aa.estimate - truth) / truth).abs();
@@ -43,8 +41,8 @@ fn main() {
         println!(
             "{:>7} {:>14} {:>14} {:>12.5} {:>12.3}",
             eps,
-            aa_samples / runs as u64,
-            sra_samples / runs as u64,
+            aa_samples / u64::from(runs),
+            sra_samples / u64::from(runs),
             rel_sum / f64::from(runs),
             f64::from(failures) / f64::from(runs)
         );

@@ -260,25 +260,26 @@ proptest! {
         prop_assert_eq!(&prints[2], &prints[0], "stats, threads 8 vs 1");
     }
 
-    /// Seeded Karp–Luby and DKLR: estimates and sample counts are
-    /// bit-identical at every thread count for the same seed.
+    /// Seeded Karp–Luby and DKLR runs are pure functions of their seed:
+    /// fanned out one run per task on 2 and 8 threads (as grouped
+    /// aggregation fans out its groups) they return, bit for bit, what a
+    /// sequential loop over the same seeds returns.
     #[test]
     fn par_sampling_bit_identical((wt, dnf) in arb_dnf(), seed in 0u64..1000) {
         let kl = KarpLuby::new(&dnf, &wt).unwrap();
-        let p1 = ThreadPool::new(1);
         if kl.constant_value().is_some() {
             return Ok(());
         }
-        let est_ref = kl.estimate_seeded(&wt, 2500, seed, &p1);
         let opts = dklr::DklrOptions::new(0.25, 0.2);
-        let aa_ref = dklr::approximate_seeded(&kl, &wt, &opts, seed, &p1).unwrap();
+        let run = |s: u64| {
+            let aa = dklr::approximate_seeded(&kl, &opts, s).unwrap();
+            (kl.estimate_seeded(2500, s).to_bits(), aa.estimate.to_bits(), aa.samples)
+        };
+        let seeds: Vec<u64> = (seed..seed + 8).collect();
+        let reference: Vec<_> = seeds.iter().map(|&s| run(s)).collect();
         for threads in [2usize, 8] {
-            let pool = ThreadPool::new(threads);
-            let est = kl.estimate_seeded(&wt, 2500, seed, &pool);
-            prop_assert_eq!(est_ref.to_bits(), est.to_bits(), "threads = {}", threads);
-            let aa = dklr::approximate_seeded(&kl, &wt, &opts, seed, &pool).unwrap();
-            prop_assert_eq!(aa_ref.estimate.to_bits(), aa.estimate.to_bits());
-            prop_assert_eq!(aa_ref.samples, aa.samples, "threads = {}", threads);
+            let got = ThreadPool::new(threads).par_map(seeds.clone(), run);
+            prop_assert_eq!(&got, &reference, "threads = {}", threads);
         }
     }
 }

@@ -47,13 +47,14 @@ fn stage_fingerprint(ps: &maybms_obs::PipelineStats) -> (Vec<(String, u64, u64, 
 #[allow(clippy::type_complexity)]
 fn query_fingerprint(
     qs: &maybms_obs::QueryStats,
-) -> (Vec<(Vec<(String, u64, u64, u64)>, u64)>, [u64; 5], u64) {
+) -> (Vec<(Vec<(String, u64, u64, u64)>, u64)>, [u64; 6], u64) {
     (
         qs.pipelines().iter().map(|p| stage_fingerprint(p)).collect(),
         [
             qs.conf_calls.get(),
             qs.dnf_clauses.get(),
             qs.dtree_nodes.get(),
+            qs.samples.get(),
             qs.samples_drawn.get(),
             qs.sample_batches.get(),
         ],

@@ -152,6 +152,36 @@ fn span_tree_well_formed_and_agrees_with_explain_analyze() {
     assert!(spans.iter().any(|s| s.label == "execute"), "execute must be spanned");
 }
 
+/// An `aconf` call's `conf` span shows what was asked for next to what
+/// was achieved: the requested (ε, δ), consumed and drawn samples (equal —
+/// the sample stream is demand-driven) and the achieved standard error.
+#[test]
+fn aconf_span_carries_requested_and_achieved_accuracy() {
+    use maybms_obs::trace::AttrValue;
+    let _guard = TRACE_TEST_LOCK.lock().unwrap();
+    let mut db = seeded_db();
+    let sql = "select face, aconf(0.1, 0.05) as p \
+               from (repair key toss in coin weight by w) c group by face";
+    let (spans, _) = traced_run(&mut db, sql);
+    let conf: Vec<&SpanRecord> = spans.iter().filter(|s| s.label == "conf").collect();
+    assert_eq!(conf.len(), 3, "one conf span per face");
+    for span in conf {
+        let attr = |key: &str| {
+            let (_, v) = span.attrs.iter().find(|(k, _)| *k == key).unwrap_or_else(|| {
+                panic!("conf span lacks `{key}`: {:?}", span.attrs)
+            });
+            *v
+        };
+        assert!(matches!(attr("method"), AttrValue::Str("approx")));
+        assert!(matches!(attr("epsilon"), AttrValue::Float(e) if e == 0.1));
+        assert!(matches!(attr("delta"), AttrValue::Float(d) if d == 0.05));
+        let AttrValue::Uint(samples) = attr("samples") else { panic!("samples not a count") };
+        assert!(samples > 0);
+        assert!(matches!(attr("samples_drawn"), AttrValue::Uint(n) if n == samples));
+        assert!(matches!(attr("rel_stderr"), AttrValue::Float(r) if r > 0.0 && r < 0.1));
+    }
+}
+
 /// Property 2: the `(label, parent-label-path)` multiset is identical at
 /// 1/2/8 threads for the same statements — conf spans land under the
 /// spawn-site span, not under whichever worker ran them.

@@ -9,9 +9,9 @@
 //!
 //! Implemented here:
 //!
-//! * [`stopping_rule`] — the Stopping Rule Algorithm (SRA): sample until
-//!   the running sum reaches `Υ₁ = 1 + (1+ε)Υ`, output `Υ₁/N`;
-//! * [`approximate`] — the full 𝒜𝒜 algorithm: (1) a coarse SRA run,
+//! * [`stopping_rule_seeded`] — the Stopping Rule Algorithm (SRA): sample
+//!   until the running sum reaches `Υ₁ = 1 + (1+ε)Υ`, output `Υ₁/N`;
+//! * [`approximate_seeded`] — the full 𝒜𝒜 algorithm: (1) a coarse SRA run,
 //!   (2) a variance-estimation phase on sample *pairs*, (3) the final run
 //!   with the optimal number of samples `∝ max(σ², εμ)/μ²`.
 //!
@@ -19,31 +19,47 @@
 //! in `[0, 1]` — satisfied by the Karp–Luby indicator. Because the output
 //! is rescaled by the constant `S`, the *relative* error guarantee carries
 //! over to the DNF probability.
+//!
+//! # The seeded, demand-driven sample stream
+//!
+//! Every driver draws from the *seeded batch stream* of
+//! [`crate::karp_luby`]: the sample sequence of a phase is the
+//! concatenation of [`SAMPLE_BATCH`]-sized batches, batch `b` drawn from
+//! an RNG seeded with `derive_seed(phase_seed, b)` — a pure function of
+//! `(seed, batch index)`. Work follows demand: a run draws its samples one
+//! by one from a single reused [`Sampler`], the stopping rule draws nothing
+//! past the sample it stops at, the known-length variance and main phases
+//! count hits batch by batch without materialising indicators, and the
+//! governor is consulted before each batch is drawn. A run uses one thread;
+//! statements parallelise across groups, above this crate. Estimates,
+//! consumed sample counts and deadline-cut partial estimates are therefore
+//! the same whatever the thread count of the pool the caller runs on.
 
-use maybms_par::ThreadPool;
-use rand::Rng;
+use rand::rngs::StdRng;
 
 use maybms_urel::{Result, UrelError, WorldTable};
 
 use crate::dnf::Dnf;
-use crate::karp_luby::{KarpLuby, SAMPLE_BATCH};
+use crate::karp_luby::{batch_rng, KarpLuby, Sampler, SAMPLE_BATCH};
 
 /// λ = e − 2, the constant of the generalised zero-one estimator theorem.
 const LAMBDA: f64 = std::f64::consts::E - 2.0;
 
 /// Outcome of an (ε, δ) approximation, with sampling statistics.
 ///
-/// Every field is deterministic for the seeded drivers: the *consumed*
-/// sample counts follow the stream order regardless of how many batches
-/// were computed speculatively, and `batches` counts consumed batches
-/// (`⌈samples/SAMPLE_BATCH⌉` per phase), not speculative ones — so the
-/// report is bit-identical at any thread count.
+/// Every field is a pure function of `(DNF, options, seed)` and of where a
+/// deadline cut the run, if one did; `batches` counts consumed batches
+/// (`⌈samples/SAMPLE_BATCH⌉` per phase).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Approximation {
     /// The estimate `p̂`.
     pub estimate: f64,
-    /// Total Karp–Luby invocations across all phases.
+    /// Total Karp–Luby invocations consumed across all phases.
     pub samples: u64,
+    /// Karp–Luby invocations computed, as counted by the sampler itself
+    /// (`samples` is the driver's account of what it consumed). The stream
+    /// is demand-driven, so the two agree; a gap would be speculation.
+    pub drawn: u64,
     /// Seeded sample batches consumed (`⌈n/SAMPLE_BATCH⌉` per phase).
     pub batches: u64,
     /// Estimator variance `ρ̂` at stop (the 𝒜𝒜 step-2 estimate, floored
@@ -69,6 +85,7 @@ impl Approximation {
         Approximation {
             estimate: p,
             samples: 0,
+            drawn: 0,
             batches: 0,
             variance: 0.0,
             rel_stderr: 0.0,
@@ -88,16 +105,17 @@ fn gov_batch_verdict() -> Result<bool> {
     }
 }
 
-/// The degraded partial estimate over `n` consumed indicator draws with
-/// running `sum` / `sumsq`, cut at global consumed-batch index
-/// `cut_batch`. An empty prefix reports estimate 0 with infinite error.
-fn degraded(kl: &KarpLuby, sum: f64, sumsq: f64, n: u64, cut_batch: u64) -> Approximation {
+/// The degraded partial estimate over `n` consumed indicator draws of
+/// which `hits` were 1, cut at global consumed-batch index `cut_batch`.
+/// An empty prefix reports estimate 0 with infinite error.
+fn degraded(kl: &KarpLuby, hits: u64, n: u64, cut_batch: u64) -> Approximation {
     let (estimate, rel_stderr) = if n == 0 {
         (0.0, f64::INFINITY)
     } else {
-        let mean = sum / n as f64;
+        let mean = hits as f64 / n as f64;
+        // Sample variance of a 0/1 outcome (Σx² = Σx).
         let var = if n > 1 {
-            ((sumsq - n as f64 * mean * mean) / (n as f64 - 1.0)).max(0.0)
+            ((hits as f64 - n as f64 * mean * mean) / (n as f64 - 1.0)).max(0.0)
         } else {
             0.0
         };
@@ -107,6 +125,7 @@ fn degraded(kl: &KarpLuby, sum: f64, sumsq: f64, n: u64, cut_batch: u64) -> Appr
     Approximation {
         estimate,
         samples: n,
+        drawn: n,
         batches: phase_batches(n),
         variance: 0.0,
         rel_stderr,
@@ -157,212 +176,84 @@ fn upsilon(epsilon: f64, delta: f64) -> f64 {
     4.0 * LAMBDA * (2.0 / delta).ln() / (epsilon * epsilon)
 }
 
-/// Stopping Rule Algorithm: keep invoking the estimator until the running
-/// sum of outcomes reaches `Υ₁ = 1 + (1+ε)Υ`; output `μ̂ = Υ₁ / N`.
-///
-/// For outcomes in `[0,1]` with mean `μ > 0`:
-/// `P(|μ̂ − μ| ≤ ε·μ) > 1 − δ` (DKLR Theorem 1).
-pub fn stopping_rule<R: Rng + ?Sized>(
-    kl: &KarpLuby,
-    wt: &WorldTable,
-    options: &DklrOptions,
-    rng: &mut R,
-) -> Result<Approximation> {
-    options.validate()?;
-    if let Some(p) = kl.constant_value() {
-        return Ok(Approximation::constant(p));
-    }
-    let upsilon1 = 1.0 + (1.0 + options.epsilon) * upsilon(options.epsilon, options.delta);
-    let mut sum = 0.0;
-    let mut n: u64 = 0;
-    while sum < upsilon1 {
-        if n >= options.max_samples {
-            return Err(UrelError::BadProbability {
-                message: format!(
-                    "stopping rule exceeded {} samples (sum {sum:.1} < {upsilon1:.1}); \
-                     the event probability is too small for this (ε, δ)",
-                    options.max_samples
-                ),
-            });
-        }
-        sum += kl.sample_indicator(wt, rng);
-        n += 1;
-    }
-    Ok(Approximation {
-        estimate: kl.scale() * upsilon1 / n as f64,
-        samples: n,
-        batches: phase_batches(n),
-        variance: 0.0,
-        rel_stderr: options.epsilon,
-        cut_batch: None,
-    })
-}
-
-/// The 𝒜𝒜 algorithm (DKLR §2.2): optimal up to constants — its expected
-/// sample count is within a constant factor of any estimator achieving the
-/// same (ε, δ) guarantee.
-pub fn approximate<R: Rng + ?Sized>(
-    kl: &KarpLuby,
-    wt: &WorldTable,
-    options: &DklrOptions,
-    rng: &mut R,
-) -> Result<Approximation> {
-    options.validate()?;
-    if let Some(p) = kl.constant_value() {
-        return Ok(Approximation::constant(p));
-    }
-    let eps = options.epsilon;
-    let delta = options.delta;
-    let ups = upsilon(eps, delta);
-    let ups2 = 2.0 * (1.0 + eps.sqrt()) * (1.0 + 2.0 * eps.sqrt())
-        * (1.0 + (3.0f64 / 2.0).ln() / (2.0 / delta).ln())
-        * ups;
-
-    // Step 1: coarse SRA with ε' = min(1/2, √ε), δ' = δ/3.
-    let coarse = DklrOptions {
-        epsilon: (0.5f64).min(eps.sqrt()),
-        delta: delta / 3.0,
-        max_samples: options.max_samples,
-    };
-    let sra = stopping_rule(kl, wt, &coarse, rng)?;
-    let mut spent = sra.samples;
-    let mut batches = sra.batches;
-    // μ̂ of the *indicator* (mean in [0,1]), not of the scaled estimate.
-    let mu_hat = sra.estimate / kl.scale();
-
-    // Step 2: variance estimation from sample pairs.
-    let n2 = ((ups2 * eps / mu_hat).ceil() as u64).max(1);
-    if spent + 2 * n2 > options.max_samples {
-        return Err(UrelError::BadProbability {
-            message: format!(
-                "AA step 2 would need {} samples, above the cap {}",
-                2 * n2,
-                options.max_samples
-            ),
-        });
-    }
-    let mut s2 = 0.0;
-    for _ in 0..n2 {
-        let a = kl.sample_indicator(wt, rng);
-        let b = kl.sample_indicator(wt, rng);
-        s2 += (a - b) * (a - b) / 2.0;
-    }
-    spent += 2 * n2;
-    batches += phase_batches(2 * n2);
-    let rho_hat = (s2 / n2 as f64).max(eps * mu_hat);
-
-    // Step 3: the optimal main run.
-    let n3 = ((ups2 * rho_hat / (mu_hat * mu_hat)).ceil() as u64).max(1);
-    if spent + n3 > options.max_samples {
-        return Err(UrelError::BadProbability {
-            message: format!(
-                "AA step 3 would need {n3} samples, above the cap {}",
-                options.max_samples
-            ),
-        });
-    }
-    let mut sum = 0.0;
-    for _ in 0..n3 {
-        sum += kl.sample_indicator(wt, rng);
-    }
-    spent += n3;
-    batches += phase_batches(n3);
-    Ok(Approximation {
-        estimate: kl.scale() * sum / n3 as f64,
-        samples: spent,
-        batches,
-        variance: rho_hat,
-        rel_stderr: (rho_hat / n3 as f64).sqrt() / mu_hat,
-        cut_batch: None,
-    })
-}
-
-/// Convenience: `aconf(ε, δ)` for a DNF — prepare Karp–Luby and run 𝒜𝒜.
-pub fn aconf<R: Rng + ?Sized>(
-    dnf: &Dnf,
-    wt: &WorldTable,
-    epsilon: f64,
-    delta: f64,
-    rng: &mut R,
-) -> Result<f64> {
-    let kl = KarpLuby::new(dnf, wt)?;
-    Ok(approximate(&kl, wt, &DklrOptions::new(epsilon, delta), rng)?.estimate)
-}
-
-// ---------------------------------------------------------------------
-// Seeded, deterministically parallel drivers
-// ---------------------------------------------------------------------
-//
-// The `*_seeded` functions below re-express the DKLR drivers over the
-// *seeded batch stream* of `maybms_conf::karp_luby`: the sample sequence
-// is the concatenation of SAMPLE_BATCH-sized batches, batch `b` drawn
-// from an RNG seeded with `derive_seed(phase_seed, b)`. The stream is a
-// pure function of the seed, so batches can be computed speculatively in
-// parallel while the sequential-analysis logic (stopping rule, sample
-// accounting) consumes them strictly in stream order — estimates and
-// sample counts are bit-identical at any thread count.
-
 /// Seed of phase `phase` of a seeded DKLR run (the phases — coarse SRA,
 /// variance pairs, main run — must draw from disjoint streams).
 fn phase_seed(seed: u64, phase: u64) -> u64 {
     maybms_par::derive_seed(seed, phase)
 }
 
-/// Deterministic batch-parallel [`stopping_rule`]: consume the seeded
-/// stream until the running sum reaches `Υ₁`. Batches are precomputed
-/// `threads` at a time (speculation past the stopping point is discarded),
-/// but the scan — and therefore the estimate and the consumed-sample
-/// count — follows stream order exactly.
+/// Stopping Rule Algorithm: keep invoking the estimator until the running
+/// sum of outcomes reaches `Υ₁ = 1 + (1+ε)Υ`; output `μ̂ = Υ₁ / N`.
 ///
-/// The governor is consulted once per consumed batch: a deadline cuts the
-/// run into a degraded partial estimate ([`Approximation::cut_batch`]);
-/// cancellation and memory aborts propagate as errors.
+/// For outcomes in `[0,1]` with mean `μ > 0`:
+/// `P(|μ̂ − μ| ≤ ε·μ) > 1 − δ` (DKLR Theorem 1).
+///
+/// The stream `seed` is consumed in order and no draw is made past the
+/// one the rule stops at. At every batch boundary the sample cap is
+/// enforced and the governor consulted: a deadline cuts the run into a
+/// degraded partial estimate ([`Approximation::cut_batch`]); cancellation
+/// and memory aborts propagate as errors.
 pub fn stopping_rule_seeded(
     kl: &KarpLuby,
-    wt: &WorldTable,
     options: &DklrOptions,
     seed: u64,
-    pool: &ThreadPool,
+) -> Result<Approximation> {
+    with_sampler(kl, options, |sampler| stopping_rule(sampler, options, seed))
+}
+
+/// Validate `options`, short-circuit constant DNFs, and otherwise run
+/// `driver` over a fresh sampler. The report's `drawn` becomes the
+/// sampler's own count of draws (the drivers fill in their account of
+/// what they consumed).
+fn with_sampler(
+    kl: &KarpLuby,
+    options: &DklrOptions,
+    driver: impl FnOnce(&mut Sampler<'_>) -> Result<Approximation>,
 ) -> Result<Approximation> {
     options.validate()?;
     if let Some(p) = kl.constant_value() {
         return Ok(Approximation::constant(p));
     }
+    let mut sampler = kl.sampler();
+    let a = driver(&mut sampler)?;
+    Ok(Approximation { drawn: sampler.draws(), ..a })
+}
+
+/// [`stopping_rule_seeded`] over a caller's sampler.
+fn stopping_rule(
+    sampler: &mut Sampler<'_>,
+    options: &DklrOptions,
+    seed: u64,
+) -> Result<Approximation> {
+    let kl = sampler.compiled();
     let upsilon1 = 1.0 + (1.0 + options.epsilon) * upsilon(options.epsilon, options.delta);
-    let mut sum = 0.0;
-    let mut sumsq = 0.0;
+    let mut hits: u64 = 0;
     let mut n: u64 = 0;
-    let mut consumed: u64 = 0;
-    let stride = pool.threads() as u64;
-    let mut next_batch: u64 = 0;
+    let mut batch: u64 = 0;
     loop {
-        let round: Vec<Vec<f64>> =
-            pool.par_map((next_batch..next_batch + stride).collect(), |b| {
-                kl.batch_indicators(wt, seed, b, SAMPLE_BATCH)
+        if gov_batch_verdict()? {
+            return Ok(degraded(kl, hits, n, batch));
+        }
+        let len = (SAMPLE_BATCH as u64).min(options.max_samples.saturating_sub(n));
+        if len == 0 {
+            return Err(UrelError::BadProbability {
+                message: format!(
+                    "stopping rule exceeded {} samples (sum {hits} < {upsilon1:.1}); \
+                     the event probability is too small for this (ε, δ)",
+                    options.max_samples
+                ),
             });
-        next_batch += stride;
-        for batch in round {
-            if gov_batch_verdict()? {
-                return Ok(degraded(kl, sum, sumsq, n, consumed));
-            }
-            for x in batch {
-                if n >= options.max_samples {
-                    return Err(UrelError::BadProbability {
-                        message: format!(
-                            "stopping rule exceeded {} samples (sum {sum:.1} < \
-                             {upsilon1:.1}); the event probability is too small \
-                             for this (ε, δ)",
-                            options.max_samples
-                        ),
-                    });
-                }
-                sum += x;
-                sumsq += x * x;
-                n += 1;
-                if sum >= upsilon1 {
+        }
+        let mut rng = batch_rng(seed, batch);
+        for _ in 0..len {
+            n += 1;
+            if sampler.draw(&mut rng) {
+                hits += 1;
+                if hits as f64 >= upsilon1 {
                     return Ok(Approximation {
                         estimate: kl.scale() * upsilon1 / n as f64,
                         samples: n,
+                        drawn: n,
                         batches: phase_batches(n),
                         variance: 0.0,
                         rel_stderr: options.epsilon,
@@ -370,88 +261,65 @@ pub fn stopping_rule_seeded(
                     });
                 }
             }
-            consumed += 1;
         }
+        batch += 1;
     }
 }
 
-/// Outcome of a governed batched stream fold.
+/// Outcome of a governed fold over a known-length phase stream.
 enum StreamSum {
     /// All batches consumed: the fold total.
-    Done(f64),
-    /// Deadline cut before batch `consumed` (0-based within the phase):
-    /// the raw indicator `sum`/`sumsq` over the consumed full batches.
+    Done(u64),
+    /// Deadline cut before batch `consumed` (0-based within the phase).
     Cut {
         /// Full batches consumed before the cut.
         consumed: u64,
-        /// Indicator sum over those batches.
-        sum: f64,
-        /// Indicator square sum over those batches.
-        sumsq: f64,
+        /// Fold total over those batches.
+        total: u64,
     },
 }
 
-/// Sum `f` over the first `samples` draws of phase stream `seed`,
-/// batch-parallel with in-order combination. `f` folds one batch's
-/// indicator slice into a partial (identity on indicators for plain sums,
-/// paired squared differences for the variance phase). The governor is
-/// consulted once per consumed batch (batches are computed `threads` at a
-/// time; a cut discards the speculative remainder of the round).
-fn batched_stream_sum(
-    kl: &KarpLuby,
-    wt: &WorldTable,
+/// Sum `per_batch(rng, len)` over the batches covering the first `samples`
+/// draws of phase stream `seed`, consulting the governor before each
+/// batch is drawn.
+fn fold_stream(
     samples: u64,
     seed: u64,
-    pool: &ThreadPool,
-    f: impl Fn(&[f64]) -> f64 + Sync,
+    mut per_batch: impl FnMut(&mut StdRng, u64) -> u64,
 ) -> Result<StreamSum> {
-    let batches = (samples as usize).div_ceil(SAMPLE_BATCH) as u64;
-    let stride = (pool.threads() as u64).max(1);
-    let mut total = 0.0;
-    let mut sum = 0.0;
-    let mut sumsq = 0.0;
-    let mut consumed: u64 = 0;
-    let mut b: u64 = 0;
-    while b < batches {
-        let end = (b + stride).min(batches);
-        let round: Vec<(f64, f64, f64)> = pool.par_map((b..end).collect(), |bi| {
-            let len = SAMPLE_BATCH.min(samples as usize - bi as usize * SAMPLE_BATCH);
-            let xs = kl.batch_indicators(wt, seed, bi, len);
-            (f(&xs), xs.iter().sum(), xs.iter().map(|x| x * x).sum())
-        });
-        for (val, s, sq) in round {
-            if gov_batch_verdict()? {
-                return Ok(StreamSum::Cut { consumed, sum, sumsq });
-            }
-            total += val;
-            sum += s;
-            sumsq += sq;
-            consumed += 1;
+    let mut total = 0;
+    for consumed in 0..phase_batches(samples) {
+        if gov_batch_verdict()? {
+            return Ok(StreamSum::Cut { consumed, total });
         }
-        b = end;
+        let len = (SAMPLE_BATCH as u64).min(samples - consumed * SAMPLE_BATCH as u64);
+        total += per_batch(&mut batch_rng(seed, consumed), len);
     }
     Ok(StreamSum::Done(total))
 }
 
-/// Deterministic batch-parallel [`approximate`] (the 𝒜𝒜 algorithm).
+/// The 𝒜𝒜 algorithm (DKLR §2.2): optimal up to constants — its expected
+/// sample count is within a constant factor of any estimator achieving the
+/// same (ε, δ) guarantee.
 ///
-/// Same three phases as the sequential driver, each over its own seeded
-/// stream; per-phase results are bit-identical at any thread count, so
-/// the derived sample counts — and hence the final estimate and total
-/// sample accounting — are too. The variance phase pairs consecutive
-/// stream draws; [`SAMPLE_BATCH`] is even, so pairs never straddle batch
-/// boundaries and each batch folds its pairs locally.
+/// Three phases, each over its own seeded stream (see the module docs).
+/// The variance phase pairs consecutive stream draws; [`SAMPLE_BATCH`] is
+/// even, so pairs never straddle batch boundaries.
 pub fn approximate_seeded(
     kl: &KarpLuby,
-    wt: &WorldTable,
     options: &DklrOptions,
     seed: u64,
-    pool: &ThreadPool,
 ) -> Result<Approximation> {
-    options.validate()?;
-    if let Some(p) = kl.constant_value() {
-        return Ok(Approximation::constant(p));
-    }
+    with_sampler(kl, options, |sampler| approximate(sampler, options, seed))
+}
+
+/// [`approximate_seeded`] over a caller's sampler.
+fn approximate(
+    sampler: &mut Sampler<'_>,
+    options: &DklrOptions,
+    seed: u64,
+) -> Result<Approximation> {
+    let kl = sampler.compiled();
     let eps = options.epsilon;
     let delta = options.delta;
     let ups = upsilon(eps, delta);
@@ -465,7 +333,7 @@ pub fn approximate_seeded(
         delta: delta / 3.0,
         max_samples: options.max_samples,
     };
-    let sra = stopping_rule_seeded(kl, wt, &coarse, phase_seed(seed, 1), pool)?;
+    let sra = stopping_rule(sampler, &coarse, phase_seed(seed, 1))?;
     if sra.cut_batch.is_some() {
         // Deadline hit during the coarse run: its partial seeded mean is
         // the best (and only) information available.
@@ -473,9 +341,11 @@ pub fn approximate_seeded(
     }
     let mut spent = sra.samples;
     let mut batches = sra.batches;
+    // μ̂ of the *indicator* (mean in [0,1]), not of the scaled estimate.
     let mu_hat = sra.estimate / kl.scale();
 
-    // Step 2: variance estimation from sample pairs.
+    // Step 2: variance estimation from sample pairs — for 0/1 outcomes
+    // `(a − b)²/2` is half the count of pairs that differ.
     let n2 = ((ups2 * eps / mu_hat).ceil() as u64).max(1);
     if spent + 2 * n2 > options.max_samples {
         return Err(UrelError::BadProbability {
@@ -486,8 +356,8 @@ pub fn approximate_seeded(
             ),
         });
     }
-    let s2 = match batched_stream_sum(kl, wt, 2 * n2, phase_seed(seed, 2), pool, |xs| {
-        xs.chunks_exact(2).map(|p| (p[0] - p[1]) * (p[0] - p[1]) / 2.0).sum()
+    let differing = match fold_stream(2 * n2, phase_seed(seed, 2), |rng, len| {
+        (0..len / 2).filter(|_| sampler.draw(rng) != sampler.draw(rng)).count() as u64
     })? {
         StreamSum::Done(total) => total,
         StreamSum::Cut { consumed, .. } => {
@@ -497,14 +367,14 @@ pub fn approximate_seeded(
             return Ok(Approximation {
                 samples: spent + consumed * SAMPLE_BATCH as u64,
                 batches: batches + consumed,
-                cut_batch: Some(sra.batches + consumed),
+                cut_batch: Some(batches + consumed),
                 ..sra
             });
         }
     };
     spent += 2 * n2;
     batches += phase_batches(2 * n2);
-    let rho_hat = (s2 / n2 as f64).max(eps * mu_hat);
+    let rho_hat = (differing as f64 / 2.0 / n2 as f64).max(eps * mu_hat);
 
     // Step 3: the optimal main run.
     let n3 = ((ups2 * rho_hat / (mu_hat * mu_hat)).ceil() as u64).max(1);
@@ -516,38 +386,34 @@ pub fn approximate_seeded(
             ),
         });
     }
-    let sum =
-        match batched_stream_sum(kl, wt, n3, phase_seed(seed, 3), pool, |xs| xs.iter().sum())? {
-            StreamSum::Done(total) => total,
-            StreamSum::Cut { consumed, sum, sumsq } => {
-                if consumed == 0 {
-                    // Nothing from the main run yet: the SRA estimate is
-                    // still the best information available.
-                    return Ok(Approximation {
-                        samples: spent,
-                        batches,
-                        cut_batch: Some(batches),
-                        ..sra
-                    });
-                }
-                // Partial main run: seeded mean over the consumed batches,
-                // with the *achieved* standard error rather than the
-                // requested one.
-                let n = consumed * SAMPLE_BATCH as u64;
-                let partial = degraded(kl, sum, sumsq, n, batches + consumed);
-                return Ok(Approximation {
-                    samples: spent + n,
-                    batches: batches + consumed,
-                    variance: rho_hat,
-                    ..partial
-                });
-            }
-        };
+    let hits = match fold_stream(n3, phase_seed(seed, 3), |rng, len| {
+        (0..len).filter(|_| sampler.draw(rng)).count() as u64
+    })? {
+        StreamSum::Done(total) => total,
+        // Nothing from the main run yet: the SRA estimate is still the
+        // best information available.
+        StreamSum::Cut { consumed: 0, .. } => {
+            return Ok(Approximation { samples: spent, batches, cut_batch: Some(batches), ..sra });
+        }
+        StreamSum::Cut { consumed, total } => {
+            // Partial main run: seeded mean over the consumed batches,
+            // with the *achieved* standard error rather than the
+            // requested one.
+            let n = consumed * SAMPLE_BATCH as u64;
+            return Ok(Approximation {
+                samples: spent + n,
+                batches: batches + consumed,
+                variance: rho_hat,
+                ..degraded(kl, total, n, batches + consumed)
+            });
+        }
+    };
     spent += n3;
     batches += phase_batches(n3);
     Ok(Approximation {
-        estimate: kl.scale() * sum / n3 as f64,
+        estimate: kl.scale() * hits as f64 / n3 as f64,
         samples: spent,
+        drawn: spent,
         batches,
         variance: rho_hat,
         rel_stderr: (rho_hat / n3 as f64).sqrt() / mu_hat,
@@ -555,20 +421,18 @@ pub fn approximate_seeded(
     })
 }
 
-/// Seeded `aconf(ε, δ)` with the full [`Approximation`] report: prepare
-/// Karp–Luby and run the deterministic parallel 𝒜𝒜 — the engine of the
-/// SQL `aconf` aggregate. Callers that only want the estimate use
-/// [`aconf_seeded`].
+/// Seeded `aconf(ε, δ)` with the full [`Approximation`] report: compile
+/// the Karp–Luby sampler and run 𝒜𝒜 — the engine of the SQL `aconf`
+/// aggregate. Callers that only want the estimate use [`aconf_seeded`].
 pub fn aconf_seeded_report(
     dnf: &Dnf,
     wt: &WorldTable,
     epsilon: f64,
     delta: f64,
     seed: u64,
-    pool: &ThreadPool,
 ) -> Result<Approximation> {
     let kl = KarpLuby::new(dnf, wt)?;
-    approximate_seeded(&kl, wt, &DklrOptions::new(epsilon, delta), seed, pool)
+    approximate_seeded(&kl, &DklrOptions::new(epsilon, delta), seed)
 }
 
 /// Seeded `aconf(ε, δ)`: [`aconf_seeded_report`] keeping the estimate only.
@@ -578,9 +442,8 @@ pub fn aconf_seeded(
     epsilon: f64,
     delta: f64,
     seed: u64,
-    pool: &ThreadPool,
 ) -> Result<f64> {
-    Ok(aconf_seeded_report(dnf, wt, epsilon, delta, seed, pool)?.estimate)
+    Ok(aconf_seeded_report(dnf, wt, epsilon, delta, seed)?.estimate)
 }
 
 #[cfg(test)]
@@ -588,8 +451,6 @@ mod tests {
     use super::*;
     use crate::exact;
     use maybms_urel::{Assignment, Var, Wsd};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
         Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
@@ -621,8 +482,7 @@ mod tests {
     fn constants_cost_zero_samples() {
         let wt = WorldTable::new();
         let kl = KarpLuby::new(&Dnf::falsum(), &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let a = approximate(&kl, &wt, &DklrOptions::new(0.1, 0.1), &mut rng).unwrap();
+        let a = approximate_seeded(&kl, &DklrOptions::new(0.1, 0.1), 0).unwrap();
         assert_eq!(a, Approximation::constant(0.0));
         assert_eq!(a.samples, 0);
         assert_eq!(a.batches, 0);
@@ -634,16 +494,15 @@ mod tests {
         let d = test_dnf(&mut wt, 3);
         let truth = exact::probability(&d, &wt).unwrap();
         let kl = KarpLuby::new(&d, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
         let opts = DklrOptions::new(0.1, 0.05);
-        let mut failures = 0;
         let runs = 30;
-        for _ in 0..runs {
-            let a = stopping_rule(&kl, &wt, &opts, &mut rng).unwrap();
-            if ((a.estimate - truth) / truth).abs() > opts.epsilon {
-                failures += 1;
-            }
-        }
+        let failures = (0..runs)
+            .filter(|&seed| {
+                let a = stopping_rule_seeded(&kl, &opts, seed).unwrap();
+                assert_eq!(a.drawn, a.samples, "the rule draws nothing past its stop");
+                ((a.estimate - truth) / truth).abs() > opts.epsilon
+            })
+            .count();
         // δ = 0.05: expect ~1.5 failures in 30; allow generous slack.
         assert!(failures <= 4, "failures {failures}/{runs}");
     }
@@ -655,38 +514,24 @@ mod tests {
         let truth = exact::probability(&d, &wt).unwrap();
         let kl = KarpLuby::new(&d, &wt).unwrap();
         let opts = DklrOptions::new(0.1, 0.05);
-        let mut rng = StdRng::seed_from_u64(23);
         let mut failures = 0;
         let mut aa_samples = 0u64;
         let mut sra_samples = 0u64;
-        let runs = 20;
-        for _ in 0..runs {
-            let aa = approximate(&kl, &wt, &opts, &mut rng).unwrap();
-            let sra = stopping_rule(&kl, &wt, &opts, &mut rng).unwrap();
+        let runs = 30;
+        for seed in 0..runs {
+            let aa = approximate_seeded(&kl, &opts, seed).unwrap();
+            assert_eq!(aa.drawn, aa.samples);
             aa_samples += aa.samples;
-            sra_samples += sra.samples;
+            sra_samples += stopping_rule_seeded(&kl, &opts, seed).unwrap().samples;
             if ((aa.estimate - truth) / truth).abs() > opts.epsilon {
                 failures += 1;
             }
         }
-        assert!(failures <= 3, "failures {failures}/{runs}");
+        // δ = 0.05: expect ~1.5 failures in 30; allow generous slack.
+        assert!(failures <= 4, "failures {failures}/{runs}");
         // The Karp-Luby indicator has mean p/S; for this family the AA's
         // variance-adapted step-3 run should not be wildly worse than SRA.
-        assert!(
-            aa_samples < sra_samples * 4,
-            "AA used {aa_samples}, SRA {sra_samples}"
-        );
-    }
-
-    #[test]
-    fn sample_cap_enforced() {
-        let mut wt = WorldTable::new();
-        let d = test_dnf(&mut wt, 2);
-        let kl = KarpLuby::new(&d, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let opts = DklrOptions { epsilon: 0.01, delta: 0.01, max_samples: 100 };
-        assert!(stopping_rule(&kl, &wt, &opts, &mut rng).is_err());
-        assert!(approximate(&kl, &wt, &opts, &mut rng).is_err());
+        assert!(aa_samples < sra_samples * 4, "AA used {aa_samples}, SRA {sra_samples}");
     }
 
     #[test]
@@ -694,11 +539,8 @@ mod tests {
         let mut wt = WorldTable::new();
         let d = test_dnf(&mut wt, 3);
         let kl = KarpLuby::new(&d, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let loose =
-            approximate(&kl, &wt, &DklrOptions::new(0.2, 0.05), &mut rng).unwrap();
-        let tight =
-            approximate(&kl, &wt, &DklrOptions::new(0.05, 0.05), &mut rng).unwrap();
+        let loose = approximate_seeded(&kl, &DklrOptions::new(0.2, 0.05), 17).unwrap();
+        let tight = approximate_seeded(&kl, &DklrOptions::new(0.05, 0.05), 17).unwrap();
         assert!(
             tight.samples > loose.samples * 4,
             "tight {} vs loose {}",
@@ -708,51 +550,17 @@ mod tests {
     }
 
     #[test]
-    fn seeded_drivers_bit_identical_across_thread_counts() {
+    fn seeded_runs_repeat_and_the_seed_is_live() {
         let mut wt = WorldTable::new();
         let d = test_dnf(&mut wt, 3);
         let kl = KarpLuby::new(&d, &wt).unwrap();
-        let opts = DklrOptions::new(0.1, 0.05);
-        let p1 = ThreadPool::new(1);
-        let sra_ref = stopping_rule_seeded(&kl, &wt, &opts, 42, &p1).unwrap();
-        let aa_ref = approximate_seeded(&kl, &wt, &opts, 42, &p1).unwrap();
-        for threads in [2, 8] {
-            let pool = ThreadPool::new(threads);
-            let sra = stopping_rule_seeded(&kl, &wt, &opts, 42, &pool).unwrap();
-            assert_eq!(sra_ref.estimate.to_bits(), sra.estimate.to_bits());
-            assert_eq!(sra_ref.samples, sra.samples, "threads = {threads}");
-            let aa = approximate_seeded(&kl, &wt, &opts, 42, &pool).unwrap();
-            assert_eq!(aa_ref.estimate.to_bits(), aa.estimate.to_bits());
-            assert_eq!(aa_ref.samples, aa.samples, "threads = {threads}");
-            // The whole effort report is deterministic, not just the
-            // estimate: consumed batches, variance, and stderr too.
-            assert_eq!(aa_ref.batches, aa.batches, "threads = {threads}");
-            assert_eq!(aa_ref.variance.to_bits(), aa.variance.to_bits());
-            assert_eq!(aa_ref.rel_stderr.to_bits(), aa.rel_stderr.to_bits());
-        }
-        // Different seeds give different runs.
-        let other = approximate_seeded(&kl, &wt, &opts, 43, &p1).unwrap();
-        assert_ne!(aa_ref.estimate.to_bits(), other.estimate.to_bits());
-    }
-
-    #[test]
-    fn seeded_drivers_achieve_relative_error() {
-        let mut wt = WorldTable::new();
-        let d = test_dnf(&mut wt, 3);
-        let truth = exact::probability(&d, &wt).unwrap();
-        let kl = KarpLuby::new(&d, &wt).unwrap();
-        let opts = DklrOptions::new(0.1, 0.05);
-        let pool = ThreadPool::new(4);
-        let mut failures = 0;
-        let runs = 30;
-        for seed in 0..runs {
-            let a = approximate_seeded(&kl, &wt, &opts, seed, &pool).unwrap();
-            if ((a.estimate - truth) / truth).abs() > opts.epsilon {
-                failures += 1;
-            }
-        }
-        // δ = 0.05: expect ~1.5 failures in 30; allow generous slack.
-        assert!(failures <= 4, "failures {failures}/{runs}");
+        // ε = 0.05 makes the variance and main phases span several batches.
+        let opts = DklrOptions::new(0.05, 0.05);
+        let a = approximate_seeded(&kl, &opts, 42).unwrap();
+        assert!(a.batches > 8);
+        assert_eq!(a, approximate_seeded(&kl, &opts, 42).unwrap());
+        let other = approximate_seeded(&kl, &opts, 43).unwrap();
+        assert_ne!(a.estimate.to_bits(), other.estimate.to_bits());
     }
 
     #[test]
@@ -760,10 +568,18 @@ mod tests {
         let mut wt = WorldTable::new();
         let d = test_dnf(&mut wt, 2);
         let kl = KarpLuby::new(&d, &wt).unwrap();
-        let pool = ThreadPool::new(2);
         let opts = DklrOptions { epsilon: 0.01, delta: 0.01, max_samples: 100 };
-        assert!(stopping_rule_seeded(&kl, &wt, &opts, 1, &pool).is_err());
-        assert!(approximate_seeded(&kl, &wt, &opts, 1, &pool).is_err());
+        assert!(stopping_rule_seeded(&kl, &opts, 1).is_err());
+        assert!(approximate_seeded(&kl, &opts, 1).is_err());
+        // The cap is exact, not rounded up to a batch: on a certain event
+        // the rule stops after ⌈Υ₁⌉ draws, and fails with one draw fewer.
+        let x = wt.new_var(&[1.0]).unwrap();
+        let kl = KarpLuby::new(&Dnf::new(vec![clause(&[(x, 0)])]), &wt).unwrap();
+        let need = DklrOptions::new(0.9, 0.9);
+        let n = stopping_rule_seeded(&kl, &need, 1).unwrap().samples;
+        assert!(n < SAMPLE_BATCH as u64);
+        assert!(stopping_rule_seeded(&kl, &DklrOptions { max_samples: n, ..need }, 1).is_ok());
+        assert!(stopping_rule_seeded(&kl, &DklrOptions { max_samples: n - 1, ..need }, 1).is_err());
     }
 
     #[test]
@@ -771,8 +587,7 @@ mod tests {
         let mut wt = WorldTable::new();
         let d = test_dnf(&mut wt, 2);
         let truth = exact::probability(&d, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let est = aconf(&d, &wt, 0.05, 0.05, &mut rng).unwrap();
+        let est = aconf_seeded(&d, &wt, 0.05, 0.05, 3).unwrap();
         assert!(((est - truth) / truth).abs() < 0.05, "est {est} truth {truth}");
     }
 }

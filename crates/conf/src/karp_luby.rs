@@ -15,12 +15,25 @@
 //! Then `E[X] = P(⋁ cⱼ)/S`, so `S·X̄` is an unbiased estimate of the DNF
 //! probability, and `E[X] ≥ 1/m` for `m` clauses — the property the
 //! Dagum–Karp–Luby–Ross stopping rules rely on.
+//!
+//! # The compiled sampler
+//!
+//! [`KarpLuby::new`] compiles the lineage once: the DNF's variables get
+//! dense local indices, clauses flatten to runs of `(local variable,
+//! alternative)` and the variables' distributions to one CDF array. A
+//! [`Sampler`] then draws indicators over a scratch world of one slot per
+//! *local* variable, stamped with the draw's epoch so nothing is ever
+//! re-zeroed, and samples a free variable only when a clause `j < i`
+//! actually reads it (step 4 stops at the first falsified literal of each
+//! clause, and a variable nobody reads is never drawn — deferred
+//! decisions, same distribution). A draw allocates nothing and costs in
+//! proportion to the assignments it inspects; the size of the world table
+//! never enters.
 
-use maybms_par::ThreadPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use maybms_urel::{Result, Var, WorldTable};
+use maybms_urel::{Result, WorldTable};
 
 use crate::dnf::Dnf;
 
@@ -35,24 +48,37 @@ use crate::dnf::Dnf;
 /// straddle a batch boundary.
 pub const SAMPLE_BATCH: usize = 1024;
 
-/// A prepared Karp–Luby sampler over a fixed DNF.
+/// The RNG of batch `batch` of the seeded stream `seed`.
+pub(crate) fn batch_rng(seed: u64, batch: u64) -> StdRng {
+    StdRng::seed_from_u64(maybms_par::derive_seed(seed, batch))
+}
+
+/// A Karp–Luby sampler compiled from a fixed DNF (see the module docs).
 #[derive(Debug, Clone)]
 pub struct KarpLuby {
-    clauses: Vec<maybms_urel::Wsd>,
     /// Cumulative clause probabilities (unnormalised, ending at `sum`).
     cumulative: Vec<f64>,
     /// `S = Σ P(cᵢ)`.
     sum: f64,
-    /// All variables mentioned by the DNF.
-    vars: Vec<Var>,
-    /// Scratch world indexed by raw variable id.
-    world_len: usize,
+    /// Clause `i`'s literals are `lits[clause_start[i]..clause_start[i + 1]]`.
+    clause_start: Vec<usize>,
+    /// `(local variable, alternative)` literals of all clauses, flattened.
+    /// Local indices fit `u32` because world-table variable ids do.
+    lits: Vec<(u32, u16)>,
+    /// Local variable `v`'s CDF is `cdf[var_start[v]..var_start[v + 1]]`.
+    var_start: Vec<usize>,
+    /// Per-variable cumulative distributions, flattened. From a variable's
+    /// last alternative with nonzero mass onwards the entries are `+∞`, so
+    /// the scan in [`KarpLuby::sample_var`] always terminates there (float
+    /// round-off can leave the running sum a hair below 1) and never
+    /// returns a zero-probability alternative.
+    cdf: Vec<f64>,
     /// Trivial cases resolved at construction.
     constant: Option<f64>,
 }
 
 impl KarpLuby {
-    /// Prepare a sampler. Constant DNFs (false / true / zero total mass)
+    /// Compile a sampler. Constant DNFs (false / true / zero total mass)
     /// short-circuit.
     pub fn new(dnf: &Dnf, wt: &WorldTable) -> Result<KarpLuby> {
         if dnf.is_empty() {
@@ -61,10 +87,9 @@ impl KarpLuby {
         if dnf.is_true() {
             return Ok(Self::constant(1.0));
         }
-        let clauses: Vec<_> = dnf.clauses().to_vec();
-        let mut cumulative = Vec::with_capacity(clauses.len());
+        let mut cumulative = Vec::with_capacity(dnf.len());
         let mut sum = 0.0;
-        for c in &clauses {
+        for c in dnf.clauses() {
             sum += c.prob(wt)?;
             cumulative.push(sum);
         }
@@ -72,17 +97,39 @@ impl KarpLuby {
             return Ok(Self::constant(0.0));
         }
         let vars = dnf.vars();
-        let world_len = vars.iter().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-        Ok(KarpLuby { clauses, cumulative, sum, vars, world_len, constant: None })
+        let mut clause_start = vec![0];
+        let mut lits = Vec::new();
+        for c in dnf.clauses() {
+            for a in c.assignments() {
+                let local =
+                    vars.binary_search(&a.var).expect("dnf.vars() covers every clause");
+                lits.push((local as u32, a.alt));
+            }
+            clause_start.push(lits.len());
+        }
+        let mut var_start = vec![0];
+        let mut cdf = Vec::new();
+        for &v in &vars {
+            let dist = wt.distribution(v)?;
+            let last = dist.iter().rposition(|&p| p > 0.0).unwrap_or(dist.len() - 1);
+            let mut acc = 0.0;
+            for (alt, &p) in dist.iter().enumerate() {
+                acc += p;
+                cdf.push(if alt < last { acc } else { f64::INFINITY });
+            }
+            var_start.push(cdf.len());
+        }
+        Ok(KarpLuby { cumulative, sum, clause_start, lits, var_start, cdf, constant: None })
     }
 
     fn constant(p: f64) -> KarpLuby {
         KarpLuby {
-            clauses: Vec::new(),
             cumulative: Vec::new(),
             sum: p,
-            vars: Vec::new(),
-            world_len: 0,
+            clause_start: vec![0],
+            lits: Vec::new(),
+            var_start: vec![0],
+            cdf: Vec::new(),
             constant: Some(p),
         }
     }
@@ -99,90 +146,36 @@ impl KarpLuby {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.cumulative.len()
     }
 
-    /// Draw one Bernoulli outcome `X ∈ {0, 1}` with
-    /// `E[X] = P(DNF)/S`. Panics on constant samplers (callers check
-    /// [`KarpLuby::constant_value`] first).
-    pub fn sample_indicator<R: Rng + ?Sized>(&self, wt: &WorldTable, rng: &mut R) -> f64 {
-        assert!(
-            self.constant.is_none(),
-            "sample_indicator called on a constant Karp-Luby sampler"
-        );
-        // 1. pick clause i ∝ P(cᵢ)
-        let x: f64 = rng.gen::<f64>() * self.sum;
-        let i = match self.cumulative.binary_search_by(|c| c.total_cmp(&x)) {
-            Ok(i) => (i + 1).min(self.clauses.len() - 1),
-            Err(i) => i.min(self.clauses.len() - 1),
-        };
-        // 2. sample a world conditioned on cᵢ: fix cᵢ's assignments, draw
-        //    the remaining DNF variables.
-        let mut world = vec![0u16; self.world_len];
-        let ci = &self.clauses[i];
-        let free: Vec<Var> =
-            self.vars.iter().copied().filter(|&v| ci.get(v).is_none()).collect();
-        wt.sample_into(&mut world, &free, rng);
-        for a in ci.assignments() {
-            world[a.var.0 as usize] = a.alt;
-        }
-        // 3. indicator: is i the first satisfied clause?
-        for (j, cj) in self.clauses.iter().enumerate() {
-            if cj.satisfied_by(&world) {
-                return if j == i { 1.0 } else { 0.0 };
-            }
-        }
-        unreachable!("clause i is satisfied by construction");
+    fn clause(&self, i: usize) -> &[(u32, u16)] {
+        &self.lits[self.clause_start[i]..self.clause_start[i + 1]]
     }
 
-    /// Plain Monte Carlo estimate with a fixed number of samples:
-    /// `S · mean(X)`. (The (ε,δ)-adaptive version lives in [`crate::dklr`].)
-    pub fn estimate<R: Rng + ?Sized>(
-        &self,
-        wt: &WorldTable,
-        samples: usize,
-        rng: &mut R,
-    ) -> f64 {
-        if let Some(p) = self.constant {
-            return p;
+    /// Draw an alternative of local variable `v` from its distribution.
+    fn sample_var<R: Rng + ?Sized>(&self, v: u32, rng: &mut R) -> u16 {
+        let cdf = &self.cdf[self.var_start[v as usize]..self.var_start[v as usize + 1]];
+        let x: f64 = rng.gen();
+        let mut alt = 0;
+        // Terminates: the variable's last entry is +∞.
+        while x >= cdf[alt] {
+            alt += 1;
         }
-        maybms_obs::metrics().mc_samples.add(samples as u64);
-        let mut acc = 0.0;
-        for _ in 0..samples {
-            acc += self.sample_indicator(wt, rng);
-        }
-        self.sum * acc / samples as f64
+        alt as u16
     }
 
-    /// The indicators of seeded batch `batch` (`len` draws from an RNG
-    /// seeded by `derive_seed(seed, batch)`) — the unit of deterministic
-    /// parallel sampling. Used by the DKLR drivers, which need per-sample
-    /// granularity for their stopping rule.
-    pub(crate) fn batch_indicators(
-        &self,
-        wt: &WorldTable,
-        seed: u64,
-        batch: u64,
-        len: usize,
-    ) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(maybms_par::derive_seed(seed, batch));
-        (0..len).map(|_| self.sample_indicator(wt, &mut rng)).collect()
+    /// A sampler with a fresh scratch world. Panics on constant samplers
+    /// (callers check [`KarpLuby::constant_value`] first).
+    pub fn sampler(&self) -> Sampler<'_> {
+        assert!(self.constant.is_none(), "sampler requested for a constant Karp-Luby DNF");
+        Sampler { kl: self, world: vec![0; self.var_start.len() - 1], epoch: 0 }
     }
 
-    /// Seeded fixed-count Monte Carlo estimate, batch-parallel on `pool`.
-    ///
-    /// The sample stream is the concatenation of [`SAMPLE_BATCH`]-sized
-    /// seeded batches (see the constant's docs); batch sums accumulate in
-    /// batch order. The estimate is therefore **bit-identical at any
-    /// thread count** — a 1-thread and an 8-thread pool return the same
-    /// float for the same `(samples, seed)`.
-    pub fn estimate_seeded(
-        &self,
-        wt: &WorldTable,
-        samples: usize,
-        seed: u64,
-        pool: &ThreadPool,
-    ) -> f64 {
+    /// Seeded fixed-count Monte Carlo estimate `S · mean(X)` over the first
+    /// `samples` draws of the batch stream `seed`. (The (ε,δ)-adaptive
+    /// version lives in [`crate::dklr`].)
+    pub fn estimate_seeded(&self, samples: usize, seed: u64) -> f64 {
         if let Some(p) = self.constant {
             return p;
         }
@@ -190,17 +183,67 @@ impl KarpLuby {
             return 0.0;
         }
         maybms_obs::metrics().mc_samples.add(samples as u64);
-        let batches = samples.div_ceil(SAMPLE_BATCH);
-        let sums: Vec<f64> = pool.par_map((0..batches as u64).collect(), |b| {
-            let len = SAMPLE_BATCH.min(samples - b as usize * SAMPLE_BATCH);
-            let mut acc = 0.0;
-            for x in self.batch_indicators(wt, seed, b, len) {
-                acc += x;
+        let mut sampler = self.sampler();
+        let mut hits = 0u64;
+        for (batch, start) in (0..samples).step_by(SAMPLE_BATCH).enumerate() {
+            let mut rng = batch_rng(seed, batch as u64);
+            let len = SAMPLE_BATCH.min(samples - start);
+            hits += (0..len).filter(|_| sampler.draw(&mut rng)).count() as u64;
+        }
+        self.sum * hits as f64 / samples as f64
+    }
+}
+
+/// Draws Karp–Luby indicators from a compiled [`KarpLuby`] over a scratch
+/// world that is reused, never re-zeroed, from draw to draw.
+#[derive(Debug)]
+pub struct Sampler<'a> {
+    kl: &'a KarpLuby,
+    /// `world[v] = epoch << 16 | alt`: local variable `v` took `alt` in
+    /// draw `epoch`. A slot from an earlier draw compares below the
+    /// current epoch's tag and reads as "not sampled yet".
+    world: Vec<u64>,
+    epoch: u64,
+}
+
+impl<'a> Sampler<'a> {
+    /// The compiled DNF this sampler draws from.
+    pub fn compiled(&self) -> &'a KarpLuby {
+        self.kl
+    }
+
+    /// Indicators drawn from this sampler so far.
+    pub fn draws(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Draw one Bernoulli outcome `X` with `E[X] = P(DNF)/S`.
+    pub fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        let kl = self.kl;
+        self.epoch += 1;
+        let tag = self.epoch << 16;
+        // 1. pick clause i ∝ P(cᵢ): the first whose cumulative mass exceeds x.
+        let x = rng.gen::<f64>() * kl.sum;
+        let i = kl.cumulative.partition_point(|&c| c <= x).min(kl.num_clauses() - 1);
+        // 2. condition the world on cᵢ.
+        for &(v, alt) in kl.clause(i) {
+            self.world[v as usize] = tag | u64::from(alt);
+        }
+        // 3. X = 1 iff no earlier clause holds (cᵢ holds by construction).
+        //    A variable is sampled when a clause first reads it.
+        'clauses: for j in 0..i {
+            for &(v, alt) in kl.clause(j) {
+                let slot = &mut self.world[v as usize];
+                if *slot < tag {
+                    *slot = tag | u64::from(kl.sample_var(v, rng));
+                }
+                if *slot != tag | u64::from(alt) {
+                    continue 'clauses;
+                }
             }
-            acc
-        });
-        let acc: f64 = sums.iter().sum();
-        self.sum * acc / samples as f64
+            return false;
+        }
+        true
     }
 }
 
@@ -208,13 +251,21 @@ impl KarpLuby {
 mod tests {
     use super::*;
     use crate::{exact, naive};
-    use maybms_urel::{Assignment, Wsd};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use maybms_urel::{Assignment, Var, Wsd};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
         Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
             .unwrap()
+    }
+
+    fn overlapping_dnf(wt: &mut WorldTable) -> Dnf {
+        let vars: Vec<Var> = (0..6).map(|_| wt.new_var(&[0.6, 0.4]).unwrap()).collect();
+        Dnf::new(vec![
+            clause(&[(vars[0], 1), (vars[1], 1)]),
+            clause(&[(vars[1], 1), (vars[2], 1)]),
+            clause(&[(vars[2], 0), (vars[3], 1), (vars[4], 1)]),
+            clause(&[(vars[5], 1)]),
+        ])
     }
 
     #[test]
@@ -243,33 +294,8 @@ mod tests {
         let d = Dnf::new(vec![clause(&[(x, 1), (y, 1)]), clause(&[(x, 0)])]);
         let truth = naive::probability(&d, &wt, 100).unwrap();
         let kl = KarpLuby::new(&d, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let est = kl.estimate(&wt, 200_000, &mut rng);
-        assert!(
-            (est - truth).abs() < 0.01,
-            "estimate {est} too far from truth {truth}"
-        );
-    }
-
-    #[test]
-    fn estimator_matches_exact_on_overlapping_clauses() {
-        let mut wt = WorldTable::new();
-        let vars: Vec<Var> =
-            (0..6).map(|_| wt.new_var(&[0.6, 0.4]).unwrap()).collect();
-        let d = Dnf::new(vec![
-            clause(&[(vars[0], 1), (vars[1], 1)]),
-            clause(&[(vars[1], 1), (vars[2], 1)]),
-            clause(&[(vars[2], 0), (vars[3], 1), (vars[4], 1)]),
-            clause(&[(vars[5], 1)]),
-        ]);
-        let truth = exact::probability(&d, &wt).unwrap();
-        let kl = KarpLuby::new(&d, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(99);
-        let est = kl.estimate(&wt, 400_000, &mut rng);
-        assert!(
-            ((est - truth) / truth).abs() < 0.02,
-            "relative error too large: est {est}, truth {truth}"
-        );
+        let est = kl.estimate_seeded(200_000, 7);
+        assert!((est - truth).abs() < 0.01, "estimate {est} too far from truth {truth}");
     }
 
     #[test]
@@ -296,34 +322,19 @@ mod tests {
     }
 
     #[test]
-    fn seeded_estimate_bit_identical_across_thread_counts() {
+    fn seeded_estimate_repeats_and_matches_exact_on_overlapping_clauses() {
         let mut wt = WorldTable::new();
-        let vars: Vec<Var> =
-            (0..6).map(|_| wt.new_var(&[0.6, 0.4]).unwrap()).collect();
-        let d = Dnf::new(vec![
-            clause(&[(vars[0], 1), (vars[1], 1)]),
-            clause(&[(vars[1], 1), (vars[2], 1)]),
-            clause(&[(vars[2], 0), (vars[3], 1), (vars[4], 1)]),
-            clause(&[(vars[5], 1)]),
-        ]);
+        let d = overlapping_dnf(&mut wt);
         let kl = KarpLuby::new(&d, &wt).unwrap();
         // A sample count that is not a batch multiple (exercises the tail).
         let samples = 3 * SAMPLE_BATCH + 137;
-        let p1 = ThreadPool::new(1);
-        let reference = kl.estimate_seeded(&wt, samples, 99, &p1);
-        for threads in [2, 8] {
-            let pool = ThreadPool::new(threads);
-            let est = kl.estimate_seeded(&wt, samples, 99, &pool);
-            assert_eq!(reference.to_bits(), est.to_bits(), "threads = {threads}");
-        }
+        let reference = kl.estimate_seeded(samples, 99);
+        assert_eq!(reference.to_bits(), kl.estimate_seeded(samples, 99).to_bits());
         // Different seeds give different estimates (the seed is live).
-        assert_ne!(
-            reference.to_bits(),
-            kl.estimate_seeded(&wt, samples, 100, &p1).to_bits()
-        );
+        assert_ne!(reference.to_bits(), kl.estimate_seeded(samples, 100).to_bits());
         // And the estimate is statistically sound.
         let truth = exact::probability(&d, &wt).unwrap();
-        let est = kl.estimate_seeded(&wt, 400_000, 7, &p1);
+        let est = kl.estimate_seeded(400_000, 7);
         assert!(((est - truth) / truth).abs() < 0.02, "est {est} truth {truth}");
     }
 
@@ -335,8 +346,29 @@ mod tests {
         let d = Dnf::new(vec![clause(&[(x, 2), (y, 3)]), clause(&[(x, 0)]), clause(&[(y, 0)])]);
         let truth = naive::probability(&d, &wt, 100).unwrap();
         let kl = KarpLuby::new(&d, &wt).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let est = kl.estimate(&wt, 300_000, &mut rng);
+        let est = kl.estimate_seeded(300_000, 5);
         assert!((est - truth).abs() < 0.01, "est {est} truth {truth}");
+    }
+
+    #[test]
+    fn zero_probability_alternative_is_never_sampled() {
+        /// The largest uniform the shim can produce: 1 − 2⁻⁵³.
+        struct MaxRng;
+        impl rand::RngCore for MaxRng {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        // y's CDF tops out at 1 − 10⁻⁷ < x: the draw must fall back to
+        // the last alternative that carries mass, not to a dead one.
+        let mut wt = WorldTable::new();
+        let y = wt.new_var(&[0.25, 0.75 - 1e-7, 0.0, 0.0]).unwrap();
+        let d = Dnf::new(vec![clause(&[(y, 0)])]);
+        let kl = KarpLuby::new(&d, &wt).unwrap();
+        assert_eq!(kl.sample_var(0, &mut MaxRng), 1);
+        let mut rng = batch_rng(3, 0);
+        for _ in 0..10_000 {
+            assert!(kl.sample_var(0, &mut rng) <= 1);
+        }
     }
 }

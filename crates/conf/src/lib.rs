@@ -25,16 +25,27 @@
 //! The [`ConfMethod`]/[`confidence`] pair is the dispatcher used by the
 //! `conf()` / `aconf(ε,δ)` SQL aggregates in `maybms-core`.
 //!
-//! # Parallel confidence computation
+//! # Approximate confidence: compile once, sample on demand
 //!
-//! Both engines parallelise on the vendored `maybms-par` pool while
-//! staying **bit-identical to their sequential runs** at any thread
-//! count: the d-tree recursion fans out independent-partition children
-//! (var-disjoint subproblems whose probabilities multiply in a fixed
-//! order — [`exact::probability_par`]), and the Monte Carlo drivers draw
-//! from a seeded batch stream whose per-batch RNGs derive from SplitMix64
-//! of `(seed, batch index)` ([`karp_luby::SAMPLE_BATCH`],
-//! [`dklr::approximate_seeded`]).
+//! `aconf` compiles a group's lineage once ([`karp_luby::KarpLuby::new`]:
+//! dense local variable indices, flattened clauses and CDFs) and draws
+//! every sample from that — a draw costs in proportion to the assignments
+//! it inspects, allocates nothing and never touches the world table. The
+//! DKLR driver ([`dklr::approximate_seeded`]) pulls samples from a seeded
+//! batch stream as it needs them: the stopping rule stops drawing at the
+//! sample it stops at, and only phases whose length is known up front are
+//! folded batch by batch.
+//!
+//! # Parallelism and determinism
+//!
+//! Results are **bit-identical at any thread count**. The d-tree recursion
+//! fans out independent-partition children on the vendored `maybms-par`
+//! pool (var-disjoint subproblems whose probabilities multiply in a fixed
+//! order — [`exact::probability_par`]). An `aconf` run is single-threaded
+//! and a pure function of its seed — per-batch RNGs derive from SplitMix64
+//! of `(seed, batch index)` ([`karp_luby::SAMPLE_BATCH`]) — so a statement
+//! with several groups parallelises across them, in `maybms-core`, and
+//! nowhere below.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -78,8 +89,7 @@ pub enum ConfMethod {
 ///
 /// Every field is deterministic for a given `(DNF, method)` at any
 /// thread count: the exact engine's d-tree shape is thread-invariant and
-/// the seeded Monte Carlo drivers report *consumed* samples/batches, not
-/// speculatively computed ones.
+/// the seeded Monte Carlo driver is a pure function of its seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConfEffort {
     /// Clauses in the lineage DNF handed to the engine.
@@ -87,8 +97,19 @@ pub struct ConfEffort {
     /// D-tree nodes expanded (decompositions + eliminations + leaves);
     /// `0` for Monte Carlo and naive runs.
     pub dtree_nodes: u64,
-    /// Karp–Luby samples drawn across all DKLR phases; `0` for exact runs.
+    /// Karp–Luby samples consumed across all DKLR phases; `0` for exact
+    /// runs.
     pub samples: u64,
+    /// Karp–Luby samples computed, as the sampler counted them (see
+    /// [`dklr::Approximation::drawn`]); above `samples` only if the driver
+    /// drew ahead of what it consumed, which the demand-driven stream
+    /// does not.
+    pub samples_drawn: u64,
+    /// The `(ε, δ)` an `aconf` call asked for — set against the achieved
+    /// `rel_stderr`; `0` for exact runs.
+    pub epsilon: f64,
+    /// See `epsilon`.
+    pub delta: f64,
     /// Seeded sample batches consumed; `0` for exact runs.
     pub batches: u64,
     /// Achieved relative standard error of the Monte Carlo estimate
@@ -103,10 +124,10 @@ pub struct ConfEffort {
 
 /// Compute the probability of a DNF lineage event with the chosen method.
 ///
-/// `Exact` and `Approx` run batch-parallel on the process-wide
-/// `maybms-par` pool; both are deterministic — `Approx` draws from the
-/// seeded batch stream, so the same `(ε, δ, seed)` returns the same
-/// estimate at any thread count.
+/// `Exact` may fan out on the process-wide `maybms-par` pool; `Approx`
+/// runs on the calling thread. Both are deterministic — `Approx` draws
+/// from the seeded batch stream, so the same `(ε, δ, seed)` returns the
+/// same estimate at any thread count.
 pub fn confidence(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<f64> {
     confidence_with_effort(dnf, wt, method).map(|(p, _)| p)
 }
@@ -149,15 +170,11 @@ pub fn confidence_with_effort(
             p
         }
         ConfMethod::Approx { epsilon, delta, seed } => {
-            let a = dklr::aconf_seeded_report(
-                dnf,
-                wt,
-                epsilon,
-                delta,
-                seed,
-                &maybms_par::pool(),
-            )?;
+            let a = dklr::aconf_seeded_report(dnf, wt, epsilon, delta, seed)?;
+            effort.epsilon = epsilon;
+            effort.delta = delta;
             effort.samples = a.samples;
+            effort.samples_drawn = a.drawn;
             effort.batches = a.batches;
             effort.rel_stderr = a.rel_stderr;
             effort.cut_batch = a.cut_batch;
@@ -178,6 +195,11 @@ pub fn confidence_with_effort(
         span.attr("dtree_nodes", effort.dtree_nodes);
         span.attr("samples", effort.samples);
         span.attr("batches", effort.batches);
+        if effort.epsilon > 0.0 {
+            span.attr("samples_drawn", effort.samples_drawn);
+            span.attr("epsilon", effort.epsilon);
+            span.attr("delta", effort.delta);
+        }
         if effort.rel_stderr > 0.0 {
             span.attr("rel_stderr", effort.rel_stderr);
         }

@@ -229,10 +229,8 @@ proptest! {
 /// not a proptest (needs many Monte Carlo runs per instance).
 #[test]
 fn dklr_guarantee_statistical() {
-    use maybms_conf::dklr::{approximate, DklrOptions};
+    use maybms_conf::dklr::{approximate_seeded, DklrOptions};
     use maybms_conf::karp_luby::KarpLuby;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     let mut wt = WorldTable::new();
     let mut clauses = Vec::new();
@@ -251,15 +249,13 @@ fn dklr_guarantee_statistical() {
     let truth = exact::probability(&dnf, &wt).unwrap();
     let kl = KarpLuby::new(&dnf, &wt).unwrap();
     let opts = DklrOptions::new(0.15, 0.1);
-    let mut rng = StdRng::seed_from_u64(2024);
     let runs = 40;
-    let mut failures = 0;
-    for _ in 0..runs {
-        let a = approximate(&kl, &wt, &opts, &mut rng).unwrap();
-        if ((a.estimate - truth) / truth).abs() > opts.epsilon {
-            failures += 1;
-        }
-    }
+    let failures = (0..runs)
+        .filter(|&seed| {
+            let a = approximate_seeded(&kl, &opts, 2024 + seed).unwrap();
+            ((a.estimate - truth) / truth).abs() > opts.epsilon
+        })
+        .count();
     // δ = 0.1 → expect ≤ ~4 failures in 40; allow slack to avoid flakiness.
     assert!(failures <= 8, "(ε,δ) guarantee violated: {failures}/{runs} failures");
 }

@@ -10,16 +10,18 @@
 //!   on uncertain relations".
 //!
 //! Per-group aggregate evaluation (in particular the per-group `conf()`
-//! calls, each an independent #P-hard subproblem) fans out to the
-//! `maybms-par` pool; `aconf` seeds are numbered by (group, slot) rather
-//! than a running counter, so the output is identical at any thread
-//! count.
+//! calls, each an independent #P-hard subproblem) goes through one
+//! scheduler, [`eval_group_rows`]: it numbers `aconf` seeds by (group,
+//! slot) rather than a running counter, so the output is identical at any
+//! thread count, and it alone decides whether the groups fan out to the
+//! `maybms-par` pool (an `aconf` run itself is single-threaded).
 
 use std::sync::Arc;
 
 use maybms_conf::{confidence_with_effort, ConfEffort, ConfMethod, Dnf};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
 use maybms_engine::{DataType, EngineError, Expr, Field, Relation, Schema, Tuple, Value};
+use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
 use maybms_urel::{URelation, UrelError, WorldTable, Wsd};
 
@@ -115,21 +117,25 @@ fn record_effort(stats: Option<&maybms_obs::QueryStats>, effort: &ConfEffort) {
         qs.conf_calls.inc();
         qs.dnf_clauses.add(effort.dnf_clauses);
         qs.dtree_nodes.add(effort.dtree_nodes);
-        qs.samples_drawn.add(effort.samples);
+        qs.samples.add(effort.samples);
+        qs.samples_drawn.add(effort.samples_drawn);
         qs.sample_batches.add(effort.batches);
         qs.record_rel_stderr(effort.rel_stderr);
+        if effort.epsilon > 0.0 {
+            qs.record_requested(effort.epsilon, effort.delta);
+        }
         if effort.cut_batch.is_some() {
             qs.degraded_conf.inc();
         }
     }
 }
 
-/// Compute one confidence value from a group's member WSDs (what the
-/// streaming grouped-aggregation breaker accumulates per group). With a
-/// collector attached, the call's effort (d-tree nodes, samples drawn,
-/// achieved relative standard error) is recorded into it.
-pub fn wsds_confidence(
-    wsds: &[Wsd],
+/// Compute one confidence value from a group's lineage (its member
+/// tuples' WSDs). With a collector attached, the call's effort (d-tree
+/// nodes, samples drawn, achieved relative standard error) is recorded
+/// into it.
+pub fn lineage_confidence<'a>(
+    lineage: impl Iterator<Item = &'a Wsd> + Clone,
     wt: &WorldTable,
     method: ConfMethod,
     ctx: &ConfContext,
@@ -137,56 +143,119 @@ pub fn wsds_confidence(
 ) -> Result<f64> {
     if ctx.sprout_fast_path
         && matches!(method, ConfMethod::Exact)
-        && independent_wsds(wsds.iter())
+        && independent_wsds(lineage.clone())
     {
         // SPROUT fast path: no d-tree, no sampling — just the clauses.
         // Still a conf call, so it gets a `conf` span like the engines do.
         let mut span = maybms_obs::trace::span("conf");
         span.attr("method", "sprout");
-        span.attr("dnf_clauses", wsds.len() as u64);
-        record_effort(stats, &ConfEffort { dnf_clauses: wsds.len() as u64, ..Default::default() });
+        let mut clauses = 0u64;
         let mut none = 1.0;
-        for wsd in wsds {
+        for wsd in lineage {
+            clauses += 1;
             none *= 1.0 - wsd.prob(wt)?;
         }
+        span.attr("dnf_clauses", clauses);
+        record_effort(stats, &ConfEffort { dnf_clauses: clauses, ..Default::default() });
         return Ok(1.0 - none);
     }
-    let dnf = Dnf::from_wsds(wsds.iter());
+    let dnf = Dnf::from_wsds(lineage);
     let (p, effort) = confidence_with_effort(&dnf, wt, method)?;
     record_effort(stats, &effort);
     Ok(p)
 }
 
-/// Compute one confidence value for a group of tuples.
-pub fn group_confidence(
-    u: &URelation,
-    members: &[usize],
+/// What one group's `conf`/`aconf` slots evaluate with; handed to the row
+/// evaluator by [`eval_group_rows`].
+struct ConfSlots<'a> {
+    wt: &'a WorldTable,
+    ctx: &'a ConfContext,
+    stats: Option<&'a maybms_obs::QueryStats>,
+    /// Seed of the group's previous `aconf` slot.
+    seed: u64,
+}
+
+impl ConfSlots<'_> {
+    /// The value of a `conf` / `aconf` aggregate over `lineage`.
+    fn eval<'w>(
+        &mut self,
+        spec: &AggSpec,
+        lineage: impl Iterator<Item = &'w Wsd> + Clone,
+    ) -> Result<Value> {
+        let method = match spec {
+            AggSpec::AConf { epsilon, delta } => {
+                self.seed = self.seed.wrapping_add(1);
+                ConfMethod::Approx { epsilon: *epsilon, delta: *delta, seed: self.seed }
+            }
+            _ => self.ctx.exact,
+        };
+        let p = lineage_confidence(lineage, self.wt, method, self.ctx, self.stats)?;
+        Ok(Value::float(p)?)
+    }
+}
+
+/// One output row per group, in group order — the scheduler shared by the
+/// two-pass path and the streaming breaker's finish. It owns the two
+/// decisions they must agree on:
+///
+/// * **seed numbering** — group `g`'s `j`-th `aconf` call (1-based) draws
+///   seed `ctx.seed + g·n_aconf + j`, the sequence a sequential running
+///   bump over the groups produces, so rows are identical whether groups
+///   evaluate in a loop or fan out;
+/// * **the statement's one level of parallelism** — with at least 8 groups
+///   on a multi-thread pool the groups fan out, otherwise they run in a
+///   loop. An `aconf` run never fans out below this: batch-level fan-out
+///   of its sample stream measured a median 0.98× of sequential on two
+///   cores and was removed.
+fn eval_group_rows(
+    n_groups: usize,
+    aggs: &[(AggSpec, String)],
     wt: &WorldTable,
-    method: ConfMethod,
     ctx: &ConfContext,
     stats: Option<&maybms_obs::QueryStats>,
-) -> Result<f64> {
-    if ctx.sprout_fast_path
-        && matches!(method, ConfMethod::Exact)
-        && independent_wsds(members.iter().map(|&i| &u.tuples()[i].wsd))
-    {
-        let mut span = maybms_obs::trace::span("conf");
-        span.attr("method", "sprout");
-        span.attr("dnf_clauses", members.len() as u64);
-        record_effort(
-            stats,
-            &ConfEffort { dnf_clauses: members.len() as u64, ..Default::default() },
-        );
-        let mut none = 1.0;
-        for &i in members {
-            none *= 1.0 - u.tuples()[i].wsd.prob(wt)?;
+    pool: &ThreadPool,
+    eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<Tuple> + Sync,
+) -> Result<Vec<Tuple>> {
+    let n_aconf =
+        aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count() as u64;
+    let row = |g: usize| {
+        let seed = ctx.seed.wrapping_add(g as u64 * n_aconf);
+        eval_row(g, &mut ConfSlots { wt, ctx, stats, seed })
+    };
+    if n_groups >= 8 && pool.threads() > 1 {
+        // Per-group confidence computation (#P-hard in general) dominates;
+        // fan groups out in small chunks and merge rows in group order.
+        let chunk = maybms_par::auto_chunk(n_groups, pool.threads(), 1);
+        let partials: Vec<Result<Vec<Tuple>>> =
+            pool.par_map_chunks(n_groups, chunk, |range| range.map(&row).collect());
+        let mut out = Vec::with_capacity(n_groups);
+        for p in partials {
+            out.extend(p?);
         }
-        return Ok(1.0 - none);
+        Ok(out)
+    } else {
+        (0..n_groups).map(row).collect()
     }
-    let dnf = Dnf::from_wsds(members.iter().map(|&i| &u.tuples()[i].wsd));
-    let (p, effort) = confidence_with_effort(&dnf, wt, method)?;
-    record_effort(stats, &effort);
-    Ok(p)
+}
+
+/// Output fields of the aggregate columns, typed against the input schema.
+fn agg_fields<'a>(
+    aggs: &'a [(AggSpec, String)],
+    input: &'a Schema,
+) -> impl Iterator<Item = Field> + 'a {
+    aggs.iter().map(move |(spec, name)| {
+        let dtype = match spec {
+            AggSpec::Conf | AggSpec::AConf { .. } | AggSpec::TConf => DataType::Float,
+            AggSpec::ESum(_) | AggSpec::ECount(_) => DataType::Float,
+            AggSpec::Std { func, arg } => match func {
+                AggFunc::Count => DataType::Int,
+                AggFunc::Avg => DataType::Float,
+                _ => arg.as_ref().map(|e| e.data_type(input)).unwrap_or(DataType::Unknown),
+            },
+            AggSpec::ArgMax { .. } => unreachable!("argmax is finished separately"),
+        };
+        Field::new(name.clone(), dtype)
+    })
 }
 
 /// Evaluate a list of aggregates over grouped input, producing a t-certain
@@ -223,62 +292,16 @@ pub fn aggregate_groups(
     }
 
     let mut fields = key_fields;
-    for (spec, name) in aggs {
-        let dtype = match spec {
-            AggSpec::Conf | AggSpec::AConf { .. } | AggSpec::TConf => DataType::Float,
-            AggSpec::ESum(_) | AggSpec::ECount(_) => DataType::Float,
-            AggSpec::Std { func, arg } => match func {
-                AggFunc::Count => DataType::Int,
-                AggFunc::Avg => DataType::Float,
-                _ => arg
-                    .as_ref()
-                    .map(|e| e.data_type(u.schema()))
-                    .unwrap_or(DataType::Unknown),
-            },
-            AggSpec::ArgMax { .. } => unreachable!("handled above"),
-        };
-        fields.push(Field::new(name.clone(), dtype));
-    }
+    fields.extend(agg_fields(aggs, u.schema()));
     let schema = Arc::new(Schema::new(fields));
 
-    // One output row per group, computed independently. `aconf` seeds are
-    // numbered by (group, slot) — group g's j-th aconf call draws seed
-    // `ctx.seed + g·n_aconf + j + 1`, exactly the sequence the old
-    // sequential running bump produced — so the rows are identical
-    // whether groups evaluate in a loop or fan out to the pool.
-    let n_aconf =
-        aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count() as u64;
-    let eval_row = |g: usize| -> Result<Tuple> {
+    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<Tuple> {
         let members = &groups.members[g];
         let mut row = groups.keys[g].clone();
-        let mut aconf_slot = 0u64;
         for (spec, _) in aggs {
             let v = match spec {
-                AggSpec::Conf => Value::float(group_confidence(
-                    u,
-                    members,
-                    wt,
-                    ctx.exact,
-                    ctx,
-                    None,
-                )?)?,
-                AggSpec::AConf { epsilon, delta } => {
-                    aconf_slot += 1;
-                    Value::float(group_confidence(
-                        u,
-                        members,
-                        wt,
-                        ConfMethod::Approx {
-                            epsilon: *epsilon,
-                            delta: *delta,
-                            seed: ctx
-                                .seed
-                                .wrapping_add(g as u64 * n_aconf)
-                                .wrapping_add(aconf_slot),
-                        },
-                        ctx,
-                        None,
-                    )?)?
+                AggSpec::Conf | AggSpec::AConf { .. } => {
+                    conf.eval(spec, members.iter().map(|&i| &u.tuples()[i].wsd))?
                 }
                 AggSpec::TConf => {
                     return Err(plan_err(
@@ -325,23 +348,8 @@ pub fn aggregate_groups(
         }
         Ok(Tuple::new(row))
     };
-
-    let n_groups = groups.keys.len();
     let pool = maybms_par::pool();
-    let out: Vec<Tuple> = if n_groups >= 8 && pool.threads() > 1 {
-        // Per-group confidence computation (#P-hard in general) dominates;
-        // fan groups out in small chunks and merge rows in group order.
-        let chunk = maybms_par::auto_chunk(n_groups, pool.threads(), 1);
-        let partials: Vec<Result<Vec<Tuple>>> =
-            pool.par_map_chunks(n_groups, chunk, |range| range.map(&eval_row).collect());
-        let mut out = Vec::with_capacity(n_groups);
-        for p in partials {
-            out.extend(p?);
-        }
-        out
-    } else {
-        (0..n_groups).map(eval_row).collect::<Result<_>>()?
-    };
+    let out = eval_group_rows(groups.keys.len(), aggs, wt, ctx, None, &pool, eval_row)?;
     Ok(Relation::new_unchecked(schema, out))
 }
 
@@ -415,9 +423,10 @@ fn remap_stream_err(e: UrelError) -> CoreError {
 /// into a morsel-local group table ([`maybms_pipe::GroupTable`]) — the
 /// joined input is never materialised. Per group the fold accumulates
 /// member WSDs and running `esum`/`ecount` partial sums; the
-/// deterministic morsel-ordered merge then feeds the same per-group
-/// `conf()` fan-out (and `(group, slot)` `aconf` seed numbering) as
-/// [`aggregate_groups`], so the output is **bit-identical** to
+/// deterministic morsel-ordered merge then feeds the same group
+/// scheduler ([`eval_group_rows`]: per-group `conf()` fan-out, `(group,
+/// slot)` `aconf` seed numbering) as [`aggregate_groups`], so the output
+/// is **bit-identical** to
 /// materialising the stream and running the two-pass path, at any thread
 /// count and morsel size.
 ///
@@ -613,79 +622,23 @@ pub fn aggregate_stream_with(
     }
 
     let mut fields = key_fields;
-    for (spec, name) in aggs {
-        let dtype = match spec {
-            AggSpec::Conf | AggSpec::AConf { .. } | AggSpec::TConf => DataType::Float,
-            AggSpec::ESum(_) | AggSpec::ECount(_) => DataType::Float,
-            AggSpec::Std { func, arg } => match func {
-                AggFunc::Count => DataType::Int,
-                AggFunc::Avg => DataType::Float,
-                _ => arg
-                    .as_ref()
-                    .map(|e| e.data_type(&in_schema))
-                    .unwrap_or(DataType::Unknown),
-            },
-            AggSpec::ArgMax { .. } => unreachable!("handled above"),
-        };
-        fields.push(Field::new(name.clone(), dtype));
-    }
+    fields.extend(agg_fields(aggs, &in_schema));
     let schema = Arc::new(Schema::new(fields));
 
-    // One output row per group. `aconf` seeds keep the (group, slot)
-    // numbering of the two-pass path, so rows are identical whether
-    // groups evaluate in a loop or fan out to the pool.
-    let n_aconf =
-        aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count() as u64;
-    let eval_row = |g: usize| -> Result<Tuple> {
+    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<Tuple> {
         let acc = &states[g];
         let mut row = keys[g].clone();
-        let mut aconf_slot = 0u64;
         for (part, (spec, _)) in acc.parts.iter().zip(aggs) {
-            let v = match (part, spec) {
-                (Partial::Lineage, AggSpec::Conf) => {
-                    Value::float(wsds_confidence(&acc.wsds, wt, ctx.exact, ctx, stats)?)?
-                }
-                (Partial::Lineage, AggSpec::AConf { epsilon, delta }) => {
-                    aconf_slot += 1;
-                    Value::float(wsds_confidence(
-                        &acc.wsds,
-                        wt,
-                        ConfMethod::Approx {
-                            epsilon: *epsilon,
-                            delta: *delta,
-                            seed: ctx
-                                .seed
-                                .wrapping_add(g as u64 * n_aconf)
-                                .wrapping_add(aconf_slot),
-                        },
-                        ctx,
-                        stats,
-                    )?)?
-                }
-                (Partial::Expect(sum), _) => Value::float(sum.round())?,
-                (Partial::Std(st), _) => st.finish()?,
-                _ => unreachable!("partial/spec lists are parallel"),
-            };
-            row.push(v);
+            row.push(match part {
+                Partial::Lineage => conf.eval(spec, acc.wsds.iter())?,
+                Partial::Expect(sum) => Value::float(sum.round())?,
+                Partial::Std(st) => st.finish()?,
+                Partial::ArgMax { .. } => unreachable!("argmax is finished separately"),
+            });
         }
         Ok(Tuple::new(row))
     };
-
-    let n_groups = keys.len();
-    let out: Vec<Tuple> = if n_groups >= 8 && pool.threads() > 1 {
-        // Per-group confidence computation (#P-hard in general) dominates;
-        // fan groups out in small chunks and merge rows in group order.
-        let chunk = maybms_par::auto_chunk(n_groups, pool.threads(), 1);
-        let partials: Vec<Result<Vec<Tuple>>> =
-            pool.par_map_chunks(n_groups, chunk, |range| range.map(&eval_row).collect());
-        let mut out = Vec::with_capacity(n_groups);
-        for p in partials {
-            out.extend(p?);
-        }
-        out
-    } else {
-        (0..n_groups).map(eval_row).collect::<Result<_>>()?
-    };
+    let out = eval_group_rows(keys.len(), aggs, wt, ctx, stats, pool, eval_row)?;
     Ok(Relation::new_unchecked(schema, out))
 }
 
@@ -835,6 +788,18 @@ mod tests {
     use maybms_engine::{rel, DataType};
     use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
     use maybms_urel::repair::{repair_key, RepairKeyOptions};
+
+    fn group_confidence(
+        u: &URelation,
+        members: &[usize],
+        wt: &WorldTable,
+        method: ConfMethod,
+        ctx: &ConfContext,
+        stats: Option<&maybms_obs::QueryStats>,
+    ) -> Result<f64> {
+        let lineage = members.iter().map(|&i| &u.tuples()[i].wsd);
+        lineage_confidence(lineage, wt, method, ctx, stats)
+    }
 
     fn ti_setup() -> (WorldTable, URelation) {
         let mut wt = WorldTable::new();

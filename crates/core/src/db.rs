@@ -796,9 +796,15 @@ fn render_analyze(
             stats.conf_calls.get(),
             stats.dnf_clauses.get(),
             stats.dtree_nodes.get(),
-            stats.samples_drawn.get(),
+            stats.samples.get(),
             stats.sample_batches.get(),
         ));
+        if let Some((epsilon, delta)) = stats.requested() {
+            s.push_str(&format!(
+                " ({} drawn), requested (ε {epsilon}, δ {delta})",
+                stats.samples_drawn.get()
+            ));
+        }
         let rse = stats.max_rel_stderr();
         if rse > 0.0 {
             s.push_str(&format!(", max rel stderr {rse:.4}"));
@@ -1117,12 +1123,14 @@ mod tests {
         // Estimator effort: 2 conf + 2 aconf calls, with samples drawn.
         assert!(message.contains("estimator: 4 conf call(s)"), "{message}");
         assert!(message.contains("sample(s)"), "{message}");
+        assert!(message.contains(" drawn), requested (ε 0.3, δ 0.3)"), "{message}");
         assert!(message.contains("max rel stderr"), "{message}");
         assert!(message.contains("result: 2 t-certain rows in"), "{message}");
         // The same stats are retrievable programmatically.
         let stats = db.last_stats().unwrap();
         assert_eq!(stats.conf_calls.get(), 4);
-        assert!(stats.samples_drawn.get() > 0);
+        assert!(stats.samples.get() > 0);
+        assert_eq!(stats.samples_drawn.get(), stats.samples.get());
         assert_eq!(stats.pipeline_count(), 2);
     }
 

@@ -309,7 +309,7 @@ pub fn render_prometheus() -> String {
     counter("maybms_conf_dtree_nodes_total", "Decomposition-tree nodes expanded by exact confidence computation", &m.dtree_nodes);
     counter("maybms_conf_dnf_clauses_total", "DNF clauses submitted to confidence computation", &m.dnf_clauses);
     counter("maybms_conf_mc_samples_total", "Monte Carlo samples drawn (fixed-count Karp-Luby draws plus DKLR consumed samples)", &m.mc_samples);
-    counter("maybms_conf_mc_batches_total", "Seeded sample batches computed (including speculation)", &m.mc_batches);
+    counter("maybms_conf_mc_batches_total", "Seeded sample batches consumed by DKLR runs", &m.mc_batches);
     counter("maybms_store_wal_appends_total", "WAL records appended", &m.wal_appends);
     counter("maybms_store_checkpoints_total", "Atomic snapshot checkpoints written", &m.checkpoints);
     counter("maybms_par_tasks_total", "Tasks executed by the execution pool", &m.par_tasks);
@@ -441,7 +441,10 @@ pub struct QueryStats {
     pub dtree_nodes: Counter,
     /// DNF clauses submitted (lineage size).
     pub dnf_clauses: Counter,
-    /// Monte Carlo samples drawn by approximate computations.
+    /// Monte Carlo samples consumed by approximate computations.
+    pub samples: Counter,
+    /// Monte Carlo samples computed: above `samples` only when a deadline
+    /// cut an estimate and discarded part of a fan-out round.
     pub samples_drawn: Counter,
     /// Seeded sample batches those samples came from (deterministic:
     /// derived from sample counts, not from speculative execution).
@@ -457,6 +460,9 @@ pub struct QueryStats {
     /// bits (positive floats order like their bit patterns, so
     /// `fetch_max` on bits is max on values).
     max_rel_stderr_bits: AtomicU64,
+    /// Tightest `(ε, δ)` any `aconf` of the statement asked for
+    /// (component-wise minimum).
+    requested: Mutex<Option<(f64, f64)>>,
     /// Root span id of the statement's trace tree (0 when tracing was
     /// off) — links the slow-query log and tests to [`trace`] records.
     root_span: AtomicU64,
@@ -496,6 +502,18 @@ impl QueryStats {
         f64::from_bits(self.max_rel_stderr_bits.load(Ordering::Relaxed))
     }
 
+    /// Record the `(ε, δ)` one `aconf` call asked for.
+    pub fn record_requested(&self, epsilon: f64, delta: f64) {
+        let mut r = self.requested.lock().expect("requested (ε, δ) poisoned");
+        *r = Some(r.map_or((epsilon, delta), |(e, d)| (e.min(epsilon), d.min(delta))));
+    }
+
+    /// The tightest requested `(ε, δ)` — what [`QueryStats::max_rel_stderr`]
+    /// is to be read against — or `None` if no `aconf` ran.
+    pub fn requested(&self) -> Option<(f64, f64)> {
+        *self.requested.lock().expect("requested (ε, δ) poisoned")
+    }
+
     /// Link this query to its statement-root trace span.
     pub fn set_root_span(&self, id: u64) {
         self.root_span.store(id, Ordering::Relaxed);
@@ -521,7 +539,7 @@ impl QueryStats {
                 ", {} conf call(s): {} d-tree node(s), {} sample(s)",
                 self.conf_calls.get(),
                 self.dtree_nodes.get(),
-                self.samples_drawn.get()
+                self.samples.get()
             ));
         }
         if self.scalar_fallbacks.get() > 0 {

@@ -132,21 +132,6 @@ impl WorldTable {
         self.dists.iter().map(|d| sample_categorical(d, rng)).collect()
     }
 
-    /// Sample only the variables in `vars`, writing into a sparse world
-    /// overlay; other positions keep the supplied defaults. Used by the
-    /// Karp–Luby estimator, which conditions part of a world and samples
-    /// the rest.
-    pub fn sample_into<R: Rng + ?Sized>(
-        &self,
-        world: &mut [u16],
-        vars: &[Var],
-        rng: &mut R,
-    ) {
-        for &v in vars {
-            world[v.0 as usize] = sample_categorical(&self.dists[v.0 as usize], rng);
-        }
-    }
-
     /// Iterate every world with its probability. Errors if the world count
     /// exceeds `limit` (enumeration is the *testing oracle*, exponential by
     /// design).
@@ -312,18 +297,6 @@ mod tests {
         }
         let freq0 = counts[0] as f64 / n as f64;
         assert!((freq0 - 0.8).abs() < 0.02, "freq0 = {freq0}");
-    }
-
-    #[test]
-    fn sample_into_only_touches_requested_vars() {
-        let mut wt = WorldTable::new();
-        let a = wt.new_var(&[0.0, 1.0]).unwrap(); // always alt 1
-        let _b = wt.new_var(&[1.0]).unwrap();
-        let mut world = vec![7, 7];
-        let mut rng = StdRng::seed_from_u64(1);
-        wt.sample_into(&mut world, &[a], &mut rng);
-        assert_eq!(world[0], 1);
-        assert_eq!(world[1], 7); // untouched
     }
 
     #[test]

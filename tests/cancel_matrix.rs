@@ -277,6 +277,60 @@ fn degraded_aconf_estimate_is_deterministic_across_thread_counts() {
     maybms_par::set_threads(before_threads);
 }
 
+/// The sample stream's checkpoints are its batch boundaries: one before
+/// each consumed batch, none elsewhere. A cancel injected at any of them
+/// aborts the run; a deadline injected at the `k`-th yields the partial
+/// estimate of `(seed, k)` — the same bits whether the run is driven
+/// through SQL or called directly on the group's lineage.
+#[test]
+fn aconf_checkpoints_are_its_batch_boundaries() {
+    use maybms::conf::dklr::{approximate_seeded, Approximation, DklrOptions};
+    use maybms::conf::karp_luby::KarpLuby;
+    use maybms::conf::Dnf;
+
+    let _l = lock();
+    let mut db = aconf_db();
+    let lineage = db.query_uncertain("select * from pu").unwrap();
+    let dnf = Dnf::from_wsds(lineage.tuples().iter().map(|t| &t.wsd));
+    let kl = KarpLuby::new(&dnf, db.world_table()).unwrap();
+    let opts = DklrOptions::new(0.05, 0.05);
+    // The single group's single aconf slot: (group 0, slot 1).
+    let seed = maybms::ConfContext::default().seed + 1;
+    // One direct run under a statement guard, `kind` injected at `nth`.
+    let direct = |nth: u64, kind: AbortKind| -> (Result<Approximation, ()>, Option<u64>) {
+        testing::abort_at_checkpoint(nth, kind);
+        let guard = maybms_gov::begin_statement();
+        let result = approximate_seeded(&kl, &opts, seed).map_err(|_| ());
+        let remaining = testing::remaining();
+        drop(guard);
+        testing::clear();
+        (result, remaining)
+    };
+
+    // Unprovoked, the run completes — through SQL with the same bits —
+    // and passes exactly one checkpoint per batch it consumed.
+    let (full, remaining) = direct(u64::MAX / 2, AbortKind::Cancel);
+    let full = full.unwrap();
+    assert_eq!(remaining, Some(u64::MAX / 2 - full.batches), "one checkpoint per batch");
+    assert!(full.batches >= 3, "the run spans several batches: {full:?}");
+    let sql = db.query(ACONF_SQL).unwrap();
+    assert_eq!(sql.tuples()[0].value(1).as_f64().unwrap().to_bits(), full.estimate.to_bits());
+
+    // The statement's first checkpoint inside the sample stream.
+    let first = (1..=MAX_SWEEP)
+        .find(|&nth| run_aconf_cut(&mut db, nth).is_ok())
+        .expect("no deadline landed in the sample stream");
+    for k in 0..full.batches {
+        assert!(direct(k + 1, AbortKind::Cancel).0.is_err(), "cancel at batch {k} ignored");
+        let cut = direct(k + 1, AbortKind::Deadline).0.unwrap();
+        assert_eq!(cut.cut_batch, Some(k));
+        assert_eq!(cut.drawn, cut.samples, "a cut run drew past its cut");
+        let (bits, degraded) = run_aconf_cut(&mut db, first + k).unwrap();
+        assert!(degraded, "SQL cut at batch {k} not degraded");
+        assert_eq!(bits, cut.estimate.to_bits(), "cut at batch {k}: SQL vs direct");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Transient-storage-fault contract.
 // ---------------------------------------------------------------------
