@@ -1,25 +1,75 @@
-//! Seed-faithful "naive" operator implementations, kept as the measured
-//! *before* of the zero-clone execution core (`exp_baseline`) and as the
-//! oracle for the operator-equivalence property tests.
+//! Reference implementations the property tests compare against.
 //!
-//! Each function reproduces the pre-refactor algorithm exactly as the seed
-//! engine ran it:
-//!
-//! * tuples are **deep-copied** at every operator boundary (the seed's
-//!   `Box<[Value]>`-backed rows made every clone an allocation plus a
-//!   value-by-value copy);
-//! * `distinct` clones every surviving tuple twice (once into the seen-set
-//!   and once into the output);
-//! * hash joins key their build table with an owned `Vec<Value>` cloned
-//!   from the key columns of every build *and* probe row.
-//!
-//! They are correct, just allocation-heavy — exactly what `exp_baseline`
-//! measures the optimized operators against.
+//! * [`fused_chain`] — the row-major scalar walk of a σ/π/probe chain:
+//!   the strict oracle (values, WSDs, order, first error) for the
+//!   pipeline executor (`maybms_pipe::UStream`);
+//! * seed-faithful "naive" operators, reproducing the pre-refactor
+//!   algorithms exactly as the seed engine ran them — tuples
+//!   **deep-copied** at every operator boundary, `distinct` cloning every
+//!   surviving tuple twice, hash joins keyed by an owned `Vec<Value>` per
+//!   build *and* probe row. Correct, just allocation-heavy: the oracle
+//!   for the operator-equivalence tests (`tests/op_equiv.rs`).
 
 use std::collections::{HashMap, HashSet};
 
 use maybms_engine::{ops, EngineError, Expr, Relation, Tuple, Value};
-use maybms_urel::{URelation, UTuple};
+use maybms_urel::{URelation, UTuple, Wsd};
+
+/// One stage of a fused chain. Expressions are bound (`ColumnIdx`) to
+/// the incoming row shape; a probe emits `row ++ build row`.
+pub enum Step {
+    /// σ
+    Filter(Expr),
+    /// π
+    Project(Vec<Expr>),
+    /// Equi-join against `build` on positional keys (NULL never matches).
+    Probe { build: URelation, left_keys: Vec<usize>, right_keys: Vec<usize> },
+}
+
+/// Row-major scalar reference for a fused chain: each source row, in
+/// order, goes depth-first through every step with the scalar evaluator;
+/// probes scan the build side in order and keep satisfiable WSD
+/// conjunctions. Stops at the first error, reporting its source row.
+#[allow(clippy::type_complexity)]
+pub fn fused_chain(
+    source: &URelation,
+    steps: &[Step],
+) -> Result<Vec<(Vec<Value>, Wsd)>, (usize, EngineError)> {
+    type Out = Vec<(Vec<Value>, Wsd)>;
+    fn walk(row: &[Value], wsd: &Wsd, steps: &[Step], out: &mut Out) -> Result<(), EngineError> {
+        let Some((step, rest)) = steps.split_first() else {
+            out.push((row.to_vec(), wsd.clone()));
+            return Ok(());
+        };
+        match step {
+            Step::Filter(p) if p.eval_predicate_values(row)? => walk(row, wsd, rest, out)?,
+            Step::Filter(_) => {}
+            Step::Project(es) => {
+                let vals: Vec<Value> =
+                    es.iter().map(|e| e.eval_values(row)).collect::<Result<_, _>>()?;
+                walk(&vals, wsd, rest, out)?;
+            }
+            Step::Probe { build, left_keys, right_keys } => {
+                for b in build.tuples() {
+                    let brow = b.data.values();
+                    let keys_eq = left_keys
+                        .iter()
+                        .zip(right_keys)
+                        .all(|(&l, &r)| row[l].sql_eq(&brow[r]) == Some(true));
+                    if let (true, Some(w)) = (keys_eq, wsd.conjoin(&b.wsd)) {
+                        walk(&[row, brow].concat(), &w, rest, out)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+    let mut out = Vec::new();
+    for (i, t) in source.tuples().iter().enumerate() {
+        walk(t.data.values(), &t.wsd, steps, &mut out).map_err(|e| (i, e))?;
+    }
+    Ok(out)
+}
 
 /// Deep copy of a row: allocates and copies every value (the seed's clone
 /// semantics, bypassing today's `Arc` sharing).
@@ -44,36 +94,6 @@ pub fn filter(input: &Relation, predicate: &Expr) -> Result<Relation, EngineErro
         }
     }
     Ok(Relation::new_unchecked(input.schema().clone(), out))
-}
-
-/// Seed π: evaluate the items per row into a fresh per-row allocation
-/// (one `Vec` + one buffer per output row — the seed's cost model,
-/// bypassing today's batched shared buffers).
-pub fn project(
-    input: &Relation,
-    items: &[ops::ProjectItem],
-) -> Result<Relation, EngineError> {
-    let in_schema = input.schema();
-    let bound: Vec<(Expr, maybms_engine::Field)> = items
-        .iter()
-        .map(|item| {
-            let e = item.expr.bind(in_schema)?;
-            let dtype = e.data_type(in_schema);
-            Ok((e, maybms_engine::Field::new(item.name.clone(), dtype)))
-        })
-        .collect::<Result<_, EngineError>>()?;
-    let schema = std::sync::Arc::new(maybms_engine::Schema::new(
-        bound.iter().map(|(_, f)| f.clone()).collect(),
-    ));
-    let mut out = Vec::with_capacity(input.len());
-    for t in input.tuples() {
-        let vals: Vec<Value> = bound
-            .iter()
-            .map(|(e, _)| e.eval(t))
-            .collect::<Result<_, EngineError>>()?;
-        out.push(Tuple::new(vals));
-    }
-    Ok(Relation::new_unchecked(schema, out))
 }
 
 /// Seed `distinct`: the double clone (seen-set + output).
@@ -177,37 +197,6 @@ pub fn select_u(input: &URelation, predicate: &Expr) -> maybms_urel::Result<URel
     Ok(URelation::new(input.schema().clone(), out))
 }
 
-/// Seed U-relational π: one fresh `Vec` per output row plus a deep WSD
-/// clone (the seed's cost model).
-pub fn project_u(
-    input: &URelation,
-    items: &[ops::ProjectItem],
-) -> maybms_urel::Result<URelation> {
-    let in_schema = input.schema();
-    let bound: Vec<(Expr, maybms_engine::Field)> = items
-        .iter()
-        .map(|item| {
-            let e = item.expr.bind(in_schema)?;
-            let dtype = e.data_type(in_schema);
-            Ok((e, maybms_engine::Field::new(item.name.clone(), dtype)))
-        })
-        .collect::<Result<_, EngineError>>()?;
-    let schema = std::sync::Arc::new(maybms_engine::Schema::new(
-        bound.iter().map(|(_, f)| f.clone()).collect(),
-    ));
-    let mut out = Vec::with_capacity(input.len());
-    for t in input.tuples() {
-        let vals: Vec<Value> = bound
-            .iter()
-            .map(|(e, _)| e.eval(&t.data))
-            .collect::<Result<_, EngineError>>()?;
-        let wsd = maybms_urel::Wsd::from_assignments(t.wsd.assignments().to_vec())
-            .expect("existing WSD is satisfiable");
-        out.push(UTuple::new(Tuple::new(vals), wsd));
-    }
-    Ok(URelation::new(schema, out))
-}
-
 /// Seed U-relational hash ⋈: `Vec<Value>` keys, WSD conjunction per
 /// surviving pair.
 pub fn hash_join_u(
@@ -267,156 +256,6 @@ pub fn nested_loop_join_u(
         }
     }
     Ok(URelation::new(schema, out))
-}
-
-/// Seed grouped aggregation: SipHash `Vec<Value>`-keyed grouping with one
-/// owned key per row, then a **second pass** per (group, aggregate) that
-/// re-scans the group's index list and collects the argument values into
-/// a fresh `Vec` before reducing — the pre-AggState shape whose
-/// full-input materialisation and per-group rescans `exp_baseline`
-/// measures the streaming breaker against.
-pub fn aggregate(
-    input: &Relation,
-    group_exprs: &[Expr],
-    group_names: &[String],
-    aggs: &[ops::AggCall],
-) -> Result<Relation, EngineError> {
-    let in_schema = input.schema();
-    let bound_keys: Vec<Expr> = group_exprs
-        .iter()
-        .map(|e| e.bind(in_schema))
-        .collect::<Result<_, EngineError>>()?;
-    let bound_aggs: Vec<(ops::AggFunc, Option<Expr>)> = aggs
-        .iter()
-        .map(|a| Ok((a.func, a.arg.as_ref().map(|e| e.bind(in_schema)).transpose()?)))
-        .collect::<Result<_, EngineError>>()?;
-    let schema = ops::aggregate_schema(in_schema, group_exprs, group_names, aggs)?;
-
-    // Pass 1: group by owned keys.
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-    if bound_keys.is_empty() {
-        groups.push((Vec::new(), (0..input.len()).collect()));
-    } else {
-        for (i, t) in input.tuples().iter().enumerate() {
-            let key: Vec<Value> = bound_keys
-                .iter()
-                .map(|e| e.eval(t))
-                .collect::<Result<_, EngineError>>()?;
-            match index.get(&key) {
-                Some(&g) => groups[g].1.push(i),
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![i]));
-                }
-            }
-        }
-    }
-
-    // Pass 2: per (group, aggregate), re-scan the index list.
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, indices) in groups {
-        let mut row = key;
-        for (func, arg) in &bound_aggs {
-            let values = |a: &Expr| -> Result<Vec<Value>, EngineError> {
-                let mut vs = Vec::with_capacity(indices.len());
-                for &i in &indices {
-                    let v = a.eval(&input.tuples()[i])?;
-                    if !v.is_null() {
-                        vs.push(v);
-                    }
-                }
-                Ok(vs)
-            };
-            let v = match (func, arg) {
-                (ops::AggFunc::Count, None) => Value::Int(indices.len() as i64),
-                (ops::AggFunc::Count, Some(a)) => Value::Int(values(a)?.len() as i64),
-                (f, Some(a)) => {
-                    let vs = values(a)?;
-                    match f {
-                        ops::AggFunc::Sum | ops::AggFunc::Avg => {
-                            if vs.is_empty() {
-                                Value::Null
-                            } else {
-                                let mut fsum = 0.0f64;
-                                let mut isum = 0i64;
-                                let mut all_int = true;
-                                for v in &vs {
-                                    match v {
-                                        Value::Int(i) => {
-                                            isum = isum.wrapping_add(*i);
-                                            fsum += *i as f64;
-                                        }
-                                        Value::Float(x) => {
-                                            all_int = false;
-                                            fsum += x;
-                                        }
-                                        other => {
-                                            return Err(EngineError::TypeMismatch {
-                                                message: format!(
-                                                    "{}() applied to {}",
-                                                    f.name(),
-                                                    other.data_type()
-                                                ),
-                                            })
-                                        }
-                                    }
-                                }
-                                match f {
-                                    ops::AggFunc::Sum if all_int => Value::Int(isum),
-                                    ops::AggFunc::Sum => Value::Float(fsum),
-                                    _ => Value::Float(fsum / vs.len() as f64),
-                                }
-                            }
-                        }
-                        ops::AggFunc::Min => vs.into_iter().min().unwrap_or(Value::Null),
-                        ops::AggFunc::Max => vs.into_iter().max().unwrap_or(Value::Null),
-                        ops::AggFunc::Count => unreachable!(),
-                    }
-                }
-                (f, None) => {
-                    return Err(EngineError::InvalidOperator {
-                        message: format!("{}() requires an argument", f.name()),
-                    })
-                }
-            };
-            row.push(v);
-        }
-        out.push(Tuple::new(row));
-    }
-    Ok(Relation::new_unchecked(schema, out))
-}
-
-/// Seed U-relational grouping: one owned `Vec<Value>` key per row into a
-/// SipHash map (`exp_baseline`'s *before* for the grouped-`conf()`
-/// workload; aggregate evaluation is shared so the delta isolates
-/// grouping + materialisation).
-#[allow(clippy::type_complexity)]
-pub fn group_u(
-    u: &URelation,
-    key_exprs: &[Expr],
-) -> maybms_urel::Result<(Vec<Vec<Value>>, Vec<Vec<usize>>)> {
-    if key_exprs.is_empty() {
-        return Ok((vec![Vec::new()], vec![(0..u.len()).collect()]));
-    }
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut keys: Vec<Vec<Value>> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for (i, t) in u.tuples().iter().enumerate() {
-        let key: Vec<Value> = key_exprs
-            .iter()
-            .map(|e| e.eval(&t.data))
-            .collect::<Result<_, EngineError>>()?;
-        match index.get(&key) {
-            Some(&g) => members[g].push(i),
-            None => {
-                index.insert(key.clone(), keys.len());
-                keys.push(key);
-                members.push(vec![i]);
-            }
-        }
-    }
-    Ok((keys, members))
 }
 
 /// Seed `repair key`: SipHash `Vec<Value>`-keyed grouping, deep-cloned

@@ -252,56 +252,6 @@ pub fn overhead_pair(seed: u64, rows: usize, keys: i64) -> (Relation, WorldTable
     (certain, wt, uncertain)
 }
 
-/// Expression-heavy workload table: four integer columns plus a float —
-/// the shape where per-cell `Value` dispatch dominates a fused σ/π
-/// chain and the columnar kernels have the most to win. Ranges keep all
-/// generated arithmetic overflow-free.
-pub fn expr_table(seed: u64, rows: usize) -> Relation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        data.push(vec![
-            Value::Int(rng.gen_range(0..1000)),
-            Value::Int(rng.gen_range(0..1000)),
-            Value::Int(rng.gen_range(0..1000)),
-            Value::Int(rng.gen_range(0..1000)),
-            Value::Float(rng.gen_range(0.0..1.0)),
-        ]);
-    }
-    maybms_engine::rel(
-        &[
-            ("a", DataType::Int),
-            ("b", DataType::Int),
-            ("c", DataType::Int),
-            ("d", DataType::Int),
-            ("x", DataType::Float),
-        ],
-        data,
-    )
-}
-
-/// String-keyed workload table: `(s Text, v Int)` with `keys` distinct
-/// key strings (realistic identifier-ish lengths, so string hashing and
-/// equality have real work to do), heavy duplication, and ~1% NULL keys
-/// — the shape where the columnar store's dictionary encoding pays:
-/// DISTINCT and GROUP BY on `s` can run over u32 codes instead of
-/// hashing each string per row.
-pub fn string_keyed(seed: u64, rows: usize, keys: usize) -> Relation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pool: Vec<String> =
-        (0..keys.max(1)).map(|k| format!("customer-{k:06}-{:08x}", k * 2_654_435_761)).collect();
-    let mut data = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let s = if rng.gen_range(0..100) == 0 {
-            Value::Null
-        } else {
-            Value::str(pool[rng.gen_range(0..pool.len())].as_str())
-        };
-        data.push(vec![s, Value::Int(rng.gen_range(0..1000))]);
-    }
-    maybms_engine::rel(&[("s", DataType::Text), ("v", DataType::Int)], data)
-}
-
 /// E6 workload: a key-violating relation with `groups` keys ×
 /// `alternatives` rows per key and random positive weights.
 pub fn repair_input(seed: u64, groups: usize, alternatives: usize) -> Relation {

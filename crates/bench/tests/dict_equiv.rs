@@ -4,9 +4,10 @@
 //! fast paths consume the u32 codes directly: the hash-join build side
 //! (`fuse::build_table`) and the dense-code grouped-aggregation sink
 //! (`groupby::dense_dict_groups`). Both must be *invisible*: joining or
-//! grouping on a dictionary-encoded columnar table has to produce output
-//! bit-identical to the row-major string path — same tuples, same order,
-//! same group key variants — at 1/2/8 threads and morsel sizes down to a
+//! grouping on a compacted (dictionary-encoded, columnar-at-rest)
+//! U-relation has to produce output bit-identical to its row-major twin
+//! and to a sequential scalar reference — same tuples, same order, same
+//! group key variants — at 1/2/8 threads and morsel sizes down to a
 //! single row.
 //!
 //! The string universe is tiny (heavy duplication, so many rows share a
@@ -14,13 +15,16 @@
 //! frequent (they must never match in a join and must form their own
 //! group in an aggregation).
 
+mod common;
+
 use std::sync::Arc;
 
-use maybms_engine::ops::{AggCall, AggFunc};
-use maybms_engine::{
-    Catalog, DataType, Expr, PhysicalPlan, Relation, Schema, Tuple, Value,
-};
+use maybms_bench::naive::{fused_chain, Step};
+use maybms_engine::ops::{AggFunc, AggState};
+use maybms_engine::{DataType, Expr, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
+use maybms_pipe::UStream;
+use maybms_urel::{URelation, UTuple};
 use proptest::prelude::*;
 
 fn arb_key() -> impl Strategy<Value = Value> {
@@ -38,99 +42,104 @@ fn arb_payload() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn table(name: &str, rows: Vec<(Value, Value)>) -> (String, Relation) {
+/// A row-major t-certain `(name_k: Text, name_v)` U-relation.
+fn table(name: &str, rows: Vec<(Value, Value)>) -> URelation {
     let schema = Arc::new(Schema::from_pairs(&[
         (&format!("{name}_k"), DataType::Text),
         (&format!("{name}_v"), DataType::Unknown),
     ]));
-    let tuples = rows.into_iter().map(|(k, v)| Tuple::new(vec![k, v])).collect();
-    (name.to_string(), Relation::new_unchecked(schema, tuples))
+    let tuples =
+        rows.into_iter().map(|(k, v)| UTuple::certain(Tuple::new(vec![k, v]))).collect();
+    URelation::new(schema, tuples)
 }
 
-/// Two catalogs over the same logical data: every table row-major in
-/// one (overwritten after the catalog's columnar install),
-/// columnar-at-rest (text keys dictionary-encoded) in the other.
-fn catalogs(tables: Vec<(String, Relation)>) -> (Catalog, Catalog) {
-    let mut rows = Catalog::new();
-    let mut cols = Catalog::new();
-    for (name, r) in tables {
-        rows.create(&name, r.clone()).unwrap();
-        *rows.get_mut(&name).unwrap() = r.clone();
-        cols.create(&name, r.clone()).unwrap();
-        let compacted = r.compact();
-        assert!(compacted.is_columnar());
-        *cols.get_mut(&name).unwrap() = compacted;
-    }
-    (rows, cols)
+/// `count(*)`, `sum(v)`, `min(v)` — one state per aggregate.
+fn new_states() -> Vec<AggState> {
+    [AggFunc::Count, AggFunc::Sum, AggFunc::Min].map(AggState::new).to_vec()
+}
+
+fn fold_row(states: &mut [AggState], row: &[Value]) -> maybms_urel::Result<()> {
+    states[0].fold_present();
+    states[1].fold(&row[1])?;
+    states[2].fold(&row[1])?;
+    Ok(())
+}
+
+/// Groups as strings that tell key and aggregate variants apart.
+fn render(keys: Vec<Vec<Value>>, states: Vec<Vec<AggState>>) -> Vec<String> {
+    keys.iter()
+        .zip(&states)
+        .map(|(k, sts)| {
+            let vals: Vec<Value> = sts.iter().map(|s| s.finish().unwrap()).collect();
+            format!("{k:?} -> {vals:?}")
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hash join keyed on a text column: the dictionary-code build side
-    /// over the columnar catalog ≡ the string build side over the
-    /// row-major catalog, bit-identically, at every thread count.
+    /// over compacted inputs ≡ the string build side over row-major ones
+    /// ≡ the scalar oracle, bit-identically, at every thread count.
     #[test]
     fn dict_join_build_matches_string_path(
         build in prop::collection::vec((arb_key(), arb_payload()), 0..24),
         probe in prop::collection::vec((arb_key(), arb_payload()), 0..24),
     ) {
-        let (rows, cols) =
-            catalogs(vec![table("b", build), table("p", probe)]);
-        let plan = PhysicalPlan::HashJoin {
-            left: Box::new(PhysicalPlan::Scan { table: "p".into(), alias: None }),
-            right: Box::new(PhysicalPlan::Scan { table: "b".into(), alias: None }),
-            left_keys: vec![0],
-            right_keys: vec![0],
-        };
-        let want = plan.execute(&rows).unwrap();
+        let (b, p) = (table("b", build), table("p", probe));
+        prop_assert!(b.compact().is_columnar());
+        let steps = [Step::Probe { build: b, left_keys: vec![0], right_keys: vec![0] }];
         // NULL never equals NULL: no output row may carry a NULL key.
-        for t in want.tuples() {
-            prop_assert!(t.value(0) != &Value::Null);
+        for (row, _) in fused_chain(&p, &steps).unwrap() {
+            prop_assert!(row[0] != Value::Null);
         }
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            for morsel in [1usize, 4] {
-                for catalog in [&rows, &cols] {
-                    let got =
-                        maybms_pipe::execute_with(&plan, catalog, &pool, morsel).unwrap();
-                    prop_assert_eq!(
-                        got.tuples(), want.tuples(),
-                        "threads {} morsel {}", threads, morsel
-                    );
-                }
-            }
-        }
+        common::check_chain(&p, &steps);
     }
 
-    /// GROUP BY a text key: the dense-code sink over the columnar
-    /// catalog ≡ the hashed sink over the row-major catalog ≡ the
-    /// materialising aggregate, bit-identically, at every thread count.
+    /// GROUP BY a text key: the dense-code sink over the compacted table
+    /// ≡ the hashed sink over the row-major one ≡ a sequential scan in
+    /// first-seen key order, bit-identically, at every thread count.
     #[test]
     fn dense_dict_group_matches_hashed_group(
         data in prop::collection::vec((arb_key(), arb_payload()), 0..32),
     ) {
-        let (rows, cols) = catalogs(vec![table("t", data)]);
-        let plan = PhysicalPlan::Aggregate {
-            input: Box::new(PhysicalPlan::Scan { table: "t".into(), alias: None }),
-            group_exprs: vec![Expr::ColumnIdx(0)],
-            group_names: vec!["g".into()],
-            aggs: vec![
-                AggCall::new(AggFunc::Count, None, "n"),
-                AggCall::new(AggFunc::Sum, Some(Expr::ColumnIdx(1)), "s"),
-                AggCall::new(AggFunc::Min, Some(Expr::ColumnIdx(1)), "lo"),
-            ],
+        let t = table("t", data);
+        let want = {
+            let mut keys: Vec<Vec<Value>> = Vec::new();
+            let mut states: Vec<Vec<AggState>> = Vec::new();
+            for row in t.tuples().iter().map(|u| u.data.values()) {
+                let g = keys.iter().position(|k| k[0] == row[0]).unwrap_or_else(|| {
+                    keys.push(vec![row[0].clone()]);
+                    states.push(new_states());
+                    keys.len() - 1
+                });
+                fold_row(&mut states[g], row).unwrap();
+            }
+            render(keys, states)
         };
-        let want = plan.execute(&rows).unwrap();
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {
-                for catalog in [&rows, &cols] {
-                    let got =
-                        maybms_pipe::execute_with(&plan, catalog, &pool, morsel).unwrap();
+                for source in [t.clone(), t.compact()] {
+                    let layout = if source.is_columnar() { "compacted" } else { "row-major" };
+                    let (keys, states) = UStream::new(source)
+                        .collect_grouped(
+                            &[Expr::ColumnIdx(0)],
+                            &pool,
+                            morsel,
+                            None,
+                            new_states,
+                            |sts: &mut Vec<AggState>, row, _| fold_row(sts, row),
+                            |a: &mut Vec<AggState>, b| {
+                                a.iter_mut().zip(b).try_for_each(|(x, y)| x.merge(y))?;
+                                Ok(())
+                            },
+                        )
+                        .unwrap();
                     prop_assert_eq!(
-                        got.tuples(), want.tuples(),
-                        "threads {} morsel {}", threads, morsel
+                        render(keys, states), want.clone(),
+                        "{}, threads {} morsel {}", layout, threads, morsel
                     );
                 }
             }

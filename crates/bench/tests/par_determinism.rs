@@ -238,7 +238,7 @@ proptest! {
                 .unwrap()
         };
         let p1 = ThreadPool::new(1);
-        let reference = build_stream().collect_with(&p1, 1).unwrap();
+        let reference = build_stream().collect_with(&p1, 1, None).unwrap();
         let fingerprint = |ps: &maybms_obs::PipelineStats| -> Vec<(u64, u64, u64)> {
             ps.stages
                 .iter()
@@ -250,9 +250,7 @@ proptest! {
             let pool = ThreadPool::new(threads);
             let stream = build_stream();
             let ps = stream.stats_skeleton("par determinism");
-            let got = stream
-                .collect_stats(&pool, 1, maybms_pipe::columnar_default(), Some(&ps))
-                .unwrap();
+            let got = stream.collect_with(&pool, 1, Some(&ps)).unwrap();
             prop_assert_eq!(got.tuples(), reference.tuples(), "threads = {}", threads);
             prints.push(fingerprint(&ps));
         }

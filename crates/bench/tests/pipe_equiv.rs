@@ -1,27 +1,32 @@
-//! Pipelined ≡ materialised: the morsel-driven executor (`maybms-pipe`)
-//! must produce **bit-identical** output — schema, tuples, WSDs, order —
-//! to the bottom-up materialising executors, at any thread count and any
-//! morsel size.
+//! The pipeline executor (`maybms-pipe`) against its references, at any
+//! thread count and any morsel size:
 //!
-//! Random plans are generated as token programs folded into well-typed
-//! trees (arity tracked through projections and joins, comparisons and
-//! arithmetic restricted to numeric columns), over data with NULL join
-//! keys, cross-type numeric duplicates (`1 == 1.0`), and — on the
-//! U-relational side — conflicting WSDs whose join conjunctions are
+//! * fused `UStream` chains ≡ the row-major scalar oracle
+//!   (`maybms_bench::naive::fused_chain`) — values, WSDs, order, first
+//!   error — including stages the kernels do not cover (`CASE`, `IN`,
+//!   `CAST`, raising arithmetic), so the row-at-a-time walk keeps
+//!   property coverage;
+//! * the streaming grouped-aggregation breaker ≡ materialising the chain
+//!   with `urel::algebra` and running the two-pass group + aggregate
+//!   path.
+//!
+//! Data has NULL join keys, cross-type numeric duplicates (`1 == 1.0`),
+//! a text column, and conflicting WSDs whose join conjunctions are
 //! unsatisfiable and must be dropped. Each case runs on explicit 1-, 2-,
-//! and 8-thread pools with morsel sizes down to a single row (the
-//! worst case for any order bug); CI additionally runs the whole suite
-//! under `MAYBMS_THREADS=1` and `=4`, covering the process-wide pool
-//! dispatch.
+//! and 8-thread pools with morsel sizes down to a single row (the worst
+//! case for any order bug); CI additionally runs the whole suite under
+//! `MAYBMS_THREADS=1` and `=4`, covering the process-wide pool dispatch.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{check_chain, stream};
+use maybms_bench::naive::{fused_chain, Step};
 use maybms_core::agg as uagg;
 use maybms_core::translate::AggSpec;
-use maybms_engine::ops::{AggCall, AggFunc, ProjectItem, SortKey};
-use maybms_engine::{
-    optimizer, Catalog, DataType, Expr, Field, PhysicalPlan, Relation, Schema, Tuple, Value,
-};
+use maybms_engine::ops::ProjectItem;
+use maybms_engine::{BinaryOp, DataType, Expr, Field, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
 use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
@@ -63,225 +68,11 @@ fn query_fingerprint(
 }
 
 // ---------------------------------------------------------------------
-// Certain path: random PhysicalPlans vs pipe::execute
+// UStream chains vs the scalar oracle, and vs the algebra sequence
 // ---------------------------------------------------------------------
 
-/// Numeric-or-NULL values: safe under comparison and arithmetic, with
-/// cross-type duplicates in the key columns.
-fn arb_num() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0i64..5).prop_map(Value::Int),
-        (0i64..8).prop_map(|i| Value::Float(i as f64 / 2.0)),
-    ]
-}
-
-/// A catalog with two all-numeric tables, `t0` (3 columns) and `t1`
-/// (2 columns).
-fn arb_catalog() -> impl Strategy<Value = Catalog> {
-    (
-        prop::collection::vec((arb_num(), arb_num(), arb_num()), 0..20),
-        prop::collection::vec((arb_num(), arb_num()), 0..8),
-    )
-        .prop_map(|(rows0, rows1)| {
-            let mut c = Catalog::new();
-            let s0 = Arc::new(Schema::from_pairs(&[
-                ("a", DataType::Unknown),
-                ("b", DataType::Unknown),
-                ("c", DataType::Unknown),
-            ]));
-            c.create(
-                "t0",
-                Relation::new_unchecked(
-                    s0,
-                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
-                ),
-            )
-            .unwrap();
-            let s1 = Arc::new(Schema::from_pairs(&[
-                ("d", DataType::Unknown),
-                ("e", DataType::Unknown),
-            ]));
-            c.create(
-                "t1",
-                Relation::new_unchecked(
-                    s1,
-                    rows1.into_iter().map(|(d, e)| Tuple::new(vec![d, e])).collect(),
-                ),
-            )
-            .unwrap();
-            c
-        })
-}
-
-/// One plan-building token: `(opcode, a, b)`.
+/// One chain-building token: `(opcode, a, b)`.
 type Token = (u8, u8, u8);
-
-fn table_arity(idx: u8) -> (String, usize) {
-    if idx.is_multiple_of(2) {
-        ("t0".to_string(), 3)
-    } else {
-        ("t1".to_string(), 2)
-    }
-}
-
-/// Fold a token program into a well-typed plan, tracking output arity.
-/// All columns stay numeric-or-NULL, so every generated expression is
-/// total on the data.
-fn build_plan(base: u8, tokens: &[Token]) -> PhysicalPlan {
-    let (table, mut arity) = table_arity(base);
-    let mut plan = PhysicalPlan::Scan { table, alias: None };
-    for &(op, a, b) in tokens {
-        let col = |x: u8| Expr::ColumnIdx(x as usize % arity);
-        match op % 9 {
-            0 => {
-                let cmp = if b % 2 == 0 {
-                    maybms_engine::BinaryOp::Gt
-                } else {
-                    maybms_engine::BinaryOp::LtEq
-                };
-                plan = PhysicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: col(a).binary(cmp, Expr::lit(i64::from(b % 5))),
-                };
-            }
-            1 => {
-                // Rotate the columns and append one computed column.
-                let mut items: Vec<ProjectItem> = (0..arity)
-                    .map(|i| {
-                        ProjectItem::new(
-                            Expr::ColumnIdx((i + a as usize) % arity),
-                            format!("p{i}"),
-                        )
-                    })
-                    .collect();
-                items.push(ProjectItem::new(
-                    col(b).binary(maybms_engine::BinaryOp::Add, Expr::lit(1i64)),
-                    "sum",
-                ));
-                arity += 1;
-                plan = PhysicalPlan::Project { input: Box::new(plan), items };
-            }
-            2 => {
-                let (rt, ra) = table_arity(b);
-                plan = PhysicalPlan::HashJoin {
-                    left: Box::new(plan),
-                    right: Box::new(PhysicalPlan::Scan { table: rt, alias: None }),
-                    left_keys: vec![a as usize % arity],
-                    right_keys: vec![b as usize % ra],
-                };
-                arity += ra;
-            }
-            3 => plan = PhysicalPlan::Distinct { input: Box::new(plan) },
-            4 => {
-                plan = PhysicalPlan::Sort {
-                    input: Box::new(plan),
-                    keys: vec![SortKey { expr: col(a), ascending: b % 2 == 0 }],
-                };
-            }
-            5 => plan = PhysicalPlan::Limit { input: Box::new(plan), n: a as usize % 9 },
-            6 => {
-                plan = PhysicalPlan::UnionAll { inputs: vec![plan.clone(), plan] };
-            }
-            8 => {
-                // Grouped aggregation (the streaming breaker): every
-                // aggregate function, with and without group keys, over
-                // numeric-or-NULL columns (NULL keys form groups too).
-                let n_keys = (a % 2) as usize;
-                let (group_exprs, group_names) = if n_keys == 1 {
-                    (vec![col(b)], vec!["g".to_string()])
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                let aggs = vec![
-                    AggCall::new(AggFunc::Count, None, "n"),
-                    AggCall::new(AggFunc::Sum, Some(col(a)), "s"),
-                    AggCall::new(AggFunc::Avg, Some(col(b)), "m"),
-                    AggCall::new(AggFunc::Min, Some(col(a)), "lo"),
-                    AggCall::new(AggFunc::Max, Some(col(b)), "hi"),
-                ];
-                plan = PhysicalPlan::Aggregate {
-                    input: Box::new(plan),
-                    group_exprs,
-                    group_names,
-                    aggs,
-                };
-                arity = n_keys + 5;
-            }
-            _ => {
-                let (rt, ra) = table_arity(b);
-                let pred = Expr::ColumnIdx(a as usize % arity)
-                    .binary(maybms_engine::BinaryOp::Lt, Expr::ColumnIdx(arity));
-                plan = PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(plan),
-                    right: Box::new(PhysicalPlan::Scan { table: rt, alias: None }),
-                    predicate: if a % 2 == 0 { Some(pred) } else { None },
-                };
-                arity += ra;
-            }
-        }
-    }
-    plan
-}
-
-fn arb_tokens() -> impl Strategy<Value = Vec<Token>> {
-    prop::collection::vec((0u8..9, 0u8..16, 0u8..16), 0..6)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// pipe::execute ≡ PhysicalPlan::execute, exactly, at 1/2/8 threads
-    /// and morsel sizes down to one row.
-    #[test]
-    fn pipelined_plan_matches_materialized(
-        catalog in arb_catalog(),
-        base in 0u8..2,
-        tokens in arb_tokens(),
-    ) {
-        let plan = build_plan(base, &tokens);
-        let materialized = plan.execute(&catalog).unwrap();
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            for morsel in [1usize, 4] {
-                let pipelined =
-                    maybms_pipe::execute_with(&plan, &catalog, &pool, morsel).unwrap();
-                prop_assert_eq!(
-                    pipelined.schema().names(),
-                    materialized.schema().names(),
-                    "schema, threads {} morsel {}", threads, morsel
-                );
-                prop_assert_eq!(
-                    pipelined.tuples(),
-                    materialized.tuples(),
-                    "tuples, threads {} morsel {}", threads, morsel
-                );
-            }
-        }
-    }
-
-    /// The optimizer's rewrites (including the new Project-merge and
-    /// identity-elimination rules) compose with pipelining: optimizing
-    /// then pipelining equals executing the optimized plan bottom-up.
-    #[test]
-    fn optimized_plan_pipelines_identically(
-        catalog in arb_catalog(),
-        base in 0u8..2,
-        tokens in arb_tokens(),
-    ) {
-        let plan = build_plan(base, &tokens);
-        let optimized = optimizer::optimize(&plan, &catalog).unwrap();
-        let materialized = optimized.execute(&catalog).unwrap();
-        let pool = ThreadPool::new(8);
-        let pipelined =
-            maybms_pipe::execute_with(&optimized, &catalog, &pool, 1).unwrap();
-        prop_assert_eq!(pipelined.tuples(), materialized.tuples());
-    }
-}
-
-// ---------------------------------------------------------------------
-// U-relational path: UStream chains vs the algebra sequence
-// ---------------------------------------------------------------------
 
 /// Mixed values (numerics, NULLs, and text payload for the third
 /// column).
@@ -332,6 +123,76 @@ fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
         })
 }
 
+/// Fold tokens into oracle steps over `(k, v, s)` rows: the total σ/π/⋈
+/// shapes of [`build_uchain`] (opcodes 0–4), plus what the vectorised
+/// kernels do not cover or cannot finish — `CASE` predicates (5), `IN`
+/// lists and `CAST`s (6), and arithmetic that raises on `% 0` / `/ 0`
+/// (7). Errors are part of the contract.
+fn build_steps(u1: &URelation, u2: &URelation, tokens: &[Token]) -> Vec<Step> {
+    // Per column: numeric-or-NULL (comparisons and arithmetic against
+    // integer literals only raise there when the generator means it).
+    let mut numeric = vec![true, true, false];
+    let mut steps = Vec::new();
+    for &(op, a, b) in tokens {
+        let arity = numeric.len();
+        // The first numeric column at or (cyclically) after `x`.
+        let num_col = |x: u8| {
+            let from = x as usize % arity;
+            let pick = (0..arity).map(|i| (from + i) % arity).find(|&i| numeric[i]);
+            Expr::ColumnIdx(pick.unwrap_or(0))
+        };
+        let cmp = [BinaryOp::Gt, BinaryOp::Lt, BinaryOp::LtEq][b as usize % 3];
+        match op % 8 {
+            0 | 1 => steps.push(Step::Filter(num_col(a).binary(cmp, Expr::lit(i64::from(b % 4))))),
+            2 => {
+                let rotate = |i: usize| (i + a as usize) % arity;
+                steps.push(Step::Project((0..arity).map(|i| Expr::ColumnIdx(rotate(i))).collect()));
+                numeric = (0..arity).map(|i| numeric[rotate(i)]).collect();
+            }
+            3 | 4 => {
+                // Probe u2, or u1 itself for a self-join's conflicting WSDs.
+                let build = if b % 2 == 0 { u2 } else { u1 };
+                steps.push(Step::Probe {
+                    build: build.clone(),
+                    left_keys: vec![a as usize % arity],
+                    right_keys: vec![0],
+                });
+                numeric.extend([true, true, false]);
+            }
+            5 => steps.push(Step::Filter(Expr::Case {
+                branches: vec![(
+                    num_col(a).binary(BinaryOp::Gt, Expr::lit(0i64)),
+                    num_col(b).binary(cmp, Expr::lit(i64::from(a % 3))),
+                )],
+                else_expr: Some(Box::new(Expr::lit(b % 2 == 0))),
+            })),
+            6 => {
+                let mut exprs: Vec<Expr> = (0..arity).map(Expr::ColumnIdx).collect();
+                exprs.push(Expr::InList {
+                    expr: Box::new(num_col(a)),
+                    list: vec![Expr::lit(i64::from(a % 3)), Expr::lit(Value::Null), num_col(b)],
+                    negated: b % 2 == 0,
+                });
+                exprs.push(Expr::Cast {
+                    expr: Box::new(Expr::ColumnIdx(b as usize % arity)),
+                    dtype: [DataType::Float, DataType::Text][a as usize % 2],
+                });
+                steps.push(Step::Project(exprs));
+                numeric.extend([false, false]);
+            }
+            _ => {
+                let arith = [BinaryOp::Add, BinaryOp::Mul, BinaryOp::Div, BinaryOp::Mod]
+                    [b as usize % 4];
+                let mut exprs: Vec<Expr> = (0..arity).map(Expr::ColumnIdx).collect();
+                exprs.push(num_col(a).binary(arith, Expr::lit(i64::from(a % 3))));
+                steps.push(Step::Project(exprs));
+                numeric.push(true);
+            }
+        }
+    }
+    steps
+}
+
 /// Track, per output column, whether it is numeric-or-NULL (comparisons
 /// against integer literals are total only then).
 struct UChain {
@@ -358,9 +219,9 @@ fn build_uchain(
                 let idx = a as usize % arity;
                 let pred = if info.numeric[idx] {
                     let cmp = if b % 2 == 0 {
-                        maybms_engine::BinaryOp::Gt
+                        BinaryOp::Gt
                     } else {
-                        maybms_engine::BinaryOp::Lt
+                        BinaryOp::Lt
                     };
                     Expr::ColumnIdx(idx).binary(cmp, Expr::lit(i64::from(b % 4)))
                 } else {
@@ -403,37 +264,34 @@ fn build_uchain(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Fused UStream chains ≡ the materialising algebra sequence — data,
-    /// WSDs (unsatisfiable conjunctions dropped), and row order — at
-    /// 1/2/8 threads and single-row morsels.
+    /// Fused UStream chains ≡ the row-major scalar oracle — data, WSDs
+    /// (unsatisfiable conjunctions dropped), row order, first error —
+    /// over row-major and compacted sources at 1/2/8 threads and
+    /// single-row morsels; collected per-stage stats are thread-invariant.
     #[test]
-    fn ustream_chain_matches_algebra(
+    fn ustream_chain_matches_oracle(
         (_wt, u1) in arb_urelation(),
         (_w2, u2) in arb_urelation(),
-        tokens in prop::collection::vec((0u8..3, 0u8..16, 0u8..16), 0..5),
+        tokens in prop::collection::vec((0u8..8, 0u8..16, 0u8..16), 0..5),
     ) {
-        let (eager, lazy, _) = build_uchain(&u1, &u2, &tokens);
-        prop_assert_eq!(lazy.schema().len(), eager.schema().len());
+        let steps = build_steps(&u1, &u2, &tokens);
+        check_chain(&u1, &steps);
         // Collected per-stage stats must also be bit-identical across
         // thread counts (order-independent sums — the instrumentation
-        // side of the determinism contract).
-        let mut fingerprints = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            // Rebuild the stream per thread count (collect consumes it).
-            let (_, stream, _) = build_uchain(&u1, &u2, &tokens);
-            let ps = stream.stats_skeleton("property pipeline");
-            let got = stream
-                .collect_stats(&pool, 1, maybms_pipe::columnar_default(), Some(&ps))
-                .unwrap();
-            prop_assert_eq!(got.tuples(), eager.tuples(), "threads {}", threads);
-            fingerprints.push(stage_fingerprint(&ps));
+        // side of the determinism contract). A chain that raises stops
+        // at a thread-dependent point, so only completed runs compare.
+        if fused_chain(&u1, &steps).is_ok() {
+            let mut fingerprints = Vec::new();
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                let s = stream(&u1, &steps, false).unwrap();
+                let ps = s.stats_skeleton("property pipeline");
+                s.collect_with(&pool, 1, Some(&ps)).unwrap();
+                fingerprints.push(stage_fingerprint(&ps));
+            }
+            prop_assert_eq!(&fingerprints[1], &fingerprints[0], "stats, threads 2 vs 1");
+            prop_assert_eq!(&fingerprints[2], &fingerprints[0], "stats, threads 8 vs 1");
         }
-        prop_assert_eq!(&fingerprints[1], &fingerprints[0], "stats, threads 2 vs 1");
-        prop_assert_eq!(&fingerprints[2], &fingerprints[0], "stats, threads 8 vs 1");
-        let (_, stream, _) = build_uchain(&u1, &u2, &tokens);
-        prop_assert_eq!(stream.collect().unwrap().tuples(), eager.tuples());
-        let _ = lazy;
     }
 
     /// The streaming grouped-aggregation breaker ≡ materialising the

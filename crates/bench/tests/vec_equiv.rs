@@ -1,7 +1,8 @@
-//! Vectorised ≡ scalar: the columnar kernels and the columnar pipeline
-//! path must be **bit-identical** to the row-at-a-time evaluator —
-//! values (variant and float bits included), NULL propagation, row
-//! order, and the first runtime error (row *and* message).
+//! Vectorised ≡ scalar: the columnar kernels and the pipeline executor's
+//! vectorised prefix must be **bit-identical** to the row-at-a-time
+//! evaluator — values (variant and float bits included), NULL
+//! propagation, row order, and the first runtime error (row *and*
+//! message).
 //!
 //! Three layers:
 //! * expression level — random expression trees (arithmetic,
@@ -9,25 +10,27 @@
 //!   `IN`, `CAST`) over random column batches (typed, mixed-variant,
 //!   all-NULL, empty, single-row) checked against per-row
 //!   [`Expr::eval_values`];
-//! * certain pipelines — random σ/π/⋈ chains executed with the columnar
-//!   path on vs off, at 1/2/8 threads and single-row morsels;
-//! * U-relational pipelines — `UStream` chains (WSDs riding along)
-//!   collected with the columnar path on vs off.
+//! * t-certain pipelines — random σ/π/⋈ `UStream` chains against the
+//!   row-major scalar oracle (`maybms_bench::naive::fused_chain`), over
+//!   row-major and compacted sources at 1/2/8 threads and single-row
+//!   morsels;
+//! * uncertain pipelines — the same with WSDs riding along (conjunction
+//!   at probes, unsatisfiable pairs dropped) and error-raising data.
 //!
 //! Plus pinned regressions for the `Value` edge cases the kernels must
 //! not drift on: `'a' || NULL`, `%` by zero (integer and float),
 //! Float/Int cross-type comparisons (including the > 2^53 widening
 //! quirk), and mixed-variant columns under `||`.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::check_chain;
+use maybms_bench::naive::Step;
 use maybms_engine::column::ColumnBatch;
 use maybms_engine::ops::ProjectItem;
-use maybms_engine::{
-    vector, BinaryOp, Catalog, DataType, Expr, PhysicalPlan, Relation, Schema, Tuple,
-    UnaryOp, Value,
-};
-use maybms_par::ThreadPool;
+use maybms_engine::{vector, BinaryOp, DataType, Expr, Schema, Tuple, UnaryOp, Value};
 use maybms_pipe::UStream;
 use maybms_urel::{Assignment, URelation, UTuple, Var, Wsd};
 use proptest::prelude::*;
@@ -197,7 +200,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Certain pipelines: columnar on ≡ columnar off ≡ materialised
+// t-certain pipelines: UStream ≡ the row-major scalar oracle
 // ---------------------------------------------------------------------
 
 fn arb_num() -> impl Strategy<Value = Value> {
@@ -208,62 +211,50 @@ fn arb_num() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn arb_catalog() -> impl Strategy<Value = Catalog> {
+/// A t-certain U-relation over `names`, one row per value list.
+fn certain(names: &[&str], rows: Vec<Vec<Value>>) -> URelation {
+    let pairs: Vec<(&str, DataType)> = names.iter().map(|n| (*n, DataType::Unknown)).collect();
+    URelation::new(
+        Arc::new(Schema::from_pairs(&pairs)),
+        rows.into_iter().map(|r| UTuple::certain(Tuple::new(r))).collect(),
+    )
+}
+
+/// Two all-numeric tables: `t0` (3 columns) and `t1` (2 columns).
+fn arb_tables() -> impl Strategy<Value = (URelation, URelation)> {
     (
         prop::collection::vec((arb_num(), arb_num(), arb_num()), 0..20),
         prop::collection::vec((arb_num(), arb_num()), 0..8),
     )
         .prop_map(|(rows0, rows1)| {
-            let mut c = Catalog::new();
-            let s0 = Arc::new(Schema::from_pairs(&[
-                ("a", DataType::Unknown),
-                ("b", DataType::Unknown),
-                ("c", DataType::Unknown),
-            ]));
-            c.create(
-                "t0",
-                Relation::new_unchecked(
-                    s0,
-                    rows0.into_iter().map(|(a, b, x)| Tuple::new(vec![a, b, x])).collect(),
+            (
+                certain(
+                    &["a", "b", "c"],
+                    rows0.into_iter().map(|(a, b, c)| vec![a, b, c]).collect(),
                 ),
+                certain(&["d", "e"], rows1.into_iter().map(|(d, e)| vec![d, e]).collect()),
             )
-            .unwrap();
-            let s1 = Arc::new(Schema::from_pairs(&[
-                ("d", DataType::Unknown),
-                ("e", DataType::Unknown),
-            ]));
-            c.create(
-                "t1",
-                Relation::new_unchecked(
-                    s1,
-                    rows1.into_iter().map(|(d, e)| Tuple::new(vec![d, e])).collect(),
-                ),
-            )
-            .unwrap();
-            c
         })
 }
 
 type Token = (u8, u8, u8);
 
 /// σ/π/hash-probe chains — exactly the stage shapes the columnar prefix
-/// covers (breakers are shared between both paths).
-fn build_chain(base: u8, tokens: &[Token]) -> PhysicalPlan {
-    let (table, mut arity) = if base.is_multiple_of(2) {
-        ("t0".to_string(), 3usize)
-    } else {
-        ("t1".to_string(), 2usize)
-    };
-    let mut plan = PhysicalPlan::Scan { table, alias: None };
+/// covers. Returns the source and the steps over it.
+fn build_chain(
+    (t0, t1): &(URelation, URelation),
+    base: u8,
+    tokens: &[Token],
+) -> (URelation, Vec<Step>) {
+    let source = if base.is_multiple_of(2) { t0 } else { t1 };
+    let mut arity = source.schema().len();
+    let mut steps = Vec::new();
     for &(op, a, b) in tokens {
         let col = |x: u8| Expr::ColumnIdx(x as usize % arity);
         match op % 4 {
-            0 => {
-                plan = PhysicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: col(a).binary(cmp_op(b), Expr::lit(i64::from(b % 5))),
-                };
-            }
+            0 => steps.push(Step::Filter(
+                col(a).binary(cmp_op(b), Expr::lit(i64::from(b % 5))),
+            )),
             1 => {
                 // Conjunction with a comparison right side (vectorises)
                 // or an IS NULL (vectorises) — NULL-heavy keys exercise
@@ -273,86 +264,52 @@ fn build_chain(base: u8, tokens: &[Token]) -> PhysicalPlan {
                 } else {
                     Expr::IsNull { expr: Box::new(col(b)), negated: a % 2 == 0 }
                 };
-                plan = PhysicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: col(a).binary(BinaryOp::Gt, Expr::lit(1i64)).and(right),
-                };
+                steps.push(Step::Filter(
+                    col(a).binary(BinaryOp::Gt, Expr::lit(1i64)).and(right),
+                ));
             }
             2 => {
-                let mut items: Vec<ProjectItem> = (0..arity)
-                    .map(|i| {
-                        ProjectItem::new(
-                            Expr::ColumnIdx((i + a as usize) % arity),
-                            format!("p{i}"),
-                        )
-                    })
-                    .collect();
-                items.push(ProjectItem::new(
-                    col(b)
-                        .binary(BinaryOp::Add, Expr::lit(1i64))
-                        .binary(BinaryOp::Mul, col(a)),
-                    "sum",
-                ));
+                let mut exprs: Vec<Expr> =
+                    (0..arity).map(|i| Expr::ColumnIdx((i + a as usize) % arity)).collect();
+                exprs.push(
+                    col(b).binary(BinaryOp::Add, Expr::lit(1i64)).binary(BinaryOp::Mul, col(a)),
+                );
                 arity += 1;
-                plan = PhysicalPlan::Project { input: Box::new(plan), items };
+                steps.push(Step::Project(exprs));
             }
             _ => {
-                let (rt, ra) = if b % 2 == 0 { ("t0", 3) } else { ("t1", 2) };
-                plan = PhysicalPlan::HashJoin {
-                    left: Box::new(plan),
-                    right: Box::new(PhysicalPlan::Scan { table: rt.into(), alias: None }),
+                let build = if b % 2 == 0 { t0 } else { t1 };
+                steps.push(Step::Probe {
+                    build: build.clone(),
                     left_keys: vec![a as usize % arity],
-                    right_keys: vec![b as usize % ra],
-                };
-                arity += ra;
+                    right_keys: vec![b as usize % build.schema().len()],
+                });
+                arity += build.schema().len();
             }
         }
     }
-    plan
+    (source.clone(), steps)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Columnar pipeline ≡ row pipeline ≡ materialised plan, at 1/2/8
-    /// threads and morsel sizes down to one row.
+    /// Pipeline executor ≡ scalar oracle on t-certain σ/π/⋈ chains, over
+    /// row-major and compacted sources, at 1/2/8 threads and morsel
+    /// sizes down to one row.
     #[test]
-    fn columnar_pipeline_matches_row_pipeline(
-        catalog in arb_catalog(),
+    fn pipeline_matches_scalar_oracle(
+        tables in arb_tables(),
         base in 0u8..2,
         tokens in prop::collection::vec((0u8..4, 0u8..16, 0u8..16), 0..6),
     ) {
-        let plan = build_chain(base, &tokens);
-        let materialized = plan.execute(&catalog).unwrap();
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            for morsel in [1usize, 4] {
-                let row = maybms_pipe::execute_opts(&plan, &catalog, &pool, morsel, false)
-                    .unwrap();
-                let col = maybms_pipe::execute_opts(&plan, &catalog, &pool, morsel, true)
-                    .unwrap();
-                prop_assert_eq!(
-                    col.schema().names(),
-                    row.schema().names(),
-                    "schema, threads {} morsel {}", threads, morsel
-                );
-                prop_assert_eq!(
-                    col.tuples(),
-                    row.tuples(),
-                    "columnar vs row, threads {} morsel {}", threads, morsel
-                );
-                prop_assert_eq!(
-                    col.tuples(),
-                    materialized.tuples(),
-                    "columnar vs materialised, threads {} morsel {}", threads, morsel
-                );
-            }
-        }
+        let (source, steps) = build_chain(&tables, base, &tokens);
+        check_chain(&source, &steps);
     }
 }
 
 // ---------------------------------------------------------------------
-// U-relational pipelines: UStream columnar ≡ row (WSDs ride along)
+// Uncertain pipelines: WSDs ride along
 // ---------------------------------------------------------------------
 
 fn arb_cell() -> impl Strategy<Value = Value> {
@@ -399,154 +356,75 @@ fn arb_urelation() -> impl Strategy<Value = URelation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// UStream σ → π → self-probe chains: columnar collect ≡ row collect
-    /// — data, WSDs (conjunction + unsatisfiable drops), and order — at
-    /// 1/2/8 threads, single-row morsels included.
+    /// UStream σ → self-probe → π chains ≡ scalar oracle — data, WSDs
+    /// (conjunction + unsatisfiable drops), order, and the first error
+    /// (the text column makes comparisons and `+` raise) — at 1/2/8
+    /// threads, single-row morsels included.
     #[test]
-    fn ustream_columnar_matches_row(
+    fn ustream_matches_scalar_oracle(
         u in arb_urelation(),
         pa in 0u8..3,
         pb in 0u8..5,
         join_raw in 0u8..2,
     ) {
-        let join = join_raw == 1;
-        let pred = Expr::ColumnIdx(pa as usize % 3)
-            .binary(cmp_op(pb), Expr::lit(i64::from(pb % 3)));
-        let items = [
-            ProjectItem::new(Expr::ColumnIdx(0), "k"),
-            ProjectItem::new(
-                Expr::ColumnIdx(1).binary(BinaryOp::Add, Expr::lit(1i64)),
-                "v1",
-            ),
-        ];
-        let build = |u: &URelation| -> maybms_urel::Result<UStream> {
-            let mut s = UStream::new(u.clone()).filter(&pred)?;
-            if join {
-                s = s.hash_join(u.clone(), &[0], &[0])?;
-            }
-            s.project(&items)
-        };
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let row = build(&u).unwrap().collect_opts(&pool, 1, false);
-            let col = build(&u).unwrap().collect_opts(&pool, 1, true);
-            match (row, col) {
-                (Ok(r), Ok(c)) => prop_assert_eq!(
-                    c.tuples(),
-                    r.tuples(),
-                    "columnar vs row U-stream, threads {}", threads
-                ),
-                // Mixed-type data can error; both paths must agree on it.
-                (Err(re), Err(ce)) => prop_assert_eq!(
-                    re.to_string(),
-                    ce.to_string(),
-                    "columnar vs row U-stream error, threads {}", threads
-                ),
-                (r, c) => prop_assert!(
-                    false,
-                    "path divergence at {} threads: row {:?} vs columnar {:?}",
-                    threads, r.is_ok(), c.is_ok()
-                ),
-            }
+        let mut steps = vec![Step::Filter(
+            Expr::ColumnIdx(pa as usize % 3).binary(cmp_op(pb), Expr::lit(i64::from(pb % 3))),
+        )];
+        if join_raw == 1 {
+            steps.push(Step::Probe { build: u.clone(), left_keys: vec![0], right_keys: vec![0] });
         }
+        steps.push(Step::Project(vec![
+            Expr::ColumnIdx(0),
+            Expr::ColumnIdx(1).binary(BinaryOp::Add, Expr::lit(1i64)),
+        ]));
+        check_chain(&u, &steps);
     }
 }
 
 // ---------------------------------------------------------------------
-// Pinned Value-semantics regressions (scalar ≡ vectorised, each)
+// Pinned Value-semantics regressions (executor ≡ scalar oracle, each)
 // ---------------------------------------------------------------------
 
-/// Run a plan through both pipeline paths; they must agree exactly —
-/// values or error message. (The materialised executor triangulates on
-/// success; on error it may legitimately surface a *different* row's
-/// error, since it runs stage-major while fused pipelines run
-/// row-major — the columnar ≡ row contract is the strict one.)
-fn three_way(plan: &PhysicalPlan, catalog: &Catalog) {
-    let pool = ThreadPool::new(2);
-    let materialized = plan.execute(catalog);
-    let row = maybms_pipe::execute_opts(plan, catalog, &pool, 1, false);
-    let col = maybms_pipe::execute_opts(plan, catalog, &pool, 1, true);
-    match (row, col) {
-        (Ok(r), Ok(c)) => {
-            assert_eq!(r.tuples(), c.tuples(), "columnar vs row");
-            assert_eq!(
-                materialized.expect("pipelines succeeded").tuples(),
-                r.tuples(),
-                "vs materialised"
-            );
-        }
-        (Err(re), Err(ce)) => {
-            assert_eq!(re.to_string(), ce.to_string(), "columnar vs row error");
-            assert!(materialized.is_err(), "materialised must error too");
-        }
-        (r, c) => panic!("path divergence: row {r:?} vs columnar {c:?}"),
-    }
+/// A two-column (`a`, `b`) t-certain table.
+fn one_table(rows: Vec<Vec<Value>>) -> URelation {
+    certain(&["a", "b"], rows)
 }
 
-fn one_table(rows: Vec<Vec<Value>>) -> Catalog {
-    let mut c = Catalog::new();
-    let schema = Arc::new(Schema::from_pairs(&[
-        ("a", DataType::Unknown),
-        ("b", DataType::Unknown),
-    ]));
-    c.create(
-        "t",
-        Relation::new_unchecked(schema, rows.into_iter().map(Tuple::new).collect()),
-    )
-    .unwrap();
-    c
-}
-
-fn scan() -> PhysicalPlan {
-    PhysicalPlan::Scan { table: "t".into(), alias: None }
-}
+const A: Expr = Expr::ColumnIdx(0);
+const B: Expr = Expr::ColumnIdx(1);
 
 #[test]
 fn regression_concat_with_null() {
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::str("a"), Value::str("b")],
         vec![Value::str("x"), Value::Null],
         vec![Value::Null, Value::Null],
     ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(scan()),
-        items: vec![ProjectItem::new(
-            Expr::col("a").binary(BinaryOp::Concat, Expr::col("b")),
-            "ab",
-        )],
-    };
-    three_way(&plan, &c);
+    check_chain(&t, &[Step::Project(vec![A.binary(BinaryOp::Concat, B)])]);
     // And as a predicate operand: (a || b) IS NULL.
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: Expr::IsNull {
-            expr: Box::new(Expr::col("a").binary(BinaryOp::Concat, Expr::col("b"))),
+    check_chain(
+        &t,
+        &[Step::Filter(Expr::IsNull {
+            expr: Box::new(A.binary(BinaryOp::Concat, B)),
             negated: false,
-        },
-    };
-    three_way(&plan, &c);
+        })],
+    );
 }
 
 #[test]
 fn regression_mod_by_zero() {
     // Integer % 0 errors at row 1 on every path; rows before it flow.
-    let c = one_table(vec![
-        vec![Value::Int(7), Value::Int(2)],
-        vec![Value::Int(7), Value::Int(0)],
-    ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(scan()),
-        items: vec![ProjectItem::new(
-            Expr::col("a").binary(BinaryOp::Mod, Expr::col("b")),
-            "m",
-        )],
-    };
-    three_way(&plan, &c);
+    let steps = [Step::Project(vec![A.binary(BinaryOp::Mod, B)])];
+    check_chain(
+        &one_table(vec![
+            vec![Value::Int(7), Value::Int(2)],
+            vec![Value::Int(7), Value::Int(0)],
+        ]),
+        &steps,
+    );
     // Float % 0.0, and the Int % Float(0.0) cross-type case.
-    let c = one_table(vec![vec![Value::Float(7.5), Value::Float(0.0)]]);
-    three_way(&plan, &c);
-    let c = one_table(vec![vec![Value::Int(7), Value::Float(0.0)]]);
-    three_way(&plan, &c);
+    check_chain(&one_table(vec![vec![Value::Float(7.5), Value::Float(0.0)]]), &steps);
+    check_chain(&one_table(vec![vec![Value::Int(7), Value::Float(0.0)]]), &steps);
 }
 
 #[test]
@@ -554,18 +432,14 @@ fn regression_float_int_cross_comparisons() {
     // Mixed Int/Float comparisons — including the > 2^53 zone where the
     // scalar path's f64 widening makes distinct ints compare Equal.
     let big = 1i64 << 60;
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::Int(2), Value::Float(2.0)],
         vec![Value::Int(2), Value::Float(2.5)],
         vec![Value::Int(big), Value::Int(big + 1)],
         vec![Value::Null, Value::Float(1.0)],
     ]);
     for op in [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::GtEq] {
-        let plan = PhysicalPlan::Filter {
-            input: Box::new(scan()),
-            predicate: Expr::col("a").binary(op, Expr::col("b")),
-        };
-        three_way(&plan, &c);
+        check_chain(&t, &[Step::Filter(A.binary(op, B))]);
     }
 }
 
@@ -573,22 +447,15 @@ fn regression_float_int_cross_comparisons() {
 fn regression_mixed_variant_column_concat() {
     // A mixed Int/Float column must render per-variant under || —
     // Int(1) is "1", Float(1.0) is "1.0" — on every path.
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::Int(1), Value::str("x")],
         vec![Value::Float(1.0), Value::str("x")],
     ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(scan()),
-        items: vec![ProjectItem::new(
-            Expr::col("a").binary(BinaryOp::Concat, Expr::col("b")),
-            "ax",
-        )],
-    };
-    three_way(&plan, &c);
-    let pool = ThreadPool::new(1);
-    let out = maybms_pipe::execute_opts(&plan, &c, &pool, 1, true).unwrap();
-    assert_eq!(out.tuples()[0].value(0), &Value::str("1x"));
-    assert_eq!(out.tuples()[1].value(0), &Value::str("1.0x"));
+    let steps = [Step::Project(vec![A.binary(BinaryOp::Concat, B)])];
+    check_chain(&t, &steps);
+    let out = common::stream(&t.compact(), &steps, true).unwrap().collect().unwrap();
+    assert_eq!(out.tuples()[0].data.value(0), &Value::str("1x"));
+    assert_eq!(out.tuples()[1].data.value(0), &Value::str("1.0x"));
 }
 
 #[test]
@@ -596,74 +463,55 @@ fn regression_division_error_vs_filter_order() {
     // Row 0 passes the filter and then divides by zero in the project;
     // row 1 would error in the filter — row-major order means the
     // project's row-0 error must win on every path.
-    let c = one_table(vec![
+    let t = one_table(vec![
         vec![Value::Int(1), Value::Int(0)],
         vec![Value::str("s"), Value::Int(1)],
     ]);
-    let plan = PhysicalPlan::Project {
-        input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(scan()),
-            predicate: Expr::col("a").binary(BinaryOp::LtEq, Expr::lit(5i64)),
-        }),
-        items: vec![ProjectItem::new(
-            Expr::lit(1i64).binary(BinaryOp::Div, Expr::col("b")),
-            "q",
-        )],
-    };
-    three_way(&plan, &c);
+    check_chain(
+        &t,
+        &[
+            Step::Filter(A.binary(BinaryOp::LtEq, Expr::lit(5i64))),
+            Step::Project(vec![Expr::lit(1i64).binary(BinaryOp::Div, B)]),
+        ],
+    );
 }
 
 #[test]
 fn regression_fold_keeps_error_beside_constant_false() {
     // `(1/0 = 1) AND false`: the scalar evaluator always runs the left
     // side, so bind-time folding must not rewrite the predicate to
-    // `false` — the pipelined paths must error exactly like the
-    // materialising one.
-    let c = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
-    let boom =
-        Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: boom.clone().and(Expr::lit(false)),
-    };
-    assert!(plan.execute(&c).is_err(), "materialising path errors");
-    three_way(&plan, &c);
+    // `false` — the executor must error exactly like the (unfolded)
+    // scalar walk.
+    let t = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
+    let boom = Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
+    let steps = [Step::Filter(boom.clone().and(Expr::lit(false)))];
+    assert!(maybms_bench::naive::fused_chain(&t, &steps).is_err(), "scalar walk errors");
+    check_chain(&t, &steps);
     // Mirrored: `false AND (1/0 = 1)` short-circuits — no error, empty.
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: Expr::lit(false).and(boom),
-    };
-    assert_eq!(plan.execute(&c).unwrap().len(), 0);
-    three_way(&plan, &c);
+    let steps = [Step::Filter(Expr::lit(false).and(boom))];
+    assert_eq!(maybms_bench::naive::fused_chain(&t, &steps).unwrap().len(), 0);
+    check_chain(&t, &steps);
 }
 
 #[test]
-fn explain_marks_vectorised_stages() {
-    if !maybms_pipe::columnar_default() {
-        return; // MAYBMS_COLUMNAR=0 leg: nothing vectorises.
-    }
-    let plan = PhysicalPlan::Project {
-        input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(scan()),
-            predicate: Expr::col("a").binary(BinaryOp::Gt, Expr::lit(1i64)),
-        }),
-        items: vec![ProjectItem::new(
-            Expr::col("a").binary(BinaryOp::Add, Expr::col("b")),
-            "s",
-        )],
-    };
-    let text = maybms_pipe::explain(&plan);
-    assert!(text.contains("-> filter (a > 1) (vectorised)"), "{text}");
+fn describe_marks_vectorised_stages() {
+    let t = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
+    let text = UStream::new(t.clone())
+        .filter(&Expr::col("a").binary(BinaryOp::Gt, Expr::lit(1i64)))
+        .unwrap()
+        .project(&[ProjectItem::new(Expr::col("a").binary(BinaryOp::Add, Expr::col("b")), "s")])
+        .unwrap()
+        .describe();
+    assert!(text.contains("-> filter (#0 > 1) (vectorised)"), "{text}");
     assert!(text.contains("(vectorised)\n"), "{text}");
     // CASE stays scalar — and says so by not being marked.
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(scan()),
-        predicate: Expr::Case {
+    let text = UStream::new(t)
+        .filter(&Expr::Case {
             branches: vec![(Expr::col("a").binary(BinaryOp::Gt, Expr::lit(0i64)), Expr::lit(true))],
             else_expr: Some(Box::new(Expr::lit(false))),
-        },
-    };
-    let text = maybms_pipe::explain(&plan);
+        })
+        .unwrap()
+        .describe();
     assert!(!text.contains("(vectorised)"), "{text}");
 }
 
@@ -680,20 +528,18 @@ fn ustream_constant_filters_fold_at_bind() {
     let s = UStream::new(u.clone()).filter(&Expr::lit(true)).unwrap();
     assert_eq!(s.stage_count(), 0);
     // σ_false empties the stream outright (infallible prior stages).
-    let s = UStream::new(u.clone())
-        .filter(&Expr::lit(1i64).eq(Expr::lit(2i64)))
-        .unwrap();
+    let always_false = Expr::lit(1i64).eq(Expr::lit(2i64));
+    let s = UStream::new(u.clone()).filter(&always_false).unwrap();
     assert_eq!(s.stage_count(), 0);
-    assert_eq!(s.collect().unwrap().len(), 0);
+    check_chain(&u, &[Step::Filter(always_false)]);
     // …but a fallible stage before it must keep raising its error.
-    let boom = [ProjectItem::new(
-        Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)),
-        "boom",
-    )];
-    let s = UStream::new(u)
-        .project(&boom)
-        .unwrap()
-        .filter(&Expr::lit(false))
-        .unwrap();
-    assert!(s.collect().is_err(), "σ_false must not swallow the projection error");
+    let steps = [
+        Step::Project(vec![Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64))]),
+        Step::Filter(Expr::lit(false)),
+    ];
+    assert!(
+        common::stream(&u, &steps, false).unwrap().collect().is_err(),
+        "σ_false must not swallow the projection error"
+    );
+    check_chain(&u, &steps);
 }

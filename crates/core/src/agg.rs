@@ -11,7 +11,7 @@
 //!
 //! Per-group aggregate evaluation (in particular the per-group `conf()`
 //! calls, each an independent #P-hard subproblem) goes through one
-//! scheduler, [`eval_group_rows`]: it numbers `aconf` seeds by (group,
+//! scheduler, `eval_group_rows`: it numbers `aconf` seeds by (group,
 //! slot) rather than a running counter, so the output is identical at any
 //! thread count, and it alone decides whether the groups fan out to the
 //! `maybms-par` pool (an `aconf` run itself is single-threaded).
@@ -166,7 +166,7 @@ pub fn lineage_confidence<'a>(
 }
 
 /// What one group's `conf`/`aconf` slots evaluate with; handed to the row
-/// evaluator by [`eval_group_rows`].
+/// evaluator by `eval_group_rows`.
 struct ConfSlots<'a> {
     wt: &'a WorldTable,
     ctx: &'a ConfContext,
@@ -397,7 +397,7 @@ impl Partial {
 
 /// Per-group accumulator of the streaming grouped-aggregation breaker:
 /// member WSDs (kept only when a `conf`/`aconf` slot needs the group's
-/// lineage) plus one [`Partial`] per aggregate.
+/// lineage) plus one `Partial` per aggregate.
 #[derive(Debug)]
 pub struct StreamAcc {
     wsds: Vec<Wsd>,
@@ -424,7 +424,7 @@ fn remap_stream_err(e: UrelError) -> CoreError {
 /// joined input is never materialised. Per group the fold accumulates
 /// member WSDs and running `esum`/`ecount` partial sums; the
 /// deterministic morsel-ordered merge then feeds the same group
-/// scheduler ([`eval_group_rows`]: per-group `conf()` fan-out, `(group,
+/// scheduler (`eval_group_rows`: per-group `conf()` fan-out, `(group,
 /// slot)` `aconf` seed numbering) as [`aggregate_groups`], so the output
 /// is **bit-identical** to
 /// materialising the stream and running the two-pass path, at any thread
@@ -596,7 +596,7 @@ pub fn aggregate_stream_with(
         ps
     });
     let (full_keys, states) = stream
-        .collect_grouped_stats(
+        .collect_grouped(
             grouping,
             pool,
             min_morsel,

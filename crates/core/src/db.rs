@@ -723,7 +723,6 @@ fn target_positions(
     let sel = stream.select_positions(
         &maybms_par::pool(),
         maybms_engine::ops::PAR_MIN_CHUNK,
-        maybms_pipe::columnar_default(),
         Some(&pipe_stats),
     )?;
     sel.into_iter()
@@ -1025,12 +1024,9 @@ mod tests {
 
     #[test]
     fn explain_marks_vectorised_stages() {
-        // The columnar planner's per-stage decision surfaces in EXPLAIN:
+        // The per-stage kernel-eligibility decision surfaces in EXPLAIN:
         // a kernel-eligible filter is marked, so users can see which
-        // stages run vectorised (default-on; MAYBMS_COLUMNAR=0 disables).
-        if !maybms_pipe::columnar_default() {
-            return;
-        }
+        // stages run vectorised.
         let mut db = db_with_games();
         let StatementResult::Ok { message } =
             db.run("explain select player from games where pts > 30").unwrap()

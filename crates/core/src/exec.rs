@@ -24,9 +24,10 @@
 //! morsel-local group tables ([`agg::aggregate_stream`]), so `GROUP BY
 //! conf()/esum/ecount` plans stream end-to-end. Materialisation happens
 //! only at the remaining breakers (hash-join build sides, nested-loop
-//! joins, `IN`-subquery rewrites, `select possible`, DISTINCT, tconf,
-//! union) and at the final output. `EXPLAIN` records every collected
-//! pipeline via [`ExecCtx::trace`].
+//! joins, `select possible`, DISTINCT, tconf, union) and at the final
+//! output. `JOIN … ON` and the comma/`WHERE` spelling share one join
+//! planner (`join_sources`). `EXPLAIN` records every collected pipeline
+//! via [`ExecCtx::trace`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -98,11 +99,9 @@ fn collect_traced(
         qs.register_pipeline(ps.clone());
         ps
     });
-    let pool = maybms_par::pool();
-    Ok(stream.collect_stats(
-        &pool,
+    Ok(stream.collect_with(
+        &maybms_par::pool(),
         maybms_engine::ops::PAR_MIN_CHUNK,
-        maybms_pipe::columnar_default(),
         pipe_stats.as_deref(),
     )?)
 }
@@ -287,7 +286,7 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
     // probes, and the final projection fuse onto these streams.
     let mut sources: Vec<UStream> = Vec::with_capacity(s.from.len());
     for item in &s.from {
-        sources.push(UStream::new(eval_from_item(item, ctx)?));
+        sources.push(eval_from_item(item, ctx)?);
     }
     if sources.is_empty() {
         // SELECT without FROM: one empty tuple.
@@ -306,98 +305,17 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
     let (in_selects, plain): (Vec<SExpr>, Vec<SExpr>) = conjuncts
         .into_iter()
         .partition(|c| matches!(c, SExpr::InSelect { .. }));
-    let mut predicates: Vec<EExpr> =
-        plain.iter().map(scalar).collect::<Result<_>>()?;
-
-    // Push single-source predicates down (fused σ stages, not
-    // materialised selects).
-    let mut filtered = Vec::with_capacity(sources.len());
-    for mut src in sources {
-        let mut kept = Vec::new();
-        for p in predicates.drain(..) {
-            if p.bind(src.schema()).is_ok() {
-                src = src.filter(&p)?;
-            } else {
-                kept.push(p);
-            }
-        }
-        predicates = kept;
-        filtered.push(src);
-    }
-    let mut sources = filtered;
-
-    // Greedy join of the sources using equality conjuncts.
-    // (predicate idx, source idx, [(left col, left qual, right col, right qual)])
-    type JoinChoice = (usize, usize, Vec<(String, Option<String>, String, Option<String>)>);
-    let mut joined = sources.remove(0);
-    while !sources.is_empty() {
-        // Find a predicate linking `joined` to some remaining source.
-        let mut choice: Option<JoinChoice> = None;
-        'outer: for (pi, p) in predicates.iter().enumerate() {
-            if let Some((lq, ln, rq, rn)) = as_column_equality(p) {
-                for (si, src) in sources.iter().enumerate() {
-                    let l_in_joined = joined.schema().index_of(lq.as_deref(), &ln).is_ok();
-                    let r_in_src = src.schema().index_of(rq.as_deref(), &rn).is_ok();
-                    let r_in_joined = joined.schema().index_of(rq.as_deref(), &rn).is_ok();
-                    let l_in_src = src.schema().index_of(lq.as_deref(), &ln).is_ok();
-                    if l_in_joined && r_in_src {
-                        choice = Some((pi, si, vec![(ln, lq, rn, rq)]));
-                        break 'outer;
-                    }
-                    if r_in_joined && l_in_src {
-                        choice = Some((pi, si, vec![(rn, rq, ln, lq)]));
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        match choice {
-            Some((pi, si, keys)) => {
-                predicates.remove(pi);
-                let src = sources.remove(si);
-                let (jn, jq, sn, sq) = &keys[0];
-                let lk = joined.schema().index_of(jq.as_deref(), jn)?;
-                let rk = src.schema().index_of(sq.as_deref(), sn)?;
-                // The new source is the build side (a breaker: it
-                // materialises, morsel-locally hashed); `joined` keeps
-                // streaming through the probe stage.
-                let build = collect_traced(src, ctx, "hash-join build side")?;
-                joined = joined.hash_join(build, &[lk], &[rk])?;
-            }
-            None => {
-                // No equality conjunct: a nested-loop join breaks the
-                // pipeline on both sides.
-                let src = sources.remove(0);
-                let left = collect_traced(joined, ctx, "nested-loop join input")?;
-                let right = collect_traced(src, ctx, "nested-loop join input")?;
-                joined = UStream::new(algebra::nested_loop_join(&left, &right, None)?);
-            }
-        }
-        // Apply any predicates that became fully bound.
-        let mut kept = Vec::new();
-        for p in predicates.drain(..) {
-            match p.bind(joined.schema()) {
-                Ok(bound) => joined = joined.filter(&bound)?,
-                Err(_) => kept.push(p),
-            }
-        }
-        predicates = kept;
-    }
-    // Any remaining predicate must now bind.
-    for p in predicates {
-        let bound = p.bind(joined.schema())?;
-        joined = joined.filter(&bound)?;
-    }
+    let predicates: Vec<EExpr> = plain.iter().map(scalar).collect::<Result<_>>()?;
+    let (mut joined, from_order) = join_sources(sources, predicates, ctx)?;
 
     // ---- IN (SELECT …) rewrites --------------------------------------
     for in_sel in &in_selects {
         let SExpr::InSelect { expr, query } = in_sel else { unreachable!() };
-        let materialized = collect_traced(joined, ctx, "IN-subquery rewrite")?;
-        joined = UStream::new(rewrite_in_select(materialized, expr, query, ctx)?);
+        joined = rewrite_in_select(joined, expr, query, ctx)?;
     }
 
     // ---- SELECT list --------------------------------------------------
-    let items = expand_items(s, joined.schema())?;
+    let items = expand_items(s, joined.schema(), &from_order)?;
 
     if s.possible {
         return eval_possible(joined, &items, ctx);
@@ -478,6 +396,108 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
     } else {
         Ok(QueryOutput::Uncertain(projected))
     }
+}
+
+/// The one join planner: combine `sources` (in FROM order) under the
+/// conjunction of `predicates`. Single-source predicates are pushed down
+/// as fused σ stages; then, greedily, an equality conjunct linking the
+/// joined prefix to a remaining source makes that source the build side
+/// of a fused hash probe, and when none does a nested-loop join breaks
+/// the pipeline on both sides; every other predicate filters as soon as
+/// it binds. Serves both the comma/`WHERE` spelling and `JOIN … ON`.
+///
+/// Returns the joined stream and, because the greedy order need not be
+/// FROM order, the joined schema's column positions listed in FROM order
+/// (what `*` expands over).
+fn join_sources(
+    sources: Vec<UStream>,
+    mut predicates: Vec<EExpr>,
+    ctx: &mut ExecCtx<'_>,
+) -> Result<(UStream, Vec<usize>)> {
+    // Push single-source predicates down (fused σ stages, not
+    // materialised selects).
+    let mut filtered = Vec::with_capacity(sources.len());
+    for mut src in sources {
+        let mut kept = Vec::new();
+        for p in predicates.drain(..) {
+            if p.bind(src.schema()).is_ok() {
+                src = src.filter(&p)?;
+            } else {
+                kept.push(p);
+            }
+        }
+        predicates = kept;
+        filtered.push(src);
+    }
+    // Each remaining source with its FROM position.
+    let mut sources: Vec<(usize, UStream)> = filtered.into_iter().enumerate().collect();
+
+    // Greedy join of the sources using equality conjuncts.
+    // (predicate idx, source idx, (joined col, joined qual, source col, source qual))
+    type JoinChoice = (usize, usize, (String, Option<String>, String, Option<String>));
+    // Per FROM item: where its columns sit in the joined schema.
+    let mut spans = vec![0..0; sources.len()];
+    let (_, mut joined) = sources.remove(0);
+    spans[0] = 0..joined.schema().len();
+    while !sources.is_empty() {
+        // Find a predicate linking `joined` to some remaining source.
+        let mut choice: Option<JoinChoice> = None;
+        'outer: for (pi, p) in predicates.iter().enumerate() {
+            if let Some((lq, ln, rq, rn)) = as_column_equality(p) {
+                for (si, (_, src)) in sources.iter().enumerate() {
+                    let l_in_joined = joined.schema().index_of(lq.as_deref(), &ln).is_ok();
+                    let r_in_src = src.schema().index_of(rq.as_deref(), &rn).is_ok();
+                    let r_in_joined = joined.schema().index_of(rq.as_deref(), &rn).is_ok();
+                    let l_in_src = src.schema().index_of(lq.as_deref(), &ln).is_ok();
+                    if l_in_joined && r_in_src {
+                        choice = Some((pi, si, (ln, lq, rn, rq)));
+                        break 'outer;
+                    }
+                    if r_in_joined && l_in_src {
+                        choice = Some((pi, si, (rn, rq, ln, lq)));
+                        break 'outer;
+                    }
+                }
+            }
+        }
+        let (from_pos, src) = sources.remove(choice.as_ref().map_or(0, |c| c.1));
+        let width = joined.schema().len();
+        spans[from_pos] = width..width + src.schema().len();
+        match choice {
+            Some((pi, _, (jn, jq, sn, sq))) => {
+                predicates.remove(pi);
+                let lk = joined.schema().index_of(jq.as_deref(), &jn)?;
+                let rk = src.schema().index_of(sq.as_deref(), &sn)?;
+                // The new source is the build side (a breaker: it
+                // materialises, morsel-locally hashed); `joined` keeps
+                // streaming through the probe stage.
+                let build = collect_traced(src, ctx, "hash-join build side")?;
+                joined = joined.hash_join(build, &[lk], &[rk])?;
+            }
+            None => {
+                // No equality conjunct: a nested-loop join breaks the
+                // pipeline on both sides.
+                let left = collect_traced(joined, ctx, "nested-loop join input")?;
+                let right = collect_traced(src, ctx, "nested-loop join input")?;
+                joined = UStream::new(algebra::nested_loop_join(&left, &right, None)?);
+            }
+        }
+        // Apply any predicates that became fully bound.
+        let mut kept = Vec::new();
+        for p in predicates.drain(..) {
+            match p.bind(joined.schema()) {
+                Ok(bound) => joined = joined.filter(&bound)?,
+                Err(_) => kept.push(p),
+            }
+        }
+        predicates = kept;
+    }
+    // Any remaining predicate must now bind.
+    for p in predicates {
+        let bound = p.bind(joined.schema())?;
+        joined = joined.filter(&bound)?;
+    }
+    Ok((joined, spans.into_iter().flatten().collect()))
 }
 
 /// `select possible …` (§2.2): project, drop zero-probability tuples,
@@ -656,22 +676,25 @@ fn apply_having(rel: Relation, s: &Select) -> Result<Relation> {
     }
 }
 
-/// Expand wildcards and classify the select list.
-fn expand_items(s: &Select, schema: &Schema) -> Result<Vec<Item>> {
+/// Expand wildcards and classify the select list. `from_order` lists
+/// `schema`'s column positions in FROM order (see [`join_sources`]), so
+/// `*` and `q.*` follow the FROM clause, not the join order.
+fn expand_items(s: &Select, schema: &Schema, from_order: &[usize]) -> Result<Vec<Item>> {
     let mut items = Vec::new();
     for (pos, item) in s.items.iter().enumerate() {
         match item {
             SelectItem::Wildcard => {
-                for (i, f) in schema.fields().iter().enumerate() {
+                for &i in from_order {
                     items.push(Item::Scalar {
                         expr: EExpr::ColumnIdx(i),
-                        name: f.name.clone(),
+                        name: schema.field(i).name.clone(),
                     });
                 }
             }
             SelectItem::QualifiedWildcard(q) => {
                 let mut any = false;
-                for (i, f) in schema.fields().iter().enumerate() {
+                for &i in from_order {
+                    let f = schema.field(i);
                     if f.qualifier.as_deref().is_some_and(|fq| fq.eq_ignore_ascii_case(q)) {
                         items.push(Item::Scalar {
                             expr: EExpr::ColumnIdx(i),
@@ -692,27 +715,15 @@ fn expand_items(s: &Select, schema: &Schema) -> Result<Vec<Item>> {
     Ok(items)
 }
 
-/// Evaluate one FROM item to a qualified U-relation.
-fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
-    match item {
+/// Evaluate one FROM item to a pipeline head with a qualified schema.
+fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<UStream> {
+    let u = match item {
         FromItem::Table { name, alias } => {
-            let u = ctx
-                .catalog
-                .get(&name.to_ascii_lowercase())
-                .ok_or_else(|| {
-                    crate::error::CoreError::Engine(
-                        maybms_engine::EngineError::TableNotFound { name: name.clone() },
-                    )
-                })?
-                .clone();
-            let q = alias.as_deref().unwrap_or(name);
-            let schema = Arc::new(u.schema().without_qualifiers().with_qualifier(q));
-            Ok(u.with_schema(schema))
+            let u = stored_table(name, ctx)?;
+            apply_alias(u, Some(alias.as_deref().unwrap_or(name)))
         }
         FromItem::Subquery { query, alias } => {
-            let u = eval_query(query, ctx)?.into_urelation();
-            let schema = Arc::new(u.schema().without_qualifiers().with_qualifier(alias));
-            Ok(u.with_schema(schema))
+            apply_alias(eval_query(query, ctx)?.into_urelation(), Some(alias))
         }
         FromItem::RepairKey { key, input, weight, alias } => {
             let input = eval_query_input(input, ctx)?;
@@ -722,7 +733,7 @@ fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
                 weight: weight.as_ref().map(scalar).transpose()?,
             };
             let out = repair_key_u(&input, &key_exprs, &options, ctx.wt)?;
-            Ok(apply_alias(out, alias.as_deref()))
+            apply_alias(out, alias.as_deref())
         }
         FromItem::PickTuples { input, independently: _, probability, alias } => {
             // `independently` is the only supported semantics (see
@@ -732,15 +743,28 @@ fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
                 probability: probability.as_ref().map(scalar).transpose()?,
             };
             let out = pick_tuples_u(&input, &options, ctx.wt)?;
-            Ok(apply_alias(out, alias.as_deref()))
+            apply_alias(out, alias.as_deref())
         }
         FromItem::Join { left, right, on } => {
-            let l = eval_from_item(left, ctx)?;
-            let r = eval_from_item(right, ctx)?;
-            let pred = scalar(on)?;
-            Ok(algebra::nested_loop_join(&l, &r, Some(&pred))?)
+            // `a JOIN b ON p` is `a, b WHERE p` to the join planner: an
+            // equality conjunct of `p` becomes a fused hash probe.
+            let sides = vec![eval_from_item(left, ctx)?, eval_from_item(right, ctx)?];
+            let mut conjuncts = Vec::new();
+            split_conjuncts(on, &mut conjuncts);
+            let predicates = conjuncts.iter().map(scalar).collect::<Result<_>>()?;
+            return Ok(join_sources(sides, predicates, ctx)?.0);
         }
-    }
+    };
+    Ok(UStream::new(u))
+}
+
+/// A stored table by (case-insensitive) name.
+fn stored_table(name: &str, ctx: &ExecCtx<'_>) -> Result<URelation> {
+    ctx.catalog.get(&name.to_ascii_lowercase()).cloned().ok_or_else(|| {
+        crate::error::CoreError::Engine(maybms_engine::EngineError::TableNotFound {
+            name: name.to_string(),
+        })
+    })
 }
 
 fn apply_alias(u: URelation, alias: Option<&str>) -> URelation {
@@ -756,32 +780,24 @@ fn apply_alias(u: URelation, alias: Option<&str>) -> URelation {
 /// Evaluate the `<t-certain-query>` input of repair-key/pick-tuples.
 fn eval_query_input(input: &QueryInput, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     match input {
-        QueryInput::Table(name) => {
-            let u = ctx
-                .catalog
-                .get(&name.to_ascii_lowercase())
-                .ok_or_else(|| {
-                    crate::error::CoreError::Engine(
-                        maybms_engine::EngineError::TableNotFound { name: name.clone() },
-                    )
-                })?
-                .clone();
-            Ok(u)
-        }
+        QueryInput::Table(name) => stored_table(name, ctx),
         QueryInput::Select(q) => Ok(eval_query(q, ctx)?.into_urelation()),
     }
 }
 
-/// `x IN (SELECT …)` rewritten to join + project-back. Correct for
-/// confidence computation because downstream aggregation treats duplicate
-/// tuples disjunctively — the reason the language restricts IN-subqueries
-/// to positive occurrences (§2.2).
+/// `x IN (SELECT …)` rewritten to join + project-back, as three fused
+/// stages on the incoming stream (append the probe value, hash-probe the
+/// collected subquery, project the original columns back) — nothing
+/// between them is materialised. Correct for confidence computation
+/// because downstream aggregation treats duplicate tuples disjunctively
+/// — the reason the language restricts IN-subqueries to positive
+/// occurrences (§2.2).
 fn rewrite_in_select(
-    joined: URelation,
+    joined: UStream,
     probe: &SExpr,
     query: &Query,
     ctx: &mut ExecCtx<'_>,
-) -> Result<URelation> {
+) -> Result<UStream> {
     let sub = eval_query(query, ctx)?.into_urelation();
     if sub.schema().len() != 1 {
         return Err(plan_err(format!(
@@ -789,34 +805,19 @@ fn rewrite_in_select(
             sub.schema().len()
         )));
     }
-    let n = joined.schema().len();
-    // Append the probe value as a synthetic column, hash-join against the
-    // subquery, then project the original columns back.
-    let mut proj: Vec<ProjectItem> = (0..n)
-        .map(|i| {
-            ProjectItem::new(EExpr::ColumnIdx(i), joined.schema().field(i).name.clone())
-        })
+    let schema = joined.schema().clone();
+    let n = schema.len();
+    let original: Vec<ProjectItem> = (0..n)
+        .map(|i| ProjectItem::new(EExpr::ColumnIdx(i), schema.field(i).name.clone()))
         .collect();
-    proj.push(ProjectItem::new(scalar(probe)?, "__probe".to_string()));
-    let with_probe = algebra::project(&joined, &proj)?;
-    // Keep original qualified schema plus the probe column.
-    let mut fields = joined.schema().fields().to_vec();
-    fields.push(Field::new(
-        "__probe",
-        with_probe.schema().field(n).dtype,
-    ));
-    let with_probe = with_probe.with_schema(Arc::new(Schema::new(fields)));
-    let joined2 = algebra::hash_join(&with_probe, &sub, &[n], &[0])?;
-    // Project back to the original columns.
-    let keep: Vec<usize> = (0..n).collect();
-    let fields: Vec<Field> = joined.schema().fields().to_vec();
-    let schema = Arc::new(Schema::new(fields));
-    let tuples = joined2
-        .tuples()
-        .iter()
-        .map(|t| maybms_urel::UTuple::new(t.data.take(&keep), t.wsd.clone()))
-        .collect();
-    Ok(URelation::new(schema, tuples))
+    let mut with_probe = original.clone();
+    with_probe.push(ProjectItem::new(scalar(probe)?, "__probe".to_string()));
+    Ok(joined
+        .project(&with_probe)?
+        .hash_join(sub, &[n], &[0])?
+        .project(&original)?
+        // Projections drop qualifiers; the block's schema keeps them.
+        .with_schema(schema))
 }
 
 /// Bind an expression, retrying qualified column references without their

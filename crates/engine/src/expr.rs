@@ -53,12 +53,6 @@ impl BinaryOp {
         use BinaryOp::*;
         matches!(self, Eq | NotEq | Lt | LtEq | Gt | GtEq)
     }
-
-    /// True for `+ - * / %`.
-    pub fn is_arithmetic(self) -> bool {
-        use BinaryOp::*;
-        matches!(self, Add | Sub | Mul | Div | Mod)
-    }
 }
 
 impl fmt::Display for BinaryOp {
@@ -411,7 +405,7 @@ impl Expr {
     /// (non-boolean operands), comparisons (incomparable types), casts,
     /// negation — counts as fallible.
     ///
-    /// Used by the optimizer's projection-merge guard and by the
+    /// Used by [`Expr::fold`]'s short-circuit guard and by the
     /// bind-time `Filter(false)` shortcut: an infallible stage can be
     /// dropped without swallowing a runtime error.
     pub fn infallible(&self) -> bool {

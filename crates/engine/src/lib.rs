@@ -11,17 +11,22 @@
 //! * [`schema`] — named, typed, qualifier-aware columns;
 //! * [`mod@tuple`] — rows and materialised bag [`tuple::Relation`]s;
 //! * [`expr`] — scalar expressions with SQL three-valued logic;
-//! * [`column`] — column-major morsels: typed column vectors with null
+//! * [`mod@column`] — column-major morsels: typed column vectors with null
 //!   bitmaps (MonetDB/X100-style);
-//! * [`vector`] — vectorised expression kernels over [`column`] batches,
+//! * [`vector`] — vectorised expression kernels over [`mod@column`] batches,
 //!   bit-identical to the scalar evaluator (scalar fallback on any
 //!   divergence);
-//! * [`ops`] — physical operators: σ, π, ⨯, ⋈ (nested-loop and hash),
-//!   ∪, distinct, sort, limit, grouped aggregation;
-//! * [`plan`] — a composable physical plan tree;
-//! * [`optimizer`] — algebraic rewrites: constant folding, filter
-//!   merging/pushdown, trivial-plan elimination;
-//! * [`catalog`] — in-memory named tables.
+//! * [`ops`] — physical operators over materialised relations: σ, π, ⨯,
+//!   ⋈ (nested-loop and hash), ∪, distinct, sort, limit, grouped
+//!   aggregation — the free functions `maybms-urel` composes its
+//!   parsimonious translation from;
+//! * [`Expr::fold`] — bind-time constant folding that never moves or
+//!   drops a runtime error.
+//!
+//! Queries are planned and run by `maybms-core` as fused pipelines over
+//! U-relations (`maybms-pipe`); a t-certain table is a U-relation whose
+//! conditions are all empty (§2.3), so this crate carries no plan tree
+//! or catalog of its own.
 //!
 //! Everything is deterministic, matching the execution model the paper's
 //! rewrites target: large batches run chunk-parallel on the vendored
@@ -33,59 +38,44 @@
 //! ```
 //! use maybms_engine::prelude::*;
 //!
-//! let mut catalog = Catalog::new();
-//! catalog
-//!     .create(
-//!         "ft",
-//!         rel(
-//!             &[("player", DataType::Text), ("p", DataType::Float)],
-//!             vec![
-//!                 vec!["Bryant".into(), Value::Float(0.8)],
-//!                 vec!["Duncan".into(), Value::Float(0.6)],
-//!             ],
-//!         ),
-//!     )
-//!     .unwrap();
-//! let plan = PhysicalPlan::Filter {
-//!     input: Box::new(PhysicalPlan::Scan { table: "ft".into(), alias: None }),
-//!     predicate: Expr::col("p").binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7))),
-//! };
-//! let out = plan.execute(&catalog).unwrap();
+//! let ft = rel(
+//!     &[("player", DataType::Text), ("p", DataType::Float)],
+//!     vec![
+//!         vec!["Bryant".into(), Value::Float(0.8)],
+//!         vec!["Duncan".into(), Value::Float(0.6)],
+//!     ],
+//! );
+//! let fit = Expr::col("p").binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7)));
+//! let out = maybms_engine::ops::filter(&ft, &fit).unwrap();
 //! assert_eq!(out.len(), 1);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod catalog;
 pub mod column;
 pub mod error;
 pub mod expr;
+mod fold;
 pub mod hash;
 pub mod ops;
-pub mod optimizer;
-pub mod plan;
 pub mod schema;
 pub mod tuple;
 pub mod types;
 pub mod vector;
 
-pub use catalog::Catalog;
 pub use column::{Column, ColumnBatch, ColumnBuilder, ColumnData, NullMask, StrDict};
 pub use error::{EngineError, Result};
 pub use expr::{BinaryOp, Expr, UnaryOp};
-pub use plan::PhysicalPlan;
 pub use schema::{Field, Schema};
 pub use tuple::{rel, Relation, Tuple};
 pub use types::{DataType, Value};
 
 /// Glob-import convenience: `use maybms_engine::prelude::*;`.
 pub mod prelude {
-    pub use crate::catalog::Catalog;
     pub use crate::error::{EngineError, Result};
     pub use crate::expr::{BinaryOp, Expr, UnaryOp};
     pub use crate::ops::{AggCall, AggFunc, ProjectItem, SortKey};
-    pub use crate::plan::PhysicalPlan;
     pub use crate::schema::{Field, Schema};
     pub use crate::tuple::{rel, Relation, Tuple};
     pub use crate::types::{DataType, Value};

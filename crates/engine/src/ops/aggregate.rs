@@ -408,12 +408,12 @@ fn type_err(func: AggFunc, v: &Value) -> EngineError {
 }
 
 // ---------------------------------------------------------------------
-// Shared binding / schema / fold helpers (also used by maybms-pipe)
+// Binding / schema / fold helpers shared by `aggregate` and `aggregate_with`
 // ---------------------------------------------------------------------
 
 /// Bind the aggregate calls' argument expressions against `schema`,
 /// validating that every function except `count` has an argument.
-pub fn bind_agg_calls(
+fn bind_agg_calls(
     schema: &Schema,
     aggs: &[AggCall],
 ) -> Result<Vec<(AggFunc, Option<Expr>)>> {
@@ -431,7 +431,7 @@ pub fn bind_agg_calls(
 
 /// The output schema of a grouped aggregation: the group keys (named by
 /// `group_names`) followed by one column per aggregate call.
-pub fn aggregate_schema(
+fn aggregate_schema(
     in_schema: &Schema,
     group_exprs: &[Expr],
     group_names: &[String],
@@ -463,12 +463,12 @@ pub fn aggregate_schema(
 }
 
 /// Fresh states, one per bound aggregate call.
-pub fn new_agg_states(bound: &[(AggFunc, Option<Expr>)]) -> Vec<AggState> {
+fn new_agg_states(bound: &[(AggFunc, Option<Expr>)]) -> Vec<AggState> {
     bound.iter().map(|(f, _)| AggState::new(*f)).collect()
 }
 
 /// Fold one row into a group's states (`states` parallel to `bound`).
-pub fn fold_agg_row(
+fn fold_agg_row(
     states: &mut [AggState],
     bound: &[(AggFunc, Option<Expr>)],
     row: &[Value],
@@ -483,7 +483,7 @@ pub fn fold_agg_row(
 }
 
 /// Merge a later group's states into an earlier one, slot by slot.
-pub fn merge_agg_states(into: &mut [AggState], from: Vec<AggState>) -> Result<()> {
+fn merge_agg_states(into: &mut [AggState], from: Vec<AggState>) -> Result<()> {
     for (a, b) in into.iter_mut().zip(from) {
         a.merge(b)?;
     }

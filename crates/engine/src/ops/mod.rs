@@ -1,11 +1,8 @@
 //! Physical relational operators over materialised [`Relation`]s.
 //!
-//! Operators come in two layers:
-//! * free functions (this module's submodules) that transform relations
-//!   directly — these are what `maybms-urel` composes its parsimonious
-//!   translation from;
-//! * a composable [`crate::plan::PhysicalPlan`] tree for standalone engine
-//!   use.
+//! Free functions that transform relations directly — what `maybms-urel`
+//! composes its parsimonious translation from, and what `maybms-core`
+//! calls at its remaining materialising breakers (sort, distinct, union).
 //!
 //! # Parallel execution
 //!
@@ -36,9 +33,8 @@ pub const PAR_MIN_ROWS: usize = 8192;
 pub const PAR_MIN_CHUNK: usize = 4096;
 
 pub use aggregate::{
-    aggregate, aggregate_schema, aggregate_with, bind_agg_calls, fold_agg_row,
-    group_indices, group_indices_with, merge_agg_states, new_agg_states, AggCall, AggFunc,
-    AggState, ExactSum,
+    aggregate, aggregate_with, group_indices, group_indices_with, AggCall, AggFunc, AggState,
+    ExactSum,
 };
 pub use filter::{filter, filter_with};
 pub use join::{

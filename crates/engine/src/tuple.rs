@@ -63,12 +63,6 @@ impl Tuple {
         Tuple { start: 0, len: buf.len() as u32, buf }
     }
 
-    /// Build by copying a slice (one allocation, no intermediate `Vec`).
-    pub fn from_slice(values: &[Value]) -> Tuple {
-        let buf: Arc<[Value]> = Arc::from(values);
-        Tuple { start: 0, len: buf.len() as u32, buf }
-    }
-
     /// The values, in schema order.
     pub fn values(&self) -> &[Value] {
         &self.buf[self.start as usize..(self.start + self.len) as usize]

@@ -127,3 +127,35 @@ proptest! {
         prop_assert_eq!(ops::cross_join(&a, &b).len(), a.len() * b.len());
     }
 }
+
+/// Boolean predicates over (k, v) with foldable constant subtrees.
+fn arb_predicate() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        (-20i64..20).prop_map(|n| Expr::col("k").binary(BinaryOp::Gt, Expr::lit(n))),
+        (-20i64..20).prop_map(|n| Expr::col("v").binary(BinaryOp::LtEq, Expr::lit(n))),
+        Just(Expr::lit(true)),
+        Just(Expr::lit(false)),
+        (-20i64..20).prop_map(|n| Expr::lit(n).eq(Expr::lit(n))), // foldable
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.clone().prop_map(|a| a.not()),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Folding preserves evaluation on literal-only expressions.
+    #[test]
+    fn fold_preserves_value(pred in arb_predicate()) {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let row = Tuple::new(vec![1.into(), 2.into()]);
+        let original = pred.bind(&schema).unwrap().eval(&row).unwrap();
+        let folded = pred.fold().bind(&schema).unwrap().eval(&row).unwrap();
+        prop_assert_eq!(original, folded);
+    }
+}

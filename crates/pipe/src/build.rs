@@ -88,11 +88,6 @@ impl BuildTable {
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
-
-    /// Number of hash shards (1 on a sequential build).
-    pub fn shards(&self) -> usize {
-        self.parts.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,14 @@
-//! The shared fused-execution core: one morsel-driven stage walker
-//! serving both front ends.
+//! The fused-execution core: one morsel-driven stage walker over
+//! U-relations.
 //!
-//! The certain ([`plan`](crate::plan)) and U-relational
-//! ([`ustream`](crate::ustream)) executors run the *same* machine — a
-//! source of rows pushed through Filter/Project/Probe stages morsel by
-//! morsel — differing only in the **payload** that rides along with
-//! each row: nothing for certain relations, a [`Wsd`] for U-relations
-//! (conjoined at probe stages, with unsatisfiable conjunctions dropping
-//! the row). [`RowSource`] abstracts exactly that difference, so the
-//! selection-vector fast path, the scratch-buffer recursion, and the
-//! morsel-ordered merge exist once.
+//! A source [`URelation`] is pushed through Filter/Project/Probe stages
+//! morsel by morsel. Each in-flight row carries its [`Wsd`]: probe stages
+//! conjoin the probe and build rows' conditions and drop the pair when
+//! the conjunction is unsatisfiable; a t-certain source is simply one
+//! whose conditions are all empty. The selection-vector fast path, the
+//! scratch-buffer recursion, and the morsel-ordered merge live here once.
 //!
-//! What happens to a row that survives the whole stage chain is equally
+//! What happens to a row that survives the whole stage chain is
 //! pluggable: a [`MorselSink`] receives each output row. The default
 //! sink batches rows into a morsel-local
 //! [`TupleBatch`](maybms_engine::tuple::TupleBatch) (pipelines that
@@ -25,103 +22,42 @@
 //! the same pool and morsel size the rest of the pipeline uses.
 
 use maybms_engine::column::ColumnBatch;
-use maybms_engine::error::{EngineError, Result};
-use maybms_engine::tuple::{Relation, Tuple, TupleBatch};
+use maybms_engine::error::EngineError;
+use maybms_engine::tuple::{Tuple, TupleBatch};
 use maybms_engine::{ops, vector, Expr, Value};
 use maybms_par::ThreadPool;
-use maybms_urel::{URelation, Wsd};
+use maybms_urel::{Result, URelation, Wsd};
 
 use crate::build::BuildTable;
 use crate::row_key_hash;
 
-/// A bag of rows, each a value slice plus a cheap-to-clone payload.
-pub(crate) trait RowSource: Sync {
-    /// What rides along with each row (conditions, or nothing).
-    type Payload: Clone + Send;
-    /// Number of rows.
-    fn len(&self) -> usize;
-    /// Row `i`'s values and payload.
-    fn row(&self, i: usize) -> (&[Value], &Self::Payload);
-    /// Row `i`'s payload alone — unlike [`RowSource::row`], never forces
-    /// a columnar-at-rest source to materialise its row view.
-    fn payload(&self, i: usize) -> &Self::Payload {
-        self.row(i).1
-    }
-    /// The at-rest column batch, when the source stores its rows
-    /// column-major. Kernel-eligible prefixes slice it directly instead
-    /// of pivoting each morsel (the zero-pivot scan path).
-    fn at_rest(&self) -> Option<&ColumnBatch> {
-        None
-    }
-    /// Combine the payloads of a probe row and a build row; `None`
-    /// drops the joined row.
-    fn conjoin(a: &Self::Payload, b: &Self::Payload) -> Option<Self::Payload>;
+/// The at-rest column batch of a columnar source. Kernel-eligible
+/// prefixes slice it directly instead of pivoting each morsel (the
+/// zero-pivot scan path).
+fn at_rest(source: &URelation) -> Option<&ColumnBatch> {
+    source.at_rest().map(|(batch, _)| batch)
 }
 
-impl RowSource for Relation {
-    type Payload = ();
-
-    fn len(&self) -> usize {
-        Relation::len(self)
-    }
-
-    fn row(&self, i: usize) -> (&[Value], &()) {
-        (self.tuples()[i].values(), &())
-    }
-
-    fn payload(&self, _i: usize) -> &() {
-        &()
-    }
-
-    fn at_rest(&self) -> Option<&ColumnBatch> {
-        Relation::at_rest(self)
-    }
-
-    fn conjoin(_: &(), _: &()) -> Option<()> {
-        Some(())
+/// Row `i`'s condition alone — unlike `tuples()[i]`, never forces a
+/// columnar-at-rest source to materialise its row view.
+fn wsd_at(source: &URelation, i: usize) -> &Wsd {
+    match source.at_rest() {
+        Some((_, wsds)) => &wsds[i],
+        None => &source.tuples()[i].wsd,
     }
 }
 
-impl RowSource for URelation {
-    type Payload = Wsd;
-
-    fn len(&self) -> usize {
-        URelation::len(self)
-    }
-
-    fn row(&self, i: usize) -> (&[Value], &Wsd) {
-        let t = &self.tuples()[i];
-        (t.data.values(), &t.wsd)
-    }
-
-    fn payload(&self, i: usize) -> &Wsd {
-        match URelation::at_rest(self) {
-            Some((_, wsds)) => &wsds[i],
-            None => &self.tuples()[i].wsd,
-        }
-    }
-
-    fn at_rest(&self) -> Option<&ColumnBatch> {
-        URelation::at_rest(self).map(|(batch, _)| batch)
-    }
-
-    fn conjoin(a: &Wsd, b: &Wsd) -> Option<Wsd> {
-        a.conjoin(b)
-    }
-}
-
-/// One bound, ready-to-run stage. The build side of a probe has the
-/// same row type as the stream (its table is built at run time).
-pub(crate) enum Stage<S: RowSource> {
+/// One bound, ready-to-run stage.
+pub(crate) enum Stage {
     /// σ — expressions bound to the incoming row shape.
     Filter(Expr),
     /// π — one bound expression per output column.
     Project(Vec<Expr>),
     /// Hash-join probe: `stream row ++ build row` per verified
-    /// candidate, payloads conjoined.
+    /// candidate, conditions conjoined.
     Probe {
-        /// The materialised build side.
-        build: S,
+        /// The materialised build side (its table is built at run time).
+        build: URelation,
         /// Key columns in the incoming row.
         left_keys: Vec<usize>,
         /// Key columns in the build rows.
@@ -133,7 +69,7 @@ pub(crate) enum Stage<S: RowSource> {
 /// expressions (hash, verify, conjoin), so only σ/π expressions count.
 /// This is the guard for the bind-time `σ_false → empty` shortcut: an
 /// all-infallible chain can be skipped without swallowing an error.
-pub(crate) fn stages_infallible<S: RowSource>(stages: &[Stage<S>]) -> bool {
+pub(crate) fn stages_infallible(stages: &[Stage]) -> bool {
     stages.iter().all(|s| match s {
         Stage::Filter(p) => p.infallible(),
         Stage::Project(es) => es.iter().all(Expr::infallible),
@@ -143,10 +79,10 @@ pub(crate) fn stages_infallible<S: RowSource>(stages: &[Stage<S>]) -> bool {
 
 /// How many leading stages of `stages` are kernel-eligible: a run of
 /// σ/π whose expressions all pass [`vector::vectorisable`], ending at
-/// the first probe (probes — and the U-relational WSD bookkeeping that
-/// rides on them — stay row-wise; the batch pivots back to shared-row
-/// tuples there). This is the per-stage decision `EXPLAIN` reports.
-pub(crate) fn vector_prefix_len<S: RowSource>(stages: &[Stage<S>]) -> usize {
+/// the first probe (probes — and the WSD bookkeeping that rides on them
+/// — stay row-wise; the batch pivots back to shared-row tuples there).
+/// This is the per-stage decision `EXPLAIN` reports.
+pub(crate) fn vector_prefix_len(stages: &[Stage]) -> usize {
     stages
         .iter()
         .take_while(|s| match s {
@@ -166,7 +102,7 @@ enum VecStage {
 
 /// The columnar execution plan for a pipeline's kernel-eligible prefix,
 /// computed once per pipeline run (plan time), shared by every morsel.
-pub(crate) struct VecPrefix {
+struct VecPrefix {
     /// Number of `stages` covered (the rest run row-wise).
     len: usize,
     stages: Vec<VecStage>,
@@ -176,10 +112,7 @@ pub(crate) struct VecPrefix {
 }
 
 /// Plan the columnar prefix, or `None` when nothing vectorises.
-pub(crate) fn plan_vec<S: RowSource>(stages: &[Stage<S>], columnar: bool) -> Option<VecPrefix> {
-    if !columnar {
-        return None;
-    }
+fn plan_vec(stages: &[Stage]) -> Option<VecPrefix> {
     let len = vector_prefix_len(stages);
     if len == 0 {
         return None;
@@ -229,11 +162,11 @@ pub(crate) fn plan_vec<S: RowSource>(stages: &[Stage<S>], columnar: bool) -> Opt
 /// are independent of morsel boundaries, so their sums are identical to
 /// a sequential scan at any thread count or morsel size — attaching a
 /// collector never perturbs the determinism contract.
-pub(crate) type StageTally = [(u64, u64)];
+type StageTally = [(u64, u64)];
 
 /// Run the columnar prefix over one morsel. Returns the surviving rows'
 /// batch (when the prefix projected), their source indices (for
-/// payloads, and for the row values when it did not), and the morsel's
+/// conditions, and for the row values when it did not), and the morsel's
 /// pending error.
 ///
 /// Error discipline (replicating the row-major scalar order): whenever a
@@ -244,9 +177,9 @@ pub(crate) type StageTally = [(u64, u64)];
 /// have hit first. Rows that survive every stage ahead of the error row
 /// still reach the sink, exactly as the scalar walk pushed them before
 /// erroring (the sink is discarded on error either way).
-pub(crate) fn run_vec<S: RowSource>(
+fn run_vec(
     pre: &VecPrefix,
-    source: &S,
+    source: &URelation,
     range: std::ops::Range<usize>,
     tally: &mut StageTally,
 ) -> (Option<ColumnBatch>, Vec<u32>, Option<EngineError>) {
@@ -254,11 +187,11 @@ pub(crate) fn run_vec<S: RowSource>(
     // Columnar-at-rest sources hand the prefix typed column slices
     // straight from storage — no pivot, no row materialisation. Row
     // stores pivot this one morsel (counted by the pivot metrics).
-    let mut batch = match source.at_rest() {
+    let mut batch = match at_rest(source) {
         Some(rest) => rest.slice_cols(range.start, range.len(), &pre.pivot_cols),
         None => ColumnBatch::pivot(
             range.len(),
-            range.clone().map(|i| source.row(i).0),
+            source.tuples()[range.clone()].iter().map(|t| t.data.values()),
             &pre.pivot_cols,
         ),
     };
@@ -304,44 +237,36 @@ pub(crate) fn run_vec<S: RowSource>(
 /// A morsel-local consumer of rows that survive the stage chain. One
 /// sink exists per morsel; the caller merges finished sinks in morsel
 /// order, so a sink never needs to be thread-safe itself.
-///
-/// The error type is associated (rather than fixed to [`EngineError`])
-/// so U-relational sinks can fail with `maybms-urel` errors — stage
-/// evaluation errors convert in via `From`.
-pub(crate) trait MorselSink<P> {
-    /// The error the sink's consumer works in.
-    type Err: From<EngineError> + Send;
-    /// Consume one surviving row and its payload.
-    fn push(&mut self, row: &[Value], payload: &P) -> std::result::Result<(), Self::Err>;
+pub(crate) trait MorselSink {
+    /// Consume one surviving row and its condition.
+    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<()>;
 }
 
 /// The materialising sink: rows into a morsel-local [`TupleBatch`],
-/// payloads alongside.
-pub(crate) struct RowsSink<P> {
-    pub(crate) batch: TupleBatch,
-    pub(crate) payloads: Vec<P>,
+/// conditions alongside.
+struct RowsSink {
+    batch: TupleBatch,
+    wsds: Vec<Wsd>,
 }
 
-impl<P: Clone + Send> MorselSink<P> for RowsSink<P> {
-    type Err = EngineError;
-
-    fn push(&mut self, row: &[Value], payload: &P) -> Result<()> {
+impl MorselSink for RowsSink {
+    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<()> {
         self.batch.begin_row();
         for v in row {
             self.batch.push_value(v.clone());
         }
-        self.payloads.push(payload.clone());
+        self.wsds.push(wsd.clone());
         Ok(())
     }
 }
 
 /// What a fused pipeline produced.
-pub(crate) enum FusedOutput<P> {
+pub(crate) enum FusedOutput {
     /// All-filter pipeline: the surviving source indices, in order —
     /// gather them to share row storage with the source.
     Select(Vec<usize>),
-    /// Constructed rows and their payloads, in order.
-    Rows(Vec<Tuple>, Vec<P>),
+    /// Constructed rows and their conditions, in order.
+    Rows(Vec<Tuple>, Vec<Wsd>),
 }
 
 /// Run `stages` over every row of `source`, morsel-parallel on `pool`,
@@ -350,22 +275,21 @@ pub(crate) enum FusedOutput<P> {
 /// earliest morsel's error wins, so the error (if any) is identical to a
 /// sequential scan at any thread count.
 ///
-/// With `columnar` set, the kernel-eligible σ/π prefix of the chain
-/// runs vectorised per morsel (pivot → typed kernels → gather), pivoting
-/// back to rows for the remaining stages and the sink — output and
-/// errors bit-identical to the row walk.
-pub(crate) fn run_sink<S, Sk, MK>(
-    source: &S,
-    stages: &[Stage<S>],
+/// The kernel-eligible σ/π prefix of the chain runs vectorised per
+/// morsel (slice or pivot → typed kernels → gather), pivoting back to
+/// rows for the remaining stages and the sink — output and errors
+/// bit-identical to the row-at-a-time walk that stages outside the
+/// prefix take.
+pub(crate) fn run_sink<Sk, MK>(
+    source: &URelation,
+    stages: &[Stage],
     pool: &ThreadPool,
     min_morsel: usize,
-    columnar: bool,
     stats: Option<&maybms_obs::PipelineStats>,
     make_sink: MK,
-) -> std::result::Result<Vec<Sk>, Sk::Err>
+) -> Result<Vec<Sk>>
 where
-    S: RowSource,
-    Sk: MorselSink<S::Payload> + Send,
+    Sk: MorselSink + Send,
     MK: Fn() -> Sk + Sync,
 {
     let metrics = maybms_obs::metrics();
@@ -392,7 +316,7 @@ where
             _ => None,
         })
         .collect();
-    let pre = plan_vec(stages, columnar);
+    let pre = plan_vec(stages);
 
     // A one-thread pool runs morsels back-to-back anyway; one morsel
     // spares the sink merges (the merged result is identical either way).
@@ -401,75 +325,72 @@ where
     } else {
         maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel)
     };
-    let outputs: Vec<std::result::Result<Sk, Sk::Err>> =
-        pool.par_map_chunks(source.len(), chunk, |range| {
-            // Governor checkpoint: one relaxed load per morsel when no
-            // limit is armed.
-            maybms_gov::check().map_err(|g| Sk::Err::from(EngineError::Gov(g)))?;
-            let n_src = range.len() as u64;
-            let mut tally = vec![(0u64, 0u64); stages.len()];
-            let mut sink = make_sink();
-            let mut gov = maybms_gov::Ticker::new();
-            if let Some(pre) = &pre {
-                // Columnar prefix, then the row walk for the rest.
-                let rest = &stages[pre.len..];
-                let rest_tables = &tables[pre.len..];
-                let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
-                let (prefix_tally, rest_tally) = tally.split_at_mut(pre.len);
-                let (batch, src, pending) = run_vec(pre, source, range, prefix_tally);
-                let mut rowbuf: Vec<Value> = Vec::new();
-                for (j, &si) in src.iter().enumerate() {
-                    let payload = source.payload(si as usize);
-                    let row: &[Value] = match &batch {
-                        Some(b) => {
-                            b.write_row(j, &mut rowbuf);
-                            &rowbuf
-                        }
-                        None => source.row(si as usize).0,
-                    };
-                    push_row::<S, Sk>(
-                        row,
-                        payload,
-                        rest,
-                        rest_tables,
-                        0,
-                        &mut scratch,
-                        rest_tally,
-                        &mut sink,
-                        &mut gov,
-                    )?;
-                }
-                // Any row-walk error above was at an earlier source row
-                // than the prefix's pending error — row-major order.
-                if let Some(e) = pending {
-                    return Err(Sk::Err::from(e));
-                }
-            } else {
-                let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
-                for i in range {
-                    let (row, payload) = source.row(i);
-                    push_row::<S, Sk>(
-                        row,
-                        payload,
-                        stages,
-                        &tables,
-                        0,
-                        &mut scratch,
-                        &mut tally,
-                        &mut sink,
-                        &mut gov,
-                    )?;
-                }
+    let outputs: Vec<Result<Sk>> = pool.par_map_chunks(source.len(), chunk, |range| {
+        // Governor checkpoint: one relaxed load per morsel when no
+        // limit is armed.
+        maybms_gov::check().map_err(EngineError::Gov)?;
+        let n_src = range.len() as u64;
+        let mut tally = vec![(0u64, 0u64); stages.len()];
+        let mut sink = make_sink();
+        let mut gov = maybms_gov::Ticker::new();
+        if let Some(pre) = &pre {
+            // Columnar prefix, then the row walk for the rest.
+            let rest = &stages[pre.len..];
+            let rest_tables = &tables[pre.len..];
+            let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
+            let (prefix_tally, rest_tally) = tally.split_at_mut(pre.len);
+            let (batch, src, pending) = run_vec(pre, source, range, prefix_tally);
+            let mut rowbuf: Vec<Value> = Vec::new();
+            for (j, &si) in src.iter().enumerate() {
+                let row: &[Value] = match &batch {
+                    Some(b) => {
+                        b.write_row(j, &mut rowbuf);
+                        &rowbuf
+                    }
+                    None => source.tuples()[si as usize].data.values(),
+                };
+                push_row(
+                    row,
+                    wsd_at(source, si as usize),
+                    rest,
+                    rest_tables,
+                    0,
+                    &mut scratch,
+                    rest_tally,
+                    &mut sink,
+                    &mut gov,
+                )?;
             }
-            let pushed = tally.last().map_or(n_src, |t| t.1);
-            metrics.morsels.inc();
-            metrics.rows_in.add(n_src);
-            metrics.rows_out.add(pushed);
-            if let Some(st) = stats {
-                st.flush_morsel(&tally);
+            // Any row-walk error above was at an earlier source row
+            // than the prefix's pending error — row-major order.
+            if let Some(e) = pending {
+                return Err(e.into());
             }
-            Ok(sink)
-        });
+        } else {
+            let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
+            for t in &source.tuples()[range] {
+                push_row(
+                    t.data.values(),
+                    &t.wsd,
+                    stages,
+                    &tables,
+                    0,
+                    &mut scratch,
+                    &mut tally,
+                    &mut sink,
+                    &mut gov,
+                )?;
+            }
+        }
+        let pushed = tally.last().map_or(n_src, |t| t.1);
+        metrics.morsels.inc();
+        metrics.rows_in.add(n_src);
+        metrics.rows_out.add(pushed);
+        if let Some(st) = stats {
+            st.flush_morsel(&tally);
+        }
+        Ok(sink)
+    });
     outputs.into_iter().collect()
 }
 
@@ -480,13 +401,13 @@ where
 /// hashes by code lookup — no build-row materialisation. The hash values
 /// are exactly [`row_key_hash`]'s, so probe-side hashing, candidate
 /// verification, and NULL-key handling are unchanged.
-fn build_table<S: RowSource>(
-    build: &S,
+fn build_table(
+    build: &URelation,
     right_keys: &[usize],
     pool: &ThreadPool,
     min_morsel: usize,
 ) -> BuildTable {
-    if let ([k], Some(rest)) = (right_keys, build.at_rest()) {
+    if let ([k], Some(rest)) = (right_keys, at_rest(build)) {
         let col = rest.column(*k);
         if let maybms_engine::ColumnData::Dict { codes, dict } = col.data() {
             let entry_hashes = dict.cached_hashes(|entries| {
@@ -512,9 +433,10 @@ fn build_table<S: RowSource>(
             );
         }
     }
+    let rows = build.tuples();
     BuildTable::build(
         build.len(),
-        |i| row_key_hash(build.row(i).0, right_keys),
+        |i| row_key_hash(rows[i].data.values(), right_keys),
         pool,
         min_morsel,
     )
@@ -523,22 +445,21 @@ fn build_table<S: RowSource>(
 /// Run `stages` over every row of `source`, morsel-parallel on `pool`,
 /// materialising the surviving rows. Morsel outputs merge in morsel
 /// order; the output (and error row, if any) is identical to a
-/// sequential scan at any thread count — with or without `columnar`.
-pub(crate) fn run<S: RowSource>(
-    source: &S,
-    stages: &[Stage<S>],
+/// sequential scan at any thread count.
+pub(crate) fn run(
+    source: &URelation,
+    stages: &[Stage],
     pool: &ThreadPool,
     min_morsel: usize,
-    columnar: bool,
     stats: Option<&maybms_obs::PipelineStats>,
-) -> Result<FusedOutput<S::Payload>> {
+) -> Result<FusedOutput> {
     // All-filter pipelines stay a selection vector end to end (columnar
     // predicates produce the selection directly; no project means no
     // batch survives — the output shares the source's row storage).
     if stages.iter().all(|s| matches!(s, Stage::Filter(_))) {
         let metrics = maybms_obs::metrics();
         metrics.pipelines.inc();
-        let pre = plan_vec(stages, columnar);
+        let pre = plan_vec(stages);
         let chunk = maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel);
         let partials: Vec<Result<Vec<usize>>> =
             pool.par_map_chunks(source.len(), chunk, |range| {
@@ -561,7 +482,7 @@ pub(crate) fn run<S: RowSource>(
                     let mut gov = maybms_gov::Ticker::new();
                     'row: for &si in &src {
                         gov.tick().map_err(EngineError::Gov)?;
-                        let (row, _) = source.row(si as usize);
+                        let row = source.tuples()[si as usize].data.values();
                         for (k, s) in stages[start..].iter().enumerate() {
                             let Stage::Filter(p) = s else { unreachable!() };
                             tally[start + k].0 += 1;
@@ -574,7 +495,7 @@ pub(crate) fn run<S: RowSource>(
                     }
                 }
                 if let Some(e) = pending {
-                    return Err(e);
+                    return Err(e.into());
                 }
                 let pushed = tally.last().map_or(n_src, |t| t.1);
                 metrics.morsels.inc();
@@ -594,17 +515,17 @@ pub(crate) fn run<S: RowSource>(
 
     // General fused path: push every source row through the stage chain
     // into a morsel-local batch.
-    let sinks = run_sink(source, stages, pool, min_morsel, columnar, stats, || RowsSink {
+    let sinks = run_sink(source, stages, pool, min_morsel, stats, || RowsSink {
         batch: TupleBatch::new(),
-        payloads: Vec::new(),
+        wsds: Vec::new(),
     })?;
     let mut tuples = Vec::new();
-    let mut payloads = Vec::new();
+    let mut wsds = Vec::new();
     for sink in sinks {
         tuples.extend(sink.batch.finish());
-        payloads.extend(sink.payloads);
+        wsds.extend(sink.wsds);
     }
-    Ok(FusedOutput::Rows(tuples, payloads))
+    Ok(FusedOutput::Rows(tuples, wsds))
 }
 
 /// Push one in-flight row through `stages[depth..]`. `scratch[depth]`
@@ -612,42 +533,32 @@ pub(crate) fn run<S: RowSource>(
 /// taken out around the recursion and always restored, so the morsel
 /// allocates nothing after warmup even across evaluation errors.
 #[allow(clippy::too_many_arguments)]
-fn push_row<S: RowSource, Sk: MorselSink<S::Payload>>(
+fn push_row<Sk: MorselSink>(
     row: &[Value],
-    payload: &S::Payload,
-    stages: &[Stage<S>],
+    wsd: &Wsd,
+    stages: &[Stage],
     tables: &[Option<BuildTable>],
     depth: usize,
     scratch: &mut [Vec<Value>],
     tally: &mut StageTally,
     sink: &mut Sk,
     gov: &mut maybms_gov::Ticker,
-) -> std::result::Result<(), Sk::Err> {
+) -> Result<()> {
     let Some(stage) = stages.get(depth) else {
         // Morsel-boundary checks alone are not enough here: a probe
         // chain can expand one source morsel into an unbounded cross
         // product (and a one-thread pool runs the whole source as a
         // single morsel), so a runaway join would be uncancellable and
         // blow straight through a memory budget.
-        gov.tick().map_err(|g| Sk::Err::from(EngineError::Gov(g)))?;
-        return sink.push(row, payload);
+        gov.tick().map_err(EngineError::Gov)?;
+        return sink.push(row, wsd);
     };
     tally[depth].0 += 1;
     match stage {
         Stage::Filter(p) => {
-            if p.eval_predicate_values(row).map_err(Sk::Err::from)? {
+            if p.eval_predicate_values(row)? {
                 tally[depth].1 += 1;
-                push_row::<S, Sk>(
-                    row,
-                    payload,
-                    stages,
-                    tables,
-                    depth + 1,
-                    scratch,
-                    tally,
-                    sink,
-                    gov,
-                )?;
+                push_row(row, wsd, stages, tables, depth + 1, scratch, tally, sink, gov)?;
             }
             Ok(())
         }
@@ -659,24 +570,15 @@ fn push_row<S: RowSource, Sk: MorselSink<S::Payload>>(
                 match e.eval_values(row) {
                     Ok(v) => vals.push(v),
                     Err(e) => {
-                        result = Err(Sk::Err::from(e));
+                        result = Err(e.into());
                         break;
                     }
                 }
             }
             if result.is_ok() {
                 tally[depth].1 += 1;
-                result = push_row::<S, Sk>(
-                    &vals,
-                    payload,
-                    stages,
-                    tables,
-                    depth + 1,
-                    scratch,
-                    tally,
-                    sink,
-                    gov,
-                );
+                result =
+                    push_row(&vals, wsd, stages, tables, depth + 1, scratch, tally, sink, gov);
             }
             scratch[depth] = vals;
             result
@@ -687,26 +589,22 @@ fn push_row<S: RowSource, Sk: MorselSink<S::Payload>>(
             let mut vals = std::mem::take(&mut scratch[depth]);
             let mut result = Ok(());
             for &ri in table.candidates(h) {
-                let (brow, bpayload) = build.row(ri as usize);
+                // Only a candidate touches the build's row view (a
+                // columnar-at-rest build side materialises it lazily).
+                let b = &build.tuples()[ri as usize];
+                let brow = b.data.values();
                 if !ops::join_keys_eq(row, left_keys, brow, right_keys) {
                     continue; // hash collision
                 }
-                let Some(joined) = S::conjoin(payload, bpayload) else { continue };
+                // An unsatisfiable conjunction drops the joined row.
+                let Some(joined) = wsd.conjoin(&b.wsd) else { continue };
                 vals.clear();
                 vals.extend_from_slice(row);
                 vals.extend_from_slice(brow);
                 tally[depth].1 += 1;
-                if let Err(e) = push_row::<S, Sk>(
-                    &vals,
-                    &joined,
-                    stages,
-                    tables,
-                    depth + 1,
-                    scratch,
-                    tally,
-                    sink,
-                    gov,
-                ) {
+                if let Err(e) =
+                    push_row(&vals, &joined, stages, tables, depth + 1, scratch, tally, sink, gov)
+                {
                     result = Err(e);
                     break;
                 }

@@ -18,18 +18,17 @@
 //!   [`ExactSum`](maybms_engine::ops::ExactSum) to make that hold
 //!   bit-for-bit.
 //!
-//! The state type is generic: the certain executor folds
-//! `Vec<AggState>` per group; `maybms-core` threads the U-relational
-//! side through [`UStream::collect_grouped`](crate::UStream::collect_grouped)
+//! The state type is the caller's: `maybms-core` reaches this module
+//! through [`UStream::collect_grouped`](crate::UStream::collect_grouped)
 //! with an accumulator holding member WSDs (for the per-group `conf()`
 //! fan-out) and running `esum`/`ecount` partial sums.
 
-use maybms_engine::error::EngineError;
 use maybms_engine::hash::{fast_hash_one, FastMap};
 use maybms_engine::{Expr, Value};
 use maybms_par::ThreadPool;
+use maybms_urel::{Result, URelation, Wsd};
 
-use crate::fuse::{self, MorselSink, RowSource, Stage};
+use crate::fuse::{self, MorselSink, Stage};
 
 /// A hashed group → state table in first-seen key order.
 ///
@@ -107,11 +106,11 @@ impl<A> GroupTable<A> {
     /// state is the earlier one), a new key appends. Merging tables in
     /// morsel order therefore reproduces the sequential first-seen key
     /// order exactly.
-    pub fn merge_in<E>(
+    pub fn merge_in(
         &mut self,
         other: GroupTable<A>,
-        mut merge: impl FnMut(&mut A, A) -> Result<(), E>,
-    ) -> Result<(), E> {
+        mut merge: impl FnMut(&mut A, A) -> Result<()>,
+    ) -> Result<()> {
         for (key, state) in other.keys.into_iter().zip(other.states) {
             let h = fast_hash_one(&key[..]);
             let bucket = self.buckets.entry(h).or_default();
@@ -163,21 +162,18 @@ struct GroupSink<'a, A, NF, FF> {
     scratch: Vec<Value>,
 }
 
-impl<'a, P, A, E, NF, FF> MorselSink<P> for GroupSink<'a, A, NF, FF>
+impl<A, NF, FF> MorselSink for GroupSink<'_, A, NF, FF>
 where
-    E: From<EngineError> + Send,
     NF: Fn() -> A,
-    FF: Fn(&mut A, &[Value], &P) -> Result<(), E>,
+    FF: Fn(&mut A, &[Value], &Wsd) -> Result<()>,
 {
-    type Err = E;
-
-    fn push(&mut self, row: &[Value], payload: &P) -> Result<(), E> {
+    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<()> {
         self.scratch.clear();
         for e in self.key_exprs {
-            self.scratch.push(e.eval_values(row).map_err(E::from)?);
+            self.scratch.push(e.eval_values(row)?);
         }
         let state = self.table.entry(&self.scratch, self.new_state);
-        (self.fold)(state, row, payload)
+        (self.fold)(state, row, wsd)
     }
 }
 
@@ -188,25 +184,22 @@ where
 /// With no key expressions, a single global group is guaranteed (even
 /// over an empty input — SQL's scalar-aggregate behaviour).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn group_stream<S, A, E, NF, FF, MF>(
-    source: &S,
-    stages: &[Stage<S>],
+pub(crate) fn group_stream<A, NF, FF, MF>(
+    source: &URelation,
+    stages: &[Stage],
     key_exprs: &[Expr],
     pool: &ThreadPool,
     min_morsel: usize,
-    columnar: bool,
     stats: Option<&maybms_obs::PipelineStats>,
     new_state: NF,
     fold: FF,
     mut merge: MF,
-) -> Result<(Vec<Vec<Value>>, Vec<A>), E>
+) -> Result<(Vec<Vec<Value>>, Vec<A>)>
 where
-    S: RowSource,
     A: Send,
-    E: From<EngineError> + Send,
     NF: Fn() -> A + Sync,
-    FF: Fn(&mut A, &[Value], &S::Payload) -> Result<(), E> + Sync,
-    MF: FnMut(&mut A, A) -> Result<(), E>,
+    FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
+    MF: FnMut(&mut A, A) -> Result<()>,
 {
     let mut merged = GroupTable::new();
     if let Some(tables) =
@@ -217,7 +210,7 @@ where
         }
     } else {
         let sinks =
-            fuse::run_sink(source, stages, pool, min_morsel, columnar, stats, || GroupSink {
+            fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
                 table: GroupTable::new(),
                 key_exprs,
                 new_state: &new_state,
@@ -252,28 +245,26 @@ where
 /// key column). Determinism matches the hashed sink exactly: per-morsel
 /// first-seen group order, tables merged in morsel order.
 #[allow(clippy::too_many_arguments)]
-fn dense_dict_groups<S, A, E, NF, FF>(
-    source: &S,
-    stages: &[Stage<S>],
+fn dense_dict_groups<A, NF, FF>(
+    source: &URelation,
+    stages: &[Stage],
     key_exprs: &[Expr],
     pool: &ThreadPool,
     min_morsel: usize,
     stats: Option<&maybms_obs::PipelineStats>,
     new_state: &NF,
     fold: &FF,
-) -> Result<Option<Vec<GroupTable<A>>>, E>
+) -> Result<Option<Vec<GroupTable<A>>>>
 where
-    S: RowSource,
     A: Send,
-    E: From<EngineError> + Send,
     NF: Fn() -> A + Sync,
-    FF: Fn(&mut A, &[Value], &S::Payload) -> Result<(), E> + Sync,
+    FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
 {
     let [Expr::ColumnIdx(k)] = key_exprs else { return Ok(None) };
     if !stages.is_empty() {
         return Ok(None);
     }
-    let Some(batch) = source.at_rest() else { return Ok(None) };
+    let Some((batch, wsds)) = source.at_rest() else { return Ok(None) };
     let col = batch.column(*k);
     let maybms_engine::ColumnData::Dict { codes, dict } = col.data() else {
         return Ok(None);
@@ -285,7 +276,7 @@ where
     } else {
         maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel)
     };
-    let tables: Vec<Result<GroupTable<A>, E>> =
+    let tables: Vec<Result<GroupTable<A>>> =
         pool.par_map_chunks(source.len(), chunk, |range| {
             let n_src = range.len() as u64;
             let mut table: GroupTable<A> = GroupTable::new();
@@ -307,7 +298,7 @@ where
                     dense[c]
                 };
                 batch.write_row(i, &mut rowbuf);
-                fold(table.state_mut(g), &rowbuf, source.payload(i))?;
+                fold(table.state_mut(g), &rowbuf, &wsds[i])?;
             }
             metrics.morsels.inc();
             metrics.rows_in.add(n_src);
@@ -327,6 +318,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maybms_engine::error::EngineError;
 
     /// Morsel-ordered merge reproduces the sequential first-seen key
     /// order and the sequential state (here: a simple count), regardless
@@ -356,7 +348,7 @@ mod tests {
                     *local.entry(r, || 0) += 1;
                 }
                 merged
-                    .merge_in(local, |a, b| -> Result<(), EngineError> {
+                    .merge_in(local, |a, b| {
                         *a += b;
                         Ok(())
                     })
@@ -387,7 +379,7 @@ mod tests {
         let mut b: GroupTable<u32> = GroupTable::new();
         b.entry(&[Value::Int(1)], || 0);
         let err = a.merge_in(b, |_, _| {
-            Err(EngineError::TypeMismatch { message: "boom".into() })
+            Err(EngineError::TypeMismatch { message: "boom".into() }.into())
         });
         assert!(err.is_err());
     }

@@ -1,32 +1,32 @@
 //! A lazy, morsel-driven pipeline over U-relations.
 //!
-//! `maybms-core` evaluates the parsimonious translation (§2.3) as a chain
-//! of `urel::algebra` calls, materialising every intermediate U-relation.
-//! A [`UStream`] records the same chain — σ, π, and hash-join probes —
-//! as **fused stages** over one source U-relation and runs it in a
-//! single morsel-driven pass at [`UStream::collect`]: WSDs ride along
-//! with each in-flight row, probe stages conjoin them (dropping
-//! unsatisfiable pairs), and nothing is materialised between stages.
+//! `maybms-core` evaluates the parsimonious translation (§2.3) as
+//! [`UStream`]s: a chain of σ, π, and hash-join probes recorded as
+//! **fused stages** over one source U-relation and run in a single
+//! morsel-driven pass at [`UStream::collect`]. WSDs ride along with each
+//! in-flight row, probe stages conjoin them (dropping unsatisfiable
+//! pairs), and nothing is materialised between stages.
 //!
-//! Determinism contract: `collect()` is bit-identical — data, WSDs, and
-//! row order — to applying the equivalent `algebra::select` /
-//! `algebra::project` / `algebra::hash_join` sequence, at any thread
-//! count (morsel outputs concatenate in morsel order; build tables merge
-//! morsel-locally in morsel order, matching the joins' fixed
-//! build-right/probe-left convention).
+//! Determinism contract: `collect()` is bit-identical — data, WSDs, row
+//! order, and the first runtime error — to a row-major scalar walk of
+//! the same chain (and, on success, to the equivalent `algebra::select`
+//! / `algebra::project` / `algebra::hash_join` sequence), at any thread
+//! count and morsel size (morsel outputs concatenate in morsel order;
+//! build tables merge morsel-locally in morsel order, matching the
+//! joins' fixed build-right/probe-left convention).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use maybms_engine::ops::ProjectItem;
-use maybms_engine::{optimizer, EngineError, Expr, Field, Schema, Value};
+use maybms_engine::{EngineError, Expr, Field, Schema, Value};
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, UTuple, Wsd};
 
 use crate::fuse::{self, FusedOutput, Stage};
 
 /// A lazily evaluated U-relational pipeline: a source plus fused stages
-/// (run by the shared executor in [`fuse`]).
+/// (run by the crate's stage walker, `fuse`).
 ///
 /// Stage constructors bind their expressions against the stream's
 /// current schema immediately (so planning errors surface where the
@@ -35,7 +35,7 @@ use crate::fuse::{self, FusedOutput, Stage};
 /// pool — at [`UStream::collect`].
 pub struct UStream {
     source: URelation,
-    stages: Vec<Stage<URelation>>,
+    stages: Vec<Stage>,
     schema: Arc<Schema>,
 }
 
@@ -49,12 +49,6 @@ impl UStream {
     /// The schema rows will have after the recorded stages.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
-    }
-
-    /// Number of source (not output) rows — an upper bound for
-    /// filter-only pipelines, a hint otherwise.
-    pub fn source_len(&self) -> usize {
-        self.source.len()
     }
 
     /// Number of recorded stages.
@@ -73,7 +67,7 @@ impl UStream {
     /// runtime error the fused chain would have raised is never
     /// swallowed.
     pub fn filter(mut self, predicate: &Expr) -> Result<UStream> {
-        let bound = optimizer::fold(predicate.bind(&self.schema)?);
+        let bound = predicate.bind(&self.schema)?.fold();
         match &bound {
             Expr::Literal(Value::Bool(true)) => return Ok(self),
             Expr::Literal(Value::Bool(false)) | Expr::Literal(Value::Null)
@@ -99,7 +93,7 @@ impl UStream {
             // Field type from the unfolded expression, so the stream's
             // schema matches the materialising path exactly.
             fields.push(Field::new(item.name.clone(), e.data_type(&self.schema)));
-            exprs.push(optimizer::fold(e));
+            exprs.push(e.fold());
         }
         self.schema = Arc::new(Schema::new(fields));
         self.stages.push(Stage::Project(exprs));
@@ -151,41 +145,23 @@ impl UStream {
     /// parallel for large sources, exactly like the materialising
     /// operators; output is identical either way.
     pub fn collect(self) -> Result<URelation> {
-        let pool = maybms_par::pool();
-        self.collect_with(&pool, maybms_engine::ops::PAR_MIN_CHUNK)
+        self.collect_with(&maybms_par::pool(), maybms_engine::ops::PAR_MIN_CHUNK, None)
     }
 
     /// [`UStream::collect`] on an explicit pool and minimum morsel size
-    /// (what the determinism property tests pin to 1/2/8 threads).
-    /// Columnar execution follows [`crate::columnar_default`].
-    pub fn collect_with(self, pool: &ThreadPool, min_morsel: usize) -> Result<URelation> {
-        self.collect_opts(pool, min_morsel, crate::columnar_default())
-    }
-
-    /// [`UStream::collect_with`] with the columnar path pinned
-    /// explicitly (what the columnar ≡ row equivalence tests use).
-    pub fn collect_opts(
+    /// (what the determinism property tests pin to 1/2/8 threads), with
+    /// an optional per-pipeline stats collector attached (see
+    /// [`UStream::stats_skeleton`]). Collection is allocation-light
+    /// (per-morsel stack tallies, flushed once per morsel) and never
+    /// changes the output: stats are order-independent sums,
+    /// bit-identical at any thread count or morsel size.
+    pub fn collect_with(
         self,
         pool: &ThreadPool,
         min_morsel: usize,
-        columnar: bool,
-    ) -> Result<URelation> {
-        self.collect_stats(pool, min_morsel, columnar, None)
-    }
-
-    /// [`UStream::collect_opts`] with an optional per-pipeline stats
-    /// collector attached (see [`UStream::stats_skeleton`]). Collection
-    /// is allocation-light (per-morsel stack tallies, flushed once per
-    /// morsel) and never changes the output: stats are order-independent
-    /// sums, bit-identical at any thread count or morsel size.
-    pub fn collect_stats(
-        self,
-        pool: &ThreadPool,
-        min_morsel: usize,
-        columnar: bool,
         stats: Option<&maybms_obs::PipelineStats>,
     ) -> Result<URelation> {
-        self.run_spanned(pool, min_morsel, columnar, stats, |source, schema, fused| {
+        self.run_spanned(pool, min_morsel, stats, |source, schema, fused| {
             let out = match fused {
                 None => source.with_schema(schema),
                 // Filter-only pipeline: gather shares rows (data + WSDs)
@@ -208,7 +184,7 @@ impl UStream {
     /// Run a **filter-only** pipeline and return the positions of the
     /// surviving source rows, in order, instead of gathering them — how
     /// `UPDATE` / `DELETE` find their targets. Same executor, span and
-    /// stats as [`UStream::collect_stats`]: zero-pivot and vectorised
+    /// stats as [`UStream::collect_with`]: zero-pivot and vectorised
     /// over a columnar-at-rest source, morsel-parallel, governor-checked,
     /// identical at any thread count. Errors on a stream holding a
     /// projection or join stage (its rows are not source rows).
@@ -216,10 +192,9 @@ impl UStream {
         self,
         pool: &ThreadPool,
         min_morsel: usize,
-        columnar: bool,
         stats: Option<&maybms_obs::PipelineStats>,
     ) -> Result<Vec<usize>> {
-        self.run_spanned(pool, min_morsel, columnar, stats, |source, _, fused| {
+        self.run_spanned(pool, min_morsel, stats, |source, _, fused| {
             let sel: Vec<usize> = match fused {
                 None => (0..source.len()).collect(),
                 Some(FusedOutput::Select(sel)) => sel,
@@ -243,9 +218,8 @@ impl UStream {
         self,
         pool: &ThreadPool,
         min_morsel: usize,
-        columnar: bool,
         stats: Option<&maybms_obs::PipelineStats>,
-        finish: impl FnOnce(URelation, Arc<Schema>, Option<FusedOutput<Wsd>>) -> Result<(T, usize)>,
+        finish: impl FnOnce(URelation, Arc<Schema>, Option<FusedOutput>) -> Result<(T, usize)>,
     ) -> Result<T> {
         let UStream { source, stages, schema } = self;
         // The span opens before the stage-less case so pipeline span
@@ -260,7 +234,7 @@ impl UStream {
             return Ok(out);
         }
         let t0 = stats.map(|_| std::time::Instant::now());
-        let fused = fuse::run(&source, &stages, pool, min_morsel, columnar, stats)?;
+        let fused = fuse::run(&source, &stages, pool, min_morsel, stats)?;
         let (out, rows) = finish(source, schema, Some(fused))?;
         if let (Some(st), Some(t0)) = (stats, t0) {
             st.record_wall(t0.elapsed());
@@ -287,57 +261,14 @@ impl UStream {
     ///
     /// With no group expressions a single global group is guaranteed,
     /// even over an empty input (SQL's scalar-aggregate behaviour).
-    pub fn collect_grouped<A, NF, FF, MF>(
-        self,
-        group_exprs: &[Expr],
-        new_state: NF,
-        fold: FF,
-        merge: MF,
-    ) -> Result<(Vec<Vec<Value>>, Vec<A>)>
-    where
-        A: Send,
-        NF: Fn() -> A + Sync,
-        FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
-        MF: FnMut(&mut A, A) -> Result<()>,
-    {
-        let pool = maybms_par::pool();
-        self.collect_grouped_with(
-            group_exprs,
-            &pool,
-            maybms_engine::ops::PAR_MIN_CHUNK,
-            new_state,
-            fold,
-            merge,
-        )
-    }
-
-    /// [`UStream::collect_grouped`] on an explicit pool and minimum
-    /// morsel size (what the determinism property tests pin to 1/2/8
-    /// threads and single-row morsels).
-    pub fn collect_grouped_with<A, NF, FF, MF>(
-        self,
-        group_exprs: &[Expr],
-        pool: &ThreadPool,
-        min_morsel: usize,
-        new_state: NF,
-        fold: FF,
-        merge: MF,
-    ) -> Result<(Vec<Vec<Value>>, Vec<A>)>
-    where
-        A: Send,
-        NF: Fn() -> A + Sync,
-        FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
-        MF: FnMut(&mut A, A) -> Result<()>,
-    {
-        self.collect_grouped_stats(group_exprs, pool, min_morsel, None, new_state, fold, merge)
-    }
-
-    /// [`UStream::collect_grouped_with`] with an optional per-pipeline
-    /// stats collector attached (same contract as
-    /// [`UStream::collect_stats`]; the collector's group counter records
-    /// the merged group count).
+    ///
+    /// Runs on an explicit pool and minimum morsel size (what the
+    /// determinism property tests pin to 1/2/8 threads and single-row
+    /// morsels), with an optional per-pipeline stats collector attached
+    /// (same contract as [`UStream::collect_with`]; the collector's
+    /// group counter records the merged group count).
     #[allow(clippy::too_many_arguments)]
-    pub fn collect_grouped_stats<A, NF, FF, MF>(
+    pub fn collect_grouped<A, NF, FF, MF>(
         self,
         group_exprs: &[Expr],
         pool: &ThreadPool,
@@ -369,7 +300,6 @@ impl UStream {
             &bound,
             pool,
             min_morsel,
-            crate::columnar_default(),
             stats,
             new_state,
             fold,
@@ -387,15 +317,17 @@ impl UStream {
     /// pipeline: one stage-stats slot per recorded stage, labelled like
     /// [`UStream::describe`]'s lines. Register it on a
     /// [`maybms_obs::QueryStats`] and pass it to
-    /// [`UStream::collect_stats`] / [`UStream::collect_grouped_stats`].
+    /// [`UStream::collect_with`] / [`UStream::collect_grouped`].
     pub fn stats_skeleton(&self, label: impl Into<String>) -> maybms_obs::PipelineStats {
-        let vectorised = if crate::columnar_default() {
-            fuse::vector_prefix_len(&self.stages)
-        } else {
-            0
-        };
-        let labels: Vec<String> = self
-            .stages
+        maybms_obs::PipelineStats::new(label, self.source_mark(), self.stage_labels())
+    }
+
+    /// One label per recorded stage — the text `EXPLAIN` and
+    /// `EXPLAIN ANALYZE` both print for it. Stages of the kernel-eligible
+    /// prefix are marked `(vectorised)`.
+    fn stage_labels(&self) -> Vec<String> {
+        let vectorised = fuse::vector_prefix_len(&self.stages);
+        self.stages
             .iter()
             .enumerate()
             .map(|(k, stage)| {
@@ -403,8 +335,7 @@ impl UStream {
                 match stage {
                     Stage::Filter(predicate) => format!("filter {predicate}{vec_mark}"),
                     Stage::Project(exprs) => {
-                        let cols: Vec<String> =
-                            exprs.iter().map(|e| e.to_string()).collect();
+                        let cols: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
                         format!("project [{}]{vec_mark}", cols.join(", "))
                     }
                     Stage::Probe { left_keys, right_keys, .. } => {
@@ -417,8 +348,7 @@ impl UStream {
                     }
                 }
             })
-            .collect();
-        maybms_obs::PipelineStats::new(label, self.source_mark(), labels)
+            .collect()
     }
 
     /// Source label shared by [`UStream::describe`] and
@@ -434,38 +364,22 @@ impl UStream {
     }
 
     /// One-line-per-stage description of the pipeline, used by
-    /// `EXPLAIN`. Stages the columnar planner will run vectorised are
-    /// marked `(vectorised)`.
+    /// `EXPLAIN`: the [`UStream::stats_skeleton`] labels, with each
+    /// probe's build-side size appended.
     pub fn describe(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "source: {}", self.source_mark());
-        let vectorised = if crate::columnar_default() {
-            fuse::vector_prefix_len(&self.stages)
-        } else {
-            0
-        };
-        for (k, stage) in self.stages.iter().enumerate() {
-            let vec_mark = if k < vectorised { " (vectorised)" } else { "" };
+        for (stage, label) in self.stages.iter().zip(self.stage_labels()) {
             match stage {
-                Stage::Filter(predicate) => {
-                    let _ = writeln!(out, "-> filter {predicate}{vec_mark}");
-                }
-                Stage::Project(exprs) => {
-                    let cols: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
-                    let _ = writeln!(out, "-> project [{}]{vec_mark}", cols.join(", "));
-                }
-                Stage::Probe { build, left_keys, right_keys } => {
-                    let keys: Vec<String> = left_keys
-                        .iter()
-                        .zip(right_keys)
-                        .map(|(l, r)| format!("#{l} = build #{r}"))
-                        .collect();
+                Stage::Probe { build, .. } => {
                     let _ = writeln!(
                         out,
-                        "-> hash probe [{}] against {}-row build (WSD conjunction)",
-                        keys.join(", "),
+                        "-> {label} against {}-row build (WSD conjunction)",
                         build.len()
                     );
+                }
+                _ => {
+                    let _ = writeln!(out, "-> {label}");
                 }
             }
         }
@@ -531,7 +445,7 @@ mod tests {
                 .unwrap()
                 .project(&items)
                 .unwrap()
-                .collect_with(&pool, 1)
+                .collect_with(&pool, 1, None)
                 .unwrap();
             assert_eq!(got.tuples(), materialized.tuples(), "threads = {threads}");
         }
@@ -569,26 +483,26 @@ mod tests {
                     let got = UStream::new(u.clone())
                         .filter(&pred)
                         .unwrap()
-                        .select_positions(&pool, min_morsel, true, None)
+                        .select_positions(&pool, min_morsel, None)
                         .unwrap();
                     assert_eq!(got, want, "threads {threads}, morsel {min_morsel}");
                 }
             }
             let pool = ThreadPool::new(2);
             // No predicate: every row. A constant-false one: none.
-            let all = UStream::new(u.clone()).select_positions(&pool, 64, true, None).unwrap();
+            let all = UStream::new(u.clone()).select_positions(&pool, 64, None).unwrap();
             assert_eq!(all, (0..500).collect::<Vec<_>>());
             let none = UStream::new(u.clone())
                 .filter(&Expr::lit(false))
                 .unwrap()
-                .select_positions(&pool, 64, true, None)
+                .select_positions(&pool, 64, None)
                 .unwrap();
             assert!(none.is_empty());
             // Rows a projection built have no source position.
             let projected = UStream::new(u.clone())
                 .project(&[ProjectItem::new(Expr::ColumnIdx(0), "k")])
                 .unwrap();
-            assert!(projected.select_positions(&pool, 64, true, None).is_err());
+            assert!(projected.select_positions(&pool, 64, None).is_err());
         }
     }
 

@@ -427,7 +427,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

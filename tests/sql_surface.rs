@@ -156,6 +156,75 @@ fn join_sugar_mixed_with_comma_sources() {
     assert_eq!(r.len(), 2); // bob under ann, dan under cat
 }
 
+/// Three tables whose join predicates chain `a — c — b`, so the greedy
+/// join order (a, c, b) differs from FROM order (a, b, c).
+fn abc() -> MayBms {
+    let mut db = MayBms::new();
+    db.run_script(
+        "create table a (x bigint, ax text);
+         create table b (y bigint, bv text);
+         create table c (x bigint, y bigint, cz text);
+         insert into a values (1, 'a1'), (2, 'a2');
+         insert into b values (10, 'b10'), (20, 'b20');
+         insert into c values (1, 10, 'c1'), (2, 20, 'c2'), (2, 10, 'c3');",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn select_star_follows_from_order() {
+    let mut db = abc();
+    let from_order = vec!["x", "ax", "y", "bv", "x", "y", "cz"];
+    let certain = "from a, b, c where a.x = c.x and b.y = c.y";
+    let uncertain = "from (pick tuples from a) a, (pick tuples from b) b, c \
+                     where a.x = c.x and b.y = c.y";
+    for from in [certain, uncertain] {
+        let r = db.query_uncertain(&format!("select * {from}")).unwrap();
+        assert_eq!(r.schema().names(), from_order, "select * {from}");
+        assert_eq!(r.len(), 3);
+        // Values travel with their columns: every row is a1|a2 … c1|c2|c3.
+        for t in r.tuples() {
+            assert!(t.data.value(1).as_str().unwrap().starts_with('a'), "{t:?}");
+            assert!(t.data.value(3).as_str().unwrap().starts_with('b'), "{t:?}");
+            assert!(t.data.value(6).as_str().unwrap().starts_with('c'), "{t:?}");
+        }
+        // Qualified wildcards pick the same columns, in select-list order.
+        let r = db.query_uncertain(&format!("select b.*, a.* {from}")).unwrap();
+        assert_eq!(r.schema().names(), vec!["y", "bv", "x", "ax"], "select b.*, a.* {from}");
+    }
+}
+
+#[test]
+fn join_on_is_a_fused_hash_probe() {
+    let mut db = abc();
+    // Data values plus the size of each row's condition, sorted: `pick
+    // tuples` draws fresh variables per statement, so variable ids differ
+    // between two runs of the same query but the shape may not.
+    let rows = |db: &mut MayBms, sql: &str| -> Vec<(String, usize)> {
+        let u = db.query_uncertain(sql).unwrap();
+        let mut rows: Vec<(String, usize)> = u
+            .tuples()
+            .iter()
+            .map(|t| (format!("{:?}", t.data.values()), t.wsd.len()))
+            .collect();
+        rows.sort();
+        rows
+    };
+    for (l, r, wsd_len) in [("a", "c", 0), ("(pick tuples from a) a", "(pick tuples from c) c", 2)] {
+        let on = format!("select * from {l} join {r} on a.x = c.x");
+        let StatementResult::Ok { message } = db.run(&format!("explain {on}")).unwrap() else {
+            panic!("EXPLAIN must return a message")
+        };
+        assert!(message.contains("hash probe"), "{message}");
+        assert!(message.contains("pipeline (hash-join build side)"), "{message}");
+        let joined = rows(&mut db, &on);
+        assert_eq!(joined, rows(&mut db, &format!("select * from {l}, {r} where a.x = c.x")), "{on}");
+        assert_eq!(joined.len(), 3);
+        assert!(joined.iter().all(|(_, n)| *n == wsd_len), "{joined:?}");
+    }
+}
+
 #[test]
 fn repair_key_inside_join_sugar() {
     let mut db = fresh();
