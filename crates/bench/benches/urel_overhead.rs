@@ -5,8 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maybms_bench::workloads::overhead_pair;
-use maybms_engine::{ops, BinaryOp, Expr};
-use maybms_urel::algebra;
+use maybms_engine::{BinaryOp, Expr};
+use maybms_pipe::UStream;
+use maybms_urel::URelation;
 
 fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("urel_overhead");
@@ -15,30 +16,27 @@ fn bench_overhead(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for rows in [1_000usize, 10_000] {
         let (certain, _wt, uncertain) = overhead_pair(21, rows, (rows / 10) as i64);
+        let certain = URelation::from_certain(&certain);
         let pred = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
-
-        // σ then self-⋈ on k, on the certain twin (plain engine).
-        group.bench_with_input(
-            BenchmarkId::new("certain_select_join", rows),
-            &rows,
-            |b, _| {
+        // σ then self-⋈ on k as one fused chain: the same engine over
+        // empty (certain twin) and non-empty (U-relational twin)
+        // condition columns.
+        for (name, u) in
+            [("certain_select_join", &certain), ("uncertain_select_join", &uncertain)]
+        {
+            group.bench_with_input(BenchmarkId::new(name, rows), &rows, |b, _| {
                 b.iter(|| {
-                    let f = ops::filter(&certain, &pred).unwrap();
-                    ops::hash_join(&f, &certain, &[0], &[0]).unwrap().len()
+                    UStream::new(u.clone())
+                        .filter(&pred)
+                        .unwrap()
+                        .hash_join(u.clone(), &[0], &[0])
+                        .unwrap()
+                        .collect()
+                        .unwrap()
+                        .len()
                 })
-            },
-        );
-        // The same plan on the U-relational twin (WSD bookkeeping).
-        group.bench_with_input(
-            BenchmarkId::new("uncertain_select_join", rows),
-            &rows,
-            |b, _| {
-                b.iter(|| {
-                    let f = algebra::select(&uncertain, &pred).unwrap();
-                    algebra::hash_join(&f, &uncertain, &[0], &[0]).unwrap().len()
-                })
-            },
-        );
+            });
+        }
     }
     group.finish();
 }

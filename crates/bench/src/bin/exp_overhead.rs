@@ -1,13 +1,15 @@
 //! E5 harness: relational processing on U-relations vs certain twins
 //! (ICDE'08 "Fast and Simple Relational Processing of Uncertain Data") —
-//! overhead of the WSD bookkeeping, with the represented world count shown
-//! to emphasise that time tracks representation size, not worlds.
+//! the same engine running the same σ → ⋈ chain over empty and non-empty
+//! condition columns, with the represented world count shown to emphasise
+//! that time tracks representation size, not worlds.
 
 use std::time::Instant;
 
 use maybms_bench::workloads::overhead_pair;
-use maybms_engine::{ops, BinaryOp, Expr};
-use maybms_urel::algebra;
+use maybms_engine::{BinaryOp, Expr};
+use maybms_pipe::UStream;
+use maybms_urel::URelation;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -22,21 +24,26 @@ fn main() {
     );
     for rows in [1_000usize, 5_000, 10_000, 50_000] {
         let (certain, _wt, uncertain) = overhead_pair(21, rows, (rows / 10) as i64);
+        let certain = URelation::from_certain(&certain);
         let pred = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
+        // σ then self-⋈ on k: one fused chain, timed end to end.
+        let run = |u: &URelation| {
+            let t0 = Instant::now();
+            let j = UStream::new(u.clone())
+                .filter(&pred)
+                .unwrap()
+                .hash_join(u.clone(), &[0], &[0])
+                .unwrap()
+                .collect()
+                .unwrap();
+            std::hint::black_box(j.len());
+            t0.elapsed().as_secs_f64() * 1e3
+        };
         let mut ct = Vec::new();
         let mut ut = Vec::new();
         for _ in 0..5 {
-            let t0 = Instant::now();
-            let f = ops::filter(&certain, &pred).unwrap();
-            let j = ops::hash_join(&f, &certain, &[0], &[0]).unwrap();
-            std::hint::black_box(j.len());
-            ct.push(t0.elapsed().as_secs_f64() * 1e3);
-
-            let t0 = Instant::now();
-            let f = algebra::select(&uncertain, &pred).unwrap();
-            let j = algebra::hash_join(&f, &uncertain, &[0], &[0]).unwrap();
-            std::hint::black_box(j.len());
-            ut.push(t0.elapsed().as_secs_f64() * 1e3);
+            ct.push(run(&certain));
+            ut.push(run(&uncertain));
         }
         let (c, u) = (median(ct), median(ut));
         println!("{:>8} {:>14.3} {:>14.3} {:>9.2}x {:>13}", rows, c, u, u / c, format!("2^{rows}"));

@@ -6,9 +6,11 @@
 //! * seed-faithful "naive" operators, reproducing the pre-refactor
 //!   algorithms exactly as the seed engine ran them — tuples
 //!   **deep-copied** at every operator boundary, `distinct` cloning every
-//!   surviving tuple twice, hash joins keyed by an owned `Vec<Value>` per
-//!   build *and* probe row. Correct, just allocation-heavy: the oracle
-//!   for the operator-equivalence tests (`tests/op_equiv.rs`).
+//!   surviving tuple twice, `repair key` grouping by an owned
+//!   `Vec<Value>` per row. Correct, just allocation-heavy: the oracle for
+//!   the operator-equivalence tests (`tests/op_equiv.rs`) and, applied per
+//!   enumerated world, for the possible-worlds commutation properties
+//!   (`tests/commutation.rs`).
 
 use std::collections::{HashMap, HashSet};
 
@@ -77,25 +79,6 @@ pub fn deep_clone(t: &Tuple) -> Tuple {
     Tuple::new(t.values().to_vec())
 }
 
-/// Deep copy of an uncertain row (data values and WSD assignment list).
-pub fn deep_clone_u(t: &UTuple) -> UTuple {
-    let wsd = maybms_urel::Wsd::from_assignments(t.wsd.assignments().to_vec())
-        .expect("existing WSD is satisfiable");
-    UTuple::new(deep_clone(&t.data), wsd)
-}
-
-/// Seed `filter`: clone every surviving tuple.
-pub fn filter(input: &Relation, predicate: &Expr) -> Result<Relation, EngineError> {
-    let bound = predicate.bind(input.schema())?;
-    let mut out = Vec::new();
-    for t in input.tuples() {
-        if bound.eval_predicate(t)? {
-            out.push(deep_clone(t));
-        }
-    }
-    Ok(Relation::new_unchecked(input.schema().clone(), out))
-}
-
 /// Seed `distinct`: the double clone (seen-set + output).
 pub fn distinct(input: &Relation) -> Relation {
     let mut seen = HashSet::with_capacity(input.len());
@@ -137,125 +120,6 @@ pub fn sort(input: &Relation, keys: &[ops::SortKey]) -> Result<Relation, EngineE
         .map(|(_, i)| deep_clone(&input.tuples()[i]))
         .collect();
     Ok(Relation::new_unchecked(input.schema().clone(), tuples))
-}
-
-/// The seed's key extractor: an owned `Vec<Value>` per row, `None` on any
-/// NULL key.
-fn key_of(values: &[Value], keys: &[usize]) -> Option<Vec<Value>> {
-    let mut k = Vec::with_capacity(keys.len());
-    for &i in keys {
-        let v = &values[i];
-        if v.is_null() {
-            return None;
-        }
-        k.push(v.clone());
-    }
-    Some(k)
-}
-
-/// Seed `hash_join` over certain relations: `Vec<Value>`-keyed build
-/// table, build on the smaller side.
-pub fn hash_join(
-    left: &Relation,
-    right: &Relation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> Result<Relation, EngineError> {
-    let schema = std::sync::Arc::new(left.schema().join(right.schema()));
-    let (build, probe, build_keys, probe_keys, build_is_left) = if left.len() <= right.len() {
-        (left, right, left_keys, right_keys, true)
-    } else {
-        (right, left, right_keys, left_keys, false)
-    };
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(build.len());
-    for t in build.tuples() {
-        if let Some(k) = key_of(t.values(), build_keys) {
-            table.entry(k).or_default().push(t);
-        }
-    }
-    let mut out = Vec::new();
-    for p in probe.tuples() {
-        let Some(k) = key_of(p.values(), probe_keys) else { continue };
-        if let Some(matches) = table.get(&k) {
-            for b in matches {
-                out.push(if build_is_left { b.concat(p) } else { p.concat(b) });
-            }
-        }
-    }
-    Ok(Relation::new_unchecked(schema, out))
-}
-
-/// Seed U-relational σ: clone every surviving `UTuple` (data + WSD).
-pub fn select_u(input: &URelation, predicate: &Expr) -> maybms_urel::Result<URelation> {
-    let bound = predicate.bind(input.schema())?;
-    let mut out = Vec::new();
-    for t in input.tuples() {
-        if bound.eval_predicate(&t.data)? {
-            out.push(deep_clone_u(t));
-        }
-    }
-    Ok(URelation::new(input.schema().clone(), out))
-}
-
-/// Seed U-relational hash ⋈: `Vec<Value>` keys, WSD conjunction per
-/// surviving pair.
-pub fn hash_join_u(
-    left: &URelation,
-    right: &URelation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> maybms_urel::Result<URelation> {
-    let schema = std::sync::Arc::new(left.schema().join(right.schema()));
-    let mut table: HashMap<Vec<Value>, Vec<&UTuple>> = HashMap::with_capacity(left.len());
-    for t in left.tuples() {
-        if let Some(k) = key_of(t.data.values(), left_keys) {
-            table.entry(k).or_default().push(t);
-        }
-    }
-    let mut out = Vec::new();
-    for r in right.tuples() {
-        let Some(k) = key_of(r.data.values(), right_keys) else { continue };
-        if let Some(matches) = table.get(&k) {
-            for l in matches {
-                if let Some(wsd) = l.wsd.conjoin(&r.wsd) {
-                    // The seed conjoin heap-allocated a fresh
-                    // `Vec<Assignment>` per output row; reconstruct the
-                    // WSD through the Vec path to reproduce that cost.
-                    let wsd = maybms_urel::Wsd::from_assignments(
-                        wsd.assignments().to_vec(),
-                    )
-                    .expect("conjoined WSD is satisfiable");
-                    out.push(UTuple::new(l.data.concat(&r.data), wsd));
-                }
-            }
-        }
-    }
-    Ok(URelation::new(schema, out))
-}
-
-/// Seed nested-loop ⋈ over U-relations (predicate oracle for the property
-/// tests: every hashed equi-join must agree with it as a bag).
-pub fn nested_loop_join_u(
-    left: &URelation,
-    right: &URelation,
-    predicate: Option<&Expr>,
-) -> maybms_urel::Result<URelation> {
-    let schema = std::sync::Arc::new(left.schema().join(right.schema()));
-    let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
-    let mut out = Vec::new();
-    for l in left.tuples() {
-        for r in right.tuples() {
-            let Some(wsd) = l.wsd.conjoin(&r.wsd) else { continue };
-            let data = l.data.concat(&r.data);
-            if let Some(p) = &bound {
-                if !p.eval_predicate(&data)? {
-                    continue;
-                }
-            }
-            out.push(UTuple::new(data, wsd));
-        }
-    }
-    Ok(URelation::new(schema, out))
 }
 
 /// Seed `repair key`: SipHash `Vec<Value>`-keyed grouping, deep-cloned
@@ -371,34 +235,4 @@ pub fn pick_tuples(
         out.push(UTuple::new(deep_clone(t), wsd));
     }
     Ok(URelation::new(input.schema().clone(), out))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use maybms_engine::{rel, BinaryOp, DataType};
-
-    #[test]
-    fn naive_ops_agree_with_engine_ops() {
-        let r = rel(
-            &[("k", DataType::Int), ("v", DataType::Int)],
-            vec![
-                vec![1.into(), 10.into()],
-                vec![2.into(), 20.into()],
-                vec![1.into(), 10.into()],
-                vec![Value::Null, 5.into()],
-            ],
-        );
-        let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(5i64));
-        assert_eq!(
-            filter(&r, &pred).unwrap().tuples(),
-            ops::filter(&r, &pred).unwrap().tuples()
-        );
-        assert_eq!(distinct(&r).tuples(), ops::distinct(&r).tuples());
-        let mut a = hash_join(&r, &r, &[0], &[0]).unwrap().into_tuples();
-        let mut b = ops::hash_join(&r, &r, &[0], &[0]).unwrap().into_tuples();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
 }

@@ -1,16 +1,17 @@
-//! Operator-equivalence property tests for the zero-clone execution core.
+//! Operator-equivalence property tests: the breakers and the
+//! hypothesis-space constructs against their seed-faithful twins.
 //!
-//! The optimized operators (selection vectors, hashed join keys, batched
-//! row buffers, inline WSDs) must agree tuple-for-tuple with the
-//! seed-faithful naive implementations in `maybms_bench::naive` — exactly
-//! (order included) for order-defined operators (σ, distinct, sort), and
-//! as bags for joins. Inputs include NULL join keys (which must never
-//! match) and conflicting WSDs (whose join pairs must be dropped as
-//! unsatisfiable).
+//! The sort breaker, `DISTINCT` on the group breaker, `repair key` and
+//! `pick tuples` must agree tuple-for-tuple — order included — with the
+//! naive implementations in `maybms_bench::naive`. Inputs include NULLs
+//! and cross-type numeric duplicates (1 == 1.0). (σ/π/⋈ against the
+//! oracle is `pipe_equiv::ustream_chain_matches_oracle` and `vec_equiv`.)
 
 use maybms_bench::naive;
-use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
-use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
+use maybms_core::agg;
+use maybms_engine::{ops, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_pipe::{breaker, UStream};
+use maybms_urel::{URelation, WorldTable};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -48,123 +49,36 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
-/// A world table with three small variables plus a U-relation whose WSDs
-/// mention them — self-joins hit conflicting assignments (unsatisfiable
-/// conjunctions that the join must drop).
-fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
-    (
-        prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..16),
-        prop::collection::vec(prop::collection::vec((0u32..3, 0u16..2), 0..3), 0..16),
-    )
-        .prop_map(|(rows, raw_wsds)| {
-            let mut wt = WorldTable::new();
-            for _ in 0..3 {
-                wt.new_var(&[0.5, 0.5]).unwrap();
-            }
-            let tuples = rows
-                .into_iter()
-                .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
-                .map(|((k, v, s), raw)| {
-                    let wsd = Wsd::from_assignments(
-                        raw.into_iter()
-                            .map(|(v, a)| Assignment::new(Var(v), a))
-                            .collect(),
-                    )
-                    .unwrap_or_else(Wsd::tautology);
-                    UTuple::new(Tuple::new(vec![k, v, s]), wsd)
-                })
-                .collect();
-            (wt, URelation::new(schema3(), tuples))
-        })
-}
-
-fn bag(r: &Relation) -> Vec<Tuple> {
-    let mut v = r.tuples().to_vec();
-    v.sort();
-    v
-}
-
-fn ubag(u: &URelation) -> Vec<(Tuple, Wsd)> {
-    let mut v: Vec<(Tuple, Wsd)> =
-        u.tuples().iter().map(|t| (t.data.clone(), t.wsd.clone())).collect();
-    v.sort();
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// σ: selection-vector filter equals the cloning filter, order and all.
-    #[test]
-    fn filter_matches_naive(r in arb_relation()) {
-        let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(1i64));
-        let a = ops::filter(&r, &pred).unwrap();
-        let b = naive::filter(&r, &pred).unwrap();
-        prop_assert_eq!(a.tuples(), b.tuples());
-    }
-
-    /// distinct: index-dedup equals the double-clone dedup, order included.
+    /// DISTINCT — the group breaker with no aggregates — equals the
+    /// double-clone dedup, first-seen order included.
     #[test]
     fn distinct_matches_naive(r in arb_relation()) {
-        prop_assert_eq!(ops::distinct(&r).tuples(), naive::distinct(&r).tuples());
+        let keys: Vec<Expr> = (0..r.schema().len()).map(Expr::ColumnIdx).collect();
+        let got = agg::aggregate_stream(
+            UStream::new(URelation::from_certain(&r)),
+            &keys,
+            keys.len(),
+            r.schema().fields().to_vec(),
+            &[],
+            &WorldTable::new(),
+            &agg::ConfContext::default(),
+            None,
+        )
+        .unwrap();
+        prop_assert_eq!(got.tuples(), naive::distinct(&r).tuples());
     }
 
-    /// sort: gather-based sort equals the clone-based sort exactly
-    /// (stability included).
+    /// sort: the decorated-key sort breaker equals the clone-based sort
+    /// exactly (stability included).
     #[test]
     fn sort_matches_naive(r in arb_relation()) {
         let keys = [ops::SortKey::desc(Expr::col("v")), ops::SortKey::asc(Expr::col("k"))];
-        let a = ops::sort(&r, &keys).unwrap();
+        let a = breaker::sort(&URelation::from_certain(&r), &keys).unwrap().into_certain();
         let b = naive::sort(&r, &keys).unwrap();
         prop_assert_eq!(a.tuples(), b.tuples());
-    }
-
-    /// Hashed join equals the Vec-keyed join as a bag, including NULL join
-    /// keys (never match) and cross-type numeric keys (1 == 1.0).
-    #[test]
-    fn hash_join_matches_naive(l in arb_relation(), r in arb_relation()) {
-        let a = ops::hash_join(&l, &r, &[0], &[0]).unwrap();
-        let b = naive::hash_join(&l, &r, &[0], &[0]).unwrap();
-        prop_assert_eq!(bag(&a), bag(&b));
-    }
-
-    /// Hashed join also equals a nested-loop join with the equivalent
-    /// equality predicate (independent oracle).
-    #[test]
-    fn hash_join_matches_nested_loop(l in arb_relation(), r in arb_relation()) {
-        let a = ops::hash_join(&l, &r, &[0], &[0]).unwrap();
-        let pred = Expr::ColumnIdx(0).eq(Expr::ColumnIdx(3));
-        let b = ops::nested_loop_join(&l, &r, Some(&pred)).unwrap();
-        prop_assert_eq!(bag(&a), bag(&b));
-    }
-
-    /// U-relational σ: selection vector equals deep-clone select.
-    #[test]
-    fn select_u_matches_naive((_wt, u) in arb_urelation()) {
-        let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(1i64));
-        let a = algebra::select(&u, &pred).unwrap();
-        let b = naive::select_u(&u, &pred).unwrap();
-        prop_assert_eq!(ubag(&a), ubag(&b));
-    }
-
-    /// U-relational hashed join equals the Vec-keyed join as a bag of
-    /// (data, wsd) pairs — WSD conjunction and unsatisfiable-pair drops
-    /// included.
-    #[test]
-    fn hash_join_u_matches_naive((_wt, u) in arb_urelation(), (_w2, u2) in arb_urelation()) {
-        let a = algebra::hash_join(&u, &u2, &[0], &[0]).unwrap();
-        let b = naive::hash_join_u(&u, &u2, &[0], &[0]).unwrap();
-        prop_assert_eq!(ubag(&a), ubag(&b));
-    }
-
-    /// U-relational hashed self-join equals the nested-loop translation —
-    /// self-joins maximise conflicting-WSD pairs.
-    #[test]
-    fn hash_join_u_self_matches_nested_loop((_wt, u) in arb_urelation()) {
-        let a = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
-        let pred = Expr::ColumnIdx(0).eq(Expr::ColumnIdx(3));
-        let b = naive::nested_loop_join_u(&u, &u, Some(&pred)).unwrap();
-        prop_assert_eq!(ubag(&a), ubag(&b));
     }
 
     /// repair key: the optimized construction (scratch grouping, inline

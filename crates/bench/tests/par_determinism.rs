@@ -4,15 +4,17 @@
 //! the sequential path — same tuples, same order, same WSDs, bit-equal
 //! confidence values — at any thread count. These properties check that
 //! promise on explicit 1/2/8-thread pools with chunk sizes small enough
-//! that tiny random inputs really split across tasks, over the same
-//! adversarial input families as `op_equiv.rs`: NULL join keys (which
-//! must never match), cross-type numeric keys (1 == 1.0), and
-//! conflicting WSDs (whose join pairs must drop as unsatisfiable).
+//! that tiny random inputs really split across tasks, over adversarial
+//! input families: NULL join keys (which must never match), cross-type
+//! numeric keys (1 == 1.0), and conflicting WSDs (whose join pairs must
+//! drop as unsatisfiable). (σ/π/⋈ chains at 1/2/8 threads against the
+//! scalar oracle are `pipe_equiv.rs` and `vec_equiv.rs`.)
 
 use maybms_conf::{dklr, exact, karp_luby::KarpLuby, Dnf};
 use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
-use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
+use maybms_pipe::UStream;
+use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -128,45 +130,6 @@ fn arb_dnf() -> impl Strategy<Value = (WorldTable, Dnf)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// σ: the chunk-parallel selection vector equals the sequential scan,
-    /// order included, at 1/2/8 threads.
-    #[test]
-    fn par_filter_identical(r in arb_relation()) {
-        let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(1i64));
-        let seq = ops::filter(&r, &pred).unwrap();
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let par = ops::filter_with(&r, &pred, &pool, TINY_CHUNK).unwrap();
-            prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
-        }
-    }
-
-    /// ⋈: the partitioned-build / chunked-probe join equals the
-    /// sequential join tuple-for-tuple (order included), NULL keys and
-    /// cross-type numeric keys included.
-    #[test]
-    fn par_hash_join_identical(l in arb_relation(), r in arb_relation()) {
-        let seq = ops::hash_join(&l, &r, &[0], &[0]).unwrap();
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let par = ops::hash_join_with(&l, &r, &[0], &[0], &pool, TINY_CHUNK).unwrap();
-            prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
-        }
-    }
-
-    /// Multi-column keys take the generic (non-columnar) path; it must be
-    /// deterministic too.
-    #[test]
-    fn par_hash_join_two_keys_identical(l in arb_relation(), r in arb_relation()) {
-        let seq = ops::hash_join(&l, &r, &[0, 1], &[0, 1]).unwrap();
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let par =
-                ops::hash_join_with(&l, &r, &[0, 1], &[0, 1], &pool, TINY_CHUNK).unwrap();
-            prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
-        }
-    }
-
     /// Grouping: chunk-local groups merged in chunk order equal the
     /// sequential first-seen key order and ascending member lists.
     #[test]
@@ -177,31 +140,6 @@ proptest! {
             let pool = ThreadPool::new(threads);
             let par = ops::group_indices_with(&r, &exprs, &pool, TINY_CHUNK).unwrap();
             prop_assert_eq!(&seq, &par, "threads = {}", threads);
-        }
-    }
-
-    /// U-relational σ: WSDs ride along unchanged, order preserved.
-    #[test]
-    fn par_select_u_identical((_wt, u) in arb_urelation()) {
-        let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(1i64));
-        let seq = algebra::select(&u, &pred).unwrap();
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let par = algebra::select_with(&u, &pred, &pool, TINY_CHUNK).unwrap();
-            prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
-        }
-    }
-
-    /// U-relational self-⋈: conflicting WSDs (unsatisfiable conjunctions)
-    /// drop identically in the parallel probe, and surviving (data, wsd)
-    /// pairs come out in the sequential order.
-    #[test]
-    fn par_hash_join_u_identical((_wt, u) in arb_urelation()) {
-        let seq = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let par = algebra::hash_join_with(&u, &u, &[0], &[0], &pool, TINY_CHUNK).unwrap();
-            prop_assert_eq!(seq.tuples(), par.tuples(), "threads = {}", threads);
         }
     }
 
@@ -228,7 +166,6 @@ proptest! {
     /// side of the determinism contract).
     #[test]
     fn instrumented_ustream_stats_identical((_wt, u) in arb_urelation()) {
-        use maybms_pipe::UStream;
         let pred = Expr::col("v").binary(BinaryOp::Gt, Expr::lit(0i64));
         let build_stream = || {
             UStream::new(u.clone())
@@ -282,8 +219,27 @@ proptest! {
     }
 }
 
+/// The self-join of `u` on column 0 as a probe stage, at 1/2/8 threads
+/// with single-row morsels; asserts every run returns the same rows.
+fn self_join(u: &URelation) -> URelation {
+    let runs: Vec<URelation> = THREADS
+        .iter()
+        .map(|&threads| {
+            UStream::new(u.clone())
+                .hash_join(u.clone(), &[0], &[0])
+                .unwrap()
+                .collect_with(&ThreadPool::new(threads), 1, None)
+                .unwrap()
+        })
+        .collect();
+    for (run, threads) in runs.iter().zip(THREADS) {
+        assert_eq!(run.tuples(), runs[0].tuples(), "threads = {threads}");
+    }
+    runs[0].clone()
+}
+
 /// Non-property check: an unsatisfiable self-join pair (x↦0 ∧ x↦1) must
-/// drop in both paths — the `op_equiv.rs` edge case, pinned explicitly.
+/// drop at every thread count.
 #[test]
 fn unsatisfiable_wsd_pairs_drop_in_parallel_join() {
     let mut wt = WorldTable::new();
@@ -296,13 +252,10 @@ fn unsatisfiable_wsd_pairs_drop_in_parallel_join() {
             UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1)),
         ],
     );
-    let seq = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
-    assert_eq!(seq.len(), 2, "only the self-consistent pairs survive");
-    for threads in THREADS {
-        let pool = ThreadPool::new(threads);
-        let par = algebra::hash_join_with(&u, &u, &[0], &[0], &pool, 1).unwrap();
-        assert_eq!(seq.tuples(), par.tuples(), "threads = {threads}");
-    }
+    let joined = self_join(&u);
+    assert_eq!(joined.len(), 2, "only the self-consistent pairs survive");
+    assert_eq!(joined.tuples()[0].wsd, Wsd::of(x, 0));
+    assert_eq!(joined.tuples()[1].wsd, Wsd::of(x, 1));
 }
 
 /// NULL keys never match, in parallel exactly as sequentially.
@@ -312,11 +265,5 @@ fn null_keys_never_match_in_parallel_join() {
         &[("k", DataType::Int)],
         vec![vec![Value::Null], vec![Value::Null], vec![1.into()], vec![1.into()]],
     );
-    let seq = ops::hash_join(&r, &r, &[0], &[0]).unwrap();
-    assert_eq!(seq.len(), 4, "2×2 non-NULL pairs only");
-    for threads in THREADS {
-        let pool = ThreadPool::new(threads);
-        let par = ops::hash_join_with(&r, &r, &[0], &[0], &pool, 1).unwrap();
-        assert_eq!(seq.tuples(), par.tuples(), "threads = {threads}");
-    }
+    assert_eq!(self_join(&URelation::from_certain(&r)).len(), 4, "2×2 non-NULL pairs only");
 }

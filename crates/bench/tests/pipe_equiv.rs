@@ -7,8 +7,7 @@
 //!   `CAST`, raising arithmetic), so the row-at-a-time walk keeps
 //!   property coverage;
 //! * the streaming grouped-aggregation breaker ≡ materialising the chain
-//!   with `urel::algebra` and running the two-pass group + aggregate
-//!   path.
+//!   and running the two-pass group + aggregate path.
 //!
 //! Data has NULL join keys, cross-type numeric duplicates (`1 == 1.0`),
 //! a text column, and conflicting WSDs whose join conjunctions are
@@ -29,7 +28,7 @@ use maybms_engine::ops::ProjectItem;
 use maybms_engine::{BinaryOp, DataType, Expr, Field, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
-use maybms_urel::{algebra, Assignment, URelation, UTuple, Var, WorldTable, Wsd};
+use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 
 /// Per-stage `(label, rows_in, rows_out, build_rows)` fingerprint of an
@@ -68,7 +67,7 @@ fn query_fingerprint(
 }
 
 // ---------------------------------------------------------------------
-// UStream chains vs the scalar oracle, and vs the algebra sequence
+// UStream chains vs the scalar oracle
 // ---------------------------------------------------------------------
 
 /// One chain-building token: `(opcode, a, b)`.
@@ -150,13 +149,16 @@ fn build_steps(u1: &URelation, u2: &URelation, tokens: &[Token]) -> Vec<Step> {
                 numeric = (0..arity).map(|i| numeric[rotate(i)]).collect();
             }
             3 | 4 => {
-                // Probe u2, or u1 itself for a self-join's conflicting WSDs.
+                // Probe u2, or u1 itself for a self-join's conflicting
+                // WSDs — on one key column (the columnar single-key hash)
+                // or on two (the generic key-slice hash).
                 let build = if b % 2 == 0 { u2 } else { u1 };
-                steps.push(Step::Probe {
-                    build: build.clone(),
-                    left_keys: vec![a as usize % arity],
-                    right_keys: vec![0],
-                });
+                let lk = a as usize % arity;
+                let (left_keys, right_keys) = match op % 8 {
+                    3 => (vec![lk], vec![0]),
+                    _ => (vec![lk, (lk + 1) % arity], vec![0, 1]),
+                };
+                steps.push(Step::Probe { build: build.clone(), left_keys, right_keys });
                 numeric.extend([true, true, false]);
             }
             5 => steps.push(Step::Filter(Expr::Case {
@@ -199,16 +201,10 @@ struct UChain {
     numeric: Vec<bool>,
 }
 
-/// Fold tokens into both the eager algebra chain and the lazy stream.
-/// Returns `(materialized, stream, per-column numeric-or-NULL flags)`;
-/// both sides built from identical stages.
-fn build_uchain(
-    u1: &URelation,
-    u2: &URelation,
-    tokens: &[Token],
-) -> (URelation, UStream, Vec<bool>) {
+/// Fold tokens into a lazy stream. Returns `(stream, per-column
+/// numeric-or-NULL flags)`.
+fn build_uchain(u1: &URelation, u2: &URelation, tokens: &[Token]) -> (UStream, Vec<bool>) {
     let mut info = UChain { numeric: vec![true, true, false] };
-    let mut eager = u1.clone();
     let mut lazy = UStream::new(u1.clone());
     for &(op, a, b) in tokens {
         let arity = info.numeric.len();
@@ -227,7 +223,6 @@ fn build_uchain(
                 } else {
                     Expr::IsNull { expr: Box::new(Expr::ColumnIdx(idx)), negated: true }
                 };
-                eager = algebra::select(&eager, &pred).unwrap();
                 lazy = lazy.filter(&pred).unwrap();
             }
             1 => {
@@ -243,7 +238,6 @@ fn build_uchain(
                     .collect();
                 info.numeric =
                     (0..arity).map(|i| info.numeric[(i + a as usize) % arity]).collect();
-                eager = algebra::project(&eager, &items).unwrap();
                 lazy = lazy.project(&items).unwrap();
             }
             _ => {
@@ -251,14 +245,13 @@ fn build_uchain(
                 // conflicting WSDs); the stream is the probe side.
                 let build = if b % 2 == 0 { u2 } else { u1 };
                 let lk = a as usize % arity;
-                eager = algebra::hash_join(&eager, build, &[lk], &[0]).unwrap();
                 lazy = lazy.hash_join(build.clone(), &[lk], &[0]).unwrap();
                 info.numeric.extend([true, true, false]);
             }
         }
     }
     let UChain { numeric } = info;
-    (eager, lazy, numeric)
+    (lazy, numeric)
 }
 
 proptest! {
@@ -308,7 +301,8 @@ proptest! {
         key_pick in 0u8..3,
         agg_pick in 0u8..4,
     ) {
-        let (eager, _, numeric) = build_uchain(&u1, &u2, &tokens);
+        let (chain, numeric) = build_uchain(&u1, &u2, &tokens);
+        let eager = chain.collect().unwrap();
         // Group keys: global (none), one key, or a duplicated key pair
         // (the same expression selected twice).
         let k0 = Expr::ColumnIdx(0);
@@ -355,7 +349,7 @@ proptest! {
         let mut fingerprints = Vec::new();
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let (_, stream, _) = build_uchain(&u1, &u2, &tokens);
+            let (stream, _) = build_uchain(&u1, &u2, &tokens);
             let qs = maybms_obs::QueryStats::new();
             let got = uagg::aggregate_stream_with(
                 stream,

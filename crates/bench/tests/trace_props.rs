@@ -15,6 +15,9 @@
 //! 3. **Pipeline agreement** — the number of `pipeline` spans under a
 //!    statement root equals `QueryStats::pipeline_count()`, i.e. what
 //!    `EXPLAIN ANALYZE` reports for the same statement.
+//! 4. **Breakers are visible** — every sort, union, cross-product and
+//!    limit breaker is one `breaker` span (attrs `kind`, `rows_in`,
+//!    `rows_out`), at any thread count.
 //!
 //! The ring sink and the enable flag are process-wide, so every test in
 //! this binary serialises on one mutex and filters spans by root id
@@ -212,6 +215,61 @@ fn span_tree_shape_identical_across_thread_counts() {
     maybms_par::set_threads(before);
     assert_eq!(shapes[0], shapes[1], "span-tree shape differs, 2 threads vs 1");
     assert_eq!(shapes[0], shapes[2], "span-tree shape differs, 8 threads vs 1");
+}
+
+/// Property 4 (and 3 again): a statement with UNION, ORDER BY and LIMIT
+/// holds exactly one `breaker` span per breaker under its root, carrying
+/// the cardinalities `EXPLAIN ANALYZE` prints, at 1/2/8 threads — and
+/// its `pipeline` spans (the two blocks, the UNION dedup and the HAVING
+/// filter) still agree with `QueryStats::pipeline_count()`.
+#[test]
+fn each_breaker_is_one_span_at_any_thread_count() {
+    use maybms_obs::trace::AttrValue;
+    let _guard = TRACE_TEST_LOCK.lock().unwrap();
+    let sql = "select face, count(*) as n from coin group by face having n > 1 \
+               union select face, toss from coin where toss = 2 \
+               order by n desc, face limit 2";
+    let before = maybms_par::current_threads();
+    for threads in THREADS {
+        maybms_par::set_threads(threads);
+        let mut db = seeded_db();
+        let (spans, pipeline_count) = traced_run(&mut db, sql);
+        let root = assert_well_formed(&spans);
+        let pipelines = spans.iter().filter(|s| s.label == "pipeline").count();
+        assert_eq!(pipelines, pipeline_count, "threads = {threads}");
+        assert_eq!(pipeline_count, 4, "group, having, second block, union dedup");
+        let attr = |s: &SpanRecord, key: &str| -> AttrValue {
+            s.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v).unwrap_or_else(|| {
+                panic!("breaker span lacks `{key}`: {:?}", s.attrs)
+            })
+        };
+        let mut breakers: Vec<(String, u64, u64)> = spans
+            .iter()
+            .filter(|s| s.label == "breaker")
+            .map(|s| {
+                assert_eq!(s.root, root.id);
+                let (AttrValue::Uint(rows_in), AttrValue::Uint(rows_out)) =
+                    (attr(s, "rows_in"), attr(s, "rows_out"))
+                else {
+                    panic!("breaker cardinalities are counts: {:?}", s.attrs)
+                };
+                (attr(s, "kind").to_string(), rows_in, rows_out)
+            })
+            .collect();
+        breakers.sort();
+        // (heads, 2) and (tails, 2) pass HAVING; toss 2 adds them again
+        // plus (edge, 2): 5 rows union, dedup to 3, sort 3, keep 2.
+        assert_eq!(
+            breakers,
+            vec![
+                ("limit".to_string(), 3, 2),
+                ("sort".to_string(), 3, 3),
+                ("union".to_string(), 5, 5),
+            ],
+            "threads = {threads}"
+        );
+    }
+    maybms_par::set_threads(before);
 }
 
 /// DML and DDL statements get statement roots too (the latency windows

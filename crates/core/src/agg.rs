@@ -36,6 +36,11 @@ const STD_ON_UNCERTAIN: &str = "standard SQL aggregates (sum/count/avg/min/max) 
                                 or conf (§2.2)";
 /// §2.2 typing rule for `argmax` (same mechanism).
 const ARGMAX_ON_UNCERTAIN: &str = "argmax requires a t-certain input relation (§2.2)";
+/// §2.2 typing rule for a grouping that computes no aggregate — `SELECT
+/// DISTINCT`, and `GROUP BY` with only keys selected (same mechanism).
+const DISTINCT_ON_UNCERTAIN: &str = "SELECT DISTINCT (or GROUP BY without an aggregate) is \
+                                     not supported on uncertain relations (§2.2); use \
+                                     `select possible` or a confidence aggregate";
 /// Prefix of the esum type error, shared between the materialising and
 /// streaming paths (and the error remap) so the wording cannot drift.
 const ESUM_NON_NUMERIC: &str = "esum over non-numeric value";
@@ -410,6 +415,7 @@ fn remap_stream_err(e: UrelError) -> CoreError {
     if let UrelError::Engine(EngineError::TypeMismatch { message }) = &e {
         if message == STD_ON_UNCERTAIN
             || message == ARGMAX_ON_UNCERTAIN
+            || message == DISTINCT_ON_UNCERTAIN
             || message.starts_with(ESUM_NON_NUMERIC)
         {
             return typing(message.clone());
@@ -432,7 +438,11 @@ fn remap_stream_err(e: UrelError) -> CoreError {
 ///
 /// `grouping` are the bound group-key expressions; only the first
 /// `n_out_keys` of them are output columns (named by `key_fields`), the
-/// rest are grouped-but-not-selected.
+/// rest are grouped-but-not-selected. With no aggregates this is
+/// `DISTINCT` over the keys, in first-seen order — defined on t-certain
+/// rows only: deduplicating conditioned rows would need conditions beyond
+/// per-tuple conjunctions (§2.2), so a row whose WSD is not a tautology is
+/// a typing error.
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_stream(
     stream: UStream,
@@ -457,6 +467,15 @@ pub fn aggregate_stream(
         &pool,
         maybms_engine::ops::PAR_MIN_CHUNK,
     )
+}
+
+/// Why a pipeline feeding the group breaker breaks — the label `EXPLAIN`
+/// and `EXPLAIN ANALYZE` print for it.
+pub(crate) fn stream_label(keys: usize, aggs: usize) -> String {
+    match aggs {
+        0 => format!("distinct (streaming, {keys} keys)"),
+        _ => format!("grouped aggregation (streaming, {keys} keys, {aggs} aggs)"),
+    }
 }
 
 /// [`aggregate_stream`] on an explicit pool and minimum morsel size
@@ -493,6 +512,12 @@ pub fn aggregate_stream_with(
     let new_state =
         || StreamAcc { wsds: Vec::new(), parts: aggs.iter().map(|(s, _)| Partial::new(s)).collect() };
     let fold = |acc: &mut StreamAcc, row: &[Value], wsd: &Wsd| -> maybms_urel::Result<()> {
+        if aggs.is_empty() && !wsd.is_tautology() {
+            return Err(EngineError::TypeMismatch {
+                message: DISTINCT_ON_UNCERTAIN.to_string(),
+            }
+            .into());
+        }
         if needs_wsds {
             acc.wsds.push(wsd.clone());
         }
@@ -587,11 +612,7 @@ pub fn aggregate_stream_with(
         Ok(())
     };
     let pipe_stats = stats.map(|qs| {
-        let ps = Arc::new(stream.stats_skeleton(format!(
-            "grouped aggregation (streaming, {} keys, {} aggs)",
-            grouping.len(),
-            aggs.len()
-        )));
+        let ps = Arc::new(stream.stats_skeleton(stream_label(grouping.len(), aggs.len())));
         qs.register_pipeline(ps.clone());
         ps
     });
@@ -730,14 +751,14 @@ fn eval_std(
     func: AggFunc,
     arg: Option<&Expr>,
 ) -> Result<Value> {
-    // Reuse the engine's aggregate by materialising the group.
-    let rel = Relation::new_unchecked(
-        u.schema().clone(),
-        members.iter().map(|&i| u.tuples()[i].data.clone()).collect(),
-    );
-    let call = maybms_engine::ops::AggCall::new(func, arg.cloned(), "v");
-    let out = maybms_engine::ops::aggregate(&rel, &[], &[], std::slice::from_ref(&call))?;
-    Ok(out.tuples()[0].value(0).clone())
+    let mut state = AggState::new(func);
+    for &i in members {
+        match arg {
+            None => state.fold_present(),
+            Some(e) => state.fold(&e.eval(&u.tuples()[i].data)?)?,
+        }
+    }
+    Ok(state.finish()?)
 }
 
 fn eval_argmax(

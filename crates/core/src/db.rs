@@ -22,7 +22,7 @@ use maybms_urel::{URelation, UTuple, WorldTable};
 
 use crate::agg::ConfContext;
 use crate::error::{plan_err, unsupported, CoreError, Result};
-use crate::exec::{eval_query, ExecCtx, QueryOutput};
+use crate::exec::{eval_query, eval_query_rel, ExecCtx, PlanStep, QueryOutput};
 use crate::translate::{data_type_of, scalar};
 
 /// Result of running one statement.
@@ -467,25 +467,34 @@ impl MayBms {
                 let t0 = std::time::Instant::now();
                 let out = eval_query(query, &mut ctx)?;
                 let elapsed = t0.elapsed();
+                let plan = ctx.trace.take().unwrap_or_default();
                 if *analyze {
                     stats.scalar_fallbacks.add(
                         m.scalar_fallbacks.get().saturating_sub(fallbacks_before),
                     );
                     return Ok(StatementResult::Ok {
-                        message: render_analyze(query, stats, &out, elapsed),
+                        message: render_analyze(query, &plan, stats, &out, elapsed),
                     });
                 }
-                let pipelines = ctx.trace.take().unwrap_or_default();
                 let mut message = format!("EXPLAIN {query}\n");
                 message.push_str(
                     "pipeline decomposition (morsel-driven executor, executed):\n",
                 );
-                for (i, p) in pipelines.iter().enumerate() {
-                    for (j, line) in p.lines().enumerate() {
-                        if j == 0 {
-                            message.push_str(&format!("#{} {line}\n", i + 1));
-                        } else {
-                            message.push_str(&format!("   {line}\n"));
+                let mut pipelines = 0;
+                for step in &plan {
+                    match step {
+                        PlanStep::Pipeline(p) => {
+                            pipelines += 1;
+                            for (j, line) in p.lines().enumerate() {
+                                if j == 0 {
+                                    message.push_str(&format!("#{pipelines} {line}\n"));
+                                } else {
+                                    message.push_str(&format!("   {line}\n"));
+                                }
+                            }
+                        }
+                        PlanStep::Breaker { what, .. } => {
+                            message.push_str(&format!("breaker: {what}\n"));
                         }
                     }
                 }
@@ -508,7 +517,7 @@ impl MayBms {
             Statement::CreateTableAs { name, query } => {
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, self.conf);
                 ctx.stats = Some(stats.clone());
-                let out = eval_query(query, &mut ctx)?.into_urelation();
+                let out = eval_query_rel(query, &mut ctx)?;
                 self.register_u(name, out)?;
                 Ok(StatementResult::Ok { message: "CREATE TABLE AS".into() })
             }
@@ -748,16 +757,28 @@ fn check_cell_type(field: &Field, v: &Value) -> Result<()> {
 
 /// Render the measured side of `EXPLAIN ANALYZE`: per-pipeline wall time
 /// and morsel counts, per-stage `[in, out]` row counts (plus hash-join
-/// build sizes and group counts), and the confidence-estimator effort.
+/// build sizes and group counts), each breaker's rows in and out, and
+/// the confidence-estimator effort. `plan` lists the steps in execution
+/// order; its pipelines are `stats`' pipelines, one for one.
 fn render_analyze(
     query: &maybms_sql::Query,
+    plan: &[PlanStep],
     stats: &maybms_obs::QueryStats,
     out: &QueryOutput,
     elapsed: std::time::Duration,
 ) -> String {
     let mut s = format!("EXPLAIN ANALYZE {query}\n");
     s.push_str("pipeline decomposition (morsel-driven executor, measured):\n");
-    for (i, p) in stats.pipelines().iter().enumerate() {
+    let measured = stats.pipelines();
+    let mut i = 0;
+    for step in plan {
+        let p = match step {
+            PlanStep::Breaker { what, rows_in, rows_out } => {
+                s.push_str(&format!("breaker: {what} [in {rows_in}, out {rows_out}]\n"));
+                continue;
+            }
+            PlanStep::Pipeline(_) => &measured[i],
+        };
         if p.stages.is_empty() && p.morsels.get() == 0 {
             // A stage-less pipeline (bare scan feeding a breaker) passes
             // its source through without driving any morsels.
@@ -787,6 +808,7 @@ fn render_analyze(
         if p.groups.get() > 0 {
             s.push_str(&format!("   groups: {}\n", p.groups.get()));
         }
+        i += 1;
     }
     if stats.conf_calls.get() > 0 {
         s.push_str(&format!(

@@ -12,8 +12,14 @@
 //! 3. the SELECT list maps to projections and the uncertainty-aware
 //!    aggregates (`conf`, `aconf`, `tconf`, `possible`, `esum`, `ecount`,
 //!    `argmax`), enforcing the typing rules of §2.2;
-//! 4. UNION is multiset union; ORDER BY orders the representation; LIMIT
-//!    is only allowed on t-certain results.
+//! 4. UNION is multiset union (deduplicated when t-certain); ORDER BY
+//!    orders the representation; LIMIT is only allowed on t-certain
+//!    results.
+//!
+//! A query's result is one [`URelation`] from its first SELECT block to
+//! the end: t-certainty is a property of it ([`URelation::is_t_certain`]),
+//! consulted where §2.2's typing rules need it and once at the very end
+//! to pick the public [`QueryOutput`] variant.
 //!
 //! The select/project/join chain of a SELECT block is threaded through a
 //! [`maybms_pipe::UStream`]: pushed-down filters, hash-join probes, and
@@ -22,22 +28,23 @@
 //! U-relation is materialised. Grouped aggregation is a **streaming
 //! breaker**: the accumulated pipeline's rows fold straight into
 //! morsel-local group tables ([`agg::aggregate_stream`]), so `GROUP BY
-//! conf()/esum/ecount` plans stream end-to-end. Materialisation happens
-//! only at the remaining breakers (hash-join build sides, nested-loop
-//! joins, `select possible`, DISTINCT, tconf, union) and at the final
-//! output. `JOIN … ON` and the comma/`WHERE` spelling share one join
-//! planner (`join_sources`). `EXPLAIN` records every collected pipeline
-//! via [`ExecCtx::trace`].
+//! conf()/esum/ecount` plans stream end-to-end, and `DISTINCT` is that
+//! breaker with no aggregates. Materialisation happens only at the
+//! remaining breakers (hash-join build sides, `select possible`, tconf,
+//! and [`maybms_pipe::breaker`]'s sort, union, cross product and limit)
+//! and at the final output. `JOIN … ON` and the comma/`WHERE` spelling
+//! share one join planner (`join_sources`). `EXPLAIN` lists every
+//! collected pipeline and every breaker via [`ExecCtx::trace`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use maybms_engine::ops::ProjectItem;
+use maybms_engine::ops::{ProjectItem, SortKey};
 use maybms_engine::{BinaryOp, Expr as EExpr, Field, Relation, Schema, Tuple};
-use maybms_pipe::UStream;
+use maybms_pipe::{breaker, UStream};
 use maybms_sql::{Expr as SExpr, FromItem, Query, QueryInput, Select, SelectItem};
 use maybms_urel::{
-    algebra, pick_tuples_u, repair_key_u, PickTuplesOptions, RepairKeyOptions, URelation,
+    pick_tuples_u, repair_key_u, PickTuplesOptions, RepairKeyOptions, URelation, UTuple,
     WorldTable,
 };
 
@@ -54,10 +61,9 @@ pub struct ExecCtx<'a> {
     pub wt: &'a mut WorldTable,
     /// Confidence-computation configuration.
     pub conf: ConfContext,
-    /// When set, every pipeline the executor collects appends its
-    /// decomposition (source, fused stages, breaker reason) — the
-    /// `EXPLAIN` implementation.
-    pub trace: Option<Vec<String>>,
+    /// When set, every pipeline the executor collects and every breaker
+    /// it runs appends a [`PlanStep`] — the `EXPLAIN` implementation.
+    pub trace: Option<Vec<PlanStep>>,
     /// When attached, every pipeline registers a per-stage stats
     /// collector and the aggregates record confidence-computation effort
     /// — the `EXPLAIN ANALYZE` / slow-query-log implementation. Never
@@ -77,6 +83,48 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
+/// One step of an executed plan, in execution order — what `EXPLAIN`
+/// lists.
+#[derive(Debug, Clone)]
+pub enum PlanStep {
+    /// A pipeline: `pipeline (<why it broke>)`, then one indented line
+    /// per [`UStream::describe`] line.
+    Pipeline(String),
+    /// A materialising breaker ([`maybms_pipe::breaker`]).
+    Breaker {
+        /// What ran: `sort (2 keys)`, `union (all)`, …
+        what: String,
+        /// Rows it took.
+        rows_in: usize,
+        /// Rows it gave.
+        rows_out: usize,
+    },
+}
+
+impl ExecCtx<'_> {
+    /// Record `stream` as the next pipeline of the plan (`reason` is why
+    /// it breaks) when tracing for `EXPLAIN`.
+    fn trace_pipeline(&mut self, stream: &UStream, reason: &str) {
+        if let Some(trace) = &mut self.trace {
+            let mut entry = format!("pipeline ({reason})\n");
+            for line in stream.describe().lines() {
+                entry.push_str("  ");
+                entry.push_str(line);
+                entry.push('\n');
+            }
+            trace.push(PlanStep::Pipeline(entry));
+        }
+    }
+
+    /// Record a breaker that turned `rows_in` rows into `out` when
+    /// tracing for `EXPLAIN`.
+    fn trace_breaker(&mut self, what: impl FnOnce() -> String, rows_in: usize, out: &URelation) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(PlanStep::Breaker { what: what(), rows_in, rows_out: out.len() });
+        }
+    }
+}
+
 /// Materialise a pipeline, recording its decomposition when the context
 /// traces for `EXPLAIN` and registering a per-stage stats collector when
 /// the context carries one (`EXPLAIN ANALYZE`).
@@ -85,15 +133,7 @@ fn collect_traced(
     ctx: &mut ExecCtx<'_>,
     reason: &str,
 ) -> Result<URelation> {
-    if let Some(trace) = &mut ctx.trace {
-        let mut entry = format!("pipeline ({reason})\n");
-        for line in stream.describe().lines() {
-            entry.push_str("  ");
-            entry.push_str(line);
-            entry.push('\n');
-        }
-        trace.push(entry);
-    }
+    ctx.trace_pipeline(&stream, reason);
     let pipe_stats = ctx.stats.as_ref().map(|qs| {
         let ps = std::sync::Arc::new(stream.stats_skeleton(reason));
         qs.register_pipeline(ps.clone());
@@ -146,141 +186,112 @@ impl QueryOutput {
     }
 }
 
-/// Evaluate a full query (UNION chain + ORDER BY/LIMIT).
+/// Evaluate a full query to the public result type: a t-certain result
+/// is handed out as a plain relation.
 pub fn eval_query(q: &Query, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
+    let u = eval_query_rel(q, ctx)?;
+    Ok(if u.is_t_certain() {
+        QueryOutput::Certain(u.into_certain())
+    } else {
+        QueryOutput::Uncertain(u)
+    })
+}
+
+/// Evaluate a full query (UNION chain + ORDER BY/LIMIT) to its
+/// U-relation.
+pub fn eval_query_rel(q: &Query, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     let mut result = eval_select(&q.first, ctx)?;
     for (all, s) in &q.rest {
         let next = eval_select(s, ctx)?;
-        result = match (result, next) {
-            (QueryOutput::Certain(a), QueryOutput::Certain(b)) => {
-                // Certain UNION deduplicates (left-associatively, as in
-                // SQL); UNION ALL keeps the bag.
-                let merged = maybms_engine::ops::union_all(&[&a, &b])?;
-                let merged =
-                    if *all { merged } else { maybms_engine::ops::distinct(&merged) };
-                QueryOutput::Certain(merged)
-            }
-            (a, b) => {
-                // Uncertain union is multiset union of representations in
-                // both spellings (§2.2: "the multiset union of uncertain
-                // queries (using SQL union)") — distinct would require
-                // conditions beyond per-tuple conjunctions.
-                let (ua, ub) = (a.into_urelation(), b.into_urelation());
-                QueryOutput::Uncertain(algebra::union_all(&[&ua, &ub])?)
-            }
+        let merged = breaker::union_all(&result, &next)?;
+        // Certain UNION deduplicates (left-associatively, as in SQL);
+        // UNION ALL keeps the bag. Uncertain union is multiset union of
+        // the representations in both spellings (§2.2: "the multiset
+        // union of uncertain queries (using SQL union)") — distinct would
+        // require conditions beyond per-tuple conjunctions.
+        // The breaker is the copy; a dedup is the `distinct` pipeline
+        // that follows it and reports its own reduction.
+        ctx.trace_breaker(|| "union (all)".to_string(), result.len() + next.len(), &merged);
+        result = if !*all && merged.is_t_certain() {
+            let schema = merged.schema().clone();
+            let keys: Vec<EExpr> = (0..schema.len()).map(EExpr::ColumnIdx).collect();
+            let rows = group_stream(
+                UStream::new(merged),
+                &keys,
+                keys.len(),
+                schema.fields().to_vec(),
+                &[],
+                ctx,
+            )?;
+            URelation::from_certain(&rows)
+        } else {
+            merged
         };
     }
     // ORDER BY orders the stored representation. Keys resolve against the
     // select list first (`ORDER BY r2.final` after `r2.final AS state`),
     // then against the output schema, with a qualifier-dropping fallback.
     if !q.order_by.is_empty() {
-        let schema_for_keys = match &result {
-            QueryOutput::Certain(r) => r.schema().clone(),
-            QueryOutput::Uncertain(u) => u.schema().clone(),
-        };
+        let schema = result.schema().clone();
         // Output-position map for non-wildcard select lists of a plain
         // (non-union) query.
-        let item_positions: Option<Vec<&SExpr>> = if q.rest.is_empty()
-            && q.first.items.iter().all(|i| matches!(i, SelectItem::Expr { .. }))
-        {
-            Some(
-                q.first
-                    .items
-                    .iter()
-                    .map(|i| match i {
-                        SelectItem::Expr { expr, .. } => expr,
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
+        let item_positions: Option<Vec<&SExpr>> = if q.rest.is_empty() {
+            q.first
+                .items
+                .iter()
+                .map(|i| match i {
+                    SelectItem::Expr { expr, .. } => Some(expr),
+                    _ => None,
+                })
+                .collect()
         } else {
             None
         };
-        let keys: Vec<maybms_engine::ops::SortKey> = q
+        let keys: Vec<SortKey> = q
             .order_by
             .iter()
             .map(|k| {
-                // `ORDER BY 2` — positional reference to an output column.
-                if let SExpr::Lit(maybms_sql::Lit::Int(n)) = &k.expr {
-                    let n = *n;
-                    if n < 1 || n as usize > schema_for_keys.len() {
-                        return Err(plan_err(format!(
-                            "ORDER BY position {n} is out of range 1..={}",
-                            schema_for_keys.len()
-                        )));
+                let expr = match &k.expr {
+                    // `ORDER BY 2` — positional reference to an output column.
+                    SExpr::Lit(maybms_sql::Lit::Int(n)) => {
+                        if *n < 1 || *n as usize > schema.len() {
+                            return Err(plan_err(format!(
+                                "ORDER BY position {n} is out of range 1..={}",
+                                schema.len()
+                            )));
+                        }
+                        EExpr::ColumnIdx(*n as usize - 1)
                     }
-                    return Ok(maybms_engine::ops::SortKey {
-                        expr: EExpr::ColumnIdx(n as usize - 1),
-                        ascending: k.ascending,
-                    });
-                }
-                let expr = match &item_positions {
-                    Some(items) => match items.iter().position(|e| **e == k.expr) {
+                    e => match item_positions.as_ref().and_then(|items| {
+                        items.iter().position(|item| *item == e)
+                    }) {
                         Some(i) => EExpr::ColumnIdx(i),
-                        None => bind_with_fallback(&scalar(&k.expr)?, &schema_for_keys)?,
+                        None => bind_with_fallback(&scalar(e)?, &schema)?,
                     },
-                    None => bind_with_fallback(&scalar(&k.expr)?, &schema_for_keys)?,
                 };
-                Ok(maybms_engine::ops::SortKey { expr, ascending: k.ascending })
+                Ok(SortKey { expr, ascending: k.ascending })
             })
             .collect::<Result<_>>()?;
-        result = match result {
-            QueryOutput::Certain(r) => {
-                QueryOutput::Certain(maybms_engine::ops::sort(&r, &keys)?)
-            }
-            QueryOutput::Uncertain(u) => {
-                // Stable sort of the representation by data columns.
-                let bound: Vec<(EExpr, bool)> = keys
-                    .iter()
-                    .map(|k| Ok((k.expr.bind(u.schema())?, k.ascending)))
-                    .collect::<Result<_>>()?;
-                let mut idx: Vec<usize> = (0..u.len()).collect();
-                let mut sort_err = None;
-                idx.sort_by(|&a, &b| {
-                    for (e, asc) in &bound {
-                        let va = e.eval(&u.tuples()[a].data);
-                        let vb = e.eval(&u.tuples()[b].data);
-                        match (va, vb) {
-                            (Ok(va), Ok(vb)) => {
-                                let ord = va.cmp(&vb);
-                                let ord = if *asc { ord } else { ord.reverse() };
-                                if ord != std::cmp::Ordering::Equal {
-                                    return ord;
-                                }
-                            }
-                            (Err(e), _) | (_, Err(e)) => {
-                                sort_err.get_or_insert(e);
-                                return std::cmp::Ordering::Equal;
-                            }
-                        }
-                    }
-                    a.cmp(&b)
-                });
-                if let Some(e) = sort_err {
-                    return Err(e.into());
-                }
-                QueryOutput::Uncertain(u.gather(&idx))
-            }
-        };
+        let sorted = breaker::sort(&result, &keys)?;
+        ctx.trace_breaker(|| format!("sort ({} keys)", keys.len()), result.len(), &sorted);
+        result = sorted;
     }
     if let Some(n) = q.limit {
-        result = match result {
-            QueryOutput::Certain(r) => {
-                QueryOutput::Certain(maybms_engine::ops::limit(&r, n as usize))
-            }
-            QueryOutput::Uncertain(_) => {
-                return Err(typing(
-                    "LIMIT on an uncertain relation would truncate the representation, \
-                     changing its possible-worlds semantics; compute a t-certain result first",
-                ))
-            }
-        };
+        if !result.is_t_certain() {
+            return Err(typing(
+                "LIMIT on an uncertain relation would truncate the representation, \
+                 changing its possible-worlds semantics; compute a t-certain result first",
+            ));
+        }
+        let kept = breaker::limit(&result, n as usize);
+        ctx.trace_breaker(|| format!("limit {n}"), result.len(), &kept);
+        result = kept;
     }
     Ok(result)
 }
 
 /// Evaluate one SELECT block.
-pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
+fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     // ---- FROM --------------------------------------------------------
     // Every FROM item becomes a pipeline head; pushed-down predicates,
     // probes, and the final projection fuse onto these streams.
@@ -292,7 +303,7 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
         // SELECT without FROM: one empty tuple.
         sources.push(UStream::new(URelation::new(
             Schema::empty(),
-            vec![maybms_urel::UTuple::certain(Tuple::new(Vec::new()))],
+            vec![UTuple::certain(Tuple::new(Vec::new()))],
         )));
     }
 
@@ -357,54 +368,63 @@ pub fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
         let joined = collect_traced(joined, ctx, "tconf breaker")?;
         let rel = agg::eval_tconf(&joined, &scalars, &tconf_names, ctx.wt)?;
         // Reorder columns to the select order.
-        let rel = reorder_to_select_order(rel, &items)?;
-        return Ok(QueryOutput::Certain(rel));
+        return Ok(URelation::from_certain(&reorder_to_select_order(rel, &items)?));
     }
 
     if has_aggs || !s.group_by.is_empty() {
-        let out = eval_aggregate_select(s, joined, &items, ctx)?;
-        return Ok(QueryOutput::Certain(apply_having(out, s)?));
+        let schema = joined.schema().clone();
+        let group_exprs: Vec<EExpr> = s
+            .group_by
+            .iter()
+            .map(|e| Ok(scalar(e)?.bind(&schema)?))
+            .collect::<Result<_>>()?;
+        let out = eval_aggregate_select(group_exprs, joined, &items, ctx)?;
+        return match &s.having {
+            None => Ok(out),
+            // HAVING binds against the output schema (so aliases like `p`
+            // work) with the same qualifier-stripping fallback ORDER BY
+            // gets: aggregate outputs lose their qualifiers, but `GROUP BY
+            // r1.player … HAVING r1.player = 'X'` is idiomatic SQL.
+            Some(h) => {
+                let pred = bind_with_fallback(&scalar(h)?, out.schema())?;
+                collect_traced(UStream::new(out).filter(&pred)?, ctx, "having")
+            }
+        };
     }
 
     if s.having.is_some() {
         return Err(plan_err("HAVING requires GROUP BY or aggregates"));
     }
 
-    // Plain projection: one more fused stage, then the single
-    // materialisation of the whole block.
     let proj: Vec<ProjectItem> = items
         .iter()
         .map(|i| match i {
-            Item::Scalar { expr, name } => Ok(ProjectItem::new(expr.clone(), name.clone())),
+            Item::Scalar { expr, name } => ProjectItem::new(expr.clone(), name.clone()),
             Item::Agg { .. } => unreachable!("no aggregates on this path"),
         })
-        .collect::<Result<_>>()?;
-    let reason = if s.distinct { "distinct breaker" } else { "output" };
-    let projected = collect_traced(joined.project(&proj)?, ctx, reason)?;
+        .collect();
     if s.distinct {
-        if !projected.is_t_certain() {
-            return Err(typing(
-                "SELECT DISTINCT is not supported on uncertain relations (§2.2); \
-                 use `select possible` or a confidence aggregate",
-            ));
-        }
-        let r = maybms_engine::ops::distinct(&projected.into_certain());
-        return Ok(QueryOutput::Certain(r));
+        // DISTINCT is GROUP BY over the select list with no aggregates:
+        // the projected rows are never materialised, and §2.2's "no
+        // select distinct on uncertain relations" is the group breaker's
+        // fold-time typing rule.
+        let schema = joined.schema().clone();
+        let keys: Vec<EExpr> =
+            proj.iter().map(|p| Ok(p.expr.bind(&schema)?)).collect::<Result<_>>()?;
+        return eval_aggregate_select(keys, joined, &items, ctx);
     }
-    if projected.is_t_certain() {
-        Ok(QueryOutput::Certain(projected.into_certain()))
-    } else {
-        Ok(QueryOutput::Uncertain(projected))
-    }
+    // Plain projection: one more fused stage, then the single
+    // materialisation of the whole block.
+    collect_traced(joined.project(&proj)?, ctx, "output")
 }
 
 /// The one join planner: combine `sources` (in FROM order) under the
 /// conjunction of `predicates`. Single-source predicates are pushed down
 /// as fused σ stages; then, greedily, an equality conjunct linking the
 /// joined prefix to a remaining source makes that source the build side
-/// of a fused hash probe, and when none does a nested-loop join breaks
-/// the pipeline on both sides; every other predicate filters as soon as
-/// it binds. Serves both the comma/`WHERE` spelling and `JOIN … ON`.
+/// of a fused hash probe, and when none does a cross product breaks the
+/// pipeline on both sides; every other predicate filters as soon as it
+/// binds. Serves both the comma/`WHERE` spelling and `JOIN … ON`.
 ///
 /// Returns the joined stream and, because the greedy order need not be
 /// FROM order, the joined schema's column positions listed in FROM order
@@ -475,11 +495,13 @@ fn join_sources(
                 joined = joined.hash_join(build, &[lk], &[rk])?;
             }
             None => {
-                // No equality conjunct: a nested-loop join breaks the
+                // No equality conjunct: a cross product breaks the
                 // pipeline on both sides.
-                let left = collect_traced(joined, ctx, "nested-loop join input")?;
-                let right = collect_traced(src, ctx, "nested-loop join input")?;
-                joined = UStream::new(algebra::nested_loop_join(&left, &right, None)?);
+                let left = collect_traced(joined, ctx, "cross product input")?;
+                let right = collect_traced(src, ctx, "cross product input")?;
+                let product = breaker::cross(&left, &right)?;
+                ctx.trace_breaker(|| "cross".to_string(), left.len() + right.len(), &product);
+                joined = UStream::new(product);
             }
         }
         // Apply any predicates that became fully bound.
@@ -507,7 +529,7 @@ fn eval_possible(
     joined: UStream,
     items: &[Item],
     ctx: &mut ExecCtx<'_>,
-) -> Result<QueryOutput> {
+) -> Result<URelation> {
     let proj: Vec<ProjectItem> = items
         .iter()
         .map(|i| match i {
@@ -529,12 +551,9 @@ fn eval_possible(
     }
     let tuples = sel
         .iter()
-        .map(|&i| projected.tuples()[i].data.clone())
+        .map(|&i| UTuple::certain(projected.tuples()[i].data.clone()))
         .collect();
-    Ok(QueryOutput::Certain(Relation::new_unchecked(
-        Arc::new(projected.schema().without_qualifiers()),
-        tuples,
-    )))
+    Ok(URelation::new(Arc::new(projected.schema().without_qualifiers()), tuples))
 }
 
 /// Grouped/aggregate SELECT evaluation — the **streaming
@@ -543,19 +562,14 @@ fn eval_possible(
 /// surviving row folds into a morsel-local group table
 /// ([`agg::aggregate_stream`]). Output is bit-identical to collecting
 /// the stream and running the two-pass [`agg::aggregate_groups`] path.
+/// `group_exprs` are the GROUP BY expressions, bound to the stream.
 fn eval_aggregate_select(
-    s: &Select,
+    group_exprs: Vec<EExpr>,
     joined: UStream,
     items: &[Item],
     ctx: &mut ExecCtx<'_>,
-) -> Result<Relation> {
+) -> Result<URelation> {
     let schema = joined.schema().clone();
-    // Bind group-by expressions.
-    let group_exprs: Vec<EExpr> = s
-        .group_by
-        .iter()
-        .map(|e| Ok(scalar(e)?.bind(&schema)?))
-        .collect::<Result<_>>()?;
     // Every scalar select item must match a group-by expression.
     let mut key_fields = Vec::new();
     let mut key_exprs = Vec::new();
@@ -580,36 +594,38 @@ fn eval_aggregate_select(
     }
     // Group on the union: selected keys first, then any extra GROUP BY
     // expressions (grouped but not output).
-    let mut grouping = key_exprs.clone();
-    for g in &group_exprs {
-        if !grouping.contains(g) {
-            grouping.push(g.clone());
+    let n_out_keys = key_exprs.len();
+    let mut grouping = key_exprs;
+    for g in group_exprs {
+        if !grouping.contains(&g) {
+            grouping.push(g);
         }
     }
-    if let Some(trace) = &mut ctx.trace {
-        let mut entry = format!(
-            "pipeline (grouped aggregation (streaming, {} keys, {} aggs))\n",
-            grouping.len(),
-            aggs.len()
-        );
-        for line in joined.describe().lines() {
-            entry.push_str("  ");
-            entry.push_str(line);
-            entry.push('\n');
-        }
-        trace.push(entry);
-    }
-    let rel = agg::aggregate_stream(
-        joined,
-        &grouping,
-        key_exprs.len(),
+    let rel = group_stream(joined, &grouping, n_out_keys, key_fields, &aggs, ctx)?;
+    Ok(URelation::from_certain(&reorder_to_select_order(rel, items)?))
+}
+
+/// Run `stream` into the streaming group breaker, as the next pipeline
+/// of the plan.
+fn group_stream(
+    stream: UStream,
+    grouping: &[EExpr],
+    n_out_keys: usize,
+    key_fields: Vec<Field>,
+    aggs: &[(AggSpec, String)],
+    ctx: &mut ExecCtx<'_>,
+) -> Result<Relation> {
+    ctx.trace_pipeline(&stream, &agg::stream_label(grouping.len(), aggs.len()));
+    agg::aggregate_stream(
+        stream,
+        grouping,
+        n_out_keys,
         key_fields,
-        &aggs,
+        aggs,
         ctx.wt,
         &ctx.conf,
         ctx.stats.as_deref(),
-    )?;
-    reorder_to_select_order(rel, items)
+    )
 }
 
 /// Bind the inner expressions of an aggregate spec.
@@ -661,21 +677,6 @@ fn reorder_to_select_order(rel: Relation, items: &[Item]) -> Result<Relation> {
     Ok(Relation::new_unchecked(schema, tuples))
 }
 
-/// Apply HAVING to an aggregate output. The predicate binds against the
-/// output schema (so aliases like `p` work) with the same
-/// qualifier-stripping fallback ORDER BY gets: aggregate outputs lose
-/// their qualifiers, but `GROUP BY r1.player … HAVING r1.player = 'X'`
-/// is idiomatic SQL.
-fn apply_having(rel: Relation, s: &Select) -> Result<Relation> {
-    match &s.having {
-        None => Ok(rel),
-        Some(h) => {
-            let pred = bind_with_fallback(&scalar(h)?, rel.schema())?;
-            Ok(maybms_engine::ops::filter(&rel, &pred)?)
-        }
-    }
-}
-
 /// Expand wildcards and classify the select list. `from_order` lists
 /// `schema`'s column positions in FROM order (see [`join_sources`]), so
 /// `*` and `q.*` follow the FROM clause, not the join order.
@@ -723,7 +724,7 @@ fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<UStream> {
             apply_alias(u, Some(alias.as_deref().unwrap_or(name)))
         }
         FromItem::Subquery { query, alias } => {
-            apply_alias(eval_query(query, ctx)?.into_urelation(), Some(alias))
+            apply_alias(eval_query_rel(query, ctx)?, Some(alias))
         }
         FromItem::RepairKey { key, input, weight, alias } => {
             let input = eval_query_input(input, ctx)?;
@@ -781,7 +782,7 @@ fn apply_alias(u: URelation, alias: Option<&str>) -> URelation {
 fn eval_query_input(input: &QueryInput, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     match input {
         QueryInput::Table(name) => stored_table(name, ctx),
-        QueryInput::Select(q) => Ok(eval_query(q, ctx)?.into_urelation()),
+        QueryInput::Select(q) => eval_query_rel(q, ctx),
     }
 }
 
@@ -798,7 +799,7 @@ fn rewrite_in_select(
     query: &Query,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<UStream> {
-    let sub = eval_query(query, ctx)?.into_urelation();
+    let sub = eval_query_rel(query, ctx)?;
     if sub.schema().len() != 1 {
         return Err(plan_err(format!(
             "IN-subquery must produce exactly one column, got {}",

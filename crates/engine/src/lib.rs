@@ -16,10 +16,10 @@
 //! * [`vector`] — vectorised expression kernels over [`mod@column`] batches,
 //!   bit-identical to the scalar evaluator (scalar fallback on any
 //!   divergence);
-//! * [`ops`] — physical operators over materialised relations: σ, π, ⨯,
-//!   ⋈ (nested-loop and hash), ∪, distinct, sort, limit, grouped
-//!   aggregation — the free functions `maybms-urel` composes its
-//!   parsimonious translation from;
+//! * [`ops`] — the value-level parts of the relational operators:
+//!   SELECT-list and ORDER BY items, mergeable aggregate states,
+//!   join-key hashing, and `repair key`'s partitioner (the operators
+//!   themselves run in `maybms-pipe`);
 //! * [`Expr::fold`] — bind-time constant folding that never moves or
 //!   drops a runtime error.
 //!
@@ -30,8 +30,8 @@
 //!
 //! Everything is deterministic, matching the execution model the paper's
 //! rewrites target: large batches run chunk-parallel on the vendored
-//! `maybms-par` pool, but operator output (tuple order and values) is
-//! identical to the sequential path at any thread count (see [`ops`]).
+//! `maybms-par` pool, but the output (order and values) is identical to
+//! the sequential path at any thread count (see [`ops`]).
 //!
 //! ## Quick example
 //!
@@ -45,9 +45,12 @@
 //!         vec!["Duncan".into(), Value::Float(0.6)],
 //!     ],
 //! );
-//! let fit = Expr::col("p").binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7)));
-//! let out = maybms_engine::ops::filter(&ft, &fit).unwrap();
-//! assert_eq!(out.len(), 1);
+//! let fit = Expr::col("p")
+//!     .binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7)))
+//!     .bind(ft.schema())
+//!     .unwrap();
+//! let hits = ft.tuples().iter().filter(|t| fit.eval_predicate(t).unwrap()).count();
+//! assert_eq!(hits, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -75,7 +78,7 @@ pub use types::{DataType, Value};
 pub mod prelude {
     pub use crate::error::{EngineError, Result};
     pub use crate::expr::{BinaryOp, Expr, UnaryOp};
-    pub use crate::ops::{AggCall, AggFunc, ProjectItem, SortKey};
+    pub use crate::ops::{AggFunc, ProjectItem, SortKey};
     pub use crate::schema::{Field, Schema};
     pub use crate::tuple::{rel, Relation, Tuple};
     pub use crate::types::{DataType, Value};

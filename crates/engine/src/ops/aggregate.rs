@@ -1,20 +1,18 @@
-//! Grouped aggregation: `GROUP BY` with SUM / COUNT / AVG / MIN / MAX.
+//! Aggregation state: SUM / COUNT / AVG / MIN / MAX as mergeable folds,
+//! and grouping by index lists.
 //!
-//! This operator implements only *certain* SQL aggregation. The
-//! uncertainty-aware aggregates of MayBMS (`conf`, `aconf`, `esum`,
-//! `ecount`, `argmax`) live in `maybms-core`, which composes them from the
-//! same grouping machinery ([`group_indices`]) and accumulator states
-//! ([`AggState`]).
+//! Only *certain* SQL aggregation is defined here. The uncertainty-aware
+//! aggregates of MayBMS (`conf`, `aconf`, `esum`, `ecount`, `argmax`)
+//! live in `maybms-core`, which folds these accumulator states
+//! ([`AggState`]) next to its own on the streaming group breaker of
+//! `maybms-pipe`; [`group_indices`] is `repair key`'s partitioner.
 //!
 //! # Mergeable accumulators
 //!
-//! Aggregation is a **fold**: every function here is expressed as an
-//! [`AggState`] that absorbs one row at a time ([`AggState::fold`]) and
-//! merges with a sibling state ([`AggState::merge`]). [`aggregate`] makes a
-//! single pass over its input — evaluate the group key, look the group up,
-//! fold — instead of the older two-pass collect-indices-then-rescan shape,
-//! and the morsel-driven executor (`maybms-pipe`) folds the *same* states
-//! morsel-locally and merges them in morsel order.
+//! Aggregation is a **fold**: every function here is an [`AggState`]
+//! that absorbs one row at a time ([`AggState::fold`]) and merges with a
+//! sibling state ([`AggState::merge`]) — the morsel-driven executor folds
+//! states morsel-locally and merges them in morsel order.
 //!
 //! Merging is only sound under the determinism contract if a state's
 //! final value does not depend on how the input was split. Counts and
@@ -23,14 +21,11 @@
 //! rounded result is the same for *any* fold/merge tree, so a parallel
 //! morsel split is bit-identical to the sequential scan.
 
-use std::sync::Arc;
-
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::hash::{fast_hash_one, FastMap};
-use crate::schema::{Field, Schema};
-use crate::tuple::{Relation, Tuple};
-use crate::types::{DataType, Value};
+use crate::tuple::Relation;
+use crate::types::Value;
 
 /// A standard SQL aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,24 +52,6 @@ impl AggFunc {
             AggFunc::Min => "min",
             AggFunc::Max => "max",
         }
-    }
-}
-
-/// One aggregate call in a SELECT list.
-#[derive(Debug, Clone)]
-pub struct AggCall {
-    /// Which function.
-    pub func: AggFunc,
-    /// Argument (`None` = `count(*)`).
-    pub arg: Option<Expr>,
-    /// Output column name.
-    pub name: String,
-}
-
-impl AggCall {
-    /// Construct an aggregate call.
-    pub fn new(func: AggFunc, arg: Option<Expr>, name: impl Into<String>) -> AggCall {
-        AggCall { func, arg, name: name.into() }
     }
 }
 
@@ -408,89 +385,6 @@ fn type_err(func: AggFunc, v: &Value) -> EngineError {
 }
 
 // ---------------------------------------------------------------------
-// Binding / schema / fold helpers shared by `aggregate` and `aggregate_with`
-// ---------------------------------------------------------------------
-
-/// Bind the aggregate calls' argument expressions against `schema`,
-/// validating that every function except `count` has an argument.
-fn bind_agg_calls(
-    schema: &Schema,
-    aggs: &[AggCall],
-) -> Result<Vec<(AggFunc, Option<Expr>)>> {
-    aggs.iter()
-        .map(|a| {
-            if a.arg.is_none() && a.func != AggFunc::Count {
-                return Err(EngineError::InvalidOperator {
-                    message: format!("{}() requires an argument", a.func.name()),
-                });
-            }
-            Ok((a.func, a.arg.as_ref().map(|e| e.bind(schema)).transpose()?))
-        })
-        .collect()
-}
-
-/// The output schema of a grouped aggregation: the group keys (named by
-/// `group_names`) followed by one column per aggregate call.
-fn aggregate_schema(
-    in_schema: &Schema,
-    group_exprs: &[Expr],
-    group_names: &[String],
-    aggs: &[AggCall],
-) -> Result<Arc<Schema>> {
-    if group_exprs.len() != group_names.len() {
-        return Err(EngineError::InvalidOperator {
-            message: "group expression/name arity mismatch".into(),
-        });
-    }
-    let mut fields: Vec<Field> = group_exprs
-        .iter()
-        .zip(group_names)
-        .map(|(e, n)| Field::new(n.clone(), e.data_type(in_schema)))
-        .collect();
-    for call in aggs {
-        let dtype = match call.func {
-            AggFunc::Count => DataType::Int,
-            AggFunc::Avg => DataType::Float,
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => call
-                .arg
-                .as_ref()
-                .map(|e| e.data_type(in_schema))
-                .unwrap_or(DataType::Unknown),
-        };
-        fields.push(Field::new(call.name.clone(), dtype));
-    }
-    Ok(Arc::new(Schema::new(fields)))
-}
-
-/// Fresh states, one per bound aggregate call.
-fn new_agg_states(bound: &[(AggFunc, Option<Expr>)]) -> Vec<AggState> {
-    bound.iter().map(|(f, _)| AggState::new(*f)).collect()
-}
-
-/// Fold one row into a group's states (`states` parallel to `bound`).
-fn fold_agg_row(
-    states: &mut [AggState],
-    bound: &[(AggFunc, Option<Expr>)],
-    row: &[Value],
-) -> Result<()> {
-    for (st, (_, arg)) in states.iter_mut().zip(bound) {
-        match arg {
-            None => st.fold_present(),
-            Some(e) => st.fold(&e.eval_values(row)?)?,
-        }
-    }
-    Ok(())
-}
-
-/// Merge a later group's states into an earlier one, slot by slot.
-fn merge_agg_states(into: &mut [AggState], from: Vec<AggState>) -> Result<()> {
-    for (a, b) in into.iter_mut().zip(from) {
-        a.merge(b)?;
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Grouping by index lists (used by repair-key and maybms-core)
 // ---------------------------------------------------------------------
 
@@ -603,165 +497,11 @@ pub fn group_indices_with(
     Ok(out)
 }
 
-// ---------------------------------------------------------------------
-// The aggregate operator: one fold pass
-// ---------------------------------------------------------------------
-
-/// A hashed group → accumulator table, folded in one pass.
-struct StateTable {
-    buckets: FastMap<u64, Vec<usize>>,
-    keys: Vec<Vec<Value>>,
-    states: Vec<Vec<AggState>>,
-}
-
-impl StateTable {
-    fn new() -> StateTable {
-        StateTable { buckets: Default::default(), keys: Vec::new(), states: Vec::new() }
-    }
-
-    /// Get-or-insert the state list for `key` (cloned only when new).
-    fn entry(
-        &mut self,
-        key: &[Value],
-        bound: &[(AggFunc, Option<Expr>)],
-    ) -> &mut Vec<AggState> {
-        let h = fast_hash_one(key);
-        let bucket = self.buckets.entry(h).or_default();
-        match bucket.iter().find(|&&g| self.keys[g] == key) {
-            Some(&g) => &mut self.states[g],
-            None => {
-                bucket.push(self.keys.len());
-                self.keys.push(key.to_vec());
-                self.states.push(new_agg_states(bound));
-                self.states.last_mut().expect("just pushed")
-            }
-        }
-    }
-}
-
-/// Grouped aggregation. Output columns are the group keys (named after
-/// `group_names`) followed by one column per aggregate call.
-///
-/// A single pass folds every row into its group's [`AggState`]s; large
-/// inputs fold chunk-locally on the process-wide pool and merge the chunk
-/// tables in chunk order (first-seen key order and all aggregate values
-/// identical to the sequential fold).
-pub fn aggregate(
-    input: &Relation,
-    group_exprs: &[Expr],
-    group_names: &[String],
-    aggs: &[AggCall],
-) -> Result<Relation> {
-    if input.len() >= super::PAR_MIN_ROWS {
-        let pool = maybms_par::pool();
-        if pool.threads() > 1 {
-            return aggregate_with(
-                input,
-                group_exprs,
-                group_names,
-                aggs,
-                &pool,
-                super::PAR_MIN_CHUNK,
-            );
-        }
-    }
-    let schema = aggregate_schema(input.schema(), group_exprs, group_names, aggs)?;
-    let bound_aggs = bind_agg_calls(input.schema(), aggs)?;
-    let bound_keys: Vec<Expr> =
-        group_exprs.iter().map(|e| e.bind(input.schema())).collect::<Result<_>>()?;
-
-    let mut table = StateTable::new();
-    let mut scratch: Vec<Value> = Vec::with_capacity(bound_keys.len());
-    for t in input.tuples() {
-        scratch.clear();
-        for e in &bound_keys {
-            scratch.push(e.eval(t)?);
-        }
-        let states = table.entry(&scratch, &bound_aggs);
-        fold_agg_row(states, &bound_aggs, t.values())?;
-    }
-    finish_table(table, bound_keys.is_empty(), &bound_aggs, schema)
-}
-
-/// [`aggregate`] on an explicit pool and chunk size: each chunk folds a
-/// private group table, tables merge in chunk order ([`AggState::merge`]),
-/// output identical to the sequential fold at any thread count.
-pub fn aggregate_with(
-    input: &Relation,
-    group_exprs: &[Expr],
-    group_names: &[String],
-    aggs: &[AggCall],
-    pool: &maybms_par::ThreadPool,
-    min_chunk: usize,
-) -> Result<Relation> {
-    let schema = aggregate_schema(input.schema(), group_exprs, group_names, aggs)?;
-    let bound_aggs = bind_agg_calls(input.schema(), aggs)?;
-    let bound_keys: Vec<Expr> =
-        group_exprs.iter().map(|e| e.bind(input.schema())).collect::<Result<_>>()?;
-
-    let chunk = maybms_par::auto_chunk(input.len(), pool.threads(), min_chunk);
-    let partials: Vec<Result<StateTable>> =
-        pool.par_map_chunks(input.len(), chunk, |range| {
-            let mut table = StateTable::new();
-            let mut scratch: Vec<Value> = Vec::with_capacity(bound_keys.len());
-            for i in range {
-                let t = &input.tuples()[i];
-                scratch.clear();
-                for e in &bound_keys {
-                    scratch.push(e.eval(t)?);
-                }
-                let states = table.entry(&scratch, &bound_aggs);
-                fold_agg_row(states, &bound_aggs, t.values())?;
-            }
-            Ok(table)
-        });
-    let mut merged = StateTable::new();
-    for partial in partials {
-        let partial = partial?;
-        for (key, states) in partial.keys.into_iter().zip(partial.states) {
-            let h = fast_hash_one(&key[..]);
-            let bucket = merged.buckets.entry(h).or_default();
-            match bucket.iter().find(|&&g| merged.keys[g] == key) {
-                Some(&g) => merge_agg_states(&mut merged.states[g], states)?,
-                None => {
-                    bucket.push(merged.keys.len());
-                    merged.keys.push(key);
-                    merged.states.push(states);
-                }
-            }
-        }
-    }
-    finish_table(merged, bound_keys.is_empty(), &bound_aggs, schema)
-}
-
-/// Turn a folded table into the output relation. A global (no GROUP BY)
-/// aggregate over an empty input still yields one row of empty-group
-/// states, matching SQL's scalar-aggregate behaviour.
-fn finish_table(
-    mut table: StateTable,
-    global: bool,
-    bound_aggs: &[(AggFunc, Option<Expr>)],
-    schema: Arc<Schema>,
-) -> Result<Relation> {
-    if global && table.keys.is_empty() {
-        table.keys.push(Vec::new());
-        table.states.push(new_agg_states(bound_aggs));
-    }
-    let mut out = Vec::with_capacity(table.keys.len());
-    for (key, states) in table.keys.into_iter().zip(table.states) {
-        let mut row = key;
-        for st in &states {
-            row.push(st.finish()?);
-        }
-        out.push(Tuple::new(row));
-    }
-    Ok(Relation::new_unchecked(schema, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuple::rel;
+    use crate::types::DataType;
 
     fn games() -> Relation {
         rel(
@@ -775,198 +515,106 @@ mod tests {
         )
     }
 
-    #[test]
-    fn grouped_sum_count_avg() {
-        let out = aggregate(
-            &games(),
-            &[Expr::col("player")],
-            &["player".into()],
-            &[
-                AggCall::new(AggFunc::Sum, Some(Expr::col("pts")), "total"),
-                AggCall::new(AggFunc::Count, None, "games"),
-                AggCall::new(AggFunc::Count, Some(Expr::col("pts")), "scored"),
-                AggCall::new(AggFunc::Avg, Some(Expr::col("pts")), "mean"),
-            ],
-        )
-        .unwrap();
-        assert_eq!(out.len(), 2);
-        let bryant = &out.tuples()[0];
-        assert_eq!(bryant.value(0), &Value::str("Bryant"));
-        assert_eq!(bryant.value(1), &Value::Int(70));
-        assert_eq!(bryant.value(2), &Value::Int(2));
-        assert_eq!(bryant.value(3), &Value::Int(2));
-        assert_eq!(bryant.value(4), &Value::Float(35.0));
-        let duncan = &out.tuples()[1];
-        assert_eq!(duncan.value(1), &Value::Int(20)); // NULL skipped
-        assert_eq!(duncan.value(2), &Value::Int(2)); // count(*) counts NULL row
-        assert_eq!(duncan.value(3), &Value::Int(1)); // count(pts) skips NULL
+    /// Fold `values` into a fresh `func` state and finish it.
+    fn fold_all(func: AggFunc, values: &[Value]) -> Result<Value> {
+        let mut st = AggState::new(func);
+        for v in values {
+            st.fold(v)?;
+        }
+        st.finish()
     }
 
     #[test]
-    fn min_max() {
-        let out = aggregate(
-            &games(),
-            &[],
-            &[],
-            &[
-                AggCall::new(AggFunc::Min, Some(Expr::col("pts")), "lo"),
-                AggCall::new(AggFunc::Max, Some(Expr::col("pts")), "hi"),
-            ],
-        )
-        .unwrap();
-        assert_eq!(out.tuples()[0].value(0), &Value::Int(20));
-        assert_eq!(out.tuples()[0].value(1), &Value::Int(40));
+    fn sum_count_avg_skip_nulls() {
+        let vs = [Value::Int(20), Value::Null, Value::Int(40)];
+        assert_eq!(fold_all(AggFunc::Sum, &vs).unwrap(), Value::Int(60));
+        assert_eq!(fold_all(AggFunc::Count, &vs).unwrap(), Value::Int(2));
+        assert_eq!(fold_all(AggFunc::Avg, &vs).unwrap(), Value::Float(30.0));
+        // count(*) counts the NULL row too.
+        let mut star = AggState::new(AggFunc::Count);
+        vs.iter().for_each(|_| star.fold_present());
+        assert_eq!(star.finish().unwrap(), Value::Int(3));
+        let fs = [Value::Float(0.25), Value::Float(0.5)];
+        assert_eq!(fold_all(AggFunc::Sum, &fs).unwrap(), Value::Float(0.75));
+    }
+
+    #[test]
+    fn empty_group_states() {
+        // A global aggregate over an empty input: count 0, the rest NULL.
+        assert_eq!(fold_all(AggFunc::Count, &[]).unwrap(), Value::Int(0));
+        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+            assert_eq!(fold_all(func, &[]).unwrap(), Value::Null, "{func:?}");
+        }
     }
 
     #[test]
     fn min_max_over_mixed_types_is_type_error() {
         // Bool sorts below Int in Value's variant order; without the type
         // check min() would silently return the Bool.
-        let r = rel(
-            &[("x", DataType::Unknown)],
-            vec![vec![Value::Bool(true)], vec![5.into()], vec![Value::Null]],
-        );
         for func in [AggFunc::Min, AggFunc::Max] {
-            let out = aggregate(
-                &r,
-                &[],
-                &[],
-                &[AggCall::new(func, Some(Expr::col("x")), "m")],
-            );
-            assert!(
-                matches!(out, Err(EngineError::TypeMismatch { .. })),
-                "{func:?}: {out:?}"
-            );
+            let out = fold_all(func, &[Value::Bool(true), 5.into(), Value::Null]);
+            assert!(matches!(out, Err(EngineError::TypeMismatch { .. })), "{func:?}: {out:?}");
         }
         // Text/numeric mixes are equally rejected.
-        let r = rel(
-            &[("x", DataType::Unknown)],
-            vec![vec!["a".into()], vec![5.into()]],
-        );
-        let out = aggregate(
-            &r,
-            &[],
-            &[],
-            &[AggCall::new(AggFunc::Min, Some(Expr::col("x")), "m")],
-        );
+        let out = fold_all(AggFunc::Min, &["a".into(), 5.into()]);
         assert!(matches!(out, Err(EngineError::TypeMismatch { .. })), "{out:?}");
     }
 
     #[test]
     fn min_max_over_mixed_numerics_allowed() {
-        let r = rel(
-            &[("x", DataType::Unknown)],
-            vec![vec![Value::Float(1.5)], vec![1.into()], vec![2.into()]],
-        );
-        let out = aggregate(
-            &r,
-            &[],
-            &[],
-            &[
-                AggCall::new(AggFunc::Min, Some(Expr::col("x")), "lo"),
-                AggCall::new(AggFunc::Max, Some(Expr::col("x")), "hi"),
-            ],
-        )
-        .unwrap();
-        assert_eq!(out.tuples()[0].value(0), &Value::Int(1));
-        assert_eq!(out.tuples()[0].value(1), &Value::Int(2));
-    }
-
-    #[test]
-    fn global_aggregate_over_empty_input_yields_one_row() {
-        let empty = rel(&[("x", DataType::Int)], vec![]);
-        let out = aggregate(
-            &empty,
-            &[],
-            &[],
-            &[
-                AggCall::new(AggFunc::Count, None, "n"),
-                AggCall::new(AggFunc::Sum, Some(Expr::col("x")), "s"),
-            ],
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.tuples()[0].value(0), &Value::Int(0));
-        assert_eq!(out.tuples()[0].value(1), &Value::Null);
-    }
-
-    #[test]
-    fn grouped_aggregate_over_empty_input_yields_no_rows() {
-        let empty = rel(&[("x", DataType::Int)], vec![]);
-        let out = aggregate(
-            &empty,
-            &[Expr::col("x")],
-            &["x".into()],
-            &[AggCall::new(AggFunc::Count, None, "n")],
-        )
-        .unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn sum_of_floats() {
-        let r = rel(
-            &[("p", DataType::Float)],
-            vec![vec![Value::Float(0.25)], vec![Value::Float(0.5)]],
-        );
-        let out = aggregate(
-            &r,
-            &[],
-            &[],
-            &[AggCall::new(AggFunc::Sum, Some(Expr::col("p")), "s")],
-        )
-        .unwrap();
-        assert_eq!(out.tuples()[0].value(0), &Value::Float(0.75));
-    }
-
-    #[test]
-    fn sum_without_argument_is_invalid() {
-        let out = aggregate(
-            &games(),
-            &[],
-            &[],
-            &[AggCall::new(AggFunc::Sum, None, "s")],
-        );
-        assert!(out.is_err());
+        let vs = [Value::Float(1.5), 1.into(), 2.into()];
+        assert_eq!(fold_all(AggFunc::Min, &vs).unwrap(), Value::Int(1));
+        assert_eq!(fold_all(AggFunc::Max, &vs).unwrap(), Value::Int(2));
     }
 
     #[test]
     fn sum_over_text_is_type_error() {
-        let out = aggregate(
-            &games(),
-            &[],
-            &[],
-            &[AggCall::new(AggFunc::Sum, Some(Expr::col("player")), "s")],
-        );
-        assert!(out.is_err());
+        assert!(fold_all(AggFunc::Sum, &["Bryant".into()]).is_err());
+        assert!(fold_all(AggFunc::Avg, &["Bryant".into()]).is_err());
     }
 
     #[test]
     fn sum_overflow_detected_on_total() {
-        let r = rel(
-            &[("x", DataType::Int)],
-            vec![vec![i64::MAX.into()], vec![i64::MAX.into()]],
-        );
-        let out = aggregate(
-            &r,
-            &[],
-            &[],
-            &[AggCall::new(AggFunc::Sum, Some(Expr::col("x")), "s")],
-        );
+        let out = fold_all(AggFunc::Sum, &[i64::MAX.into(), i64::MAX.into()]);
         assert!(matches!(out, Err(EngineError::Arithmetic { .. })), "{out:?}");
     }
 
     #[test]
-    fn group_by_expression() {
-        let out = aggregate(
-            &games(),
-            &[Expr::col("pts").binary(crate::expr::BinaryOp::Mod, Expr::lit(20i64))],
-            &["bucket".into()],
-            &[AggCall::new(AggFunc::Count, None, "n")],
-        );
+    fn merge_equals_fold_at_any_split() {
+        // Mixed int/float sums, NULLs and an extremum tie: folding the
+        // rows in one state equals folding any split and merging.
+        let vs: Vec<Value> = (0..60)
+            .map(|i| match i % 3 {
+                0 => Value::Float(i as f64 / 3.0),
+                1 => Value::Int(i as i64 % 7),
+                _ => Value::Null,
+            })
+            .collect();
+        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+            let whole = fold_all(func, &vs).unwrap();
+            for split in [1usize, 7, 59] {
+                let mut merged = AggState::new(func);
+                for chunk in vs.chunks(split) {
+                    let mut part = AggState::new(func);
+                    for v in chunk {
+                        part.fold(v).unwrap();
+                    }
+                    merged.merge(part).unwrap();
+                }
+                assert_eq!(merged.finish().unwrap(), whole, "{func:?}, split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_indices_null_is_a_key() {
         // NULL % 20 is NULL; NULL is a valid group key.
-        let out = out.unwrap();
-        assert_eq!(out.len(), 3); // 10 (30), 0 (40, 20), NULL
+        let key = Expr::col("pts").binary(crate::expr::BinaryOp::Mod, Expr::lit(20i64));
+        assert_eq!(group_indices(&games(), &[key]).unwrap().len(), 3); // 10, 0, NULL
+        // No key: one global group, even over an empty input.
+        let empty = rel(&[("x", DataType::Int)], vec![]);
+        assert_eq!(group_indices(&empty, &[]).unwrap(), vec![(vec![], vec![])]);
+        assert!(group_indices(&empty, &[Expr::col("x")]).unwrap().is_empty());
     }
 
     #[test]
@@ -998,52 +646,6 @@ mod tests {
             let pool = maybms_par::ThreadPool::new(threads);
             let par = group_indices_with(&r, &exprs, &pool, 9).unwrap();
             assert_eq!(seq, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_aggregate_identical_to_sequential() {
-        // Mixed int/float sums across chunk boundaries, NULL keys, an
-        // extremum tie — a one-row chunk size exercises every merge.
-        let r = rel(
-            &[("k", DataType::Unknown), ("v", DataType::Unknown)],
-            (0..60)
-                .map(|i| {
-                    vec![
-                        match i % 5 {
-                            0 => Value::Null,
-                            j => Value::Int(j as i64 % 2),
-                        },
-                        match i % 3 {
-                            0 => Value::Float(i as f64 / 3.0),
-                            1 => Value::Int(i as i64),
-                            _ => Value::Null,
-                        },
-                    ]
-                })
-                .collect(),
-        );
-        let group = [Expr::col("k")];
-        let names = ["k".to_string()];
-        let aggs = [
-            AggCall::new(AggFunc::Count, None, "n"),
-            AggCall::new(AggFunc::Sum, Some(Expr::col("v")), "s"),
-            AggCall::new(AggFunc::Avg, Some(Expr::col("v")), "m"),
-            AggCall::new(AggFunc::Min, Some(Expr::col("v")), "lo"),
-            AggCall::new(AggFunc::Max, Some(Expr::col("v")), "hi"),
-        ];
-        let seq = aggregate(&r, &group, &names, &aggs).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = maybms_par::ThreadPool::new(threads);
-            for min_chunk in [1, 7] {
-                let par =
-                    aggregate_with(&r, &group, &names, &aggs, &pool, min_chunk).unwrap();
-                assert_eq!(
-                    seq.tuples(),
-                    par.tuples(),
-                    "threads {threads}, min_chunk {min_chunk}"
-                );
-            }
         }
     }
 

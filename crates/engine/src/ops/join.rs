@@ -1,20 +1,10 @@
-//! Joins: cross product, predicate nested-loop join, and hash equi-join.
-//!
-//! The hash join runs in two batch-granular phases that parallelise on
-//! the `maybms-par` pool for large inputs (see [`hash_join_with`]): the
-//! build table is partitioned by key hash, and the probe side is chunked
-//! by row range. Both phases preserve the sequential output exactly —
-//! same tuples, same order — at any thread count.
+//! Join-key hashing and equality — the value-level half of the hash
+//! join. The probe stage and the morsel-local build table that use
+//! these live in `maybms-pipe`.
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-use maybms_par::ThreadPool;
-
-use crate::error::{EngineError, Result};
-use crate::expr::Expr;
-use crate::hash::{fast_hash_one, FastHasher, FastMap};
-use crate::tuple::{Relation, Tuple, TupleBatch};
+use crate::hash::{fast_hash_one, FastHasher};
 use crate::types::Value;
 
 /// Hash of a row's key columns, or `None` if any key is NULL (SQL
@@ -55,354 +45,9 @@ pub fn join_keys_eq(
     left_keys.iter().zip(right_keys).all(|(&i, &j)| left[i] == right[j])
 }
 
-/// Cartesian product. Output schema is `left.schema ++ right.schema`.
-pub fn cross_join(left: &Relation, right: &Relation) -> Relation {
-    let schema = Arc::new(left.schema().join(right.schema()));
-    let mut batch = TupleBatch::new();
-    for l in left.tuples() {
-        for r in right.tuples() {
-            batch.push_concat(l, r);
-        }
-    }
-    Relation::new_unchecked(schema, batch.finish())
-}
-
-/// Nested-loop inner join with an arbitrary predicate over the combined
-/// schema. `None` means no predicate (cross join).
-///
-/// Candidate rows are staged in a reusable scratch row and evaluated
-/// there; only rows passing the predicate enter the output batch.
-pub fn nested_loop_join(
-    left: &Relation,
-    right: &Relation,
-    predicate: Option<&Expr>,
-) -> Result<Relation> {
-    let schema = Arc::new(left.schema().join(right.schema()));
-    let bound = match predicate {
-        Some(p) => Some(p.bind(&schema)?),
-        None => None,
-    };
-    let mut batch = TupleBatch::new();
-    let mut gov = maybms_gov::Ticker::new();
-    for l in left.tuples() {
-        for r in right.tuples() {
-            // The output is quadratic in the inputs — without a per-row
-            // governor tick a cross product over two in-RAM relations
-            // could neither be cancelled nor stopped by a memory budget.
-            gov.tick()?;
-            // Stage the candidate row directly in the batch; evaluate the
-            // predicate in place and drop the row if it fails — one copy
-            // per candidate either way.
-            batch.push_concat(l, r);
-            if let Some(p) = &bound {
-                if !p.eval_predicate_values(batch.last_row())? {
-                    batch.abandon_last();
-                }
-            }
-        }
-    }
-    Ok(Relation::new_unchecked(schema, batch.finish()))
-}
-
-/// Key-hash dispatch shared by build and probe (and by the U-relational
-/// joins in `maybms-urel`): columnar for a single key column, generic
-/// slice walk otherwise.
-#[inline]
-pub fn tuple_key_hash(t: &Tuple, keys: &[usize]) -> Option<u64> {
-    if let [k] = keys {
-        single_key_hash(t.value(*k))
-    } else {
-        join_key_hash(t.values(), keys)
-    }
-}
-
-/// Key-equality dispatch mirroring [`tuple_key_hash`].
-#[inline]
-pub fn tuple_keys_eq(
-    build: &Tuple,
-    build_keys: &[usize],
-    probe: &Tuple,
-    probe_keys: &[usize],
-) -> bool {
-    if let ([bk], [pk]) = (build_keys, probe_keys) {
-        build.value(*bk) == probe.value(*pk)
-    } else {
-        join_keys_eq(build.values(), build_keys, probe.values(), probe_keys)
-    }
-}
-
-fn validate_keys(left: &Relation, right: &Relation, left_keys: &[usize], right_keys: &[usize]) -> Result<()> {
-    if left_keys.len() != right_keys.len() {
-        return Err(EngineError::InvalidOperator {
-            message: format!(
-                "hash join key arity mismatch: {} vs {}",
-                left_keys.len(),
-                right_keys.len()
-            ),
-        });
-    }
-    if left_keys.is_empty() {
-        return Err(EngineError::InvalidOperator {
-            message: "hash join requires at least one key; use cross_join".into(),
-        });
-    }
-    for &k in left_keys {
-        if k >= left.schema().len() {
-            return Err(EngineError::InvalidOperator {
-                message: format!("left key #{k} out of range"),
-            });
-        }
-    }
-    for &k in right_keys {
-        if k >= right.schema().len() {
-            return Err(EngineError::InvalidOperator {
-                message: format!("right key #{k} out of range"),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Hash equi-join on positional key columns (`left_keys[i] = right_keys[i]`).
-///
-/// NULL keys never match (SQL equality). **Builds on the right input and
-/// probes with the left** — the fixed convention shared by the whole
-/// stack (the U-relational joins in `maybms-urel` and the morsel-driven
-/// probes in `maybms-pipe`): output rows are emitted in left-row order
-/// with right-side candidates in build (ascending row) order. Fixing the
-/// build side at plan time is what lets a streaming executor probe the
-/// left input morsel-by-morsel and still reproduce this output
-/// bit-for-bit; callers that know the cardinalities put the smaller
-/// input on the right. The build table maps a 64-bit key hash to
-/// build-row indices — no per-row `Vec<Value>` key is ever allocated —
-/// and every hash match is verified by comparing the key columns before
-/// a row is emitted. Single-column keys hash columnar, straight from the
-/// key `Value`. Large inputs dispatch to the chunk-parallel path
-/// ([`hash_join_with`]) on the process-wide pool; output is identical
-/// either way.
-pub fn hash_join(
-    left: &Relation,
-    right: &Relation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> Result<Relation> {
-    if left.len() + right.len() >= super::PAR_MIN_ROWS {
-        let pool = maybms_par::pool();
-        if pool.threads() > 1 {
-            return hash_join_with(left, right, left_keys, right_keys, &pool, super::PAR_MIN_CHUNK);
-        }
-    }
-    validate_keys(left, right, left_keys, right_keys)?;
-    let schema = Arc::new(left.schema().join(right.schema()));
-
-    let mut table: FastMap<u64, Vec<usize>> =
-        FastMap::with_capacity_and_hasher(right.len(), Default::default());
-    for (i, t) in right.tuples().iter().enumerate() {
-        if let Some(h) = tuple_key_hash(t, right_keys) {
-            table.entry(h).or_default().push(i);
-        }
-    }
-
-    let mut batch = TupleBatch::new();
-    for l in left.tuples() {
-        let Some(h) = tuple_key_hash(l, left_keys) else { continue };
-        let Some(candidates) = table.get(&h) else { continue };
-        for &ri in candidates {
-            let r = &right.tuples()[ri];
-            if !tuple_keys_eq(r, right_keys, l, left_keys) {
-                continue; // hash collision
-            }
-            batch.push_concat(l, r);
-        }
-    }
-    Ok(Relation::new_unchecked(schema, batch.finish()))
-}
-
-/// [`hash_join`] on an explicit pool: hash-partitioned parallel build
-/// over the right input, chunked parallel probe over the left.
-///
-/// * **Build**: build-row key hashes are computed chunk-parallel, then
-///   each of `threads` partitions owns the hashes with `h mod P == p` and
-///   inserts its rows in ascending row order — the same candidate order
-///   the sequential single-table build produces.
-/// * **Probe**: probe rows are chunked by range; each chunk emits its
-///   matches into a chunk-local [`TupleBatch`] and the chunk outputs are
-///   concatenated in chunk order — the sequential probe order.
-///
-/// The output relation is therefore tuple-for-tuple identical to the
-/// sequential join at any thread count and any chunk size.
-pub fn hash_join_with(
-    left: &Relation,
-    right: &Relation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    pool: &ThreadPool,
-    min_chunk: usize,
-) -> Result<Relation> {
-    validate_keys(left, right, left_keys, right_keys)?;
-    let schema = Arc::new(left.schema().join(right.schema()));
-
-    // Phase 1: partitioned build — partition p owns hashes ≡ p (mod P).
-    // The chunked hash pass pre-buckets (hash, row) pairs by partition,
-    // so each partition task touches only its own pairs (total build
-    // work stays O(rows), not O(threads · rows)). Chunks are visited in
-    // chunk (= row) order and rows within a chunk are ascending, so each
-    // bucket's candidate list reproduces the sequential insertion order.
-    let parts = if pool.threads() > 1 && right.len() >= min_chunk {
-        pool.threads()
-    } else {
-        1
-    };
-    let chunk = maybms_par::auto_chunk(right.len(), pool.threads(), min_chunk);
-    let bucketed: Vec<Vec<Vec<(u64, u32)>>> =
-        pool.par_map_chunks(right.len(), chunk, |range| {
-            let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); parts];
-            for i in range {
-                if let Some(h) = tuple_key_hash(&right.tuples()[i], right_keys) {
-                    buckets[(h as usize) % parts].push((h, i as u32));
-                }
-            }
-            buckets
-        });
-    let tables: Vec<FastMap<u64, Vec<usize>>> =
-        pool.par_map((0..parts).collect::<Vec<_>>(), |p| {
-            let mut table: FastMap<u64, Vec<usize>> = FastMap::with_capacity_and_hasher(
-                right.len() / parts + 1,
-                Default::default(),
-            );
-            for chunk_buckets in &bucketed {
-                for &(h, i) in &chunk_buckets[p] {
-                    table.entry(h).or_default().push(i as usize);
-                }
-            }
-            table
-        });
-
-    // Phase 2: chunked probe over the left input.
-    let chunk = maybms_par::auto_chunk(left.len(), pool.threads(), min_chunk);
-    let outputs: Vec<Vec<Tuple>> = pool.par_map_chunks(left.len(), chunk, |range| {
-        let mut batch = TupleBatch::new();
-        for li in range {
-            let l = &left.tuples()[li];
-            let Some(h) = tuple_key_hash(l, left_keys) else { continue };
-            let Some(candidates) = tables[(h as usize) % parts].get(&h) else { continue };
-            for &ri in candidates {
-                let r = &right.tuples()[ri];
-                if !tuple_keys_eq(r, right_keys, l, left_keys) {
-                    continue; // hash collision
-                }
-                batch.push_concat(l, r);
-            }
-        }
-        batch.finish()
-    });
-    let mut tuples = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
-    for o in outputs {
-        tuples.extend(o);
-    }
-    Ok(Relation::new_unchecked(schema, tuples))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::rel;
-    use crate::types::DataType;
-
-    fn players() -> Relation {
-        rel(
-            &[("player", DataType::Text), ("team", DataType::Text)],
-            vec![
-                vec!["Bryant".into(), "LAL".into()],
-                vec!["Duncan".into(), "SAS".into()],
-                vec!["Parker".into(), "SAS".into()],
-            ],
-        )
-    }
-
-    fn teams() -> Relation {
-        rel(
-            &[("team", DataType::Text), ("city", DataType::Text)],
-            vec![
-                vec!["LAL".into(), "Los Angeles".into()],
-                vec!["SAS".into(), "San Antonio".into()],
-            ],
-        )
-    }
-
-    #[test]
-    fn cross_join_sizes() {
-        let out = cross_join(&players(), &teams());
-        assert_eq!(out.len(), 6);
-        assert_eq!(out.schema().len(), 4);
-    }
-
-    #[test]
-    fn hash_join_matches_nested_loop() {
-        let p = players();
-        let t = teams();
-        let hj = hash_join(&p, &t, &[1], &[0]).unwrap();
-        let pred = Expr::qcol("p", "team").eq(Expr::qcol("t", "team"));
-        let p2 = p
-            .clone()
-            .with_schema(Arc::new(p.schema().with_qualifier("p")))
-            .unwrap();
-        let t2 = t
-            .clone()
-            .with_schema(Arc::new(t.schema().with_qualifier("t")))
-            .unwrap();
-        let nl = nested_loop_join(&p2, &t2, Some(&pred)).unwrap();
-        assert_eq!(hj.len(), nl.len());
-        assert_eq!(hj.len(), 3);
-        // Same multiset of rows (ignoring qualifiers).
-        let mut a: Vec<_> = hj.tuples().to_vec();
-        let mut b: Vec<_> = nl.tuples().to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn null_keys_never_match() {
-        let l = rel(&[("k", DataType::Int)], vec![vec![Value::Null], vec![1.into()]]);
-        let r = rel(&[("k", DataType::Int)], vec![vec![Value::Null], vec![1.into()]]);
-        let out = hash_join(&l, &r, &[0], &[0]).unwrap();
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn key_arity_mismatch_rejected() {
-        assert!(hash_join(&players(), &teams(), &[0, 1], &[0]).is_err());
-    }
-
-    #[test]
-    fn empty_keys_rejected() {
-        assert!(hash_join(&players(), &teams(), &[], &[]).is_err());
-    }
-
-    #[test]
-    fn out_of_range_keys_rejected() {
-        assert!(hash_join(&players(), &teams(), &[9], &[0]).is_err());
-        assert!(hash_join(&players(), &teams(), &[0], &[9]).is_err());
-    }
-
-    #[test]
-    fn duplicate_build_keys_produce_all_pairs() {
-        let l = rel(&[("k", DataType::Int)], vec![vec![1.into()], vec![1.into()]]);
-        let r = rel(&[("k", DataType::Int)], vec![vec![1.into()], vec![1.into()]]);
-        let out = hash_join(&l, &r, &[0], &[0]).unwrap();
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn nested_loop_with_non_equi_predicate() {
-        let l = rel(&[("a", DataType::Int)], vec![vec![1.into()], vec![5.into()]]);
-        let r = rel(&[("b", DataType::Int)], vec![vec![3.into()]]);
-        let pred = Expr::col("a").binary(crate::expr::BinaryOp::Lt, Expr::col("b"));
-        let out = nested_loop_join(&l, &r, Some(&pred)).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.tuples()[0].value(0), &Value::Int(1));
-    }
 
     #[test]
     fn single_key_hash_agrees_with_slice_hash() {
@@ -410,33 +55,5 @@ mod tests {
             assert_eq!(single_key_hash(&v), join_key_hash(std::slice::from_ref(&v), &[0]));
         }
         assert_eq!(single_key_hash(&Value::Null), None);
-    }
-
-    #[test]
-    fn parallel_join_identical_to_sequential() {
-        // Keys with duplicates, NULLs, and cross-type (1 == 1.0) matches.
-        let mk = |n: usize, stride: i64| -> Relation {
-            rel(
-                &[("k", DataType::Unknown), ("v", DataType::Int)],
-                (0..n)
-                    .map(|i| {
-                        let k = match i % 5 {
-                            0 => Value::Null,
-                            1 => Value::Float((i as i64 % stride) as f64),
-                            _ => Value::Int(i as i64 % stride),
-                        };
-                        vec![k, Value::Int(i as i64)]
-                    })
-                    .collect(),
-            )
-        };
-        let l = mk(97, 7);
-        let r = mk(131, 7);
-        let seq = hash_join(&l, &r, &[0], &[0]).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let par = hash_join_with(&l, &r, &[0], &[0], &pool, 8).unwrap();
-            assert_eq!(seq.tuples(), par.tuples(), "threads = {threads}");
-        }
     }
 }

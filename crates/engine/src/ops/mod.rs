@@ -1,46 +1,39 @@
-//! Physical relational operators over materialised [`Relation`]s.
+//! The value-level parts of the relational operators.
 //!
-//! Free functions that transform relations directly — what `maybms-urel`
-//! composes its parsimonious translation from, and what `maybms-core`
-//! calls at its remaining materialising breakers (sort, distinct, union).
+//! The operators themselves — σ, π, ⋈ probes, grouped aggregation, sort,
+//! union, cross product, limit — run in `maybms-pipe`, once, over
+//! U-relations. What they share lives here: the items a SELECT list and
+//! an ORDER BY clause are made of ([`ProjectItem`], [`SortKey`]), the
+//! mergeable aggregate accumulators ([`AggState`], [`ExactSum`]), the
+//! join-key hashing both sides of a hash join must agree on, and
+//! `repair key`'s partitioner ([`group_indices`]).
 //!
 //! # Parallel execution
 //!
-//! The batch-granular operators (σ, hash ⋈, grouping) run chunked on the
-//! process-wide `maybms-par` pool when the input is large enough to
-//! amortise task overhead; the `*_with` variants take an explicit pool
-//! handle and chunk size (used by the determinism property tests to pin
-//! 1/2/8-thread pools on tiny inputs). Parallel output — tuple order and
-//! values — is *identical* to the sequential path at any thread count:
-//! chunk partials are merged in chunk order, and chunk boundaries never
+//! [`group_indices`] runs chunked on the process-wide `maybms-par` pool
+//! when the input is large enough to amortise task overhead;
+//! [`group_indices_with`] takes an explicit pool handle and chunk size
+//! (used by the determinism property tests to pin 1/2/8-thread pools on
+//! tiny inputs). Parallel output — key order and member order — is
+//! *identical* to the sequential path at any thread count: chunk
+//! partials are merged in chunk order, and chunk boundaries never
 //! influence per-row results.
-//!
-//! [`Relation`]: crate::tuple::Relation
 
 mod aggregate;
-mod filter;
 mod join;
 mod project;
-mod set;
 mod sort;
 
-/// Inputs below this many rows run sequentially in the auto-dispatching
-/// operators: at engine row costs, a task is only worth queueing once a
-/// chunk holds a few thousand rows.
+/// Inputs below this many rows run sequentially in [`group_indices`]: at
+/// engine row costs, a task is only worth queueing once a chunk holds a
+/// few thousand rows.
 pub const PAR_MIN_ROWS: usize = 8192;
 
-/// Minimum chunk size the auto-dispatching operators hand to the pool.
+/// Minimum chunk (morsel) size handed to the pool by [`group_indices`]
+/// and the pipeline executor.
 pub const PAR_MIN_CHUNK: usize = 4096;
 
-pub use aggregate::{
-    aggregate, aggregate_with, group_indices, group_indices_with, AggCall, AggFunc, AggState,
-    ExactSum,
-};
-pub use filter::{filter, filter_with};
-pub use join::{
-    cross_join, hash_join, hash_join_with, join_key_hash, join_keys_eq, nested_loop_join,
-    single_key_hash, tuple_key_hash, tuple_keys_eq,
-};
-pub use project::{project, ProjectItem};
-pub use set::{distinct, union_all};
-pub use sort::{limit, sort, SortKey};
+pub use aggregate::{group_indices, group_indices_with, AggFunc, AggState, ExactSum};
+pub use join::{join_key_hash, join_keys_eq, single_key_hash};
+pub use project::ProjectItem;
+pub use sort::SortKey;

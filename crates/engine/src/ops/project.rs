@@ -1,12 +1,7 @@
-//! Projection (π) with computed expressions — SQL `SELECT` list semantics
-//! (no implicit duplicate elimination).
+//! Projection (π) items — SQL `SELECT` list semantics (the π stage
+//! itself lives in `maybms-pipe`).
 
-use std::sync::Arc;
-
-use crate::error::Result;
 use crate::expr::Expr;
-use crate::schema::{Field, Schema};
-use crate::tuple::{Relation, TupleBatch};
 
 /// One output column: an expression and its output name.
 #[derive(Debug, Clone)]
@@ -27,82 +22,5 @@ impl ProjectItem {
     pub fn col(name: impl Into<String>) -> ProjectItem {
         let name = name.into();
         ProjectItem { expr: Expr::col(name.clone()), name }
-    }
-}
-
-/// Evaluate `items` for every tuple.
-pub fn project(input: &Relation, items: &[ProjectItem]) -> Result<Relation> {
-    let in_schema = input.schema();
-    let bound: Vec<(Expr, Field)> = items
-        .iter()
-        .map(|item| {
-            let e = item.expr.bind(in_schema)?;
-            let dtype = e.data_type(in_schema);
-            Ok((e, Field::new(item.name.clone(), dtype)))
-        })
-        .collect::<Result<_>>()?;
-    let schema = Arc::new(Schema::new(bound.iter().map(|(_, f)| f.clone()).collect()));
-    let mut batch = TupleBatch::new();
-    for t in input.tuples() {
-        batch.begin_row();
-        for (e, _) in &bound {
-            batch.push_value(e.eval(t)?);
-        }
-    }
-    Ok(Relation::new_unchecked(schema, batch.finish()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::expr::BinaryOp;
-    use crate::tuple::rel;
-    use crate::types::{DataType, Value};
-
-    fn input() -> Relation {
-        rel(
-            &[("a", DataType::Int), ("b", DataType::Int)],
-            vec![vec![1.into(), 10.into()], vec![2.into(), 20.into()]],
-        )
-    }
-
-    #[test]
-    fn computes_expressions_and_names() {
-        let out = project(
-            &input(),
-            &[
-                ProjectItem::col("b"),
-                ProjectItem::new(
-                    Expr::col("a").binary(BinaryOp::Add, Expr::col("b")),
-                    "total",
-                ),
-            ],
-        )
-        .unwrap();
-        assert_eq!(out.schema().names(), vec!["b", "total"]);
-        assert_eq!(out.tuples()[1].value(1), &Value::Int(22));
-    }
-
-    #[test]
-    fn no_duplicate_elimination() {
-        let out = project(&input(), &[ProjectItem::new(Expr::lit(1i64), "one")]).unwrap();
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn output_type_inferred() {
-        let out = project(
-            &input(),
-            &[ProjectItem::new(Expr::col("a").binary(BinaryOp::Div, Expr::lit(2i64)), "h")],
-        )
-        .unwrap();
-        assert_eq!(out.schema().field(0).dtype, DataType::Float);
-    }
-
-    #[test]
-    fn empty_projection_list_gives_zero_columns() {
-        let out = project(&input(), &[]).unwrap();
-        assert_eq!(out.schema().len(), 0);
-        assert_eq!(out.len(), 2);
     }
 }

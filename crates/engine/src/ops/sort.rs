@@ -1,9 +1,6 @@
-//! Sorting and LIMIT.
+//! `ORDER BY` keys (the sort breaker itself lives in `maybms-pipe`).
 
-use crate::error::Result;
 use crate::expr::Expr;
-use crate::tuple::Relation;
-use crate::types::Value;
 
 /// One ORDER BY key.
 #[derive(Debug, Clone)]
@@ -23,95 +20,5 @@ impl SortKey {
     /// Descending key on an expression.
     pub fn desc(expr: Expr) -> SortKey {
         SortKey { expr, ascending: false }
-    }
-}
-
-/// Stable sort by the given keys (NULLs first, engine total order).
-///
-/// Sorts a selection vector decorated with the precomputed key values and
-/// gathers the permuted rows once at the end — row data is never moved or
-/// copied during the sort itself.
-pub fn sort(input: &Relation, keys: &[SortKey]) -> Result<Relation> {
-    let bound: Vec<(Expr, bool)> = keys
-        .iter()
-        .map(|k| Ok((k.expr.bind(input.schema())?, k.ascending)))
-        .collect::<Result<_>>()?;
-    // Precompute key values so evaluation errors surface before sorting.
-    let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(input.len());
-    for (i, t) in input.tuples().iter().enumerate() {
-        let kv: Vec<Value> = bound.iter().map(|(e, _)| e.eval(t)).collect::<Result<_>>()?;
-        decorated.push((kv, i));
-    }
-    decorated.sort_by(|(ka, ia), (kb, ib)| {
-        for ((a, b), (_, asc)) in ka.iter().zip(kb).zip(&bound) {
-            let ord = a.cmp(b);
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        ia.cmp(ib) // stability tiebreak
-    });
-    let sel: Vec<usize> = decorated.into_iter().map(|(_, i)| i).collect();
-    Ok(input.gather(&sel))
-}
-
-/// Keep the first `n` tuples.
-pub fn limit(input: &Relation, n: usize) -> Relation {
-    let sel: Vec<usize> = (0..input.len().min(n)).collect();
-    input.gather(&sel)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tuple::rel;
-    use crate::types::DataType;
-
-    fn scores() -> Relation {
-        rel(
-            &[("p", DataType::Text), ("s", DataType::Int)],
-            vec![
-                vec!["b".into(), 2.into()],
-                vec!["a".into(), 3.into()],
-                vec!["c".into(), 2.into()],
-            ],
-        )
-    }
-
-    #[test]
-    fn sorts_ascending() {
-        let out = sort(&scores(), &[SortKey::asc(Expr::col("s"))]).unwrap();
-        let vals: Vec<i64> =
-            out.tuples().iter().map(|t| t.value(1).as_int().unwrap()).collect();
-        assert_eq!(vals, vec![2, 2, 3]);
-    }
-
-    #[test]
-    fn descending_and_secondary_key() {
-        let out = sort(
-            &scores(),
-            &[SortKey::desc(Expr::col("s")), SortKey::asc(Expr::col("p"))],
-        )
-        .unwrap();
-        let names: Vec<&str> =
-            out.tuples().iter().map(|t| t.value(0).as_str().unwrap()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn sort_is_stable() {
-        let out = sort(&scores(), &[SortKey::asc(Expr::col("s"))]).unwrap();
-        // "b" appeared before "c" in the input; both have s = 2.
-        let names: Vec<&str> =
-            out.tuples().iter().map(|t| t.value(0).as_str().unwrap()).collect();
-        assert_eq!(names, vec!["b", "c", "a"]);
-    }
-
-    #[test]
-    fn limit_truncates() {
-        assert_eq!(limit(&scores(), 2).len(), 2);
-        assert_eq!(limit(&scores(), 0).len(), 0);
-        assert_eq!(limit(&scores(), 99).len(), 3);
     }
 }

@@ -11,10 +11,10 @@
 //! ordering, and hashing are over the logical value slice, so tuples from
 //! different buffers compare like plain rows.
 //!
-//! Operators that merely choose or reorder rows (σ, sort, limit,
-//! distinct, ∪) work on **selection vectors**: they compute the indices
-//! of the surviving input rows and materialise the output once via
-//! [`Relation::gather`], which clones only `Arc` handles.
+//! Operators that merely choose or reorder rows (σ, sort, limit) work
+//! on **selection vectors**: they compute the indices of the surviving
+//! input rows and materialise the output once, cloning only `Arc`
+//! handles (`URelation::gather` in `maybms-urel`).
 //!
 //! Operators that construct genuinely new rows (π over expressions, ⋈
 //! output concatenation) assemble them through a [`TupleBatch`], which
@@ -76,15 +76,6 @@ impl Tuple {
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.len as usize
-    }
-
-    /// Concatenate two tuples. For bulk join output prefer
-    /// [`TupleBatch::push_concat`], which shares one buffer across rows.
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(self.values());
-        v.extend_from_slice(other.values());
-        Tuple::new(v)
     }
 
     /// A tuple with only the columns at `indices`, in that order.
@@ -193,21 +184,6 @@ impl TupleBatch {
         self.values.extend_from_slice(left.values());
         self.values.extend_from_slice(right.values());
         self.rows.last_mut().expect("just begun").1 = left.len + right.len;
-    }
-
-    /// The values of the most recently pushed (still pending) row —
-    /// lets callers evaluate a predicate on a staged row before deciding
-    /// to keep it.
-    pub fn last_row(&self) -> &[Value] {
-        let &(start, len) = self.rows.last().expect("no pending row");
-        &self.values[start as usize..(start + len) as usize]
-    }
-
-    /// Drop the most recently pushed row (it must still be pending, i.e.
-    /// pushed since the last chunk seal — always true right after a push).
-    pub fn abandon_last(&mut self) {
-        let (start, _) = self.rows.pop().expect("no pending row");
-        self.values.truncate(start as usize);
     }
 
     /// Number of rows pushed so far.
@@ -457,30 +433,6 @@ impl Relation {
         }
     }
 
-    /// Materialise a selection vector: the relation holding the rows at
-    /// `indices`, in that order, sharing the underlying row storage
-    /// (clones are `Arc` bumps). Indices may repeat; they must be in
-    /// range. A columnar store whose row view was never materialised
-    /// gathers its columns instead, staying columnar (dictionaries are
-    /// shared, not re-encoded).
-    pub fn gather(&self, indices: &[usize]) -> Relation {
-        if let Store::Columnar(c) = &self.store {
-            if c.rows.get().is_none() {
-                debug_assert!(c.batch.rows() <= u32::MAX as usize);
-                let sel: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
-                return Relation {
-                    schema: self.schema.clone(),
-                    store: Store::Columnar(Arc::new(ColumnarRel::new(c.batch.gather(&sel)))),
-                };
-            }
-        }
-        let tuples = self.tuples();
-        Relation {
-            schema: self.schema.clone(),
-            store: Store::Rows(indices.iter().map(|&i| tuples[i].clone()).collect()),
-        }
-    }
-
     /// Replace the schema (e.g. re-qualifying after aliasing). The new
     /// schema must have the same arity.
     pub fn with_schema(self, schema: Arc<Schema>) -> Result<Relation> {
@@ -594,12 +546,10 @@ mod tests {
     }
 
     #[test]
-    fn tuple_concat_and_take() {
-        let t1 = Tuple::new(vec![1.into(), 2.into()]);
-        let t2 = Tuple::new(vec!["x".into()]);
-        let t3 = t1.concat(&t2);
-        assert_eq!(t3.arity(), 3);
-        assert_eq!(t3.take(&[2, 0]), Tuple::new(vec!["x".into(), 1.into()]));
+    fn tuple_take() {
+        let t = Tuple::new(vec![1.into(), 2.into(), "x".into()]);
+        assert_eq!(t.arity(), 3);
+        assert_eq!(t.take(&[2, 0]), Tuple::new(vec!["x".into(), 1.into()]));
     }
 
     #[test]
@@ -624,16 +574,6 @@ mod tests {
     fn tuple_display() {
         let t = Tuple::new(vec![1.into(), "x".into()]);
         assert_eq!(t.to_string(), "(1, x)");
-    }
-
-    #[test]
-    fn gather_shares_rows_and_allows_repeats() {
-        let r = sample();
-        let g = r.gather(&[1, 0, 1]);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.tuples()[0], r.tuples()[1]);
-        assert_eq!(g.tuples()[2], r.tuples()[1]);
-        assert_eq!(g.schema(), r.schema());
     }
 
     #[test]
@@ -705,20 +645,6 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.tuples()[0], sample().tuples()[0]);
         assert_eq!(c.tuples()[2], Tuple::new(vec!["X".into(), 3.into()]));
-    }
-
-    #[test]
-    fn gather_on_cold_columnar_store_stays_columnar() {
-        let r = sample();
-        let c = r.compact();
-        let g = c.gather(&[1, 0, 1]);
-        assert!(g.is_columnar(), "cold columnar gather keeps columns");
-        assert_eq!(g, r.gather(&[1, 0, 1]));
-        // Once the row view exists, gathering shares row buffers instead.
-        let _ = c.tuples();
-        let g2 = c.gather(&[1]);
-        assert!(!g2.is_columnar());
-        assert_eq!(g2.tuples()[0], r.tuples()[1]);
     }
 
     #[test]

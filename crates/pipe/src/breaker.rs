@@ -1,0 +1,220 @@
+//! The materialising **breakers**: sort, multiset union, cross product
+//! and limit — operators that must hold all of their input before they
+//! emit a row, so they take collected U-relations, not streams. (The
+//! other breakers live next door: hash-join builds in [`crate::build`],
+//! grouped aggregation — which also serves `DISTINCT` — in
+//! [`crate::groupby`].)
+//!
+//! There is one implementation of each, over [`URelation`]: a t-certain
+//! input is the case where every condition is empty, and conditions ride
+//! along untouched except in the cross product, which conjoins them and
+//! drops unsatisfiable pairs exactly like a probe stage.
+//!
+//! Every breaker opens one `breaker` trace span (attrs `kind`,
+//! `rows_in`, `rows_out`) and, where its work grows with its input,
+//! ticks the governor per row, so `ORDER BY`, `UNION` and a keyless join
+//! are as cancellable as a scan.
+
+use std::sync::Arc;
+
+use maybms_engine::ops::SortKey;
+use maybms_engine::tuple::TupleBatch;
+use maybms_engine::{EngineError, Expr, Value};
+use maybms_gov::Ticker;
+use maybms_obs::trace::Span;
+use maybms_urel::urelation::zip_batch;
+use maybms_urel::{Result, URelation};
+
+/// Open a breaker's span.
+fn open(kind: &'static str, rows_in: usize) -> Span {
+    let mut span = maybms_obs::trace::span("breaker");
+    span.attr("kind", kind);
+    span.attr("rows_in", rows_in);
+    span
+}
+
+/// Open a breaker's span and pass its entry checkpoint.
+fn enter(kind: &'static str, rows_in: usize) -> Result<Span> {
+    let span = open(kind, rows_in);
+    maybms_gov::check().map_err(EngineError::Gov)?;
+    Ok(span)
+}
+
+/// Stable sort of the representation by `keys` (NULLs first, engine
+/// total order; ties keep input order).
+///
+/// Sorts a selection vector decorated with the key values — each key is
+/// evaluated once per row, so an evaluation error surfaces before any
+/// comparison — and gathers the permuted rows once at the end.
+pub fn sort(input: &URelation, keys: &[SortKey]) -> Result<URelation> {
+    let bound: Vec<(Expr, bool)> = keys
+        .iter()
+        .map(|k| Ok((k.expr.bind(input.schema())?, k.ascending)))
+        .collect::<Result<_>>()?;
+    let mut span = enter("sort", input.len())?;
+    let mut gov = Ticker::new();
+    let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(input.len());
+    for (i, t) in input.tuples().iter().enumerate() {
+        gov.tick().map_err(EngineError::Gov)?;
+        let kv = bound
+            .iter()
+            .map(|(e, _)| e.eval_values(t.data.values()))
+            .collect::<std::result::Result<Vec<Value>, EngineError>>()?;
+        decorated.push((kv, i));
+    }
+    decorated.sort_by(|(ka, ia), (kb, ib)| {
+        for ((a, b), (_, asc)) in ka.iter().zip(kb).zip(&bound) {
+            let ord = if *asc { a.cmp(b) } else { b.cmp(a) };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        ia.cmp(ib) // stability tiebreak
+    });
+    let sel: Vec<usize> = decorated.into_iter().map(|(_, i)| i).collect();
+    span.attr("rows_out", sel.len());
+    Ok(input.gather(&sel))
+}
+
+/// Multiset union (§2.2: `union` over uncertain relations is the
+/// multiset union of the representations). The inputs must have the
+/// same arity and column-wise unifiable types; the left schema is kept.
+pub fn union_all(left: &URelation, right: &URelation) -> Result<URelation> {
+    let (ls, rs) = (left.schema(), right.schema());
+    if ls.len() != rs.len() {
+        return Err(EngineError::SchemaMismatch {
+            message: format!("UNION arity mismatch: {} vs {}", ls.len(), rs.len()),
+        }
+        .into());
+    }
+    for (a, b) in ls.fields().iter().zip(rs.fields()) {
+        if a.dtype.unify(b.dtype).is_none() {
+            return Err(EngineError::SchemaMismatch {
+                message: format!("UNION column type mismatch: {} vs {}", a.dtype, b.dtype),
+            }
+            .into());
+        }
+    }
+    let mut span = enter("union", left.len() + right.len())?;
+    let mut gov = Ticker::new();
+    let mut tuples = Vec::with_capacity(left.len() + right.len());
+    for t in left.tuples().iter().chain(right.tuples()) {
+        gov.tick().map_err(EngineError::Gov)?;
+        tuples.push(t.clone());
+    }
+    span.attr("rows_out", tuples.len());
+    Ok(URelation::new(ls.clone(), tuples))
+}
+
+/// Cross product — the join of two sources no equality conjunct links.
+/// Data concatenates, conditions conjoin, and a pair whose conjunction
+/// is unsatisfiable is dropped. Output schema is `left ++ right`.
+pub fn cross(left: &URelation, right: &URelation) -> Result<URelation> {
+    let mut span = enter("cross", left.len() + right.len())?;
+    let schema = Arc::new(left.schema().join(right.schema()));
+    let mut batch = TupleBatch::new();
+    let mut wsds = Vec::new();
+    let mut gov = Ticker::new();
+    for l in left.tuples() {
+        for r in right.tuples() {
+            // The output is quadratic in the inputs: without a per-pair
+            // tick a cross product could neither be cancelled nor
+            // stopped by a memory budget.
+            gov.tick().map_err(EngineError::Gov)?;
+            let Some(wsd) = l.wsd.conjoin(&r.wsd) else { continue };
+            batch.push_concat(&l.data, &r.data);
+            wsds.push(wsd);
+        }
+    }
+    span.attr("rows_out", wsds.len());
+    Ok(URelation::new(schema, zip_batch(batch, wsds)))
+}
+
+/// The first `n` stored rows. Only meaningful on a t-certain input —
+/// truncating an uncertain representation changes its possible worlds —
+/// which is the caller's typing rule to enforce.
+pub fn limit(input: &URelation, n: usize) -> URelation {
+    let mut span = open("limit", input.len());
+    let sel: Vec<usize> = (0..input.len().min(n)).collect();
+    span.attr("rows_out", sel.len());
+    input.gather(&sel)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use maybms_engine::{rel, DataType};
+    use maybms_urel::{Var, Wsd};
+
+    fn scores() -> URelation {
+        let mut u = URelation::from_certain(&rel(
+            &[("p", DataType::Text), ("s", DataType::Int)],
+            vec![
+                vec!["b".into(), 2.into()],
+                vec!["a".into(), 3.into()],
+                vec!["c".into(), 2.into()],
+            ],
+        ));
+        u.tuples_mut()[0].wsd = Wsd::of(Var(0), 0);
+        u.tuples_mut()[2].wsd = Wsd::of(Var(0), 1);
+        u
+    }
+
+    fn names(u: &URelation) -> Vec<&str> {
+        u.tuples().iter().map(|t| t.data.value(0).as_str().unwrap()).collect()
+    }
+
+    #[test]
+    fn sort_is_stable_and_carries_conditions() {
+        let u = scores();
+        let out = sort(&u, &[SortKey::asc(Expr::col("s"))]).unwrap();
+        assert_eq!(names(&out), vec!["b", "c", "a"]);
+        assert_eq!(out.tuples()[1].wsd, Wsd::of(Var(0), 1));
+        let out = sort(&u, &[SortKey::desc(Expr::col("s")), SortKey::asc(Expr::col("p"))])
+            .unwrap();
+        assert_eq!(names(&out), vec!["a", "b", "c"]);
+        // A columnar-at-rest input sorts the same.
+        let out = sort(&u.compact(), &[SortKey::asc(Expr::col("s"))]).unwrap();
+        assert_eq!(names(&out), vec!["b", "c", "a"]);
+    }
+
+    #[test]
+    fn sort_key_errors_surface_before_sorting() {
+        let u = scores();
+        assert!(sort(&u, &[SortKey::asc(Expr::col("nope"))]).is_err());
+        let bad = Expr::col("p").binary(maybms_engine::BinaryOp::Add, Expr::lit(1i64));
+        assert!(sort(&u, &[SortKey::asc(bad)]).is_err());
+    }
+
+    #[test]
+    fn union_checks_arity_and_types() {
+        let u = scores();
+        assert_eq!(union_all(&u, &u).unwrap().len(), 6);
+        let ints = URelation::from_certain(&rel(&[("x", DataType::Int)], vec![vec![1.into()]]));
+        let floats = URelation::from_certain(&rel(
+            &[("x", DataType::Float)],
+            vec![vec![Value::Float(0.5)]],
+        ));
+        let texts = URelation::from_certain(&rel(&[("x", DataType::Text)], vec![vec!["a".into()]]));
+        assert_eq!(union_all(&ints, &floats).unwrap().len(), 2);
+        assert!(union_all(&ints, &texts).is_err());
+        assert!(union_all(&ints, &u).is_err());
+    }
+
+    #[test]
+    fn cross_conjoins_and_drops_contradictions() {
+        let u = scores();
+        // 3 × 3 pairs minus the two (x↦0, x↦1) contradictions.
+        let out = cross(&u, &u).unwrap();
+        assert_eq!(out.len(), 7);
+        assert_eq!(out.schema().len(), 4);
+    }
+
+    #[test]
+    fn limit_truncates() {
+        let u = scores();
+        assert_eq!(limit(&u, 2).len(), 2);
+        assert_eq!(limit(&u, 0).len(), 0);
+        assert_eq!(limit(&u, 99).len(), 3);
+    }
+}

@@ -1,15 +1,19 @@
 //! # maybms-pipe — morsel-driven streaming execution
 //!
-//! The materialising operators of `maybms-engine` / `maybms-urel` run
-//! bottom-up and build every intermediate relation: a `σ → π → σ → π`
-//! chain allocates four complete relations, and memory traffic — not the
-//! probabilistic bookkeeping — dominates the hot path. This crate is the
-//! push-based streaming executor every SQL statement runs on:
+//! The one set of relational operators, and the executor every SQL
+//! statement runs on. The paper's parsimonious translation (§2.3) maps
+//! each positive-RA operator to the *same* operator over the
+//! representation plus condition-column bookkeeping — σ and π carry
+//! conditions along (π eliminates no duplicates), ⋈ conjoins them and
+//! drops unsatisfiable pairs, ∪ is multiset union — at a cost polynomial
+//! in the representation and independent of the number of worlds. Here
+//! that is a push-based streaming executor:
 //!
 //! * a query is a set of **pipelines** split at *breakers* — operators
-//!   that must see all of their input before emitting anything
-//!   (hash-join *build*, aggregation, sort, distinct, limit, union,
-//!   nested-loop join);
+//!   that must see all of their input before emitting anything:
+//!   hash-join *build* ([`build`]), grouped aggregation and `DISTINCT`
+//!   ([`groupby`]), and sort, union, cross product and limit
+//!   ([`breaker`]);
 //! * within a pipeline, fused `Scan → Filter → Project → (join-probe)`
 //!   stages consume the source in **morsels** (contiguous row ranges) and
 //!   push each row through the whole stage chain with **no intermediate
@@ -17,9 +21,9 @@
 //!   morsel-local [`TupleBatch`](maybms_engine::tuple::TupleBatch) at a
 //!   time;
 //! * every in-flight row carries its world-set descriptor: probe stages
-//!   conjoin the two sides' WSDs and drop unsatisfiable pairs exactly as
-//!   `urel::algebra` does; a t-certain table is the case where every WSD
-//!   is empty, so certain and uncertain queries share this one executor;
+//!   conjoin the two sides' WSDs and drop unsatisfiable pairs; a
+//!   t-certain table is the case where every WSD is empty, so certain
+//!   and uncertain queries share this one executor;
 //! * hash-join **builds are morsel-local**: each morsel constructs a
 //!   private hash table and the per-key candidate lists are merged in
 //!   morsel order ([`BuildTable`]), so the merged table is identical to a
@@ -60,24 +64,26 @@
 //! The front end is [`UStream`]: a lazy pipeline over one source
 //! U-relation that `maybms-core` threads its select/project/join chains
 //! through. [`UStream::describe`] is what the SQL `EXPLAIN` statement
-//! prints.
+//! prints. [`vertical`] (attribute-level uncertainty, §2.1) recomposes
+//! its pieces through the same probes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod breaker;
 pub mod build;
 pub(crate) mod fuse;
 pub mod groupby;
 pub mod ustream;
+pub mod vertical;
 
 pub use build::BuildTable;
 pub use groupby::GroupTable;
 pub use ustream::UStream;
 
 /// Hash of a row slice's key columns (columnar single-key fast path),
-/// `None` when any key is NULL. Agrees with the engine's
-/// `tuple_key_hash`, so pipelined probes hit the same buckets as
-/// materialised joins.
+/// `None` when any key is NULL — what both the build and the probe side
+/// of a hash join bucket by.
 #[inline]
 pub(crate) fn row_key_hash(row: &[maybms_engine::Value], keys: &[usize]) -> Option<u64> {
     if let [k] = keys {

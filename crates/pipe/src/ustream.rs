@@ -9,11 +9,9 @@
 //!
 //! Determinism contract: `collect()` is bit-identical — data, WSDs, row
 //! order, and the first runtime error — to a row-major scalar walk of
-//! the same chain (and, on success, to the equivalent `algebra::select`
-//! / `algebra::project` / `algebra::hash_join` sequence), at any thread
-//! count and morsel size (morsel outputs concatenate in morsel order;
-//! build tables merge morsel-locally in morsel order, matching the
-//! joins' fixed build-right/probe-left convention).
+//! the same chain, at any thread count and morsel size (morsel outputs
+//! concatenate in morsel order; build tables merge morsel-locally in
+//! morsel order; joins build on the right and probe with the left).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -29,8 +27,8 @@ use crate::fuse::{self, FusedOutput, Stage};
 /// (run by the crate's stage walker, `fuse`).
 ///
 /// Stage constructors bind their expressions against the stream's
-/// current schema immediately (so planning errors surface where the
-/// materialising code would raise them); rows only flow — and probe
+/// current schema immediately (so planning errors surface at plan
+/// time); rows only flow — and probe
 /// build tables are only constructed, morsel-locally, on the collecting
 /// pool — at [`UStream::collect`].
 pub struct UStream {
@@ -56,7 +54,8 @@ impl UStream {
         self.stages.len()
     }
 
-    /// Append a σ stage (equivalent to `algebra::select`).
+    /// Append a σ stage: keep rows whose *data* satisfies the predicate
+    /// (NULL counts as not satisfied); conditions ride along.
     ///
     /// The predicate is constant-folded at bind time (the PR 3
     /// projection-merge guard applies: fallible subexpressions never
@@ -83,15 +82,16 @@ impl UStream {
         Ok(self)
     }
 
-    /// Append a π stage (equivalent to `algebra::project`). Expressions
-    /// are constant-folded at bind time.
+    /// Append a π stage. Conditions are preserved and duplicates are
+    /// *not* eliminated (§2.2: equal tuples under different conditions are
+    /// different evidence). Expressions are constant-folded at bind time.
     pub fn project(mut self, items: &[ProjectItem]) -> Result<UStream> {
         let mut exprs = Vec::with_capacity(items.len());
         let mut fields = Vec::with_capacity(items.len());
         for item in items {
             let e = item.expr.bind(&self.schema)?;
-            // Field type from the unfolded expression, so the stream's
-            // schema matches the materialising path exactly.
+            // Field type from the unfolded expression: folding must not
+            // change the declared schema.
             fields.push(Field::new(item.name.clone(), e.data_type(&self.schema)));
             exprs.push(e.fold());
         }
@@ -107,11 +107,14 @@ impl UStream {
         self
     }
 
-    /// Append a hash-join probe stage against `build` (equivalent to
-    /// `algebra::hash_join(stream, build, ..)`: the stream is the left /
-    /// probe side, `build` the right / build side). The build table is
-    /// constructed at collect time, morsel-locally on the collecting
-    /// pool.
+    /// Append a hash-join probe stage against `build`: an equi-join on
+    /// positional keys (`left_keys[i] = right_keys[i]`, NULL never
+    /// matches) that concatenates data and conjoins conditions, dropping
+    /// pairs whose conjunction is unsatisfiable. The stream is the left /
+    /// probe side, `build` the right / build side: rows come out in
+    /// stream order with each row's matches in build-row order. The
+    /// build table is constructed at collect time, morsel-locally on the
+    /// collecting pool.
     pub fn hash_join(
         mut self,
         build: URelation,
@@ -142,8 +145,7 @@ impl UStream {
     }
 
     /// Run the pipeline on the process-wide pool. Dispatches morsels in
-    /// parallel for large sources, exactly like the materialising
-    /// operators; output is identical either way.
+    /// parallel for large sources; output is identical either way.
     pub fn collect(self) -> Result<URelation> {
         self.collect_with(&maybms_par::pool(), maybms_engine::ops::PAR_MIN_CHUNK, None)
     }
@@ -165,7 +167,7 @@ impl UStream {
             let out = match fused {
                 None => source.with_schema(schema),
                 // Filter-only pipeline: gather shares rows (data + WSDs)
-                // with the source, like chained `algebra::select`.
+                // with the source.
                 Some(FusedOutput::Select(sel)) => source.gather(&sel).with_schema(schema),
                 Some(FusedOutput::Rows(tuples, wsds)) => URelation::new(
                     schema,
@@ -391,7 +393,7 @@ impl UStream {
 mod tests {
     use super::*;
     use maybms_engine::{rel, DataType};
-    use maybms_urel::{algebra, Var, WorldTable, Wsd};
+    use maybms_urel::{Var, WorldTable, Wsd};
 
     fn setup() -> (WorldTable, URelation) {
         let mut wt = WorldTable::new();
@@ -414,43 +416,38 @@ mod tests {
         (wt, u)
     }
 
-    /// Fused σ → probe → π equals the materialising algebra chain, WSDs
-    /// and order included — including the self-join's unsatisfiable
-    /// conjunctions being dropped.
+    /// Fused σ → probe → π: WSDs conjoin, the self-join's unsatisfiable
+    /// pairs drop, and rows come out in probe order — at any thread count.
     #[test]
-    fn fused_chain_matches_algebra_chain() {
+    fn fused_chain_conjoins_and_drops_contradictions() {
         let (_, u) = setup();
         let pred = Expr::col("state").eq(Expr::lit("F"));
         let items = [ProjectItem::new(Expr::ColumnIdx(0), "who")];
-
-        let materialized = {
-            let s = algebra::select(&u, &pred).unwrap();
-            let j = algebra::hash_join(&s, &u, &[0], &[0]).unwrap();
-            algebra::project(&j, &items).unwrap()
-        };
-        let pipelined = UStream::new(u.clone())
-            .filter(&pred)
-            .unwrap()
-            .hash_join(u.clone(), &[0], &[0])
-            .unwrap()
-            .project(&items)
-            .unwrap();
-        assert_eq!(pipelined.schema().names(), vec!["who"]);
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let got = UStream::new(u.clone())
+        let chain = || {
+            UStream::new(u.clone())
                 .filter(&pred)
                 .unwrap()
                 .hash_join(u.clone(), &[0], &[0])
                 .unwrap()
                 .project(&items)
                 .unwrap()
-                .collect_with(&pool, 1, None)
-                .unwrap();
-            assert_eq!(got.tuples(), materialized.tuples(), "threads = {threads}");
+        };
+        assert_eq!(chain().schema().names(), vec!["who"]);
+        // Each F row pairs with itself only: its sibling alternative
+        // (x↦0 ∧ x↦1) is unsatisfiable.
+        let want = vec![
+            (Value::str("Bryant"), Wsd::of(Var(0), 0)),
+            (Value::str("Duncan"), Wsd::of(Var(1), 0)),
+        ];
+        let rows = |r: &URelation| -> Vec<(Value, Wsd)> {
+            r.tuples().iter().map(|t| (t.data.value(0).clone(), t.wsd.clone())).collect()
+        };
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            let got = chain().collect_with(&pool, 1, None).unwrap();
+            assert_eq!(rows(&got), want, "threads = {threads}");
         }
-        let got = pipelined.collect().unwrap();
-        assert_eq!(got.tuples(), materialized.tuples());
+        assert_eq!(rows(&chain().collect().unwrap()), want);
     }
 
     #[test]
@@ -458,8 +455,7 @@ mod tests {
         let (_, u) = setup();
         let pred = Expr::col("player").eq(Expr::lit("Bryant"));
         let got = UStream::new(u.clone()).filter(&pred).unwrap().collect().unwrap();
-        let want = algebra::select(&u, &pred).unwrap();
-        assert_eq!(got.tuples(), want.tuples());
+        assert_eq!(got.tuples(), &u.tuples()[..2]);
         assert_eq!(got.tuples()[0].wsd, Wsd::of(Var(0), 0));
     }
 

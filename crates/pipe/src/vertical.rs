@@ -6,8 +6,8 @@
 //! [`decompose`] splits a U-relation into column groups, each carrying the
 //! system tuple-id column `_tid`; each piece can then be conditioned on its
 //! own variables (different attributes of one logical tuple may vary
-//! independently). [`recompose`] joins the pieces back on `_tid`,
-//! conjoining their conditions.
+//! independently). [`recompose`] joins the pieces back on `_tid` — one
+//! fused [`UStream`] chain of hash probes, conjoining their conditions.
 //!
 //! Decomposition runs on the engine's shared column-major machinery
 //! ([`maybms_engine::column`]): the input pivots once into a
@@ -17,10 +17,12 @@
 use std::sync::Arc;
 
 use maybms_engine::column::{Column, ColumnBatch, NullMask};
-use maybms_engine::{DataType, Field, Schema};
+use maybms_engine::ops::ProjectItem;
+use maybms_engine::{DataType, Expr, Field, Schema};
+use maybms_urel::urelation::zip_batch;
+use maybms_urel::{Result, URelation, UrelError};
 
-use crate::error::{Result, UrelError};
-use crate::urelation::{URelation, UTuple};
+use crate::UStream;
 
 /// Name of the system tuple-id column.
 pub const TID_COLUMN: &str = "_tid";
@@ -76,7 +78,7 @@ pub fn decompose(input: &URelation, groups: &[Vec<usize>]) -> Result<Vec<URelati
         // share chunked buffers instead of allocating each.
         let batch = ColumnBatch::from_columns(cols, n).to_tuple_batch();
         let wsds = input.tuples().iter().map(|t| t.wsd.clone()).collect();
-        out.push(URelation::new(schema, crate::urelation::zip_batch(batch, wsds)));
+        out.push(URelation::new(schema, zip_batch(batch, wsds)));
     }
     Ok(out)
 }
@@ -85,7 +87,7 @@ pub fn decompose(input: &URelation, groups: &[Vec<usize>]) -> Result<Vec<URelati
 /// WSDs) and drop the tuple-id column. Pieces must each have `_tid` as
 /// their first column.
 pub fn recompose(pieces: &[URelation]) -> Result<URelation> {
-    let Some(first) = pieces.first() else {
+    let Some((first, rest)) = pieces.split_first() else {
         return Err(UrelError::BadDecomposition { message: "no pieces".into() });
     };
     for p in pieces {
@@ -100,41 +102,29 @@ pub fn recompose(pieces: &[URelation]) -> Result<URelation> {
             });
         }
     }
-    let mut acc = first.clone();
-    for p in &pieces[1..] {
-        let joined = crate::algebra::hash_join(&acc, p, &[0], &[0])?;
-        // Drop the duplicated _tid column of the right piece.
-        let keep: Vec<usize> = (0..joined.schema().len())
-            .filter(|&i| i != acc.schema().len())
-            .collect();
-        let fields: Vec<Field> =
-            keep.iter().map(|&i| joined.schema().field(i).clone()).collect();
-        let schema = Arc::new(Schema::new(fields));
-        let tuples = joined
-            .tuples()
-            .iter()
-            .map(|t| UTuple::new(t.data.take(&keep), t.wsd.clone()))
-            .collect();
-        acc = URelation::new(schema, tuples);
+    // Probe every later piece on the first piece's `_tid` (column 0 of
+    // the joined row throughout), then project the tuple ids away once.
+    let mut joined = UStream::new(first.clone());
+    let mut keep: Vec<usize> = (1..first.schema().len()).collect();
+    for p in rest {
+        let width = joined.schema().len();
+        joined = joined.hash_join(p.clone(), &[0], &[0])?;
+        keep.extend(width + 1..joined.schema().len());
     }
-    // Drop the leading _tid.
-    let keep: Vec<usize> = (1..acc.schema().len()).collect();
-    let fields: Vec<Field> = keep.iter().map(|&i| acc.schema().field(i).clone()).collect();
-    let schema = Arc::new(Schema::new(fields));
-    let tuples = acc
-        .tuples()
+    let schema = joined.schema().clone();
+    let items: Vec<ProjectItem> = keep
         .iter()
-        .map(|t| UTuple::new(t.data.take(&keep), t.wsd.clone()))
+        .map(|&i| ProjectItem::new(Expr::ColumnIdx(i), schema.field(i).name.clone()))
         .collect();
-    Ok(URelation::new(schema, tuples))
+    let fields: Vec<Field> = keep.iter().map(|&i| schema.field(i).clone()).collect();
+    joined.project(&items)?.with_schema(Arc::new(Schema::new(fields))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world_table::WorldTable;
-    use crate::wsd::Wsd;
     use maybms_engine::{rel, DataType, Value};
+    use maybms_urel::{WorldTable, Wsd};
 
     fn sample() -> URelation {
         URelation::from_certain(&rel(

@@ -2,21 +2,21 @@
 //!
 //! "MayBMS stores probabilistic data in U-relational databases, a succinct
 //! and complete representation system for large sets of possible worlds"
-//! (§2.1). This crate implements that representation system and the query
-//! machinery that works directly on it:
+//! (§2.1). This crate implements that representation system and the
+//! constructs that build it:
 //!
 //! * [`var`] / [`world_table`] — finite independent random variables,
 //!   their distributions, world sampling and enumeration;
 //! * [`wsd`] — world-set descriptors: the per-tuple condition columns;
 //! * [`urelation`] — U-relations and the t-certain test;
-//! * [`algebra`] — the parsimonious positive-RA translation (σ, π, ⋈, ∪ on
-//!   the representation; cost independent of the number of worlds);
 //! * [`repair`] / [`pick`] — the `repair key` and `pick tuples`
 //!   hypothesis-space constructs (§2.2);
-//! * [`vertical`] — attribute-level uncertainty through vertical
-//!   decomposition with system tuple ids (§2.1);
 //! * [`worlds`] — exponential possible-world enumeration, used as the
 //!   ground-truth oracle in tests.
+//!
+//! The parsimonious translation of positive relational algebra onto this
+//! representation (σ, π, ⋈, ∪ — §2.3) is `maybms-pipe`'s executor, which
+//! also hosts the vertical decomposition for attribute-level uncertainty.
 //!
 //! ## Example: Figure 1's one-step random walk
 //!
@@ -48,13 +48,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algebra;
 pub mod error;
 pub mod pick;
 pub mod repair;
 pub mod urelation;
 pub mod var;
-pub mod vertical;
 pub mod world_table;
 pub mod worlds;
 pub mod wsd;

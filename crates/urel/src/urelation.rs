@@ -41,9 +41,8 @@ use crate::error::Result;
 use crate::world_table::WorldTable;
 use crate::wsd::Wsd;
 
-/// Zip batch-built data rows with their WSDs into `UTuple`s (shared by
-/// the algebra operators and the vertical-decomposition row builders).
-pub(crate) fn zip_batch(batch: TupleBatch, wsds: Vec<Wsd>) -> Vec<UTuple> {
+/// Zip batch-built data rows with their WSDs into `UTuple`s.
+pub fn zip_batch(batch: TupleBatch, wsds: Vec<Wsd>) -> Vec<UTuple> {
     batch
         .finish()
         .into_iter()

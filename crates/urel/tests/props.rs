@@ -1,49 +1,17 @@
-//! Property tests for the U-relational layer.
-//!
-//! The central theorem behind U-relations ([1], §2.3) is that the
-//! parsimonious translation of positive RA *commutes with possible-world
-//! instantiation*: rep(q(D))'s worlds are exactly q applied to D's worlds.
-//! These tests check that on randomly generated databases and operators,
-//! plus the algebraic laws of WSDs.
+//! Property tests for the U-relational layer: the algebraic laws of
+//! WSDs and the distribution `repair key` constructs. (That the
+//! parsimonious translation of positive RA commutes with possible-world
+//! instantiation is checked on the executor SQL runs, in
+//! `crates/bench/tests/commutation.rs`.)
 
-use maybms_engine::ops::ProjectItem;
-use maybms_engine::{rel, BinaryOp, DataType, Expr, Value};
-use maybms_urel::algebra;
-use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
+use maybms_engine::{rel, DataType, Expr, Value};
 use maybms_urel::repair::{repair_key, RepairKeyOptions};
 use maybms_urel::world_table::WorldTable;
 use maybms_urel::wsd::Wsd;
-use maybms_urel::{Assignment, URelation, Var};
+use maybms_urel::{Assignment, Var};
 use proptest::prelude::*;
 
 // ---------- generators ----------------------------------------------------
-
-/// A random tuple-independent U-relation with schema (k, v) over a fresh
-/// world table: rows with probabilities in {0.1 … 0.9}.
-fn arb_ti_relation(max_rows: usize) -> impl Strategy<Value = (WorldTable, URelation)> {
-    prop::collection::vec((0i64..4, 0i64..4, 1u32..10), 0..max_rows).prop_map(|rows| {
-        let mut wt = WorldTable::new();
-        let certain = rel(
-            &[("k", DataType::Int), ("v", DataType::Int), ("p", DataType::Float)],
-            rows.iter()
-                .map(|(k, v, p10)| {
-                    vec![
-                        Value::Int(*k),
-                        Value::Int(*v),
-                        Value::Float(f64::from(*p10) / 10.0),
-                    ]
-                })
-                .collect(),
-        );
-        let u = pick_tuples(
-            &certain,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
-            &mut wt,
-        )
-        .unwrap();
-        (wt, u)
-    })
-}
 
 fn arb_assignments() -> impl Strategy<Value = Vec<Assignment>> {
     prop::collection::vec((0u32..6, 0u16..3), 0..6)
@@ -112,92 +80,10 @@ proptest! {
     }
 }
 
-// ---------- translation ≡ possible worlds ---------------------------------
-
-/// Compare a translated U-relation against per-world evaluation of the
-/// equivalent certain query.
-fn assert_commutes(
-    wt: &WorldTable,
-    translated: &URelation,
-    per_world: impl Fn(&[u16]) -> maybms_engine::Relation,
-) -> Result<(), TestCaseError> {
-    for (world, _p) in wt.enumerate_worlds(1 << 16).unwrap() {
-        let mut lhs = translated.instantiate(&world).into_tuples();
-        let mut rhs = per_world(&world).into_tuples();
-        lhs.sort();
-        rhs.sort();
-        prop_assert_eq!(lhs, rhs, "world {:?}", world);
-    }
-    Ok(())
-}
+// ---------- repair key ----------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// σ commutes with instantiation on tuple-independent inputs.
-    #[test]
-    fn select_commutes((wt, u) in arb_ti_relation(8), bound in 0i64..4) {
-        let pred = Expr::col("v").binary(BinaryOp::GtEq, Expr::lit(bound));
-        let translated = algebra::select(&u, &pred).unwrap();
-        assert_commutes(&wt, &translated, |w| {
-            maybms_engine::ops::filter(&u.instantiate(w), &pred).unwrap()
-        })?;
-    }
-
-    /// π commutes with instantiation.
-    #[test]
-    fn project_commutes((wt, u) in arb_ti_relation(8)) {
-        let items = [
-            ProjectItem::col("k"),
-            ProjectItem::new(
-                Expr::col("v").binary(BinaryOp::Add, Expr::lit(1i64)),
-                "v1",
-            ),
-        ];
-        let translated = algebra::project(&u, &items).unwrap();
-        assert_commutes(&wt, &translated, |w| {
-            maybms_engine::ops::project(&u.instantiate(w), &items).unwrap()
-        })?;
-    }
-
-    /// ⋈ commutes with instantiation (equi-join on k), including the
-    /// conflict-dropping rule for shared variables (self-join case).
-    #[test]
-    fn join_commutes((wt, u) in arb_ti_relation(6)) {
-        let translated = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
-        assert_commutes(&wt, &translated, |w| {
-            let inst = u.instantiate(w);
-            maybms_engine::ops::hash_join(&inst, &inst, &[0], &[0]).unwrap()
-        })?;
-    }
-
-    /// ∪ commutes with instantiation.
-    #[test]
-    fn union_commutes((wt, u) in arb_ti_relation(6)) {
-        let translated = algebra::union_all(&[&u, &u]).unwrap();
-        assert_commutes(&wt, &translated, |w| {
-            let inst = u.instantiate(w);
-            maybms_engine::ops::union_all(&[&inst, &inst]).unwrap()
-        })?;
-    }
-
-    /// A composite plan σ(π(R ⋈ R)) commutes with instantiation.
-    #[test]
-    fn composite_plan_commutes((wt, u) in arb_ti_relation(5), bound in 0i64..4) {
-        let items = [ProjectItem::new(Expr::ColumnIdx(1), "v")];
-        let pred = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(bound));
-        let translated = {
-            let j = algebra::hash_join(&u, &u, &[0], &[0]).unwrap();
-            let p = algebra::project(&j, &items).unwrap();
-            algebra::select(&p, &pred).unwrap()
-        };
-        assert_commutes(&wt, &translated, |w| {
-            let inst = u.instantiate(w);
-            let j = maybms_engine::ops::hash_join(&inst, &inst, &[0], &[0]).unwrap();
-            let p = maybms_engine::ops::project(&j, &items).unwrap();
-            maybms_engine::ops::filter(&p, &pred).unwrap()
-        })?;
-    }
 
     /// repair-key alternatives are mutually exclusive within a group and
     /// the marginal masses match the normalised weights.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use maybms::MayBms;
 use maybms_engine::{rel, DataType, Tuple, Value};
-use maybms_urel::vertical::{decompose, recompose};
+use maybms_pipe::vertical::{decompose, recompose};
 use maybms_urel::{URelation, UTuple, WorldTable, Wsd};
 
 /// Build a relation where one tuple's `city` and `age` attributes each

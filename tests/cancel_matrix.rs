@@ -1,7 +1,8 @@
 //! Cancellation-point matrix (sibling of the store crash matrix): inject a
 //! governor abort — cancel, deadline, or memory-budget — at every Nth
 //! cooperative checkpoint of a statement, across statement classes
-//! (SELECT with conf(), DML, CTAS) and thread counts, and prove that
+//! (SELECT with conf(), ORDER BY, UNION, DML, CTAS) and thread counts,
+//! and prove that
 //!
 //! * the statement fails with exactly the injected [`GovError`],
 //! * the catalog (in-memory *and* durable) is bit-identical to the
@@ -76,6 +77,8 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
     let before_threads = maybms_par::current_threads();
     let statements: &[(&str, &str)] = &[
         ("select-conf", "select player, conf() as p from picks group by player"),
+        ("order-by", "select player, pts from picks order by pts desc, player"),
+        ("union", "select player from picks union all select player from games"),
         ("insert", "insert into games values ('Ginobili', 17, 0.9)"),
         ("update", "update games set pts = pts + 1 where pts > 20"),
         ("delete", "delete from games where pts < 20"),
@@ -158,6 +161,54 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
             }
         }
     }
+    maybms_par::set_threads(before_threads);
+}
+
+/// How many cooperative checkpoints `sql` passes when nothing aborts it.
+fn checkpoints(db: &mut MayBms, sql: &str) -> u64 {
+    const ARMED: u64 = u64::MAX / 2;
+    testing::abort_at_checkpoint(ARMED, AbortKind::Cancel);
+    db.run(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let left = testing::remaining().expect("injection armed");
+    testing::clear();
+    ARMED - left
+}
+
+/// The sort and union breakers are cooperative checkpoints of their own:
+/// one on entry and one every `Ticker::EVERY` rows, so an `ORDER BY` over
+/// a large result aborts *inside the sort*, not only in the scan under it.
+#[test]
+fn sort_and_union_breakers_are_checkpoints() {
+    let _l = lock();
+    let before_threads = maybms_par::current_threads();
+    maybms_par::set_threads(1);
+    let mem = MemVfs::new();
+    let mut db = seed(&mem);
+    let scan = "select player, pts from games";
+    let base = checkpoints(&mut db, scan);
+    assert_eq!(checkpoints(&mut db, &format!("{scan} order by pts")), base + 1);
+    assert_eq!(checkpoints(&mut db, &format!("{scan} union all {scan}")), 2 * base + 1);
+
+    // 3000 rows: the sort's decoration loop ticks past two real checks.
+    db.run("create table big (k bigint, v bigint)").unwrap();
+    let rows: Vec<String> = (0..3000).map(|i| format!("({i}, {})", (i * 7919) % 3000)).collect();
+    db.run(&format!("insert into big values {}", rows.join(", "))).unwrap();
+    let scan = "select k, v from big";
+    let sorted = format!("{scan} order by v");
+    let base = checkpoints(&mut db, scan);
+    let total = checkpoints(&mut db, &sorted);
+    assert_eq!(total, base + 3, "entry + two ticks of {} rows", maybms_gov::Ticker::EVERY);
+    // Every checkpoint past the scan's is the sort's: a cancel landing on
+    // any of them aborts with the typed error and an intact catalog.
+    let baseline = fp(&db);
+    for nth in base + 1..=total {
+        testing::abort_at_checkpoint(nth, AbortKind::Cancel);
+        let err = db.run(&sorted).expect_err("cancel inside the sort must abort");
+        testing::clear();
+        assert!(matches_kind(AbortKind::Cancel, &err), "nth={nth}: {err}");
+        assert_eq!(fp(&db), baseline, "nth={nth}: abort mutated state");
+    }
+    db.run(&sorted).expect("the session survives");
     maybms_par::set_threads(before_threads);
 }
 

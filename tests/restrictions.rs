@@ -52,12 +52,20 @@ fn select_distinct_forbidden_on_uncertain() {
     // uncertain relations, we avoid the need for conditions beyond the
     // special conjunctions…".
     let mut db = db_with_uncertain();
-    let err = db.run("select distinct k from u").unwrap_err();
-    assert!(matches!(err, CoreError::Typing { .. }), "{err:?}");
-    // `possible` is the sanctioned alternative.
+    // GROUP BY with no aggregate is DISTINCT by another name: it must not
+    // hand out possible-but-not-certain keys as t-certain rows.
+    for sql in ["select distinct k from u", "select k from u group by k"] {
+        let err = db.run(sql).unwrap_err();
+        assert!(matches!(err, CoreError::Typing { .. }), "{sql}: {err:?}");
+    }
+    // `possible` and a confidence aggregate are the sanctioned alternatives.
     assert!(db.run("select possible k from u").is_ok());
-    // distinct on certain tables is plain SQL.
-    assert!(db.run("select distinct k from t").is_ok());
+    assert!(db.run("select k, conf() from u group by k").is_ok());
+    // Both spellings on certain tables are plain SQL, and agree.
+    let distinct = db.query("select distinct k from t").unwrap();
+    let grouped = db.query("select k from t group by k").unwrap();
+    assert_eq!(distinct.tuples(), grouped.tuples());
+    assert_eq!(distinct.len(), 2);
 }
 
 #[test]

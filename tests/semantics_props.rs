@@ -194,4 +194,107 @@ proptest! {
         prop_assert_eq!(got.len(), out.len(), "possible must deduplicate");
         prop_assert_eq!(got, truth);
     }
+
+    /// Uncertain `UNION ALL` is the multiset union in every world.
+    #[test]
+    fn sql_uncertain_union_all_equals_enumeration(rows in arb_rows()) {
+        let mut db = load(&rows);
+        db.run(
+            "create table picked as
+             select * from (pick tuples from t independently with probability p) x",
+        ).unwrap();
+        let out = db
+            .query_uncertain(
+                "select v from picked where v >= 2 union all select g from picked",
+            )
+            .unwrap();
+        let u = db.table("picked").unwrap().clone();
+        for (world, _wp) in db.world_table().enumerate_worlds(1 << 16).unwrap() {
+            let inst = u.instantiate(&world);
+            let col = |i: usize| inst.tuples().iter().map(move |t| t.value(i).as_int().unwrap());
+            let mut truth: Vec<i64> = col(1).filter(|v| *v >= 2).chain(col(0)).collect();
+            let mut got: Vec<i64> = out
+                .instantiate(&world)
+                .tuples()
+                .iter()
+                .map(|t| t.value(0).as_int().unwrap())
+                .collect();
+            truth.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, truth, "world {:?}", world);
+        }
+    }
+
+    /// A keyless two-table FROM (the cross-product breaker) over `pick
+    /// tuples`: every world holds exactly the pairs of its own tuples.
+    #[test]
+    fn sql_keyless_from_equals_enumeration(rows in arb_rows()) {
+        let mut db = load(&rows);
+        db.run(
+            "create table picked as
+             select * from (pick tuples from t independently with probability p) x",
+        ).unwrap();
+        let out = db
+            .query_uncertain("select x.v as a, y.g as b from picked x, picked y")
+            .unwrap();
+        let u = db.table("picked").unwrap().clone();
+        for (world, _wp) in db.world_table().enumerate_worlds(1 << 16).unwrap() {
+            let inst = u.instantiate(&world);
+            let mut truth: Vec<(i64, i64)> = inst
+                .tuples()
+                .iter()
+                .flat_map(|x| {
+                    inst.tuples().iter().map(move |y| {
+                        (x.value(1).as_int().unwrap(), y.value(0).as_int().unwrap())
+                    })
+                })
+                .collect();
+            let mut got: Vec<(i64, i64)> = out
+                .instantiate(&world)
+                .tuples()
+                .iter()
+                .map(|t| (t.value(0).as_int().unwrap(), t.value(1).as_int().unwrap()))
+                .collect();
+            truth.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, truth, "world {:?}", world);
+        }
+    }
+
+    /// conf() over a `UNION ALL` subquery == brute-force world sums.
+    #[test]
+    fn sql_conf_over_union_all_equals_enumeration(rows in arb_rows()) {
+        let mut db = load(&rows);
+        db.run(
+            "create table picked as
+             select * from (pick tuples from t independently with probability p) x",
+        ).unwrap();
+        let out = db
+            .query(
+                "select v, conf() as c from
+                   (select v from picked where g = 0 union all select g from picked where g > 0) s
+                 group by v",
+            )
+            .unwrap();
+        let u = db.table("picked").unwrap().clone();
+        let mut truth: std::collections::HashMap<i64, f64> = Default::default();
+        for (world, wp) in db.world_table().enumerate_worlds(1 << 16).unwrap() {
+            let seen: std::collections::HashSet<i64> = u
+                .instantiate(&world)
+                .tuples()
+                .iter()
+                .map(|t| (t.value(0).as_int().unwrap(), t.value(1).as_int().unwrap()))
+                .map(|(g, v)| if g == 0 { v } else { g })
+                .collect();
+            for v in seen {
+                *truth.entry(v).or_insert(0.0) += wp;
+            }
+        }
+        prop_assert_eq!(out.len(), truth.len());
+        for t in out.tuples() {
+            let v = t.value(0).as_int().unwrap();
+            let p = t.value(1).as_f64().unwrap();
+            prop_assert!((p - truth[&v]).abs() < 1e-9, "v={} p={} truth={}", v, p, truth[&v]);
+        }
+    }
 }

@@ -128,6 +128,79 @@ fn union_chain_is_left_associative() {
 }
 
 #[test]
+fn union_checks_column_types_whatever_the_certainty() {
+    // One union, one arity + type check: certain ∪ certain, uncertain ∪
+    // uncertain and the mixes all reject bigint ∪ text — no `bigint`
+    // column ever holds a name.
+    let mut db = fresh();
+    db.run("create table u as select * from (pick tuples from emp with probability bonus) p")
+        .unwrap();
+    for (l, r) in [("emp", "emp"), ("u", "u"), ("u", "emp"), ("emp", "u")] {
+        for spelling in ["union", "union all"] {
+            let sql = format!("select salary from {l} {spelling} select name from {r}");
+            let err = db.run(&sql).unwrap_err();
+            assert!(
+                err.to_string().contains("UNION column type mismatch: bigint vs text"),
+                "{sql}: {err}"
+            );
+            let sql = format!("select salary from {l} {spelling} select salary, name from {r}");
+            let err = db.run(&sql).unwrap_err();
+            assert!(err.to_string().contains("UNION arity mismatch"), "{sql}: {err}");
+            // bigint ∪ double precision unifies.
+            let sql = format!("select salary from {l} {spelling} select bonus from {r}");
+            assert!(db.run(&sql).is_ok(), "{sql}");
+        }
+    }
+}
+
+#[test]
+fn explain_lists_breakers_between_pipelines() {
+    let mut db = fresh();
+    let sql = "select name from emp where dept = 'eng' union select name from emp \
+               order by name limit 2";
+    let StatementResult::Ok { message } = db.run(&format!("explain {sql}")).unwrap() else {
+        panic!("EXPLAIN must return a message")
+    };
+    let steps: Vec<&str> = message
+        .lines()
+        .filter(|l| l.starts_with('#') || l.starts_with("breaker"))
+        .collect();
+    assert_eq!(
+        steps,
+        vec![
+            "#1 pipeline (output)",
+            "#2 pipeline (output)",
+            "breaker: union (all)",
+            "#3 pipeline (distinct (streaming, 1 keys))",
+            "breaker: sort (1 keys)",
+            "breaker: limit 2",
+        ],
+        "{message}"
+    );
+    // EXPLAIN ANALYZE measures the same steps.
+    let StatementResult::Ok { message } = db.run(&format!("explain analyze {sql}")).unwrap()
+    else {
+        panic!("EXPLAIN ANALYZE must return a message")
+    };
+    for line in [
+        "breaker: union (all) [in 7, out 7]",
+        "breaker: sort (1 keys) [in 5, out 5]",
+        "breaker: limit 2 [in 5, out 2]",
+    ] {
+        assert!(message.contains(line), "missing `{line}` in:\n{message}");
+    }
+    assert_eq!(db.last_stats().unwrap().pipeline_count(), 3);
+    // A keyless FROM is a cross-product breaker.
+    let StatementResult::Ok { message } =
+        db.run("explain select * from emp a, emp b").unwrap()
+    else {
+        panic!("EXPLAIN must return a message")
+    };
+    assert!(message.contains("breaker: cross\n"), "{message}");
+    assert_eq!(db.query("select * from emp a, emp b").unwrap().len(), 25);
+}
+
+#[test]
 fn subquery_in_from_with_alias_scoping() {
     let mut db = fresh();
     let r = db
