@@ -3,6 +3,10 @@
 //! * [`fused_chain`] — the row-major scalar walk of a σ/π/probe chain:
 //!   the strict oracle (values, WSDs, order, first error) for the
 //!   pipeline executor (`maybms_pipe::UStream`);
+//! * [`aggregate_u`] — grouped aggregation over a materialised
+//!   U-relation by linear-scan grouping and plain sums: the oracle for
+//!   the one aggregator the product has, the streaming group breaker
+//!   (`maybms_core::agg::aggregate_stream`);
 //! * seed-faithful "naive" operators, reproducing the pre-refactor
 //!   algorithms exactly as the seed engine ran them — tuples
 //!   **deep-copied** at every operator boundary, `distinct` cloning every
@@ -14,8 +18,10 @@
 
 use std::collections::{HashMap, HashSet};
 
+use maybms_conf::{confidence, ConfMethod, Dnf};
+use maybms_core::translate::AggSpec;
 use maybms_engine::{ops, EngineError, Expr, Relation, Tuple, Value};
-use maybms_urel::{URelation, UTuple, Wsd};
+use maybms_urel::{URelation, UTuple, WorldTable, Wsd};
 
 /// One stage of a fused chain. Expressions are bound (`ColumnIdx`) to
 /// the incoming row shape; a probe emits `row ++ build row`.
@@ -71,6 +77,193 @@ pub fn fused_chain(
         walk(t.data.values(), &t.wsd, steps, &mut out).map_err(|e| (i, e))?;
     }
     Ok(out)
+}
+
+/// Deliberately naive grouped aggregation over a materialised
+/// U-relation: rows `group keys ++ aggregate values`, groups in
+/// first-seen order (found by linear scan, keys compared with `==`; no
+/// GROUP BY is one group, even over no rows). Per group, in member order:
+///
+/// * `conf` — exact confidence of the DNF of the member WSDs (always the
+///   d-tree; the product may take the SPROUT product instead, so compare
+///   within a tolerance);
+/// * `esum` / `ecount` — the plain `f64` sum Σ value · P(wsd) (the
+///   product sums exactly and rounds once: tolerance again, except that
+///   over t-certain members both are exact);
+/// * `aconf` — the same DNF under seed `seed + g·n_aconf + j` for group
+///   `g`'s `j`-th (1-based) `aconf` slot, the documented numbering:
+///   bit-equal to the product;
+/// * the standard aggregates (plain arithmetic over the non-NULL
+///   argument values — float sums by `+=`, which is exact, so bit-equal
+///   to the product, only while the values are small dyadic rationals as
+///   in the property generators) and `argmax` (one row per distinct arg
+///   value attaining the maximum; a group with no non-NULL value emits
+///   nothing) — t-certain members only.
+///
+/// `Err` carries a message; tests compare only that both sides fail.
+pub fn aggregate_u(
+    u: &URelation,
+    grouping: &[Expr],
+    aggs: &[(AggSpec, String)],
+    wt: &WorldTable,
+    seed: u64,
+) -> Result<Vec<Vec<Value>>, String> {
+    fn msg<T, E: std::fmt::Display>(r: Result<T, E>) -> Result<T, String> {
+        r.map_err(|e| e.to_string())
+    }
+    let mut groups: Vec<(Vec<Value>, Vec<&UTuple>)> = Vec::new();
+    if grouping.is_empty() {
+        groups.push((Vec::new(), Vec::new()));
+    }
+    for t in u.tuples() {
+        let key: Vec<Value> = msg(grouping.iter().map(|e| e.eval(&t.data)).collect())?;
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(t),
+            None => groups.push((key, vec![t])),
+        }
+    }
+    // Shape rules: tconf is per-tuple, argmax stands alone.
+    if aggs.iter().any(|(s, _)| matches!(s, AggSpec::TConf))
+        || (aggs.len() > 1 && aggs.iter().any(|(s, _)| matches!(s, AggSpec::ArgMax { .. })))
+    {
+        return Err("tconf() cannot be grouped; argmax cannot be combined".into());
+    }
+    let n_aconf = aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count();
+    let mut out = Vec::new();
+    for (g, (key, members)) in groups.iter().enumerate() {
+        let certain = members.iter().all(|t| t.wsd.is_tautology());
+        if aggs.is_empty() && !certain {
+            return Err("DISTINCT over an uncertain relation".into());
+        }
+        if let [(AggSpec::ArgMax { arg, value }, _)] = aggs {
+            if !certain {
+                return Err("argmax over uncertain rows".into());
+            }
+            let mut scored = Vec::new();
+            for t in members {
+                scored.push((msg(value.eval(&t.data))?, *t));
+            }
+            let best = scored.iter().map(|(v, _)| v).filter(|v| !v.is_null()).max();
+            let mut winners: Vec<Value> = Vec::new();
+            for (_, t) in scored.iter().filter(|(v, _)| Some(v) == best) {
+                let a = msg(arg.eval(&t.data))?;
+                if !winners.contains(&a) {
+                    winners.push(a);
+                }
+            }
+            out.extend(winners.into_iter().map(|a| [key.clone(), vec![a]].concat()));
+            continue;
+        }
+        // Confidence of the group's lineage: the DNF of its member WSDs.
+        let conf = |method| -> Result<Value, String> {
+            let dnf = Dnf::from_wsds(members.iter().map(|t| &t.wsd));
+            msg(Value::float(msg(confidence(&dnf, wt, method))?))
+        };
+        let mut row = key.clone();
+        let mut aconf_slot = 0;
+        for (spec, _) in aggs {
+            row.push(match spec {
+                AggSpec::Conf => conf(ConfMethod::Exact)?,
+                AggSpec::AConf { epsilon, delta } => {
+                    aconf_slot += 1;
+                    let seed = seed.wrapping_add((g * n_aconf + aconf_slot) as u64);
+                    conf(ConfMethod::Approx { epsilon: *epsilon, delta: *delta, seed })?
+                }
+                AggSpec::ESum(e) => {
+                    let mut sum = 0.0;
+                    for t in members {
+                        let v = msg(e.eval(&t.data))?;
+                        if !v.is_null() {
+                            let x = v.as_f64().ok_or(format!("esum over non-numeric {v}"))?;
+                            sum += x * msg(t.wsd.prob(wt))?;
+                        }
+                    }
+                    msg(Value::float(sum))?
+                }
+                AggSpec::ECount(e) => {
+                    let mut sum = 0.0;
+                    for t in members {
+                        let counted = match e {
+                            Some(e) => !msg(e.eval(&t.data))?.is_null(),
+                            None => true,
+                        };
+                        if counted {
+                            sum += msg(t.wsd.prob(wt))?;
+                        }
+                    }
+                    msg(Value::float(sum))?
+                }
+                AggSpec::Std { .. } if !certain => {
+                    return Err("standard aggregate over uncertain rows".into())
+                }
+                AggSpec::Std { func, arg } => {
+                    let mut vals = Vec::new();
+                    for t in members {
+                        let v = match arg {
+                            None => Value::Bool(true),
+                            Some(e) => msg(e.eval(&t.data))?,
+                        };
+                        if !v.is_null() {
+                            vals.push(v);
+                        }
+                    }
+                    std_aggregate(*func, &vals)?
+                }
+                AggSpec::ArgMax { .. } | AggSpec::TConf => {
+                    unreachable!("alone by the shape rule; argmax handled, tconf rejected")
+                }
+            });
+        }
+        out.push(row);
+    }
+    Ok(out)
+}
+
+/// A standard SQL aggregate over a group's non-NULL argument values, in
+/// plain arithmetic: integer sums in `i128`, float sums by `+=` in member
+/// order, `min`/`max` the first-seen extremum.
+fn std_aggregate(func: ops::AggFunc, vals: &[Value]) -> Result<Value, String> {
+    use ops::AggFunc::*;
+    let numeric = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
+    match func {
+        Count => Ok(Value::Int(vals.len() as i64)),
+        Sum | Avg => {
+            if let Some(v) = vals.iter().find(|v| !numeric(v)) {
+                return Err(format!("{}() over non-numeric {v}", func.name()));
+            }
+            if vals.is_empty() {
+                return Ok(Value::Null);
+            }
+            let ints: Option<Vec<i128>> = vals
+                .iter()
+                .map(|v| if let Value::Int(i) = v { Some(i128::from(*i)) } else { None })
+                .collect();
+            if let (Sum, Some(ints)) = (func, ints) {
+                let total: i128 = ints.iter().sum();
+                return i64::try_from(total).map(Value::Int).map_err(|e| e.to_string());
+            }
+            let total: f64 = vals.iter().filter_map(Value::as_f64).sum();
+            let out = if func == Sum { total } else { total / vals.len() as f64 };
+            Value::float(out).map_err(|e| e.to_string())
+        }
+        Min | Max => {
+            let Some(first) = vals.first() else { return Ok(Value::Null) };
+            let same_class = |v: &Value| {
+                (numeric(v) && numeric(first))
+                    || std::mem::discriminant(v) == std::mem::discriminant(first)
+            };
+            if !vals.iter().all(same_class) {
+                return Err(format!("{}() over mixed value classes", func.name()));
+            }
+            let mut best = first;
+            for v in vals {
+                if if func == Min { v < best } else { v > best } {
+                    best = v;
+                }
+            }
+            Ok(best.clone())
+        }
+    }
 }
 
 /// Deep copy of a row: allocates and copies every value (the seed's clone

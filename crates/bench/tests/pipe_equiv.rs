@@ -7,7 +7,7 @@
 //!   `CAST`, raising arithmetic), so the row-at-a-time walk keeps
 //!   property coverage;
 //! * the streaming grouped-aggregation breaker ≡ materialising the chain
-//!   and running the two-pass group + aggregate path.
+//!   and running the naive oracle (`maybms_bench::naive::aggregate_u`).
 //!
 //! Data has NULL join keys, cross-type numeric duplicates (`1 == 1.0`),
 //! a text column, and conflicting WSDs whose join conjunctions are
@@ -21,10 +21,10 @@ mod common;
 use std::sync::Arc;
 
 use common::{check_chain, stream};
-use maybms_bench::naive::{fused_chain, Step};
+use maybms_bench::naive::{aggregate_u, fused_chain, Step};
 use maybms_core::agg as uagg;
 use maybms_core::translate::AggSpec;
-use maybms_engine::ops::ProjectItem;
+use maybms_engine::ops::{AggFunc, ProjectItem};
 use maybms_engine::{BinaryOp, DataType, Expr, Field, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
@@ -288,19 +288,26 @@ proptest! {
     }
 
     /// The streaming grouped-aggregation breaker ≡ materialising the
-    /// chain and running the two-pass group + aggregate path — group
-    /// keys (incl. NULLs and duplicate select keys), `conf()`,
-    /// `esum`/`ecount` partial sums, and `aconf` seed numbering — at
-    /// 1/2/8 threads with single-row morsels. Covers empty inputs with
-    /// and without GROUP BY (0-row generators).
+    /// chain and running the naive oracle — group keys (incl. NULLs and
+    /// duplicate select keys), `conf()`, `esum`/`ecount`, and `aconf`
+    /// seed numbering — at 1/2/8 threads with single-row morsels. Covers
+    /// empty inputs with and without GROUP BY (0-row generators). The
+    /// standard aggregates and `argmax` run over the same tables with
+    /// their conditions dropped (they are typing errors otherwise). Keys,
+    /// standard aggregates, `argmax` and `aconf` are bit-equal; `conf`/`esum`/`ecount` agree within
+    /// 1e-9 (the oracle adds plain `f64`s and always walks the d-tree,
+    /// the breaker sums exactly and may take the SPROUT product), and
+    /// `ecount` over a t-certain chain is bit-equal (it is a count).
     #[test]
-    fn grouped_streaming_matches_two_pass(
+    fn grouped_streaming_matches_oracle(
         (wt, u1) in arb_urelation(),
         (_w2, u2) in arb_urelation(),
         tokens in prop::collection::vec((0u8..3, 0u8..16, 0u8..16), 0..4),
         key_pick in 0u8..3,
-        agg_pick in 0u8..4,
+        agg_pick in 0u8..6,
     ) {
+        let certain = |u: URelation| URelation::from_certain(&u.into_certain());
+        let (u1, u2) = if agg_pick >= 4 { (certain(u1), certain(u2)) } else { (u1, u2) };
         let (chain, numeric) = build_uchain(&u1, &u2, &tokens);
         let eager = chain.collect().unwrap();
         // Group keys: global (none), one key, or a duplicated key pair
@@ -315,8 +322,8 @@ proptest! {
             .map(|i| Field::new(format!("k{i}"), DataType::Unknown))
             .collect();
         // esum needs a numeric argument; pick the first numeric column
-        // (falling back to column 0, where both paths must then raise
-        // the same typing error).
+        // (falling back to column 0, where both sides must then raise
+        // a typing error).
         let num_col = numeric
             .iter()
             .position(|&n| n)
@@ -332,21 +339,29 @@ proptest! {
                 (AggSpec::AConf { epsilon: 0.5, delta: 0.4 }, "ap".into()),
                 (AggSpec::Conf, "p".into()),
             ],
-            _ => vec![
+            3 => vec![
                 (AggSpec::ECount(Some(Expr::ColumnIdx(1))), "ec".into()),
                 (AggSpec::Conf, "p".into()),
                 (AggSpec::ESum(num_col.clone()), "es".into()),
             ],
+            4 => vec![
+                (AggSpec::Std { func: AggFunc::Count, arg: None }, "n".into()),
+                (AggSpec::ECount(None), "ec".into()),
+                (AggSpec::Std { func: AggFunc::Sum, arg: Some(num_col.clone()) }, "s".into()),
+                (AggSpec::Std { func: AggFunc::Min, arg: Some(Expr::ColumnIdx(1)) }, "lo".into()),
+                (AggSpec::Std { func: AggFunc::Avg, arg: Some(num_col.clone()) }, "avg".into()),
+            ],
+            _ => vec![(
+                AggSpec::ArgMax { arg: Expr::ColumnIdx(1), value: num_col.clone() },
+                "best".into(),
+            )],
         };
         let ctx = uagg::ConfContext::default();
-        // Two-pass reference over the materialised chain.
-        let want = uagg::group(&eager, &grouping).and_then(|groups| {
-            uagg::aggregate_groups(&eager, &groups, key_fields.clone(), &aggs, &wt, &ctx)
-        });
+        let want = aggregate_u(&eager, &grouping, &aggs, &wt, ctx.seed);
         // Per-query collectors attached at every thread count: results
         // AND collected stats (per-stage rows, group counts, estimator
         // effort) must be bit-identical.
-        let mut fingerprints = Vec::new();
+        let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             let (stream, _) = build_uchain(&u1, &u2, &tokens);
@@ -365,21 +380,42 @@ proptest! {
             );
             match (&want, &got) {
                 (Ok(w), Ok(g)) => {
-                    prop_assert_eq!(g.tuples(), w.tuples(), "threads {}", threads);
-                    fingerprints.push(query_fingerprint(&qs));
+                    prop_assert!(g.is_t_certain());
+                    prop_assert_eq!(g.len(), w.len(), "rows, threads {}", threads);
+                    for (g, w) in g.tuples().iter().zip(w) {
+                        let (gk, ga) = g.data.values().split_at(grouping.len());
+                        let (wk, wa) = w.split_at(grouping.len());
+                        prop_assert_eq!(format!("{gk:?}"), format!("{wk:?}"), "keys, threads {}", threads);
+                        for ((g, w), (spec, name)) in ga.iter().zip(wa).zip(&aggs) {
+                            let exact = match spec {
+                                AggSpec::Conf | AggSpec::ESum(_) => false,
+                                AggSpec::ECount(_) => eager.is_t_certain(),
+                                _ => true,
+                            };
+                            let close = match (g.as_f64(), w.as_f64()) {
+                                (Some(g), Some(w)) if !exact => (g - w).abs() <= 1e-9,
+                                _ => format!("{g:?}") == format!("{w:?}"),
+                            };
+                            prop_assert!(close, "{}: {:?} vs oracle {:?}, threads {}", name, g, w, threads);
+                        }
+                    }
+                    runs.push((g.tuples().to_vec(), query_fingerprint(&qs)));
                 }
                 (Err(_), Err(_)) => {}
                 (w, g) => prop_assert!(
                     false,
-                    "two-pass {:?} vs streaming {:?} (threads {})",
+                    "oracle {:?} vs streaming {:?} (threads {})",
                     w,
                     g,
                     threads
                 ),
             }
         }
-        for (i, f) in fingerprints.iter().enumerate().skip(1) {
-            prop_assert_eq!(f, &fingerprints[0], "stats fingerprint, run {}", i);
+        // The tolerance above is for the oracle only: across thread
+        // counts the breaker's own output is bit-identical.
+        for (i, (tuples, f)) in runs.iter().enumerate().skip(1) {
+            prop_assert_eq!(tuples, &runs[0].0, "result, run {} vs threads 1", i);
+            prop_assert_eq!(f, &runs[0].1, "stats fingerprint, run {}", i);
         }
     }
 }

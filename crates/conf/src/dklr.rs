@@ -423,7 +423,7 @@ fn approximate(
 
 /// Seeded `aconf(ε, δ)` with the full [`Approximation`] report: compile
 /// the Karp–Luby sampler and run 𝒜𝒜 — the engine of the SQL `aconf`
-/// aggregate. Callers that only want the estimate use [`aconf_seeded`].
+/// aggregate.
 pub fn aconf_seeded_report(
     dnf: &Dnf,
     wt: &WorldTable,
@@ -433,17 +433,6 @@ pub fn aconf_seeded_report(
 ) -> Result<Approximation> {
     let kl = KarpLuby::new(dnf, wt)?;
     approximate_seeded(&kl, &DklrOptions::new(epsilon, delta), seed)
-}
-
-/// Seeded `aconf(ε, δ)`: [`aconf_seeded_report`] keeping the estimate only.
-pub fn aconf_seeded(
-    dnf: &Dnf,
-    wt: &WorldTable,
-    epsilon: f64,
-    delta: f64,
-    seed: u64,
-) -> Result<f64> {
-    Ok(aconf_seeded_report(dnf, wt, epsilon, delta, seed)?.estimate)
 }
 
 #[cfg(test)]
@@ -587,7 +576,7 @@ mod tests {
         let mut wt = WorldTable::new();
         let d = test_dnf(&mut wt, 2);
         let truth = exact::probability(&d, &wt).unwrap();
-        let est = aconf_seeded(&d, &wt, 0.05, 0.05, 3).unwrap();
+        let est = aconf_seeded_report(&d, &wt, 0.05, 0.05, 3).unwrap().estimate;
         assert!(((est - truth) / truth).abs() < 0.05, "est {est} truth {truth}");
     }
 }

@@ -9,6 +9,12 @@
 //!   "we do not support the standard SQL aggregates such as sum or count
 //!   on uncertain relations".
 //!
+//! There is one aggregator, [`aggregate_stream`] â€” the streaming group
+//! breaker: a pipeline's rows fold into morsel-local group tables and the
+//! result is a t-certain [`URelation`] (`DISTINCT` is the same breaker
+//! with no aggregates). Its reference for the property tests is the
+//! naive `maybms_bench::naive::aggregate_u`.
+//!
 //! Per-group aggregate evaluation (in particular the per-group `conf()`
 //! calls, each an independent #P-hard subproblem) goes through one
 //! scheduler, `eval_group_rows`: it numbers `aconf` seeds by (group,
@@ -20,16 +26,16 @@ use std::sync::Arc;
 
 use maybms_conf::{confidence_with_effort, ConfEffort, ConfMethod, Dnf};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
-use maybms_engine::{DataType, EngineError, Expr, Field, Relation, Schema, Tuple, Value};
+use maybms_engine::{DataType, EngineError, Expr, Field, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
-use maybms_urel::{URelation, UrelError, WorldTable, Wsd};
+use maybms_urel::{URelation, UTuple, UrelError, WorldTable, Wsd};
 
 use crate::error::{plan_err, typing, CoreError, Result};
 use crate::translate::AggSpec;
 
-/// Â§2.2 typing rule shared by the materialising and streaming paths (the
-/// streaming fold raises it row-by-row as a tagged engine error that
+/// Â§2.2 typing rule for the standard SQL aggregates (the group breaker's
+/// fold raises it row-by-row as a tagged engine error that
 /// [`aggregate_stream_with`] maps back to a typing error).
 const STD_ON_UNCERTAIN: &str = "standard SQL aggregates (sum/count/avg/min/max) are \
                                 not supported on uncertain relations; use esum/ecount \
@@ -41,8 +47,8 @@ const ARGMAX_ON_UNCERTAIN: &str = "argmax requires a t-certain input relation (Â
 const DISTINCT_ON_UNCERTAIN: &str = "SELECT DISTINCT (or GROUP BY without an aggregate) is \
                                      not supported on uncertain relations (Â§2.2); use \
                                      `select possible` or a confidence aggregate";
-/// Prefix of the esum type error, shared between the materialising and
-/// streaming paths (and the error remap) so the wording cannot drift.
+/// Prefix of the esum type error, shared between the fold and the error
+/// remap so the wording cannot drift.
 const ESUM_NON_NUMERIC: &str = "esum over non-numeric value";
 
 /// How `conf()` should be computed (the executor threads this through so
@@ -62,47 +68,6 @@ impl Default for ConfContext {
     fn default() -> Self {
         ConfContext { exact: ConfMethod::Exact, seed: 0x5eed, sprout_fast_path: true }
     }
-}
-
-/// One output group: indices of the member tuples in the input U-relation.
-pub struct Groups {
-    /// Group key values (empty when no GROUP BY).
-    pub keys: Vec<Vec<Value>>,
-    /// Tuple indices per group, parallel to `keys`.
-    pub members: Vec<Vec<usize>>,
-}
-
-/// Group the tuples of `u` by the (bound) key expressions.
-///
-/// Groups by row index with a hashed, scratch-buffered key: key values are
-/// staged in a reusable buffer and cloned only when they found a *new*
-/// group, so grouping allocates per group, not per row.
-pub fn group(u: &URelation, key_exprs: &[Expr]) -> Result<Groups> {
-    use maybms_engine::hash::{fast_hash_one, FastMap};
-    if key_exprs.is_empty() {
-        return Ok(Groups { keys: vec![Vec::new()], members: vec![(0..u.len()).collect()] });
-    }
-    let mut buckets: FastMap<u64, Vec<usize>> = FastMap::default();
-    let mut keys: Vec<Vec<Value>> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    let mut scratch: Vec<Value> = Vec::with_capacity(key_exprs.len());
-    for (i, t) in u.tuples().iter().enumerate() {
-        scratch.clear();
-        for e in key_exprs {
-            scratch.push(e.eval(&t.data)?);
-        }
-        let h = fast_hash_one(&scratch[..]);
-        let bucket = buckets.entry(h).or_default();
-        match bucket.iter().find(|&&g| keys[g] == scratch) {
-            Some(&g) => members[g].push(i),
-            None => {
-                bucket.push(keys.len());
-                keys.push(scratch.clone());
-                members.push(vec![i]);
-            }
-        }
-    }
-    Ok(Groups { keys, members })
 }
 
 /// Is this lineage tuple-independent (each clause at most one
@@ -199,9 +164,8 @@ impl ConfSlots<'_> {
     }
 }
 
-/// One output row per group, in group order â€” the scheduler shared by the
-/// two-pass path and the streaming breaker's finish. It owns the two
-/// decisions they must agree on:
+/// One output row per group, in group order â€” the scheduler behind the
+/// group breaker's finish. It owns two decisions:
 ///
 /// * **seed numbering** â€” group `g`'s `j`-th `aconf` call (1-based) draws
 ///   seed `ctx.seed + gÂ·n_aconf + j`, the sequence a sequential running
@@ -219,8 +183,8 @@ fn eval_group_rows(
     ctx: &ConfContext,
     stats: Option<&maybms_obs::QueryStats>,
     pool: &ThreadPool,
-    eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<Tuple> + Sync,
-) -> Result<Vec<Tuple>> {
+    eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<UTuple> + Sync,
+) -> Result<Vec<UTuple>> {
     let n_aconf =
         aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count() as u64;
     let row = |g: usize| {
@@ -231,7 +195,7 @@ fn eval_group_rows(
         // Per-group confidence computation (#P-hard in general) dominates;
         // fan groups out in small chunks and merge rows in group order.
         let chunk = maybms_par::auto_chunk(n_groups, pool.threads(), 1);
-        let partials: Vec<Result<Vec<Tuple>>> =
+        let partials: Vec<Result<Vec<UTuple>>> =
             pool.par_map_chunks(n_groups, chunk, |range| range.map(&row).collect());
         let mut out = Vec::with_capacity(n_groups);
         for p in partials {
@@ -263,103 +227,8 @@ fn agg_fields<'a>(
     })
 }
 
-/// Evaluate a list of aggregates over grouped input, producing a t-certain
-/// relation `group keys ++ aggregate columns`.
-///
-/// `argmax` is special (it may emit several rows per group) and must be the
-/// *only* aggregate when present.
-pub fn aggregate_groups(
-    u: &URelation,
-    groups: &Groups,
-    key_fields: Vec<Field>,
-    aggs: &[(AggSpec, String)],
-    wt: &WorldTable,
-    ctx: &ConfContext,
-) -> Result<Relation> {
-    let input_certain = u.is_t_certain();
-    // argmax special case.
-    if let Some((AggSpec::ArgMax { .. }, _)) = aggs.iter().find(|(s, _)| matches!(s, AggSpec::ArgMax { .. })) {
-        if aggs.len() != 1 {
-            return Err(plan_err("argmax cannot be combined with other aggregates"));
-        }
-        let (AggSpec::ArgMax { arg, value }, name) = &aggs[0] else { unreachable!() };
-        if !input_certain {
-            return Err(typing(ARGMAX_ON_UNCERTAIN));
-        }
-        return eval_argmax(u, groups, key_fields, arg, value, name);
-    }
-
-    // Standard aggregates demand a t-certain input.
-    for (spec, _) in aggs {
-        if matches!(spec, AggSpec::Std { .. }) && !input_certain {
-            return Err(typing(STD_ON_UNCERTAIN));
-        }
-    }
-
-    let mut fields = key_fields;
-    fields.extend(agg_fields(aggs, u.schema()));
-    let schema = Arc::new(Schema::new(fields));
-
-    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<Tuple> {
-        let members = &groups.members[g];
-        let mut row = groups.keys[g].clone();
-        for (spec, _) in aggs {
-            let v = match spec {
-                AggSpec::Conf | AggSpec::AConf { .. } => {
-                    conf.eval(spec, members.iter().map(|&i| &u.tuples()[i].wsd))?
-                }
-                AggSpec::TConf => {
-                    return Err(plan_err(
-                        "tconf() is per-tuple and cannot be grouped; use it without GROUP BY",
-                    ))
-                }
-                AggSpec::ESum(e) => {
-                    // ExactSum, like the streaming breaker: the rounded
-                    // result is independent of fold order, so the two
-                    // paths agree bit-for-bit.
-                    let mut acc = ExactSum::new();
-                    for &i in members {
-                        let t = &u.tuples()[i];
-                        let v = e.eval(&t.data)?;
-                        if v.is_null() {
-                            continue;
-                        }
-                        let x = v.as_f64().ok_or_else(|| {
-                            typing(format!("{ESUM_NON_NUMERIC} {v}"))
-                        })?;
-                        acc.add(x * t.wsd.prob(wt)?);
-                    }
-                    Value::float(acc.round())?
-                }
-                AggSpec::ECount(e) => {
-                    let mut acc = ExactSum::new();
-                    for &i in members {
-                        let t = &u.tuples()[i];
-                        if let Some(expr) = e {
-                            if expr.eval(&t.data)?.is_null() {
-                                continue;
-                            }
-                        }
-                        acc.add(t.wsd.prob(wt)?);
-                    }
-                    Value::float(acc.round())?
-                }
-                AggSpec::Std { func, arg } => {
-                    eval_std(u, members, *func, arg.as_ref())?
-                }
-                AggSpec::ArgMax { .. } => unreachable!(),
-            };
-            row.push(v);
-        }
-        Ok(Tuple::new(row))
-    };
-    let pool = maybms_par::pool();
-    let out = eval_group_rows(groups.keys.len(), aggs, wt, ctx, None, &pool, eval_row)?;
-    Ok(Relation::new_unchecked(schema, out))
-}
-
 // ---------------------------------------------------------------------
-// Streaming grouped aggregation (the maybms-pipe breaker)
+// Grouped aggregation: the streaming maybms-pipe breaker
 // ---------------------------------------------------------------------
 
 /// One aggregate slot's morsel-mergeable partial state.
@@ -378,7 +247,7 @@ enum Partial {
     /// rows attaining it, in member order (memory proportional to ties,
     /// not group size). The arg expression is evaluated only for rows
     /// that match or beat the best seen *so far* â€” losing rows never
-    /// evaluate it, like the two-pass path's winners-only second scan.
+    /// evaluate it.
     ArgMax {
         /// The largest non-NULL value seen.
         best: Option<Value>,
@@ -409,8 +278,7 @@ pub struct StreamAcc {
     parts: Vec<Partial>,
 }
 
-/// Map the streaming fold's tagged engine errors back to the typing /
-/// plan errors the materialising path raises.
+/// Map the fold's tagged engine errors back to typing errors.
 fn remap_stream_err(e: UrelError) -> CoreError {
     if let UrelError::Engine(EngineError::TypeMismatch { message }) = &e {
         if message == STD_ON_UNCERTAIN
@@ -429,12 +297,11 @@ fn remap_stream_err(e: UrelError) -> CoreError {
 /// into a morsel-local group table ([`maybms_pipe::GroupTable`]) â€” the
 /// joined input is never materialised. Per group the fold accumulates
 /// member WSDs and running `esum`/`ecount` partial sums; the
-/// deterministic morsel-ordered merge then feeds the same group
-/// scheduler (`eval_group_rows`: per-group `conf()` fan-out, `(group,
-/// slot)` `aconf` seed numbering) as [`aggregate_groups`], so the output
-/// is **bit-identical** to
-/// materialising the stream and running the two-pass path, at any thread
-/// count and morsel size.
+/// deterministic morsel-ordered merge then feeds the group scheduler
+/// (`eval_group_rows`: per-group `conf()` fan-out, `(group, slot)`
+/// `aconf` seed numbering), so the output â€” a t-certain [`URelation`],
+/// `group keys ++ aggregate columns`, groups in first-seen order â€” is
+/// **bit-identical** at any thread count and morsel size.
 ///
 /// `grouping` are the bound group-key expressions; only the first
 /// `n_out_keys` of them are output columns (named by `key_fields`), the
@@ -453,7 +320,7 @@ pub fn aggregate_stream(
     wt: &WorldTable,
     ctx: &ConfContext,
     stats: Option<&maybms_obs::QueryStats>,
-) -> Result<Relation> {
+) -> Result<URelation> {
     let pool = maybms_par::pool();
     aggregate_stream_with(
         stream,
@@ -493,8 +360,8 @@ pub fn aggregate_stream_with(
     stats: Option<&maybms_obs::QueryStats>,
     pool: &maybms_par::ThreadPool,
     min_morsel: usize,
-) -> Result<Relation> {
-    // Shape rules first (same errors, same timing as the two-pass path).
+) -> Result<URelation> {
+    // Shape rules first.
     let has_argmax = aggs.iter().any(|(s, _)| matches!(s, AggSpec::ArgMax { .. }));
     if has_argmax && aggs.len() != 1 {
         return Err(plan_err("argmax cannot be combined with other aggregates"));
@@ -646,7 +513,7 @@ pub fn aggregate_stream_with(
     fields.extend(agg_fields(aggs, &in_schema));
     let schema = Arc::new(Schema::new(fields));
 
-    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<Tuple> {
+    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<UTuple> {
         let acc = &states[g];
         let mut row = keys[g].clone();
         for (part, (spec, _)) in acc.parts.iter().zip(aggs) {
@@ -657,22 +524,21 @@ pub fn aggregate_stream_with(
                 Partial::ArgMax { .. } => unreachable!("argmax is finished separately"),
             });
         }
-        Ok(Tuple::new(row))
+        Ok(UTuple::certain(Tuple::new(row)))
     };
     let out = eval_group_rows(keys.len(), aggs, wt, ctx, stats, pool, eval_row)?;
-    Ok(Relation::new_unchecked(schema, out))
+    Ok(URelation::new(schema, out))
 }
 
 /// `argmax` finish over the streamed per-group maxima: all distinct arg
-/// values attaining each group's maximum, in first-seen member order â€”
-/// the same rows as [`eval_argmax`] on a materialised input.
+/// values attaining each group's maximum, in first-seen member order.
 fn finish_argmax(
     keys: Vec<Vec<Value>>,
     states: Vec<StreamAcc>,
     key_fields: Vec<Field>,
     arg_dtype: DataType,
     name: &str,
-) -> Result<Relation> {
+) -> Result<URelation> {
     let mut fields = key_fields;
     fields.push(Field::new(name.to_string(), arg_dtype));
     let schema = Arc::new(Schema::new(fields));
@@ -689,21 +555,22 @@ fn finish_argmax(
             if seen.insert(a.clone()) {
                 let mut row = key.clone();
                 row.push(a.clone());
-                out.push(Tuple::new(row));
+                out.push(UTuple::certain(Tuple::new(row)));
             }
         }
     }
-    Ok(Relation::new_unchecked(schema, out))
+    Ok(URelation::new(schema, out))
 }
 
-/// `tconf()`: per stored tuple, its marginal probability. Output: the
-/// selected scalar columns plus the tconf column(s), one row per tuple.
+/// `tconf()`: per stored tuple, its marginal probability. Output (a
+/// t-certain U-relation): the selected scalar columns plus the tconf
+/// column(s), one row per tuple.
 pub fn eval_tconf(
     u: &URelation,
     scalar_items: &[(Expr, String)],
     tconf_names: &[String],
     wt: &WorldTable,
-) -> Result<Relation> {
+) -> Result<URelation> {
     let mut fields: Vec<Field> = scalar_items
         .iter()
         .map(|(e, n)| Field::new(n.clone(), e.data_type(u.schema())))
@@ -711,8 +578,8 @@ pub fn eval_tconf(
     for n in tconf_names {
         fields.push(Field::new(n.clone(), DataType::Float));
     }
-    let schema = Arc::new(Schema::new(fields));
-    let eval_row = |t: &maybms_urel::UTuple| -> Result<Tuple> {
+    let mut out = Vec::with_capacity(u.len());
+    for t in u.tuples() {
         let mut row: Vec<Value> = scalar_items
             .iter()
             .map(|(e, _)| e.eval(&t.data))
@@ -721,86 +588,9 @@ pub fn eval_tconf(
         for _ in tconf_names {
             row.push(p.clone());
         }
-        Ok(Tuple::new(row))
-    };
-    let pool = maybms_par::pool();
-    if u.len() >= 8192 && pool.threads() > 1 {
-        // Per-tuple marginals are independent; chunk rows and merge in
-        // chunk order (identical output to the sequential scan).
-        let chunk = maybms_par::auto_chunk(u.len(), pool.threads(), 2048);
-        let partials: Vec<Result<Vec<Tuple>>> =
-            pool.par_map_chunks(u.len(), chunk, |range| {
-                range.map(|i| eval_row(&u.tuples()[i])).collect()
-            });
-        let mut out = Vec::with_capacity(u.len());
-        for p in partials {
-            out.extend(p?);
-        }
-        return Ok(Relation::new_unchecked(schema, out));
+        out.push(UTuple::certain(Tuple::new(row)));
     }
-    let mut out = Vec::with_capacity(u.len());
-    for t in u.tuples() {
-        out.push(eval_row(t)?);
-    }
-    Ok(Relation::new_unchecked(schema, out))
-}
-
-fn eval_std(
-    u: &URelation,
-    members: &[usize],
-    func: AggFunc,
-    arg: Option<&Expr>,
-) -> Result<Value> {
-    let mut state = AggState::new(func);
-    for &i in members {
-        match arg {
-            None => state.fold_present(),
-            Some(e) => state.fold(&e.eval(&u.tuples()[i].data)?)?,
-        }
-    }
-    Ok(state.finish()?)
-}
-
-fn eval_argmax(
-    u: &URelation,
-    groups: &Groups,
-    key_fields: Vec<Field>,
-    arg: &Expr,
-    value: &Expr,
-    name: &str,
-) -> Result<Relation> {
-    let mut fields = key_fields;
-    fields.push(Field::new(name.to_string(), arg.data_type(u.schema())));
-    let schema = Arc::new(Schema::new(fields));
-    let mut out = Vec::new();
-    for (key, members) in groups.keys.iter().zip(&groups.members) {
-        // Find the group's maximum value.
-        let mut best: Option<Value> = None;
-        for &i in members {
-            let v = value.eval(&u.tuples()[i].data)?;
-            if v.is_null() {
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| v > *b) {
-                best = Some(v);
-            }
-        }
-        let Some(best) = best else { continue };
-        // Emit every arg value attaining it (distinct, first-seen order).
-        let mut seen = std::collections::HashSet::new();
-        for &i in members {
-            let v = value.eval(&u.tuples()[i].data)?;
-            if v == best {
-                let a = arg.eval(&u.tuples()[i].data)?;
-                if seen.insert(a.clone()) {
-                    let mut row = key.clone();
-                    row.push(a);
-                    out.push(Tuple::new(row));
-                }
-            }
-        }
-    }
-    Ok(Relation::new_unchecked(schema, out))
+    Ok(URelation::new(Arc::new(Schema::new(fields)), out))
 }
 
 #[cfg(test)]
@@ -810,16 +600,46 @@ mod tests {
     use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
     use maybms_urel::repair::{repair_key, RepairKeyOptions};
 
+    /// Confidence of the lineage of `u`'s tuples whose first column is
+    /// `key` (every tuple when `None`).
     fn group_confidence(
         u: &URelation,
-        members: &[usize],
+        key: Option<&str>,
         wt: &WorldTable,
-        method: ConfMethod,
         ctx: &ConfContext,
-        stats: Option<&maybms_obs::QueryStats>,
-    ) -> Result<f64> {
-        let lineage = members.iter().map(|&i| &u.tuples()[i].wsd);
-        lineage_confidence(lineage, wt, method, ctx, stats)
+    ) -> f64 {
+        let members = u
+            .tuples()
+            .iter()
+            .filter(|t| key.is_none_or(|k| t.data.value(0) == &Value::str(k)))
+            .map(|t| &t.wsd);
+        lineage_confidence(members, wt, ConfMethod::Exact, ctx, None).unwrap()
+    }
+
+    /// The group breaker over a plain scan of `u`, on the process pool.
+    fn aggregate(
+        u: &URelation,
+        keys: &[&str],
+        aggs: &[(AggSpec, String)],
+        wt: &WorldTable,
+    ) -> Result<URelation> {
+        let grouping: Vec<Expr> =
+            keys.iter().map(|k| Expr::col(*k).bind(u.schema()).unwrap()).collect();
+        let key_fields = keys.iter().map(|k| Field::new(*k, DataType::Text)).collect();
+        aggregate_stream(
+            UStream::new(u.clone()),
+            &grouping,
+            grouping.len(),
+            key_fields,
+            aggs,
+            wt,
+            &ConfContext::default(),
+            None,
+        )
+    }
+
+    fn col(u: &URelation, name: &str) -> Expr {
+        Expr::col(name).bind(u.schema()).unwrap()
     }
 
     fn ti_setup() -> (WorldTable, URelation) {
@@ -844,86 +664,39 @@ mod tests {
     #[test]
     fn conf_groups_with_fast_path_and_dtree_agree() {
         let (wt, u) = ti_setup();
-        let key = Expr::col("g").bind(u.schema()).unwrap();
-        let groups = group(&u, &[key]).unwrap();
         let ctx_fast = ConfContext::default();
         let ctx_slow = ConfContext { sprout_fast_path: false, ..Default::default() };
-        for members in &groups.members {
-            let a = group_confidence(&u, members, &wt, ConfMethod::Exact, &ctx_fast, None)
-                .unwrap();
-            let b = group_confidence(&u, members, &wt, ConfMethod::Exact, &ctx_slow, None)
-                .unwrap();
+        for key in ["a", "b"] {
+            let a = group_confidence(&u, Some(key), &wt, &ctx_fast);
+            let b = group_confidence(&u, Some(key), &wt, &ctx_slow);
             assert!((a - b).abs() < 1e-12);
         }
         // Group "a": 1 - 0.5 * 0.5 = 0.75.
-        let a_idx = groups
-            .keys
-            .iter()
-            .position(|k| k[0] == Value::str("a"))
-            .unwrap();
-        let p = group_confidence(
-            &u,
-            &groups.members[a_idx],
-            &wt,
-            ConfMethod::Exact,
-            &ctx_fast,
-            None,
-        )
-        .unwrap();
-        assert!((p - 0.75).abs() < 1e-12);
+        assert!((group_confidence(&u, Some("a"), &wt, &ctx_fast) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn esum_ecount_linearity() {
         let (wt, u) = ti_setup();
-        let key = Expr::col("g").bind(u.schema()).unwrap();
-        let groups = group(&u, &[key]).unwrap();
-        let v = Expr::col("v").bind(u.schema()).unwrap();
-        let out = aggregate_groups(
-            &u,
-            &groups,
-            vec![Field::new("g", DataType::Text)],
-            &[
-                (AggSpec::ESum(v.clone()), "es".into()),
-                (AggSpec::ECount(None), "ec".into()),
-            ],
-            &wt,
-            &ConfContext::default(),
-        )
-        .unwrap();
-        // group a: esum = 10*0.5 + 20*0.5 = 15; ecount = 1.0
-        let a_row = out
-            .tuples()
-            .iter()
-            .find(|t| t.value(0) == &Value::str("a"))
-            .unwrap();
-        assert_eq!(a_row.value(1), &Value::Float(15.0));
-        assert_eq!(a_row.value(2), &Value::Float(1.0));
-        // group b: esum = 30*0.25 = 7.5; ecount = 0.25
-        let b_row = out
-            .tuples()
-            .iter()
-            .find(|t| t.value(0) == &Value::str("b"))
-            .unwrap();
-        assert_eq!(b_row.value(1), &Value::Float(7.5));
-        assert_eq!(b_row.value(2), &Value::Float(0.25));
+        let aggs = [
+            (AggSpec::ESum(col(&u, "v")), "es".to_string()),
+            (AggSpec::ECount(None), "ec".to_string()),
+        ];
+        let out = aggregate(&u, &["g"], &aggs, &wt).unwrap();
+        assert!(out.is_t_certain());
+        let rows: Vec<&[Value]> = out.tuples().iter().map(|t| t.data.values()).collect();
+        // group a: esum = 10*0.5 + 20*0.5 = 15, ecount = 1.0;
+        // group b: esum = 30*0.25 = 7.5, ecount = 0.25.
+        assert_eq!(rows[0], [Value::str("a"), Value::Float(15.0), Value::Float(1.0)]);
+        assert_eq!(rows[1], [Value::str("b"), Value::Float(7.5), Value::Float(0.25)]);
     }
 
     #[test]
     fn esum_matches_brute_force_expectation() {
         let (wt, u) = ti_setup();
-        let groups = group(&u, &[]).unwrap();
-        let v = Expr::col("v").bind(u.schema()).unwrap();
-        let out = aggregate_groups(
-            &u,
-            &groups,
-            vec![],
-            &[(AggSpec::ESum(v), "es".into())],
-            &wt,
-            &ConfContext::default(),
-        )
-        .unwrap();
-        let esum = out.tuples()[0].value(0).as_f64().unwrap();
+        let aggs = [(AggSpec::ESum(col(&u, "v")), "es".to_string())];
+        let out = aggregate(&u, &[], &aggs, &wt).unwrap();
+        let esum = out.tuples()[0].data.value(0).as_f64().unwrap();
         let brute = maybms_urel::worlds::expectation(&wt, &u, 1 << 10, |r| {
             r.tuples().iter().map(|t| t.value(1).as_f64().unwrap()).sum()
         })
@@ -934,46 +707,26 @@ mod tests {
     #[test]
     fn std_aggregates_rejected_on_uncertain() {
         let (wt, u) = ti_setup();
-        let groups = group(&u, &[]).unwrap();
-        let v = Expr::col("v").bind(u.schema()).unwrap();
-        let out = aggregate_groups(
-            &u,
-            &groups,
-            vec![],
-            &[(
-                AggSpec::Std { func: AggFunc::Sum, arg: Some(v) },
-                "s".into(),
-            )],
-            &wt,
-            &ConfContext::default(),
-        );
-        assert!(matches!(out, Err(crate::error::CoreError::Typing { .. })));
+        let sum = AggSpec::Std { func: AggFunc::Sum, arg: Some(col(&u, "v")) };
+        let out = aggregate(&u, &[], &[(sum, "s".to_string())], &wt);
+        assert!(matches!(out, Err(crate::error::CoreError::Typing { .. })), "{out:?}");
     }
 
     #[test]
     fn std_aggregates_work_on_certain() {
-        let wt = WorldTable::new();
         let u = URelation::from_certain(&rel(
             &[("v", DataType::Int)],
             vec![vec![1.into()], vec![2.into()]],
         ));
-        let groups = group(&u, &[]).unwrap();
-        let v = Expr::col("v").bind(u.schema()).unwrap();
-        let out = aggregate_groups(
-            &u,
-            &groups,
-            vec![],
-            &[(AggSpec::Std { func: AggFunc::Sum, arg: Some(v) }, "s".into())],
-            &wt,
-            &ConfContext::default(),
-        )
-        .unwrap();
-        assert_eq!(out.tuples()[0].value(0), &Value::Int(3));
+        let sum = AggSpec::Std { func: AggFunc::Sum, arg: Some(col(&u, "v")) };
+        let out = aggregate(&u, &[], &[(sum, "s".to_string())], &WorldTable::new()).unwrap();
+        assert_eq!(out.tuples()[0].data.value(0), &Value::Int(3));
     }
 
     #[test]
     fn argmax_outputs_all_maximisers() {
-        let wt = WorldTable::new();
+        // Every arg value attaining the group maximum, in member order,
+        // at any thread count down to single-row morsels.
         let u = URelation::from_certain(&rel(
             &[("team", DataType::Text), ("player", DataType::Text), ("pts", DataType::Int)],
             vec![
@@ -983,179 +736,57 @@ mod tests {
                 vec!["SAS".into(), "Duncan".into(), 25.into()],
             ],
         ));
-        let key = Expr::col("team").bind(u.schema()).unwrap();
-        let groups = group(&u, &[key]).unwrap();
-        let arg = Expr::col("player").bind(u.schema()).unwrap();
-        let val = Expr::col("pts").bind(u.schema()).unwrap();
-        let out = aggregate_groups(
-            &u,
-            &groups,
-            vec![Field::new("team", DataType::Text)],
-            &[(AggSpec::ArgMax { arg, value: val }, "star".into())],
-            &wt,
-            &ConfContext::default(),
-        )
-        .unwrap();
-        assert_eq!(out.len(), 3); // Bryant, Gasol, Duncan
+        let aggs = [(
+            AggSpec::ArgMax { arg: col(&u, "player"), value: col(&u, "pts") },
+            "star".to_string(),
+        )];
+        for threads in [1usize, 2, 8] {
+            let out = aggregate_stream_with(
+                UStream::new(u.clone()),
+                &[col(&u, "team")],
+                1,
+                vec![Field::new("team", DataType::Text)],
+                &aggs,
+                &WorldTable::new(),
+                &ConfContext::default(),
+                None,
+                &maybms_par::ThreadPool::new(threads),
+                1,
+            )
+            .unwrap();
+            let rows: Vec<String> = out.tuples().iter().map(|t| t.data.to_string()).collect();
+            assert_eq!(rows, ["(LAL, Bryant)", "(LAL, Gasol)", "(SAS, Duncan)"], "{threads}");
+        }
     }
 
     #[test]
     fn argmax_on_uncertain_rejected() {
         let (wt, u) = ti_setup();
-        let groups = group(&u, &[]).unwrap();
-        let arg = Expr::col("g").bind(u.schema()).unwrap();
-        let val = Expr::col("v").bind(u.schema()).unwrap();
-        let out = aggregate_groups(
-            &u,
-            &groups,
-            vec![],
-            &[(AggSpec::ArgMax { arg, value: val }, "a".into())],
-            &wt,
-            &ConfContext::default(),
-        );
-        assert!(matches!(out, Err(crate::error::CoreError::Typing { .. })));
-    }
-
-    #[test]
-    fn streaming_grouped_aggregation_matches_two_pass() {
-        // The streaming breaker must be bit-identical to materialising
-        // the stream and running group + aggregate_groups â€” at any
-        // thread count, down to single-row morsels.
-        let (wt, u) = ti_setup();
-        let key = Expr::col("g").bind(u.schema()).unwrap();
-        let v = Expr::col("v").bind(u.schema()).unwrap();
-        let aggs = [
-            (AggSpec::Conf, "p".to_string()),
-            (AggSpec::ESum(v.clone()), "es".to_string()),
-            (AggSpec::ECount(None), "ec".to_string()),
-            (AggSpec::AConf { epsilon: 0.4, delta: 0.4 }, "ap".to_string()),
-        ];
-        let ctx = ConfContext::default();
-        let groups = group(&u, std::slice::from_ref(&key)).unwrap();
-        let want = aggregate_groups(
-            &u,
-            &groups,
-            vec![Field::new("g", DataType::Text)],
-            &aggs,
-            &wt,
-            &ctx,
-        )
-        .unwrap();
-        for threads in [1usize, 2, 8] {
-            let pool = maybms_par::ThreadPool::new(threads);
-            let got = aggregate_stream_with(
-                UStream::new(u.clone()),
-                std::slice::from_ref(&key),
-                1,
-                vec![Field::new("g", DataType::Text)],
-                &aggs,
-                &wt,
-                &ctx,
-                None,
-                &pool,
-                1,
-            )
-            .unwrap();
-            assert_eq!(got.tuples(), want.tuples(), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn streaming_std_on_uncertain_is_typing_error() {
-        let (wt, u) = ti_setup();
-        let v = Expr::col("v").bind(u.schema()).unwrap();
-        let out = aggregate_stream(
-            UStream::new(u),
-            &[],
-            0,
-            vec![],
-            &[(AggSpec::Std { func: AggFunc::Sum, arg: Some(v) }, "s".to_string())],
-            &wt,
-            &ConfContext::default(),
-            None,
-        );
+        let argmax = AggSpec::ArgMax { arg: col(&u, "g"), value: col(&u, "v") };
+        let out = aggregate(&u, &[], &[(argmax, "a".to_string())], &wt);
         assert!(matches!(out, Err(crate::error::CoreError::Typing { .. })), "{out:?}");
     }
 
     #[test]
-    fn streaming_argmax_matches_two_pass() {
-        let wt = WorldTable::new();
-        let u = URelation::from_certain(&rel(
-            &[("team", DataType::Text), ("player", DataType::Text), ("pts", DataType::Int)],
-            vec![
-                vec!["LAL".into(), "Bryant".into(), 40.into()],
-                vec!["LAL".into(), "Gasol".into(), 40.into()],
-                vec!["LAL".into(), "Fisher".into(), 10.into()],
-                vec!["SAS".into(), "Duncan".into(), 25.into()],
-            ],
-        ));
-        let key = Expr::col("team").bind(u.schema()).unwrap();
-        let arg = Expr::col("player").bind(u.schema()).unwrap();
-        let val = Expr::col("pts").bind(u.schema()).unwrap();
-        let aggs =
-            [(AggSpec::ArgMax { arg, value: val }, "star".to_string())];
-        let groups = group(&u, std::slice::from_ref(&key)).unwrap();
-        let want = aggregate_groups(
-            &u,
-            &groups,
-            vec![Field::new("team", DataType::Text)],
-            &aggs,
-            &wt,
-            &ConfContext::default(),
-        )
-        .unwrap();
-        for threads in [1usize, 2, 8] {
-            let pool = maybms_par::ThreadPool::new(threads);
-            let got = aggregate_stream_with(
-                UStream::new(u.clone()),
-                std::slice::from_ref(&key),
-                1,
-                vec![Field::new("team", DataType::Text)],
-                &aggs,
-                &wt,
-                &ConfContext::default(),
-                None,
-                &pool,
-                1,
-            )
-            .unwrap();
-            assert_eq!(got.tuples(), want.tuples(), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn streaming_global_group_over_empty_input() {
+    fn global_group_over_empty_input() {
         // No GROUP BY over an empty stream still yields one row (SQL
-        // scalar-aggregate behaviour), exactly like the two-pass path.
+        // scalar-aggregate behaviour).
         let wt = WorldTable::new();
         let u = URelation::from_certain(&rel(&[("v", DataType::Int)], vec![]));
-        let out = aggregate_stream(
-            UStream::new(u),
-            &[],
-            0,
-            vec![],
-            &[
-                (AggSpec::ECount(None), "ec".to_string()),
-                (AggSpec::Conf, "p".to_string()),
-            ],
-            &wt,
-            &ConfContext::default(),
-            None,
-        )
-        .unwrap();
+        let aggs = [(AggSpec::ECount(None), "ec".to_string()), (AggSpec::Conf, "p".to_string())];
+        let out = aggregate(&u, &[], &aggs, &wt).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.tuples()[0].value(0), &Value::Float(0.0));
-        assert_eq!(out.tuples()[0].value(1), &Value::Float(0.0));
+        assert_eq!(out.tuples()[0].data.values(), [Value::Float(0.0), Value::Float(0.0)]);
     }
 
     #[test]
     fn tconf_per_tuple() {
         let (wt, u) = ti_setup();
-        let g = Expr::col("g").bind(u.schema()).unwrap();
-        let out = eval_tconf(&u, &[(g, "g".into())], &["p".to_string()], &wt).unwrap();
+        let out = eval_tconf(&u, &[(col(&u, "g"), "g".into())], &["p".to_string()], &wt).unwrap();
+        assert!(out.is_t_certain());
         assert_eq!(out.len(), 3);
-        assert_eq!(out.tuples()[0].value(1), &Value::Float(0.5));
-        assert_eq!(out.tuples()[2].value(1), &Value::Float(0.25));
+        assert_eq!(out.tuples()[0].data.value(1), &Value::Float(0.5));
+        assert_eq!(out.tuples()[2].data.value(1), &Value::Float(0.25));
     }
 
     #[test]
@@ -1173,17 +804,8 @@ mod tests {
         );
         let u = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt)
             .unwrap();
-        let groups = group(&u, &[]).unwrap();
         // P(any tuple exists) = 1 (repair always keeps one).
-        let p = group_confidence(
-            &u,
-            &groups.members[0],
-            &wt,
-            ConfMethod::Exact,
-            &ConfContext::default(),
-            None,
-        )
-        .unwrap();
+        let p = group_confidence(&u, None, &wt, &ConfContext::default());
         assert!((p - 1.0).abs() < 1e-12);
     }
 }

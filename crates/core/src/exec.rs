@@ -6,12 +6,13 @@
 //!    the hypothesis space, §2.2);
 //! 2. WHERE is split into conjuncts: single-source predicates are pushed
 //!    down, equality conjuncts drive hash joins, `IN (SELECT …)`
-//!    conjuncts are rewritten to joins (positive occurrence only), and the
-//!    rest filter the joined result — the parsimonious translation of
-//!    §2.3 throughout;
+//!    conjuncts are rewritten to (semi-)joins (positive occurrence only),
+//!    and the rest filter the joined result — the parsimonious
+//!    translation of §2.3 throughout;
 //! 3. the SELECT list maps to projections and the uncertainty-aware
 //!    aggregates (`conf`, `aconf`, `tconf`, `possible`, `esum`, `ecount`,
-//!    `argmax`), enforcing the typing rules of §2.2;
+//!    `argmax`), enforcing the typing rules of §2.2; `DISTINCT` applies
+//!    to whatever the block outputs, grouped or not;
 //! 4. UNION is multiset union (deduplicated when t-certain); ORDER BY
 //!    orders the representation; LIMIT is only allowed on t-certain
 //!    results.
@@ -212,21 +213,8 @@ pub fn eval_query_rel(q: &Query, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         // The breaker is the copy; a dedup is the `distinct` pipeline
         // that follows it and reports its own reduction.
         ctx.trace_breaker(|| "union (all)".to_string(), result.len() + next.len(), &merged);
-        result = if !*all && merged.is_t_certain() {
-            let schema = merged.schema().clone();
-            let keys: Vec<EExpr> = (0..schema.len()).map(EExpr::ColumnIdx).collect();
-            let rows = group_stream(
-                UStream::new(merged),
-                &keys,
-                keys.len(),
-                schema.fields().to_vec(),
-                &[],
-                ctx,
-            )?;
-            URelation::from_certain(&rows)
-        } else {
-            merged
-        };
+        result =
+            if !*all && merged.is_t_certain() { distinct_rows(merged, ctx)? } else { merged };
     }
     // ORDER BY orders the stored representation. Keys resolve against the
     // select list first (`ORDER BY r2.final` after `r2.final AS state`),
@@ -366,9 +354,9 @@ fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             }
         }
         let joined = collect_traced(joined, ctx, "tconf breaker")?;
-        let rel = agg::eval_tconf(&joined, &scalars, &tconf_names, ctx.wt)?;
-        // Reorder columns to the select order.
-        return Ok(URelation::from_certain(&reorder_to_select_order(rel, &items)?));
+        let out = agg::eval_tconf(&joined, &scalars, &tconf_names, ctx.wt)?;
+        let out = reorder_to_select_order(out, &items);
+        return if s.distinct { distinct_rows(out, ctx) } else { Ok(out) };
     }
 
     if has_aggs || !s.group_by.is_empty() {
@@ -378,18 +366,17 @@ fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             .iter()
             .map(|e| Ok(scalar(e)?.bind(&schema)?))
             .collect::<Result<_>>()?;
-        let out = eval_aggregate_select(group_exprs, joined, &items, ctx)?;
-        return match &s.having {
-            None => Ok(out),
-            // HAVING binds against the output schema (so aliases like `p`
-            // work) with the same qualifier-stripping fallback ORDER BY
-            // gets: aggregate outputs lose their qualifiers, but `GROUP BY
-            // r1.player … HAVING r1.player = 'X'` is idiomatic SQL.
-            Some(h) => {
-                let pred = bind_with_fallback(&scalar(h)?, out.schema())?;
-                collect_traced(UStream::new(out).filter(&pred)?, ctx, "having")
-            }
-        };
+        let mut out = eval_aggregate_select(group_exprs, joined, &items, ctx)?;
+        // HAVING binds against the output schema (so aliases like `p`
+        // work) with the same qualifier-stripping fallback ORDER BY
+        // gets: aggregate outputs lose their qualifiers, but `GROUP BY
+        // r1.player … HAVING r1.player = 'X'` is idiomatic SQL.
+        if let Some(h) = &s.having {
+            let pred = bind_with_fallback(&scalar(h)?, out.schema())?;
+            out = collect_traced(UStream::new(out).filter(&pred)?, ctx, "having")?;
+        }
+        // Grouping on keys the select list drops can repeat an output row.
+        return if s.distinct { distinct_rows(out, ctx) } else { Ok(out) };
     }
 
     if s.having.is_some() {
@@ -560,9 +547,8 @@ fn eval_possible(
 /// grouped-aggregation breaker**: the accumulated pipeline is not
 /// materialised; its fused stages run morsel-by-morsel and every
 /// surviving row folds into a morsel-local group table
-/// ([`agg::aggregate_stream`]). Output is bit-identical to collecting
-/// the stream and running the two-pass [`agg::aggregate_groups`] path.
-/// `group_exprs` are the GROUP BY expressions, bound to the stream.
+/// ([`agg::aggregate_stream`]); the output is t-certain. `group_exprs`
+/// are the GROUP BY expressions, bound to the stream.
 fn eval_aggregate_select(
     group_exprs: Vec<EExpr>,
     joined: UStream,
@@ -601,8 +587,8 @@ fn eval_aggregate_select(
             grouping.push(g);
         }
     }
-    let rel = group_stream(joined, &grouping, n_out_keys, key_fields, &aggs, ctx)?;
-    Ok(URelation::from_certain(&reorder_to_select_order(rel, items)?))
+    let out = group_stream(joined, &grouping, n_out_keys, key_fields, &aggs, ctx)?;
+    Ok(reorder_to_select_order(out, items))
 }
 
 /// Run `stream` into the streaming group breaker, as the next pipeline
@@ -614,7 +600,7 @@ fn group_stream(
     key_fields: Vec<Field>,
     aggs: &[(AggSpec, String)],
     ctx: &mut ExecCtx<'_>,
-) -> Result<Relation> {
+) -> Result<URelation> {
     ctx.trace_pipeline(&stream, &agg::stream_label(grouping.len(), aggs.len()));
     agg::aggregate_stream(
         stream,
@@ -626,6 +612,14 @@ fn group_stream(
         &ctx.conf,
         ctx.stats.as_deref(),
     )
+}
+
+/// `DISTINCT` over every column of a t-certain `u`: the group breaker
+/// with no aggregates (first-seen order), as the next pipeline of the plan.
+fn distinct_rows(u: URelation, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
+    let schema = u.schema().clone();
+    let keys: Vec<EExpr> = (0..schema.len()).map(EExpr::ColumnIdx).collect();
+    group_stream(UStream::new(u), &keys, keys.len(), schema.fields().to_vec(), &[], ctx)
 }
 
 /// Bind the inner expressions of an aggregate spec.
@@ -646,9 +640,9 @@ fn bind_agg(spec: &AggSpec, schema: &Schema) -> Result<AggSpec> {
     })
 }
 
-/// The aggregate evaluator outputs keys-then-aggregates; restore the
-/// original select order.
-fn reorder_to_select_order(rel: Relation, items: &[Item]) -> Result<Relation> {
+/// The aggregate evaluator outputs keys-then-aggregates (a t-certain
+/// U-relation); restore the original select order.
+fn reorder_to_select_order(out: URelation, items: &[Item]) -> URelation {
     // Current layout: scalars (in item order) then aggregates (in item
     // order). Compute the permutation back to select order.
     let n_scalars = items.iter().filter(|i| matches!(i, Item::Scalar { .. })).count();
@@ -668,13 +662,12 @@ fn reorder_to_select_order(rel: Relation, items: &[Item]) -> Result<Relation> {
         }
     }
     if perm.iter().enumerate().all(|(i, &p)| i == p) {
-        return Ok(rel);
+        return out;
     }
-    let fields: Vec<Field> =
-        perm.iter().map(|&i| rel.schema().field(i).clone()).collect();
-    let schema = Arc::new(Schema::new(fields));
-    let tuples = rel.tuples().iter().map(|t| t.take(&perm)).collect();
-    Ok(Relation::new_unchecked(schema, tuples))
+    let fields: Vec<Field> = perm.iter().map(|&i| out.schema().field(i).clone()).collect();
+    let tuples =
+        out.tuples().iter().map(|t| UTuple::certain(t.data.take(&perm))).collect();
+    URelation::new(Arc::new(Schema::new(fields)), tuples)
 }
 
 /// Expand wildcards and classify the select list. `from_order` lists
@@ -789,22 +782,28 @@ fn eval_query_input(input: &QueryInput, ctx: &mut ExecCtx<'_>) -> Result<URelati
 /// `x IN (SELECT …)` rewritten to join + project-back, as three fused
 /// stages on the incoming stream (append the probe value, hash-probe the
 /// collected subquery, project the original columns back) — nothing
-/// between them is materialised. Correct for confidence computation
-/// because downstream aggregation treats duplicate tuples disjunctively
-/// — the reason the language restricts IN-subqueries to positive
-/// occurrences (§2.2).
+/// between them is materialised. A t-certain subquery is deduplicated
+/// first, so the probe is a semi-join: a value it returns *k* times must
+/// not multiply the outer row (`count`, `esum`/`ecount` would be *k*
+/// times too large). An uncertain subquery keeps its duplicates: equal
+/// values under different conditions are disjunctive evidence, which
+/// `conf` / `possible` downstream treat exactly — the reason the language
+/// restricts IN-subqueries to positive occurrences (§2.2).
 fn rewrite_in_select(
     joined: UStream,
     probe: &SExpr,
     query: &Query,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<UStream> {
-    let sub = eval_query_rel(query, ctx)?;
+    let mut sub = eval_query_rel(query, ctx)?;
     if sub.schema().len() != 1 {
         return Err(plan_err(format!(
             "IN-subquery must produce exactly one column, got {}",
             sub.schema().len()
         )));
+    }
+    if sub.is_t_certain() {
+        sub = distinct_rows(sub, ctx)?;
     }
     let schema = joined.schema().clone();
     let n = schema.len();

@@ -1137,7 +1137,7 @@ mod tests {
 
     /// What the at-rest compaction makes of `values`: the oracle every
     /// in-place edit must agree with, representation included.
-    fn at_rest(values: &[Value]) -> Column {
+    fn stored_column(values: &[Value]) -> Column {
         Column::from_values(values.to_vec()).dict_encode()
     }
 
@@ -1156,11 +1156,11 @@ mod tests {
         for seq in sequences {
             // Start from every prefix at rest, push the remainder.
             for split in 0..=seq.len() {
-                let mut col = at_rest(&seq[..split]);
+                let mut col = stored_column(&seq[..split]);
                 for v in &seq[split..] {
                     col.push(v);
                 }
-                assert_eq!(col, at_rest(&seq), "{seq:?} split at {split}");
+                assert_eq!(col, stored_column(&seq), "{seq:?} split at {split}");
                 assert_eq!(col.len(), seq.len());
             }
         }
@@ -1177,7 +1177,7 @@ mod tests {
             (base, vec![(2, Value::Int(7))]),
             (ints.clone(), vec![(0, Value::Int(-1)), (69, Value::Null), (9, Value::Float(0.5))]),
         ] {
-            let mut col = at_rest(&seq);
+            let mut col = stored_column(&seq);
             let mut want = seq.clone();
             for (i, v) in &edits {
                 col.set(*i, v);
@@ -1192,7 +1192,7 @@ mod tests {
         // Deleting shifts values and null bits alike, across mask words.
         let all: Vec<u32> = (0..70).collect();
         for positions in [vec![], vec![0], vec![69], vec![0, 9, 10, 63, 64, 65], all] {
-            let mut col = at_rest(&ints);
+            let mut col = stored_column(&ints);
             col.delete_rows(&positions);
             let want: Vec<Value> = ints
                 .iter()
@@ -1210,7 +1210,7 @@ mod tests {
 
     #[test]
     fn interning_is_copy_on_write_and_drops_cached_hashes() {
-        let mut col = at_rest(&[Value::str("a"), Value::str("b")]);
+        let mut col = stored_column(&[Value::str("a"), Value::str("b")]);
         let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
         let reader = dict.clone();
         assert_eq!(reader.cached_hashes(|e| vec![7; e.len()]), &[7, 7]);

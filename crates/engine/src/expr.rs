@@ -154,11 +154,6 @@ impl Expr {
         Expr::Column { qualifier: None, name: name.into() }
     }
 
-    /// Qualified column reference.
-    pub fn qcol(qualifier: impl Into<String>, name: impl Into<String>) -> Expr {
-        Expr::Column { qualifier: Some(qualifier.into()), name: name.into() }
-    }
-
     /// Literal.
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::Literal(v.into())
@@ -916,7 +911,8 @@ mod tests {
 
     #[test]
     fn display_roundtrips_visually() {
-        let e = Expr::qcol("r1", "player").eq(Expr::lit("Bryant"));
+        let e = Expr::Column { qualifier: Some("r1".into()), name: "player".into() }
+            .eq(Expr::lit("Bryant"));
         assert_eq!(e.to_string(), "(r1.player = 'Bryant')");
     }
 }

@@ -23,26 +23,10 @@
 //! every row of a chunk keeps the whole chunk alive, batches seal their
 //! buffer at a bounded chunk size: a selective operator downstream retains
 //! at most one chunk per surviving row, not an unbounded ancestor buffer.
-//!
-//! # Columnar at rest
-//!
-//! A [`Relation`] is backed by one of two stores: a plain row vector, or
-//! a column-major [`ColumnBatch`] with dictionary-encoded string columns
-//! (the *at-rest* representation catalog installs produce via
-//! [`Relation::compact`]). The row API is preserved as a **lazily
-//! materialised view**: [`Relation::tuples`] pivots the columns back to
-//! shared-buffer rows once, on first use, and caches them. Mutating
-//! entry points decay the store to rows first, so the at-rest batch is
-//! immutable for its whole lifetime and scans may borrow column slices
-//! from it without re-pivoting per morsel. The two representations are
-//! logically identical — `value_at` is the exact inverse of the pivot
-//! (variant and float bits included) — which equality, ordering, and the
-//! determinism contract all rely on.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::column::ColumnBatch;
 use crate::error::{EngineError, Result};
 use crate::schema::Schema;
 use crate::types::Value;
@@ -218,74 +202,24 @@ impl TupleBatch {
     }
 }
 
-/// The physical backing of a [`Relation`] (see the module docs on
-/// columnar at rest).
-#[derive(Debug, Clone)]
-enum Store {
-    /// Row-major: the working representation operators mutate.
-    Rows(Vec<Tuple>),
-    /// Column-major at rest, shared by cheap `Arc` clones.
-    Columnar(Arc<ColumnarRel>),
-}
-
-/// An immutable columnar relation body plus its lazily materialised row
-/// view. The row view is built at most once per body (all clones share
-/// it through the `Arc`).
-#[derive(Debug)]
-struct ColumnarRel {
-    batch: ColumnBatch,
-    rows: OnceLock<Vec<Tuple>>,
-}
-
-impl ColumnarRel {
-    fn new(batch: ColumnBatch) -> ColumnarRel {
-        ColumnarRel { batch, rows: OnceLock::new() }
-    }
-
-    /// The rows, pivoting the columns back once on first use.
-    fn rows(&self) -> &[Tuple] {
-        self.rows.get_or_init(|| self.batch.to_tuple_batch().finish())
-    }
-
-    fn into_rows(self) -> Vec<Tuple> {
-        match self.rows.into_inner() {
-            Some(rows) => rows,
-            None => self.batch.to_tuple_batch().finish(),
-        }
-    }
-}
-
-// Two bodies are equal iff their batches are (the row cache is derived
-// state).
-impl PartialEq for ColumnarRel {
-    fn eq(&self, other: &ColumnarRel) -> bool {
-        self.batch == other.batch
-    }
-}
-
-/// A fully materialised relation: a schema plus a bag of tuples.
+/// A fully materialised t-certain relation: a schema plus a bag of
+/// tuples — what the API edge hands out and takes in (`MayBms::query`,
+/// `repair_key` / `pick_tuples` inputs, one instantiated world). Inside
+/// the engine every relation is a `URelation`; a `Relation` has no
+/// at-rest layout of its own.
 ///
 /// Relations are *bags* (SQL multiset semantics); `distinct` is an explicit
 /// operator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Arc<Schema>,
-    store: Store,
-}
-
-// Equality is logical — a columnar-at-rest relation equals its row-major
-// twin (the pivot is a bijection, so comparing materialised rows is
-// exact).
-impl PartialEq for Relation {
-    fn eq(&self, other: &Relation) -> bool {
-        self.schema == other.schema && self.tuples() == other.tuples()
-    }
+    tuples: Vec<Tuple>,
 }
 
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Arc<Schema>) -> Relation {
-        Relation { schema, store: Store::Rows(Vec::new()) }
+        Relation { schema, tuples: Vec::new() }
     }
 
     /// Build a relation, checking every tuple's arity against the schema.
@@ -301,28 +235,13 @@ impl Relation {
                 });
             }
         }
-        Ok(Relation { schema, store: Store::Rows(tuples) })
+        Ok(Relation { schema, tuples })
     }
 
     /// Build without arity checks; caller guarantees uniformity. Used by
     /// operators that construct rows from a known schema.
     pub fn new_unchecked(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Relation {
-        Relation { schema, store: Store::Rows(tuples) }
-    }
-
-    /// Build directly over an at-rest column batch. The batch arity must
-    /// match the schema; its row count is taken as-is.
-    pub fn from_batch(schema: Arc<Schema>, batch: ColumnBatch) -> Result<Relation> {
-        if batch.arity() != schema.len() {
-            return Err(EngineError::SchemaMismatch {
-                message: format!(
-                    "batch arity {} does not match schema arity {}",
-                    batch.arity(),
-                    schema.len()
-                ),
-            });
-        }
-        Ok(Relation { schema, store: Store::Columnar(Arc::new(ColumnarRel::new(batch))) })
+        Relation { schema, tuples }
     }
 
     /// The relation's schema.
@@ -330,75 +249,14 @@ impl Relation {
         &self.schema
     }
 
-    /// The tuples, in storage order. For a columnar-at-rest relation the
-    /// row view is materialised once, on first call, and cached.
+    /// The tuples, in storage order.
     pub fn tuples(&self) -> &[Tuple] {
-        match &self.store {
-            Store::Rows(t) => t,
-            Store::Columnar(c) => c.rows(),
-        }
+        &self.tuples
     }
 
-    /// The at-rest column batch, if this relation is stored columnar.
-    /// Borrowing it is the zero-pivot scan path: column slices come
-    /// straight from storage, no row materialisation.
-    pub fn at_rest(&self) -> Option<&ColumnBatch> {
-        match &self.store {
-            Store::Rows(_) => None,
-            Store::Columnar(c) => Some(&c.batch),
-        }
-    }
-
-    /// True iff the canonical storage is column-major.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.store, Store::Columnar(_))
-    }
-
-    /// A columnar-at-rest copy of this relation: pivoted once (counted
-    /// by the pivot metrics — this is the *one* pivot installs pay) with
-    /// string columns dictionary-encoded. Already-columnar input is
-    /// returned as a cheap `Arc` clone.
-    pub fn compact(&self) -> Relation {
-        match &self.store {
-            Store::Columnar(_) => self.clone(),
-            Store::Rows(tuples) => {
-                let cols: Vec<usize> = (0..self.schema.len()).collect();
-                let batch =
-                    ColumnBatch::pivot(tuples.len(), tuples.iter().map(Tuple::values), &cols)
-                        .dict_encode();
-                Relation {
-                    schema: self.schema.clone(),
-                    store: Store::Columnar(Arc::new(ColumnarRel::new(batch))),
-                }
-            }
-        }
-    }
-
-    /// The row vector, decaying a columnar store to rows first (the
-    /// mutation entry point — the at-rest batch itself never mutates).
-    fn rows_mut(&mut self) -> &mut Vec<Tuple> {
-        if matches!(self.store, Store::Columnar(_)) {
-            let store = std::mem::replace(&mut self.store, Store::Rows(Vec::new()));
-            if let Store::Columnar(arc) = store {
-                let rows = match Arc::try_unwrap(arc) {
-                    Ok(body) => body.into_rows(),
-                    Err(arc) => arc.rows().to_vec(),
-                };
-                self.store = Store::Rows(rows);
-            }
-        }
-        match &mut self.store {
-            Store::Rows(t) => t,
-            Store::Columnar(_) => unreachable!("just decayed"),
-        }
-    }
-
-    /// Number of tuples (no row materialisation on columnar stores).
+    /// Number of tuples.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Rows(t) => t.len(),
-            Store::Columnar(c) => c.batch.rows(),
-        }
+        self.tuples.len()
     }
 
     /// True iff the relation holds no tuples.
@@ -417,20 +275,13 @@ impl Relation {
                 ),
             });
         }
-        self.rows_mut().push(tuple);
+        self.tuples.push(tuple);
         Ok(())
     }
 
-    /// Consume into the tuple vector (materialising the row view of a
-    /// columnar store).
+    /// Consume into the tuple vector.
     pub fn into_tuples(self) -> Vec<Tuple> {
-        match self.store {
-            Store::Rows(t) => t,
-            Store::Columnar(arc) => match Arc::try_unwrap(arc) {
-                Ok(body) => body.into_rows(),
-                Err(arc) => arc.rows().to_vec(),
-            },
-        }
+        self.tuples
     }
 
     /// Replace the schema (e.g. re-qualifying after aliasing). The new
@@ -445,7 +296,7 @@ impl Relation {
                 ),
             });
         }
-        Ok(Relation { schema, store: self.store })
+        Ok(Relation { schema, tuples: self.tuples })
     }
 
     /// Render as an aligned ASCII table (for examples and debugging).
@@ -609,53 +460,6 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.values(), &[Value::Int(i as i64), Value::Int((i * 2) as i64)]);
         }
-    }
-
-    #[test]
-    fn compact_is_logically_identical_and_columnar() {
-        let r = rel(
-            &[("player", DataType::Text), ("pts", DataType::Int)],
-            vec![
-                vec!["Bryant".into(), 81.into()],
-                vec![Value::Null, Value::Null],
-                vec!["Bryant".into(), 56.into()],
-            ],
-        );
-        let c = r.compact();
-        assert!(c.is_columnar() && !r.is_columnar());
-        assert_eq!(c.len(), 3);
-        assert_eq!(c, r); // logical equality across representations
-        assert_eq!(r, c);
-        // The at-rest batch is reachable and the row view is exact.
-        let batch = c.at_rest().expect("columnar store");
-        assert_eq!(batch.arity(), 2);
-        assert_eq!(c.tuples(), r.tuples());
-        // Compacting again is an Arc clone of the same body.
-        let c2 = c.compact();
-        assert!(c2.is_columnar());
-        assert_eq!(c2, c);
-    }
-
-    #[test]
-    fn mutating_a_columnar_relation_decays_to_rows() {
-        let mut c = sample().compact();
-        assert!(c.is_columnar());
-        c.push(Tuple::new(vec!["X".into(), 3.into()])).unwrap();
-        assert!(!c.is_columnar());
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.tuples()[0], sample().tuples()[0]);
-        assert_eq!(c.tuples()[2], Tuple::new(vec!["X".into(), 3.into()]));
-    }
-
-    #[test]
-    fn columnar_into_tuples_and_with_schema_keep_store() {
-        let c = sample().compact();
-        let renamed =
-            Arc::new(Schema::from_pairs(&[("p", DataType::Text), ("n", DataType::Int)]));
-        let renamed_rel = c.clone().with_schema(renamed).unwrap();
-        assert!(renamed_rel.is_columnar(), "with_schema keeps the at-rest store");
-        let tuples = c.into_tuples();
-        assert_eq!(tuples, sample().into_tuples());
     }
 
     #[test]

@@ -50,8 +50,7 @@ const OFF: u64 = u64::MAX;
 /// Typed governor abort, raised at a cooperative checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GovError {
-    /// The statement's cancel token was fired (`\cancel` watchdog or a
-    /// programmatic [`CancelToken::cancel`]).
+    /// The statement was cancelled (the `\cancel` watchdog fired).
     Cancelled,
     /// The statement ran past its deadline (`\timeout N`,
     /// `MAYBMS_STATEMENT_TIMEOUT_MS`).
@@ -227,16 +226,16 @@ pub struct ExecLimits {
     pub cancel_after_ms: Option<u64>,
 }
 
-/// A handle that can cancel the statement it was issued for (and only
-/// that statement — a fired token for a finished statement is a no-op).
-#[derive(Debug, Clone)]
-pub struct CancelToken {
+/// The `\cancel` watchdog's handle: cancels the statement it was issued
+/// for (and only that statement — a fired token for a finished statement
+/// is a no-op).
+struct CancelToken {
     epoch: u64,
 }
 
 impl CancelToken {
     /// Cancel the statement this token belongs to, if it is still live.
-    pub fn cancel(&self) {
+    fn cancel(&self) {
         if STMT_EPOCH.load(Ordering::Acquire) == self.epoch {
             CANCEL.store(true, Ordering::Relaxed);
             // Make the checkpoints look: a mid-statement cancel must be
@@ -252,7 +251,6 @@ impl CancelToken {
 #[derive(Debug)]
 pub struct StatementGuard {
     limits: ExecLimits,
-    epoch: u64,
 }
 
 /// Install the session's armed limits for one statement. Resets the
@@ -299,18 +297,13 @@ pub fn begin_statement() -> StatementGuard {
         || limits.cancel_after_ms.is_some()
         || INJECT_AFTER.load(Ordering::Relaxed) != OFF;
     ACTIVE.store(armed, Ordering::Release);
-    StatementGuard { limits, epoch }
+    StatementGuard { limits }
 }
 
 impl StatementGuard {
     /// The limits this guard installed.
     pub fn limits(&self) -> ExecLimits {
         self.limits
-    }
-
-    /// A token that cancels this statement (and no other).
-    pub fn cancel_token(&self) -> CancelToken {
-        CancelToken { epoch: self.epoch }
     }
 
     /// Nanoseconds left until this statement's deadline (negative when
@@ -486,11 +479,6 @@ pub fn credit(bytes: usize) {
     MEM_USED.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
-/// Live tracked working memory, bytes.
-pub fn mem_used_bytes() -> u64 {
-    MEM_USED.load(Ordering::Relaxed)
-}
-
 /// Peak tracked working memory charged since the current statement
 /// began, relative to its start (bytes).
 pub fn statement_peak_bytes() -> u64 {
@@ -627,7 +615,7 @@ mod tests {
         set_statement_timeout_ms(None);
         set_mem_budget_mb(None);
         let g = begin_statement();
-        let token = g.cancel_token();
+        let token = CancelToken { epoch: STMT_EPOCH.load(Ordering::Acquire) };
         token.cancel();
         assert_eq!(check(), Err(GovError::Cancelled));
         drop(g);

@@ -3,7 +3,7 @@
 //!
 //! ## Span model
 //!
-//! A [`Span`] is an RAII guard created by [`span`] (or [`span_with`]):
+//! A [`Span`] is an RAII guard created by [`span`]:
 //! it allocates a process-unique u64 id, links to the span currently
 //! active on this thread (the *parent*), remembers the statement-level
 //! *root* it belongs to, and on drop writes one [`SpanRecord`] — label,
@@ -236,18 +236,6 @@ pub fn span(label: &'static str) -> Span {
     let root = if cur_root == 0 { id } else { cur_root };
     CURRENT.with(|c| c.set((root, id)));
     Span { id, root, parent: cur_parent, prev, label, start_nanos: monotonic_nanos(), attrs: Vec::new() }
-}
-
-/// [`span`] with initial attributes.
-pub fn span_with(
-    label: &'static str,
-    attrs: &[(&'static str, AttrValue)],
-) -> Span {
-    let mut s = span(label);
-    if s.is_active() {
-        s.attrs.extend_from_slice(attrs);
-    }
-    s
 }
 
 impl Span {

@@ -170,26 +170,6 @@ impl ThreadPool {
         }
     }
 
-    /// Run two closures, potentially in parallel, and return both results
-    /// (à la `rayon::join`). `a` runs on the calling thread; `b` is
-    /// offered to the pool.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send,
-        RB: Send,
-    {
-        if self.threads == 1 {
-            return (a(), b());
-        }
-        let mut rb = None;
-        let ra = self.scope(|s| {
-            s.spawn(|| rb = Some(b()));
-            a()
-        });
-        (ra, rb.expect("join task completed before scope returned"))
-    }
-
     /// Map `f` over `items` with one task per item, collecting results
     /// **in input order** regardless of execution interleaving. With one
     /// thread (or one item) this degenerates to an inline sequential map.
@@ -432,8 +412,6 @@ mod tests {
         assert_eq!(pool.threads(), 1);
         let out = pool.par_map(vec![1, 2, 3], |x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
     }
 
     #[test]
@@ -467,14 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let pool = ThreadPool::new(2);
-        let (a, b) = pool.join(|| (0..100).sum::<u64>(), || "right".to_string());
-        assert_eq!(a, 4950);
-        assert_eq!(b, "right");
-    }
-
-    #[test]
     fn nested_scopes_do_not_deadlock() {
         // Recursive fan-out deeper than the worker count: waiting threads
         // must help run queued tasks.
@@ -482,8 +452,11 @@ mod tests {
             if depth == 0 {
                 return 1;
             }
-            let (a, b) =
-                pool.join(|| tree_sum(pool, depth - 1), || tree_sum(pool, depth - 1));
+            let mut b = 0;
+            let a = pool.scope(|s| {
+                s.spawn(|| b = tree_sum(pool, depth - 1));
+                tree_sum(pool, depth - 1)
+            });
             a + b
         }
         let pool = ThreadPool::new(2);

@@ -30,7 +30,7 @@ use crate::codec::{self, Writer};
 use crate::error::{Result, StoreError};
 use crate::snapshot::{self, Catalog};
 use crate::vfs::{Vfs, VfsFile};
-use crate::wal::{self, Op, WalRecord, WAL_FILE, WAL_MAGIC};
+use crate::wal::{self, Op, WAL_FILE, WAL_MAGIC};
 
 /// Is `op` applicable to `tables`? Everything [`apply_op`] can reject is
 /// rejected here, without touching the catalog: live execution checks
@@ -237,9 +237,7 @@ impl Store {
             let bytes = vfs.read(WAL_FILE)?;
             let scan = wal::scan(&bytes)?;
             let mut stale = 0usize;
-            let mut offset = WAL_MAGIC.len() as u64;
-            for rec in scan.records {
-                let frame_len = 8 + wal::encode_record(&rec).len() as u64;
+            for (offset, rec) in scan.records {
                 if rec.lsn < base_lsn {
                     // Folded into the snapshot already (crash between
                     // checkpoint rename and WAL reset).
@@ -261,7 +259,6 @@ impl Store {
                     next_lsn = rec.lsn + 1;
                     replayed += 1;
                 }
-                offset += frame_len;
             }
             if stale > 0 && replayed == 0 {
                 // Every record predates the snapshot: finish the
@@ -381,8 +378,7 @@ impl Store {
         } else {
             None
         };
-        let rec = WalRecord { lsn: self.next_lsn, world_ext, op: op.clone() };
-        let frame = wal::frame_record(&rec);
+        let frame = wal::frame_record(self.next_lsn, &world_ext, op);
         let mut span = maybms_obs::trace::span("wal_append");
         span.attr("bytes", frame.len());
         let t0 = std::time::Instant::now();

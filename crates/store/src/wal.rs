@@ -164,11 +164,12 @@ fn get_u32s(r: &mut Reader<'_>, what: &str) -> codec::DecodeResult<Vec<u32>> {
     (0..n).map(|_| r.u32()).collect()
 }
 
-/// Encode a record payload (no framing).
-pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
+/// Encode a record payload (no framing) from its parts — borrowed, so
+/// logging never copies the op.
+pub fn encode_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u64(rec.lsn);
-    match &rec.world_ext {
+    w.put_u64(lsn);
+    match world_ext {
         None => w.put_u8(0),
         Some((first, dists)) => {
             w.put_u8(1);
@@ -176,7 +177,7 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
             codec::put_dists(&mut w, dists);
         }
     }
-    match &rec.op {
+    match op {
         Op::CreateTable { name, schema } => {
             w.put_u8(0);
             w.put_str(name);
@@ -279,8 +280,8 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
 }
 
 /// Frame a record for appending: `[len][crc][payload]`.
-pub fn frame_record(rec: &WalRecord) -> Vec<u8> {
-    let payload = encode_record(rec);
+pub fn frame_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
+    let payload = encode_record(lsn, world_ext, op);
     let mut out = Vec::with_capacity(payload.len() + 8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
@@ -291,8 +292,10 @@ pub fn frame_record(rec: &WalRecord) -> Vec<u8> {
 /// Result of scanning a WAL file.
 #[derive(Debug)]
 pub struct WalScan {
-    /// The decoded records, in file order.
-    pub records: Vec<WalRecord>,
+    /// The decoded records in file order, each with the byte offset of
+    /// its frame — what a replay failure reports. Read off the file, so
+    /// it is right for legacy encodings too.
+    pub records: Vec<(u64, WalRecord)>,
     /// Length of the valid prefix (bytes). Anything past this is a torn
     /// tail and should be truncated before appending resumes.
     pub valid_len: u64,
@@ -310,48 +313,46 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan> {
         if *bytes != WAL_MAGIC[..bytes.len()] {
             return Err(StoreError::corrupt(WAL_FILE, 0, "bad WAL magic"));
         }
-        return Ok(WalScan { records: Vec::new(), valid_len: 0, torn: !bytes.is_empty() });
+        return Ok(WalScan {
+            records: Vec::new(),
+            valid_len: 0,
+            torn: !bytes.is_empty(),
+        });
     }
     if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(StoreError::corrupt(WAL_FILE, 0, "bad WAL magic"));
     }
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
-    loop {
+    let torn = loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
-            return Ok(WalScan { records, valid_len: pos as u64, torn: false });
+            break false;
         }
         if remaining < 8 {
-            return Ok(WalScan { records, valid_len: pos as u64, torn: true });
+            break true;
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"))
             as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         if len > remaining - 8 {
             // Frame promises more bytes than the file holds: torn append.
-            return Ok(WalScan { records, valid_len: pos as u64, torn: true });
+            break true;
         }
         let payload = &bytes[pos + 8..pos + 8 + len];
         if codec::crc32(payload) != crc {
             // Checksum mismatch: the append tore inside the payload (or
             // the tail rotted). Either way nothing after it can be
             // trusted — stop cleanly at the last good record.
-            return Ok(WalScan { records, valid_len: pos as u64, torn: true });
+            break true;
         }
-        match decode_record(payload) {
-            Ok(rec) => records.push(rec),
-            Err(e) => {
-                // CRC-valid but undecodable: not a crash artifact.
-                return Err(StoreError::corrupt(
-                    WAL_FILE,
-                    (pos + 8) as u64 + e.offset,
-                    e.reason,
-                ));
-            }
-        }
+        // CRC-valid but undecodable is not a crash artifact.
+        let rec = decode_record(payload)
+            .map_err(|e| StoreError::corrupt(WAL_FILE, (pos + 8) as u64 + e.offset, e.reason))?;
+        records.push((pos as u64, rec));
         pos += 8 + len;
-    }
+    };
+    Ok(WalScan { records, valid_len: pos as u64, torn })
 }
 
 #[cfg(test)]
@@ -374,10 +375,14 @@ mod tests {
         }
     }
 
+    fn encode(rec: &WalRecord) -> Vec<u8> {
+        encode_record(rec.lsn, &rec.world_ext, &rec.op)
+    }
+
     fn wal_bytes(recs: &[WalRecord]) -> Vec<u8> {
         let mut bytes = WAL_MAGIC.to_vec();
         for r in recs {
-            bytes.extend_from_slice(&frame_record(r));
+            bytes.extend_from_slice(&frame_record(r.lsn, &r.world_ext, &r.op));
         }
         bytes
     }
@@ -387,7 +392,10 @@ mod tests {
         let recs: Vec<WalRecord> = (0..5).map(rec).collect();
         let bytes = wal_bytes(&recs);
         let scan = scan(&bytes).unwrap();
-        assert_eq!(scan.records, recs);
+        let (offsets, scanned): (Vec<u64>, Vec<WalRecord>) = scan.records.into_iter().unzip();
+        assert_eq!(scanned, recs);
+        assert_eq!(offsets[0], WAL_MAGIC.len() as u64);
+        assert!(offsets.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(scan.valid_len, bytes.len() as u64);
         assert!(!scan.torn);
     }
@@ -412,14 +420,14 @@ mod tests {
             world_ext: None,
             op: Op::PutTable { name: "t".into(), table },
         };
-        let payload = encode_record(&record);
+        let payload = encode(&record);
         let decoded = decode_record(&payload).unwrap();
         assert_eq!(decoded, record);
         let Op::PutTable { table, .. } = &decoded.op else { unreachable!() };
         assert!(table.is_columnar());
-        // Recovery recomputes frame offsets by re-encoding each decoded
-        // record, so the round-trip must be byte-identical.
-        assert_eq!(encode_record(&decoded), payload);
+        // The encoding is canonical: decode then encode is the identity
+        // for current tags.
+        assert_eq!(encode(&decoded), payload);
     }
 
     /// Payload prefix of a record with no world extension: LSN, tag 0,
@@ -447,7 +455,7 @@ mod tests {
         };
         // Offset 8 (lsn) + 1 (world-ext tag): even a row-major image is
         // written under tag 5 — nothing encodes the pre-columnar tag 1.
-        let payload = encode_record(&record);
+        let payload = encode(&record);
         assert_eq!(payload[9], 5);
         assert_eq!(decode_record(&payload).unwrap(), record);
         // A tag-1 record as earlier builds wrote it decodes to the same op.
@@ -483,10 +491,10 @@ mod tests {
             Op::DeleteRows { table: "t".into(), positions: vec![] },
         ] {
             let record = WalRecord { lsn: 3, world_ext: None, op };
-            let payload = encode_record(&record);
+            let payload = encode(&record);
             let decoded = decode_record(&payload).unwrap();
             assert_eq!(decoded, record);
-            assert_eq!(encode_record(&decoded), payload);
+            assert_eq!(encode(&decoded), payload);
         }
         // Tags 6 and 7, after lsn (8 bytes) and the world-ext tag.
         let update = Op::UpdateRows {
@@ -495,9 +503,9 @@ mod tests {
             columns: vec![0],
             cells: vec![Value::Int(1)],
         };
-        assert_eq!(encode_record(&WalRecord { lsn: 0, world_ext: None, op: update })[9], 6);
+        assert_eq!(encode_record(0, &None, &update)[9], 6);
         let delete = Op::DeleteRows { table: "t".into(), positions: vec![0] };
-        assert_eq!(encode_record(&WalRecord { lsn: 0, world_ext: None, op: delete })[9], 7);
+        assert_eq!(encode_record(0, &None, &delete)[9], 7);
     }
 
     /// A CRC-valid frame around `payload` must scan as corruption at an
@@ -548,7 +556,7 @@ mod tests {
             // prefix no longer than the cut.
             assert!(s.valid_len <= cut as u64);
             assert!(s.records.len() <= recs.len());
-            for (got, want) in s.records.iter().zip(&recs) {
+            for ((_, got), want) in s.records.iter().zip(&recs) {
                 assert_eq!(got, want);
             }
             // Every mid-record cut is flagged torn.

@@ -412,6 +412,38 @@ fn pre_refactor_row_image_wal_recovers() {
     assert_eq!(fingerprint(&rec3.tables, &rec3.wt), fp);
 }
 
+/// A replay failure names the failing record's first byte, also behind a
+/// legacy tag-1 `PutTable` (which today's encoder would write as tag 5,
+/// one layout byte longer — so the offset must come from the file, not
+/// from re-encoding what was decoded).
+#[test]
+fn corrupt_offset_after_legacy_record_is_the_records_first_byte() {
+    use maybms_store::{codec, wal, StoreError};
+
+    let mut picks =
+        URelation::empty(Arc::new(Schema::from_pairs(&[("a", DataType::Int)])));
+    picks.tuples_mut().push(UTuple::new(Tuple::new(vec![Value::Int(10)]), Wsd::of(Var(0), 1)));
+    let mut image = codec::Writer::new();
+    codec::put_urelation(&mut image, &picks);
+    let mut bytes = wal::WAL_MAGIC.to_vec();
+    bytes.extend(legacy_frame(0, Some((0, vec![vec![0.4, 0.6]])), 1, "picks", image.finish()));
+    let second = bytes.len() as u64;
+    // A tag-7 delete of position 5 in a one-row table: decodes, fails
+    // `check_op` on replay.
+    let positions = [1u32.to_le_bytes(), 5u32.to_le_bytes()].concat();
+    bytes.extend(legacy_frame(1, None, 7, "picks", positions));
+    let mem = MemVfs::new();
+    let mut f = mem.create(wal::WAL_FILE).unwrap();
+    f.append(&bytes).unwrap();
+    f.sync().unwrap();
+    drop(f);
+
+    match Store::open(Arc::new(mem)) {
+        Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, second),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
 #[test]
 fn crash_matrix_fail_stop() {
     run_matrix(FaultMode::FailStop);

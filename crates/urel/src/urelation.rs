@@ -15,15 +15,19 @@
 //! materialise once through [`URelation::gather`]; only operators that
 //! build new rows (projection over expressions, join concatenation)
 //! allocate.
-
+//!
 //! # Columnar at rest
 //!
-//! Like the engine's `Relation`, a [`URelation`] may be backed by a
-//! column-major [`ColumnBatch`] over the data columns (dictionary-encoded
-//! strings included) with the per-tuple WSDs kept as a parallel sidecar
-//! vector — the at-rest representation catalog installs produce via
-//! [`URelation::compact`]. The `UTuple` row view is materialised lazily,
-//! once. DML mutates the at-rest body **in place**
+//! A [`URelation`] is the one relation type the engine stores, scans and
+//! passes between operators (a t-certain table is one whose conditions
+//! are all empty); the engine's plain `Relation` row bag exists only at
+//! the API edge ([`URelation::from_certain`] / [`URelation::into_certain`]).
+//! It is backed by a row vector or by a column-major [`ColumnBatch`] over
+//! the data columns (dictionary-encoded strings included) with the
+//! per-tuple WSDs kept as a parallel sidecar vector — the at-rest
+//! representation catalog installs produce via [`URelation::compact`].
+//! The `UTuple` row view of a columnar store is materialised lazily,
+//! once ([`URelation::tuples`]). DML mutates the at-rest body **in place**
 //! ([`URelation::append_rows`], [`URelation::set_cells`],
 //! [`URelation::delete_rows`]) at a cost proportional to the rows
 //! touched, copy-on-write: the body is cloned first only if a reader (a
@@ -155,17 +159,8 @@ impl URelation {
         URelation { schema, store: Store::Columnar(Arc::new(ColumnarURel::new(batch, wsds))) }
     }
 
-    /// Lift a certain relation into a (t-certain) U-relation. A
-    /// columnar-at-rest input whose row view is cold keeps its columns
-    /// (tautological WSD sidecar, dictionaries shared).
+    /// Lift a certain relation into a (t-certain) U-relation.
     pub fn from_certain(rel: &Relation) -> URelation {
-        if let Some(batch) = rel.at_rest() {
-            return URelation::from_batch(
-                rel.schema().clone(),
-                batch.clone(),
-                vec![Wsd::tautology(); batch.rows()],
-            );
-        }
         URelation {
             schema: rel.schema().clone(),
             store: Store::Rows(rel.tuples().iter().cloned().map(UTuple::certain).collect()),
@@ -350,24 +345,12 @@ impl URelation {
         self
     }
 
-    /// Forget the conditions, keeping every stored tuple. Only meaningful
-    /// for t-certain relations; used to hand results to the engine. A
-    /// columnar store passes its batch through, staying columnar.
-    pub fn into_certain(self) -> Relation {
-        match self.store {
-            Store::Rows(tuples) => Relation::new_unchecked(
-                self.schema,
-                tuples.into_iter().map(|t| t.data).collect(),
-            ),
-            Store::Columnar(arc) => {
-                let batch = match Arc::try_unwrap(arc) {
-                    Ok(body) => body.batch,
-                    Err(arc) => arc.batch.clone(),
-                };
-                Relation::from_batch(self.schema, batch)
-                    .expect("batch arity matches schema by construction")
-            }
-        }
+    /// Forget the conditions, keeping every stored tuple, as a plain row
+    /// bag (a columnar store pivots its rows here, once). Only meaningful
+    /// for t-certain relations; this is how results leave the engine.
+    pub fn into_certain(mut self) -> Relation {
+        let tuples = std::mem::take(self.tuples_mut());
+        Relation::new_unchecked(self.schema, tuples.into_iter().map(|t| t.data).collect())
     }
 
     /// Instantiate the relation in one world: keep tuples whose WSD the
@@ -555,17 +538,6 @@ mod tests {
         empty.append_rows(&[extra]);
         assert!(empty.is_columnar());
         assert_eq!(empty.len(), 1);
-    }
-
-    #[test]
-    fn certain_round_trip_keeps_columnar_store() {
-        let r = base().compact();
-        let u = URelation::from_certain(&r);
-        assert!(u.is_columnar(), "lifting a columnar relation keeps columns");
-        assert!(u.is_t_certain());
-        let back = u.into_certain();
-        assert!(back.is_columnar());
-        assert_eq!(back, base());
     }
 
     #[test]

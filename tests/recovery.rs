@@ -165,7 +165,7 @@ fn delta_wal_tail_reopens_to_memory_state_at_any_thread_count() {
         let log = mem.read("wal").unwrap();
         let scan = wal::scan(&log).unwrap();
         assert_eq!(scan.records.len(), tail.len());
-        for rec in &scan.records {
+        for (_, rec) in &scan.records {
             assert!(
                 matches!(
                     rec.op,

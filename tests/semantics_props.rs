@@ -297,4 +297,48 @@ proptest! {
             prop_assert!((p - truth[&v]).abs() < 1e-9, "v={} p={} truth={}", v, p, truth[&v]);
         }
     }
+
+    /// conf() / ecount() of an uncertain table filtered by `IN` over a
+    /// t-certain table with duplicate keys == brute-force world sums: the
+    /// subquery is a set, however often it returns a value.
+    #[test]
+    fn sql_in_certain_subquery_equals_enumeration(rows in arb_rows()) {
+        let mut db = load(&rows);
+        db.run_script(
+            "create table picked as
+               select * from (pick tuples from t independently with probability p) x;
+             create table d as
+               select v from t where g > 0 union all select v from t where g > 0;",
+        ).unwrap();
+        let out = db
+            .query(
+                "select g, conf() as c, ecount() as n from picked
+                 where v in (select v from d) group by g",
+            )
+            .unwrap();
+        let allowed: std::collections::HashSet<i64> =
+            rows.iter().filter(|r| r.0 > 0).map(|r| r.1).collect();
+        let u = db.table("picked").unwrap().clone();
+        // Per g: (P(some row survives), E[surviving rows]).
+        let mut truth: std::collections::HashMap<i64, (f64, f64)> = Default::default();
+        for (world, wp) in db.world_table().enumerate_worlds(1 << 16).unwrap() {
+            let mut counts: std::collections::HashMap<i64, f64> = Default::default();
+            for t in u.instantiate(&world).tuples() {
+                if allowed.contains(&t.value(1).as_int().unwrap()) {
+                    *counts.entry(t.value(0).as_int().unwrap()).or_insert(0.0) += 1.0;
+                }
+            }
+            for (g, n) in counts {
+                let e = truth.entry(g).or_insert((0.0, 0.0));
+                e.0 += wp;
+                e.1 += wp * n;
+            }
+        }
+        prop_assert_eq!(out.len(), truth.len());
+        for t in out.tuples() {
+            let (c, n) = truth[&t.value(0).as_int().unwrap()];
+            prop_assert!((t.value(1).as_f64().unwrap() - c).abs() < 1e-9, "conf {} vs {}", t, c);
+            prop_assert!((t.value(2).as_f64().unwrap() - n).abs() < 1e-9, "ecount {} vs {}", t, n);
+        }
+    }
 }

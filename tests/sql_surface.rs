@@ -417,6 +417,75 @@ fn in_list_with_expressions_and_in_select_combined() {
     assert_eq!(names, vec!["cat", "dan"]);
 }
 
+/// `t(a, b, s)` with duplicate keys in `a` and one fully duplicated row.
+fn dup_keys() -> MayBms {
+    let mut db = MayBms::new();
+    db.run_script(
+        "create table t (a bigint, b bigint, s text);
+         insert into t values (1, 10, 'x'), (1, 20, 'y'), (2, 30, 'x'), (2, 30, 'x');",
+    )
+    .unwrap();
+    db
+}
+
+fn explain(db: &mut MayBms, sql: &str) -> String {
+    match db.run(&format!("explain {sql}")).unwrap() {
+        StatementResult::Ok { message } => message,
+        other => panic!("EXPLAIN must return a message, got {other:?}"),
+    }
+}
+
+#[test]
+fn in_select_over_a_certain_subquery_is_a_semi_join() {
+    // A value the subquery returns k times must not multiply the outer
+    // row k times: the predicate below is always true, so it may change
+    // neither a count nor an expectation.
+    let mut db = dup_keys();
+    let sql = "select count(*) as n from t where a in (select a from t)";
+    let r = db.query(sql).unwrap();
+    assert_eq!(r.tuples()[0].value(0), &Value::Int(4));
+    let plan = explain(&mut db, sql);
+    assert_eq!(plan.matches("distinct (streaming, 1 keys)").count(), 1, "{plan}");
+
+    db.run("create table u as select * from (pick tuples from t with probability 0.5) p")
+        .unwrap();
+    let plain = db.query("select a, ecount() as n from u group by a order by a").unwrap();
+    let filtered = db
+        .query("select a, ecount() as n from u where a in (select a from t) group by a order by a")
+        .unwrap();
+    assert_eq!(filtered, plain);
+    let counts: Vec<&Value> = filtered.tuples().iter().map(|t| t.value(1)).collect();
+    assert_eq!(counts, [&Value::Float(1.0), &Value::Float(1.0)]);
+}
+
+#[test]
+fn distinct_applies_to_grouped_output() {
+    let mut db = dup_keys();
+    // Three (a, b) groups, two distinct values of a.
+    let sql = "select distinct a from t group by a, b";
+    let r = db.query(sql).unwrap();
+    let a: Vec<&Value> = r.tuples().iter().map(|t| t.value(0)).collect();
+    assert_eq!(a, [&Value::Int(1), &Value::Int(2)]);
+    let plan = explain(&mut db, sql);
+    // The keys-only grouping is itself the group breaker with no
+    // aggregates; DISTINCT is one more over the one output column.
+    let grouping = plan.find("distinct (streaming, 2 keys)").expect(&plan);
+    assert!(plan[grouping..].contains("distinct (streaming, 1 keys)"), "{plan}");
+    // DISTINCT is over whole output rows: (1, 10), (1, 20), (2, 60) differ
+    // in the aggregate and stay apart; (1, 1), (1, 1), (2, 2) do not.
+    let r = db.query("select distinct a, sum(b) as n from t group by a, b").unwrap();
+    assert_eq!(r.len(), 3);
+    let r = db.query("select distinct a, count(*) as n from t group by a, b").unwrap();
+    assert_eq!(r.len(), 2);
+    // …DISTINCT sees what HAVING lets through, and tconf() rows too.
+    let r = db
+        .query("select distinct a from t group by a, b having a = 1")
+        .unwrap();
+    assert_eq!(r.len(), 1);
+    let r = db.query("select distinct s, tconf() as p from t").unwrap();
+    assert_eq!(r.len(), 2);
+}
+
 #[test]
 fn drop_and_recreate() {
     let mut db = fresh();
