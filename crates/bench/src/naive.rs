@@ -3,6 +3,9 @@
 //! * [`fused_chain`] — the row-major scalar walk of a σ/π/probe chain:
 //!   the strict oracle (values, WSDs, order, first error) for the
 //!   pipeline executor (`maybms_pipe::UStream`);
+//! * [`nested_loop_join`] — nested loops, then filter: the oracle for
+//!   the join planner (`maybms_core::exec`), which may reorder sources,
+//!   derive predicates and pick build sides but not change the bag;
 //! * [`aggregate_u`] — grouped aggregation over a materialised
 //!   U-relation by linear-scan grouping and plain sums: the oracle for
 //!   the one aggregator the product has, the streaming group breaker
@@ -77,6 +80,41 @@ pub fn fused_chain(
         walk(t.data.values(), &t.wsd, steps, &mut out).map_err(|e| (i, e))?;
     }
     Ok(out)
+}
+
+/// Nested loops, then filter — what a SELECT block's FROM + WHERE mean:
+/// every combination of one row per source (data concatenated in
+/// `sources` order, conditions conjoined, unsatisfiable combinations
+/// dropped) on which every predicate, bound to the concatenated schema,
+/// holds. Combinations come out in odometer order, the last source
+/// fastest; the planner under test promises only the bag.
+pub fn nested_loop_join(
+    sources: &[URelation],
+    predicates: &[Expr],
+) -> Result<Vec<(Vec<Value>, Wsd)>, EngineError> {
+    let mut out: Vec<(Vec<Value>, Wsd)> = vec![(Vec::new(), Wsd::tautology())];
+    for source in sources {
+        let mut next = Vec::new();
+        for (row, wsd) in &out {
+            for t in source.tuples() {
+                if let Some(w) = wsd.conjoin(&t.wsd) {
+                    next.push(([row.as_slice(), t.data.values()].concat(), w));
+                }
+            }
+        }
+        out = next;
+    }
+    let mut kept = Vec::new();
+    for (row, wsd) in out {
+        let mut holds = true;
+        for p in predicates {
+            holds = holds && p.eval_predicate_values(&row)?;
+        }
+        if holds {
+            kept.push((row, wsd));
+        }
+    }
+    Ok(kept)
 }
 
 /// Deliberately naive grouped aggregation over a materialised

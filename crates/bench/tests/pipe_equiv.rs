@@ -95,6 +95,12 @@ fn uschema() -> Arc<Schema> {
     ]))
 }
 
+/// The condition `raw` spells (the tautology when it contradicts itself).
+fn wsd_of(raw: Vec<(u32, u16)>) -> Wsd {
+    Wsd::from_assignments(raw.into_iter().map(|(v, a)| Assignment::new(Var(v), a)).collect())
+        .unwrap_or_else(Wsd::tautology)
+}
+
 /// A world table with three small variables plus a U-relation whose WSDs
 /// mention them — self-joins hit conflicting (unsatisfiable) WSD pairs.
 fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
@@ -110,13 +116,7 @@ fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
             let tuples = rows
                 .into_iter()
                 .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
-                .map(|((k, v, s), raw)| {
-                    let wsd = Wsd::from_assignments(
-                        raw.into_iter().map(|(v, a)| Assignment::new(Var(v), a)).collect(),
-                    )
-                    .unwrap_or_else(Wsd::tautology);
-                    UTuple::new(Tuple::new(vec![k, v, s]), wsd)
-                })
+                .map(|((k, v, s), raw)| UTuple::new(Tuple::new(vec![k, v, s]), wsd_of(raw)))
                 .collect();
             (wt, URelation::new(uschema(), tuples))
         })
@@ -417,5 +417,149 @@ proptest! {
             prop_assert_eq!(tuples, &runs[0].0, "result, run {} vs threads 1", i);
             prop_assert_eq!(f, &runs[0].1, "stats fingerprint, run {}", i);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The join planner vs nested loops
+// ---------------------------------------------------------------------
+
+/// Rows `(k, f, s)` of one FROM source with typed columns — join keys
+/// with duplicates and NULLs, floats that do (`1.0`) and do not (`0.5`)
+/// equal an integer key — and raw WSDs over the three shared variables.
+#[allow(clippy::type_complexity)]
+fn arb_join_source(
+) -> impl Strategy<Value = Vec<((Option<i64>, Option<i64>, &'static str), Vec<(u32, u16)>)>> {
+    prop::collection::vec(
+        (
+            (
+                prop::option::of(0i64..3),
+                prop::option::of(0i64..5),
+                prop::sample::select(vec!["a", "b"]),
+            ),
+            prop::collection::vec((0u32..3, 0u16..2), 0..2),
+        ),
+        0..7,
+    )
+}
+
+/// One WHERE conjunct over aliases `a0 …` as SQL text and as the bound
+/// expression over the concatenated `(k, f, s)` schemas the oracle runs.
+fn join_conjunct(n: usize, (op, a, b): Token) -> (String, Expr) {
+    let (t1, t2) = (a as usize % n, (a as usize + 1 + b as usize % (n - 1).max(1)) % n);
+    let name = |t: usize, c: usize| format!("a{t}.{}", ["k", "f", "s"][c]);
+    let col = |t: usize, c: usize| Expr::ColumnIdx(3 * t + c);
+    let lit = i64::from(b % 3);
+    let eq = |c1: usize, c2: usize| {
+        (format!("{} = {}", name(t1, c1), name(t2, c2)), col(t1, c1).eq(col(t2, c2)))
+    };
+    match op % 12 {
+        0 | 1 => eq(0, 0),
+        2 => eq(1, 0), // Float = Int: joins, shares no class
+        3 => eq(2, 2),
+        4 | 5 => (
+            format!("{} >= {lit}", name(t1, 0)),
+            col(t1, 0).binary(BinaryOp::GtEq, Expr::lit(lit)),
+        ),
+        6 => (format!("{lit} = {}", name(t1, 0)), Expr::lit(lit).eq(col(t1, 0))),
+        7 => (
+            format!("{} in ({lit}, 2)", name(t1, 0)),
+            Expr::InList {
+                expr: Box::new(col(t1, 0)),
+                list: vec![Expr::lit(lit), Expr::lit(2i64)],
+                negated: false,
+            },
+        ),
+        8 => (
+            format!("{} < {lit}.5", name(t1, 1)),
+            col(t1, 1).binary(BinaryOp::Lt, Expr::lit(Value::Float(lit as f64 + 0.5))),
+        ),
+        // Neither `<>` nor an equality under OR links a class.
+        9 | 10 => (
+            format!("{} <> {}", name(t1, 0), name(t2, 0)),
+            col(t1, 0).binary(BinaryOp::NotEq, col(t2, 0)),
+        ),
+        _ => (
+            format!("({} = {} or {} = {})", name(t1, 0), name(t2, 0), name(t1, 2), name(t2, 2)),
+            col(t1, 0).eq(col(t2, 0)).or(col(t1, 2).eq(col(t2, 2))),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `select * from t0 a0, … where …` through the join planner — which
+    /// derives implied predicates, joins on composite keys, builds on the
+    /// smaller side and so leaves FROM order — returns exactly the bag
+    /// (data in FROM order, variants included, plus WSDs) that nested
+    /// loops then a filter do, at 1/2/8 threads and single-row morsels.
+    #[test]
+    fn join_planner_matches_nested_loops(
+        sources in prop::collection::vec(arb_join_source(), 2..5),
+        tokens in prop::collection::vec((0u8..12, 0u8..8, 0u8..8), 1..6),
+    ) {
+        let n = sources.len();
+        let mut wt = WorldTable::new();
+        for _ in 0..3 {
+            wt.new_var(&[0.5, 0.5]).unwrap();
+        }
+        let schema = Arc::new(Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Text),
+        ]));
+        let relations: Vec<URelation> = sources
+            .into_iter()
+            .map(|rows| {
+                let tuples = rows
+                    .into_iter()
+                    .map(|((k, f, s), raw)| {
+                        let data = vec![
+                            k.map_or(Value::Null, Value::Int),
+                            f.map_or(Value::Null, |x| Value::Float(x as f64 / 2.0)),
+                            Value::str(s),
+                        ];
+                        UTuple::new(Tuple::new(data), wsd_of(raw))
+                    })
+                    .collect();
+                URelation::new(schema.clone(), tuples)
+            })
+            .collect();
+        let (texts, predicates): (Vec<String>, Vec<Expr>) =
+            tokens.iter().map(|&t| join_conjunct(n, t)).unzip();
+        let from: Vec<String> = (0..n).map(|i| format!("t{i} a{i}")).collect();
+        let sql = format!("select * from {} where {}", from.join(", "), texts.join(" and "));
+        let render = |rows: Vec<(Vec<Value>, Wsd)>| {
+            let mut rows: Vec<String> =
+                rows.iter().map(|(v, w)| format!("{v:?} | {w:?}")).collect();
+            rows.sort();
+            rows
+        };
+        let want = render(maybms_bench::naive::nested_loop_join(&relations, &predicates).unwrap());
+
+        let query = maybms_core::sql::parse_query(&sql).unwrap();
+        let before = maybms_par::pool().threads();
+        for compact in [false, true] {
+            let catalog: std::collections::BTreeMap<String, URelation> = relations
+                .iter()
+                .enumerate()
+                .map(|(i, u)| (format!("t{i}"), if compact { u.compact() } else { u.clone() }))
+                .collect();
+            for threads in [1usize, 2, 8] {
+                maybms_par::set_threads(threads);
+                let mut ctx = maybms_core::exec::ExecCtx::new(&catalog, &mut wt, Default::default());
+                ctx.min_morsel = 1;
+                let got = maybms_core::exec::eval_query_rel(&query, &mut ctx).unwrap();
+                let got = render(
+                    got.tuples()
+                        .iter()
+                        .map(|t| (t.data.values().to_vec(), t.wsd.clone()))
+                        .collect(),
+                );
+                prop_assert_eq!(&got, &want, "{} (compact {}, {} threads)", sql, compact, threads);
+            }
+        }
+        maybms_par::set_threads(before);
     }
 }

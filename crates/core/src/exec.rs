@@ -4,11 +4,12 @@
 //!
 //! 1. FROM items become U-relations (`repair key` / `pick tuples` extend
 //!    the hypothesis space, §2.2);
-//! 2. WHERE is split into conjuncts: single-source predicates are pushed
-//!    down, equality conjuncts drive hash joins, `IN (SELECT …)`
-//!    conjuncts are rewritten to (semi-)joins (positive occurrence only),
-//!    and the rest filter the joined result — the parsimonious
-//!    translation of §2.3 throughout;
+//! 2. WHERE and ON split into conjuncts, resolved once against the whole
+//!    FROM schema: restrictions are copied across join equalities,
+//!    single-source predicates pushed down, equality conjuncts are the
+//!    keys of hash joins, `IN (SELECT …)` conjuncts become (semi-)joins
+//!    (positive occurrence only), the rest filter the joined result —
+//!    the parsimonious translation of §2.3 throughout;
 //! 3. the SELECT list maps to projections and the uncertainty-aware
 //!    aggregates (`conf`, `aconf`, `tconf`, `possible`, `esum`, `ecount`,
 //!    `argmax`), enforcing the typing rules of §2.2; `DISTINCT` applies
@@ -33,15 +34,16 @@
 //! breaker with no aggregates. Materialisation happens only at the
 //! remaining breakers (hash-join build sides, `select possible`, tconf,
 //! and [`maybms_pipe::breaker`]'s sort, union, cross product and limit)
-//! and at the final output. `JOIN … ON` and the comma/`WHERE` spelling
-//! share one join planner (`join_sources`). `EXPLAIN` lists every
-//! collected pipeline and every breaker via [`ExecCtx::trace`].
+//! and at the final output. `JOIN … ON` flattens into its block's FROM
+//! list, so both spellings are one call of the one join planner
+//! (`join_sources`, which also picks each join's build side). `EXPLAIN`
+//! lists every collected pipeline and every breaker via [`ExecCtx::trace`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use maybms_engine::ops::{ProjectItem, SortKey};
-use maybms_engine::{BinaryOp, Expr as EExpr, Field, Relation, Schema, Tuple};
+use maybms_engine::{BinaryOp, DataType, Expr as EExpr, Field, Relation, Schema, Tuple};
 use maybms_pipe::{breaker, UStream};
 use maybms_sql::{Expr as SExpr, FromItem, Query, QueryInput, Select, SelectItem};
 use maybms_urel::{
@@ -71,6 +73,10 @@ pub struct ExecCtx<'a> {
     /// changes results: everything collected is an order-independent
     /// sum or max.
     pub stats: Option<std::sync::Arc<maybms_obs::QueryStats>>,
+    /// Minimum morsel size of every pipeline this context runs
+    /// ([`maybms_engine::ops::PAR_MIN_CHUNK`]; the determinism tests pin
+    /// it to a single row, as they do on `collect_with`).
+    pub min_morsel: usize,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -80,7 +86,14 @@ impl<'a> ExecCtx<'a> {
         wt: &'a mut WorldTable,
         conf: ConfContext,
     ) -> ExecCtx<'a> {
-        ExecCtx { catalog, wt, conf, trace: None, stats: None }
+        ExecCtx {
+            catalog,
+            wt,
+            conf,
+            trace: None,
+            stats: None,
+            min_morsel: maybms_engine::ops::PAR_MIN_CHUNK,
+        }
     }
 }
 
@@ -103,12 +116,13 @@ pub enum PlanStep {
 }
 
 impl ExecCtx<'_> {
-    /// Record `stream` as the next pipeline of the plan (`reason` is why
-    /// it breaks) when tracing for `EXPLAIN`.
-    fn trace_pipeline(&mut self, stream: &UStream, reason: &str) {
+    /// Record a pipeline [`UStream::describe`]d as `described` as the
+    /// next one of the plan (`reason` is why it breaks) when tracing for
+    /// `EXPLAIN`.
+    fn trace_pipeline(&mut self, described: impl FnOnce() -> String, reason: &str) {
         if let Some(trace) = &mut self.trace {
             let mut entry = format!("pipeline ({reason})\n");
-            for line in stream.describe().lines() {
+            for line in described().lines() {
                 entry.push_str("  ");
                 entry.push_str(line);
                 entry.push('\n');
@@ -132,19 +146,30 @@ impl ExecCtx<'_> {
 fn collect_traced(
     stream: UStream,
     ctx: &mut ExecCtx<'_>,
-    reason: &str,
+    reason: &'static str,
 ) -> Result<URelation> {
-    ctx.trace_pipeline(&stream, reason);
-    let pipe_stats = ctx.stats.as_ref().map(|qs| {
-        let ps = std::sync::Arc::new(stream.stats_skeleton(reason));
-        qs.register_pipeline(ps.clone());
-        ps
-    });
-    Ok(stream.collect_with(
-        &maybms_par::pool(),
-        maybms_engine::ops::PAR_MIN_CHUNK,
-        pipe_stats.as_deref(),
-    )?)
+    collect_labelled(stream, ctx, |_| reason)
+}
+
+/// [`collect_traced`] with the reason read off the pipeline's output:
+/// the join planner only knows which side of a join a collected source
+/// is once it has the source's row count.
+fn collect_labelled(
+    stream: UStream,
+    ctx: &mut ExecCtx<'_>,
+    reason: impl FnOnce(&URelation) -> &'static str,
+) -> Result<URelation> {
+    let described = ctx.trace.as_ref().map(|_| stream.describe());
+    let pipe_stats = ctx.stats.as_ref().map(|_| stream.stats_skeleton(""));
+    let out =
+        stream.collect_with(&maybms_par::pool(), ctx.min_morsel, pipe_stats.as_ref())?;
+    let reason = reason(&out);
+    ctx.trace_pipeline(|| described.unwrap_or_default(), reason);
+    if let (Some(qs), Some(mut ps)) = (&ctx.stats, pipe_stats) {
+        ps.label = reason.to_string();
+        qs.register_pipeline(Arc::new(ps));
+    }
+    Ok(out)
 }
 
 /// The result of a query: a t-certain table or an uncertain one.
@@ -281,22 +306,24 @@ pub fn eval_query_rel(q: &Query, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
 /// Evaluate one SELECT block.
 fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     // ---- FROM --------------------------------------------------------
-    // Every FROM item becomes a pipeline head; pushed-down predicates,
-    // probes, and the final projection fuse onto these streams.
-    let mut sources: Vec<UStream> = Vec::with_capacity(s.from.len());
+    // Every leaf of the FROM clause becomes a pipeline head; pushed-down
+    // predicates, probes, and the final projection fuse onto these
+    // streams. `a JOIN b ON p WHERE q` is `a, b WHERE p AND q`.
+    let mut sources: Vec<Source> = Vec::with_capacity(s.from.len());
+    let mut conjuncts: Vec<SExpr> = Vec::new();
     for item in &s.from {
-        sources.push(eval_from_item(item, ctx)?);
+        eval_from_item(item, ctx, &mut sources, &mut conjuncts)?;
     }
     if sources.is_empty() {
         // SELECT without FROM: one empty tuple.
-        sources.push(UStream::new(URelation::new(
+        let one = URelation::new(
             Schema::empty(),
             vec![UTuple::certain(Tuple::new(Vec::new()))],
-        )));
+        );
+        sources.push(Source { stream: UStream::new(one), label: String::new(), rows: 1 });
     }
 
     // ---- WHERE: conjunct split --------------------------------------
-    let mut conjuncts: Vec<SExpr> = Vec::new();
     if let Some(w) = &s.where_clause {
         split_conjuncts(w, &mut conjuncts);
     }
@@ -305,7 +332,7 @@ fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         .into_iter()
         .partition(|c| matches!(c, SExpr::InSelect { .. }));
     let predicates: Vec<EExpr> = plain.iter().map(scalar).collect::<Result<_>>()?;
-    let (mut joined, from_order) = join_sources(sources, predicates, ctx)?;
+    let (mut joined, from_order) = join_sources(sources, &predicates, ctx)?;
 
     // ---- IN (SELECT …) rewrites --------------------------------------
     for in_sel in &in_selects {
@@ -405,108 +432,227 @@ fn eval_select(s: &Select, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     collect_traced(joined.project(&proj)?, ctx, "output")
 }
 
-/// The one join planner: combine `sources` (in FROM order) under the
-/// conjunction of `predicates`. Single-source predicates are pushed down
-/// as fused σ stages; then, greedily, an equality conjunct linking the
-/// joined prefix to a remaining source makes that source the build side
-/// of a fused hash probe, and when none does a cross product breaks the
-/// pipeline on both sides; every other predicate filters as soon as it
-/// binds. Serves both the comma/`WHERE` spelling and `JOIN … ON`.
+/// One leaf of a SELECT block's FROM clause, as the join planner sees it:
+/// what `EXPLAIN` calls it (`alerts a`) and how many rows its stream
+/// starts from — an upper bound on what it yields under σ stages only.
+struct Source {
+    stream: UStream,
+    label: String,
+    rows: usize,
+}
+
+/// One conjunct of the block, bound to the whole FROM schema's column
+/// positions, and — for one the planner derived — what `EXPLAIN` says
+/// about it.
+struct Conjunct {
+    expr: EExpr,
+    note: Option<String>,
+}
+
+/// Move every conjunct whose columns all have a position in `stream`
+/// under `at` out of `conjuncts` and onto `stream`, as fused σ stages.
+fn push_ready(
+    conjuncts: &mut Vec<Conjunct>,
+    mut stream: UStream,
+    at: &dyn Fn(usize) -> Option<usize>,
+) -> Result<UStream> {
+    let mut kept = Vec::new();
+    for c in conjuncts.drain(..) {
+        let mut cols = Vec::new();
+        c.expr.referenced_columns(&mut cols);
+        if !cols.iter().all(|&g| at(g).is_some()) {
+            kept.push(c);
+            continue;
+        }
+        let before = stream.stage_count();
+        stream = stream.filter(&c.expr.remap_columns(&|g| at(g).expect("checked above")))?;
+        if let Some(note) = c.note.filter(|_| stream.stage_count() > before) {
+            stream = stream.annotate(note, &[("implied_filters", 1)]);
+        }
+    }
+    *conjuncts = kept;
+    Ok(stream)
+}
+
+/// The one join planner: combine `sources` (the block's FROM leaves, in
+/// FROM order) under the conjunction of `predicates` (its ON and WHERE
+/// conjuncts). Every join is inner, so conjuncts may move and be copied:
 ///
-/// Returns the joined stream and, because the greedy order need not be
-/// FROM order, the joined schema's column positions listed in FROM order
-/// (what `*` expands over).
+/// 1. **Resolve once.** Every conjunct binds against the concatenated
+///    FROM schema: an unknown or ambiguous column is the typed error the
+///    SELECT list would raise, before anything is pushed anywhere.
+/// 2. **Implied predicates.** `col = col` conjuncts between columns of
+///    one declared type link equivalence classes; a conjunct restricting
+///    one column ([`restricted_column`]) is copied to the rest of its
+///    class unless the query already says so. NULL keys never join and
+///    the originals stay, so a copy only drops rows the join would drop;
+///    copies read data columns only — WSDs ride along.
+/// 3. **Pushdown.** Single-source conjuncts, implied ones included,
+///    become fused σ stages on their source.
+/// 4. **Greedy hash joins, composite keys.** The first equality conjunct
+///    linking the joined prefix to a remaining source picks that source,
+///    and *all* equality conjuncts between the two are the key lists of
+///    one fused probe; with none, a cross product breaks the pipeline on
+///    both sides. Other conjuncts filter once their columns are joined.
+/// 5. **Build on the smaller side.** The picked source is collected; if
+///    the prefix is still one FROM leaf under σ stages only and that leaf
+///    holds fewer rows than the source yielded (an upper bound — σ cannot
+///    grow), the prefix is built instead and the source streams through
+///    the probe. That changes the unordered row order, hence `aconf`
+///    values at a fixed seed, of the queries it fires on.
+///
+/// Returns the joined stream and the joined schema's column positions
+/// listed in FROM order (what `*` expands over) — neither the greedy
+/// order nor the build side follows it.
 fn join_sources(
-    sources: Vec<UStream>,
-    mut predicates: Vec<EExpr>,
+    sources: Vec<Source>,
+    predicates: &[EExpr],
     ctx: &mut ExecCtx<'_>,
 ) -> Result<(UStream, Vec<usize>)> {
-    // Push single-source predicates down (fused σ stages, not
-    // materialised selects).
-    let mut filtered = Vec::with_capacity(sources.len());
-    for mut src in sources {
-        let mut kept = Vec::new();
-        for p in predicates.drain(..) {
-            if p.bind(src.schema()).is_ok() {
-                src = src.filter(&p)?;
-            } else {
-                kept.push(p);
-            }
-        }
-        predicates = kept;
-        filtered.push(src);
+    // ---- resolve once --------------------------------------------------
+    let mut fields = Vec::new();
+    // Per FROM-schema column, the source it belongs to; per source, where
+    // its columns start.
+    let (mut source_of, mut starts) = (Vec::new(), Vec::new());
+    for (k, src) in sources.iter().enumerate() {
+        starts.push(fields.len());
+        fields.extend(src.stream.schema().fields().iter().cloned());
+        source_of.resize(fields.len(), k);
     }
-    // Each remaining source with its FROM position.
-    let mut sources: Vec<(usize, UStream)> = filtered.into_iter().enumerate().collect();
+    let whole = Schema::new(fields);
+    let mut conjuncts: Vec<Conjunct> = predicates
+        .iter()
+        .map(|p| Ok(Conjunct { expr: p.bind(&whole)?, note: None }))
+        .collect::<Result<_>>()?;
 
-    // Greedy join of the sources using equality conjuncts.
-    // (predicate idx, source idx, (joined col, joined qual, source col, source qual))
-    type JoinChoice = (usize, usize, (String, Option<String>, String, Option<String>));
-    // Per FROM item: where its columns sit in the joined schema.
-    let mut spans = vec![0..0; sources.len()];
-    let (_, mut joined) = sources.remove(0);
-    spans[0] = 0..joined.schema().len();
-    while !sources.is_empty() {
-        // Find a predicate linking `joined` to some remaining source.
-        let mut choice: Option<JoinChoice> = None;
-        'outer: for (pi, p) in predicates.iter().enumerate() {
-            if let Some((lq, ln, rq, rn)) = as_column_equality(p) {
-                for (si, (_, src)) in sources.iter().enumerate() {
-                    let l_in_joined = joined.schema().index_of(lq.as_deref(), &ln).is_ok();
-                    let r_in_src = src.schema().index_of(rq.as_deref(), &rn).is_ok();
-                    let r_in_joined = joined.schema().index_of(rq.as_deref(), &rn).is_ok();
-                    let l_in_src = src.schema().index_of(lq.as_deref(), &ln).is_ok();
-                    if l_in_joined && r_in_src {
-                        choice = Some((pi, si, (ln, lq, rn, rq)));
-                        break 'outer;
-                    }
-                    if r_in_joined && l_in_src {
-                        choice = Some((pi, si, (rn, rq, ln, lq)));
-                        break 'outer;
-                    }
+    // ---- implied predicates ----------------------------------------------
+    // The same-typed join equalities.
+    let links: Vec<(usize, usize)> = conjuncts
+        .iter()
+        .filter_map(|c| column_equality(&c.expr))
+        .filter(|&(a, b)| {
+            let dtype = whole.field(a).dtype;
+            dtype == whole.field(b).dtype && dtype != DataType::Unknown
+        })
+        .collect();
+    // A worklist: copies are restrictions too, so they travel on down
+    // their class, each attributed to the equality that carried it.
+    let mut next = 0;
+    while let Some(col) = conjuncts.get(next).map(|c| restricted_column(&c.expr, &whole)) {
+        for &(a, b) in &links {
+            let to = if col == Some(a) { b } else if col == Some(b) { a } else { continue };
+            let copy = conjuncts[next].expr.remap_columns(&|_| to);
+            if conjuncts.iter().all(|known| known.expr != copy) {
+                let name = |g: usize| whole.field(g).qualified_name();
+                let note = format!("implied by {} = {}", name(a), name(b));
+                conjuncts.push(Conjunct { expr: copy, note: Some(note) });
+            }
+        }
+        next += 1;
+    }
+
+    // ---- pushdown ------------------------------------------------------------
+    // Single-source conjuncts become fused σ stages on their source (one
+    // that reads no column at all runs on the first).
+    let mut remaining = Vec::with_capacity(sources.len());
+    for (k, mut src) in sources.into_iter().enumerate() {
+        let local = |g: usize| (source_of[g] == k).then(|| g - starts[k]);
+        src.stream = push_ready(&mut conjuncts, src.stream, &local)?;
+        remaining.push(Some(src));
+    }
+
+    // ---- greedy joins --------------------------------------------------------
+    // Where each FROM-schema column sits in the joined schema, once its
+    // source is joined.
+    let mut joined_at: Vec<Option<usize>> = vec![None; whole.len()];
+    let place = |joined_at: &mut Vec<Option<usize>>, k: usize, width: usize, at: usize| {
+        for c in 0..width {
+            joined_at[starts[k] + c] = Some(at + c);
+        }
+    };
+    // A `col = col` conjunct between the prefix and an unjoined column:
+    // the former's position and the latter.
+    let link = |c: &Conjunct, joined_at: &[Option<usize>]| {
+        let (a, b) = column_equality(&c.expr)?;
+        match (joined_at[a], joined_at[b]) {
+            (Some(at), None) => Some((at, b)),
+            (None, Some(at)) => Some((at, a)),
+            _ => None,
+        }
+    };
+    let first = remaining[0].take().expect("a block has a source");
+    place(&mut joined_at, 0, first.stream.schema().len(), 0);
+    let mut joined = first.stream;
+    // The prefix while it is one FROM leaf under σ stages only.
+    let mut lone = Some((first.label, first.rows));
+    while let Some(in_from_order) = remaining.iter().position(Option::is_some) {
+        // The first equality conjunct linking the prefix to a remaining
+        // source picks that source.
+        let picked = conjuncts.iter().find_map(|c| link(c, &joined_at)).map(|(_, g)| source_of[g]);
+        let k = picked.unwrap_or(in_from_order);
+        let src = remaining[k].take().expect("an unjoined source");
+        let (width, src_width) = (joined.schema().len(), src.stream.schema().len());
+        let prefix = lone.take();
+        if picked.is_some() {
+            // Every equality conjunct between the prefix and this source
+            // is a key of the one probe.
+            let (mut prefix_keys, mut src_keys) = (Vec::new(), Vec::new());
+            conjuncts.retain(|c| match link(c, &joined_at) {
+                Some((at, g)) if source_of[g] == k => {
+                    prefix_keys.push(at);
+                    src_keys.push(g - starts[k]);
+                    false
                 }
+                _ => true,
+            });
+            // A breaker either way: one side materialises (morsel-locally
+            // hashed at run time), the other streams through the probe.
+            let fewer = |n: usize| prefix.as_ref().is_some_and(|(_, rows)| *rows < n);
+            let collected = collect_labelled(src.stream, ctx, |out| {
+                if fewer(out.len()) { "hash-join probe side" } else { "hash-join build side" }
+            })?;
+            let counts = |build: &URelation, swapped| {
+                let (keys, rows) = (prefix_keys.len() as u64, build.len() as u64);
+                [("probe_keys", keys), ("build_rows", rows), ("prefix_builds", swapped)]
+            };
+            if let Some((label, _)) = prefix.as_ref().filter(|_| fewer(collected.len())) {
+                let build = collect_traced(joined, ctx, "hash-join build side")?;
+                let (rows, probe_rows) = (build.len(), collected.len());
+                let why = format!("build: {label}, {rows} rows (probe side {}: {probe_rows})", src.label);
+                let counts = counts(&build, 1);
+                joined = UStream::new(collected)
+                    .hash_join(build, &src_keys, &prefix_keys)?
+                    .annotate(why, &counts);
+                for at in joined_at.iter_mut().flatten() {
+                    *at += src_width;
+                }
+                place(&mut joined_at, k, src_width, 0);
+            } else {
+                let probe_side = match &prefix {
+                    Some((label, rows)) => format!("{label}: at most {rows}"),
+                    None => "the joined prefix".to_string(),
+                };
+                let rows = collected.len();
+                let why = format!("build: {}, {rows} rows (probe side {probe_side})", src.label);
+                let counts = counts(&collected, 0);
+                joined = joined.hash_join(collected, &prefix_keys, &src_keys)?.annotate(why, &counts);
+                place(&mut joined_at, k, src_width, width);
             }
+        } else {
+            // No equality conjunct: a cross product breaks the pipeline
+            // on both sides.
+            let left = collect_traced(joined, ctx, "cross product input")?;
+            let right = collect_traced(src.stream, ctx, "cross product input")?;
+            let product = breaker::cross(&left, &right)?;
+            ctx.trace_breaker(|| "cross".to_string(), left.len() + right.len(), &product);
+            joined = UStream::new(product);
+            place(&mut joined_at, k, src_width, width);
         }
-        let (from_pos, src) = sources.remove(choice.as_ref().map_or(0, |c| c.1));
-        let width = joined.schema().len();
-        spans[from_pos] = width..width + src.schema().len();
-        match choice {
-            Some((pi, _, (jn, jq, sn, sq))) => {
-                predicates.remove(pi);
-                let lk = joined.schema().index_of(jq.as_deref(), &jn)?;
-                let rk = src.schema().index_of(sq.as_deref(), &sn)?;
-                // The new source is the build side (a breaker: it
-                // materialises, morsel-locally hashed); `joined` keeps
-                // streaming through the probe stage.
-                let build = collect_traced(src, ctx, "hash-join build side")?;
-                joined = joined.hash_join(build, &[lk], &[rk])?;
-            }
-            None => {
-                // No equality conjunct: a cross product breaks the
-                // pipeline on both sides.
-                let left = collect_traced(joined, ctx, "cross product input")?;
-                let right = collect_traced(src, ctx, "cross product input")?;
-                let product = breaker::cross(&left, &right)?;
-                ctx.trace_breaker(|| "cross".to_string(), left.len() + right.len(), &product);
-                joined = UStream::new(product);
-            }
-        }
-        // Apply any predicates that became fully bound.
-        let mut kept = Vec::new();
-        for p in predicates.drain(..) {
-            match p.bind(joined.schema()) {
-                Ok(bound) => joined = joined.filter(&bound)?,
-                Err(_) => kept.push(p),
-            }
-        }
-        predicates = kept;
+        // Apply every conjunct whose columns are all joined now.
+        joined = push_ready(&mut conjuncts, joined, &|g| joined_at[g])?;
     }
-    // Any remaining predicate must now bind.
-    for p in predicates {
-        let bound = p.bind(joined.schema())?;
-        joined = joined.filter(&bound)?;
-    }
-    Ok((joined, spans.into_iter().flatten().collect()))
+    let from_order = joined_at.into_iter().map(|at| at.expect("every source joined")).collect();
+    Ok((joined, from_order))
 }
 
 /// `select possible …` (§2.2): project, drop zero-probability tuples,
@@ -601,8 +747,8 @@ fn group_stream(
     aggs: &[(AggSpec, String)],
     ctx: &mut ExecCtx<'_>,
 ) -> Result<URelation> {
-    ctx.trace_pipeline(&stream, &agg::stream_label(grouping.len(), aggs.len()));
-    agg::aggregate_stream(
+    ctx.trace_pipeline(|| stream.describe(), &agg::stream_label(grouping.len(), aggs.len()));
+    agg::aggregate_stream_with(
         stream,
         grouping,
         n_out_keys,
@@ -611,6 +757,8 @@ fn group_stream(
         ctx.wt,
         &ctx.conf,
         ctx.stats.as_deref(),
+        &maybms_par::pool(),
+        ctx.min_morsel,
     )
 }
 
@@ -709,15 +857,22 @@ fn expand_items(s: &Select, schema: &Schema, from_order: &[usize]) -> Result<Vec
     Ok(items)
 }
 
-/// Evaluate one FROM item to a pipeline head with a qualified schema.
-fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<UStream> {
-    let u = match item {
+/// Evaluate one FROM item to its leaves — pipeline heads with qualified
+/// schemas, appended to `sources` in FROM order. A `JOIN … ON` is its
+/// two sides' leaves plus its ON conjuncts (appended to `conjuncts`).
+fn eval_from_item(
+    item: &FromItem,
+    ctx: &mut ExecCtx<'_>,
+    sources: &mut Vec<Source>,
+    conjuncts: &mut Vec<SExpr>,
+) -> Result<()> {
+    // The relation, what it is, and the alias that qualifies its columns.
+    let (u, what, alias): (URelation, &str, Option<&str>) = match item {
         FromItem::Table { name, alias } => {
-            let u = stored_table(name, ctx)?;
-            apply_alias(u, Some(alias.as_deref().unwrap_or(name)))
+            (stored_table(name, ctx)?, name, Some(alias.as_deref().unwrap_or(name)))
         }
         FromItem::Subquery { query, alias } => {
-            apply_alias(eval_query_rel(query, ctx)?, Some(alias))
+            (eval_query_rel(query, ctx)?, "(subquery)", Some(alias))
         }
         FromItem::RepairKey { key, input, weight, alias } => {
             let input = eval_query_input(input, ctx)?;
@@ -726,8 +881,7 @@ fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<UStream> {
             let options = RepairKeyOptions {
                 weight: weight.as_ref().map(scalar).transpose()?,
             };
-            let out = repair_key_u(&input, &key_exprs, &options, ctx.wt)?;
-            apply_alias(out, alias.as_deref())
+            (repair_key_u(&input, &key_exprs, &options, ctx.wt)?, "(repair key)", alias.as_deref())
         }
         FromItem::PickTuples { input, independently: _, probability, alias } => {
             // `independently` is the only supported semantics (see
@@ -736,20 +890,21 @@ fn eval_from_item(item: &FromItem, ctx: &mut ExecCtx<'_>) -> Result<UStream> {
             let options = PickTuplesOptions {
                 probability: probability.as_ref().map(scalar).transpose()?,
             };
-            let out = pick_tuples_u(&input, &options, ctx.wt)?;
-            apply_alias(out, alias.as_deref())
+            (pick_tuples_u(&input, &options, ctx.wt)?, "(pick tuples)", alias.as_deref())
         }
         FromItem::Join { left, right, on } => {
-            // `a JOIN b ON p` is `a, b WHERE p` to the join planner: an
-            // equality conjunct of `p` becomes a fused hash probe.
-            let sides = vec![eval_from_item(left, ctx)?, eval_from_item(right, ctx)?];
-            let mut conjuncts = Vec::new();
-            split_conjuncts(on, &mut conjuncts);
-            let predicates = conjuncts.iter().map(scalar).collect::<Result<_>>()?;
-            return Ok(join_sources(sides, predicates, ctx)?.0);
+            eval_from_item(left, ctx, sources, conjuncts)?;
+            eval_from_item(right, ctx, sources, conjuncts)?;
+            split_conjuncts(on, conjuncts);
+            return Ok(());
         }
     };
-    Ok(UStream::new(u))
+    let label = match alias {
+        Some(a) if !a.eq_ignore_ascii_case(what) => format!("{what} {a}"),
+        _ => what.to_string(),
+    };
+    sources.push(Source { rows: u.len(), stream: UStream::new(apply_alias(u, alias)), label });
+    Ok(())
 }
 
 /// A stored table by (case-insensitive) name.
@@ -879,21 +1034,46 @@ fn split_conjuncts(e: &SExpr, out: &mut Vec<SExpr>) {
     }
 }
 
-/// Recognise `col = col` equality predicates (for hash-join planning).
-#[allow(clippy::type_complexity)]
-fn as_column_equality(
-    e: &EExpr,
-) -> Option<(Option<String>, String, Option<String>, String)> {
-    if let EExpr::Binary { left, op: BinaryOp::Eq, right } = e {
-        if let (
-            EExpr::Column { qualifier: lq, name: ln },
-            EExpr::Column { qualifier: rq, name: rn },
-        ) = (left.as_ref(), right.as_ref())
-        {
-            return Some((lq.clone(), ln.clone(), rq.clone(), rn.clone()));
-        }
+/// The two columns of a bound `col = col` predicate.
+fn column_equality(e: &EExpr) -> Option<(usize, usize)> {
+    match e {
+        EExpr::Binary { left, op: BinaryOp::Eq, right } => match (&**left, &**right) {
+            (EExpr::ColumnIdx(a), EExpr::ColumnIdx(b)) => Some((*a, *b)),
+            _ => None,
+        },
+        _ => None,
     }
-    None
+}
+
+/// The column a bound predicate restricts, when it reads that one
+/// column and otherwise only literals — `col ⋈ literal` for `=`, `<`,
+/// `<=`, `>`, `>=` (either way round) or `col IN (literals)` — and can
+/// raise no runtime error on any value the column may hold: the column
+/// has a declared type and every literal is of its type family (stored
+/// values are, see `check_cell_type`) or NULL. Such a predicate holds
+/// for one column of a join-equality class iff it holds for them all.
+fn restricted_column(e: &EExpr, schema: &Schema) -> Option<usize> {
+    use BinaryOp::{Eq, Gt, GtEq, Lt, LtEq};
+    let (col, literals) = match e {
+        EExpr::Binary { left, op: Eq | Lt | LtEq | Gt | GtEq, right } => {
+            match (&**left, &**right) {
+                (EExpr::ColumnIdx(c), lit) | (lit, EExpr::ColumnIdx(c)) => {
+                    (*c, std::slice::from_ref(lit))
+                }
+                _ => return None,
+            }
+        }
+        EExpr::InList { expr, list, negated: false } => match &**expr {
+            EExpr::ColumnIdx(c) => (*c, &list[..]),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let dtype = schema.field(col).dtype;
+    let fits = |lit: &EExpr| {
+        matches!(lit, EExpr::Literal(v) if v.data_type().unify(dtype).is_some())
+    };
+    (dtype != DataType::Unknown && literals.iter().all(fits)).then_some(col)
 }
 
 #[cfg(test)]

@@ -57,3 +57,5 @@ pub use agg::ConfContext;
 pub use db::{MayBms, RecoveryReport, StatementResult};
 pub use error::{CoreError, Result};
 pub use exec::QueryOutput;
+/// The SQL frontend, for callers that drive [`exec`] over their own catalog.
+pub use maybms_sql as sql;

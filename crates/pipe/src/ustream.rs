@@ -12,6 +12,9 @@
 //! the same chain, at any thread count and morsel size (morsel outputs
 //! concatenate in morsel order; build tables merge morsel-locally in
 //! morsel order; joins build on the right and probe with the left).
+//! *Which* relation is on the right is the caller's choice — the join
+//! planner in `maybms-core` builds on whichever side it knows to be
+//! smaller and says so with [`UStream::annotate`].
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -35,13 +38,17 @@ pub struct UStream {
     source: URelation,
     stages: Vec<Stage>,
     schema: Arc<Schema>,
+    /// Planner notes, `(stage index, text)`: see [`UStream::annotate`].
+    notes: Vec<(usize, String)>,
+    /// Planner counts for the `pipeline` span: see [`UStream::annotate`].
+    span_counts: Vec<(&'static str, u64)>,
 }
 
 impl UStream {
     /// Start a pipeline from a materialised U-relation.
     pub fn new(source: URelation) -> UStream {
         let schema = source.schema().clone();
-        UStream { source, stages: Vec::new(), schema }
+        UStream { source, stages: Vec::new(), schema, notes: Vec::new(), span_counts: Vec::new() }
     }
 
     /// The schema rows will have after the recorded stages.
@@ -74,6 +81,8 @@ impl UStream {
             {
                 self.source = URelation::new(self.schema.clone(), Vec::new());
                 self.stages.clear();
+                self.notes.clear();
+                self.span_counts.clear();
                 return Ok(self);
             }
             _ => {}
@@ -104,6 +113,23 @@ impl UStream {
     /// projection) without touching the stages.
     pub fn with_schema(mut self, schema: Arc<Schema>) -> UStream {
         self.schema = schema;
+        self
+    }
+
+    /// Say why the planner recorded the last stage: `note` follows that
+    /// stage's `EXPLAIN` / `EXPLAIN ANALYZE` label in parentheses, and
+    /// each `(attr, n)` adds `n` to the count `attr` on the `pipeline`
+    /// span this stream runs under. Never changes what the stage does.
+    pub fn annotate(mut self, note: String, counts: &[(&'static str, u64)]) -> UStream {
+        if let Some(last) = self.stages.len().checked_sub(1) {
+            self.notes.push((last, note));
+            for &(attr, n) in counts {
+                match self.span_counts.iter_mut().find(|(k, _)| *k == attr) {
+                    Some((_, total)) => *total += n,
+                    None => self.span_counts.push((attr, n)),
+                }
+            }
+        }
         self
     }
 
@@ -223,13 +249,12 @@ impl UStream {
         stats: Option<&maybms_obs::PipelineStats>,
         finish: impl FnOnce(URelation, Arc<Schema>, Option<FusedOutput>) -> Result<(T, usize)>,
     ) -> Result<T> {
-        let UStream { source, stages, schema } = self;
         // The span opens before the stage-less case so pipeline span
         // count always equals EXPLAIN ANALYZE's pipeline count
         // (stage-less pipelines register stats too).
         let mut span = maybms_obs::trace::span("pipeline");
-        span.attr("stages", stages.len());
-        span.attr("source_rows", source.len());
+        self.plan_attrs(&mut span);
+        let UStream { source, stages, schema, .. } = self;
         if stages.is_empty() {
             let (out, rows) = finish(source, schema, None)?;
             span.attr("rows_out", rows);
@@ -286,15 +311,14 @@ impl UStream {
         FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
         MF: FnMut(&mut A, A) -> Result<()>,
     {
-        let UStream { source, stages, schema } = self;
         let bound: Vec<Expr> = group_exprs
             .iter()
-            .map(|e| e.bind(&schema))
+            .map(|e| e.bind(&self.schema))
             .collect::<std::result::Result<_, EngineError>>()?;
         let mut span = maybms_obs::trace::span("pipeline");
         span.attr("breaker", "group");
-        span.attr("stages", stages.len());
-        span.attr("source_rows", source.len());
+        self.plan_attrs(&mut span);
+        let UStream { source, stages, .. } = self;
         let t0 = stats.map(|_| std::time::Instant::now());
         let out = crate::groupby::group_stream(
             &source,
@@ -315,6 +339,14 @@ impl UStream {
         Ok(out)
     }
 
+    /// The plan on the `pipeline` span: stage and source-row counts and
+    /// the planner's [`UStream::annotate`] counts.
+    fn plan_attrs(&self, span: &mut maybms_obs::trace::Span) {
+        span.attr("stages", self.stages.len());
+        span.attr("source_rows", self.source.len());
+        self.span_counts.iter().for_each(|&(attr, n)| span.attr(attr, n));
+    }
+
     /// A [`maybms_obs::PipelineStats`] collector shaped for this
     /// pipeline: one stage-stats slot per recorded stage, labelled like
     /// [`UStream::describe`]'s lines. Register it on a
@@ -326,10 +358,12 @@ impl UStream {
 
     /// One label per recorded stage — the text `EXPLAIN` and
     /// `EXPLAIN ANALYZE` both print for it. Stages of the kernel-eligible
-    /// prefix are marked `(vectorised)`.
+    /// prefix are marked `(vectorised)`; planner notes follow in
+    /// parentheses.
     fn stage_labels(&self) -> Vec<String> {
         let vectorised = fuse::vector_prefix_len(&self.stages);
-        self.stages
+        let mut labels: Vec<String> = self
+            .stages
             .iter()
             .enumerate()
             .map(|(k, stage)| {
@@ -350,7 +384,11 @@ impl UStream {
                     }
                 }
             })
-            .collect()
+            .collect();
+        for (k, note) in &self.notes {
+            let _ = write!(labels[*k], " ({note})");
+        }
+        labels
     }
 
     /// Source label shared by [`UStream::describe`] and

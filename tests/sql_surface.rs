@@ -286,9 +286,7 @@ fn join_on_is_a_fused_hash_probe() {
     };
     for (l, r, wsd_len) in [("a", "c", 0), ("(pick tuples from a) a", "(pick tuples from c) c", 2)] {
         let on = format!("select * from {l} join {r} on a.x = c.x");
-        let StatementResult::Ok { message } = db.run(&format!("explain {on}")).unwrap() else {
-            panic!("EXPLAIN must return a message")
-        };
+        let message = explain(&mut db, &on);
         assert!(message.contains("hash probe"), "{message}");
         assert!(message.contains("pipeline (hash-join build side)"), "{message}");
         let joined = rows(&mut db, &on);
@@ -296,6 +294,140 @@ fn join_on_is_a_fused_hash_probe() {
         assert_eq!(joined.len(), 3);
         assert!(joined.iter().all(|(_, n)| *n == wsd_len), "{joined:?}");
     }
+}
+
+/// Figure 1's `start` and one step table, small: 8 players × 2 states.
+fn walk_fixture() -> MayBms {
+    let mut db = MayBms::new();
+    db.run_script(
+        "create table start (player bigint, state bigint);
+         create table step1 (player bigint, init bigint, final bigint);",
+    )
+    .unwrap();
+    for p in 0..8 {
+        db.run(&format!("insert into start values ({p}, {})", p % 2)).unwrap();
+        db.run(&format!(
+            "insert into step1 values ({p}, 0, 0), ({p}, 0, 1), ({p}, 1, 0), ({p}, 1, 1)"
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// A WHERE / ON conjunct resolves against the whole block's FROM schema,
+/// once: an unqualified column two sources share is the typed error the
+/// SELECT list raises — it used to bind silently to the first FROM item
+/// that had it (pushdown tried each source in turn).
+#[test]
+fn ambiguous_where_column_is_a_typed_error() {
+    let mut db = walk_fixture();
+    let join = "r1.player = s.player and r1.init = s.state";
+    for sql in [
+        format!("select ecount() from start s, step1 r1 where {join} and player < 4"),
+        format!("select ecount() from start s join step1 r1 on {join} where player < 4"),
+        format!("select ecount() from start s join step1 r1 on {join} and player < 4"),
+        format!("select player from start s, step1 r1 where {join}"),
+    ] {
+        let err = db.query(&sql).unwrap_err().to_string();
+        assert!(err.contains("`player` is ambiguous"), "{sql}: {err}");
+    }
+    // A name only one source has still works unqualified, in both spellings.
+    for sql in [
+        format!("select ecount() from start s, step1 r1 where {join} and state = 1 and final = 0"),
+        format!("select ecount() from start s join step1 r1 on {join} and final = 0 where state = 1"),
+    ] {
+        let r = db.query(&sql).unwrap();
+        assert_eq!(r.tuples()[0].value(0), &Value::Float(4.0), "{sql}");
+    }
+}
+
+/// `JOIN … ON` contributes its leaves and ON conjuncts to the enclosing
+/// block's one planner call, so WHERE restrictions land below the probe
+/// exactly as in the comma spelling (they used to filter the 32 joined
+/// rows after a probe over every `start` row).
+#[test]
+fn join_on_plans_like_the_comma_spelling() {
+    let mut db = walk_fixture();
+    let on = "select s.player, r1.final from start s join step1 r1 \
+              on r1.player = s.player and r1.init = s.state \
+              where s.player >= 2 and s.player < 4";
+    let comma = "select s.player, r1.final from start s, step1 r1 \
+                 where r1.player = s.player and r1.init = s.state \
+                 and s.player >= 2 and s.player < 4";
+    // Drop the echoed statement: the two spellings differ only there.
+    let plan = |db: &mut MayBms, sql: &str| explain(db, sql).split_once('\n').unwrap().1.to_string();
+    let on_plan = plan(&mut db, on);
+    assert_eq!(on_plan, plan(&mut db, comma));
+    // The restriction reached the build side as implied σ stages, and
+    // both equalities are keys of the one probe.
+    assert!(on_plan.contains("(implied by r1.player = s.player)"), "{on_plan}");
+    assert!(on_plan.contains("hash probe [#0 = build #0, #1 = build #1]"), "{on_plan}");
+    assert!(on_plan.contains("against 8-row build"), "{on_plan}");
+    let rows = db.query(on).unwrap();
+    assert_eq!(rows.tuples(), db.query(comma).unwrap().tuples());
+    assert_eq!(rows.len(), 4);
+    // Nested joins flatten left to right: `*` keeps FROM order.
+    let r = db
+        .query(
+            "select * from start s join step1 r1 on r1.player = s.player \
+             join step1 r2 on r2.player = r1.player and r2.init = r1.final \
+             where s.player = 5 and r1.init = s.state",
+        )
+        .unwrap();
+    assert_eq!(
+        r.schema().names(),
+        vec!["player", "state", "player", "init", "final", "player", "init", "final"]
+    );
+    assert_eq!(r.len(), 4);
+}
+
+/// What the planner may and may not copy across a join equality.
+#[test]
+fn implied_predicates_only_where_sound() {
+    let mut db = MayBms::new();
+    db.run_script(
+        "create table s (k bigint, x double precision);
+         create table r (k bigint, x double precision);
+         insert into s values (1, 1.0), (2, 2.0), (5, 5.0);
+         insert into r values (0, 0.0), (1, 1.0), (2, 2.0), (2, 2.5), (5, 5.0);",
+    )
+    .unwrap();
+    // A conjunct that can raise is never copied: `10 / r.k > 1` would
+    // divide by the zero key `r` holds and `s` does not.
+    let q = "select s.k, r.x from s, r where s.k = r.k and 10 / s.k > 1";
+    assert_eq!(db.query(q).unwrap().len(), 4);
+    assert!(!explain(&mut db, q).contains("implied"), "{}", explain(&mut db, q));
+    // Same-typed key columns share a class: constants, ranges and IN
+    // lists travel, in either direction, and the originals stay.
+    for (restriction, rows) in
+        [("s.k = 2", 2), ("r.k >= 2 and r.k < 5", 2), ("2 <= s.k", 3), ("r.k in (1, 5)", 2)]
+    {
+        let q = format!("select s.k, r.x from s, r where s.k = r.k and {restriction}");
+        assert_eq!(db.query(&q).unwrap().len(), rows, "{q}");
+        let p = explain(&mut db, &q);
+        assert!(p.contains("(implied by s.k = r.k)"), "{p}");
+        assert_eq!(p.matches("-> filter").count(), 2 * restriction.matches("k").count(), "{p}");
+    }
+    // A restriction the query already spells out on both sides is not
+    // derived a second time.
+    let q = "select s.k from s, r where s.k = r.k and s.k = 2 and r.k = 2";
+    assert!(!explain(&mut db, q).contains("implied"));
+    // Bigint-vs-double columns join (1 = 1.0) but share no class; `<>`,
+    // an OR-ed equality and a literal of another type family link or
+    // derive nothing.
+    for (q, rows) in [
+        ("select s.k from s, r where s.k = r.x and s.k >= 2", 2),
+        ("select s.k from s, r where s.k <> r.k and s.x = r.x and s.k >= 2", 0),
+        ("select s.k from s, r where (s.k = r.k or s.x = r.x) and s.k >= 2", 3),
+    ] {
+        assert_eq!(db.query(q).unwrap().len(), rows, "{q}");
+        assert!(!explain(&mut db, q).contains("implied"), "{}", explain(&mut db, q));
+    }
+    // `e.k = 'two'` raises on any row, and `e` has none: the copy on `r`
+    // would raise where the query does not.
+    db.run("create table e (k bigint)").unwrap();
+    let q = "select r.k from e, r where e.k = r.k and e.k = 'two'";
+    assert_eq!(db.query(q).unwrap().len(), 0);
 }
 
 #[test]
