@@ -98,53 +98,4 @@ fn main() {
         let slow = median((0..5).map(|_| run_once(false)).collect());
         println!("{:>8} {:>18.3} {:>18.3} {:>8.2}x", rows, fast, slow, slow / fast);
     }
-
-    // E7d — sub-DNF memoization on recurrent structures: a grid-shaped DNF
-    // whose Shannon branches keep reconstructing the same subproblems.
-    println!("\nE7d — sub-DNF memoization (recurrent grid DNFs, no decomposition)");
-    println!(
-        "{:>7} {:>14} {:>14} {:>12} {:>12}",
-        "vars", "plain ms", "memoized ms", "nodes", "cache hits"
-    );
-    for vars in [10usize, 14, 18] {
-        // Chain DNF: clauses (x_i = 1 ∧ x_{i+1} = 1) — heavy subproblem reuse.
-        let mut wt = maybms_urel::WorldTable::new();
-        let xs: Vec<_> = (0..vars).map(|_| wt.new_var(&[0.5, 0.5]).unwrap()).collect();
-        let clauses: Vec<_> = xs
-            .windows(2)
-            .map(|w| {
-                maybms_urel::Wsd::from_assignments(vec![
-                    maybms_urel::Assignment::new(w[0], 1),
-                    maybms_urel::Assignment::new(w[1], 1),
-                ])
-                .expect("consistent")
-            })
-            .collect();
-        let dnf = maybms_conf::Dnf::new(clauses);
-        let plain = ExactOptions { decompose: false, ..ExactOptions::standard() };
-        let memo = ExactOptions { memoize: true, ..plain };
-        let mut t_plain = Vec::new();
-        let mut t_memo = Vec::new();
-        let mut stats_plain = Default::default();
-        let mut stats_memo = Default::default();
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            let (p1, s) = probability_with(&dnf, &wt, &plain).unwrap();
-            t_plain.push(t0.elapsed().as_secs_f64() * 1e3);
-            stats_plain = s;
-            let t0 = Instant::now();
-            let (p2, s) = probability_with(&dnf, &wt, &memo).unwrap();
-            t_memo.push(t0.elapsed().as_secs_f64() * 1e3);
-            stats_memo = s;
-            assert!((p1 - p2).abs() < 1e-9);
-        }
-        println!(
-            "{:>7} {:>14.3} {:>14.3} {:>12} {:>12}",
-            vars,
-            median(t_plain),
-            median(t_memo),
-            stats_plain.eliminations,
-            stats_memo.cache_hits
-        );
-    }
 }

@@ -2,11 +2,15 @@
 //!
 //! Prints median wall time of the full SQL pipeline (repair-key + conf)
 //! per (players, steps) cell, plus a correctness column: the walk output
-//! distribution sums to 1 per player.
+//! distribution sums to 1 per player. E1b then times exact `conf()` alone
+//! on one walk-shaped group (the lineage of "some player ends in state
+//! 2") at 4× steps of players: linear d-tree cost shows as a ratio near
+//! 4 per row.
 
 use std::time::Instant;
 
 use maybms_bench::workloads;
+use maybms_conf::exact::{self, ExactOptions};
 use maybms_core::MayBms;
 
 fn run_walk(players: usize, steps: usize) -> (f64, bool) {
@@ -68,5 +72,28 @@ fn main() {
                 if ok { "yes" } else { "NO" }
             );
         }
+    }
+
+    println!("\nE1b — exact conf() of one walk-shaped group (16 clauses per player)");
+    println!(
+        "{:<10} {:>8} {:>12} {:>10} {:>12}",
+        "players", "clauses", "median ms", "ratio", "d-tree nodes"
+    );
+    let mut last: Option<f64> = None;
+    for players in [20usize, 80, 320, 1280] {
+        let (wt, dnf) = workloads::walk_group_dnf(7, players);
+        let mut times = Vec::new();
+        let mut nodes = 0;
+        for _ in 0..7 {
+            let t0 = Instant::now();
+            let (_, s) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
+            times.push(t0.elapsed().as_secs_f64() * 1e3);
+            nodes = s.decompositions + s.eliminations + s.leaves;
+        }
+        times.sort_by(f64::total_cmp);
+        let median = times[times.len() / 2];
+        let ratio = last.map_or(String::from("-"), |l| format!("{:.2}", median / l));
+        println!("{:<10} {:>8} {:>12.3} {:>10} {:>12}", players, dnf.len(), median, ratio, nodes);
+        last = Some(median);
     }
 }

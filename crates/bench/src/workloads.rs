@@ -148,6 +148,38 @@ pub fn block_dnf(
     (wt, Dnf::new(clauses))
 }
 
+/// The lineage of one `walk3_state_conf` group — "some player ends in
+/// state 2" over `players` three-step walks on four states, one
+/// four-valued variable per step and state — 16 three-literal clauses per
+/// player, the players independent (E1b).
+pub fn walk_group_dnf(seed: u64, players: usize) -> (WorldTable, Dnf) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut wt = WorldTable::new();
+    let mut clauses = Vec::with_capacity(16 * players);
+    for _ in 0..players {
+        let mut step = || -> Vec<Var> {
+            (0..4)
+                .map(|_| {
+                    let w: Vec<f64> = (0..4).map(|_| rng.gen_range(0.05..1.0)).collect();
+                    let total: f64 = w.iter().sum();
+                    let dist: Vec<f64> = w.iter().map(|x| x / total).collect();
+                    wt.new_var(&dist).expect("valid distribution")
+                })
+                .collect()
+        };
+        let (s1, s2, s3) = (step(), step(), step());
+        for (a, b) in (0..4u16).flat_map(|a| (0..4u16).map(move |b| (a, b))) {
+            let path = vec![
+                Assignment::new(s1[0], a),
+                Assignment::new(s2[a as usize], b),
+                Assignment::new(s3[b as usize], 2),
+            ];
+            clauses.push(Wsd::from_assignments(path).expect("distinct variables"));
+        }
+    }
+    (wt, Dnf::new(clauses))
+}
+
 /// A TPC-H-shaped tuple-independent probabilistic database (E4):
 /// `customer(ck, segment)`, `orders(ok, ck)`, `lineitem(ok, qty)` with a
 /// per-tuple probability column. Stands in for the probabilistic TPC-H

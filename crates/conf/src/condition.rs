@@ -10,30 +10,27 @@
 //! ```
 //!
 //! The conjunction of two DNFs is the cross product of their clauses with
-//! unsatisfiable combinations dropped, then simplification — after which
-//! any [`crate::ConfMethod`] computes the two probabilities.
+//! unsatisfiable combinations and duplicates dropped — after which any
+//! [`crate::ConfMethod`] computes the two probabilities.
 
 use maybms_urel::{Result, UrelError, WorldTable};
 
 use crate::dnf::Dnf;
 use crate::{confidence, ConfMethod};
 
-/// `a ∧ b` as a DNF: cross product of clauses, dropping contradictions.
-/// Output size is at most `|a| · |b|`; [`Dnf::simplify`] prunes absorbed
-/// clauses.
+/// `a ∧ b` as a DNF: cross product of clauses, dropping contradictions and
+/// duplicates. Output size is at most `|a| · |b|`.
 pub fn and(a: &Dnf, b: &Dnf) -> Dnf {
     if a.is_empty() || b.is_empty() {
         return Dnf::falsum();
     }
-    let mut clauses = Vec::with_capacity(a.len() * b.len());
+    let mut clauses = std::collections::BTreeSet::new();
     for ca in a.clauses() {
         for cb in b.clauses() {
-            if let Some(c) = ca.conjoin(cb) {
-                clauses.push(c);
-            }
+            clauses.extend(ca.conjoin(cb));
         }
     }
-    Dnf::new(clauses).simplify()
+    Dnf::new(clauses.into_iter().collect())
 }
 
 /// `P(event | constraint)` with the chosen method for both probabilities.

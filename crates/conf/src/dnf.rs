@@ -5,10 +5,16 @@
 //! the tuples contributing to one result tuple each carry a WSD, and the
 //! result's confidence is the probability that *at least one* of those
 //! conditions holds.
+//!
+//! # The compiled form
+//!
+//! Both engines read a DNF through one `CompiledLineage`, built once
+//! per `conf` / `aconf` call: the clauses in sorted order, variables
+//! renamed to dense local ids in global-id order, literals flattened to
+//! `(local variable, alternative)` runs, distributions flattened once —
+//! no `Wsd` is cloned and the world table is not read again.
 
-use std::collections::HashSet;
-
-use maybms_urel::{Var, Wsd};
+use maybms_urel::{Result, UrelError, Var, WorldTable, Wsd};
 
 /// A DNF over variable assignments: the disjunction of its clauses.
 ///
@@ -16,9 +22,8 @@ use maybms_urel::{Var, Wsd};
 /// * a tautology clause — `true` (probability 1).
 ///
 /// **Invariant:** the clause list is always sorted (by the `Wsd` total
-/// order). Every constructor establishes it and every transformation
-/// preserves it, so canonical comparisons — in particular the exact
-/// algorithm's memoization key — never need to re-sort.
+/// order); every constructor establishes it, so the compiled clause order
+/// is canonical.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Dnf {
     clauses: Vec<Wsd>,
@@ -30,8 +35,8 @@ impl Dnf {
         Dnf { clauses: Vec::new() }
     }
 
-    /// Build from clauses (sorted here; duplicates are kept — use
-    /// [`Dnf::simplify`] to drop them).
+    /// Build from clauses (sorted here; duplicates are kept — the exact
+    /// engine absorbs them).
     pub fn new(mut clauses: Vec<Wsd>) -> Dnf {
         clauses.sort_unstable();
         Dnf { clauses }
@@ -63,14 +68,11 @@ impl Dnf {
         self.clauses.iter().any(Wsd::is_tautology)
     }
 
-    /// The set of variables mentioned.
+    /// The variables mentioned, sorted and unique.
     pub fn vars(&self) -> Vec<Var> {
-        let mut set = HashSet::new();
-        for c in &self.clauses {
-            set.extend(c.vars());
-        }
-        let mut v: Vec<Var> = set.into_iter().collect();
+        let mut v: Vec<Var> = self.clauses.iter().flat_map(Wsd::vars).collect();
         v.sort_unstable();
+        v.dedup();
         v
     }
 
@@ -78,56 +80,91 @@ impl Dnf {
     pub fn satisfied_by(&self, world: &[u16]) -> bool {
         self.clauses.iter().any(|c| c.satisfied_by(world))
     }
+}
 
-    /// Logical simplification: deduplicate clauses and apply absorption
-    /// (drop any clause that is a superset of another clause — the subset
-    /// clause subsumes it). Detecting a tautology clause short-circuits to
-    /// the `true` DNF. O(n² · clause length); intended for the exact
-    /// algorithm's inputs, which are small after decomposition.
-    pub fn simplify(&self) -> Dnf {
-        if self.is_true() {
-            return Dnf { clauses: vec![Wsd::tautology()] };
-        }
-        // Clauses are sorted by construction invariant; dedup directly.
-        debug_assert!(self.clauses.windows(2).all(|w| w[0] <= w[1]));
-        let mut clauses = self.clauses.clone();
-        clauses.dedup();
-        // Absorption: keep clause c unless some other kept clause d ⊆ c.
-        // Sorting by length first makes subset checks one-directional.
-        clauses.sort_by_key(Wsd::len);
-        let mut kept: Vec<Wsd> = Vec::with_capacity(clauses.len());
-        'outer: for c in clauses {
-            for d in &kept {
-                if subset(d, &c) {
-                    continue 'outer;
-                }
-            }
-            kept.push(c);
-        }
-        kept.sort();
-        Dnf { clauses: kept }
-    }
+/// A DNF compiled for the confidence engines (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledLineage {
+    /// Clause `i`'s literals are `lits[clause_start[i]..clause_start[i + 1]]`.
+    clause_start: Vec<usize>,
+    /// All clauses' `(local variable, alternative)` literals, by variable
+    /// within a clause (local ids fit `u32` as world-table ids do).
+    lits: Vec<(u32, u16)>,
+    /// Local variable `v`'s distribution is
+    /// `probs[var_start[v]..var_start[v + 1]]`.
+    var_start: Vec<usize>,
+    /// The variables' distributions, flattened.
+    probs: Vec<f64>,
+}
 
-    /// Condition every clause on `var = alt`, dropping clauses that become
-    /// unsatisfiable (Shannon expansion step of variable elimination).
-    /// Removing a binding can reorder clauses, so the sorted invariant is
-    /// re-established here.
-    pub fn condition(&self, var: Var, alt: u16) -> Dnf {
-        Dnf::new(
-            self.clauses
-                .iter()
-                .filter_map(|c| c.condition(var, alt))
-                .collect(),
-        )
+impl Default for CompiledLineage {
+    /// The `false` event: no clauses, no variables.
+    fn default() -> CompiledLineage {
+        CompiledLineage {
+            clause_start: vec![0],
+            lits: Vec::new(),
+            var_start: vec![0],
+            probs: Vec::new(),
+        }
     }
 }
 
-/// Is `a` a sub-conjunction of `b`? (Both sorted by variable.)
-fn subset(a: &Wsd, b: &Wsd) -> bool {
-    if a.len() > b.len() {
-        return false;
+impl CompiledLineage {
+    /// Compile `dnf` against the world table. Errors on a variable the
+    /// table does not know or an alternative outside its domain.
+    pub(crate) fn new(dnf: &Dnf, wt: &WorldTable) -> Result<CompiledLineage> {
+        let vars = dnf.vars();
+        let mut out = CompiledLineage::default();
+        out.var_start.reserve(vars.len());
+        for &v in &vars {
+            out.probs.extend_from_slice(wt.distribution(v)?);
+            out.var_start.push(out.probs.len());
+        }
+        out.clause_start.reserve(dnf.len());
+        for c in dnf.clauses() {
+            for a in c.assignments() {
+                let local = vars.binary_search(&a.var).expect("dnf.vars() covers every clause") as u32;
+                let domain = out.distribution(local).len();
+                if a.alt as usize >= domain {
+                    return Err(UrelError::BadAlternative { var: a.var.0, alt: a.alt, domain });
+                }
+                out.lits.push((local, a.alt));
+            }
+            out.clause_start.push(out.lits.len());
+        }
+        Ok(out)
     }
-    a.assignments().iter().all(|x| b.get(x.var) == Some(x.alt))
+
+    /// Number of clauses.
+    pub(crate) fn num_clauses(&self) -> usize {
+        self.clause_start.len() - 1
+    }
+
+    /// Number of (local) variables.
+    pub(crate) fn num_vars(&self) -> usize {
+        self.var_start.len() - 1
+    }
+
+    /// Clause `i`'s `(local variable, alternative)` literals, by variable.
+    pub(crate) fn clause(&self, i: usize) -> &[(u32, u16)] {
+        &self.lits[self.clause_start[i]..self.clause_start[i + 1]]
+    }
+
+    /// Where local variable `v`'s alternatives sit in the flattened
+    /// distributions (a CDF flattened the same way shares the range).
+    pub(crate) fn var_range(&self, v: u32) -> std::ops::Range<usize> {
+        self.var_start[v as usize]..self.var_start[v as usize + 1]
+    }
+
+    /// Local variable `v`'s distribution.
+    pub(crate) fn distribution(&self, v: u32) -> &[f64] {
+        &self.probs[self.var_range(v)]
+    }
+
+    /// The probability of one literal.
+    pub(crate) fn prob(&self, (v, alt): (u32, u16)) -> f64 {
+        self.probs[self.var_start[v as usize] + alt as usize]
+    }
 }
 
 #[cfg(test)]
@@ -157,55 +194,41 @@ mod tests {
     }
 
     #[test]
-    fn simplify_dedups() {
-        let d = Dnf::new(vec![clause(&[(0, 1)]), clause(&[(0, 1)])]);
-        assert_eq!(d.simplify().len(), 1);
-    }
-
-    #[test]
-    fn simplify_absorbs_supersets() {
-        // (x0=1) ∨ (x0=1 ∧ x1=0)  ≡  x0=1
-        let d = Dnf::new(vec![clause(&[(0, 1)]), clause(&[(0, 1), (1, 0)])]);
-        let s = d.simplify();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.clauses()[0], clause(&[(0, 1)]));
-    }
-
-    #[test]
-    fn simplify_keeps_incomparable_clauses() {
-        let d = Dnf::new(vec![clause(&[(0, 1)]), clause(&[(1, 0)])]);
-        assert_eq!(d.simplify().len(), 2);
-    }
-
-    #[test]
-    fn simplify_true_dnf_collapses() {
-        let d = Dnf::new(vec![Wsd::tautology(), clause(&[(0, 1)])]);
-        let s = d.simplify();
-        assert_eq!(s.len(), 1);
-        assert!(s.is_true());
-    }
-
-    #[test]
-    fn condition_drops_conflicts_and_reduces() {
-        let d = Dnf::new(vec![clause(&[(0, 1), (1, 0)]), clause(&[(0, 2)])]);
-        let c = d.condition(Var(0), 1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.clauses()[0], clause(&[(1, 0)]));
-    }
-
-    #[test]
-    fn condition_can_make_true() {
-        let d = Dnf::new(vec![clause(&[(0, 1)])]);
-        let c = d.condition(Var(0), 1);
-        assert!(c.is_true());
-    }
-
-    #[test]
     fn satisfied_by_any_clause() {
         let d = Dnf::new(vec![clause(&[(0, 1)]), clause(&[(1, 2)])]);
         assert!(d.satisfied_by(&[1, 0]));
         assert!(d.satisfied_by(&[0, 2]));
         assert!(!d.satisfied_by(&[0, 0]));
         assert!(!Dnf::falsum().satisfied_by(&[0, 0]));
+    }
+
+    #[test]
+    fn compiled_ids_are_dense_in_global_order() {
+        let mut wt = WorldTable::new();
+        for d in [2, 3, 2, 4, 2] {
+            wt.new_var(&vec![1.0 / d as f64; d]).unwrap();
+        }
+        // Variables 1, 3 and 4 become local 0, 1 and 2.
+        let d = Dnf::new(vec![clause(&[(4, 1), (1, 2)]), clause(&[(3, 3)]), Wsd::tautology()]);
+        let c = CompiledLineage::new(&d, &wt).unwrap();
+        assert_eq!((c.num_clauses(), c.num_vars()), (3, 3));
+        assert_eq!(c.clause(0), &[] as &[(u32, u16)]);
+        assert_eq!(c.clause(1), &[(0, 2), (2, 1)]);
+        assert_eq!(c.clause(2), &[(1, 3)]);
+        assert_eq!(c.distribution(1), &[0.25; 4]);
+        assert_eq!(c.prob((1, 3)), 0.25);
+    }
+
+    #[test]
+    fn compile_rejects_alternatives_outside_the_domain() {
+        let mut wt = WorldTable::new();
+        wt.new_var(&[0.5, 0.5]).unwrap();
+        let d = Dnf::new(vec![clause(&[(0, 2)])]);
+        assert!(matches!(
+            CompiledLineage::new(&d, &wt),
+            Err(UrelError::BadAlternative { var: 0, alt: 2, domain: 2 })
+        ));
+        let d = Dnf::new(vec![clause(&[(7, 0)])]);
+        assert!(matches!(CompiledLineage::new(&d, &wt), Err(UrelError::UnknownVariable { var: 7 })));
     }
 }

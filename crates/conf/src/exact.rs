@@ -11,8 +11,8 @@
 //!
 //! The recursion builds a decomposition tree (d-tree):
 //!
-//! * **⊥ / ⊤ leaves** — empty DNF (probability 0), tautology clause
-//!   (probability 1);
+//! * **⊥ / ⊤ leaves** — no clause (probability 0), a clause with no
+//!   literal left (probability 1);
 //! * **independent-partition nodes** — split the clauses into connected
 //!   components of the clause/variable incidence graph;
 //!   `P = 1 − Π(1 − P(componentᵢ))`;
@@ -20,23 +20,50 @@
 //! * **variable-elimination nodes** (Shannon expansion over a variable's
 //!   alternatives) — `P = Σ_a P(x = a) · P(DNF | x = a)`, with the variable
 //!   chosen by a pluggable heuristic.
+//!
+//! # Nodes over a compiled lineage
+//!
+//! A call compiles its DNF once (`CompiledLineage`). A node is a list of
+//! clause indices; the variables conditioned on along the path live in one
+//! per-call `fixed[var]` array, and a clause's *live* literals are those
+//! of unfixed variables. Shannon expansion on `x = a` is a filter (drop
+//! clauses binding `x` elsewhere) plus one store into `fixed` — no `Dnf`
+//! or `Wsd` is rebuilt. Partitioning (union–find) and variable choice use
+//! per-variable slots stamped with an epoch: no hash map, no re-zeroing.
+//!
+//! # Absorption
+//!
+//! The root and every Shannon child are absorbed before they expand: a
+//! clause with no live literal makes the node `true`, equal clauses
+//! collapse to one, and a clause containing another clause goes. Clauses
+//! sort by (first live literal, live length, live literals), so equal
+//! clauses are adjacent and the clauses strictly shorter than `c` that
+//! start with a given literal of `c` form one contiguous run, found by
+//! binary search. Every clause `d ⊂ c` starts with a literal of `c`, so
+//! checking `c` against those runs alone drops exactly what an all-pairs
+//! check would, at O(n·k·(log n + run)) for `n` clauses of `k` literals
+//! instead of O(n²·k). Walk lineage, whose clauses have equal length,
+//! does no subset test at all.
+//!
+//! # Checkpoints
+//!
+//! Every d-tree node is a governor checkpoint, and absorption ticks a
+//! [`maybms_gov::Ticker`] per subset test (one real check per 1 024), so
+//! a deadline or cancel also interrupts a large absorption.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
-use maybms_par::ThreadPool;
-use maybms_urel::{Result, UrelError, Var, WorldTable};
+use maybms_gov::{GovError, Ticker};
+use maybms_urel::{Result, UrelError, WorldTable};
 
-use crate::dnf::Dnf;
-
-/// Default clause-count floor below which independent partitions are not
-/// worth fanning out to the pool.
-pub const PAR_MIN_CLAUSES: usize = 32;
+use crate::dnf::{CompiledLineage, Dnf};
 
 /// Heuristic for picking the variable to eliminate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VarChoice {
-    /// The variable occurring in the most clauses (default; maximises the
-    /// chance that conditioning decomposes the rest).
+    /// The variable occurring in the most clauses, ties to the smallest
+    /// id (default; maximises the chance that conditioning decomposes the
+    /// rest).
     #[default]
     MaxOccurrence,
     /// The variable with the smallest domain (fewest recursive branches).
@@ -45,36 +72,20 @@ pub enum VarChoice {
     First,
 }
 
-/// Tuning knobs, exposed for the E7 ablation bench.
-#[derive(Debug, Clone, Copy, Default)]
+/// The paper's two ablation knobs (E7a and E7b of `exp_ablation`).
+#[derive(Debug, Clone, Copy)]
 pub struct ExactOptions {
     /// Variable-elimination heuristic.
     pub var_choice: VarChoice,
     /// When `false`, skip independence partitioning (ablation).
     pub decompose: bool,
-    /// When `false`, skip the O(n²) absorption simplification.
-    pub simplify: bool,
-    /// Cache sub-DNF probabilities across the recursion. Pays off when
-    /// Shannon branches recreate identical subproblems (recurrent
-    /// structures like random-walk lineage); costs hashing on every node.
-    pub memoize: bool,
 }
 
 impl ExactOptions {
-    /// The configuration used by `conf()`: decomposition on, absorption
-    /// on, max-occurrence elimination, no memoization.
+    /// The configuration used by `conf()`: decomposition on,
+    /// max-occurrence elimination.
     pub fn standard() -> ExactOptions {
-        ExactOptions {
-            var_choice: VarChoice::MaxOccurrence,
-            decompose: true,
-            simplify: true,
-            memoize: false,
-        }
-    }
-
-    /// [`ExactOptions::standard`] with sub-DNF memoization enabled.
-    pub fn memoized() -> ExactOptions {
-        ExactOptions { memoize: true, ..ExactOptions::standard() }
+        ExactOptions { var_choice: VarChoice::MaxOccurrence, decompose: true }
     }
 }
 
@@ -89,21 +100,11 @@ pub struct ExactStats {
     pub leaves: usize,
     /// Maximum recursion depth reached.
     pub max_depth: usize,
-    /// Memoization cache hits (0 unless [`ExactOptions::memoize`]).
-    pub cache_hits: usize,
 }
 
-/// Exact probability of `dnf` with the standard options. Independent
-/// d-tree partitions fan out to the process-wide pool when the DNF is
-/// large enough; the result is bit-identical to the sequential recursion.
+/// Exact probability of `dnf` with the standard options.
 pub fn probability(dnf: &Dnf, wt: &WorldTable) -> Result<f64> {
-    let pool = maybms_par::pool();
-    if pool.threads() > 1 {
-        probability_par(dnf, wt, &ExactOptions::standard(), &pool, PAR_MIN_CLAUSES)
-            .map(|(p, _)| p)
-    } else {
-        probability_with(dnf, wt, &ExactOptions::standard()).map(|(p, _)| p)
-    }
+    probability_with(dnf, wt, &ExactOptions::standard()).map(|(p, _)| p)
 }
 
 /// Exact probability with explicit options; also returns d-tree statistics.
@@ -112,258 +113,257 @@ pub fn probability_with(
     wt: &WorldTable,
     options: &ExactOptions,
 ) -> Result<(f64, ExactStats)> {
-    let mut stats = ExactStats::default();
-    let d = if options.simplify { dnf.simplify() } else { dnf.clone() };
-    let mut cache: Cache = options.memoize.then(HashMap::new);
-    let p = go(&d, wt, options, &mut stats, 1, &mut cache, None)?;
-    Ok((p, stats))
-}
-
-/// [`probability_with`] on an explicit pool: independent-partition nodes
-/// whose DNF holds at least `min_par_clauses` clauses evaluate their
-/// children as parallel tasks (each child is a var-disjoint subproblem).
-///
-/// The probability is **bit-identical** to the sequential recursion at
-/// any thread count: children are pure functions of their component and
-/// the `1 − Π(1 − pᵢ)` combination multiplies in the (sorted) component
-/// order either way. Statistics are identical too, except `cache_hits`
-/// under [`ExactOptions::memoize`]: parallel children use task-local
-/// caches (components share no variables, so no *cross-component* hit is
-/// ever lost, but a later Shannon sibling cannot hit entries produced
-/// inside a parallel child).
-pub fn probability_par(
-    dnf: &Dnf,
-    wt: &WorldTable,
-    options: &ExactOptions,
-    pool: &ThreadPool,
-    min_par_clauses: usize,
-) -> Result<(f64, ExactStats)> {
-    let mut stats = ExactStats::default();
-    let d = if options.simplify { dnf.simplify() } else { dnf.clone() };
-    let mut cache: Cache = options.memoize.then(HashMap::new);
-    let ctx = ParCtx { pool, min_clauses: min_par_clauses.max(1) };
-    let p = go(&d, wt, options, &mut stats, 1, &mut cache, Some(&ctx))?;
-    Ok((p, stats))
-}
-
-type Cache = Option<HashMap<Vec<maybms_urel::Wsd>, f64>>;
-
-/// Parallel-recursion context threaded through [`go`].
-struct ParCtx<'p> {
-    pool: &'p ThreadPool,
-    /// Fan out a partition node only when its DNF has at least this many
-    /// clauses (smaller subproblems finish faster than a task costs).
-    min_clauses: usize,
-}
-
-impl ExactStats {
-    /// Fold a (parallel) child's statistics into the parent's.
-    fn absorb(&mut self, child: &ExactStats) {
-        self.decompositions += child.decompositions;
-        self.eliminations += child.eliminations;
-        self.leaves += child.leaves;
-        self.cache_hits += child.cache_hits;
-        self.max_depth = self.max_depth.max(child.max_depth);
-    }
-}
-
-/// Canonical cache key: the clause list, which [`Dnf`] keeps sorted as a
-/// construction invariant — no re-sort per node.
-fn cache_key(dnf: &Dnf) -> Vec<maybms_urel::Wsd> {
-    debug_assert!(dnf.clauses().windows(2).all(|w| w[0] <= w[1]));
-    dnf.clauses().to_vec()
-}
-
-fn go(
-    dnf: &Dnf,
-    wt: &WorldTable,
-    options: &ExactOptions,
-    stats: &mut ExactStats,
-    depth: usize,
-    cache: &mut Cache,
-    par: Option<&ParCtx>,
-) -> Result<f64> {
-    // Governor checkpoint: one relaxed load per d-tree node when no
-    // limit is armed.
-    maybms_gov::check()
-        .map_err(|g| UrelError::from(maybms_engine::EngineError::Gov(g)))?;
-    stats.max_depth = stats.max_depth.max(depth);
-    // Constant leaves.
-    if dnf.is_empty() {
-        stats.leaves += 1;
-        return Ok(0.0);
-    }
-    if dnf.is_true() {
-        stats.leaves += 1;
-        return Ok(1.0);
-    }
-    // Single clause: product of independent assignment probabilities.
-    if dnf.len() == 1 {
-        stats.leaves += 1;
-        return dnf.clauses()[0].prob(wt);
-    }
-    let key = if cache.is_some() { Some(cache_key(dnf)) } else { None };
-    if let (Some(c), Some(k)) = (cache.as_ref(), key.as_ref()) {
-        if let Some(&p) = c.get(k) {
-            stats.cache_hits += 1;
-            return Ok(p);
-        }
-    }
-    // Independence partition.
-    if options.decompose {
-        let comps = components(dnf);
-        if comps.len() > 1 {
-            stats.decompositions += 1;
-            let mut none = 1.0;
-            let fan_out = par
-                .filter(|c| c.pool.threads() > 1 && dnf.len() >= c.min_clauses);
-            if let Some(ctx) = fan_out {
-                // Components share no variables, so each child is an
-                // independent pure subproblem. Fan out *chunks* of
-                // components (one task per component would drown small
-                // children in scheduling overhead); every chunk returns
-                // its children's probabilities in component order, and
-                // the parent multiplies the flat sequence left-to-right —
-                // the exact float-operation order of the sequential loop
-                // below, hence bit-identical results.
-                let chunk =
-                    maybms_par::auto_chunk(comps.len(), ctx.pool.threads(), 1);
-                let children: Vec<Result<(Vec<f64>, ExactStats)>> =
-                    ctx.pool.par_map_chunks(comps.len(), chunk, |range| {
-                        let mut chunk_stats = ExactStats::default();
-                        let mut chunk_cache: Cache = options.memoize.then(HashMap::new);
-                        let mut probs = Vec::with_capacity(range.len());
-                        for ci in range {
-                            probs.push(go(
-                                &comps[ci],
-                                wt,
-                                options,
-                                &mut chunk_stats,
-                                depth + 1,
-                                &mut chunk_cache,
-                                par,
-                            )?);
-                        }
-                        Ok((probs, chunk_stats))
-                    });
-                for child in children {
-                    let (probs, chunk_stats) = child?;
-                    for p in probs {
-                        none *= 1.0 - p;
-                    }
-                    stats.absorb(&chunk_stats);
-                }
-            } else {
-                for comp in comps {
-                    let p = go(&comp, wt, options, stats, depth + 1, cache, par)?;
-                    none *= 1.0 - p;
-                }
-            }
-            let total = 1.0 - none;
-            if let (Some(c), Some(k)) = (cache.as_mut(), key) {
-                c.insert(k, total);
-            }
-            return Ok(total);
-        }
-    }
-    // Variable elimination (Shannon expansion).
-    stats.eliminations += 1;
-    let x = choose_var(dnf, wt, options.var_choice)?;
-    let dist = wt.distribution(x)?;
-    let mut total = 0.0;
-    for (alt, &p_alt) in dist.iter().enumerate() {
-        if p_alt == 0.0 {
-            continue;
-        }
-        let conditioned = dnf.condition(x, alt as u16);
-        let conditioned =
-            if options.simplify { conditioned.simplify() } else { conditioned };
-        total += p_alt * go(&conditioned, wt, options, stats, depth + 1, cache, par)?;
-    }
-    if let (Some(c), Some(k)) = (cache.as_mut(), key) {
-        c.insert(k, total);
-    }
-    Ok(total)
-}
-
-/// Split a DNF into connected components of the clause–variable graph
-/// (union–find over clause indices keyed by shared variables).
-fn components(dnf: &Dnf) -> Vec<Dnf> {
-    let n = dnf.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        let mut root = i;
-        while parent[root] != root {
-            root = parent[root];
-        }
-        let mut cur = i;
-        while parent[cur] != root {
-            let next = parent[cur];
-            parent[cur] = root;
-            cur = next;
-        }
-        root
-    }
-    let mut owner: HashMap<Var, usize> = HashMap::new();
-    for (i, c) in dnf.clauses().iter().enumerate() {
-        for v in c.vars() {
-            match owner.get(&v) {
-                Some(&j) => {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
-                    }
-                }
-                None => {
-                    owner.insert(v, i);
-                }
-            }
-        }
-    }
-    let mut groups: HashMap<usize, Vec<maybms_urel::Wsd>> = HashMap::new();
-    for (i, c) in dnf.clauses().iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().push(c.clone());
-    }
-    let mut out: Vec<Dnf> = groups.into_values().map(Dnf::new).collect();
-    // Deterministic order helps reproducibility of stats.
-    out.sort_by(|a, b| a.clauses().cmp(b.clauses()));
-    out
-}
-
-/// Pick the elimination variable according to the heuristic.
-fn choose_var(dnf: &Dnf, wt: &WorldTable, heuristic: VarChoice) -> Result<Var> {
-    let mut counts: HashMap<Var, usize> = HashMap::new();
-    for c in dnf.clauses() {
-        for v in c.vars() {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-    }
-    debug_assert!(!counts.is_empty(), "non-constant DNF must mention a variable");
-    let var = match heuristic {
-        VarChoice::MaxOccurrence => counts
-            .iter()
-            .max_by_key(|(v, &n)| (n, std::cmp::Reverse(v.0)))
-            .map(|(&v, _)| v),
-        VarChoice::MinDomain => {
-            let mut best: Option<(usize, Var)> = None;
-            for &v in counts.keys() {
-                let d = wt.domain_size(v)?;
-                if best.is_none_or(|(bd, bv)| (d, v.0) < (bd, bv.0)) {
-                    best = Some((d, v));
-                }
-            }
-            best.map(|(_, v)| v)
-        }
-        VarChoice::First => counts.keys().copied().min(),
+    let lineage = CompiledLineage::new(dnf, wt)?;
+    let vars = lineage.num_vars();
+    let mut tree = DTree {
+        lineage: &lineage,
+        options,
+        stats: ExactStats::default(),
+        fixed: vec![FREE; vars],
+        stamp: vec![0; vars],
+        slot: vec![0; vars],
+        epoch: 0,
+        key: vec![((0, 0), 0); lineage.num_clauses()],
+        parent: Vec::new(),
+        ticker: Ticker::new(),
     };
-    Ok(var.expect("counts non-empty"))
+    let p = tree.absorbed((0..lineage.num_clauses() as u32).collect(), 1)?;
+    Ok((p, tree.stats))
+}
+
+/// `fixed[v]` of a variable not conditioned on. Domains hold at most
+/// `u16::MAX` alternatives, so no alternative is `u16::MAX`.
+const FREE: u16 = u16::MAX;
+
+/// The per-call state of one d-tree evaluation.
+struct DTree<'a> {
+    lineage: &'a CompiledLineage,
+    options: &'a ExactOptions,
+    stats: ExactStats,
+    /// Each variable's alternative along the current path, or [`FREE`].
+    fixed: Vec<u16>,
+    /// Per-variable slots: `slot[v]` holds while `stamp[v] == epoch`.
+    stamp: Vec<u64>,
+    slot: Vec<u32>,
+    epoch: u64,
+    /// Absorption sort key per clause: first live literal, live length.
+    key: Vec<((u32, u16), u32)>,
+    /// Union–find parents over a node's clause positions.
+    parent: Vec<u32>,
+    /// Amortised checkpoint of the absorption's subset tests.
+    ticker: Ticker,
+}
+
+/// The literals of clause `c` whose variable is not fixed.
+fn live<'l>(
+    lineage: &'l CompiledLineage,
+    fixed: &'l [u16],
+    c: u32,
+) -> impl Iterator<Item = (u32, u16)> + 'l {
+    lineage.clause(c as usize).iter().copied().filter(move |&(v, _)| fixed[v as usize] == FREE)
+}
+
+fn gov_err(g: GovError) -> UrelError {
+    UrelError::from(maybms_engine::EngineError::Gov(g))
+}
+
+/// Union–find root of `i`, compressing the path.
+fn find(parent: &mut [u32], i: u32) -> u32 {
+    let mut root = i;
+    while parent[root as usize] != root {
+        root = parent[root as usize];
+    }
+    let mut cur = i;
+    while parent[cur as usize] != root {
+        cur = std::mem::replace(&mut parent[cur as usize], root);
+    }
+    root
+}
+
+impl DTree<'_> {
+    /// Enter a node at `depth`: one governor checkpoint.
+    fn enter(&mut self, depth: usize) -> Result<()> {
+        maybms_gov::check().map_err(gov_err)?;
+        self.stats.max_depth = self.stats.max_depth.max(depth);
+        Ok(())
+    }
+
+    /// Absorb `clauses` (the root or a Shannon child), then evaluate them.
+    fn absorbed(&mut self, clauses: Vec<u32>, depth: usize) -> Result<f64> {
+        match self.absorb(clauses)? {
+            Some(kept) => self.node(&kept, depth),
+            None => self.enter(depth).map(|()| {
+                self.stats.leaves += 1;
+                1.0
+            }),
+        }
+    }
+
+    /// Evaluate a node whose clauses are absorbed and none of them `true`.
+    fn node(&mut self, clauses: &[u32], depth: usize) -> Result<f64> {
+        self.enter(depth)?;
+        let lineage = self.lineage;
+        if let [] | [_] = clauses {
+            self.stats.leaves += 1;
+            let product = |&c| live(lineage, &self.fixed, c).fold(1.0, |p, l| p * lineage.prob(l));
+            return Ok(clauses.first().map_or(0.0, product));
+        }
+        if self.options.decompose {
+            if let Some((ends, order)) = self.components(clauses) {
+                self.stats.decompositions += 1;
+                let mut none = 1.0;
+                let mut start = 0;
+                for end in ends {
+                    none *= 1.0 - self.node(&order[start..end], depth + 1)?;
+                    start = end;
+                }
+                return Ok(1.0 - none);
+            }
+        }
+        self.stats.eliminations += 1;
+        let x = self.choose_var(clauses);
+        let mut total = 0.0;
+        for (alt, &p_alt) in lineage.distribution(x).iter().enumerate() {
+            if p_alt == 0.0 {
+                continue;
+            }
+            let alt = alt as u16;
+            let child = clauses
+                .iter()
+                .copied()
+                .filter(|&c| lineage.clause(c as usize).iter().all(|&(v, a)| v != x || a == alt))
+                .collect();
+            self.fixed[x as usize] = alt;
+            let p = self.absorbed(child, depth + 1);
+            self.fixed[x as usize] = FREE;
+            total += p_alt * p?;
+        }
+        Ok(total)
+    }
+
+    /// Absorption (see the module docs): `None` when a clause has no live
+    /// literal (the node is `true`), else the surviving clauses in sort
+    /// order.
+    fn absorb(&mut self, mut clauses: Vec<u32>) -> Result<Option<Vec<u32>>> {
+        let (lineage, fixed) = (self.lineage, &self.fixed[..]);
+        let (mut shortest, mut longest) = (u32::MAX, 0);
+        for &c in &clauses {
+            let mut lits = live(lineage, fixed, c);
+            let Some(first) = lits.next() else { return Ok(None) };
+            let len = 1 + lits.count() as u32;
+            self.key[c as usize] = (first, len);
+            (shortest, longest) = (shortest.min(len), longest.max(len));
+        }
+        let (key, ticker) = (&self.key[..], &mut self.ticker);
+        let cmp = |&a: &u32, &b: &u32| {
+            key[a as usize]
+                .cmp(&key[b as usize])
+                .then_with(|| live(lineage, fixed, a).cmp(live(lineage, fixed, b)))
+        };
+        clauses.sort_unstable_by(cmp);
+        clauses.dedup_by(|a, b| cmp(a, b).is_eq());
+        debug_assert!(clauses.windows(2).all(|w| cmp(&w[0], &w[1]).is_lt()));
+        if shortest == longest {
+            return Ok(Some(clauses));
+        }
+        let mut keep = vec![true; clauses.len()];
+        for (i, &c) in clauses.iter().enumerate() {
+            let len = key[c as usize].1;
+            'lits: for lit in live(lineage, fixed, c) {
+                let lo = clauses.partition_point(|&d| key[d as usize].0 < lit);
+                let hi = clauses.partition_point(|&d| key[d as usize] < (lit, len));
+                for &d in &clauses[lo..hi] {
+                    ticker.tick().map_err(gov_err)?;
+                    let mut sup = live(lineage, fixed, c);
+                    if live(lineage, fixed, d).all(|l| sup.find(|m| m.0 >= l.0) == Some(l)) {
+                        keep[i] = false;
+                        break 'lits;
+                    }
+                }
+            }
+        }
+        let mut keep = keep.into_iter();
+        clauses.retain(|_| keep.next() == Some(true));
+        Ok(Some(clauses))
+    }
+
+    /// Split a node's clauses into the connected components of the
+    /// clause–variable graph: the clause indices component by component,
+    /// smallest variable first, and where each component ends. `None`
+    /// when the node is connected.
+    fn components(&mut self, clauses: &[u32]) -> Option<(Vec<usize>, Vec<u32>)> {
+        self.epoch += 1;
+        let (lineage, fixed, epoch) = (self.lineage, &self.fixed[..], self.epoch);
+        let (stamp, slot, parent) = (&mut self.stamp, &mut self.slot, &mut self.parent);
+        let n = clauses.len() as u32;
+        parent.clear();
+        parent.extend(0..n);
+        for (i, &c) in (0..n).zip(clauses) {
+            for (v, _) in live(lineage, fixed, c) {
+                let v = v as usize;
+                if stamp[v] == epoch {
+                    let (ri, rj) = (find(parent, i), find(parent, slot[v]));
+                    parent[ri as usize] = rj;
+                } else {
+                    stamp[v] = epoch;
+                    slot[v] = i;
+                }
+            }
+        }
+        // After this pass every clause's parent is its root.
+        if (0..n).filter(|&i| find(parent, i) == i).count() == 1 {
+            return None;
+        }
+        // A component's smallest variable — its clauses' smallest first
+        // live variable, per root in `low` — is unique to it: sort by it.
+        let mut low = vec![u32::MAX; n as usize];
+        for (i, &c) in clauses.iter().enumerate() {
+            let first = live(lineage, fixed, c).next().expect("absorbed clauses are not true").0;
+            let r = parent[i] as usize;
+            low[r] = low[r].min(first);
+        }
+        let mut order: Vec<(u32, u32)> =
+            clauses.iter().enumerate().map(|(i, &c)| (low[parent[i] as usize], c)).collect();
+        order.sort_unstable();
+        let ends = (1..=order.len()).filter(|&k| order.get(k).is_none_or(|o| o.0 != order[k - 1].0));
+        Some((ends.collect(), order.into_iter().map(|(_, c)| c).collect()))
+    }
+
+    /// Pick the elimination variable according to the heuristic.
+    fn choose_var(&mut self, clauses: &[u32]) -> u32 {
+        self.epoch += 1;
+        let (lineage, fixed, epoch) = (self.lineage, &self.fixed[..], self.epoch);
+        let (stamp, slot) = (&mut self.stamp, &mut self.slot);
+        let mut best: Option<u32> = None;
+        for &c in clauses {
+            for (v, _) in live(lineage, fixed, c) {
+                let vi = v as usize;
+                if stamp[vi] != epoch {
+                    stamp[vi] = epoch;
+                    slot[vi] = 0;
+                }
+                slot[vi] += 1;
+                // Only `v`'s count moved, so the leader is `v` or unchanged.
+                if best.is_none_or(|b| match self.options.var_choice {
+                    VarChoice::MaxOccurrence => (slot[vi], Reverse(v)) > (slot[b as usize], Reverse(b)),
+                    VarChoice::MinDomain => {
+                        (lineage.distribution(v).len(), v) < (lineage.distribution(b).len(), b)
+                    }
+                    VarChoice::First => v < b,
+                }) {
+                    best = Some(v);
+                }
+            }
+        }
+        best.expect("a node with two clauses, none true, mentions a variable")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive;
-    use maybms_urel::{Assignment, Wsd};
+    use maybms_urel::{Assignment, Var, Wsd};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
         Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
@@ -455,20 +455,14 @@ mod tests {
             clause(&[(v[0], 2)]),
         ]);
         let standard = probability(&d, &wt).unwrap();
-        for choice in [VarChoice::MaxOccurrence, VarChoice::MinDomain, VarChoice::First] {
+        for var_choice in [VarChoice::MaxOccurrence, VarChoice::MinDomain, VarChoice::First] {
             for decompose in [true, false] {
-                for simplify in [true, false] {
-                    for memoize in [true, false] {
-                        let opts =
-                            ExactOptions { var_choice: choice, decompose, simplify, memoize };
-                        let (p, _) = probability_with(&d, &wt, &opts).unwrap();
-                        assert!(
-                            (p - standard).abs() < 1e-9,
-                            "{choice:?} decompose={decompose} simplify={simplify} \
-                             memoize={memoize}: {p} vs {standard}"
-                        );
-                    }
-                }
+                let (p, _) =
+                    probability_with(&d, &wt, &ExactOptions { var_choice, decompose }).unwrap();
+                assert!(
+                    (p - standard).abs() < 1e-9,
+                    "{var_choice:?} decompose={decompose}: {p} vs {standard}"
+                );
             }
         }
     }
@@ -491,7 +485,7 @@ mod tests {
         let without = probability_with(
             &d,
             &wt,
-            &ExactOptions { decompose: false, simplify: true, ..Default::default() },
+            &ExactOptions { decompose: false, ..ExactOptions::standard() },
         )
         .unwrap();
         assert!((with.0 - without.0).abs() < 1e-9);
@@ -504,63 +498,37 @@ mod tests {
     }
 
     #[test]
-    fn memoization_hits_on_recurrent_structure() {
-        // Chain DNF (x_i=1 ∧ x_{i+1}=1): conditioning on either end keeps
-        // regenerating the same inner chains.
+    fn duplicates_and_supersets_are_absorbed_before_the_dtree() {
         let mut wt = WorldTable::new();
-        let xs: Vec<Var> = (0..10).map(|_| wt.new_var(&[0.5, 0.5]).unwrap()).collect();
-        let clauses: Vec<maybms_urel::Wsd> = xs
-            .windows(2)
-            .map(|w| clause(&[(w[0], 1), (w[1], 1)]))
-            .collect();
-        let d = Dnf::new(clauses);
-        let plain_opts = ExactOptions { decompose: false, ..ExactOptions::standard() };
-        let memo_opts = ExactOptions { memoize: true, ..plain_opts };
-        let (p_plain, s_plain) = probability_with(&d, &wt, &plain_opts).unwrap();
-        let (p_memo, s_memo) = probability_with(&d, &wt, &memo_opts).unwrap();
-        assert!((p_plain - p_memo).abs() < 1e-12);
-        assert!(s_memo.cache_hits > 0, "expected cache hits: {s_memo:?}");
-        assert!(
-            s_memo.eliminations < s_plain.eliminations,
-            "memoized {s_memo:?} vs plain {s_plain:?}"
+        let x = wt.new_var(&[0.7, 0.3]).unwrap();
+        let y = wt.new_var(&[0.4, 0.6]).unwrap();
+        // x=1 ∨ x=1 ∨ (x=1 ∧ y=0) ∨ y=1  ≡  x=1 ∨ y=1: one partition, two leaves.
+        let d = Dnf::new(vec![
+            clause(&[(x, 1)]),
+            clause(&[(x, 1)]),
+            clause(&[(x, 1), (y, 0)]),
+            clause(&[(y, 1)]),
+        ]);
+        let (p, stats) = probability_with(&d, &wt, &ExactOptions::standard()).unwrap();
+        assert_eq!(p.to_bits(), (1.0 - (1.0 - 0.3) * (1.0 - 0.6f64)).to_bits());
+        assert_eq!(
+            stats,
+            ExactStats { decompositions: 1, eliminations: 0, leaves: 2, max_depth: 2 }
         );
-        assert_eq!(s_plain.cache_hits, 0);
-    }
-
-    #[test]
-    fn parallel_partitions_bit_identical_to_sequential() {
-        // Many independent blocks — the decomposition-heavy family — plus
-        // a shared-variable DNF that forces Shannon nodes above nested
-        // partitions.
-        let mut wt = WorldTable::new();
-        let mut clauses = Vec::new();
-        for i in 0..8 {
-            let x = wt.new_var(&[0.3 + 0.05 * i as f64, 0.7 - 0.05 * i as f64]).unwrap();
-            let y = wt.new_var(&[0.5, 0.5]).unwrap();
-            clauses.push(clause(&[(x, 1), (y, 1)]));
-            clauses.push(clause(&[(x, 0), (y, 0)]));
-        }
-        let d = Dnf::new(clauses);
-        for memoize in [false, true] {
-            let opts = ExactOptions { memoize, ..ExactOptions::standard() };
-            let (seq_p, seq_stats) = probability_with(&d, &wt, &opts).unwrap();
-            for threads in [1, 2, 8] {
-                let pool = ThreadPool::new(threads);
-                let (par_p, par_stats) =
-                    probability_par(&d, &wt, &opts, &pool, 1).unwrap();
-                assert_eq!(
-                    seq_p.to_bits(),
-                    par_p.to_bits(),
-                    "threads = {threads}, memoize = {memoize}"
-                );
-                if !memoize {
-                    // Node counts are scheduling-independent; cache hit
-                    // counts may legitimately differ under memoization
-                    // (task-local caches).
-                    assert_eq!(seq_stats, par_stats, "threads = {threads}");
-                }
-            }
-        }
+        // Shannon children are absorbed too: under x=1, (y=1) absorbs
+        // (y=1 ∧ z=0); under x=0 then z=1, (z=1) leaves nothing — ⊤.
+        let z = wt.new_var(&[0.5, 0.5]).unwrap();
+        let d = Dnf::new(vec![
+            clause(&[(x, 1), (y, 1)]),
+            clause(&[(y, 1), (z, 0)]),
+            clause(&[(x, 0), (z, 1)]),
+        ]);
+        let (p, stats) = probability_with(&d, &wt, &ExactOptions::standard()).unwrap();
+        assert!((p - (0.7 * (0.5 * 0.6 + 0.5) + 0.3 * 0.6)).abs() < 1e-15);
+        assert_eq!(
+            stats,
+            ExactStats { decompositions: 0, eliminations: 2, leaves: 3, max_depth: 3 }
+        );
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!
 //! # The compiled sampler
 //!
-//! [`KarpLuby::new`] compiles the lineage once: the DNF's variables get
-//! dense local indices, clauses flatten to runs of `(local variable,
-//! alternative)` and the variables' distributions to one CDF array. A
+//! [`KarpLuby::new`] reads the lineage through the same
+//! `CompiledLineage` the exact d-tree uses — dense local variable ids,
+//! flat `(local variable, alternative)` clause runs — and turns the
+//! flattened distributions into one CDF array. A
 //! [`Sampler`] then draws indicators over a scratch world of one slot per
 //! *local* variable, stamped with the draw's epoch so nothing is ever
 //! re-zeroed, and samples a free variable only when a clause `j < i`
@@ -35,7 +36,7 @@ use rand::{Rng, SeedableRng};
 
 use maybms_urel::{Result, WorldTable};
 
-use crate::dnf::Dnf;
+use crate::dnf::{CompiledLineage, Dnf};
 
 /// Samples per deterministic batch in the seeded estimators.
 ///
@@ -56,20 +57,16 @@ pub(crate) fn batch_rng(seed: u64, batch: u64) -> StdRng {
 /// A Karp–Luby sampler compiled from a fixed DNF (see the module docs).
 #[derive(Debug, Clone)]
 pub struct KarpLuby {
+    /// The clauses and variables the sampler draws over.
+    lineage: CompiledLineage,
     /// Cumulative clause probabilities (unnormalised, ending at `sum`).
     cumulative: Vec<f64>,
     /// `S = Σ P(cᵢ)`.
     sum: f64,
-    /// Clause `i`'s literals are `lits[clause_start[i]..clause_start[i + 1]]`.
-    clause_start: Vec<usize>,
-    /// `(local variable, alternative)` literals of all clauses, flattened.
-    /// Local indices fit `u32` because world-table variable ids do.
-    lits: Vec<(u32, u16)>,
-    /// Local variable `v`'s CDF is `cdf[var_start[v]..var_start[v + 1]]`.
-    var_start: Vec<usize>,
-    /// Per-variable cumulative distributions, flattened. From a variable's
-    /// last alternative with nonzero mass onwards the entries are `+∞`, so
-    /// the scan in [`KarpLuby::sample_var`] always terminates there (float
+    /// Per-variable cumulative distributions, at the index ranges of the
+    /// lineage's flattened distributions. From a variable's last
+    /// alternative with nonzero mass onwards the entries are `+∞`, so the
+    /// scan in [`KarpLuby::sample_var`] always terminates there (float
     /// round-off can leave the running sum a hair below 1) and never
     /// returns a zero-probability alternative.
     cdf: Vec<f64>,
@@ -87,48 +84,35 @@ impl KarpLuby {
         if dnf.is_true() {
             return Ok(Self::constant(1.0));
         }
-        let mut cumulative = Vec::with_capacity(dnf.len());
+        let lineage = CompiledLineage::new(dnf, wt)?;
+        let mut cumulative = Vec::with_capacity(lineage.num_clauses());
         let mut sum = 0.0;
-        for c in dnf.clauses() {
-            sum += c.prob(wt)?;
+        for i in 0..lineage.num_clauses() {
+            // Product in variable order, as `Wsd::prob` multiplies.
+            sum += lineage.clause(i).iter().fold(1.0, |p, &l| p * lineage.prob(l));
             cumulative.push(sum);
         }
         if sum == 0.0 {
             return Ok(Self::constant(0.0));
         }
-        let vars = dnf.vars();
-        let mut clause_start = vec![0];
-        let mut lits = Vec::new();
-        for c in dnf.clauses() {
-            for a in c.assignments() {
-                let local =
-                    vars.binary_search(&a.var).expect("dnf.vars() covers every clause");
-                lits.push((local as u32, a.alt));
-            }
-            clause_start.push(lits.len());
-        }
-        let mut var_start = vec![0];
         let mut cdf = Vec::new();
-        for &v in &vars {
-            let dist = wt.distribution(v)?;
+        for v in 0..lineage.num_vars() as u32 {
+            let dist = lineage.distribution(v);
             let last = dist.iter().rposition(|&p| p > 0.0).unwrap_or(dist.len() - 1);
             let mut acc = 0.0;
             for (alt, &p) in dist.iter().enumerate() {
                 acc += p;
                 cdf.push(if alt < last { acc } else { f64::INFINITY });
             }
-            var_start.push(cdf.len());
         }
-        Ok(KarpLuby { cumulative, sum, clause_start, lits, var_start, cdf, constant: None })
+        Ok(KarpLuby { lineage, cumulative, sum, cdf, constant: None })
     }
 
     fn constant(p: f64) -> KarpLuby {
         KarpLuby {
+            lineage: CompiledLineage::default(),
             cumulative: Vec::new(),
             sum: p,
-            clause_start: vec![0],
-            lits: Vec::new(),
-            var_start: vec![0],
             cdf: Vec::new(),
             constant: Some(p),
         }
@@ -149,13 +133,9 @@ impl KarpLuby {
         self.cumulative.len()
     }
 
-    fn clause(&self, i: usize) -> &[(u32, u16)] {
-        &self.lits[self.clause_start[i]..self.clause_start[i + 1]]
-    }
-
     /// Draw an alternative of local variable `v` from its distribution.
     fn sample_var<R: Rng + ?Sized>(&self, v: u32, rng: &mut R) -> u16 {
-        let cdf = &self.cdf[self.var_start[v as usize]..self.var_start[v as usize + 1]];
+        let cdf = &self.cdf[self.lineage.var_range(v)];
         let x: f64 = rng.gen();
         let mut alt = 0;
         // Terminates: the variable's last entry is +∞.
@@ -169,7 +149,7 @@ impl KarpLuby {
     /// (callers check [`KarpLuby::constant_value`] first).
     pub fn sampler(&self) -> Sampler<'_> {
         assert!(self.constant.is_none(), "sampler requested for a constant Karp-Luby DNF");
-        Sampler { kl: self, world: vec![0; self.var_start.len() - 1], epoch: 0 }
+        Sampler { kl: self, world: vec![0; self.lineage.num_vars()], epoch: 0 }
     }
 
     /// Seeded fixed-count Monte Carlo estimate `S · mean(X)` over the first
@@ -226,13 +206,13 @@ impl<'a> Sampler<'a> {
         let x = rng.gen::<f64>() * kl.sum;
         let i = kl.cumulative.partition_point(|&c| c <= x).min(kl.num_clauses() - 1);
         // 2. condition the world on cᵢ.
-        for &(v, alt) in kl.clause(i) {
+        for &(v, alt) in kl.lineage.clause(i) {
             self.world[v as usize] = tag | u64::from(alt);
         }
         // 3. X = 1 iff no earlier clause holds (cᵢ holds by construction).
         //    A variable is sampled when a clause first reads it.
         'clauses: for j in 0..i {
-            for &(v, alt) in kl.clause(j) {
+            for &(v, alt) in kl.lineage.clause(j) {
                 let slot = &mut self.world[v as usize];
                 if *slot < tag {
                     *slot = tag | u64::from(kl.sample_var(v, rng));

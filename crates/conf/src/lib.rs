@@ -4,7 +4,8 @@
 //! computation techniques" (§2). This crate implements all of them:
 //!
 //! * [`dnf`] — DNF lineage events (clauses are the tuples' world-set
-//!   descriptors);
+//!   descriptors) and their compiled form, the one both engines
+//!   consume;
 //! * [`exact`] — the Koch–Olteanu decomposition-tree algorithm:
 //!   independence partitioning + variable elimination with pluggable
 //!   heuristics (§2.3, "Exact confidence computation");
@@ -25,27 +26,24 @@
 //! The [`ConfMethod`]/[`confidence`] pair is the dispatcher used by the
 //! `conf()` / `aconf(ε,δ)` SQL aggregates in `maybms-core`.
 //!
-//! # Approximate confidence: compile once, sample on demand
+//! # Compile once
 //!
-//! `aconf` compiles a group's lineage once ([`karp_luby::KarpLuby::new`]:
-//! dense local variable indices, flattened clauses and CDFs) and draws
-//! every sample from that — a draw costs in proportion to the assignments
-//! it inspects, allocates nothing and never touches the world table. The
-//! DKLR driver ([`dklr::approximate_seeded`]) pulls samples from a seeded
-//! batch stream as it needs them: the stopping rule stops drawing at the
-//! sample it stops at, and only phases whose length is known up front are
-//! folded batch by batch.
+//! A `conf` / `aconf` call compiles its group's lineage once into a
+//! `dnf::CompiledLineage`. The d-tree recurses over clause-index lists of
+//! it; the Karp–Luby sampler adds CDFs and draws every sample from it
+//! without allocating or touching the world table, and DKLR
+//! ([`dklr::approximate_seeded`]) pulls samples from a seeded batch
+//! stream only as it needs them.
 //!
 //! # Parallelism and determinism
 //!
-//! Results are **bit-identical at any thread count**. The d-tree recursion
-//! fans out independent-partition children on the vendored `maybms-par`
-//! pool (var-disjoint subproblems whose probabilities multiply in a fixed
-//! order — [`exact::probability_par`]). An `aconf` run is single-threaded
-//! and a pure function of its seed — per-batch RNGs derive from SplitMix64
-//! of `(seed, batch index)` ([`karp_luby::SAMPLE_BATCH`]) — so a statement
-//! with several groups parallelises across them, in `maybms-core`, and
-//! nowhere below.
+//! Results are **bit-identical at any thread count**: a d-tree and an
+//! `aconf` run each use their caller's thread. The d-tree is a function
+//! of the clause set, and an `aconf` run a pure function of its seed
+//! (per-batch RNGs from SplitMix64 of `(seed, batch)`,
+//! [`karp_luby::SAMPLE_BATCH`]). Statements parallelise across groups,
+//! in `maybms-core`, and nowhere below — fanning a d-tree's independent
+//! partitions out to the pool measured slower on the compiled form.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,8 +65,6 @@ pub use dnf::Dnf;
 pub enum ConfMethod {
     /// Exact d-tree computation with the standard options (`conf()`).
     Exact,
-    /// Exact with explicit options (ablations).
-    ExactWith(exact::ExactOptions),
     /// `aconf(ε, δ)`: Karp–Luby + DKLR 𝒜𝒜, seeded for reproducibility.
     Approx {
         /// Relative error bound.
@@ -124,10 +120,9 @@ pub struct ConfEffort {
 
 /// Compute the probability of a DNF lineage event with the chosen method.
 ///
-/// `Exact` may fan out on the process-wide `maybms-par` pool; `Approx`
-/// runs on the calling thread. Both are deterministic — `Approx` draws
-/// from the seeded batch stream, so the same `(ε, δ, seed)` returns the
-/// same estimate at any thread count.
+/// Every method runs on the calling thread and is deterministic —
+/// `Approx` draws from the seeded batch stream, so the same `(ε, δ,
+/// seed)` returns the same estimate at any thread count.
 pub fn confidence(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<f64> {
     confidence_with_effort(dnf, wt, method).map(|(p, _)| p)
 }
@@ -144,7 +139,7 @@ pub fn confidence_with_effort(
     span.attr(
         "method",
         match method {
-            ConfMethod::Exact | ConfMethod::ExactWith(_) => "exact",
+            ConfMethod::Exact => "exact",
             ConfMethod::Approx { .. } => "approx",
             ConfMethod::Naive { .. } => "naive",
         },
@@ -152,19 +147,7 @@ pub fn confidence_with_effort(
     let mut effort = ConfEffort { dnf_clauses: dnf.len() as u64, ..ConfEffort::default() };
     let p = match method {
         ConfMethod::Exact => {
-            let opts = exact::ExactOptions::standard();
-            let pool = maybms_par::pool();
-            let (p, stats) = if pool.threads() > 1 {
-                exact::probability_par(dnf, wt, &opts, &pool, exact::PAR_MIN_CLAUSES)?
-            } else {
-                exact::probability_with(dnf, wt, &opts)?
-            };
-            effort.dtree_nodes =
-                (stats.decompositions + stats.eliminations + stats.leaves) as u64;
-            p
-        }
-        ConfMethod::ExactWith(opts) => {
-            let (p, stats) = exact::probability_with(dnf, wt, &opts)?;
+            let (p, stats) = exact::probability_with(dnf, wt, &exact::ExactOptions::standard())?;
             effort.dtree_nodes =
                 (stats.decompositions + stats.eliminations + stats.leaves) as u64;
             p

@@ -1,5 +1,6 @@
 //! Property tests: the exact d-tree algorithm against the enumeration
-//! oracle on random DNFs, in every heuristic configuration; Karp–Luby
+//! oracle on random DNFs, in every heuristic configuration, and against
+//! the recorded output of the recursion it replaced; Karp–Luby
 //! statistical sanity; SPROUT against exact on random hierarchical
 //! instances.
 
@@ -12,6 +13,17 @@ use maybms_engine::{rel, DataType, Expr, Value};
 use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
 use maybms_urel::{Assignment, Var, WorldTable, Wsd};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Every ablation configuration of the exact engine.
+fn all_options() -> impl Iterator<Item = ExactOptions> {
+    [VarChoice::MaxOccurrence, VarChoice::MinDomain, VarChoice::First]
+        .into_iter()
+        .flat_map(|var_choice| {
+            [true, false].map(|decompose| ExactOptions { var_choice, decompose })
+        })
+}
 
 /// A random world table (n variables with domains 2–3) plus a random DNF
 /// over it.
@@ -48,6 +60,55 @@ fn arb_dnf() -> impl Strategy<Value = (WorldTable, Dnf)> {
         })
 }
 
+/// A world table of independent blocks — each 1–2 variables of 2–5
+/// alternatives, one possibly of zero mass — and a DNF over it: per block
+/// 1–3 random clauses plus a duplicate of one and a superset of one (which
+/// absorption must drop), and in one case of six a tautology clause.
+fn arb_lineage() -> impl Strategy<Value = (WorldTable, Dnf)> {
+    let block = (
+        prop::collection::vec((2usize..6, 0usize..6), 1..3),
+        prop::collection::vec(prop::collection::vec((0usize..2, 0u16..5), 1..3), 1..4),
+        (0usize..3, 0usize..3, 0usize..2, 0u16..5),
+    );
+    (prop::collection::vec(block, 1..4), 0u8..6).prop_map(|(blocks, tautology)| {
+        let mut wt = WorldTable::new();
+        let mut clauses = Vec::new();
+        for (specs, raw_clauses, (dup, sup, sup_var, sup_alt)) in blocks {
+            let vars: Vec<Var> = specs
+                .iter()
+                .map(|&(domain, dead)| {
+                    let mut w: Vec<f64> = (1..=domain).map(|i| i as f64).collect();
+                    if dead < domain - 1 {
+                        w[dead] = 0.0;
+                    }
+                    let total: f64 = w.iter().sum();
+                    wt.new_var(&w.iter().map(|x| x / total).collect::<Vec<_>>()).unwrap()
+                })
+                .collect();
+            let lit = |wt: &WorldTable, vi: usize, alt: u16| {
+                let v = vars[vi % vars.len()];
+                Assignment::new(v, alt % wt.domain_size(v).unwrap() as u16)
+            };
+            let block: Vec<Wsd> = raw_clauses
+                .iter()
+                .filter_map(|raw| {
+                    Wsd::from_assignments(raw.iter().map(|&(vi, alt)| lit(&wt, vi, alt)).collect())
+                })
+                .collect();
+            if let (Some(d), Some(s)) = (block.get(dup % block.len().max(1)), block.get(sup % block.len().max(1))) {
+                let extra = lit(&wt, sup_var, sup_alt);
+                clauses.push(d.clone());
+                clauses.extend(s.conjoin(&Wsd::of(extra.var, extra.alt)));
+            }
+            clauses.extend(block);
+        }
+        if tautology == 0 {
+            clauses.push(Wsd::tautology());
+        }
+        (wt, Dnf::new(clauses))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -55,19 +116,27 @@ proptest! {
     #[test]
     fn exact_equals_naive((wt, dnf) in arb_dnf()) {
         let oracle = naive::probability(&dnf, &wt, 1 << 20).unwrap();
-        for var_choice in [VarChoice::MaxOccurrence, VarChoice::MinDomain, VarChoice::First] {
-            for decompose in [true, false] {
-                for simplify in [true, false] {
-                    for memoize in [true, false] {
-                        let opts = ExactOptions { var_choice, decompose, simplify, memoize };
-                        let (p, _) = exact::probability_with(&dnf, &wt, &opts).unwrap();
-                        prop_assert!(
-                            (p - oracle).abs() < 1e-9,
-                            "opts {:?}: exact {} oracle {}", opts, p, oracle
-                        );
-                    }
-                }
-            }
+        for opts in all_options() {
+            let (p, _) = exact::probability_with(&dnf, &wt, &opts).unwrap();
+            prop_assert!(
+                (p - oracle).abs() < 1e-9,
+                "opts {:?}: exact {} oracle {}", opts, p, oracle
+            );
+        }
+    }
+
+    /// The compiled d-tree == naive to 1e-12 on lineage with duplicates,
+    /// absorbed supersets, tautologies, dead alternatives, 2–5-valued
+    /// variables and several independent components.
+    #[test]
+    fn compiled_exact_equals_naive_on_structured_lineage((wt, dnf) in arb_lineage()) {
+        let oracle = naive::probability(&dnf, &wt, 1 << 20).unwrap();
+        for opts in all_options() {
+            let (p, _) = exact::probability_with(&dnf, &wt, &opts).unwrap();
+            prop_assert!(
+                (p - oracle).abs() <= 1e-12,
+                "opts {:?}: exact {} oracle {} on {:?}", opts, p, oracle, dnf
+            );
         }
     }
 
@@ -76,14 +145,6 @@ proptest! {
     fn exact_in_unit_interval((wt, dnf) in arb_dnf()) {
         let p = exact::probability(&dnf, &wt).unwrap();
         prop_assert!((0.0..=1.0 + 1e-12).contains(&p), "p = {}", p);
-    }
-
-    /// Simplification preserves probability.
-    #[test]
-    fn simplify_preserves_probability((wt, dnf) in arb_dnf()) {
-        let a = naive::probability(&dnf, &wt, 1 << 20).unwrap();
-        let b = naive::probability(&dnf.simplify(), &wt, 1 << 20).unwrap();
-        prop_assert!((a - b).abs() < 1e-9);
     }
 
     /// Monotonicity: adding a clause never lowers the probability.
@@ -223,6 +284,69 @@ proptest! {
             prop_assert_eq!(both.satisfied_by(&world), expect, "world {:?}", world);
         }
     }
+}
+
+/// A seeded random lineage: 1–9 variables of 2–4 alternatives (some of
+/// zero mass) and up to 13 clauses of 1–4 literals, some duplicated and
+/// some followed by a one-literal superset.
+fn seeded_lineage(rng: &mut StdRng) -> (WorldTable, Dnf) {
+    let mut wt = WorldTable::new();
+    let n_vars = rng.gen_range(1..10usize);
+    let vars: Vec<Var> = (0..n_vars)
+        .map(|_| {
+            let alts = rng.gen_range(2..5usize);
+            let mut w: Vec<f64> = (0..alts)
+                .map(|_| if rng.gen_range(0..5u32) == 0 { 0.0 } else { rng.gen_range(0.05..1.0) })
+                .collect();
+            w[0] += 0.05;
+            let total: f64 = w.iter().sum();
+            wt.new_var(&w.iter().map(|x| x / total).collect::<Vec<_>>()).unwrap()
+        })
+        .collect();
+    let literal = |rng: &mut StdRng| {
+        let v = vars[rng.gen_range(0..vars.len())];
+        Assignment::new(v, rng.gen_range(0..wt.domain_size(v).unwrap() as u16))
+    };
+    let mut clauses: Vec<Wsd> = Vec::new();
+    for _ in 0..rng.gen_range(0..14usize) {
+        let len = rng.gen_range(1..5usize);
+        let lits = (0..len).map(|_| literal(rng)).collect();
+        let Some(c) = Wsd::from_assignments(lits) else { continue };
+        match rng.gen_range(0..6u32) {
+            0 => clauses.push(c.clone()),
+            1 => {
+                let l = literal(rng);
+                clauses.extend(c.conjoin(&Wsd::of(l.var, l.alt)));
+            }
+            _ => {}
+        }
+        clauses.push(c);
+    }
+    (wt, Dnf::new(clauses))
+}
+
+/// The exact engine's output — probability bits and d-tree shape — over
+/// 2 000 seeded lineages in every ablation configuration, folded into one
+/// FNV-1a digest. The value was recorded from the recursion over `Dnf`s
+/// that the compiled d-tree replaced, so it pins what must not move:
+/// bit-identical probabilities and equal node counts, i.e. the variable
+/// choice with its tie-break, the component and multiplication order and
+/// what absorption drops.
+#[test]
+fn exact_reproduces_the_recorded_dtree() {
+    const RECORDED: u64 = 0x8199_198b_42b8_e7c6;
+    let mut rng = StdRng::seed_from_u64(22);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..2000 {
+        let (wt, dnf) = seeded_lineage(&mut rng);
+        for opts in all_options() {
+            let (p, s) = exact::probability_with(&dnf, &wt, &opts).unwrap();
+            for x in [p.to_bits(), s.decompositions as u64, s.eliminations as u64, s.leaves as u64, s.max_depth as u64] {
+                digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(digest, RECORDED, "digest {digest:#018x}");
 }
 
 /// Statistical check of the DKLR (ε, δ) guarantee on a fixed DNF family —

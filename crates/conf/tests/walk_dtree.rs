@@ -1,0 +1,138 @@
+//! The exact d-tree on the lineage shape `conf_exact` spends its time on —
+//! "some player of a random walk ends in state s", 16 three-literal
+//! clauses per player — plus the governor's hold on it. The governor is
+//! process-global, so this file is its own test binary and its tests
+//! serialise on one lock.
+
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use maybms_conf::exact::{self, ExactOptions, ExactStats};
+use maybms_conf::{confidence_with_effort, ConfMethod, Dnf};
+use maybms_engine::EngineError;
+use maybms_gov::{testing, AbortKind, GovError};
+use maybms_urel::{Assignment, UrelError, Var, WorldTable, Wsd};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn clause(pairs: &[(Var, u16)]) -> Wsd {
+    Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
+        .expect("consistent clause")
+}
+
+/// `players` three-step walks over four states (one four-valued variable
+/// per step and state, as `repair key player, init` creates them): the
+/// lineage of "some player ends in state 2" and its closed form
+/// `1 − Π(1 − pₚ)`, `pₚ` the sum of a player's 16 exclusive paths.
+fn walk_lineage(players: usize, seed: u64) -> (WorldTable, Dnf, f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut wt = WorldTable::new();
+    let mut clauses = Vec::new();
+    let mut none = 1.0;
+    for _ in 0..players {
+        let mut step = || -> [Var; 4] {
+            std::array::from_fn(|_| {
+                let w: [f64; 4] = std::array::from_fn(|_| rng.gen_range(0.05..1.0));
+                let total: f64 = w.iter().sum();
+                wt.new_var(&w.map(|x| x / total)).unwrap()
+            })
+        };
+        let (s1, s2, s3) = (step(), step(), step());
+        let mut p_player = 0.0;
+        for a in 0..4u16 {
+            for b in 0..4u16 {
+                let path = [(s1[0], a), (s2[a as usize], b), (s3[b as usize], 2)];
+                p_player += path.iter().map(|&(v, alt)| wt.distribution(v).unwrap()[alt as usize]).product::<f64>();
+                clauses.push(clause(&path));
+            }
+        }
+        none *= 1.0 - p_player;
+    }
+    (wt, Dnf::new(clauses), 1.0 - none)
+}
+
+/// The value is the closed form, and the d-tree has the shape the
+/// heuristics imply — one partition into players, then per player one
+/// elimination of the first step and four of the second, 16 leaves — so a
+/// change to variable choice, absorption or partitioning shows here.
+#[test]
+fn walk_lineage_has_the_closed_form_and_a_fixed_dtree_shape() {
+    let _g = lock();
+    for players in [1, 7, 80] {
+        let (wt, dnf, closed) = walk_lineage(players, players as u64);
+        let (p, stats) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
+        assert!((p - closed).abs() <= 1e-12, "{players} players: {p} vs {closed}");
+        let decompositions = usize::from(players > 1);
+        assert_eq!(
+            stats,
+            ExactStats {
+                decompositions,
+                eliminations: 5 * players,
+                leaves: 16 * players,
+                max_depth: 3 + decompositions,
+            },
+            "{players} players"
+        );
+    }
+}
+
+/// A deadline interrupts exact `conf()` on a 32 000-clause lineage within
+/// a second of expiring — root absorption included.
+#[test]
+fn exact_conf_on_a_huge_walk_lineage_honours_the_deadline() {
+    let _g = lock();
+    let (wt, dnf, _) = walk_lineage(2000, 5);
+    assert_eq!(dnf.len(), 32_000);
+    let deadline = Duration::from_millis(200);
+    maybms_gov::set_statement_timeout_ms(Some(deadline.as_millis() as u64));
+    let guard = maybms_gov::begin_statement();
+    let t0 = Instant::now();
+    let out = confidence_with_effort(&dnf, &wt, ConfMethod::Exact);
+    let elapsed = t0.elapsed();
+    drop(guard);
+    maybms_gov::set_statement_timeout_ms(None);
+    assert!(
+        matches!(
+            out,
+            Ok(_) | Err(UrelError::Engine(EngineError::Gov(GovError::DeadlineExceeded { .. })))
+        ),
+        "{out:?}"
+    );
+    assert!(elapsed <= deadline + Duration::from_secs(1), "returned after {elapsed:?}");
+}
+
+/// Absorption is a checkpoint every 1 024 subset tests: one short clause
+/// `a=0 ∧ b=0` and 2 048 clauses `a=0 ∧ cᵢ=0 ∧ dᵢ=0` cost 2 048 subset
+/// tests at the root (each long clause against the one strictly shorter
+/// clause that starts with `a=0`, none against its equal-length peers), so
+/// the call passes exactly two checkpoints more than it has d-tree nodes.
+#[test]
+fn absorption_checks_the_governor_every_1024_subset_tests() {
+    let _g = lock();
+    let mut wt = WorldTable::new();
+    let mut var = || wt.new_var(&[0.5, 0.5]).unwrap();
+    let (a, b) = (var(), var());
+    let mut clauses = vec![clause(&[(a, 0), (b, 0)])];
+    for _ in 0..2048 {
+        let (c, d) = (var(), var());
+        clauses.push(clause(&[(a, 0), (c, 0), (d, 0)]));
+    }
+    let dnf = Dnf::new(clauses);
+    const ARMED: u64 = u64::MAX / 2;
+    testing::abort_at_checkpoint(ARMED, AbortKind::Cancel);
+    let guard = maybms_gov::begin_statement();
+    let out = exact::probability_with(&dnf, &wt, &ExactOptions::standard());
+    let left = testing::remaining().expect("injection armed");
+    drop(guard);
+    testing::clear();
+    let (_, stats) = out.unwrap();
+    let nodes = (stats.decompositions + stats.eliminations + stats.leaves) as u64;
+    assert_eq!(nodes, 2048 + 4, "{stats:?}");
+    assert_eq!(ARMED - left, nodes + 2048 / 1024);
+}

@@ -232,21 +232,6 @@ impl Wsd {
             .iter()
             .all(|a| world.get(a.var.0 as usize) == Some(&a.alt))
     }
-
-    /// Condition on `var = alt`: `Some(reduced)` when compatible (with the
-    /// binding removed), `None` when this WSD requires a different
-    /// alternative. Used by the exact algorithm's variable elimination.
-    pub fn condition(&self, var: Var, alt: u16) -> Option<Wsd> {
-        match self.get(var) {
-            None => Some(self.clone()),
-            Some(a) if a == alt => {
-                let reduced =
-                    self.assignments().iter().copied().filter(|x| x.var != var).collect();
-                Some(Wsd::from_sorted(reduced))
-            }
-            Some(_) => None,
-        }
-    }
 }
 
 /// Merge two sorted conflict-checked slices into `buf`; returns the merged
@@ -377,18 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn condition_reduces_or_kills() {
-        let w = Wsd::from_assignments(vec![asg(0, 1), asg(1, 0)]).unwrap();
-        // Compatible binding: assignment removed.
-        let r = w.condition(Var(0), 1).unwrap();
-        assert_eq!(r.assignments(), &[asg(1, 0)]);
-        // Conflicting binding: clause dies.
-        assert!(w.condition(Var(0), 2).is_none());
-        // Unmentioned variable: unchanged.
-        assert_eq!(w.condition(Var(7), 3).unwrap(), w);
-    }
-
-    #[test]
     fn get_binary_search() {
         let w = Wsd::from_assignments(vec![asg(2, 9), asg(5, 1)]).unwrap();
         assert_eq!(w.get(Var(2)), Some(9));
@@ -430,13 +403,13 @@ mod tests {
             Wsd::from_assignments(vec![asg(0, 1), asg(1, 0), asg(2, 1), asg(3, 0)])
                 .unwrap()
         );
-        // Conditioning a heap WSD back down to inline sizes keeps
-        // equality/hash consistent.
-        let reduced = ab.condition(Var(0), 1).unwrap().condition(Var(1), 0).unwrap();
-        assert_eq!(reduced, b);
+        // Equality and hash agree across the boundary: a heap conjunction
+        // finds its directly built twin, an inline one its own.
         let mut set = HashSet::new();
-        set.insert(reduced);
-        assert!(set.contains(&b));
+        set.insert(ab.clone());
+        set.insert(b.clone());
+        assert!(set.contains(&Wsd::from_assignments(vec![asg(3, 0), asg(2, 1), asg(1, 0), asg(0, 1)]).unwrap()));
+        assert!(set.contains(&b.conjoin(&b).unwrap()));
     }
 
     #[test]
