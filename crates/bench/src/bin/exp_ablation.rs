@@ -1,11 +1,15 @@
 //! E7 harness: exact-algorithm ablations — independence decomposition
-//! on/off over block DNFs (d-tree statistics included), and the
-//! variable-elimination heuristics on connected random DNFs.
+//! on/off over block DNFs (d-tree statistics included), the
+//! variable-elimination heuristics on connected random DNFs, and the
+//! independent product against the d-tree on tuple-independent groups.
 
 use std::time::Instant;
 
-use maybms_bench::workloads::{block_dnf, random_dnf, DnfParams};
+use maybms_bench::workloads::{block_dnf, random_dnf, repair_input, DnfParams};
 use maybms_conf::exact::{probability_with, ExactOptions, VarChoice};
+use maybms_conf::{confidence_with_effort, lineage_confidence, ConfMethod, Dnf};
+use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
+use maybms_urel::{UTuple, WorldTable};
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -70,32 +74,31 @@ fn main() {
         println!("{:>16} {:>12.3} {:>14}", name, median(times), stats.eliminations);
     }
 
-    // E7c — the executor's tuple-independent fast path for conf():
-    // 1 − Π(1 − pᵢ) per group instead of building a d-tree.
-    println!("\nE7c — conf() tuple-independence fast path (SQL, grouped pick-tuples)");
-    println!("{:>8} {:>18} {:>18} {:>9}", "rows", "fast path ms", "d-tree ms", "speedup");
-    use maybms_bench::workloads::repair_input;
-    use maybms_core::MayBms;
+    // E7c — conf()'s estimator choice on tuple-independent lineage:
+    // `lineage_confidence` folds 1 − Π(1 − pᵢ) per group where the d-tree
+    // path builds a Dnf and expands it.
+    println!("\nE7c — independent product vs d-tree on pick-tuples groups (4 members each)");
+    println!("{:>8} {:>18} {:>18} {:>9}", "rows", "product ms", "d-tree ms", "speedup");
     for rows in [1_000usize, 10_000] {
-        let input = repair_input(23, rows / 4, 4); // (k, alt, w) rows
-        let run_once = |fast: bool| -> f64 {
-            let mut db = MayBms::new();
-            db.conf_context_mut().sprout_fast_path = fast;
-            db.register("t", input.clone()).unwrap();
-            db.run(
-                "create table picked as
-                 select * from (pick tuples from t with probability 0.5) x",
-            )
-            .unwrap();
-            let t0 = Instant::now();
-            let out = db
-                .query("select k, conf() as p from picked group by k")
-                .unwrap();
-            std::hint::black_box(out.len());
-            t0.elapsed().as_secs_f64() * 1e3
+        let mut wt = WorldTable::new();
+        let input = repair_input(23, rows / 4, 4); // (k, alt, w), k in runs of 4
+        let picked = pick_tuples(&input, &PickTuplesOptions::default(), &mut wt).unwrap();
+        let groups: Vec<&[UTuple]> = picked.tuples().chunks(4).collect();
+        let time = |conf: &dyn Fn(&[UTuple]) -> f64| -> f64 {
+            let runs = (0..5).map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(groups.iter().map(|g| conf(g)).sum::<f64>());
+                t0.elapsed().as_secs_f64() * 1e3
+            });
+            median(runs.collect())
         };
-        let fast = median((0..5).map(|_| run_once(true)).collect());
-        let slow = median((0..5).map(|_| run_once(false)).collect());
-        println!("{:>8} {:>18.3} {:>18.3} {:>8.2}x", rows, fast, slow, slow / fast);
+        let product = time(&|g| {
+            lineage_confidence(g.iter().map(|t| &t.wsd), &wt, ConfMethod::Exact).unwrap().0
+        });
+        let dtree = time(&|g| {
+            let dnf = Dnf::from_wsds(g.iter().map(|t| &t.wsd));
+            confidence_with_effort(&dnf, &wt, ConfMethod::Exact).unwrap().0
+        });
+        println!("{:>8} {:>18.3} {:>18.3} {:>8.2}x", rows, product, dtree, dtree / product);
     }
 }

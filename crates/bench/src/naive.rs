@@ -123,8 +123,8 @@ pub fn nested_loop_join(
 /// GROUP BY is one group, even over no rows). Per group, in member order:
 ///
 /// * `conf` — exact confidence of the DNF of the member WSDs (always the
-///   d-tree; the product may take the SPROUT product instead, so compare
-///   within a tolerance);
+///   d-tree; the product takes `1 − Π(1 − pᵢ)` over tuple-independent
+///   members instead, so compare within a tolerance);
 /// * `esum` / `ecount` — the plain `f64` sum Σ value · P(wsd) (the
 ///   product sums exactly and rounds once: tolerance again, except that
 ///   over t-certain members both are exact);

@@ -3,7 +3,6 @@
 //! Every generator is deterministic in its seed so experiment tables are
 //! reproducible run-to-run.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use maybms_conf::Dnf;
@@ -180,82 +179,6 @@ pub fn walk_group_dnf(seed: u64, players: usize) -> (WorldTable, Dnf) {
     (wt, Dnf::new(clauses))
 }
 
-/// A TPC-H-shaped tuple-independent probabilistic database (E4):
-/// `customer(ck, segment)`, `orders(ok, ck)`, `lineitem(ok, qty)` with a
-/// per-tuple probability column. Stands in for the probabilistic TPC-H
-/// instances of the SPROUT evaluation (see DESIGN.md §1).
-pub fn tpch_ti(
-    seed: u64,
-    customers: usize,
-    orders_per_customer: usize,
-    lineitems_per_order: usize,
-) -> (WorldTable, HashMap<String, URelation>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut wt = WorldTable::new();
-    let mut tables = HashMap::new();
-
-    let segments = ["BUILDING", "AUTOMOBILE", "MACHINERY"];
-    let mut cust_rows = Vec::new();
-    for ck in 0..customers {
-        cust_rows.push(vec![
-            Value::Int(ck as i64),
-            Value::str(segments[rng.gen_range(0..segments.len())]),
-            Value::Float(rng.gen_range(0.05..1.0)),
-        ]);
-    }
-    let customer = maybms_engine::rel(
-        &[("ck", DataType::Int), ("segment", DataType::Text), ("prob", DataType::Float)],
-        cust_rows,
-    );
-
-    let mut order_rows = Vec::new();
-    let mut ok = 0i64;
-    for ck in 0..customers {
-        for _ in 0..orders_per_customer {
-            order_rows.push(vec![
-                Value::Int(ok),
-                Value::Int(ck as i64),
-                Value::Float(rng.gen_range(0.05..1.0)),
-            ]);
-            ok += 1;
-        }
-    }
-    let orders = maybms_engine::rel(
-        &[("ok", DataType::Int), ("ck", DataType::Int), ("prob", DataType::Float)],
-        order_rows,
-    );
-
-    let mut li_rows = Vec::new();
-    for o in 0..ok {
-        for _ in 0..lineitems_per_order {
-            li_rows.push(vec![
-                Value::Int(o),
-                Value::Int(rng.gen_range(1..50)),
-                Value::Float(rng.gen_range(0.05..1.0)),
-            ]);
-        }
-    }
-    let lineitem = maybms_engine::rel(
-        &[("ok", DataType::Int), ("qty", DataType::Int), ("prob", DataType::Float)],
-        li_rows,
-    );
-
-    let opts = PickTuplesOptions { probability: Some(Expr::col("prob")) };
-    tables.insert(
-        "customer".to_string(),
-        pick_tuples(&customer, &opts, &mut wt).expect("valid probabilities"),
-    );
-    tables.insert(
-        "orders".to_string(),
-        pick_tuples(&orders, &opts, &mut wt).expect("valid probabilities"),
-    );
-    tables.insert(
-        "lineitem".to_string(),
-        pick_tuples(&lineitem, &opts, &mut wt).expect("valid probabilities"),
-    );
-    (wt, tables)
-}
-
 /// E5 workload: a pair of relations (certain twin + uncertain twin over a
 /// fresh world table). The uncertain twin conditions every row on a fresh
 /// Boolean variable, so it represents 2^rows worlds while storing the same
@@ -352,17 +275,6 @@ mod tests {
         let e = maybms_conf::exact::probability(&d, &wt).unwrap();
         let n = maybms_conf::naive::probability(&d, &wt, 1 << 20).unwrap();
         assert!((e - n).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tpch_tables_are_tuple_independent() {
-        let (_wt, tables) = tpch_ti(3, 10, 2, 3);
-        assert_eq!(tables["customer"].len(), 10);
-        assert_eq!(tables["orders"].len(), 20);
-        assert_eq!(tables["lineitem"].len(), 60);
-        for t in tables.values() {
-            assert!(maybms_conf::sprout::is_tuple_independent(t));
-        }
     }
 
     #[test]

@@ -64,7 +64,6 @@ proptest! {
             r.schema().fields().to_vec(),
             &[],
             &WorldTable::new(),
-            &agg::ConfContext::default(),
             None,
         )
         .unwrap();

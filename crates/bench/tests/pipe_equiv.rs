@@ -296,7 +296,7 @@ proptest! {
     /// their conditions dropped (they are typing errors otherwise). Keys,
     /// standard aggregates, `argmax` and `aconf` are bit-equal; `conf`/`esum`/`ecount` agree within
     /// 1e-9 (the oracle adds plain `f64`s and always walks the d-tree,
-    /// the breaker sums exactly and may take the SPROUT product), and
+    /// the breaker sums exactly and may take the independent product), and
     /// `ecount` over a t-certain chain is bit-equal (it is a count).
     #[test]
     fn grouped_streaming_matches_oracle(
@@ -356,8 +356,7 @@ proptest! {
                 "best".into(),
             )],
         };
-        let ctx = uagg::ConfContext::default();
-        let want = aggregate_u(&eager, &grouping, &aggs, &wt, ctx.seed);
+        let want = aggregate_u(&eager, &grouping, &aggs, &wt, uagg::ACONF_SEED);
         // Per-query collectors attached at every thread count: results
         // AND collected stats (per-stage rows, group counts, estimator
         // effort) must be bit-identical.
@@ -373,7 +372,6 @@ proptest! {
                 key_fields.clone(),
                 &aggs,
                 &wt,
-                &ctx,
                 Some(&qs),
                 &pool,
                 1,
@@ -548,7 +546,7 @@ proptest! {
                 .collect();
             for threads in [1usize, 2, 8] {
                 maybms_par::set_threads(threads);
-                let mut ctx = maybms_core::exec::ExecCtx::new(&catalog, &mut wt, Default::default());
+                let mut ctx = maybms_core::exec::ExecCtx::new(&catalog, &mut wt);
                 ctx.min_morsel = 1;
                 let got = maybms_core::exec::eval_query_rel(&query, &mut ctx).unwrap();
                 let got = render(

@@ -1,16 +1,10 @@
 //! Property tests: the exact d-tree algorithm against the enumeration
 //! oracle on random DNFs, in every heuristic configuration, and against
 //! the recorded output of the recursion it replaced; Karp–Luby
-//! statistical sanity; SPROUT against exact on random hierarchical
-//! instances.
-
-use std::collections::HashMap;
+//! statistical sanity.
 
 use maybms_conf::exact::{self, ExactOptions, VarChoice};
-use maybms_conf::sprout::{self, Cq, SproutDb, Subgoal, Term};
 use maybms_conf::{naive, Dnf};
-use maybms_engine::{rel, DataType, Expr, Value};
-use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
 use maybms_urel::{Assignment, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -157,73 +151,6 @@ proptest! {
         let p_small = exact::probability(&smaller, &wt).unwrap();
         let p_full = exact::probability(&dnf, &wt).unwrap();
         prop_assert!(p_full >= p_small - 1e-12, "dropped {:?}", dropped);
-    }
-}
-
-// Random hierarchical 2-chain instances: q(a?) :- R(a,b), S(b,c).
-// SPROUT eager == lazy == exact-on-lineage.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn sprout_agrees_with_exact(
-        r_rows in prop::collection::vec((0i64..3, 0i64..4, 1u32..10), 1..8),
-        s_rows in prop::collection::vec((0i64..4, 0i64..3, 1u32..10), 1..8),
-        boolean in any::<bool>(),
-    ) {
-        let mut wt = WorldTable::new();
-        let mk = |wt: &mut WorldTable, rows: &[(i64, i64, u32)]| {
-            let r = rel(
-                &[("x", DataType::Int), ("y", DataType::Int), ("p", DataType::Float)],
-                rows.iter()
-                    .map(|&(x, y, p)| {
-                        vec![Value::Int(x), Value::Int(y), Value::Float(f64::from(p) / 10.0)]
-                    })
-                    .collect(),
-            );
-            pick_tuples(&r, &PickTuplesOptions { probability: Some(Expr::col("p")) }, wt)
-                .unwrap()
-        };
-        let mut tables = HashMap::new();
-        tables.insert("R".to_string(), mk(&mut wt, &r_rows));
-        tables.insert("S".to_string(), mk(&mut wt, &s_rows));
-        let head = if boolean { vec![] } else { vec!["a".to_string()] };
-        let q = Cq {
-            head: head.clone(),
-            subgoals: vec![
-                Subgoal {
-                    table: "R".into(),
-                    terms: vec![
-                        Term::Var("a".into()),
-                        Term::Var("b".into()),
-                        Term::Var("pr".into()),
-                    ],
-                },
-                Subgoal {
-                    table: "S".into(),
-                    terms: vec![
-                        Term::Var("b".into()),
-                        Term::Var("c".into()),
-                        Term::Var("ps".into()),
-                    ],
-                },
-            ],
-        };
-        let plan = sprout::safe_plan(&q).expect("hierarchical");
-        let sdb = SproutDb { tables: &tables, wt: &wt };
-        let mut eager = sprout::eval_eager(&sdb, &plan).unwrap();
-        let mut lazy = sprout::eval_lazy(&sdb, &plan).unwrap();
-        eager.sort_by(|a, b| a.0.cmp(&b.0));
-        lazy.sort_by(|a, b| a.0.cmp(&b.0));
-        prop_assert_eq!(eager.len(), lazy.len());
-        let lineages = sprout::lineage_dnf(&sdb, &plan, &head).unwrap();
-        // Every row with nonzero probability appears with the exact value.
-        for ((row_e, pe), (row_l, pl)) in eager.iter().zip(&lazy) {
-            prop_assert_eq!(row_e, row_l);
-            prop_assert!((pe - pl).abs() < 1e-9, "eager {} lazy {}", pe, pl);
-            let truth = exact::probability(&lineages[row_e], &wt).unwrap();
-            prop_assert!((pe - truth).abs() < 1e-9, "sprout {} exact {}", pe, truth);
-        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The exact d-tree on the lineage shape `conf_exact` spends its time on —
 //! "some player of a random walk ends in state s", 16 three-literal
-//! clauses per player — plus the governor's hold on it. The governor is
+//! clauses per player — and on a hierarchical join's lineage, plus the
+//! governor's hold on it. The governor is
 //! process-global, so this file is its own test binary and its tests
 //! serialise on one lock.
 
@@ -80,6 +81,81 @@ fn walk_lineage_has_the_closed_form_and_a_fixed_dtree_shape() {
             "{players} players"
         );
     }
+}
+
+/// The lineage of the hierarchical Boolean query `∃a,b,c R(a,b) ∧ S(b,c)`
+/// over tuple-independent `R` and `S` (one fresh Boolean variable per
+/// tuple, `R`'s created first): `bs` join values with 0–3 tuples on each
+/// side, and a clause `r ∧ s` per matching pair. Returned with its safe-plan
+/// closed form `1 − Π_b(1 − (1 − Π_{r∈R_b}(1 − p_r))·(1 − Π_{s∈S_b}(1 − p_s)))`
+/// and its tuple count.
+fn hierarchical_lineage(bs: usize, rng: &mut StdRng) -> (WorldTable, Dnf, f64, usize) {
+    let mut wt = WorldTable::new();
+    let sizes: Vec<[usize; 2]> = (0..bs).map(|_| [rng.gen_range(0..4), rng.gen_range(0..4)]).collect();
+    // vars[side][b]: the variables of R_b (side 0) and S_b (side 1).
+    let vars: [Vec<Vec<Var>>; 2] = std::array::from_fn(|side| {
+        sizes
+            .iter()
+            .map(|size| {
+                (0..size[side])
+                    .map(|_| {
+                        let p = rng.gen_range(0.05..0.95);
+                        wt.new_var(&[1.0 - p, p]).unwrap()
+                    })
+                    .collect()
+            })
+            .collect()
+    });
+    let present = |v: Var| wt.distribution(v).unwrap()[1];
+    let mut clauses = Vec::new();
+    let mut none = 1.0;
+    for (rs, ss) in vars[0].iter().zip(&vars[1]) {
+        for &r in rs {
+            clauses.extend(ss.iter().map(|&s| clause(&[(r, 1), (s, 1)])));
+        }
+        let some = |side: &[Var]| 1.0 - side.iter().fold(1.0, |q, &v| q * (1.0 - present(v)));
+        none *= 1.0 - some(rs) * some(ss);
+    }
+    (wt, Dnf::new(clauses), 1.0 - none, sizes.iter().flatten().sum())
+}
+
+/// What a safe plan computes for a hierarchical query on tuple-independent
+/// tables, the d-tree computes from its lineage — and in a tree whose size
+/// is linear in the tuples: one partition into join values, then per
+/// value an elimination of each `R_b` tuple whose `r = 1` branch absorbs
+/// into independent `S_b` leaves. The pinned counts grow tenfold with the
+/// tuples, so a heuristic change that loses tractability fails here.
+#[test]
+fn hierarchical_lineage_is_tractable_for_the_dtree() {
+    let _g = lock();
+    let mut rng = StdRng::seed_from_u64(23);
+    for _ in 0..64 {
+        let bs = rng.gen_range(1..40);
+        let (wt, dnf, closed, _) = hierarchical_lineage(bs, &mut rng);
+        let p = exact::probability(&dnf, &wt).unwrap();
+        assert!((p - closed).abs() <= 1e-12, "{bs} join values: {p} vs {closed}");
+    }
+    let mut shapes = Vec::new();
+    for bs in [100, 1_000, 10_000] {
+        let (wt, dnf, closed, tuples) = hierarchical_lineage(bs, &mut StdRng::seed_from_u64(7));
+        let (p, stats) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
+        assert!((p - closed).abs() <= 1e-12, "{bs} join values: {p} vs {closed}");
+        shapes.push((tuples, dnf.len(), stats));
+    }
+    let dtree = |decompositions, eliminations, leaves| ExactStats {
+        decompositions,
+        eliminations,
+        leaves,
+        max_depth: 6,
+    };
+    assert_eq!(
+        shapes,
+        [
+            (295, 217, dtree(81, 80, 268)),
+            (3_021, 2_326, dtree(846, 845, 2_845)),
+            (29_929, 22_450, dtree(8_090, 8_089, 27_439)),
+        ]
+    );
 }
 
 /// A deadline interrupts exact `conf()` on a 32 000-clause lineage within

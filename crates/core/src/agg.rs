@@ -18,13 +18,15 @@
 //! Per-group aggregate evaluation (in particular the per-group `conf()`
 //! calls, each an independent #P-hard subproblem) goes through one
 //! scheduler, `eval_group_rows`: it numbers `aconf` seeds by (group,
-//! slot) rather than a running counter, so the output is identical at any
-//! thread count, and it alone decides whether the groups fan out to the
-//! `maybms-par` pool (an `aconf` run itself is single-threaded).
+//! slot) from [`ACONF_SEED`] rather than a running counter, so the output
+//! is identical at any thread count, and it alone decides whether the
+//! groups fan out to the `maybms-par` pool (an `aconf` run itself is
+//! single-threaded). Which estimator a `conf` / `aconf` slot runs is
+//! [`maybms_conf::lineage_confidence`]'s choice.
 
 use std::sync::Arc;
 
-use maybms_conf::{confidence_with_effort, ConfEffort, ConfMethod, Dnf};
+use maybms_conf::{lineage_confidence, ConfEffort, ConfMethod};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
 use maybms_engine::{DataType, EngineError, Expr, Field, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
@@ -51,33 +53,9 @@ const DISTINCT_ON_UNCERTAIN: &str = "SELECT DISTINCT (or GROUP BY without an agg
 /// remap so the wording cannot drift.
 const ESUM_NON_NUMERIC: &str = "esum over non-numeric value";
 
-/// How `conf()` should be computed (the executor threads this through so
-/// benches can switch engines and `aconf` can carry its parameters).
-#[derive(Debug, Clone, Copy)]
-pub struct ConfContext {
-    /// Method used by `conf()`.
-    pub exact: ConfMethod,
-    /// Seed source for `aconf` (bumped per call by the session).
-    pub seed: u64,
-    /// Use the tuple-independence fast path (SPROUT-style reduction of
-    /// confidence to an aggregation) when the group's lineage allows it.
-    pub sprout_fast_path: bool,
-}
-
-impl Default for ConfContext {
-    fn default() -> Self {
-        ConfContext { exact: ConfMethod::Exact, seed: 0x5eed, sprout_fast_path: true }
-    }
-}
-
-/// Is this lineage tuple-independent (each clause at most one
-/// assignment, no variable shared between clauses)? If so `conf` reduces to
-/// the aggregation `1 − Π(1 − pᵢ)` — the SPROUT fast path (§2.3).
-fn independent_wsds<'a>(wsds: impl Iterator<Item = &'a Wsd>) -> bool {
-    let mut seen = std::collections::HashSet::new();
-    let mut wsds = wsds;
-    wsds.all(|wsd| wsd.len() <= 1 && wsd.vars().all(|v| seen.insert(v)))
-}
+/// Seed base of `aconf`: group `g`'s `j`-th `aconf` slot (1-based) draws
+/// seed `ACONF_SEED + g·n_aconf + j`.
+pub const ACONF_SEED: u64 = 0x5eed;
 
 /// Record one confidence computation's effort into an attached per-query
 /// collector. Everything added is an order-independent sum/max, so the
@@ -100,53 +78,19 @@ fn record_effort(stats: Option<&maybms_obs::QueryStats>, effort: &ConfEffort) {
     }
 }
 
-/// Compute one confidence value from a group's lineage (its member
-/// tuples' WSDs). With a collector attached, the call's effort (d-tree
-/// nodes, samples drawn, achieved relative standard error) is recorded
-/// into it.
-pub fn lineage_confidence<'a>(
-    lineage: impl Iterator<Item = &'a Wsd> + Clone,
-    wt: &WorldTable,
-    method: ConfMethod,
-    ctx: &ConfContext,
-    stats: Option<&maybms_obs::QueryStats>,
-) -> Result<f64> {
-    if ctx.sprout_fast_path
-        && matches!(method, ConfMethod::Exact)
-        && independent_wsds(lineage.clone())
-    {
-        // SPROUT fast path: no d-tree, no sampling — just the clauses.
-        // Still a conf call, so it gets a `conf` span like the engines do.
-        let mut span = maybms_obs::trace::span("conf");
-        span.attr("method", "sprout");
-        let mut clauses = 0u64;
-        let mut none = 1.0;
-        for wsd in lineage {
-            clauses += 1;
-            none *= 1.0 - wsd.prob(wt)?;
-        }
-        span.attr("dnf_clauses", clauses);
-        record_effort(stats, &ConfEffort { dnf_clauses: clauses, ..Default::default() });
-        return Ok(1.0 - none);
-    }
-    let dnf = Dnf::from_wsds(lineage);
-    let (p, effort) = confidence_with_effort(&dnf, wt, method)?;
-    record_effort(stats, &effort);
-    Ok(p)
-}
-
 /// What one group's `conf`/`aconf` slots evaluate with; handed to the row
 /// evaluator by `eval_group_rows`.
 struct ConfSlots<'a> {
     wt: &'a WorldTable,
-    ctx: &'a ConfContext,
     stats: Option<&'a maybms_obs::QueryStats>,
     /// Seed of the group's previous `aconf` slot.
     seed: u64,
 }
 
 impl ConfSlots<'_> {
-    /// The value of a `conf` / `aconf` aggregate over `lineage`.
+    /// The value of a `conf` / `aconf` aggregate over `lineage`; with a
+    /// collector attached, the call's effort (d-tree nodes, samples drawn,
+    /// achieved relative standard error) is recorded into it.
     fn eval<'w>(
         &mut self,
         spec: &AggSpec,
@@ -157,9 +101,10 @@ impl ConfSlots<'_> {
                 self.seed = self.seed.wrapping_add(1);
                 ConfMethod::Approx { epsilon: *epsilon, delta: *delta, seed: self.seed }
             }
-            _ => self.ctx.exact,
+            _ => ConfMethod::Exact,
         };
-        let p = lineage_confidence(lineage, self.wt, method, self.ctx, self.stats)?;
+        let (p, effort) = lineage_confidence(lineage, self.wt, method)?;
+        record_effort(self.stats, &effort);
         Ok(Value::float(p)?)
     }
 }
@@ -168,7 +113,7 @@ impl ConfSlots<'_> {
 /// group breaker's finish. It owns two decisions:
 ///
 /// * **seed numbering** — group `g`'s `j`-th `aconf` call (1-based) draws
-///   seed `ctx.seed + g·n_aconf + j`, the sequence a sequential running
+///   seed `ACONF_SEED + g·n_aconf + j`, the sequence a sequential running
 ///   bump over the groups produces, so rows are identical whether groups
 ///   evaluate in a loop or fan out;
 /// * **the statement's one level of parallelism** — with at least 8 groups
@@ -180,7 +125,6 @@ fn eval_group_rows(
     n_groups: usize,
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
-    ctx: &ConfContext,
     stats: Option<&maybms_obs::QueryStats>,
     pool: &ThreadPool,
     eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<UTuple> + Sync,
@@ -188,8 +132,8 @@ fn eval_group_rows(
     let n_aconf =
         aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count() as u64;
     let row = |g: usize| {
-        let seed = ctx.seed.wrapping_add(g as u64 * n_aconf);
-        eval_row(g, &mut ConfSlots { wt, ctx, stats, seed })
+        let seed = ACONF_SEED.wrapping_add(g as u64 * n_aconf);
+        eval_row(g, &mut ConfSlots { wt, stats, seed })
     };
     if n_groups >= 8 && pool.threads() > 1 {
         // Per-group confidence computation (#P-hard in general) dominates;
@@ -318,7 +262,6 @@ pub fn aggregate_stream(
     key_fields: Vec<Field>,
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
-    ctx: &ConfContext,
     stats: Option<&maybms_obs::QueryStats>,
 ) -> Result<URelation> {
     let pool = maybms_par::pool();
@@ -329,7 +272,6 @@ pub fn aggregate_stream(
         key_fields,
         aggs,
         wt,
-        ctx,
         stats,
         &pool,
         maybms_engine::ops::PAR_MIN_CHUNK,
@@ -356,7 +298,6 @@ pub fn aggregate_stream_with(
     key_fields: Vec<Field>,
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
-    ctx: &ConfContext,
     stats: Option<&maybms_obs::QueryStats>,
     pool: &maybms_par::ThreadPool,
     min_morsel: usize,
@@ -526,7 +467,7 @@ pub fn aggregate_stream_with(
         }
         Ok(UTuple::certain(Tuple::new(row)))
     };
-    let out = eval_group_rows(keys.len(), aggs, wt, ctx, stats, pool, eval_row)?;
+    let out = eval_group_rows(keys.len(), aggs, wt, stats, pool, eval_row)?;
     Ok(URelation::new(schema, out))
 }
 
@@ -598,23 +539,6 @@ mod tests {
     use super::*;
     use maybms_engine::{rel, DataType};
     use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
-    use maybms_urel::repair::{repair_key, RepairKeyOptions};
-
-    /// Confidence of the lineage of `u`'s tuples whose first column is
-    /// `key` (every tuple when `None`).
-    fn group_confidence(
-        u: &URelation,
-        key: Option<&str>,
-        wt: &WorldTable,
-        ctx: &ConfContext,
-    ) -> f64 {
-        let members = u
-            .tuples()
-            .iter()
-            .filter(|t| key.is_none_or(|k| t.data.value(0) == &Value::str(k)))
-            .map(|t| &t.wsd);
-        lineage_confidence(members, wt, ConfMethod::Exact, ctx, None).unwrap()
-    }
 
     /// The group breaker over a plain scan of `u`, on the process pool.
     fn aggregate(
@@ -633,7 +557,6 @@ mod tests {
             key_fields,
             aggs,
             wt,
-            &ConfContext::default(),
             None,
         )
     }
@@ -659,20 +582,6 @@ mod tests {
         )
         .unwrap();
         (wt, u)
-    }
-
-    #[test]
-    fn conf_groups_with_fast_path_and_dtree_agree() {
-        let (wt, u) = ti_setup();
-        let ctx_fast = ConfContext::default();
-        let ctx_slow = ConfContext { sprout_fast_path: false, ..Default::default() };
-        for key in ["a", "b"] {
-            let a = group_confidence(&u, Some(key), &wt, &ctx_fast);
-            let b = group_confidence(&u, Some(key), &wt, &ctx_slow);
-            assert!((a - b).abs() < 1e-12);
-        }
-        // Group "a": 1 - 0.5 * 0.5 = 0.75.
-        assert!((group_confidence(&u, Some("a"), &wt, &ctx_fast) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -748,7 +657,6 @@ mod tests {
                 vec![Field::new("team", DataType::Text)],
                 &aggs,
                 &WorldTable::new(),
-                &ConfContext::default(),
                 None,
                 &maybms_par::ThreadPool::new(threads),
                 1,
@@ -787,25 +695,5 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(out.tuples()[0].data.value(1), &Value::Float(0.5));
         assert_eq!(out.tuples()[2].data.value(1), &Value::Float(0.25));
-    }
-
-    #[test]
-    fn conf_on_repair_key_groups_uses_dtree() {
-        // Repair-key output is NOT tuple-independent: the fast path must
-        // detect this and fall through to the d-tree.
-        let mut wt = WorldTable::new();
-        let r = rel(
-            &[("k", DataType::Int), ("v", DataType::Int)],
-            vec![
-                vec![1.into(), 1.into()],
-                vec![1.into(), 2.into()],
-                vec![1.into(), 3.into()],
-            ],
-        );
-        let u = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt)
-            .unwrap();
-        // P(any tuple exists) = 1 (repair always keeps one).
-        let p = group_confidence(&u, None, &wt, &ConfContext::default());
-        assert!((p - 1.0).abs() < 1e-12);
     }
 }

@@ -20,7 +20,6 @@ use maybms_sql::{parse_statement, parse_statements, InsertSource, Statement};
 use maybms_store::{Op, Store, StoreError, StoreStatus, Vfs};
 use maybms_urel::{URelation, UTuple, WorldTable};
 
-use crate::agg::ConfContext;
 use crate::error::{plan_err, unsupported, CoreError, Result};
 use crate::exec::{eval_query, eval_query_rel, ExecCtx, PlanStep, QueryOutput};
 use crate::translate::{data_type_of, scalar};
@@ -64,7 +63,6 @@ pub struct RecoveryReport {
 pub struct MayBms {
     tables: BTreeMap<String, URelation>,
     wt: WorldTable,
-    conf: ConfContext,
     store: Option<Store>,
     recovery: Option<RecoveryReport>,
     /// Stats collected for the most recently executed statement (the
@@ -110,7 +108,6 @@ impl MayBms {
             }),
             tables,
             wt: recovered.wt,
-            conf: ConfContext::default(),
             store: Some(store),
             last_stats: None,
         })
@@ -135,8 +132,7 @@ impl MayBms {
                 ))
             }
         };
-        let mut fresh = Self::open_with_vfs(vfs)?;
-        fresh.conf = self.conf;
+        let fresh = Self::open_with_vfs(vfs)?;
         let report = fresh.recovery.expect("open_with_vfs records a recovery report");
         *self = fresh;
         Ok(report)
@@ -214,12 +210,6 @@ impl MayBms {
             .iter()
             .map(|(name, u)| (name.clone(), u.instantiate(&world)))
             .collect()
-    }
-
-    /// The confidence-computation configuration (mutable, so callers can
-    /// switch `conf()` engines or reseed `aconf`).
-    pub fn conf_context_mut(&mut self) -> &mut ConfContext {
-        &mut self.conf
     }
 
     /// The per-query stats collected for the most recently executed
@@ -451,13 +441,13 @@ impl MayBms {
     ) -> Result<StatementResult> {
         match stmt {
             Statement::Select(q) => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, self.conf);
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
                 ctx.stats = Some(stats.clone());
                 let out = eval_query(q, &mut ctx)?;
                 Ok(StatementResult::Query(out))
             }
             Statement::Explain { query, analyze } => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, self.conf);
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
                 ctx.trace = Some(Vec::new());
                 if *analyze {
                     ctx.stats = Some(stats.clone());
@@ -515,7 +505,7 @@ impl MayBms {
                 Ok(StatementResult::Ok { message: "CREATE TABLE".into() })
             }
             Statement::CreateTableAs { name, query } => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, self.conf);
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
                 ctx.stats = Some(stats.clone());
                 let out = eval_query_rel(query, &mut ctx)?;
                 self.register_u(name, out)?;
@@ -568,7 +558,7 @@ impl MayBms {
                     .collect::<Result<_>>()?
             }
             InsertSource::Query(q) => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, self.conf);
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
                 let out = eval_query(q, &mut ctx)?;
                 match out {
                     QueryOutput::Certain(r) => r.into_tuples(),

@@ -51,7 +51,7 @@ use maybms_urel::{
     WorldTable,
 };
 
-use crate::agg::{self, ConfContext};
+use crate::agg;
 use crate::error::{plan_err, typing, Result};
 use crate::translate::{classify_item, scalar, AggSpec, Item};
 
@@ -62,8 +62,6 @@ pub struct ExecCtx<'a> {
     /// The shared world table (mutable: `repair key` / `pick tuples`
     /// register fresh variables).
     pub wt: &'a mut WorldTable,
-    /// Confidence-computation configuration.
-    pub conf: ConfContext,
     /// When set, every pipeline the executor collects and every breaker
     /// it runs appends a [`PlanStep`] — the `EXPLAIN` implementation.
     pub trace: Option<Vec<PlanStep>>,
@@ -81,15 +79,10 @@ pub struct ExecCtx<'a> {
 
 impl<'a> ExecCtx<'a> {
     /// A context without explain tracing or stats collection.
-    pub fn new(
-        catalog: &'a BTreeMap<String, URelation>,
-        wt: &'a mut WorldTable,
-        conf: ConfContext,
-    ) -> ExecCtx<'a> {
+    pub fn new(catalog: &'a BTreeMap<String, URelation>, wt: &'a mut WorldTable) -> ExecCtx<'a> {
         ExecCtx {
             catalog,
             wt,
-            conf,
             trace: None,
             stats: None,
             min_morsel: maybms_engine::ops::PAR_MIN_CHUNK,
@@ -755,7 +748,6 @@ fn group_stream(
         key_fields,
         aggs,
         ctx.wt,
-        &ctx.conf,
         ctx.stats.as_deref(),
         &maybms_par::pool(),
         ctx.min_morsel,
@@ -1114,7 +1106,7 @@ mod tests {
 
     fn run(sql: &str) -> Result<QueryOutput> {
         let (catalog, mut wt) = fixture();
-        let mut ctx = ExecCtx::new(&catalog, &mut wt, ConfContext::default());
+        let mut ctx = ExecCtx::new(&catalog, &mut wt);
         let q = parse_query(sql).unwrap();
         eval_query(&q, &mut ctx)
     }
@@ -1334,7 +1326,7 @@ mod tests {
     #[test]
     fn order_by_on_uncertain_representation() {
         let (catalog, mut wt) = fixture();
-        let mut ctx = ExecCtx::new(&catalog, &mut wt, ConfContext::default());
+        let mut ctx = ExecCtx::new(&catalog, &mut wt);
         let q = parse_query(
             "select * from (pick tuples from games) p order by pts desc",
         )
@@ -1355,7 +1347,7 @@ mod tests {
         // Positive IN over an uncertain subquery: rewrites to a join; the
         // result is uncertain (conditions ride along).
         let (catalog, mut wt) = fixture();
-        let mut ctx = ExecCtx::new(&catalog, &mut wt, ConfContext::default());
+        let mut ctx = ExecCtx::new(&catalog, &mut wt);
         let q = parse_query(
             "select player from games where team in
                (select team from (pick tuples from teams) pt)",

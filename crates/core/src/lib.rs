@@ -53,7 +53,6 @@ pub mod error;
 pub mod exec;
 pub mod translate;
 
-pub use agg::ConfContext;
 pub use db::{MayBms, RecoveryReport, StatementResult};
 pub use error::{CoreError, Result};
 pub use exec::QueryOutput;

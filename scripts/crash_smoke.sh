@@ -36,13 +36,19 @@ SHELL_PID=$!
 } > "$DATA_DIR/stdin" &
 FEED_PID=$!
 
-# Wait for the post-checkpoint insert to be acknowledged in the output.
+# Wait for the post-checkpoint insert to be acknowledged in the output:
+# a line ending in exactly `INSERT 1` (the demo's own `INSERT 17` must not
+# match) after the CHECKPOINT line.
+acknowledged() {
+    awk '/CHECKPOINT/ { seen = 1 } seen && /(^| )INSERT 1$/ { ok = 1 } END { exit !ok }' \
+        "$DATA_DIR/phase1.out" 2>/dev/null
+}
 for _ in $(seq 1 100); do
-    grep -q "INSERT 1" "$DATA_DIR/phase1.out" 2>/dev/null && break
+    acknowledged && break
     kill -0 "$SHELL_PID" 2>/dev/null || fail "shell died early: $(cat "$DATA_DIR/phase1.out")"
     sleep 0.1
 done
-grep -q "INSERT 1" "$DATA_DIR/phase1.out" || fail "post-checkpoint insert never acknowledged: $(cat "$DATA_DIR/phase1.out")"
+acknowledged || fail "post-checkpoint insert never acknowledged: $(cat "$DATA_DIR/phase1.out")"
 
 kill -9 "$SHELL_PID" 2>/dev/null
 kill "$FEED_PID" 2>/dev/null

@@ -6,8 +6,8 @@
 //! (`repair key`, `pick tuples`, `conf`, `aconf`, `tconf`, `possible`,
 //! `esum`, `ecount`, `argmax`), and the full portfolio of confidence
 //! computation engines (exact decomposition trees, Karp–Luby + DKLR
-//! optimal Monte Carlo, SPROUT safe plans) on top of an in-memory
-//! relational engine.
+//! optimal Monte Carlo, and the independent product for tuple-independent
+//! lineage) on top of an in-memory relational engine.
 //!
 //! This facade crate re-exports the public API of the workspace:
 //!
@@ -46,4 +46,4 @@ pub use maybms_sql as sql;
 pub use maybms_store as store;
 pub use maybms_urel as urel;
 
-pub use maybms_core::{ConfContext, CoreError, MayBms, QueryOutput, Result, StatementResult};
+pub use maybms_core::{CoreError, MayBms, QueryOutput, Result, StatementResult};

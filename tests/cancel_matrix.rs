@@ -346,7 +346,7 @@ fn aconf_checkpoints_are_its_batch_boundaries() {
     let kl = KarpLuby::new(&dnf, db.world_table()).unwrap();
     let opts = DklrOptions::new(0.05, 0.05);
     // The single group's single aconf slot: (group 0, slot 1).
-    let seed = maybms::ConfContext::default().seed + 1;
+    let seed = maybms::core::agg::ACONF_SEED + 1;
     // One direct run under a statement guard, `kind` injected at `nth`.
     let direct = |nth: u64, kind: AbortKind| -> (Result<Approximation, ()>, Option<u64>) {
         testing::abort_at_checkpoint(nth, kind);
