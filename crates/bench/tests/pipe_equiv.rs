@@ -548,7 +548,8 @@ proptest! {
                 maybms_par::set_threads(threads);
                 let mut ctx = maybms_core::exec::ExecCtx::new(&catalog, &mut wt);
                 ctx.min_morsel = 1;
-                let got = maybms_core::exec::eval_query_rel(&query, &mut ctx).unwrap();
+                let plan = maybms_core::plan::plan_query(&query, &catalog).unwrap();
+                let got = maybms_core::exec::run(&plan, &mut ctx).unwrap();
                 let got = render(
                     got.tuples()
                         .iter()

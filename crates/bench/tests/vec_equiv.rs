@@ -493,25 +493,28 @@ fn regression_fold_keeps_error_beside_constant_false() {
     check_chain(&t, &steps);
 }
 
+/// The stage lines `EXPLAIN` prints for `stream`.
+fn describe(stream: UStream) -> String {
+    stream.stage_labels().iter().map(|l| format!("-> {l}\n")).collect()
+}
+
 #[test]
 fn describe_marks_vectorised_stages() {
     let t = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
-    let text = UStream::new(t.clone())
+    let text = describe(UStream::new(t.clone())
         .filter(&Expr::col("a").binary(BinaryOp::Gt, Expr::lit(1i64)))
         .unwrap()
         .project(&[ProjectItem::new(Expr::col("a").binary(BinaryOp::Add, Expr::col("b")), "s")])
-        .unwrap()
-        .describe();
+        .unwrap());
     assert!(text.contains("-> filter (#0 > 1) (vectorised)"), "{text}");
     assert!(text.contains("(vectorised)\n"), "{text}");
     // CASE stays scalar — and says so by not being marked.
-    let text = UStream::new(t)
+    let text = describe(UStream::new(t)
         .filter(&Expr::Case {
             branches: vec![(Expr::col("a").binary(BinaryOp::Gt, Expr::lit(0i64)), Expr::lit(true))],
             else_expr: Some(Box::new(Expr::lit(false))),
         })
-        .unwrap()
-        .describe();
+        .unwrap());
     assert!(!text.contains("(vectorised)"), "{text}");
 }
 

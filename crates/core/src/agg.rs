@@ -33,7 +33,7 @@ use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
 use maybms_urel::{URelation, UTuple, UrelError, WorldTable, Wsd};
 
-use crate::error::{plan_err, typing, CoreError, Result};
+use crate::error::{typing, CoreError, Result};
 use crate::translate::AggSpec;
 
 /// §2.2 typing rule for the standard SQL aggregates (the group breaker's
@@ -151,12 +151,15 @@ fn eval_group_rows(
     }
 }
 
-/// Output fields of the aggregate columns, typed against the input schema.
-fn agg_fields<'a>(
-    aggs: &'a [(AggSpec, String)],
-    input: &'a Schema,
-) -> impl Iterator<Item = Field> + 'a {
-    aggs.iter().map(move |(spec, name)| {
+/// The group breaker's output schema: the key columns, then one column
+/// per aggregate, typed against the input schema.
+pub(crate) fn output_schema(
+    key_fields: Vec<Field>,
+    aggs: &[(AggSpec, String)],
+    input: &Schema,
+) -> Schema {
+    let mut fields = key_fields;
+    fields.extend(aggs.iter().map(|(spec, name)| {
         let dtype = match spec {
             AggSpec::Conf | AggSpec::AConf { .. } | AggSpec::TConf => DataType::Float,
             AggSpec::ESum(_) | AggSpec::ECount(_) => DataType::Float,
@@ -165,10 +168,11 @@ fn agg_fields<'a>(
                 AggFunc::Avg => DataType::Float,
                 _ => arg.as_ref().map(|e| e.data_type(input)).unwrap_or(DataType::Unknown),
             },
-            AggSpec::ArgMax { .. } => unreachable!("argmax is finished separately"),
+            AggSpec::ArgMax { arg, .. } => arg.data_type(input),
         };
         Field::new(name.clone(), dtype)
-    })
+    }));
+    Schema::new(fields)
 }
 
 // ---------------------------------------------------------------------
@@ -208,7 +212,7 @@ impl Partial {
             AggSpec::ESum(_) | AggSpec::ECount(_) => Partial::Expect(ExactSum::new()),
             AggSpec::Std { func, .. } => Partial::Std(AggState::new(*func)),
             AggSpec::ArgMax { .. } => Partial::ArgMax { best: None, args: Vec::new() },
-            AggSpec::TConf => unreachable!("tconf is rejected before streaming"),
+            AggSpec::TConf => unreachable!("the planner never groups tconf"),
         }
     }
 }
@@ -253,7 +257,8 @@ fn remap_stream_err(e: UrelError) -> CoreError {
 /// `DISTINCT` over the keys, in first-seen order — defined on t-certain
 /// rows only: deduplicating conditioned rows would need conditions beyond
 /// per-tuple conjunctions (§2.2), so a row whose WSD is not a tautology is
-/// a typing error.
+/// a typing error. `aggs` holds `argmax` only alone and never `tconf` —
+/// the planner's rules ([`crate::plan`]).
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_stream(
     stream: UStream,
@@ -302,17 +307,9 @@ pub fn aggregate_stream_with(
     pool: &maybms_par::ThreadPool,
     min_morsel: usize,
 ) -> Result<URelation> {
-    // Shape rules first.
+    // The planner admits argmax only alone, and tconf never.
     let has_argmax = aggs.iter().any(|(s, _)| matches!(s, AggSpec::ArgMax { .. }));
-    if has_argmax && aggs.len() != 1 {
-        return Err(plan_err("argmax cannot be combined with other aggregates"));
-    }
-    if aggs.iter().any(|(s, _)| matches!(s, AggSpec::TConf)) {
-        return Err(plan_err(
-            "tconf() is per-tuple and cannot be grouped; use it without GROUP BY",
-        ));
-    }
-    let in_schema = stream.schema().clone();
+    let schema = Arc::new(output_schema(key_fields, aggs, stream.schema()));
     let needs_wsds =
         aggs.iter().any(|(s, _)| matches!(s, AggSpec::Conf | AggSpec::AConf { .. }));
 
@@ -446,13 +443,8 @@ pub fn aggregate_stream_with(
 
     // ---- finish ----------------------------------------------------
     if has_argmax {
-        let (AggSpec::ArgMax { arg, .. }, name) = &aggs[0] else { unreachable!() };
-        return finish_argmax(keys, states, key_fields, arg.data_type(&in_schema), name);
+        return Ok(finish_argmax(keys, states, schema));
     }
-
-    let mut fields = key_fields;
-    fields.extend(agg_fields(aggs, &in_schema));
-    let schema = Arc::new(Schema::new(fields));
 
     let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<UTuple> {
         let acc = &states[g];
@@ -473,16 +465,7 @@ pub fn aggregate_stream_with(
 
 /// `argmax` finish over the streamed per-group maxima: all distinct arg
 /// values attaining each group's maximum, in first-seen member order.
-fn finish_argmax(
-    keys: Vec<Vec<Value>>,
-    states: Vec<StreamAcc>,
-    key_fields: Vec<Field>,
-    arg_dtype: DataType,
-    name: &str,
-) -> Result<URelation> {
-    let mut fields = key_fields;
-    fields.push(Field::new(name.to_string(), arg_dtype));
-    let schema = Arc::new(Schema::new(fields));
+fn finish_argmax(keys: Vec<Vec<Value>>, states: Vec<StreamAcc>, schema: Arc<Schema>) -> URelation {
     let mut out = Vec::new();
     for (key, acc) in keys.into_iter().zip(states) {
         let [Partial::ArgMax { best, args }] = &acc.parts[..] else {
@@ -500,7 +483,7 @@ fn finish_argmax(
             }
         }
     }
-    Ok(URelation::new(schema, out))
+    URelation::new(schema, out)
 }
 
 /// `tconf()`: per stored tuple, its marginal probability. Output (a

@@ -21,7 +21,8 @@ use maybms_store::{Op, Store, StoreError, StoreStatus, Vfs};
 use maybms_urel::{URelation, UTuple, WorldTable};
 
 use crate::error::{plan_err, unsupported, CoreError, Result};
-use crate::exec::{eval_query, eval_query_rel, ExecCtx, PlanStep, QueryOutput};
+use crate::exec::{eval_query, run, ExecCtx, QueryOutput};
+use crate::plan::plan_query;
 use crate::translate::{data_type_of, scalar};
 
 /// Result of running one statement.
@@ -446,54 +447,23 @@ impl MayBms {
                 let out = eval_query(q, &mut ctx)?;
                 Ok(StatementResult::Query(out))
             }
-            Statement::Explain { query, analyze } => {
+            Statement::Explain { query, analyze: false } => {
+                let plan = plan_query(query, &self.tables)?.explain()?;
+                let message = format!(
+                    "EXPLAIN {query}\npipeline decomposition (morsel-driven executor, planned):\n{plan}"
+                );
+                Ok(StatementResult::Ok { message })
+            }
+            Statement::Explain { query, analyze: true } => {
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
-                ctx.trace = Some(Vec::new());
-                if *analyze {
-                    ctx.stats = Some(stats.clone());
-                }
+                ctx.stats = Some(stats.clone());
                 let m = maybms_obs::metrics();
                 let fallbacks_before = m.scalar_fallbacks.get();
                 let t0 = std::time::Instant::now();
                 let out = eval_query(query, &mut ctx)?;
                 let elapsed = t0.elapsed();
-                let plan = ctx.trace.take().unwrap_or_default();
-                if *analyze {
-                    stats.scalar_fallbacks.add(
-                        m.scalar_fallbacks.get().saturating_sub(fallbacks_before),
-                    );
-                    return Ok(StatementResult::Ok {
-                        message: render_analyze(query, &plan, stats, &out, elapsed),
-                    });
-                }
-                let mut message = format!("EXPLAIN {query}\n");
-                message.push_str(
-                    "pipeline decomposition (morsel-driven executor, executed):\n",
-                );
-                let mut pipelines = 0;
-                for step in &plan {
-                    match step {
-                        PlanStep::Pipeline(p) => {
-                            pipelines += 1;
-                            for (j, line) in p.lines().enumerate() {
-                                if j == 0 {
-                                    message.push_str(&format!("#{pipelines} {line}\n"));
-                                } else {
-                                    message.push_str(&format!("   {line}\n"));
-                                }
-                            }
-                        }
-                        PlanStep::Breaker { what, .. } => {
-                            message.push_str(&format!("breaker: {what}\n"));
-                        }
-                    }
-                }
-                let (rows, kind) = match &out {
-                    QueryOutput::Certain(r) => (r.len(), "t-certain"),
-                    QueryOutput::Uncertain(u) => (u.len(), "uncertain"),
-                };
-                message.push_str(&format!("result: {rows} {kind} rows\n"));
-                Ok(StatementResult::Ok { message })
+                stats.scalar_fallbacks.add(m.scalar_fallbacks.get().saturating_sub(fallbacks_before));
+                Ok(StatementResult::Ok { message: render_analyze(query, stats, &out, elapsed) })
             }
             Statement::CreateTable { name, columns } => {
                 let fields: Vec<Field> = columns
@@ -507,7 +477,7 @@ impl MayBms {
             Statement::CreateTableAs { name, query } => {
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
                 ctx.stats = Some(stats.clone());
-                let out = eval_query_rel(query, &mut ctx)?;
+                let out = run(&plan_query(query, &self.tables)?, &mut ctx)?;
                 self.register_u(name, out)?;
                 Ok(StatementResult::Ok { message: "CREATE TABLE AS".into() })
             }
@@ -745,29 +715,26 @@ fn check_cell_type(field: &Field, v: &Value) -> Result<()> {
     }
 }
 
-/// Render the measured side of `EXPLAIN ANALYZE`: per-pipeline wall time
-/// and morsel counts, per-stage `[in, out]` row counts (plus hash-join
-/// build sizes and group counts), each breaker's rows in and out, and
-/// the confidence-estimator effort. `plan` lists the steps in execution
-/// order; its pipelines are `stats`' pipelines, one for one.
+/// Render what a run of `EXPLAIN ANALYZE` recorded into `stats`, in run
+/// order: per-pipeline wall time and morsel counts, per-stage `[in, out]`
+/// row counts (plus hash-join build sizes and group counts), each
+/// breaker's rows in and out, and the confidence-estimator effort.
 fn render_analyze(
     query: &maybms_sql::Query,
-    plan: &[PlanStep],
     stats: &maybms_obs::QueryStats,
     out: &QueryOutput,
     elapsed: std::time::Duration,
 ) -> String {
     let mut s = format!("EXPLAIN ANALYZE {query}\n");
     s.push_str("pipeline decomposition (morsel-driven executor, measured):\n");
-    let measured = stats.pipelines();
     let mut i = 0;
-    for step in plan {
+    for step in stats.steps() {
         let p = match step {
-            PlanStep::Breaker { what, rows_in, rows_out } => {
+            maybms_obs::Step::Breaker(what, rows_in, rows_out) => {
                 s.push_str(&format!("breaker: {what} [in {rows_in}, out {rows_out}]\n"));
                 continue;
             }
-            PlanStep::Pipeline(_) => &measured[i],
+            maybms_obs::Step::Pipeline(p) => p,
         };
         if p.stages.is_empty() && p.morsels.get() == 0 {
             // A stage-less pipeline (bare scan feeding a breaker) passes
@@ -1031,7 +998,6 @@ mod tests {
         assert!(message.contains("hash probe"), "{message}");
         assert!(message.contains("hash-join build side"), "{message}");
         assert!(message.contains("-> project"), "{message}");
-        assert!(message.contains("result: 1 t-certain rows"), "{message}");
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //!
 //! | construct | module |
 //! |---|---|
-//! | `conf`, `aconf(ε,δ)`, `tconf`, `possible` | [`agg`], [`exec`] |
-//! | `repair key … weight by …`, `pick tuples …` | [`exec`] (via `maybms-urel`) |
+//! | `conf`, `aconf(ε,δ)`, `tconf`, `possible` | [`plan`], [`agg`], [`exec`] |
+//! | `repair key … weight by …`, `pick tuples …` | [`plan`], [`exec`] (via `maybms-urel`) |
 //! | `esum`, `ecount` (linearity of expectation) | [`agg`] |
 //! | `argmax(arg, value)` | [`agg`] |
-//! | typing rules (t-certain vs uncertain, forbidden aggregates) | [`exec`], [`agg`] |
+//! | typing rules: static ones, then those reading t-certainty | [`plan`], then [`exec`], [`agg`] |
 //! | updates as table modifications (§2.3) | [`db`] |
+//!
+//! A query is planned ([`plan::plan_query`]: bound, checked and ordered
+//! against a read-only catalog) and then run ([`exec::run`]); `EXPLAIN`
+//! prints the plan and runs nothing.
 //!
 //! ## Example: the paper's Figure 1, verbatim
 //!
@@ -51,6 +55,7 @@ pub mod agg;
 pub mod db;
 pub mod error;
 pub mod exec;
+pub mod plan;
 pub mod translate;
 
 pub use db::{MayBms, RecoveryReport, StatementResult};

@@ -428,13 +428,24 @@ impl PipelineStats {
     }
 }
 
+/// One step of an executed plan, in execution order — what `EXPLAIN
+/// ANALYZE` lists.
+#[derive(Debug, Clone)]
+pub enum Step {
+    /// A pipeline and its collected statistics.
+    Pipeline(std::sync::Arc<PipelineStats>),
+    /// A materialising breaker: what ran (`sort (2 keys)`, `union (all)`,
+    /// …), the rows it took and the rows it gave.
+    Breaker(String, usize, usize),
+}
+
 /// Per-query statistics collector, threaded through the execution stack
 /// when attached (`EXPLAIN ANALYZE`, the shell, the slow-query log).
 /// Everything here is an order-independent sum or max, preserving the
 /// determinism contract.
 #[derive(Debug, Default)]
 pub struct QueryStats {
-    pipelines: Mutex<Vec<std::sync::Arc<PipelineStats>>>,
+    steps: Mutex<Vec<Step>>,
     /// conf()/aconf()/tconf confidence computations performed.
     pub conf_calls: Counter,
     /// Decomposition-tree nodes expanded by exact computations.
@@ -476,17 +487,28 @@ impl QueryStats {
 
     /// Register a pipeline collector (in execution order).
     pub fn register_pipeline(&self, p: std::sync::Arc<PipelineStats>) {
-        self.pipelines.lock().expect("pipeline registry poisoned").push(p);
+        self.steps.lock().expect("step registry poisoned").push(Step::Pipeline(p));
+    }
+
+    /// Record a breaker that turned `rows_in` rows into `rows_out`.
+    pub fn record_breaker(&self, what: String, rows_in: usize, rows_out: usize) {
+        self.steps.lock().expect("step registry poisoned").push(Step::Breaker(what, rows_in, rows_out));
+    }
+
+    /// The executed pipelines and breakers, in execution order.
+    pub fn steps(&self) -> Vec<Step> {
+        self.steps.lock().expect("step registry poisoned").clone()
     }
 
     /// The registered pipelines, in execution order.
     pub fn pipelines(&self) -> Vec<std::sync::Arc<PipelineStats>> {
-        self.pipelines.lock().expect("pipeline registry poisoned").clone()
+        let pipeline = |s| if let Step::Pipeline(p) = s { Some(p) } else { None };
+        self.steps().into_iter().filter_map(pipeline).collect()
     }
 
     /// Number of pipelines executed.
     pub fn pipeline_count(&self) -> usize {
-        self.pipelines.lock().expect("pipeline registry poisoned").len()
+        self.pipelines().len()
     }
 
     /// Record one estimator run's relative standard error at stop.

@@ -53,8 +53,8 @@ pub(crate) enum Stage {
     Filter(Expr),
     /// π — one bound expression per output column.
     Project(Vec<Expr>),
-    /// Hash-join probe: `stream row ++ build row` per verified
-    /// candidate, conditions conjoined.
+    /// Hash-join probe: `stream row ++ build row` (or `build row ++
+    /// stream row`) per verified candidate, conditions conjoined.
     Probe {
         /// The materialised build side (its table is built at run time).
         build: URelation,
@@ -62,6 +62,8 @@ pub(crate) enum Stage {
         left_keys: Vec<usize>,
         /// Key columns in the build rows.
         right_keys: Vec<usize>,
+        /// Whether the build row comes first in the joined row.
+        build_first: bool,
     },
 }
 
@@ -583,7 +585,7 @@ fn push_row<Sk: MorselSink>(
             scratch[depth] = vals;
             result
         }
-        Stage::Probe { build, left_keys, right_keys } => {
+        Stage::Probe { build, left_keys, right_keys, build_first } => {
             let Some(h) = row_key_hash(row, left_keys) else { return Ok(()) };
             let table = tables[depth].as_ref().expect("probe stage has a build table");
             let mut vals = std::mem::take(&mut scratch[depth]);
@@ -598,9 +600,10 @@ fn push_row<Sk: MorselSink>(
                 }
                 // An unsatisfiable conjunction drops the joined row.
                 let Some(joined) = wsd.conjoin(&b.wsd) else { continue };
+                let (first, second) = if *build_first { (brow, row) } else { (row, brow) };
                 vals.clear();
-                vals.extend_from_slice(row);
-                vals.extend_from_slice(brow);
+                vals.extend_from_slice(first);
+                vals.extend_from_slice(second);
                 tally[depth].1 += 1;
                 if let Err(e) =
                     push_row(&vals, &joined, stages, tables, depth + 1, scratch, tally, sink, gov)

@@ -63,9 +63,9 @@
 //!
 //! The front end is [`UStream`]: a lazy pipeline over one source
 //! U-relation that `maybms-core` threads its select/project/join chains
-//! through. [`UStream::describe`] is what the SQL `EXPLAIN` statement
-//! prints. [`vertical`] (attribute-level uncertainty, §2.1) recomposes
-//! its pieces through the same probes.
+//! through; its [`UStream::stage_labels`] are the stage lines `EXPLAIN`
+//! and `EXPLAIN ANALYZE` print. [`vertical`] (attribute-level
+//! uncertainty, §2.1) recomposes its pieces through the same probes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -40,15 +40,13 @@ pub struct UStream {
     schema: Arc<Schema>,
     /// Planner notes, `(stage index, text)`: see [`UStream::annotate`].
     notes: Vec<(usize, String)>,
-    /// Planner counts for the `pipeline` span: see [`UStream::annotate`].
-    span_counts: Vec<(&'static str, u64)>,
 }
 
 impl UStream {
     /// Start a pipeline from a materialised U-relation.
     pub fn new(source: URelation) -> UStream {
         let schema = source.schema().clone();
-        UStream { source, stages: Vec::new(), schema, notes: Vec::new(), span_counts: Vec::new() }
+        UStream { source, stages: Vec::new(), schema, notes: Vec::new() }
     }
 
     /// The schema rows will have after the recorded stages.
@@ -82,7 +80,6 @@ impl UStream {
                 self.source = URelation::new(self.schema.clone(), Vec::new());
                 self.stages.clear();
                 self.notes.clear();
-                self.span_counts.clear();
                 return Ok(self);
             }
             _ => {}
@@ -117,18 +114,11 @@ impl UStream {
     }
 
     /// Say why the planner recorded the last stage: `note` follows that
-    /// stage's `EXPLAIN` / `EXPLAIN ANALYZE` label in parentheses, and
-    /// each `(attr, n)` adds `n` to the count `attr` on the `pipeline`
-    /// span this stream runs under. Never changes what the stage does.
-    pub fn annotate(mut self, note: String, counts: &[(&'static str, u64)]) -> UStream {
+    /// stage's `EXPLAIN` / `EXPLAIN ANALYZE` label in parentheses. Never
+    /// changes what the stage does.
+    pub fn annotate(mut self, note: String) -> UStream {
         if let Some(last) = self.stages.len().checked_sub(1) {
             self.notes.push((last, note));
-            for &(attr, n) in counts {
-                match self.span_counts.iter_mut().find(|(k, _)| *k == attr) {
-                    Some((_, total)) => *total += n,
-                    None => self.span_counts.push((attr, n)),
-                }
-            }
         }
         self
     }
@@ -142,10 +132,33 @@ impl UStream {
     /// build table is constructed at collect time, morsel-locally on the
     /// collecting pool.
     pub fn hash_join(
+        self,
+        build: URelation,
+        left_keys: &[usize],
+        right_keys: &[usize],
+    ) -> Result<UStream> {
+        self.probe(build, left_keys, right_keys, false)
+    }
+
+    /// [`UStream::hash_join`] whose output rows put the build half first
+    /// (`build row ++ stream row`); rows, their order and their conditions
+    /// are the same. The join planner builds on the smaller side this way
+    /// without moving a column of the joined row.
+    pub fn hash_join_build_first(
+        self,
+        build: URelation,
+        left_keys: &[usize],
+        right_keys: &[usize],
+    ) -> Result<UStream> {
+        self.probe(build, left_keys, right_keys, true)
+    }
+
+    fn probe(
         mut self,
         build: URelation,
         left_keys: &[usize],
         right_keys: &[usize],
+        build_first: bool,
     ) -> Result<UStream> {
         if left_keys.len() != right_keys.len() || left_keys.is_empty() {
             return Err(EngineError::InvalidOperator {
@@ -161,11 +174,15 @@ impl UStream {
             }
             .into());
         }
-        self.schema = Arc::new(self.schema.join(build.schema()));
+        self.schema = Arc::new(match build_first {
+            true => build.schema().join(&self.schema),
+            false => self.schema.join(build.schema()),
+        });
         self.stages.push(Stage::Probe {
             build,
             left_keys: left_keys.to_vec(),
             right_keys: right_keys.to_vec(),
+            build_first,
         });
         Ok(self)
     }
@@ -339,28 +356,27 @@ impl UStream {
         Ok(out)
     }
 
-    /// The plan on the `pipeline` span: stage and source-row counts and
-    /// the planner's [`UStream::annotate`] counts.
+    /// The plan on the `pipeline` span: stage and source-row counts.
     fn plan_attrs(&self, span: &mut maybms_obs::trace::Span) {
         span.attr("stages", self.stages.len());
         span.attr("source_rows", self.source.len());
-        self.span_counts.iter().for_each(|&(attr, n)| span.attr(attr, n));
     }
 
     /// A [`maybms_obs::PipelineStats`] collector shaped for this
-    /// pipeline: one stage-stats slot per recorded stage, labelled like
-    /// [`UStream::describe`]'s lines. Register it on a
+    /// pipeline: one stage-stats slot per recorded stage, labelled by
+    /// [`UStream::stage_labels`]. Register it on a
     /// [`maybms_obs::QueryStats`] and pass it to
     /// [`UStream::collect_with`] / [`UStream::collect_grouped`].
     pub fn stats_skeleton(&self, label: impl Into<String>) -> maybms_obs::PipelineStats {
-        maybms_obs::PipelineStats::new(label, self.source_mark(), self.stage_labels())
+        let source = source_label(self.source.len(), self.source.is_columnar());
+        maybms_obs::PipelineStats::new(label, source, self.stage_labels())
     }
 
     /// One label per recorded stage — the text `EXPLAIN` and
     /// `EXPLAIN ANALYZE` both print for it. Stages of the kernel-eligible
     /// prefix are marked `(vectorised)`; planner notes follow in
     /// parentheses.
-    fn stage_labels(&self) -> Vec<String> {
+    pub fn stage_labels(&self) -> Vec<String> {
         let vectorised = fuse::vector_prefix_len(&self.stages);
         let mut labels: Vec<String> = self
             .stages
@@ -390,40 +406,15 @@ impl UStream {
         }
         labels
     }
+}
 
-    /// Source label shared by [`UStream::describe`] and
-    /// [`UStream::stats_skeleton`] (so EXPLAIN and EXPLAIN ANALYZE print
-    /// the same line): columnar-at-rest sources are marked — their
-    /// vectorised prefix borrows column slices instead of pivoting.
-    fn source_mark(&self) -> String {
-        if self.source.is_columnar() {
-            format!("{} stored rows (columnar, zero-pivot)", self.source.len())
-        } else {
-            format!("{} stored rows", self.source.len())
-        }
-    }
-
-    /// One-line-per-stage description of the pipeline, used by
-    /// `EXPLAIN`: the [`UStream::stats_skeleton`] labels, with each
-    /// probe's build-side size appended.
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "source: {}", self.source_mark());
-        for (stage, label) in self.stages.iter().zip(self.stage_labels()) {
-            match stage {
-                Stage::Probe { build, .. } => {
-                    let _ = writeln!(
-                        out,
-                        "-> {label} against {}-row build (WSD conjunction)",
-                        build.len()
-                    );
-                }
-                _ => {
-                    let _ = writeln!(out, "-> {label}");
-                }
-            }
-        }
-        out
+/// How `EXPLAIN` and `EXPLAIN ANALYZE` name a pipeline's source of `rows`
+/// stored rows: columnar-at-rest sources are marked — their vectorised
+/// prefix borrows column slices instead of pivoting.
+pub fn source_label(rows: usize, columnar: bool) -> String {
+    match columnar {
+        true => format!("{rows} stored rows (columnar, zero-pivot)"),
+        false => format!("{rows} stored rows"),
     }
 }
 
@@ -486,6 +477,31 @@ mod tests {
             assert_eq!(rows(&got), want, "threads = {threads}");
         }
         assert_eq!(rows(&chain().collect().unwrap()), want);
+    }
+
+    /// A build-first probe yields the same rows, in the same order and
+    /// under the same conditions, with each row's two halves swapped.
+    #[test]
+    fn build_first_probe_swaps_the_halves_only() {
+        let (_, u) = setup();
+        let f = Expr::col("state").eq(Expr::lit("F"));
+        let build = UStream::new(u.clone()).filter(&f).unwrap().collect().unwrap();
+        let join = |first: bool| {
+            let s = UStream::new(u.clone());
+            let s = match first {
+                true => s.hash_join_build_first(build.clone(), &[0], &[0]),
+                false => s.hash_join(build.clone(), &[0], &[0]),
+            };
+            s.unwrap().collect_with(&ThreadPool::new(2), 1, None).unwrap()
+        };
+        let (plain, swapped) = (join(false), join(true));
+        assert_eq!(swapped.schema().names(), vec!["player", "state", "player", "state"]);
+        assert_eq!(plain.len(), 2); // each F row with itself: its sibling contradicts
+        for (p, s) in plain.tuples().iter().zip(swapped.tuples()) {
+            assert_eq!(p.wsd, s.wsd);
+            assert_eq!(p.data.values()[..2], s.data.values()[2..]);
+            assert_eq!(p.data.values()[2..], s.data.values()[..2]);
+        }
     }
 
     #[test]
@@ -553,18 +569,5 @@ mod tests {
         assert!(UStream::new(u.clone()).filter(&Expr::col("nope").eq(Expr::lit(1i64))).is_err());
         assert!(UStream::new(u.clone()).hash_join(u.clone(), &[], &[]).is_err());
         assert!(UStream::new(u.clone()).hash_join(u, &[7], &[0]).is_err());
-    }
-
-    #[test]
-    fn describe_names_stages() {
-        let (_, u) = setup();
-        let s = UStream::new(u.clone())
-            .filter(&Expr::col("state").eq(Expr::lit("F")))
-            .unwrap()
-            .hash_join(u, &[0], &[0])
-            .unwrap();
-        let d = s.describe();
-        assert!(d.contains("-> filter"), "{d}");
-        assert!(d.contains("hash probe"), "{d}");
     }
 }

@@ -530,7 +530,7 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
     //
     // Precedence (loosest to tightest):
-    //   OR < AND < NOT < (comparison | IS | IN) < additive (+ - ||)
+    //   OR < AND < NOT < (comparison | IS | IN | BETWEEN) < additive (+ - ||)
     //   < multiplicative (* / %) < unary - < postfix/primary
 
     fn expr(&mut self) -> Result<Expr> {
@@ -570,6 +570,22 @@ impl Parser {
             let negated = self.eat_kw(K::Not);
             self.expect_kw(K::Null)?;
             return Ok(Expr::IsNull { expr: Box::new(left), negated });
+        }
+        // [NOT] BETWEEN a AND b is the two comparisons it abbreviates, so
+        // the conjunct split and implied predicates see both bounds.
+        let not_between = self.peek() == Some(&Token::Kw(K::Not))
+            && self.peek_at(1) == Some(&Token::Kw(K::Between));
+        if not_between || self.peek() == Some(&Token::Kw(K::Between)) {
+            self.pos += 1 + not_between as usize;
+            let low = self.additive()?;
+            self.expect_kw(K::And)?;
+            let high = self.additive()?;
+            let (lo, hi, join) = match not_between {
+                false => (BinOp::GtEq, BinOp::LtEq, BinOp::And),
+                true => (BinOp::Lt, BinOp::Gt, BinOp::Or),
+            };
+            let below = Expr::binary(left.clone(), lo, low);
+            return Ok(Expr::binary(below, join, Expr::binary(left, hi, high)));
         }
         // [NOT] IN (…)
         let (has_in, negated_in) = if self.eat_kw(K::Not) {
@@ -952,6 +968,15 @@ group by R1.player, R2.Final;";
         let q = parse_query("select a from R where a in (select b from S)").unwrap();
         assert!(matches!(q.first.where_clause, Some(Expr::InSelect { .. })));
         assert!(parse_query("select a from R where a not in (select b from S)").is_err());
+    }
+
+    #[test]
+    fn between_is_two_comparisons() {
+        let e = parse_expr("x between 1 and y + 2 and z").unwrap();
+        assert_eq!(e.to_string(), "(((x >= 1) AND (x <= (y + 2))) AND z)");
+        let e = parse_expr("x not between 1 and 2").unwrap();
+        assert_eq!(e.to_string(), "((x < 1) OR (x > 2))");
+        assert!(parse_expr("x between 1").is_err());
     }
 
     #[test]

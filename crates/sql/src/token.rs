@@ -11,6 +11,7 @@ pub enum Keyword {
     And,
     As,
     Asc,
+    Between,
     By,
     Case,
     Cast,
@@ -70,6 +71,7 @@ impl Keyword {
             "AND" => And,
             "AS" => As,
             "ASC" => Asc,
+            "BETWEEN" => Between,
             "BY" => By,
             "CASE" => Case,
             "CAST" => Cast,

@@ -11,7 +11,7 @@
 //! alternatives within a group are mutually exclusive.
 
 use maybms_engine::ops::group_indices;
-use maybms_engine::{Expr, Relation, Value};
+use maybms_engine::{Expr, Relation};
 
 use crate::error::{Result, UrelError};
 use crate::urelation::{URelation, UTuple};
@@ -116,20 +116,10 @@ pub fn repair_key_u(
     repair_key(&certain, key_exprs, options, wt)
 }
 
-/// Total probability mass a value carries in a column of a U-relation
-/// (test helper for distribution checks).
-pub fn column_mass(u: &URelation, col: usize, value: &Value, wt: &WorldTable) -> f64 {
-    u.tuples()
-        .iter()
-        .filter(|t| t.data.value(col) == value)
-        .map(|t| t.wsd.prob(wt).unwrap_or(0.0))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType};
+    use maybms_engine::{rel, DataType, Value};
 
     /// The paper's FT fragment for Bryant (Figure 1).
     fn ft_bryant() -> Relation {

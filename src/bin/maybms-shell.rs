@@ -42,10 +42,11 @@
 //! additionally streams finished spans as Chrome `trace_event` JSON
 //! lines (load the file in `about:tracing` / Perfetto).
 //!
-//! `EXPLAIN <query>;` prints the morsel-driven executor's pipeline
-//! decomposition (fused stages and breakers) instead of the result;
-//! `EXPLAIN ANALYZE <query>;` adds measured per-stage row counts,
-//! morsel counts, wall times, and confidence-estimator effort.
+//! `EXPLAIN <query>;` prints the query's plan — the morsel-driven
+//! executor's pipeline decomposition (fused stages and breakers) — and
+//! runs nothing; `EXPLAIN ANALYZE <query>;` runs it and prints what ran,
+//! with measured per-stage row counts, morsel counts, wall times, and
+//! confidence-estimator effort.
 //!
 //! The execution pool honours `MAYBMS_THREADS` at startup (unset or `0`
 //! → all cores) and can be resized at runtime with `\threads N`.
@@ -283,8 +284,8 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
     match head {
         "\\q" | "\\quit" => return false,
         "\\help" | "\\?" => {
-            println!("EXPLAIN <query>;          print the executed pipeline decomposition");
-            println!("EXPLAIN ANALYZE <query>;  …with measured per-stage rows, morsels, time");
+            println!("EXPLAIN <query>;          print the planned pipeline decomposition");
+            println!("EXPLAIN ANALYZE <query>;  run it: measured per-stage rows, morsels, time");
             println!("\\d [table]     list tables / describe one");
             println!("\\w             world-table summary (variables, worlds)");
             println!("\\threads [N]   show or set the execution pool size");

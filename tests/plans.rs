@@ -1,11 +1,15 @@
 //! The join planner's decisions, pinned: `EXPLAIN` of the six
 //! join-bearing benchmark statement shapes over a small fixture against
-//! a golden file, and the walk's build / probe row counts through
-//! `MayBms::last_stats()`. A planner regression shows here as a diff of
-//! plans, not as a slower benchmark a day later.
+//! a golden file, what a run of each executed (`EXPLAIN ANALYZE`, row
+//! counts kept, timings stripped) against a second one, and the walk's
+//! build / probe row counts through `MayBms::last_stats()`. A planner
+//! regression shows here as a diff of plans, not as a slower benchmark a
+//! day later. `EXPLAIN` itself runs nothing: no pipeline, breaker or
+//! confidence computation, no variable, no WAL byte — and it fails with
+//! the statement's own static errors.
 //!
 //! To accept an intended plan change, replace `tests/golden/plans.txt`
-//! with the text the failing assertion prints.
+//! (or `plans_analyzed.txt`) with the text the failing assertion prints.
 
 use maybms::{MayBms, StatementResult};
 
@@ -72,10 +76,9 @@ fn walk(steps: usize, lo: usize, hi: usize, agg: &str, by_state: bool) -> String
     format!("select {keys}, {agg} as p from {from} where {cond} group by {keys}")
 }
 
-#[test]
-fn benchmark_join_shapes_plan_as_recorded() {
-    let mut db = fixture();
-    let shapes = [
+/// The six join-bearing benchmark statement shapes.
+fn shapes() -> [(&'static str, String); 6] {
+    [
         ("walk2", walk(2, 10, 15, "conf()", false)),
         ("walk3", walk(3, 10, 15, "conf()", false)),
         ("walk3 by state", walk(3, 10, 14, "conf()", true)),
@@ -97,16 +100,140 @@ fn benchmark_join_shapes_plan_as_recorded() {
              where a.sensor = r.sensor and a.level >= 1 group by a.level"
                 .to_string(),
         ),
-    ];
+    ]
+}
+
+fn message(db: &mut MayBms, sql: &str) -> String {
+    match db.run(sql).unwrap() {
+        StatementResult::Ok { message } => message,
+        other => panic!("{sql} must return a message, got {other:?}"),
+    }
+}
+
+#[test]
+fn benchmark_join_shapes_plan_as_recorded() {
+    let mut db = fixture();
     let mut got = String::new();
-    for (name, sql) in shapes {
-        let StatementResult::Ok { message } = db.run(&format!("explain {sql}")).unwrap() else {
-            panic!("EXPLAIN must return a message")
-        };
-        got.push_str(&format!("== {name}\n{message}"));
+    for (name, sql) in shapes() {
+        got.push_str(&format!("== {name}\n{}", message(&mut db, &format!("explain {sql}"))));
     }
     let want = include_str!("golden/plans.txt");
     assert!(got == want, "plans changed; the new text of tests/golden/plans.txt would be:\n{got}");
+}
+
+/// What ran, stage by stage, with the row counts each stage saw — which
+/// side each join built included (`join_fact_selective` builds on its
+/// prefix, a decision plain `EXPLAIN` leaves to the run). Wall times,
+/// morsel counts and governor accounting vary from run to run and are cut.
+#[test]
+fn benchmark_join_shapes_run_as_recorded() {
+    let mut db = fixture();
+    let mut got = String::new();
+    for (name, sql) in shapes() {
+        got.push_str(&format!("== {name}\n"));
+        for line in message(&mut db, &format!("explain analyze {sql}")).lines() {
+            let cut = match line {
+                l if l.starts_with('#') && l.ends_with("morsel(s)]") => l.rfind(" ["),
+                l if l.starts_with("result:") => l.rfind(" in "),
+                l if l.starts_with("governor:") || l.starts_with("scalar fallbacks:") => continue,
+                _ => None,
+            };
+            got.push_str(&line[..cut.unwrap_or(line.len())]);
+            got.push('\n');
+        }
+    }
+    let want = include_str!("golden/plans_analyzed.txt");
+    assert!(got == want, "runs changed; the new text of tests/golden/plans_analyzed.txt would be:\n{got}");
+}
+
+/// `EXPLAIN` of the benchmark's most expensive walk statement does none of
+/// its work: no pipeline is collected, no breaker runs, no confidence is
+/// computed — its span tree holds none of them — while the statement
+/// itself does all three.
+#[test]
+fn explain_runs_nothing() {
+    // (stats pipelines, pipeline spans, breaker + conf spans) of one run.
+    fn counts(db: &mut MayBms, sql: &str) -> (usize, usize, usize) {
+        maybms_obs::trace::set_enabled(true);
+        db.run(sql).unwrap();
+        maybms_obs::trace::set_enabled(false);
+        let stats = db.last_stats().unwrap();
+        let spans = maybms_obs::trace::spans_for_root(stats.root_span().expect("tracing was on"));
+        let count = |label: &str| spans.iter().filter(|s| s.label == label).count();
+        (stats.pipeline_count(), count("pipeline"), count("breaker") + count("conf"))
+    }
+    let mut db = fixture();
+    let sql = walk(3, 10, 14, "conf()", true);
+    assert_eq!(counts(&mut db, &format!("explain {sql}")), (0, 0, 0));
+    let (pipelines, spans, conf) = counts(&mut db, &sql);
+    assert_eq!((pipelines, spans), (4, 4));
+    assert!(conf > 0);
+}
+
+/// Every static error surfaces from `EXPLAIN` exactly as from the
+/// statement.
+#[test]
+fn explain_fails_with_the_statements_static_errors() {
+    let mut db = fixture();
+    for sql in [
+        "select nope from start",
+        "select player from start s, step1 r1 where r1.player = s.player",
+        "select player from start order by 3",
+        "select player, tconf() as p from genuine group by player",
+        "select sensor, tconf() as p from genuine having p > 0.5",
+        "select player from start having player = 1",
+        "select player, state from start group by player",
+        "select possible player, count(*) as n from start",
+        "select argmax(player, state) as a, count(*) as n from start",
+        "select player from start where player in (select player, state from start)",
+        "select * from (repair key nope in ft weight by p) r",
+        "select * from nowhere",
+    ] {
+        let err = db.run(sql).unwrap_err();
+        assert_eq!(db.run(&format!("explain {sql}")).unwrap_err(), err, "{sql}");
+    }
+}
+
+/// `EXPLAIN` of `repair key` and `pick tuples` registers no variable and
+/// logs nothing — it used to run the query, and a durable database kept
+/// the variables across a reopen.
+#[test]
+fn explain_leaves_a_durable_database_unchanged() {
+    let dir = std::env::temp_dir().join(format!("maybms-explain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = MayBms::open(&dir).unwrap();
+    db.run_script(
+        "create table coin (face text, w double precision);
+         insert into coin values ('heads', 1.0), ('tails', 1.0), ('edge', 0.5);",
+    )
+    .unwrap();
+    let (vars, wal) = (db.world_table().num_vars(), db.durability_status().unwrap().wal_bytes);
+    for sql in [
+        "explain select face, conf() as p from (repair key in coin weight by w) c group by face",
+        "explain select possible face from (pick tuples from coin with probability 0.5) c",
+    ] {
+        message(&mut db, sql);
+    }
+    assert_eq!(db.world_table().num_vars(), vars);
+    assert_eq!(db.durability_status().unwrap().wal_bytes, wal);
+    db.run("insert into coin values ('side', 0.1)").unwrap();
+    db.reopen().unwrap();
+    assert_eq!(db.world_table().num_vars(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `BETWEEN` is its two comparisons, so a range on the walk's start player
+/// reaches every step table as implied σ stages.
+#[test]
+fn between_bounds_imply_filters_on_every_step() {
+    let mut db = fixture();
+    let sql = walk(3, 10, 15, "conf()", false)
+        .replace("s.player >= 10 and s.player < 15", "s.player between 10 and 14");
+    let plan = message(&mut db, &format!("explain {sql}"));
+    for step in ["r1.player = s.player", "r2.player = r1.player", "r3.player = r2.player"] {
+        assert_eq!(plan.matches(&format!("(implied by {step})")).count(), 2, "{step}: {plan}");
+    }
+    assert_eq!(db.query(&sql).unwrap(), db.query(&walk(3, 10, 15, "conf()", false)).unwrap());
 }
 
 /// The Figure 1 three-step walk over a `w`-player window scans each step

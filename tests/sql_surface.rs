@@ -2,7 +2,7 @@
 //! to end through the facade, including combinations the other integration
 //! tests don't touch.
 
-use maybms::{MayBms, QueryOutput, StatementResult};
+use maybms::{CoreError, MayBms, QueryOutput, StatementResult};
 use maybms_engine::Value;
 
 fn fresh() -> MayBms {
@@ -171,7 +171,7 @@ fn explain_lists_breakers_between_pipelines() {
             "#1 pipeline (output)",
             "#2 pipeline (output)",
             "breaker: union (all)",
-            "#3 pipeline (distinct (streaming, 1 keys))",
+            "#3 pipeline (distinct (streaming, 1 keys)) if t-certain (decided at run)",
             "breaker: sort (1 keys)",
             "breaker: limit 2",
         ],
@@ -362,7 +362,11 @@ fn join_on_plans_like_the_comma_spelling() {
     // both equalities are keys of the one probe.
     assert!(on_plan.contains("(implied by r1.player = s.player)"), "{on_plan}");
     assert!(on_plan.contains("hash probe [#0 = build #0, #1 = build #1]"), "{on_plan}");
-    assert!(on_plan.contains("against 8-row build"), "{on_plan}");
+    let StatementResult::Ok { message: ran } = db.run(&format!("explain analyze {on}")).unwrap()
+    else {
+        panic!("EXPLAIN ANALYZE must return a message")
+    };
+    assert!(ran.contains("build: step1 r1, 8 rows"), "{ran}");
     let rows = db.query(on).unwrap();
     assert_eq!(rows.tuples(), db.query(comma).unwrap().tuples());
     assert_eq!(rows.len(), 4);
@@ -588,6 +592,44 @@ fn in_select_over_a_certain_subquery_is_a_semi_join() {
     assert_eq!(filtered, plain);
     let counts: Vec<&Value> = filtered.tuples().iter().map(|t| t.value(1)).collect();
     assert_eq!(counts, [&Value::Float(1.0), &Value::Float(1.0)]);
+}
+
+/// An uncertain IN-subquery keeps its duplicate matches — disjunctive
+/// evidence `conf` and `possible` read exactly — so `esum` / `ecount` over
+/// it would count a row once per condition; that is a typing error.
+#[test]
+fn in_select_over_an_uncertain_subquery_rejects_expectations() {
+    let mut db = dup_keys();
+    db.run("create table u as select * from (pick tuples from t with probability 0.5) p")
+        .unwrap();
+    let sub = "(select a from (pick tuples from t with probability 0.5) q)";
+    for agg in ["ecount()", "esum(b)"] {
+        let err = db.query(&format!("select a, {agg} as n from u where a in {sub} group by a"));
+        assert!(matches!(err, Err(CoreError::Typing { .. })), "{agg}: {err:?}");
+    }
+    let r = db.query(&format!("select a, conf() as p from u where a in {sub} group by a")).unwrap();
+    assert_eq!(r.len(), 2);
+    let r = db.query(&format!("select possible a from u where a in {sub}")).unwrap();
+    assert_eq!(r.len(), 2);
+}
+
+#[test]
+fn between_is_both_comparisons() {
+    let mut db = fresh();
+    for (range, spelled) in [
+        ("salary between 75 and 90", "salary >= 75 and salary <= 90"),
+        ("salary not between 75 and 90", "(salary < 75 or salary > 90)"),
+        ("salary between 90 and 75", "salary >= 90 and salary <= 75"),
+    ] {
+        let q = |cond: &str| format!("select name from emp where {cond} order by name");
+        assert_eq!(db.query(&q(range)).unwrap(), db.query(&q(spelled)).unwrap(), "{range}");
+    }
+    assert_eq!(db.query("select name from emp where salary between 75 and 90").unwrap().len(), 2);
+    // A NULL bound makes the comparison unknown: no row is kept.
+    for range in ["between null and 90", "between 75 and null", "not between null and null"] {
+        let r = db.query(&format!("select name from emp where salary {range}")).unwrap();
+        assert_eq!(r.len(), 0, "{range}");
+    }
 }
 
 #[test]
