@@ -1,23 +1,23 @@
-//! `overhead_gate` — CI's instrumentation-overhead and
-//! governor-neutrality gate.
+//! `overhead_gate` — CI's tracing-overhead and governor-neutrality gate.
 //!
-//! Runs a fused σ→π→σ→π [`UStream`] chain over a wide relation twice
-//! per rep, interleaved in one process so machine drift cancels out —
-//! stats collector detached vs attached — and fails if the attached
-//! median exceeds the requested percentage overhead (the "near-zero
-//! cost" claim, enforced). The query governor's checkpoints are compiled
-//! into the same path (limits disarmed), so the gate bounds their cost
-//! too; the run also asserts that every governor counter delta is zero,
-//! i.e. nothing aborted, degraded, or retried inside the measured reps.
+//! Runs a small SQL mix through `MayBms::run` — a σ→π→σ→π scan, and a
+//! `conf()` statement shaped like the benchmark's `conf_exact` traffic
+//! ([`CONF_CALLS`] calls over [`CLAUSES_PER_CALL`]-clause lineages, on the
+//! exact estimator) — once with tracing off and once with tracing on
+//! (ring sink attached, no file export) per rep, interleaved in one
+//! process (alternating which arm goes first) so machine drift cancels
+//! out, and fails if the traced median exceeds the requested percentage
+//! overhead. Every statement always keeps its pipeline records
+//! (`QueryStats`, the registry), so tracing is the one thing there is to
+//! switch off. The query governor's checkpoints are compiled into the
+//! same path (limits disarmed), so the gate bounds their cost too; the
+//! run also asserts that every governor counter delta is zero, i.e.
+//! nothing aborted, degraded, or retried inside the measured reps.
 //!
-//! Usage: `overhead_gate [--quick] [--trace] [--assert-overhead PCT]`
+//! Usage: `overhead_gate [--quick] [--assert-overhead PCT]`
 //!   --quick               small input / few reps (CI smoke)
-//!   --trace               run with the tracing span subsystem enabled
-//!                         (ring sink attached, no file export) — CI runs
-//!                         the gate once plain and once with this flag,
-//!                         so span emission stays inside the same envelope
-//!   --assert-overhead PCT fail when the attached median exceeds the
-//!                         detached one by more than PCT percent
+//!   --assert-overhead PCT fail when the traced median exceeds the
+//!                         untraced one by more than PCT percent
 //!
 //! End-to-end numbers live in `benchmark/` (see its README); this binary
 //! times nothing else.
@@ -25,9 +25,8 @@
 use std::time::Instant;
 
 use maybms_bench::workloads;
-use maybms_engine::{ops, BinaryOp, Expr};
-use maybms_pipe::UStream;
-use maybms_urel::URelation;
+use maybms_core::MayBms;
+use maybms_obs::trace;
 
 /// Names and values of the query-governor and store-retry counters. With
 /// no limits armed the governor must never abort, degrade, or retry
@@ -54,15 +53,40 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// `conf()` calls of the mix's conf statement, and DNF clauses per call:
+/// the shape of a `conf_exact` conf statement in `benchmark --trace 1`
+/// (seed 1, full size), which averages 199 `conf` spans over lineages of
+/// 16.5 clauses, 87 % of them on the exact estimator. That workload
+/// carries one span per 19–25 µs of statement time; the `--quick` mix,
+/// one per 8–11 µs. Denser statements exceed the 5 % budget: a `conf()`
+/// over groups of 10–15 independent tuples, one span per 3–6 µs,
+/// measured 4–12 % traced on two vCPUs.
+const CONF_CALLS: i64 = 200;
+/// See [`CONF_CALLS`].
+const CLAUSES_PER_CALL: usize = 16;
+
+/// The measured mix: a σ→π→σ→π scan of `t`, and `conf()` per key over
+/// `u`, where each key's tuples are the alternatives of one repair-key
+/// variable (one exact `conf` span per group).
+const MIX: [&str; 2] = [
+    "select t * 3 as t3, k from (select k, v + k as t from t where v < 500) s where t % 2 = 0",
+    "select k, conf() as p from u group by k",
+];
+
+/// Milliseconds one pass of the mix takes; returns the rows it produced
+/// alongside, so the two arms can be checked for the same answers.
+fn run_mix(db: &mut MayBms) -> (f64, usize) {
+    let t0 = Instant::now();
+    let mut rows = 0;
+    for sql in MIX {
+        rows += db.query(sql).expect("the mix runs").len();
+    }
+    (t0.elapsed().as_secs_f64() * 1e3, std::hint::black_box(rows))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    maybms_obs::trace::init_from_env();
-    if args.iter().any(|a| a == "--trace") {
-        // Ring sink attached (spans recorded and evicted in-memory), no
-        // file export — the tracing-attached leg of the gate.
-        maybms_obs::trace::set_enabled(true);
-    }
     let assert_overhead: Option<f64> =
         args.iter().position(|a| a == "--assert-overhead").map(|i| {
             args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -70,63 +94,46 @@ fn main() {
                 std::process::exit(1);
             })
         });
-    let (scale, reps) = if quick { (10_000usize, 7usize) } else { (100_000, 11) };
+    let (scale, reps) = if quick { (10_000usize, 31usize) } else { (100_000, 21) };
+    let keys = (scale / CLAUSES_PER_CALL) as i64;
+
+    let (certain, _, _) = workloads::overhead_pair(21, scale, keys);
+    let mut db = MayBms::new();
+    db.register("t", certain).expect("fresh database");
+    db.run(&format!(
+        "create table u as select k from (repair key k in t weight by prob) x where k < {CONF_CALLS}"
+    ))
+    .expect("repair key over (k, v, prob)");
+    run_mix(&mut db); // warm-up: lazy row views, dictionaries, the pool
     let gov_mark = gov_metric_mark();
 
-    let (certain, _, _) = workloads::overhead_pair(21, scale, (scale / 10) as i64);
-    let source = URelation::from_certain(&certain);
-    let pred1 = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
-    let proj1 = [
-        ops::ProjectItem::col("k"),
-        ops::ProjectItem::new(Expr::col("v").binary(BinaryOp::Add, Expr::col("k")), "t"),
-    ];
-    let pred2 = Expr::col("t").binary(BinaryOp::Mod, Expr::lit(2i64)).eq(Expr::lit(0i64));
-    let proj2 = [
-        ops::ProjectItem::new(Expr::col("t").binary(BinaryOp::Mul, Expr::lit(3i64)), "t3"),
-        ops::ProjectItem::col("k"),
-    ];
-    let chain = |u: &URelation| {
-        UStream::new(u.clone())
-            .filter(&pred1)
-            .and_then(|s| s.project(&proj1))
-            .and_then(|s| s.filter(&pred2))
-            .and_then(|s| s.project(&proj2))
-            .expect("the chain binds against (k, v, prob)")
-    };
-
-    let pool = maybms_par::pool();
-    let mut bare = Vec::with_capacity(reps);
-    let mut inst = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let s = chain(&source);
-        let t0 = Instant::now();
-        let n_bare = std::hint::black_box(
-            s.collect_with(&pool, ops::PAR_MIN_CHUNK, None).expect("chain runs").len(),
-        );
-        bare.push(t0.elapsed().as_secs_f64() * 1e3);
-
-        let s = chain(&source);
-        let ps = s.stats_skeleton("overhead probe");
-        let t0 = Instant::now();
-        let n_inst = std::hint::black_box(
-            s.collect_with(&pool, ops::PAR_MIN_CHUNK, Some(&ps)).expect("chain runs").len(),
-        );
-        inst.push(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(n_bare, n_inst, "instrumentation changed the result cardinality");
+    let (mut plain, mut traced) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..reps {
+        let mut rows = [0; 2];
+        for on in if rep % 2 == 0 { [false, true] } else { [true, false] } {
+            trace::set_enabled(on);
+            let (ms, n) = run_mix(&mut db);
+            trace::set_enabled(false);
+            trace::clear();
+            rows[on as usize] = n;
+            if on { traced.push(ms) } else { plain.push(ms) }
+        }
+        assert_eq!(rows[0], rows[1], "tracing changed the result cardinality");
     }
-    let (b, i) = (median(bare), median(inst));
+    let (p, t) = (median(plain), median(traced));
     println!(
-        "instrumentation overhead over {scale} rows, {reps} reps: \
-         detached {b:.3} ms, attached {i:.3} ms"
+        "tracing overhead, {scale}-row scan + conf() over {CONF_CALLS} groups of ~{CLAUSES_PER_CALL}, \
+         {reps} reps: off {p:.3} ms, on {t:.3} ms ({:+.1} %)",
+        (t / p - 1.0) * 100.0
     );
     if let Some(pct) = assert_overhead {
         // A small absolute slack keeps sub-millisecond medians (where one
         // timer tick is several percent) from flaking.
-        let allowed = b * (1.0 + pct / 100.0) + 0.05;
+        let allowed = p * (1.0 + pct / 100.0) + 0.05;
         assert!(
-            i <= allowed,
-            "instrumented chain median {i:.3} ms exceeds the {pct}% (+0.05 ms slack) \
-             overhead gate over detached {b:.3} ms"
+            t <= allowed,
+            "traced mix median {t:.3} ms exceeds the {pct}% (+0.05 ms slack) \
+             overhead gate over untraced {p:.3} ms"
         );
     }
 

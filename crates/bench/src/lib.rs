@@ -5,7 +5,7 @@
 //! families, walk-group lineage, and the U-relation-overhead workloads; plus [`naive`], the reference
 //! implementations the property tests in `tests/` compare against.
 //! Criterion benches live in `benches/`; printable experiment harnesses
-//! in `src/bin/exp_*.rs`; CI's instrumentation-overhead gate is
+//! in `src/bin/exp_*.rs`; CI's tracing-overhead gate is
 //! `src/bin/overhead_gate.rs`.
 
 pub mod naive;

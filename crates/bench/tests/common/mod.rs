@@ -57,7 +57,7 @@ pub fn check_chain(source: &URelation, steps: &[Step]) {
                 let at = format!("{layout} source, {threads} threads, morsel {morsel}");
                 let got = stream(&src, steps, compact)
                     .expect("chain binds")
-                    .collect_with(&pool, morsel, None);
+                    .collect_with(&pool, morsel, (&maybms_obs::QueryStats::new(), "test"));
                 match (&want, got) {
                     (Ok(w), Ok(g)) => {
                         let g: Vec<String> =

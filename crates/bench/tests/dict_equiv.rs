@@ -128,7 +128,7 @@ proptest! {
                             &[Expr::ColumnIdx(0)],
                             &pool,
                             morsel,
-                            None,
+                            (&maybms_obs::QueryStats::new(), "test"),
                             new_states,
                             |sts: &mut Vec<AggState>, row, _| fold_row(sts, row),
                             |a: &mut Vec<AggState>, b| {

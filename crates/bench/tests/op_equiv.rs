@@ -64,7 +64,7 @@ proptest! {
             r.schema().fields().to_vec(),
             &[],
             &WorldTable::new(),
-            None,
+            &maybms_obs::QueryStats::new(),
         )
         .unwrap();
         prop_assert_eq!(got.into_certain().tuples(), naive::distinct(&r).tuples());

@@ -12,6 +12,7 @@
 
 use maybms_conf::{dklr, karp_luby::KarpLuby, Dnf};
 use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_obs::QueryStats;
 use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
 use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
@@ -159,21 +160,20 @@ proptest! {
                 .unwrap()
         };
         let p1 = ThreadPool::new(1);
-        let reference = build_stream().collect_with(&p1, 1, None).unwrap();
+        let qs = QueryStats::new();
+        let reference = build_stream().collect_with(&p1, 1, (&qs, "test")).unwrap();
         let fingerprint = |ps: &maybms_obs::PipelineStats| -> Vec<(u64, u64, u64)> {
-            ps.stages
-                .iter()
-                .map(|s| (s.rows_in.get(), s.rows_out.get(), s.build_rows.get()))
-                .collect()
+            let pipeline = (ps.rows_in.get(), ps.rows_out.get(), ps.join_build_rows());
+            let stages = ps.stages.iter().map(|s| (s.rows_in.get(), s.rows_out.get(), s.build_rows.get()));
+            std::iter::once(pipeline).chain(stages).collect()
         };
         let mut prints = Vec::new();
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let stream = build_stream();
-            let ps = stream.stats_skeleton("par determinism");
-            let got = stream.collect_with(&pool, 1, Some(&ps)).unwrap();
+            let qs = maybms_obs::QueryStats::new();
+            let got = build_stream().collect_with(&pool, 1, (&qs, "par determinism")).unwrap();
             prop_assert_eq!(got.tuples(), reference.tuples(), "threads = {}", threads);
-            prints.push(fingerprint(&ps));
+            prints.push(fingerprint(&qs.pipelines()[0]));
         }
         prop_assert_eq!(&prints[1], &prints[0], "stats, threads 2 vs 1");
         prop_assert_eq!(&prints[2], &prints[0], "stats, threads 8 vs 1");
@@ -212,7 +212,7 @@ fn self_join(u: &URelation) -> URelation {
             UStream::new(u.clone())
                 .hash_join(u.clone(), &[0], &[0])
                 .unwrap()
-                .collect_with(&ThreadPool::new(threads), 1, None)
+                .collect_with(&ThreadPool::new(threads), 1, (&QueryStats::new(), "test"))
                 .unwrap()
         })
         .collect();

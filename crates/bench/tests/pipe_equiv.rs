@@ -31,27 +31,27 @@ use maybms_pipe::UStream;
 use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 
-/// Per-stage `(label, rows_in, rows_out, build_rows)` fingerprint of an
-/// instrumented pipeline, plus its group count. Everything in here is
-/// part of the determinism contract — bit-identical at any thread count
-/// and morsel size. (Morsel counts and wall times are *not*: morsel
-/// boundaries depend on the pool.)
-fn stage_fingerprint(ps: &maybms_obs::PipelineStats) -> (Vec<(String, u64, u64, u64)>, u64) {
+/// Per-stage `(label, rows_in, rows_out, build_rows)` fingerprint of a
+/// pipeline's record, plus its pipeline-level rows in / out and group
+/// count. Everything in here is part of the determinism contract —
+/// bit-identical at any thread count and morsel size. (Morsel counts,
+/// vector-kernel batches and wall times are *not*: morsel boundaries
+/// depend on the pool.)
+type PipelineFingerprint = (Vec<(String, u64, u64, u64)>, [u64; 3]);
+
+fn stage_fingerprint(ps: &maybms_obs::PipelineStats) -> PipelineFingerprint {
     (
         ps.stages
             .iter()
             .map(|s| (s.label.clone(), s.rows_in.get(), s.rows_out.get(), s.build_rows.get()))
             .collect(),
-        ps.groups.get(),
+        [ps.rows_in.get(), ps.rows_out.get(), ps.groups.get()],
     )
 }
 
 /// The thread-invariant portion of a per-query collector: per-pipeline
 /// stage fingerprints plus the confidence-estimator effort counters.
-#[allow(clippy::type_complexity)]
-fn query_fingerprint(
-    qs: &maybms_obs::QueryStats,
-) -> (Vec<(Vec<(String, u64, u64, u64)>, u64)>, [u64; 6], u64) {
+fn query_fingerprint(qs: &maybms_obs::QueryStats) -> (Vec<PipelineFingerprint>, [u64; 6], u64) {
     (
         qs.pipelines().iter().map(|p| stage_fingerprint(p)).collect(),
         [
@@ -277,10 +277,10 @@ proptest! {
             let mut fingerprints = Vec::new();
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::new(threads);
+                let qs = maybms_obs::QueryStats::new();
                 let s = stream(&u1, &steps, false).unwrap();
-                let ps = s.stats_skeleton("property pipeline");
-                s.collect_with(&pool, 1, Some(&ps)).unwrap();
-                fingerprints.push(stage_fingerprint(&ps));
+                s.collect_with(&pool, 1, (&qs, "property pipeline")).unwrap();
+                fingerprints.push(stage_fingerprint(&qs.pipelines()[0]));
             }
             prop_assert_eq!(&fingerprints[1], &fingerprints[0], "stats, threads 2 vs 1");
             prop_assert_eq!(&fingerprints[2], &fingerprints[0], "stats, threads 8 vs 1");
@@ -372,7 +372,7 @@ proptest! {
                 key_fields.clone(),
                 &aggs,
                 &wt,
-                Some(&qs),
+                &qs,
                 &pool,
                 1,
             );
@@ -546,7 +546,8 @@ proptest! {
                 .collect();
             for threads in [1usize, 2, 8] {
                 maybms_par::set_threads(threads);
-                let mut ctx = maybms_core::exec::ExecCtx::new(&catalog, &mut wt);
+                let stats = maybms_obs::QueryStats::new();
+                let mut ctx = maybms_core::exec::ExecCtx::new(&catalog, &mut wt, &stats);
                 ctx.min_morsel = 1;
                 let plan = maybms_core::plan::plan_query(&query, &catalog).unwrap();
                 let got = maybms_core::exec::run(&plan, &mut ctx).unwrap();

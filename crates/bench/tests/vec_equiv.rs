@@ -153,7 +153,7 @@ fn litf(f: f64) -> Expr {
 /// divergence (the vendored proptest reports panics as case failures).
 fn check_expr(e: &Expr, rows: &[Vec<Value>]) {
     let batch = ColumnBatch::pivot(rows.len(), rows.iter().map(|r| r.as_slice()), &[0, 1, 2, 3]);
-    let (col, err) = vector::eval_batch(e, &batch);
+    let (col, err) = vector::eval_batch(e, &batch, &mut vector::KernelCounts::default());
     let mut scalar_err = None;
     let mut expected = Vec::new();
     for (i, row) in rows.iter().enumerate() {

@@ -57,24 +57,22 @@ const ESUM_NON_NUMERIC: &str = "esum over non-numeric value";
 /// seed `ACONF_SEED + g·n_aconf + j`.
 pub const ACONF_SEED: u64 = 0x5eed;
 
-/// Record one confidence computation's effort into an attached per-query
+/// Record one confidence computation's effort into the statement's
 /// collector. Everything added is an order-independent sum/max, so the
 /// totals are identical at any thread count even though groups fan out.
-fn record_effort(stats: Option<&maybms_obs::QueryStats>, effort: &ConfEffort) {
-    if let Some(qs) = stats {
-        qs.conf_calls.inc();
-        qs.dnf_clauses.add(effort.dnf_clauses);
-        qs.dtree_nodes.add(effort.dtree_nodes);
-        qs.samples.add(effort.samples);
-        qs.samples_drawn.add(effort.samples_drawn);
-        qs.sample_batches.add(effort.batches);
-        qs.record_rel_stderr(effort.rel_stderr);
-        if effort.epsilon > 0.0 {
-            qs.record_requested(effort.epsilon, effort.delta);
-        }
-        if effort.cut_batch.is_some() {
-            qs.degraded_conf.inc();
-        }
+fn record_effort(qs: &maybms_obs::QueryStats, effort: &ConfEffort) {
+    qs.conf_calls.inc();
+    qs.dnf_clauses.add(effort.dnf_clauses);
+    qs.dtree_nodes.add(effort.dtree_nodes);
+    qs.samples.add(effort.samples);
+    qs.samples_drawn.add(effort.samples_drawn);
+    qs.sample_batches.add(effort.batches);
+    qs.record_rel_stderr(effort.rel_stderr);
+    if effort.epsilon > 0.0 {
+        qs.record_requested(effort.epsilon, effort.delta);
+    }
+    if effort.cut_batch.is_some() {
+        qs.degraded_conf.inc();
     }
 }
 
@@ -82,15 +80,15 @@ fn record_effort(stats: Option<&maybms_obs::QueryStats>, effort: &ConfEffort) {
 /// evaluator by `eval_group_rows`.
 struct ConfSlots<'a> {
     wt: &'a WorldTable,
-    stats: Option<&'a maybms_obs::QueryStats>,
+    stats: &'a maybms_obs::QueryStats,
     /// Seed of the group's previous `aconf` slot.
     seed: u64,
 }
 
 impl ConfSlots<'_> {
-    /// The value of a `conf` / `aconf` aggregate over `lineage`; with a
-    /// collector attached, the call's effort (d-tree nodes, samples drawn,
-    /// achieved relative standard error) is recorded into it.
+    /// The value of a `conf` / `aconf` aggregate over `lineage`; the call's
+    /// effort (d-tree nodes, samples drawn, achieved relative standard
+    /// error) is recorded into the statement's collector.
     fn eval<'w>(
         &mut self,
         spec: &AggSpec,
@@ -125,7 +123,7 @@ fn eval_group_rows(
     n_groups: usize,
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
-    stats: Option<&maybms_obs::QueryStats>,
+    stats: &maybms_obs::QueryStats,
     pool: &ThreadPool,
     eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<UTuple> + Sync,
 ) -> Result<Vec<UTuple>> {
@@ -267,7 +265,7 @@ pub fn aggregate_stream(
     key_fields: Vec<Field>,
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
-    stats: Option<&maybms_obs::QueryStats>,
+    stats: &maybms_obs::QueryStats,
 ) -> Result<URelation> {
     let pool = maybms_par::pool();
     aggregate_stream_with(
@@ -303,7 +301,7 @@ pub fn aggregate_stream_with(
     key_fields: Vec<Field>,
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
-    stats: Option<&maybms_obs::QueryStats>,
+    stats: &maybms_obs::QueryStats,
     pool: &maybms_par::ThreadPool,
     min_morsel: usize,
 ) -> Result<URelation> {
@@ -416,17 +414,13 @@ pub fn aggregate_stream_with(
         }
         Ok(())
     };
-    let pipe_stats = stats.map(|qs| {
-        let ps = Arc::new(stream.stats_skeleton(stream_label(grouping.len(), aggs.len())));
-        qs.register_pipeline(ps.clone());
-        ps
-    });
+    let label = stream_label(grouping.len(), aggs.len());
     let (full_keys, states) = stream
         .collect_grouped(
             grouping,
             pool,
             min_morsel,
-            pipe_stats.as_deref(),
+            (stats, label.as_str()),
             new_state,
             fold,
             merge,
@@ -540,7 +534,7 @@ mod tests {
             key_fields,
             aggs,
             wt,
-            None,
+            &maybms_obs::QueryStats::new(),
         )
     }
 
@@ -640,7 +634,7 @@ mod tests {
                 vec![Field::new("team", DataType::Text)],
                 &aggs,
                 &WorldTable::new(),
-                None,
+                &maybms_obs::QueryStats::new(),
                 &maybms_par::ThreadPool::new(threads),
                 1,
             )

@@ -15,6 +15,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use maybms_engine::{Field, Relation, Schema, Tuple, Value};
+use maybms_obs::StatementKind;
 use maybms_pipe::UStream;
 use maybms_sql::{parse_statement, parse_statements, InsertSource, Statement};
 use maybms_store::{Op, Store, StoreError, StoreStatus, Vfs};
@@ -318,7 +319,6 @@ impl MayBms {
             stats.set_root_span(root.id());
         }
         let m = maybms_obs::metrics();
-        let fallbacks_before = m.scalar_fallbacks.get();
         let t0 = std::time::Instant::now();
         let result = {
             let _exec = maybms_obs::trace::span("execute");
@@ -368,39 +368,24 @@ impl MayBms {
             },
             Ok(_) => None,
         };
-        let aborted = gov_abort_label.is_some();
-        // Scalar fallbacks are observable only inside the vector kernels,
-        // so attribute this statement's delta of the process-wide counter
-        // (statements on one database run serially under `&mut self`).
-        // `EXPLAIN ANALYZE` may have claimed part of the window already.
-        let window = m.scalar_fallbacks.get().saturating_sub(fallbacks_before);
-        stats.scalar_fallbacks.add(window.saturating_sub(stats.scalar_fallbacks.get()));
         if let Ok(StatementResult::Query(out)) = &result {
             stats.rows_returned.add(out.len() as u64);
         }
-        m.queries.inc();
-        m.query_seconds.observe(elapsed);
-        // Statement kind for the sliding latency windows: conf-bearing
-        // queries are classified after execution (whether conf() ran is
-        // a property of the plan, not the statement's syntax alone).
-        // Governor-aborted and panicked statements go to their own
-        // `aborted` window so abort storms don't skew the per-kind
-        // latency percentiles with artificially short samples.
-        let kind = if aborted {
-            maybms_obs::window::StatementKind::Aborted
-        } else {
-            match stmt {
-                Statement::Select(_) | Statement::Explain { .. } => {
-                    if stats.conf_calls.get() > 0 {
-                        maybms_obs::window::StatementKind::Conf
-                    } else {
-                        maybms_obs::window::StatementKind::Select
-                    }
-                }
-                _ => maybms_obs::window::StatementKind::Dml,
+        // The statement's latency kind: conf-bearing queries are
+        // classified after execution (whether conf() ran is a property
+        // of the plan, not the statement's syntax alone). Governor-aborted
+        // and panicked statements are `aborted`, so abort storms don't
+        // skew the per-kind percentiles with artificially short samples.
+        let kind = match stmt {
+            _ if gov_abort_label.is_some() => StatementKind::Aborted,
+            Statement::Select(_) | Statement::Explain { .. } if stats.conf_calls.get() > 0 => {
+                StatementKind::Conf
             }
+            Statement::Select(_) | Statement::Explain { .. } => StatementKind::Select,
+            _ => StatementKind::Dml,
         };
-        maybms_obs::window::record_statement(kind, elapsed);
+        m.queries.inc();
+        m.query_seconds(kind).observe(elapsed);
         root.attr("kind", kind.label());
         root.attr("rows", stats.rows_returned.get());
         if let Some(label) = gov_abort_label {
@@ -438,12 +423,11 @@ impl MayBms {
     fn execute_inner(
         &mut self,
         stmt: &Statement,
-        stats: &Arc<maybms_obs::QueryStats>,
+        stats: &maybms_obs::QueryStats,
     ) -> Result<StatementResult> {
         match stmt {
             Statement::Select(q) => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
-                ctx.stats = Some(stats.clone());
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let out = eval_query(q, &mut ctx)?;
                 Ok(StatementResult::Query(out))
             }
@@ -455,14 +439,10 @@ impl MayBms {
                 Ok(StatementResult::Ok { message })
             }
             Statement::Explain { query, analyze: true } => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
-                ctx.stats = Some(stats.clone());
-                let m = maybms_obs::metrics();
-                let fallbacks_before = m.scalar_fallbacks.get();
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let t0 = std::time::Instant::now();
                 let out = eval_query(query, &mut ctx)?;
                 let elapsed = t0.elapsed();
-                stats.scalar_fallbacks.add(m.scalar_fallbacks.get().saturating_sub(fallbacks_before));
                 Ok(StatementResult::Ok { message: render_analyze(query, stats, &out, elapsed) })
             }
             Statement::CreateTable { name, columns } => {
@@ -475,14 +455,13 @@ impl MayBms {
                 Ok(StatementResult::Ok { message: "CREATE TABLE".into() })
             }
             Statement::CreateTableAs { name, query } => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
-                ctx.stats = Some(stats.clone());
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let out = run(&plan_query(query, &self.tables)?, &mut ctx)?;
                 self.register_u(name, out)?;
                 Ok(StatementResult::Ok { message: "CREATE TABLE AS".into() })
             }
             Statement::Insert { table, columns, source } => {
-                let n = self.insert(table, columns.as_deref(), source)?;
+                let n = self.insert(table, columns.as_deref(), source, stats)?;
                 Ok(StatementResult::Ok { message: format!("INSERT {n}") })
             }
             Statement::Update { table, assignments, filter } => {
@@ -512,6 +491,7 @@ impl MayBms {
         table: &str,
         columns: Option<&[String]>,
         source: &InsertSource,
+        stats: &maybms_obs::QueryStats,
     ) -> Result<usize> {
         // Evaluate the source first (it may read the target table).
         let rows: Vec<Tuple> = match source {
@@ -528,7 +508,7 @@ impl MayBms {
                     .collect::<Result<_>>()?
             }
             InsertSource::Query(q) => {
-                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt);
+                let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let out = eval_query(q, &mut ctx)?;
                 match out {
                     QueryOutput::Certain(r) => r.into_tuples(),
@@ -618,7 +598,7 @@ impl MayBms {
         table: &str,
         assignments: &[(String, maybms_sql::Expr)],
         filter: Option<&maybms_sql::Expr>,
-        stats: &Arc<maybms_obs::QueryStats>,
+        stats: &maybms_obs::QueryStats,
     ) -> Result<usize> {
         let (key, target) = self.stored(table)?;
         let schema = target.schema();
@@ -661,7 +641,7 @@ impl MayBms {
         &mut self,
         table: &str,
         filter: Option<&maybms_sql::Expr>,
-        stats: &Arc<maybms_obs::QueryStats>,
+        stats: &maybms_obs::QueryStats,
     ) -> Result<usize> {
         let (key, target) = self.stored(table)?;
         // A predicate error must leave the table (and the log) untouched.
@@ -681,18 +661,16 @@ impl MayBms {
 fn target_positions(
     target: &URelation,
     filter: Option<&maybms_sql::Expr>,
-    stats: &Arc<maybms_obs::QueryStats>,
+    stats: &maybms_obs::QueryStats,
 ) -> Result<Vec<u32>> {
     let mut stream = UStream::new(target.clone());
     if let Some(f) = filter {
         stream = stream.filter(&scalar(f)?)?;
     }
-    let pipe_stats = Arc::new(stream.stats_skeleton("DML target scan"));
-    stats.register_pipeline(pipe_stats.clone());
     let sel = stream.select_positions(
         &maybms_par::pool(),
         maybms_engine::ops::PAR_MIN_CHUNK,
-        Some(&pipe_stats),
+        (stats, "DML target scan"),
     )?;
     sel.into_iter()
         .map(|i| u32::try_from(i).map_err(|_| plan_err("table exceeds 2^32 rows")))
@@ -729,22 +707,21 @@ fn render_analyze(
     s.push_str("pipeline decomposition (morsel-driven executor, measured):\n");
     let mut i = 0;
     for step in stats.steps() {
-        let p = match step {
+        let (label, p) = match step {
             maybms_obs::Step::Breaker(what, rows_in, rows_out) => {
                 s.push_str(&format!("breaker: {what} [in {rows_in}, out {rows_out}]\n"));
                 continue;
             }
-            maybms_obs::Step::Pipeline(p) => p,
+            maybms_obs::Step::Pipeline(label, p) => (label, p),
         };
         if p.stages.is_empty() && p.morsels.get() == 0 {
             // A stage-less pipeline (bare scan feeding a breaker) passes
             // its source through without driving any morsels.
-            s.push_str(&format!("#{} pipeline ({}) [source passthrough]\n", i + 1, p.label));
+            s.push_str(&format!("#{} pipeline ({label}) [source passthrough]\n", i + 1));
         } else {
             s.push_str(&format!(
-                "#{} pipeline ({}) [{:.3} ms, {} morsel(s)]\n",
+                "#{} pipeline ({label}) [{:.3} ms, {} morsel(s)]\n",
                 i + 1,
-                p.label,
                 p.wall_nanos.get() as f64 / 1e6,
                 p.morsels.get(),
             ));
@@ -807,8 +784,9 @@ fn render_analyze(
         }
         s.push('\n');
     }
-    if stats.scalar_fallbacks.get() > 0 {
-        s.push_str(&format!("scalar fallbacks: {}\n", stats.scalar_fallbacks.get()));
+    let fallbacks = stats.scalar_fallbacks();
+    if fallbacks > 0 {
+        s.push_str(&format!("scalar fallbacks: {fallbacks}\n"));
     }
     let (rows, kind) = match out {
         QueryOutput::Certain(r) => (r.len(), "t-certain"),

@@ -9,9 +9,9 @@
 //! ([`agg::aggregate_stream`]: `GROUP BY`, aggregates, `DISTINCT`) — is
 //! its one materialisation. Nothing else materialises but the other
 //! breakers: hash-join build sides and [`maybms_pipe::breaker`]'s sort,
-//! union, cross product and limit. With a [`maybms_obs::QueryStats`]
-//! attached, every pipeline and breaker is recorded into it in run order
-//! — what `EXPLAIN ANALYZE` prints.
+//! union, cross product and limit. Every pipeline and breaker is recorded
+//! into the statement's [`maybms_obs::QueryStats`] in run order — what
+//! `EXPLAIN ANALYZE` prints.
 //!
 //! The run makes the decisions the plan leaves to the data (see
 //! [`crate::plan`]): which side of the first join to build, whether a
@@ -43,12 +43,12 @@ pub struct ExecCtx<'a> {
     /// The shared world table (mutable: `repair key` / `pick tuples`
     /// register fresh variables).
     pub wt: &'a mut WorldTable,
-    /// When attached, every pipeline registers a per-stage stats
-    /// collector, every breaker its row counts, and the aggregates record
-    /// confidence-computation effort — the `EXPLAIN ANALYZE` /
-    /// slow-query-log implementation. Never changes results: everything
+    /// The statement's record: every pipeline registers its stats here
+    /// when it ends, every breaker its row counts, and the aggregates
+    /// their confidence-computation effort — what `EXPLAIN ANALYZE` and
+    /// the slow-query log print. Never changes results: everything
     /// collected is an order-independent sum or max.
-    pub stats: Option<Arc<maybms_obs::QueryStats>>,
+    pub stats: &'a maybms_obs::QueryStats,
     /// Minimum morsel size of every pipeline this context runs
     /// ([`maybms_engine::ops::PAR_MIN_CHUNK`]; the determinism tests pin
     /// it to a single row, as they do on `collect_with`).
@@ -56,33 +56,24 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// A context without stats collection.
-    pub fn new(catalog: &'a BTreeMap<String, URelation>, wt: &'a mut WorldTable) -> ExecCtx<'a> {
-        ExecCtx { catalog, wt, stats: None, min_morsel: maybms_engine::ops::PAR_MIN_CHUNK }
+    /// A context recording into `stats`.
+    pub fn new(
+        catalog: &'a BTreeMap<String, URelation>,
+        wt: &'a mut WorldTable,
+        stats: &'a maybms_obs::QueryStats,
+    ) -> ExecCtx<'a> {
+        ExecCtx { catalog, wt, stats, min_morsel: maybms_engine::ops::PAR_MIN_CHUNK }
     }
 
     /// Materialise `stream` as the statement's next pipeline, labelled by
     /// why it breaks.
-    fn collect(&mut self, stream: UStream, label: &str) -> Result<URelation> {
-        let stats = self.stats.as_ref().map(|_| stream.stats_skeleton(label));
-        let out = stream.collect_with(&maybms_par::pool(), self.min_morsel, stats.as_ref())?;
-        self.register(stats, label);
-        Ok(out)
-    }
-
-    /// Register a collected pipeline's stats, labelled.
-    fn register(&self, stats: Option<maybms_obs::PipelineStats>, label: &str) {
-        if let (Some(qs), Some(mut ps)) = (&self.stats, stats) {
-            ps.label = label.to_string();
-            qs.register_pipeline(Arc::new(ps));
-        }
+    fn collect(&self, stream: UStream, label: &str) -> Result<URelation> {
+        Ok(stream.collect_with(&maybms_par::pool(), self.min_morsel, (self.stats, label))?)
     }
 
     /// Record a breaker that turned `rows_in` rows into `out`.
     fn breaker(&self, what: String, rows_in: usize, out: &URelation) {
-        if let Some(qs) = &self.stats {
-            qs.record_breaker(what, rows_in, out.len());
-        }
+        self.stats.record_breaker(what, rows_in, out.len());
     }
 }
 
@@ -202,11 +193,10 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             // A breaker either way: one side materialises (morsel-locally
             // hashed at run time), the other streams through the probe.
             // Which one is known once the leaf has yielded its rows.
-            let stats = ctx.stats.as_ref().map(|_| input.stats_skeleton(""));
-            let collected = input.collect_with(&maybms_par::pool(), ctx.min_morsel, stats.as_ref())?;
+            let collected = ctx.collect(input, "hash-join build side")?;
             let swap = join.adaptive && first_rows < collected.len();
-            ctx.register(stats, if swap { "hash-join probe side" } else { "hash-join build side" });
             if swap {
+                ctx.stats.relabel_last_pipeline("hash-join probe side");
                 let build = ctx.collect(stream, "hash-join build side")?;
                 let (rows, probe_rows) = (build.len(), collected.len());
                 let why = format!("build: {first}, {rows} rows (probe side {}: {probe_rows})", leaf.label);
@@ -333,7 +323,7 @@ fn group(
         key_fields,
         aggs,
         ctx.wt,
-        ctx.stats.as_deref(),
+        ctx.stats,
         &maybms_par::pool(),
         ctx.min_morsel,
     )
@@ -393,7 +383,8 @@ mod tests {
 
     fn run(sql: &str) -> Result<QueryOutput> {
         let (catalog, mut wt) = fixture();
-        let mut ctx = ExecCtx::new(&catalog, &mut wt);
+        let stats = maybms_obs::QueryStats::new();
+        let mut ctx = ExecCtx::new(&catalog, &mut wt, &stats);
         let q = parse_query(sql).unwrap();
         eval_query(&q, &mut ctx)
     }
@@ -613,7 +604,8 @@ mod tests {
     #[test]
     fn order_by_on_uncertain_representation() {
         let (catalog, mut wt) = fixture();
-        let mut ctx = ExecCtx::new(&catalog, &mut wt);
+        let stats = maybms_obs::QueryStats::new();
+        let mut ctx = ExecCtx::new(&catalog, &mut wt, &stats);
         let q = parse_query(
             "select * from (pick tuples from games) p order by pts desc",
         )
@@ -634,7 +626,8 @@ mod tests {
         // Positive IN over an uncertain subquery: rewrites to a join; the
         // result is uncertain (conditions ride along).
         let (catalog, mut wt) = fixture();
-        let mut ctx = ExecCtx::new(&catalog, &mut wt);
+        let stats = maybms_obs::QueryStats::new();
+        let mut ctx = ExecCtx::new(&catalog, &mut wt, &stats);
         let q = parse_query(
             "select player from games where team in
                (select team from (pick tuples from teams) pt)",

@@ -97,15 +97,31 @@ pub fn shortcircuit_safe(e: &Expr) -> bool {
     }
 }
 
-/// Evaluate `e` over every row of `batch`. Returns the result column
-/// and, if evaluation errors, the first erroring row (scalar order) with
-/// its error — the column then holds the values of the rows before it.
-pub fn eval_batch(e: &Expr, batch: &ColumnBatch) -> (Column, Option<(usize, EngineError)>) {
-    maybms_obs::metrics().vector_batches.inc();
+/// Batches the kernels evaluated and how many of them fell back to the
+/// scalar redo — counted by the caller's morsel, so a pipeline reports
+/// its own kernel work.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCounts {
+    /// Calls of [`eval_batch`] (one per expression per morsel).
+    pub batches: u64,
+    /// Of those, the batches redone row by row after an [`Interrupt`].
+    pub scalar_fallbacks: u64,
+}
+
+/// Evaluate `e` over every row of `batch`, counting the batch (and a
+/// scalar fallback) into `counts`. Returns the result column and, if
+/// evaluation errors, the first erroring row (scalar order) with its
+/// error — the column then holds the values of the rows before it.
+pub fn eval_batch(
+    e: &Expr,
+    batch: &ColumnBatch,
+    counts: &mut KernelCounts,
+) -> (Column, Option<(usize, EngineError)>) {
+    counts.batches += 1;
     match eval_vec(e, batch) {
         Ok(col) => (col.into_owned(), None),
         Err(Interrupt) => {
-            maybms_obs::metrics().scalar_fallbacks.inc();
+            counts.scalar_fallbacks += 1;
             // Scalar redo: pivot each row back out and run the scalar
             // evaluator — the authoritative semantics, short-circuiting
             // and error order included.
@@ -127,8 +143,12 @@ pub fn eval_batch(e: &Expr, batch: &ColumnBatch) -> (Column, Option<(usize, Engi
 /// passing rows (SQL `WHERE`: NULL and `false` drop the row, any other
 /// non-boolean result is the scalar evaluator's type error). On error,
 /// the selection holds the passing rows *before* the erroring row.
-pub fn selection(pred: &Expr, batch: &ColumnBatch) -> (Vec<u32>, Option<(usize, EngineError)>) {
-    let (col, mut err) = eval_batch(pred, batch);
+pub fn selection(
+    pred: &Expr,
+    batch: &ColumnBatch,
+    counts: &mut KernelCounts,
+) -> (Vec<u32>, Option<(usize, EngineError)>) {
+    let (col, mut err) = eval_batch(pred, batch, counts);
     let n = col.len();
     let mut sel = Vec::new();
     let type_err = |v: &Value| EngineError::TypeMismatch {
@@ -750,7 +770,7 @@ mod tests {
         let arity = rows.first().map_or(0, Vec::len);
         let cols: Vec<usize> = (0..arity).collect();
         let batch = ColumnBatch::pivot(rows.len(), rows.iter().map(|r| r.as_slice()), &cols);
-        let (col, err) = eval_batch(e, &batch);
+        let (col, err) = eval_batch(e, &batch, &mut KernelCounts::default());
         let mut scalar_err = None;
         let mut expected = Vec::new();
         for (i, row) in rows.iter().enumerate() {
@@ -1008,7 +1028,7 @@ mod tests {
             vec![Value::Int(9)]];
         let pred = c(0).binary(BinaryOp::Gt, Expr::lit(3i64));
         let batch = ColumnBatch::pivot(4, rows.iter().map(|r| r.as_slice()), &[0]);
-        let (sel, err) = selection(&pred, &batch);
+        let (sel, err) = selection(&pred, &batch, &mut KernelCounts::default());
         assert!(err.is_none());
         assert_eq!(sel, vec![0, 3]);
     }
@@ -1019,7 +1039,7 @@ mod tests {
         // predicate is evaluated on.
         let rows = [vec![Value::Null], vec![Value::Int(2)]];
         let batch = ColumnBatch::pivot(2, rows.iter().map(|r| r.as_slice()), &[0]);
-        let (sel, err) = selection(&c(0), &batch);
+        let (sel, err) = selection(&c(0), &batch, &mut KernelCounts::default());
         // Row 0 is NULL -> dropped; row 1 is the type error.
         assert!(sel.is_empty());
         let (row, e) = err.expect("type error");
@@ -1037,7 +1057,7 @@ mod tests {
             vec![Value::Int(9), Value::Int(3)]];
         let pred = c(0).binary(BinaryOp::Div, c(1)).binary(BinaryOp::Gt, Expr::lit(2i64));
         let batch = ColumnBatch::pivot(4, rows.iter().map(|r| r.as_slice()), &[0, 1]);
-        let (sel, err) = selection(&pred, &batch);
+        let (sel, err) = selection(&pred, &batch, &mut KernelCounts::default());
         assert_eq!(sel, vec![0]);
         let (row, _) = err.expect("division by zero");
         assert_eq!(row, 2);
@@ -1062,7 +1082,9 @@ mod tests {
         // Unbound: the redo reports the scalar UnboundExpression error.
         let rows = [vec![Value::Int(1)]];
         let batch = ColumnBatch::pivot(1, rows.iter().map(|r| r.as_slice()), &[0]);
-        let (_, err) = eval_batch(&Expr::col("a"), &batch);
+        let mut counts = KernelCounts::default();
+        let (_, err) = eval_batch(&Expr::col("a"), &batch, &mut counts);
         assert!(matches!(err, Some((0, EngineError::UnboundExpression { .. }))));
+        assert_eq!(counts, KernelCounts { batches: 1, scalar_fallbacks: 1 });
     }
 }

@@ -7,8 +7,8 @@
 //! from the same shape.
 //!
 //! Endpoints:
-//! * `GET /metrics` — [`crate::render_prometheus`] output (registry +
-//!   latency-window families), `text/plain; version=0.0.4`.
+//! * `GET /metrics` — [`crate::render_prometheus`] output (the whole
+//!   registry), `text/plain; version=0.0.4`.
 //! * `GET /healthz` — `ok`.
 //!
 //! Opt in from the shell with `--metrics-addr HOST:PORT` or
@@ -132,7 +132,7 @@ mod tests {
         let (status, body) = get(addr, "/metrics");
         assert_eq!(status, 200);
         assert!(body.contains("# TYPE maybms_query_total counter"), "{body}");
-        assert!(body.contains("maybms_latency_window_seconds"), "{body}");
+        assert!(body.contains("maybms_query_seconds_bucket{kind=\"conf\",le=\"+Inf\"}"), "{body}");
         let (status, body) = get(addr, "/healthz");
         assert_eq!(status, 200);
         assert_eq!(body, "ok\n");

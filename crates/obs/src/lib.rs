@@ -3,48 +3,60 @@
 //! A std-only metrics layer (the build environment is offline, so no
 //! prometheus/metrics crates): lock-free atomic [`Counter`]s, [`Gauge`]s
 //! and fixed-bucket latency [`Histogram`]s in a process-wide registry
-//! ([`metrics`]), plus a per-query [`QueryStats`] collector the executor
-//! threads through pipelines, confidence computation and the shell.
+//! ([`metrics`]), plus the per-statement [`QueryStats`] every SQL
+//! statement carries through pipelines and confidence computation.
+//!
+//! **One record of what ran.** A pipeline run keeps exactly one record
+//! of itself, a [`PipelineStats`]: the morsel driver tallies into it
+//! once per morsel, and when the run ends [`PipelineStats::finish`] hands
+//! those numbers to all three views at once — the registry (`/metrics`),
+//! the `pipeline` trace span, and the statement's [`QueryStats`]
+//! (`EXPLAIN ANALYZE`, [`QueryStats::summary`]). The views agree because
+//! they are copies of one tally, not three counts of the same events.
+//! Statement latency is likewise one histogram per statement kind,
+//! `maybms_query_seconds{kind}`, read by `/metrics` and by
+//! [`latency_report`] (`\latency`).
 //!
 //! Two invariants the rest of the stack relies on:
 //!
-//! * **Near-zero cost.** Registry updates are relaxed atomic adds issued
-//!   at most once per morsel / batch / fsync, never per row; per-query
-//!   collection only happens when a [`QueryStats`] is attached, and the
-//!   per-row tallies it consumes are plain stack integers flushed once
-//!   per morsel.
+//! * **Near-zero cost.** Per-row counting is plain integers on the
+//!   worker's stack, flushed into the pipeline's record once per morsel;
+//!   the registry sees a handful of relaxed atomic adds per pipeline /
+//!   batch / fsync, never per row.
 //! * **Determinism.** Everything a [`QueryStats`] accumulates is an
 //!   order-independent sum (or max) of per-morsel / per-call
 //!   contributions, so the collected numbers — like the query results
-//!   themselves — are bit-identical at any thread count and morsel size.
+//!   themselves — are bit-identical at any thread count and morsel size
+//!   (morsel counts and wall times excepted).
 //!
 //! Surfaces: `EXPLAIN ANALYZE` (core renders [`QueryStats`]), the shell's
-//! `\metrics` command ([`render_prometheus`]), and the opt-in slow-query
-//! log ([`slow_log_threshold_ms`], `MAYBMS_SLOW_MS` / `\slowlog N`).
-//!
-//! Phase 2 adds three consumers on top of the registry: structured
-//! tracing spans with a ring sink and Chrome `trace_event` export
-//! ([`trace`]), sliding-window p50/p95/p99 latency tracking per
-//! statement kind ([`window`]), and a std-only Prometheus HTTP scrape
-//! endpoint ([`http`]).
+//! `\metrics` and `\latency` commands ([`render_prometheus`],
+//! [`latency_report`]), the opt-in slow-query log
+//! ([`slow_log_threshold_ms`], `MAYBMS_SLOW_MS` / `\slowlog N`),
+//! structured tracing spans with a ring sink and Chrome `trace_event`
+//! export ([`trace`]), and a std-only Prometheus HTTP scrape endpoint
+//! ([`http`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod http;
 pub mod trace;
-pub mod window;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Nanoseconds since the process trace epoch (first call wins). One
-/// monotonic clock shared by span timestamps and window rotation, so
-/// traces and latency windows line up.
+/// Nanoseconds since the process trace epoch (first call wins) — the
+/// clock of every span timestamp.
 pub fn monotonic_nanos() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos().min(u64::MAX as u128) as u64
+    nanos(EPOCH.get_or_init(Instant::now).elapsed())
+}
+
+/// `d` in nanoseconds, saturating.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 // ---------------------------------------------------------------------
@@ -113,17 +125,16 @@ impl Gauge {
 /// Maximum bucket count of a [`Histogram`] (bounds + the +Inf bucket).
 pub const MAX_BUCKETS: usize = 16;
 
-/// A fixed-bucket latency histogram: cumulative-style observation counts
-/// per upper bound (nanoseconds) plus a `+Inf` overflow bucket, a total
-/// count and a nanosecond sum — exactly the data a Prometheus histogram
-/// exposes. Buckets are plain relaxed atomics; observing is one binary
-/// chore of comparisons and two adds.
+/// A fixed-bucket latency histogram: observation counts per upper bound
+/// (nanoseconds) plus a `+Inf` overflow bucket, and a nanosecond sum —
+/// exactly the data a Prometheus histogram exposes. Buckets are plain
+/// relaxed atomics; observing is one binary chore of comparisons and two
+/// adds.
 #[derive(Debug)]
 pub struct Histogram {
     /// Ascending upper bounds, in nanoseconds (≤ [`MAX_BUCKETS`] − 1).
     bounds: &'static [u64],
     buckets: [AtomicU64; MAX_BUCKETS],
-    count: AtomicU64,
     sum_nanos: AtomicU64,
 }
 
@@ -133,26 +144,30 @@ impl Histogram {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         assert!(bounds.len() < MAX_BUCKETS);
-        Histogram { bounds, buckets: [ZERO; MAX_BUCKETS], count: AtomicU64::new(0), sum_nanos: AtomicU64::new(0) }
+        Histogram { bounds, buckets: [ZERO; MAX_BUCKETS], sum_nanos: AtomicU64::new(0) }
     }
 
     /// Record one duration.
     #[inline]
     pub fn observe(&self, d: Duration) {
-        self.observe_nanos(d.as_nanos().min(u64::MAX as u128) as u64);
+        self.observe_nanos(nanos(d));
     }
 
     /// Record one observation of `nanos` nanoseconds.
     pub fn observe_nanos(&self, nanos: u64) {
         let i = self.bounds.partition_point(|&b| b < nanos);
         self.buckets[i].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    /// Observations per bucket, the `+Inf` bucket last.
+    fn counts(&self) -> [u64; MAX_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.counts().iter().sum()
     }
 
     /// Sum of all observations, in seconds.
@@ -160,19 +175,57 @@ impl Histogram {
         self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
+    /// Mean observation in seconds (`None` when empty).
+    pub fn mean(&self) -> Option<f64> {
+        let n = self.count();
+        (n > 0).then(|| self.sum_nanos.load(Ordering::Relaxed) as f64 / n as f64 / 1e9)
+    }
+
+    /// Quantile `q` (0 < q ≤ 1) in seconds, interpolated linearly within
+    /// the winning bucket as Prometheus `histogram_quantile` does (the
+    /// last finite bound caps the `+Inf` bucket). `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let buckets = self.counts();
+        let total: u64 = buckets.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let rank = (q * total as f64).ceil().max(1.0) as u64;
+        let mut cumulative = 0u64;
+        for (i, &in_bucket) in buckets.iter().enumerate() {
+            cumulative += in_bucket;
+            if cumulative < rank {
+                continue;
+            }
+            let Some(&upper) = self.bounds.get(i) else {
+                return Some(*self.bounds.last().unwrap_or(&0) as f64 / 1e9);
+            };
+            let lower = if i == 0 { 0 } else { self.bounds[i - 1] };
+            let into = (rank - (cumulative - in_bucket)) as f64 / in_bucket as f64;
+            return Some((lower as f64 + (upper - lower) as f64 * into) / 1e9);
+        }
+        None // unreachable: cumulative == total >= rank by the end
+    }
+
     /// Render this histogram in Prometheus text exposition format
-    /// (cumulative `_bucket{le=…}` lines, `_sum`, `_count`).
-    fn render(&self, out: &mut String, name: &str) {
+    /// (cumulative `_bucket{le=…}` lines, `_sum`, `_count`), each series
+    /// carrying `label` (`kind="select"`) when one is given.
+    fn render(&self, out: &mut String, name: &str, label: &str) {
+        let (le_prefix, tail) = match label {
+            "" => (String::new(), String::new()),
+            l => (format!("{l},"), format!("{{{l}}}")),
+        };
+        let counts = self.counts();
         let mut cumulative = 0u64;
         for (i, &bound) in self.bounds.iter().enumerate() {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
+            cumulative += counts[i];
             let le = bound as f64 / 1e9;
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+            out.push_str(&format!("{name}_bucket{{{le_prefix}le=\"{le}\"}} {cumulative}\n"));
         }
-        cumulative += self.buckets[self.bounds.len()].load(Ordering::Relaxed);
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        out.push_str(&format!("{name}_sum {}\n", self.sum_seconds()));
-        out.push_str(&format!("{name}_count {}\n", self.count()));
+        cumulative += counts[self.bounds.len()];
+        out.push_str(&format!("{name}_bucket{{{le_prefix}le=\"+Inf\"}} {cumulative}\n"));
+        out.push_str(&format!("{name}_sum{tail} {}\n", self.sum_seconds()));
+        out.push_str(&format!("{name}_count{tail} {cumulative}\n"));
     }
 }
 
@@ -189,8 +242,8 @@ pub const TIME_BOUNDS: &[u64] = &[
 ];
 
 /// Statement-latency bounds: 50µs … 5s. Finer sub-millisecond buckets
-/// than [`TIME_BOUNDS`] so p50 of this box's sub-ms queries does not
-/// pin to the lowest bucket.
+/// than [`TIME_BOUNDS`] so the p50 of sub-millisecond statements does
+/// not pin to the lowest bucket.
 pub const STATEMENT_BOUNDS: &[u64] = &[
     50_000, 100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
     25_000_000, 50_000_000, 100_000_000, 250_000_000, 500_000_000, 1_000_000_000,
@@ -200,6 +253,38 @@ pub const STATEMENT_BOUNDS: &[u64] = &[
 // ---------------------------------------------------------------------
 // The process-wide registry
 // ---------------------------------------------------------------------
+
+/// What kind of statement a latency observation belongs to — the `kind`
+/// label of `maybms_query_seconds`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatementKind {
+    /// Query without confidence computation.
+    Select,
+    /// Query that ran at least one conf()/aconf()/tconf computation.
+    Conf,
+    /// Data/definition mutation (INSERT/UPDATE/DELETE/CREATE/…).
+    Dml,
+    /// Statement aborted by the governor (cancel/deadline/memory) or a
+    /// caught panic — kept apart so an abort storm cannot skew the
+    /// select/conf/dml percentiles with artificially short samples.
+    Aborted,
+}
+
+impl StatementKind {
+    /// All kinds, in rendering order.
+    pub const ALL: [StatementKind; 4] =
+        [StatementKind::Select, StatementKind::Conf, StatementKind::Dml, StatementKind::Aborted];
+
+    /// The `kind` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            StatementKind::Select => "select",
+            StatementKind::Conf => "conf",
+            StatementKind::Dml => "dml",
+            StatementKind::Aborted => "aborted",
+        }
+    }
+}
 
 /// Every engine-wide metric, one static instance ([`metrics`]).
 #[derive(Debug)]
@@ -235,7 +320,9 @@ pub struct Metrics {
     // maybms-core: statements.
     pub queries: Counter,
     pub slow_queries: Counter,
-    pub query_seconds: Histogram,
+    /// Statement wall time, one histogram per [`StatementKind`]
+    /// ([`Metrics::query_seconds`]).
+    query_seconds: [Histogram; 4],
     // maybms-gov: the query governor.
     pub gov_cancelled: Counter,
     pub gov_deadline: Counter,
@@ -271,7 +358,7 @@ static METRICS: Metrics = Metrics {
     par_queue_depth_hwm: Gauge::new(),
     queries: Counter::new(),
     slow_queries: Counter::new(),
-    query_seconds: Histogram::new(STATEMENT_BOUNDS),
+    query_seconds: [const { Histogram::new(STATEMENT_BOUNDS) }; 4],
     gov_cancelled: Counter::new(),
     gov_deadline: Counter::new(),
     gov_mem_rejected: Counter::new(),
@@ -283,6 +370,13 @@ static METRICS: Metrics = Metrics {
 /// The process-wide metrics registry.
 pub fn metrics() -> &'static Metrics {
     &METRICS
+}
+
+impl Metrics {
+    /// The statement-latency histogram of `kind`.
+    pub fn query_seconds(&self, kind: StatementKind) -> &Histogram {
+        &self.query_seconds[kind as usize]
+    }
 }
 
 /// Render the whole registry in Prometheus text exposition format
@@ -330,15 +424,46 @@ pub fn render_prometheus() -> String {
     gauge("maybms_store_recovery_replayed_records", "WAL records replayed at the last open", &m.recovery_replayed);
     gauge("maybms_store_recovery_truncated_tail", "1 if the last open truncated a torn WAL tail", &m.recovery_truncated_tail);
     gauge("maybms_par_queue_depth_hwm", "Execution-pool queue depth high-water mark", &m.par_queue_depth_hwm);
-    let mut histogram = |name: &str, help: &str, h: &Histogram| {
+    let mut histogram = |name: &str, help: &str, series: Vec<(String, &Histogram)>| {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-        h.render(&mut out, name);
+        for (label, h) in series {
+            h.render(&mut out, name, &label);
+        }
     };
-    histogram("maybms_pipe_pipeline_seconds", "Per-pipeline wall time", &m.pipeline_seconds);
-    histogram("maybms_store_wal_fsync_seconds", "WAL append+fsync latency", &m.wal_fsync_seconds);
-    histogram("maybms_store_checkpoint_seconds", "Checkpoint duration", &m.checkpoint_seconds);
-    histogram("maybms_query_seconds", "Per-statement wall time", &m.query_seconds);
-    window::render_prometheus_into(&mut out);
+    let one = |h| vec![(String::new(), h)];
+    histogram("maybms_pipe_pipeline_seconds", "Per-pipeline wall time", one(&m.pipeline_seconds));
+    histogram("maybms_store_wal_fsync_seconds", "WAL append+fsync latency", one(&m.wal_fsync_seconds));
+    histogram("maybms_store_checkpoint_seconds", "Checkpoint duration", one(&m.checkpoint_seconds));
+    let kinds = StatementKind::ALL
+        .iter()
+        .map(|&k| (format!("kind=\"{}\"", k.label()), m.query_seconds(k)))
+        .collect();
+    histogram("maybms_query_seconds", "Per-statement wall time by statement kind", kinds);
+    out
+}
+
+/// Statement latency per kind since the process started — count, mean,
+/// p50, p95 and p99 read off `maybms_query_seconds` (the `\latency`
+/// shell command). Windowed quantiles are the scraper's:
+/// `histogram_quantile(0.99, rate(maybms_query_seconds_bucket{kind="conf"}[1m]))`.
+pub fn latency_report() -> String {
+    let mut out = format!(
+        "statement latency since start:\n{:<8} {:>8} {:>12} {:>12} {:>12} {:>12}\n",
+        "kind", "count", "mean", "p50", "p95", "p99",
+    );
+    let fmt = |v: Option<f64>| v.map_or("-".to_string(), |s| trace::fmt_nanos((s * 1e9) as u64));
+    for kind in StatementKind::ALL {
+        let h = metrics().query_seconds(kind);
+        out.push_str(&format!(
+            "{:<8} {:>8} {:>12} {:>12} {:>12} {:>12}\n",
+            kind.label(),
+            h.count(),
+            fmt(h.mean()),
+            fmt(h.quantile(0.50)),
+            fmt(h.quantile(0.95)),
+            fmt(h.quantile(0.99)),
+        ));
+    }
     out
 }
 
@@ -350,9 +475,9 @@ pub fn render_prometheus() -> String {
 /// entered and survived one fused stage, plus (for probes) the build
 /// size. Totals are order-independent sums of per-morsel tallies, so
 /// they are bit-identical at any thread count.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StageStats {
-    /// The stage's display label (from the pipeline description).
+    /// The stage's display label (`UStream::stage_labels` in maybms-pipe).
     pub label: String,
     /// Rows entering the stage.
     pub rows_in: Counter,
@@ -362,69 +487,114 @@ pub struct StageStats {
     pub build_rows: Counter,
 }
 
-impl StageStats {
-    /// A zeroed slot labelled `label`.
-    pub fn new(label: impl Into<String>) -> StageStats {
-        StageStats {
-            label: label.into(),
-            rows_in: Counter::new(),
-            rows_out: Counter::new(),
-            build_rows: Counter::new(),
-        }
-    }
-}
-
-/// Collected execution statistics of one pipeline: its breaker label,
-/// source description, per-stage row counts, morsel count, group count
-/// (grouped-aggregation breakers) and wall time.
+/// The one record of a pipeline run: source description, per-stage row
+/// counts, and the pipeline's morsel, row, vector-kernel and group
+/// tallies. The morsel driver flushes into it once per morsel
+/// ([`PipelineStats::flush_morsel`]); [`PipelineStats::finish`] then
+/// copies it into every view.
 #[derive(Debug)]
 pub struct PipelineStats {
-    /// Why this pipeline broke (the breaker reason shown by EXPLAIN).
-    pub label: String,
-    /// Source description (`"games (2 stored rows)"`).
+    /// Source description (`"2 stored rows (columnar, zero-pivot)"`).
     pub source: String,
     /// One slot per fused stage, in stage order.
     pub stages: Vec<StageStats>,
-    /// Morsels executed.
+    /// Morsels executed (0 for a stage-less pipeline: it passes its
+    /// source through without driving any).
     pub morsels: Counter,
+    /// Source rows the morsels read.
+    pub rows_in: Counter,
+    /// Rows that survived the whole stage chain (into the sink).
+    pub rows_out: Counter,
+    /// Vector-kernel batches the stages evaluated.
+    pub vector_batches: Counter,
+    /// Of those, batches redone row by row (scalar fallback).
+    pub scalar_fallbacks: Counter,
     /// Groups created (streaming grouped-aggregation breakers; else 0).
     pub groups: Counter,
-    /// Wall time of the collect, in nanoseconds (set once at finish).
+    /// Wall time of the run, in nanoseconds (set once at finish).
     pub wall_nanos: Counter,
+    started: Instant,
 }
 
 impl PipelineStats {
-    /// A zeroed pipeline collector.
-    pub fn new(
-        label: impl Into<String>,
-        source: impl Into<String>,
-        stage_labels: Vec<String>,
-    ) -> PipelineStats {
+    /// A zeroed record of a run starting now over `source`, with one
+    /// slot per stage label.
+    pub fn new(source: impl Into<String>, stage_labels: Vec<String>) -> PipelineStats {
         PipelineStats {
-            label: label.into(),
             source: source.into(),
-            stages: stage_labels.into_iter().map(StageStats::new).collect(),
+            stages: stage_labels
+                .into_iter()
+                .map(|label| StageStats { label, ..StageStats::default() })
+                .collect(),
             morsels: Counter::new(),
+            rows_in: Counter::new(),
+            rows_out: Counter::new(),
+            vector_batches: Counter::new(),
+            scalar_fallbacks: Counter::new(),
             groups: Counter::new(),
             wall_nanos: Counter::new(),
+            started: Instant::now(),
         }
     }
 
-    /// Flush one morsel's per-stage `(rows_in, rows_out)` tally. Called
-    /// once per morsel; the per-row counting happened in plain integers
-    /// on the worker's stack.
-    pub fn flush_morsel(&self, tally: &[(u64, u64)]) {
+    /// Flush one morsel's tally: `rows_in` source rows, per-stage
+    /// `(rows in, rows out)`, and the vector-kernel batches it evaluated
+    /// and redid scalar. Called once per morsel; the per-row counting
+    /// happened in plain integers on the worker's stack. The morsel's
+    /// output is what the last stage passed (its input, with no stages).
+    pub fn flush_morsel(
+        &self,
+        rows_in: u64,
+        stages: &[(u64, u64)],
+        vector_batches: u64,
+        scalar_fallbacks: u64,
+    ) {
         self.morsels.inc();
-        for (slot, &(rin, rout)) in self.stages.iter().zip(tally) {
+        self.rows_in.add(rows_in);
+        self.rows_out.add(stages.last().map_or(rows_in, |s| s.1));
+        self.vector_batches.add(vector_batches);
+        self.scalar_fallbacks.add(scalar_fallbacks);
+        for (slot, &(rin, rout)) in self.stages.iter().zip(stages) {
             slot.rows_in.add(rin);
             slot.rows_out.add(rout);
         }
     }
 
-    /// Record the pipeline's wall time.
-    pub fn record_wall(&self, d: Duration) {
-        self.wall_nanos.add(d.as_nanos().min(u64::MAX as u128) as u64);
-        metrics().pipeline_seconds.observe(d);
+    /// Rows inserted into the hash-join build tables of the probe stages.
+    pub fn join_build_rows(&self) -> u64 {
+        self.stages.iter().map(|s| s.build_rows.get()).sum()
+    }
+
+    /// End the run — the one place its numbers leave the pipeline: add
+    /// the tally to the registry (`pipeline_seconds` included), set the
+    /// `pipeline` span's measured attributes, and register the record on
+    /// the statement, labelled by why the pipeline broke. A run that
+    /// drove no morsel (a stage-less pass-through, an empty source) has
+    /// no tally for the span: it keeps only `stages` and `source_rows`.
+    pub fn finish(self, span: &mut trace::Span, (qs, label): (&QueryStats, &str)) {
+        let wall = self.started.elapsed();
+        self.wall_nanos.add(nanos(wall));
+        let m = metrics();
+        m.pipelines.inc();
+        m.morsels.add(self.morsels.get());
+        m.rows_in.add(self.rows_in.get());
+        m.rows_out.add(self.rows_out.get());
+        m.join_build_rows.add(self.join_build_rows());
+        m.groups.add(self.groups.get());
+        m.vector_batches.add(self.vector_batches.get());
+        m.scalar_fallbacks.add(self.scalar_fallbacks.get());
+        m.pipeline_seconds.observe(wall);
+        // Morsel counts are thread-dependent — attrs are excluded from
+        // the determinism contract (unlike span labels and links).
+        if self.morsels.get() > 0 {
+            span.attr("morsels", self.morsels.get());
+            span.attr("rows_out", self.rows_out.get());
+        }
+        if self.groups.get() > 0 {
+            span.attr("groups", self.groups.get());
+        }
+        let step = Step::Pipeline(label.to_string(), std::sync::Arc::new(self));
+        qs.steps.lock().expect("step registry poisoned").push(step);
     }
 }
 
@@ -432,17 +602,18 @@ impl PipelineStats {
 /// ANALYZE` lists.
 #[derive(Debug, Clone)]
 pub enum Step {
-    /// A pipeline and its collected statistics.
-    Pipeline(std::sync::Arc<PipelineStats>),
+    /// A pipeline, labelled by why it broke, and its record.
+    Pipeline(String, std::sync::Arc<PipelineStats>),
     /// A materialising breaker: what ran (`sort (2 keys)`, `union (all)`,
     /// …), the rows it took and the rows it gave.
     Breaker(String, usize, usize),
 }
 
-/// Per-query statistics collector, threaded through the execution stack
-/// when attached (`EXPLAIN ANALYZE`, the shell, the slow-query log).
-/// Everything here is an order-independent sum or max, preserving the
-/// determinism contract.
+/// Per-statement statistics: the pipelines and breakers that ran, in
+/// order, plus estimator effort and the result size. Every SQL statement
+/// carries one (`EXPLAIN ANALYZE`, the shell, the slow-query log read
+/// it). Everything here is an order-independent sum or max, preserving
+/// the determinism contract.
 #[derive(Debug, Default)]
 pub struct QueryStats {
     steps: Mutex<Vec<Step>>,
@@ -460,8 +631,6 @@ pub struct QueryStats {
     /// Seeded sample batches those samples came from (deterministic:
     /// derived from sample counts, not from speculative execution).
     pub sample_batches: Counter,
-    /// Vector-kernel batches that fell back to the scalar redo.
-    pub scalar_fallbacks: Counter,
     /// `aconf()` estimates in this statement that a governor deadline
     /// cut early (degraded: partial seeded mean, achieved stderr).
     pub degraded_conf: Counter,
@@ -485,14 +654,20 @@ impl QueryStats {
         QueryStats::default()
     }
 
-    /// Register a pipeline collector (in execution order).
-    pub fn register_pipeline(&self, p: std::sync::Arc<PipelineStats>) {
-        self.steps.lock().expect("step registry poisoned").push(Step::Pipeline(p));
-    }
-
     /// Record a breaker that turned `rows_in` rows into `rows_out`.
     pub fn record_breaker(&self, what: String, rows_in: usize, rows_out: usize) {
         self.steps.lock().expect("step registry poisoned").push(Step::Breaker(what, rows_in, rows_out));
+    }
+
+    /// Rename the most recent pipeline — for one whose role its own
+    /// output decides (the adaptive side of a hash join).
+    pub fn relabel_last_pipeline(&self, label: &str) {
+        let mut steps = self.steps.lock().expect("step registry poisoned");
+        if let Some(Step::Pipeline(l, _)) =
+            steps.iter_mut().rev().find(|s| matches!(s, Step::Pipeline(..)))
+        {
+            *l = label.to_string();
+        }
     }
 
     /// The executed pipelines and breakers, in execution order.
@@ -502,13 +677,18 @@ impl QueryStats {
 
     /// The registered pipelines, in execution order.
     pub fn pipelines(&self) -> Vec<std::sync::Arc<PipelineStats>> {
-        let pipeline = |s| if let Step::Pipeline(p) = s { Some(p) } else { None };
+        let pipeline = |s| if let Step::Pipeline(_, p) = s { Some(p) } else { None };
         self.steps().into_iter().filter_map(pipeline).collect()
     }
 
     /// Number of pipelines executed.
     pub fn pipeline_count(&self) -> usize {
         self.pipelines().len()
+    }
+
+    /// Vector-kernel batches this statement's pipelines redid scalar.
+    pub fn scalar_fallbacks(&self) -> u64 {
+        self.pipelines().iter().map(|p| p.scalar_fallbacks.get()).sum()
     }
 
     /// Record one estimator run's relative standard error at stop.
@@ -551,11 +731,14 @@ impl QueryStats {
 
     /// One-line summary for the slow-query log and the shell timing line.
     pub fn summary(&self) -> String {
-        let mut s = format!("{} pipeline(s)", self.pipeline_count());
-        let (morsels, rows_out) = self.pipelines().iter().fold((0, 0), |(m, r), p| {
-            (m + p.morsels.get(), r + p.stages.last().map_or(0, |s| s.rows_out.get()))
-        });
-        s.push_str(&format!(", {morsels} morsel(s), {rows_out} stage-output row(s)"));
+        let pipelines = self.pipelines();
+        let (morsels, rows_out) = pipelines
+            .iter()
+            .fold((0, 0), |(m, r), p| (m + p.morsels.get(), r + p.rows_out.get()));
+        let mut s = format!(
+            "{} pipeline(s), {morsels} morsel(s), {rows_out} pipeline-output row(s)",
+            pipelines.len()
+        );
         if self.conf_calls.get() > 0 {
             s.push_str(&format!(
                 ", {} conf call(s): {} d-tree node(s), {} sample(s)",
@@ -564,8 +747,9 @@ impl QueryStats {
                 self.samples.get()
             ));
         }
-        if self.scalar_fallbacks.get() > 0 {
-            s.push_str(&format!(", {} scalar fallback(s)", self.scalar_fallbacks.get()));
+        let fallbacks = self.scalar_fallbacks();
+        if fallbacks > 0 {
+            s.push_str(&format!(", {fallbacks} scalar fallback(s)"));
         }
         s
     }
@@ -662,7 +846,7 @@ mod tests {
         h.observe_nanos(1_000_000); // +Inf
         assert_eq!(h.count(), 4);
         let mut out = String::new();
-        h.render(&mut out, "t");
+        h.render(&mut out, "t", "");
         assert!(out.contains("t_bucket{le=\"0.000001\"} 2"), "{out}");
         assert!(out.contains("t_bucket{le=\"0.00001\"} 3"), "{out}");
         assert!(out.contains("t_bucket{le=\"0.0001\"} 3"), "{out}");
@@ -682,27 +866,65 @@ mod tests {
     }
 
     #[test]
-    fn query_stats_accumulate_and_summarise() {
+    fn histogram_quantiles_interpolate_within_buckets() {
+        static BOUNDS: &[u64] = &[1_000, 10_000, 100_000];
+        let h = Histogram::new(BOUNDS);
+        assert_eq!((h.quantile(0.5), h.mean()), (None, None));
+        for _ in 0..10 {
+            h.observe_nanos(500); // bucket 0: (0, 1µs]
+        }
+        // p50 = rank 5 of 10, all in bucket 0 → 0 + 1000·(5/10).
+        assert_eq!(h.quantile(0.5), Some(0.0000005));
+        assert_eq!(h.quantile(1.0), Some(0.000001));
+        assert_eq!(h.mean(), Some(0.0000005));
+        // Overflow observations cap at the last finite bound.
+        h.observe_nanos(10_000_000);
+        assert_eq!(h.quantile(1.0), Some(0.0001));
+    }
+
+    #[test]
+    fn statement_latency_is_one_kind_labelled_family() {
+        metrics().query_seconds(StatementKind::Conf).observe(Duration::from_micros(80));
+        let text = render_prometheus();
+        assert_eq!(text.matches("# TYPE maybms_query_seconds histogram").count(), 1, "{text}");
+        for kind in StatementKind::ALL {
+            let k = kind.label();
+            assert!(text.contains(&format!("maybms_query_seconds_bucket{{kind=\"{k}\",le=\"+Inf\"}}")), "{text}");
+            assert!(text.contains(&format!("maybms_query_seconds_count{{kind=\"{k}\"}}")), "{text}");
+        }
+        assert!(!text.contains("maybms_query_seconds_count "), "{text}");
+        let report = latency_report();
+        let conf = report.lines().find(|l| l.starts_with("conf")).expect("a conf row");
+        assert!(!conf.contains(" - "), "{report}");
+    }
+
+    #[test]
+    fn a_finished_pipeline_is_one_record_in_every_view() {
         let qs = QueryStats::new();
-        let p = std::sync::Arc::new(PipelineStats::new(
-            "output",
-            "t (3 stored rows)",
-            vec!["filter x > 1".into(), "project [x]".into()],
-        ));
-        qs.register_pipeline(p.clone());
-        p.flush_morsel(&[(3, 2), (2, 2)]);
-        p.flush_morsel(&[(1, 1), (1, 1)]);
-        assert_eq!(p.morsels.get(), 2);
-        assert_eq!(p.stages[0].rows_in.get(), 4);
-        assert_eq!(p.stages[0].rows_out.get(), 3);
-        assert_eq!(p.stages[1].rows_out.get(), 3);
-        assert_eq!(qs.pipeline_count(), 1);
+        let p = PipelineStats::new("3 stored rows", vec!["filter x > 1".into(), "project [x]".into()]);
+        p.flush_morsel(5, &[(5, 4), (4, 4)], 2, 1);
+        p.flush_morsel(1, &[(1, 1), (1, 1)], 2, 0);
+        p.stages[1].build_rows.add(7);
+        let before = (metrics().pipelines.get(), metrics().rows_in.get());
+        let mut span = trace::span("pipeline");
+        p.finish(&mut span, (&qs, "output"));
+        // Other tests share the registry: it moved by at least this run.
+        assert!(metrics().pipelines.get() > before.0);
+        assert!(metrics().rows_in.get() >= before.1 + 6);
+        let [Step::Pipeline(label, p)] = &qs.steps()[..] else { panic!("one pipeline step") };
+        assert_eq!(label, "output");
+        assert_eq!((p.morsels.get(), p.rows_in.get(), p.rows_out.get()), (2, 6, 5));
+        assert_eq!((p.stages[0].rows_in.get(), p.stages[0].rows_out.get()), (6, 5));
+        assert_eq!((p.join_build_rows(), p.vector_batches.get()), (7, 4));
+        assert_eq!(qs.scalar_fallbacks(), 1);
+        qs.relabel_last_pipeline("hash-join probe side");
+        assert!(matches!(&qs.steps()[0], Step::Pipeline(l, _) if l == "hash-join probe side"));
         qs.record_rel_stderr(0.02);
         qs.record_rel_stderr(0.01);
         assert_eq!(qs.max_rel_stderr(), 0.02);
         let s = qs.summary();
-        assert!(s.contains("1 pipeline(s)"), "{s}");
-        assert!(s.contains("2 morsel(s)"), "{s}");
+        assert!(s.contains("1 pipeline(s), 2 morsel(s), 5 pipeline-output row(s)"), "{s}");
+        assert!(s.contains("1 scalar fallback(s)"), "{s}");
     }
 
     #[test]

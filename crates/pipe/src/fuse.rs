@@ -17,14 +17,25 @@
 //! morsel-local group table, so grouped plans never materialise their
 //! input at all.
 //!
+//! Every pipeline — a filter-only selection ([`select`]), a sink walk
+//! ([`run_sink`]) and the grouped breaker's dense-code fold — runs on
+//! the one morsel driver, [`drive`]: it alone owns the chunk rule, the
+//! per-morsel governor checkpoint, and the flush of each morsel's
+//! [`Tally`] into the pipeline's [`PipelineStats`]. What a morsel *does*
+//! is the caller's body.
+//!
 //! Build tables for probe stages are constructed *here*, at execution
 //! time, morsel-locally on the caller's pool — deferring the build to
 //! the same pool and morsel size the rest of the pipeline uses.
 
+use std::ops::Range;
+
 use maybms_engine::column::ColumnBatch;
 use maybms_engine::error::EngineError;
 use maybms_engine::tuple::{Tuple, TupleBatch};
+use maybms_engine::vector::KernelCounts;
 use maybms_engine::{ops, vector, Expr, Value};
+use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, Wsd};
 
@@ -158,13 +169,51 @@ fn plan_vec(stages: &[Stage]) -> Option<VecPrefix> {
     Some(VecPrefix { len, stages: vec_stages, pivot_cols })
 }
 
-/// Per-morsel, per-stage row tally: `(rows in, rows out)` for each
-/// stage, accumulated on the morsel's stack and flushed to an attached
-/// [`maybms_obs::PipelineStats`] once per morsel. Row counts per stage
-/// are independent of morsel boundaries, so their sums are identical to
-/// a sequential scan at any thread count or morsel size — attaching a
-/// collector never perturbs the determinism contract.
+/// One morsel's counts, kept on the worker's stack and flushed into the
+/// pipeline's [`PipelineStats`] once, when the morsel ends: `(rows in,
+/// rows out)` per stage, and the vector-kernel batches the stages ran.
+/// Row counts per stage are independent of morsel boundaries, so their
+/// sums are identical to a sequential scan at any thread count or
+/// morsel size.
+pub(crate) struct Tally {
+    stages: Vec<(u64, u64)>,
+    kernels: KernelCounts,
+}
+
+/// The `(rows in, rows out)` slots of a run of stages.
 type StageTally = [(u64, u64)];
+
+/// The one morsel driver: run `morsel` over `source`'s rows in morsels
+/// on `pool` and return the per-morsel results **in morsel order**; the
+/// earliest morsel's error wins, so the error (if any) is identical to a
+/// sequential scan at any thread count. The per-morsel machinery every
+/// pipeline shares lives here once — the chunk rule, the governor
+/// checkpoint, and the flush of each finished morsel's [`Tally`] into
+/// `stats`.
+pub(crate) fn drive<T: Send>(
+    source: &URelation,
+    pool: &ThreadPool,
+    min_morsel: usize,
+    stats: &PipelineStats,
+    morsel: impl Fn(Range<usize>, &mut Tally) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    // Several morsels even on a one-thread pool: each is a governor
+    // checkpoint, and a row store pivots one morsel at a time.
+    let chunk = maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel);
+    let outputs: Vec<Result<T>> = pool.par_map_chunks(source.len(), chunk, |range| {
+        // Governor checkpoint: one relaxed load per morsel when no
+        // limit is armed.
+        maybms_gov::check().map_err(EngineError::Gov)?;
+        let rows_in = range.len() as u64;
+        let mut tally =
+            Tally { stages: vec![(0, 0); stats.stages.len()], kernels: KernelCounts::default() };
+        let out = morsel(range, &mut tally)?;
+        let kernels = tally.kernels;
+        stats.flush_morsel(rows_in, &tally.stages, kernels.batches, kernels.scalar_fallbacks);
+        Ok(out)
+    });
+    outputs.into_iter().collect()
+}
 
 /// Run the columnar prefix over one morsel. Returns the surviving rows'
 /// batch (when the prefix projected), their source indices (for
@@ -182,8 +231,9 @@ type StageTally = [(u64, u64)];
 fn run_vec(
     pre: &VecPrefix,
     source: &URelation,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     tally: &mut StageTally,
+    kernels: &mut KernelCounts,
 ) -> (Option<ColumnBatch>, Vec<u32>, Option<EngineError>) {
     let mut src: Vec<u32> = range.clone().map(|i| i as u32).collect();
     // Columnar-at-rest sources hand the prefix typed column slices
@@ -203,7 +253,7 @@ fn run_vec(
         tally[k].0 += batch.rows() as u64;
         match stage {
             VecStage::Filter(p) => {
-                let (sel, err) = vector::selection(p, &batch);
+                let (sel, err) = vector::selection(p, &batch, kernels);
                 if let Some((_, e)) = err {
                     pending = Some(e);
                 }
@@ -214,7 +264,7 @@ fn run_vec(
                 let mut n_valid = batch.rows();
                 let mut cols = Vec::with_capacity(es.len());
                 for e in es {
-                    let (col, err) = vector::eval_batch(e, &batch);
+                    let (col, err) = vector::eval_batch(e, &batch, kernels);
                     if let Some((k, er)) = err {
                         // Scalar order: expressions left to right within
                         // a row, rows in order — a later expression's
@@ -262,20 +312,9 @@ impl MorselSink for RowsSink {
     }
 }
 
-/// What a fused pipeline produced.
-pub(crate) enum FusedOutput {
-    /// All-filter pipeline: the surviving source indices, in order —
-    /// gather them to share row storage with the source.
-    Select(Vec<usize>),
-    /// Constructed rows and their conditions, in order.
-    Rows(Vec<Tuple>, Vec<Wsd>),
-}
-
-/// Run `stages` over every row of `source`, morsel-parallel on `pool`,
-/// feeding every surviving row into a fresh per-morsel sink built by
-/// `make_sink`. Returns the finished sinks **in morsel order**; the
-/// earliest morsel's error wins, so the error (if any) is identical to a
-/// sequential scan at any thread count.
+/// Run `stages` over every row of `source` on the morsel driver, feeding
+/// every surviving row into a fresh per-morsel sink built by
+/// `make_sink`. Returns the finished sinks **in morsel order**.
 ///
 /// The kernel-eligible σ/π prefix of the chain runs vectorised per
 /// morsel (slice or pivot → typed kernels → gather), pivoting back to
@@ -287,32 +326,20 @@ pub(crate) fn run_sink<Sk, MK>(
     stages: &[Stage],
     pool: &ThreadPool,
     min_morsel: usize,
-    stats: Option<&maybms_obs::PipelineStats>,
+    stats: &PipelineStats,
     make_sink: MK,
 ) -> Result<Vec<Sk>>
 where
     Sk: MorselSink + Send,
     MK: Fn() -> Sk + Sync,
 {
-    let metrics = maybms_obs::metrics();
-    metrics.pipelines.inc();
-    if let Some(st) = stats {
-        for (k, s) in stages.iter().enumerate() {
-            if let Stage::Probe { build, .. } = s {
-                st.stages[k].build_rows.add(build.len() as u64);
-            }
-        }
-    }
-    for s in stages {
-        if let Stage::Probe { build, .. } = s {
-            metrics.join_build_rows.add(build.len() as u64);
-        }
-    }
     // Morsel-local build tables for the probe stages, on this pool.
     let tables: Vec<Option<BuildTable>> = stages
         .iter()
-        .map(|s| match s {
+        .zip(&stats.stages)
+        .map(|(s, slot)| match s {
             Stage::Probe { build, right_keys, .. } => {
+                slot.build_rows.add(build.len() as u64);
                 Some(build_table(build, right_keys, pool, min_morsel))
             }
             _ => None,
@@ -320,19 +347,7 @@ where
         .collect();
     let pre = plan_vec(stages);
 
-    // A one-thread pool runs morsels back-to-back anyway; one morsel
-    // spares the sink merges (the merged result is identical either way).
-    let chunk = if pool.threads() == 1 {
-        source.len().max(1)
-    } else {
-        maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel)
-    };
-    let outputs: Vec<Result<Sk>> = pool.par_map_chunks(source.len(), chunk, |range| {
-        // Governor checkpoint: one relaxed load per morsel when no
-        // limit is armed.
-        maybms_gov::check().map_err(EngineError::Gov)?;
-        let n_src = range.len() as u64;
-        let mut tally = vec![(0u64, 0u64); stages.len()];
+    drive(source, pool, min_morsel, stats, |range, tally| {
         let mut sink = make_sink();
         let mut gov = maybms_gov::Ticker::new();
         if let Some(pre) = &pre {
@@ -340,8 +355,9 @@ where
             let rest = &stages[pre.len..];
             let rest_tables = &tables[pre.len..];
             let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
-            let (prefix_tally, rest_tally) = tally.split_at_mut(pre.len);
-            let (batch, src, pending) = run_vec(pre, source, range, prefix_tally);
+            let (prefix_tally, rest_tally) = tally.stages.split_at_mut(pre.len);
+            let (batch, src, pending) =
+                run_vec(pre, source, range, prefix_tally, &mut tally.kernels);
             let mut rowbuf: Vec<Value> = Vec::new();
             for (j, &si) in src.iter().enumerate() {
                 let row: &[Value] = match &batch {
@@ -378,22 +394,14 @@ where
                     &tables,
                     0,
                     &mut scratch,
-                    &mut tally,
+                    &mut tally.stages,
                     &mut sink,
                     &mut gov,
                 )?;
             }
         }
-        let pushed = tally.last().map_or(n_src, |t| t.1);
-        metrics.morsels.inc();
-        metrics.rows_in.add(n_src);
-        metrics.rows_out.add(pushed);
-        if let Some(st) = stats {
-            st.flush_morsel(&tally);
-        }
         Ok(sink)
-    });
-    outputs.into_iter().collect()
+    })
 }
 
 /// Build a probe stage's hash table. A columnar-at-rest build side with
@@ -444,79 +452,67 @@ fn build_table(
     )
 }
 
-/// Run `stages` over every row of `source`, morsel-parallel on `pool`,
-/// materialising the surviving rows. Morsel outputs merge in morsel
-/// order; the output (and error row, if any) is identical to a
-/// sequential scan at any thread count.
-pub(crate) fn run(
+/// Run an all-filter `stages` chain over `source` on the morsel driver
+/// and return the surviving source positions, in order — a selection
+/// vector end to end (columnar predicates produce the selection
+/// directly, so the output can share the source's row storage).
+pub(crate) fn select(
     source: &URelation,
     stages: &[Stage],
     pool: &ThreadPool,
     min_morsel: usize,
-    stats: Option<&maybms_obs::PipelineStats>,
-) -> Result<FusedOutput> {
-    // All-filter pipelines stay a selection vector end to end (columnar
-    // predicates produce the selection directly; no project means no
-    // batch survives — the output shares the source's row storage).
-    if stages.iter().all(|s| matches!(s, Stage::Filter(_))) {
-        let metrics = maybms_obs::metrics();
-        metrics.pipelines.inc();
-        let pre = plan_vec(stages);
-        let chunk = maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel);
-        let partials: Vec<Result<Vec<usize>>> =
-            pool.par_map_chunks(source.len(), chunk, |range| {
-                maybms_gov::check().map_err(EngineError::Gov)?;
-                let n_src = range.len() as u64;
-                let mut tally = vec![(0u64, 0u64); stages.len()];
-                let (src, pending, start) = match &pre {
-                    Some(pre) => {
-                        let (_, src, pending) = run_vec(pre, source, range, &mut tally);
-                        (src, pending, pre.len)
-                    }
-                    None => (range.map(|i| i as u32).collect(), None, 0),
-                };
-                let mut sel = Vec::new();
-                if stages[start..].is_empty() {
-                    // Fully vectorised chain: the selection is final — on
-                    // a columnar-at-rest source no row is ever touched.
-                    sel.extend(src.iter().map(|&si| si as usize));
-                } else {
-                    let mut gov = maybms_gov::Ticker::new();
-                    'row: for &si in &src {
-                        gov.tick().map_err(EngineError::Gov)?;
-                        let row = source.tuples()[si as usize].data.values();
-                        for (k, s) in stages[start..].iter().enumerate() {
-                            let Stage::Filter(p) = s else { unreachable!() };
-                            tally[start + k].0 += 1;
-                            if !p.eval_predicate_values(row)? {
-                                continue 'row;
-                            }
-                            tally[start + k].1 += 1;
-                        }
-                        sel.push(si as usize);
-                    }
-                }
-                if let Some(e) = pending {
-                    return Err(e.into());
-                }
-                let pushed = tally.last().map_or(n_src, |t| t.1);
-                metrics.morsels.inc();
-                metrics.rows_in.add(n_src);
-                metrics.rows_out.add(pushed);
-                if let Some(st) = stats {
-                    st.flush_morsel(&tally);
-                }
-                Ok(sel)
-            });
+    stats: &PipelineStats,
+) -> Result<Vec<usize>> {
+    let pre = plan_vec(stages);
+    let partials = drive(source, pool, min_morsel, stats, |range, tally| {
+        let (src, pending, start) = match &pre {
+            Some(pre) => {
+                let (_, src, pending) =
+                    run_vec(pre, source, range, &mut tally.stages, &mut tally.kernels);
+                (src, pending, pre.len)
+            }
+            None => (range.map(|i| i as u32).collect(), None, 0),
+        };
         let mut sel = Vec::new();
-        for p in partials {
-            sel.extend(p?);
+        if stages[start..].is_empty() {
+            // Fully vectorised chain: the selection is final — on a
+            // columnar-at-rest source no row is ever touched.
+            sel.extend(src.iter().map(|&si| si as usize));
+        } else {
+            let mut gov = maybms_gov::Ticker::new();
+            'row: for &si in &src {
+                gov.tick().map_err(EngineError::Gov)?;
+                let row = source.tuples()[si as usize].data.values();
+                for (k, s) in stages[start..].iter().enumerate() {
+                    let Stage::Filter(p) = s else { unreachable!() };
+                    tally.stages[start + k].0 += 1;
+                    if !p.eval_predicate_values(row)? {
+                        continue 'row;
+                    }
+                    tally.stages[start + k].1 += 1;
+                }
+                sel.push(si as usize);
+            }
         }
-        return Ok(FusedOutput::Select(sel));
-    }
+        match pending {
+            Some(e) => Err(e.into()),
+            None => Ok(sel),
+        }
+    })?;
+    Ok(partials.concat())
+}
 
-    // General fused path: push every source row through the stage chain
-    // into a morsel-local batch.
+/// Run `stages` over `source` on the morsel driver, materialising the
+/// surviving rows and their conditions. Morsel outputs merge in morsel
+/// order; the output (and error row, if any) is identical to a
+/// sequential scan at any thread count.
+pub(crate) fn rows(
+    source: &URelation,
+    stages: &[Stage],
+    pool: &ThreadPool,
+    min_morsel: usize,
+    stats: &PipelineStats,
+) -> Result<(Vec<Tuple>, Vec<Wsd>)> {
     let sinks = run_sink(source, stages, pool, min_morsel, stats, || RowsSink {
         batch: TupleBatch::new(),
         wsds: Vec::new(),
@@ -527,7 +523,7 @@ pub(crate) fn run(
         tuples.extend(sink.batch.finish());
         wsds.extend(sink.wsds);
     }
-    Ok(FusedOutput::Rows(tuples, wsds))
+    Ok((tuples, wsds))
 }
 
 /// Push one in-flight row through `stages[depth..]`. `scratch[depth]`
@@ -549,9 +545,8 @@ fn push_row<Sk: MorselSink>(
     let Some(stage) = stages.get(depth) else {
         // Morsel-boundary checks alone are not enough here: a probe
         // chain can expand one source morsel into an unbounded cross
-        // product (and a one-thread pool runs the whole source as a
-        // single morsel), so a runaway join would be uncancellable and
-        // blow straight through a memory budget.
+        // product, so a runaway join would be uncancellable and blow
+        // straight through a memory budget.
         gov.tick().map_err(EngineError::Gov)?;
         return sink.push(row, wsd);
     };

@@ -25,6 +25,7 @@
 
 use maybms_engine::hash::{fast_hash_one, FastMap};
 use maybms_engine::{Expr, Value};
+use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, Wsd};
 
@@ -178,8 +179,9 @@ where
 }
 
 /// Run a fused stage chain with grouped aggregation as the terminal
-/// sink: per-morsel [`GroupTable`]s, merged in morsel order. Returns
-/// `(keys, states)` in first-seen order.
+/// sink: per-morsel [`GroupTable`]s, merged in morsel order, the merged
+/// group count tallied into `stats`. Returns `(keys, states)` in
+/// first-seen order.
 ///
 /// With no key expressions, a single global group is guaranteed (even
 /// over an empty input — SQL's scalar-aggregate behaviour).
@@ -190,7 +192,7 @@ pub(crate) fn group_stream<A, NF, FF, MF>(
     key_exprs: &[Expr],
     pool: &ThreadPool,
     min_morsel: usize,
-    stats: Option<&maybms_obs::PipelineStats>,
+    stats: &PipelineStats,
     new_state: NF,
     fold: FF,
     mut merge: MF,
@@ -224,10 +226,7 @@ where
     if key_exprs.is_empty() && merged.is_empty() {
         merged.entry(&[], &new_state);
     }
-    maybms_obs::metrics().groups.add(merged.len() as u64);
-    if let Some(st) = stats {
-        st.groups.add(merged.len() as u64);
-    }
+    stats.groups.add(merged.len() as u64);
     Ok(merged.into_parts())
 }
 
@@ -242,8 +241,10 @@ where
 ///
 /// Returns `None` when the shape doesn't apply (any recorded stage, a
 /// non-columnar source, multiple or non-column keys, a non-dictionary
-/// key column). Determinism matches the hashed sink exactly: per-morsel
-/// first-seen group order, tables merged in morsel order.
+/// key column). It runs on the same morsel driver as every pipeline
+/// (governor checkpoint per morsel included), and determinism matches the
+/// hashed sink exactly: per-morsel first-seen group order, tables merged
+/// in morsel order.
 #[allow(clippy::too_many_arguments)]
 fn dense_dict_groups<A, NF, FF>(
     source: &URelation,
@@ -251,7 +252,7 @@ fn dense_dict_groups<A, NF, FF>(
     key_exprs: &[Expr],
     pool: &ThreadPool,
     min_morsel: usize,
-    stats: Option<&maybms_obs::PipelineStats>,
+    stats: &PipelineStats,
     new_state: &NF,
     fold: &FF,
 ) -> Result<Option<Vec<GroupTable<A>>>>
@@ -269,50 +270,31 @@ where
     let maybms_engine::ColumnData::Dict { codes, dict } = col.data() else {
         return Ok(None);
     };
-    let metrics = maybms_obs::metrics();
-    metrics.pipelines.inc();
-    let chunk = if pool.threads() == 1 {
-        source.len().max(1)
-    } else {
-        maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel)
-    };
-    let tables: Vec<Result<GroupTable<A>>> =
-        pool.par_map_chunks(source.len(), chunk, |range| {
-            let n_src = range.len() as u64;
-            let mut table: GroupTable<A> = GroupTable::new();
-            let mut dense: Vec<u32> = vec![u32::MAX; dict.len()];
-            let mut null_group = u32::MAX;
-            let mut rowbuf: Vec<Value> = Vec::new();
-            for i in range {
-                let g = if col.is_null(i) {
-                    if null_group == u32::MAX {
-                        null_group = table.open_group(vec![Value::Null], new_state());
-                    }
-                    null_group
-                } else {
-                    let c = codes[i] as usize;
-                    if dense[c] == u32::MAX {
-                        let key = Value::Str(dict.get(codes[i]).clone());
-                        dense[c] = table.open_group(vec![key], new_state());
-                    }
-                    dense[c]
-                };
-                batch.write_row(i, &mut rowbuf);
-                fold(table.state_mut(g), &rowbuf, &wsds[i])?;
-            }
-            metrics.morsels.inc();
-            metrics.rows_in.add(n_src);
-            metrics.rows_out.add(n_src);
-            if let Some(st) = stats {
-                st.flush_morsel(&[]);
-            }
-            Ok(table)
-        });
-    let mut out = Vec::with_capacity(tables.len());
-    for t in tables {
-        out.push(t?);
-    }
-    Ok(Some(out))
+    let tables = fuse::drive(source, pool, min_morsel, stats, |range, _| {
+        let mut table: GroupTable<A> = GroupTable::new();
+        let mut dense: Vec<u32> = vec![u32::MAX; dict.len()];
+        let mut null_group = u32::MAX;
+        let mut rowbuf: Vec<Value> = Vec::new();
+        for i in range {
+            let g = if col.is_null(i) {
+                if null_group == u32::MAX {
+                    null_group = table.open_group(vec![Value::Null], new_state());
+                }
+                null_group
+            } else {
+                let c = codes[i] as usize;
+                if dense[c] == u32::MAX {
+                    let key = Value::Str(dict.get(codes[i]).clone());
+                    dense[c] = table.open_group(vec![key], new_state());
+                }
+                dense[c]
+            };
+            batch.write_row(i, &mut rowbuf);
+            fold(table.state_mut(g), &rowbuf, &wsds[i])?;
+        }
+        Ok(table)
+    })?;
+    Ok(Some(tables))
 }
 
 #[cfg(test)]

@@ -52,6 +52,13 @@
 //!   counters stay flat. Dictionary-encoded text columns feed the
 //!   hash-join build side and the dense GROUP BY key path with u32
 //!   codes and pre-cached hashes instead of strings;
+//! * every pipeline — filter-only selection, sink walk, the dense-code
+//!   GROUP BY fold — runs on **one morsel driver**, which alone owns the
+//!   chunk rule, the per-morsel governor checkpoint and the per-morsel
+//!   tally; each run keeps one [`maybms_obs::PipelineStats`] record and
+//!   hands it, when it ends, to the metrics registry, its `pipeline`
+//!   span and the statement's [`maybms_obs::QueryStats`] at once (this
+//!   crate adds to the registry nowhere else);
 //! * morsels run on the `maybms-par` pool and morsel outputs are
 //!   concatenated in morsel order. The determinism contract: **output —
 //!   values, WSDs, row order and the first runtime error — depends on

@@ -15,16 +15,31 @@
 //! *Which* relation is on the right is the caller's choice — the join
 //! planner in `maybms-core` builds on whichever side it knows to be
 //! smaller and says so with [`UStream::annotate`].
+//!
+//! Every run — [`UStream::collect_with`], [`UStream::select_positions`],
+//! [`UStream::collect_grouped`] — opens one `pipeline` span, keeps one
+//! [`PipelineStats`] record, and ends with
+//! [`PipelineStats::finish`], which hands that record to the metrics
+//! registry, the span and the statement's [`QueryStats`] (with the label
+//! `EXPLAIN ANALYZE` prints for the pipeline). A stage-less stream passes
+//! its source through without driving a morsel, and is still one
+//! pipeline in every view; its span carries no morsel tally.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use maybms_engine::ops::ProjectItem;
 use maybms_engine::{EngineError, Expr, Field, Schema, Value};
+use maybms_obs::{PipelineStats, QueryStats};
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, UTuple, Wsd};
 
-use crate::fuse::{self, FusedOutput, Stage};
+use crate::fuse::{self, Stage};
+
+/// The statement a pipeline run reports to when it ends, and the label
+/// it is reported under (why the pipeline breaks — what `EXPLAIN
+/// ANALYZE` prints).
+pub type Statement<'a> = (&'a QueryStats, &'a str);
 
 /// A lazily evaluated U-relational pipeline: a source plus fused stages
 /// (run by the crate's stage walker, `fuse`).
@@ -187,107 +202,65 @@ impl UStream {
         Ok(self)
     }
 
-    /// Run the pipeline on the process-wide pool. Dispatches morsels in
-    /// parallel for large sources; output is identical either way.
+    /// Run the pipeline on the process-wide pool, outside any statement
+    /// (its record goes to a throwaway [`QueryStats`]). Dispatches morsels
+    /// in parallel for large sources; output is identical either way.
     pub fn collect(self) -> Result<URelation> {
-        self.collect_with(&maybms_par::pool(), maybms_engine::ops::PAR_MIN_CHUNK, None)
+        let (pool, stats) = (maybms_par::pool(), QueryStats::new());
+        self.collect_with(&pool, maybms_engine::ops::PAR_MIN_CHUNK, (&stats, "output"))
     }
 
     /// [`UStream::collect`] on an explicit pool and minimum morsel size
-    /// (what the determinism property tests pin to 1/2/8 threads), with
-    /// an optional per-pipeline stats collector attached (see
-    /// [`UStream::stats_skeleton`]). Collection is allocation-light
-    /// (per-morsel stack tallies, flushed once per morsel) and never
-    /// changes the output: stats are order-independent sums,
-    /// bit-identical at any thread count or morsel size.
+    /// (what the determinism property tests pin to 1/2/8 threads),
+    /// reporting to `statement`. The run's record never changes the
+    /// output: its counts are order-independent sums of per-morsel
+    /// tallies, bit-identical at any thread count or morsel size.
     pub fn collect_with(
         self,
         pool: &ThreadPool,
         min_morsel: usize,
-        stats: Option<&maybms_obs::PipelineStats>,
+        statement: Statement<'_>,
     ) -> Result<URelation> {
-        self.run_spanned(pool, min_morsel, stats, |source, schema, fused| {
-            let out = match fused {
-                None => source.with_schema(schema),
+        self.run(statement, |source, stages, schema, stats| {
+            Ok(if stages.is_empty() {
+                source.with_schema(schema)
+            } else if all_filters(stages) {
                 // Filter-only pipeline: gather shares rows (data + WSDs)
                 // with the source.
-                Some(FusedOutput::Select(sel)) => source.gather(&sel).with_schema(schema),
-                Some(FusedOutput::Rows(tuples, wsds)) => URelation::new(
-                    schema,
-                    tuples
-                        .into_iter()
-                        .zip(wsds)
-                        .map(|(data, wsd)| UTuple::new(data, wsd))
-                        .collect(),
-                ),
-            };
-            let rows = out.len();
-            Ok((out, rows))
+                let sel = fuse::select(&source, stages, pool, min_morsel, stats)?;
+                source.gather(&sel).with_schema(schema)
+            } else {
+                let (tuples, wsds) = fuse::rows(&source, stages, pool, min_morsel, stats)?;
+                let rows = tuples.into_iter().zip(wsds).map(|(data, wsd)| UTuple::new(data, wsd));
+                URelation::new(schema, rows.collect())
+            })
         })
     }
 
     /// Run a **filter-only** pipeline and return the positions of the
     /// surviving source rows, in order, instead of gathering them — how
     /// `UPDATE` / `DELETE` find their targets. Same executor, span and
-    /// stats as [`UStream::collect_with`]: zero-pivot and vectorised
+    /// record as [`UStream::collect_with`]: zero-pivot and vectorised
     /// over a columnar-at-rest source, morsel-parallel, governor-checked,
-    /// identical at any thread count. Errors on a stream holding a
-    /// projection or join stage (its rows are not source rows).
+    /// identical at any thread count. Errors, before running anything, on
+    /// a stream holding a projection or join stage (its rows are not
+    /// source rows).
     pub fn select_positions(
         self,
         pool: &ThreadPool,
         min_morsel: usize,
-        stats: Option<&maybms_obs::PipelineStats>,
+        statement: Statement<'_>,
     ) -> Result<Vec<usize>> {
-        self.run_spanned(pool, min_morsel, stats, |source, _, fused| {
-            let sel: Vec<usize> = match fused {
-                None => (0..source.len()).collect(),
-                Some(FusedOutput::Select(sel)) => sel,
-                Some(FusedOutput::Rows(..)) => {
-                    return Err(EngineError::InvalidOperator {
-                        message: "row positions requested from a pipeline that constructs rows"
-                            .into(),
-                    }
-                    .into())
-                }
-            };
-            let rows = sel.len();
-            Ok((sel, rows))
+        if !all_filters(&self.stages) {
+            return Err(EngineError::InvalidOperator {
+                message: "row positions requested from a pipeline that constructs rows".into(),
+            }
+            .into());
+        }
+        self.run(statement, |source, stages, _, stats| match stages {
+            [] => Ok((0..source.len()).collect()),
+            _ => fuse::select(&source, stages, pool, min_morsel, stats),
         })
-    }
-
-    /// Run the stages under a `pipeline` span and hand the fused output
-    /// (`None` for a stage-less stream) to `finish`, which builds the
-    /// result from it and says how many rows it holds.
-    fn run_spanned<T>(
-        self,
-        pool: &ThreadPool,
-        min_morsel: usize,
-        stats: Option<&maybms_obs::PipelineStats>,
-        finish: impl FnOnce(URelation, Arc<Schema>, Option<FusedOutput>) -> Result<(T, usize)>,
-    ) -> Result<T> {
-        // The span opens before the stage-less case so pipeline span
-        // count always equals EXPLAIN ANALYZE's pipeline count
-        // (stage-less pipelines register stats too).
-        let mut span = maybms_obs::trace::span("pipeline");
-        self.plan_attrs(&mut span);
-        let UStream { source, stages, schema, .. } = self;
-        if stages.is_empty() {
-            let (out, rows) = finish(source, schema, None)?;
-            span.attr("rows_out", rows);
-            return Ok(out);
-        }
-        let t0 = stats.map(|_| std::time::Instant::now());
-        let fused = fuse::run(&source, &stages, pool, min_morsel, stats)?;
-        let (out, rows) = finish(source, schema, Some(fused))?;
-        if let (Some(st), Some(t0)) = (stats, t0) {
-            st.record_wall(t0.elapsed());
-            // Morsel counts are thread-dependent — attrs are excluded
-            // from the determinism contract (unlike span labels/links).
-            span.attr("morsels", st.morsels.get());
-        }
-        span.attr("rows_out", rows);
-        Ok(out)
     }
 
     /// Run the pipeline with **grouped aggregation as the breaker**: every
@@ -308,16 +281,15 @@ impl UStream {
     ///
     /// Runs on an explicit pool and minimum morsel size (what the
     /// determinism property tests pin to 1/2/8 threads and single-row
-    /// morsels), with an optional per-pipeline stats collector attached
-    /// (same contract as [`UStream::collect_with`]; the collector's
-    /// group counter records the merged group count).
+    /// morsels), reporting to `statement` like [`UStream::collect_with`];
+    /// the record's group count is the merged group count.
     #[allow(clippy::too_many_arguments)]
     pub fn collect_grouped<A, NF, FF, MF>(
         self,
         group_exprs: &[Expr],
         pool: &ThreadPool,
         min_morsel: usize,
-        stats: Option<&maybms_obs::PipelineStats>,
+        statement: Statement<'_>,
         new_state: NF,
         fold: FF,
         merge: MF,
@@ -332,44 +304,33 @@ impl UStream {
             .iter()
             .map(|e| e.bind(&self.schema))
             .collect::<std::result::Result<_, EngineError>>()?;
-        let mut span = maybms_obs::trace::span("pipeline");
-        span.attr("breaker", "group");
-        self.plan_attrs(&mut span);
-        let UStream { source, stages, .. } = self;
-        let t0 = stats.map(|_| std::time::Instant::now());
-        let out = crate::groupby::group_stream(
-            &source,
-            &stages,
-            &bound,
-            pool,
-            min_morsel,
-            stats,
-            new_state,
-            fold,
-            merge,
-        )?;
-        if let (Some(st), Some(t0)) = (stats, t0) {
-            st.record_wall(t0.elapsed());
-            span.attr("morsels", st.morsels.get());
-        }
-        span.attr("groups", out.0.len());
-        Ok(out)
+        self.run(statement, |source, stages, _, stats| {
+            crate::groupby::group_stream(
+                &source, stages, &bound, pool, min_morsel, stats, new_state, fold, merge,
+            )
+        })
     }
 
-    /// The plan on the `pipeline` span: stage and source-row counts.
-    fn plan_attrs(&self, span: &mut maybms_obs::trace::Span) {
+    /// One pipeline run: open its `pipeline` span, keep its record while
+    /// `body` drives the stages over the source, then finish the record
+    /// — registry, span and `statement` — whether the run succeeded or
+    /// not.
+    fn run<T>(
+        self,
+        statement: Statement<'_>,
+        body: impl FnOnce(URelation, &[Stage], Arc<Schema>, &PipelineStats) -> Result<T>,
+    ) -> Result<T> {
+        let mut span = maybms_obs::trace::span("pipeline");
         span.attr("stages", self.stages.len());
         span.attr("source_rows", self.source.len());
-    }
-
-    /// A [`maybms_obs::PipelineStats`] collector shaped for this
-    /// pipeline: one stage-stats slot per recorded stage, labelled by
-    /// [`UStream::stage_labels`]. Register it on a
-    /// [`maybms_obs::QueryStats`] and pass it to
-    /// [`UStream::collect_with`] / [`UStream::collect_grouped`].
-    pub fn stats_skeleton(&self, label: impl Into<String>) -> maybms_obs::PipelineStats {
-        let source = source_label(self.source.len(), self.source.is_columnar());
-        maybms_obs::PipelineStats::new(label, source, self.stage_labels())
+        let stats = PipelineStats::new(
+            source_label(self.source.len(), self.source.is_columnar()),
+            self.stage_labels(),
+        );
+        let UStream { source, stages, schema, .. } = self;
+        let out = body(source, &stages, schema, &stats);
+        stats.finish(&mut span, statement);
+        out
     }
 
     /// One label per recorded stage — the text `EXPLAIN` and
@@ -406,6 +367,11 @@ impl UStream {
         }
         labels
     }
+}
+
+/// Is every stage a σ (so the output rows are source rows)?
+fn all_filters(stages: &[Stage]) -> bool {
+    stages.iter().all(|s| matches!(s, Stage::Filter(_)))
 }
 
 /// How `EXPLAIN` and `EXPLAIN ANALYZE` name a pipeline's source of `rows`
@@ -473,7 +439,7 @@ mod tests {
         };
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let got = chain().collect_with(&pool, 1, None).unwrap();
+            let got = chain().collect_with(&pool, 1, (&QueryStats::new(), "test")).unwrap();
             assert_eq!(rows(&got), want, "threads = {threads}");
         }
         assert_eq!(rows(&chain().collect().unwrap()), want);
@@ -492,7 +458,7 @@ mod tests {
                 true => s.hash_join_build_first(build.clone(), &[0], &[0]),
                 false => s.hash_join(build.clone(), &[0], &[0]),
             };
-            s.unwrap().collect_with(&ThreadPool::new(2), 1, None).unwrap()
+            s.unwrap().collect_with(&ThreadPool::new(2), 1, (&QueryStats::new(), "test")).unwrap()
         };
         let (plain, swapped) = (join(false), join(true));
         assert_eq!(swapped.schema().names(), vec!["player", "state", "player", "state"]);
@@ -533,26 +499,27 @@ mod tests {
                     let got = UStream::new(u.clone())
                         .filter(&pred)
                         .unwrap()
-                        .select_positions(&pool, min_morsel, None)
+                        .select_positions(&pool, min_morsel, (&QueryStats::new(), "test"))
                         .unwrap();
                     assert_eq!(got, want, "threads {threads}, morsel {min_morsel}");
                 }
             }
             let pool = ThreadPool::new(2);
             // No predicate: every row. A constant-false one: none.
-            let all = UStream::new(u.clone()).select_positions(&pool, 64, None).unwrap();
+            let qs = QueryStats::new();
+            let all = UStream::new(u.clone()).select_positions(&pool, 64, (&qs, "test")).unwrap();
             assert_eq!(all, (0..500).collect::<Vec<_>>());
             let none = UStream::new(u.clone())
                 .filter(&Expr::lit(false))
                 .unwrap()
-                .select_positions(&pool, 64, None)
+                .select_positions(&pool, 64, (&QueryStats::new(), "test"))
                 .unwrap();
             assert!(none.is_empty());
             // Rows a projection built have no source position.
             let projected = UStream::new(u.clone())
                 .project(&[ProjectItem::new(Expr::ColumnIdx(0), "k")])
                 .unwrap();
-            assert!(projected.select_positions(&pool, 64, None).is_err());
+            assert!(projected.select_positions(&pool, 64, (&QueryStats::new(), "test")).is_err());
         }
     }
 

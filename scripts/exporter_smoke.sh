@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Prometheus-exporter smoke test for maybms-shell --metrics-addr: start a
 # shell serving /metrics, run a couple of statements so the registry and
-# the sliding latency windows have content, then scrape the endpoint
-# with a real HTTP client and check the exposition. Exercises the
-# std-only TcpListener exporter end to end — request parsing, the
-# Content-Type header, and the new latency-window families.
+# the per-kind statement-latency histogram have content, then scrape the
+# endpoint with a real HTTP client and check the exposition. Exercises
+# the std-only TcpListener exporter end to end — request parsing, the
+# Content-Type header, and the kind-labelled latency histogram.
 #
 # Usage: scripts/exporter_smoke.sh [path-to-maybms-shell]
 set -u
@@ -64,14 +64,13 @@ printf '%s\n' "$METRICS" | grep -q "Content-Type: text/plain; version=0.0.4" \
 for family in \
     maybms_query_total \
     maybms_query_seconds_bucket \
-    maybms_latency_window_seconds \
-    maybms_latency_window_count; do
+    maybms_pipe_pipelines_total; do
     printf '%s\n' "$METRICS" | grep -q "$family" \
         || fail "family $family missing from /metrics"
 done
-# The conf() statement must have landed in the conf latency window.
+# The conf() statement must have landed in the conf latency series.
 printf '%s\n' "$METRICS" \
-    | grep 'maybms_latency_window_count{kind="conf"}' | grep -qv ' 0$' \
-    || fail "conf statement not recorded in the latency window"
+    | grep 'maybms_query_seconds_count{kind="conf"}' | grep -qv ' 0$' \
+    || fail "conf statement not recorded in maybms_query_seconds{kind=\"conf\"}"
 
 echo "exporter_smoke: PASS — $ADDR served /healthz and a well-formed /metrics"

@@ -24,8 +24,9 @@
 //! `\timing [on|off]` toggle or set timing (on by default, so parallel
 //! speedups are visible per statement; the line also reports rows
 //! returned and pipelines executed), `\metrics` dump the process-wide
-//! metrics registry in Prometheus text format, `\latency` show the
-//! sliding-window p50/p95/p99 latency table per statement kind,
+//! metrics registry in Prometheus text format, `\latency` show count,
+//! mean, p50, p95 and p99 statement latency per kind since start (read
+//! off the `maybms_query_seconds{kind}` histogram `/metrics` exports),
 //! `\trace [on|off|dump [N]]` control the tracing span subsystem and
 //! print recent statement span trees, `\slowlog [N|off]` log
 //! statements slower than N ms to stderr, `\i FILE` run a SQL script,
@@ -291,7 +292,7 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
             println!("\\threads [N]   show or set the execution pool size");
             println!("\\timing [on|off] toggle or set per-statement timing (default on)");
             println!("\\metrics       dump the engine metrics registry (Prometheus text format)");
-            println!("\\latency       sliding-window p50/p95/p99 statement latency per kind");
+            println!("\\latency       statement latency per kind since start: count, mean, p50/p95/p99");
             println!("\\trace [on|off] enable/disable tracing spans (or show the state)");
             println!("\\trace dump [N] print the last N statement span trees (default 5)");
             println!("\\slowlog [N|off] log statements slower than N ms to stderr (0 = all)");
@@ -357,7 +358,7 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
             println!("Timing is {}.", if *timing { "on" } else { "off" });
         }
         "\\metrics" => print!("{}", maybms_obs::render_prometheus()),
-        "\\latency" => print!("{}", maybms_obs::window::latency_report()),
+        "\\latency" => print!("{}", maybms_obs::latency_report()),
         "\\trace" => match arg {
             None => println!(
                 "Tracing is {}.",
@@ -565,6 +566,23 @@ mod tests {
         assert!(handle_meta("\\slowlog", &mut db, &mut timing));
         assert!(handle_meta("\\nonsense", &mut db, &mut timing));
         assert!(!handle_meta("\\q", &mut db, &mut timing));
+    }
+
+    /// `\latency` reads the kind-labelled statement histogram: a `conf()`
+    /// statement counts in the `conf` row.
+    #[test]
+    fn latency_meta_reads_the_kind_histogram() {
+        let conf = || maybms_obs::metrics().query_seconds(maybms_obs::StatementKind::Conf).count();
+        let mut db = MayBms::new();
+        let before = conf();
+        execute("create table latency_t (a bigint);", &mut db, false);
+        execute("insert into latency_t values (1), (2);", &mut db, false);
+        execute("select a, conf() as p from latency_t group by a;", &mut db, false);
+        assert!(conf() > before);
+        let report = maybms_obs::latency_report();
+        let row = report.lines().find(|l| l.starts_with("conf")).expect("a conf row");
+        assert!(!row.contains(" - "), "{report}");
+        assert!(handle_meta("\\latency", &mut db, &mut false));
     }
 
     #[test]

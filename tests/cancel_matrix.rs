@@ -79,6 +79,7 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
         ("select-conf", "select player, conf() as p from picks group by player"),
         ("order-by", "select player, pts from picks order by pts desc, player"),
         ("union", "select player from picks union all select player from games"),
+        ("group-dict", "select player, count(*) as n from games group by player"),
         ("insert", "insert into games values ('Ginobili', 17, 0.9)"),
         ("update", "update games set pts = pts + 1 where pts > 20"),
         ("delete", "delete from games where pts < 20"),
@@ -209,6 +210,42 @@ fn sort_and_union_breakers_are_checkpoints() {
         assert_eq!(fp(&db), baseline, "nth={nth}: abort mutated state");
     }
     db.run(&sorted).expect("the session survives");
+    maybms_par::set_threads(before_threads);
+}
+
+/// A GROUP BY on a dictionary-encoded text column takes the dense-code
+/// fold, which runs on the same morsel driver as every pipeline: it
+/// passes a governor checkpoint per morsel (none at all before the fold
+/// moved onto the driver), and a cancel landing on any of them aborts
+/// with the typed error and an intact catalog.
+#[test]
+fn dense_dictionary_group_by_is_a_checkpoint_per_morsel() {
+    let _l = lock();
+    let before_threads = maybms_par::current_threads();
+    let mem = MemVfs::new();
+    let mut db = seed(&mem);
+    db.run("create table big (k bigint, s text)").unwrap();
+    let rows: Vec<String> = (0..3000).map(|i| format!("({i}, 's{}')", i % 37)).collect();
+    db.run(&format!("insert into big values {}", rows.join(", "))).unwrap();
+    let sql = "select s, count(*) as n from big group by s";
+    for threads in [1usize, 2, 8] {
+        maybms_par::set_threads(threads);
+        let total = checkpoints(&mut db, sql);
+        let stats = db.last_stats().unwrap();
+        let [grouped] = &stats.pipelines()[..] else { panic!("one pipeline: {:?}", stats.steps()) };
+        assert!(grouped.stages.is_empty() && grouped.groups.get() == 37, "the dense-code fold");
+        let morsels = grouped.morsels.get();
+        assert!(morsels >= 1 && total >= morsels, "t{threads}: {total} checkpoints, {morsels} morsels");
+        let baseline = fp(&db);
+        for nth in 1..=total {
+            testing::abort_at_checkpoint(nth, AbortKind::Cancel);
+            let err = db.run(sql).expect_err("a cancel inside the fold must abort");
+            testing::clear();
+            assert!(matches_kind(AbortKind::Cancel, &err), "t{threads} nth={nth}: {err}");
+            assert_eq!(fp(&db), baseline, "t{threads} nth={nth}: abort mutated state");
+        }
+        db.run(sql).expect("the session survives");
+    }
     maybms_par::set_threads(before_threads);
 }
 
