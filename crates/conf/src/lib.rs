@@ -15,9 +15,6 @@
 //! * [`dklr`] — the Dagum–Karp–Luby–Ross optimal Monte Carlo driver
 //!   (stopping rule + 𝒜𝒜 algorithm) providing the `(ε, δ)` guarantee of
 //!   `aconf`;
-//! * [`condition`] — conditioning on constraints (reference \[3\],
-//!   "Conditioning Probabilistic Databases"): `P(event | constraint)` and
-//!   renormalised posteriors;
 //! * [`naive`] — enumeration oracle for testing.
 //!
 //! # Choosing an estimator
@@ -61,7 +58,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod condition;
 pub mod dklr;
 pub mod dnf;
 pub mod exact;

@@ -154,65 +154,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Chain rule: P(A ∧ B) = P(A | B) · P(B) whenever P(B) > 0, with the
-    /// conjunction built by the conditioning module.
-    #[test]
-    fn conditioning_chain_rule((wt, a) in arb_dnf(), clause_pick in any::<prop::sample::Index>()) {
-        use maybms_conf::condition;
-        // Derive B from A's vocabulary so the events are dependent: B is a
-        // single random clause of A (or skip when A is empty).
-        if a.is_empty() { return Ok(()); }
-        let b = Dnf::new(vec![a.clauses()[clause_pick.index(a.len())].clone()]);
-        let p_b = exact::probability(&b, &wt).unwrap();
-        if p_b <= 0.0 { return Ok(()); }
-        let p_and = exact::probability(&condition::and(&a, &b), &wt).unwrap();
-        let p_given = condition::conditional_probability(
-            &a, &b, &wt, maybms_conf::ConfMethod::Exact,
-        ).unwrap();
-        prop_assert!((p_given * p_b - p_and).abs() < 1e-9,
-            "P(A|B)={} P(B)={} P(A∧B)={}", p_given, p_b, p_and);
-        // B ⊆ A here (B is one of A's clauses), so P(A | B) must be 1.
-        prop_assert!((p_given - 1.0).abs() < 1e-9);
-    }
-
-    /// Conjunction semantics: and(A, B) is satisfied exactly by the worlds
-    /// satisfying both.
-    #[test]
-    fn dnf_and_semantics((wt, a) in arb_dnf(), (wt2, b_raw) in arb_dnf()) {
-        use maybms_conf::condition;
-        // Rebuild B over wt's variables (truncate ids into range).
-        let _ = wt2;
-        let nvars = wt.num_vars() as u32;
-        if nvars == 0 { return Ok(()); }
-        let clauses: Vec<_> = b_raw
-            .clauses()
-            .iter()
-            .filter_map(|c| {
-                maybms_urel::Wsd::from_assignments(
-                    c.assignments()
-                        .iter()
-                        .map(|asg| {
-                            let v = Var(asg.var.0 % nvars);
-                            let dom = wt.domain_size(v).unwrap() as u16;
-                            Assignment::new(v, asg.alt % dom)
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        let b = Dnf::new(clauses);
-        let both = condition::and(&a, &b);
-        // Enumerate the worlds of wt and compare satisfaction.
-        for (world, _p) in wt.enumerate_worlds(1 << 16).unwrap() {
-            let expect = a.satisfied_by(&world) && b.satisfied_by(&world);
-            prop_assert_eq!(both.satisfied_by(&world), expect, "world {:?}", world);
-        }
-    }
-}
-
 /// A seeded random lineage: 1–9 variables of 2–4 alternatives (some of
 /// zero mass) and up to 13 clauses of 1–4 literals, some duplicated and
 /// some followed by a one-literal superset.

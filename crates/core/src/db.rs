@@ -93,22 +93,13 @@ impl MayBms {
     /// and crash-matrix tests drive the whole database through this.
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>) -> Result<MayBms> {
         let (store, recovered) = Store::open(vfs)?;
-        let mut tables = recovered.tables;
-        // Tables recovered as row images (logs and snapshots written
-        // before the columnar store) are compacted to the at-rest
-        // representation once, here.
-        for t in tables.values_mut() {
-            if !t.is_columnar() {
-                *t = t.compact();
-            }
-        }
         Ok(MayBms {
             recovery: Some(RecoveryReport {
-                tables: tables.len(),
+                tables: recovered.tables.len(),
                 replayed: recovered.replayed,
                 truncated_tail: recovered.truncated_tail,
             }),
-            tables,
+            tables: recovered.tables,
             wt: recovered.wt,
             store: Some(store),
             last_stats: None,
@@ -163,7 +154,7 @@ impl MayBms {
     /// record that could not apply is never written; `INSERT` / `UPDATE`
     /// / `DELETE` then apply to the columnar table in place, at the cost
     /// of the rows they touch.
-    fn commit(&mut self, op: Op) -> Result<()> {
+    fn commit(&mut self, mut op: Op) -> Result<()> {
         // Abort-before-log: every catalog mutation passes through here,
         // and nothing is durable or installed until `store.log` below
         // succeeds — so honouring a pending cancel/deadline/budget abort
@@ -179,15 +170,11 @@ impl MayBms {
             }),
             reason,
         })?;
-        // Pivot a full table image *before* logging so the WAL record
-        // carries the columnar representation and recovery restores it
-        // without re-pivoting.
-        let op = match op {
-            Op::PutTable { name, table } if !table.is_columnar() => {
-                Op::PutTable { name, table: table.compact() }
-            }
-            op => op,
-        };
+        // Pivot a full table image once, before logging: the WAL encoder
+        // and `apply_op` then both find it columnar and neither pivots.
+        if let Op::PutTable { table, .. } = &mut op {
+            *table = table.compact();
+        }
         if let Some(store) = &mut self.store {
             store.log(&op, &self.wt)?;
         }

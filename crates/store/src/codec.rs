@@ -364,7 +364,9 @@ pub fn get_utuple(r: &mut Reader<'_>) -> DecodeResult<UTuple> {
     Ok(UTuple::new(Tuple::new(values), wsd))
 }
 
-/// Encode a whole U-relation (schema + rows).
+/// Encode a whole U-relation as schema + rows: the logical image,
+/// independent of the storage representation ([`crate::fingerprint`]
+/// compares these). Tables are stored with [`put_urelation_any`].
 pub fn put_urelation(w: &mut Writer, u: &URelation) {
     put_schema(w, u.schema());
     w.put_u32(u.len() as u32);
@@ -373,30 +375,10 @@ pub fn put_urelation(w: &mut Writer, u: &URelation) {
     }
 }
 
-/// Decode a whole U-relation, checking row arity against the schema.
-pub fn get_urelation(r: &mut Reader<'_>) -> DecodeResult<URelation> {
-    let schema = get_schema(r)?;
-    let n = r.count("tuple")?;
-    let arity = schema.len();
-    let mut tuples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = get_utuple(r)?;
-        if t.data.arity() != arity {
-            return r.fail(format!(
-                "row arity {} does not match schema arity {arity}",
-                t.data.arity()
-            ));
-        }
-        tuples.push(t);
-    }
-    Ok(URelation::new(Arc::new(schema), tuples))
-}
-
 // ---------------------------------------------------------------------
-// Columnar relation codec (the v2 representation-preserving format:
-// snapshot version \x02 bodies and WAL op tag 5 use it; v1 bodies and
-// op tags 0-4 keep the row-image layout above, so pre-refactor files
-// still decode)
+// Stored table image: the one at-rest layout, shared by snapshot bodies
+// and WAL `PutTable` records — the column batch (dictionaries included)
+// plus the WSD sidecar
 // ---------------------------------------------------------------------
 
 /// Sparse null positions: count + ascending row indices. Written for
@@ -552,69 +534,56 @@ fn get_column(r: &mut Reader<'_>, rows: usize) -> DecodeResult<Column> {
     })
 }
 
-/// Encode a U-relation preserving its storage representation: a
-/// columnar-at-rest table serializes its column batch (dictionaries
-/// included) and WSD sidecar; a row-major table serializes the row image
-/// via [`put_urelation`]. One leading tag byte says which.
+/// Encode a table in its columnar at-rest image: schema, row and column
+/// counts, each column, then each row's WSD. A row-major table is
+/// pivoted first; stored tables are columnar already, so this is an
+/// `Arc` clone for them.
 pub fn put_urelation_any(w: &mut Writer, u: &URelation) {
-    match u.at_rest() {
-        None => {
-            w.put_u8(0);
-            put_urelation(w, u);
-        }
-        Some((batch, wsds)) => {
-            w.put_u8(1);
-            put_schema(w, u.schema());
-            w.put_u32(batch.rows() as u32);
-            w.put_u32(batch.arity() as u32);
-            for col in batch.columns() {
-                put_column(w, col);
-            }
-            for wsd in wsds {
-                put_wsd(w, wsd);
-            }
-        }
+    let u = u.compact();
+    let (batch, wsds) = u.at_rest().expect("compact is columnar");
+    put_schema(w, u.schema());
+    w.put_u32(batch.rows() as u32);
+    w.put_u32(batch.arity() as u32);
+    for col in batch.columns() {
+        put_column(w, col);
+    }
+    for wsd in wsds {
+        put_wsd(w, wsd);
     }
 }
 
 /// Decode a [`put_urelation_any`] image, restoring the exact storage
-/// representation — recovery of a columnar table never re-pivots.
+/// representation — recovery never re-pivots.
 pub fn get_urelation_any(r: &mut Reader<'_>) -> DecodeResult<URelation> {
-    match r.u8()? {
-        0 => get_urelation(r),
-        1 => {
-            let schema = get_schema(r)?;
-            let rows = r.u32()? as usize;
-            let ncols = r.count("column")?;
-            if ncols != schema.len() {
-                return r.fail(format!(
-                    "column count {ncols} does not match schema arity {}",
-                    schema.len()
-                ));
-            }
-            let mut cols = Vec::with_capacity(ncols);
-            for k in 0..ncols {
-                let c = get_column(r, rows)?;
-                if c.len() != rows {
-                    return r.fail(format!(
-                        "column {k} length {} does not match row count {rows}",
-                        c.len()
-                    ));
-                }
-                cols.push(c);
-            }
-            let mut wsds = Vec::with_capacity(rows.min(1 << 16));
-            for _ in 0..rows {
-                wsds.push(get_wsd(r)?);
-            }
-            Ok(URelation::from_batch(
-                Arc::new(schema),
-                ColumnBatch::from_columns(cols, rows),
-                wsds,
-            ))
-        }
-        t => r.fail(format!("unknown relation representation tag {t}")),
+    let schema = get_schema(r)?;
+    let rows = r.u32()? as usize;
+    let ncols = r.count("column")?;
+    if ncols != schema.len() {
+        return r.fail(format!(
+            "column count {ncols} does not match schema arity {}",
+            schema.len()
+        ));
     }
+    let mut cols = Vec::with_capacity(ncols);
+    for k in 0..ncols {
+        let c = get_column(r, rows)?;
+        if c.len() != rows {
+            return r.fail(format!(
+                "column {k} length {} does not match row count {rows}",
+                c.len()
+            ));
+        }
+        cols.push(c);
+    }
+    let mut wsds = Vec::with_capacity(rows.min(1 << 16));
+    for _ in 0..rows {
+        wsds.push(get_wsd(r)?);
+    }
+    Ok(URelation::from_batch(
+        Arc::new(schema),
+        ColumnBatch::from_columns(cols, rows),
+        wsds,
+    ))
 }
 
 /// Encode a list of probability distributions (world-table tail).
@@ -704,11 +673,12 @@ mod tests {
         ])
         .unwrap();
         let mut w = Writer::new();
-        put_urelation(&mut w, &u);
+        put_urelation_any(&mut w, &u);
         let bytes = w.finish();
         let mut r = Reader::new(&bytes);
-        let got = get_urelation(&mut r).unwrap();
+        let got = get_urelation_any(&mut r).unwrap();
         assert_eq!(got, u);
+        assert!(got.is_columnar());
         assert!(r.is_exhausted());
     }
 
@@ -811,7 +781,6 @@ mod tests {
         }
         // And a targeted case: declared dict of 1 entry, code 1.
         let mut w = Writer::new();
-        w.put_u8(1); // columnar tag
         put_schema(&mut w, &Schema::from_pairs(&[("s", DataType::Text)]));
         w.put_u32(1); // rows
         w.put_u32(1); // ncols

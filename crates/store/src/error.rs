@@ -62,6 +62,22 @@ impl StoreError {
     }
 }
 
+/// Check a durable file's 8-byte `header` against `magic`: seven name
+/// bytes, then the format version. A file of another version is refused
+/// with both version numbers named; one this build cannot read is never
+/// replayed.
+pub(crate) fn check_magic(path: &str, header: &[u8], magic: &[u8; 8]) -> Result<()> {
+    if header == magic {
+        return Ok(());
+    }
+    let reason = if header[..7] == magic[..7] {
+        format!("format version {}; this build reads version {}", header[7], magic[7])
+    } else {
+        "bad magic".to_string()
+    };
+    Err(StoreError::corrupt(path, 0, reason))
+}
+
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

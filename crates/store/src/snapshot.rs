@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use maybms_urel::{URelation, Var, WorldTable};
 
 use crate::codec::{self, Reader, Writer};
-use crate::error::{Result, StoreError};
+use crate::error::{check_magic, Result, StoreError};
 use crate::vfs::Vfs;
 
 /// Snapshot file name inside the data directory.
@@ -26,14 +26,10 @@ pub const SNAPSHOT_FILE: &str = "snapshot";
 /// Scratch name the snapshot is staged under before the atomic rename.
 pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
-/// Magic bytes heading every snapshot file this build writes (version
-/// byte last). Version 2 bodies encode tables via
-/// [`codec::put_urelation_any`], preserving columnar-at-rest storage.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MAYBSNP\x02";
-
-/// Pre-columnar (row-image) snapshot magic; still accepted on load so
-/// data directories written before the columnar refactor recover.
-pub const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"MAYBSNP\x01";
+/// Magic bytes heading every snapshot file (version byte last). Tables
+/// are encoded by [`codec::put_urelation_any`]. A file with another
+/// version is refused, not read.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MAYBSNP\x03";
 
 /// The catalog of stored tables, keyed by lowercased name.
 pub type Catalog = BTreeMap<String, URelation>;
@@ -100,11 +96,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
             format!("file too short ({} bytes) for a snapshot header", bytes.len()),
         ));
     }
-    let magic = &bytes[..SNAPSHOT_MAGIC.len()];
-    let v1 = magic == SNAPSHOT_MAGIC_V1;
-    if !v1 && magic != SNAPSHOT_MAGIC {
-        return Err(StoreError::corrupt(SNAPSHOT_FILE, 0, "bad snapshot magic"));
-    }
+    check_magic(SNAPSHOT_FILE, &bytes[..SNAPSHOT_MAGIC.len()], SNAPSHOT_MAGIC)?;
     let hdr = SNAPSHOT_MAGIC.len();
     let len = u32::from_le_bytes(bytes[hdr..hdr + 4].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(bytes[hdr + 4..hdr + 8].try_into().expect("4 bytes"));
@@ -134,12 +126,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
     let mut tables = Catalog::new();
     for _ in 0..ntables {
         let name = r.str().map_err(mk_err)?;
-        let table = if v1 {
-            codec::get_urelation(&mut r).map_err(mk_err)?
-        } else {
-            codec::get_urelation_any(&mut r).map_err(mk_err)?
-        };
-        tables.insert(name, table);
+        tables.insert(name, codec::get_urelation_any(&mut r).map_err(mk_err)?);
     }
     if !r.is_exhausted() {
         return Err(StoreError::corrupt(
@@ -217,30 +204,6 @@ mod tests {
         assert_eq!(snap.tables, tables);
         // Representation survives: no re-pivot needed after recovery.
         assert!(snap.tables["games"].is_columnar());
-    }
-
-    #[test]
-    fn pre_columnar_v1_snapshot_still_loads() {
-        let (tables, wt) = sample_state();
-        // Hand-build a version-1 image exactly as the pre-columnar code
-        // wrote it: row-image tables under the \x01 magic.
-        let mut w = Writer::new();
-        w.put_u64(9);
-        codec::put_dists(&mut w, &all_dists(&wt).unwrap());
-        w.put_u32(tables.len() as u32);
-        for (name, table) in &tables {
-            w.put_str(name);
-            codec::put_urelation(&mut w, table);
-        }
-        let payload = w.finish();
-        let mut image = Vec::with_capacity(payload.len() + 16);
-        image.extend_from_slice(SNAPSHOT_MAGIC_V1);
-        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        image.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-        image.extend_from_slice(&payload);
-        let snap = decode(&image).unwrap();
-        assert_eq!(snap.base_lsn, 9);
-        assert_eq!(snap.tables, tables);
     }
 
     #[test]

@@ -55,9 +55,6 @@ pub fn check_op(tables: &Catalog, op: &Op) -> std::result::Result<(), String> {
                 ));
             }
         }
-        Op::ReplaceRows { table, .. } => {
-            existing("replace rows of", table)?;
-        }
         Op::UpdateRows { table, positions, columns, cells } => {
             let t = existing("update", table)?;
             check_positions(table, positions, t.len())?;
@@ -105,10 +102,11 @@ fn check_positions(table: &str, positions: &[u32], rows: usize) -> std::result::
 /// Apply one logged operation to a catalog. Shared by live execution
 /// (after the WAL append succeeds) and recovery replay, so the two can
 /// never disagree about what an [`Op`] means. The op is checked first
-/// ([`check_op`]) and applies whole or not at all; `INSERT` and the
-/// positional deltas mutate the columnar table in place. Errors are
-/// descriptive strings; callers wrap them with context (file offset on
-/// replay).
+/// ([`check_op`]) and applies whole or not at all. This is the one place
+/// a stored table is made columnar: `CREATE TABLE` and `PutTable` install
+/// columnar tables, and `INSERT` and the positional deltas mutate them in
+/// place. Errors are descriptive strings; callers wrap them with context
+/// (file offset on replay).
 pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String> {
     check_op(tables, &op)?;
     fn target<'a>(tables: &'a mut Catalog, name: &str) -> &'a mut URelation {
@@ -116,16 +114,12 @@ pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String>
     }
     match op {
         Op::CreateTable { name, schema } => {
-            tables.insert(name, URelation::empty(Arc::new(schema)));
+            tables.insert(name, URelation::empty(Arc::new(schema)).compact());
         }
         Op::PutTable { name, table } => {
-            tables.insert(name, table);
+            tables.insert(name, table.compact());
         }
         Op::InsertRows { table, rows } => target(tables, &table).append_rows(&rows),
-        Op::ReplaceRows { table, rows } => {
-            let t = target(tables, &table);
-            *t = URelation::new(t.schema().clone(), rows).compact();
-        }
         Op::UpdateRows { table, positions, columns, cells } => {
             target(tables, &table).set_cells(&positions, &columns, &cells)
         }
@@ -225,7 +219,7 @@ impl Store {
         if vfs.exists(snapshot::SNAPSHOT_TMP)? {
             let _ = vfs.remove(snapshot::SNAPSHOT_TMP);
         }
-        let (mut base_lsn, mut wt, mut tables, has_snapshot) =
+        let (base_lsn, mut wt, mut tables, has_snapshot) =
             match snapshot::load(vfs.as_ref())? {
                 Some(s) => (s.base_lsn, s.wt, s.tables, true),
                 None => (0, WorldTable::new(), Catalog::new(), false),
@@ -263,8 +257,6 @@ impl Store {
             if stale > 0 && replayed == 0 {
                 // Every record predates the snapshot: finish the
                 // interrupted checkpoint by resetting the WAL.
-                base_lsn = next_lsn;
-                let _ = base_lsn; // next_lsn already correct
                 Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?
             } else {
                 if scan.valid_len < bytes.len() as u64 {
@@ -486,6 +478,7 @@ pub fn fingerprint(tables: &Catalog, wt: &WorldTable) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::vfs::MemVfs;
+    use crate::wal::WorldExt;
     use maybms_engine::{DataType, Schema, Tuple, Value};
     use maybms_urel::{URelation, UTuple, Wsd};
 
@@ -773,6 +766,140 @@ mod tests {
                 other => panic!("expected corrupt ({want}), got {other:?}"),
             }
         }
+    }
+
+    /// Rewrite the version byte (the magic's last) of `file` in place.
+    fn set_version(vfs: &MemVfs, file: &str, version: u8) {
+        let mut bytes = vfs.read(file).unwrap();
+        bytes[7] = version;
+        let mut f = vfs.create(file).unwrap();
+        f.append(&bytes).unwrap();
+        f.sync().unwrap();
+    }
+
+    /// `Store::open` refuses `file` at offset 0, naming the version it
+    /// found and the one it reads, and leaves every file as it was.
+    fn assert_refused(vfs: &MemVfs, file: &str, found: u8, reads: u8) {
+        let files = || [WAL_FILE, snapshot::SNAPSHOT_FILE].map(|f| vfs.read(f).ok());
+        let before = files();
+        match Store::open(Arc::new(vfs.clone())) {
+            Err(StoreError::Corrupt { path, offset, reason }) => {
+                assert_eq!((path.as_str(), offset), (file, 0), "{reason}");
+                for v in [found, reads] {
+                    assert!(reason.contains(&format!("version {v}")), "{reason}");
+                }
+            }
+            other => panic!("expected corrupt {file}, got {other:?}"),
+        }
+        assert_eq!(files(), before, "a refused directory must not be touched");
+    }
+
+    /// A directory holding a table, its rows and a WAL tail.
+    fn populated(checkpoint: bool) -> MemVfs {
+        let vfs = MemVfs::new();
+        let wt = WorldTable::new();
+        let (mut store, mut rec) = open_mem(&vfs);
+        let ops = [
+            Op::CreateTable { name: "t".into(), schema: Schema::from_pairs(&[("a", DataType::Int)]) },
+            Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Int(1)])] },
+        ];
+        for (k, op) in ops.into_iter().enumerate() {
+            store.log(&op, &wt).unwrap();
+            apply_op(&mut rec.tables, op).unwrap();
+            if checkpoint && k == 0 {
+                store.checkpoint(&rec.tables, &wt).unwrap();
+            }
+        }
+        vfs
+    }
+
+    #[test]
+    fn wal_of_an_older_version_is_refused_untouched() {
+        let vfs = populated(false);
+        set_version(&vfs, WAL_FILE, 1);
+        assert_refused(&vfs, WAL_FILE, 1, WAL_MAGIC[7]);
+    }
+
+    #[test]
+    fn snapshot_of_an_older_version_is_refused_untouched() {
+        let vfs = populated(true);
+        set_version(&vfs, snapshot::SNAPSHOT_FILE, 2);
+        assert_refused(&vfs, snapshot::SNAPSHOT_FILE, 2, snapshot::SNAPSHOT_MAGIC[7]);
+    }
+
+    /// The exact bytes this build writes: one framed WAL record per op tag
+    /// and one snapshot image. Every other test round-trips, so only this
+    /// one sees a silent format change. Changing these bytes means
+    /// changing the format: bump `WAL_MAGIC` / `SNAPSHOT_MAGIC` with them.
+    /// Spaces split fields: `[len] [crc] [lsn] [world ext] [tag] [name]`,
+    /// then the op's body.
+    #[test]
+    fn durable_bytes_are_pinned() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let mut wt = WorldTable::new();
+        let x = wt.new_var(&[0.25, 0.75]).unwrap();
+        let mut picks = URelation::empty(Arc::new(Schema::from_pairs(&[("s", DataType::Text)])));
+        picks.tuples_mut().push(UTuple::new(Tuple::new(vec![Value::str("ab")]), Wsd::of(x, 1)));
+        let picks = picks.compact();
+        let t_schema = Schema::from_pairs(&[("a", DataType::Int)]);
+        // The table image (tag 5 body, snapshot table): schema, rows,
+        // columns, one dictionary column (entries, codes, nulls), WSDs.
+        let image = "01000000 00 0100000073 03 01000000 01000000 \
+                     04 01000000 020000006162 00000000 00000000 01000000 00000000 0100";
+        let dists = "01000000 02000000 000000000000d03f 000000000000e83f";
+        let records: [(WorldExt, Op, String); 6] = [
+            (
+                None,
+                Op::CreateTable { name: "t".into(), schema: t_schema },
+                "1a000000 3df3fb27 0000000000000000 00 00 0100000074 01000000 00 0100000061 01".into(),
+            ),
+            (
+                None,
+                Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Int(1)])] },
+                "24000000 e92fc191 0100000000000000 00 02 0100000074 \
+                 01000000 01000000 02 0100000000000000 00000000"
+                    .into(),
+            ),
+            (
+                None,
+                Op::DropTable { name: "t".into() },
+                "0f000000 f56ccc8e 0200000000000000 00 04 0100000074".into(),
+            ),
+            (
+                Some((0, vec![vec![0.25, 0.75]])),
+                Op::PutTable { name: "p".into(), table: picks.clone() },
+                format!("5b000000 41b9b3c5 0300000000000000 01 00000000 {dists} 05 0100000070 {image}"),
+            ),
+            (
+                None,
+                Op::UpdateRows {
+                    table: "t".into(),
+                    positions: vec![0],
+                    columns: vec![0],
+                    cells: vec![Value::Null],
+                },
+                "24000000 fc0a09c1 0400000000000000 00 06 0100000074 \
+                 01000000 00000000 01000000 00000000 01000000 00"
+                    .into(),
+            ),
+            (
+                None,
+                Op::DeleteRows { table: "t".into(), positions: vec![0] },
+                "17000000 018e3130 0500000000000000 00 07 0100000074 01000000 00000000".into(),
+            ),
+        ];
+        let unspaced = |s: &str| s.split_whitespace().collect::<String>();
+        for (lsn, (ext, op, want)) in records.into_iter().enumerate() {
+            let frame = wal::frame_record(lsn as u64, &ext, &op);
+            assert_eq!(hex(&frame), unspaced(&want), "{}", op.describe());
+        }
+        // Magic "MAYBSNP\x03", [len] [crc], base LSN, the world table, one
+        // named table.
+        let snap = format!(
+            "4d415942534e5003 59000000 485b88d4 0600000000000000 {dists} 01000000 0100000070 {image}"
+        );
+        let tables = Catalog::from([("p".to_string(), picks)]);
+        assert_eq!(hex(&snapshot::encode(6, &tables, &wt).unwrap()), unspaced(&snap));
     }
 
     #[test]

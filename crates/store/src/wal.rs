@@ -3,7 +3,7 @@
 //! File layout:
 //!
 //! ```text
-//! [8-byte magic "MAYBWAL\x01"]
+//! [8-byte magic "MAYBWAL\x02"]
 //! repeat: [u32 payload_len][u32 crc32(payload)][payload]
 //! ```
 //!
@@ -24,13 +24,14 @@ use maybms_engine::Value;
 use maybms_urel::{URelation, UTuple};
 
 use crate::codec::{self, Reader, Writer};
-use crate::error::{Result, StoreError};
+use crate::error::{check_magic, Result, StoreError};
 
 /// WAL file name inside the data directory.
 pub const WAL_FILE: &str = "wal";
 
-/// Magic bytes heading every WAL file (version byte last).
-pub const WAL_MAGIC: &[u8; 8] = b"MAYBWAL\x01";
+/// Magic bytes heading every WAL file (version byte last). A file with
+/// another version is refused, not read.
+pub const WAL_MAGIC: &[u8; 8] = b"MAYBWAL\x02";
 
 /// A logged catalog mutation: the *physical result* of a statement
 /// (per §2.3, updates are just modifications of the representation
@@ -58,16 +59,6 @@ pub enum Op {
         /// Catalog key (lowercased).
         table: String,
         /// The appended rows.
-        rows: Vec<UTuple>,
-    },
-    /// The table's full post-statement row list (schema unchanged) —
-    /// what `UPDATE` / `DELETE` logged before the positional deltas
-    /// below. No statement emits it any more; it is kept so logs written
-    /// by earlier builds still replay.
-    ReplaceRows {
-        /// Catalog key (lowercased).
-        table: String,
-        /// The replacement rows.
         rows: Vec<UTuple>,
     },
     /// `UPDATE`: the post-image of the changed cells only. `cells` is
@@ -105,9 +96,6 @@ impl Op {
             Op::CreateTable { name, .. } => format!("create {name}"),
             Op::PutTable { name, table } => format!("put {name} ({} rows)", table.len()),
             Op::InsertRows { table, rows } => format!("insert {table} (+{} rows)", rows.len()),
-            Op::ReplaceRows { table, rows } => {
-                format!("replace {table} ({} rows)", rows.len())
-            }
             Op::UpdateRows { table, positions, columns, .. } => {
                 format!("update {table} ({} rows × {} columns)", positions.len(), columns.len())
             }
@@ -184,21 +172,14 @@ pub fn encode_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
             codec::put_schema(&mut w, schema);
         }
         Op::PutTable { name, table } => {
-            // Tag 5 carries the exact storage representation
-            // (dictionaries included), so a columnar table replays
-            // without a re-pivot. Tag 1, the pre-columnar row image, is
-            // decode-only.
+            // The columnar image, dictionaries included, so the table
+            // replays without a re-pivot.
             w.put_u8(5);
             w.put_str(name);
             codec::put_urelation_any(&mut w, table);
         }
         Op::InsertRows { table, rows } => {
             w.put_u8(2);
-            w.put_str(table);
-            put_rows(&mut w, rows);
-        }
-        Op::ReplaceRows { table, rows } => {
-            w.put_u8(3);
             w.put_str(table);
             put_rows(&mut w, rows);
         }
@@ -245,9 +226,7 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
     };
     let op = match r.u8()? {
         0 => Op::CreateTable { name: r.str()?, schema: codec::get_schema(&mut r)? },
-        1 => Op::PutTable { name: r.str()?, table: codec::get_urelation(&mut r)? },
         2 => Op::InsertRows { table: r.str()?, rows: get_rows(&mut r)? },
-        3 => Op::ReplaceRows { table: r.str()?, rows: get_rows(&mut r)? },
         4 => Op::DropTable { name: r.str()? },
         5 => Op::PutTable { name: r.str()?, table: codec::get_urelation_any(&mut r)? },
         // The deltas decode structurally; whether positions, columns and
@@ -293,8 +272,7 @@ pub fn frame_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
 #[derive(Debug)]
 pub struct WalScan {
     /// The decoded records in file order, each with the byte offset of
-    /// its frame — what a replay failure reports. Read off the file, so
-    /// it is right for legacy encodings too.
+    /// its frame — what a replay failure reports.
     pub records: Vec<(u64, WalRecord)>,
     /// Length of the valid prefix (bytes). Anything past this is a torn
     /// tail and should be truncated before appending resumes.
@@ -319,9 +297,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan> {
             torn: !bytes.is_empty(),
         });
     }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(StoreError::corrupt(WAL_FILE, 0, "bad WAL magic"));
-    }
+    check_magic(WAL_FILE, &bytes[..WAL_MAGIC.len()], WAL_MAGIC)?;
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
     let torn = loop {
@@ -442,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn put_table_always_logs_under_the_columnar_tag_and_tag_1_still_decodes() {
+    fn put_table_always_logs_under_the_columnar_tag() {
         use maybms_engine::rel;
         use maybms_urel::URelation;
         let base = rel(&[("n", DataType::Int)], vec![vec![1.into()]]);
@@ -451,17 +427,16 @@ mod tests {
         let record = WalRecord {
             lsn: 1,
             world_ext: None,
-            op: Op::PutTable { name: "t".into(), table: table.clone() },
+            op: Op::PutTable { name: "t".into(), table },
         };
-        // Offset 8 (lsn) + 1 (world-ext tag): even a row-major image is
-        // written under tag 5 — nothing encodes the pre-columnar tag 1.
+        // Offset 8 (lsn) + 1 (world-ext tag): even a row-major table is
+        // written under tag 5, as its columnar image.
         let payload = encode(&record);
         assert_eq!(payload[9], 5);
-        assert_eq!(decode_record(&payload).unwrap(), record);
-        // A tag-1 record as earlier builds wrote it decodes to the same op.
-        let mut w = op_header(1, 1, "t");
-        codec::put_urelation(&mut w, &table);
-        assert_eq!(decode_record(&w.finish()).unwrap(), record);
+        let decoded = decode_record(&payload).unwrap();
+        assert_eq!(decoded, record);
+        let Op::PutTable { table, .. } = &decoded.op else { unreachable!() };
+        assert!(table.is_columnar());
     }
 
     #[test]

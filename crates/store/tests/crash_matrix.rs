@@ -117,15 +117,6 @@ fn workload() -> Vec<Step> {
             cells: vec![Value::Int(21)],
         }),
         step(Op::DeleteRows { table: "picks".into(), positions: vec![0] }),
-        // The pre-delta full-image op: no statement emits it any more,
-        // but a log holding one must replay through any fault.
-        step(Op::ReplaceRows {
-            table: "picks".into(),
-            rows: vec![UTuple::new(
-                Tuple::new(vec![Value::Int(10)]),
-                Wsd::of(Var(0), 1),
-            )],
-        }),
         step(Op::PutTable {
             name: "names".into(),
             // Dictionary-encoded text column (with a NULL slot) through
@@ -209,11 +200,15 @@ fn faulted_run(
     (mem, failed_step, opened, fault.triggered())
 }
 
-/// Recover fault-free and assert atomicity (state ∈ `allowed`) and
-/// idempotence (second recovery: same state, same bytes on disk).
+/// Recover fault-free and assert atomicity (state ∈ `allowed`), the one
+/// at-rest layout (every recovered table columnar, an empty one included)
+/// and idempotence (second recovery: same state, same bytes on disk).
 fn check_recovery(mem: &MemVfs, allowed: &[&Vec<u8>], what: &str) {
     let (_, r1) = Store::open(Arc::new(mem.clone())).expect("recovery must succeed");
     let f1 = fingerprint(&r1.tables, &r1.wt);
+    for (name, t) in &r1.tables {
+        assert!(t.is_columnar(), "{what}: table {name} recovered row-major");
+    }
     assert!(
         allowed.iter().any(|a| **a == f1),
         "{what}: recovered state matches neither pre- nor post-statement oracle \
@@ -265,183 +260,6 @@ fn run_matrix(mode: FaultMode) {
     // traffic; make sure the loop actually swept a real matrix and
     // terminated by exhaustion rather than the safety bound.
     assert!(points >= 20, "matrix covered only {points} fault points");
-}
-
-/// One WAL frame exactly as an earlier build wrote it, assembled byte by
-/// byte so the fixture does not depend on what today's encoder emits:
-/// `[len][crc]` around `lsn, world-ext, op tag, table name, body`.
-fn legacy_frame(
-    lsn: u64,
-    world_ext: Option<(u32, Vec<Vec<f64>>)>,
-    tag: u8,
-    name: &str,
-    body: Vec<u8>,
-) -> Vec<u8> {
-    use maybms_store::codec;
-    let mut payload = lsn.to_le_bytes().to_vec();
-    match world_ext {
-        None => payload.push(0),
-        Some((first, dists)) => {
-            payload.push(1);
-            payload.extend_from_slice(&first.to_le_bytes());
-            let mut w = codec::Writer::new();
-            codec::put_dists(&mut w, &dists);
-            payload.extend_from_slice(&w.finish());
-        }
-    }
-    payload.push(tag);
-    payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    payload.extend_from_slice(name.as_bytes());
-    payload.extend_from_slice(&body);
-    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
-}
-
-/// The row list of a tag-2 / tag-3 record: count, then each tuple.
-fn legacy_rows(rows: &[UTuple]) -> Vec<u8> {
-    let mut w = maybms_store::codec::Writer::new();
-    for t in rows {
-        maybms_store::codec::put_utuple(&mut w, t);
-    }
-    let mut body = (rows.len() as u32).to_le_bytes().to_vec();
-    body.extend_from_slice(&w.finish());
-    body
-}
-
-/// A data directory written *before* the columnar store and the
-/// positional deltas — no snapshot, a WAL holding a row-image `PutTable`
-/// (tag 1) and full-image `ReplaceRows` records (tag 3), neither of
-/// which anything encodes any more — must recover cleanly, take new
-/// writes, and re-persist in the current format on checkpoint without
-/// losing a row.
-#[test]
-fn pre_refactor_row_image_wal_recovers() {
-    use maybms_store::{codec, wal};
-
-    let t_schema = Schema::from_pairs(&[("a", DataType::Int), ("c", DataType::Text)]);
-    let mut old_table = URelation::empty(Arc::new(Schema::from_pairs(&[(
-        "a",
-        DataType::Int,
-    )])));
-    old_table.tuples_mut().push(UTuple::new(
-        Tuple::new(vec![Value::Int(10)]),
-        Wsd::of(Var(0), 1),
-    ));
-    assert!(!old_table.is_columnar(), "fixture must be a row image");
-    let mut schema_body = codec::Writer::new();
-    codec::put_schema(&mut schema_body, &t_schema);
-    let mut image_body = codec::Writer::new();
-    codec::put_urelation(&mut image_body, &old_table);
-    let mut bytes = wal::WAL_MAGIC.to_vec();
-    bytes.extend(legacy_frame(0, None, 0, "t", schema_body.finish()));
-    bytes.extend(legacy_frame(
-        1,
-        None,
-        2,
-        "t",
-        legacy_rows(&[
-            certain(vec![Value::Int(1), Value::str("x")]),
-            certain(vec![Value::Int(2), Value::str("y")]),
-        ]),
-    ));
-    bytes.extend(legacy_frame(
-        2,
-        Some((0, vec![vec![0.4, 0.6]])),
-        1,
-        "picks",
-        image_body.finish(),
-    ));
-    // An `UPDATE` and a `DELETE` as they used to log: the whole table.
-    bytes.extend(legacy_frame(
-        3,
-        None,
-        3,
-        "t",
-        legacy_rows(&[
-            certain(vec![Value::Int(1), Value::str("x")]),
-            certain(vec![Value::Int(3), Value::str("y")]),
-        ]),
-    ));
-    bytes.extend(legacy_frame(
-        4,
-        None,
-        3,
-        "t",
-        legacy_rows(&[certain(vec![Value::Int(3), Value::str("y")])]),
-    ));
-    let mem = MemVfs::new();
-    let mut f = mem.create(wal::WAL_FILE).unwrap();
-    f.append(&bytes).unwrap();
-    f.sync().unwrap();
-    drop(f);
-
-    let (mut store, mut rec) = Store::open(Arc::new(mem.clone())).expect("legacy WAL recovers");
-    assert_eq!(rec.replayed, 5);
-    assert_eq!(rec.tables.len(), 2);
-    assert_eq!(rec.tables["picks"].len(), 1);
-    assert_eq!(rec.wt.num_vars(), 1);
-    let t = &rec.tables["t"];
-    assert_eq!(t.len(), 1);
-    assert_eq!(t.tuples()[0].data.values(), [Value::Int(3), Value::str("y")]);
-    // Recovery left the replayed records as they were on disk.
-    assert_eq!(mem.read(wal::WAL_FILE).unwrap(), bytes);
-
-    // New writes land as deltas behind the old records…
-    let update = Op::UpdateRows {
-        table: "t".into(),
-        positions: vec![0],
-        columns: vec![1],
-        cells: vec![Value::str("z")],
-    };
-    store.log(&update, &rec.wt).unwrap();
-    apply_op(&mut rec.tables, update).unwrap();
-    let fp = fingerprint(&rec.tables, &rec.wt);
-    drop(store);
-    let (mut store, rec2) = Store::open(Arc::new(mem.clone())).expect("mixed WAL recovers");
-    assert_eq!(rec2.replayed, 6);
-    assert_eq!(fingerprint(&rec2.tables, &rec2.wt), fp);
-
-    // …and a checkpoint rewrites the state in the current snapshot
-    // format; reopening must land on the identical state.
-    store.checkpoint(&rec2.tables, &rec2.wt).unwrap();
-    drop(store);
-    let (_, rec3) = Store::open(Arc::new(mem)).expect("reopen after checkpoint");
-    assert_eq!(rec3.replayed, 0);
-    assert_eq!(fingerprint(&rec3.tables, &rec3.wt), fp);
-}
-
-/// A replay failure names the failing record's first byte, also behind a
-/// legacy tag-1 `PutTable` (which today's encoder would write as tag 5,
-/// one layout byte longer — so the offset must come from the file, not
-/// from re-encoding what was decoded).
-#[test]
-fn corrupt_offset_after_legacy_record_is_the_records_first_byte() {
-    use maybms_store::{codec, wal, StoreError};
-
-    let mut picks =
-        URelation::empty(Arc::new(Schema::from_pairs(&[("a", DataType::Int)])));
-    picks.tuples_mut().push(UTuple::new(Tuple::new(vec![Value::Int(10)]), Wsd::of(Var(0), 1)));
-    let mut image = codec::Writer::new();
-    codec::put_urelation(&mut image, &picks);
-    let mut bytes = wal::WAL_MAGIC.to_vec();
-    bytes.extend(legacy_frame(0, Some((0, vec![vec![0.4, 0.6]])), 1, "picks", image.finish()));
-    let second = bytes.len() as u64;
-    // A tag-7 delete of position 5 in a one-row table: decodes, fails
-    // `check_op` on replay.
-    let positions = [1u32.to_le_bytes(), 5u32.to_le_bytes()].concat();
-    bytes.extend(legacy_frame(1, None, 7, "picks", positions));
-    let mem = MemVfs::new();
-    let mut f = mem.create(wal::WAL_FILE).unwrap();
-    f.append(&bytes).unwrap();
-    f.sync().unwrap();
-    drop(f);
-
-    match Store::open(Arc::new(mem)) {
-        Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, second),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
 }
 
 #[test]

@@ -219,9 +219,9 @@ impl URelation {
     }
 
     /// The at-rest body for an in-place write: a row store is compacted
-    /// first (only freshly created empty tables and legacy row images
-    /// are), a shared body is cloned (copy-on-write), and the row view
-    /// is dropped.
+    /// first (stored tables never are: the store installs every table
+    /// columnar), a shared body is cloned (copy-on-write), and the row
+    /// view is dropped.
     fn columnar_mut(&mut self) -> &mut ColumnarURel {
         if !self.is_columnar() {
             *self = self.compact();

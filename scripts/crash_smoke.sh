@@ -67,4 +67,23 @@ printf "select player, init from ft where player = 'PostCrash';\nselect count(*)
 grep -q "Recovered" "$RESTART_OUT" || fail "banner did not report recovery: $(cat "$RESTART_OUT")"
 grep -q "PostCrash" "$RESTART_OUT" || fail "WAL-tail row lost across the crash: $(cat "$RESTART_OUT")"
 
-echo "crash_smoke: OK (kill -9 survived: snapshot + WAL tail recovered, query verified)"
+# --- Phase 3: a directory in an older format is refused, untouched. ----
+# Rewrite the WAL's version byte (the 8th, last of the magic) to 1, the
+# format before the current one. The shell must exit non-zero naming the
+# version, and leave every file byte-identical: no truncate, no reset.
+printf '\001' | dd of="$DATA_DIR/db/wal" bs=1 seek=7 count=1 conv=notrunc 2>/dev/null \
+    || fail "could not rewrite the WAL version byte"
+cp -R "$DATA_DIR/db" "$DATA_DIR/before"
+OLD_OUT="$DATA_DIR/phase3.out"
+if echo "select count(*) as n from ft;" \
+    | "$SHELL_BIN" --data-dir "$DATA_DIR/db" > "$OLD_OUT" 2>&1; then
+    fail "shell opened a version-1 WAL: $(cat "$OLD_OUT")"
+fi
+grep -q "version 1" "$OLD_OUT" || fail "refusal does not name the version: $(cat "$OLD_OUT")"
+[ "$(ls "$DATA_DIR/db")" = "$(ls "$DATA_DIR/before")" ] || fail "refused open changed the file list"
+for f in "$DATA_DIR/before"/*; do
+    cmp -s "$f" "$DATA_DIR/db/$(basename "$f")" || fail "refused open changed $(basename "$f")"
+done
+
+echo "crash_smoke: OK (kill -9 survived: snapshot + WAL tail recovered, query verified; \
+version-1 WAL refused untouched)"
