@@ -93,7 +93,8 @@ fn main() {
             median(runs.collect())
         };
         let product = time(&|g| {
-            lineage_confidence(g.iter().map(|t| &t.wsd), &wt, ConfMethod::Exact).unwrap().0
+            let stats = maybms_obs::QueryStats::new();
+            lineage_confidence(g.iter().map(|t| &t.wsd), &wt, ConfMethod::Exact, &stats).unwrap().0
         });
         let dtree = time(&|g| {
             let dnf = Dnf::from_wsds(g.iter().map(|t| &t.wsd));

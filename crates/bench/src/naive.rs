@@ -21,7 +21,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use maybms_conf::{confidence, ConfMethod, Dnf};
+use maybms_conf::{confidence_with_effort, ConfMethod, Dnf};
 use maybms_core::translate::AggSpec;
 use maybms_engine::{ops, EngineError, Expr, Relation, Tuple, Value};
 use maybms_urel::{URelation, UTuple, WorldTable, Wsd};
@@ -195,7 +195,7 @@ pub fn aggregate_u(
         // Confidence of the group's lineage: the DNF of its member WSDs.
         let conf = |method| -> Result<Value, String> {
             let dnf = Dnf::from_wsds(members.iter().map(|t| &t.wsd));
-            msg(Value::float(msg(confidence(&dnf, wt, method))?))
+            msg(Value::float(msg(confidence_with_effort(&dnf, wt, method))?.0))
         };
         let mut row = key.clone();
         let mut aconf_slot = 0;

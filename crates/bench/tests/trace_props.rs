@@ -155,33 +155,90 @@ fn span_tree_well_formed_and_agrees_with_explain_analyze() {
     assert!(spans.iter().any(|s| s.label == "execute"), "execute must be spanned");
 }
 
-/// An `aconf` call's `conf` span shows what was asked for next to what
-/// was achieved: the requested (ε, δ), consumed and drawn samples (equal —
-/// the sample stream is demand-driven) and the achieved standard error.
+/// The `conf` spans of `sql`'s `groups` groups, and a reader of one
+/// span's attribute.
+fn conf_spans(db: &mut MayBms, sql: &str, groups: usize) -> Vec<SpanRecord> {
+    let (spans, _) = traced_run(db, sql);
+    let conf: Vec<SpanRecord> = spans.into_iter().filter(|s| s.label == "conf").collect();
+    assert_eq!(conf.len(), groups, "one conf span per group");
+    conf
+}
+
+fn attr(span: &SpanRecord, key: &str) -> maybms_obs::trace::AttrValue {
+    let (_, v) = span
+        .attrs
+        .iter()
+        .find(|(k, _)| *k == key)
+        .unwrap_or_else(|| panic!("conf span lacks `{key}`: {:?}", span.attrs));
+    *v
+}
+
+/// An `aconf` call the sampler answered shows in its `conf` span what was
+/// asked for next to what was achieved: the requested (ε, δ), the budget
+/// its d-tree attempt spent, consumed and drawn samples (equal — the
+/// sample stream is demand-driven) and the achieved standard error. Its
+/// three groups are the 2-DNF `r_a ∧ t_b` over random bipartite graphs
+/// of 150 edges between 30 + 30 rows of probability 0.1, which no d-tree
+/// certifies within budget.
 #[test]
 fn aconf_span_carries_requested_and_achieved_accuracy() {
     use maybms_obs::trace::AttrValue;
     let _guard = TRACE_TEST_LOCK.lock().unwrap();
     let mut db = seeded_db();
-    let sql = "select face, aconf(0.1, 0.05) as p \
-               from (repair key toss in coin weight by w) c group by face";
-    let (spans, _) = traced_run(&mut db, sql);
-    let conf: Vec<&SpanRecord> = spans.iter().filter(|s| s.label == "conf").collect();
-    assert_eq!(conf.len(), 3, "one conf span per face");
-    for span in conf {
-        let attr = |key: &str| {
-            let (_, v) = span.attrs.iter().find(|(k, _)| *k == key).unwrap_or_else(|| {
-                panic!("conf span lacks `{key}`: {:?}", span.attrs)
-            });
-            *v
-        };
-        assert!(matches!(attr("method"), AttrValue::Str("approx")));
-        assert!(matches!(attr("epsilon"), AttrValue::Float(e) if e == 0.1));
-        assert!(matches!(attr("delta"), AttrValue::Float(d) if d == 0.05));
-        let AttrValue::Uint(samples) = attr("samples") else { panic!("samples not a count") };
+    let mut x: u64 = 3;
+    let edges: Vec<String> = (0..450)
+        .map(|i| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            format!("({}, {}, {})", i % 3, (x >> 33) % 30, (x >> 45) % 30)
+        })
+        .collect();
+    let side: Vec<String> = (0..30).map(|i| format!("({i}, 0.1)")).collect();
+    let side = side.join(", ");
+    db.run_script(&format!(
+        "create table r (a bigint, w double precision);
+         insert into r values {side};
+         create table t (b bigint, w double precision);
+         insert into t values {side};
+         create table e (k bigint, a bigint, b bigint);
+         insert into e values {};
+         create table pr as select * from (pick tuples from r with probability w) x;
+         create table pt as select * from (pick tuples from t with probability w) x;",
+        edges.join(", "),
+    ))
+    .unwrap();
+    let sql = "select e.k, aconf(0.1, 0.05) as p from pr, e, pt \
+               where pr.a = e.a and e.b = pt.b group by e.k";
+    for span in conf_spans(&mut db, sql, 3) {
+        assert!(matches!(attr(&span, "method"), AttrValue::Str("approx")));
+        assert!(matches!(attr(&span, "epsilon"), AttrValue::Float(e) if e == 0.1));
+        assert!(matches!(attr(&span, "delta"), AttrValue::Float(d) if d == 0.05));
+        let AttrValue::Uint(budget) = attr(&span, "budget") else { panic!("budget not a count") };
+        assert!(matches!(attr(&span, "dtree_nodes"), AttrValue::Uint(n) if n == budget && n > 0));
+        let AttrValue::Uint(samples) = attr(&span, "samples") else { panic!("samples not a count") };
         assert!(samples > 0);
-        assert!(matches!(attr("samples_drawn"), AttrValue::Uint(n) if n == samples));
-        assert!(matches!(attr("rel_stderr"), AttrValue::Float(r) if r > 0.0 && r < 0.1));
+        assert!(matches!(attr(&span, "samples_drawn"), AttrValue::Uint(n) if n == samples));
+        assert!(matches!(attr(&span, "rel_stderr"), AttrValue::Float(r) if r > 0.0 && r < 0.1));
+    }
+}
+
+/// The certified twin: over lineage the d-tree answers within its node
+/// budget, an `aconf` span says `exact`, keeps the requested (ε, δ) and
+/// the budget, and reports d-tree nodes and no samples.
+#[test]
+fn aconf_span_of_a_certified_answer_says_exact() {
+    use maybms_obs::trace::AttrValue;
+    let _guard = TRACE_TEST_LOCK.lock().unwrap();
+    let mut db = seeded_db();
+    // A toss's alternatives share its variable: not independent.
+    let sql = "select toss, aconf(0.1, 0.05) as p \
+               from (repair key toss in coin weight by w) c group by toss";
+    for span in conf_spans(&mut db, sql, 2) {
+        assert!(matches!(attr(&span, "method"), AttrValue::Str("exact")));
+        assert!(matches!(attr(&span, "epsilon"), AttrValue::Float(e) if e == 0.1));
+        assert!(matches!(attr(&span, "delta"), AttrValue::Float(d) if d == 0.05));
+        let AttrValue::Uint(budget) = attr(&span, "budget") else { panic!("budget not a count") };
+        assert!(matches!(attr(&span, "dtree_nodes"), AttrValue::Uint(n) if n > 0 && n <= budget));
+        assert!(matches!(attr(&span, "samples"), AttrValue::Uint(0)));
     }
 }
 

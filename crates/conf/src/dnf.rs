@@ -165,6 +165,12 @@ impl CompiledLineage {
     pub(crate) fn prob(&self, (v, alt): (u32, u16)) -> f64 {
         self.probs[self.var_start[v as usize] + alt as usize]
     }
+
+    /// Clause `i`'s probability: its literals' product in variable order,
+    /// as `Wsd::prob` multiplies.
+    pub(crate) fn clause_prob(&self, i: usize) -> f64 {
+        self.clause(i).iter().fold(1.0, |p, &l| p * self.prob(l))
+    }
 }
 
 #[cfg(test)]

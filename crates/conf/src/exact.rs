@@ -49,7 +49,9 @@
 //!
 //! Every d-tree node is a governor checkpoint, and absorption ticks a
 //! [`maybms_gov::Ticker`] per subset test (one real check per 1 024), so
-//! a deadline or cancel also interrupts a large absorption.
+//! a deadline or cancel also interrupts a large absorption. An `aconf()`
+//! attempt (`bounded`) gives up at its node limit or at a deadline; below
+//! it, its answer is the unbounded d-tree's, bit for bit.
 
 use std::cmp::Reverse;
 
@@ -102,6 +104,13 @@ pub struct ExactStats {
     pub max_depth: usize,
 }
 
+impl ExactStats {
+    /// D-tree nodes expanded: decompositions, eliminations and leaves.
+    pub fn nodes(&self) -> usize {
+        self.decompositions + self.eliminations + self.leaves
+    }
+}
+
 /// Exact probability of `dnf` with the standard options.
 pub fn probability(dnf: &Dnf, wt: &WorldTable) -> Result<f64> {
     probability_with(dnf, wt, &ExactOptions::standard()).map(|(p, _)| p)
@@ -113,11 +122,23 @@ pub fn probability_with(
     wt: &WorldTable,
     options: &ExactOptions,
 ) -> Result<(f64, ExactStats)> {
-    let lineage = CompiledLineage::new(dnf, wt)?;
+    let (p, stats) = bounded(&CompiledLineage::new(dnf, wt)?, options, usize::MAX)?;
+    Ok((p.expect("an unbounded d-tree always answers"), stats))
+}
+
+/// The d-tree over `lineage` within `limit` nodes: `None` (and the stats
+/// of the nodes it expanded) when it needs more or, bounded, meets the
+/// statement's deadline — the `aconf()` cascade then samples.
+pub(crate) fn bounded(
+    lineage: &CompiledLineage,
+    options: &ExactOptions,
+    limit: usize,
+) -> Result<(Option<f64>, ExactStats)> {
     let vars = lineage.num_vars();
     let mut tree = DTree {
-        lineage: &lineage,
+        lineage,
         options,
+        limit,
         stats: ExactStats::default(),
         fixed: vec![FREE; vars],
         stamp: vec![0; vars],
@@ -127,9 +148,30 @@ pub fn probability_with(
         parent: Vec::new(),
         ticker: Ticker::new(),
     };
-    let p = tree.absorbed((0..lineage.num_clauses() as u32).collect(), 1)?;
-    Ok((p, tree.stats))
+    match tree.absorbed((0..lineage.num_clauses() as u32).collect(), 1) {
+        Ok(p) => Ok((Some(p), tree.stats)),
+        Err(Halt::Spent) => Ok((None, tree.stats)),
+        Err(Halt::Failed(e)) => Err(e),
+    }
 }
+
+/// Why a d-tree stopped without an answer: a bounded attempt ran out of
+/// nodes or met the deadline, or a governor abort to report.
+enum Halt {
+    Spent,
+    Failed(UrelError),
+}
+
+/// A governor abort as a [`Halt`]: at a deadline a bounded attempt hands
+/// over to the sampler, whose first checkpoint then degrades the estimate.
+fn halt(g: GovError, limit: usize) -> Halt {
+    match g {
+        GovError::DeadlineExceeded { .. } if limit < usize::MAX => Halt::Spent,
+        g => Halt::Failed(UrelError::from(maybms_engine::EngineError::Gov(g))),
+    }
+}
+
+type Step<T> = std::result::Result<T, Halt>;
 
 /// `fixed[v]` of a variable not conditioned on. Domains hold at most
 /// `u16::MAX` alternatives, so no alternative is `u16::MAX`.
@@ -139,6 +181,8 @@ const FREE: u16 = u16::MAX;
 struct DTree<'a> {
     lineage: &'a CompiledLineage,
     options: &'a ExactOptions,
+    /// Nodes the tree may expand ([`usize::MAX`]: unbounded).
+    limit: usize,
     stats: ExactStats,
     /// Each variable's alternative along the current path, or [`FREE`].
     fixed: Vec<u16>,
@@ -163,10 +207,6 @@ fn live<'l>(
     lineage.clause(c as usize).iter().copied().filter(move |&(v, _)| fixed[v as usize] == FREE)
 }
 
-fn gov_err(g: GovError) -> UrelError {
-    UrelError::from(maybms_engine::EngineError::Gov(g))
-}
-
 /// Union–find root of `i`, compressing the path.
 fn find(parent: &mut [u32], i: u32) -> u32 {
     let mut root = i;
@@ -181,15 +221,19 @@ fn find(parent: &mut [u32], i: u32) -> u32 {
 }
 
 impl DTree<'_> {
-    /// Enter a node at `depth`: one governor checkpoint.
-    fn enter(&mut self, depth: usize) -> Result<()> {
-        maybms_gov::check().map_err(gov_err)?;
+    /// Enter a node at `depth`: one governor checkpoint, and the end of an
+    /// attempt whose nodes are spent.
+    fn enter(&mut self, depth: usize) -> Step<()> {
+        maybms_gov::check().map_err(|g| halt(g, self.limit))?;
+        if self.stats.nodes() == self.limit {
+            return Err(Halt::Spent);
+        }
         self.stats.max_depth = self.stats.max_depth.max(depth);
         Ok(())
     }
 
     /// Absorb `clauses` (the root or a Shannon child), then evaluate them.
-    fn absorbed(&mut self, clauses: Vec<u32>, depth: usize) -> Result<f64> {
+    fn absorbed(&mut self, clauses: Vec<u32>, depth: usize) -> Step<f64> {
         match self.absorb(clauses)? {
             Some(kept) => self.node(&kept, depth),
             None => self.enter(depth).map(|()| {
@@ -200,7 +244,7 @@ impl DTree<'_> {
     }
 
     /// Evaluate a node whose clauses are absorbed and none of them `true`.
-    fn node(&mut self, clauses: &[u32], depth: usize) -> Result<f64> {
+    fn node(&mut self, clauses: &[u32], depth: usize) -> Step<f64> {
         self.enter(depth)?;
         let lineage = self.lineage;
         if let [] | [_] = clauses {
@@ -244,8 +288,8 @@ impl DTree<'_> {
     /// Absorption (see the module docs): `None` when a clause has no live
     /// literal (the node is `true`), else the surviving clauses in sort
     /// order.
-    fn absorb(&mut self, mut clauses: Vec<u32>) -> Result<Option<Vec<u32>>> {
-        let (lineage, fixed) = (self.lineage, &self.fixed[..]);
+    fn absorb(&mut self, mut clauses: Vec<u32>) -> Step<Option<Vec<u32>>> {
+        let (lineage, fixed, limit) = (self.lineage, &self.fixed[..], self.limit);
         let (mut shortest, mut longest) = (u32::MAX, 0);
         for &c in &clauses {
             let mut lits = live(lineage, fixed, c);
@@ -273,7 +317,7 @@ impl DTree<'_> {
                 let lo = clauses.partition_point(|&d| key[d as usize].0 < lit);
                 let hi = clauses.partition_point(|&d| key[d as usize] < (lit, len));
                 for &d in &clauses[lo..hi] {
-                    ticker.tick().map_err(gov_err)?;
+                    ticker.tick().map_err(|g| halt(g, limit))?;
                     let mut sup = live(lineage, fixed, c);
                     if live(lineage, fixed, d).all(|l| sup.find(|m| m.0 >= l.0) == Some(l)) {
                         keep[i] = false;

@@ -84,16 +84,20 @@ impl KarpLuby {
         if dnf.is_true() {
             return Ok(Self::constant(1.0));
         }
-        let lineage = CompiledLineage::new(dnf, wt)?;
+        Ok(Self::compiled(CompiledLineage::new(dnf, wt)?))
+    }
+
+    /// A sampler over an already compiled lineage with no tautology
+    /// clause (the `aconf()` cascade hands over its d-tree attempt's).
+    pub(crate) fn compiled(lineage: CompiledLineage) -> KarpLuby {
         let mut cumulative = Vec::with_capacity(lineage.num_clauses());
         let mut sum = 0.0;
         for i in 0..lineage.num_clauses() {
-            // Product in variable order, as `Wsd::prob` multiplies.
-            sum += lineage.clause(i).iter().fold(1.0, |p, &l| p * lineage.prob(l));
+            sum += lineage.clause_prob(i);
             cumulative.push(sum);
         }
         if sum == 0.0 {
-            return Ok(Self::constant(0.0));
+            return Self::constant(0.0);
         }
         let mut cdf = Vec::new();
         for v in 0..lineage.num_vars() as u32 {
@@ -105,7 +109,7 @@ impl KarpLuby {
                 cdf.push(if alt < last { acc } else { f64::INFINITY });
             }
         }
-        Ok(KarpLuby { lineage, cumulative, sum, cdf, constant: None })
+        KarpLuby { lineage, cumulative, sum, cdf, constant: None }
     }
 
     fn constant(p: f64) -> KarpLuby {

@@ -21,20 +21,25 @@
 //!
 //! [`lineage_confidence`] is the one entry point of the `conf()` /
 //! `aconf(ε,δ)` SQL aggregates in `maybms-core`, and the one place an
-//! estimator is chosen. Every call opens one `conf` span whose `method`
-//! attribute names the choice:
+//! estimator is chosen. An exact answer meets any `(ε, δ)`, with δ = 0, so
+//! both run one cascade and the first [`Estimator`] that answers names
+//! the `conf` span's `method`:
 //!
-//! * `sprout` — `conf()` over tuple-independent lineage (every member
-//!   carries at most one assignment and no two share a variable):
-//!   `1 − Π(1 − pᵢ)` folded in member order, the independent-project step
-//!   of SPROUT's safe plans, with no d-tree;
-//! * `exact` — every other `conf()`: the d-tree ([`exact`]). Hierarchical
-//!   queries on tuple-independent tables land here too, and their lineage
-//!   decomposes into independent partitions, so the d-tree runs in time
-//!   linear in its clauses;
-//! * `approx` — `aconf(ε, δ)`, whatever the lineage: Karp–Luby + DKLR.
+//! 1. `sprout` — tuple-independent lineage (every member at most one
+//!    assignment, no variable in two members): `1 − Π(1 − pᵢ)` in member
+//!    order, the independent-project step of SPROUT's safe plans;
+//! 2. `exact` — the d-tree ([`exact`]): unbounded for `conf()`; for
+//!    `aconf()` within `B = ⌈Υ₁′ · max(1, S) / 3⌉` nodes, `Υ₁′` the hit
+//!    target of DKLR's coarse phase and `S = Σ P(clause)`, since that phase
+//!    alone expects `Υ₁′ · max(1, S)` draws and a node costs about three
+//!    (`B` ≥ 61; a walk group takes 21 nodes);
+//! 3. `approx` — Karp–Luby + DKLR at the call's seed, once the attempt ran
+//!    out of nodes or met the deadline: [`dklr::aconf_seeded_report`]'s bits.
 //!
-//! [`confidence_with_effort`] runs the last two on a ready [`Dnf`].
+//! `B` is a node count with no setting, so answers are bit-identical at any
+//! thread count. [`confidence_with_effort`] runs steps 2–3 on a [`Dnf`].
+//! A call's one [`ConfEffort`] is written once, to the metrics registry,
+//! the `conf` span and the statement's `QueryStats`.
 //!
 //! # Compile once
 //!
@@ -66,16 +71,23 @@ pub mod naive;
 
 use std::collections::HashSet;
 
+use maybms_obs::trace::Span;
+use maybms_obs::QueryStats;
 use maybms_urel::{Result, WorldTable, Wsd};
+
+use crate::dklr::DklrOptions;
+use crate::dnf::CompiledLineage;
+use crate::karp_luby::KarpLuby;
 
 pub use dnf::Dnf;
 
-/// Which algorithm `confidence` should use.
+/// What a confidence call computes.
 #[derive(Debug, Clone, Copy)]
 pub enum ConfMethod {
-    /// Exact d-tree computation with the standard options (`conf()`).
+    /// The exact probability (`conf()`).
     Exact,
-    /// `aconf(ε, δ)`: Karp–Luby + DKLR 𝒜𝒜, seeded for reproducibility.
+    /// `aconf(ε, δ)`: the cheapest estimator that meets `(ε, δ)` (see the
+    /// crate docs), seeded for reproducibility when it samples.
     Approx {
         /// Relative error bound.
         epsilon: f64,
@@ -86,20 +98,44 @@ pub enum ConfMethod {
     },
 }
 
-/// Per-call effort and accuracy report from [`confidence_with_effort`].
+/// The estimator that answered a call (see the crate docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Estimator {
+    /// The member-order product over tuple-independent lineage.
+    #[default]
+    Product,
+    /// The d-tree: `conf()`, or an `aconf()` certified within its budget.
+    DTree,
+    /// Karp–Luby + DKLR: an `aconf()` whose d-tree attempt ran out.
+    Sampler,
+}
+
+impl Estimator {
+    /// The `conf` span's `method` attribute.
+    pub fn method(self) -> &'static str {
+        ["sprout", "exact", "approx"][self as usize]
+    }
+}
+
+/// Per-call effort and accuracy report: the one record of a confidence
+/// call.
 ///
 /// Every field is deterministic for a given `(DNF, method)` at any
 /// thread count: the exact engine's d-tree shape is thread-invariant and
 /// the seeded Monte Carlo driver is a pure function of its seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConfEffort {
+    /// The estimator that answered.
+    pub estimator: Estimator,
     /// Clauses in the lineage DNF handed to the engine.
     pub dnf_clauses: u64,
-    /// D-tree nodes expanded (decompositions + eliminations + leaves);
-    /// `0` for Monte Carlo runs and the independent product.
+    /// D-tree nodes expanded (decompositions + eliminations + leaves),
+    /// also by an `aconf` attempt that ran out; `0` for the product.
     pub dtree_nodes: u64,
-    /// Karp–Luby samples consumed across all DKLR phases; `0` for exact
-    /// runs.
+    /// An `aconf` d-tree attempt's node budget; `0` otherwise.
+    pub budget: u64,
+    /// Karp–Luby samples consumed across all DKLR phases; `0` unless the
+    /// sampler answered.
     pub samples: u64,
     /// Karp–Luby samples computed, as the sampler counted them (see
     /// [`dklr::Approximation::drawn`]); above `samples` only if the driver
@@ -107,46 +143,100 @@ pub struct ConfEffort {
     /// does not.
     pub samples_drawn: u64,
     /// The `(ε, δ)` an `aconf` call asked for — set against the achieved
-    /// `rel_stderr`; `0` for exact runs.
+    /// `rel_stderr`; `0` for `conf()`.
     pub epsilon: f64,
     /// See `epsilon`.
     pub delta: f64,
-    /// Seeded sample batches consumed; `0` for exact runs.
+    /// Seeded sample batches consumed; `0` unless the sampler answered.
     pub batches: u64,
     /// Achieved relative standard error of the Monte Carlo estimate
-    /// (see [`dklr::Approximation::rel_stderr`]); `0` for exact runs.
+    /// (see [`dklr::Approximation::rel_stderr`]); `0` for exact answers.
     pub rel_stderr: f64,
     /// `Some(b)` when a governor deadline cut the seeded Monte Carlo run
     /// at consumed-batch index `b` and the estimate is the degraded
     /// partial mean (see [`dklr::Approximation::cut_batch`]); `None` for
-    /// exact runs and for approximations that ran to completion.
+    /// exact answers and for approximations that ran to completion.
     pub cut_batch: Option<u64>,
 }
 
-/// The probability of a group's lineage — its member tuples' WSDs — by
-/// `method`, plus the call's effort: the one place an estimator is chosen
-/// (see the crate docs). `conf()` over independent lineage is the
-/// member-order product, whose effort is its clause count alone and which
-/// does not feed the metrics registry; everything else is
-/// [`confidence_with_effort`] over [`Dnf::from_wsds`].
+impl ConfEffort {
+    /// A call's record before it runs, `method`'s `(ε, δ)` checked:
+    /// `0 < ε, δ < 1` whichever estimator will answer.
+    fn requested(method: ConfMethod) -> Result<ConfEffort> {
+        let ConfMethod::Approx { epsilon, delta, .. } = method else { return Ok(ConfEffort::default()) };
+        DklrOptions::new(epsilon, delta).validate()?;
+        Ok(ConfEffort { epsilon, delta, ..ConfEffort::default() })
+    }
+
+    /// End a call — the one place its effort leaves this crate: add it to
+    /// the metrics registry and to the statement's [`QueryStats`] if any,
+    /// and set the `conf` span's attributes, three copies of one record.
+    fn finish(self, mut span: Span, stats: Option<&QueryStats>) -> ConfEffort {
+        let m = maybms_obs::metrics();
+        m.dnf_clauses.add(self.dnf_clauses);
+        m.dtree_nodes.add(self.dtree_nodes);
+        m.mc_samples.add(self.samples);
+        m.mc_batches.add(self.batches);
+        m.gov_degraded_conf.add(self.cut_batch.is_some() as u64);
+        if let Some(qs) = stats {
+            qs.conf_calls.inc();
+            qs.answered[self.estimator as usize].inc();
+            qs.dnf_clauses.add(self.dnf_clauses);
+            qs.dtree_nodes.add(self.dtree_nodes);
+            qs.samples.add(self.samples);
+            qs.samples_drawn.add(self.samples_drawn);
+            qs.sample_batches.add(self.batches);
+            qs.record_rel_stderr(self.rel_stderr);
+            qs.degraded_conf.add(self.cut_batch.is_some() as u64);
+            if self.epsilon > 0.0 {
+                qs.record_requested(self.epsilon, self.delta);
+                qs.max_budget.set_max(self.budget);
+                qs.aconf_exact.add((self.estimator != Estimator::Sampler) as u64);
+            }
+        }
+        span.attr("method", self.estimator.method());
+        span.attr("dnf_clauses", self.dnf_clauses);
+        span.attr("dtree_nodes", self.dtree_nodes);
+        span.attr("samples", self.samples);
+        span.attr("batches", self.batches);
+        if self.epsilon > 0.0 {
+            span.attr("samples_drawn", self.samples_drawn);
+            span.attr("epsilon", self.epsilon);
+            span.attr("delta", self.delta);
+            span.attr("budget", self.budget);
+        }
+        if self.rel_stderr > 0.0 {
+            span.attr("rel_stderr", self.rel_stderr);
+        }
+        if let Some(b) = self.cut_batch {
+            span.attr("cut_batch", b);
+        }
+        self
+    }
+}
+
+/// The probability of a group's lineage — its member tuples' WSDs — by the
+/// estimator cascade (see the crate docs), plus the call's effort, also
+/// added to `stats` and the registry and set on the call's `conf` span.
 pub fn lineage_confidence<'a>(
     lineage: impl Iterator<Item = &'a Wsd> + Clone,
     wt: &WorldTable,
     method: ConfMethod,
+    stats: &QueryStats,
 ) -> Result<(f64, ConfEffort)> {
-    if matches!(method, ConfMethod::Exact) && independent(lineage.clone()) {
-        let mut span = maybms_obs::trace::span("conf");
-        span.attr("method", "sprout");
-        let mut clauses = 0u64;
+    let span = maybms_obs::trace::span("conf");
+    let (p, effort) = if independent(lineage.clone()) {
+        let mut effort = ConfEffort::requested(method)?;
         let mut none = 1.0;
         for wsd in lineage {
-            clauses += 1;
+            effort.dnf_clauses += 1;
             none *= 1.0 - wsd.prob(wt)?;
         }
-        span.attr("dnf_clauses", clauses);
-        return Ok((1.0 - none, ConfEffort { dnf_clauses: clauses, ..ConfEffort::default() }));
-    }
-    confidence_with_effort(&Dnf::from_wsds(lineage), wt, method)
+        (1.0 - none, effort)
+    } else {
+        cascade(&Dnf::from_wsds(lineage), wt, method)?
+    };
+    Ok((p, effort.finish(span, Some(stats))))
 }
 
 /// Is this lineage tuple-independent — every member at most one
@@ -156,77 +246,41 @@ fn independent<'a>(mut lineage: impl Iterator<Item = &'a Wsd>) -> bool {
     lineage.all(|wsd| wsd.len() <= 1 && wsd.vars().all(|v| seen.insert(v)))
 }
 
-/// Compute the probability of a DNF lineage event with the chosen method.
-///
-/// Every method runs on the calling thread and is deterministic —
-/// `Approx` draws from the seeded batch stream, so the same `(ε, δ,
-/// seed)` returns the same estimate at any thread count.
-pub fn confidence(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<f64> {
-    confidence_with_effort(dnf, wt, method).map(|(p, _)| p)
-}
-
-/// [`confidence`] plus the per-call [`ConfEffort`] report. Also feeds the
-/// process-wide `maybms-obs` metrics registry (DNF clause counts, d-tree
-/// nodes, Monte Carlo samples/batches).
+/// The probability of a DNF lineage event by steps 2–3 of the cascade, on
+/// the calling thread and deterministic, plus the call's [`ConfEffort`],
+/// also fed to the metrics registry and the call's `conf` span.
 pub fn confidence_with_effort(
     dnf: &Dnf,
     wt: &WorldTable,
     method: ConfMethod,
 ) -> Result<(f64, ConfEffort)> {
-    let mut span = maybms_obs::trace::span("conf");
-    span.attr(
-        "method",
-        match method {
-            ConfMethod::Exact => "exact",
-            ConfMethod::Approx { .. } => "approx",
-        },
-    );
-    let mut effort = ConfEffort { dnf_clauses: dnf.len() as u64, ..ConfEffort::default() };
-    let p = match method {
-        ConfMethod::Exact => {
-            let (p, stats) = exact::probability_with(dnf, wt, &exact::ExactOptions::standard())?;
-            effort.dtree_nodes =
-                (stats.decompositions + stats.eliminations + stats.leaves) as u64;
-            p
-        }
-        ConfMethod::Approx { epsilon, delta, seed } => {
-            let a = dklr::aconf_seeded_report(dnf, wt, epsilon, delta, seed)?;
-            effort.epsilon = epsilon;
-            effort.delta = delta;
-            effort.samples = a.samples;
-            effort.samples_drawn = a.drawn;
-            effort.batches = a.batches;
-            effort.rel_stderr = a.rel_stderr;
-            effort.cut_batch = a.cut_batch;
-            a.estimate
-        }
+    let span = maybms_obs::trace::span("conf");
+    let (p, effort) = cascade(dnf, wt, method)?;
+    Ok((p, effort.finish(span, None)))
+}
+
+/// Steps 2–3 of the cascade: the d-tree, within its budget for `aconf`,
+/// then the sampler over the same compiled lineage if it ran out.
+fn cascade(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<(f64, ConfEffort)> {
+    let requested = ConfEffort::requested(method)?;
+    let mut effort = ConfEffort { estimator: Estimator::DTree, dnf_clauses: dnf.len() as u64, ..requested };
+    let lineage = CompiledLineage::new(dnf, wt)?;
+    let options = DklrOptions::new(effort.epsilon, effort.delta);
+    let limit = match method {
+        ConfMethod::Exact => usize::MAX,
+        ConfMethod::Approx { .. } => options.node_budget((0..lineage.num_clauses()).map(|i| lineage.clause_prob(i)).sum()),
     };
-    let m = maybms_obs::metrics();
-    m.dnf_clauses.add(effort.dnf_clauses);
-    m.dtree_nodes.add(effort.dtree_nodes);
-    m.mc_samples.add(effort.samples);
-    m.mc_batches.add(effort.batches);
-    if effort.cut_batch.is_some() {
-        m.gov_degraded_conf.inc();
-    }
-    if span.is_active() {
-        span.attr("dnf_clauses", effort.dnf_clauses);
-        span.attr("dtree_nodes", effort.dtree_nodes);
-        span.attr("samples", effort.samples);
-        span.attr("batches", effort.batches);
-        if effort.epsilon > 0.0 {
-            span.attr("samples_drawn", effort.samples_drawn);
-            span.attr("epsilon", effort.epsilon);
-            span.attr("delta", effort.delta);
-        }
-        if effort.rel_stderr > 0.0 {
-            span.attr("rel_stderr", effort.rel_stderr);
-        }
-        if let Some(b) = effort.cut_batch {
-            span.attr("cut_batch", b);
-        }
-    }
-    Ok((p, effort))
+    let (p, stats) = exact::bounded(&lineage, &exact::ExactOptions::standard(), limit)?;
+    effort.dtree_nodes = stats.nodes() as u64;
+    effort.budget = if limit == usize::MAX { 0 } else { limit as u64 };
+    let (None, ConfMethod::Approx { seed, .. }) = (p, method) else {
+        return Ok((p.expect("an unbounded d-tree always answers"), effort));
+    };
+    let a = dklr::approximate_seeded(&KarpLuby::compiled(lineage), &options, seed)?;
+    let (samples, samples_drawn, batches) = (a.samples, a.drawn, a.batches);
+    let (rel_stderr, cut_batch) = (a.rel_stderr, a.cut_batch);
+    let estimator = Estimator::Sampler;
+    Ok((a.estimate, ConfEffort { estimator, samples, samples_drawn, batches, rel_stderr, cut_batch, ..effort }))
 }
 
 #[cfg(test)]
@@ -237,10 +291,17 @@ mod tests {
     use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
     use maybms_urel::repair::{repair_key, RepairKeyOptions};
     use maybms_urel::{Assignment, URelation, Var};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
         Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
             .unwrap()
+    }
+
+    /// [`lineage_confidence`] as a statement-less call.
+    fn conf(lineage: &[Wsd], wt: &WorldTable, method: ConfMethod) -> (f64, ConfEffort) {
+        lineage_confidence(lineage.iter(), wt, method, &QueryStats::new()).unwrap()
     }
 
     #[test]
@@ -249,14 +310,10 @@ mod tests {
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
         let y = wt.new_var(&[0.3, 0.7]).unwrap();
         let d = Dnf::new(vec![clause(&[(x, 1), (y, 1)]), clause(&[(x, 0)])]);
-        let e = confidence(&d, &wt, ConfMethod::Exact).unwrap();
+        let confidence = |m| confidence_with_effort(&d, &wt, m).unwrap().0;
+        let e = confidence(ConfMethod::Exact);
         let n = naive::probability(&d, &wt, 100).unwrap();
-        let a = confidence(
-            &d,
-            &wt,
-            ConfMethod::Approx { epsilon: 0.05, delta: 0.05, seed: 42 },
-        )
-        .unwrap();
+        let a = confidence(ConfMethod::Approx { epsilon: 0.05, delta: 0.05, seed: 42 });
         assert!((e - n).abs() < 1e-12);
         assert!(((a - e) / e).abs() < 0.05, "approx {a} exact {e}");
     }
@@ -305,7 +362,7 @@ mod tests {
         trace::set_enabled(true);
         let root = trace::span("test");
         let root_id = root.id();
-        let (p, effort) = lineage_confidence(members.iter(), &wt, ConfMethod::Exact).unwrap();
+        let (p, effort) = conf(&members, &wt, ConfMethod::Exact);
         drop(root);
         trace::set_enabled(false);
         assert_eq!(p.to_bits(), (1.0 - none).to_bits());
@@ -314,9 +371,16 @@ mod tests {
         let spans = trace::spans_for_root(root_id);
         let conf: Vec<_> = spans.iter().filter(|s| s.label == "conf").collect();
         assert_eq!(conf.len(), 1, "{spans:?}");
+        let zero = AttrValue::Uint(0);
         assert_eq!(
             conf[0].attrs,
-            [("method", AttrValue::Str("sprout")), ("dnf_clauses", AttrValue::Uint(32))]
+            [
+                ("method", AttrValue::Str("sprout")),
+                ("dnf_clauses", AttrValue::Uint(32)),
+                ("dtree_nodes", zero),
+                ("samples", zero),
+                ("batches", zero),
+            ]
         );
     }
 
@@ -330,7 +394,7 @@ mod tests {
                 .filter(|t| t.data.value(0) == &Value::str(key))
                 .map(|t| t.wsd.clone())
                 .collect();
-            let (p, effort) = lineage_confidence(group.iter(), &wt, ConfMethod::Exact).unwrap();
+            let (p, effort) = conf(&group, &wt, ConfMethod::Exact);
             assert_eq!(effort.dtree_nodes, 0, "group {key} took the d-tree");
             assert!((p - closed).abs() < 1e-12, "group {key}: {p}");
             assert!((p - d_tree(&group, &wt)).abs() < 1e-12, "group {key}");
@@ -349,7 +413,8 @@ mod tests {
             ("duplicate member", vec![clause(&[(y, 1)]), clause(&[(y, 1)])]),
         ];
         for (what, lineage) in cases {
-            let (p, effort) = lineage_confidence(lineage.iter(), &wt, ConfMethod::Exact).unwrap();
+            let (p, effort) = conf(&lineage, &wt, ConfMethod::Exact);
+            assert_eq!(effort.estimator, Estimator::DTree, "{what}");
             assert!(effort.dtree_nodes > 0, "{what}: {effort:?}");
             let oracle = naive::probability(&Dnf::from_wsds(&lineage), &wt, 100).unwrap();
             assert!((p - oracle).abs() < 1e-12, "{what}: {p} vs {oracle}");
@@ -367,21 +432,63 @@ mod tests {
         );
         let u = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt)
             .unwrap();
-        let lineage = u.tuples().iter().map(|t| &t.wsd);
-        let (p, effort) = lineage_confidence(lineage, &wt, ConfMethod::Exact).unwrap();
+        let lineage: Vec<Wsd> = u.tuples().iter().map(|t| t.wsd.clone()).collect();
+        let (p, effort) = conf(&lineage, &wt, ConfMethod::Exact);
         assert!(effort.dtree_nodes > 0, "{effort:?}");
         // P(any tuple exists) = 1: the repair always keeps one.
         assert!((p - 1.0).abs() < 1e-12);
     }
 
+    /// Random 2-DNF `xᵢ ∧ xⱼ` over 30 variables of probability 0.1: no
+    /// d-tree decomposes it within an `aconf` budget.
+    fn dense_2dnf() -> (WorldTable, Vec<Wsd>) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut wt = WorldTable::new();
+        let x: Vec<Var> = (0..30).map(|_| wt.new_var(&[0.9, 0.1]).unwrap()).collect();
+        let lineage = (0..150)
+            .filter_map(|_| {
+                let (i, j) = (rng.gen_range(0..30usize), rng.gen_range(0..30usize));
+                (i != j).then(|| clause(&[(x[i], 1), (x[j], 1)]))
+            })
+            .collect();
+        (wt, lineage)
+    }
+
     #[test]
-    fn aconf_never_takes_the_product() {
+    fn aconf_takes_the_cheapest_certificate() {
+        let approx = ConfMethod::Approx { epsilon: 0.1, delta: 0.05, seed: 7 };
+        // Independent lineage: the product, with conf()'s bits.
         let (wt, members) = independent_members(16);
-        let method = ConfMethod::Approx { epsilon: 0.1, delta: 0.1, seed: 7 };
-        let (p, effort) = lineage_confidence(members.iter(), &wt, method).unwrap();
-        assert!(effort.samples > 0, "{effort:?}");
-        assert_eq!(effort.epsilon, 0.1);
-        let truth = d_tree(&members, &wt);
+        let (p, effort) = conf(&members, &wt, approx);
+        assert_eq!((effort.estimator, effort.samples, effort.epsilon), (Estimator::Product, 0, 0.1));
+        assert_eq!(p.to_bits(), conf(&members, &wt, ConfMethod::Exact).0.to_bits());
+        // Lineage the d-tree certifies within its budget: its bits, δ = 0.
+        // (A member listed twice, S = ½: the budget is the floor ⌈Υ₁′/3⌉.)
+        let (wt, u) = ti_setup();
+        let shared = vec![u.tuples()[2].wsd.clone(); 2];
+        let (p, effort) = conf(&shared, &wt, approx);
+        assert_eq!((effort.estimator, effort.samples, effort.budget), (Estimator::DTree, 0, 61));
+        assert_eq!(p.to_bits(), d_tree(&shared, &wt).to_bits());
+        // Lineage above the budget: the sampler's bits at the same seed,
+        // after an attempt that spent the whole budget.
+        let (wt, lineage) = dense_2dnf();
+        let (p, effort) = conf(&lineage, &wt, approx);
+        let dnf = Dnf::from_wsds(&lineage);
+        let sampled = dklr::aconf_seeded_report(&dnf, &wt, 0.1, 0.05, 7).unwrap();
+        assert_eq!(effort.estimator, Estimator::Sampler);
+        assert_eq!((effort.dtree_nodes, effort.samples), (effort.budget, sampled.samples));
+        assert_eq!(p.to_bits(), sampled.estimate.to_bits());
+        let truth = d_tree(&lineage, &wt);
         assert!(((p - truth) / truth).abs() < 0.1, "aconf {p} exact {truth}");
+    }
+
+    #[test]
+    fn aconf_arguments_are_checked_whichever_estimator_answers() {
+        let (wt, members) = independent_members(4);
+        for (epsilon, delta) in [(2.0, 0.5), (0.0, 0.5), (0.1, 1.0), (0.1, f64::NAN)] {
+            let method = ConfMethod::Approx { epsilon, delta, seed: 1 };
+            assert!(lineage_confidence(members.iter(), &wt, method, &QueryStats::new()).is_err());
+            assert!(confidence_with_effort(&Dnf::from_wsds(&members), &wt, method).is_err());
+        }
     }
 }

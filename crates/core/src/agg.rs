@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use maybms_conf::{lineage_confidence, ConfEffort, ConfMethod};
+use maybms_conf::{lineage_confidence, ConfMethod};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
 use maybms_engine::{DataType, EngineError, Expr, Field, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
@@ -57,25 +57,6 @@ const ESUM_NON_NUMERIC: &str = "esum over non-numeric value";
 /// seed `ACONF_SEED + g·n_aconf + j`.
 pub const ACONF_SEED: u64 = 0x5eed;
 
-/// Record one confidence computation's effort into the statement's
-/// collector. Everything added is an order-independent sum/max, so the
-/// totals are identical at any thread count even though groups fan out.
-fn record_effort(qs: &maybms_obs::QueryStats, effort: &ConfEffort) {
-    qs.conf_calls.inc();
-    qs.dnf_clauses.add(effort.dnf_clauses);
-    qs.dtree_nodes.add(effort.dtree_nodes);
-    qs.samples.add(effort.samples);
-    qs.samples_drawn.add(effort.samples_drawn);
-    qs.sample_batches.add(effort.batches);
-    qs.record_rel_stderr(effort.rel_stderr);
-    if effort.epsilon > 0.0 {
-        qs.record_requested(effort.epsilon, effort.delta);
-    }
-    if effort.cut_batch.is_some() {
-        qs.degraded_conf.inc();
-    }
-}
-
 /// What one group's `conf`/`aconf` slots evaluate with; handed to the row
 /// evaluator by `eval_group_rows`.
 struct ConfSlots<'a> {
@@ -86,9 +67,12 @@ struct ConfSlots<'a> {
 }
 
 impl ConfSlots<'_> {
-    /// The value of a `conf` / `aconf` aggregate over `lineage`; the call's
-    /// effort (d-tree nodes, samples drawn, achieved relative standard
-    /// error) is recorded into the statement's collector.
+    /// The value of a `conf` / `aconf` aggregate over `lineage`; the call
+    /// records its effort (estimator, d-tree nodes, samples, achieved
+    /// relative standard error) into the statement's collector itself.
+    /// Everything it adds is an order-independent sum or max, so the
+    /// totals are identical at any thread count even though groups fan
+    /// out.
     fn eval<'w>(
         &mut self,
         spec: &AggSpec,
@@ -101,8 +85,7 @@ impl ConfSlots<'_> {
             }
             _ => ConfMethod::Exact,
         };
-        let (p, effort) = lineage_confidence(lineage, self.wt, method)?;
-        record_effort(self.stats, &effort);
+        let (p, _) = lineage_confidence(lineage, self.wt, method, self.stats)?;
         Ok(Value::float(p)?)
     }
 }

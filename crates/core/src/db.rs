@@ -733,9 +733,12 @@ fn render_analyze(
     }
     if stats.conf_calls.get() > 0 {
         s.push_str(&format!(
-            "estimator: {} conf call(s), {} DNF clause(s), {} d-tree node(s), \
-             {} sample(s) in {} batch(es)",
+            "estimator: {} conf call(s) (product {}, d-tree {}, sampler {}), \
+             {} DNF clause(s), {} d-tree node(s), {} sample(s) in {} batch(es)",
             stats.conf_calls.get(),
+            stats.answered[0].get(),
+            stats.answered[1].get(),
+            stats.answered[2].get(),
             stats.dnf_clauses.get(),
             stats.dtree_nodes.get(),
             stats.samples.get(),
@@ -752,6 +755,15 @@ fn render_analyze(
             s.push_str(&format!(", max rel stderr {rse:.4}"));
         }
         s.push('\n');
+        if stats.requested().is_some() {
+            s.push_str(&format!(
+                "aconf: {} exact (δ = 0), {} sampled after the d-tree spent its budget, \
+                 largest budget {} node(s)\n",
+                stats.aconf_exact.get(),
+                stats.answered[2].get(),
+                stats.max_budget.get(),
+            ));
+        }
         if stats.degraded_conf.get() > 0 {
             s.push_str(&format!(
                 "warning: {} aconf estimate(s) cut early by the statement deadline \
@@ -1059,18 +1071,64 @@ mod tests {
         assert!(message.contains("[in 2, out 2"), "{message}");
         assert!(message.contains("build 2"), "{message}");
         assert!(message.contains("groups: 2"), "{message}");
-        // Estimator effort: 2 conf + 2 aconf calls, with samples drawn.
-        assert!(message.contains("estimator: 4 conf call(s)"), "{message}");
-        assert!(message.contains("sample(s)"), "{message}");
+        // Estimator effort: 2 conf + 2 aconf calls over one-member groups,
+        // all four the independent product, so aconf is exact (δ = 0).
+        assert!(
+            message.contains("estimator: 4 conf call(s) (product 4, d-tree 0, sampler 0)"),
+            "{message}"
+        );
+        assert!(message.contains(" 0 sample(s) in 0 batch(es)"), "{message}");
         assert!(message.contains(" drawn), requested (ε 0.3, δ 0.3)"), "{message}");
-        assert!(message.contains("max rel stderr"), "{message}");
+        assert!(
+            message.contains("aconf: 2 exact (δ = 0), 0 sampled after the d-tree spent its budget"),
+            "{message}"
+        );
         assert!(message.contains("result: 2 t-certain rows in"), "{message}");
         // The same stats are retrievable programmatically.
         let stats = db.last_stats().unwrap();
         assert_eq!(stats.conf_calls.get(), 4);
+        assert_eq!((stats.answered[0].get(), stats.aconf_exact.get()), (4, 2));
+        assert_eq!(stats.pipeline_count(), 2);
+
+        // A group whose lineage outgrows the d-tree budget is sampled:
+        // x_i ∧ x_j over a dense graph on 30 tuples of probability 0.1.
+        let side: Vec<String> = (0..30).map(|i| format!("({i}, 0.1)")).collect();
+        let edges: Vec<String> =
+            (0..30).flat_map(|i| (1..6).map(move |d| format!("({i}, {})", (i + d * 7) % 30))).collect();
+        db.run_script(&format!(
+            "create table v (a bigint, w double precision);
+             insert into v values {};
+             create table pv as select * from (pick tuples from v with probability w) x;
+             create table e (a bigint, b bigint);
+             insert into e values {};",
+            side.join(", "),
+            edges.join(", "),
+        ))
+        .unwrap();
+        let StatementResult::Ok { message } = db
+            .run(
+                "explain analyze select aconf(0.1, 0.05) as p from pv x, e, pv y \
+                 where x.a = e.a and e.b = y.a",
+            )
+            .unwrap()
+        else {
+            panic!("EXPLAIN ANALYZE must return a message")
+        };
+        let stats = db.last_stats().unwrap();
+        assert_eq!((stats.answered[2].get(), stats.aconf_exact.get()), (1, 0), "{message}");
         assert!(stats.samples.get() > 0);
         assert_eq!(stats.samples_drawn.get(), stats.samples.get());
-        assert_eq!(stats.pipeline_count(), 2);
+        let budget = stats.max_budget.get();
+        assert_eq!(stats.dtree_nodes.get(), budget, "the attempt spends its budget");
+        assert!(message.contains("(product 0, d-tree 0, sampler 1)"), "{message}");
+        assert!(message.contains("max rel stderr"), "{message}");
+        assert!(
+            message.contains(&format!(
+                "aconf: 0 exact (δ = 0), 1 sampled after the d-tree spent its budget, \
+                 largest budget {budget} node(s)"
+            )),
+            "{message}"
+        );
     }
 
     #[test]

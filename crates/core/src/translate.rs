@@ -180,10 +180,16 @@ pub fn classify_item(expr: &SExpr, alias: Option<&str>, position: usize) -> Resu
                 if args.len() != 2 {
                     return Err(plan_err("aconf(epsilon, delta) takes two arguments"));
                 }
-                AggSpec::AConf {
-                    epsilon: float_arg(&args[0], "aconf epsilon")?,
-                    delta: float_arg(&args[1], "aconf delta")?,
+                let epsilon = float_arg(&args[0], "aconf epsilon")?;
+                let delta = float_arg(&args[1], "aconf delta")?;
+                // Checked here, not by the estimator: a group-less run or
+                // an exact answer never reaches the sampler's own check.
+                for (what, x) in [("epsilon", epsilon), ("delta", delta)] {
+                    if !(x > 0.0 && x < 1.0) {
+                        return Err(plan_err(format!("aconf {what} {x} outside (0, 1)")));
+                    }
                 }
+                AggSpec::AConf { epsilon, delta }
             }
             "tconf" => {
                 if !args.is_empty() || *star {
@@ -313,6 +319,10 @@ mod tests {
         assert!(classify_item(&parse_expr("conf(1)").unwrap(), None, 0).is_err());
         assert!(classify_item(&parse_expr("aconf(0.1)").unwrap(), None, 0).is_err());
         assert!(classify_item(&parse_expr("aconf(x, 0.1)").unwrap(), None, 0).is_err());
+        for bad in ["aconf(2.0, 0.5)", "aconf(0, 0.5)", "aconf(1, 0.5)", "aconf(0.1, 1.5)"] {
+            let err = classify_item(&parse_expr(bad).unwrap(), None, 0).unwrap_err();
+            assert!(matches!(err, crate::error::CoreError::Plan { .. }), "{bad}: {err:?}");
+        }
         assert!(classify_item(&parse_expr("argmax(a)").unwrap(), None, 0).is_err());
         assert!(classify_item(&parse_expr("frobnicate(x)").unwrap(), None, 0).is_err());
     }

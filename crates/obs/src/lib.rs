@@ -619,6 +619,14 @@ pub struct QueryStats {
     steps: Mutex<Vec<Step>>,
     /// conf()/aconf()/tconf confidence computations performed.
     pub conf_calls: Counter,
+    /// Of those, the calls each estimator answered, in cascade order: the
+    /// independent product, the d-tree, the sampler.
+    pub answered: [Counter; 3],
+    /// `aconf()` calls answered exactly (by the product or within their
+    /// d-tree node budget): δ = 0.
+    pub aconf_exact: Counter,
+    /// The largest node budget an `aconf()` d-tree attempt ran under.
+    pub max_budget: Gauge,
     /// Decomposition-tree nodes expanded by exact computations.
     pub dtree_nodes: Counter,
     /// DNF clauses submitted (lineage size).

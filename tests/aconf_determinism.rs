@@ -1,8 +1,9 @@
 //! SQL-level `aconf` determinism: the rows of a grouped `aconf` statement
 //! are bit-identical at 1/2/8 execution threads — with fewer than 8 groups
 //! (the group scheduler runs them in a loop) and with at least 8 (it fans
-//! them out) — and after a checkpoint and re-open, and every estimate sits
-//! inside its ε of the exact `conf()` of the same group.
+//! them out), answered exactly by the d-tree or sampled past its budget —
+//! and after a checkpoint and re-open, and every estimate sits inside its
+//! ε of the exact `conf()` of the same group.
 //!
 //! The thread count is process-global, so the whole check is one test.
 
@@ -36,8 +37,35 @@ fn seed(mem: &MemVfs) -> MayBms {
         ))
         .unwrap();
     }
+    // Eight groups of `r_a ∧ t_b` over random bipartite graphs of 150
+    // edges between 30 + 30 rows of probability 0.1: lineage no d-tree
+    // certifies within an `aconf` budget, so these calls sample.
+    let mut x: u64 = 9;
+    let edges: Vec<String> = (0..8 * 150)
+        .map(|i| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            format!("({}, {}, {})", i % 8, (x >> 33) % 30, (x >> 45) % 30)
+        })
+        .collect();
+    let side: Vec<String> = (0..30).map(|i| format!("({i}, 0.1)")).collect();
+    let side = side.join(", ");
+    db.run_script(&format!(
+        "create table r (a bigint, w double precision);
+         insert into r values {side};
+         create table t (b bigint, w double precision);
+         insert into t values {side};
+         create table e (g bigint, a bigint, b bigint);
+         insert into e values {};
+         create table pr as select * from (pick tuples from r with probability w) x;
+         create table pt as select * from (pick tuples from t with probability w) x;",
+        edges.join(", "),
+    ))
+    .unwrap();
     db
 }
+
+const SAMPLED: &str = "select e.g, aconf(0.1, 0.05) as p, aconf(0.2, 0.1) as q, conf() as e \
+                       from pr, e, pt where pr.a = e.a and e.b = pt.b group by e.g";
 
 fn walk(keys: &str, aggs: &str) -> String {
     format!(
@@ -71,31 +99,40 @@ fn aconf_rows_are_bit_identical_across_threads_scheduling_branches_and_reopen() 
     let aggs = "aconf(0.1, 0.05) as p, aconf(0.2, 0.1) as q, conf() as e";
     let queries = [
         // 3 groups of 36 clauses (12 independent players each): the
-        // scheduler's loop branch.
-        (STATES, walk("b.final", aggs)),
-        // 36 groups of 3 pairwise-exclusive clauses: the fan-out branch.
-        (PLAYERS * STATES, walk("a.player, b.final", aggs)),
+        // scheduler's loop branch; the d-tree certifies every aconf.
+        (STATES, walk("b.final", aggs), false),
+        // 36 groups of 3 pairwise-exclusive clauses: the fan-out branch,
+        // also certified.
+        (PLAYERS * STATES, walk("a.player, b.final", aggs), false),
+        // 8 groups past the d-tree budget: the fan-out branch, sampled.
+        (8, SAMPLED.to_string(), true),
     ];
-    for (groups, sql) in &queries {
+    for (groups, sql, sampled) in &queries {
         maybms_par::set_threads(1);
         let reference = bits(&mut db, sql);
         assert_eq!(reference.len(), *groups);
+        let stats = db.last_stats().unwrap();
+        let n_aconf = 2 * *groups as u64;
+        let by_sampler = if *sampled { n_aconf } else { 0 };
+        assert_eq!(stats.answered[2].get(), by_sampler, "{sql}");
+        assert_eq!(stats.aconf_exact.get(), n_aconf - by_sampler, "{sql}");
+        assert_eq!(stats.samples.get() > 0, *sampled, "{sql}");
         for threads in [2usize, 8] {
             maybms_par::set_threads(threads);
             assert_eq!(bits(&mut db, sql), reference, "threads = {threads}: {sql}");
         }
     }
     // The same statements against the checkpointed, re-opened database.
-    let before: Vec<_> = queries.iter().map(|(_, sql)| bits(&mut db, sql)).collect();
+    let before: Vec<_> = queries.iter().map(|(_, sql, _)| bits(&mut db, sql)).collect();
     db.checkpoint().unwrap();
     drop(db);
     let mut db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
-    for ((_, sql), rows) in queries.iter().zip(&before) {
+    for ((_, sql, _), rows) in queries.iter().zip(&before) {
         assert_eq!(&bits(&mut db, sql), rows, "after checkpoint + reopen: {sql}");
     }
     // Both slots of every group land inside their ε of the exact answer
     // (a fixed seed makes this a fact about these rows, not a gamble).
-    for (_, sql) in &queries {
+    for (_, sql, _) in &queries {
         let rel = db.query(sql).unwrap();
         let n = rel.schema().len();
         for t in rel.tuples() {
@@ -105,4 +142,29 @@ fn aconf_rows_are_bit_identical_across_threads_scheduling_branches_and_reopen() 
         }
     }
     maybms_par::set_threads(before_threads);
+}
+
+/// `aconf(0.05, 0.05)` over 200 groups of ~115 independent tuples — a
+/// statement that sampled for over nine minutes when `aconf` always
+/// sampled — is the independent product: `conf()`'s bits, no sample.
+#[test]
+fn aconf_over_independent_groups_is_conf_without_a_sample() {
+    let mut db = MayBms::new();
+    let rows: Vec<String> =
+        (0..23_000).map(|i| format!("({}, 0.0{})", (i * 7) % 200, 1 + i % 9)).collect();
+    db.run_script(&format!(
+        "create table s (g bigint, w double precision);
+         insert into s values {};
+         create table ps as select * from (pick tuples from s with probability w) x;",
+        rows.join(", "),
+    ))
+    .unwrap();
+    let rows = bits(&mut db, "select g, aconf(0.05, 0.05) as p, conf() as e from ps group by g");
+    assert_eq!(rows.len(), 200);
+    for row in &rows {
+        assert_eq!(row[1], row[2], "group {}: aconf is not conf()'s product", row[0]);
+    }
+    let stats = db.last_stats().unwrap();
+    assert_eq!((stats.answered[0].get(), stats.aconf_exact.get()), (400, 200));
+    assert_eq!(stats.samples.get(), 0);
 }

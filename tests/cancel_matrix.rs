@@ -282,24 +282,41 @@ fn failed_dml_leaves_catalog_world_table_and_wal_untouched() {
 // Graceful degradation: a deadline mid-`aconf` cuts the sample stream.
 // ---------------------------------------------------------------------
 
-/// Single-group uncertain table (one group keeps the per-group conf
-/// evaluation off the parallel fan-out, so the governor's checkpoint
-/// stream during sampling is sequential and the cut lands at a
-/// deterministic batch).
+/// One group whose lineage no d-tree certifies within an `aconf` node
+/// budget, so the call samples: the 2-DNF `r_a ∧ t_b` over a random
+/// bipartite graph of 150 edges between 30 + 30 tuple-independent rows of
+/// probability 0.1. (One group keeps the per-group conf evaluation off the
+/// parallel fan-out, so the governor's checkpoint stream is sequential and
+/// a cut lands at a deterministic point.)
 fn aconf_db() -> MayBms {
     let mut db = MayBms::new();
-    db.run("create table u (k bigint, v bigint, w double precision)").unwrap();
-    let rows: Vec<String> = (1..=12).map(|v| format!("(1, {v}, 0.5)")).collect();
-    db.run(&format!("insert into u values {}", rows.join(", "))).unwrap();
-    db.run(
-        "create table pu as \
-         select * from (pick tuples from u with probability 0.5) x",
-    )
+    let mut x: u64 = 7;
+    let edges: Vec<String> = (0..150)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            format!("(1, {}, {})", (x >> 33) % 30, (x >> 45) % 30)
+        })
+        .collect();
+    let side: Vec<String> = (0..30).map(|i| format!("({i}, 0.1)")).collect();
+    db.run_script(&format!(
+        "create table r (a bigint, w double precision);
+         insert into r values {side};
+         create table t (b bigint, w double precision);
+         insert into t values {side};
+         create table e (k bigint, a bigint, b bigint);
+         insert into e values {edges};
+         create table pr as select * from (pick tuples from r with probability w) x;
+         create table pt as select * from (pick tuples from t with probability w) x;",
+        side = side.join(", "),
+        edges = edges.join(", "),
+    ))
     .unwrap();
     db
 }
 
-const ACONF_SQL: &str = "select k, aconf(0.05, 0.05) as p from pu group by k";
+const LINEAGE_SQL: &str = "select e.k from pr, e, pt where pr.a = e.a and e.b = pt.b";
+const ACONF_SQL: &str = "select e.k, aconf(0.05, 0.05) as p from pr, e, pt \
+                         where pr.a = e.a and e.b = pt.b group by e.k";
 
 /// Run the aconf query with a deadline injected at checkpoint `nth`;
 /// returns `Ok((bits, degraded))` on completion with the estimate's raw
@@ -329,8 +346,10 @@ fn degraded_aconf_estimate_is_deterministic_across_thread_counts() {
     maybms_par::set_threads(1);
 
     // Find the first checkpoint index where the deadline lands in the
-    // sample stream: the query then *succeeds* with a degraded estimate
-    // instead of erroring (every earlier index aborts it in the scan).
+    // confidence call — its d-tree attempt, which hands over to the
+    // sampler's degrade path: the query then *succeeds* with a degraded
+    // estimate instead of erroring (every earlier index aborts it in the
+    // scan).
     let mut db = aconf_db();
     let mut cut = None;
     for nth in 1..=MAX_SWEEP {
@@ -365,11 +384,14 @@ fn degraded_aconf_estimate_is_deterministic_across_thread_counts() {
     maybms_par::set_threads(before_threads);
 }
 
-/// The sample stream's checkpoints are its batch boundaries: one before
-/// each consumed batch, none elsewhere. A cancel injected at any of them
-/// aborts the run; a deadline injected at the `k`-th yields the partial
-/// estimate of `(seed, k)` — the same bits whether the run is driven
-/// through SQL or called directly on the group's lineage.
+/// Past the scan, a sampled `aconf` statement's checkpoints are its d-tree
+/// attempt's, then its sample stream's batch boundaries: one before each
+/// consumed batch, none elsewhere. A cancel at any of them aborts the run.
+/// A deadline in the attempt never fails the statement: it hands over to
+/// the sampler, which degrades before its first batch (estimate 0). A
+/// deadline at the `k`-th batch boundary yields the partial estimate of
+/// `(seed, k)` — the same bits whether the run is driven through SQL or
+/// called directly on the group's lineage.
 #[test]
 fn aconf_checkpoints_are_its_batch_boundaries() {
     use maybms::conf::dklr::{approximate_seeded, Approximation, DklrOptions};
@@ -378,7 +400,7 @@ fn aconf_checkpoints_are_its_batch_boundaries() {
 
     let _l = lock();
     let mut db = aconf_db();
-    let lineage = db.query_uncertain("select * from pu").unwrap();
+    let lineage = db.query_uncertain(LINEAGE_SQL).unwrap();
     let dnf = Dnf::from_wsds(lineage.tuples().iter().map(|t| &t.wsd));
     let kl = KarpLuby::new(&dnf, db.world_table()).unwrap();
     let opts = DklrOptions::new(0.05, 0.05);
@@ -403,11 +425,26 @@ fn aconf_checkpoints_are_its_batch_boundaries() {
     assert!(full.batches >= 3, "the run spans several batches: {full:?}");
     let sql = db.query(ACONF_SQL).unwrap();
     assert_eq!(sql.tuples()[0].value(1).as_f64().unwrap().to_bits(), full.estimate.to_bits());
+    let stats = db.last_stats().unwrap();
+    assert_eq!((stats.answered[2].get(), stats.samples.get()), (1, full.samples));
+    let spent = stats.dtree_nodes.get();
 
-    // The statement's first checkpoint inside the sample stream.
-    let first = (1..=MAX_SWEEP)
-        .find(|&nth| run_aconf_cut(&mut db, nth).is_ok())
-        .expect("no deadline landed in the sample stream");
+    // The last `batches` checkpoints are the stream's; before them, back
+    // to the scan, the attempt's — at least one per node it expanded.
+    let first = checkpoints(&mut db, ACONF_SQL) - full.batches + 1;
+    let baseline = fp(&db);
+    let mut attempt = 0;
+    for nth in (1..first).rev() {
+        let Ok((bits, degraded)) = run_aconf_cut(&mut db, nth) else { break };
+        assert!(degraded && bits == 0f64.to_bits(), "deadline at nth={nth} in the attempt");
+        testing::abort_at_checkpoint(nth, AbortKind::Cancel);
+        let err = db.run(ACONF_SQL).expect_err("a cancel inside the attempt must abort");
+        testing::clear();
+        assert!(matches_kind(AbortKind::Cancel, &err), "nth={nth}: {err}");
+        attempt += 1;
+    }
+    assert!(attempt > spent, "{attempt} attempt checkpoints for {spent} nodes");
+    assert_eq!(fp(&db), baseline, "an abort in the attempt mutated state");
     for k in 0..full.batches {
         assert!(direct(k + 1, AbortKind::Cancel).0.is_err(), "cancel at batch {k} ignored");
         let cut = direct(k + 1, AbortKind::Deadline).0.unwrap();

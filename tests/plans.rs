@@ -11,7 +11,7 @@
 //! To accept an intended plan change, replace `tests/golden/plans.txt`
 //! (or `plans_analyzed.txt`) with the text the failing assertion prints.
 
-use maybms::{MayBms, StatementResult};
+use maybms::{CoreError, MayBms, StatementResult};
 
 const PLAYERS: usize = 200;
 const READINGS: usize = 600;
@@ -188,9 +188,16 @@ fn explain_fails_with_the_statements_static_errors() {
         "select player from start where player in (select player, state from start)",
         "select * from (repair key nope in ft weight by p) r",
         "select * from nowhere",
+        // aconf arguments out of range, over non-empty groups and over
+        // none: a plan error either way, not zero rows.
+        "select room, aconf(2.0, 0.5) as p from genuine group by room",
+        "select room, aconf(0.1, 0) as p from genuine where sensor < 0 group by room",
     ] {
         let err = db.run(sql).unwrap_err();
         assert_eq!(db.run(&format!("explain {sql}")).unwrap_err(), err, "{sql}");
+        if sql.contains("aconf") {
+            assert!(matches!(err, CoreError::Plan { .. }) && err.to_string().contains("outside (0, 1)"), "{err}");
+        }
     }
 }
 

@@ -1,9 +1,10 @@
 //! One record of what ran: for every statement, the process-wide metrics
-//! registry, the `pipeline` trace spans and `last_stats()` are copies of
-//! the same per-pipeline tallies, so they agree exactly — at 1, 2 and 8
-//! threads, for a join feeding `conf()`, a stage-less scan, the
-//! dense-dictionary GROUP BY, a filter-only `UPDATE` and a predicate the
-//! vector kernels hand back to the scalar evaluator.
+//! registry, the `pipeline` and `conf` trace spans and `last_stats()` are
+//! copies of the same per-pipeline and per-call tallies, so they agree
+//! exactly — at 1, 2 and 8 threads, for a join feeding `conf()`, a
+//! stage-less scan, the dense-dictionary GROUP BY, a filter-only `UPDATE`,
+//! a predicate the vector kernels hand back to the scalar evaluator, and
+//! one confidence statement per estimator that can answer it.
 //!
 //! The registry is process-wide, so this binary holds this one test and
 //! nothing else moves the registry while it measures.
@@ -38,22 +39,37 @@ const VIEWS: [View; 8] = [
     ),
 ];
 
+/// A per-call confidence count: its registry counter, its `QueryStats`
+/// total and its `conf` span attribute.
+type ConfView = (&'static str, fn(&Metrics) -> u64, fn(&QueryStats) -> u64);
+
+const CONF_VIEWS: [ConfView; 4] = [
+    ("dnf_clauses", |m| m.dnf_clauses.get(), |q| q.dnf_clauses.get()),
+    ("dtree_nodes", |m| m.dtree_nodes.get(), |q| q.dtree_nodes.get()),
+    ("samples", |m| m.mc_samples.get(), |q| q.samples.get()),
+    ("batches", |m| m.mc_batches.get(), |q| q.sample_batches.get()),
+];
+
 fn registry() -> Vec<u64> {
-    VIEWS
-        .iter()
-        .map(|(_, read, _)| read(maybms_obs::metrics()))
-        .collect()
+    let m = maybms_obs::metrics();
+    let pipe = VIEWS.iter().map(|(_, read, _)| read(m));
+    pipe.chain(CONF_VIEWS.iter().map(|(_, read, _)| read(m))).collect()
 }
 
 /// A case: its name, its SQL, and what makes it the case it stands for.
 type Case = (&'static str, &'static str, fn(&QueryStats) -> bool);
 
-const STATEMENTS: [Case; 5] = [
+/// Every confidence call of the statement was answered by one estimator.
+fn all_by(qs: &QueryStats, answered: &maybms_obs::Counter) -> bool {
+    qs.conf_calls.get() > 0 && answered.get() == qs.conf_calls.get()
+}
+
+const STATEMENTS: [Case; 8] = [
     (
-        "join + group + conf over pick tuples",
+        "join + group + conf over pick tuples: the d-tree",
         "select a.k, conf() as p from q a, q b where a.k = b.k group by a.k",
         // A stage-less build side, then the grouped probe pipeline.
-        |qs| qs.pipeline_count() == 2 && qs.conf_calls.get() > 0,
+        |qs| qs.pipeline_count() == 2 && all_by(qs, &qs.answered[1]),
     ),
     ("stage-less scan", "select k, tconf() as p from q", |qs| {
         qs.pipelines()
@@ -79,6 +95,22 @@ const STATEMENTS: [Case; 5] = [
         "select k from t where k >= 0 or s > 1",
         |qs| qs.scalar_fallbacks() > 0,
     ),
+    (
+        "conf over independent groups: the product",
+        "select k, conf() as p from q group by k",
+        |qs| all_by(qs, &qs.answered[0]),
+    ),
+    (
+        "aconf the d-tree certifies",
+        "select a.k, aconf(0.1, 0.05) as p from q a, q b where a.k = b.k group by a.k",
+        |qs| all_by(qs, &qs.answered[1]) && qs.aconf_exact.get() == qs.conf_calls.get(),
+    ),
+    (
+        "aconf past the d-tree budget: the sampler",
+        "select e.g, aconf(0.1, 0.05) as p from r x, e, r y \
+         where x.k = e.a and e.b = y.k group by e.g",
+        |qs| all_by(qs, &qs.answered[2]) && qs.samples.get() > 0,
+    ),
 ];
 
 fn database() -> MayBms {
@@ -87,20 +119,38 @@ fn database() -> MayBms {
         .map(|i| format!("({i}, 's{}', {}, 0.5)", i % 37, i % 100))
         .collect();
     let picks: Vec<String> = (0..300).map(|i| format!("({}, 0.5)", i % 50)).collect();
+    // Two groups of x_a ∧ x_b over random graphs of 150 edges on 30
+    // tuples of probability 0.1: no d-tree certifies them within an aconf
+    // budget.
+    let side: Vec<String> = (0..30).map(|i| format!("({i}, 0.1)")).collect();
+    let mut x: u64 = 5;
+    let edges: Vec<String> = (0..300)
+        .map(|i| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            format!("({}, {}, {})", i % 2, (x >> 33) % 30, (x >> 45) % 30)
+        })
+        .collect();
     db.run_script(&format!(
         "create table t (k bigint, s text, v bigint, w double precision);
          insert into t values {};
          create table p (k bigint, w double precision);
          insert into p values {};
-         create table q as select * from (pick tuples from p with probability w) x;",
+         create table q as select * from (pick tuples from p with probability w) x;
+         create table v (k bigint, w double precision);
+         insert into v values {};
+         create table r as select * from (pick tuples from v with probability w) x;
+         create table e (g bigint, a bigint, b bigint);
+         insert into e values {};",
         rows.join(", "),
         picks.join(", "),
+        side.join(", "),
+        edges.join(", "),
     ))
     .unwrap();
     db
 }
 
-/// A `pipeline` span's attribute `key`, if the span carries it.
+/// A span's attribute `key`, if the span carries it.
 fn attr(span: &trace::SpanRecord, key: &str) -> Option<AttrValue> {
     span.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
 }
@@ -136,10 +186,23 @@ fn registry_spans_and_stats_are_one_record() {
             }
 
             let root = stats.root_span().expect("tracing was on");
-            let mut spans: Vec<_> = trace::spans_for_root(root)
-                .into_iter()
-                .filter(|s| s.label == "pipeline")
-                .collect();
+            let tree = trace::spans_for_root(root);
+            let conf: Vec<_> = tree.iter().filter(|s| s.label == "conf").collect();
+            assert_eq!(conf.len() as u64, stats.conf_calls.get(), "{at}: conf spans");
+            for (i, (name, _, total)) in CONF_VIEWS.iter().enumerate() {
+                let delta = after[VIEWS.len() + i] - before[VIEWS.len() + i];
+                assert_eq!(delta, total(stats), "{at}: registry {name} vs last_stats()");
+                let spans: u64 = conf
+                    .iter()
+                    .map(|s| match attr(s, name) {
+                        Some(AttrValue::Uint(n)) => n,
+                        other => panic!("{at}: conf span {name} {other:?}"),
+                    })
+                    .sum();
+                assert_eq!(spans, total(stats), "{at}: conf spans {name} vs last_stats()");
+            }
+
+            let mut spans: Vec<_> = tree.into_iter().filter(|s| s.label == "pipeline").collect();
             spans.sort_by_key(|s| s.id);
             assert_eq!(spans.len(), stats.pipeline_count(), "{at}: pipeline spans");
             for (span, p) in spans.iter().zip(&pipelines) {
