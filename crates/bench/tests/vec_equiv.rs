@@ -19,8 +19,9 @@
 //!
 //! Plus pinned regressions for the `Value` edge cases the kernels must
 //! not drift on: `'a' || NULL`, `%` by zero (integer and float),
-//! Float/Int cross-type comparisons (including the > 2^53 widening
-//! quirk), and mixed-variant columns under `||`.
+//! Float/Int cross-type comparisons (an Int widens to f64 against a
+//! Float), exact Int × Int comparisons near ±2^53 and `i64::MIN` / `MAX`,
+//! and mixed-variant columns under `||`.
 
 mod common;
 
@@ -429,18 +430,40 @@ fn regression_mod_by_zero() {
 
 #[test]
 fn regression_float_int_cross_comparisons() {
-    // Mixed Int/Float comparisons — including the > 2^53 zone where the
-    // scalar path's f64 widening makes distinct ints compare Equal.
+    // Mixed Int/Float comparisons — above 2^53 the Int's f64 widening
+    // makes it compare Equal to a Float it differs from.
     let big = 1i64 << 60;
     let t = one_table(vec![
         vec![Value::Int(2), Value::Float(2.0)],
         vec![Value::Int(2), Value::Float(2.5)],
-        vec![Value::Int(big), Value::Int(big + 1)],
+        vec![Value::Int(big + 1), Value::Float(big as f64)],
         vec![Value::Null, Value::Float(1.0)],
     ]);
     for op in [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::GtEq] {
         check_chain(&t, &[Step::Filter(A.binary(op, B))]);
     }
+}
+
+#[test]
+fn regression_int_comparisons_are_exact() {
+    // Int × Int compares as i64 on every path — kernel, scalar, and
+    // against a literal — so distinct keys above 2^53 never compare
+    // Equal, as in a hash join.
+    let p53 = 1i64 << 53;
+    let edges = [i64::MIN, i64::MIN + 1, -p53 - 1, -p53, p53 - 1, p53, p53 + 1, i64::MAX - 1, i64::MAX];
+    let rows: Vec<Vec<Value>> = edges
+        .iter()
+        .flat_map(|&a| edges.iter().map(move |&b| vec![Value::Int(a), Value::Int(b)]))
+        .chain([vec![Value::Null, Value::Int(p53)]])
+        .collect();
+    let t = one_table(rows);
+    for op in [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::LtEq, BinaryOp::Gt, BinaryOp::GtEq] {
+        check_chain(&t, &[Step::Filter(A.binary(op, B))]);
+        check_chain(&t, &[Step::Filter(A.binary(op, Expr::lit(p53 + 1)))]);
+        check_chain(&t, &[Step::Project(vec![A.binary(op, B)])]);
+    }
+    let equal = common::stream(&t.compact(), &[Step::Filter(A.eq(B))], true).unwrap().collect().unwrap();
+    assert_eq!(equal.len(), edges.len(), "each key equals itself only");
 }
 
 #[test]

@@ -642,17 +642,22 @@ impl MayBms {
 }
 
 /// The positions of `target`'s rows that `filter` keeps (all of them
-/// without one), ascending: the predicate runs as a filter-only pipeline
-/// over the stored table — zero-pivot, vectorised, morsel-parallel and
-/// governor-checked like any scan, and identical at any thread count.
+/// without one), ascending: one σ stage per conjunct, as a SELECT scan
+/// leaf gets, run as a filter-only pipeline over the stored table — zone
+/// maps, zero-pivot, vectorised, morsel-parallel and governor-checked
+/// like any scan, and identical at any thread count.
 fn target_positions(
     target: &URelation,
     filter: Option<&maybms_sql::Expr>,
     stats: &maybms_obs::QueryStats,
 ) -> Result<Vec<u32>> {
-    let mut stream = UStream::new(target.clone());
+    let mut conjuncts = Vec::new();
     if let Some(f) = filter {
-        stream = stream.filter(&scalar(f)?)?;
+        crate::plan::split_conjuncts(f, &mut conjuncts);
+    }
+    let mut stream = UStream::new(target.clone());
+    for c in &conjuncts {
+        stream = stream.filter(&scalar(c)?)?;
     }
     let sel = stream.select_positions(
         &maybms_par::pool(),
@@ -713,7 +718,11 @@ fn render_analyze(
                 p.morsels.get(),
             ));
         }
-        s.push_str(&format!("   source: {}\n", p.source));
+        s.push_str(&format!("   source: {}", p.source));
+        if p.zones.get() > 0 {
+            s.push_str(&format!(", zones read {} of {}", p.zones_read.get(), p.zones.get()));
+        }
+        s.push('\n');
         for st in &p.stages {
             s.push_str(&format!(
                 "   -> {} [in {}, out {}",
@@ -897,6 +906,34 @@ mod tests {
         };
         assert_eq!(message, "DELETE 1");
         assert_eq!(db.table("games").unwrap().len(), 1);
+    }
+
+    /// Whether a columnar store's row view is still unbuilt, read without
+    /// building it: only a cold store gathers columns.
+    fn row_view_is_cold(t: &URelation) -> bool {
+        t.gather(&[]).is_columnar()
+    }
+
+    /// A conjunct the kernels cannot run (`IN`) is walked row by row over
+    /// the rows the vectorised ones keep, written out of the columns: the
+    /// stored table's row view is never built, by DML or by SELECT.
+    #[test]
+    fn a_row_walked_conjunct_leaves_the_row_view_cold() {
+        let mut db = MayBms::new();
+        db.run("create table alerts (sensor bigint, room text, level bigint)").unwrap();
+        let rows: Vec<String> = (0..5000).map(|i| format!("({i}, 'r{}', {})", i % 7, i % 3)).collect();
+        db.run(&format!("insert into alerts values {}", rows.join(", "))).unwrap();
+        let where_ = "sensor >= 100 and sensor < 120 and room in ('r1', 'r2')";
+        let reader = db.table("alerts").unwrap().clone(); // shares the body the DELETE scans
+        let StatementResult::Ok { message } = db.run(&format!("delete from alerts where {where_}")).unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(message, "DELETE 5");
+        assert!(row_view_is_cold(&reader));
+        let r = db.query("select sensor from alerts where sensor >= 200 and room in ('r1') and sensor < 230").unwrap();
+        assert_eq!(r.len(), 4);
+        assert!(row_view_is_cold(db.table("alerts").unwrap()));
     }
 
     #[test]

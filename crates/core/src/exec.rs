@@ -33,7 +33,7 @@ use maybms_urel::{
 
 use crate::agg;
 use crate::error::{typing, Result};
-use crate::plan::{filter, plan_query, stored_table, Block, Output, QueryPlan, Source};
+use crate::plan::{filter, plan_query, Block, Output, QueryPlan, Source};
 use crate::translate::AggSpec;
 
 /// The database state a plan runs against.
@@ -268,7 +268,7 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
 fn run_source(source: &Source, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     Ok(match source {
         Source::Unit => URelation::new(Schema::empty(), vec![UTuple::certain(Tuple::new(Vec::new()))]),
-        Source::Table { key, .. } => stored_table(key, ctx.catalog)?.clone(),
+        Source::Table(table) => table.clone(),
         Source::Query(q) => run(q, ctx)?,
         Source::RepairKey { input, key, weight } => {
             let input = run_source(input, ctx)?;

@@ -71,7 +71,8 @@ pub(crate) struct Leaf {
 /// What a FROM leaf reads (`Unit`: SELECT without FROM, one empty row).
 pub(crate) enum Source {
     Unit,
-    Table { key: String, rows: usize, columnar: bool },
+    /// A stored table, as the catalog held it at plan time.
+    Table(URelation),
     Query(Box<QueryPlan>),
     RepairKey { input: Box<Source>, key: Vec<EExpr>, weight: Option<EExpr> },
     PickTuples { input: Box<Source>, probability: Option<EExpr> },
@@ -130,7 +131,7 @@ impl Source {
     fn rows(&self) -> Option<usize> {
         match self {
             Source::Unit => Some(1),
-            Source::Table { rows, .. } => Some(*rows),
+            Source::Table(table) => Some(table.len()),
             _ => None,
         }
     }
@@ -142,10 +143,19 @@ impl Leaf {
         filter(UStream::new(rows), &self.filters)
     }
 
+    /// What `EXPLAIN` lays the leaf's stages over (a stored table's column
+    /// variants decide its `(zone map)` marks; nothing is read).
+    fn explain_rows(&self) -> URelation {
+        match &self.source {
+            Source::Table(table) => table.clone().with_schema(self.schema.clone()),
+            _ => URelation::empty(self.schema.clone()),
+        }
+    }
+
     /// The `source:` line of a pipeline this leaf heads.
     fn describe(&self) -> String {
-        match self.source {
-            Source::Table { rows, columnar, .. } => source_label(rows, columnar),
+        match &self.source {
+            Source::Table(table) => source_label(table.len(), table.is_columnar()),
             Source::Unit => source_label(1, false),
             _ => format!("{} (materialised at run)", self.label),
         }
@@ -538,8 +548,7 @@ fn plan_input(
     match input {
         QueryInput::Table(name) => {
             let table = stored_table(name, catalog)?;
-            let (key, rows, columnar) = (name.to_ascii_lowercase(), table.len(), table.is_columnar());
-            Ok((Source::Table { key, rows, columnar }, table.schema().clone()))
+            Ok((Source::Table(table.clone()), table.schema().clone()))
         }
         QueryInput::Select(q) => plan_subquery(q, catalog),
     }
@@ -766,7 +775,7 @@ fn strip_qualifiers(e: &EExpr) -> EExpr {
 }
 
 /// Split an expression into top-level AND conjuncts.
-fn split_conjuncts(e: &SExpr, out: &mut Vec<SExpr>) {
+pub(crate) fn split_conjuncts(e: &SExpr, out: &mut Vec<SExpr>) {
     if let SExpr::Binary { left, op: maybms_sql::BinOp::And, right } = e {
         split_conjuncts(left, out);
         split_conjuncts(right, out);
@@ -884,10 +893,10 @@ impl Explain {
         }
         let empty = |schema: &Arc<Schema>| URelation::empty(schema.clone());
         let first = &b.leaves[0];
-        let (mut stream, mut source) = (first.stream(empty(&first.schema))?, first.describe());
+        let (mut stream, mut source) = (first.stream(first.explain_rows())?, first.describe());
         for (i, join) in b.joins.iter().enumerate() {
             let leaf = &b.leaves[join.leaf];
-            let input = leaf.stream(empty(&leaf.schema))?;
+            let input = leaf.stream(leaf.explain_rows())?;
             stream = if join.prefix_keys.is_empty() {
                 self.pipeline("cross product input", "", &source, &stream);
                 self.pipeline("cross product input", "", &leaf.describe(), &input);

@@ -53,6 +53,22 @@ impl BinaryOp {
         use BinaryOp::*;
         matches!(self, Eq | NotEq | Lt | LtEq | Gt | GtEq)
     }
+
+    /// The verdict of this comparison operator for an ordering of its
+    /// operands ([`Value::sql_cmp`]) — the one place scalar evaluation,
+    /// the comparison kernel and zone-map pruning read it from.
+    pub fn verdict(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::*;
+        match self {
+            BinaryOp::Eq => ord == Equal,
+            BinaryOp::NotEq => ord != Equal,
+            BinaryOp::Lt => ord == Less,
+            BinaryOp::LtEq => ord != Greater,
+            BinaryOp::Gt => ord == Greater,
+            BinaryOp::GtEq => ord != Less,
+            _ => unreachable!("{self} is not a comparison"),
+        }
+    }
 }
 
 impl fmt::Display for BinaryOp {
@@ -533,17 +549,7 @@ pub(crate) fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         let ord = l.sql_cmp(r).ok_or_else(|| EngineError::TypeMismatch {
             message: format!("cannot compare {} {} {}", l.data_type(), op, r.data_type()),
         })?;
-        use std::cmp::Ordering::*;
-        let b = match op {
-            BinaryOp::Eq => ord == Equal,
-            BinaryOp::NotEq => ord != Equal,
-            BinaryOp::Lt => ord == Less,
-            BinaryOp::LtEq => ord != Greater,
-            BinaryOp::Gt => ord == Greater,
-            BinaryOp::GtEq => ord != Less,
-            _ => unreachable!(),
-        };
-        return Ok(Value::Bool(b));
+        return Ok(Value::Bool(op.verdict(ord)));
     }
     if matches!(op, BinaryOp::Concat) {
         let (a, b) = (l.to_string(), r.to_string());

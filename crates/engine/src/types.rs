@@ -165,12 +165,15 @@ impl Value {
     }
 
     /// SQL three-valued comparison; `None` when either side is NULL or the
-    /// types are incomparable.
+    /// types are incomparable. `Int` against `Int` compares exactly, as
+    /// [`Value::eq`] and join keys do; a `Float` on either side widens the
+    /// other to `f64` (total order).
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         if self.is_null() || other.is_null() {
             return None;
         }
         match (self, other) {
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
             (a, b) => {

@@ -464,19 +464,25 @@ fn arith(op: BinaryOp, l: &Column, r: &Column) -> KRes {
     generic_binary(op, l, r)
 }
 
-/// Replicates the scalar comparison verdict for an ordering.
-#[inline]
-fn cmp_verdict(op: BinaryOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        BinaryOp::Eq => ord == Equal,
-        BinaryOp::NotEq => ord != Equal,
-        BinaryOp::Lt => ord == Less,
-        BinaryOp::LtEq => ord != Greater,
-        BinaryOp::Gt => ord == Greater,
-        BinaryOp::GtEq => ord != Less,
-        _ => unreachable!("comparison kernel"),
+/// A comparison's verdict column: `ord(i)` orders row `i`'s operands
+/// (called only where neither is NULL); a NULL operand gives NULL.
+fn cmp_rows(op: BinaryOp, l: &Column, r: &Column, ord: impl Fn(usize) -> std::cmp::Ordering) -> Column {
+    let n = l.len();
+    let mut out = Vec::with_capacity(n);
+    let mut nulls = NullMask::none();
+    if l.has_nulls() || r.has_nulls() {
+        for i in 0..n {
+            if l.is_null(i) || r.is_null(i) {
+                nulls.set_null(i);
+                out.push(false);
+            } else {
+                out.push(op.verdict(ord(i)));
+            }
+        }
+    } else {
+        out.extend((0..n).map(|i| op.verdict(ord(i))));
     }
+    Column::from_bools(out, nulls)
 }
 
 fn cmp(op: BinaryOp, l: &Column, r: &Column) -> KRes {
@@ -485,27 +491,13 @@ fn cmp(op: BinaryOp, l: &Column, r: &Column) -> KRes {
     if is_const_null(l) || is_const_null(r) {
         return Ok(Column::from_const(Value::Null, n));
     }
-    // Numeric (mixed Int/Float included): exactly `sql_cmp`'s widening
-    // to f64 + total order — Int × Int comparisons included, which the
-    // scalar path also routes through f64.
+    // Exactly `sql_cmp`: Int × Int compares as i64; any other numeric
+    // pair (mixed Int/Float included) widens to f64 in total order.
+    if let (Some(a), Some(b)) = (int_view(l), int_view(r)) {
+        return Ok(cmp_rows(op, l, r, |i| a.get(i).cmp(&b.get(i))));
+    }
     if let (Some(a), Some(b)) = (num_view(l), num_view(r)) {
-        let mut out = Vec::with_capacity(n);
-        let mut nulls = NullMask::none();
-        if l.has_nulls() || r.has_nulls() {
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    nulls.set_null(i);
-                    out.push(false);
-                } else {
-                    out.push(cmp_verdict(op, a.get(i).total_cmp(&b.get(i))));
-                }
-            }
-        } else {
-            for i in 0..n {
-                out.push(cmp_verdict(op, a.get(i).total_cmp(&b.get(i))));
-            }
-        }
-        return Ok(Column::from_bools(out, nulls));
+        return Ok(cmp_rows(op, l, r, |i| a.get(i).total_cmp(&b.get(i))));
     }
     // Dictionary fast path: equality against a string literal compares
     // u32 codes (within one dictionary, code equality ⇔ string equality).
@@ -564,22 +556,11 @@ fn cmp(op: BinaryOp, l: &Column, r: &Column) -> KRes {
     };
     if (str_view(l) && str_view(r)) || (bool_view(l) && bool_view(r)) {
         // Same-category columns can't type-error: loop over values.
-        let mut out = Vec::with_capacity(n);
-        let mut nulls = NullMask::none();
-        for i in 0..n {
-            if l.is_null(i) || r.is_null(i) {
-                nulls.set_null(i);
-                out.push(false);
-            } else {
-                let ord = match (l.value_at(i), r.value_at(i)) {
-                    (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
-                    (Value::Bool(a), Value::Bool(b)) => a.cmp(&b),
-                    _ => unreachable!("category checked above"),
-                };
-                out.push(cmp_verdict(op, ord));
-            }
-        }
-        return Ok(Column::from_bools(out, nulls));
+        return Ok(cmp_rows(op, l, r, |i| match (l.value_at(i), r.value_at(i)) {
+            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Value::Bool(a), Value::Bool(b)) => a.cmp(&b),
+            _ => unreachable!("category checked above"),
+        }));
     }
     generic_binary(op, l, r)
 }
@@ -869,13 +850,19 @@ mod tests {
     }
 
     #[test]
-    fn huge_int_comparison_widens_like_scalar() {
-        // sql_cmp widens Int to f64 even for Int × Int: 2^60 and 2^60+1
-        // compare Equal. The kernel must reproduce that quirk.
+    fn huge_int_comparison_is_exact_like_scalar() {
+        // Int × Int compares as i64, so 2^60 and 2^60+1 differ; against a
+        // Float the Int still widens to f64.
         let big = 1i64 << 60;
-        let rows = vec![vec![Value::Int(big), Value::Int(big + 1)]];
-        check(&c(0).eq(c(1)), &rows);
-        check(&c(0).binary(BinaryOp::Lt, c(1)), &rows);
+        let rows = vec![
+            vec![Value::Int(big), Value::Int(big + 1)],
+            vec![Value::Int(i64::MAX), Value::Int(i64::MIN)],
+            vec![Value::Int(big + 1), Value::Float(big as f64)],
+        ];
+        for op in [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::GtEq] {
+            check(&c(0).binary(op, c(1)), &rows);
+        }
+        assert_eq!(Value::Int(big).sql_cmp(&Value::Int(big + 1)), Some(std::cmp::Ordering::Less));
     }
 
     #[test]

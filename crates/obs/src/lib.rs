@@ -503,6 +503,11 @@ pub struct PipelineStats {
     pub morsels: Counter,
     /// Source rows the morsels read.
     pub rows_in: Counter,
+    /// Zones of the source's zone maps the leading filters consulted (0
+    /// when none could) and, of those, the zones the morsels read.
+    pub zones: Counter,
+    /// See [`PipelineStats::zones`].
+    pub zones_read: Counter,
     /// Rows that survived the whole stage chain (into the sink).
     pub rows_out: Counter,
     /// Vector-kernel batches the stages evaluated.
@@ -528,6 +533,8 @@ impl PipelineStats {
                 .collect(),
             morsels: Counter::new(),
             rows_in: Counter::new(),
+            zones: Counter::new(),
+            zones_read: Counter::new(),
             rows_out: Counter::new(),
             vector_batches: Counter::new(),
             scalar_fallbacks: Counter::new(),

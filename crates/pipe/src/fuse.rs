@@ -27,17 +27,33 @@
 //! Build tables for probe stages are constructed *here*, at execution
 //! time, morsel-locally on the caller's pool — deferring the build to
 //! the same pool and morsel size the rest of the pipeline uses.
+//!
+//! # Candidate ranges: the zone-map skip rule
+//!
+//! [`drive`] reads only the rows [`candidate_ranges`] keeps. Over a
+//! columnar-at-rest source, the leading σ stages (before any π or probe)
+//! are walked while they are `column op literal`: a stage **contributes**
+//! if its column has a zone map ([`URelation::zones`]: stored as `Int`)
+//! and [`Value::sql_cmp`] of an `Int` with the literal is defined; it is
+//! **passed over** if it cannot raise for its column's stored variant;
+//! any other stage ends the walk. A zone is skipped iff some contributing
+//! stage is false or NULL on all its rows — it has no non-NULL value, or
+//! [`BinaryOp::verdict`] fails for every ordering between `sql_cmp` at its
+//! min and at its max (`sql_cmp` is monotone in the `Int`). That stage
+//! drops every skipped row and no stage before it can raise, so no output
+//! and no error is lost, at any thread count or morsel size.
 
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use maybms_engine::column::ColumnBatch;
 use maybms_engine::error::EngineError;
 use maybms_engine::tuple::{Tuple, TupleBatch};
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{ops, vector, Expr, Value};
+use maybms_engine::{ops, vector, BinaryOp, ColumnData, Expr, Value};
 use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
-use maybms_urel::{Result, URelation, Wsd};
+use maybms_urel::{Result, URelation, Wsd, Zone, ZONE_ROWS};
 
 use crate::build::BuildTable;
 use crate::row_key_hash;
@@ -183,15 +199,86 @@ pub(crate) struct Tally {
 /// The `(rows in, rows out)` slots of a run of stages.
 type StageTally = [(u64, u64)];
 
-/// The one morsel driver: run `morsel` over `source`'s rows in morsels
-/// on `pool` and return the per-morsel results **in morsel order**; the
-/// earliest morsel's error wins, so the error (if any) is identical to a
+/// `column op literal`: column, operator, literal, column on the left?
+type ColCmp<'s> = (usize, BinaryOp, &'s Value, bool);
+
+/// The stages of `stages` that contribute a zone map over `source` (the
+/// skip rule), with their index; reads only the stored column variants.
+pub(crate) fn zone_stages<'s>(source: &URelation, stages: &'s [Stage]) -> Vec<(usize, ColCmp<'s>)> {
+    let Some(batch) = at_rest(source) else { return Vec::new() };
+    let mut out = Vec::new();
+    for (k, stage) in stages.iter().enumerate() {
+        let Stage::Filter(Expr::Binary { left, op, right }) = stage else { break };
+        let cmp @ (col, _, lit, _) = match (&**left, &**right) {
+            (Expr::ColumnIdx(c), Expr::Literal(v)) if op.is_comparison() => (*c, *op, v, true),
+            (Expr::Literal(v), Expr::ColumnIdx(c)) if op.is_comparison() => (*c, *op, v, false),
+            _ => break,
+        };
+        // A value of the column's stored variant: what `sql_cmp` meets.
+        let stored = match batch.column(col).data() {
+            ColumnData::Int(_) => Value::Int(0),
+            ColumnData::Float(_) => Value::Float(0.0),
+            ColumnData::Bool(_) => Value::Bool(false),
+            ColumnData::Str(_) | ColumnData::Dict { .. } => Value::str(""),
+            ColumnData::Const(v) => v.clone(),
+            ColumnData::Values(_) => break,
+        };
+        let defined = stored.sql_cmp(lit).is_some();
+        if defined && matches!(batch.column(col).data(), ColumnData::Int(_)) {
+            out.push((k, cmp));
+        } else if !(defined || stored.is_null() || lit.is_null()) {
+            break; // this comparison can raise
+        }
+    }
+    out
+}
+
+/// Can `col op lit` be true for some row of a zone? Not if it holds no
+/// non-NULL value; else iff the verdict holds for some ordering between
+/// the ones `sql_cmp` gives at the zone's min and max.
+fn zone_may_match(&(_, op, lit, col_left): &ColCmp<'_>, (lo, hi): Zone) -> bool {
+    let ord = |x: i64| if col_left { Value::Int(x).sql_cmp(lit) } else { lit.sql_cmp(&Value::Int(x)) };
+    let spanned = ord(lo).min(ord(hi))..=ord(lo).max(ord(hi));
+    let orders = [Ordering::Less, Ordering::Equal, Ordering::Greater];
+    lo <= hi && orders.into_iter().any(|o| spanned.contains(&Some(o)) && op.verdict(o))
+}
+
+/// The rows of `source` a pipeline over `stages` must read, ascending and
+/// disjoint; records the zones consulted and read in `stats`.
+pub(crate) fn candidate_ranges(source: &URelation, stages: &[Stage], stats: &PipelineStats) -> Vec<Range<usize>> {
+    let maps: Vec<(&[Zone], ColCmp<'_>)> = zone_stages(source, stages)
+        .into_iter()
+        .map(|(_, cmp)| (source.zones(cmp.0).expect("an Int column has zones"), cmp))
+        .collect();
+    if maps.is_empty() {
+        return std::iter::once(0..source.len()).collect();
+    }
+    let zones = source.len().div_ceil(ZONE_ROWS);
+    let kept: Vec<usize> =
+        (0..zones).filter(|&z| maps.iter().all(|(m, cmp)| zone_may_match(cmp, m[z]))).collect();
+    stats.zones.add(zones as u64);
+    stats.zones_read.add(kept.len() as u64);
+    let mut ranges: Vec<Range<usize>> = Vec::new();
+    for z in kept {
+        let rows = z * ZONE_ROWS..((z + 1) * ZONE_ROWS).min(source.len());
+        match ranges.last_mut() {
+            Some(last) if last.end == rows.start => last.end = rows.end,
+            _ => ranges.push(rows),
+        }
+    }
+    ranges
+}
+
+/// The one morsel driver: run `morsel` over the source rows in `ranges`
+/// (ascending, disjoint — see [`candidate_ranges`]) in morsels on `pool`
+/// and return the per-morsel results **in morsel order**; the earliest
+/// morsel's error wins, so the error (if any) is identical to a
 /// sequential scan at any thread count. The per-morsel machinery every
 /// pipeline shares lives here once — the chunk rule, the governor
 /// checkpoint, and the flush of each finished morsel's [`Tally`] into
 /// `stats`.
 pub(crate) fn drive<T: Send>(
-    source: &URelation,
+    ranges: Vec<Range<usize>>,
     pool: &ThreadPool,
     min_morsel: usize,
     stats: &PipelineStats,
@@ -199,8 +286,13 @@ pub(crate) fn drive<T: Send>(
 ) -> Result<Vec<T>> {
     // Several morsels even on a one-thread pool: each is a governor
     // checkpoint, and a row store pivots one morsel at a time.
-    let chunk = maybms_par::auto_chunk(source.len(), pool.threads(), min_morsel);
-    let outputs: Vec<Result<T>> = pool.par_map_chunks(source.len(), chunk, |range| {
+    let kept = ranges.iter().map(Range::len).sum();
+    let chunk = maybms_par::auto_chunk(kept, pool.threads(), min_morsel);
+    let morsels: Vec<Range<usize>> = ranges
+        .into_iter()
+        .flat_map(|r| r.clone().step_by(chunk).map(move |start| start..(start + chunk).min(r.end)))
+        .collect();
+    let outputs: Vec<Result<T>> = pool.par_map(morsels, |range| {
         // Governor checkpoint: one relaxed load per morsel when no
         // limit is armed.
         maybms_gov::check().map_err(EngineError::Gov)?;
@@ -347,7 +439,7 @@ where
         .collect();
     let pre = plan_vec(stages);
 
-    drive(source, pool, min_morsel, stats, |range, tally| {
+    drive(candidate_ranges(source, stages, stats), pool, min_morsel, stats, |range, tally| {
         let mut sink = make_sink();
         let mut gov = maybms_gov::Ticker::new();
         if let Some(pre) = &pre {
@@ -360,15 +452,13 @@ where
                 run_vec(pre, source, range, prefix_tally, &mut tally.kernels);
             let mut rowbuf: Vec<Value> = Vec::new();
             for (j, &si) in src.iter().enumerate() {
-                let row: &[Value] = match &batch {
-                    Some(b) => {
-                        b.write_row(j, &mut rowbuf);
-                        &rowbuf
-                    }
-                    None => source.tuples()[si as usize].data.values(),
-                };
+                // Never the source's row view: see `wsd_at`.
+                match &batch {
+                    Some(b) => b.write_row(j, &mut rowbuf),
+                    None => source.write_row(si as usize, &mut rowbuf),
+                }
                 push_row(
-                    row,
+                    &rowbuf,
                     wsd_at(source, si as usize),
                     rest,
                     rest_tables,
@@ -464,7 +554,7 @@ pub(crate) fn select(
     stats: &PipelineStats,
 ) -> Result<Vec<usize>> {
     let pre = plan_vec(stages);
-    let partials = drive(source, pool, min_morsel, stats, |range, tally| {
+    let partials = drive(candidate_ranges(source, stages, stats), pool, min_morsel, stats, |range, tally| {
         let (src, pending, start) = match &pre {
             Some(pre) => {
                 let (_, src, pending) =
@@ -480,13 +570,14 @@ pub(crate) fn select(
             sel.extend(src.iter().map(|&si| si as usize));
         } else {
             let mut gov = maybms_gov::Ticker::new();
+            let mut rowbuf = Vec::new(); // never the row view: see `wsd_at`
             'row: for &si in &src {
                 gov.tick().map_err(EngineError::Gov)?;
-                let row = source.tuples()[si as usize].data.values();
+                source.write_row(si as usize, &mut rowbuf);
                 for (k, s) in stages[start..].iter().enumerate() {
                     let Stage::Filter(p) = s else { unreachable!() };
                     tally.stages[start + k].0 += 1;
-                    if !p.eval_predicate_values(row)? {
+                    if !p.eval_predicate_values(&rowbuf)? {
                         continue 'row;
                     }
                     tally.stages[start + k].1 += 1;

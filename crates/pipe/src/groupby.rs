@@ -270,7 +270,7 @@ where
     let maybms_engine::ColumnData::Dict { codes, dict } = col.data() else {
         return Ok(None);
     };
-    let tables = fuse::drive(source, pool, min_morsel, stats, |range, _| {
+    let tables = fuse::drive(fuse::candidate_ranges(source, stages, stats), pool, min_morsel, stats, |range, _| {
         let mut table: GroupTable<A> = GroupTable::new();
         let mut dense: Vec<u32> = vec![u32::MAX; dict.len()];
         let mut null_group = u32::MAX;

@@ -54,8 +54,8 @@
 //!   codes and pre-cached hashes instead of strings;
 //! * every pipeline — filter-only selection, sink walk, the dense-code
 //!   GROUP BY fold — runs on **one morsel driver**, which alone owns the
-//!   chunk rule, the per-morsel governor checkpoint and the per-morsel
-//!   tally; each run keeps one [`maybms_obs::PipelineStats`] record and
+//!   chunk rule, the zone-map skip, the governor checkpoint and the
+//!   per-morsel tally; each run keeps one [`maybms_obs::PipelineStats`] record and
 //!   hands it, when it ends, to the metrics registry, its `pipeline`
 //!   span and the statement's [`maybms_obs::QueryStats`] at once (this
 //!   crate adds to the registry nowhere else);

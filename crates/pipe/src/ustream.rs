@@ -335,7 +335,8 @@ impl UStream {
 
     /// One label per recorded stage — the text `EXPLAIN` and
     /// `EXPLAIN ANALYZE` both print for it. Stages of the kernel-eligible
-    /// prefix are marked `(vectorised)`; planner notes follow in
+    /// prefix are marked `(vectorised)`, filters whose zone maps decide
+    /// which morsels run `(zone map)`; planner notes follow in
     /// parentheses.
     pub fn stage_labels(&self) -> Vec<String> {
         let vectorised = fuse::vector_prefix_len(&self.stages);
@@ -362,6 +363,9 @@ impl UStream {
                 }
             })
             .collect();
+        for (k, _) in fuse::zone_stages(&self.source, &self.stages) {
+            labels[k].push_str(" (zone map)");
+        }
         for (k, note) in &self.notes {
             let _ = write!(labels[*k], " ({note})");
         }

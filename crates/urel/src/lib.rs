@@ -60,7 +60,7 @@ pub mod wsd;
 pub use error::{Result, UrelError};
 pub use pick::{pick_tuples, pick_tuples_u, PickTuplesOptions};
 pub use repair::{repair_key, repair_key_u, RepairKeyOptions};
-pub use urelation::{URelation, UTuple};
+pub use urelation::{URelation, UTuple, Zone, ZONE_ROWS};
 pub use var::{Assignment, Var};
 pub use world_table::{World, WorldTable};
 pub use wsd::Wsd;

@@ -35,11 +35,16 @@
 //! write. The row view is dropped by a write, not rebuilt.
 //! [`URelation::tuples_mut`] still decays the store to rows — that is
 //! for building query results, not for stored tables.
+//!
+//! A columnar body's **zone maps** ([`URelation::zones`]), which scans
+//! read to skip blocks a filter cannot match, live as its row view does:
+//! built on first use, shared by clones, dropped by every write. Never
+//! logged nor snapshotted, they are rebuilt after recovery by construction.
 
 use std::sync::{Arc, OnceLock};
 
 use maybms_engine::tuple::TupleBatch;
-use maybms_engine::{ColumnBatch, Relation, Schema, Tuple};
+use maybms_engine::{Column, ColumnBatch, ColumnData, Relation, Schema, Tuple};
 
 use crate::error::Result;
 use crate::world_table::WorldTable;
@@ -86,20 +91,41 @@ enum Store {
     Columnar(Arc<ColumnarURel>),
 }
 
+/// Rows per zone of a columnar store's zone maps ([`URelation::zones`]).
+pub const ZONE_ROWS: usize = 1024;
+
+/// One zone's `(min, max)` over its non-NULL values; a zone without any
+/// has `min > max` and matches nothing.
+pub type Zone = (i64, i64);
+
 /// A columnar U-relation body: data columns, parallel WSDs, and the
-/// lazily materialised `UTuple` view (built at most once between writes;
-/// all clones share it through the `Arc`).
+/// lazily built `UTuple` view and zone maps (each built at most once
+/// between writes; all clones share them through the `Arc`).
 #[derive(Debug)]
 struct ColumnarURel {
     batch: ColumnBatch,
     wsds: Vec<Wsd>,
     rows: OnceLock<Vec<UTuple>>,
+    /// Per data column: its zones if stored as `Int`.
+    zones: OnceLock<Vec<Option<Vec<Zone>>>>,
 }
 
 impl ColumnarURel {
     fn new(batch: ColumnBatch, wsds: Vec<Wsd>) -> ColumnarURel {
         debug_assert_eq!(batch.rows(), wsds.len(), "WSD sidecar length mismatch");
-        ColumnarURel { batch, wsds, rows: OnceLock::new() }
+        ColumnarURel { batch, wsds, rows: OnceLock::new(), zones: OnceLock::new() }
+    }
+
+    fn zones(&self) -> &[Option<Vec<Zone>>] {
+        let min_max = |col: &Column, v: &[i64], z: usize| {
+            let live = (z..(z + ZONE_ROWS).min(v.len())).filter(|&i| !col.is_null(i));
+            live.fold((i64::MAX, i64::MIN), |(lo, hi), i| (lo.min(v[i]), hi.max(v[i])))
+        };
+        let zones = |col: &Column| match col.data() {
+            ColumnData::Int(v) => Some((0..v.len()).step_by(ZONE_ROWS).map(|z| min_max(col, v, z)).collect()),
+            _ => None,
+        };
+        self.zones.get_or_init(|| self.batch.columns().iter().map(zones).collect())
     }
 
     fn rows(&self) -> &[UTuple] {
@@ -117,7 +143,7 @@ impl ColumnarURel {
 }
 
 // The copy-on-write clone a writer takes when a reader shares the body:
-// the row view is about to go stale, so it is not copied.
+// the row view and zone maps are about to go stale, so they are not copied.
 impl Clone for ColumnarURel {
     fn clone(&self) -> ColumnarURel {
         ColumnarURel::new(self.batch.clone(), self.wsds.clone())
@@ -190,6 +216,14 @@ impl URelation {
         }
     }
 
+    /// The zone map of data column `col`: one [`Zone`] per [`ZONE_ROWS`]
+    /// rows, or `None` unless the store is columnar at rest and `col` is
+    /// stored as `Int`. Built for every `Int` column by the first call.
+    pub fn zones(&self, col: usize) -> Option<&[Zone]> {
+        let Store::Columnar(c) = &self.store else { return None };
+        c.zones()[col].as_deref()
+    }
+
     /// True iff the canonical storage is column-major.
     pub fn is_columnar(&self) -> bool {
         matches!(self.store, Store::Columnar(_))
@@ -221,7 +255,7 @@ impl URelation {
     /// The at-rest body for an in-place write: a row store is compacted
     /// first (stored tables never are: the store installs every table
     /// columnar), a shared body is cloned (copy-on-write), and the row
-    /// view is dropped.
+    /// view and zone maps are dropped.
     fn columnar_mut(&mut self) -> &mut ColumnarURel {
         if !self.is_columnar() {
             *self = self.compact();
@@ -231,6 +265,7 @@ impl URelation {
         };
         let body = Arc::make_mut(arc);
         body.rows.take();
+        body.zones.take();
         body
     }
 

@@ -682,3 +682,43 @@ fn comments_in_statements() {
         .unwrap();
     assert_eq!(r.len(), 1);
 }
+
+/// Int keys compare as `i64` in a filter exactly as in a join: above 2^53
+/// no two distinct keys are equal, whichever operator asks.
+#[test]
+fn int_keys_compare_exactly_in_filters_and_joins() {
+    let mut db = MayBms::new();
+    let keys = [
+        i64::MIN,
+        i64::MIN + 1,
+        -(1 << 53) - 1,
+        -(1 << 53),
+        (1 << 53) - 1,
+        1 << 53,
+        (1 << 53) + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    db.run("create table t (k bigint)").unwrap();
+    db.run("create table u (k bigint)").unwrap();
+    for k in keys {
+        // i64::MIN has no literal (its magnitude overflows): spell it.
+        let lit = if k == i64::MIN { format!("{} - 1", k + 1) } else { k.to_string() };
+        db.run(&format!("insert into t values ({lit})")).unwrap();
+    }
+    db.run("insert into u select k from t").unwrap();
+    let ints = |db: &mut MayBms, sql: &str| -> Vec<i64> {
+        let r = db.query(sql).unwrap();
+        r.tuples().iter().map(|t| t.value(0).as_int().unwrap()).collect()
+    };
+    // Each key joins itself only.
+    assert_eq!(ints(&mut db, "select t.k from t, u where t.k = u.k order by 1"), keys);
+    for (i, k) in keys.iter().enumerate().skip(1) {
+        let eq = format!("select k from t where k = {k}");
+        assert_eq!(ints(&mut db, &eq), vec![*k], "{eq}");
+        let lt = format!("select k from t where k < {k} order by 1");
+        assert_eq!(ints(&mut db, &lt), keys[..i], "{lt}");
+        let join = format!("select t.k from t, u where t.k = u.k and u.k >= {k} order by 1");
+        assert_eq!(ints(&mut db, &join), keys[i..], "{join}");
+    }
+}
