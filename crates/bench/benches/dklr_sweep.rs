@@ -10,7 +10,12 @@ use maybms_conf::karp_luby::KarpLuby;
 fn bench_dklr(c: &mut Criterion) {
     let (wt, dnf) = random_dnf(
         11,
-        DnfParams { clauses: 100, vars: 150, clause_len: 3, domain: 2 },
+        DnfParams {
+            clauses: 100,
+            vars: 150,
+            clause_len: 3,
+            domain: 2,
+        },
     );
     let kl = KarpLuby::new(&dnf, &wt).unwrap();
     let mut group = c.benchmark_group("dklr_sweep");

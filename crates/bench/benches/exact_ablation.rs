@@ -15,13 +15,13 @@ fn bench_ablation(c: &mut Criterion) {
     // Decomposition on/off over block-structured DNFs.
     for blocks in [6usize, 10] {
         let (wt, dnf) = block_dnf(17, blocks, 4, 3, 2);
-        group.bench_with_input(
-            BenchmarkId::new("decompose_on", blocks),
-            &blocks,
-            |b, _| {
-                b.iter(|| probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap().0)
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("decompose_on", blocks), &blocks, |b, _| {
+            b.iter(|| {
+                probability_with(&dnf, &wt, &ExactOptions::standard())
+                    .unwrap()
+                    .0
+            })
+        });
         group.bench_with_input(
             BenchmarkId::new("decompose_off", blocks),
             &blocks,
@@ -38,7 +38,12 @@ fn bench_ablation(c: &mut Criterion) {
     // Variable-elimination heuristics on a connected random DNF.
     let (wt, dnf) = random_dnf(
         19,
-        DnfParams { clauses: 18, vars: 12, clause_len: 3, domain: 3 },
+        DnfParams {
+            clauses: 18,
+            vars: 12,
+            clause_len: 3,
+            domain: 3,
+        },
     );
     for (name, choice) in [
         ("max_occurrence", VarChoice::MaxOccurrence),
@@ -46,7 +51,10 @@ fn bench_ablation(c: &mut Criterion) {
         ("first", VarChoice::First),
     ] {
         group.bench_with_input(BenchmarkId::new("heuristic", name), &name, |b, _| {
-            let opts = ExactOptions { var_choice: choice, ..ExactOptions::standard() };
+            let opts = ExactOptions {
+                var_choice: choice,
+                ..ExactOptions::standard()
+            };
             b.iter(|| probability_with(&dnf, &wt, &opts).unwrap().0)
         });
     }

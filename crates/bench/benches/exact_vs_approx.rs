@@ -21,7 +21,12 @@ fn bench_crossover(c: &mut Criterion) {
         let vars = ((CLAUSES as f64 * ratio).round() as usize).max(3);
         let (wt, dnf) = random_dnf(
             7,
-            DnfParams { clauses: CLAUSES, vars, clause_len: 3, domain: 2 },
+            DnfParams {
+                clauses: CLAUSES,
+                vars,
+                clause_len: 3,
+                domain: 2,
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("exact", format!("ratio{ratio}")),

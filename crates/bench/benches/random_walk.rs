@@ -33,7 +33,9 @@ fn run_walk(players: usize, steps: usize) -> usize {
         );
         db.run(&sql).unwrap();
     }
-    db.query(&format!("select Player, Final, p from W{steps}")).unwrap().len()
+    db.query(&format!("select Player, Final, p from W{steps}"))
+        .unwrap()
+        .len()
 }
 
 fn bench_walk(c: &mut Criterion) {

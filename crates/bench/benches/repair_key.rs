@@ -26,7 +26,9 @@ fn bench_repair(c: &mut Criterion) {
                         repair_key(
                             &input,
                             &[Expr::col("k")],
-                            &RepairKeyOptions { weight: Some(Expr::col("w")) },
+                            &RepairKeyOptions {
+                                weight: Some(Expr::col("w")),
+                            },
                             &mut wt,
                         )
                         .unwrap()

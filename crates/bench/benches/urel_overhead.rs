@@ -21,9 +21,10 @@ fn bench_overhead(c: &mut Criterion) {
         // σ then self-⋈ on k as one fused chain: the same engine over
         // empty (certain twin) and non-empty (U-relational twin)
         // condition columns.
-        for (name, u) in
-            [("certain_select_join", &certain), ("uncertain_select_join", &uncertain)]
-        {
+        for (name, u) in [
+            ("certain_select_join", &certain),
+            ("uncertain_select_join", &uncertain),
+        ] {
             group.bench_with_input(BenchmarkId::new(name, rows), &rows, |b, _| {
                 b.iter(|| {
                     UStream::new(u.clone())

@@ -25,7 +25,10 @@ fn main() {
     for blocks in [4usize, 6, 8, 10, 12] {
         let (wt, dnf) = block_dnf(17, blocks, 4, 3, 2);
         let on = ExactOptions::standard();
-        let off = ExactOptions { decompose: false, ..ExactOptions::standard() };
+        let off = ExactOptions {
+            decompose: false,
+            ..ExactOptions::standard()
+        };
         let mut t_on = Vec::new();
         let mut t_off = Vec::new();
         let mut s_on = Default::default();
@@ -52,17 +55,28 @@ fn main() {
     }
 
     println!("\nE7b — variable-elimination heuristics on connected random DNFs");
-    println!("{:>16} {:>12} {:>14}", "heuristic", "median ms", "eliminations");
+    println!(
+        "{:>16} {:>12} {:>14}",
+        "heuristic", "median ms", "eliminations"
+    );
     let (wt, dnf) = random_dnf(
         19,
-        DnfParams { clauses: 18, vars: 12, clause_len: 3, domain: 3 },
+        DnfParams {
+            clauses: 18,
+            vars: 12,
+            clause_len: 3,
+            domain: 3,
+        },
     );
     for (name, choice) in [
         ("max_occurrence", VarChoice::MaxOccurrence),
         ("min_domain", VarChoice::MinDomain),
         ("first", VarChoice::First),
     ] {
-        let opts = ExactOptions { var_choice: choice, ..ExactOptions::standard() };
+        let opts = ExactOptions {
+            var_choice: choice,
+            ..ExactOptions::standard()
+        };
         let mut times = Vec::new();
         let mut stats = Default::default();
         for _ in 0..5 {
@@ -71,14 +85,22 @@ fn main() {
             times.push(t0.elapsed().as_secs_f64() * 1e3);
             stats = s;
         }
-        println!("{:>16} {:>12.3} {:>14}", name, median(times), stats.eliminations);
+        println!(
+            "{:>16} {:>12.3} {:>14}",
+            name,
+            median(times),
+            stats.eliminations
+        );
     }
 
     // E7c — conf()'s estimator choice on tuple-independent lineage:
     // `lineage_confidence` folds 1 − Π(1 − pᵢ) per group where the d-tree
     // path builds a Dnf and expands it.
     println!("\nE7c — independent product vs d-tree on pick-tuples groups (4 members each)");
-    println!("{:>8} {:>18} {:>18} {:>9}", "rows", "product ms", "d-tree ms", "speedup");
+    println!(
+        "{:>8} {:>18} {:>18} {:>9}",
+        "rows", "product ms", "d-tree ms", "speedup"
+    );
     for rows in [1_000usize, 10_000] {
         let mut wt = WorldTable::new();
         let input = repair_input(23, rows / 4, 4); // (k, alt, w), k in runs of 4
@@ -94,12 +116,22 @@ fn main() {
         };
         let product = time(&|g| {
             let stats = maybms_obs::QueryStats::new();
-            lineage_confidence(g.iter().map(|t| &t.wsd), &wt, ConfMethod::Exact, &stats).unwrap().0
+            lineage_confidence(g.iter().map(|t| &t.wsd), &wt, ConfMethod::Exact, &stats)
+                .unwrap()
+                .0
         });
         let dtree = time(&|g| {
             let dnf = Dnf::from_wsds(g.iter().map(|t| &t.wsd));
-            confidence_with_effort(&dnf, &wt, ConfMethod::Exact).unwrap().0
+            confidence_with_effort(&dnf, &wt, ConfMethod::Exact)
+                .unwrap()
+                .0
         });
-        println!("{:>8} {:>18.3} {:>18.3} {:>8.2}x", rows, product, dtree, dtree / product);
+        println!(
+            "{:>8} {:>18.3} {:>18.3} {:>8.2}x",
+            rows,
+            product,
+            dtree,
+            dtree / product
+        );
     }
 }

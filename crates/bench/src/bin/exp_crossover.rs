@@ -41,21 +41,51 @@ fn main() {
     println!("E2 — exact d-tree vs aconf({EPSILON}, {DELTA}): pure sampling and the cascade; 3 literals, domain 2");
     println!(
         "{:>5} {:>7} {:>7} {:>10} {:>10} {:>11} {:>10} {:>8} {:>13} {:>8}",
-        "vars", "clauses", "ratio", "exact ms", "aconf ms", "cascade ms", "casc/aconf", "answered", "nodes/budget", "rel.err"
+        "vars",
+        "clauses",
+        "ratio",
+        "exact ms",
+        "aconf ms",
+        "cascade ms",
+        "casc/aconf",
+        "answered",
+        "nodes/budget",
+        "rel.err"
     );
     let sweep = [6, 12, 24, 48, 96, 192, 384].map(|vars| (vars, 48));
-    let random_3dnf = [(40, 120), (40, 400), (100, 400), (100, 1000), (200, 1000), (200, 4000)];
+    let random_3dnf = [
+        (40, 120),
+        (40, 400),
+        (100, 400),
+        (100, 1000),
+        (200, 1000),
+        (200, 4000),
+    ];
     for (vars, clauses) in sweep.into_iter().chain(random_3dnf) {
-        let (wt, dnf) = random_dnf(7, DnfParams { clauses, vars, clause_len: 3, domain: 2 });
+        let (wt, dnf) = random_dnf(
+            7,
+            DnfParams {
+                clauses,
+                vars,
+                clause_len: 3,
+                domain: 2,
+            },
+        );
         // Pure sampling and the cascade alternate, run by run, at the same
         // seeds, so machine drift lands on both.
         let runs = if clauses > 1000 { 5 } else { 9 };
         let (mut aconf_ms, mut cascade_ms) = (Vec::new(), Vec::new());
         let mut answer = None;
         for run in 0..runs {
-            let (ms, _) = time(1, |_| aconf_seeded_report(&dnf, &wt, EPSILON, DELTA, 99 + run).unwrap());
+            let (ms, _) = time(1, |_| {
+                aconf_seeded_report(&dnf, &wt, EPSILON, DELTA, 99 + run).unwrap()
+            });
             aconf_ms.push(ms);
-            let method = ConfMethod::Approx { epsilon: EPSILON, delta: DELTA, seed: 99 + run };
+            let method = ConfMethod::Approx {
+                epsilon: EPSILON,
+                delta: DELTA,
+                seed: 99 + run,
+            };
             let (ms, out) = time(1, |_| confidence_with_effort(&dnf, &wt, method).unwrap());
             cascade_ms.push(ms);
             answer = Some(out);
@@ -65,7 +95,10 @@ fn main() {
         let exact = (clauses <= 48 || effort.estimator == Estimator::DTree)
             .then(|| time(runs as usize, |_| exact::probability(&dnf, &wt).unwrap()));
         let (exact_ms, rel_err) = match exact {
-            Some((ms, truth)) => (format!("{ms:.3}"), format!("{:.4}", ((p - truth) / truth).abs())),
+            Some((ms, truth)) => (
+                format!("{ms:.3}"),
+                format!("{:.4}", ((p - truth) / truth).abs()),
+            ),
             None => ("-".to_string(), "-".to_string()),
         };
         println!(

@@ -10,7 +10,12 @@ use maybms_conf::karp_luby::KarpLuby;
 fn main() {
     let (wt, dnf) = random_dnf(
         11,
-        DnfParams { clauses: 60, vars: 80, clause_len: 3, domain: 2 },
+        DnfParams {
+            clauses: 60,
+            vars: 80,
+            clause_len: 3,
+            domain: 2,
+        },
     );
     let truth = exact::probability(&dnf, &wt).unwrap();
     let kl = KarpLuby::new(&dnf, &wt).unwrap();

@@ -46,6 +46,13 @@ fn main() {
             ut.push(run(&uncertain));
         }
         let (c, u) = (median(ct), median(ut));
-        println!("{:>8} {:>14.3} {:>14.3} {:>9.2}x {:>13}", rows, c, u, u / c, format!("2^{rows}"));
+        println!(
+            "{:>8} {:>14.3} {:>14.3} {:>9.2}x {:>13}",
+            rows,
+            c,
+            u,
+            u / c,
+            format!("2^{rows}")
+        );
     }
 }

@@ -16,7 +16,10 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 fn main() {
     println!("E6 — repair-key construction");
-    println!("{:>8} {:>6} {:>10} {:>12} {:>10}", "groups", "alts", "rows", "median ms", "vars");
+    println!(
+        "{:>8} {:>6} {:>10} {:>12} {:>10}",
+        "groups", "alts", "rows", "median ms", "vars"
+    );
     for groups in [1_000usize, 10_000, 100_000] {
         for alts in [2usize, 4, 16] {
             let input = repair_input(31, groups, alts);
@@ -28,7 +31,9 @@ fn main() {
                 let out = repair_key(
                     &input,
                     &[Expr::col("k")],
-                    &RepairKeyOptions { weight: Some(Expr::col("w")) },
+                    &RepairKeyOptions {
+                        weight: Some(Expr::col("w")),
+                    },
                     &mut wt,
                 )
                 .unwrap();

@@ -39,13 +39,14 @@ fn run_walk(players: usize, steps: usize) -> (f64, bool) {
         ))
         .unwrap();
     }
-    let out = db.query(&format!("select Player, p from W{steps}")).unwrap();
+    let out = db
+        .query(&format!("select Player, p from W{steps}"))
+        .unwrap();
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     // Correctness: per-player distribution sums to 1.
     let mut sums: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
     for t in out.tuples() {
-        *sums.entry(t.value(0).to_string()).or_insert(0.0) +=
-            t.value(1).as_f64().unwrap();
+        *sums.entry(t.value(0).to_string()).or_insert(0.0) += t.value(1).as_f64().unwrap();
     }
     let ok = sums.values().all(|s| (s - 1.0).abs() < 1e-9);
     (elapsed, ok)
@@ -53,7 +54,10 @@ fn run_walk(players: usize, steps: usize) -> (f64, bool) {
 
 fn main() {
     println!("E1 — k-step random walks via repair-key + conf (Figure 1)");
-    println!("{:<10} {:>6} {:>12} {:>8}", "players", "steps", "median ms", "sums=1");
+    println!(
+        "{:<10} {:>6} {:>12} {:>8}",
+        "players", "steps", "median ms", "sums=1"
+    );
     for players in [4usize, 16, 64, 256] {
         for steps in [1usize, 2, 3, 4] {
             let mut times = Vec::new();
@@ -93,7 +97,14 @@ fn main() {
         times.sort_by(f64::total_cmp);
         let median = times[times.len() / 2];
         let ratio = last.map_or(String::from("-"), |l| format!("{:.2}", median / l));
-        println!("{:<10} {:>8} {:>12.3} {:>10} {:>12}", players, dnf.len(), median, ratio, nodes);
+        println!(
+            "{:<10} {:>8} {:>12.3} {:>10} {:>12}",
+            players,
+            dnf.len(),
+            median,
+            ratio,
+            nodes
+        );
         last = Some(median);
     }
 }

@@ -33,8 +33,14 @@ use maybms_obs::trace;
 /// anything, so a nonzero delta means the measured reps were perturbed
 /// (e.g. the run was launched with a statement timeout or
 /// `MAYBMS_STORE_FAULT_EVERY` exported) and the timings are invalid.
-const GOV_COUNTERS: [&str; 6] =
-    ["cancelled", "deadline", "mem_rejected", "degraded_conf", "panics", "store_retries"];
+const GOV_COUNTERS: [&str; 6] = [
+    "cancelled",
+    "deadline",
+    "mem_rejected",
+    "degraded_conf",
+    "panics",
+    "store_retries",
+];
 
 fn gov_metric_mark() -> [u64; 6] {
     let m = maybms_obs::metrics();
@@ -89,12 +95,20 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let assert_overhead: Option<f64> =
         args.iter().position(|a| a == "--assert-overhead").map(|i| {
-            args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("error: --assert-overhead needs a percentage, e.g. --assert-overhead 5");
-                std::process::exit(1);
-            })
+            args.get(i + 1)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| {
+                    eprintln!(
+                        "error: --assert-overhead needs a percentage, e.g. --assert-overhead 5"
+                    );
+                    std::process::exit(1);
+                })
         });
-    let (scale, reps) = if quick { (10_000usize, 31usize) } else { (100_000, 21) };
+    let (scale, reps) = if quick {
+        (10_000usize, 31usize)
+    } else {
+        (100_000, 21)
+    };
     let keys = (scale / CLAUSES_PER_CALL) as i64;
 
     let (certain, _, _) = workloads::overhead_pair(21, scale, keys);
@@ -110,13 +124,21 @@ fn main() {
     let (mut plain, mut traced) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
     for rep in 0..reps {
         let mut rows = [0; 2];
-        for on in if rep % 2 == 0 { [false, true] } else { [true, false] } {
+        for on in if rep % 2 == 0 {
+            [false, true]
+        } else {
+            [true, false]
+        } {
             trace::set_enabled(on);
             let (ms, n) = run_mix(&mut db);
             trace::set_enabled(false);
             trace::clear();
             rows[on as usize] = n;
-            if on { traced.push(ms) } else { plain.push(ms) }
+            if on {
+                traced.push(ms)
+            } else {
+                plain.push(ms)
+            }
         }
         assert_eq!(rows[0], rows[1], "tracing changed the result cardinality");
     }

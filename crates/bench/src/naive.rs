@@ -34,7 +34,11 @@ pub enum Step {
     /// π
     Project(Vec<Expr>),
     /// Equi-join against `build` on positional keys (NULL never matches).
-    Probe { build: URelation, left_keys: Vec<usize>, right_keys: Vec<usize> },
+    Probe {
+        build: URelation,
+        left_keys: Vec<usize>,
+        right_keys: Vec<usize>,
+    },
 }
 
 /// Row-major scalar reference for a fused chain: each source row, in
@@ -56,11 +60,17 @@ pub fn fused_chain(
             Step::Filter(p) if p.eval_predicate_values(row)? => walk(row, wsd, rest, out)?,
             Step::Filter(_) => {}
             Step::Project(es) => {
-                let vals: Vec<Value> =
-                    es.iter().map(|e| e.eval_values(row)).collect::<Result<_, _>>()?;
+                let vals: Vec<Value> = es
+                    .iter()
+                    .map(|e| e.eval_values(row))
+                    .collect::<Result<_, _>>()?;
                 walk(&vals, wsd, rest, out)?;
             }
-            Step::Probe { build, left_keys, right_keys } => {
+            Step::Probe {
+                build,
+                left_keys,
+                right_keys,
+            } => {
                 for b in build.tuples() {
                     let brow = b.data.values();
                     let keys_eq = left_keys
@@ -162,11 +172,17 @@ pub fn aggregate_u(
     }
     // Shape rules: tconf is per-tuple, argmax stands alone.
     if aggs.iter().any(|(s, _)| matches!(s, AggSpec::TConf))
-        || (aggs.len() > 1 && aggs.iter().any(|(s, _)| matches!(s, AggSpec::ArgMax { .. })))
+        || (aggs.len() > 1
+            && aggs
+                .iter()
+                .any(|(s, _)| matches!(s, AggSpec::ArgMax { .. })))
     {
         return Err("tconf() cannot be grouped; argmax cannot be combined".into());
     }
-    let n_aconf = aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count();
+    let n_aconf = aggs
+        .iter()
+        .filter(|(s, _)| matches!(s, AggSpec::AConf { .. }))
+        .count();
     let mut out = Vec::new();
     for (g, (key, members)) in groups.iter().enumerate() {
         let certain = members.iter().all(|t| t.wsd.is_tautology());
@@ -195,7 +211,9 @@ pub fn aggregate_u(
         // Confidence of the group's lineage: the DNF of its member WSDs.
         let conf = |method| -> Result<Value, String> {
             let dnf = Dnf::from_wsds(members.iter().map(|t| &t.wsd));
-            msg(Value::float(msg(confidence_with_effort(&dnf, wt, method))?.0))
+            msg(Value::float(
+                msg(confidence_with_effort(&dnf, wt, method))?.0,
+            ))
         };
         let mut row = key.clone();
         let mut aconf_slot = 0;
@@ -205,7 +223,11 @@ pub fn aggregate_u(
                 AggSpec::AConf { epsilon, delta } => {
                     aconf_slot += 1;
                     let seed = seed.wrapping_add((g * n_aconf + aconf_slot) as u64);
-                    conf(ConfMethod::Approx { epsilon: *epsilon, delta: *delta, seed })?
+                    conf(ConfMethod::Approx {
+                        epsilon: *epsilon,
+                        delta: *delta,
+                        seed,
+                    })?
                 }
                 AggSpec::ESum(e) => {
                     let mut sum = 0.0;
@@ -274,18 +296,32 @@ fn std_aggregate(func: ops::AggFunc, vals: &[Value]) -> Result<Value, String> {
             }
             let ints: Option<Vec<i128>> = vals
                 .iter()
-                .map(|v| if let Value::Int(i) = v { Some(i128::from(*i)) } else { None })
+                .map(|v| {
+                    if let Value::Int(i) = v {
+                        Some(i128::from(*i))
+                    } else {
+                        None
+                    }
+                })
                 .collect();
             if let (Sum, Some(ints)) = (func, ints) {
                 let total: i128 = ints.iter().sum();
-                return i64::try_from(total).map(Value::Int).map_err(|e| e.to_string());
+                return i64::try_from(total)
+                    .map(Value::Int)
+                    .map_err(|e| e.to_string());
             }
             let total: f64 = vals.iter().filter_map(Value::as_f64).sum();
-            let out = if func == Sum { total } else { total / vals.len() as f64 };
+            let out = if func == Sum {
+                total
+            } else {
+                total / vals.len() as f64
+            };
             Value::float(out).map_err(|e| e.to_string())
         }
         Min | Max => {
-            let Some(first) = vals.first() else { return Ok(Value::Null) };
+            let Some(first) = vals.first() else {
+                return Ok(Value::Null);
+            };
             let same_class = |v: &Value| {
                 (numeric(v) && numeric(first))
                     || std::mem::discriminant(v) == std::mem::discriminant(first)
@@ -404,8 +440,11 @@ pub fn repair_key(
     }
     let mut out = Vec::with_capacity(input.len());
     for indices in groups {
-        let alive: Vec<usize> =
-            indices.iter().copied().filter(|&i| weights[i] > 0.0).collect();
+        let alive: Vec<usize> = indices
+            .iter()
+            .copied()
+            .filter(|&i| weights[i] > 0.0)
+            .collect();
         if alive.is_empty() {
             return Err(UrelError::BadWeight {
                 message: "all weights in a repair-key group are zero".into(),
@@ -435,8 +474,11 @@ pub fn pick_tuples(
     wt: &mut maybms_urel::WorldTable,
 ) -> maybms_urel::Result<URelation> {
     use maybms_urel::{Assignment, UrelError, Wsd};
-    let bound =
-        options.probability.as_ref().map(|e| e.bind(input.schema())).transpose()?;
+    let bound = options
+        .probability
+        .as_ref()
+        .map(|e| e.bind(input.schema()))
+        .transpose()?;
     let mut out = Vec::with_capacity(input.len());
     for t in input.tuples() {
         let p = match &bound {

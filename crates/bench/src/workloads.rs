@@ -194,13 +194,19 @@ pub fn overhead_pair(seed: u64, rows: usize, keys: i64) -> (Relation, WorldTable
         ]);
     }
     let certain = maybms_engine::rel(
-        &[("k", DataType::Int), ("v", DataType::Int), ("prob", DataType::Float)],
+        &[
+            ("k", DataType::Int),
+            ("v", DataType::Int),
+            ("prob", DataType::Float),
+        ],
         data,
     );
     let mut wt = WorldTable::new();
     let uncertain = pick_tuples(
         &certain,
-        &PickTuplesOptions { probability: Some(Expr::col("prob")) },
+        &PickTuplesOptions {
+            probability: Some(Expr::col("prob")),
+        },
         &mut wt,
     )
     .expect("valid probabilities");
@@ -222,7 +228,11 @@ pub fn repair_input(seed: u64, groups: usize, alternatives: usize) -> Relation {
         }
     }
     maybms_engine::rel(
-        &[("k", DataType::Int), ("alt", DataType::Int), ("w", DataType::Float)],
+        &[
+            ("k", DataType::Int),
+            ("alt", DataType::Int),
+            ("w", DataType::Float),
+        ],
         rows,
     )
 }
@@ -257,8 +267,15 @@ mod tests {
 
     #[test]
     fn random_dnf_shape() {
-        let (wt, d) =
-            random_dnf(1, DnfParams { clauses: 10, vars: 6, clause_len: 3, domain: 2 });
+        let (wt, d) = random_dnf(
+            1,
+            DnfParams {
+                clauses: 10,
+                vars: 6,
+                clause_len: 3,
+                domain: 2,
+            },
+        );
         assert_eq!(d.len(), 10);
         assert_eq!(wt.num_vars(), 6);
         for c in d.clauses() {

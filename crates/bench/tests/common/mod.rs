@@ -24,8 +24,16 @@ pub fn stream(source: &URelation, steps: &[Step], compact: bool) -> maybms_urel:
                     .collect();
                 s.project(&items)?
             }
-            Step::Probe { build, left_keys, right_keys } => {
-                let build = if compact { build.compact() } else { build.clone() };
+            Step::Probe {
+                build,
+                left_keys,
+                right_keys,
+            } => {
+                let build = if compact {
+                    build.compact()
+                } else {
+                    build.clone()
+                };
                 s.hash_join(build, left_keys, right_keys)?
             }
         };
@@ -48,9 +56,10 @@ pub fn check_chain(source: &URelation, steps: &[Step]) {
     let want = fused_chain(source, steps)
         .map(|rows| rows.iter().map(|(v, w)| render(v, w)).collect::<Vec<_>>())
         .map_err(|(row, e)| (row, e.to_string()));
-    for (layout, src, compact) in
-        [("row-major", source.clone(), false), ("compacted", source.compact(), true)]
-    {
+    for (layout, src, compact) in [
+        ("row-major", source.clone(), false),
+        ("compacted", source.compact(), true),
+    ] {
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {
@@ -60,8 +69,11 @@ pub fn check_chain(source: &URelation, steps: &[Step]) {
                     .collect_with(&pool, morsel, (&maybms_obs::QueryStats::new(), "test"));
                 match (&want, got) {
                     (Ok(w), Ok(g)) => {
-                        let g: Vec<String> =
-                            g.tuples().iter().map(|t| render(t.data.values(), &t.wsd)).collect();
+                        let g: Vec<String> = g
+                            .tuples()
+                            .iter()
+                            .map(|t| render(t.data.values(), &t.wsd))
+                            .collect();
                         assert_eq!(&g, w, "{at}")
                     }
                     (Err((row, w)), Err(g)) => {

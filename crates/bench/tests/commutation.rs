@@ -23,7 +23,11 @@ fn arb_ti_relation(max_rows: usize) -> impl Strategy<Value = (WorldTable, URelat
     prop::collection::vec((0i64..4, 0i64..4, 1u32..10), 0..max_rows).prop_map(|rows| {
         let mut wt = WorldTable::new();
         let certain = rel(
-            &[("k", DataType::Int), ("v", DataType::Int), ("p", DataType::Float)],
+            &[
+                ("k", DataType::Int),
+                ("v", DataType::Int),
+                ("p", DataType::Float),
+            ],
             rows.iter()
                 .map(|(k, v, p10)| {
                     vec![
@@ -36,7 +40,9 @@ fn arb_ti_relation(max_rows: usize) -> impl Strategy<Value = (WorldTable, URelat
         );
         let u = pick_tuples(
             &certain,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();
@@ -51,10 +57,17 @@ fn arb_repaired(max_rows: usize) -> impl Strategy<Value = (WorldTable, URelation
         let mut wt = WorldTable::new();
         let certain = rel(
             &[("k", DataType::Int), ("v", DataType::Int)],
-            rows.iter().map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)]).collect(),
+            rows.iter()
+                .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
+                .collect(),
         );
-        let u = repair_key(&certain, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt)
-            .unwrap();
+        let u = repair_key(
+            &certain,
+            &[Expr::col("k")],
+            &RepairKeyOptions::default(),
+            &mut wt,
+        )
+        .unwrap();
         (wt, u)
     })
 }
@@ -93,7 +106,11 @@ fn assert_commutes(
 
 /// A probe of `build` on column 0 = column 0.
 fn probe(build: URelation) -> Step {
-    Step::Probe { build, left_keys: vec![0], right_keys: vec![0] }
+    Step::Probe {
+        build,
+        left_keys: vec![0],
+        right_keys: vec![0],
+    }
 }
 
 proptest! {

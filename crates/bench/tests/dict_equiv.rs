@@ -48,14 +48,18 @@ fn table(name: &str, rows: Vec<(Value, Value)>) -> URelation {
         (&format!("{name}_k"), DataType::Text),
         (&format!("{name}_v"), DataType::Unknown),
     ]));
-    let tuples =
-        rows.into_iter().map(|(k, v)| UTuple::certain(Tuple::new(vec![k, v]))).collect();
+    let tuples = rows
+        .into_iter()
+        .map(|(k, v)| UTuple::certain(Tuple::new(vec![k, v])))
+        .collect();
     URelation::new(schema, tuples)
 }
 
 /// `count(*)`, `sum(v)`, `min(v)` — one state per aggregate.
 fn new_states() -> Vec<AggState> {
-    [AggFunc::Count, AggFunc::Sum, AggFunc::Min].map(AggState::new).to_vec()
+    [AggFunc::Count, AggFunc::Sum, AggFunc::Min]
+        .map(AggState::new)
+        .to_vec()
 }
 
 fn fold_row(states: &mut [AggState], row: &[Value]) -> maybms_urel::Result<()> {

@@ -44,7 +44,9 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..24).prop_map(|rows| {
         Relation::new_unchecked(
             schema3(),
-            rows.into_iter().map(|(k, v, s)| Tuple::new(vec![k, v, s])).collect(),
+            rows.into_iter()
+                .map(|(k, v, s)| Tuple::new(vec![k, v, s]))
+                .collect(),
         )
     })
 }

@@ -50,7 +50,9 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..24).prop_map(|rows| {
         Relation::new_unchecked(
             schema3(),
-            rows.into_iter().map(|(k, v, s)| Tuple::new(vec![k, v, s])).collect(),
+            rows.into_iter()
+                .map(|(k, v, s)| Tuple::new(vec![k, v, s]))
+                .collect(),
         )
     })
 }
@@ -88,8 +90,8 @@ fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
 /// sampling property.
 fn arb_dnf() -> impl Strategy<Value = (WorldTable, Dnf)> {
     (
-        2usize..5,                                         // blocks
-        prop::collection::vec((0u16..2, 0u16..2), 1..4),   // cross clauses
+        2usize..5,                                       // blocks
+        prop::collection::vec((0u16..2, 0u16..2), 1..4), // cross clauses
     )
         .prop_map(|(blocks, cross)| {
             let mut wt = WorldTable::new();
@@ -97,30 +99,25 @@ fn arb_dnf() -> impl Strategy<Value = (WorldTable, Dnf)> {
             let mut clauses = Vec::new();
             for b in 0..blocks {
                 let x = wt.new_var(&[0.4, 0.6]).unwrap();
-                let y = wt.new_var(&[0.3 + 0.1 * (b % 3) as f64, 0.7 - 0.1 * (b % 3) as f64]).unwrap();
+                let y = wt
+                    .new_var(&[0.3 + 0.1 * (b % 3) as f64, 0.7 - 0.1 * (b % 3) as f64])
+                    .unwrap();
                 vars.push((x, y));
                 clauses.push(
-                    Wsd::from_assignments(vec![
-                        Assignment::new(x, 1),
-                        Assignment::new(y, 1),
-                    ])
-                    .unwrap(),
+                    Wsd::from_assignments(vec![Assignment::new(x, 1), Assignment::new(y, 1)])
+                        .unwrap(),
                 );
                 clauses.push(
-                    Wsd::from_assignments(vec![
-                        Assignment::new(x, 0),
-                        Assignment::new(y, 0),
-                    ])
-                    .unwrap(),
+                    Wsd::from_assignments(vec![Assignment::new(x, 0), Assignment::new(y, 0)])
+                        .unwrap(),
                 );
             }
             for (i, &(a0, a1)) in cross.iter().enumerate() {
                 let (x, _) = vars[i % vars.len()];
                 let (_, y) = vars[(i + 1) % vars.len()];
-                if let Some(w) = Wsd::from_assignments(vec![
-                    Assignment::new(x, a0),
-                    Assignment::new(y, a1),
-                ]) {
+                if let Some(w) =
+                    Wsd::from_assignments(vec![Assignment::new(x, a0), Assignment::new(y, a1)])
+                {
                     clauses.push(w);
                 }
             }
@@ -247,7 +244,16 @@ fn unsatisfiable_wsd_pairs_drop_in_parallel_join() {
 fn null_keys_never_match_in_parallel_join() {
     let r = maybms_engine::rel(
         &[("k", DataType::Int)],
-        vec![vec![Value::Null], vec![Value::Null], vec![1.into()], vec![1.into()]],
+        vec![
+            vec![Value::Null],
+            vec![Value::Null],
+            vec![1.into()],
+            vec![1.into()],
+        ],
     );
-    assert_eq!(self_join(&URelation::from_certain(&r)).len(), 4, "2×2 non-NULL pairs only");
+    assert_eq!(
+        self_join(&URelation::from_certain(&r)).len(),
+        4,
+        "2×2 non-NULL pairs only"
+    );
 }

@@ -43,7 +43,14 @@ fn stage_fingerprint(ps: &maybms_obs::PipelineStats) -> PipelineFingerprint {
     (
         ps.stages
             .iter()
-            .map(|s| (s.label.clone(), s.rows_in.get(), s.rows_out.get(), s.build_rows.get()))
+            .map(|s| {
+                (
+                    s.label.clone(),
+                    s.rows_in.get(),
+                    s.rows_out.get(),
+                    s.build_rows.get(),
+                )
+            })
             .collect(),
         [ps.rows_in.get(), ps.rows_out.get(), ps.groups.get()],
     )
@@ -53,7 +60,10 @@ fn stage_fingerprint(ps: &maybms_obs::PipelineStats) -> PipelineFingerprint {
 /// stage fingerprints plus the confidence-estimator effort counters.
 fn query_fingerprint(qs: &maybms_obs::QueryStats) -> (Vec<PipelineFingerprint>, [u64; 6], u64) {
     (
-        qs.pipelines().iter().map(|p| stage_fingerprint(p)).collect(),
+        qs.pipelines()
+            .iter()
+            .map(|p| stage_fingerprint(p))
+            .collect(),
         [
             qs.conf_calls.get(),
             qs.dnf_clauses.get(),
@@ -97,8 +107,12 @@ fn uschema() -> Arc<Schema> {
 
 /// The condition `raw` spells (the tautology when it contradicts itself).
 fn wsd_of(raw: Vec<(u32, u16)>) -> Wsd {
-    Wsd::from_assignments(raw.into_iter().map(|(v, a)| Assignment::new(Var(v), a)).collect())
-        .unwrap_or_else(Wsd::tautology)
+    Wsd::from_assignments(
+        raw.into_iter()
+            .map(|(v, a)| Assignment::new(Var(v), a))
+            .collect(),
+    )
+    .unwrap_or_else(Wsd::tautology)
 }
 
 /// A world table with three small variables plus a U-relation whose WSDs
@@ -142,10 +156,14 @@ fn build_steps(u1: &URelation, u2: &URelation, tokens: &[Token]) -> Vec<Step> {
         };
         let cmp = [BinaryOp::Gt, BinaryOp::Lt, BinaryOp::LtEq][b as usize % 3];
         match op % 8 {
-            0 | 1 => steps.push(Step::Filter(num_col(a).binary(cmp, Expr::lit(i64::from(b % 4))))),
+            0 | 1 => steps.push(Step::Filter(
+                num_col(a).binary(cmp, Expr::lit(i64::from(b % 4))),
+            )),
             2 => {
                 let rotate = |i: usize| (i + a as usize) % arity;
-                steps.push(Step::Project((0..arity).map(|i| Expr::ColumnIdx(rotate(i))).collect()));
+                steps.push(Step::Project(
+                    (0..arity).map(|i| Expr::ColumnIdx(rotate(i))).collect(),
+                ));
                 numeric = (0..arity).map(|i| numeric[rotate(i)]).collect();
             }
             3 | 4 => {
@@ -158,7 +176,11 @@ fn build_steps(u1: &URelation, u2: &URelation, tokens: &[Token]) -> Vec<Step> {
                     3 => (vec![lk], vec![0]),
                     _ => (vec![lk, (lk + 1) % arity], vec![0, 1]),
                 };
-                steps.push(Step::Probe { build: build.clone(), left_keys, right_keys });
+                steps.push(Step::Probe {
+                    build: build.clone(),
+                    left_keys,
+                    right_keys,
+                });
                 numeric.extend([true, true, false]);
             }
             5 => steps.push(Step::Filter(Expr::Case {
@@ -172,7 +194,11 @@ fn build_steps(u1: &URelation, u2: &URelation, tokens: &[Token]) -> Vec<Step> {
                 let mut exprs: Vec<Expr> = (0..arity).map(Expr::ColumnIdx).collect();
                 exprs.push(Expr::InList {
                     expr: Box::new(num_col(a)),
-                    list: vec![Expr::lit(i64::from(a % 3)), Expr::lit(Value::Null), num_col(b)],
+                    list: vec![
+                        Expr::lit(i64::from(a % 3)),
+                        Expr::lit(Value::Null),
+                        num_col(b),
+                    ],
                     negated: b % 2 == 0,
                 });
                 exprs.push(Expr::Cast {
@@ -183,8 +209,8 @@ fn build_steps(u1: &URelation, u2: &URelation, tokens: &[Token]) -> Vec<Step> {
                 numeric.extend([false, false]);
             }
             _ => {
-                let arith = [BinaryOp::Add, BinaryOp::Mul, BinaryOp::Div, BinaryOp::Mod]
-                    [b as usize % 4];
+                let arith =
+                    [BinaryOp::Add, BinaryOp::Mul, BinaryOp::Div, BinaryOp::Mod][b as usize % 4];
                 let mut exprs: Vec<Expr> = (0..arity).map(Expr::ColumnIdx).collect();
                 exprs.push(num_col(a).binary(arith, Expr::lit(i64::from(a % 3))));
                 steps.push(Step::Project(exprs));
@@ -204,7 +230,9 @@ struct UChain {
 /// Fold tokens into a lazy stream. Returns `(stream, per-column
 /// numeric-or-NULL flags)`.
 fn build_uchain(u1: &URelation, u2: &URelation, tokens: &[Token]) -> (UStream, Vec<bool>) {
-    let mut info = UChain { numeric: vec![true, true, false] };
+    let mut info = UChain {
+        numeric: vec![true, true, false],
+    };
     let mut lazy = UStream::new(u1.clone());
     for &(op, a, b) in tokens {
         let arity = info.numeric.len();
@@ -221,7 +249,10 @@ fn build_uchain(u1: &URelation, u2: &URelation, tokens: &[Token]) -> (UStream, V
                     };
                     Expr::ColumnIdx(idx).binary(cmp, Expr::lit(i64::from(b % 4)))
                 } else {
-                    Expr::IsNull { expr: Box::new(Expr::ColumnIdx(idx)), negated: true }
+                    Expr::IsNull {
+                        expr: Box::new(Expr::ColumnIdx(idx)),
+                        negated: true,
+                    }
                 };
                 lazy = lazy.filter(&pred).unwrap();
             }
@@ -230,14 +261,12 @@ fn build_uchain(u1: &URelation, u2: &URelation, tokens: &[Token]) -> (UStream, V
                 // per-column numeric flags meaningful).
                 let items: Vec<ProjectItem> = (0..arity)
                     .map(|i| {
-                        ProjectItem::new(
-                            Expr::ColumnIdx((i + a as usize) % arity),
-                            format!("p{i}"),
-                        )
+                        ProjectItem::new(Expr::ColumnIdx((i + a as usize) % arity), format!("p{i}"))
                     })
                     .collect();
-                info.numeric =
-                    (0..arity).map(|i| info.numeric[(i + a as usize) % arity]).collect();
+                info.numeric = (0..arity)
+                    .map(|i| info.numeric[(i + a as usize) % arity])
+                    .collect();
                 lazy = lazy.project(&items).unwrap();
             }
             _ => {
@@ -444,12 +473,18 @@ fn arb_join_source(
 /// One WHERE conjunct over aliases `a0 …` as SQL text and as the bound
 /// expression over the concatenated `(k, f, s)` schemas the oracle runs.
 fn join_conjunct(n: usize, (op, a, b): Token) -> (String, Expr) {
-    let (t1, t2) = (a as usize % n, (a as usize + 1 + b as usize % (n - 1).max(1)) % n);
+    let (t1, t2) = (
+        a as usize % n,
+        (a as usize + 1 + b as usize % (n - 1).max(1)) % n,
+    );
     let name = |t: usize, c: usize| format!("a{t}.{}", ["k", "f", "s"][c]);
     let col = |t: usize, c: usize| Expr::ColumnIdx(3 * t + c);
     let lit = i64::from(b % 3);
     let eq = |c1: usize, c2: usize| {
-        (format!("{} = {}", name(t1, c1), name(t2, c2)), col(t1, c1).eq(col(t2, c2)))
+        (
+            format!("{} = {}", name(t1, c1), name(t2, c2)),
+            col(t1, c1).eq(col(t2, c2)),
+        )
     };
     match op % 12 {
         0 | 1 => eq(0, 0),
@@ -459,7 +494,10 @@ fn join_conjunct(n: usize, (op, a, b): Token) -> (String, Expr) {
             format!("{} >= {lit}", name(t1, 0)),
             col(t1, 0).binary(BinaryOp::GtEq, Expr::lit(lit)),
         ),
-        6 => (format!("{lit} = {}", name(t1, 0)), Expr::lit(lit).eq(col(t1, 0))),
+        6 => (
+            format!("{lit} = {}", name(t1, 0)),
+            Expr::lit(lit).eq(col(t1, 0)),
+        ),
         7 => (
             format!("{} in ({lit}, 2)", name(t1, 0)),
             Expr::InList {
@@ -478,7 +516,13 @@ fn join_conjunct(n: usize, (op, a, b): Token) -> (String, Expr) {
             col(t1, 0).binary(BinaryOp::NotEq, col(t2, 0)),
         ),
         _ => (
-            format!("({} = {} or {} = {})", name(t1, 0), name(t2, 0), name(t1, 2), name(t2, 2)),
+            format!(
+                "({} = {} or {} = {})",
+                name(t1, 0),
+                name(t2, 0),
+                name(t1, 2),
+                name(t2, 2)
+            ),
             col(t1, 0).eq(col(t2, 0)).or(col(t1, 2).eq(col(t2, 2))),
         ),
     }

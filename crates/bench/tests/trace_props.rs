@@ -92,20 +92,26 @@ fn shape_fingerprint(spans: &[SpanRecord]) -> Vec<String> {
 /// Checks property 1 (well-formed tree) and returns the root record.
 fn assert_well_formed(spans: &[SpanRecord]) -> SpanRecord {
     let by_id: BTreeMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
-    let roots: Vec<&&SpanRecord> =
-        by_id.values().filter(|s| s.parent == 0).collect();
+    let roots: Vec<&&SpanRecord> = by_id.values().filter(|s| s.parent == 0).collect();
     assert_eq!(roots.len(), 1, "exactly one root per statement tree");
     let root = (**roots[0]).clone();
     assert_eq!(root.label, "statement");
     assert_eq!(root.root, root.id);
     for s in spans {
-        assert_eq!(s.root, root.id, "span {} ({}) in the wrong tree", s.id, s.label);
+        assert_eq!(
+            s.root, root.id,
+            "span {} ({}) in the wrong tree",
+            s.id, s.label
+        );
         if s.parent == 0 {
             continue;
         }
-        let parent = by_id
-            .get(&s.parent)
-            .unwrap_or_else(|| panic!("span {} ({}) has a dangling parent {}", s.id, s.label, s.parent));
+        let parent = by_id.get(&s.parent).unwrap_or_else(|| {
+            panic!(
+                "span {} ({}) has a dangling parent {}",
+                s.id, s.label, s.parent
+            )
+        });
         assert!(
             s.start_nanos >= parent.start_nanos && s.end_nanos() <= parent.end_nanos(),
             "span {} ({}) [{}, {}] escapes parent {} ({}) [{}, {}]",
@@ -133,8 +139,7 @@ fn span_tree_well_formed_and_agrees_with_explain_analyze() {
                from (repair key toss in coin weight by w) c group by face";
     let (spans, pipeline_count) = traced_run(&mut db, sql);
     let root = assert_well_formed(&spans);
-    let pipelines: Vec<&SpanRecord> =
-        spans.iter().filter(|s| s.label == "pipeline").collect();
+    let pipelines: Vec<&SpanRecord> = spans.iter().filter(|s| s.label == "pipeline").collect();
     assert_eq!(
         pipelines.len(),
         pipeline_count,
@@ -150,9 +155,18 @@ fn span_tree_well_formed_and_agrees_with_explain_analyze() {
     }
     // The same statement records conf spans (one per group) and a parse
     // child (the statement came in through `run`, i.e. as SQL text).
-    assert!(spans.iter().any(|s| s.label == "conf"), "conf() must be spanned");
-    assert!(spans.iter().any(|s| s.label == "parse"), "parse must be spanned");
-    assert!(spans.iter().any(|s| s.label == "execute"), "execute must be spanned");
+    assert!(
+        spans.iter().any(|s| s.label == "conf"),
+        "conf() must be spanned"
+    );
+    assert!(
+        spans.iter().any(|s| s.label == "parse"),
+        "parse must be spanned"
+    );
+    assert!(
+        spans.iter().any(|s| s.label == "execute"),
+        "execute must be spanned"
+    );
 }
 
 /// The `conf` spans of `sql`'s `groups` groups, and a reader of one
@@ -188,7 +202,9 @@ fn aconf_span_carries_requested_and_achieved_accuracy() {
     let mut x: u64 = 3;
     let edges: Vec<String> = (0..450)
         .map(|i| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             format!("({}, {}, {})", i % 3, (x >> 33) % 30, (x >> 45) % 30)
         })
         .collect();
@@ -212,9 +228,13 @@ fn aconf_span_carries_requested_and_achieved_accuracy() {
         assert!(matches!(attr(&span, "method"), AttrValue::Str("approx")));
         assert!(matches!(attr(&span, "epsilon"), AttrValue::Float(e) if e == 0.1));
         assert!(matches!(attr(&span, "delta"), AttrValue::Float(d) if d == 0.05));
-        let AttrValue::Uint(budget) = attr(&span, "budget") else { panic!("budget not a count") };
+        let AttrValue::Uint(budget) = attr(&span, "budget") else {
+            panic!("budget not a count")
+        };
         assert!(matches!(attr(&span, "dtree_nodes"), AttrValue::Uint(n) if n == budget && n > 0));
-        let AttrValue::Uint(samples) = attr(&span, "samples") else { panic!("samples not a count") };
+        let AttrValue::Uint(samples) = attr(&span, "samples") else {
+            panic!("samples not a count")
+        };
         assert!(samples > 0);
         assert!(matches!(attr(&span, "samples_drawn"), AttrValue::Uint(n) if n == samples));
         assert!(matches!(attr(&span, "rel_stderr"), AttrValue::Float(r) if r > 0.0 && r < 0.1));
@@ -236,7 +256,9 @@ fn aconf_span_of_a_certified_answer_says_exact() {
         assert!(matches!(attr(&span, "method"), AttrValue::Str("exact")));
         assert!(matches!(attr(&span, "epsilon"), AttrValue::Float(e) if e == 0.1));
         assert!(matches!(attr(&span, "delta"), AttrValue::Float(d) if d == 0.05));
-        let AttrValue::Uint(budget) = attr(&span, "budget") else { panic!("budget not a count") };
+        let AttrValue::Uint(budget) = attr(&span, "budget") else {
+            panic!("budget not a count")
+        };
         assert!(matches!(attr(&span, "dtree_nodes"), AttrValue::Uint(n) if n > 0 && n <= budget));
         assert!(matches!(attr(&span, "samples"), AttrValue::Uint(0)));
     }
@@ -270,8 +292,14 @@ fn span_tree_shape_identical_across_thread_counts() {
         shapes.push(per_stmt);
     }
     maybms_par::set_threads(before);
-    assert_eq!(shapes[0], shapes[1], "span-tree shape differs, 2 threads vs 1");
-    assert_eq!(shapes[0], shapes[2], "span-tree shape differs, 8 threads vs 1");
+    assert_eq!(
+        shapes[0], shapes[1],
+        "span-tree shape differs, 2 threads vs 1"
+    );
+    assert_eq!(
+        shapes[0], shapes[2],
+        "span-tree shape differs, 8 threads vs 1"
+    );
 }
 
 /// Property 4 (and 3 again): a statement with UNION, ORDER BY and LIMIT
@@ -294,11 +322,16 @@ fn each_breaker_is_one_span_at_any_thread_count() {
         let root = assert_well_formed(&spans);
         let pipelines = spans.iter().filter(|s| s.label == "pipeline").count();
         assert_eq!(pipelines, pipeline_count, "threads = {threads}");
-        assert_eq!(pipeline_count, 4, "group, having, second block, union dedup");
+        assert_eq!(
+            pipeline_count, 4,
+            "group, having, second block, union dedup"
+        );
         let attr = |s: &SpanRecord, key: &str| -> AttrValue {
-            s.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v).unwrap_or_else(|| {
-                panic!("breaker span lacks `{key}`: {:?}", s.attrs)
-            })
+            s.attrs
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("breaker span lacks `{key}`: {:?}", s.attrs))
         };
         let mut breakers: Vec<(String, u64, u64)> = spans
             .iter()
@@ -343,7 +376,9 @@ fn dml_statements_have_statement_roots() {
     let spans = trace::spans_for_root(root);
     let rec = assert_well_formed(&spans);
     assert!(
-        rec.attrs.iter().any(|(k, v)| *k == "kind" && v.to_string() == "dml"),
+        rec.attrs
+            .iter()
+            .any(|(k, v)| *k == "kind" && v.to_string() == "dml"),
         "statement root must carry kind=dml: {:?}",
         rec.attrs
     );

@@ -84,7 +84,11 @@ fn arb_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
         .prop_map(|(modes, raw)| {
             raw.into_iter()
                 .map(|cells| {
-                    cells.iter().zip(&modes).map(|(&r, &m)| make_cell(m, r)).collect()
+                    cells
+                        .iter()
+                        .zip(&modes)
+                        .map(|(&r, &m)| make_cell(m, r))
+                        .collect()
                 })
                 .collect()
         })
@@ -97,13 +101,24 @@ fn arb_expr_tokens() -> impl Strategy<Value = Vec<ExprToken>> {
 }
 
 fn arith_op(b: u8) -> BinaryOp {
-    [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div, BinaryOp::Mod]
-        [b as usize % 5]
+    [
+        BinaryOp::Add,
+        BinaryOp::Sub,
+        BinaryOp::Mul,
+        BinaryOp::Div,
+        BinaryOp::Mod,
+    ][b as usize % 5]
 }
 
 fn cmp_op(b: u8) -> BinaryOp {
-    [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::LtEq, BinaryOp::Gt, BinaryOp::GtEq]
-        [b as usize % 6]
+    [
+        BinaryOp::Eq,
+        BinaryOp::NotEq,
+        BinaryOp::Lt,
+        BinaryOp::LtEq,
+        BinaryOp::Gt,
+        BinaryOp::GtEq,
+    ][b as usize % 6]
 }
 
 /// Fold a token program into one expression over 4 columns. Every
@@ -122,8 +137,14 @@ fn build_expr(tokens: &[ExprToken]) -> Expr {
             4 => e.and(col(a).binary(cmp_op(b), Expr::lit(1i64))),
             5 => e.or(col(a).binary(cmp_op(b), Expr::lit(2i64))),
             6 => e.not(),
-            7 => Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e) },
-            8 => Expr::IsNull { expr: Box::new(e), negated: b % 2 == 1 },
+            7 => Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(e),
+            },
+            8 => Expr::IsNull {
+                expr: Box::new(e),
+                negated: b % 2 == 1,
+            },
             9 => e.binary(BinaryOp::Concat, col(a)),
             10 => Expr::Case {
                 branches: vec![(col(a).binary(BinaryOp::Gt, Expr::lit(0i64)), e)],
@@ -136,8 +157,12 @@ fn build_expr(tokens: &[ExprToken]) -> Expr {
             },
             _ => Expr::Cast {
                 expr: Box::new(e),
-                dtype: [DataType::Int, DataType::Float, DataType::Text, DataType::Bool]
-                    [b as usize % 4],
+                dtype: [
+                    DataType::Int,
+                    DataType::Float,
+                    DataType::Text,
+                    DataType::Bool,
+                ][b as usize % 4],
             },
         };
     }
@@ -172,7 +197,11 @@ fn check_expr(e: &Expr, rows: &[Vec<Value>]) {
     for (i, want) in expected.iter().enumerate() {
         let got = col.value_at(i);
         assert_eq!(&got, want, "row {i} of {e}");
-        assert_eq!(got.data_type(), want.data_type(), "variant at row {i} of {e}");
+        assert_eq!(
+            got.data_type(),
+            want.data_type(),
+            "variant at row {i} of {e}"
+        );
     }
 }
 
@@ -217,7 +246,9 @@ fn certain(names: &[&str], rows: Vec<Vec<Value>>) -> URelation {
     let pairs: Vec<(&str, DataType)> = names.iter().map(|n| (*n, DataType::Unknown)).collect();
     URelation::new(
         Arc::new(Schema::from_pairs(&pairs)),
-        rows.into_iter().map(|r| UTuple::certain(Tuple::new(r))).collect(),
+        rows.into_iter()
+            .map(|r| UTuple::certain(Tuple::new(r)))
+            .collect(),
     )
 }
 
@@ -233,7 +264,10 @@ fn arb_tables() -> impl Strategy<Value = (URelation, URelation)> {
                     &["a", "b", "c"],
                     rows0.into_iter().map(|(a, b, c)| vec![a, b, c]).collect(),
                 ),
-                certain(&["d", "e"], rows1.into_iter().map(|(d, e)| vec![d, e]).collect()),
+                certain(
+                    &["d", "e"],
+                    rows1.into_iter().map(|(d, e)| vec![d, e]).collect(),
+                ),
             )
         })
 }
@@ -263,17 +297,23 @@ fn build_chain(
                 let right = if b % 2 == 0 {
                     col(b).binary(BinaryOp::LtEq, col(a))
                 } else {
-                    Expr::IsNull { expr: Box::new(col(b)), negated: a % 2 == 0 }
+                    Expr::IsNull {
+                        expr: Box::new(col(b)),
+                        negated: a % 2 == 0,
+                    }
                 };
                 steps.push(Step::Filter(
                     col(a).binary(BinaryOp::Gt, Expr::lit(1i64)).and(right),
                 ));
             }
             2 => {
-                let mut exprs: Vec<Expr> =
-                    (0..arity).map(|i| Expr::ColumnIdx((i + a as usize) % arity)).collect();
+                let mut exprs: Vec<Expr> = (0..arity)
+                    .map(|i| Expr::ColumnIdx((i + a as usize) % arity))
+                    .collect();
                 exprs.push(
-                    col(b).binary(BinaryOp::Add, Expr::lit(1i64)).binary(BinaryOp::Mul, col(a)),
+                    col(b)
+                        .binary(BinaryOp::Add, Expr::lit(1i64))
+                        .binary(BinaryOp::Mul, col(a)),
                 );
                 arity += 1;
                 steps.push(Step::Project(exprs));
@@ -344,7 +384,9 @@ fn arb_urelation() -> impl Strategy<Value = URelation> {
                 .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
                 .map(|((k, v, s), raw)| {
                     let wsd = Wsd::from_assignments(
-                        raw.into_iter().map(|(v, a)| Assignment::new(Var(v), a)).collect(),
+                        raw.into_iter()
+                            .map(|(v, a)| Assignment::new(Var(v), a))
+                            .collect(),
                     )
                     .unwrap_or_else(Wsd::tautology);
                     UTuple::new(Tuple::new(vec![k, v, s]), wsd)
@@ -424,8 +466,14 @@ fn regression_mod_by_zero() {
         &steps,
     );
     // Float % 0.0, and the Int % Float(0.0) cross-type case.
-    check_chain(&one_table(vec![vec![Value::Float(7.5), Value::Float(0.0)]]), &steps);
-    check_chain(&one_table(vec![vec![Value::Int(7), Value::Float(0.0)]]), &steps);
+    check_chain(
+        &one_table(vec![vec![Value::Float(7.5), Value::Float(0.0)]]),
+        &steps,
+    );
+    check_chain(
+        &one_table(vec![vec![Value::Int(7), Value::Float(0.0)]]),
+        &steps,
+    );
 }
 
 #[test]
@@ -450,19 +498,43 @@ fn regression_int_comparisons_are_exact() {
     // against a literal — so distinct keys above 2^53 never compare
     // Equal, as in a hash join.
     let p53 = 1i64 << 53;
-    let edges = [i64::MIN, i64::MIN + 1, -p53 - 1, -p53, p53 - 1, p53, p53 + 1, i64::MAX - 1, i64::MAX];
+    let edges = [
+        i64::MIN,
+        i64::MIN + 1,
+        -p53 - 1,
+        -p53,
+        p53 - 1,
+        p53,
+        p53 + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
     let rows: Vec<Vec<Value>> = edges
         .iter()
-        .flat_map(|&a| edges.iter().map(move |&b| vec![Value::Int(a), Value::Int(b)]))
+        .flat_map(|&a| {
+            edges
+                .iter()
+                .map(move |&b| vec![Value::Int(a), Value::Int(b)])
+        })
         .chain([vec![Value::Null, Value::Int(p53)]])
         .collect();
     let t = one_table(rows);
-    for op in [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::LtEq, BinaryOp::Gt, BinaryOp::GtEq] {
+    for op in [
+        BinaryOp::Eq,
+        BinaryOp::NotEq,
+        BinaryOp::Lt,
+        BinaryOp::LtEq,
+        BinaryOp::Gt,
+        BinaryOp::GtEq,
+    ] {
         check_chain(&t, &[Step::Filter(A.binary(op, B))]);
         check_chain(&t, &[Step::Filter(A.binary(op, Expr::lit(p53 + 1)))]);
         check_chain(&t, &[Step::Project(vec![A.binary(op, B)])]);
     }
-    let equal = common::stream(&t.compact(), &[Step::Filter(A.eq(B))], true).unwrap().collect().unwrap();
+    let equal = common::stream(&t.compact(), &[Step::Filter(A.eq(B))], true)
+        .unwrap()
+        .collect()
+        .unwrap();
     assert_eq!(equal.len(), edges.len(), "each key equals itself only");
 }
 
@@ -476,7 +548,10 @@ fn regression_mixed_variant_column_concat() {
     ]);
     let steps = [Step::Project(vec![A.binary(BinaryOp::Concat, B)])];
     check_chain(&t, &steps);
-    let out = common::stream(&t.compact(), &steps, true).unwrap().collect().unwrap();
+    let out = common::stream(&t.compact(), &steps, true)
+        .unwrap()
+        .collect()
+        .unwrap();
     assert_eq!(out.tuples()[0].data.value(0), &Value::str("1x"));
     assert_eq!(out.tuples()[1].data.value(0), &Value::str("1.0x"));
 }
@@ -506,38 +581,60 @@ fn regression_fold_keeps_error_beside_constant_false() {
     // `false` — the executor must error exactly like the (unfolded)
     // scalar walk.
     let t = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
-    let boom = Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
+    let boom = Expr::lit(1i64)
+        .binary(BinaryOp::Div, Expr::lit(0i64))
+        .eq(Expr::lit(1i64));
     let steps = [Step::Filter(boom.clone().and(Expr::lit(false)))];
-    assert!(maybms_bench::naive::fused_chain(&t, &steps).is_err(), "scalar walk errors");
+    assert!(
+        maybms_bench::naive::fused_chain(&t, &steps).is_err(),
+        "scalar walk errors"
+    );
     check_chain(&t, &steps);
     // Mirrored: `false AND (1/0 = 1)` short-circuits — no error, empty.
     let steps = [Step::Filter(Expr::lit(false).and(boom))];
-    assert_eq!(maybms_bench::naive::fused_chain(&t, &steps).unwrap().len(), 0);
+    assert_eq!(
+        maybms_bench::naive::fused_chain(&t, &steps).unwrap().len(),
+        0
+    );
     check_chain(&t, &steps);
 }
 
 /// The stage lines `EXPLAIN` prints for `stream`.
 fn describe(stream: UStream) -> String {
-    stream.stage_labels().iter().map(|l| format!("-> {l}\n")).collect()
+    stream
+        .stage_labels()
+        .iter()
+        .map(|l| format!("-> {l}\n"))
+        .collect()
 }
 
 #[test]
 fn describe_marks_vectorised_stages() {
     let t = one_table(vec![vec![Value::Int(1), Value::Int(2)]]);
-    let text = describe(UStream::new(t.clone())
-        .filter(&Expr::col("a").binary(BinaryOp::Gt, Expr::lit(1i64)))
-        .unwrap()
-        .project(&[ProjectItem::new(Expr::col("a").binary(BinaryOp::Add, Expr::col("b")), "s")])
-        .unwrap());
+    let text = describe(
+        UStream::new(t.clone())
+            .filter(&Expr::col("a").binary(BinaryOp::Gt, Expr::lit(1i64)))
+            .unwrap()
+            .project(&[ProjectItem::new(
+                Expr::col("a").binary(BinaryOp::Add, Expr::col("b")),
+                "s",
+            )])
+            .unwrap(),
+    );
     assert!(text.contains("-> filter (#0 > 1) (vectorised)"), "{text}");
     assert!(text.contains("(vectorised)\n"), "{text}");
     // CASE stays scalar — and says so by not being marked.
-    let text = describe(UStream::new(t)
-        .filter(&Expr::Case {
-            branches: vec![(Expr::col("a").binary(BinaryOp::Gt, Expr::lit(0i64)), Expr::lit(true))],
-            else_expr: Some(Box::new(Expr::lit(false))),
-        })
-        .unwrap());
+    let text = describe(
+        UStream::new(t)
+            .filter(&Expr::Case {
+                branches: vec![(
+                    Expr::col("a").binary(BinaryOp::Gt, Expr::lit(0i64)),
+                    Expr::lit(true),
+                )],
+                else_expr: Some(Box::new(Expr::lit(false))),
+            })
+            .unwrap(),
+    );
     assert!(!text.contains("(vectorised)"), "{text}");
 }
 
@@ -564,7 +661,10 @@ fn ustream_constant_filters_fold_at_bind() {
         Step::Filter(Expr::lit(false)),
     ];
     assert!(
-        common::stream(&u, &steps, false).unwrap().collect().is_err(),
+        common::stream(&u, &steps, false)
+            .unwrap()
+            .collect()
+            .is_err(),
         "σ_false must not swallow the projection error"
     );
     check_chain(&u, &steps);

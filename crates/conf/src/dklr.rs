@@ -124,7 +124,11 @@ fn degraded(kl: &KarpLuby, hits: u64, n: u64, cut_batch: u64) -> Approximation {
         } else {
             0.0
         };
-        let rel = if mean > 0.0 { (var / n as f64).sqrt() / mean } else { f64::INFINITY };
+        let rel = if mean > 0.0 {
+            (var / n as f64).sqrt() / mean
+        } else {
+            f64::INFINITY
+        };
         (kl.scale() * mean, rel)
     };
     Approximation {
@@ -158,13 +162,21 @@ pub struct DklrOptions {
 impl DklrOptions {
     /// `aconf(ε, δ)` with the default cap of 2·10⁸ invocations.
     pub fn new(epsilon: f64, delta: f64) -> DklrOptions {
-        DklrOptions { epsilon, delta, max_samples: 200_000_000 }
+        DklrOptions {
+            epsilon,
+            delta,
+            max_samples: 200_000_000,
+        }
     }
 
     /// The options of 𝒜𝒜's step 1, the coarse stopping-rule run:
     /// `ε′ = min(½, √ε)`, `δ′ = δ/3`.
     fn coarse(&self) -> DklrOptions {
-        DklrOptions { epsilon: 0.5f64.min(self.epsilon.sqrt()), delta: self.delta / 3.0, ..*self }
+        DklrOptions {
+            epsilon: 0.5f64.min(self.epsilon.sqrt()),
+            delta: self.delta / 3.0,
+            ..*self
+        }
     }
 
     /// The stopping rule's hit target `Υ₁ = 1 + (1+ε)·Υ(ε, δ)`.
@@ -240,7 +252,10 @@ fn with_sampler(
     }
     let mut sampler = kl.sampler();
     let a = driver(&mut sampler)?;
-    Ok(Approximation { drawn: sampler.draws(), ..a })
+    Ok(Approximation {
+        drawn: sampler.draws(),
+        ..a
+    })
 }
 
 /// [`stopping_rule_seeded`] over a caller's sampler.
@@ -347,7 +362,9 @@ fn approximate(
     let eps = options.epsilon;
     let delta = options.delta;
     let ups = upsilon(eps, delta);
-    let ups2 = 2.0 * (1.0 + eps.sqrt()) * (1.0 + 2.0 * eps.sqrt())
+    let ups2 = 2.0
+        * (1.0 + eps.sqrt())
+        * (1.0 + 2.0 * eps.sqrt())
         * (1.0 + (3.0f64 / 2.0).ln() / (2.0 / delta).ln())
         * ups;
 
@@ -376,7 +393,9 @@ fn approximate(
         });
     }
     let differing = match fold_stream(2 * n2, phase_seed(seed, 2), |rng, len| {
-        (0..len / 2).filter(|_| sampler.draw(rng) != sampler.draw(rng)).count() as u64
+        (0..len / 2)
+            .filter(|_| sampler.draw(rng) != sampler.draw(rng))
+            .count() as u64
     })? {
         StreamSum::Done(total) => total,
         StreamSum::Cut { consumed, .. } => {
@@ -412,7 +431,12 @@ fn approximate(
         // Nothing from the main run yet: the SRA estimate is still the
         // best information available.
         StreamSum::Cut { consumed: 0, .. } => {
-            return Ok(Approximation { samples: spent, batches, cut_batch: Some(batches), ..sra });
+            return Ok(Approximation {
+                samples: spent,
+                batches,
+                cut_batch: Some(batches),
+                ..sra
+            });
         }
         StreamSum::Cut { consumed, total } => {
             // Partial main run: seeded mean over the consumed batches,
@@ -461,8 +485,7 @@ mod tests {
     use maybms_urel::{Assignment, Var, Wsd};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
-        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
-            .unwrap()
+        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect()).unwrap()
     }
 
     /// A DNF whose clauses overlap, with known probability.
@@ -539,7 +562,10 @@ mod tests {
         assert!(failures <= 4, "failures {failures}/{runs}");
         // The Karp-Luby indicator has mean p/S; for this family the AA's
         // variance-adapted step-3 run should not be wildly worse than SRA.
-        assert!(aa_samples < sra_samples * 4, "AA used {aa_samples}, SRA {sra_samples}");
+        assert!(
+            aa_samples < sra_samples * 4,
+            "AA used {aa_samples}, SRA {sra_samples}"
+        );
     }
 
     #[test]
@@ -576,7 +602,11 @@ mod tests {
         let mut wt = WorldTable::new();
         let d = test_dnf(&mut wt, 2);
         let kl = KarpLuby::new(&d, &wt).unwrap();
-        let opts = DklrOptions { epsilon: 0.01, delta: 0.01, max_samples: 100 };
+        let opts = DklrOptions {
+            epsilon: 0.01,
+            delta: 0.01,
+            max_samples: 100,
+        };
         assert!(stopping_rule_seeded(&kl, &opts, 1).is_err());
         assert!(approximate_seeded(&kl, &opts, 1).is_err());
         // The cap is exact, not rounded up to a batch: on a certain event
@@ -586,8 +616,24 @@ mod tests {
         let need = DklrOptions::new(0.9, 0.9);
         let n = stopping_rule_seeded(&kl, &need, 1).unwrap().samples;
         assert!(n < SAMPLE_BATCH as u64);
-        assert!(stopping_rule_seeded(&kl, &DklrOptions { max_samples: n, ..need }, 1).is_ok());
-        assert!(stopping_rule_seeded(&kl, &DklrOptions { max_samples: n - 1, ..need }, 1).is_err());
+        assert!(stopping_rule_seeded(
+            &kl,
+            &DklrOptions {
+                max_samples: n,
+                ..need
+            },
+            1
+        )
+        .is_ok());
+        assert!(stopping_rule_seeded(
+            &kl,
+            &DklrOptions {
+                max_samples: n - 1,
+                ..need
+            },
+            1
+        )
+        .is_err());
     }
 
     #[test]
@@ -595,7 +641,12 @@ mod tests {
         let mut wt = WorldTable::new();
         let d = test_dnf(&mut wt, 2);
         let truth = exact::probability(&d, &wt).unwrap();
-        let est = aconf_seeded_report(&d, &wt, 0.05, 0.05, 3).unwrap().estimate;
-        assert!(((est - truth) / truth).abs() < 0.05, "est {est} truth {truth}");
+        let est = aconf_seeded_report(&d, &wt, 0.05, 0.05, 3)
+            .unwrap()
+            .estimate;
+        assert!(
+            ((est - truth) / truth).abs() < 0.05,
+            "est {est} truth {truth}"
+        );
     }
 }

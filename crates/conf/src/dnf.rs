@@ -32,7 +32,9 @@ pub struct Dnf {
 impl Dnf {
     /// The empty (false) DNF.
     pub fn falsum() -> Dnf {
-        Dnf { clauses: Vec::new() }
+        Dnf {
+            clauses: Vec::new(),
+        }
     }
 
     /// Build from clauses (sorted here; duplicates are kept — the exact
@@ -123,10 +125,16 @@ impl CompiledLineage {
         out.clause_start.reserve(dnf.len());
         for c in dnf.clauses() {
             for a in c.assignments() {
-                let local = vars.binary_search(&a.var).expect("dnf.vars() covers every clause") as u32;
+                let local = vars
+                    .binary_search(&a.var)
+                    .expect("dnf.vars() covers every clause") as u32;
                 let domain = out.distribution(local).len();
                 if a.alt as usize >= domain {
-                    return Err(UrelError::BadAlternative { var: a.var.0, alt: a.alt, domain });
+                    return Err(UrelError::BadAlternative {
+                        var: a.var.0,
+                        alt: a.alt,
+                        domain,
+                    });
                 }
                 out.lits.push((local, a.alt));
             }
@@ -180,7 +188,10 @@ mod tests {
 
     fn clause(pairs: &[(u32, u16)]) -> Wsd {
         Wsd::from_assignments(
-            pairs.iter().map(|&(v, a)| Assignment::new(Var(v), a)).collect(),
+            pairs
+                .iter()
+                .map(|&(v, a)| Assignment::new(Var(v), a))
+                .collect(),
         )
         .expect("consistent clause")
     }
@@ -215,7 +226,11 @@ mod tests {
             wt.new_var(&vec![1.0 / d as f64; d]).unwrap();
         }
         // Variables 1, 3 and 4 become local 0, 1 and 2.
-        let d = Dnf::new(vec![clause(&[(4, 1), (1, 2)]), clause(&[(3, 3)]), Wsd::tautology()]);
+        let d = Dnf::new(vec![
+            clause(&[(4, 1), (1, 2)]),
+            clause(&[(3, 3)]),
+            Wsd::tautology(),
+        ]);
         let c = CompiledLineage::new(&d, &wt).unwrap();
         assert_eq!((c.num_clauses(), c.num_vars()), (3, 3));
         assert_eq!(c.clause(0), &[] as &[(u32, u16)]);
@@ -232,9 +247,16 @@ mod tests {
         let d = Dnf::new(vec![clause(&[(0, 2)])]);
         assert!(matches!(
             CompiledLineage::new(&d, &wt),
-            Err(UrelError::BadAlternative { var: 0, alt: 2, domain: 2 })
+            Err(UrelError::BadAlternative {
+                var: 0,
+                alt: 2,
+                domain: 2
+            })
         ));
         let d = Dnf::new(vec![clause(&[(7, 0)])]);
-        assert!(matches!(CompiledLineage::new(&d, &wt), Err(UrelError::UnknownVariable { var: 7 })));
+        assert!(matches!(
+            CompiledLineage::new(&d, &wt),
+            Err(UrelError::UnknownVariable { var: 7 })
+        ));
     }
 }

@@ -87,7 +87,10 @@ impl ExactOptions {
     /// The configuration used by `conf()`: decomposition on,
     /// max-occurrence elimination.
     pub fn standard() -> ExactOptions {
-        ExactOptions { var_choice: VarChoice::MaxOccurrence, decompose: true }
+        ExactOptions {
+            var_choice: VarChoice::MaxOccurrence,
+            decompose: true,
+        }
     }
 }
 
@@ -204,7 +207,11 @@ fn live<'l>(
     fixed: &'l [u16],
     c: u32,
 ) -> impl Iterator<Item = (u32, u16)> + 'l {
-    lineage.clause(c as usize).iter().copied().filter(move |&(v, _)| fixed[v as usize] == FREE)
+    lineage
+        .clause(c as usize)
+        .iter()
+        .copied()
+        .filter(move |&(v, _)| fixed[v as usize] == FREE)
 }
 
 /// Union–find root of `i`, compressing the path.
@@ -275,7 +282,12 @@ impl DTree<'_> {
             let child = clauses
                 .iter()
                 .copied()
-                .filter(|&c| lineage.clause(c as usize).iter().all(|&(v, a)| v != x || a == alt))
+                .filter(|&c| {
+                    lineage
+                        .clause(c as usize)
+                        .iter()
+                        .all(|&(v, a)| v != x || a == alt)
+                })
                 .collect();
             self.fixed[x as usize] = alt;
             let p = self.absorbed(child, depth + 1);
@@ -293,7 +305,9 @@ impl DTree<'_> {
         let (mut shortest, mut longest) = (u32::MAX, 0);
         for &c in &clauses {
             let mut lits = live(lineage, fixed, c);
-            let Some(first) = lits.next() else { return Ok(None) };
+            let Some(first) = lits.next() else {
+                return Ok(None);
+            };
             let len = 1 + lits.count() as u32;
             self.key[c as usize] = (first, len);
             (shortest, longest) = (shortest.min(len), longest.max(len));
@@ -362,14 +376,21 @@ impl DTree<'_> {
         // live variable, per root in `low` — is unique to it: sort by it.
         let mut low = vec![u32::MAX; n as usize];
         for (i, &c) in clauses.iter().enumerate() {
-            let first = live(lineage, fixed, c).next().expect("absorbed clauses are not true").0;
+            let first = live(lineage, fixed, c)
+                .next()
+                .expect("absorbed clauses are not true")
+                .0;
             let r = parent[i] as usize;
             low[r] = low[r].min(first);
         }
-        let mut order: Vec<(u32, u32)> =
-            clauses.iter().enumerate().map(|(i, &c)| (low[parent[i] as usize], c)).collect();
+        let mut order: Vec<(u32, u32)> = clauses
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (low[parent[i] as usize], c))
+            .collect();
         order.sort_unstable();
-        let ends = (1..=order.len()).filter(|&k| order.get(k).is_none_or(|o| o.0 != order[k - 1].0));
+        let ends =
+            (1..=order.len()).filter(|&k| order.get(k).is_none_or(|o| o.0 != order[k - 1].0));
         Some((ends.collect(), order.into_iter().map(|(_, c)| c).collect()))
     }
 
@@ -389,7 +410,9 @@ impl DTree<'_> {
                 slot[vi] += 1;
                 // Only `v`'s count moved, so the leader is `v` or unchanged.
                 if best.is_none_or(|b| match self.options.var_choice {
-                    VarChoice::MaxOccurrence => (slot[vi], Reverse(v)) > (slot[b as usize], Reverse(b)),
+                    VarChoice::MaxOccurrence => {
+                        (slot[vi], Reverse(v)) > (slot[b as usize], Reverse(b))
+                    }
                     VarChoice::MinDomain => {
                         (lineage.distribution(v).len(), v) < (lineage.distribution(b).len(), b)
                     }
@@ -410,8 +433,7 @@ mod tests {
     use maybms_urel::{Assignment, Var, Wsd};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
-        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
-            .unwrap()
+        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect()).unwrap()
     }
 
     #[test]
@@ -461,11 +483,15 @@ mod tests {
         let mut wt = WorldTable::new();
         let v: Vec<Var> = (0..5)
             .map(|i| {
-                wt.new_var(&[0.1 + 0.1 * i as f64, 0.9 - 0.1 * i as f64]).unwrap()
+                wt.new_var(&[0.1 + 0.1 * i as f64, 0.9 - 0.1 * i as f64])
+                    .unwrap()
             })
             .collect();
         let cases = vec![
-            Dnf::new(vec![clause(&[(v[0], 1), (v[1], 1)]), clause(&[(v[1], 0), (v[2], 1)])]),
+            Dnf::new(vec![
+                clause(&[(v[0], 1), (v[1], 1)]),
+                clause(&[(v[1], 0), (v[2], 1)]),
+            ]),
             Dnf::new(vec![
                 clause(&[(v[0], 1)]),
                 clause(&[(v[1], 1), (v[2], 1)]),
@@ -491,7 +517,9 @@ mod tests {
     #[test]
     fn all_heuristics_agree() {
         let mut wt = WorldTable::new();
-        let v: Vec<Var> = (0..4).map(|_| wt.new_var(&[0.5, 0.3, 0.2]).unwrap()).collect();
+        let v: Vec<Var> = (0..4)
+            .map(|_| wt.new_var(&[0.5, 0.3, 0.2]).unwrap())
+            .collect();
         let d = Dnf::new(vec![
             clause(&[(v[0], 0), (v[1], 1)]),
             clause(&[(v[1], 2), (v[2], 0)]),
@@ -499,10 +527,21 @@ mod tests {
             clause(&[(v[0], 2)]),
         ]);
         let standard = probability(&d, &wt).unwrap();
-        for var_choice in [VarChoice::MaxOccurrence, VarChoice::MinDomain, VarChoice::First] {
+        for var_choice in [
+            VarChoice::MaxOccurrence,
+            VarChoice::MinDomain,
+            VarChoice::First,
+        ] {
             for decompose in [true, false] {
-                let (p, _) =
-                    probability_with(&d, &wt, &ExactOptions { var_choice, decompose }).unwrap();
+                let (p, _) = probability_with(
+                    &d,
+                    &wt,
+                    &ExactOptions {
+                        var_choice,
+                        decompose,
+                    },
+                )
+                .unwrap();
                 assert!(
                     (p - standard).abs() < 1e-9,
                     "{var_choice:?} decompose={decompose}: {p} vs {standard}"
@@ -529,7 +568,10 @@ mod tests {
         let without = probability_with(
             &d,
             &wt,
-            &ExactOptions { decompose: false, ..ExactOptions::standard() },
+            &ExactOptions {
+                decompose: false,
+                ..ExactOptions::standard()
+            },
         )
         .unwrap();
         assert!((with.0 - without.0).abs() < 1e-9);
@@ -557,7 +599,12 @@ mod tests {
         assert_eq!(p.to_bits(), (1.0 - (1.0 - 0.3) * (1.0 - 0.6f64)).to_bits());
         assert_eq!(
             stats,
-            ExactStats { decompositions: 1, eliminations: 0, leaves: 2, max_depth: 2 }
+            ExactStats {
+                decompositions: 1,
+                eliminations: 0,
+                leaves: 2,
+                max_depth: 2
+            }
         );
         // Shannon children are absorbed too: under x=1, (y=1) absorbs
         // (y=1 ∧ z=0); under x=0 then z=1, (z=1) leaves nothing — ⊤.
@@ -571,7 +618,12 @@ mod tests {
         assert!((p - (0.7 * (0.5 * 0.6 + 0.5) + 0.3 * 0.6)).abs() < 1e-15);
         assert_eq!(
             stats,
-            ExactStats { decompositions: 0, eliminations: 2, leaves: 3, max_depth: 3 }
+            ExactStats {
+                decompositions: 0,
+                eliminations: 2,
+                leaves: 3,
+                max_depth: 3
+            }
         );
     }
 

@@ -102,14 +102,23 @@ impl KarpLuby {
         let mut cdf = Vec::new();
         for v in 0..lineage.num_vars() as u32 {
             let dist = lineage.distribution(v);
-            let last = dist.iter().rposition(|&p| p > 0.0).unwrap_or(dist.len() - 1);
+            let last = dist
+                .iter()
+                .rposition(|&p| p > 0.0)
+                .unwrap_or(dist.len() - 1);
             let mut acc = 0.0;
             for (alt, &p) in dist.iter().enumerate() {
                 acc += p;
                 cdf.push(if alt < last { acc } else { f64::INFINITY });
             }
         }
-        KarpLuby { lineage, cumulative, sum, cdf, constant: None }
+        KarpLuby {
+            lineage,
+            cumulative,
+            sum,
+            cdf,
+            constant: None,
+        }
     }
 
     fn constant(p: f64) -> KarpLuby {
@@ -152,8 +161,15 @@ impl KarpLuby {
     /// A sampler with a fresh scratch world. Panics on constant samplers
     /// (callers check [`KarpLuby::constant_value`] first).
     pub fn sampler(&self) -> Sampler<'_> {
-        assert!(self.constant.is_none(), "sampler requested for a constant Karp-Luby DNF");
-        Sampler { kl: self, world: vec![0; self.lineage.num_vars()], epoch: 0 }
+        assert!(
+            self.constant.is_none(),
+            "sampler requested for a constant Karp-Luby DNF"
+        );
+        Sampler {
+            kl: self,
+            world: vec![0; self.lineage.num_vars()],
+            epoch: 0,
+        }
     }
 
     /// Seeded fixed-count Monte Carlo estimate `S · mean(X)` over the first
@@ -208,7 +224,10 @@ impl<'a> Sampler<'a> {
         let tag = self.epoch << 16;
         // 1. pick clause i ∝ P(cᵢ): the first whose cumulative mass exceeds x.
         let x = rng.gen::<f64>() * kl.sum;
-        let i = kl.cumulative.partition_point(|&c| c <= x).min(kl.num_clauses() - 1);
+        let i = kl
+            .cumulative
+            .partition_point(|&c| c <= x)
+            .min(kl.num_clauses() - 1);
         // 2. condition the world on cᵢ.
         for &(v, alt) in kl.lineage.clause(i) {
             self.world[v as usize] = tag | u64::from(alt);
@@ -238,8 +257,7 @@ mod tests {
     use maybms_urel::{Assignment, Var, Wsd};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
-        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
-            .unwrap()
+        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect()).unwrap()
     }
 
     fn overlapping_dnf(wt: &mut WorldTable) -> Dnf {
@@ -279,15 +297,17 @@ mod tests {
         let truth = naive::probability(&d, &wt, 100).unwrap();
         let kl = KarpLuby::new(&d, &wt).unwrap();
         let est = kl.estimate_seeded(200_000, 7);
-        assert!((est - truth).abs() < 0.01, "estimate {est} too far from truth {truth}");
+        assert!(
+            (est - truth).abs() < 0.01,
+            "estimate {est} too far from truth {truth}"
+        );
     }
 
     #[test]
     fn indicator_mean_is_at_least_one_over_m() {
         // E[X] = p/S ≥ 1/m — the DKLR precondition.
         let mut wt = WorldTable::new();
-        let vars: Vec<Var> =
-            (0..4).map(|_| wt.new_var(&[0.5, 0.5]).unwrap()).collect();
+        let vars: Vec<Var> = (0..4).map(|_| wt.new_var(&[0.5, 0.5]).unwrap()).collect();
         let d = Dnf::new(vars.iter().map(|&v| clause(&[(v, 1)])).collect());
         let kl = KarpLuby::new(&d, &wt).unwrap();
         let truth = exact::probability(&d, &wt).unwrap();
@@ -313,13 +333,22 @@ mod tests {
         // A sample count that is not a batch multiple (exercises the tail).
         let samples = 3 * SAMPLE_BATCH + 137;
         let reference = kl.estimate_seeded(samples, 99);
-        assert_eq!(reference.to_bits(), kl.estimate_seeded(samples, 99).to_bits());
+        assert_eq!(
+            reference.to_bits(),
+            kl.estimate_seeded(samples, 99).to_bits()
+        );
         // Different seeds give different estimates (the seed is live).
-        assert_ne!(reference.to_bits(), kl.estimate_seeded(samples, 100).to_bits());
+        assert_ne!(
+            reference.to_bits(),
+            kl.estimate_seeded(samples, 100).to_bits()
+        );
         // And the estimate is statistically sound.
         let truth = exact::probability(&d, &wt).unwrap();
         let est = kl.estimate_seeded(400_000, 7);
-        assert!(((est - truth) / truth).abs() < 0.02, "est {est} truth {truth}");
+        assert!(
+            ((est - truth) / truth).abs() < 0.02,
+            "est {est} truth {truth}"
+        );
     }
 
     #[test]
@@ -327,7 +356,11 @@ mod tests {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.2, 0.3, 0.5]).unwrap();
         let y = wt.new_var(&[0.1, 0.2, 0.3, 0.4]).unwrap();
-        let d = Dnf::new(vec![clause(&[(x, 2), (y, 3)]), clause(&[(x, 0)]), clause(&[(y, 0)])]);
+        let d = Dnf::new(vec![
+            clause(&[(x, 2), (y, 3)]),
+            clause(&[(x, 0)]),
+            clause(&[(y, 0)]),
+        ]);
         let truth = naive::probability(&d, &wt, 100).unwrap();
         let kl = KarpLuby::new(&d, &wt).unwrap();
         let est = kl.estimate_seeded(300_000, 5);

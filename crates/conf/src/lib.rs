@@ -163,9 +163,15 @@ impl ConfEffort {
     /// A call's record before it runs, `method`'s `(ε, δ)` checked:
     /// `0 < ε, δ < 1` whichever estimator will answer.
     fn requested(method: ConfMethod) -> Result<ConfEffort> {
-        let ConfMethod::Approx { epsilon, delta, .. } = method else { return Ok(ConfEffort::default()) };
+        let ConfMethod::Approx { epsilon, delta, .. } = method else {
+            return Ok(ConfEffort::default());
+        };
         DklrOptions::new(epsilon, delta).validate()?;
-        Ok(ConfEffort { epsilon, delta, ..ConfEffort::default() })
+        Ok(ConfEffort {
+            epsilon,
+            delta,
+            ..ConfEffort::default()
+        })
     }
 
     /// End a call — the one place its effort leaves this crate: add it to
@@ -191,7 +197,8 @@ impl ConfEffort {
             if self.epsilon > 0.0 {
                 qs.record_requested(self.epsilon, self.delta);
                 qs.max_budget.set_max(self.budget);
-                qs.aconf_exact.add((self.estimator != Estimator::Sampler) as u64);
+                qs.aconf_exact
+                    .add((self.estimator != Estimator::Sampler) as u64);
             }
         }
         span.attr("method", self.estimator.method());
@@ -263,12 +270,20 @@ pub fn confidence_with_effort(
 /// then the sampler over the same compiled lineage if it ran out.
 fn cascade(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<(f64, ConfEffort)> {
     let requested = ConfEffort::requested(method)?;
-    let mut effort = ConfEffort { estimator: Estimator::DTree, dnf_clauses: dnf.len() as u64, ..requested };
+    let mut effort = ConfEffort {
+        estimator: Estimator::DTree,
+        dnf_clauses: dnf.len() as u64,
+        ..requested
+    };
     let lineage = CompiledLineage::new(dnf, wt)?;
     let options = DklrOptions::new(effort.epsilon, effort.delta);
     let limit = match method {
         ConfMethod::Exact => usize::MAX,
-        ConfMethod::Approx { .. } => options.node_budget((0..lineage.num_clauses()).map(|i| lineage.clause_prob(i)).sum()),
+        ConfMethod::Approx { .. } => options.node_budget(
+            (0..lineage.num_clauses())
+                .map(|i| lineage.clause_prob(i))
+                .sum(),
+        ),
     };
     let (p, stats) = exact::bounded(&lineage, &exact::ExactOptions::standard(), limit)?;
     effort.dtree_nodes = stats.nodes() as u64;
@@ -280,7 +295,18 @@ fn cascade(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<(f64, ConfE
     let (samples, samples_drawn, batches) = (a.samples, a.drawn, a.batches);
     let (rel_stderr, cut_batch) = (a.rel_stderr, a.cut_batch);
     let estimator = Estimator::Sampler;
-    Ok((a.estimate, ConfEffort { estimator, samples, samples_drawn, batches, rel_stderr, cut_batch, ..effort }))
+    Ok((
+        a.estimate,
+        ConfEffort {
+            estimator,
+            samples,
+            samples_drawn,
+            batches,
+            rel_stderr,
+            cut_batch,
+            ..effort
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -295,8 +321,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
-        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
-            .unwrap()
+        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect()).unwrap()
     }
 
     /// [`lineage_confidence`] as a statement-less call.
@@ -313,7 +338,11 @@ mod tests {
         let confidence = |m| confidence_with_effort(&d, &wt, m).unwrap().0;
         let e = confidence(ConfMethod::Exact);
         let n = naive::probability(&d, &wt, 100).unwrap();
-        let a = confidence(ConfMethod::Approx { epsilon: 0.05, delta: 0.05, seed: 42 });
+        let a = confidence(ConfMethod::Approx {
+            epsilon: 0.05,
+            delta: 0.05,
+            seed: 42,
+        });
         assert!((e - n).abs() < 1e-12);
         assert!(((a - e) / e).abs() < 0.05, "approx {a} exact {e}");
     }
@@ -346,7 +375,9 @@ mod tests {
                 vec!["b".into(), Value::Float(0.25)],
             ],
         );
-        let options = PickTuplesOptions { probability: Some(Expr::col("p")) };
+        let options = PickTuplesOptions {
+            probability: Some(Expr::col("p")),
+        };
         let u = pick_tuples(&r, &options, &mut wt).unwrap();
         (wt, u)
     }
@@ -358,7 +389,9 @@ mod tests {
     #[test]
     fn independent_lineage_is_the_member_order_product_in_one_span() {
         let (wt, members) = independent_members(32);
-        let none = members.iter().fold(1.0, |none, w| none * (1.0 - w.prob(&wt).unwrap()));
+        let none = members
+            .iter()
+            .fold(1.0, |none, w| none * (1.0 - w.prob(&wt).unwrap()));
         trace::set_enabled(true);
         let root = trace::span("test");
         let root_id = root.id();
@@ -367,7 +400,13 @@ mod tests {
         trace::set_enabled(false);
         assert_eq!(p.to_bits(), (1.0 - none).to_bits());
         assert!((p - d_tree(&members, &wt)).abs() <= 1e-12);
-        assert_eq!(effort, ConfEffort { dnf_clauses: 32, ..ConfEffort::default() });
+        assert_eq!(
+            effort,
+            ConfEffort {
+                dnf_clauses: 32,
+                ..ConfEffort::default()
+            }
+        );
         let spans = trace::spans_for_root(root_id);
         let conf: Vec<_> = spans.iter().filter(|s| s.label == "conf").collect();
         assert_eq!(conf.len(), 1, "{spans:?}");
@@ -408,9 +447,18 @@ mod tests {
         let y = wt.new_var(&[0.6, 0.4]).unwrap();
         let z = wt.new_var(&[0.1, 0.9]).unwrap();
         let cases = [
-            ("two-assignment member", vec![clause(&[(x, 1), (y, 1)]), clause(&[(z, 1)])]),
-            ("shared variable", vec![clause(&[(x, 0)]), clause(&[(x, 2)]), clause(&[(y, 1)])]),
-            ("duplicate member", vec![clause(&[(y, 1)]), clause(&[(y, 1)])]),
+            (
+                "two-assignment member",
+                vec![clause(&[(x, 1), (y, 1)]), clause(&[(z, 1)])],
+            ),
+            (
+                "shared variable",
+                vec![clause(&[(x, 0)]), clause(&[(x, 2)]), clause(&[(y, 1)])],
+            ),
+            (
+                "duplicate member",
+                vec![clause(&[(y, 1)]), clause(&[(y, 1)])],
+            ),
         ];
         for (what, lineage) in cases {
             let (p, effort) = conf(&lineage, &wt, ConfMethod::Exact);
@@ -428,10 +476,13 @@ mod tests {
         let mut wt = WorldTable::new();
         let r = rel(
             &[("k", DataType::Int), ("v", DataType::Int)],
-            vec![vec![1.into(), 1.into()], vec![1.into(), 2.into()], vec![1.into(), 3.into()]],
+            vec![
+                vec![1.into(), 1.into()],
+                vec![1.into(), 2.into()],
+                vec![1.into(), 3.into()],
+            ],
         );
-        let u = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt)
-            .unwrap();
+        let u = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt).unwrap();
         let lineage: Vec<Wsd> = u.tuples().iter().map(|t| t.wsd.clone()).collect();
         let (p, effort) = conf(&lineage, &wt, ConfMethod::Exact);
         assert!(effort.dtree_nodes > 0, "{effort:?}");
@@ -456,18 +507,31 @@ mod tests {
 
     #[test]
     fn aconf_takes_the_cheapest_certificate() {
-        let approx = ConfMethod::Approx { epsilon: 0.1, delta: 0.05, seed: 7 };
+        let approx = ConfMethod::Approx {
+            epsilon: 0.1,
+            delta: 0.05,
+            seed: 7,
+        };
         // Independent lineage: the product, with conf()'s bits.
         let (wt, members) = independent_members(16);
         let (p, effort) = conf(&members, &wt, approx);
-        assert_eq!((effort.estimator, effort.samples, effort.epsilon), (Estimator::Product, 0, 0.1));
-        assert_eq!(p.to_bits(), conf(&members, &wt, ConfMethod::Exact).0.to_bits());
+        assert_eq!(
+            (effort.estimator, effort.samples, effort.epsilon),
+            (Estimator::Product, 0, 0.1)
+        );
+        assert_eq!(
+            p.to_bits(),
+            conf(&members, &wt, ConfMethod::Exact).0.to_bits()
+        );
         // Lineage the d-tree certifies within its budget: its bits, δ = 0.
         // (A member listed twice, S = ½: the budget is the floor ⌈Υ₁′/3⌉.)
         let (wt, u) = ti_setup();
         let shared = vec![u.tuples()[2].wsd.clone(); 2];
         let (p, effort) = conf(&shared, &wt, approx);
-        assert_eq!((effort.estimator, effort.samples, effort.budget), (Estimator::DTree, 0, 61));
+        assert_eq!(
+            (effort.estimator, effort.samples, effort.budget),
+            (Estimator::DTree, 0, 61)
+        );
         assert_eq!(p.to_bits(), d_tree(&shared, &wt).to_bits());
         // Lineage above the budget: the sampler's bits at the same seed,
         // after an attempt that spent the whole budget.
@@ -476,7 +540,10 @@ mod tests {
         let dnf = Dnf::from_wsds(&lineage);
         let sampled = dklr::aconf_seeded_report(&dnf, &wt, 0.1, 0.05, 7).unwrap();
         assert_eq!(effort.estimator, Estimator::Sampler);
-        assert_eq!((effort.dtree_nodes, effort.samples), (effort.budget, sampled.samples));
+        assert_eq!(
+            (effort.dtree_nodes, effort.samples),
+            (effort.budget, sampled.samples)
+        );
         assert_eq!(p.to_bits(), sampled.estimate.to_bits());
         let truth = d_tree(&lineage, &wt);
         assert!(((p - truth) / truth).abs() < 0.1, "aconf {p} exact {truth}");
@@ -486,7 +553,11 @@ mod tests {
     fn aconf_arguments_are_checked_whichever_estimator_answers() {
         let (wt, members) = independent_members(4);
         for (epsilon, delta) in [(2.0, 0.5), (0.0, 0.5), (0.1, 1.0), (0.1, f64::NAN)] {
-            let method = ConfMethod::Approx { epsilon, delta, seed: 1 };
+            let method = ConfMethod::Approx {
+                epsilon,
+                delta,
+                seed: 1,
+            };
             assert!(lineage_confidence(members.iter(), &wt, method, &QueryStats::new()).is_err());
             assert!(confidence_with_effort(&Dnf::from_wsds(&members), &wt, method).is_err());
         }

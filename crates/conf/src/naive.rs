@@ -23,19 +23,28 @@ pub fn probability(dnf: &Dnf, wt: &WorldTable, limit: u128) -> Result<f64> {
     let vars = dnf.vars();
     let mut space: u128 = 1;
     for &v in &vars {
-        space = space
-            .checked_mul(wt.domain_size(v)? as u128)
-            .ok_or(UrelError::WorldLimitExceeded { count: u128::MAX, limit })?;
+        space =
+            space
+                .checked_mul(wt.domain_size(v)? as u128)
+                .ok_or(UrelError::WorldLimitExceeded {
+                    count: u128::MAX,
+                    limit,
+                })?;
     }
     if space > limit {
-        return Err(UrelError::WorldLimitExceeded { count: space, limit });
+        return Err(UrelError::WorldLimitExceeded {
+            count: space,
+            limit,
+        });
     }
     // Odometer over the DNF's variables only; build a sparse world big
     // enough for satisfied_by (positions of unmentioned vars don't matter).
     let max_var = vars.iter().map(|v| v.0).max().unwrap_or(0) as usize;
     let mut world = vec![0u16; max_var + 1];
-    let domains: Vec<usize> =
-        vars.iter().map(|&v| wt.domain_size(v)).collect::<Result<_>>()?;
+    let domains: Vec<usize> = vars
+        .iter()
+        .map(|&v| wt.domain_size(v))
+        .collect::<Result<_>>()?;
     let mut counters = vec![0usize; vars.len()];
     let mut total = 0.0;
     loop {
@@ -70,8 +79,7 @@ mod tests {
     use maybms_urel::{Assignment, Var, Wsd};
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
-        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect())
-            .unwrap()
+        Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect()).unwrap()
     }
 
     #[test]

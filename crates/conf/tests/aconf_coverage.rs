@@ -73,8 +73,13 @@ struct WalkPlayer {
 
 impl WalkPlayer {
     fn new(wt: &mut WorldTable, rng: &mut StdRng) -> WalkPlayer {
-        let mut var = || wt.new_var(&random_dist(rng, 4)).expect("valid distribution");
-        WalkPlayer { steps: std::array::from_fn(|_| std::array::from_fn(|_| var())) }
+        let mut var = || {
+            wt.new_var(&random_dist(rng, 4))
+                .expect("valid distribution")
+        };
+        WalkPlayer {
+            steps: std::array::from_fn(|_| std::array::from_fn(|_| var())),
+        }
     }
 
     /// The 16 paths from state 0 that end in `last`: pairwise exclusive.
@@ -167,7 +172,11 @@ fn coverage_state_group_of_two_players() {
         clauses.extend(q.paths_to(last));
         let dnf = Dnf::new(clauses);
         assert_eq!(dnf.len(), 32);
-        check(&format!("two-player state group, final state {last}"), &dnf, &wt);
+        check(
+            &format!("two-player state group, final state {last}"),
+            &dnf,
+            &wt,
+        );
     }
 }
 
@@ -201,8 +210,16 @@ fn coverage_single_and_duplicate_clauses() {
     let a = approximate_seeded(&kl, &DklrOptions::new(0.1, 0.05), 5).unwrap();
     assert!((a.estimate - kl.scale()).abs() <= 1e-12 * kl.scale());
     // The same clause three times, and next to a different one.
-    check("duplicate clause", &Dnf::new(vec![c.clone(), c.clone(), c.clone()]), &wt);
-    check("duplicate beside another", &Dnf::new(vec![c.clone(), clause(&[(x, 0)]), c]), &wt);
+    check(
+        "duplicate clause",
+        &Dnf::new(vec![c.clone(), c.clone(), c.clone()]),
+        &wt,
+    );
+    check(
+        "duplicate beside another",
+        &Dnf::new(vec![c.clone(), clause(&[(x, 0)]), c]),
+        &wt,
+    );
 }
 
 /// Best-of-five wall time of one `aconf(ε, 0.05)` over `dnf`, compile
@@ -250,5 +267,8 @@ fn cost_is_independent_of_world_table_size_and_sample_count() {
     // exactly as often.
     let (_, n_tight, allocs_tight) = aconf_cost(&small_dnf, &small, 0.02);
     assert!(n_tight > 3 * n_small, "{n_tight} vs {n_small} samples");
-    assert_eq!(allocs_tight, allocs_small, "allocations grew with the sample count");
+    assert_eq!(
+        allocs_tight, allocs_small,
+        "allocations grew with the sample count"
+    );
 }

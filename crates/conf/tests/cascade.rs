@@ -45,7 +45,12 @@ fn random_dist(rng: &mut StdRng, n: usize) -> Vec<f64> {
 
 /// `n` binary variables with random distributions.
 fn binaries(wt: &mut WorldTable, rng: &mut StdRng, n: usize) -> Vec<Var> {
-    (0..n).map(|_| wt.new_var(&random_dist(rng, 2)).expect("valid distribution")).collect()
+    (0..n)
+        .map(|_| {
+            wt.new_var(&random_dist(rng, 2))
+                .expect("valid distribution")
+        })
+        .collect()
 }
 
 /// "Some player ends in state 2" over `players` three-step walks of four
@@ -53,11 +58,18 @@ fn binaries(wt: &mut WorldTable, rng: &mut StdRng, n: usize) -> Vec<Var> {
 fn walk(wt: &mut WorldTable, rng: &mut StdRng, players: usize) -> Vec<Wsd> {
     let mut out = Vec::new();
     for _ in 0..players {
-        let mut var = || wt.new_var(&random_dist(rng, 4)).expect("valid distribution");
+        let mut var = || {
+            wt.new_var(&random_dist(rng, 4))
+                .expect("valid distribution")
+        };
         let steps: [[Var; 4]; 3] = std::array::from_fn(|_| std::array::from_fn(|_| var()));
         for a in 0..4u16 {
             for b in 0..4u16 {
-                out.push(clause(&[(steps[0][0], a), (steps[1][a as usize], b), (steps[2][b as usize], 2)]));
+                out.push(clause(&[
+                    (steps[0][0], a),
+                    (steps[1][a as usize], b),
+                    (steps[2][b as usize], 2),
+                ]));
             }
         }
     }
@@ -88,7 +100,10 @@ fn random_3dnf(wt: &mut WorldTable, rng: &mut StdRng, vars: usize, clauses: usiz
                     picked.push(v);
                 }
             }
-            let pairs: Vec<(Var, u16)> = picked.into_iter().map(|v| (v, rng.gen_range(0..2u16))).collect();
+            let pairs: Vec<(Var, u16)> = picked
+                .into_iter()
+                .map(|v| (v, rng.gen_range(0..2u16)))
+                .collect();
             clause(&pairs)
         })
         .collect()
@@ -96,7 +111,10 @@ fn random_3dnf(wt: &mut WorldTable, rng: &mut StdRng, vars: usize, clauses: usiz
 
 /// One single-literal member per fresh variable.
 fn independent(wt: &mut WorldTable, rng: &mut StdRng, n: usize) -> Vec<Wsd> {
-    binaries(wt, rng, n).into_iter().map(|v| Wsd::of(v, 1)).collect()
+    binaries(wt, rng, n)
+        .into_iter()
+        .map(|v| Wsd::of(v, 1))
+        .collect()
 }
 
 /// A generated lineage, and the estimator that must answer it at each
@@ -111,29 +129,52 @@ struct Case {
 fn cases() -> Vec<Case> {
     let mut rng = StdRng::seed_from_u64(27);
     let mut out = Vec::new();
-    let mut push = |name: String, build: &mut dyn FnMut(&mut WorldTable) -> Vec<Wsd>, expect: [Estimator; 2]| {
+    let mut push = |name: String,
+                    build: &mut dyn FnMut(&mut WorldTable) -> Vec<Wsd>,
+                    expect: [Estimator; 2]| {
         let mut wt = WorldTable::new();
         let lineage = build(&mut wt);
-        out.push(Case { name, wt, lineage, expect });
+        out.push(Case {
+            name,
+            wt,
+            lineage,
+            expect,
+        });
     };
     // A player's walk group takes 21 nodes, but the budget grows with the
     // scale S (about ¼ per player here), not with the players: 16 players
     // (337 nodes) outgrow the budget at ε = 0.1 and fit it at ε = 0.05.
     let (d, s) = (Estimator::DTree, Estimator::Sampler);
     for (players, expect) in [(1, [d, d]), (2, [d, d]), (16, [s, d])] {
-        push(format!("walk, {players} player(s)"), &mut |wt| walk(wt, &mut rng, players), expect);
+        push(
+            format!("walk, {players} player(s)"),
+            &mut |wt| walk(wt, &mut rng, players),
+            expect,
+        );
     }
     for (keys, fanout) in [(3, 4), (12, 8)] {
         let name = format!("hierarchical, {keys}×{fanout}");
-        push(name, &mut |wt| hierarchical(wt, &mut rng, keys, fanout), [d, d]);
+        push(
+            name,
+            &mut |wt| hierarchical(wt, &mut rng, keys, fanout),
+            [d, d],
+        );
     }
     for (vars, clauses, expect) in [(12, 20, [s, d]), (40, 120, [s, s]), (60, 240, [s, s])] {
         let name = format!("random 3-DNF, {vars} vars, {clauses} clauses");
-        push(name, &mut |wt| random_3dnf(wt, &mut rng, vars, clauses), expect);
+        push(
+            name,
+            &mut |wt| random_3dnf(wt, &mut rng, vars, clauses),
+            expect,
+        );
     }
     for n in [2, 20, 200] {
         let p = Estimator::Product;
-        push(format!("independent, {n} members"), &mut |wt| independent(wt, &mut rng, n), [p, p]);
+        push(
+            format!("independent, {n} members"),
+            &mut |wt| independent(wt, &mut rng, n),
+            [p, p],
+        );
     }
     out
 }
@@ -143,7 +184,11 @@ const ACCURACY: [(f64, f64); 2] = [(0.1, 0.05), (0.05, 0.05)];
 
 fn method(i: usize) -> ConfMethod {
     let (epsilon, delta) = ACCURACY[i % ACCURACY.len()];
-    ConfMethod::Approx { epsilon, delta, seed: 1000 + i as u64 }
+    ConfMethod::Approx {
+        epsilon,
+        delta,
+        seed: 1000 + i as u64,
+    }
 }
 
 fn aconf(case: &Case, method: ConfMethod) -> Result<(f64, ConfEffort)> {
@@ -173,9 +218,20 @@ fn every_answer_is_its_estimators_bit_for_bit_at_any_thread_count() {
     let reference = run_all(&cases, 1);
     for (i, &(bits, effort)) in reference.iter().enumerate() {
         let case = &cases[i / ACCURACY.len()];
-        let ConfMethod::Approx { epsilon, delta, seed } = method(i) else { unreachable!() };
+        let ConfMethod::Approx {
+            epsilon,
+            delta,
+            seed,
+        } = method(i)
+        else {
+            unreachable!()
+        };
         let at = format!("{}, ε {epsilon}", case.name);
-        assert_eq!(effort.estimator, case.expect[i % ACCURACY.len()], "{at}: {effort:?}");
+        assert_eq!(
+            effort.estimator,
+            case.expect[i % ACCURACY.len()],
+            "{at}: {effort:?}"
+        );
         assert_eq!(effort.dnf_clauses, case.lineage.len() as u64, "{at}");
         assert_eq!((effort.epsilon, effort.delta), (epsilon, delta), "{at}");
         let dnf = Dnf::from_wsds(&case.lineage);
@@ -183,20 +239,34 @@ fn every_answer_is_its_estimators_bit_for_bit_at_any_thread_count() {
             Estimator::Product => {
                 let (p, _) = aconf(case, ConfMethod::Exact).unwrap();
                 assert_eq!(bits, p.to_bits(), "{at}: not conf()'s product");
-                assert_eq!((effort.dtree_nodes, effort.samples, effort.budget), (0, 0, 0), "{at}");
+                assert_eq!(
+                    (effort.dtree_nodes, effort.samples, effort.budget),
+                    (0, 0, 0),
+                    "{at}"
+                );
             }
             Estimator::DTree => {
                 let p = exact::probability(&dnf, &case.wt).unwrap();
                 assert_eq!(bits, p.to_bits(), "{at}: not the d-tree's answer");
-                assert!(0 < effort.dtree_nodes && effort.dtree_nodes <= effort.budget, "{at}: {effort:?}");
+                assert!(
+                    0 < effort.dtree_nodes && effort.dtree_nodes <= effort.budget,
+                    "{at}: {effort:?}"
+                );
                 assert_eq!(effort.samples, 0, "{at}");
             }
             Estimator::Sampler => {
                 let a = aconf_seeded_report(&dnf, &case.wt, epsilon, delta, seed).unwrap();
                 assert_eq!(bits, a.estimate.to_bits(), "{at}: not the sampler's answer");
-                assert_eq!((effort.samples, effort.batches), (a.samples, a.batches), "{at}");
+                assert_eq!(
+                    (effort.samples, effort.batches),
+                    (a.samples, a.batches),
+                    "{at}"
+                );
                 assert!(effort.samples > 0, "{at}");
-                assert_eq!(effort.dtree_nodes, effort.budget, "{at}: the attempt spends its budget");
+                assert_eq!(
+                    effort.dtree_nodes, effort.budget,
+                    "{at}: the attempt spends its budget"
+                );
             }
         }
     }
@@ -207,7 +277,12 @@ fn every_answer_is_its_estimators_bit_for_bit_at_any_thread_count() {
 
 /// One call of `method` over `case` as a statement with `kind` injected at
 /// its `nth` governor checkpoint.
-fn injected(case: &Case, method: ConfMethod, nth: u64, kind: AbortKind) -> Result<(f64, ConfEffort)> {
+fn injected(
+    case: &Case,
+    method: ConfMethod,
+    nth: u64,
+    kind: AbortKind,
+) -> Result<(f64, ConfEffort)> {
     testing::abort_at_checkpoint(nth, kind);
     let guard = maybms_gov::begin_statement();
     let out = aconf(case, method);
@@ -224,8 +299,15 @@ fn is_gov(result: &Result<(f64, ConfEffort)>, want: fn(&GovError) -> bool) -> bo
 fn a_deadline_in_the_attempt_degrades_and_a_cancel_aborts() {
     let _l = lock();
     let cases = cases();
-    let case = cases.iter().find(|c| c.expect[0] == Estimator::Sampler).expect("a sampled case");
-    let method = ConfMethod::Approx { epsilon: 0.1, delta: 0.05, seed: 5 };
+    let case = cases
+        .iter()
+        .find(|c| c.expect[0] == Estimator::Sampler)
+        .expect("a sampled case");
+    let method = ConfMethod::Approx {
+        epsilon: 0.1,
+        delta: 0.05,
+        seed: 5,
+    };
     let (_, full) = aconf(case, method).unwrap();
     // Every node is a checkpoint, so these all land inside the attempt.
     for nth in [1, 2, full.budget / 2, full.budget] {
@@ -233,11 +315,21 @@ fn a_deadline_in_the_attempt_degrades_and_a_cancel_aborts() {
             .unwrap_or_else(|e| panic!("an aconf failed at a deadline (nth={nth}): {e}"));
         assert_eq!(effort.estimator, Estimator::Sampler, "nth={nth}");
         assert!(effort.dtree_nodes < effort.budget, "nth={nth}: {effort:?}");
-        assert_eq!((effort.cut_batch, effort.samples, p), (Some(0), 0, 0.0), "nth={nth}");
+        assert_eq!(
+            (effort.cut_batch, effort.samples, p),
+            (Some(0), 0, 0.0),
+            "nth={nth}"
+        );
         let cancelled = injected(case, method, nth, AbortKind::Cancel);
-        assert!(is_gov(&cancelled, |g| matches!(g, GovError::Cancelled)), "nth={nth}: {cancelled:?}");
+        assert!(
+            is_gov(&cancelled, |g| matches!(g, GovError::Cancelled)),
+            "nth={nth}: {cancelled:?}"
+        );
     }
     // conf() has no sampler to hand over to: a deadline fails it.
     let exact = injected(case, ConfMethod::Exact, 1, AbortKind::Deadline);
-    assert!(is_gov(&exact, |g| matches!(g, GovError::DeadlineExceeded { .. })), "{exact:?}");
+    assert!(
+        is_gov(&exact, |g| matches!(g, GovError::DeadlineExceeded { .. })),
+        "{exact:?}"
+    );
 }

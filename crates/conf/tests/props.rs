@@ -12,18 +12,28 @@ use rand::{Rng, SeedableRng};
 
 /// Every ablation configuration of the exact engine.
 fn all_options() -> impl Iterator<Item = ExactOptions> {
-    [VarChoice::MaxOccurrence, VarChoice::MinDomain, VarChoice::First]
-        .into_iter()
-        .flat_map(|var_choice| {
-            [true, false].map(|decompose| ExactOptions { var_choice, decompose })
+    [
+        VarChoice::MaxOccurrence,
+        VarChoice::MinDomain,
+        VarChoice::First,
+    ]
+    .into_iter()
+    .flat_map(|var_choice| {
+        [true, false].map(|decompose| ExactOptions {
+            var_choice,
+            decompose,
         })
+    })
 }
 
 /// A random world table (n variables with domains 2–3) plus a random DNF
 /// over it.
 fn arb_dnf() -> impl Strategy<Value = (WorldTable, Dnf)> {
     let var_specs = prop::collection::vec(2usize..4, 1..7);
-    (var_specs, prop::collection::vec(prop::collection::vec((0usize..7, 0u16..3), 1..4), 0..7))
+    (
+        var_specs,
+        prop::collection::vec(prop::collection::vec((0usize..7, 0u16..3), 1..4), 0..7),
+    )
         .prop_map(|(domains, raw_clauses)| {
             let mut wt = WorldTable::new();
             let vars: Vec<Var> = domains
@@ -76,7 +86,8 @@ fn arb_lineage() -> impl Strategy<Value = (WorldTable, Dnf)> {
                         w[dead] = 0.0;
                     }
                     let total: f64 = w.iter().sum();
-                    wt.new_var(&w.iter().map(|x| x / total).collect::<Vec<_>>()).unwrap()
+                    wt.new_var(&w.iter().map(|x| x / total).collect::<Vec<_>>())
+                        .unwrap()
                 })
                 .collect();
             let lit = |wt: &WorldTable, vi: usize, alt: u16| {
@@ -89,7 +100,10 @@ fn arb_lineage() -> impl Strategy<Value = (WorldTable, Dnf)> {
                     Wsd::from_assignments(raw.iter().map(|&(vi, alt)| lit(&wt, vi, alt)).collect())
                 })
                 .collect();
-            if let (Some(d), Some(s)) = (block.get(dup % block.len().max(1)), block.get(sup % block.len().max(1))) {
+            if let (Some(d), Some(s)) = (
+                block.get(dup % block.len().max(1)),
+                block.get(sup % block.len().max(1)),
+            ) {
                 let extra = lit(&wt, sup_var, sup_alt);
                 clauses.push(d.clone());
                 clauses.extend(s.conjoin(&Wsd::of(extra.var, extra.alt)));
@@ -164,11 +178,18 @@ fn seeded_lineage(rng: &mut StdRng) -> (WorldTable, Dnf) {
         .map(|_| {
             let alts = rng.gen_range(2..5usize);
             let mut w: Vec<f64> = (0..alts)
-                .map(|_| if rng.gen_range(0..5u32) == 0 { 0.0 } else { rng.gen_range(0.05..1.0) })
+                .map(|_| {
+                    if rng.gen_range(0..5u32) == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(0.05..1.0)
+                    }
+                })
                 .collect();
             w[0] += 0.05;
             let total: f64 = w.iter().sum();
-            wt.new_var(&w.iter().map(|x| x / total).collect::<Vec<_>>()).unwrap()
+            wt.new_var(&w.iter().map(|x| x / total).collect::<Vec<_>>())
+                .unwrap()
         })
         .collect();
     let literal = |rng: &mut StdRng| {
@@ -179,7 +200,9 @@ fn seeded_lineage(rng: &mut StdRng) -> (WorldTable, Dnf) {
     for _ in 0..rng.gen_range(0..14usize) {
         let len = rng.gen_range(1..5usize);
         let lits = (0..len).map(|_| literal(rng)).collect();
-        let Some(c) = Wsd::from_assignments(lits) else { continue };
+        let Some(c) = Wsd::from_assignments(lits) else {
+            continue;
+        };
         match rng.gen_range(0..6u32) {
             0 => clauses.push(c.clone()),
             1 => {
@@ -209,7 +232,13 @@ fn exact_reproduces_the_recorded_dtree() {
         let (wt, dnf) = seeded_lineage(&mut rng);
         for opts in all_options() {
             let (p, s) = exact::probability_with(&dnf, &wt, &opts).unwrap();
-            for x in [p.to_bits(), s.decompositions as u64, s.eliminations as u64, s.leaves as u64, s.max_depth as u64] {
+            for x in [
+                p.to_bits(),
+                s.decompositions as u64,
+                s.eliminations as u64,
+                s.leaves as u64,
+                s.max_depth as u64,
+            ] {
                 digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
             }
         }
@@ -249,5 +278,8 @@ fn dklr_guarantee_statistical() {
         })
         .count();
     // δ = 0.1 → expect ≤ ~4 failures in 40; allow slack to avoid flakiness.
-    assert!(failures <= 8, "(ε,δ) guarantee violated: {failures}/{runs} failures");
+    assert!(
+        failures <= 8,
+        "(ε,δ) guarantee violated: {failures}/{runs} failures"
+    );
 }

@@ -49,7 +49,10 @@ fn walk_lineage(players: usize, seed: u64) -> (WorldTable, Dnf, f64) {
         for a in 0..4u16 {
             for b in 0..4u16 {
                 let path = [(s1[0], a), (s2[a as usize], b), (s3[b as usize], 2)];
-                p_player += path.iter().map(|&(v, alt)| wt.distribution(v).unwrap()[alt as usize]).product::<f64>();
+                p_player += path
+                    .iter()
+                    .map(|&(v, alt)| wt.distribution(v).unwrap()[alt as usize])
+                    .product::<f64>();
                 clauses.push(clause(&path));
             }
         }
@@ -68,7 +71,10 @@ fn walk_lineage_has_the_closed_form_and_a_fixed_dtree_shape() {
     for players in [1, 7, 80] {
         let (wt, dnf, closed) = walk_lineage(players, players as u64);
         let (p, stats) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
-        assert!((p - closed).abs() <= 1e-12, "{players} players: {p} vs {closed}");
+        assert!(
+            (p - closed).abs() <= 1e-12,
+            "{players} players: {p} vs {closed}"
+        );
         let decompositions = usize::from(players > 1);
         assert_eq!(
             stats,
@@ -91,7 +97,9 @@ fn walk_lineage_has_the_closed_form_and_a_fixed_dtree_shape() {
 /// and its tuple count.
 fn hierarchical_lineage(bs: usize, rng: &mut StdRng) -> (WorldTable, Dnf, f64, usize) {
     let mut wt = WorldTable::new();
-    let sizes: Vec<[usize; 2]> = (0..bs).map(|_| [rng.gen_range(0..4), rng.gen_range(0..4)]).collect();
+    let sizes: Vec<[usize; 2]> = (0..bs)
+        .map(|_| [rng.gen_range(0..4), rng.gen_range(0..4)])
+        .collect();
     // vars[side][b]: the variables of R_b (side 0) and S_b (side 1).
     let vars: [Vec<Vec<Var>>; 2] = std::array::from_fn(|side| {
         sizes
@@ -116,7 +124,12 @@ fn hierarchical_lineage(bs: usize, rng: &mut StdRng) -> (WorldTable, Dnf, f64, u
         let some = |side: &[Var]| 1.0 - side.iter().fold(1.0, |q, &v| q * (1.0 - present(v)));
         none *= 1.0 - some(rs) * some(ss);
     }
-    (wt, Dnf::new(clauses), 1.0 - none, sizes.iter().flatten().sum())
+    (
+        wt,
+        Dnf::new(clauses),
+        1.0 - none,
+        sizes.iter().flatten().sum(),
+    )
 }
 
 /// What a safe plan computes for a hierarchical query on tuple-independent
@@ -133,13 +146,19 @@ fn hierarchical_lineage_is_tractable_for_the_dtree() {
         let bs = rng.gen_range(1..40);
         let (wt, dnf, closed, _) = hierarchical_lineage(bs, &mut rng);
         let p = exact::probability(&dnf, &wt).unwrap();
-        assert!((p - closed).abs() <= 1e-12, "{bs} join values: {p} vs {closed}");
+        assert!(
+            (p - closed).abs() <= 1e-12,
+            "{bs} join values: {p} vs {closed}"
+        );
     }
     let mut shapes = Vec::new();
     for bs in [100, 1_000, 10_000] {
         let (wt, dnf, closed, tuples) = hierarchical_lineage(bs, &mut StdRng::seed_from_u64(7));
         let (p, stats) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
-        assert!((p - closed).abs() <= 1e-12, "{bs} join values: {p} vs {closed}");
+        assert!(
+            (p - closed).abs() <= 1e-12,
+            "{bs} join values: {p} vs {closed}"
+        );
         shapes.push((tuples, dnf.len(), stats));
     }
     let dtree = |decompositions, eliminations, leaves| ExactStats {
@@ -176,11 +195,17 @@ fn exact_conf_on_a_huge_walk_lineage_honours_the_deadline() {
     assert!(
         matches!(
             out,
-            Ok(_) | Err(UrelError::Engine(EngineError::Gov(GovError::DeadlineExceeded { .. })))
+            Ok(_)
+                | Err(UrelError::Engine(EngineError::Gov(
+                    GovError::DeadlineExceeded { .. }
+                )))
         ),
         "{out:?}"
     );
-    assert!(elapsed <= deadline + Duration::from_secs(1), "returned after {elapsed:?}");
+    assert!(
+        elapsed <= deadline + Duration::from_secs(1),
+        "returned after {elapsed:?}"
+    );
 }
 
 /// Absorption is a checkpoint every 1 024 subset tests: one short clause

@@ -81,7 +81,11 @@ impl ConfSlots<'_> {
         let method = match spec {
             AggSpec::AConf { epsilon, delta } => {
                 self.seed = self.seed.wrapping_add(1);
-                ConfMethod::Approx { epsilon: *epsilon, delta: *delta, seed: self.seed }
+                ConfMethod::Approx {
+                    epsilon: *epsilon,
+                    delta: *delta,
+                    seed: self.seed,
+                }
             }
             _ => ConfMethod::Exact,
         };
@@ -110,8 +114,10 @@ fn eval_group_rows(
     pool: &ThreadPool,
     eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<UTuple> + Sync,
 ) -> Result<Vec<UTuple>> {
-    let n_aconf =
-        aggs.iter().filter(|(s, _)| matches!(s, AggSpec::AConf { .. })).count() as u64;
+    let n_aconf = aggs
+        .iter()
+        .filter(|(s, _)| matches!(s, AggSpec::AConf { .. }))
+        .count() as u64;
     let row = |g: usize| {
         let seed = ACONF_SEED.wrapping_add(g as u64 * n_aconf);
         eval_row(g, &mut ConfSlots { wt, stats, seed })
@@ -147,7 +153,10 @@ pub(crate) fn output_schema(
             AggSpec::Std { func, arg } => match func {
                 AggFunc::Count => DataType::Int,
                 AggFunc::Avg => DataType::Float,
-                _ => arg.as_ref().map(|e| e.data_type(input)).unwrap_or(DataType::Unknown),
+                _ => arg
+                    .as_ref()
+                    .map(|e| e.data_type(input))
+                    .unwrap_or(DataType::Unknown),
             },
             AggSpec::ArgMax { arg, .. } => arg.data_type(input),
         };
@@ -192,7 +201,10 @@ impl Partial {
             AggSpec::Conf | AggSpec::AConf { .. } => Partial::Lineage,
             AggSpec::ESum(_) | AggSpec::ECount(_) => Partial::Expect(ExactSum::new()),
             AggSpec::Std { func, .. } => Partial::Std(AggState::new(*func)),
-            AggSpec::ArgMax { .. } => Partial::ArgMax { best: None, args: Vec::new() },
+            AggSpec::ArgMax { .. } => Partial::ArgMax {
+                best: None,
+                args: Vec::new(),
+            },
             AggSpec::TConf => unreachable!("the planner never groups tconf"),
         }
     }
@@ -289,14 +301,19 @@ pub fn aggregate_stream_with(
     min_morsel: usize,
 ) -> Result<URelation> {
     // The planner admits argmax only alone, and tconf never.
-    let has_argmax = aggs.iter().any(|(s, _)| matches!(s, AggSpec::ArgMax { .. }));
+    let has_argmax = aggs
+        .iter()
+        .any(|(s, _)| matches!(s, AggSpec::ArgMax { .. }));
     let schema = Arc::new(output_schema(key_fields, aggs, stream.schema()));
-    let needs_wsds =
-        aggs.iter().any(|(s, _)| matches!(s, AggSpec::Conf | AggSpec::AConf { .. }));
+    let needs_wsds = aggs
+        .iter()
+        .any(|(s, _)| matches!(s, AggSpec::Conf | AggSpec::AConf { .. }));
 
     // ---- the morsel-local fold -------------------------------------
-    let new_state =
-        || StreamAcc { wsds: Vec::new(), parts: aggs.iter().map(|(s, _)| Partial::new(s)).collect() };
+    let new_state = || StreamAcc {
+        wsds: Vec::new(),
+        parts: aggs.iter().map(|(s, _)| Partial::new(s)).collect(),
+    };
     let fold = |acc: &mut StreamAcc, row: &[Value], wsd: &Wsd| -> maybms_urel::Result<()> {
         if aggs.is_empty() && !wsd.is_tautology() {
             return Err(EngineError::TypeMismatch {
@@ -372,26 +389,25 @@ pub fn aggregate_stream_with(
                 (Partial::Lineage, Partial::Lineage) => {}
                 (Partial::Expect(x), Partial::Expect(y)) => x.merge(&y),
                 (Partial::Std(x), Partial::Std(y)) => x.merge(y)?,
-                (
-                    Partial::ArgMax { best, args },
-                    Partial::ArgMax { best: ob, args: oa },
-                ) => match (&*best, ob) {
-                    (_, None) => {}
-                    (None, Some(b)) => {
-                        *best = Some(b);
-                        *args = oa;
-                    }
-                    (Some(a), Some(b)) => {
-                        // `self` is the earlier morsel: on ties its args
-                        // come first, matching the sequential member order.
-                        if b > *a {
+                (Partial::ArgMax { best, args }, Partial::ArgMax { best: ob, args: oa }) => {
+                    match (&*best, ob) {
+                        (_, None) => {}
+                        (None, Some(b)) => {
                             *best = Some(b);
                             *args = oa;
-                        } else if b == *a {
-                            args.extend(oa);
+                        }
+                        (Some(a), Some(b)) => {
+                            // `self` is the earlier morsel: on ties its args
+                            // come first, matching the sequential member order.
+                            if b > *a {
+                                *best = Some(b);
+                                *args = oa;
+                            } else if b == *a {
+                                args.extend(oa);
+                            }
                         }
                     }
-                },
+                }
                 _ => unreachable!("partial lists are parallel"),
             }
         }
@@ -507,9 +523,14 @@ mod tests {
         aggs: &[(AggSpec, String)],
         wt: &WorldTable,
     ) -> Result<URelation> {
-        let grouping: Vec<Expr> =
-            keys.iter().map(|k| Expr::col(*k).bind(u.schema()).unwrap()).collect();
-        let key_fields = keys.iter().map(|k| Field::new(*k, DataType::Text)).collect();
+        let grouping: Vec<Expr> = keys
+            .iter()
+            .map(|k| Expr::col(*k).bind(u.schema()).unwrap())
+            .collect();
+        let key_fields = keys
+            .iter()
+            .map(|k| Field::new(*k, DataType::Text))
+            .collect();
         aggregate_stream(
             UStream::new(u.clone()),
             &grouping,
@@ -528,7 +549,11 @@ mod tests {
     fn ti_setup() -> (WorldTable, URelation) {
         let mut wt = WorldTable::new();
         let r = rel(
-            &[("g", DataType::Text), ("v", DataType::Int), ("p", DataType::Float)],
+            &[
+                ("g", DataType::Text),
+                ("v", DataType::Int),
+                ("p", DataType::Float),
+            ],
             vec![
                 vec!["a".into(), 10.into(), Value::Float(0.5)],
                 vec!["a".into(), 20.into(), Value::Float(0.5)],
@@ -537,7 +562,9 @@ mod tests {
         );
         let u = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();
@@ -556,8 +583,14 @@ mod tests {
         let rows: Vec<&[Value]> = out.tuples().iter().map(|t| t.data.values()).collect();
         // group a: esum = 10*0.5 + 20*0.5 = 15, ecount = 1.0;
         // group b: esum = 30*0.25 = 7.5, ecount = 0.25.
-        assert_eq!(rows[0], [Value::str("a"), Value::Float(15.0), Value::Float(1.0)]);
-        assert_eq!(rows[1], [Value::str("b"), Value::Float(7.5), Value::Float(0.25)]);
+        assert_eq!(
+            rows[0],
+            [Value::str("a"), Value::Float(15.0), Value::Float(1.0)]
+        );
+        assert_eq!(
+            rows[1],
+            [Value::str("b"), Value::Float(7.5), Value::Float(0.25)]
+        );
     }
 
     #[test]
@@ -567,7 +600,10 @@ mod tests {
         let out = aggregate(&u, &[], &aggs, &wt).unwrap();
         let esum = out.tuples()[0].data.value(0).as_f64().unwrap();
         let brute = maybms_urel::worlds::expectation(&wt, &u, 1 << 10, |r| {
-            r.tuples().iter().map(|t| t.value(1).as_f64().unwrap()).sum()
+            r.tuples()
+                .iter()
+                .map(|t| t.value(1).as_f64().unwrap())
+                .sum()
         })
         .unwrap();
         assert!((esum - brute).abs() < 1e-9, "esum {esum} brute {brute}");
@@ -576,9 +612,15 @@ mod tests {
     #[test]
     fn std_aggregates_rejected_on_uncertain() {
         let (wt, u) = ti_setup();
-        let sum = AggSpec::Std { func: AggFunc::Sum, arg: Some(col(&u, "v")) };
+        let sum = AggSpec::Std {
+            func: AggFunc::Sum,
+            arg: Some(col(&u, "v")),
+        };
         let out = aggregate(&u, &[], &[(sum, "s".to_string())], &wt);
-        assert!(matches!(out, Err(crate::error::CoreError::Typing { .. })), "{out:?}");
+        assert!(
+            matches!(out, Err(crate::error::CoreError::Typing { .. })),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -587,7 +629,10 @@ mod tests {
             &[("v", DataType::Int)],
             vec![vec![1.into()], vec![2.into()]],
         ));
-        let sum = AggSpec::Std { func: AggFunc::Sum, arg: Some(col(&u, "v")) };
+        let sum = AggSpec::Std {
+            func: AggFunc::Sum,
+            arg: Some(col(&u, "v")),
+        };
         let out = aggregate(&u, &[], &[(sum, "s".to_string())], &WorldTable::new()).unwrap();
         assert_eq!(out.tuples()[0].data.value(0), &Value::Int(3));
     }
@@ -597,7 +642,11 @@ mod tests {
         // Every arg value attaining the group maximum, in member order,
         // at any thread count down to single-row morsels.
         let u = URelation::from_certain(&rel(
-            &[("team", DataType::Text), ("player", DataType::Text), ("pts", DataType::Int)],
+            &[
+                ("team", DataType::Text),
+                ("player", DataType::Text),
+                ("pts", DataType::Int),
+            ],
             vec![
                 vec!["LAL".into(), "Bryant".into(), 40.into()],
                 vec!["LAL".into(), "Gasol".into(), 40.into()],
@@ -606,7 +655,10 @@ mod tests {
             ],
         ));
         let aggs = [(
-            AggSpec::ArgMax { arg: col(&u, "player"), value: col(&u, "pts") },
+            AggSpec::ArgMax {
+                arg: col(&u, "player"),
+                value: col(&u, "pts"),
+            },
             "star".to_string(),
         )];
         for threads in [1usize, 2, 8] {
@@ -623,16 +675,26 @@ mod tests {
             )
             .unwrap();
             let rows: Vec<String> = out.tuples().iter().map(|t| t.data.to_string()).collect();
-            assert_eq!(rows, ["(LAL, Bryant)", "(LAL, Gasol)", "(SAS, Duncan)"], "{threads}");
+            assert_eq!(
+                rows,
+                ["(LAL, Bryant)", "(LAL, Gasol)", "(SAS, Duncan)"],
+                "{threads}"
+            );
         }
     }
 
     #[test]
     fn argmax_on_uncertain_rejected() {
         let (wt, u) = ti_setup();
-        let argmax = AggSpec::ArgMax { arg: col(&u, "g"), value: col(&u, "v") };
+        let argmax = AggSpec::ArgMax {
+            arg: col(&u, "g"),
+            value: col(&u, "v"),
+        };
         let out = aggregate(&u, &[], &[(argmax, "a".to_string())], &wt);
-        assert!(matches!(out, Err(crate::error::CoreError::Typing { .. })), "{out:?}");
+        assert!(
+            matches!(out, Err(crate::error::CoreError::Typing { .. })),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -641,10 +703,16 @@ mod tests {
         // scalar-aggregate behaviour).
         let wt = WorldTable::new();
         let u = URelation::from_certain(&rel(&[("v", DataType::Int)], vec![]));
-        let aggs = [(AggSpec::ECount(None), "ec".to_string()), (AggSpec::Conf, "p".to_string())];
+        let aggs = [
+            (AggSpec::ECount(None), "ec".to_string()),
+            (AggSpec::Conf, "p".to_string()),
+        ];
         let out = aggregate(&u, &[], &aggs, &wt).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.tuples()[0].data.values(), [Value::Float(0.0), Value::Float(0.0)]);
+        assert_eq!(
+            out.tuples()[0].data.values(),
+            [Value::Float(0.0), Value::Float(0.0)]
+        );
     }
 
     #[test]

@@ -119,14 +119,12 @@ impl MayBms {
     pub fn reopen(&mut self) -> Result<RecoveryReport> {
         let vfs = match &self.store {
             Some(store) => store.vfs(),
-            None => {
-                return Err(plan_err(
-                    "no data directory attached; nothing to reopen",
-                ))
-            }
+            None => return Err(plan_err("no data directory attached; nothing to reopen")),
         };
         let fresh = Self::open_with_vfs(vfs)?;
-        let report = fresh.recovery.expect("open_with_vfs records a recovery report");
+        let report = fresh
+            .recovery
+            .expect("open_with_vfs records a recovery report");
         *self = fresh;
         Ok(report)
     }
@@ -142,8 +140,10 @@ impl MayBms {
     pub fn checkpoint(&mut self) -> Result<()> {
         match &mut self.store {
             Some(store) => Ok(store.checkpoint(&self.tables, &self.wt)?),
-            None => Err(plan_err("no data directory attached; open the database \
-                                  with --data-dir to enable checkpoints")),
+            None => Err(plan_err(
+                "no data directory attached; open the database \
+                                  with --data-dir to enable checkpoints",
+            )),
         }
     }
 
@@ -160,8 +160,7 @@ impl MayBms {
         // succeeds — so honouring a pending cancel/deadline/budget abort
         // at this point leaves the catalog (and its fingerprint)
         // bit-identical to the pre-statement state.
-        maybms_gov::check()
-            .map_err(|g| CoreError::Engine(maybms_engine::EngineError::Gov(g)))?;
+        maybms_gov::check().map_err(|g| CoreError::Engine(maybms_engine::EngineError::Gov(g)))?;
         maybms_store::check_op(&self.tables, &op).map_err(|reason| StoreError::Corrupt {
             path: maybms_store::wal::WAL_FILE.into(),
             // Where the refused record would have started.
@@ -222,7 +221,10 @@ impl MayBms {
             }));
         }
         let schema = Arc::new(u.schema().without_qualifiers());
-        self.commit(Op::PutTable { name: key, table: u.with_schema(schema) })
+        self.commit(Op::PutTable {
+            name: key,
+            table: u.with_schema(schema),
+        })
     }
 
     /// Look up a stored table.
@@ -418,19 +420,27 @@ impl MayBms {
                 let out = eval_query(q, &mut ctx)?;
                 Ok(StatementResult::Query(out))
             }
-            Statement::Explain { query, analyze: false } => {
+            Statement::Explain {
+                query,
+                analyze: false,
+            } => {
                 let plan = plan_query(query, &self.tables)?.explain()?;
                 let message = format!(
                     "EXPLAIN {query}\npipeline decomposition (morsel-driven executor, planned):\n{plan}"
                 );
                 Ok(StatementResult::Ok { message })
             }
-            Statement::Explain { query, analyze: true } => {
+            Statement::Explain {
+                query,
+                analyze: true,
+            } => {
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let t0 = std::time::Instant::now();
                 let out = eval_query(query, &mut ctx)?;
                 let elapsed = t0.elapsed();
-                Ok(StatementResult::Ok { message: render_analyze(query, stats, &out, elapsed) })
+                Ok(StatementResult::Ok {
+                    message: render_analyze(query, stats, &out, elapsed),
+                })
             }
             Statement::CreateTable { name, columns } => {
                 let fields: Vec<Field> = columns
@@ -439,25 +449,43 @@ impl MayBms {
                     .collect::<Result<_>>()?;
                 let u = URelation::empty(Arc::new(Schema::new(fields)));
                 self.register_u(name, u)?;
-                Ok(StatementResult::Ok { message: "CREATE TABLE".into() })
+                Ok(StatementResult::Ok {
+                    message: "CREATE TABLE".into(),
+                })
             }
             Statement::CreateTableAs { name, query } => {
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let out = run(&plan_query(query, &self.tables)?, &mut ctx)?;
                 self.register_u(name, out)?;
-                Ok(StatementResult::Ok { message: "CREATE TABLE AS".into() })
+                Ok(StatementResult::Ok {
+                    message: "CREATE TABLE AS".into(),
+                })
             }
-            Statement::Insert { table, columns, source } => {
+            Statement::Insert {
+                table,
+                columns,
+                source,
+            } => {
                 let n = self.insert(table, columns.as_deref(), source, stats)?;
-                Ok(StatementResult::Ok { message: format!("INSERT {n}") })
+                Ok(StatementResult::Ok {
+                    message: format!("INSERT {n}"),
+                })
             }
-            Statement::Update { table, assignments, filter } => {
+            Statement::Update {
+                table,
+                assignments,
+                filter,
+            } => {
                 let n = self.update(table, assignments, filter.as_ref(), stats)?;
-                Ok(StatementResult::Ok { message: format!("UPDATE {n}") })
+                Ok(StatementResult::Ok {
+                    message: format!("UPDATE {n}"),
+                })
             }
             Statement::Delete { table, filter } => {
                 let n = self.delete(table, filter.as_ref(), stats)?;
-                Ok(StatementResult::Ok { message: format!("DELETE {n}") })
+                Ok(StatementResult::Ok {
+                    message: format!("DELETE {n}"),
+                })
             }
             Statement::Drop { table, if_exists } => {
                 let key = table.to_ascii_lowercase();
@@ -465,10 +493,14 @@ impl MayBms {
                     self.commit(Op::DropTable { name: key })?;
                 } else if !if_exists {
                     return Err(CoreError::Engine(
-                        maybms_engine::EngineError::TableNotFound { name: table.clone() },
+                        maybms_engine::EngineError::TableNotFound {
+                            name: table.clone(),
+                        },
                     ));
                 }
-                Ok(StatementResult::Ok { message: "DROP TABLE".into() })
+                Ok(StatementResult::Ok {
+                    message: "DROP TABLE".into(),
+                })
             }
         }
     }
@@ -564,7 +596,10 @@ impl MayBms {
         }
         let n = new_rows.len();
         if n > 0 {
-            self.commit(Op::InsertRows { table: key, rows: new_rows })?;
+            self.commit(Op::InsertRows {
+                table: key,
+                rows: new_rows,
+            })?;
         }
         Ok(n)
     }
@@ -574,9 +609,11 @@ impl MayBms {
         let key = name.to_ascii_lowercase();
         match self.tables.get(&key) {
             Some(t) => Ok((key, t)),
-            None => Err(CoreError::Engine(maybms_engine::EngineError::TableNotFound {
-                name: name.to_string(),
-            })),
+            None => Err(CoreError::Engine(
+                maybms_engine::EngineError::TableNotFound {
+                    name: name.to_string(),
+                },
+            )),
         }
     }
 
@@ -592,10 +629,7 @@ impl MayBms {
         let sets: Vec<(u32, maybms_engine::Expr)> = assignments
             .iter()
             .map(|(c, e)| {
-                Ok::<_, CoreError>((
-                    schema.index_of(None, c)? as u32,
-                    scalar(e)?.bind(schema)?,
-                ))
+                Ok::<_, CoreError>((schema.index_of(None, c)? as u32, scalar(e)?.bind(schema)?))
             })
             .collect::<Result<_>>()?;
         let positions = target_positions(target, filter, stats)?;
@@ -619,7 +653,12 @@ impl MayBms {
         let n = positions.len();
         if n > 0 {
             let columns = sets.iter().map(|(c, _)| *c).collect();
-            self.commit(Op::UpdateRows { table: key, positions, columns, cells })?;
+            self.commit(Op::UpdateRows {
+                table: key,
+                positions,
+                columns,
+                cells,
+            })?;
         }
         Ok(n)
     }
@@ -635,7 +674,10 @@ impl MayBms {
         let positions = target_positions(target, filter, stats)?;
         let n = positions.len();
         if n > 0 {
-            self.commit(Op::DeleteRows { table: key, positions })?;
+            self.commit(Op::DeleteRows {
+                table: key,
+                positions,
+            })?;
         }
         Ok(n)
     }
@@ -679,9 +721,11 @@ fn check_cell_type(field: &Field, v: &Value) -> Result<()> {
     match (field.dtype, v.data_type()) {
         (Unknown, _) | (_, Unknown) | (Int | Float, Int | Float) => Ok(()),
         (want, got) if want == got => Ok(()),
-        (want, got) => Err(CoreError::Engine(maybms_engine::EngineError::TypeMismatch {
-            message: format!("column {} is {want} but the value {v} is {got}", field.name),
-        })),
+        (want, got) => Err(CoreError::Engine(
+            maybms_engine::EngineError::TypeMismatch {
+                message: format!("column {} is {want} but the value {v} is {got}", field.name),
+            },
+        )),
     }
 }
 
@@ -709,7 +753,10 @@ fn render_analyze(
         if p.stages.is_empty() && p.morsels.get() == 0 {
             // A stage-less pipeline (bare scan feeding a breaker) passes
             // its source through without driving any morsels.
-            s.push_str(&format!("#{} pipeline ({label}) [source passthrough]\n", i + 1));
+            s.push_str(&format!(
+                "#{} pipeline ({label}) [source passthrough]\n",
+                i + 1
+            ));
         } else {
             s.push_str(&format!(
                 "#{} pipeline ({label}) [{:.3} ms, {} morsel(s)]\n",
@@ -720,7 +767,11 @@ fn render_analyze(
         }
         s.push_str(&format!("   source: {}", p.source));
         if p.zones.get() > 0 {
-            s.push_str(&format!(", zones read {} of {}", p.zones_read.get(), p.zones.get()));
+            s.push_str(&format!(
+                ", zones read {} of {}",
+                p.zones_read.get(),
+                p.zones.get()
+            ));
         }
         s.push('\n');
         for st in &p.stages {
@@ -786,7 +837,10 @@ fn render_analyze(
     let peak = maybms_gov::statement_peak_bytes();
     let slack = maybms_gov::deadline_slack_nanos();
     if peak > 0 || slack.is_some() {
-        s.push_str(&format!("governor: peak {:.1} KiB charged", peak as f64 / 1024.0));
+        s.push_str(&format!(
+            "governor: peak {:.1} KiB charged",
+            peak as f64 / 1024.0
+        ));
         if let Some(ns) = slack {
             s.push_str(&format!(", deadline slack {:.3} ms", ns as f64 / 1e6));
         }
@@ -841,7 +895,8 @@ mod tests {
     #[test]
     fn insert_with_column_list_fills_nulls() {
         let mut db = MayBms::new();
-        db.run("create table t (a bigint, b text, c double precision)").unwrap();
+        db.run("create table t (a bigint, b text, c double precision)")
+            .unwrap();
         db.run("insert into t (b, a) values ('x', 1)").unwrap();
         let r = db.query("select a, b, c from t").unwrap();
         assert_eq!(r.tuples()[0].value(0), &Value::Int(1));
@@ -850,7 +905,12 @@ mod tests {
     }
 
     fn rows_of(db: &MayBms) -> Vec<Vec<Value>> {
-        db.table("t").unwrap().tuples().iter().map(|t| t.data.values().to_vec()).collect()
+        db.table("t")
+            .unwrap()
+            .tuples()
+            .iter()
+            .map(|t| t.data.values().to_vec())
+            .collect()
     }
 
     /// `INSERT` and `UPDATE` check values against the declared column types
@@ -858,7 +918,8 @@ mod tests {
     #[test]
     fn cross_family_values_are_rejected_before_anything_changes() {
         let mut db = MayBms::new();
-        db.run("create table t (a bigint, b text, c boolean)").unwrap();
+        db.run("create table t (a bigint, b text, c boolean)")
+            .unwrap();
         db.run("insert into t values (1, 'x', true)").unwrap();
         let before = rows_of(&db);
         for sql in [
@@ -875,7 +936,8 @@ mod tests {
         }
         // NULL fits everywhere, integers and floats share a family, and a
         // CTAS column of unknown type takes anything.
-        db.run("insert into t values (null, null, null), (2.5, 'y', false)").unwrap();
+        db.run("insert into t values (null, null, null), (2.5, 'y', false)")
+            .unwrap();
         db.run("update t set a = 7.5 where b = 'x'").unwrap();
         db.run("create table u as select null as z from t").unwrap();
         db.run("insert into u values ('text'), (1)").unwrap();
@@ -890,17 +952,19 @@ mod tests {
     #[test]
     fn update_and_delete() {
         let mut db = db_with_games();
-        let StatementResult::Ok { message } =
-            db.run("update games set pts = pts + 1 where player = 'Bryant'").unwrap()
+        let StatementResult::Ok { message } = db
+            .run("update games set pts = pts + 1 where player = 'Bryant'")
+            .unwrap()
         else {
             panic!()
         };
         assert_eq!(message, "UPDATE 1");
-        let r = db.query("select pts from games where player = 'Bryant'").unwrap();
+        let r = db
+            .query("select pts from games where player = 'Bryant'")
+            .unwrap();
         assert_eq!(r.tuples()[0].value(0), &Value::Int(41));
 
-        let StatementResult::Ok { message } =
-            db.run("delete from games where pts < 30").unwrap()
+        let StatementResult::Ok { message } = db.run("delete from games where pts < 30").unwrap()
         else {
             panic!()
         };
@@ -920,18 +984,28 @@ mod tests {
     #[test]
     fn a_row_walked_conjunct_leaves_the_row_view_cold() {
         let mut db = MayBms::new();
-        db.run("create table alerts (sensor bigint, room text, level bigint)").unwrap();
-        let rows: Vec<String> = (0..5000).map(|i| format!("({i}, 'r{}', {})", i % 7, i % 3)).collect();
-        db.run(&format!("insert into alerts values {}", rows.join(", "))).unwrap();
+        db.run("create table alerts (sensor bigint, room text, level bigint)")
+            .unwrap();
+        let rows: Vec<String> = (0..5000)
+            .map(|i| format!("({i}, 'r{}', {})", i % 7, i % 3))
+            .collect();
+        db.run(&format!("insert into alerts values {}", rows.join(", ")))
+            .unwrap();
         let where_ = "sensor >= 100 and sensor < 120 and room in ('r1', 'r2')";
         let reader = db.table("alerts").unwrap().clone(); // shares the body the DELETE scans
-        let StatementResult::Ok { message } = db.run(&format!("delete from alerts where {where_}")).unwrap()
+        let StatementResult::Ok { message } = db
+            .run(&format!("delete from alerts where {where_}"))
+            .unwrap()
         else {
             panic!()
         };
         assert_eq!(message, "DELETE 5");
         assert!(row_view_is_cold(&reader));
-        let r = db.query("select sensor from alerts where sensor >= 200 and room in ('r1') and sensor < 230").unwrap();
+        let r = db
+            .query(
+                "select sensor from alerts where sensor >= 200 and room in ('r1') and sensor < 230",
+            )
+            .unwrap();
         assert_eq!(r.len(), 4);
         assert!(row_view_is_cold(db.table("alerts").unwrap()));
     }
@@ -947,8 +1021,10 @@ mod tests {
     #[test]
     fn create_table_as_stores_uncertain_result() {
         let mut db = db_with_games();
-        db.run("create table picks as select * from (pick tuples from games with probability 0.5) p")
-            .unwrap();
+        db.run(
+            "create table picks as select * from (pick tuples from games with probability 0.5) p",
+        )
+        .unwrap();
         let t = db.table("picks").unwrap();
         assert_eq!(t.len(), 2);
         assert!(!t.is_t_certain());
@@ -980,8 +1056,12 @@ mod tests {
     #[test]
     fn query_requires_certain_output() {
         let mut db = db_with_games();
-        assert!(db.query("select * from (pick tuples from games) p").is_err());
-        assert!(db.query_uncertain("select * from (pick tuples from games) p").is_ok());
+        assert!(db
+            .query("select * from (pick tuples from games) p")
+            .is_err());
+        assert!(db
+            .query_uncertain("select * from (pick tuples from games) p")
+            .is_ok());
     }
 
     #[test]
@@ -1020,8 +1100,9 @@ mod tests {
         // a kernel-eligible filter is marked, so users can see which
         // stages run vectorised.
         let mut db = db_with_games();
-        let StatementResult::Ok { message } =
-            db.run("explain select player from games where pts > 30").unwrap()
+        let StatementResult::Ok { message } = db
+            .run("explain select player from games where pts > 30")
+            .unwrap()
         else {
             panic!("EXPLAIN must return a message")
         };
@@ -1083,8 +1164,10 @@ mod tests {
             ),
         )
         .unwrap();
-        db.run("create table picks as select * from (pick tuples from games with probability 0.5) p")
-            .unwrap();
+        db.run(
+            "create table picks as select * from (pick tuples from games with probability 0.5) p",
+        )
+        .unwrap();
         let StatementResult::Ok { message } = db
             .run(
                 "explain analyze select t.team, conf() as p, aconf(0.3, 0.3) as ap \
@@ -1099,7 +1182,10 @@ mod tests {
         assert!(message.contains("morsel(s)]"), "{message}");
         // Both pipelines appear: the build side and the streaming
         // grouped-aggregation breaker, with per-stage [in, out] counts.
-        assert!(message.contains("pipeline (hash-join build side)"), "{message}");
+        assert!(
+            message.contains("pipeline (hash-join build side)"),
+            "{message}"
+        );
         assert!(
             message.contains("pipeline (grouped aggregation (streaming, 1 keys, 2 aggs))"),
             "{message}"
@@ -1115,7 +1201,10 @@ mod tests {
             "{message}"
         );
         assert!(message.contains(" 0 sample(s) in 0 batch(es)"), "{message}");
-        assert!(message.contains(" drawn), requested (ε 0.3, δ 0.3)"), "{message}");
+        assert!(
+            message.contains(" drawn), requested (ε 0.3, δ 0.3)"),
+            "{message}"
+        );
         assert!(
             message.contains("aconf: 2 exact (δ = 0), 0 sampled after the d-tree spent its budget"),
             "{message}"
@@ -1130,8 +1219,9 @@ mod tests {
         // A group whose lineage outgrows the d-tree budget is sampled:
         // x_i ∧ x_j over a dense graph on 30 tuples of probability 0.1.
         let side: Vec<String> = (0..30).map(|i| format!("({i}, 0.1)")).collect();
-        let edges: Vec<String> =
-            (0..30).flat_map(|i| (1..6).map(move |d| format!("({i}, {})", (i + d * 7) % 30))).collect();
+        let edges: Vec<String> = (0..30)
+            .flat_map(|i| (1..6).map(move |d| format!("({i}, {})", (i + d * 7) % 30)))
+            .collect();
         db.run_script(&format!(
             "create table v (a bigint, w double precision);
              insert into v values {};
@@ -1152,12 +1242,23 @@ mod tests {
             panic!("EXPLAIN ANALYZE must return a message")
         };
         let stats = db.last_stats().unwrap();
-        assert_eq!((stats.answered[2].get(), stats.aconf_exact.get()), (1, 0), "{message}");
+        assert_eq!(
+            (stats.answered[2].get(), stats.aconf_exact.get()),
+            (1, 0),
+            "{message}"
+        );
         assert!(stats.samples.get() > 0);
         assert_eq!(stats.samples_drawn.get(), stats.samples.get());
         let budget = stats.max_budget.get();
-        assert_eq!(stats.dtree_nodes.get(), budget, "the attempt spends its budget");
-        assert!(message.contains("(product 0, d-tree 0, sampler 1)"), "{message}");
+        assert_eq!(
+            stats.dtree_nodes.get(),
+            budget,
+            "the attempt spends its budget"
+        );
+        assert!(
+            message.contains("(product 0, d-tree 0, sampler 1)"),
+            "{message}"
+        );
         assert!(message.contains("max rel stderr"), "{message}");
         assert!(
             message.contains(&format!(
@@ -1186,9 +1287,7 @@ mod tests {
     fn run_script_executes_all() {
         let mut db = MayBms::new();
         let results = db
-            .run_script(
-                "create table t (a bigint); insert into t values (1); select a from t;",
-            )
+            .run_script("create table t (a bigint); insert into t values (1); select a from t;")
             .unwrap();
         assert_eq!(results.len(), 3);
         assert!(matches!(results[2], StatementResult::Query(_)));
@@ -1198,8 +1297,10 @@ mod tests {
     fn update_on_uncertain_representation() {
         // Updates are representation-level edits (§2.3).
         let mut db = db_with_games();
-        db.run("create table picks as select * from (pick tuples from games) p").unwrap();
-        db.run("update picks set pts = 0 where player = 'Bryant'").unwrap();
+        db.run("create table picks as select * from (pick tuples from games) p")
+            .unwrap();
+        db.run("update picks set pts = 0 where player = 'Bryant'")
+            .unwrap();
         let t = db.table("picks").unwrap();
         let bryant = t
             .tuples()

@@ -114,15 +114,21 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 
 /// Shorthand constructors used across the planner.
 pub(crate) fn typing(message: impl Into<String>) -> CoreError {
-    CoreError::Typing { message: message.into() }
+    CoreError::Typing {
+        message: message.into(),
+    }
 }
 
 pub(crate) fn unsupported(message: impl Into<String>) -> CoreError {
-    CoreError::Unsupported { message: message.into() }
+    CoreError::Unsupported {
+        message: message.into(),
+    }
 }
 
 pub(crate) fn plan_err(message: impl Into<String>) -> CoreError {
-    CoreError::Plan { message: message.into() }
+    CoreError::Plan {
+        message: message.into(),
+    }
 }
 
 #[cfg(test)]
@@ -133,7 +139,10 @@ mod tests {
     fn conversions_and_sources() {
         let e: CoreError = EngineError::TableNotFound { name: "x".into() }.into();
         assert!(std::error::Error::source(&e).is_some());
-        let e: CoreError = UrelError::NotTCertain { operation: "repair key".into() }.into();
+        let e: CoreError = UrelError::NotTCertain {
+            operation: "repair key".into(),
+        }
+        .into();
         assert!(e.to_string().contains("t-certain"));
         let e = typing("sum on uncertain relation");
         assert!(e.to_string().contains("typing error"));

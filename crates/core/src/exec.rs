@@ -27,8 +27,7 @@ use maybms_engine::{Expr as EExpr, Relation, Schema, Tuple};
 use maybms_pipe::{breaker, UStream};
 use maybms_sql::Query;
 use maybms_urel::{
-    pick_tuples_u, repair_key_u, PickTuplesOptions, RepairKeyOptions, URelation, UTuple,
-    WorldTable,
+    pick_tuples_u, repair_key_u, PickTuplesOptions, RepairKeyOptions, URelation, UTuple, WorldTable,
 };
 
 use crate::agg;
@@ -62,7 +61,12 @@ impl<'a> ExecCtx<'a> {
         wt: &'a mut WorldTable,
         stats: &'a maybms_obs::QueryStats,
     ) -> ExecCtx<'a> {
-        ExecCtx { catalog, wt, stats, min_morsel: maybms_engine::ops::PAR_MIN_CHUNK }
+        ExecCtx {
+            catalog,
+            wt,
+            stats,
+            min_morsel: maybms_engine::ops::PAR_MIN_CHUNK,
+        }
     }
 
     /// Materialise `stream` as the statement's next pipeline, labelled by
@@ -141,13 +145,24 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         // require conditions beyond per-tuple conjunctions.
         // The breaker is the copy; a dedup is the `distinct` pipeline
         // that follows it and reports its own reduction.
-        ctx.breaker("union (all)".to_string(), result.len() + next.len(), &merged);
-        result =
-            if !*all && merged.is_t_certain() { distinct_rows(merged, ctx)? } else { merged };
+        ctx.breaker(
+            "union (all)".to_string(),
+            result.len() + next.len(),
+            &merged,
+        );
+        result = if !*all && merged.is_t_certain() {
+            distinct_rows(merged, ctx)?
+        } else {
+            merged
+        };
     }
     if !plan.sort.is_empty() {
         let sorted = breaker::sort(&result, &plan.sort)?;
-        ctx.breaker(format!("sort ({} keys)", plan.sort.len()), result.len(), &sorted);
+        ctx.breaker(
+            format!("sort ({} keys)", plan.sort.len()),
+            result.len(),
+            &sorted,
+        );
         result = sorted;
     }
     if let Some(n) = plan.limit {
@@ -161,14 +176,22 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         ctx.breaker(format!("limit {n}"), result.len(), &kept);
         result = kept;
     }
-    debug_assert_eq!(result.schema(), &plan.schema, "a query's run and planned schemas differ");
+    debug_assert_eq!(
+        result.schema(),
+        &plan.schema,
+        "a query's run and planned schemas differ"
+    );
     Ok(result)
 }
 
 /// Run one SELECT block.
 fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     // ---- FROM: every leaf, in FROM order, under its σ stages -----------
-    let leaves = b.leaves.iter().map(|leaf| run_source(&leaf.source, ctx)).collect::<Result<Vec<_>>>()?;
+    let leaves = b
+        .leaves
+        .iter()
+        .map(|leaf| run_source(&leaf.source, ctx))
+        .collect::<Result<Vec<_>>>()?;
     let first_rows = leaves[0].len();
     let mut streams = leaves
         .into_iter()
@@ -199,7 +222,10 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
                 ctx.stats.relabel_last_pipeline("hash-join probe side");
                 let build = ctx.collect(stream, "hash-join build side")?;
                 let (rows, probe_rows) = (build.len(), collected.len());
-                let why = format!("build: {first}, {rows} rows (probe side {}: {probe_rows})", leaf.label);
+                let why = format!(
+                    "build: {first}, {rows} rows (probe side {}: {probe_rows})",
+                    leaf.label
+                );
                 UStream::new(collected)
                     .hash_join_build_first(build, &join.leaf_keys, &join.prefix_keys)?
                     .annotate(why)
@@ -208,8 +234,14 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
                     0 => format!("{first}: at most {first_rows}"),
                     _ => "the joined prefix".to_string(),
                 };
-                let why = format!("build: {}, {} rows (probe side {probe_side})", leaf.label, collected.len());
-                stream.hash_join(collected, &join.prefix_keys, &join.leaf_keys)?.annotate(why)
+                let why = format!(
+                    "build: {}, {} rows (probe side {probe_side})",
+                    leaf.label,
+                    collected.len()
+                );
+                stream
+                    .hash_join(collected, &join.prefix_keys, &join.leaf_keys)?
+                    .annotate(why)
             }
         };
         stream = filter(stream, &join.then)?;
@@ -245,11 +277,26 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         // materialisation of the whole block.
         Output::Project(items) => ctx.collect(stream.project(items)?, "output")?,
         Output::Possible(items) => possible(stream.project(items)?, ctx)?,
-        Output::TConf { scalars, names, order } => {
+        Output::TConf {
+            scalars,
+            names,
+            order,
+        } => {
             let rows = ctx.collect(stream, "tconf breaker")?;
-            reorder(agg::eval_tconf(&rows, scalars, names, ctx.wt)?, order, &b.schema)
+            reorder(
+                agg::eval_tconf(&rows, scalars, names, ctx.wt)?,
+                order,
+                &b.schema,
+            )
         }
-        Output::Group { grouping, keys, key_fields, aggs, order, having } => {
+        Output::Group {
+            grouping,
+            keys,
+            key_fields,
+            aggs,
+            order,
+            having,
+        } => {
             let out = group(stream, grouping, *keys, key_fields.clone(), aggs, ctx)?;
             let out = reorder(out, order, &b.schema);
             match having {
@@ -259,25 +306,40 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         }
     };
     // Grouping on keys the select list drops can repeat an output row.
-    let out = if b.distinct { distinct_rows(out, ctx)? } else { out };
-    debug_assert_eq!(out.schema(), &b.schema, "a block's run and planned schemas differ");
+    let out = if b.distinct {
+        distinct_rows(out, ctx)?
+    } else {
+        out
+    };
+    debug_assert_eq!(
+        out.schema(),
+        &b.schema,
+        "a block's run and planned schemas differ"
+    );
     Ok(out)
 }
 
 /// Materialise what a FROM leaf reads.
 fn run_source(source: &Source, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     Ok(match source {
-        Source::Unit => URelation::new(Schema::empty(), vec![UTuple::certain(Tuple::new(Vec::new()))]),
+        Source::Unit => URelation::new(
+            Schema::empty(),
+            vec![UTuple::certain(Tuple::new(Vec::new()))],
+        ),
         Source::Table(table) => table.clone(),
         Source::Query(q) => run(q, ctx)?,
         Source::RepairKey { input, key, weight } => {
             let input = run_source(input, ctx)?;
-            let options = RepairKeyOptions { weight: weight.clone() };
+            let options = RepairKeyOptions {
+                weight: weight.clone(),
+            };
             repair_key_u(&input, key, &options, ctx.wt)?
         }
         Source::PickTuples { input, probability } => {
             let input = run_source(input, ctx)?;
-            let options = PickTuplesOptions { probability: probability.clone() };
+            let options = PickTuplesOptions {
+                probability: probability.clone(),
+            };
             pick_tuples_u(&input, &options, ctx.wt)?
         }
     })
@@ -301,7 +363,10 @@ fn possible(stream: UStream, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         .iter()
         .map(|&i| UTuple::certain(projected.tuples()[i].data.clone()))
         .collect();
-    Ok(URelation::new(Arc::new(projected.schema().without_qualifiers()), tuples))
+    Ok(URelation::new(
+        Arc::new(projected.schema().without_qualifiers()),
+        tuples,
+    ))
 }
 
 /// Run `stream` into the streaming group breaker, as the next pipeline of
@@ -334,14 +399,25 @@ fn group(
 fn distinct_rows(u: URelation, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     let schema = u.schema().clone();
     let keys: Vec<EExpr> = (0..schema.len()).map(EExpr::ColumnIdx).collect();
-    group(UStream::new(u), &keys, keys.len(), schema.fields().to_vec(), &[], ctx)
+    group(
+        UStream::new(u),
+        &keys,
+        keys.len(),
+        schema.fields().to_vec(),
+        &[],
+        ctx,
+    )
 }
 
 /// The group breaker and `tconf` emit keys-then-aggregates rows; restore
 /// the select order (`schema` is the block's, already in it).
 fn reorder(out: URelation, order: &Option<Vec<usize>>, schema: &Arc<Schema>) -> URelation {
     let Some(order) = order else { return out };
-    let tuples = out.tuples().iter().map(|t| UTuple::certain(t.data.take(order))).collect();
+    let tuples = out
+        .tuples()
+        .iter()
+        .map(|t| UTuple::certain(t.data.take(order)))
+        .collect();
     URelation::new(schema.clone(), tuples)
 }
 
@@ -428,9 +504,8 @@ mod tests {
 
     #[test]
     fn aggregates_on_certain() {
-        let r = certain(
-            "select player, sum(pts) as total, count(*) as n from games group by player",
-        );
+        let r =
+            certain("select player, sum(pts) as total, count(*) as n from games group by player");
         assert_eq!(r.len(), 2);
         let bryant = r
             .tuples()
@@ -477,10 +552,8 @@ mod tests {
     fn having_on_tconf_rejected() {
         // tconf() is per-tuple, not grouped: HAVING must be rejected just
         // like on the plain-projection path, not silently applied.
-        let err = run(
-            "select player, tconf() as p from (pick tuples from games) g having p > 0.5",
-        )
-        .unwrap_err();
+        let err = run("select player, tconf() as p from (pick tuples from games) g having p > 0.5")
+            .unwrap_err();
         assert!(
             matches!(err, crate::error::CoreError::Plan { ref message }
                 if message.contains("HAVING")),
@@ -606,10 +679,7 @@ mod tests {
         let (catalog, mut wt) = fixture();
         let stats = maybms_obs::QueryStats::new();
         let mut ctx = ExecCtx::new(&catalog, &mut wt, &stats);
-        let q = parse_query(
-            "select * from (pick tuples from games) p order by pts desc",
-        )
-        .unwrap();
+        let q = parse_query("select * from (pick tuples from games) p order by pts desc").unwrap();
         let QueryOutput::Uncertain(u) = eval_query(&q, &mut ctx).unwrap() else {
             panic!("expected uncertain output")
         };

@@ -74,8 +74,15 @@ pub(crate) enum Source {
     /// A stored table, as the catalog held it at plan time.
     Table(URelation),
     Query(Box<QueryPlan>),
-    RepairKey { input: Box<Source>, key: Vec<EExpr>, weight: Option<EExpr> },
-    PickTuples { input: Box<Source>, probability: Option<EExpr> },
+    RepairKey {
+        input: Box<Source>,
+        key: Vec<EExpr>,
+        weight: Option<EExpr>,
+    },
+    PickTuples {
+        input: Box<Source>,
+        probability: Option<EExpr>,
+    },
 }
 
 /// A conjunct bound to the row it filters, and — for one the planner
@@ -113,7 +120,11 @@ pub(crate) struct InProbe {
 pub(crate) enum Output {
     Project(Vec<ProjectItem>),
     Possible(Vec<ProjectItem>),
-    TConf { scalars: Vec<(EExpr, String)>, names: Vec<String>, order: Option<Vec<usize>> },
+    TConf {
+        scalars: Vec<(EExpr, String)>,
+        names: Vec<String>,
+        order: Option<Vec<usize>>,
+    },
     /// The group breaker: the first `keys` of `grouping` are output
     /// columns (named by `key_fields`), the rest grouped but not output.
     Group {
@@ -246,10 +257,19 @@ pub fn plan_query(q: &Query, catalog: &BTreeMap<String, URelation>) -> Result<Qu
                     None => bind_with_fallback(&scalar(e)?, &schema)?,
                 },
             };
-            Ok(SortKey { expr, ascending: k.ascending })
+            Ok(SortKey {
+                expr,
+                ascending: k.ascending,
+            })
         })
         .collect::<Result<_>>()?;
-    Ok(QueryPlan { first, rest, sort, limit: q.limit, schema })
+    Ok(QueryPlan {
+        first,
+        rest,
+        sort,
+        limit: q.limit,
+        schema,
+    })
 }
 
 /// Plan one SELECT block.
@@ -261,19 +281,27 @@ fn plan_block(s: &Select, catalog: &BTreeMap<String, URelation>) -> Result<Block
     }
     if leaves.is_empty() {
         let schema = Schema::empty();
-        leaves.push(Leaf { label: String::new(), source: Source::Unit, schema, filters: Vec::new() });
+        leaves.push(Leaf {
+            label: String::new(),
+            source: Source::Unit,
+            schema,
+            filters: Vec::new(),
+        });
     }
     if let Some(w) = &s.where_clause {
         split_conjuncts(w, &mut conjuncts);
     }
-    let (in_selects, plain): (Vec<SExpr>, Vec<SExpr>) =
-        conjuncts.into_iter().partition(|c| matches!(c, SExpr::InSelect { .. }));
+    let (in_selects, plain): (Vec<SExpr>, Vec<SExpr>) = conjuncts
+        .into_iter()
+        .partition(|c| matches!(c, SExpr::InSelect { .. }));
     let predicates: Vec<EExpr> = plain.iter().map(scalar).collect::<Result<_>>()?;
     let (joins, joined, from_order) = plan_joins(&mut leaves, &predicates)?;
     let in_probes = in_selects
         .iter()
         .map(|c| {
-            let SExpr::InSelect { expr, query } = c else { unreachable!("partitioned above") };
+            let SExpr::InSelect { expr, query } = c else {
+                unreachable!("partitioned above")
+            };
             let query = plan_query(query, catalog)?;
             if query.schema.len() != 1 {
                 return Err(plan_err(format!(
@@ -281,7 +309,10 @@ fn plan_block(s: &Select, catalog: &BTreeMap<String, URelation>) -> Result<Block
                     query.schema.len()
                 )));
             }
-            Ok(InProbe { probe: scalar(expr)?.bind(&joined)?, query })
+            Ok(InProbe {
+                probe: scalar(expr)?.bind(&joined)?,
+                query,
+            })
         })
         .collect::<Result<_>>()?;
     let items = expand_items(s, &joined, &from_order)?;
@@ -290,7 +321,14 @@ fn plan_block(s: &Select, catalog: &BTreeMap<String, URelation>) -> Result<Block
     // DISTINCT is its group breaker.
     let grouped = !s.group_by.is_empty() || items.iter().any(|i| matches!(i, Item::Agg { .. }));
     let distinct = s.distinct && !s.possible && grouped;
-    Ok(Block { leaves, joins, in_probes, output, distinct, schema: Arc::new(schema) })
+    Ok(Block {
+        leaves,
+        joins,
+        in_probes,
+        output,
+        distinct,
+        schema: Arc::new(schema),
+    })
 }
 
 /// The select list's output, checked against the §2.2 rules, and its
@@ -300,33 +338,54 @@ fn plan_output(s: &Select, items: &[Item], joined: &Schema) -> Result<(Output, S
         items
             .iter()
             .map(|i| match i {
-                Item::Scalar { expr, name } => Ok(ProjectItem::new(expr.bind(joined)?, name.clone())),
-                Item::Agg { .. } => Err(plan_err("select possible cannot be combined with aggregates")),
+                Item::Scalar { expr, name } => {
+                    Ok(ProjectItem::new(expr.bind(joined)?, name.clone()))
+                }
+                Item::Agg { .. } => Err(plan_err(
+                    "select possible cannot be combined with aggregates",
+                )),
             })
             .collect::<Result<Vec<_>>>()
     };
     let projected = |proj: &[ProjectItem]| {
-        Schema::new(proj.iter().map(|p| Field::new(p.name.clone(), p.expr.data_type(joined))).collect())
+        Schema::new(
+            proj.iter()
+                .map(|p| Field::new(p.name.clone(), p.expr.data_type(joined)))
+                .collect(),
+        )
     };
     if s.possible {
         let proj = project(items)?;
         return Ok((Output::Possible(proj.clone()), projected(&proj)));
     }
     let has_aggs = items.iter().any(|i| matches!(i, Item::Agg { .. }));
-    let has_tconf = items.iter().any(|i| matches!(i, Item::Agg { spec: AggSpec::TConf, .. }));
+    let has_tconf = items.iter().any(|i| {
+        matches!(
+            i,
+            Item::Agg {
+                spec: AggSpec::TConf,
+                ..
+            }
+        )
+    });
     if has_tconf {
         if !s.group_by.is_empty() {
             return Err(plan_err(
                 "tconf() computes per-tuple marginals and cannot be combined with GROUP BY",
             ));
         }
-        if items.iter().any(|i| matches!(i, Item::Agg { spec, .. } if !matches!(spec, AggSpec::TConf))) {
+        if items
+            .iter()
+            .any(|i| matches!(i, Item::Agg { spec, .. } if !matches!(spec, AggSpec::TConf)))
+        {
             return Err(plan_err("tconf() cannot be combined with other aggregates"));
         }
         // tconf() is per-tuple, not grouped: HAVING has no groups to
         // filter here, exactly as on the plain-projection path.
         if s.having.is_some() {
-            return Err(plan_err("HAVING requires GROUP BY or aggregates (tconf() is per-tuple)"));
+            return Err(plan_err(
+                "HAVING requires GROUP BY or aggregates (tconf() is per-tuple)",
+            ));
         }
         let (mut scalars, mut names, mut fields) = (Vec::new(), Vec::new(), Vec::new());
         for item in items {
@@ -342,11 +401,21 @@ fn plan_output(s: &Select, items: &[Item], joined: &Schema) -> Result<(Output, S
         fields.extend(names.iter().map(|n| Field::new(n.clone(), DataType::Float)));
         let order = select_order(items);
         let schema = permuted(fields, &order);
-        return Ok((Output::TConf { scalars, names, order }, schema));
+        return Ok((
+            Output::TConf {
+                scalars,
+                names,
+                order,
+            },
+            schema,
+        ));
     }
     if has_aggs || !s.group_by.is_empty() {
-        let group_exprs: Vec<EExpr> =
-            s.group_by.iter().map(|e| Ok(scalar(e)?.bind(joined)?)).collect::<Result<_>>()?;
+        let group_exprs: Vec<EExpr> = s
+            .group_by
+            .iter()
+            .map(|e| Ok(scalar(e)?.bind(joined)?))
+            .collect::<Result<_>>()?;
         return plan_group(group_exprs, items, joined, s.having.as_ref());
     }
     if s.having.is_some() {
@@ -394,7 +463,11 @@ fn plan_group(
             Item::Agg { spec, name } => aggs.push((bind_agg(spec, joined)?, name.clone())),
         }
     }
-    if aggs.len() > 1 && aggs.iter().any(|(s, _)| matches!(s, AggSpec::ArgMax { .. })) {
+    if aggs.len() > 1
+        && aggs
+            .iter()
+            .any(|(s, _)| matches!(s, AggSpec::ArgMax { .. }))
+    {
         return Err(plan_err("argmax cannot be combined with other aggregates"));
     }
     let keys = grouping.len();
@@ -404,17 +477,37 @@ fn plan_group(
         }
     }
     let order = select_order(items);
-    let fields = agg::output_schema(key_fields.clone(), &aggs, joined).fields().to_vec();
+    let fields = agg::output_schema(key_fields.clone(), &aggs, joined)
+        .fields()
+        .to_vec();
     let schema = permuted(fields, &order);
-    let having = having.map(|h| bind_with_fallback(&scalar(h)?, &schema)).transpose()?;
-    Ok((Output::Group { grouping, keys, key_fields, aggs, order, having }, schema))
+    let having = having
+        .map(|h| bind_with_fallback(&scalar(h)?, &schema))
+        .transpose()?;
+    Ok((
+        Output::Group {
+            grouping,
+            keys,
+            key_fields,
+            aggs,
+            order,
+            having,
+        },
+        schema,
+    ))
 }
 
 /// Where each select item's column sits in the keys-then-aggregates row
 /// the group breaker and `tconf` emit, or `None` when that is select
 /// order already.
 fn select_order(items: &[Item]) -> Option<Vec<usize>> {
-    let mut next = [0, items.iter().filter(|i| matches!(i, Item::Scalar { .. })).count()];
+    let mut next = [
+        0,
+        items
+            .iter()
+            .filter(|i| matches!(i, Item::Scalar { .. }))
+            .count(),
+    ];
     let order: Vec<usize> = items
         .iter()
         .map(|i| {
@@ -439,9 +532,10 @@ fn bind_agg(spec: &AggSpec, schema: &Schema) -> Result<AggSpec> {
     Ok(match spec {
         AggSpec::ESum(e) => AggSpec::ESum(e.bind(schema)?),
         AggSpec::ECount(e) => AggSpec::ECount(e.as_ref().map(|x| x.bind(schema)).transpose()?),
-        AggSpec::ArgMax { arg, value } => {
-            AggSpec::ArgMax { arg: arg.bind(schema)?, value: value.bind(schema)? }
-        }
+        AggSpec::ArgMax { arg, value } => AggSpec::ArgMax {
+            arg: arg.bind(schema)?,
+            value: value.bind(schema)?,
+        },
         AggSpec::Std { func, arg } => AggSpec::Std {
             func: *func,
             arg: arg.as_ref().map(|x| x.bind(schema)).transpose()?,
@@ -469,8 +563,14 @@ fn expand_items(s: &Select, schema: &Schema, from_order: &[usize]) -> Result<Vec
                 let mut any = false;
                 for &i in from_order {
                     let f = schema.field(i);
-                    if f.qualifier.as_deref().is_some_and(|fq| fq.eq_ignore_ascii_case(q)) {
-                        items.push(Item::Scalar { expr: EExpr::ColumnIdx(i), name: f.name.clone() });
+                    if f.qualifier
+                        .as_deref()
+                        .is_some_and(|fq| fq.eq_ignore_ascii_case(q))
+                    {
+                        items.push(Item::Scalar {
+                            expr: EExpr::ColumnIdx(i),
+                            name: f.name.clone(),
+                        });
                         any = true;
                     }
                 }
@@ -506,19 +606,45 @@ fn plan_from_item(
             let (source, schema) = plan_subquery(query, catalog)?;
             (source, schema, "(subquery)", Some(alias))
         }
-        FromItem::RepairKey { key, input, weight, alias } => {
+        FromItem::RepairKey {
+            key,
+            input,
+            weight,
+            alias,
+        } => {
             let (input, schema) = plan_input(input, catalog)?;
-            let key = key.iter().map(|k| Ok(EExpr::col(k.clone()).bind(&schema)?)).collect::<Result<_>>()?;
-            let weight = weight.as_ref().map(|w| bind_scalar(w, &schema)).transpose()?;
-            let source = Source::RepairKey { input: Box::new(input), key, weight };
+            let key = key
+                .iter()
+                .map(|k| Ok(EExpr::col(k.clone()).bind(&schema)?))
+                .collect::<Result<_>>()?;
+            let weight = weight
+                .as_ref()
+                .map(|w| bind_scalar(w, &schema))
+                .transpose()?;
+            let source = Source::RepairKey {
+                input: Box::new(input),
+                key,
+                weight,
+            };
             (source, schema, "(repair key)", alias.as_deref())
         }
-        FromItem::PickTuples { input, independently: _, probability, alias } => {
+        FromItem::PickTuples {
+            input,
+            independently: _,
+            probability,
+            alias,
+        } => {
             // `independently` is the only supported semantics (see
             // DESIGN.md §5.5); the keyword is accepted in both spellings.
             let (input, schema) = plan_input(input, catalog)?;
-            let probability = probability.as_ref().map(|p| bind_scalar(p, &schema)).transpose()?;
-            let source = Source::PickTuples { input: Box::new(input), probability };
+            let probability = probability
+                .as_ref()
+                .map(|p| bind_scalar(p, &schema))
+                .transpose()?;
+            let source = Source::PickTuples {
+                input: Box::new(input),
+                probability,
+            };
             (source, schema, "(pick tuples)", alias.as_deref())
         }
         FromItem::Join { left, right, on } => {
@@ -536,7 +662,12 @@ fn plan_from_item(
         Some(a) => Arc::new(schema.without_qualifiers().with_qualifier(a)),
         None => schema,
     };
-    leaves.push(Leaf { label, source, schema, filters: Vec::new() });
+    leaves.push(Leaf {
+        label,
+        source,
+        schema,
+        filters: Vec::new(),
+    });
     Ok(())
 }
 
@@ -554,7 +685,10 @@ fn plan_input(
     }
 }
 
-fn plan_subquery(q: &Query, catalog: &BTreeMap<String, URelation>) -> Result<(Source, Arc<Schema>)> {
+fn plan_subquery(
+    q: &Query,
+    catalog: &BTreeMap<String, URelation>,
+) -> Result<(Source, Arc<Schema>)> {
     let plan = plan_query(q, catalog)?;
     let schema = plan.schema.clone();
     Ok((Source::Query(Box::new(plan)), schema))
@@ -627,7 +761,12 @@ fn plan_joins(
     let whole = Schema::new(fields);
     let mut conjuncts: Vec<Filter> = predicates
         .iter()
-        .map(|p| Ok(Filter { pred: p.bind(&whole)?, note: None }))
+        .map(|p| {
+            Ok(Filter {
+                pred: p.bind(&whole)?,
+                note: None,
+            })
+        })
         .collect::<Result<_>>()?;
 
     // ---- implied predicates --------------------------------------------
@@ -643,14 +782,26 @@ fn plan_joins(
     // A worklist: copies are restrictions too, so they travel on down
     // their class, each attributed to the equality that carried it.
     let mut next = 0;
-    while let Some(col) = conjuncts.get(next).map(|c| restricted_column(&c.pred, &whole)) {
+    while let Some(col) = conjuncts
+        .get(next)
+        .map(|c| restricted_column(&c.pred, &whole))
+    {
         for &(a, b) in &links {
-            let to = if col == Some(a) { b } else if col == Some(b) { a } else { continue };
+            let to = if col == Some(a) {
+                b
+            } else if col == Some(b) {
+                a
+            } else {
+                continue;
+            };
             let copy = conjuncts[next].pred.remap_columns(&|_| to);
             if conjuncts.iter().all(|known| known.pred != copy) {
                 let name = |g: usize| whole.field(g).qualified_name();
                 let note = format!("implied by {} = {}", name(a), name(b));
-                conjuncts.push(Filter { pred: copy, note: Some(note) });
+                conjuncts.push(Filter {
+                    pred: copy,
+                    note: Some(note),
+                });
             }
         }
         next += 1;
@@ -658,7 +809,9 @@ fn plan_joins(
 
     // ---- pushdown ------------------------------------------------------
     for (k, leaf) in leaves.iter_mut().enumerate() {
-        leaf.filters = take_ready(&mut conjuncts, &|g| (source_of[g] == k).then(|| g - starts[k]));
+        leaf.filters = take_ready(&mut conjuncts, &|g| {
+            (source_of[g] == k).then(|| g - starts[k])
+        });
     }
 
     // ---- greedy joins --------------------------------------------------
@@ -688,7 +841,10 @@ fn plan_joins(
         // The first equality conjunct linking the prefix to a remaining
         // leaf picks that leaf, and every equality conjunct between the
         // two is a key of the one probe.
-        let picked = conjuncts.iter().find_map(|c| link(c, &joined_at)).map(|(_, g)| source_of[g]);
+        let picked = conjuncts
+            .iter()
+            .find_map(|c| link(c, &joined_at))
+            .map(|(_, g)| source_of[g]);
         let k = picked.unwrap_or(in_from_order);
         remaining.retain(|&r| r != k);
         let (mut prefix_keys, mut leaf_keys) = (Vec::new(), Vec::new());
@@ -706,23 +862,39 @@ fn plan_joins(
         place(k, &mut joined, &mut joined_at);
         // Apply every conjunct whose columns are all joined now.
         let then = take_ready(&mut conjuncts, &|g| joined_at[g]);
-        joins.push(Join { leaf: k, prefix_keys, leaf_keys, adaptive, then });
+        joins.push(Join {
+            leaf: k,
+            prefix_keys,
+            leaf_keys,
+            adaptive,
+            then,
+        });
     }
-    let from_order = joined_at.into_iter().map(|at| at.expect("every leaf joined")).collect();
+    let from_order = joined_at
+        .into_iter()
+        .map(|at| at.expect("every leaf joined"))
+        .collect();
     Ok((joins, Schema::new(joined), from_order))
 }
 
 /// Move every conjunct whose columns all have a position under `at` out
 /// of `conjuncts`, rebound to those positions.
 fn take_ready(conjuncts: &mut Vec<Filter>, at: &dyn Fn(usize) -> Option<usize>) -> Vec<Filter> {
-    let (ready, kept): (Vec<Filter>, Vec<Filter>) = std::mem::take(conjuncts).into_iter().partition(|c| {
-        let mut cols = Vec::new();
-        c.pred.referenced_columns(&mut cols);
-        cols.iter().all(|&g| at(g).is_some())
-    });
+    let (ready, kept): (Vec<Filter>, Vec<Filter>) =
+        std::mem::take(conjuncts).into_iter().partition(|c| {
+            let mut cols = Vec::new();
+            c.pred.referenced_columns(&mut cols);
+            cols.iter().all(|&g| at(g).is_some())
+        });
     *conjuncts = kept;
     let pred = |c: &Filter| c.pred.remap_columns(&|g| at(g).expect("checked above"));
-    ready.into_iter().map(|c| Filter { pred: pred(&c), note: c.note }).collect()
+    ready
+        .into_iter()
+        .map(|c| Filter {
+            pred: pred(&c),
+            note: c.note,
+        })
+        .collect()
 }
 
 /// Bind an expression, retrying qualified column references without their
@@ -741,7 +913,10 @@ fn bind_with_fallback(e: &EExpr, schema: &Schema) -> Result<EExpr> {
 /// A copy of the expression with all column qualifiers removed.
 fn strip_qualifiers(e: &EExpr) -> EExpr {
     match e {
-        EExpr::Column { name, .. } => EExpr::Column { qualifier: None, name: name.clone() },
+        EExpr::Column { name, .. } => EExpr::Column {
+            qualifier: None,
+            name: name.clone(),
+        },
         EExpr::ColumnIdx(i) => EExpr::ColumnIdx(*i),
         EExpr::Literal(v) => EExpr::Literal(v.clone()),
         EExpr::Binary { left, op, right } => EExpr::Binary {
@@ -749,34 +924,48 @@ fn strip_qualifiers(e: &EExpr) -> EExpr {
             op: *op,
             right: Box::new(strip_qualifiers(right)),
         },
-        EExpr::Unary { op, expr } => {
-            EExpr::Unary { op: *op, expr: Box::new(strip_qualifiers(expr)) }
-        }
+        EExpr::Unary { op, expr } => EExpr::Unary {
+            op: *op,
+            expr: Box::new(strip_qualifiers(expr)),
+        },
         EExpr::IsNull { expr, negated } => EExpr::IsNull {
             expr: Box::new(strip_qualifiers(expr)),
             negated: *negated,
         },
-        EExpr::InList { expr, list, negated } => EExpr::InList {
+        EExpr::InList {
+            expr,
+            list,
+            negated,
+        } => EExpr::InList {
             expr: Box::new(strip_qualifiers(expr)),
             list: list.iter().map(strip_qualifiers).collect(),
             negated: *negated,
         },
-        EExpr::Case { branches, else_expr } => EExpr::Case {
+        EExpr::Case {
+            branches,
+            else_expr,
+        } => EExpr::Case {
             branches: branches
                 .iter()
                 .map(|(c, r)| (strip_qualifiers(c), strip_qualifiers(r)))
                 .collect(),
             else_expr: else_expr.as_ref().map(|x| Box::new(strip_qualifiers(x))),
         },
-        EExpr::Cast { expr, dtype } => {
-            EExpr::Cast { expr: Box::new(strip_qualifiers(expr)), dtype: *dtype }
-        }
+        EExpr::Cast { expr, dtype } => EExpr::Cast {
+            expr: Box::new(strip_qualifiers(expr)),
+            dtype: *dtype,
+        },
     }
 }
 
 /// Split an expression into top-level AND conjuncts.
 pub(crate) fn split_conjuncts(e: &SExpr, out: &mut Vec<SExpr>) {
-    if let SExpr::Binary { left, op: maybms_sql::BinOp::And, right } = e {
+    if let SExpr::Binary {
+        left,
+        op: maybms_sql::BinOp::And,
+        right,
+    } = e
+    {
         split_conjuncts(left, out);
         split_conjuncts(right, out);
     } else {
@@ -787,7 +976,11 @@ pub(crate) fn split_conjuncts(e: &SExpr, out: &mut Vec<SExpr>) {
 /// The two columns of a bound `col = col` predicate.
 fn column_equality(e: &EExpr) -> Option<(usize, usize)> {
     match e {
-        EExpr::Binary { left, op: BinaryOp::Eq, right } => match (&**left, &**right) {
+        EExpr::Binary {
+            left,
+            op: BinaryOp::Eq,
+            right,
+        } => match (&**left, &**right) {
             (EExpr::ColumnIdx(a), EExpr::ColumnIdx(b)) => Some((*a, *b)),
             _ => None,
         },
@@ -805,24 +998,29 @@ fn column_equality(e: &EExpr) -> Option<(usize, usize)> {
 fn restricted_column(e: &EExpr, schema: &Schema) -> Option<usize> {
     use BinaryOp::{Eq, Gt, GtEq, Lt, LtEq};
     let (col, literals) = match e {
-        EExpr::Binary { left, op: Eq | Lt | LtEq | Gt | GtEq, right } => {
-            match (&**left, &**right) {
-                (EExpr::ColumnIdx(c), lit) | (lit, EExpr::ColumnIdx(c)) => {
-                    (*c, std::slice::from_ref(lit))
-                }
-                _ => return None,
+        EExpr::Binary {
+            left,
+            op: Eq | Lt | LtEq | Gt | GtEq,
+            right,
+        } => match (&**left, &**right) {
+            (EExpr::ColumnIdx(c), lit) | (lit, EExpr::ColumnIdx(c)) => {
+                (*c, std::slice::from_ref(lit))
             }
-        }
-        EExpr::InList { expr, list, negated: false } => match &**expr {
+            _ => return None,
+        },
+        EExpr::InList {
+            expr,
+            list,
+            negated: false,
+        } => match &**expr {
             EExpr::ColumnIdx(c) => (*c, &list[..]),
             _ => return None,
         },
         _ => return None,
     };
     let dtype = schema.field(col).dtype;
-    let fits = |lit: &EExpr| {
-        matches!(lit, EExpr::Literal(v) if v.data_type().unify(dtype).is_some())
-    };
+    let fits =
+        |lit: &EExpr| matches!(lit, EExpr::Literal(v) if v.data_type().unify(dtype).is_some());
     (dtype != DataType::Unknown && literals.iter().all(fits)).then_some(col)
 }
 
@@ -831,7 +1029,10 @@ impl QueryPlan {
     /// executes, in order, with the stage lines `EXPLAIN ANALYZE` measures.
     /// The stages are laid over empty inputs; nothing runs.
     pub fn explain(&self) -> Result<String> {
-        let mut explain = Explain { text: String::new(), pipelines: 0 };
+        let mut explain = Explain {
+            text: String::new(),
+            pipelines: 0,
+        };
         explain.query(self)?;
         Ok(explain.text)
     }
@@ -848,9 +1049,17 @@ impl Explain {
     /// all (`when`), its source and its stages.
     fn pipeline(&mut self, label: &str, when: &str, source: &str, stream: &UStream) {
         self.pipelines += 1;
-        let _ = writeln!(self.text, "#{} pipeline ({label}){when}\n     source: {source}", self.pipelines);
+        let _ = writeln!(
+            self.text,
+            "#{} pipeline ({label}){when}\n     source: {source}",
+            self.pipelines
+        );
         for stage in stream.stage_labels() {
-            let wsd = if stage.starts_with("hash probe") { " (WSD conjunction)" } else { "" };
+            let wsd = if stage.starts_with("hash probe") {
+                " (WSD conjunction)"
+            } else {
+                ""
+            };
             let _ = writeln!(self.text, "     -> {stage}{wsd}");
         }
     }
@@ -910,29 +1119,51 @@ impl Explain {
                     None => first.label.clone(),
                 };
                 let why = match (join.adaptive, i) {
-                    (true, _) => format!("build: smaller of {} and {prefix}, decided at run", leaf.label),
+                    (true, _) => format!(
+                        "build: smaller of {} and {prefix}, decided at run",
+                        leaf.label
+                    ),
                     (false, 0) => format!("build: {} (probe side {prefix})", leaf.label),
                     _ => format!("build: {} (probe side the joined prefix)", leaf.label),
                 };
                 let build = empty(input.schema());
-                stream.hash_join(build, &join.prefix_keys, &join.leaf_keys)?.annotate(why)
+                stream
+                    .hash_join(build, &join.prefix_keys, &join.leaf_keys)?
+                    .annotate(why)
             };
             stream = filter(stream, &join.then)?;
         }
         for probe in &b.in_probes {
             self.query(&probe.query)?;
-            self.distinct(&probe.query.schema, " if t-certain (decided at run)", "the subquery");
+            self.distinct(
+                &probe.query.schema,
+                " if t-certain (decided at run)",
+                "the subquery",
+            );
             stream = probe.stages(stream, empty(&probe.query.schema))?;
         }
         let (label, last) = match &b.output {
             Output::Project(items) => ("output".to_string(), stream.project(items)?),
-            Output::Possible(items) => ("select possible breaker".to_string(), stream.project(items)?),
+            Output::Possible(items) => (
+                "select possible breaker".to_string(),
+                stream.project(items)?,
+            ),
             Output::TConf { .. } => ("tconf breaker".to_string(), stream),
-            Output::Group { grouping, aggs, .. } => (agg::stream_label(grouping.len(), aggs.len()), stream),
+            Output::Group { grouping, aggs, .. } => {
+                (agg::stream_label(grouping.len(), aggs.len()), stream)
+            }
         };
         self.pipeline(&label, "", &source, &last);
-        if let Output::Group { having: Some(h), .. } = &b.output {
-            self.pipeline("having", "", "the groups", &UStream::new(empty(&b.schema)).filter(h)?);
+        if let Output::Group {
+            having: Some(h), ..
+        } = &b.output
+        {
+            self.pipeline(
+                "having",
+                "",
+                "the groups",
+                &UStream::new(empty(&b.schema)).filter(h)?,
+            );
         }
         if b.distinct {
             self.distinct(&b.schema, "", "the block's rows");

@@ -12,8 +12,9 @@ pub fn data_type_of(type_name: &str) -> Result<DataType> {
     let t = type_name.to_ascii_lowercase();
     Ok(match t.as_str() {
         "bigint" | "int" | "integer" | "smallint" | "int8" | "int4" => DataType::Int,
-        "double precision" | "double" | "float" | "float8" | "real" | "numeric"
-        | "decimal" => DataType::Float,
+        "double precision" | "double" | "float" | "float8" | "real" | "numeric" | "decimal" => {
+            DataType::Float
+        }
         "text" | "varchar" | "char" | "character varying" | "string" => DataType::Text,
         "boolean" | "bool" => DataType::Bool,
         other => return Err(unsupported(format!("unknown type name `{other}`"))),
@@ -65,13 +66,23 @@ pub fn scalar(e: &SExpr) -> Result<EExpr> {
             op: binop_of(*op),
             right: Box::new(scalar(right)?),
         },
-        SExpr::Not(x) => EExpr::Unary { op: UnaryOp::Not, expr: Box::new(scalar(x)?) },
-        SExpr::Neg(x) => EExpr::Unary { op: UnaryOp::Neg, expr: Box::new(scalar(x)?) },
+        SExpr::Not(x) => EExpr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(scalar(x)?),
+        },
+        SExpr::Neg(x) => EExpr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(scalar(x)?),
+        },
         SExpr::IsNull { expr, negated } => EExpr::IsNull {
             expr: Box::new(scalar(expr)?),
             negated: *negated,
         },
-        SExpr::InList { expr, list, negated } => EExpr::InList {
+        SExpr::InList {
+            expr,
+            list,
+            negated,
+        } => EExpr::InList {
             expr: Box::new(scalar(expr)?),
             list: list.iter().map(scalar).collect::<Result<_>>()?,
             negated: *negated,
@@ -81,7 +92,10 @@ pub fn scalar(e: &SExpr) -> Result<EExpr> {
                 "IN (SELECT …) may only appear as a top-level positive conjunct of WHERE",
             ))
         }
-        SExpr::Case { branches, else_expr } => EExpr::Case {
+        SExpr::Case {
+            branches,
+            else_expr,
+        } => EExpr::Case {
             branches: branches
                 .iter()
                 .map(|(c, r)| Ok((scalar(c)?, scalar(r)?)))
@@ -160,8 +174,7 @@ pub enum Item {
 pub fn classify_item(expr: &SExpr, alias: Option<&str>, position: usize) -> Result<Item> {
     if let SExpr::Func { name, args, star } = expr {
         let lname = name.to_ascii_lowercase();
-        let out_name =
-            alias.map(str::to_string).unwrap_or_else(|| lname.clone());
+        let out_name = alias.map(str::to_string).unwrap_or_else(|| lname.clone());
         let float_arg = |e: &SExpr, what: &str| -> Result<f64> {
             match e {
                 SExpr::Lit(Lit::Float(x)) => Ok(*x),
@@ -212,7 +225,10 @@ pub fn classify_item(expr: &SExpr, alias: Option<&str>, position: usize) -> Resu
                 if args.len() != 2 {
                     return Err(plan_err("argmax(arg, value) takes two arguments"));
                 }
-                AggSpec::ArgMax { arg: scalar(&args[0])?, value: scalar(&args[1])? }
+                AggSpec::ArgMax {
+                    arg: scalar(&args[0])?,
+                    value: scalar(&args[1])?,
+                }
             }
             "sum" | "count" | "avg" | "min" | "max" => {
                 use maybms_engine::ops::AggFunc;
@@ -246,14 +262,20 @@ pub fn classify_item(expr: &SExpr, alias: Option<&str>, position: usize) -> Resu
                 return Err(unsupported(format!("unknown function `{other}`")));
             }
         };
-        return Ok(Item::Agg { spec, name: out_name });
+        return Ok(Item::Agg {
+            spec,
+            name: out_name,
+        });
     }
     // Scalar item: derive a name.
     let name = alias.map(str::to_string).unwrap_or_else(|| match expr {
         SExpr::Ident { name, .. } => name.clone(),
         _ => format!("column{}", position + 1),
     });
-    Ok(Item::Scalar { expr: scalar(expr)?, name })
+    Ok(Item::Scalar {
+        expr: scalar(expr)?,
+        name,
+    })
 }
 
 #[cfg(test)]
@@ -283,7 +305,10 @@ mod tests {
         assert!(matches!(item, Item::Agg { spec: AggSpec::Conf, ref name } if name == "p"));
         let item = classify_item(&parse_expr("aconf(0.1, 0.05)").unwrap(), None, 0).unwrap();
         match item {
-            Item::Agg { spec: AggSpec::AConf { epsilon, delta }, name } => {
+            Item::Agg {
+                spec: AggSpec::AConf { epsilon, delta },
+                name,
+            } => {
                 assert_eq!(epsilon, 0.1);
                 assert_eq!(delta, 0.05);
                 assert_eq!(name, "aconf");
@@ -296,11 +321,17 @@ mod tests {
     fn classify_expectation_aggregates() {
         assert!(matches!(
             classify_item(&parse_expr("esum(salary)").unwrap(), None, 0).unwrap(),
-            Item::Agg { spec: AggSpec::ESum(_), .. }
+            Item::Agg {
+                spec: AggSpec::ESum(_),
+                ..
+            }
         ));
         assert!(matches!(
             classify_item(&parse_expr("ecount()").unwrap(), None, 0).unwrap(),
-            Item::Agg { spec: AggSpec::ECount(None), .. }
+            Item::Agg {
+                spec: AggSpec::ECount(None),
+                ..
+            }
         ));
     }
 
@@ -308,7 +339,10 @@ mod tests {
     fn classify_std_aggregates_and_count_star() {
         assert!(matches!(
             classify_item(&parse_expr("count(*)").unwrap(), None, 0).unwrap(),
-            Item::Agg { spec: AggSpec::Std { arg: None, .. }, .. }
+            Item::Agg {
+                spec: AggSpec::Std { arg: None, .. },
+                ..
+            }
         ));
         assert!(classify_item(&parse_expr("sum(*)").unwrap(), None, 0).is_err());
         assert!(classify_item(&parse_expr("sum()").unwrap(), None, 0).is_err());
@@ -319,9 +353,17 @@ mod tests {
         assert!(classify_item(&parse_expr("conf(1)").unwrap(), None, 0).is_err());
         assert!(classify_item(&parse_expr("aconf(0.1)").unwrap(), None, 0).is_err());
         assert!(classify_item(&parse_expr("aconf(x, 0.1)").unwrap(), None, 0).is_err());
-        for bad in ["aconf(2.0, 0.5)", "aconf(0, 0.5)", "aconf(1, 0.5)", "aconf(0.1, 1.5)"] {
+        for bad in [
+            "aconf(2.0, 0.5)",
+            "aconf(0, 0.5)",
+            "aconf(1, 0.5)",
+            "aconf(0.1, 1.5)",
+        ] {
             let err = classify_item(&parse_expr(bad).unwrap(), None, 0).unwrap_err();
-            assert!(matches!(err, crate::error::CoreError::Plan { .. }), "{bad}: {err:?}");
+            assert!(
+                matches!(err, crate::error::CoreError::Plan { .. }),
+                "{bad}: {err:?}"
+            );
         }
         assert!(classify_item(&parse_expr("argmax(a)").unwrap(), None, 0).is_err());
         assert!(classify_item(&parse_expr("frobnicate(x)").unwrap(), None, 0).is_err());

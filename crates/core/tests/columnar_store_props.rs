@@ -38,8 +38,15 @@ fn lock() -> MutexGuard<'static, ()> {
 fn run_in_place(db: &mut MayBms, sql: &str, table: &str) {
     let before = maybms_obs::metrics().pivot_rows.get();
     db.run(sql).unwrap();
-    assert_eq!(maybms_obs::metrics().pivot_rows.get(), before, "{sql} pivoted rows");
-    assert!(db.table(table).unwrap().is_columnar(), "{sql} left {table} row-major");
+    assert_eq!(
+        maybms_obs::metrics().pivot_rows.get(),
+        before,
+        "{sql} pivoted rows"
+    );
+    assert!(
+        db.table(table).unwrap().is_columnar(),
+        "{sql} left {table} row-major"
+    );
 }
 
 /// One generated statement, with enough structure to mirror it onto the
@@ -186,7 +193,12 @@ proptest! {
 }
 
 fn rows_of(db: &MayBms, name: &str) -> Vec<Vec<Value>> {
-    db.table(name).unwrap().tuples().iter().map(|t| t.data.values().to_vec()).collect()
+    db.table(name)
+        .unwrap()
+        .tuples()
+        .iter()
+        .map(|t| t.data.values().to_vec())
+        .collect()
 }
 
 /// A reader holding the table body (an `Arc` clone, as a snapshot or a
@@ -197,20 +209,28 @@ fn held_readers_are_unchanged_by_writes() {
     let _l = lock();
     let mut db = MayBms::new();
     db.run("create table t (s text, n int)").unwrap();
-    db.run("insert into t values ('a', 1), ('b', 2), ('a', 3)").unwrap();
+    db.run("insert into t values ('a', 1), ('b', 2), ('a', 3)")
+        .unwrap();
     // Gathered while the row view is cold, so it shares the dictionary.
     let gathered = db.table("t").unwrap().gather(&[2, 0]);
     let before = rows_of(&db, "t");
     let held = db.table("t").unwrap().clone();
     let (batch, _) = gathered.at_rest().expect("cold gather stays columnar");
-    let ColumnData::Dict { dict: held_dict, .. } = batch.column(0).data() else {
+    let ColumnData::Dict {
+        dict: held_dict, ..
+    } = batch.column(0).data()
+    else {
         panic!("text column must be dictionary-encoded")
     };
     let held_dict = held_dict.clone();
     assert_eq!(held_dict.len(), 2);
 
     run_in_place(&mut db, "insert into t values ('unseen', 4)", "t");
-    run_in_place(&mut db, "update t set s = 'other', n = n + 10 where n = 2", "t");
+    run_in_place(
+        &mut db,
+        "update t set s = 'other', n = n + 10 where n = 2",
+        "t",
+    );
     run_in_place(&mut db, "delete from t where n = 1", "t");
 
     assert_eq!(
@@ -222,12 +242,25 @@ fn held_readers_are_unchanged_by_writes() {
         ]
     );
     // The held body and the held dictionary are what they were.
-    let held_rows: Vec<Vec<Value>> =
-        held.tuples().iter().map(|t| t.data.values().to_vec()).collect();
+    let held_rows: Vec<Vec<Value>> = held
+        .tuples()
+        .iter()
+        .map(|t| t.data.values().to_vec())
+        .collect();
     assert_eq!(held_rows, before);
-    assert_eq!(held_dict.len(), 2, "a shared dictionary grew under its reader");
-    assert_eq!(gathered.tuples()[0].data.values(), [Value::str("a"), Value::Int(3)]);
-    assert_eq!(gathered.tuples()[1].data.values(), [Value::str("a"), Value::Int(1)]);
+    assert_eq!(
+        held_dict.len(),
+        2,
+        "a shared dictionary grew under its reader"
+    );
+    assert_eq!(
+        gathered.tuples()[0].data.values(),
+        [Value::str("a"), Value::Int(3)]
+    );
+    assert_eq!(
+        gathered.tuples()[1].data.values(),
+        [Value::str("a"), Value::Int(1)]
+    );
 }
 
 /// Joins and GROUP BY cache per-entry hashes on a stored dictionary. An
@@ -238,9 +271,11 @@ fn unseen_string_after_cached_hashes_joins_and_groups() {
     let _l = lock();
     let mut db = MayBms::new();
     db.run("create table dim (room text, floor int)").unwrap();
-    db.run("insert into dim values ('r1', 1), ('r2', 2)").unwrap();
+    db.run("insert into dim values ('r1', 1), ('r2', 2)")
+        .unwrap();
     db.run("create table fact (room text, v int)").unwrap();
-    db.run("insert into fact values ('r1', 10), ('r3', 30), ('r4', 40), ('r3', 31)").unwrap();
+    db.run("insert into fact values ('r1', 10), ('r3', 30), ('r4', 40), ('r3', 31)")
+        .unwrap();
     let join = "select f.v, d.floor from fact f, dim d where f.room = d.room";
     let group = "select room, count(*) as n from dim group by room";
     // Warm the caches on dim's dictionary (build side, group keys).
@@ -280,7 +315,8 @@ fn update_changing_a_typed_columns_variant_degrades_it() {
     let _l = lock();
     let mut db = MayBms::new();
     db.run("create table t (n int, f float)").unwrap();
-    db.run("insert into t values (1, 0.5), (2, 1.5), (null, null), (4, 2.5)").unwrap();
+    db.run("insert into t values (1, 0.5), (2, 1.5), (null, null), (4, 2.5)")
+        .unwrap();
     let (batch, _) = db.table("t").unwrap().at_rest().unwrap();
     assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
 

@@ -45,7 +45,10 @@ fn kernel_eligible_scan_is_zero_pivot_and_marked_in_explain() {
     let r = db
         .query("select player, pts from games where pts > 25 and mins < 90.0")
         .unwrap();
-    assert_eq!(r.len(), (0..1000).filter(|i| i % 50 > 25 && (i / 10) < 90).count());
+    assert_eq!(
+        r.len(),
+        (0..1000).filter(|i| i % 50 > 25 && (i / 10) < 90).count()
+    );
 
     assert_eq!(
         m.pivots.get(),

@@ -65,7 +65,9 @@ impl NullMask {
     /// Is row `i` null?
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
-        self.bits.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+        self.bits
+            .get(i / 64)
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
     }
 
     /// Mark row `i` null.
@@ -267,31 +269,51 @@ pub struct Column {
 impl Column {
     /// A column repeating `v` for `len` rows.
     pub fn from_const(v: Value, len: usize) -> Column {
-        Column { data: ColumnData::Const(v), nulls: NullMask::none(), len }
+        Column {
+            data: ColumnData::Const(v),
+            nulls: NullMask::none(),
+            len,
+        }
     }
 
     /// An `Int` column from raw parts.
     pub fn from_ints(v: Vec<i64>, nulls: NullMask) -> Column {
         let len = v.len();
-        Column { data: ColumnData::Int(v), nulls, len }
+        Column {
+            data: ColumnData::Int(v),
+            nulls,
+            len,
+        }
     }
 
     /// A `Float` column from raw parts.
     pub fn from_floats(v: Vec<f64>, nulls: NullMask) -> Column {
         let len = v.len();
-        Column { data: ColumnData::Float(v), nulls, len }
+        Column {
+            data: ColumnData::Float(v),
+            nulls,
+            len,
+        }
     }
 
     /// A `Bool` column from raw parts.
     pub fn from_bools(v: Vec<bool>, nulls: NullMask) -> Column {
         let len = v.len();
-        Column { data: ColumnData::Bool(v), nulls, len }
+        Column {
+            data: ColumnData::Bool(v),
+            nulls,
+            len,
+        }
     }
 
     /// A `Str` column from raw parts.
     pub fn from_strs(v: Vec<Arc<str>>, nulls: NullMask) -> Column {
         let len = v.len();
-        Column { data: ColumnData::Str(v), nulls, len }
+        Column {
+            data: ColumnData::Str(v),
+            nulls,
+            len,
+        }
     }
 
     /// A dictionary-encoded column from raw parts (the store codec's
@@ -299,7 +321,11 @@ impl Column {
     /// the caller validates.
     pub fn from_dict(codes: Vec<u32>, dict: Arc<StrDict>, nulls: NullMask) -> Column {
         let len = codes.len();
-        Column { data: ColumnData::Dict { codes, dict }, nulls, len }
+        Column {
+            data: ColumnData::Dict { codes, dict },
+            nulls,
+            len,
+        }
     }
 
     /// Build from owned values, choosing the tightest representation
@@ -317,7 +343,11 @@ impl Column {
     /// decode path, where re-encoding must be byte-identical).
     pub fn from_raw_values(values: Vec<Value>) -> Column {
         let len = values.len();
-        Column { data: ColumnData::Values(values), nulls: NullMask::none(), len }
+        Column {
+            data: ColumnData::Values(values),
+            nulls: NullMask::none(),
+            len,
+        }
     }
 
     /// Number of rows.
@@ -416,15 +446,15 @@ impl Column {
         let len = sel.len();
         let data = match &self.data {
             ColumnData::Const(v) => {
-                return Column { data: ColumnData::Const(v.clone()), nulls: NullMask::none(), len }
+                return Column {
+                    data: ColumnData::Const(v.clone()),
+                    nulls: NullMask::none(),
+                    len,
+                }
             }
             ColumnData::Int(v) => ColumnData::Int(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float(v) => {
-                ColumnData::Float(sel.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::Bool(v) => {
-                ColumnData::Bool(sel.iter().map(|&i| v[i as usize]).collect())
-            }
+            ColumnData::Float(v) => ColumnData::Float(sel.iter().map(|&i| v[i as usize]).collect()),
+            ColumnData::Bool(v) => ColumnData::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
             ColumnData::Str(v) => {
                 ColumnData::Str(sel.iter().map(|&i| v[i as usize].clone()).collect())
             }
@@ -436,7 +466,11 @@ impl Column {
                 ColumnData::Values(sel.iter().map(|&i| v[i as usize].clone()).collect())
             }
         };
-        Column { data, nulls: self.nulls.gather(sel), len }
+        Column {
+            data,
+            nulls: self.nulls.gather(sel),
+            len,
+        }
     }
 
     /// Shorten to the first `n` rows (no-op when already ≤ `n`).
@@ -464,7 +498,11 @@ impl Column {
         debug_assert!(start + len <= self.len);
         let data = match &self.data {
             ColumnData::Const(v) => {
-                return Column { data: ColumnData::Const(v.clone()), nulls: NullMask::none(), len }
+                return Column {
+                    data: ColumnData::Const(v.clone()),
+                    nulls: NullMask::none(),
+                    len,
+                }
             }
             ColumnData::Int(v) => ColumnData::Int(v[start..start + len].to_vec()),
             ColumnData::Float(v) => ColumnData::Float(v[start..start + len].to_vec()),
@@ -476,7 +514,11 @@ impl Column {
             },
             ColumnData::Values(v) => ColumnData::Values(v[start..start + len].to_vec()),
         };
-        Column { data, nulls: self.nulls.slice(start, len), len }
+        Column {
+            data,
+            nulls: self.nulls.slice(start, len),
+            len,
+        }
     }
 
     /// Dictionary-encode a `Str` column (first-appearance code order);
@@ -489,10 +531,19 @@ impl Column {
                 let codes: Vec<u32> = v
                     .iter()
                     .enumerate()
-                    .map(|(i, s)| if self.nulls.is_null(i) { 0 } else { dict.intern(s) })
+                    .map(|(i, s)| {
+                        if self.nulls.is_null(i) {
+                            0
+                        } else {
+                            dict.intern(s)
+                        }
+                    })
                     .collect();
                 Column {
-                    data: ColumnData::Dict { codes, dict: Arc::new(dict) },
+                    data: ColumnData::Dict {
+                        codes,
+                        dict: Arc::new(dict),
+                    },
                     nulls: self.nulls.clone(),
                     len: self.len,
                 }
@@ -600,7 +651,11 @@ impl Column {
         let mut vals: Vec<Value> = (0..self.len).map(|i| self.value_at(i)).collect();
         edit(&mut vals);
         let col = Column::from_values(vals);
-        *self = if matches!(col.data, ColumnData::Str(_)) { col.dict_encode() } else { col };
+        *self = if matches!(col.data, ColumnData::Str(_)) {
+            col.dict_encode()
+        } else {
+            col
+        };
     }
 }
 
@@ -617,7 +672,9 @@ fn intern_cow(dict: &mut Arc<StrDict>, s: &Arc<str>) -> u32 {
 /// Remove the elements at `positions` (strictly increasing, in range),
 /// shifting the survivors down in one pass from the first hole.
 pub fn remove_sorted<T>(v: &mut Vec<T>, positions: &[u32]) {
-    let Some(&first) = positions.first() else { return };
+    let Some(&first) = positions.first() else {
+        return;
+    };
     let mut w = first as usize;
     for (k, &p) in positions.iter().enumerate() {
         let end = positions.get(k + 1).map_or(v.len(), |&q| q as usize);
@@ -706,9 +763,7 @@ impl ColumnBuilder {
                     Value::Int(x) => Int(backfill(i, 0).chain([*x]).collect()),
                     Value::Float(x) => Float(backfill(i, 0.0).chain([*x]).collect()),
                     Value::Bool(x) => Bool(backfill(i, false).chain([*x]).collect()),
-                    Value::Str(s) => {
-                        Str(backfill(i, Arc::from("")).chain([s.clone()]).collect())
-                    }
+                    Value::Str(s) => Str(backfill(i, Arc::from("")).chain([s.clone()]).collect()),
                     Value::Null => unreachable!("handled above"),
                 };
             }
@@ -730,7 +785,8 @@ impl ColumnBuilder {
         }
         self.len += 1;
         if self.len.is_multiple_of(Self::CHARGE_STRIDE) {
-            self.charge.add(Self::CHARGE_STRIDE * std::mem::size_of::<Value>());
+            self.charge
+                .add(Self::CHARGE_STRIDE * std::mem::size_of::<Value>());
         }
     }
 
@@ -784,7 +840,10 @@ impl ColumnBatch {
             seen += 1;
         }
         debug_assert_eq!(seen, n_rows, "pivot row count mismatch");
-        ColumnBatch { columns: builders.into_iter().map(ColumnBuilder::finish).collect(), rows: n_rows }
+        ColumnBatch {
+            columns: builders.into_iter().map(ColumnBuilder::finish).collect(),
+            rows: n_rows,
+        }
     }
 
     /// Assemble from already-built columns, truncating each to `rows`
@@ -837,7 +896,10 @@ impl ColumnBatch {
     /// subrange copies, no row materialisation, no pivot counted.
     pub fn slice_cols(&self, start: usize, len: usize, cols: &[usize]) -> ColumnBatch {
         ColumnBatch {
-            columns: cols.iter().map(|&c| self.columns[c].slice(start, len)).collect(),
+            columns: cols
+                .iter()
+                .map(|&c| self.columns[c].slice(start, len))
+                .collect(),
             rows: len,
         }
     }
@@ -869,7 +931,11 @@ impl ColumnBatch {
     /// row-major: `cells[p * cols.len() + c]` lands at row
     /// `positions[p]`, column `cols[c]`.
     pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &[Value]) {
-        assert_eq!(cells.len(), positions.len() * cols.len(), "cell count mismatch");
+        assert_eq!(
+            cells.len(),
+            positions.len() * cols.len(),
+            "cell count mismatch"
+        );
         for (p, row) in positions.iter().zip(cells.chunks(cols.len().max(1))) {
             for (c, v) in cols.iter().zip(row) {
                 self.columns[*c as usize].set(*p as usize, v);
@@ -950,7 +1016,12 @@ mod tests {
     fn mixed_variants_fall_back_to_values_preserving_variant() {
         // 1 and 1.0 compare equal but are distinct variants; the pivot
         // must not coerce (Concat/CAST observe the variant).
-        let vals = vec![Value::Int(1), Value::Float(1.0), Value::Null, Value::str("x")];
+        let vals = vec![
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Null,
+            Value::str("x"),
+        ];
         let col = Column::from_values(vals.clone());
         assert!(matches!(col.data(), ColumnData::Values(_)));
         for (i, v) in vals.iter().enumerate() {
@@ -978,8 +1049,13 @@ mod tests {
 
     #[test]
     fn degrade_after_nulls_and_values_is_exact() {
-        let vals =
-            vec![Value::Null, Value::Int(1), Value::Null, Value::str("s"), Value::Int(2)];
+        let vals = vec![
+            Value::Null,
+            Value::Int(1),
+            Value::Null,
+            Value::str("s"),
+            Value::Int(2),
+        ];
         roundtrip(vals);
     }
 
@@ -1030,8 +1106,10 @@ mod tests {
 
     #[test]
     fn batch_to_tuple_batch_matches_rows() {
-        let rows: Vec<Vec<Value>> =
-            vec![vec![Value::Int(1), Value::Null], vec![Value::str("x"), Value::Bool(true)]];
+        let rows: Vec<Vec<Value>> = vec![
+            vec![Value::Int(1), Value::Null],
+            vec![Value::str("x"), Value::Bool(true)],
+        ];
         let batch = ColumnBatch::pivot(2, rows.iter().map(|r| r.as_slice()), &[0, 1]);
         let tuples = batch.to_tuple_batch().finish();
         assert_eq!(tuples.len(), 2);
@@ -1052,8 +1130,12 @@ mod tests {
 
     #[test]
     fn dict_encode_roundtrips_and_shares_dictionary() {
-        let strs: Vec<Arc<str>> =
-            vec![Arc::from("a"), Arc::from("b"), Arc::from("a"), Arc::from("")];
+        let strs: Vec<Arc<str>> = vec![
+            Arc::from("a"),
+            Arc::from("b"),
+            Arc::from("a"),
+            Arc::from(""),
+        ];
         let mut nulls = NullMask::none();
         nulls.set_null(2);
         let col = Column::from_strs(strs, nulls);
@@ -1070,7 +1152,9 @@ mod tests {
         assert_eq!(d.value_at(3), Value::str(""));
         // Gather and slice keep the same dictionary Arc.
         let g = d.gather(&[3, 0]);
-        let ColumnData::Dict { dict: gd, .. } = g.data() else { panic!() };
+        let ColumnData::Dict { dict: gd, .. } = g.data() else {
+            panic!()
+        };
         assert!(Arc::ptr_eq(dict, gd));
         assert_eq!(g.value_at(0), Value::str(""));
         let s = d.slice(1, 2);
@@ -1082,7 +1166,12 @@ mod tests {
     #[test]
     fn slice_matches_value_at_for_every_representation() {
         let cols = vec![
-            Column::from_values(vec![Value::Int(1), Value::Null, Value::Int(3), Value::Int(4)]),
+            Column::from_values(vec![
+                Value::Int(1),
+                Value::Null,
+                Value::Int(3),
+                Value::Int(4),
+            ]),
             Column::from_values(vec![
                 Value::Float(0.5),
                 Value::Float(-0.0),
@@ -1145,11 +1234,27 @@ mod tests {
     fn push_builds_the_same_column_as_a_full_rebuild() {
         let sequences: Vec<Vec<Value>> = vec![
             vec![Value::Int(1), Value::Null, Value::Int(3)],
-            vec![Value::Null, Value::Null, Value::Float(-0.0), Value::Float(1.5)],
-            vec![Value::str("b"), Value::str("a"), Value::Null, Value::str("b"), Value::str("c")],
+            vec![
+                Value::Null,
+                Value::Null,
+                Value::Float(-0.0),
+                Value::Float(1.5),
+            ],
+            vec![
+                Value::str("b"),
+                Value::str("a"),
+                Value::Null,
+                Value::str("b"),
+                Value::str("c"),
+            ],
             vec![Value::Bool(true), Value::Null, Value::Bool(false)],
             // Variant changes mid-column: typed → per-row values.
-            vec![Value::Int(1), Value::Null, Value::Float(1.0), Value::str("x")],
+            vec![
+                Value::Int(1),
+                Value::Null,
+                Value::Float(1.0),
+                Value::str("x"),
+            ],
             vec![Value::Null, Value::str("s"), Value::Int(2)],
             vec![Value::Null, Value::Null],
         ];
@@ -1168,14 +1273,40 @@ mod tests {
 
     #[test]
     fn set_and_delete_match_the_row_oracle() {
-        let base: Vec<Value> =
-            vec![Value::str("a"), Value::Null, Value::str("b"), Value::str("a"), Value::Null];
-        let ints: Vec<Value> =
-            (0..70).map(|i| if i % 9 == 0 { Value::Null } else { Value::Int(i) }).collect();
+        let base: Vec<Value> = vec![
+            Value::str("a"),
+            Value::Null,
+            Value::str("b"),
+            Value::str("a"),
+            Value::Null,
+        ];
+        let ints: Vec<Value> = (0..70)
+            .map(|i| {
+                if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                }
+            })
+            .collect();
         for (seq, edits) in [
-            (base.clone(), vec![(1, Value::str("new")), (0, Value::Null), (4, Value::str("a"))]),
+            (
+                base.clone(),
+                vec![
+                    (1, Value::str("new")),
+                    (0, Value::Null),
+                    (4, Value::str("a")),
+                ],
+            ),
             (base, vec![(2, Value::Int(7))]),
-            (ints.clone(), vec![(0, Value::Int(-1)), (69, Value::Null), (9, Value::Float(0.5))]),
+            (
+                ints.clone(),
+                vec![
+                    (0, Value::Int(-1)),
+                    (69, Value::Null),
+                    (9, Value::Float(0.5)),
+                ],
+            ),
         ] {
             let mut col = stored_column(&seq);
             let mut want = seq.clone();
@@ -1211,28 +1342,39 @@ mod tests {
     #[test]
     fn interning_is_copy_on_write_and_drops_cached_hashes() {
         let mut col = stored_column(&[Value::str("a"), Value::str("b")]);
-        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        let ColumnData::Dict { dict, .. } = col.data() else {
+            panic!("dict expected")
+        };
         let reader = dict.clone();
         assert_eq!(reader.cached_hashes(|e| vec![7; e.len()]), &[7, 7]);
         // A string already interned needs no new entry: no copy.
         col.push(&Value::str("a"));
-        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        let ColumnData::Dict { dict, .. } = col.data() else {
+            panic!("dict expected")
+        };
         assert!(Arc::ptr_eq(dict, &reader));
         // An unseen string is interned into a private copy; the reader's
         // dictionary (and its cached hashes) stay as they were, and the
         // writer's cache is recomputed over all three entries.
         col.push(&Value::str("c"));
-        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        let ColumnData::Dict { dict, .. } = col.data() else {
+            panic!("dict expected")
+        };
         assert!(!Arc::ptr_eq(dict, &reader));
         assert_eq!(reader.len(), 2);
         assert_eq!(dict.cached_hashes(|e| vec![9; e.len()]), &[9, 9, 9]);
-        assert_eq!(reader.cached_hashes(|_| unreachable!("already cached")), &[7, 7]);
+        assert_eq!(
+            reader.cached_hashes(|_| unreachable!("already cached")),
+            &[7, 7]
+        );
         drop(reader);
         // Sole owner: the next unseen string extends the dictionary in
         // place and resets the hashes it had cached.
         let before = Arc::as_ptr(dict);
         col.set(0, &Value::str("d"));
-        let ColumnData::Dict { dict, .. } = col.data() else { panic!("dict expected") };
+        let ColumnData::Dict { dict, .. } = col.data() else {
+            panic!("dict expected")
+        };
         assert_eq!(Arc::as_ptr(dict), before);
         assert_eq!(dict.cached_hashes(|e| vec![1; e.len()]), &[1, 1, 1, 1]);
         assert_eq!(col.value_at(0), Value::str("d"));
@@ -1241,7 +1383,13 @@ mod tests {
     #[test]
     fn batch_edits_apply_by_position_and_column() {
         let rows: Vec<Vec<Value>> = (0..5)
-            .map(|i| vec![Value::Int(i), Value::str(format!("s{}", i % 2)), Value::Float(i as f64)])
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::str(format!("s{}", i % 2)),
+                    Value::Float(i as f64),
+                ]
+            })
             .collect();
         let mut batch =
             ColumnBatch::pivot(5, rows.iter().map(|r| r.as_slice()), &[0, 1, 2]).dict_encode();
@@ -1250,7 +1398,12 @@ mod tests {
         batch.set_cells(
             &[1, 4],
             &[2, 0],
-            &[Value::Float(-1.0), Value::Int(10), Value::Null, Value::Int(40)],
+            &[
+                Value::Float(-1.0),
+                Value::Int(10),
+                Value::Null,
+                Value::Int(40),
+            ],
         );
         batch.delete_rows(&[0, 3]);
         let mut got = Vec::new();

@@ -64,7 +64,11 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::ColumnNotFound { name, available } => {
-                write!(f, "column `{name}` not found; available: {}", available.join(", "))
+                write!(
+                    f,
+                    "column `{name}` not found; available: {}",
+                    available.join(", ")
+                )
             }
             EngineError::AmbiguousColumn { name } => {
                 write!(f, "column reference `{name}` is ambiguous")
@@ -76,7 +80,10 @@ impl fmt::Display for EngineError {
             EngineError::SchemaMismatch { message } => write!(f, "schema mismatch: {message}"),
             EngineError::InvalidOperator { message } => write!(f, "invalid operator: {message}"),
             EngineError::UnboundExpression { expr } => {
-                write!(f, "expression `{expr}` was not bound to a schema before evaluation")
+                write!(
+                    f,
+                    "expression `{expr}` was not bound to a schema before evaluation"
+                )
             }
             EngineError::Gov(g) => write!(f, "{g}"),
         }
@@ -114,8 +121,14 @@ mod tests {
         let errs = [
             EngineError::TableNotFound { name: "ft".into() }.to_string(),
             EngineError::TableExists { name: "ft".into() }.to_string(),
-            EngineError::TypeMismatch { message: "int vs text".into() }.to_string(),
-            EngineError::Arithmetic { message: "division by zero".into() }.to_string(),
+            EngineError::TypeMismatch {
+                message: "int vs text".into(),
+            }
+            .to_string(),
+            EngineError::Arithmetic {
+                message: "division by zero".into(),
+            }
+            .to_string(),
         ];
         for (i, a) in errs.iter().enumerate() {
             for b in errs.iter().skip(i + 1) {

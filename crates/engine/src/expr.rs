@@ -167,7 +167,10 @@ pub enum Expr {
 impl Expr {
     /// Unqualified column reference.
     pub fn col(name: impl Into<String>) -> Expr {
-        Expr::Column { qualifier: None, name: name.into() }
+        Expr::Column {
+            qualifier: None,
+            name: name.into(),
+        }
     }
 
     /// Literal.
@@ -177,7 +180,11 @@ impl Expr {
 
     /// `self op other`.
     pub fn binary(self, op: BinaryOp, other: Expr) -> Expr {
-        Expr::Binary { left: Box::new(self), op, right: Box::new(other) }
+        Expr::Binary {
+            left: Box::new(self),
+            op,
+            right: Box::new(other),
+        }
     }
 
     /// `self = other`.
@@ -198,7 +205,10 @@ impl Expr {
     /// `NOT self`.
     #[allow(clippy::should_implement_trait)] // SQL-flavoured builder, consumes self
     pub fn not(self) -> Expr {
-        Expr::Unary { op: UnaryOp::Not, expr: Box::new(self) }
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(self),
+        }
     }
 
     /// Resolve all column references against `schema`, producing an
@@ -212,11 +222,7 @@ impl Expr {
                 if *i >= schema.len() {
                     return Err(EngineError::ColumnNotFound {
                         name: format!("#{i}"),
-                        available: schema
-                            .fields()
-                            .iter()
-                            .map(|f| f.qualified_name())
-                            .collect(),
+                        available: schema.fields().iter().map(|f| f.qualified_name()).collect(),
                     });
                 }
                 Expr::ColumnIdx(*i)
@@ -227,18 +233,27 @@ impl Expr {
                 op: *op,
                 right: Box::new(right.bind(schema)?),
             },
-            Expr::Unary { op, expr } => {
-                Expr::Unary { op: *op, expr: Box::new(expr.bind(schema)?) }
-            }
-            Expr::IsNull { expr, negated } => {
-                Expr::IsNull { expr: Box::new(expr.bind(schema)?), negated: *negated }
-            }
-            Expr::InList { expr, list, negated } => Expr::InList {
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: Box::new(expr.bind(schema)?),
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(expr.bind(schema)?),
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
                 expr: Box::new(expr.bind(schema)?),
                 list: list.iter().map(|e| e.bind(schema)).collect::<Result<_>>()?,
                 negated: *negated,
             },
-            Expr::Case { branches, else_expr } => Expr::Case {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => Expr::Case {
                 branches: branches
                     .iter()
                     .map(|(c, r)| Ok((c.bind(schema)?, r.bind(schema)?)))
@@ -248,9 +263,10 @@ impl Expr {
                     None => None,
                 },
             },
-            Expr::Cast { expr, dtype } => {
-                Expr::Cast { expr: Box::new(expr.bind(schema)?), dtype: *dtype }
-            }
+            Expr::Cast { expr, dtype } => Expr::Cast {
+                expr: Box::new(expr.bind(schema)?),
+                dtype: *dtype,
+            },
         })
     }
 
@@ -262,9 +278,11 @@ impl Expr {
                 .index_of(qualifier.as_deref(), name)
                 .map(|i| schema.field(i).dtype)
                 .unwrap_or(DataType::Unknown),
-            Expr::ColumnIdx(i) => {
-                schema.fields().get(*i).map(|f| f.dtype).unwrap_or(DataType::Unknown)
-            }
+            Expr::ColumnIdx(i) => schema
+                .fields()
+                .get(*i)
+                .map(|f| f.dtype)
+                .unwrap_or(DataType::Unknown),
             Expr::Literal(v) => v.data_type(),
             Expr::Binary { left, op, right } => {
                 if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
@@ -281,11 +299,19 @@ impl Expr {
                     }
                 }
             }
-            Expr::Unary { op: UnaryOp::Not, .. } => DataType::Bool,
-            Expr::Unary { op: UnaryOp::Neg, expr } => expr.data_type(schema),
+            Expr::Unary {
+                op: UnaryOp::Not, ..
+            } => DataType::Bool,
+            Expr::Unary {
+                op: UnaryOp::Neg,
+                expr,
+            } => expr.data_type(schema),
             Expr::IsNull { .. } => DataType::Bool,
             Expr::InList { .. } => DataType::Bool,
-            Expr::Case { branches, else_expr } => {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
                 let mut t = match else_expr {
                     Some(e) => e.data_type(schema),
                     None => DataType::Unknown,
@@ -341,7 +367,9 @@ impl Expr {
                     UnaryOp::Neg => match v {
                         Value::Null => Ok(Value::Null),
                         Value::Int(i) => Ok(Value::Int(i.checked_neg().ok_or_else(|| {
-                            EngineError::Arithmetic { message: "integer overflow".into() }
+                            EngineError::Arithmetic {
+                                message: "integer overflow".into(),
+                            }
                         })?)),
                         Value::Float(f) => Value::float(-f),
                         other => Err(EngineError::TypeMismatch {
@@ -354,7 +382,11 @@ impl Expr {
                 let v = expr.eval_values(row)?;
                 Ok(Value::Bool(v.is_null() != *negated))
             }
-            Expr::InList { expr, list, negated } => {
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
                 let probe = expr.eval_values(row)?;
                 if probe.is_null() {
                     return Ok(Value::Null);
@@ -374,7 +406,10 @@ impl Expr {
                     Ok(Value::Bool(*negated))
                 }
             }
-            Expr::Case { branches, else_expr } => {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
                 for (cond, result) in branches {
                     if cond.eval_values(row)?.as_bool() == Some(true) {
                         return result.eval_values(row);
@@ -423,14 +458,21 @@ impl Expr {
         match self {
             Expr::Column { .. } | Expr::ColumnIdx(_) | Expr::Literal(_) => true,
             Expr::IsNull { expr, .. } => expr.infallible(),
-            Expr::Binary { op: BinaryOp::Concat, left, right } => {
-                left.infallible() && right.infallible()
-            }
+            Expr::Binary {
+                op: BinaryOp::Concat,
+                left,
+                right,
+            } => left.infallible() && right.infallible(),
             Expr::InList { expr, list, .. } => {
                 expr.infallible() && list.iter().all(Expr::infallible)
             }
-            Expr::Case { branches, else_expr } => {
-                branches.iter().all(|(c, r)| c.infallible() && r.infallible())
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
+                branches
+                    .iter()
+                    .all(|(c, r)| c.infallible() && r.infallible())
                     && else_expr.as_ref().is_none_or(|e| e.infallible())
             }
             _ => false,
@@ -449,27 +491,37 @@ impl Expr {
                 op: *op,
                 right: Box::new(right.remap_columns(map)),
             },
-            Expr::Unary { op, expr } => {
-                Expr::Unary { op: *op, expr: Box::new(expr.remap_columns(map)) }
-            }
-            Expr::IsNull { expr, negated } => {
-                Expr::IsNull { expr: Box::new(expr.remap_columns(map)), negated: *negated }
-            }
-            Expr::InList { expr, list, negated } => Expr::InList {
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: Box::new(expr.remap_columns(map)),
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(expr.remap_columns(map)),
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
                 expr: Box::new(expr.remap_columns(map)),
                 list: list.iter().map(|e| e.remap_columns(map)).collect(),
                 negated: *negated,
             },
-            Expr::Case { branches, else_expr } => Expr::Case {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => Expr::Case {
                 branches: branches
                     .iter()
                     .map(|(c, r)| (c.remap_columns(map), r.remap_columns(map)))
                     .collect(),
                 else_expr: else_expr.as_ref().map(|e| Box::new(e.remap_columns(map))),
             },
-            Expr::Cast { expr, dtype } => {
-                Expr::Cast { expr: Box::new(expr.remap_columns(map)), dtype: *dtype }
-            }
+            Expr::Cast { expr, dtype } => Expr::Cast {
+                expr: Box::new(expr.remap_columns(map)),
+                dtype: *dtype,
+            },
         }
     }
 
@@ -482,16 +534,19 @@ impl Expr {
                 left.referenced_columns(out);
                 right.referenced_columns(out);
             }
-            Expr::Unary { expr, .. }
-            | Expr::IsNull { expr, .. }
-            | Expr::Cast { expr, .. } => expr.referenced_columns(out),
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                expr.referenced_columns(out)
+            }
             Expr::InList { expr, list, .. } => {
                 expr.referenced_columns(out);
                 for e in list {
                     e.referenced_columns(out);
                 }
             }
-            Expr::Case { branches, else_expr } => {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
                 for (c, r) in branches {
                     c.referenced_columns(out);
                     r.referenced_columns(out);
@@ -652,17 +707,39 @@ pub(crate) fn cast_value(v: Value, target: DataType) -> Result<Value> {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Column { qualifier: Some(q), name } => write!(f, "{q}.{name}"),
-            Expr::Column { qualifier: None, name } => write!(f, "{name}"),
+            Expr::Column {
+                qualifier: Some(q),
+                name,
+            } => write!(f, "{q}.{name}"),
+            Expr::Column {
+                qualifier: None,
+                name,
+            } => write!(f, "{name}"),
             Expr::ColumnIdx(i) => write!(f, "#{i}"),
             Expr::Literal(Value::Str(s)) => write!(f, "'{s}'"),
             Expr::Literal(v) => write!(f, "{v}"),
             Expr::Binary { left, op, right } => write!(f, "({left} {op} {right})"),
-            Expr::Unary { op: UnaryOp::Not, expr } => write!(f, "(NOT {expr})"),
-            Expr::Unary { op: UnaryOp::Neg, expr } => write!(f, "(-{expr})"),
-            Expr::IsNull { expr, negated: false } => write!(f, "({expr} IS NULL)"),
-            Expr::IsNull { expr, negated: true } => write!(f, "({expr} IS NOT NULL)"),
-            Expr::InList { expr, list, negated } => {
+            Expr::Unary {
+                op: UnaryOp::Not,
+                expr,
+            } => write!(f, "(NOT {expr})"),
+            Expr::Unary {
+                op: UnaryOp::Neg,
+                expr,
+            } => write!(f, "(-{expr})"),
+            Expr::IsNull {
+                expr,
+                negated: false,
+            } => write!(f, "({expr} IS NULL)"),
+            Expr::IsNull {
+                expr,
+                negated: true,
+            } => write!(f, "({expr} IS NOT NULL)"),
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
                 write!(f, "({expr} {}IN (", if *negated { "NOT " } else { "" })?;
                 for (i, e) in list.iter().enumerate() {
                     if i > 0 {
@@ -672,7 +749,10 @@ impl fmt::Display for Expr {
                 }
                 write!(f, "))")
             }
-            Expr::Case { branches, else_expr } => {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
                 write!(f, "CASE")?;
                 for (c, r) in branches {
                     write!(f, " WHEN {c} THEN {r}")?;
@@ -717,7 +797,10 @@ mod tests {
     #[test]
     fn unbound_column_errors_at_eval() {
         let e = Expr::col("a");
-        assert!(matches!(e.eval(&row()), Err(EngineError::UnboundExpression { .. })));
+        assert!(matches!(
+            e.eval(&row()),
+            Err(EngineError::UnboundExpression { .. })
+        ));
     }
 
     #[test]
@@ -760,7 +843,10 @@ mod tests {
 
     #[test]
     fn comparisons() {
-        assert_eq!(eval(Expr::col("a").binary(BinaryOp::Gt, Expr::lit(5i64))), Value::Bool(true));
+        assert_eq!(
+            eval(Expr::col("a").binary(BinaryOp::Gt, Expr::lit(5i64))),
+            Value::Bool(true)
+        );
         assert_eq!(
             eval(Expr::col("s").binary(BinaryOp::LtEq, Expr::lit("hi"))),
             Value::Bool(true)
@@ -791,7 +877,9 @@ mod tests {
     #[test]
     fn and_short_circuits_errors_on_right() {
         // false AND (1/0 = 1) must not evaluate the division.
-        let div = Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
+        let div = Expr::lit(1i64)
+            .binary(BinaryOp::Div, Expr::lit(0i64))
+            .eq(Expr::lit(1i64));
         let e = Expr::lit(false).and(div);
         assert_eq!(eval(e), Value::Bool(false));
     }
@@ -799,15 +887,24 @@ mod tests {
     #[test]
     fn not_and_neg() {
         assert_eq!(eval(Expr::lit(true).not()), Value::Bool(false));
-        let neg = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(Expr::col("b")) };
+        let neg = Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(Expr::col("b")),
+        };
         assert_eq!(eval(neg), Value::Float(-0.5));
     }
 
     #[test]
     fn is_null() {
-        let e = Expr::IsNull { expr: Box::new(Expr::lit(Value::Null)), negated: false };
+        let e = Expr::IsNull {
+            expr: Box::new(Expr::lit(Value::Null)),
+            negated: false,
+        };
         assert_eq!(eval(e), Value::Bool(true));
-        let e = Expr::IsNull { expr: Box::new(Expr::col("a")), negated: true };
+        let e = Expr::IsNull {
+            expr: Box::new(Expr::col("a")),
+            negated: true,
+        };
         assert_eq!(eval(e), Value::Bool(true));
     }
 
@@ -819,7 +916,11 @@ mod tests {
             negated,
         };
         assert_eq!(
-            eval(in_list(Expr::col("a"), vec![Expr::lit(5i64), Expr::lit(6i64)], false)),
+            eval(in_list(
+                Expr::col("a"),
+                vec![Expr::lit(5i64), Expr::lit(6i64)],
+                false
+            )),
             Value::Bool(true)
         );
         // 6 NOT IN (5) -> true
@@ -829,7 +930,11 @@ mod tests {
         );
         // 6 IN (5, NULL) -> NULL (unknown)
         assert_eq!(
-            eval(in_list(Expr::col("a"), vec![Expr::lit(5i64), Expr::lit(Value::Null)], false)),
+            eval(in_list(
+                Expr::col("a"),
+                vec![Expr::lit(5i64), Expr::lit(Value::Null)],
+                false
+            )),
             Value::Null
         );
     }
@@ -838,8 +943,14 @@ mod tests {
     fn case_expression() {
         let e = Expr::Case {
             branches: vec![
-                (Expr::col("a").binary(BinaryOp::Lt, Expr::lit(0i64)), Expr::lit("neg")),
-                (Expr::col("a").binary(BinaryOp::Gt, Expr::lit(0i64)), Expr::lit("pos")),
+                (
+                    Expr::col("a").binary(BinaryOp::Lt, Expr::lit(0i64)),
+                    Expr::lit("neg"),
+                ),
+                (
+                    Expr::col("a").binary(BinaryOp::Gt, Expr::lit(0i64)),
+                    Expr::lit("pos"),
+                ),
             ],
             else_expr: Some(Box::new(Expr::lit("zero"))),
         };
@@ -891,14 +1002,21 @@ mod tests {
         let s = schema();
         assert_eq!(Expr::col("a").data_type(&s), DataType::Int);
         assert_eq!(
-            Expr::col("a").binary(BinaryOp::Add, Expr::col("a")).data_type(&s),
+            Expr::col("a")
+                .binary(BinaryOp::Add, Expr::col("a"))
+                .data_type(&s),
             DataType::Int
         );
         assert_eq!(
-            Expr::col("a").binary(BinaryOp::Div, Expr::col("a")).data_type(&s),
+            Expr::col("a")
+                .binary(BinaryOp::Div, Expr::col("a"))
+                .data_type(&s),
             DataType::Float
         );
-        assert_eq!(Expr::col("a").eq(Expr::col("a")).data_type(&s), DataType::Bool);
+        assert_eq!(
+            Expr::col("a").eq(Expr::col("a")).data_type(&s),
+            DataType::Bool
+        );
     }
 
     #[test]
@@ -917,8 +1035,11 @@ mod tests {
 
     #[test]
     fn display_roundtrips_visually() {
-        let e = Expr::Column { qualifier: Some("r1".into()), name: "player".into() }
-            .eq(Expr::lit("Bryant"));
+        let e = Expr::Column {
+            qualifier: Some("r1".into()),
+            name: "player".into(),
+        }
+        .eq(Expr::lit("Bryant"));
         assert_eq!(e.to_string(), "(r1.player = 'Bryant')");
     }
 }

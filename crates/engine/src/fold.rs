@@ -74,10 +74,14 @@ impl Expr {
             Expr::Unary { op, expr } => {
                 let inner = expr.fold();
                 match (op, &inner) {
-                    (UnaryOp::Not, Expr::Literal(Value::Bool(b))) => {
-                        Expr::Literal(Value::Bool(!b))
-                    }
-                    _ => try_eval_const(Expr::Unary { op, expr: Box::new(inner) }, &empty),
+                    (UnaryOp::Not, Expr::Literal(Value::Bool(b))) => Expr::Literal(Value::Bool(!b)),
+                    _ => try_eval_const(
+                        Expr::Unary {
+                            op,
+                            expr: Box::new(inner),
+                        },
+                        &empty,
+                    ),
                 }
             }
             Expr::IsNull { expr, negated } => {
@@ -85,23 +89,37 @@ impl Expr {
                 if let Expr::Literal(v) = &inner {
                     return Expr::Literal(Value::Bool(v.is_null() != negated));
                 }
-                Expr::IsNull { expr: Box::new(inner), negated }
+                Expr::IsNull {
+                    expr: Box::new(inner),
+                    negated,
+                }
             }
-            Expr::InList { expr, list, negated } => Expr::InList {
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
                 expr: Box::new(expr.fold()),
                 list: list.into_iter().map(Expr::fold).collect(),
                 negated,
             },
-            Expr::Case { branches, else_expr } => Expr::Case {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => Expr::Case {
                 branches: branches
                     .into_iter()
                     .map(|(c, r)| (c.fold(), r.fold()))
                     .collect(),
                 else_expr: else_expr.map(|x| Box::new(x.fold())),
             },
-            Expr::Cast { expr, dtype } => {
-                try_eval_const(Expr::Cast { expr: Box::new(expr.fold()), dtype }, &empty)
-            }
+            Expr::Cast { expr, dtype } => try_eval_const(
+                Expr::Cast {
+                    expr: Box::new(expr.fold()),
+                    dtype,
+                },
+                &empty,
+            ),
             other => other,
         }
     }
@@ -115,10 +133,10 @@ fn is_boolish(e: &Expr) -> bool {
     match e {
         Expr::Literal(Value::Bool(_)) | Expr::Literal(Value::Null) => true,
         Expr::IsNull { .. } | Expr::InList { .. } => true,
-        Expr::Unary { op: UnaryOp::Not, .. } => true,
-        Expr::Binary { op, .. } => {
-            op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or)
-        }
+        Expr::Unary {
+            op: UnaryOp::Not, ..
+        } => true,
+        Expr::Binary { op, .. } => op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or),
         _ => false,
     }
 }
@@ -146,8 +164,13 @@ fn is_literal_only(e: &Expr) -> bool {
         Expr::InList { expr, list, .. } => {
             is_literal_only(expr) && list.iter().all(is_literal_only)
         }
-        Expr::Case { branches, else_expr } => {
-            branches.iter().all(|(c, r)| is_literal_only(c) && is_literal_only(r))
+        Expr::Case {
+            branches,
+            else_expr,
+        } => {
+            branches
+                .iter()
+                .all(|(c, r)| is_literal_only(c) && is_literal_only(r))
                 && else_expr.as_ref().is_none_or(|x| is_literal_only(x))
         }
     }
@@ -177,7 +200,9 @@ mod tests {
     fn fold_keeps_fallible_always_evaluated_operands() {
         // `(1/0 = 1) AND false`: the scalar evaluator always runs the
         // left side first, so the division error must survive folding.
-        let boom = Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
+        let boom = Expr::lit(1i64)
+            .binary(BinaryOp::Div, Expr::lit(0i64))
+            .eq(Expr::lit(1i64));
         let e = boom.clone().and(Expr::lit(false));
         assert_eq!(e.clone().fold(), e, "fallible left of AND-false stays");
         let e = boom.clone().or(Expr::lit(true));
@@ -205,7 +230,10 @@ mod tests {
 
     #[test]
     fn fold_is_null_on_literals() {
-        let e = Expr::IsNull { expr: Box::new(Expr::lit(Value::Null)), negated: false };
+        let e = Expr::IsNull {
+            expr: Box::new(Expr::lit(Value::Null)),
+            negated: false,
+        };
         assert_eq!(e.fold(), Expr::Literal(Value::Bool(true)));
     }
 }

@@ -244,12 +244,24 @@ impl AggState {
     pub fn new(func: AggFunc) -> AggState {
         match func {
             AggFunc::Count => AggState::Count { n: 0 },
-            AggFunc::Sum => {
-                AggState::Sum { n: 0, all_int: true, isum: 0, fsum: ExactSum::new() }
-            }
-            AggFunc::Avg => AggState::Avg { n: 0, fsum: ExactSum::new() },
-            AggFunc::Min => AggState::Extremum { min: true, best: None },
-            AggFunc::Max => AggState::Extremum { min: false, best: None },
+            AggFunc::Sum => AggState::Sum {
+                n: 0,
+                all_int: true,
+                isum: 0,
+                fsum: ExactSum::new(),
+            },
+            AggFunc::Avg => AggState::Avg {
+                n: 0,
+                fsum: ExactSum::new(),
+            },
+            AggFunc::Min => AggState::Extremum {
+                min: true,
+                best: None,
+            },
+            AggFunc::Max => AggState::Extremum {
+                min: false,
+                best: None,
+            },
         }
     }
 
@@ -279,7 +291,12 @@ impl AggState {
         }
         match self {
             AggState::Count { n } => *n += 1,
-            AggState::Sum { n, all_int, isum, fsum } => match v {
+            AggState::Sum {
+                n,
+                all_int,
+                isum,
+                fsum,
+            } => match v {
                 Value::Int(i) => {
                     *isum += i128::from(*i);
                     fsum.add(*i as f64);
@@ -335,8 +352,18 @@ impl AggState {
         match (self, other) {
             (AggState::Count { n }, AggState::Count { n: m }) => *n += m,
             (
-                AggState::Sum { n, all_int, isum, fsum },
-                AggState::Sum { n: m, all_int: ai, isum: is, fsum: fs },
+                AggState::Sum {
+                    n,
+                    all_int,
+                    isum,
+                    fsum,
+                },
+                AggState::Sum {
+                    n: m,
+                    all_int: ai,
+                    isum: is,
+                    fsum: fs,
+                },
             ) => {
                 *n += m;
                 *all_int &= ai;
@@ -347,10 +374,7 @@ impl AggState {
                 *n += m;
                 fsum.merge(&fs);
             }
-            (
-                this @ AggState::Extremum { .. },
-                AggState::Extremum { best: Some(v), .. },
-            ) => {
+            (this @ AggState::Extremum { .. }, AggState::Extremum { best: Some(v), .. }) => {
                 this.fold(&v)?;
             }
             (AggState::Extremum { .. }, AggState::Extremum { best: None, .. }) => {}
@@ -364,16 +388,18 @@ impl AggState {
         match self {
             AggState::Count { n } => Ok(Value::Int(*n)),
             AggState::Sum { n: 0, .. } | AggState::Avg { n: 0, .. } => Ok(Value::Null),
-            AggState::Sum { all_int: true, isum, .. } => {
-                i64::try_from(*isum).map(Value::Int).map_err(|_| {
-                    EngineError::Arithmetic { message: "integer overflow in sum()".into() }
-                })
-            }
+            AggState::Sum {
+                all_int: true,
+                isum,
+                ..
+            } => i64::try_from(*isum)
+                .map(Value::Int)
+                .map_err(|_| EngineError::Arithmetic {
+                    message: "integer overflow in sum()".into(),
+                }),
             AggState::Sum { fsum, .. } => Value::float(fsum.round()),
             AggState::Avg { n, fsum } => Value::float(fsum.round() / *n as f64),
-            AggState::Extremum { best, .. } => {
-                Ok(best.clone().unwrap_or(Value::Null))
-            }
+            AggState::Extremum { best, .. } => Ok(best.clone().unwrap_or(Value::Null)),
         }
     }
 }
@@ -406,8 +432,10 @@ pub fn group_indices(
             return group_indices_with(input, group_exprs, &pool, super::PAR_MIN_CHUNK);
         }
     }
-    let bound: Vec<Expr> =
-        group_exprs.iter().map(|e| e.bind(input.schema())).collect::<Result<_>>()?;
+    let bound: Vec<Expr> = group_exprs
+        .iter()
+        .map(|e| e.bind(input.schema()))
+        .collect::<Result<_>>()?;
     if bound.is_empty() {
         return Ok(vec![(Vec::new(), (0..input.len()).collect())]);
     }
@@ -450,36 +478,37 @@ pub fn group_indices_with(
     pool: &maybms_par::ThreadPool,
     min_chunk: usize,
 ) -> Result<Vec<(Vec<Value>, Vec<usize>)>> {
-    let bound: Vec<Expr> =
-        group_exprs.iter().map(|e| e.bind(input.schema())).collect::<Result<_>>()?;
+    let bound: Vec<Expr> = group_exprs
+        .iter()
+        .map(|e| e.bind(input.schema()))
+        .collect::<Result<_>>()?;
     if bound.is_empty() {
         return Ok(vec![(Vec::new(), (0..input.len()).collect())]);
     }
     type LocalGroups = Vec<(u64, Vec<Value>, Vec<usize>)>;
     let chunk = maybms_par::auto_chunk(input.len(), pool.threads(), min_chunk);
-    let partials: Vec<Result<LocalGroups>> =
-        pool.par_map_chunks(input.len(), chunk, |range| {
-            let mut buckets: FastMap<u64, Vec<usize>> = Default::default();
-            let mut local: LocalGroups = Vec::new();
-            let mut scratch: Vec<Value> = Vec::with_capacity(bound.len());
-            for i in range {
-                let t = &input.tuples()[i];
-                scratch.clear();
-                for e in &bound {
-                    scratch.push(e.eval(t)?);
-                }
-                let h = fast_hash_one(&scratch[..]);
-                let bucket = buckets.entry(h).or_default();
-                match bucket.iter().find(|&&g| local[g].1 == scratch) {
-                    Some(&g) => local[g].2.push(i),
-                    None => {
-                        bucket.push(local.len());
-                        local.push((h, scratch.clone(), vec![i]));
-                    }
+    let partials: Vec<Result<LocalGroups>> = pool.par_map_chunks(input.len(), chunk, |range| {
+        let mut buckets: FastMap<u64, Vec<usize>> = Default::default();
+        let mut local: LocalGroups = Vec::new();
+        let mut scratch: Vec<Value> = Vec::with_capacity(bound.len());
+        for i in range {
+            let t = &input.tuples()[i];
+            scratch.clear();
+            for e in &bound {
+                scratch.push(e.eval(t)?);
+            }
+            let h = fast_hash_one(&scratch[..]);
+            let bucket = buckets.entry(h).or_default();
+            match bucket.iter().find(|&&g| local[g].1 == scratch) {
+                Some(&g) => local[g].2.push(i),
+                None => {
+                    bucket.push(local.len());
+                    local.push((h, scratch.clone(), vec![i]));
                 }
             }
-            Ok(local)
-        });
+        }
+        Ok(local)
+    });
     let mut buckets: FastMap<u64, Vec<usize>> = Default::default();
     let mut out: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
     for partial in partials {
@@ -553,11 +582,17 @@ mod tests {
         // check min() would silently return the Bool.
         for func in [AggFunc::Min, AggFunc::Max] {
             let out = fold_all(func, &[Value::Bool(true), 5.into(), Value::Null]);
-            assert!(matches!(out, Err(EngineError::TypeMismatch { .. })), "{func:?}: {out:?}");
+            assert!(
+                matches!(out, Err(EngineError::TypeMismatch { .. })),
+                "{func:?}: {out:?}"
+            );
         }
         // Text/numeric mixes are equally rejected.
         let out = fold_all(AggFunc::Min, &["a".into(), 5.into()]);
-        assert!(matches!(out, Err(EngineError::TypeMismatch { .. })), "{out:?}");
+        assert!(
+            matches!(out, Err(EngineError::TypeMismatch { .. })),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -576,7 +611,10 @@ mod tests {
     #[test]
     fn sum_overflow_detected_on_total() {
         let out = fold_all(AggFunc::Sum, &[i64::MAX.into(), i64::MAX.into()]);
-        assert!(matches!(out, Err(EngineError::Arithmetic { .. })), "{out:?}");
+        assert!(
+            matches!(out, Err(EngineError::Arithmetic { .. })),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -590,7 +628,13 @@ mod tests {
                 _ => Value::Null,
             })
             .collect();
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+        for func in [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ] {
             let whole = fold_all(func, &vs).unwrap();
             for split in [1usize, 7, 59] {
                 let mut merged = AggState::new(func);
@@ -611,7 +655,7 @@ mod tests {
         // NULL % 20 is NULL; NULL is a valid group key.
         let key = Expr::col("pts").binary(crate::expr::BinaryOp::Mod, Expr::lit(20i64));
         assert_eq!(group_indices(&games(), &[key]).unwrap().len(), 3); // 10, 0, NULL
-        // No key: one global group, even over an empty input.
+                                                                       // No key: one global group, even over an empty input.
         let empty = rel(&[("x", DataType::Int)], vec![]);
         assert_eq!(group_indices(&empty, &[]).unwrap(), vec![(vec![], vec![])]);
         assert!(group_indices(&empty, &[Expr::col("x")]).unwrap().is_empty());
@@ -672,7 +716,11 @@ mod tests {
                 }
                 merged.merge(&part);
             }
-            assert_eq!(whole.round().to_bits(), merged.round().to_bits(), "split {split}");
+            assert_eq!(
+                whole.round().to_bits(),
+                merged.round().to_bits(),
+                "split {split}"
+            );
         }
         // And it is actually the exact result (known closed form for a
         // simple case).

@@ -42,7 +42,10 @@ pub fn join_keys_eq(
     right: &[Value],
     right_keys: &[usize],
 ) -> bool {
-    left_keys.iter().zip(right_keys).all(|(&i, &j)| left[i] == right[j])
+    left_keys
+        .iter()
+        .zip(right_keys)
+        .all(|(&i, &j)| left[i] == right[j])
 }
 
 #[cfg(test)]
@@ -51,8 +54,16 @@ mod tests {
 
     #[test]
     fn single_key_hash_agrees_with_slice_hash() {
-        for v in [Value::Int(7), Value::Float(7.0), Value::str("x"), Value::Bool(true)] {
-            assert_eq!(single_key_hash(&v), join_key_hash(std::slice::from_ref(&v), &[0]));
+        for v in [
+            Value::Int(7),
+            Value::Float(7.0),
+            Value::str("x"),
+            Value::Bool(true),
+        ] {
+            assert_eq!(
+                single_key_hash(&v),
+                join_key_hash(std::slice::from_ref(&v), &[0])
+            );
         }
         assert_eq!(single_key_hash(&Value::Null), None);
     }

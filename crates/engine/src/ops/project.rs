@@ -15,12 +15,18 @@ pub struct ProjectItem {
 impl ProjectItem {
     /// Construct an item.
     pub fn new(expr: Expr, name: impl Into<String>) -> ProjectItem {
-        ProjectItem { expr, name: name.into() }
+        ProjectItem {
+            expr,
+            name: name.into(),
+        }
     }
 
     /// A bare column kept under its own name.
     pub fn col(name: impl Into<String>) -> ProjectItem {
         let name = name.into();
-        ProjectItem { expr: Expr::col(name.clone()), name }
+        ProjectItem {
+            expr: Expr::col(name.clone()),
+            name,
+        }
     }
 }

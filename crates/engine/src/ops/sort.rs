@@ -14,11 +14,17 @@ pub struct SortKey {
 impl SortKey {
     /// Ascending key on an expression.
     pub fn asc(expr: Expr) -> SortKey {
-        SortKey { expr, ascending: true }
+        SortKey {
+            expr,
+            ascending: true,
+        }
     }
 
     /// Descending key on an expression.
     pub fn desc(expr: Expr) -> SortKey {
-        SortKey { expr, ascending: false }
+        SortKey {
+            expr,
+            ascending: false,
+        }
     }
 }

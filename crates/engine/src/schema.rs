@@ -21,7 +21,11 @@ pub struct Field {
 impl Field {
     /// Unqualified field.
     pub fn new(name: impl Into<String>, dtype: DataType) -> Field {
-        Field { qualifier: None, name: name.into(), dtype }
+        Field {
+            qualifier: None,
+            name: name.into(),
+            dtype,
+        }
     }
 
     /// Qualified field.
@@ -30,7 +34,11 @@ impl Field {
         name: impl Into<String>,
         dtype: DataType,
     ) -> Field {
-        Field { qualifier: Some(qualifier.into()), name: name.into(), dtype }
+        Field {
+            qualifier: Some(qualifier.into()),
+            name: name.into(),
+            dtype,
+        }
     }
 
     /// Fully-qualified display name.
@@ -49,9 +57,10 @@ impl Field {
         }
         match qualifier {
             None => true,
-            Some(q) => {
-                self.qualifier.as_deref().is_some_and(|fq| fq.eq_ignore_ascii_case(q))
-            }
+            Some(q) => self
+                .qualifier
+                .as_deref()
+                .is_some_and(|fq| fq.eq_ignore_ascii_case(q)),
         }
     }
 }
@@ -70,7 +79,9 @@ impl Schema {
 
     /// Convenience constructor from `(name, type)` pairs.
     pub fn from_pairs(pairs: &[(&str, DataType)]) -> Schema {
-        Schema { fields: pairs.iter().map(|(n, t)| Field::new(*n, *t)).collect() }
+        Schema {
+            fields: pairs.iter().map(|(n, t)| Field::new(*n, *t)).collect(),
+        }
     }
 
     /// Empty schema (zero columns).
@@ -148,7 +159,11 @@ impl Schema {
     /// A copy of this schema with all qualifiers removed.
     pub fn without_qualifiers(&self) -> Schema {
         Schema {
-            fields: self.fields.iter().map(|f| Field::new(f.name.clone(), f.dtype)).collect(),
+            fields: self
+                .fields
+                .iter()
+                .map(|f| Field::new(f.name.clone(), f.dtype))
+                .collect(),
         }
     }
 
@@ -217,13 +232,19 @@ mod tests {
     #[test]
     fn unqualified_ref_over_duplicate_names_is_ambiguous() {
         let s = abc().with_qualifier("r1").join(&abc().with_qualifier("r2"));
-        assert!(matches!(s.index_of(None, "a"), Err(EngineError::AmbiguousColumn { .. })));
+        assert!(matches!(
+            s.index_of(None, "a"),
+            Err(EngineError::AmbiguousColumn { .. })
+        ));
     }
 
     #[test]
     fn qualifier_mismatch_not_found() {
         let s = abc().with_qualifier("r1");
-        assert!(matches!(s.index_of(Some("r9"), "a"), Err(EngineError::ColumnNotFound { .. })));
+        assert!(matches!(
+            s.index_of(Some("r9"), "a"),
+            Err(EngineError::ColumnNotFound { .. })
+        ));
     }
 
     #[test]

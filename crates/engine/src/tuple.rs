@@ -44,7 +44,11 @@ impl Tuple {
     /// Build from values (the row owns its whole buffer).
     pub fn new(values: Vec<Value>) -> Tuple {
         let buf: Arc<[Value]> = values.into();
-        Tuple { start: 0, len: buf.len() as u32, buf }
+        Tuple {
+            start: 0,
+            len: buf.len() as u32,
+            buf,
+        }
     }
 
     /// The values, in schema order.
@@ -190,7 +194,11 @@ impl TupleBatch {
         let buf: Arc<[Value]> = std::mem::take(&mut self.values).into();
         self.charge.add(buf.len() * std::mem::size_of::<Value>());
         for &(start, len) in &self.rows {
-            self.done.push(Tuple { buf: buf.clone(), start, len });
+            self.done.push(Tuple {
+                buf: buf.clone(),
+                start,
+                len,
+            });
         }
         self.rows.clear();
     }
@@ -219,7 +227,10 @@ pub struct Relation {
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Arc<Schema>) -> Relation {
-        Relation { schema, tuples: Vec::new() }
+        Relation {
+            schema,
+            tuples: Vec::new(),
+        }
     }
 
     /// Build a relation, checking every tuple's arity against the schema.
@@ -296,13 +307,20 @@ impl Relation {
                 ),
             });
         }
-        Ok(Relation { schema, tuples: self.tuples })
+        Ok(Relation {
+            schema,
+            tuples: self.tuples,
+        })
     }
 
     /// Render as an aligned ASCII table (for examples and debugging).
     pub fn to_table_string(&self) -> String {
-        let headers: Vec<String> =
-            self.schema.fields().iter().map(|f| f.qualified_name()).collect();
+        let headers: Vec<String> = self
+            .schema
+            .fields()
+            .iter()
+            .map(|f| f.qualified_name())
+            .collect();
         let rows: Vec<Vec<String>> = self
             .tuples()
             .iter()
@@ -408,8 +426,10 @@ mod tests {
         let r = sample();
         let narrow = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
         assert!(r.clone().with_schema(narrow).is_err());
-        let renamed =
-            Arc::new(Schema::from_pairs(&[("p", DataType::Text), ("n", DataType::Int)]));
+        let renamed = Arc::new(Schema::from_pairs(&[
+            ("p", DataType::Text),
+            ("n", DataType::Int),
+        ]));
         assert!(r.with_schema(renamed).is_ok());
     }
 
@@ -458,7 +478,10 @@ mod tests {
         let rows = batch.finish();
         assert_eq!(rows.len(), n);
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.values(), &[Value::Int(i as i64), Value::Int((i * 2) as i64)]);
+            assert_eq!(
+                row.values(),
+                &[Value::Int(i as i64), Value::Int((i * 2) as i64)]
+            );
         }
     }
 

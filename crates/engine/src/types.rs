@@ -91,7 +91,9 @@ impl Value {
     /// Construct a float value, normalising `-0.0` and rejecting NaN.
     pub fn float(f: f64) -> Result<Value> {
         if f.is_nan() {
-            return Err(EngineError::Arithmetic { message: "NaN is not a valid value".into() });
+            return Err(EngineError::Arithmetic {
+                message: "NaN is not a valid value".into(),
+            });
         }
         Ok(Value::Float(if f == 0.0 { 0.0 } else { f }))
     }
@@ -349,7 +351,12 @@ mod tests {
 
     #[test]
     fn null_sorts_first() {
-        let mut vals = [Value::Int(1), Value::Null, Value::str("z"), Value::Bool(true)];
+        let mut vals = [
+            Value::Int(1),
+            Value::Null,
+            Value::str("z"),
+            Value::Bool(true),
+        ];
         vals.sort();
         assert_eq!(vals[0], Value::Null);
     }
@@ -377,7 +384,10 @@ mod tests {
 
     #[test]
     fn sql_cmp_numeric_across_types() {
-        assert_eq!(Value::Int(2).sql_cmp(&Value::Float(2.5)), Some(Ordering::Less));
+        assert_eq!(
+            Value::Int(2).sql_cmp(&Value::Float(2.5)),
+            Some(Ordering::Less)
+        );
     }
 
     #[test]
@@ -393,7 +403,10 @@ mod tests {
     #[test]
     fn data_types_unify() {
         assert_eq!(DataType::Int.unify(DataType::Float), Some(DataType::Float));
-        assert_eq!(DataType::Unknown.unify(DataType::Text), Some(DataType::Text));
+        assert_eq!(
+            DataType::Unknown.unify(DataType::Text),
+            Some(DataType::Text)
+        );
         assert_eq!(DataType::Bool.unify(DataType::Int), None);
     }
 

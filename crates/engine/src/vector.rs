@@ -64,9 +64,11 @@ type KRes = Result<Column, Interrupt>;
 pub fn vectorisable(e: &Expr) -> bool {
     match e {
         Expr::Literal(_) | Expr::Column { .. } | Expr::ColumnIdx(_) => true,
-        Expr::Binary { op: BinaryOp::And | BinaryOp::Or, left, right } => {
-            vectorisable(left) && vectorisable(right) && shortcircuit_safe(right)
-        }
+        Expr::Binary {
+            op: BinaryOp::And | BinaryOp::Or,
+            left,
+            right,
+        } => vectorisable(left) && vectorisable(right) && shortcircuit_safe(right),
         Expr::Binary { left, right, .. } => vectorisable(left) && vectorisable(right),
         Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
             vectorisable(expr)
@@ -87,10 +89,13 @@ pub fn shortcircuit_safe(e: &Expr) -> bool {
     match e {
         Expr::Literal(_) | Expr::Column { .. } | Expr::ColumnIdx(_) => true,
         Expr::IsNull { expr, .. } => shortcircuit_safe(expr),
-        Expr::Unary { op: UnaryOp::Not, expr } => shortcircuit_safe(expr),
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => shortcircuit_safe(expr),
         Expr::Binary { op, left, right } => {
-            let safe_op = op.is_comparison()
-                || matches!(op, BinaryOp::And | BinaryOp::Or | BinaryOp::Concat);
+            let safe_op =
+                op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or | BinaryOp::Concat);
             safe_op && shortcircuit_safe(left) && shortcircuit_safe(right)
         }
         _ => false,
@@ -247,9 +252,7 @@ fn eval_vec<'a>(e: &Expr, batch: &'a ColumnBatch) -> Result<CowCol<'a>, Interrup
     let n = batch.rows();
     Ok(match e {
         Expr::Literal(v) => CowCol::Owned(Column::from_const(v.clone(), n)),
-        Expr::ColumnIdx(i) => {
-            CowCol::Borrowed(batch.columns().get(*i).ok_or(Interrupt)?)
-        }
+        Expr::ColumnIdx(i) => CowCol::Borrowed(batch.columns().get(*i).ok_or(Interrupt)?),
         Expr::Binary { left, op, right } => {
             let l = eval_vec(left, batch)?;
             let r = eval_vec(right, batch)?;
@@ -261,12 +264,14 @@ fn eval_vec<'a>(e: &Expr, batch: &'a ColumnBatch) -> Result<CowCol<'a>, Interrup
             };
             CowCol::Owned(out)
         }
-        Expr::Unary { op: UnaryOp::Not, expr } => {
-            CowCol::Owned(not(eval_vec(expr, batch)?.col())?)
-        }
-        Expr::Unary { op: UnaryOp::Neg, expr } => {
-            CowCol::Owned(neg(eval_vec(expr, batch)?.col())?)
-        }
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => CowCol::Owned(not(eval_vec(expr, batch)?.col())?),
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => CowCol::Owned(neg(eval_vec(expr, batch)?.col())?),
         Expr::IsNull { expr, negated } => {
             let c = eval_vec(expr, batch)?;
             let col = c.col();
@@ -287,8 +292,7 @@ fn eval_vec<'a>(e: &Expr, batch: &'a ColumnBatch) -> Result<CowCol<'a>, Interrup
                 _ => {
                     let mut b = ColumnBuilder::new();
                     for i in 0..col.len() {
-                        let v =
-                            cast_value(col.value_at(i), *dtype).map_err(|_| Interrupt)?;
+                        let v = cast_value(col.value_at(i), *dtype).map_err(|_| Interrupt)?;
                         b.push(&v);
                     }
                     b.finish()
@@ -296,9 +300,7 @@ fn eval_vec<'a>(e: &Expr, batch: &'a ColumnBatch) -> Result<CowCol<'a>, Interrup
             };
             CowCol::Owned(out)
         }
-        Expr::Column { .. } | Expr::InList { .. } | Expr::Case { .. } => {
-            return Err(Interrupt)
-        }
+        Expr::Column { .. } | Expr::InList { .. } | Expr::Case { .. } => return Err(Interrupt),
     })
 }
 
@@ -466,7 +468,12 @@ fn arith(op: BinaryOp, l: &Column, r: &Column) -> KRes {
 
 /// A comparison's verdict column: `ord(i)` orders row `i`'s operands
 /// (called only where neither is NULL); a NULL operand gives NULL.
-fn cmp_rows(op: BinaryOp, l: &Column, r: &Column, ord: impl Fn(usize) -> std::cmp::Ordering) -> Column {
+fn cmp_rows(
+    op: BinaryOp,
+    l: &Column,
+    r: &Column,
+    ord: impl Fn(usize) -> std::cmp::Ordering,
+) -> Column {
     let n = l.len();
     let mut out = Vec::with_capacity(n);
     let mut nulls = NullMask::none();
@@ -522,12 +529,22 @@ fn cmp(op: BinaryOp, l: &Column, r: &Column) -> KRes {
         match (l.data(), r.data()) {
             (ColumnData::Dict { codes, dict }, ColumnData::Const(Value::Str(s)))
             | (ColumnData::Const(Value::Str(s)), ColumnData::Dict { codes, dict }) => {
-                let dcol = if matches!(l.data(), ColumnData::Dict { .. }) { l } else { r };
+                let dcol = if matches!(l.data(), ColumnData::Dict { .. }) {
+                    l
+                } else {
+                    r
+                };
                 return Ok(dict_eq(codes, dict, dcol, s));
             }
             (
-                ColumnData::Dict { codes: lc, dict: ld },
-                ColumnData::Dict { codes: rc, dict: rd },
+                ColumnData::Dict {
+                    codes: lc,
+                    dict: ld,
+                },
+                ColumnData::Dict {
+                    codes: rc,
+                    dict: rd,
+                },
             ) if Arc::ptr_eq(ld, rd) => {
                 let mut out = Vec::with_capacity(n);
                 let mut nulls = NullMask::none();
@@ -552,14 +569,19 @@ fn cmp(op: BinaryOp, l: &Column, r: &Column) -> KRes {
         )
     };
     let bool_view = |c: &'_ Column| {
-        matches!(c.data(), ColumnData::Bool(_) | ColumnData::Const(Value::Bool(_)))
+        matches!(
+            c.data(),
+            ColumnData::Bool(_) | ColumnData::Const(Value::Bool(_))
+        )
     };
     if (str_view(l) && str_view(r)) || (bool_view(l) && bool_view(r)) {
         // Same-category columns can't type-error: loop over values.
-        return Ok(cmp_rows(op, l, r, |i| match (l.value_at(i), r.value_at(i)) {
-            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(&b),
-            _ => unreachable!("category checked above"),
+        return Ok(cmp_rows(op, l, r, |i| {
+            match (l.value_at(i), r.value_at(i)) {
+                (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
+                (Value::Bool(a), Value::Bool(b)) => a.cmp(&b),
+                _ => unreachable!("category checked above"),
+            }
         }));
     }
     generic_binary(op, l, r)
@@ -695,9 +717,10 @@ fn neg(c: &Column) -> KRes {
             Ok(Column::from_floats(out, c.nulls().clone()))
         }
         ColumnData::Const(Value::Null) => Ok(Column::from_const(Value::Null, n)),
-        ColumnData::Const(Value::Int(x)) => {
-            Ok(Column::from_const(Value::Int(x.checked_neg().ok_or(Interrupt)?), n))
-        }
+        ColumnData::Const(Value::Int(x)) => Ok(Column::from_const(
+            Value::Int(x.checked_neg().ok_or(Interrupt)?),
+            n,
+        )),
         ColumnData::Const(Value::Float(x)) => {
             let v = Value::float(-x).map_err(|_| Interrupt)?;
             Ok(Column::from_const(v, n))
@@ -707,9 +730,7 @@ fn neg(c: &Column) -> KRes {
             for val in v {
                 match val {
                     Value::Null => b.push(&Value::Null),
-                    Value::Int(x) => {
-                        b.push(&Value::Int(x.checked_neg().ok_or(Interrupt)?))
-                    }
+                    Value::Int(x) => b.push(&Value::Int(x.checked_neg().ok_or(Interrupt)?)),
                     Value::Float(x) => b.push(&Value::float(-x).map_err(|_| Interrupt)?),
                     _ => return Err(Interrupt),
                 }
@@ -775,7 +796,11 @@ mod tests {
         for (i, want) in expected.iter().enumerate() {
             let got = col.value_at(i);
             assert_eq!(&got, want, "row {i} of {e}");
-            assert_eq!(got.data_type(), want.data_type(), "variant at row {i} of {e}");
+            assert_eq!(
+                got.data_type(),
+                want.data_type(),
+                "variant at row {i} of {e}"
+            );
         }
     }
 
@@ -816,7 +841,13 @@ mod tests {
             vec![Value::Float(-1.25), Value::Null],
             vec![Value::Null, Value::Int(0)],
         ];
-        for op in [BinaryOp::Add, BinaryOp::Mul, BinaryOp::Div, BinaryOp::Lt, BinaryOp::Eq] {
+        for op in [
+            BinaryOp::Add,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Lt,
+            BinaryOp::Eq,
+        ] {
             check(&c(0).binary(op, c(1)), &rows);
         }
     }
@@ -845,7 +876,10 @@ mod tests {
         ];
         check(&c(0).binary(BinaryOp::Add, c(1)), &rows);
         check(&c(0).binary(BinaryOp::Mul, Expr::lit(2i64)), &rows);
-        let neg = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(c(0)) };
+        let neg = Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(c(0)),
+        };
         check(&neg, &[vec![Value::Int(i64::MIN), Value::Null]]);
     }
 
@@ -862,7 +896,10 @@ mod tests {
         for op in [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::GtEq] {
             check(&c(0).binary(op, c(1)), &rows);
         }
-        assert_eq!(Value::Int(big).sql_cmp(&Value::Int(big + 1)), Some(std::cmp::Ordering::Less));
+        assert_eq!(
+            Value::Int(big).sql_cmp(&Value::Int(big + 1)),
+            Some(std::cmp::Ordering::Less)
+        );
     }
 
     #[test]
@@ -922,7 +959,9 @@ mod tests {
     fn short_circuit_skips_right_errors() {
         // false AND (1/0 = 1): scalar short-circuits; the kernel must
         // Interrupt and the redo must agree (no error).
-        let boom = Expr::lit(1i64).binary(BinaryOp::Div, Expr::lit(0i64)).eq(Expr::lit(1i64));
+        let boom = Expr::lit(1i64)
+            .binary(BinaryOp::Div, Expr::lit(0i64))
+            .eq(Expr::lit(1i64));
         let e = Expr::lit(false).and(boom.clone());
         check(&e, &[vec![Value::Int(0)]]);
         // true AND boom: the scalar path *does* error.
@@ -950,21 +989,48 @@ mod tests {
             vec![Value::Bool(false), Value::Int(-2), Value::str("7")],
         ];
         check(&c(0).clone().not(), &rows);
-        check(&Expr::Unary { op: UnaryOp::Neg, expr: Box::new(c(1)) }, &rows);
-        check(&Expr::IsNull { expr: Box::new(c(2)), negated: false }, &rows);
-        check(&Expr::IsNull { expr: Box::new(c(2)), negated: true }, &rows);
-        check(&Expr::Cast { expr: Box::new(c(2)), dtype: DataType::Int }, &rows);
-        check(&Expr::Cast { expr: Box::new(c(1)), dtype: DataType::Text }, &rows);
+        check(
+            &Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(c(1)),
+            },
+            &rows,
+        );
+        check(
+            &Expr::IsNull {
+                expr: Box::new(c(2)),
+                negated: false,
+            },
+            &rows,
+        );
+        check(
+            &Expr::IsNull {
+                expr: Box::new(c(2)),
+                negated: true,
+            },
+            &rows,
+        );
+        check(
+            &Expr::Cast {
+                expr: Box::new(c(2)),
+                dtype: DataType::Int,
+            },
+            &rows,
+        );
+        check(
+            &Expr::Cast {
+                expr: Box::new(c(1)),
+                dtype: DataType::Text,
+            },
+            &rows,
+        );
     }
 
     #[test]
     fn case_and_in_fall_back_to_scalar() {
         let rows = vec![vec![Value::Int(1)], vec![Value::Int(5)], vec![Value::Null]];
         let case = Expr::Case {
-            branches: vec![(
-                c(0).binary(BinaryOp::Gt, Expr::lit(2i64)),
-                Expr::lit("big"),
-            )],
+            branches: vec![(c(0).binary(BinaryOp::Gt, Expr::lit(2i64)), Expr::lit("big"))],
             else_expr: Some(Box::new(Expr::lit("small"))),
         };
         check(&case, &rows);
@@ -1009,10 +1075,12 @@ mod tests {
 
     #[test]
     fn selection_matches_scalar_predicate() {
-        let rows = [vec![Value::Int(5)],
+        let rows = [
+            vec![Value::Int(5)],
             vec![Value::Null],
             vec![Value::Int(1)],
-            vec![Value::Int(9)]];
+            vec![Value::Int(9)],
+        ];
         let pred = c(0).binary(BinaryOp::Gt, Expr::lit(3i64));
         let batch = ColumnBatch::pivot(4, rows.iter().map(|r| r.as_slice()), &[0]);
         let (sel, err) = selection(&pred, &batch, &mut KernelCounts::default());
@@ -1038,11 +1106,15 @@ mod tests {
     #[test]
     fn selection_truncates_at_error() {
         // Rows 0-1 pass/fail normally; row 2 divides by zero.
-        let rows = [vec![Value::Int(8), Value::Int(2)],
+        let rows = [
+            vec![Value::Int(8), Value::Int(2)],
             vec![Value::Int(1), Value::Int(2)],
             vec![Value::Int(1), Value::Int(0)],
-            vec![Value::Int(9), Value::Int(3)]];
-        let pred = c(0).binary(BinaryOp::Div, c(1)).binary(BinaryOp::Gt, Expr::lit(2i64));
+            vec![Value::Int(9), Value::Int(3)],
+        ];
+        let pred = c(0)
+            .binary(BinaryOp::Div, c(1))
+            .binary(BinaryOp::Gt, Expr::lit(2i64));
         let batch = ColumnBatch::pivot(4, rows.iter().map(|r| r.as_slice()), &[0, 1]);
         let (sel, err) = selection(&pred, &batch, &mut KernelCounts::default());
         assert_eq!(sel, vec![0]);
@@ -1053,7 +1125,9 @@ mod tests {
     #[test]
     fn vectorisable_gates_shortcircuit_arithmetic() {
         let cmp = c(0).binary(BinaryOp::Gt, Expr::lit(1i64));
-        let div = c(0).binary(BinaryOp::Div, c(1)).binary(BinaryOp::Gt, Expr::lit(1i64));
+        let div = c(0)
+            .binary(BinaryOp::Div, c(1))
+            .binary(BinaryOp::Gt, Expr::lit(1i64));
         assert!(vectorisable(&cmp.clone().and(cmp.clone())));
         // Guard pattern: arithmetic on the right of AND stays scalar.
         assert!(!vectorisable(&cmp.clone().and(div.clone())));
@@ -1071,7 +1145,16 @@ mod tests {
         let batch = ColumnBatch::pivot(1, rows.iter().map(|r| r.as_slice()), &[0]);
         let mut counts = KernelCounts::default();
         let (_, err) = eval_batch(&Expr::col("a"), &batch, &mut counts);
-        assert!(matches!(err, Some((0, EngineError::UnboundExpression { .. }))));
-        assert_eq!(counts, KernelCounts { batches: 1, scalar_fallbacks: 1 });
+        assert!(matches!(
+            err,
+            Some((0, EngineError::UnboundExpression { .. }))
+        ));
+        assert_eq!(
+            counts,
+            KernelCounts {
+                batches: 1,
+                scalar_fallbacks: 1
+            }
+        );
     }
 }

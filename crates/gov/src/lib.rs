@@ -75,7 +75,10 @@ impl fmt::Display for GovError {
             GovError::DeadlineExceeded { limit_ms } => {
                 write!(f, "statement deadline exceeded ({limit_ms} ms)")
             }
-            GovError::MemBudgetExceeded { used_bytes, budget_bytes } => write!(
+            GovError::MemBudgetExceeded {
+                used_bytes,
+                budget_bytes,
+            } => write!(
                 f,
                 "statement memory budget exceeded ({used_bytes} bytes charged, \
                  budget {budget_bytes} bytes)"
@@ -147,7 +150,10 @@ static ENV_INIT: OnceLock<()> = OnceLock::new();
 fn init_from_env() {
     ENV_INIT.get_or_init(|| {
         let parse = |name: &str| -> Option<u64> {
-            std::env::var(name).ok().and_then(|v| v.trim().parse::<u64>().ok()).filter(|&n| n > 0)
+            std::env::var(name)
+                .ok()
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .filter(|&n| n > 0)
         };
         if let Some(ms) = parse("MAYBMS_STATEMENT_TIMEOUT_MS") {
             TIMEOUT_MS.store(ms, Ordering::Relaxed);
@@ -182,8 +188,12 @@ pub fn statement_timeout_ms() -> Option<u64> {
 /// `\memlimit N|off`).
 pub fn set_mem_budget_mb(mb: Option<u64>) {
     init_from_env();
-    BUDGET_BYTES
-        .store(mb.filter(|&n| n > 0).map(|n| n.saturating_mul(1 << 20)).unwrap_or(OFF), Ordering::Relaxed);
+    BUDGET_BYTES.store(
+        mb.filter(|&n| n > 0)
+            .map(|n| n.saturating_mul(1 << 20))
+            .unwrap_or(OFF),
+        Ordering::Relaxed,
+    );
 }
 
 /// The session memory budget in bytes, if armed.
@@ -401,9 +411,9 @@ fn check_armed() -> Result<(), GovError> {
     if let Some(kind) = inject_tick() {
         return Err(match kind {
             AbortKind::Cancel => GovError::Cancelled,
-            AbortKind::Deadline => {
-                GovError::DeadlineExceeded { limit_ms: DEADLINE_LIMIT_MS.load(Ordering::Relaxed) }
-            }
+            AbortKind::Deadline => GovError::DeadlineExceeded {
+                limit_ms: DEADLINE_LIMIT_MS.load(Ordering::Relaxed),
+            },
             AbortKind::MemBudget => GovError::MemBudgetExceeded {
                 used_bytes: MEM_USED.load(Ordering::Relaxed),
                 budget_bytes: MEM_BUDGET.load(Ordering::Relaxed),
@@ -421,9 +431,14 @@ fn check_armed() -> Result<(), GovError> {
     }
     let budget = MEM_BUDGET.load(Ordering::Relaxed);
     if budget != OFF {
-        let used = MEM_USED.load(Ordering::Relaxed).saturating_sub(MEM_BASE.load(Ordering::Relaxed));
+        let used = MEM_USED
+            .load(Ordering::Relaxed)
+            .saturating_sub(MEM_BASE.load(Ordering::Relaxed));
         if used > budget {
-            return Err(GovError::MemBudgetExceeded { used_bytes: used, budget_bytes: budget });
+            return Err(GovError::MemBudgetExceeded {
+                used_bytes: used,
+                budget_bytes: budget,
+            });
         }
     }
     Ok(())
@@ -482,7 +497,9 @@ pub fn credit(bytes: usize) {
 /// Peak tracked working memory charged since the current statement
 /// began, relative to its start (bytes).
 pub fn statement_peak_bytes() -> u64 {
-    MEM_PEAK.load(Ordering::Relaxed).saturating_sub(MEM_BASE.load(Ordering::Relaxed))
+    MEM_PEAK
+        .load(Ordering::Relaxed)
+        .saturating_sub(MEM_BASE.load(Ordering::Relaxed))
 }
 
 /// Nanoseconds left until the live statement's deadline (negative when
@@ -601,7 +618,10 @@ mod tests {
         let g = begin_statement();
         assert_eq!(g.limits().deadline_ms, Some(1));
         std::thread::sleep(std::time::Duration::from_millis(5));
-        assert!(matches!(check(), Err(GovError::DeadlineExceeded { limit_ms: 1 })));
+        assert!(matches!(
+            check(),
+            Err(GovError::DeadlineExceeded { limit_ms: 1 })
+        ));
         assert!(deadline_exceeded());
         assert!(g.deadline_slack_nanos().unwrap() < 0);
         drop(g);
@@ -615,7 +635,9 @@ mod tests {
         set_statement_timeout_ms(None);
         set_mem_budget_mb(None);
         let g = begin_statement();
-        let token = CancelToken { epoch: STMT_EPOCH.load(Ordering::Acquire) };
+        let token = CancelToken {
+            epoch: STMT_EPOCH.load(Ordering::Acquire),
+        };
         token.cancel();
         assert_eq!(check(), Err(GovError::Cancelled));
         drop(g);
@@ -651,7 +673,11 @@ mod tests {
         assert!(check().is_ok());
         assert!(check().is_ok());
         assert_eq!(check(), Err(GovError::Cancelled));
-        assert_eq!(check(), Err(GovError::Cancelled), "sticky until statement end");
+        assert_eq!(
+            check(),
+            Err(GovError::Cancelled),
+            "sticky until statement end"
+        );
         drop(g);
         testing::clear();
         let g = begin_statement();
@@ -678,7 +704,10 @@ mod tests {
         drop(g);
         let g2 = begin_statement();
         std::thread::sleep(std::time::Duration::from_millis(5));
-        assert!(check().is_ok(), "watchdog does not leak into the next statement");
+        assert!(
+            check().is_ok(),
+            "watchdog does not leak into the next statement"
+        );
         drop(g2);
     }
 }

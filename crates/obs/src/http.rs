@@ -132,7 +132,10 @@ mod tests {
         let (status, body) = get(addr, "/metrics");
         assert_eq!(status, 200);
         assert!(body.contains("# TYPE maybms_query_total counter"), "{body}");
-        assert!(body.contains("maybms_query_seconds_bucket{kind=\"conf\",le=\"+Inf\"}"), "{body}");
+        assert!(
+            body.contains("maybms_query_seconds_bucket{kind=\"conf\",le=\"+Inf\"}"),
+            "{body}"
+        );
         let (status, body) = get(addr, "/healthz");
         assert_eq!(status, 200);
         assert_eq!(body, "ok\n");
@@ -144,9 +147,13 @@ mod tests {
     fn rejects_non_get() {
         let addr = serve("127.0.0.1:0").expect("bind exporter");
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        stream
+            .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
         let mut line = String::new();
-        std::io::BufReader::new(stream).read_line(&mut line).unwrap();
+        std::io::BufReader::new(stream)
+            .read_line(&mut line)
+            .unwrap();
         assert!(line.contains("405"), "{line}");
     }
 }

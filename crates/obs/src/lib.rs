@@ -144,7 +144,11 @@ impl Histogram {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         assert!(bounds.len() < MAX_BUCKETS);
-        Histogram { bounds, buckets: [ZERO; MAX_BUCKETS], sum_nanos: AtomicU64::new(0) }
+        Histogram {
+            bounds,
+            buckets: [ZERO; MAX_BUCKETS],
+            sum_nanos: AtomicU64::new(0),
+        }
     }
 
     /// Record one duration.
@@ -220,10 +224,14 @@ impl Histogram {
         for (i, &bound) in self.bounds.iter().enumerate() {
             cumulative += counts[i];
             let le = bound as f64 / 1e9;
-            out.push_str(&format!("{name}_bucket{{{le_prefix}le=\"{le}\"}} {cumulative}\n"));
+            out.push_str(&format!(
+                "{name}_bucket{{{le_prefix}le=\"{le}\"}} {cumulative}\n"
+            ));
         }
         cumulative += counts[self.bounds.len()];
-        out.push_str(&format!("{name}_bucket{{{le_prefix}le=\"+Inf\"}} {cumulative}\n"));
+        out.push_str(&format!(
+            "{name}_bucket{{{le_prefix}le=\"+Inf\"}} {cumulative}\n"
+        ));
         out.push_str(&format!("{name}_sum{tail} {}\n", self.sum_seconds()));
         out.push_str(&format!("{name}_count{tail} {cumulative}\n"));
     }
@@ -231,22 +239,54 @@ impl Histogram {
 
 /// Fsync / checkpoint latency bounds: 50µs … 100ms.
 pub const IO_BOUNDS: &[u64] = &[
-    50_000, 100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
-    25_000_000, 50_000_000, 100_000_000,
+    50_000,
+    100_000,
+    250_000,
+    500_000,
+    1_000_000,
+    2_500_000,
+    5_000_000,
+    10_000_000,
+    25_000_000,
+    50_000_000,
+    100_000_000,
 ];
 
 /// Pipeline / query wall-time bounds: 100µs … 5s.
 pub const TIME_BOUNDS: &[u64] = &[
-    100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000,
-    50_000_000, 100_000_000, 500_000_000, 1_000_000_000, 5_000_000_000,
+    100_000,
+    250_000,
+    500_000,
+    1_000_000,
+    2_500_000,
+    5_000_000,
+    10_000_000,
+    25_000_000,
+    50_000_000,
+    100_000_000,
+    500_000_000,
+    1_000_000_000,
+    5_000_000_000,
 ];
 
 /// Statement-latency bounds: 50µs … 5s. Finer sub-millisecond buckets
 /// than [`TIME_BOUNDS`] so the p50 of sub-millisecond statements does
 /// not pin to the lowest bucket.
 pub const STATEMENT_BOUNDS: &[u64] = &[
-    50_000, 100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
-    25_000_000, 50_000_000, 100_000_000, 250_000_000, 500_000_000, 1_000_000_000,
+    50_000,
+    100_000,
+    250_000,
+    500_000,
+    1_000_000,
+    2_500_000,
+    5_000_000,
+    10_000_000,
+    25_000_000,
+    50_000_000,
+    100_000_000,
+    250_000_000,
+    500_000_000,
+    1_000_000_000,
     5_000_000_000,
 ];
 
@@ -272,8 +312,12 @@ pub enum StatementKind {
 
 impl StatementKind {
     /// All kinds, in rendering order.
-    pub const ALL: [StatementKind; 4] =
-        [StatementKind::Select, StatementKind::Conf, StatementKind::Dml, StatementKind::Aborted];
+    pub const ALL: [StatementKind; 4] = [
+        StatementKind::Select,
+        StatementKind::Conf,
+        StatementKind::Dml,
+        StatementKind::Aborted,
+    ];
 
     /// The `kind` label value.
     pub fn label(self) -> &'static str {
@@ -390,40 +434,148 @@ pub fn render_prometheus() -> String {
             c.get()
         ));
     };
-    counter("maybms_pipe_pipelines_total", "Pipelines executed by the morsel-driven executor", &m.pipelines);
-    counter("maybms_pipe_morsels_total", "Morsels pushed through fused stage chains", &m.morsels);
-    counter("maybms_pipe_rows_in_total", "Rows entering fused stage chains", &m.rows_in);
-    counter("maybms_pipe_rows_out_total", "Rows surviving fused stage chains", &m.rows_out);
-    counter("maybms_pipe_vector_batches_total", "Columnar batches evaluated by vector kernels", &m.vector_batches);
-    counter("maybms_pipe_scalar_fallbacks_total", "Vector-kernel batches redone row-by-row (scalar fallback)", &m.scalar_fallbacks);
-    counter("maybms_pipe_join_build_rows_total", "Rows inserted into hash-join build tables", &m.join_build_rows);
-    counter("maybms_pipe_groups_total", "Groups created by streaming grouped aggregation", &m.groups);
-    counter("maybms_pipe_pivots_total", "Row-major to column-major pivots performed (ColumnBatch::pivot calls)", &m.pivots);
-    counter("maybms_pipe_pivot_rows_total", "Rows pivoted from row-major to column-major", &m.pivot_rows);
-    counter("maybms_conf_dtree_nodes_total", "Decomposition-tree nodes expanded by exact confidence computation", &m.dtree_nodes);
-    counter("maybms_conf_dnf_clauses_total", "DNF clauses submitted to confidence computation", &m.dnf_clauses);
-    counter("maybms_conf_mc_samples_total", "Monte Carlo samples drawn (fixed-count Karp-Luby draws plus DKLR consumed samples)", &m.mc_samples);
-    counter("maybms_conf_mc_batches_total", "Seeded sample batches consumed by DKLR runs", &m.mc_batches);
-    counter("maybms_store_wal_appends_total", "WAL records appended", &m.wal_appends);
-    counter("maybms_store_checkpoints_total", "Atomic snapshot checkpoints written", &m.checkpoints);
-    counter("maybms_par_tasks_total", "Tasks executed by the execution pool", &m.par_tasks);
+    counter(
+        "maybms_pipe_pipelines_total",
+        "Pipelines executed by the morsel-driven executor",
+        &m.pipelines,
+    );
+    counter(
+        "maybms_pipe_morsels_total",
+        "Morsels pushed through fused stage chains",
+        &m.morsels,
+    );
+    counter(
+        "maybms_pipe_rows_in_total",
+        "Rows entering fused stage chains",
+        &m.rows_in,
+    );
+    counter(
+        "maybms_pipe_rows_out_total",
+        "Rows surviving fused stage chains",
+        &m.rows_out,
+    );
+    counter(
+        "maybms_pipe_vector_batches_total",
+        "Columnar batches evaluated by vector kernels",
+        &m.vector_batches,
+    );
+    counter(
+        "maybms_pipe_scalar_fallbacks_total",
+        "Vector-kernel batches redone row-by-row (scalar fallback)",
+        &m.scalar_fallbacks,
+    );
+    counter(
+        "maybms_pipe_join_build_rows_total",
+        "Rows inserted into hash-join build tables",
+        &m.join_build_rows,
+    );
+    counter(
+        "maybms_pipe_groups_total",
+        "Groups created by streaming grouped aggregation",
+        &m.groups,
+    );
+    counter(
+        "maybms_pipe_pivots_total",
+        "Row-major to column-major pivots performed (ColumnBatch::pivot calls)",
+        &m.pivots,
+    );
+    counter(
+        "maybms_pipe_pivot_rows_total",
+        "Rows pivoted from row-major to column-major",
+        &m.pivot_rows,
+    );
+    counter(
+        "maybms_conf_dtree_nodes_total",
+        "Decomposition-tree nodes expanded by exact confidence computation",
+        &m.dtree_nodes,
+    );
+    counter(
+        "maybms_conf_dnf_clauses_total",
+        "DNF clauses submitted to confidence computation",
+        &m.dnf_clauses,
+    );
+    counter(
+        "maybms_conf_mc_samples_total",
+        "Monte Carlo samples drawn (fixed-count Karp-Luby draws plus DKLR consumed samples)",
+        &m.mc_samples,
+    );
+    counter(
+        "maybms_conf_mc_batches_total",
+        "Seeded sample batches consumed by DKLR runs",
+        &m.mc_batches,
+    );
+    counter(
+        "maybms_store_wal_appends_total",
+        "WAL records appended",
+        &m.wal_appends,
+    );
+    counter(
+        "maybms_store_checkpoints_total",
+        "Atomic snapshot checkpoints written",
+        &m.checkpoints,
+    );
+    counter(
+        "maybms_par_tasks_total",
+        "Tasks executed by the execution pool",
+        &m.par_tasks,
+    );
     counter("maybms_query_total", "SQL statements executed", &m.queries);
-    counter("maybms_query_slow_total", "Statements at or above the slow-query threshold", &m.slow_queries);
-    counter("maybms_gov_cancelled_total", "Statements aborted by cancellation", &m.gov_cancelled);
-    counter("maybms_gov_deadline_total", "Statements aborted by their deadline", &m.gov_deadline);
-    counter("maybms_gov_mem_rejected_total", "Statements aborted by the memory budget", &m.gov_mem_rejected);
-    counter("maybms_gov_degraded_conf_total", "aconf() estimates cut early by a deadline (degraded, not aborted)", &m.gov_degraded_conf);
-    counter("maybms_gov_panics_total", "Statement panics caught and reported as internal errors", &m.gov_panics);
-    counter("maybms_store_retries_total", "Transient store I/O failures retried", &m.store_retries);
+    counter(
+        "maybms_query_slow_total",
+        "Statements at or above the slow-query threshold",
+        &m.slow_queries,
+    );
+    counter(
+        "maybms_gov_cancelled_total",
+        "Statements aborted by cancellation",
+        &m.gov_cancelled,
+    );
+    counter(
+        "maybms_gov_deadline_total",
+        "Statements aborted by their deadline",
+        &m.gov_deadline,
+    );
+    counter(
+        "maybms_gov_mem_rejected_total",
+        "Statements aborted by the memory budget",
+        &m.gov_mem_rejected,
+    );
+    counter(
+        "maybms_gov_degraded_conf_total",
+        "aconf() estimates cut early by a deadline (degraded, not aborted)",
+        &m.gov_degraded_conf,
+    );
+    counter(
+        "maybms_gov_panics_total",
+        "Statement panics caught and reported as internal errors",
+        &m.gov_panics,
+    );
+    counter(
+        "maybms_store_retries_total",
+        "Transient store I/O failures retried",
+        &m.store_retries,
+    );
     let mut gauge = |name: &str, help: &str, g: &Gauge| {
         out.push_str(&format!(
             "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {}\n",
             g.get()
         ));
     };
-    gauge("maybms_store_recovery_replayed_records", "WAL records replayed at the last open", &m.recovery_replayed);
-    gauge("maybms_store_recovery_truncated_tail", "1 if the last open truncated a torn WAL tail", &m.recovery_truncated_tail);
-    gauge("maybms_par_queue_depth_hwm", "Execution-pool queue depth high-water mark", &m.par_queue_depth_hwm);
+    gauge(
+        "maybms_store_recovery_replayed_records",
+        "WAL records replayed at the last open",
+        &m.recovery_replayed,
+    );
+    gauge(
+        "maybms_store_recovery_truncated_tail",
+        "1 if the last open truncated a torn WAL tail",
+        &m.recovery_truncated_tail,
+    );
+    gauge(
+        "maybms_par_queue_depth_hwm",
+        "Execution-pool queue depth high-water mark",
+        &m.par_queue_depth_hwm,
+    );
     let mut histogram = |name: &str, help: &str, series: Vec<(String, &Histogram)>| {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
         for (label, h) in series {
@@ -431,14 +583,30 @@ pub fn render_prometheus() -> String {
         }
     };
     let one = |h| vec![(String::new(), h)];
-    histogram("maybms_pipe_pipeline_seconds", "Per-pipeline wall time", one(&m.pipeline_seconds));
-    histogram("maybms_store_wal_fsync_seconds", "WAL append+fsync latency", one(&m.wal_fsync_seconds));
-    histogram("maybms_store_checkpoint_seconds", "Checkpoint duration", one(&m.checkpoint_seconds));
+    histogram(
+        "maybms_pipe_pipeline_seconds",
+        "Per-pipeline wall time",
+        one(&m.pipeline_seconds),
+    );
+    histogram(
+        "maybms_store_wal_fsync_seconds",
+        "WAL append+fsync latency",
+        one(&m.wal_fsync_seconds),
+    );
+    histogram(
+        "maybms_store_checkpoint_seconds",
+        "Checkpoint duration",
+        one(&m.checkpoint_seconds),
+    );
     let kinds = StatementKind::ALL
         .iter()
         .map(|&k| (format!("kind=\"{}\"", k.label()), m.query_seconds(k)))
         .collect();
-    histogram("maybms_query_seconds", "Per-statement wall time by statement kind", kinds);
+    histogram(
+        "maybms_query_seconds",
+        "Per-statement wall time by statement kind",
+        kinds,
+    );
     out
 }
 
@@ -529,7 +697,10 @@ impl PipelineStats {
             source: source.into(),
             stages: stage_labels
                 .into_iter()
-                .map(|label| StageStats { label, ..StageStats::default() })
+                .map(|label| StageStats {
+                    label,
+                    ..StageStats::default()
+                })
                 .collect(),
             morsels: Counter::new(),
             rows_in: Counter::new(),
@@ -671,15 +842,20 @@ impl QueryStats {
 
     /// Record a breaker that turned `rows_in` rows into `rows_out`.
     pub fn record_breaker(&self, what: String, rows_in: usize, rows_out: usize) {
-        self.steps.lock().expect("step registry poisoned").push(Step::Breaker(what, rows_in, rows_out));
+        self.steps
+            .lock()
+            .expect("step registry poisoned")
+            .push(Step::Breaker(what, rows_in, rows_out));
     }
 
     /// Rename the most recent pipeline — for one whose role its own
     /// output decides (the adaptive side of a hash join).
     pub fn relabel_last_pipeline(&self, label: &str) {
         let mut steps = self.steps.lock().expect("step registry poisoned");
-        if let Some(Step::Pipeline(l, _)) =
-            steps.iter_mut().rev().find(|s| matches!(s, Step::Pipeline(..)))
+        if let Some(Step::Pipeline(l, _)) = steps
+            .iter_mut()
+            .rev()
+            .find(|s| matches!(s, Step::Pipeline(..)))
         {
             *l = label.to_string();
         }
@@ -692,7 +868,13 @@ impl QueryStats {
 
     /// The registered pipelines, in execution order.
     pub fn pipelines(&self) -> Vec<std::sync::Arc<PipelineStats>> {
-        let pipeline = |s| if let Step::Pipeline(_, p) = s { Some(p) } else { None };
+        let pipeline = |s| {
+            if let Step::Pipeline(_, p) = s {
+                Some(p)
+            } else {
+                None
+            }
+        };
         self.steps().into_iter().filter_map(pipeline).collect()
     }
 
@@ -703,13 +885,17 @@ impl QueryStats {
 
     /// Vector-kernel batches this statement's pipelines redid scalar.
     pub fn scalar_fallbacks(&self) -> u64 {
-        self.pipelines().iter().map(|p| p.scalar_fallbacks.get()).sum()
+        self.pipelines()
+            .iter()
+            .map(|p| p.scalar_fallbacks.get())
+            .sum()
     }
 
     /// Record one estimator run's relative standard error at stop.
     pub fn record_rel_stderr(&self, rse: f64) {
         if rse.is_finite() && rse > 0.0 {
-            self.max_rel_stderr_bits.fetch_max(rse.to_bits(), Ordering::Relaxed);
+            self.max_rel_stderr_bits
+                .fetch_max(rse.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -747,9 +933,9 @@ impl QueryStats {
     /// One-line summary for the slow-query log and the shell timing line.
     pub fn summary(&self) -> String {
         let pipelines = self.pipelines();
-        let (morsels, rows_out) = pipelines
-            .iter()
-            .fold((0, 0), |(m, r), p| (m + p.morsels.get(), r + p.rows_out.get()));
+        let (morsels, rows_out) = pipelines.iter().fold((0, 0), |(m, r), p| {
+            (m + p.morsels.get(), r + p.rows_out.get())
+        });
         let mut s = format!(
             "{} pipeline(s), {morsels} morsel(s), {rows_out} pipeline-output row(s)",
             pipelines.len()
@@ -801,7 +987,10 @@ pub fn slow_log_threshold_ms() -> Option<u64> {
 pub fn set_slow_log_threshold(ms: Option<u64>) {
     // Make sure the env read cannot overwrite an explicit setting later.
     SLOW_INIT.call_once(|| {});
-    SLOW_MS.store(ms.map_or(SLOW_OFF, |m| m.min(SLOW_OFF - 1)), Ordering::Relaxed);
+    SLOW_MS.store(
+        ms.map_or(SLOW_OFF, |m| m.min(SLOW_OFF - 1)),
+        Ordering::Relaxed,
+    );
 }
 
 static SLOW_LOG_FILE: OnceLock<Option<Mutex<std::fs::File>>> = OnceLock::new();
@@ -816,7 +1005,11 @@ pub fn slow_log_write(line: &str) {
         if path.is_empty() {
             return None;
         }
-        match std::fs::File::options().create(true).append(true).open(path) {
+        match std::fs::File::options()
+            .create(true)
+            .append(true)
+            .open(path)
+        {
             Ok(f) => Some(Mutex::new(f)),
             Err(e) => {
                 eprintln!("maybms: cannot open MAYBMS_SLOW_LOG_FILE {path:?}: {e}");
@@ -872,11 +1065,22 @@ mod tests {
     #[test]
     fn registry_renders_prometheus_text() {
         metrics().wal_appends.inc();
-        metrics().wal_fsync_seconds.observe(Duration::from_micros(120));
+        metrics()
+            .wal_fsync_seconds
+            .observe(Duration::from_micros(120));
         let text = render_prometheus();
-        assert!(text.contains("# TYPE maybms_store_wal_appends_total counter"), "{text}");
-        assert!(text.contains("# TYPE maybms_store_wal_fsync_seconds histogram"), "{text}");
-        assert!(text.contains("maybms_store_wal_fsync_seconds_bucket{le=\"+Inf\"}"), "{text}");
+        assert!(
+            text.contains("# TYPE maybms_store_wal_appends_total counter"),
+            "{text}"
+        );
+        assert!(
+            text.contains("# TYPE maybms_store_wal_fsync_seconds histogram"),
+            "{text}"
+        );
+        assert!(
+            text.contains("maybms_store_wal_fsync_seconds_bucket{le=\"+Inf\"}"),
+            "{text}"
+        );
         assert!(text.contains("maybms_pipe_morsels_total"), "{text}");
     }
 
@@ -899,24 +1103,45 @@ mod tests {
 
     #[test]
     fn statement_latency_is_one_kind_labelled_family() {
-        metrics().query_seconds(StatementKind::Conf).observe(Duration::from_micros(80));
+        metrics()
+            .query_seconds(StatementKind::Conf)
+            .observe(Duration::from_micros(80));
         let text = render_prometheus();
-        assert_eq!(text.matches("# TYPE maybms_query_seconds histogram").count(), 1, "{text}");
+        assert_eq!(
+            text.matches("# TYPE maybms_query_seconds histogram")
+                .count(),
+            1,
+            "{text}"
+        );
         for kind in StatementKind::ALL {
             let k = kind.label();
-            assert!(text.contains(&format!("maybms_query_seconds_bucket{{kind=\"{k}\",le=\"+Inf\"}}")), "{text}");
-            assert!(text.contains(&format!("maybms_query_seconds_count{{kind=\"{k}\"}}")), "{text}");
+            assert!(
+                text.contains(&format!(
+                    "maybms_query_seconds_bucket{{kind=\"{k}\",le=\"+Inf\"}}"
+                )),
+                "{text}"
+            );
+            assert!(
+                text.contains(&format!("maybms_query_seconds_count{{kind=\"{k}\"}}")),
+                "{text}"
+            );
         }
         assert!(!text.contains("maybms_query_seconds_count "), "{text}");
         let report = latency_report();
-        let conf = report.lines().find(|l| l.starts_with("conf")).expect("a conf row");
+        let conf = report
+            .lines()
+            .find(|l| l.starts_with("conf"))
+            .expect("a conf row");
         assert!(!conf.contains(" - "), "{report}");
     }
 
     #[test]
     fn a_finished_pipeline_is_one_record_in_every_view() {
         let qs = QueryStats::new();
-        let p = PipelineStats::new("3 stored rows", vec!["filter x > 1".into(), "project [x]".into()]);
+        let p = PipelineStats::new(
+            "3 stored rows",
+            vec!["filter x > 1".into(), "project [x]".into()],
+        );
         p.flush_morsel(5, &[(5, 4), (4, 4)], 2, 1);
         p.flush_morsel(1, &[(1, 1), (1, 1)], 2, 0);
         p.stages[1].build_rows.add(7);
@@ -926,10 +1151,18 @@ mod tests {
         // Other tests share the registry: it moved by at least this run.
         assert!(metrics().pipelines.get() > before.0);
         assert!(metrics().rows_in.get() >= before.1 + 6);
-        let [Step::Pipeline(label, p)] = &qs.steps()[..] else { panic!("one pipeline step") };
+        let [Step::Pipeline(label, p)] = &qs.steps()[..] else {
+            panic!("one pipeline step")
+        };
         assert_eq!(label, "output");
-        assert_eq!((p.morsels.get(), p.rows_in.get(), p.rows_out.get()), (2, 6, 5));
-        assert_eq!((p.stages[0].rows_in.get(), p.stages[0].rows_out.get()), (6, 5));
+        assert_eq!(
+            (p.morsels.get(), p.rows_in.get(), p.rows_out.get()),
+            (2, 6, 5)
+        );
+        assert_eq!(
+            (p.stages[0].rows_in.get(), p.stages[0].rows_out.get()),
+            (6, 5)
+        );
         assert_eq!((p.join_build_rows(), p.vector_batches.get()), (7, 4));
         assert_eq!(qs.scalar_fallbacks(), 1);
         qs.relabel_last_pipeline("hash-join probe side");
@@ -938,7 +1171,10 @@ mod tests {
         qs.record_rel_stderr(0.01);
         assert_eq!(qs.max_rel_stderr(), 0.02);
         let s = qs.summary();
-        assert!(s.contains("1 pipeline(s), 2 morsel(s), 5 pipeline-output row(s)"), "{s}");
+        assert!(
+            s.contains("1 pipeline(s), 2 morsel(s), 5 pipeline-output row(s)"),
+            "{s}"
+        );
         assert!(s.contains("1 scalar fallback(s)"), "{s}");
     }
 

@@ -235,7 +235,15 @@ pub fn span(label: &'static str) -> Span {
     let (cur_root, cur_parent) = prev;
     let root = if cur_root == 0 { id } else { cur_root };
     CURRENT.with(|c| c.set((root, id)));
-    Span { id, root, parent: cur_parent, prev, label, start_nanos: monotonic_nanos(), attrs: Vec::new() }
+    Span {
+        id,
+        root,
+        parent: cur_parent,
+        prev,
+        label,
+        start_nanos: monotonic_nanos(),
+        attrs: Vec::new(),
+    }
 }
 
 impl Span {
@@ -302,8 +310,11 @@ pub fn spans_for_root(root: u64) -> Vec<SpanRecord> {
 /// Root ids of the last `n` completed span trees, oldest first.
 pub fn recent_roots(n: usize) -> Vec<u64> {
     let ring = RING.lock().expect("trace ring poisoned");
-    let roots: Vec<u64> =
-        ring.iter().filter(|r| r.parent == 0).map(|r| r.id).collect();
+    let roots: Vec<u64> = ring
+        .iter()
+        .filter(|r| r.parent == 0)
+        .map(|r| r.id)
+        .collect();
     let skip = roots.len().saturating_sub(n);
     roots[skip..].to_vec()
 }
@@ -328,14 +339,12 @@ fn render_tree(out: &mut String, spans: &[SpanRecord], root: u64) {
     };
     // Children grouped by parent, ordered by start time (id breaks
     // ties deterministically).
-    let mut children: Vec<&SpanRecord> =
-        spans.iter().filter(|r| r.id != root).collect();
+    let mut children: Vec<&SpanRecord> = spans.iter().filter(|r| r.id != root).collect();
     children.sort_by_key(|r| (r.start_nanos, r.id));
     render_span(out, root_rec, &children, 0);
     // Spans whose parent was evicted from the ring: list flat so
     // nothing silently disappears.
-    let present: std::collections::HashSet<u64> =
-        spans.iter().map(|r| r.id).collect();
+    let present: std::collections::HashSet<u64> = spans.iter().map(|r| r.id).collect();
     for r in &children {
         if r.parent != 0 && !present.contains(&r.parent) {
             out.push_str("  (detached) ");
@@ -344,12 +353,7 @@ fn render_tree(out: &mut String, spans: &[SpanRecord], root: u64) {
     }
 }
 
-fn render_span(
-    out: &mut String,
-    rec: &SpanRecord,
-    all: &[&SpanRecord],
-    depth: usize,
-) {
+fn render_span(out: &mut String, rec: &SpanRecord, all: &[&SpanRecord], depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
     }
@@ -460,7 +464,10 @@ pub fn trace_event_json(rec: &SpanRecord) -> String {
         rec.dur_nanos as f64 / 1e3,
         rec.root
     ));
-    o.push_str(&format!(",\"args\":{{\"id\":{},\"parent\":{}", rec.id, rec.parent));
+    o.push_str(&format!(
+        ",\"args\":{{\"id\":{},\"parent\":{}",
+        rec.id, rec.parent
+    ));
     for (k, v) in &rec.attrs {
         o.push_str(",\"");
         push_json_escaped(&mut o, k);
@@ -584,7 +591,10 @@ mod tests {
             label: "pipeline",
             start_nanos: 1_500,
             dur_nanos: 2_000,
-            attrs: vec![("morsels", AttrValue::Uint(4)), ("kind", AttrValue::Str("select"))],
+            attrs: vec![
+                ("morsels", AttrValue::Uint(4)),
+                ("kind", AttrValue::Str("select")),
+            ],
         };
         let j = trace_event_json(&rec);
         assert_eq!(

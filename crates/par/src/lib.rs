@@ -107,7 +107,9 @@ pub struct ThreadPool {
 
 impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool").field("threads", &self.threads).finish()
+        f.debug_struct("ThreadPool")
+            .field("threads", &self.threads)
+            .finish()
     }
 }
 
@@ -118,7 +120,10 @@ impl ThreadPool {
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner { queue: VecDeque::new(), shutdown: false }),
+            inner: Mutex::new(Inner {
+                queue: VecDeque::new(),
+                shutdown: false,
+            }),
             work: Condvar::new(),
         });
         let workers = (1..threads)
@@ -130,7 +135,11 @@ impl ThreadPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        ThreadPool { shared, workers, threads }
+        ThreadPool {
+            shared,
+            workers,
+            threads,
+        }
     }
 
     /// Total parallelism (background workers + the calling thread).
@@ -190,7 +199,10 @@ impl ThreadPool {
                 s.spawn(move || *slot = Some(f(item)));
             }
         });
-        slots.into_iter().map(|r| r.expect("par_map task completed")).collect()
+        slots
+            .into_iter()
+            .map(|r| r.expect("par_map task completed"))
+            .collect()
     }
 
     /// [`ThreadPool::par_map`] over the contiguous index chunks of
@@ -302,7 +314,11 @@ impl<'env> Scope<'env> {
             let _trace = maybms_obs::trace::enter_context(trace_ctx);
             let result = catch_unwind(AssertUnwindSafe(f));
             if let Err(payload) = result {
-                state.panic.lock().expect("panic slot").get_or_insert(payload);
+                state
+                    .panic
+                    .lock()
+                    .expect("panic slot")
+                    .get_or_insert(payload);
             }
             let mut pending = state.pending.lock().expect("scope lock");
             *pending -= 1;
@@ -316,9 +332,7 @@ impl<'env> Scope<'env> {
         // returning — including when the scope body panics — so the job
         // has finished (and dropped) before any 'env borrow can end.
         // Trait-object lifetime erasure does not change the layout.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
-        };
+        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
         self.state.shared.push(job);
     }
 }
@@ -373,9 +387,14 @@ fn global() -> &'static Mutex<Arc<ThreadPool>> {
 /// The pool size the environment asks for: `MAYBMS_THREADS` if set to a
 /// positive integer, otherwise (or when `0`) all available cores.
 pub fn default_threads() -> usize {
-    match std::env::var("MAYBMS_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok()) {
+    match std::env::var("MAYBMS_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+    {
         Some(n) if n > 0 => n,
-        _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        _ => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
     }
 }
 
@@ -558,9 +577,8 @@ mod tests {
         // The determinism contract at the pool level: order-preserving
         // collection makes the merged result independent of scheduling.
         let work = |r: Range<usize>| -> f64 { r.map(|i| (i as f64).sqrt()).sum() };
-        let merge = |pool: &ThreadPool| -> f64 {
-            pool.par_map_chunks(10_000, 128, work).iter().sum()
-        };
+        let merge =
+            |pool: &ThreadPool| -> f64 { pool.par_map_chunks(10_000, 128, work).iter().sum() };
         let p1 = ThreadPool::new(1);
         let p2 = ThreadPool::new(2);
         let p8 = ThreadPool::new(8);

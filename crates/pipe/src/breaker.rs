@@ -121,7 +121,9 @@ pub fn cross(left: &URelation, right: &URelation) -> Result<URelation> {
             // tick a cross product could neither be cancelled nor
             // stopped by a memory budget.
             gov.tick().map_err(EngineError::Gov)?;
-            let Some(wsd) = l.wsd.conjoin(&r.wsd) else { continue };
+            let Some(wsd) = l.wsd.conjoin(&r.wsd) else {
+                continue;
+            };
             batch.push_concat(&l.data, &r.data);
             wsds.push(wsd);
         }
@@ -161,7 +163,10 @@ mod tests {
     }
 
     fn names(u: &URelation) -> Vec<&str> {
-        u.tuples().iter().map(|t| t.data.value(0).as_str().unwrap()).collect()
+        u.tuples()
+            .iter()
+            .map(|t| t.data.value(0).as_str().unwrap())
+            .collect()
     }
 
     #[test]
@@ -170,8 +175,11 @@ mod tests {
         let out = sort(&u, &[SortKey::asc(Expr::col("s"))]).unwrap();
         assert_eq!(names(&out), vec!["b", "c", "a"]);
         assert_eq!(out.tuples()[1].wsd, Wsd::of(Var(0), 1));
-        let out = sort(&u, &[SortKey::desc(Expr::col("s")), SortKey::asc(Expr::col("p"))])
-            .unwrap();
+        let out = sort(
+            &u,
+            &[SortKey::desc(Expr::col("s")), SortKey::asc(Expr::col("p"))],
+        )
+        .unwrap();
         assert_eq!(names(&out), vec!["a", "b", "c"]);
         // A columnar-at-rest input sorts the same.
         let out = sort(&u.compact(), &[SortKey::asc(Expr::col("s"))]).unwrap();

@@ -36,31 +36,35 @@ impl BuildTable {
     where
         F: Fn(usize) -> Option<u64> + Sync,
     {
-        let nparts = if pool.threads() > 1 && len >= min_chunk { pool.threads() } else { 1 };
+        let nparts = if pool.threads() > 1 && len >= min_chunk {
+            pool.threads()
+        } else {
+            1
+        };
         let chunk = maybms_par::auto_chunk(len, pool.threads(), min_chunk);
         // Morsel-local build: each morsel owns `nparts` private maps (one
         // per target shard) so the merge below touches only its own
         // shard's entries — total work stays O(rows + distinct keys).
-        let locals: Vec<Vec<FastMap<u64, Vec<u32>>>> =
-            pool.par_map_chunks(len, chunk, |range| {
-                let mut maps: Vec<FastMap<u64, Vec<u32>>> =
-                    (0..nparts).map(|_| FastMap::default()).collect();
-                for i in range {
-                    if let Some(h) = hash_of(i) {
-                        maps[(h as usize) % nparts].entry(h).or_default().push(i as u32);
-                    }
+        let locals: Vec<Vec<FastMap<u64, Vec<u32>>>> = pool.par_map_chunks(len, chunk, |range| {
+            let mut maps: Vec<FastMap<u64, Vec<u32>>> =
+                (0..nparts).map(|_| FastMap::default()).collect();
+            for i in range {
+                if let Some(h) = hash_of(i) {
+                    maps[(h as usize) % nparts]
+                        .entry(h)
+                        .or_default()
+                        .push(i as u32);
                 }
-                maps
-            });
+            }
+            maps
+        });
         // Chunk-ordered merge, one shard per task: every key's candidate
         // list is the concatenation of its morsel-local lists in morsel
         // order — the sequential ascending row order.
         let parts: Vec<FastMap<u64, Vec<u32>>> =
             pool.par_map((0..nparts).collect::<Vec<_>>(), |p| {
-                let mut table: FastMap<u64, Vec<u32>> = FastMap::with_capacity_and_hasher(
-                    len / nparts + 1,
-                    Default::default(),
-                );
+                let mut table: FastMap<u64, Vec<u32>> =
+                    FastMap::with_capacity_and_hasher(len / nparts + 1, Default::default());
                 for morsel in &locals {
                     for (h, rows) in &morsel[p] {
                         table.entry(*h).or_default().extend_from_slice(rows);
@@ -75,7 +79,10 @@ impl BuildTable {
             let rows: usize = part.values().map(Vec::len).sum();
             charge.add(part.len() * entry + rows * std::mem::size_of::<u32>());
         }
-        BuildTable { parts, _charge: charge }
+        BuildTable {
+            parts,
+            _charge: charge,
+        }
     }
 
     /// The build rows whose key hashes to `h`, in ascending row order

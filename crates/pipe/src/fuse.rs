@@ -156,14 +156,18 @@ fn plan_vec(stages: &[Stage]) -> Option<VecPrefix> {
     for s in &stages[..remap_upto] {
         match s {
             Stage::Filter(p) => p.referenced_columns(&mut pivot_cols),
-            Stage::Project(es) => es.iter().for_each(|e| e.referenced_columns(&mut pivot_cols)),
+            Stage::Project(es) => es
+                .iter()
+                .for_each(|e| e.referenced_columns(&mut pivot_cols)),
             Stage::Probe { .. } => unreachable!("prefix stops at probes"),
         }
     }
     pivot_cols.sort_unstable();
     pivot_cols.dedup();
     let map = |i: usize| {
-        pivot_cols.binary_search(&i).expect("referenced column collected above")
+        pivot_cols
+            .binary_search(&i)
+            .expect("referenced column collected above")
     };
     let mut vec_stages = Vec::with_capacity(len);
     for (k, s) in stages[..len].iter().enumerate() {
@@ -176,13 +180,23 @@ fn plan_vec(stages: &[Stage]) -> Option<VecPrefix> {
             })),
             Stage::Project(es) => vec_stages.push(VecStage::Project(
                 es.iter()
-                    .map(|e| if remap { e.remap_columns(&map) } else { e.clone() })
+                    .map(|e| {
+                        if remap {
+                            e.remap_columns(&map)
+                        } else {
+                            e.clone()
+                        }
+                    })
                     .collect(),
             )),
             Stage::Probe { .. } => unreachable!("prefix stops at probes"),
         }
     }
-    Some(VecPrefix { len, stages: vec_stages, pivot_cols })
+    Some(VecPrefix {
+        len,
+        stages: vec_stages,
+        pivot_cols,
+    })
 }
 
 /// One morsel's counts, kept on the worker's stack and flushed into the
@@ -205,10 +219,14 @@ type ColCmp<'s> = (usize, BinaryOp, &'s Value, bool);
 /// The stages of `stages` that contribute a zone map over `source` (the
 /// skip rule), with their index; reads only the stored column variants.
 pub(crate) fn zone_stages<'s>(source: &URelation, stages: &'s [Stage]) -> Vec<(usize, ColCmp<'s>)> {
-    let Some(batch) = at_rest(source) else { return Vec::new() };
+    let Some(batch) = at_rest(source) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for (k, stage) in stages.iter().enumerate() {
-        let Stage::Filter(Expr::Binary { left, op, right }) = stage else { break };
+        let Stage::Filter(Expr::Binary { left, op, right }) = stage else {
+            break;
+        };
         let cmp @ (col, _, lit, _) = match (&**left, &**right) {
             (Expr::ColumnIdx(c), Expr::Literal(v)) if op.is_comparison() => (*c, *op, v, true),
             (Expr::Literal(v), Expr::ColumnIdx(c)) if op.is_comparison() => (*c, *op, v, false),
@@ -237,15 +255,28 @@ pub(crate) fn zone_stages<'s>(source: &URelation, stages: &'s [Stage]) -> Vec<(u
 /// non-NULL value; else iff the verdict holds for some ordering between
 /// the ones `sql_cmp` gives at the zone's min and max.
 fn zone_may_match(&(_, op, lit, col_left): &ColCmp<'_>, (lo, hi): Zone) -> bool {
-    let ord = |x: i64| if col_left { Value::Int(x).sql_cmp(lit) } else { lit.sql_cmp(&Value::Int(x)) };
+    let ord = |x: i64| {
+        if col_left {
+            Value::Int(x).sql_cmp(lit)
+        } else {
+            lit.sql_cmp(&Value::Int(x))
+        }
+    };
     let spanned = ord(lo).min(ord(hi))..=ord(lo).max(ord(hi));
     let orders = [Ordering::Less, Ordering::Equal, Ordering::Greater];
-    lo <= hi && orders.into_iter().any(|o| spanned.contains(&Some(o)) && op.verdict(o))
+    lo <= hi
+        && orders
+            .into_iter()
+            .any(|o| spanned.contains(&Some(o)) && op.verdict(o))
 }
 
 /// The rows of `source` a pipeline over `stages` must read, ascending and
 /// disjoint; records the zones consulted and read in `stats`.
-pub(crate) fn candidate_ranges(source: &URelation, stages: &[Stage], stats: &PipelineStats) -> Vec<Range<usize>> {
+pub(crate) fn candidate_ranges(
+    source: &URelation,
+    stages: &[Stage],
+    stats: &PipelineStats,
+) -> Vec<Range<usize>> {
     let maps: Vec<(&[Zone], ColCmp<'_>)> = zone_stages(source, stages)
         .into_iter()
         .map(|(_, cmp)| (source.zones(cmp.0).expect("an Int column has zones"), cmp))
@@ -254,8 +285,9 @@ pub(crate) fn candidate_ranges(source: &URelation, stages: &[Stage], stats: &Pip
         return std::iter::once(0..source.len()).collect();
     }
     let zones = source.len().div_ceil(ZONE_ROWS);
-    let kept: Vec<usize> =
-        (0..zones).filter(|&z| maps.iter().all(|(m, cmp)| zone_may_match(cmp, m[z]))).collect();
+    let kept: Vec<usize> = (0..zones)
+        .filter(|&z| maps.iter().all(|(m, cmp)| zone_may_match(cmp, m[z])))
+        .collect();
     stats.zones.add(zones as u64);
     stats.zones_read.add(kept.len() as u64);
     let mut ranges: Vec<Range<usize>> = Vec::new();
@@ -290,18 +322,29 @@ pub(crate) fn drive<T: Send>(
     let chunk = maybms_par::auto_chunk(kept, pool.threads(), min_morsel);
     let morsels: Vec<Range<usize>> = ranges
         .into_iter()
-        .flat_map(|r| r.clone().step_by(chunk).map(move |start| start..(start + chunk).min(r.end)))
+        .flat_map(|r| {
+            r.clone()
+                .step_by(chunk)
+                .map(move |start| start..(start + chunk).min(r.end))
+        })
         .collect();
     let outputs: Vec<Result<T>> = pool.par_map(morsels, |range| {
         // Governor checkpoint: one relaxed load per morsel when no
         // limit is armed.
         maybms_gov::check().map_err(EngineError::Gov)?;
         let rows_in = range.len() as u64;
-        let mut tally =
-            Tally { stages: vec![(0, 0); stats.stages.len()], kernels: KernelCounts::default() };
+        let mut tally = Tally {
+            stages: vec![(0, 0); stats.stages.len()],
+            kernels: KernelCounts::default(),
+        };
         let out = morsel(range, &mut tally)?;
         let kernels = tally.kernels;
-        stats.flush_morsel(rows_in, &tally.stages, kernels.batches, kernels.scalar_fallbacks);
+        stats.flush_morsel(
+            rows_in,
+            &tally.stages,
+            kernels.batches,
+            kernels.scalar_fallbacks,
+        );
         Ok(out)
     });
     outputs.into_iter().collect()
@@ -335,7 +378,9 @@ fn run_vec(
         Some(rest) => rest.slice_cols(range.start, range.len(), &pre.pivot_cols),
         None => ColumnBatch::pivot(
             range.len(),
-            source.tuples()[range.clone()].iter().map(|t| t.data.values()),
+            source.tuples()[range.clone()]
+                .iter()
+                .map(|t| t.data.values()),
             &pre.pivot_cols,
         ),
     };
@@ -430,7 +475,9 @@ where
         .iter()
         .zip(&stats.stages)
         .map(|(s, slot)| match s {
-            Stage::Probe { build, right_keys, .. } => {
+            Stage::Probe {
+                build, right_keys, ..
+            } => {
                 slot.build_rows.add(build.len() as u64);
                 Some(build_table(build, right_keys, pool, min_morsel))
             }
@@ -439,59 +486,65 @@ where
         .collect();
     let pre = plan_vec(stages);
 
-    drive(candidate_ranges(source, stages, stats), pool, min_morsel, stats, |range, tally| {
-        let mut sink = make_sink();
-        let mut gov = maybms_gov::Ticker::new();
-        if let Some(pre) = &pre {
-            // Columnar prefix, then the row walk for the rest.
-            let rest = &stages[pre.len..];
-            let rest_tables = &tables[pre.len..];
-            let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
-            let (prefix_tally, rest_tally) = tally.stages.split_at_mut(pre.len);
-            let (batch, src, pending) =
-                run_vec(pre, source, range, prefix_tally, &mut tally.kernels);
-            let mut rowbuf: Vec<Value> = Vec::new();
-            for (j, &si) in src.iter().enumerate() {
-                // Never the source's row view: see `wsd_at`.
-                match &batch {
-                    Some(b) => b.write_row(j, &mut rowbuf),
-                    None => source.write_row(si as usize, &mut rowbuf),
+    drive(
+        candidate_ranges(source, stages, stats),
+        pool,
+        min_morsel,
+        stats,
+        |range, tally| {
+            let mut sink = make_sink();
+            let mut gov = maybms_gov::Ticker::new();
+            if let Some(pre) = &pre {
+                // Columnar prefix, then the row walk for the rest.
+                let rest = &stages[pre.len..];
+                let rest_tables = &tables[pre.len..];
+                let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
+                let (prefix_tally, rest_tally) = tally.stages.split_at_mut(pre.len);
+                let (batch, src, pending) =
+                    run_vec(pre, source, range, prefix_tally, &mut tally.kernels);
+                let mut rowbuf: Vec<Value> = Vec::new();
+                for (j, &si) in src.iter().enumerate() {
+                    // Never the source's row view: see `wsd_at`.
+                    match &batch {
+                        Some(b) => b.write_row(j, &mut rowbuf),
+                        None => source.write_row(si as usize, &mut rowbuf),
+                    }
+                    push_row(
+                        &rowbuf,
+                        wsd_at(source, si as usize),
+                        rest,
+                        rest_tables,
+                        0,
+                        &mut scratch,
+                        rest_tally,
+                        &mut sink,
+                        &mut gov,
+                    )?;
                 }
-                push_row(
-                    &rowbuf,
-                    wsd_at(source, si as usize),
-                    rest,
-                    rest_tables,
-                    0,
-                    &mut scratch,
-                    rest_tally,
-                    &mut sink,
-                    &mut gov,
-                )?;
+                // Any row-walk error above was at an earlier source row
+                // than the prefix's pending error — row-major order.
+                if let Some(e) = pending {
+                    return Err(e.into());
+                }
+            } else {
+                let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
+                for t in &source.tuples()[range] {
+                    push_row(
+                        t.data.values(),
+                        &t.wsd,
+                        stages,
+                        &tables,
+                        0,
+                        &mut scratch,
+                        &mut tally.stages,
+                        &mut sink,
+                        &mut gov,
+                    )?;
+                }
             }
-            // Any row-walk error above was at an earlier source row
-            // than the prefix's pending error — row-major order.
-            if let Some(e) = pending {
-                return Err(e.into());
-            }
-        } else {
-            let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
-            for t in &source.tuples()[range] {
-                push_row(
-                    t.data.values(),
-                    &t.wsd,
-                    stages,
-                    &tables,
-                    0,
-                    &mut scratch,
-                    &mut tally.stages,
-                    &mut sink,
-                    &mut gov,
-                )?;
-            }
-        }
-        Ok(sink)
-    })
+            Ok(sink)
+        },
+    )
 }
 
 /// Build a probe stage's hash table. A columnar-at-rest build side with
@@ -554,42 +607,48 @@ pub(crate) fn select(
     stats: &PipelineStats,
 ) -> Result<Vec<usize>> {
     let pre = plan_vec(stages);
-    let partials = drive(candidate_ranges(source, stages, stats), pool, min_morsel, stats, |range, tally| {
-        let (src, pending, start) = match &pre {
-            Some(pre) => {
-                let (_, src, pending) =
-                    run_vec(pre, source, range, &mut tally.stages, &mut tally.kernels);
-                (src, pending, pre.len)
-            }
-            None => (range.map(|i| i as u32).collect(), None, 0),
-        };
-        let mut sel = Vec::new();
-        if stages[start..].is_empty() {
-            // Fully vectorised chain: the selection is final — on a
-            // columnar-at-rest source no row is ever touched.
-            sel.extend(src.iter().map(|&si| si as usize));
-        } else {
-            let mut gov = maybms_gov::Ticker::new();
-            let mut rowbuf = Vec::new(); // never the row view: see `wsd_at`
-            'row: for &si in &src {
-                gov.tick().map_err(EngineError::Gov)?;
-                source.write_row(si as usize, &mut rowbuf);
-                for (k, s) in stages[start..].iter().enumerate() {
-                    let Stage::Filter(p) = s else { unreachable!() };
-                    tally.stages[start + k].0 += 1;
-                    if !p.eval_predicate_values(&rowbuf)? {
-                        continue 'row;
-                    }
-                    tally.stages[start + k].1 += 1;
+    let partials = drive(
+        candidate_ranges(source, stages, stats),
+        pool,
+        min_morsel,
+        stats,
+        |range, tally| {
+            let (src, pending, start) = match &pre {
+                Some(pre) => {
+                    let (_, src, pending) =
+                        run_vec(pre, source, range, &mut tally.stages, &mut tally.kernels);
+                    (src, pending, pre.len)
                 }
-                sel.push(si as usize);
+                None => (range.map(|i| i as u32).collect(), None, 0),
+            };
+            let mut sel = Vec::new();
+            if stages[start..].is_empty() {
+                // Fully vectorised chain: the selection is final — on a
+                // columnar-at-rest source no row is ever touched.
+                sel.extend(src.iter().map(|&si| si as usize));
+            } else {
+                let mut gov = maybms_gov::Ticker::new();
+                let mut rowbuf = Vec::new(); // never the row view: see `wsd_at`
+                'row: for &si in &src {
+                    gov.tick().map_err(EngineError::Gov)?;
+                    source.write_row(si as usize, &mut rowbuf);
+                    for (k, s) in stages[start..].iter().enumerate() {
+                        let Stage::Filter(p) = s else { unreachable!() };
+                        tally.stages[start + k].0 += 1;
+                        if !p.eval_predicate_values(&rowbuf)? {
+                            continue 'row;
+                        }
+                        tally.stages[start + k].1 += 1;
+                    }
+                    sel.push(si as usize);
+                }
             }
-        }
-        match pending {
-            Some(e) => Err(e.into()),
-            None => Ok(sel),
-        }
-    })?;
+            match pending {
+                Some(e) => Err(e.into()),
+                None => Ok(sel),
+            }
+        },
+    )?;
     Ok(partials.concat())
 }
 
@@ -646,7 +705,17 @@ fn push_row<Sk: MorselSink>(
         Stage::Filter(p) => {
             if p.eval_predicate_values(row)? {
                 tally[depth].1 += 1;
-                push_row(row, wsd, stages, tables, depth + 1, scratch, tally, sink, gov)?;
+                push_row(
+                    row,
+                    wsd,
+                    stages,
+                    tables,
+                    depth + 1,
+                    scratch,
+                    tally,
+                    sink,
+                    gov,
+                )?;
             }
             Ok(())
         }
@@ -665,15 +734,33 @@ fn push_row<Sk: MorselSink>(
             }
             if result.is_ok() {
                 tally[depth].1 += 1;
-                result =
-                    push_row(&vals, wsd, stages, tables, depth + 1, scratch, tally, sink, gov);
+                result = push_row(
+                    &vals,
+                    wsd,
+                    stages,
+                    tables,
+                    depth + 1,
+                    scratch,
+                    tally,
+                    sink,
+                    gov,
+                );
             }
             scratch[depth] = vals;
             result
         }
-        Stage::Probe { build, left_keys, right_keys, build_first } => {
-            let Some(h) = row_key_hash(row, left_keys) else { return Ok(()) };
-            let table = tables[depth].as_ref().expect("probe stage has a build table");
+        Stage::Probe {
+            build,
+            left_keys,
+            right_keys,
+            build_first,
+        } => {
+            let Some(h) = row_key_hash(row, left_keys) else {
+                return Ok(());
+            };
+            let table = tables[depth]
+                .as_ref()
+                .expect("probe stage has a build table");
             let mut vals = std::mem::take(&mut scratch[depth]);
             let mut result = Ok(());
             for &ri in table.candidates(h) {
@@ -685,15 +772,29 @@ fn push_row<Sk: MorselSink>(
                     continue; // hash collision
                 }
                 // An unsatisfiable conjunction drops the joined row.
-                let Some(joined) = wsd.conjoin(&b.wsd) else { continue };
-                let (first, second) = if *build_first { (brow, row) } else { (row, brow) };
+                let Some(joined) = wsd.conjoin(&b.wsd) else {
+                    continue;
+                };
+                let (first, second) = if *build_first {
+                    (brow, row)
+                } else {
+                    (row, brow)
+                };
                 vals.clear();
                 vals.extend_from_slice(first);
                 vals.extend_from_slice(second);
                 tally[depth].1 += 1;
-                if let Err(e) =
-                    push_row(&vals, &joined, stages, tables, depth + 1, scratch, tally, sink, gov)
-                {
+                if let Err(e) = push_row(
+                    &vals,
+                    &joined,
+                    stages,
+                    tables,
+                    depth + 1,
+                    scratch,
+                    tally,
+                    sink,
+                    gov,
+                ) {
                     result = Err(e);
                     break;
                 }

@@ -139,7 +139,10 @@ impl<A> GroupTable<A> {
     /// is still maintained, keeping the table valid as a merge target.
     fn open_group(&mut self, key: Vec<Value>, state: A) -> u32 {
         let g = self.keys.len() as u32;
-        self.buckets.entry(fast_hash_one(&key[..])).or_default().push(g);
+        self.buckets
+            .entry(fast_hash_one(&key[..]))
+            .or_default()
+            .push(g);
         self.charge.add(Self::group_bytes(key.len()));
         self.keys.push(key);
         self.states.push(state);
@@ -204,21 +207,20 @@ where
     MF: FnMut(&mut A, A) -> Result<()>,
 {
     let mut merged = GroupTable::new();
-    if let Some(tables) =
-        dense_dict_groups(source, stages, key_exprs, pool, min_morsel, stats, &new_state, &fold)?
-    {
+    if let Some(tables) = dense_dict_groups(
+        source, stages, key_exprs, pool, min_morsel, stats, &new_state, &fold,
+    )? {
         for table in tables {
             merged.merge_in(table, &mut merge)?;
         }
     } else {
-        let sinks =
-            fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
-                table: GroupTable::new(),
-                key_exprs,
-                new_state: &new_state,
-                fold: &fold,
-                scratch: Vec::with_capacity(key_exprs.len()),
-            })?;
+        let sinks = fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
+            table: GroupTable::new(),
+            key_exprs,
+            new_state: &new_state,
+            fold: &fold,
+            scratch: Vec::with_capacity(key_exprs.len()),
+        })?;
         for sink in sinks {
             merged.merge_in(sink.table, &mut merge)?;
         }
@@ -261,39 +263,49 @@ where
     NF: Fn() -> A + Sync,
     FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
 {
-    let [Expr::ColumnIdx(k)] = key_exprs else { return Ok(None) };
+    let [Expr::ColumnIdx(k)] = key_exprs else {
+        return Ok(None);
+    };
     if !stages.is_empty() {
         return Ok(None);
     }
-    let Some((batch, wsds)) = source.at_rest() else { return Ok(None) };
+    let Some((batch, wsds)) = source.at_rest() else {
+        return Ok(None);
+    };
     let col = batch.column(*k);
     let maybms_engine::ColumnData::Dict { codes, dict } = col.data() else {
         return Ok(None);
     };
-    let tables = fuse::drive(fuse::candidate_ranges(source, stages, stats), pool, min_morsel, stats, |range, _| {
-        let mut table: GroupTable<A> = GroupTable::new();
-        let mut dense: Vec<u32> = vec![u32::MAX; dict.len()];
-        let mut null_group = u32::MAX;
-        let mut rowbuf: Vec<Value> = Vec::new();
-        for i in range {
-            let g = if col.is_null(i) {
-                if null_group == u32::MAX {
-                    null_group = table.open_group(vec![Value::Null], new_state());
-                }
-                null_group
-            } else {
-                let c = codes[i] as usize;
-                if dense[c] == u32::MAX {
-                    let key = Value::Str(dict.get(codes[i]).clone());
-                    dense[c] = table.open_group(vec![key], new_state());
-                }
-                dense[c]
-            };
-            batch.write_row(i, &mut rowbuf);
-            fold(table.state_mut(g), &rowbuf, &wsds[i])?;
-        }
-        Ok(table)
-    })?;
+    let tables = fuse::drive(
+        fuse::candidate_ranges(source, stages, stats),
+        pool,
+        min_morsel,
+        stats,
+        |range, _| {
+            let mut table: GroupTable<A> = GroupTable::new();
+            let mut dense: Vec<u32> = vec![u32::MAX; dict.len()];
+            let mut null_group = u32::MAX;
+            let mut rowbuf: Vec<Value> = Vec::new();
+            for i in range {
+                let g = if col.is_null(i) {
+                    if null_group == u32::MAX {
+                        null_group = table.open_group(vec![Value::Null], new_state());
+                    }
+                    null_group
+                } else {
+                    let c = codes[i] as usize;
+                    if dense[c] == u32::MAX {
+                        let key = Value::Str(dict.get(codes[i]).clone());
+                        dense[c] = table.open_group(vec![key], new_state());
+                    }
+                    dense[c]
+                };
+                batch.write_row(i, &mut rowbuf);
+                fold(table.state_mut(g), &rowbuf, &wsds[i])?;
+            }
+            Ok(table)
+        },
+    )?;
     Ok(Some(tables))
 }
 
@@ -361,7 +373,10 @@ mod tests {
         let mut b: GroupTable<u32> = GroupTable::new();
         b.entry(&[Value::Int(1)], || 0);
         let err = a.merge_in(b, |_, _| {
-            Err(EngineError::TypeMismatch { message: "boom".into() }.into())
+            Err(EngineError::TypeMismatch {
+                message: "boom".into(),
+            }
+            .into())
         });
         assert!(err.is_err());
     }

@@ -61,7 +61,12 @@ impl UStream {
     /// Start a pipeline from a materialised U-relation.
     pub fn new(source: URelation) -> UStream {
         let schema = source.schema().clone();
-        UStream { source, stages: Vec::new(), schema, notes: Vec::new() }
+        UStream {
+            source,
+            stages: Vec::new(),
+            schema,
+            notes: Vec::new(),
+        }
     }
 
     /// The schema rows will have after the recorded stages.
@@ -231,7 +236,10 @@ impl UStream {
                 source.gather(&sel).with_schema(schema)
             } else {
                 let (tuples, wsds) = fuse::rows(&source, stages, pool, min_morsel, stats)?;
-                let rows = tuples.into_iter().zip(wsds).map(|(data, wsd)| UTuple::new(data, wsd));
+                let rows = tuples
+                    .into_iter()
+                    .zip(wsds)
+                    .map(|(data, wsd)| UTuple::new(data, wsd));
                 URelation::new(schema, rows.collect())
             })
         })
@@ -327,7 +335,12 @@ impl UStream {
             source_label(self.source.len(), self.source.is_columnar()),
             self.stage_labels(),
         );
-        let UStream { source, stages, schema, .. } = self;
+        let UStream {
+            source,
+            stages,
+            schema,
+            ..
+        } = self;
         let out = body(source, &stages, schema, &stats);
         stats.finish(&mut span, statement);
         out
@@ -352,7 +365,11 @@ impl UStream {
                         let cols: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
                         format!("project [{}]{vec_mark}", cols.join(", "))
                     }
-                    Stage::Probe { left_keys, right_keys, .. } => {
+                    Stage::Probe {
+                        left_keys,
+                        right_keys,
+                        ..
+                    } => {
                         let keys: Vec<String> = left_keys
                             .iter()
                             .zip(right_keys)
@@ -439,11 +456,16 @@ mod tests {
             (Value::str("Duncan"), Wsd::of(Var(1), 0)),
         ];
         let rows = |r: &URelation| -> Vec<(Value, Wsd)> {
-            r.tuples().iter().map(|t| (t.data.value(0).clone(), t.wsd.clone())).collect()
+            r.tuples()
+                .iter()
+                .map(|t| (t.data.value(0).clone(), t.wsd.clone()))
+                .collect()
         };
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let got = chain().collect_with(&pool, 1, (&QueryStats::new(), "test")).unwrap();
+            let got = chain()
+                .collect_with(&pool, 1, (&QueryStats::new(), "test"))
+                .unwrap();
             assert_eq!(rows(&got), want, "threads = {threads}");
         }
         assert_eq!(rows(&chain().collect().unwrap()), want);
@@ -455,17 +477,26 @@ mod tests {
     fn build_first_probe_swaps_the_halves_only() {
         let (_, u) = setup();
         let f = Expr::col("state").eq(Expr::lit("F"));
-        let build = UStream::new(u.clone()).filter(&f).unwrap().collect().unwrap();
+        let build = UStream::new(u.clone())
+            .filter(&f)
+            .unwrap()
+            .collect()
+            .unwrap();
         let join = |first: bool| {
             let s = UStream::new(u.clone());
             let s = match first {
                 true => s.hash_join_build_first(build.clone(), &[0], &[0]),
                 false => s.hash_join(build.clone(), &[0], &[0]),
             };
-            s.unwrap().collect_with(&ThreadPool::new(2), 1, (&QueryStats::new(), "test")).unwrap()
+            s.unwrap()
+                .collect_with(&ThreadPool::new(2), 1, (&QueryStats::new(), "test"))
+                .unwrap()
         };
         let (plain, swapped) = (join(false), join(true));
-        assert_eq!(swapped.schema().names(), vec!["player", "state", "player", "state"]);
+        assert_eq!(
+            swapped.schema().names(),
+            vec!["player", "state", "player", "state"]
+        );
         assert_eq!(plain.len(), 2); // each F row with itself: its sibling contradicts
         for (p, s) in plain.tuples().iter().zip(swapped.tuples()) {
             assert_eq!(p.wsd, s.wsd);
@@ -478,7 +509,11 @@ mod tests {
     fn filter_only_stream_gathers() {
         let (_, u) = setup();
         let pred = Expr::col("player").eq(Expr::lit("Bryant"));
-        let got = UStream::new(u.clone()).filter(&pred).unwrap().collect().unwrap();
+        let got = UStream::new(u.clone())
+            .filter(&pred)
+            .unwrap()
+            .collect()
+            .unwrap();
         assert_eq!(got.tuples(), &u.tuples()[..2]);
         assert_eq!(got.tuples()[0].wsd, Wsd::of(Var(0), 0));
     }
@@ -492,7 +527,10 @@ mod tests {
                 .collect(),
         );
         // Columnar at rest (the zero-pivot scan) and row-major alike.
-        for u in [URelation::from_certain(&base).compact(), URelation::from_certain(&base)] {
+        for u in [
+            URelation::from_certain(&base).compact(),
+            URelation::from_certain(&base),
+        ] {
             let pred = Expr::col("k")
                 .binary(maybms_engine::BinaryOp::Gt, Expr::lit(40i64))
                 .and(Expr::col("s").eq(Expr::lit("s3")));
@@ -511,7 +549,9 @@ mod tests {
             let pool = ThreadPool::new(2);
             // No predicate: every row. A constant-false one: none.
             let qs = QueryStats::new();
-            let all = UStream::new(u.clone()).select_positions(&pool, 64, (&qs, "test")).unwrap();
+            let all = UStream::new(u.clone())
+                .select_positions(&pool, 64, (&qs, "test"))
+                .unwrap();
             assert_eq!(all, (0..500).collect::<Vec<_>>());
             let none = UStream::new(u.clone())
                 .filter(&Expr::lit(false))
@@ -523,7 +563,9 @@ mod tests {
             let projected = UStream::new(u.clone())
                 .project(&[ProjectItem::new(Expr::ColumnIdx(0), "k")])
                 .unwrap();
-            assert!(projected.select_positions(&pool, 64, (&QueryStats::new(), "test")).is_err());
+            assert!(projected
+                .select_positions(&pool, 64, (&QueryStats::new(), "test"))
+                .is_err());
         }
     }
 
@@ -537,8 +579,12 @@ mod tests {
     #[test]
     fn binding_errors_surface_at_stage_construction() {
         let (_, u) = setup();
-        assert!(UStream::new(u.clone()).filter(&Expr::col("nope").eq(Expr::lit(1i64))).is_err());
-        assert!(UStream::new(u.clone()).hash_join(u.clone(), &[], &[]).is_err());
+        assert!(UStream::new(u.clone())
+            .filter(&Expr::col("nope").eq(Expr::lit(1i64)))
+            .is_err());
+        assert!(UStream::new(u.clone())
+            .hash_join(u.clone(), &[], &[])
+            .is_err());
         assert!(UStream::new(u.clone()).hash_join(u, &[7], &[0]).is_err());
     }
 }

@@ -60,10 +60,11 @@ pub fn decompose(input: &URelation, groups: &[Vec<usize>]) -> Result<Vec<URelati
     let mut used: Vec<usize> = groups.iter().flatten().copied().collect();
     used.sort_unstable();
     used.dedup();
-    let pivot =
-        ColumnBatch::pivot(n, input.tuples().iter().map(|t| t.data.values()), &used);
-    let pivot_idx =
-        |c: usize| used.binary_search(&c).expect("group column collected above");
+    let pivot = ColumnBatch::pivot(n, input.tuples().iter().map(|t| t.data.values()), &used);
+    let pivot_idx = |c: usize| {
+        used.binary_search(&c)
+            .expect("group column collected above")
+    };
     let tid = Column::from_ints((0..n as i64).collect(), NullMask::none());
     let mut out = Vec::with_capacity(groups.len());
     for g in groups {
@@ -88,7 +89,9 @@ pub fn decompose(input: &URelation, groups: &[Vec<usize>]) -> Result<Vec<URelati
 /// their first column.
 pub fn recompose(pieces: &[URelation]) -> Result<URelation> {
     let Some((first, rest)) = pieces.split_first() else {
-        return Err(UrelError::BadDecomposition { message: "no pieces".into() });
+        return Err(UrelError::BadDecomposition {
+            message: "no pieces".into(),
+        });
     };
     for p in pieces {
         let ok = p
@@ -117,7 +120,10 @@ pub fn recompose(pieces: &[URelation]) -> Result<URelation> {
         .map(|&i| ProjectItem::new(Expr::ColumnIdx(i), schema.field(i).name.clone()))
         .collect();
     let fields: Vec<Field> = keep.iter().map(|&i| schema.field(i).clone()).collect();
-    joined.project(&items)?.with_schema(Arc::new(Schema::new(fields))).collect()
+    joined
+        .project(&items)?
+        .with_schema(Arc::new(Schema::new(fields)))
+        .collect()
 }
 
 #[cfg(test)]

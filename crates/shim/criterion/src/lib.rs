@@ -30,7 +30,11 @@ impl Criterion {
     /// Start a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let sample_size = self.sample_size;
-        BenchmarkGroup { _parent: self, name: name.into(), sample_size }
+        BenchmarkGroup {
+            _parent: self,
+            name: name.into(),
+            sample_size,
+        }
     }
 }
 
@@ -43,7 +47,10 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// Build from a function name and a parameter (anything printable).
     pub fn new(name: impl Into<String>, parameter: impl Display) -> BenchmarkId {
-        BenchmarkId { name: name.into(), parameter: parameter.to_string() }
+        BenchmarkId {
+            name: name.into(),
+            parameter: parameter.to_string(),
+        }
     }
 }
 
@@ -81,7 +88,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut bencher = Bencher { samples: Vec::new(), sample_size: self.sample_size };
+        let mut bencher = Bencher {
+            samples: Vec::new(),
+            sample_size: self.sample_size,
+        };
         f(&mut bencher, input);
         let label = format!("{}/{}/{}", self.name, id.name, id.parameter);
         match median(&mut bencher.samples) {

@@ -137,7 +137,11 @@ pub mod strategy {
             Self: Sized,
             F: Fn(&Self::Value) -> bool,
         {
-            Filter { inner: self, whence, f }
+            Filter {
+                inner: self,
+                whence,
+                f,
+            }
         }
 
         /// Recursive strategies: `f` receives the strategy for the inner
@@ -249,7 +253,10 @@ pub mod strategy {
                     return v;
                 }
             }
-            panic!("prop_filter: gave up after 1000 rejections ({})", self.whence);
+            panic!(
+                "prop_filter: gave up after 1000 rejections ({})",
+                self.whence
+            );
         }
     }
 
@@ -268,7 +275,9 @@ pub mod strategy {
 
     impl<T> Clone for Union<T> {
         fn clone(&self) -> Self {
-            Union { arms: self.arms.clone() }
+            Union {
+                arms: self.arms.clone(),
+            }
         }
     }
 
@@ -378,7 +387,9 @@ pub mod arbitrary {
 
     impl Arbitrary for crate::sample::Index {
         fn arbitrary(rng: &mut TestRng) -> crate::sample::Index {
-            crate::sample::Index { raw: rng.next_u64() as usize }
+            crate::sample::Index {
+                raw: rng.next_u64() as usize,
+            }
         }
     }
 
@@ -412,19 +423,28 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> SizeRange {
             assert!(r.start < r.end, "empty vec size range");
-            SizeRange { lo: r.start, hi: r.end }
+            SizeRange {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> SizeRange {
-            SizeRange { lo: *r.start(), hi: *r.end() + 1 }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end() + 1,
+            }
         }
     }
 
     /// A vector of values from `element`, with length drawn from `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     /// Output of [`vec()`].
@@ -596,8 +616,7 @@ pub mod string {
         pieces
     }
 
-    const PRINTABLE_EXTRA: &[char] =
-        &['é', 'λ', '中', '↦', '⊤', '∧', '😀', '\u{00A0}', 'Ω', 'ß'];
+    const PRINTABLE_EXTRA: &[char] = &['é', 'λ', '中', '↦', '⊤', '∧', '😀', '\u{00A0}', 'Ω', 'ß'];
 
     fn gen_char(atom: &Atom, rng: &mut TestRng) -> char {
         match atom {
@@ -834,8 +853,7 @@ mod tests {
     fn arb_tree() -> impl Strategy<Value = Tree> {
         let leaf = (0i64..10).prop_map(Tree::Leaf);
         leaf.prop_recursive(3, 16, 2, |inner| {
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
+            (inner.clone(), inner).prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
         })
     }
 

@@ -165,17 +165,27 @@ pub enum Expr {
 impl Expr {
     /// Unqualified identifier.
     pub fn ident(name: impl Into<String>) -> Expr {
-        Expr::Ident { qualifier: None, name: name.into() }
+        Expr::Ident {
+            qualifier: None,
+            name: name.into(),
+        }
     }
 
     /// Qualified identifier.
     pub fn qident(q: impl Into<String>, name: impl Into<String>) -> Expr {
-        Expr::Ident { qualifier: Some(q.into()), name: name.into() }
+        Expr::Ident {
+            qualifier: Some(q.into()),
+            name: name.into(),
+        }
     }
 
     /// `left op right`.
     pub fn binary(left: Expr, op: BinOp, right: Expr) -> Expr {
-        Expr::Binary { left: Box::new(left), op, right: Box::new(right) }
+        Expr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        }
     }
 
     /// Walk the tree, calling `f` on every node (pre-order).
@@ -196,7 +206,10 @@ impl Expr {
                 }
             }
             Expr::InSelect { expr, .. } => expr.walk(f),
-            Expr::Case { branches, else_expr } => {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
                 for (c, r) in branches {
                     c.walk(f);
                     r.walk(f);
@@ -218,15 +231,31 @@ impl Expr {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Ident { qualifier: Some(q), name } => write!(f, "{q}.{name}"),
-            Expr::Ident { qualifier: None, name } => write!(f, "{name}"),
+            Expr::Ident {
+                qualifier: Some(q),
+                name,
+            } => write!(f, "{q}.{name}"),
+            Expr::Ident {
+                qualifier: None,
+                name,
+            } => write!(f, "{name}"),
             Expr::Lit(l) => write!(f, "{l}"),
             Expr::Binary { left, op, right } => write!(f, "({left} {op} {right})"),
             Expr::Not(e) => write!(f, "(NOT {e})"),
             Expr::Neg(e) => write!(f, "(-{e})"),
-            Expr::IsNull { expr, negated: false } => write!(f, "({expr} IS NULL)"),
-            Expr::IsNull { expr, negated: true } => write!(f, "({expr} IS NOT NULL)"),
-            Expr::InList { expr, list, negated } => {
+            Expr::IsNull {
+                expr,
+                negated: false,
+            } => write!(f, "({expr} IS NULL)"),
+            Expr::IsNull {
+                expr,
+                negated: true,
+            } => write!(f, "({expr} IS NOT NULL)"),
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
                 write!(f, "({expr} {}IN (", if *negated { "NOT " } else { "" })?;
                 for (i, e) in list.iter().enumerate() {
                     if i > 0 {
@@ -237,7 +266,10 @@ impl fmt::Display for Expr {
                 write!(f, "))")
             }
             Expr::InSelect { expr, query } => write!(f, "({expr} IN ({query}))"),
-            Expr::Case { branches, else_expr } => {
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
                 write!(f, "CASE")?;
                 for (c, r) in branches {
                     write!(f, " WHEN {c} THEN {r}")?;
@@ -287,7 +319,10 @@ impl fmt::Display for SelectItem {
         match self {
             SelectItem::Wildcard => f.write_str("*"),
             SelectItem::QualifiedWildcard(q) => write!(f, "{q}.*"),
-            SelectItem::Expr { expr, alias: Some(a) } => write!(f, "{expr} AS {a}"),
+            SelectItem::Expr {
+                expr,
+                alias: Some(a),
+            } => write!(f, "{expr} AS {a}"),
             SelectItem::Expr { expr, alias: None } => write!(f, "{expr}"),
         }
     }
@@ -380,10 +415,18 @@ impl FromItem {
 impl fmt::Display for FromItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FromItem::Table { name, alias: Some(a) } => write!(f, "{name} {a}"),
+            FromItem::Table {
+                name,
+                alias: Some(a),
+            } => write!(f, "{name} {a}"),
             FromItem::Table { name, alias: None } => write!(f, "{name}"),
             FromItem::Subquery { query, alias } => write!(f, "({query}) {alias}"),
-            FromItem::RepairKey { key, input, weight, alias } => {
+            FromItem::RepairKey {
+                key,
+                input,
+                weight,
+                alias,
+            } => {
                 write!(f, "(REPAIR KEY {} IN {input}", key.join(", "))?;
                 if let Some(w) = weight {
                     write!(f, " WEIGHT BY {w}")?;
@@ -394,7 +437,12 @@ impl fmt::Display for FromItem {
                 }
                 Ok(())
             }
-            FromItem::PickTuples { input, independently, probability, alias } => {
+            FromItem::PickTuples {
+                input,
+                independently,
+                probability,
+                alias,
+            } => {
                 write!(f, "(PICK TUPLES FROM {input}")?;
                 if *independently {
                     write!(f, " INDEPENDENTLY")?;
@@ -426,7 +474,12 @@ pub struct OrderKey {
 
 impl fmt::Display for OrderKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.expr, if self.ascending { "" } else { " DESC" })
+        write!(
+            f,
+            "{}{}",
+            self.expr,
+            if self.ascending { "" } else { " DESC" }
+        )
     }
 }
 
@@ -510,7 +563,12 @@ pub struct Query {
 impl Query {
     /// A query that is a single SELECT block.
     pub fn single(select: Select) -> Query {
-        Query { first: select, rest: Vec::new(), order_by: Vec::new(), limit: None }
+        Query {
+            first: select,
+            rest: Vec::new(),
+            order_by: Vec::new(),
+            limit: None,
+        }
     }
 
     /// All SELECT blocks in order.
@@ -637,8 +695,14 @@ impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Statement::Select(q) => write!(f, "{q}"),
-            Statement::Explain { query, analyze: false } => write!(f, "EXPLAIN {query}"),
-            Statement::Explain { query, analyze: true } => {
+            Statement::Explain {
+                query,
+                analyze: false,
+            } => write!(f, "EXPLAIN {query}"),
+            Statement::Explain {
+                query,
+                analyze: true,
+            } => {
                 write!(f, "EXPLAIN ANALYZE {query}")
             }
             Statement::CreateTable { name, columns } => {
@@ -654,7 +718,11 @@ impl fmt::Display for Statement {
             Statement::CreateTableAs { name, query } => {
                 write!(f, "CREATE TABLE {name} AS {query}")
             }
-            Statement::Insert { table, columns, source } => {
+            Statement::Insert {
+                table,
+                columns,
+                source,
+            } => {
                 write!(f, "INSERT INTO {table}")?;
                 if let Some(cols) = columns {
                     write!(f, " ({})", cols.join(", "))?;
@@ -680,7 +748,11 @@ impl fmt::Display for Statement {
                     InsertSource::Query(q) => write!(f, " {q}"),
                 }
             }
-            Statement::Update { table, assignments, filter } => {
+            Statement::Update {
+                table,
+                assignments,
+                filter,
+            } => {
                 write!(f, "UPDATE {table} SET ")?;
                 for (i, (c, e)) in assignments.iter().enumerate() {
                     if i > 0 {
@@ -701,7 +773,11 @@ impl fmt::Display for Statement {
                 Ok(())
             }
             Statement::Drop { table, if_exists } => {
-                write!(f, "DROP TABLE {}{table}", if *if_exists { "IF EXISTS " } else { "" })
+                write!(
+                    f,
+                    "DROP TABLE {}{table}",
+                    if *if_exists { "IF EXISTS " } else { "" }
+                )
             }
         }
     }
@@ -714,9 +790,16 @@ mod tests {
     #[test]
     fn display_select_item_variants() {
         assert_eq!(SelectItem::Wildcard.to_string(), "*");
-        assert_eq!(SelectItem::QualifiedWildcard("r1".into()).to_string(), "r1.*");
         assert_eq!(
-            SelectItem::Expr { expr: Expr::ident("x"), alias: Some("y".into()) }.to_string(),
+            SelectItem::QualifiedWildcard("r1".into()).to_string(),
+            "r1.*"
+        );
+        assert_eq!(
+            SelectItem::Expr {
+                expr: Expr::ident("x"),
+                alias: Some("y".into())
+            }
+            .to_string(),
             "x AS y"
         );
     }
@@ -729,7 +812,10 @@ mod tests {
             weight: Some(Expr::ident("p")),
             alias: Some("R1".into()),
         };
-        assert_eq!(item.to_string(), "(REPAIR KEY Player, Init IN FT WEIGHT BY p) R1");
+        assert_eq!(
+            item.to_string(),
+            "(REPAIR KEY Player, Init IN FT WEIGHT BY p) R1"
+        );
     }
 
     #[test]
@@ -740,7 +826,10 @@ mod tests {
             probability: Some(Expr::Lit(Lit::Float(0.5))),
             alias: None,
         };
-        assert_eq!(item.to_string(), "(PICK TUPLES FROM R INDEPENDENTLY WITH PROBABILITY 0.5)");
+        assert_eq!(
+            item.to_string(),
+            "(PICK TUPLES FROM R INDEPENDENTLY WITH PROBABILITY 0.5)"
+        );
     }
 
     #[test]
@@ -750,9 +839,15 @@ mod tests {
 
     #[test]
     fn from_item_alias_fallback() {
-        let t = FromItem::Table { name: "FT".into(), alias: None };
+        let t = FromItem::Table {
+            name: "FT".into(),
+            alias: None,
+        };
         assert_eq!(t.alias(), Some("FT"));
-        let t = FromItem::Table { name: "FT".into(), alias: Some("r1".into()) };
+        let t = FromItem::Table {
+            name: "FT".into(),
+            alias: Some("r1".into()),
+        };
         assert_eq!(t.alias(), Some("r1"));
     }
 

@@ -30,11 +30,20 @@ pub enum ParseError {
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParseError::Lex { message, line, col, snippet } => {
+            ParseError::Lex {
+                message,
+                line,
+                col,
+                snippet,
+            } => {
                 writeln!(f, "lex error at {line}:{col}: {message}")?;
                 write!(f, "  | {snippet}")
             }
-            ParseError::Syntax { message, line: 0, col: 0 } => {
+            ParseError::Syntax {
+                message,
+                line: 0,
+                col: 0,
+            } => {
                 write!(f, "syntax error at end of input: {message}")
             }
             ParseError::Syntax { message, line, col } => {
@@ -68,7 +77,11 @@ mod tests {
 
     #[test]
     fn end_of_input_formatting() {
-        let e = ParseError::Syntax { message: "expected FROM".into(), line: 0, col: 0 };
+        let e = ParseError::Syntax {
+            message: "expected FROM".into(),
+            line: 0,
+            col: 0,
+        };
         assert!(e.to_string().contains("end of input"));
     }
 }

@@ -23,7 +23,13 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Lexer<'a> {
-        Lexer { chars: src.chars().collect(), pos: 0, line: 1, col: 1, src }
+        Lexer {
+            chars: src.chars().collect(),
+            pos: 0,
+            line: 1,
+            col: 1,
+            src,
+        }
     }
 
     fn peek(&self) -> Option<char> {
@@ -285,7 +291,10 @@ impl<'a> Lexer<'a> {
 
 /// The source line at `line` (1-based), for error snippets.
 fn snippet_at(src: &str, line: u32) -> String {
-    src.lines().nth(line.saturating_sub(1) as usize).unwrap_or("").to_string()
+    src.lines()
+        .nth(line.saturating_sub(1) as usize)
+        .unwrap_or("")
+        .to_string()
 }
 
 #[cfg(test)]
@@ -355,7 +364,15 @@ mod tests {
     fn operators() {
         assert_eq!(
             toks("<= >= <> != = || %"),
-            vec![T::LtEq, T::GtEq, T::Neq, T::Neq, T::Eq, T::Concat, T::Percent]
+            vec![
+                T::LtEq,
+                T::GtEq,
+                T::Neq,
+                T::Neq,
+                T::Eq,
+                T::Concat,
+                T::Percent
+            ]
         );
     }
 

@@ -61,7 +61,10 @@ struct Parser {
 
 impl Parser {
     fn new(sql: &str) -> Result<Parser> {
-        Ok(Parser { tokens: lex(sql)?, pos: 0 })
+        Ok(Parser {
+            tokens: lex(sql)?,
+            pos: 0,
+        })
     }
 
     // ---- token helpers -------------------------------------------------
@@ -106,7 +109,11 @@ impl Parser {
                 line: s.line,
                 col: s.col,
             },
-            None => ParseError::Syntax { message: message.into(), line: 0, col: 0 },
+            None => ParseError::Syntax {
+                message: message.into(),
+                line: 0,
+                col: 0,
+            },
         }
     }
 
@@ -153,12 +160,17 @@ impl Parser {
 
     fn statement(&mut self) -> Result<Statement> {
         match self.peek() {
-            Some(Token::Kw(K::Select)) | Some(Token::LParen) | Some(Token::Kw(K::Repair))
+            Some(Token::Kw(K::Select))
+            | Some(Token::LParen)
+            | Some(Token::Kw(K::Repair))
             | Some(Token::Kw(K::Pick)) => Ok(Statement::Select(self.query()?)),
             Some(Token::Kw(K::Explain)) => {
                 self.expect_kw(K::Explain)?;
                 let analyze = self.eat_kw(K::Analyze);
-                Ok(Statement::Explain { query: self.query()?, analyze })
+                Ok(Statement::Explain {
+                    query: self.query()?,
+                    analyze,
+                })
             }
             Some(Token::Kw(K::Create)) => self.create(),
             Some(Token::Kw(K::Insert)) => self.insert(),
@@ -187,7 +199,10 @@ impl Parser {
                 type_name.push(' ');
                 type_name.push_str(&self.ident()?);
             }
-            columns.push(ColumnDef { name: col, type_name });
+            columns.push(ColumnDef {
+                name: col,
+                type_name,
+            });
             if !self.eat(&Token::Comma) {
                 break;
             }
@@ -240,7 +255,11 @@ impl Parser {
         } else {
             InsertSource::Query(self.query()?)
         };
-        Ok(Statement::Insert { table, columns, source })
+        Ok(Statement::Insert {
+            table,
+            columns,
+            source,
+        })
     }
 
     fn update(&mut self) -> Result<Statement> {
@@ -257,15 +276,27 @@ impl Parser {
                 break;
             }
         }
-        let filter = if self.eat_kw(K::Where) { Some(self.expr()?) } else { None };
-        Ok(Statement::Update { table, assignments, filter })
+        let filter = if self.eat_kw(K::Where) {
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        Ok(Statement::Update {
+            table,
+            assignments,
+            filter,
+        })
     }
 
     fn delete(&mut self) -> Result<Statement> {
         self.expect_kw(K::Delete)?;
         self.expect_kw(K::From)?;
         let table = self.ident()?;
-        let filter = if self.eat_kw(K::Where) { Some(self.expr()?) } else { None };
+        let filter = if self.eat_kw(K::Where) {
+            Some(self.expr()?)
+        } else {
+            None
+        };
         Ok(Statement::Delete { table, filter })
     }
 
@@ -287,8 +318,10 @@ impl Parser {
     fn query(&mut self) -> Result<Query> {
         // Allow a bare `repair key …` / `pick tuples …` / parenthesised
         // construct as a whole query: sugar for `SELECT * FROM (…)`.
-        let first = if matches!(self.peek(), Some(Token::Kw(K::Repair)) | Some(Token::Kw(K::Pick)))
-        {
+        let first = if matches!(
+            self.peek(),
+            Some(Token::Kw(K::Repair)) | Some(Token::Kw(K::Pick))
+        ) {
             let item = self.repair_or_pick()?;
             Select {
                 distinct: false,
@@ -332,7 +365,12 @@ impl Parser {
         } else {
             None
         };
-        Ok(Query { first, rest, order_by, limit })
+        Ok(Query {
+            first,
+            rest,
+            order_by,
+            limit,
+        })
     }
 
     fn select_block(&mut self) -> Result<Select> {
@@ -365,7 +403,11 @@ impl Parser {
                 }
             }
         }
-        let where_clause = if self.eat_kw(K::Where) { Some(self.expr()?) } else { None };
+        let where_clause = if self.eat_kw(K::Where) {
+            Some(self.expr()?)
+        } else {
+            None
+        };
         let mut group_by = Vec::new();
         if self.eat_kw(K::Group) {
             self.expect_kw(K::By)?;
@@ -376,8 +418,20 @@ impl Parser {
                 }
             }
         }
-        let having = if self.eat_kw(K::Having) { Some(self.expr()?) } else { None };
-        Ok(Select { distinct, possible, items, from, where_clause, group_by, having })
+        let having = if self.eat_kw(K::Having) {
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        Ok(Select {
+            distinct,
+            possible,
+            items,
+            from,
+            where_clause,
+            group_by,
+            having,
+        })
     }
 
     fn select_item(&mut self) -> Result<SelectItem> {
@@ -413,7 +467,11 @@ impl Parser {
             let right = self.from_item_primary()?;
             self.expect_kw(K::On)?;
             let on = self.expr()?;
-            item = FromItem::Join { left: Box::new(item), right: Box::new(right), on };
+            item = FromItem::Join {
+                left: Box::new(item),
+                right: Box::new(right),
+                on,
+            };
         }
         Ok(item)
     }
@@ -428,10 +486,13 @@ impl Parser {
                     let query = self.query()?;
                     self.expect(&Token::RParen)?;
                     self.eat_kw(K::As);
-                    let alias = self.ident().map_err(|_| {
-                        self.error("subquery in FROM requires an alias")
-                    })?;
-                    return Ok(FromItem::Subquery { query: Box::new(query), alias });
+                    let alias = self
+                        .ident()
+                        .map_err(|_| self.error("subquery in FROM requires an alias"))?;
+                    return Ok(FromItem::Subquery {
+                        query: Box::new(query),
+                        alias,
+                    });
                 }
                 Some(Token::Kw(K::Repair)) | Some(Token::Kw(K::Pick)) => {
                     self.expect(&Token::LParen)?;
@@ -460,7 +521,10 @@ impl Parser {
             }
         }
         // Bare REPAIR KEY / PICK TUPLES without parens (paper §2.2 syntax).
-        if matches!(self.peek(), Some(Token::Kw(K::Repair)) | Some(Token::Kw(K::Pick))) {
+        if matches!(
+            self.peek(),
+            Some(Token::Kw(K::Repair)) | Some(Token::Kw(K::Pick))
+        ) {
             return self.repair_or_pick();
         }
         let name = self.ident()?;
@@ -497,7 +561,12 @@ impl Parser {
             } else {
                 None
             };
-            Ok(FromItem::RepairKey { key, input, weight, alias: None })
+            Ok(FromItem::RepairKey {
+                key,
+                input,
+                weight,
+                alias: None,
+            })
         } else {
             self.expect_kw(K::Pick)?;
             self.expect_kw(K::Tuples)?;
@@ -510,7 +579,12 @@ impl Parser {
             } else {
                 None
             };
-            Ok(FromItem::PickTuples { input, independently, probability, alias: None })
+            Ok(FromItem::PickTuples {
+                input,
+                independently,
+                probability,
+                alias: None,
+            })
         }
     }
 
@@ -569,7 +643,10 @@ impl Parser {
         if self.eat_kw(K::Is) {
             let negated = self.eat_kw(K::Not);
             self.expect_kw(K::Null)?;
-            return Ok(Expr::IsNull { expr: Box::new(left), negated });
+            return Ok(Expr::IsNull {
+                expr: Box::new(left),
+                negated,
+            });
         }
         // [NOT] BETWEEN a AND b is the two comparisons it abbreviates, so
         // the conjunct split and implied predicates see both bounds.
@@ -606,7 +683,10 @@ impl Parser {
                         "NOT IN with a subquery is not supported (IN-subqueries must occur positively, §2.2)",
                     ));
                 }
-                return Ok(Expr::InSelect { expr: Box::new(left), query: Box::new(q) });
+                return Ok(Expr::InSelect {
+                    expr: Box::new(left),
+                    query: Box::new(q),
+                });
             }
             let mut list = Vec::new();
             loop {
@@ -616,7 +696,11 @@ impl Parser {
                 }
             }
             self.expect(&Token::RParen)?;
-            return Ok(Expr::InList { expr: Box::new(left), list, negated: negated_in });
+            return Ok(Expr::InList {
+                expr: Box::new(left),
+                list,
+                negated: negated_in,
+            });
         }
         let op = match self.peek() {
             Some(Token::Eq) => Some(BinOp::Eq),
@@ -671,13 +755,11 @@ impl Parser {
         if self.eat(&Token::Minus) {
             // Fold into a literal when possible, keeping `-0.5` a literal.
             match self.peek() {
-                Some(Token::Int(_)) | Some(Token::Float(_)) => {
-                    match self.bump() {
-                        Some(Token::Int(i)) => return Ok(Expr::Lit(Lit::Int(-i))),
-                        Some(Token::Float(x)) => return Ok(Expr::Lit(Lit::Float(-x))),
-                        _ => unreachable!(),
-                    }
-                }
+                Some(Token::Int(_)) | Some(Token::Float(_)) => match self.bump() {
+                    Some(Token::Int(i)) => return Ok(Expr::Lit(Lit::Int(-i))),
+                    Some(Token::Float(x)) => return Ok(Expr::Lit(Lit::Float(-x))),
+                    _ => unreachable!(),
+                },
                 _ => return Ok(Expr::Neg(Box::new(self.unary()?))),
             }
         }
@@ -728,7 +810,11 @@ impl Parser {
                     self.pos += 1;
                     if self.eat(&Token::Star) {
                         self.expect(&Token::RParen)?;
-                        return Ok(Expr::Func { name, args: Vec::new(), star: true });
+                        return Ok(Expr::Func {
+                            name,
+                            args: Vec::new(),
+                            star: true,
+                        });
                     }
                     let mut args = Vec::new();
                     if self.peek() != Some(&Token::RParen) {
@@ -740,7 +826,11 @@ impl Parser {
                         }
                     }
                     self.expect(&Token::RParen)?;
-                    return Ok(Expr::Func { name, args, star: false });
+                    return Ok(Expr::Func {
+                        name,
+                        args,
+                        star: false,
+                    });
                 }
                 // qualified identifier?
                 if self.eat(&Token::Dot) {
@@ -765,10 +855,16 @@ impl Parser {
         if branches.is_empty() {
             return Err(self.error("CASE requires at least one WHEN branch"));
         }
-        let else_expr =
-            if self.eat_kw(K::Else) { Some(Box::new(self.expr()?)) } else { None };
+        let else_expr = if self.eat_kw(K::Else) {
+            Some(Box::new(self.expr()?))
+        } else {
+            None
+        };
         self.expect_kw(K::End)?;
-        Ok(Expr::Case { branches, else_expr })
+        Ok(Expr::Case {
+            branches,
+            else_expr,
+        })
     }
 
     fn cast_expr(&mut self) -> Result<Expr> {
@@ -782,7 +878,10 @@ impl Parser {
             type_name.push_str(&self.ident()?);
         }
         self.expect(&Token::RParen)?;
-        Ok(Expr::Cast { expr: Box::new(e), type_name })
+        Ok(Expr::Cast {
+            expr: Box::new(e),
+            type_name,
+        })
     }
 }
 
@@ -793,14 +892,22 @@ mod tests {
     #[test]
     fn explain_statement_parses_and_roundtrips() {
         let stmt = parse_statement("explain select player from games where pts > 10").unwrap();
-        let Statement::Explain { query, analyze: false } = &stmt else { panic!("{stmt:?}") };
+        let Statement::Explain {
+            query,
+            analyze: false,
+        } = &stmt
+        else {
+            panic!("{stmt:?}")
+        };
         assert_eq!(query.first.from.len(), 1);
         let printed = stmt.to_string();
         assert!(printed.starts_with("EXPLAIN SELECT"), "{printed}");
         assert_eq!(parse_statement(&printed).unwrap(), stmt);
         // EXPLAIN ANALYZE parses, roundtrips, and sets the flag.
         let stmt = parse_statement("explain analyze select player from games").unwrap();
-        let Statement::Explain { analyze: true, .. } = &stmt else { panic!("{stmt:?}") };
+        let Statement::Explain { analyze: true, .. } = &stmt else {
+            panic!("{stmt:?}")
+        };
         let printed = stmt.to_string();
         assert!(printed.starts_with("EXPLAIN ANALYZE SELECT"), "{printed}");
         assert_eq!(parse_statement(&printed).unwrap(), stmt);
@@ -856,7 +963,9 @@ group by R1.player, R2.Final;";
     #[test]
     fn parses_figure1_walk_query() {
         let stmt = parse_statement(FIGURE1_WALK).unwrap();
-        let Statement::Select(q) = stmt else { panic!("expected SELECT") };
+        let Statement::Select(q) = stmt else {
+            panic!("expected SELECT")
+        };
         assert_eq!(q.first.from.len(), 2);
         assert!(q.first.where_clause.is_some());
         assert_eq!(q.first.group_by.len(), 2);
@@ -875,18 +984,23 @@ group by R1.player, R2.Final;";
 
     #[test]
     fn parses_pick_tuples_variants() {
-        let q = parse_query(
-            "select * from (pick tuples from R independently with probability 0.3) S",
-        )
-        .unwrap();
+        let q =
+            parse_query("select * from (pick tuples from R independently with probability 0.3) S")
+                .unwrap();
         assert!(matches!(&q.first.from[0], FromItem::PickTuples {
             independently: true, probability: Some(_), alias: Some(a), ..
         } if a == "S"));
 
         let q = parse_query("select * from (pick tuples from R)").unwrap();
-        assert!(matches!(&q.first.from[0], FromItem::PickTuples {
-            independently: false, probability: None, alias: None, ..
-        }));
+        assert!(matches!(
+            &q.first.from[0],
+            FromItem::PickTuples {
+                independently: false,
+                probability: None,
+                alias: None,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -894,7 +1008,9 @@ group by R1.player, R2.Final;";
         // `repair key in R` — repair of the empty key (§2.2): one surviving
         // tuple per world.
         let q = parse_query("select * from (repair key in T weight by w) R").unwrap();
-        let FromItem::RepairKey { key, .. } = &q.first.from[0] else { panic!() };
+        let FromItem::RepairKey { key, .. } = &q.first.from[0] else {
+            panic!()
+        };
         assert!(key.is_empty());
     }
 
@@ -911,7 +1027,10 @@ group by R1.player, R2.Final;";
             "select * from (repair key k in (select k, v from T where v > 0) weight by v) R",
         )
         .unwrap();
-        let FromItem::RepairKey { input: QueryInput::Select(sub), .. } = &q.first.from[0]
+        let FromItem::RepairKey {
+            input: QueryInput::Select(sub),
+            ..
+        } = &q.first.from[0]
         else {
             panic!("expected repair key over subquery");
         };
@@ -928,7 +1047,10 @@ group by R1.player, R2.Final;";
     #[test]
     fn aconf_with_arguments() {
         let q = parse_query("select aconf(0.05, 0.01) as p from R group by x").unwrap();
-        let SelectItem::Expr { expr: Expr::Func { name, args, .. }, .. } = &q.first.items[0]
+        let SelectItem::Expr {
+            expr: Expr::Func { name, args, .. },
+            ..
+        } = &q.first.items[0]
         else {
             panic!()
         };
@@ -942,10 +1064,18 @@ group by R1.player, R2.Final;";
             "select esum(salary), ecount(), argmax(player, score), tconf() from R group by team",
         )
         .unwrap();
-        let names: Vec<&str> = q.first.items.iter().map(|i| match i {
-            SelectItem::Expr { expr: Expr::Func { name, .. }, .. } => name.as_str(),
-            _ => panic!(),
-        }).collect();
+        let names: Vec<&str> = q
+            .first
+            .items
+            .iter()
+            .map(|i| match i {
+                SelectItem::Expr {
+                    expr: Expr::Func { name, .. },
+                    ..
+                } => name.as_str(),
+                _ => panic!(),
+            })
+            .collect();
         assert_eq!(names, vec!["esum", "ecount", "argmax", "tconf"]);
     }
 
@@ -1011,32 +1141,49 @@ group by R1.player, R2.Final;";
 
     #[test]
     fn create_insert_update_delete_drop() {
-        let s = parse_statement("create table t (a bigint, b double precision, c text)")
-            .unwrap();
+        let s = parse_statement("create table t (a bigint, b double precision, c text)").unwrap();
         assert!(matches!(s, Statement::CreateTable { ref columns, .. } if columns.len() == 3));
 
         let s = parse_statement("insert into t values (1, 2.5, 'x'), (2, 3.5, 'y')").unwrap();
-        assert!(matches!(s, Statement::Insert { source: InsertSource::Values(ref v), .. }
-            if v.len() == 2));
+        assert!(
+            matches!(s, Statement::Insert { source: InsertSource::Values(ref v), .. }
+            if v.len() == 2)
+        );
 
         let s = parse_statement("insert into t (a, b) select a, b from s").unwrap();
         assert!(matches!(s, Statement::Insert { columns: Some(ref c), .. } if c.len() == 2));
 
         let s = parse_statement("update t set a = a + 1 where b > 0").unwrap();
-        assert!(matches!(s, Statement::Update { ref assignments, filter: Some(_), .. }
-            if assignments.len() == 1));
+        assert!(
+            matches!(s, Statement::Update { ref assignments, filter: Some(_), .. }
+            if assignments.len() == 1)
+        );
 
         let s = parse_statement("delete from t where a = 1").unwrap();
-        assert!(matches!(s, Statement::Delete { filter: Some(_), .. }));
+        assert!(matches!(
+            s,
+            Statement::Delete {
+                filter: Some(_),
+                ..
+            }
+        ));
 
         let s = parse_statement("drop table if exists t").unwrap();
-        assert!(matches!(s, Statement::Drop { if_exists: true, .. }));
+        assert!(matches!(
+            s,
+            Statement::Drop {
+                if_exists: true,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn join_on_sugar() {
         let q = parse_query("select * from a join b on a.k = b.k join c on b.j = c.j").unwrap();
-        let FromItem::Join { left, .. } = &q.first.from[0] else { panic!() };
+        let FromItem::Join { left, .. } = &q.first.from[0] else {
+            panic!()
+        };
         assert!(matches!(**left, FromItem::Join { .. }));
     }
 

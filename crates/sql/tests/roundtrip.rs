@@ -48,22 +48,35 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             )
                 .prop_map(|(l, op, r)| Expr::binary(l, op, r)),
             inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
-            (inner.clone(), any::<bool>())
-                .prop_map(|(e, n)| Expr::IsNull { expr: Box::new(e), negated: n }),
-            (inner.clone(), prop::collection::vec(inner.clone(), 1..3), any::<bool>())
+            (inner.clone(), any::<bool>()).prop_map(|(e, n)| Expr::IsNull {
+                expr: Box::new(e),
+                negated: n
+            }),
+            (
+                inner.clone(),
+                prop::collection::vec(inner.clone(), 1..3),
+                any::<bool>()
+            )
                 .prop_map(|(e, list, n)| Expr::InList {
                     expr: Box::new(e),
                     list,
                     negated: n
                 }),
-            (prop::collection::vec((inner.clone(), inner.clone()), 1..3),
-             prop::option::of(inner.clone()))
+            (
+                prop::collection::vec((inner.clone(), inner.clone()), 1..3),
+                prop::option::of(inner.clone())
+            )
                 .prop_map(|(branches, else_expr)| Expr::Case {
                     branches,
                     else_expr: else_expr.map(Box::new),
                 }),
-            (arb_ident(), prop::collection::vec(inner.clone(), 0..3))
-                .prop_map(|(name, args)| Expr::Func { name, args, star: false }),
+            (arb_ident(), prop::collection::vec(inner.clone(), 0..3)).prop_map(|(name, args)| {
+                Expr::Func {
+                    name,
+                    args,
+                    star: false,
+                }
+            }),
         ]
     })
 }
@@ -116,8 +129,7 @@ fn corpus_roundtrip() {
     for sql in corpus {
         let a = parse_statement(sql).unwrap_or_else(|e| panic!("parse `{sql}`: {e}"));
         let printed = a.to_string();
-        let b = parse_statement(&printed)
-            .unwrap_or_else(|e| panic!("reparse `{printed}`: {e}"));
+        let b = parse_statement(&printed).unwrap_or_else(|e| panic!("reparse `{printed}`: {e}"));
         assert_eq!(a, b, "sql: {sql}\nprinted: {printed}");
     }
 }

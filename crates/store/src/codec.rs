@@ -44,7 +44,11 @@ const fn crc32_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -154,7 +158,10 @@ impl<'a> Reader<'a> {
     }
 
     fn fail<T>(&self, reason: impl Into<String>) -> DecodeResult<T> {
-        Err(CodecError { offset: self.pos as u64, reason: reason.into() })
+        Err(CodecError {
+            offset: self.pos as u64,
+            reason: reason.into(),
+        })
     }
 
     fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
@@ -174,19 +181,27 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn u16(&mut self) -> DecodeResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     pub(crate) fn u32(&mut self) -> DecodeResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     pub(crate) fn u64(&mut self) -> DecodeResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     pub(crate) fn i64(&mut self) -> DecodeResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     pub(crate) fn f64(&mut self) -> DecodeResult<f64> {
@@ -384,8 +399,10 @@ pub fn put_urelation(w: &mut Writer, u: &URelation) {
 /// Sparse null positions: count + ascending row indices. Written for
 /// typed columns only (`Values`/`Const` carry nulls in the values).
 fn put_nullmask(w: &mut Writer, col: &Column) {
-    let nulls: Vec<u32> =
-        (0..col.len()).filter(|&i| col.nulls().is_null(i)).map(|i| i as u32).collect();
+    let nulls: Vec<u32> = (0..col.len())
+        .filter(|&i| col.nulls().is_null(i))
+        .map(|i| i as u32)
+        .collect();
     w.put_u32(nulls.len() as u32);
     for i in nulls {
         w.put_u32(i);
@@ -515,9 +532,7 @@ fn get_column(r: &mut Reader<'_>, rows: usize) -> DecodeResult<Column> {
             let nulls = get_nullmask(r, rows)?;
             for (i, &c) in codes.iter().enumerate() {
                 if !nulls.is_null(i) && c as usize >= n {
-                    return r.fail(format!(
-                        "dictionary code {c} out of range ({n} entries)"
-                    ));
+                    return r.fail(format!("dictionary code {c} out of range ({n} entries)"));
                 }
             }
             Column::from_dict(codes, Arc::new(dict), nulls)
@@ -723,7 +738,7 @@ mod tests {
 
     #[test]
     fn columnar_urelation_roundtrips_every_column_kind() {
-                // One column per physical layout: Int, Float, Bool, Str→Dict,
+        // One column per physical layout: Int, Float, Bool, Str→Dict,
         // mixed Values, and an all-NULL Const — with NULLs sprinkled in
         // so placeholder slots round-trip too.
         let schema = Schema::new(vec![
@@ -735,9 +750,30 @@ mod tests {
             Field::new("z", DataType::Unknown),
         ]);
         let rows: Vec<Vec<Value>> = vec![
-            vec![1.into(), Value::Float(-0.0), Value::Bool(true), "dup".into(), 7.into(), Value::Null],
-            vec![Value::Null, Value::Null, Value::Null, Value::Null, "mix".into(), Value::Null],
-            vec![2.into(), Value::Float(0.05), Value::Bool(false), "dup".into(), Value::Null, Value::Null],
+            vec![
+                1.into(),
+                Value::Float(-0.0),
+                Value::Bool(true),
+                "dup".into(),
+                7.into(),
+                Value::Null,
+            ],
+            vec![
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                "mix".into(),
+                Value::Null,
+            ],
+            vec![
+                2.into(),
+                Value::Float(0.05),
+                Value::Bool(false),
+                "dup".into(),
+                Value::Null,
+                Value::Null,
+            ],
         ];
         let base = maybms_engine::Relation::new_unchecked(
             Arc::new(schema),
@@ -747,7 +783,10 @@ mod tests {
         let (batch, _) = u.at_rest().expect("compact is columnar");
         assert!(matches!(batch.column(3).data(), ColumnData::Dict { .. }));
         assert!(matches!(batch.column(4).data(), ColumnData::Values(_)));
-        assert!(matches!(batch.column(5).data(), ColumnData::Const(Value::Null)));
+        assert!(matches!(
+            batch.column(5).data(),
+            ColumnData::Const(Value::Null)
+        ));
         let mut w = Writer::new();
         put_urelation_any(&mut w, &u);
         let bytes = w.finish();

@@ -52,13 +52,23 @@ impl StoreError {
         offset: u64,
         reason: impl Into<String>,
     ) -> StoreError {
-        StoreError::Corrupt { path: path.into(), offset, reason: reason.into() }
+        StoreError::Corrupt {
+            path: path.into(),
+            offset,
+            reason: reason.into(),
+        }
     }
 
     /// Whether this failure is worth retrying (see [`StoreError::Io`]'s
     /// `transient` field); corruption and poisoning never are.
     pub fn is_transient(&self) -> bool {
-        matches!(self, StoreError::Io { transient: true, .. })
+        matches!(
+            self,
+            StoreError::Io {
+                transient: true,
+                ..
+            }
+        )
     }
 }
 
@@ -71,7 +81,10 @@ pub(crate) fn check_magic(path: &str, header: &[u8], magic: &[u8; 8]) -> Result<
         return Ok(());
     }
     let reason = if header[..7] == magic[..7] {
-        format!("format version {}; this build reads version {}", header[7], magic[7])
+        format!(
+            "format version {}; this build reads version {}",
+            header[7], magic[7]
+        )
     } else {
         "bad magic".to_string()
     };
@@ -81,12 +94,28 @@ pub(crate) fn check_magic(path: &str, header: &[u8], magic: &[u8; 8]) -> Result<
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io { path, op, message, transient } => {
-                let kind = if *transient { "transient storage I/O error" } else { "storage I/O error" };
+            StoreError::Io {
+                path,
+                op,
+                message,
+                transient,
+            } => {
+                let kind = if *transient {
+                    "transient storage I/O error"
+                } else {
+                    "storage I/O error"
+                };
                 write!(f, "{kind}: {op} {path}: {message}")
             }
-            StoreError::Corrupt { path, offset, reason } => {
-                write!(f, "corrupt data directory: {path} at byte {offset}: {reason}")
+            StoreError::Corrupt {
+                path,
+                offset,
+                reason,
+            } => {
+                write!(
+                    f,
+                    "corrupt data directory: {path} at byte {offset}: {reason}"
+                )
             }
             StoreError::Poisoned { cause } => write!(
                 f,

@@ -69,9 +69,9 @@ pub fn encode(base_lsn: u64, tables: &Catalog, wt: &WorldTable) -> Result<Vec<u8
 pub fn all_dists(wt: &WorldTable) -> Result<Vec<Vec<f64>>> {
     (0..wt.num_vars())
         .map(|i| {
-            wt.distribution(Var(i as u32)).map(<[f64]>::to_vec).map_err(|e| {
-                StoreError::corrupt(SNAPSHOT_FILE, 0, format!("world table: {e}"))
-            })
+            wt.distribution(Var(i as u32))
+                .map(<[f64]>::to_vec)
+                .map_err(|e| StoreError::corrupt(SNAPSHOT_FILE, 0, format!("world table: {e}")))
         })
         .collect()
 }
@@ -93,10 +93,17 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
         return Err(StoreError::corrupt(
             SNAPSHOT_FILE,
             0,
-            format!("file too short ({} bytes) for a snapshot header", bytes.len()),
+            format!(
+                "file too short ({} bytes) for a snapshot header",
+                bytes.len()
+            ),
         ));
     }
-    check_magic(SNAPSHOT_FILE, &bytes[..SNAPSHOT_MAGIC.len()], SNAPSHOT_MAGIC)?;
+    check_magic(
+        SNAPSHOT_FILE,
+        &bytes[..SNAPSHOT_MAGIC.len()],
+        SNAPSHOT_MAGIC,
+    )?;
     let hdr = SNAPSHOT_MAGIC.len();
     let len = u32::from_le_bytes(bytes[hdr..hdr + 4].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(bytes[hdr + 4..hdr + 8].try_into().expect("4 bytes"));
@@ -135,7 +142,11 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
             "trailing bytes after snapshot payload",
         ));
     }
-    Ok(Snapshot { base_lsn, wt, tables })
+    Ok(Snapshot {
+        base_lsn,
+        wt,
+        tables,
+    })
 }
 
 /// Write a snapshot atomically: stage under [`SNAPSHOT_TMP`], fsync,
@@ -171,7 +182,10 @@ mod tests {
         wt.new_var(&[0.5, 0.5]).unwrap();
         let base = rel(
             &[("player", DataType::Text), ("pts", DataType::Int)],
-            vec![vec!["Bryant".into(), 40.into()], vec!["Duncan".into(), 25.into()]],
+            vec![
+                vec!["Bryant".into(), 40.into()],
+                vec!["Duncan".into(), 25.into()],
+            ],
         );
         let mut u = URelation::from_certain(&base);
         u.tuples_mut()[0].wsd = Wsd::of(x, 1);

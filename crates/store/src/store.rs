@@ -38,7 +38,9 @@ use crate::wal::{self, Op, WAL_FILE, WAL_MAGIC};
 /// before applying (so a bad record never half-applies).
 pub fn check_op(tables: &Catalog, op: &Op) -> std::result::Result<(), String> {
     let existing = |what: &str, name: &str| {
-        tables.get(name).ok_or_else(|| format!("{what} {name}: no such table"))
+        tables
+            .get(name)
+            .ok_or_else(|| format!("{what} {name}: no such table"))
     };
     match op {
         Op::CreateTable { name, .. } | Op::PutTable { name, .. } => {
@@ -55,7 +57,12 @@ pub fn check_op(tables: &Catalog, op: &Op) -> std::result::Result<(), String> {
                 ));
             }
         }
-        Op::UpdateRows { table, positions, columns, cells } => {
+        Op::UpdateRows {
+            table,
+            positions,
+            columns,
+            cells,
+        } => {
             let t = existing("update", table)?;
             check_positions(table, positions, t.len())?;
             if let Some(c) = columns.iter().find(|&&c| c as usize >= t.schema().len()) {
@@ -92,9 +99,9 @@ fn check_positions(table: &str, positions: &[u32], rows: usize) -> std::result::
         ));
     }
     match positions.last() {
-        Some(&p) if p as usize >= rows => {
-            Err(format!("{table}: row position {p} out of range ({rows} rows)"))
-        }
+        Some(&p) if p as usize >= rows => Err(format!(
+            "{table}: row position {p} out of range ({rows} rows)"
+        )),
         _ => Ok(()),
     }
 }
@@ -120,9 +127,12 @@ pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String>
             tables.insert(name, table.compact());
         }
         Op::InsertRows { table, rows } => target(tables, &table).append_rows(&rows),
-        Op::UpdateRows { table, positions, columns, cells } => {
-            target(tables, &table).set_cells(&positions, &columns, &cells)
-        }
+        Op::UpdateRows {
+            table,
+            positions,
+            columns,
+            cells,
+        } => target(tables, &table).set_cells(&positions, &columns, &cells),
         Op::DeleteRows { table, positions } => target(tables, &table).delete_rows(&positions),
         Op::DropTable { name } => {
             tables.remove(&name);
@@ -143,14 +153,16 @@ fn apply_world_ext(
     dists: &[Vec<f64>],
 ) -> std::result::Result<(), String> {
     while wt.num_vars() < first as usize {
-        wt.new_var(&[1.0]).map_err(|e| format!("world-table padding: {e}"))?;
+        wt.new_var(&[1.0])
+            .map_err(|e| format!("world-table padding: {e}"))?;
     }
     for (i, d) in dists.iter().enumerate() {
         let id = first as usize + i;
         if id < wt.num_vars() {
             continue; // already durable (snapshot covered it)
         }
-        wt.new_var(d).map_err(|e| format!("world variable x{id}: {e}"))?;
+        wt.new_var(d)
+            .map_err(|e| format!("world variable x{id}: {e}"))?;
     }
     Ok(())
 }
@@ -219,11 +231,10 @@ impl Store {
         if vfs.exists(snapshot::SNAPSHOT_TMP)? {
             let _ = vfs.remove(snapshot::SNAPSHOT_TMP);
         }
-        let (base_lsn, mut wt, mut tables, has_snapshot) =
-            match snapshot::load(vfs.as_ref())? {
-                Some(s) => (s.base_lsn, s.wt, s.tables, true),
-                None => (0, WorldTable::new(), Catalog::new(), false),
-            };
+        let (base_lsn, mut wt, mut tables, has_snapshot) = match snapshot::load(vfs.as_ref())? {
+            Some(s) => (s.base_lsn, s.wt, s.tables, true),
+            None => (0, WorldTable::new(), Catalog::new(), false),
+        };
         let mut next_lsn = base_lsn;
         let mut replayed = 0usize;
         let mut truncated_tail = false;
@@ -280,8 +291,7 @@ impl Store {
             // must not fail the whole open.
             Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?
         };
-        let wal_bytes =
-            vfs.read(WAL_FILE)?.len().saturating_sub(WAL_MAGIC.len()) as u64;
+        let wal_bytes = vfs.read(WAL_FILE)?.len().saturating_sub(WAL_MAGIC.len()) as u64;
         let m = maybms_obs::metrics();
         m.recovery_replayed.set(replayed as u64);
         m.recovery_truncated_tail.set(truncated_tail as u64);
@@ -298,7 +308,15 @@ impl Store {
             has_snapshot,
             poisoned: None,
         };
-        Ok((store, Recovered { tables, wt, replayed, truncated_tail }))
+        Ok((
+            store,
+            Recovered {
+                tables,
+                wt,
+                replayed,
+                truncated_tail,
+            },
+        ))
     }
 
     /// Create a fresh WAL (header only, fsynced) and return its handle.
@@ -317,7 +335,9 @@ impl Store {
 
     fn check_poisoned(&self) -> Result<()> {
         match &self.poisoned {
-            Some(cause) => Err(StoreError::Poisoned { cause: cause.clone() }),
+            Some(cause) => Err(StoreError::Poisoned {
+                cause: cause.clone(),
+            }),
             None => Ok(()),
         }
     }
@@ -334,9 +354,7 @@ impl Store {
             match f() {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_transient() && attempt < BACKOFF_MS.len() => {
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        BACKOFF_MS[attempt],
-                    ));
+                    std::thread::sleep(std::time::Duration::from_millis(BACKOFF_MS[attempt]));
                     maybms_obs::metrics().store_retries.inc();
                     attempt += 1;
                 }
@@ -361,9 +379,9 @@ impl Store {
         let world_ext = if wt.num_vars() > self.durable_vars {
             let dists = (self.durable_vars..wt.num_vars())
                 .map(|i| {
-                    wt.distribution(Var(i as u32)).map(<[f64]>::to_vec).map_err(|e| {
-                        StoreError::corrupt(WAL_FILE, 0, format!("world table: {e}"))
-                    })
+                    wt.distribution(Var(i as u32))
+                        .map(<[f64]>::to_vec)
+                        .map_err(|e| StoreError::corrupt(WAL_FILE, 0, format!("world table: {e}")))
                 })
                 .collect::<Result<Vec<_>>>()?;
             Some((self.durable_vars as u32, dists))
@@ -411,9 +429,8 @@ impl Store {
         // Both checkpoint halves are idempotent, so transient failures
         // retry wholesale: rewriting `snapshot.tmp` or the WAL header
         // from scratch is always safe.
-        let r = Self::retry_transient(|| {
-            snapshot::write(self.vfs.as_ref(), self.next_lsn, tables, wt)
-        });
+        let r =
+            Self::retry_transient(|| snapshot::write(self.vfs.as_ref(), self.next_lsn, tables, wt));
         self.poison(r)?;
         let r = Self::retry_transient(|| Self::reset_wal(self.vfs.as_ref()));
         self.wal_file = self.poison(r)?;
@@ -514,14 +531,20 @@ mod tests {
                 table: "t".into(),
                 rows: vec![row(vec![Value::Int(1)]), row(vec![Value::Int(2)])],
             },
-            Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Int(3)])] },
+            Op::InsertRows {
+                table: "t".into(),
+                rows: vec![row(vec![Value::Int(3)])],
+            },
             Op::UpdateRows {
                 table: "t".into(),
                 positions: vec![0, 2],
                 columns: vec![0],
                 cells: vec![Value::Int(10), Value::Null],
             },
-            Op::DeleteRows { table: "t".into(), positions: vec![1] },
+            Op::DeleteRows {
+                table: "t".into(),
+                positions: vec![1],
+            },
         ];
         for op in &ops {
             store.log(op, &wt).unwrap();
@@ -529,14 +552,20 @@ mod tests {
         }
         // The deltas applied in place: still columnar, no row image.
         assert!(rec.tables["t"].is_columnar());
-        let got: Vec<Value> =
-            rec.tables["t"].tuples().iter().map(|t| t.data.value(0).clone()).collect();
+        let got: Vec<Value> = rec.tables["t"]
+            .tuples()
+            .iter()
+            .map(|t| t.data.value(0).clone())
+            .collect();
         assert_eq!(got, vec![Value::Int(10), Value::Null]);
         drop(store);
         let (_, rec2) = open_mem(&vfs);
         assert_eq!(rec2.replayed, 5);
         assert_eq!(rec2.tables, rec.tables);
-        assert_eq!(fingerprint(&rec2.tables, &rec2.wt), fingerprint(&rec.tables, &wt));
+        assert_eq!(
+            fingerprint(&rec2.tables, &rec2.wt),
+            fingerprint(&rec.tables, &wt)
+        );
     }
 
     #[test]
@@ -578,7 +607,10 @@ mod tests {
         table
             .tuples_mut()
             .push(UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1)));
-        let op = Op::PutTable { name: "picks".into(), table };
+        let op = Op::PutTable {
+            name: "picks".into(),
+            table,
+        };
         store.log(&op, &wt).unwrap();
         drop(store);
         let (_, rec) = open_mem(&vfs);
@@ -714,7 +746,10 @@ mod tests {
     fn invalid_delta_is_refused_whole_and_corrupt_on_replay() {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
         let setup = [
-            Op::CreateTable { name: "t".into(), schema },
+            Op::CreateTable {
+                name: "t".into(),
+                schema,
+            },
             Op::InsertRows {
                 table: "t".into(),
                 rows: vec![row(vec![Value::Int(1)]), row(vec![Value::Int(2)])],
@@ -727,14 +762,44 @@ mod tests {
             cells,
         };
         let bad = [
-            (Op::DeleteRows { table: "t".into(), positions: vec![0, 2] }, "out of range"),
-            (Op::DeleteRows { table: "t".into(), positions: vec![1, 0] }, "strictly increasing"),
-            (Op::DeleteRows { table: "t".into(), positions: vec![1, 1] }, "strictly increasing"),
-            (update(vec![2], vec![0], vec![Value::Int(0)]), "out of range"),
-            (update(vec![0], vec![1], vec![Value::Int(0)]), "column 1 out of range"),
-            (update(vec![0, 1], vec![0], vec![Value::Int(0)]), "cell count 1 is not 2 positions"),
             (
-                Op::InsertRows { table: "t".into(), rows: vec![row(vec![])] },
+                Op::DeleteRows {
+                    table: "t".into(),
+                    positions: vec![0, 2],
+                },
+                "out of range",
+            ),
+            (
+                Op::DeleteRows {
+                    table: "t".into(),
+                    positions: vec![1, 0],
+                },
+                "strictly increasing",
+            ),
+            (
+                Op::DeleteRows {
+                    table: "t".into(),
+                    positions: vec![1, 1],
+                },
+                "strictly increasing",
+            ),
+            (
+                update(vec![2], vec![0], vec![Value::Int(0)]),
+                "out of range",
+            ),
+            (
+                update(vec![0], vec![1], vec![Value::Int(0)]),
+                "column 1 out of range",
+            ),
+            (
+                update(vec![0, 1], vec![0], vec![Value::Int(0)]),
+                "cell count 1 is not 2 positions",
+            ),
+            (
+                Op::InsertRows {
+                    table: "t".into(),
+                    rows: vec![row(vec![])],
+                },
                 "row arity 0 does not match table arity 1",
             ),
         ];
@@ -758,7 +823,11 @@ mod tests {
             store.log(&op, &wt).unwrap();
             drop(store);
             match Store::open(Arc::new(vfs.clone())) {
-                Err(StoreError::Corrupt { path, offset: at, reason }) => {
+                Err(StoreError::Corrupt {
+                    path,
+                    offset: at,
+                    reason,
+                }) => {
                     assert_eq!(path, WAL_FILE);
                     assert_eq!(at, offset, "reported at the offending record's frame");
                     assert!(reason.contains(want), "{reason}");
@@ -783,7 +852,11 @@ mod tests {
         let files = || [WAL_FILE, snapshot::SNAPSHOT_FILE].map(|f| vfs.read(f).ok());
         let before = files();
         match Store::open(Arc::new(vfs.clone())) {
-            Err(StoreError::Corrupt { path, offset, reason }) => {
+            Err(StoreError::Corrupt {
+                path,
+                offset,
+                reason,
+            }) => {
                 assert_eq!((path.as_str(), offset), (file, 0), "{reason}");
                 for v in [found, reads] {
                     assert!(reason.contains(&format!("version {v}")), "{reason}");
@@ -800,8 +873,14 @@ mod tests {
         let wt = WorldTable::new();
         let (mut store, mut rec) = open_mem(&vfs);
         let ops = [
-            Op::CreateTable { name: "t".into(), schema: Schema::from_pairs(&[("a", DataType::Int)]) },
-            Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Int(1)])] },
+            Op::CreateTable {
+                name: "t".into(),
+                schema: Schema::from_pairs(&[("a", DataType::Int)]),
+            },
+            Op::InsertRows {
+                table: "t".into(),
+                rows: vec![row(vec![Value::Int(1)])],
+            },
         ];
         for (k, op) in ops.into_iter().enumerate() {
             store.log(&op, &wt).unwrap();
@@ -824,7 +903,12 @@ mod tests {
     fn snapshot_of_an_older_version_is_refused_untouched() {
         let vfs = populated(true);
         set_version(&vfs, snapshot::SNAPSHOT_FILE, 2);
-        assert_refused(&vfs, snapshot::SNAPSHOT_FILE, 2, snapshot::SNAPSHOT_MAGIC[7]);
+        assert_refused(
+            &vfs,
+            snapshot::SNAPSHOT_FILE,
+            2,
+            snapshot::SNAPSHOT_MAGIC[7],
+        );
     }
 
     /// The exact bytes this build writes: one framed WAL record per op tag
@@ -839,7 +923,10 @@ mod tests {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.25, 0.75]).unwrap();
         let mut picks = URelation::empty(Arc::new(Schema::from_pairs(&[("s", DataType::Text)])));
-        picks.tuples_mut().push(UTuple::new(Tuple::new(vec![Value::str("ab")]), Wsd::of(x, 1)));
+        picks.tuples_mut().push(UTuple::new(
+            Tuple::new(vec![Value::str("ab")]),
+            Wsd::of(x, 1),
+        ));
         let picks = picks.compact();
         let t_schema = Schema::from_pairs(&[("a", DataType::Int)]);
         // The table image (tag 5 body, snapshot table): schema, rows,
@@ -850,12 +937,19 @@ mod tests {
         let records: [(WorldExt, Op, String); 6] = [
             (
                 None,
-                Op::CreateTable { name: "t".into(), schema: t_schema },
-                "1a000000 3df3fb27 0000000000000000 00 00 0100000074 01000000 00 0100000061 01".into(),
+                Op::CreateTable {
+                    name: "t".into(),
+                    schema: t_schema,
+                },
+                "1a000000 3df3fb27 0000000000000000 00 00 0100000074 01000000 00 0100000061 01"
+                    .into(),
             ),
             (
                 None,
-                Op::InsertRows { table: "t".into(), rows: vec![row(vec![Value::Int(1)])] },
+                Op::InsertRows {
+                    table: "t".into(),
+                    rows: vec![row(vec![Value::Int(1)])],
+                },
                 "24000000 e92fc191 0100000000000000 00 02 0100000074 \
                  01000000 01000000 02 0100000000000000 00000000"
                     .into(),
@@ -867,8 +961,13 @@ mod tests {
             ),
             (
                 Some((0, vec![vec![0.25, 0.75]])),
-                Op::PutTable { name: "p".into(), table: picks.clone() },
-                format!("5b000000 41b9b3c5 0300000000000000 01 00000000 {dists} 05 0100000070 {image}"),
+                Op::PutTable {
+                    name: "p".into(),
+                    table: picks.clone(),
+                },
+                format!(
+                    "5b000000 41b9b3c5 0300000000000000 01 00000000 {dists} 05 0100000070 {image}"
+                ),
             ),
             (
                 None,
@@ -884,7 +983,10 @@ mod tests {
             ),
             (
                 None,
-                Op::DeleteRows { table: "t".into(), positions: vec![0] },
+                Op::DeleteRows {
+                    table: "t".into(),
+                    positions: vec![0],
+                },
                 "17000000 018e3130 0500000000000000 00 07 0100000074 01000000 00000000".into(),
             ),
         ];
@@ -899,7 +1001,10 @@ mod tests {
             "4d415942534e5003 59000000 485b88d4 0600000000000000 {dists} 01000000 0100000070 {image}"
         );
         let tables = Catalog::from([("p".to_string(), picks)]);
-        assert_eq!(hex(&snapshot::encode(6, &tables, &wt).unwrap()), unspaced(&snap));
+        assert_eq!(
+            hex(&snapshot::encode(6, &tables, &wt).unwrap()),
+            unspaced(&snap)
+        );
     }
 
     #[test]
@@ -908,7 +1013,10 @@ mod tests {
         assert!(apply_op(&mut tables, Op::DropTable { name: "x".into() }).is_err());
         assert!(apply_op(
             &mut tables,
-            Op::InsertRows { table: "x".into(), rows: vec![] }
+            Op::InsertRows {
+                table: "x".into(),
+                rows: vec![]
+            }
         )
         .is_err());
     }

@@ -132,11 +132,15 @@ impl VfsFile for StdFile {
         self.file
             .seek(std::io::SeekFrom::End(0))
             .map_err(|e| io_err(&self.path, "append-seek", e))?;
-        self.file.write_all(data).map_err(|e| io_err(&self.path, "append", e))
+        self.file
+            .write_all(data)
+            .map_err(|e| io_err(&self.path, "append", e))
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.file.sync_all().map_err(|e| io_err(&self.path, "fsync", e))
+        self.file
+            .sync_all()
+            .map_err(|e| io_err(&self.path, "fsync", e))
     }
 }
 
@@ -150,10 +154,12 @@ impl Vfs for StdVfs {
     }
 
     fn create(&self, path: &str) -> Result<Box<dyn VfsFile>> {
-        let file = std::fs::File::create(self.path(path))
-            .map_err(|e| io_err(path, "create", e))?;
+        let file = std::fs::File::create(self.path(path)).map_err(|e| io_err(path, "create", e))?;
         self.sync_dir()?;
-        Ok(Box::new(StdFile { file, path: path.to_string() }))
+        Ok(Box::new(StdFile {
+            file,
+            path: path.to_string(),
+        }))
     }
 
     fn open_append(&self, path: &str) -> Result<Box<dyn VfsFile>> {
@@ -161,7 +167,10 @@ impl Vfs for StdVfs {
             .append(true)
             .open(self.path(path))
             .map_err(|e| io_err(path, "open-append", e))?;
-        Ok(Box::new(StdFile { file, path: path.to_string() }))
+        Ok(Box::new(StdFile {
+            file,
+            path: path.to_string(),
+        }))
     }
 
     fn truncate(&self, path: &str, len: u64) -> Result<()> {
@@ -174,8 +183,7 @@ impl Vfs for StdVfs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        std::fs::rename(self.path(from), self.path(to))
-            .map_err(|e| io_err(from, "rename", e))?;
+        std::fs::rename(self.path(from), self.path(to)).map_err(|e| io_err(from, "rename", e))?;
         self.sync_dir()
     }
 
@@ -282,14 +290,20 @@ impl Vfs for MemVfs {
         let mut files = self.lock();
         let f = files.entry(path.to_string()).or_default();
         f.cur.clear();
-        Ok(Box::new(MemHandle { vfs: self.clone(), path: path.to_string() }))
+        Ok(Box::new(MemHandle {
+            vfs: self.clone(),
+            path: path.to_string(),
+        }))
     }
 
     fn open_append(&self, path: &str) -> Result<Box<dyn VfsFile>> {
         if !self.lock().contains_key(path) {
             return Err(io_err(path, "open-append", "no such file"));
         }
-        Ok(Box::new(MemHandle { vfs: self.clone(), path: path.to_string() }))
+        Ok(Box::new(MemHandle {
+            vfs: self.clone(),
+            path: path.to_string(),
+        }))
     }
 
     fn truncate(&self, path: &str, len: u64) -> Result<()> {
@@ -379,7 +393,11 @@ impl FaultVfs {
     pub fn new(inner: MemVfs, fail_at: u64, mode: FaultMode) -> FaultVfs {
         FaultVfs {
             inner,
-            state: Arc::new(Mutex::new(FaultState { counter: 0, fail_at, mode })),
+            state: Arc::new(Mutex::new(FaultState {
+                counter: 0,
+                fail_at,
+                mode,
+            })),
             triggered: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -461,18 +479,22 @@ impl VfsFile for FaultHandle {
             Some(FaultMode::FailStop) => {
                 Err(io_err(&self.path, "append", "injected fault: write failed"))
             }
-            Some(FaultMode::Transient { .. }) => {
-                Err(io_transient(&self.path, "append", "injected fault: transient write failure"))
-            }
+            Some(FaultMode::Transient { .. }) => Err(io_transient(
+                &self.path,
+                "append",
+                "injected fault: transient write failure",
+            )),
         }
     }
 
     fn sync(&mut self) -> Result<()> {
         match self.fault.step(&self.path, "fsync")? {
             None => self.inner.sync(),
-            Some(FaultMode::Transient { .. }) => {
-                Err(io_transient(&self.path, "fsync", "injected fault: transient fsync failure"))
-            }
+            Some(FaultMode::Transient { .. }) => Err(io_transient(
+                &self.path,
+                "fsync",
+                "injected fault: transient fsync failure",
+            )),
             // A failed fsync promotes nothing: unsynced bytes stay
             // volatile and die with the crash.
             Some(_) => Err(io_err(&self.path, "fsync", "injected fault: fsync failed")),
@@ -520,7 +542,11 @@ impl Vfs for FaultVfs {
 
     fn open_append(&self, path: &str) -> Result<Box<dyn VfsFile>> {
         if self.dead() {
-            return Err(io_err(path, "open-append", "injected fault: process crashed"));
+            return Err(io_err(
+                path,
+                "open-append",
+                "injected fault: process crashed",
+            ));
         }
         Ok(Box::new(FaultHandle {
             inner: self.inner.open_append(path)?,
@@ -571,7 +597,11 @@ impl ChaosState {
     fn step(&self, path: &str, op: &'static str) -> Result<()> {
         let n = self.counter.fetch_add(1, Ordering::SeqCst) + 1;
         if n.is_multiple_of(self.every) {
-            return Err(io_transient(path, op, format!("chaos: transient {op} failure")));
+            return Err(io_transient(
+                path,
+                op,
+                format!("chaos: transient {op} failure"),
+            ));
         }
         Ok(())
     }

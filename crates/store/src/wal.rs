@@ -96,8 +96,17 @@ impl Op {
             Op::CreateTable { name, .. } => format!("create {name}"),
             Op::PutTable { name, table } => format!("put {name} ({} rows)", table.len()),
             Op::InsertRows { table, rows } => format!("insert {table} (+{} rows)", rows.len()),
-            Op::UpdateRows { table, positions, columns, .. } => {
-                format!("update {table} ({} rows × {} columns)", positions.len(), columns.len())
+            Op::UpdateRows {
+                table,
+                positions,
+                columns,
+                ..
+            } => {
+                format!(
+                    "update {table} ({} rows × {} columns)",
+                    positions.len(),
+                    columns.len()
+                )
             }
             Op::DeleteRows { table, positions } => {
                 format!("delete {table} (-{} rows)", positions.len())
@@ -187,7 +196,12 @@ pub fn encode_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
             w.put_u8(4);
             w.put_str(name);
         }
-        Op::UpdateRows { table, positions, columns, cells } => {
+        Op::UpdateRows {
+            table,
+            positions,
+            columns,
+            cells,
+        } => {
             w.put_u8(6);
             w.put_str(table);
             put_u32s(&mut w, positions);
@@ -225,10 +239,19 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
         }
     };
     let op = match r.u8()? {
-        0 => Op::CreateTable { name: r.str()?, schema: codec::get_schema(&mut r)? },
-        2 => Op::InsertRows { table: r.str()?, rows: get_rows(&mut r)? },
+        0 => Op::CreateTable {
+            name: r.str()?,
+            schema: codec::get_schema(&mut r)?,
+        },
+        2 => Op::InsertRows {
+            table: r.str()?,
+            rows: get_rows(&mut r)?,
+        },
         4 => Op::DropTable { name: r.str()? },
-        5 => Op::PutTable { name: r.str()?, table: codec::get_urelation_any(&mut r)? },
+        5 => Op::PutTable {
+            name: r.str()?,
+            table: codec::get_urelation_any(&mut r)?,
+        },
         // The deltas decode structurally; whether positions, columns and
         // cell count fit each other and the table is `check_op`'s call,
         // made before a record is logged and again before it replays.
@@ -238,10 +261,15 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
             columns: get_u32s(&mut r, "column")?,
             cells: {
                 let n = r.count("cell")?;
-                (0..n).map(|_| codec::get_value(&mut r)).collect::<codec::DecodeResult<_>>()?
+                (0..n)
+                    .map(|_| codec::get_value(&mut r))
+                    .collect::<codec::DecodeResult<_>>()?
             },
         },
-        7 => Op::DeleteRows { table: r.str()?, positions: get_u32s(&mut r, "position")? },
+        7 => Op::DeleteRows {
+            table: r.str()?,
+            positions: get_u32s(&mut r, "position")?,
+        },
         t => {
             return Err(codec::CodecError {
                 offset: r.offset(),
@@ -308,8 +336,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan> {
         if remaining < 8 {
             break true;
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"))
-            as usize;
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         if len > remaining - 8 {
             // Frame promises more bytes than the file holds: torn append.
@@ -328,7 +355,11 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan> {
         records.push((pos as u64, rec));
         pos += 8 + len;
     };
-    Ok(WalScan { records, valid_len: pos as u64, torn })
+    Ok(WalScan {
+        records,
+        valid_len: pos as u64,
+        torn,
+    })
 }
 
 #[cfg(test)]
@@ -394,12 +425,17 @@ mod tests {
         let record = WalRecord {
             lsn: 7,
             world_ext: None,
-            op: Op::PutTable { name: "t".into(), table },
+            op: Op::PutTable {
+                name: "t".into(),
+                table,
+            },
         };
         let payload = encode(&record);
         let decoded = decode_record(&payload).unwrap();
         assert_eq!(decoded, record);
-        let Op::PutTable { table, .. } = &decoded.op else { unreachable!() };
+        let Op::PutTable { table, .. } = &decoded.op else {
+            unreachable!()
+        };
         assert!(table.is_columnar());
         // The encoding is canonical: decode then encode is the identity
         // for current tags.
@@ -427,7 +463,10 @@ mod tests {
         let record = WalRecord {
             lsn: 1,
             world_ext: None,
-            op: Op::PutTable { name: "t".into(), table },
+            op: Op::PutTable {
+                name: "t".into(),
+                table,
+            },
         };
         // Offset 8 (lsn) + 1 (world-ext tag): even a row-major table is
         // written under tag 5, as its columnar image.
@@ -435,7 +474,9 @@ mod tests {
         assert_eq!(payload[9], 5);
         let decoded = decode_record(&payload).unwrap();
         assert_eq!(decoded, record);
-        let Op::PutTable { table, .. } = &decoded.op else { unreachable!() };
+        let Op::PutTable { table, .. } = &decoded.op else {
+            unreachable!()
+        };
         assert!(table.is_columnar());
     }
 
@@ -462,10 +503,20 @@ mod tests {
                 columns: vec![1],
                 cells: vec![],
             },
-            Op::DeleteRows { table: "t".into(), positions: vec![1, 2, 9] },
-            Op::DeleteRows { table: "t".into(), positions: vec![] },
+            Op::DeleteRows {
+                table: "t".into(),
+                positions: vec![1, 2, 9],
+            },
+            Op::DeleteRows {
+                table: "t".into(),
+                positions: vec![],
+            },
         ] {
-            let record = WalRecord { lsn: 3, world_ext: None, op };
+            let record = WalRecord {
+                lsn: 3,
+                world_ext: None,
+                op,
+            };
             let payload = encode(&record);
             let decoded = decode_record(&payload).unwrap();
             assert_eq!(decoded, record);
@@ -479,7 +530,10 @@ mod tests {
             cells: vec![Value::Int(1)],
         };
         assert_eq!(encode_record(0, &None, &update)[9], 6);
-        let delete = Op::DeleteRows { table: "t".into(), positions: vec![0] };
+        let delete = Op::DeleteRows {
+            table: "t".into(),
+            positions: vec![0],
+        };
         assert_eq!(encode_record(0, &None, &delete)[9], 7);
     }
 
@@ -491,7 +545,11 @@ mod tests {
         bytes.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         match scan(&bytes) {
-            Err(StoreError::Corrupt { path, offset, reason }) => {
+            Err(StoreError::Corrupt {
+                path,
+                offset,
+                reason,
+            }) => {
                 assert_eq!(path, WAL_FILE);
                 assert!(
                     offset >= WAL_MAGIC.len() as u64 + 8 && offset <= bytes.len() as u64,

@@ -19,9 +19,7 @@
 use std::sync::Arc;
 
 use maybms_engine::{DataType, Schema, Tuple, Value};
-use maybms_store::{
-    apply_op, fingerprint, Catalog, FaultMode, FaultVfs, MemVfs, Op, Store, Vfs,
-};
+use maybms_store::{apply_op, fingerprint, Catalog, FaultMode, FaultVfs, MemVfs, Op, Store, Vfs};
 use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 
 /// One workload step: world-table variables that appear (query side
@@ -37,7 +35,10 @@ enum Action {
 }
 
 fn step(op: Op) -> Step {
-    Step { new_vars: Vec::new(), action: Action::Apply(op) }
+    Step {
+        new_vars: Vec::new(),
+        action: Action::Apply(op),
+    }
 }
 
 fn certain(vals: Vec<Value>) -> UTuple {
@@ -62,14 +63,14 @@ fn workload() -> Vec<Step> {
     ));
     picks.tuples_mut().push(UTuple::new(
         Tuple::new(vec![Value::Int(20)]),
-        Wsd::from_assignments(vec![
-            Assignment::new(Var(0), 0),
-            Assignment::new(Var(1), 1),
-        ])
-        .expect("satisfiable"),
+        Wsd::from_assignments(vec![Assignment::new(Var(0), 0), Assignment::new(Var(1), 1)])
+            .expect("satisfiable"),
     ));
     vec![
-        step(Op::CreateTable { name: "t".into(), schema: t_schema }),
+        step(Op::CreateTable {
+            name: "t".into(),
+            schema: t_schema,
+        }),
         step(Op::InsertRows {
             table: "t".into(),
             rows: vec![
@@ -91,7 +92,10 @@ fn workload() -> Vec<Step> {
                 table: picks.compact(),
             }),
         },
-        Step { new_vars: Vec::new(), action: Action::Checkpoint },
+        Step {
+            new_vars: Vec::new(),
+            action: Action::Checkpoint,
+        },
         Step {
             // A query burnt a variable that nothing stored references.
             new_vars: vec![vec![0.2, 0.8]],
@@ -107,16 +111,27 @@ fn workload() -> Vec<Step> {
             table: "t".into(),
             positions: vec![0, 2],
             columns: vec![2, 1],
-            cells: vec![Value::str("new"), Value::Null, Value::str("x"), Value::Int(7)],
+            cells: vec![
+                Value::str("new"),
+                Value::Null,
+                Value::str("x"),
+                Value::Int(7),
+            ],
         }),
-        step(Op::DeleteRows { table: "t".into(), positions: vec![1] }),
+        step(Op::DeleteRows {
+            table: "t".into(),
+            positions: vec![1],
+        }),
         step(Op::UpdateRows {
             table: "picks".into(),
             positions: vec![1],
             columns: vec![0],
             cells: vec![Value::Int(21)],
         }),
-        step(Op::DeleteRows { table: "picks".into(), positions: vec![0] }),
+        step(Op::DeleteRows {
+            table: "picks".into(),
+            positions: vec![0],
+        }),
         step(Op::PutTable {
             name: "names".into(),
             // Dictionary-encoded text column (with a NULL slot) through
@@ -184,9 +199,9 @@ fn faulted_run(
                     wt.new_var(d).expect("live var");
                 }
                 let r = match &s.action {
-                    Action::Apply(op) => store.log(op, &wt).map(|()| {
-                        apply_op(&mut tables, op.clone()).expect("validated op applies")
-                    }),
+                    Action::Apply(op) => store
+                        .log(op, &wt)
+                        .map(|()| apply_op(&mut tables, op.clone()).expect("validated op applies")),
                     Action::Checkpoint => store.checkpoint(&tables, &wt),
                 };
                 if r.is_err() {
@@ -220,12 +235,19 @@ fn check_recovery(mem: &MemVfs, allowed: &[&Vec<u8>], what: &str) {
         .map(|f| mem.read(f).ok())
         .collect();
     let (_, r2) = Store::open(Arc::new(mem.clone())).expect("re-recovery must succeed");
-    assert_eq!(f1, fingerprint(&r2.tables, &r2.wt), "{what}: recovery not idempotent");
+    assert_eq!(
+        f1,
+        fingerprint(&r2.tables, &r2.wt),
+        "{what}: recovery not idempotent"
+    );
     let files_2: Vec<_> = ["wal", "snapshot"]
         .iter()
         .map(|f| mem.read(f).ok())
         .collect();
-    assert_eq!(files_1, files_2, "{what}: second recovery changed files on disk");
+    assert_eq!(
+        files_1, files_2,
+        "{what}: second recovery changed files on disk"
+    );
 }
 
 fn run_matrix(mode: FaultMode) {
@@ -249,12 +271,20 @@ fn run_matrix(mode: FaultMode) {
             (true, Some(k)) => vec![&fps[k], &fps[k + 1]],
             (true, None) => unreachable!("fault triggered but every step succeeded"),
         };
-        check_recovery(&mem, &allowed, &format!("{mode:?} fail_at={fail_at}, as-left"));
+        check_recovery(
+            &mem,
+            &allowed,
+            &format!("{mode:?} fail_at={fail_at}, as-left"),
+        );
         // Same fault point, but a power cut also drops every byte that
         // was never fsynced.
         let (mem, _, _, _) = faulted_run(&steps, fail_at, mode);
         mem.crash();
-        check_recovery(&mem, &allowed, &format!("{mode:?} fail_at={fail_at}, power-cut"));
+        check_recovery(
+            &mem,
+            &allowed,
+            &format!("{mode:?} fail_at={fail_at}, power-cut"),
+        );
     }
     // The workload is ~2 file ops per statement plus open/checkpoint
     // traffic; make sure the loop actually swept a real matrix and

@@ -120,7 +120,9 @@ mod tests {
 
     #[test]
     fn display_not_t_certain() {
-        let e = UrelError::NotTCertain { operation: "repair key".into() };
+        let e = UrelError::NotTCertain {
+            operation: "repair key".into(),
+        };
         assert!(e.to_string().contains("repair key"));
         assert!(e.to_string().contains("t-certain"));
     }

@@ -32,7 +32,11 @@ pub fn pick_tuples(
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
-    let bound = options.probability.as_ref().map(|e| e.bind(input.schema())).transpose()?;
+    let bound = options
+        .probability
+        .as_ref()
+        .map(|e| e.bind(input.schema()))
+        .transpose()?;
     let mut out = Vec::with_capacity(input.len());
     for t in input.tuples() {
         let p = match &bound {
@@ -69,7 +73,9 @@ pub fn pick_tuples_u(
     wt: &mut WorldTable,
 ) -> Result<URelation> {
     if !input.is_t_certain() {
-        return Err(UrelError::NotTCertain { operation: "pick tuples".into() });
+        return Err(UrelError::NotTCertain {
+            operation: "pick tuples".into(),
+        });
     }
     let certain = Relation::new_unchecked(
         input.schema().clone(),
@@ -120,12 +126,17 @@ mod tests {
         );
         let out = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();
-        let probs: Vec<f64> =
-            out.tuples().iter().map(|t| t.wsd.prob(&wt).unwrap()).collect();
+        let probs: Vec<f64> = out
+            .tuples()
+            .iter()
+            .map(|t| t.wsd.prob(&wt).unwrap())
+            .collect();
         assert!((probs[0] - 0.9).abs() < 1e-12);
         assert!((probs[1] - 0.1).abs() < 1e-12);
     }
@@ -139,7 +150,9 @@ mod tests {
         );
         let out = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();
@@ -152,11 +165,16 @@ mod tests {
         let mut wt = WorldTable::new();
         let r = rel(
             &[("v", DataType::Int), ("p", DataType::Float)],
-            vec![vec![1.into(), Value::Float(0.0)], vec![2.into(), Value::Float(0.5)]],
+            vec![
+                vec![1.into(), Value::Float(0.0)],
+                vec![2.into(), Value::Float(0.5)],
+            ],
         );
         let out = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();
@@ -167,13 +185,12 @@ mod tests {
     #[test]
     fn out_of_range_probability_rejected() {
         let mut wt = WorldTable::new();
-        let r = rel(
-            &[("p", DataType::Float)],
-            vec![vec![Value::Float(1.5)]],
-        );
+        let r = rel(&[("p", DataType::Float)], vec![vec![Value::Float(1.5)]]);
         let out = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         );
         assert!(matches!(out, Err(UrelError::BadProbability { .. })));
@@ -185,7 +202,9 @@ mod tests {
         let r = rel(&[("p", DataType::Text)], vec![vec!["x".into()]]);
         let out = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         );
         assert!(matches!(out, Err(UrelError::BadProbability { .. })));
@@ -218,7 +237,9 @@ mod tests {
         );
         let out = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();

@@ -91,7 +91,10 @@ pub fn repair_key(
         probs.extend(alive.iter().map(|&i| weights[i] / total));
         let var = wt.new_var(&probs)?;
         for (alt, &i) in alive.iter().enumerate() {
-            out.push(UTuple::new(input.tuples()[i].clone(), Wsd::of(var, alt as u16)));
+            out.push(UTuple::new(
+                input.tuples()[i].clone(),
+                Wsd::of(var, alt as u16),
+            ));
         }
     }
     Ok(URelation::new(input.schema().clone(), out))
@@ -107,7 +110,9 @@ pub fn repair_key_u(
     wt: &mut WorldTable,
 ) -> Result<URelation> {
     if !input.is_t_certain() {
-        return Err(UrelError::NotTCertain { operation: "repair key".into() });
+        return Err(UrelError::NotTCertain {
+            operation: "repair key".into(),
+        });
     }
     let certain = Relation::new_unchecked(
         input.schema().clone(),
@@ -150,7 +155,9 @@ mod tests {
         let r2 = repair_key(
             &ft_bryant(),
             &[Expr::col("player"), Expr::col("init")],
-            &RepairKeyOptions { weight: Some(Expr::col("p")) },
+            &RepairKeyOptions {
+                weight: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();
@@ -158,13 +165,18 @@ mod tests {
         assert_eq!(wt.num_vars(), 3);
         assert_eq!(r2.len(), 8);
         // Group F: probabilities 0.8 / 0.05 / 0.15 as printed in Figure 1.
-        let p: Vec<f64> =
-            r2.tuples()[..3].iter().map(|t| t.wsd.prob(&wt).unwrap()).collect();
+        let p: Vec<f64> = r2.tuples()[..3]
+            .iter()
+            .map(|t| t.wsd.prob(&wt).unwrap())
+            .collect();
         assert!((p[0] - 0.8).abs() < 1e-12);
         assert!((p[1] - 0.05).abs() < 1e-12);
         assert!((p[2] - 0.15).abs() < 1e-12);
         // Alternatives within a group are mutually exclusive: same var.
-        let vars: Vec<_> = r2.tuples()[..3].iter().map(|t| t.wsd.assignments()[0].var).collect();
+        let vars: Vec<_> = r2.tuples()[..3]
+            .iter()
+            .map(|t| t.wsd.assignments()[0].var)
+            .collect();
         assert_eq!(vars[0], vars[1]);
         assert_eq!(vars[1], vars[2]);
         // Different groups use different (independent) variables.
@@ -184,8 +196,7 @@ mod tests {
                 vec![1.into(), 30.into()],
             ],
         );
-        let out = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt)
-            .unwrap();
+        let out = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt).unwrap();
         for t in out.tuples() {
             assert!((t.wsd.prob(&wt).unwrap() - 1.0 / 3.0).abs() < 1e-12);
         }
@@ -198,8 +209,7 @@ mod tests {
             &[("k", DataType::Int)],
             vec![vec![1.into()], vec![2.into()]],
         );
-        let out =
-            repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt).unwrap();
+        let out = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt).unwrap();
         assert!(out.is_t_certain());
         assert_eq!(wt.num_vars(), 0);
     }
@@ -211,7 +221,12 @@ mod tests {
         let mut wt = WorldTable::new();
         let r = rel(
             &[("v", DataType::Int)],
-            vec![vec![1.into()], vec![2.into()], vec![3.into()], vec![4.into()]],
+            vec![
+                vec![1.into()],
+                vec![2.into()],
+                vec![3.into()],
+                vec![4.into()],
+            ],
         );
         let out = repair_key(&r, &[], &RepairKeyOptions::default(), &mut wt).unwrap();
         assert_eq!(wt.num_vars(), 1);
@@ -234,12 +249,18 @@ mod tests {
         let out = repair_key(
             &r,
             &[Expr::col("k")],
-            &RepairKeyOptions { weight: Some(Expr::col("w")) },
+            &RepairKeyOptions {
+                weight: Some(Expr::col("w")),
+            },
             &mut wt,
         )
         .unwrap();
         assert_eq!(out.len(), 2);
-        let p: Vec<f64> = out.tuples().iter().map(|t| t.wsd.prob(&wt).unwrap()).collect();
+        let p: Vec<f64> = out
+            .tuples()
+            .iter()
+            .map(|t| t.wsd.prob(&wt).unwrap())
+            .collect();
         assert!((p[0] - 0.25).abs() < 1e-12);
         assert!((p[1] - 0.75).abs() < 1e-12);
     }
@@ -254,7 +275,9 @@ mod tests {
         let out = repair_key(
             &r,
             &[Expr::col("k")],
-            &RepairKeyOptions { weight: Some(Expr::col("w")) },
+            &RepairKeyOptions {
+                weight: Some(Expr::col("w")),
+            },
             &mut wt,
         );
         assert!(matches!(out, Err(UrelError::BadWeight { .. })));
@@ -265,12 +288,17 @@ mod tests {
         let mut wt = WorldTable::new();
         let r = rel(
             &[("k", DataType::Int), ("w", DataType::Float)],
-            vec![vec![1.into(), Value::Float(0.0)], vec![1.into(), Value::Float(0.0)]],
+            vec![
+                vec![1.into(), Value::Float(0.0)],
+                vec![1.into(), Value::Float(0.0)],
+            ],
         );
         let out = repair_key(
             &r,
             &[Expr::col("k")],
-            &RepairKeyOptions { weight: Some(Expr::col("w")) },
+            &RepairKeyOptions {
+                weight: Some(Expr::col("w")),
+            },
             &mut wt,
         );
         assert!(matches!(out, Err(UrelError::BadWeight { .. })));
@@ -283,7 +311,9 @@ mod tests {
         let out = repair_key(
             &r,
             &[],
-            &RepairKeyOptions { weight: Some(Expr::col("k")) },
+            &RepairKeyOptions {
+                weight: Some(Expr::col("k")),
+            },
             &mut wt,
         );
         // single-tuple group short-circuits before weights matter... but
@@ -294,7 +324,10 @@ mod tests {
     #[test]
     fn repair_key_u_requires_t_certain() {
         let mut wt = WorldTable::new();
-        let r = rel(&[("k", DataType::Int)], vec![vec![1.into()], vec![1.into()]]);
+        let r = rel(
+            &[("k", DataType::Int)],
+            vec![vec![1.into()], vec![1.into()]],
+        );
         let mut u = URelation::from_certain(&r);
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
         u.tuples_mut()[0].wsd = Wsd::of(x, 0);
@@ -319,7 +352,9 @@ mod tests {
         let out = repair_key(
             &r,
             &[Expr::col("k")],
-            &RepairKeyOptions { weight: Some(Expr::col("w")) },
+            &RepairKeyOptions {
+                weight: Some(Expr::col("w")),
+            },
             &mut wt,
         )
         .unwrap();

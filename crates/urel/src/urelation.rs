@@ -72,7 +72,10 @@ pub struct UTuple {
 impl UTuple {
     /// A certain tuple (tautological condition).
     pub fn certain(data: Tuple) -> UTuple {
-        UTuple { data, wsd: Wsd::tautology() }
+        UTuple {
+            data,
+            wsd: Wsd::tautology(),
+        }
     }
 
     /// A conditioned tuple.
@@ -113,25 +116,37 @@ struct ColumnarURel {
 impl ColumnarURel {
     fn new(batch: ColumnBatch, wsds: Vec<Wsd>) -> ColumnarURel {
         debug_assert_eq!(batch.rows(), wsds.len(), "WSD sidecar length mismatch");
-        ColumnarURel { batch, wsds, rows: OnceLock::new(), zones: OnceLock::new() }
+        ColumnarURel {
+            batch,
+            wsds,
+            rows: OnceLock::new(),
+            zones: OnceLock::new(),
+        }
     }
 
     fn zones(&self) -> &[Option<Vec<Zone>>] {
         let min_max = |col: &Column, v: &[i64], z: usize| {
             let live = (z..(z + ZONE_ROWS).min(v.len())).filter(|&i| !col.is_null(i));
-            live.fold((i64::MAX, i64::MIN), |(lo, hi), i| (lo.min(v[i]), hi.max(v[i])))
+            live.fold((i64::MAX, i64::MIN), |(lo, hi), i| {
+                (lo.min(v[i]), hi.max(v[i]))
+            })
         };
         let zones = |col: &Column| match col.data() {
-            ColumnData::Int(v) => Some((0..v.len()).step_by(ZONE_ROWS).map(|z| min_max(col, v, z)).collect()),
+            ColumnData::Int(v) => Some(
+                (0..v.len())
+                    .step_by(ZONE_ROWS)
+                    .map(|z| min_max(col, v, z))
+                    .collect(),
+            ),
             _ => None,
         };
-        self.zones.get_or_init(|| self.batch.columns().iter().map(zones).collect())
+        self.zones
+            .get_or_init(|| self.batch.columns().iter().map(zones).collect())
     }
 
     fn rows(&self) -> &[UTuple] {
-        self.rows.get_or_init(|| {
-            zip_batch(self.batch.to_tuple_batch(), self.wsds.clone())
-        })
+        self.rows
+            .get_or_init(|| zip_batch(self.batch.to_tuple_batch(), self.wsds.clone()))
     }
 
     fn into_rows(self) -> Vec<UTuple> {
@@ -167,13 +182,19 @@ impl PartialEq for URelation {
 impl URelation {
     /// Empty U-relation.
     pub fn empty(schema: Arc<Schema>) -> URelation {
-        URelation { schema, store: Store::Rows(Vec::new()) }
+        URelation {
+            schema,
+            store: Store::Rows(Vec::new()),
+        }
     }
 
     /// Build from parts (arity unchecked; callers construct from typed
     /// operators).
     pub fn new(schema: Arc<Schema>, tuples: Vec<UTuple>) -> URelation {
-        URelation { schema, store: Store::Rows(tuples) }
+        URelation {
+            schema,
+            store: Store::Rows(tuples),
+        }
     }
 
     /// Build directly over an at-rest data batch plus WSD sidecar (the
@@ -182,7 +203,10 @@ impl URelation {
     /// [`URelation::new`]'s unchecked discipline.
     pub fn from_batch(schema: Arc<Schema>, batch: ColumnBatch, wsds: Vec<Wsd>) -> URelation {
         debug_assert_eq!(batch.arity(), schema.len(), "batch arity mismatch");
-        URelation { schema, store: Store::Columnar(Arc::new(ColumnarURel::new(batch, wsds))) }
+        URelation {
+            schema,
+            store: Store::Columnar(Arc::new(ColumnarURel::new(batch, wsds))),
+        }
     }
 
     /// Lift a certain relation into a (t-certain) U-relation.
@@ -220,7 +244,9 @@ impl URelation {
     /// rows, or `None` unless the store is columnar at rest and `col` is
     /// stored as `Int`. Built for every `Int` column by the first call.
     pub fn zones(&self, col: usize) -> Option<&[Zone]> {
-        let Store::Columnar(c) = &self.store else { return None };
+        let Store::Columnar(c) = &self.store else {
+            return None;
+        };
         c.zones()[col].as_deref()
     }
 
@@ -237,12 +263,9 @@ impl URelation {
             Store::Columnar(_) => self.clone(),
             Store::Rows(tuples) => {
                 let cols: Vec<usize> = (0..self.schema.len()).collect();
-                let batch = ColumnBatch::pivot(
-                    tuples.len(),
-                    tuples.iter().map(|t| t.data.values()),
-                    &cols,
-                )
-                .dict_encode();
+                let batch =
+                    ColumnBatch::pivot(tuples.len(), tuples.iter().map(|t| t.data.values()), &cols)
+                        .dict_encode();
                 let wsds = tuples.iter().map(|t| t.wsd.clone()).collect();
                 URelation {
                     schema: self.schema.clone(),
@@ -339,10 +362,7 @@ impl URelation {
                 let wsds = indices.iter().map(|&i| c.wsds[i].clone()).collect();
                 return URelation {
                     schema: self.schema.clone(),
-                    store: Store::Columnar(Arc::new(ColumnarURel::new(
-                        c.batch.gather(&sel),
-                        wsds,
-                    ))),
+                    store: Store::Columnar(Arc::new(ColumnarURel::new(c.batch.gather(&sel), wsds))),
                 };
             }
         }
@@ -404,14 +424,17 @@ impl URelation {
     /// columns, a `condition` column, and a `P` column with the
     /// condition's probability.
     pub fn to_table_string(&self, wt: &WorldTable) -> Result<String> {
-        let mut headers: Vec<String> =
-            self.schema.fields().iter().map(|f| f.qualified_name()).collect();
+        let mut headers: Vec<String> = self
+            .schema
+            .fields()
+            .iter()
+            .map(|f| f.qualified_name())
+            .collect();
         headers.push("condition".into());
         headers.push("P".into());
         let mut rows = Vec::with_capacity(self.len());
         for t in self.tuples() {
-            let mut row: Vec<String> =
-                t.data.values().iter().map(|v| v.to_string()).collect();
+            let mut row: Vec<String> = t.data.values().iter().map(|v| v.to_string()).collect();
             row.push(t.wsd.to_string());
             row.push(format!("{:.6}", t.wsd.prob(wt)?));
             rows.push(row);
@@ -550,8 +573,11 @@ mod tests {
         table.append_rows(std::slice::from_ref(&extra));
         table.set_cells(&[0, 2], &[1], &["SE".into(), Value::Null]);
         assert!(table.is_columnar());
-        let got: Vec<(Vec<Value>, Wsd)> =
-            table.tuples().iter().map(|t| (t.data.values().to_vec(), t.wsd.clone())).collect();
+        let got: Vec<(Vec<Value>, Wsd)> = table
+            .tuples()
+            .iter()
+            .map(|t| (t.data.values().to_vec(), t.wsd.clone()))
+            .collect();
         assert_eq!(
             got,
             vec![

@@ -84,11 +84,13 @@ impl WorldTable {
             .dists
             .get(a.var.0 as usize)
             .ok_or(UrelError::UnknownVariable { var: a.var.0 })?;
-        dist.get(a.alt as usize).copied().ok_or(UrelError::BadAlternative {
-            var: a.var.0,
-            alt: a.alt,
-            domain: dist.len(),
-        })
+        dist.get(a.alt as usize)
+            .copied()
+            .ok_or(UrelError::BadAlternative {
+                var: a.var.0,
+                alt: a.alt,
+                domain: dist.len(),
+            })
     }
 
     /// The full distribution of `var`.
@@ -129,7 +131,10 @@ impl WorldTable {
 
     /// Sample a world (independent draw per variable).
     pub fn sample_world<R: Rng + ?Sized>(&self, rng: &mut R) -> World {
-        self.dists.iter().map(|d| sample_categorical(d, rng)).collect()
+        self.dists
+            .iter()
+            .map(|d| sample_categorical(d, rng))
+            .collect()
     }
 
     /// Iterate every world with its probability. Errors if the world count
@@ -143,7 +148,11 @@ impl WorldTable {
         if count > limit {
             return Err(UrelError::WorldLimitExceeded { count, limit });
         }
-        Ok(WorldIter { table: self, current: vec![0; self.dists.len()], done: false })
+        Ok(WorldIter {
+            table: self,
+            current: vec![0; self.dists.len()],
+            done: false,
+        })
     }
 }
 
@@ -158,7 +167,9 @@ fn sample_categorical<R: Rng + ?Sized>(dist: &[f64], rng: &mut R) -> u16 {
         }
     }
     // Float round-off: fall back to the last alternative with nonzero mass.
-    dist.iter().rposition(|&p| p > 0.0).unwrap_or(dist.len() - 1) as u16
+    dist.iter()
+        .rposition(|&p| p > 0.0)
+        .unwrap_or(dist.len() - 1) as u16
 }
 
 /// Odometer iterator over all worlds of a [`WorldTable`].

@@ -33,12 +33,7 @@ pub fn map_worlds<T>(
 
 /// Ground-truth marginal probability that `tuple` appears (at least once)
 /// in `u`, by world enumeration.
-pub fn tuple_marginal(
-    wt: &WorldTable,
-    u: &URelation,
-    tuple: &Tuple,
-    limit: u128,
-) -> Result<f64> {
+pub fn tuple_marginal(wt: &WorldTable, u: &URelation, tuple: &Tuple, limit: u128) -> Result<f64> {
     let mut p = 0.0;
     for (world, wp) in wt.enumerate_worlds(limit)? {
         if u.instantiate(&world).tuples().contains(tuple) {
@@ -103,7 +98,9 @@ mod tests {
         );
         let u = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();
@@ -119,8 +116,7 @@ mod tests {
             &[("k", DataType::Int)],
             vec![vec![1.into()], vec![1.into()], vec![2.into()]],
         );
-        let u = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt)
-            .unwrap();
+        let u = repair_key(&r, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt).unwrap();
         let dist = tuple_distribution(&wt, &u, 100).unwrap();
         // Key 2's single tuple is certain; key 1's duplicates: the two
         // alternatives are the *same* tuple value (1), so tuple (1) appears
@@ -141,7 +137,9 @@ mod tests {
         );
         let u = pick_tuples(
             &r,
-            &PickTuplesOptions { probability: Some(Expr::col("p")) },
+            &PickTuplesOptions {
+                probability: Some(Expr::col("p")),
+            },
             &mut wt,
         )
         .unwrap();

@@ -35,13 +35,19 @@ pub const INLINE_WSD: usize = 2;
 
 /// Padding value for unused inline slots (never observed through the
 /// public API, which always bounds reads by `len`).
-const PAD: Assignment = Assignment { var: Var(0), alt: 0 };
+const PAD: Assignment = Assignment {
+    var: Var(0),
+    alt: 0,
+};
 
 /// Inline-or-heap storage for the sorted assignment list.
 #[derive(Clone)]
 enum Repr {
     /// Up to [`INLINE_WSD`] assignments stored in place.
-    Inline { len: u8, buf: [Assignment; INLINE_WSD] },
+    Inline {
+        len: u8,
+        buf: [Assignment; INLINE_WSD],
+    },
     /// Longer conjunctions spill to the heap.
     Heap(Vec<Assignment>),
 }
@@ -95,7 +101,10 @@ impl fmt::Debug for Wsd {
 impl Wsd {
     /// The empty conjunction (true in every world).
     pub fn tautology() -> Wsd {
-        Wsd(Repr::Inline { len: 0, buf: [PAD; INLINE_WSD] })
+        Wsd(Repr::Inline {
+            len: 0,
+            buf: [PAD; INLINE_WSD],
+        })
     }
 
     /// A single-assignment WSD (allocation-free).
@@ -111,7 +120,10 @@ impl Wsd {
         if assignments.len() <= INLINE_WSD {
             let mut buf = [PAD; INLINE_WSD];
             buf[..assignments.len()].copy_from_slice(&assignments);
-            Wsd(Repr::Inline { len: assignments.len() as u8, buf })
+            Wsd(Repr::Inline {
+                len: assignments.len() as u8,
+                buf,
+            })
         } else {
             Wsd(Repr::Heap(assignments))
         }
@@ -187,7 +199,10 @@ impl Wsd {
         if a.len() + b.len() <= INLINE_WSD {
             let mut buf = [PAD; INLINE_WSD];
             let len = merge_into(a, b, &mut buf)?;
-            return Some(Wsd(Repr::Inline { len: len as u8, buf }));
+            return Some(Wsd(Repr::Inline {
+                len: len as u8,
+                buf,
+            }));
         }
         let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
@@ -344,11 +359,7 @@ mod tests {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.8, 0.2]).unwrap();
         let y = wt.new_var(&[0.5, 0.5]).unwrap();
-        let w = Wsd::from_assignments(vec![
-            Assignment::new(x, 1),
-            Assignment::new(y, 0),
-        ])
-        .unwrap();
+        let w = Wsd::from_assignments(vec![Assignment::new(x, 1), Assignment::new(y, 0)]).unwrap();
         assert!((w.prob(&wt).unwrap() - 0.1).abs() < 1e-12);
         assert_eq!(Wsd::tautology().prob(&wt).unwrap(), 1.0);
     }
@@ -384,9 +395,7 @@ mod tests {
         use std::collections::HashSet;
         // 0, 1, 2 assignments: inline; 3+: heap.
         let sizes: Vec<Wsd> = (0..5)
-            .map(|n| {
-                Wsd::from_assignments((0..n).map(|v| asg(v, 1)).collect()).unwrap()
-            })
+            .map(|n| Wsd::from_assignments((0..n).map(|v| asg(v, 1)).collect()).unwrap())
             .collect();
         for (n, w) in sizes.iter().enumerate() {
             assert_eq!(w.len(), n);
@@ -400,15 +409,16 @@ mod tests {
         let ab = a.conjoin(&b).unwrap();
         assert_eq!(
             ab,
-            Wsd::from_assignments(vec![asg(0, 1), asg(1, 0), asg(2, 1), asg(3, 0)])
-                .unwrap()
+            Wsd::from_assignments(vec![asg(0, 1), asg(1, 0), asg(2, 1), asg(3, 0)]).unwrap()
         );
         // Equality and hash agree across the boundary: a heap conjunction
         // finds its directly built twin, an inline one its own.
         let mut set = HashSet::new();
         set.insert(ab.clone());
         set.insert(b.clone());
-        assert!(set.contains(&Wsd::from_assignments(vec![asg(3, 0), asg(2, 1), asg(1, 0), asg(0, 1)]).unwrap()));
+        assert!(set.contains(
+            &Wsd::from_assignments(vec![asg(3, 0), asg(2, 1), asg(1, 0), asg(0, 1)]).unwrap()
+        ));
         assert!(set.contains(&b.conjoin(&b).unwrap()));
     }
 

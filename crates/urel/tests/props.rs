@@ -14,8 +14,11 @@ use proptest::prelude::*;
 // ---------- generators ----------------------------------------------------
 
 fn arb_assignments() -> impl Strategy<Value = Vec<Assignment>> {
-    prop::collection::vec((0u32..6, 0u16..3), 0..6)
-        .prop_map(|v| v.into_iter().map(|(var, alt)| Assignment::new(Var(var), alt)).collect())
+    prop::collection::vec((0u32..6, 0u16..3), 0..6).prop_map(|v| {
+        v.into_iter()
+            .map(|(var, alt)| Assignment::new(Var(var), alt))
+            .collect()
+    })
 }
 
 // ---------- WSD laws -------------------------------------------------------

@@ -52,9 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  P(majority fit)   = {p_majority:.3}");
 
     // Cross-check the sampler against an exact query on one player.
-    let exact_bryant = db.query(
-        "select conf() as p from squad where player = 'Bryant'",
-    )?;
+    let exact_bryant = db.query("select conf() as p from squad where player = 'Bryant'")?;
     let p_exact = exact_bryant.tuples()[0].value(0).as_f64().unwrap();
     let mut bryant_fit = 0u32;
     for seed in 0..runs {

@@ -17,10 +17,26 @@ const STATES: [&str; 3] = ["F", "SE", "SL"]; // fit / seriously / slightly injur
 /// Bryant's matrix is the one printed in Figure 1.
 fn rosters() -> Vec<(&'static str, [[f64; 3]; 3], &'static str)> {
     vec![
-        ("Bryant", [[0.8, 0.05, 0.15], [0.1, 0.6, 0.3], [0.8, 0.0, 0.2]], "F"),
-        ("Gasol", [[0.7, 0.1, 0.2], [0.2, 0.5, 0.3], [0.6, 0.1, 0.3]], "SL"),
-        ("Fisher", [[0.9, 0.02, 0.08], [0.15, 0.55, 0.3], [0.7, 0.05, 0.25]], "F"),
-        ("Odom", [[0.65, 0.15, 0.2], [0.1, 0.7, 0.2], [0.55, 0.15, 0.3]], "SE"),
+        (
+            "Bryant",
+            [[0.8, 0.05, 0.15], [0.1, 0.6, 0.3], [0.8, 0.0, 0.2]],
+            "F",
+        ),
+        (
+            "Gasol",
+            [[0.7, 0.1, 0.2], [0.2, 0.5, 0.3], [0.6, 0.1, 0.3]],
+            "SL",
+        ),
+        (
+            "Fisher",
+            [[0.9, 0.02, 0.08], [0.15, 0.55, 0.3], [0.7, 0.05, 0.25]],
+            "F",
+        ),
+        (
+            "Odom",
+            [[0.65, 0.15, 0.2], [0.1, 0.7, 0.2], [0.55, 0.15, 0.3]],
+            "SE",
+        ),
     ]
 }
 
@@ -60,7 +76,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     db.register(
         "states",
-        rel(&[("player", DataType::Text), ("state", DataType::Text)], state_rows),
+        rel(
+            &[("player", DataType::Text), ("state", DataType::Text)],
+            state_rows,
+        ),
     )?;
 
     println!("=== Fitness prediction (Figure 1): 3-day random walk ===\n");

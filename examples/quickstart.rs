@@ -35,9 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // `possible` lists tuples that occur in at least one world (§2.2).
     println!("== Possible cities ==");
-    let possible = db.query(
-        "select possible R.city from (repair key name in census weight by quality) R",
-    )?;
+    let possible =
+        db.query("select possible R.city from (repair key name in census weight by quality) R")?;
     println!("{possible}");
 
     // `pick tuples` represents every subset of a table — here: which

@@ -38,9 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Baseline availability ==\n{baseline}");
 
     // What-if: lay off each player in turn, check the two constraints.
-    println!(
-        "== Lay-off analysis (need shooting ≥ {SHOOTING_MIN}, passing ≥ {PASSING_MIN}) ==\n"
-    );
+    println!("== Lay-off analysis (need shooting ≥ {SHOOTING_MIN}, passing ≥ {PASSING_MIN}) ==\n");
     let players: Vec<(String, i64)> = db
         .query("select player, salary from roster order by salary desc")?
         .tuples()
@@ -70,7 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "lay off {player:<7} (saves {salary:>2}M): shooting {shooting:.4}, \
              passing {passing:.4} → {}",
-            if ok { "FEASIBLE" } else { "violates constraints" }
+            if ok {
+                "FEASIBLE"
+            } else {
+                "violates constraints"
+            }
         );
         if ok {
             feasible.push((player.clone(), *salary));

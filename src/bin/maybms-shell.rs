@@ -67,7 +67,9 @@ fn main() {
         }
     };
     let metrics_addr = config.metrics_addr.or_else(|| {
-        std::env::var("MAYBMS_METRICS_ADDR").ok().filter(|s| !s.is_empty())
+        std::env::var("MAYBMS_METRICS_ADDR")
+            .ok()
+            .filter(|s| !s.is_empty())
     });
     let bound = metrics_addr.map(|addr| match maybms_obs::http::serve(&addr) {
         Ok(local) => local,
@@ -114,9 +116,7 @@ struct ShellConfig {
 /// Parse command-line arguments and open the database. In-memory unless
 /// `--data-dir DIR` is given; a missing directory is created, a corrupt
 /// one is reported with the failing file and byte offset — never a panic.
-fn open_database(
-    args: impl Iterator<Item = String>,
-) -> Result<(MayBms, ShellConfig), String> {
+fn open_database(args: impl Iterator<Item = String>) -> Result<(MayBms, ShellConfig), String> {
     let mut data_dir: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
     let mut args = args.peekable();
@@ -132,7 +132,9 @@ fn open_database(
             match args.next() {
                 Some(addr) => metrics_addr = Some(addr),
                 None => {
-                    return Err("--metrics-addr requires an ADDR argument (e.g. 127.0.0.1:9187)".into())
+                    return Err(
+                        "--metrics-addr requires an ADDR argument (e.g. 127.0.0.1:9187)".into(),
+                    )
                 }
             }
         } else if let Some(addr) = arg.strip_prefix("--metrics-addr=") {
@@ -164,14 +166,22 @@ fn print_banner(db: &MayBms, metrics: Option<std::net::SocketAddr>) {
                 "Durability: data dir {} — {} WAL byte(s) since last checkpoint{}",
                 status.location,
                 status.wal_bytes,
-                if status.has_snapshot { "" } else { " (no snapshot yet)" }
+                if status.has_snapshot {
+                    ""
+                } else {
+                    " (no snapshot yet)"
+                }
             );
             if let Some(r) = db.recovery_report() {
                 println!(
                     "Recovered {} table(s), replayed {} WAL record(s){}",
                     r.tables,
                     r.replayed,
-                    if r.truncated_tail { ", truncated a torn WAL tail" } else { "" }
+                    if r.truncated_tail {
+                        ", truncated a torn WAL tail"
+                    } else {
+                        ""
+                    }
                 );
             }
         }
@@ -182,8 +192,12 @@ fn print_banner(db: &MayBms, metrics: Option<std::net::SocketAddr>) {
     if timeout.is_some() || budget.is_some() {
         println!(
             "Governor: timeout {}, memory budget {} (\\timeout / \\memlimit to change)",
-            timeout.map(|ms| format!("{ms} ms")).unwrap_or_else(|| "off".into()),
-            budget.map(|b| format!("{} MiB", b >> 20)).unwrap_or_else(|| "off".into()),
+            timeout
+                .map(|ms| format!("{ms} ms"))
+                .unwrap_or_else(|| "off".into()),
+            budget
+                .map(|b| format!("{} MiB", b >> 20))
+                .unwrap_or_else(|| "off".into()),
         );
     }
     if let Some(addr) = metrics {
@@ -292,16 +306,26 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
             println!("\\threads [N]   show or set the execution pool size");
             println!("\\timing [on|off] toggle or set per-statement timing (default on)");
             println!("\\metrics       dump the engine metrics registry (Prometheus text format)");
-            println!("\\latency       statement latency per kind since start: count, mean, p50/p95/p99");
+            println!(
+                "\\latency       statement latency per kind since start: count, mean, p50/p95/p99"
+            );
             println!("\\trace [on|off] enable/disable tracing spans (or show the state)");
             println!("\\trace dump [N] print the last N statement span trees (default 5)");
             println!("\\slowlog [N|off] log statements slower than N ms to stderr (0 = all)");
             println!("\\i FILE        execute a SQL script");
             println!("\\checkpoint    snapshot the catalog atomically and truncate the WAL");
-            println!("\\timeout [N|off] per-statement deadline in ms (also MAYBMS_STATEMENT_TIMEOUT_MS)");
-            println!("\\memlimit [N|off] per-statement memory budget in MiB (also MAYBMS_MEM_BUDGET_MB)");
-            println!("\\cancel [N]    cancel the NEXT statement after N ms (default 0: immediately)");
-            println!("\\reopen        recover a poisoned durable store in-process (re-runs recovery)");
+            println!(
+                "\\timeout [N|off] per-statement deadline in ms (also MAYBMS_STATEMENT_TIMEOUT_MS)"
+            );
+            println!(
+                "\\memlimit [N|off] per-statement memory budget in MiB (also MAYBMS_MEM_BUDGET_MB)"
+            );
+            println!(
+                "\\cancel [N]    cancel the NEXT statement after N ms (default 0: immediately)"
+            );
+            println!(
+                "\\reopen        recover a poisoned durable store in-process (re-runs recovery)"
+            );
             println!("\\q             quit");
         }
         "\\d" => match arg {
@@ -315,7 +339,11 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
                     println!(
                         "{n}  — {} rows, {}",
                         t.len(),
-                        if t.is_t_certain() { "t-certain" } else { "uncertain" }
+                        if t.is_t_certain() {
+                            "t-certain"
+                        } else {
+                            "uncertain"
+                        }
                     );
                 }
             }
@@ -324,7 +352,11 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
                     println!(
                         "{name} ({} rows, {})",
                         t.len(),
-                        if t.is_t_certain() { "t-certain" } else { "uncertain" }
+                        if t.is_t_certain() {
+                            "t-certain"
+                        } else {
+                            "uncertain"
+                        }
                     );
                     for f in t.schema().fields() {
                         println!("  {}  {}", f.name, f.dtype);
@@ -362,7 +394,11 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
         "\\trace" => match arg {
             None => println!(
                 "Tracing is {}.",
-                if maybms_obs::trace::enabled() { "on" } else { "off" }
+                if maybms_obs::trace::enabled() {
+                    "on"
+                } else {
+                    "off"
+                }
             ),
             Some("on") => {
                 maybms_obs::trace::set_enabled(true);
@@ -374,14 +410,16 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
             }
             Some(rest) if rest == "dump" || rest.starts_with("dump ") => {
                 let n = rest.strip_prefix("dump").unwrap_or("").trim();
-                let n = if n.is_empty() { Ok(5) } else { n.parse::<usize>() };
+                let n = if n.is_empty() {
+                    Ok(5)
+                } else {
+                    n.parse::<usize>()
+                };
                 match n {
                     Ok(n) if n > 0 => {
                         let dump = maybms_obs::trace::render_recent(n);
                         if dump.is_empty() {
-                            println!(
-                                "(no spans recorded — is tracing on? try \\trace on)"
-                            );
+                            println!("(no spans recorded — is tracing on? try \\trace on)");
                         } else {
                             print!("{dump}");
                         }
@@ -461,9 +499,7 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
             match delay {
                 Ok(ms) => {
                     maybms_gov::arm_cancel(ms);
-                    println!(
-                        "Armed: the next statement will be cancelled after {ms} ms."
-                    );
+                    println!("Armed: the next statement will be cancelled after {ms} ms.");
                 }
                 Err(_) => println!("usage: \\cancel [N]   (N in milliseconds)"),
             }
@@ -473,12 +509,19 @@ fn handle_meta(cmd: &str, db: &mut MayBms, timing: &mut bool) -> bool {
                 "REOPEN — recovered {} table(s), replayed {} WAL record(s){}",
                 r.tables,
                 r.replayed,
-                if r.truncated_tail { ", truncated a torn WAL tail" } else { "" }
+                if r.truncated_tail {
+                    ", truncated a torn WAL tail"
+                } else {
+                    ""
+                }
             ),
             Err(e) => println!("error: {e}"),
         },
         "\\threads" => match arg {
-            None => println!("Execution pool: {} thread(s)", maybms_par::current_threads()),
+            None => println!(
+                "Execution pool: {} thread(s)",
+                maybms_par::current_threads()
+            ),
             Some(n) => match n.parse::<usize>() {
                 Ok(n) if n > 0 => {
                     let pool = maybms_par::set_threads(n);
@@ -550,7 +593,10 @@ mod tests {
         let stmt = take_statement(&mut buf).unwrap();
         assert!(stmt.contains("select 1"), "{stmt}");
         let mut buf = "select -- trailing; note\n 2;".to_string();
-        assert_eq!(take_statement(&mut buf).as_deref(), Some("select -- trailing; note\n 2;"));
+        assert_eq!(
+            take_statement(&mut buf).as_deref(),
+            Some("select -- trailing; note\n 2;")
+        );
     }
 
     #[test]
@@ -572,15 +618,26 @@ mod tests {
     /// statement counts in the `conf` row.
     #[test]
     fn latency_meta_reads_the_kind_histogram() {
-        let conf = || maybms_obs::metrics().query_seconds(maybms_obs::StatementKind::Conf).count();
+        let conf = || {
+            maybms_obs::metrics()
+                .query_seconds(maybms_obs::StatementKind::Conf)
+                .count()
+        };
         let mut db = MayBms::new();
         let before = conf();
         execute("create table latency_t (a bigint);", &mut db, false);
         execute("insert into latency_t values (1), (2);", &mut db, false);
-        execute("select a, conf() as p from latency_t group by a;", &mut db, false);
+        execute(
+            "select a, conf() as p from latency_t group by a;",
+            &mut db,
+            false,
+        );
         assert!(conf() > before);
         let report = maybms_obs::latency_report();
-        let row = report.lines().find(|l| l.starts_with("conf")).expect("a conf row");
+        let row = report
+            .lines()
+            .find(|l| l.starts_with("conf"))
+            .expect("a conf row");
         assert!(!row.contains(" - "), "{report}");
         assert!(handle_meta("\\latency", &mut db, &mut false));
     }
@@ -691,7 +748,10 @@ mod tests {
     }
 
     fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
+        list.iter()
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()
+            .into_iter()
     }
 
     #[test]
@@ -700,11 +760,9 @@ mod tests {
         assert!(open_database(args(&["--data-dir"])).is_err());
         assert!(open_database(args(&["--bogus"])).is_err());
         assert!(open_database(args(&["--metrics-addr"])).is_err());
-        let (_, config) =
-            open_database(args(&["--metrics-addr=127.0.0.1:0"])).unwrap();
+        let (_, config) = open_database(args(&["--metrics-addr=127.0.0.1:0"])).unwrap();
         assert_eq!(config.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-        let (_, config) =
-            open_database(args(&["--metrics-addr", "127.0.0.1:9187"])).unwrap();
+        let (_, config) = open_database(args(&["--metrics-addr", "127.0.0.1:9187"])).unwrap();
         assert_eq!(config.metrics_addr.as_deref(), Some("127.0.0.1:9187"));
     }
 
@@ -718,8 +776,7 @@ mod tests {
 
     #[test]
     fn data_dir_roundtrip_survives_restart() {
-        let dir = std::env::temp_dir()
-            .join(format!("maybms-shell-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("maybms-shell-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let dir_arg = format!("--data-dir={}", dir.display());
         {
@@ -739,8 +796,7 @@ mod tests {
 
     #[test]
     fn corrupt_data_dir_is_a_clean_error_with_offset() {
-        let dir = std::env::temp_dir()
-            .join(format!("maybms-shell-corrupt-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("maybms-shell-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("wal"), b"not a wal at all").unwrap();

@@ -30,7 +30,8 @@ fn seed(mem: &MemVfs) -> MayBms {
             }
         }
     }
-    db.run(&format!("insert into ft values {}", rows.join(", "))).unwrap();
+    db.run(&format!("insert into ft values {}", rows.join(", ")))
+        .unwrap();
     for hop in ["hop1", "hop2"] {
         db.run(&format!(
             "create table {hop} as select * from (repair key player, init in ft weight by p) r"
@@ -43,7 +44,9 @@ fn seed(mem: &MemVfs) -> MayBms {
     let mut x: u64 = 9;
     let edges: Vec<String> = (0..8 * 150)
         .map(|i| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             format!("({}, {}, {})", i % 8, (x >> 33) % 30, (x >> 45) % 30)
         })
         .collect();
@@ -123,12 +126,19 @@ fn aconf_rows_are_bit_identical_across_threads_scheduling_branches_and_reopen() 
         }
     }
     // The same statements against the checkpointed, re-opened database.
-    let before: Vec<_> = queries.iter().map(|(_, sql, _)| bits(&mut db, sql)).collect();
+    let before: Vec<_> = queries
+        .iter()
+        .map(|(_, sql, _)| bits(&mut db, sql))
+        .collect();
     db.checkpoint().unwrap();
     drop(db);
     let mut db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
     for ((_, sql, _), rows) in queries.iter().zip(&before) {
-        assert_eq!(&bits(&mut db, sql), rows, "after checkpoint + reopen: {sql}");
+        assert_eq!(
+            &bits(&mut db, sql),
+            rows,
+            "after checkpoint + reopen: {sql}"
+        );
     }
     // Both slots of every group land inside their ε of the exact answer
     // (a fixed seed makes this a fact about these rows, not a gamble).
@@ -150,8 +160,9 @@ fn aconf_rows_are_bit_identical_across_threads_scheduling_branches_and_reopen() 
 #[test]
 fn aconf_over_independent_groups_is_conf_without_a_sample() {
     let mut db = MayBms::new();
-    let rows: Vec<String> =
-        (0..23_000).map(|i| format!("({}, 0.0{})", (i * 7) % 200, 1 + i % 9)).collect();
+    let rows: Vec<String> = (0..23_000)
+        .map(|i| format!("({}, 0.0{})", (i * 7) % 200, 1 + i % 9))
+        .collect();
     db.run_script(&format!(
         "create table s (g bigint, w double precision);
          insert into s values {};
@@ -159,12 +170,22 @@ fn aconf_over_independent_groups_is_conf_without_a_sample() {
         rows.join(", "),
     ))
     .unwrap();
-    let rows = bits(&mut db, "select g, aconf(0.05, 0.05) as p, conf() as e from ps group by g");
+    let rows = bits(
+        &mut db,
+        "select g, aconf(0.05, 0.05) as p, conf() as e from ps group by g",
+    );
     assert_eq!(rows.len(), 200);
     for row in &rows {
-        assert_eq!(row[1], row[2], "group {}: aconf is not conf()'s product", row[0]);
+        assert_eq!(
+            row[1], row[2],
+            "group {}: aconf is not conf()'s product",
+            row[0]
+        );
     }
     let stats = db.last_stats().unwrap();
-    assert_eq!((stats.answered[0].get(), stats.aconf_exact.get()), (400, 200));
+    assert_eq!(
+        (stats.answered[0].get(), stats.aconf_exact.get()),
+        (400, 200)
+    );
     assert_eq!(stats.samples.get(), 0);
 }

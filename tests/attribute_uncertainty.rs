@@ -17,7 +17,11 @@ use maybms_urel::{URelation, UTuple, WorldTable, Wsd};
 /// have two independent alternatives.
 fn build() -> (WorldTable, URelation) {
     let base = URelation::from_certain(&rel(
-        &[("name", DataType::Text), ("city", DataType::Text), ("age", DataType::Int)],
+        &[
+            ("name", DataType::Text),
+            ("city", DataType::Text),
+            ("age", DataType::Int),
+        ],
         vec![
             vec!["Smith".into(), "Oxford".into(), 35.into()],
             vec!["Jones".into(), "Ithaca".into(), 40.into()],
@@ -62,9 +66,7 @@ fn recomposition_exposes_all_attribute_combinations() {
     let p_cam36 = u
         .tuples()
         .iter()
-        .find(|t| {
-            t.data.value(1) == &Value::str("Cambridge") && t.data.value(2) == &Value::Int(36)
-        })
+        .find(|t| t.data.value(1) == &Value::str("Cambridge") && t.data.value(2) == &Value::Int(36))
         .map(|t| t.wsd.prob(&wt).unwrap())
         .unwrap();
     assert!((p_cam36 - 0.12).abs() < 1e-12);
@@ -77,9 +79,11 @@ fn marginals_per_attribute_via_brute_force() {
     let mut p = 0.0;
     for (world, wp) in wt.enumerate_worlds(100).unwrap() {
         let inst = u.instantiate(&world);
-        if inst.tuples().iter().any(|t| {
-            t.value(0) == &Value::str("Smith") && t.value(1) == &Value::str("Cambridge")
-        }) {
+        if inst
+            .tuples()
+            .iter()
+            .any(|t| t.value(0) == &Value::str("Smith") && t.value(1) == &Value::str("Cambridge"))
+        {
             p += wp;
         }
     }
@@ -112,7 +116,9 @@ fn recomposed_table_queryable_through_sql() {
         }
     }
     db.register("people", best.unwrap()).unwrap();
-    let r = db.query("select name, city, age from people order by name").unwrap();
+    let r = db
+        .query("select name, city, age from people order by name")
+        .unwrap();
     assert_eq!(r.len(), 2);
     // Most likely world: Oxford, 35.
     let smith = r
@@ -127,7 +133,8 @@ fn recomposed_table_queryable_through_sql() {
 #[test]
 fn sample_instance_respects_conditions() {
     let mut db = MayBms::new();
-    db.run("create table t (v bigint, p double precision)").unwrap();
+    db.run("create table t (v bigint, p double precision)")
+        .unwrap();
     db.run("insert into t values (1, 0.5), (2, 0.5)").unwrap();
     db.run(
         "create table picked as
@@ -138,8 +145,16 @@ fn sample_instance_respects_conditions() {
     // are stable per seed.
     let a = db.sample_instance(7);
     let b = db.sample_instance(7);
-    let picked_a = a.iter().find(|(n, _)| n == "picked").map(|(_, r)| r).unwrap();
-    let picked_b = b.iter().find(|(n, _)| n == "picked").map(|(_, r)| r).unwrap();
+    let picked_a = a
+        .iter()
+        .find(|(n, _)| n == "picked")
+        .map(|(_, r)| r)
+        .unwrap();
+    let picked_b = b
+        .iter()
+        .find(|(n, _)| n == "picked")
+        .map(|(_, r)| r)
+        .unwrap();
     assert_eq!(picked_a.tuples(), picked_b.tuples());
     assert!(picked_a.len() <= 2);
     // The certain table is always intact.
@@ -149,8 +164,11 @@ fn sample_instance_respects_conditions() {
     let mut sizes = std::collections::HashSet::new();
     for seed in 0..32 {
         let inst = db.sample_instance(seed);
-        let picked =
-            inst.iter().find(|(n, _)| n == "picked").map(|(_, r)| r).unwrap();
+        let picked = inst
+            .iter()
+            .find(|(n, _)| n == "picked")
+            .map(|(_, r)| r)
+            .unwrap();
         sizes.insert(picked.len());
     }
     assert!(sizes.len() > 1, "sampling never varied: {sizes:?}");

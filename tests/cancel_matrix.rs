@@ -36,7 +36,12 @@ fn fp(db: &MayBms) -> Vec<u8> {
     let tables: Catalog = db
         .table_names()
         .iter()
-        .map(|n| (n.to_string(), db.table(n).expect("listed table exists").clone()))
+        .map(|n| {
+            (
+                n.to_string(),
+                db.table(n).expect("listed table exists").clone(),
+            )
+        })
         .collect();
     store::fingerprint(&tables, db.world_table())
 }
@@ -63,7 +68,10 @@ fn matches_kind(kind: AbortKind, e: &maybms::CoreError) -> bool {
         (kind, e.gov_abort()),
         (AbortKind::Cancel, Some(GovError::Cancelled))
             | (AbortKind::Deadline, Some(GovError::DeadlineExceeded { .. }))
-            | (AbortKind::MemBudget, Some(GovError::MemBudgetExceeded { .. }))
+            | (
+                AbortKind::MemBudget,
+                Some(GovError::MemBudgetExceeded { .. })
+            )
     )
 }
 
@@ -76,10 +84,22 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
     let _l = lock();
     let before_threads = maybms_par::current_threads();
     let statements: &[(&str, &str)] = &[
-        ("select-conf", "select player, conf() as p from picks group by player"),
-        ("order-by", "select player, pts from picks order by pts desc, player"),
-        ("union", "select player from picks union all select player from games"),
-        ("group-dict", "select player, count(*) as n from games group by player"),
+        (
+            "select-conf",
+            "select player, conf() as p from picks group by player",
+        ),
+        (
+            "order-by",
+            "select player, pts from picks order by pts desc, player",
+        ),
+        (
+            "union",
+            "select player from picks union all select player from games",
+        ),
+        (
+            "group-dict",
+            "select player, count(*) as n from games group by player",
+        ),
         ("insert", "insert into games values ('Ginobili', 17, 0.9)"),
         ("update", "update games set pts = pts + 1 where pts > 20"),
         ("delete", "delete from games where pts < 20"),
@@ -128,8 +148,7 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
                                 wal_before,
                                 "{label}/{kind:?}/t{threads} nth={nth}: abort wrote WAL bytes"
                             );
-                            let recovered =
-                                MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
+                            let recovered = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
                             assert_eq!(
                                 fp(&recovered),
                                 baseline,
@@ -187,24 +206,40 @@ fn sort_and_union_breakers_are_checkpoints() {
     let mut db = seed(&mem);
     let scan = "select player, pts from games";
     let base = checkpoints(&mut db, scan);
-    assert_eq!(checkpoints(&mut db, &format!("{scan} order by pts")), base + 1);
-    assert_eq!(checkpoints(&mut db, &format!("{scan} union all {scan}")), 2 * base + 1);
+    assert_eq!(
+        checkpoints(&mut db, &format!("{scan} order by pts")),
+        base + 1
+    );
+    assert_eq!(
+        checkpoints(&mut db, &format!("{scan} union all {scan}")),
+        2 * base + 1
+    );
 
     // 3000 rows: the sort's decoration loop ticks past two real checks.
     db.run("create table big (k bigint, v bigint)").unwrap();
-    let rows: Vec<String> = (0..3000).map(|i| format!("({i}, {})", (i * 7919) % 3000)).collect();
-    db.run(&format!("insert into big values {}", rows.join(", "))).unwrap();
+    let rows: Vec<String> = (0..3000)
+        .map(|i| format!("({i}, {})", (i * 7919) % 3000))
+        .collect();
+    db.run(&format!("insert into big values {}", rows.join(", ")))
+        .unwrap();
     let scan = "select k, v from big";
     let sorted = format!("{scan} order by v");
     let base = checkpoints(&mut db, scan);
     let total = checkpoints(&mut db, &sorted);
-    assert_eq!(total, base + 3, "entry + two ticks of {} rows", maybms_gov::Ticker::EVERY);
+    assert_eq!(
+        total,
+        base + 3,
+        "entry + two ticks of {} rows",
+        maybms_gov::Ticker::EVERY
+    );
     // Every checkpoint past the scan's is the sort's: a cancel landing on
     // any of them aborts with the typed error and an intact catalog.
     let baseline = fp(&db);
     for nth in base + 1..=total {
         testing::abort_at_checkpoint(nth, AbortKind::Cancel);
-        let err = db.run(&sorted).expect_err("cancel inside the sort must abort");
+        let err = db
+            .run(&sorted)
+            .expect_err("cancel inside the sort must abort");
         testing::clear();
         assert!(matches_kind(AbortKind::Cancel, &err), "nth={nth}: {err}");
         assert_eq!(fp(&db), baseline, "nth={nth}: abort mutated state");
@@ -226,23 +261,41 @@ fn dense_dictionary_group_by_is_a_checkpoint_per_morsel() {
     let mut db = seed(&mem);
     db.run("create table big (k bigint, s text)").unwrap();
     let rows: Vec<String> = (0..3000).map(|i| format!("({i}, 's{}')", i % 37)).collect();
-    db.run(&format!("insert into big values {}", rows.join(", "))).unwrap();
+    db.run(&format!("insert into big values {}", rows.join(", ")))
+        .unwrap();
     let sql = "select s, count(*) as n from big group by s";
     for threads in [1usize, 2, 8] {
         maybms_par::set_threads(threads);
         let total = checkpoints(&mut db, sql);
         let stats = db.last_stats().unwrap();
-        let [grouped] = &stats.pipelines()[..] else { panic!("one pipeline: {:?}", stats.steps()) };
-        assert!(grouped.stages.is_empty() && grouped.groups.get() == 37, "the dense-code fold");
+        let [grouped] = &stats.pipelines()[..] else {
+            panic!("one pipeline: {:?}", stats.steps())
+        };
+        assert!(
+            grouped.stages.is_empty() && grouped.groups.get() == 37,
+            "the dense-code fold"
+        );
         let morsels = grouped.morsels.get();
-        assert!(morsels >= 1 && total >= morsels, "t{threads}: {total} checkpoints, {morsels} morsels");
+        assert!(
+            morsels >= 1 && total >= morsels,
+            "t{threads}: {total} checkpoints, {morsels} morsels"
+        );
         let baseline = fp(&db);
         for nth in 1..=total {
             testing::abort_at_checkpoint(nth, AbortKind::Cancel);
-            let err = db.run(sql).expect_err("a cancel inside the fold must abort");
+            let err = db
+                .run(sql)
+                .expect_err("a cancel inside the fold must abort");
             testing::clear();
-            assert!(matches_kind(AbortKind::Cancel, &err), "t{threads} nth={nth}: {err}");
-            assert_eq!(fp(&db), baseline, "t{threads} nth={nth}: abort mutated state");
+            assert!(
+                matches_kind(AbortKind::Cancel, &err),
+                "t{threads} nth={nth}: {err}"
+            );
+            assert_eq!(
+                fp(&db),
+                baseline,
+                "t{threads} nth={nth}: abort mutated state"
+            );
         }
         db.run(sql).expect("the session survives");
     }
@@ -271,10 +324,19 @@ fn failed_dml_leaves_catalog_world_table_and_wal_untouched() {
     ] {
         assert!(db.run(sql).is_err(), "{sql} must fail");
         assert_eq!(fp(&db), baseline, "{sql} changed the catalog");
-        assert_eq!(db.world_table().num_vars(), vars, "{sql} grew the world table");
-        assert_eq!(mem.read("wal").unwrap(), wal_before, "{sql} wrote WAL bytes");
+        assert_eq!(
+            db.world_table().num_vars(),
+            vars,
+            "{sql} grew the world table"
+        );
+        assert_eq!(
+            mem.read("wal").unwrap(),
+            wal_before,
+            "{sql} wrote WAL bytes"
+        );
     }
-    db.run("update games set pts = pts + 1 where pts > 20").unwrap();
+    db.run("update games set pts = pts + 1 where pts > 20")
+        .unwrap();
     assert_ne!(mem.read("wal").unwrap(), wal_before);
 }
 
@@ -293,7 +355,9 @@ fn aconf_db() -> MayBms {
     let mut x: u64 = 7;
     let edges: Vec<String> = (0..150)
         .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             format!("(1, {}, {})", (x >> 33) % 30, (x >> 45) % 30)
         })
         .collect();
@@ -372,7 +436,10 @@ fn degraded_aconf_estimate_is_deterministic_across_thread_counts() {
         let mut db = aconf_db();
         let (bits, degraded) = run_aconf_cut(&mut db, nth)
             .unwrap_or_else(|_| panic!("cut at nth={nth} aborted at {threads} threads"));
-        assert!(degraded, "cut at nth={nth} not degraded at {threads} threads");
+        assert!(
+            degraded,
+            "cut at nth={nth} not degraded at {threads} threads"
+        );
         assert_eq!(
             bits, bits_1thread,
             "degraded estimate differs at {threads} threads (nth={nth})"
@@ -421,12 +488,22 @@ fn aconf_checkpoints_are_its_batch_boundaries() {
     // and passes exactly one checkpoint per batch it consumed.
     let (full, remaining) = direct(u64::MAX / 2, AbortKind::Cancel);
     let full = full.unwrap();
-    assert_eq!(remaining, Some(u64::MAX / 2 - full.batches), "one checkpoint per batch");
+    assert_eq!(
+        remaining,
+        Some(u64::MAX / 2 - full.batches),
+        "one checkpoint per batch"
+    );
     assert!(full.batches >= 3, "the run spans several batches: {full:?}");
     let sql = db.query(ACONF_SQL).unwrap();
-    assert_eq!(sql.tuples()[0].value(1).as_f64().unwrap().to_bits(), full.estimate.to_bits());
+    assert_eq!(
+        sql.tuples()[0].value(1).as_f64().unwrap().to_bits(),
+        full.estimate.to_bits()
+    );
     let stats = db.last_stats().unwrap();
-    assert_eq!((stats.answered[2].get(), stats.samples.get()), (1, full.samples));
+    assert_eq!(
+        (stats.answered[2].get(), stats.samples.get()),
+        (1, full.samples)
+    );
     let spent = stats.dtree_nodes.get();
 
     // The last `batches` checkpoints are the stream's; before them, back
@@ -435,24 +512,41 @@ fn aconf_checkpoints_are_its_batch_boundaries() {
     let baseline = fp(&db);
     let mut attempt = 0;
     for nth in (1..first).rev() {
-        let Ok((bits, degraded)) = run_aconf_cut(&mut db, nth) else { break };
-        assert!(degraded && bits == 0f64.to_bits(), "deadline at nth={nth} in the attempt");
+        let Ok((bits, degraded)) = run_aconf_cut(&mut db, nth) else {
+            break;
+        };
+        assert!(
+            degraded && bits == 0f64.to_bits(),
+            "deadline at nth={nth} in the attempt"
+        );
         testing::abort_at_checkpoint(nth, AbortKind::Cancel);
-        let err = db.run(ACONF_SQL).expect_err("a cancel inside the attempt must abort");
+        let err = db
+            .run(ACONF_SQL)
+            .expect_err("a cancel inside the attempt must abort");
         testing::clear();
         assert!(matches_kind(AbortKind::Cancel, &err), "nth={nth}: {err}");
         attempt += 1;
     }
-    assert!(attempt > spent, "{attempt} attempt checkpoints for {spent} nodes");
+    assert!(
+        attempt > spent,
+        "{attempt} attempt checkpoints for {spent} nodes"
+    );
     assert_eq!(fp(&db), baseline, "an abort in the attempt mutated state");
     for k in 0..full.batches {
-        assert!(direct(k + 1, AbortKind::Cancel).0.is_err(), "cancel at batch {k} ignored");
+        assert!(
+            direct(k + 1, AbortKind::Cancel).0.is_err(),
+            "cancel at batch {k} ignored"
+        );
         let cut = direct(k + 1, AbortKind::Deadline).0.unwrap();
         assert_eq!(cut.cut_batch, Some(k));
         assert_eq!(cut.drawn, cut.samples, "a cut run drew past its cut");
         let (bits, degraded) = run_aconf_cut(&mut db, first + k).unwrap();
         assert!(degraded, "SQL cut at batch {k} not degraded");
-        assert_eq!(bits, cut.estimate.to_bits(), "cut at batch {k}: SQL vs direct");
+        assert_eq!(
+            bits,
+            cut.estimate.to_bits(),
+            "cut at batch {k}: SQL vs direct"
+        );
     }
 }
 
@@ -472,14 +566,16 @@ fn transient_wal_fault_is_retried_without_poisoning() {
     let fault = FaultVfs::new(mem.clone(), 1, FaultMode::Transient { failures: 1 });
     let mut db = MayBms::open_with_vfs(Arc::new(fault.clone())).unwrap();
     let retries_before = maybms_obs::metrics().store_retries.get();
-    db.run(INSERT_SQL).expect("one transient fault must be retried through");
+    db.run(INSERT_SQL)
+        .expect("one transient fault must be retried through");
     assert!(fault.triggered(), "fault window was never reached");
     assert!(
         maybms_obs::metrics().store_retries.get() > retries_before,
         "retry counter did not move"
     );
     // Not poisoned: further mutations and a restart both see the insert.
-    db.run("update games set pts = pts + 1 where player = 'Ginobili'").unwrap();
+    db.run("update games set pts = pts + 1 where player = 'Ginobili'")
+        .unwrap();
     let live = fp(&db);
     drop(db);
     let recovered = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
@@ -496,10 +592,18 @@ fn persistent_fault_poisons_the_store_and_preserves_state() {
     };
     let fault = FaultVfs::new(mem.clone(), 1, FaultMode::FailStop);
     let mut db = MayBms::open_with_vfs(Arc::new(fault.clone())).unwrap();
-    let err = db.run(INSERT_SQL).expect_err("fail-stop fault must not be retried through");
-    assert!(err.gov_abort().is_none(), "storage error misclassified as governor abort");
+    let err = db
+        .run(INSERT_SQL)
+        .expect_err("fail-stop fault must not be retried through");
+    assert!(
+        err.gov_abort().is_none(),
+        "storage error misclassified as governor abort"
+    );
     // Poisoned: mutations keep failing; reads of the in-memory catalog work.
-    assert!(db.run(INSERT_SQL).is_err(), "poisoned store accepted a mutation");
+    assert!(
+        db.run(INSERT_SQL).is_err(),
+        "poisoned store accepted a mutation"
+    );
     db.run("select player from games").unwrap();
     assert_eq!(fp(&db), baseline, "failed statement mutated the catalog");
     // The durable image is exactly the pre-fault state.
@@ -517,9 +621,14 @@ fn long_transient_outage_poisons_and_reopen_recovers() {
     let fault = FaultVfs::new(mem.clone(), 1, FaultMode::Transient { failures: 40 });
     let mut db = MayBms::open_with_vfs(Arc::new(fault.clone())).unwrap();
     let baseline = fp(&db);
-    let err = db.run(INSERT_SQL).expect_err("outage must exhaust the retry budget");
+    let err = db
+        .run(INSERT_SQL)
+        .expect_err("outage must exhaust the retry budget");
     assert!(err.gov_abort().is_none());
-    assert!(db.run(INSERT_SQL).is_err(), "store must be poisoned after the outage");
+    assert!(
+        db.run(INSERT_SQL).is_err(),
+        "store must be poisoned after the outage"
+    );
     assert_eq!(fp(&db), baseline, "poisoning statement mutated the catalog");
     // Recovery is read-only over a clean log, so `\reopen` works even
     // mid-outage; mutations come back once the fault window is spent.
@@ -541,5 +650,9 @@ fn long_transient_outage_poisons_and_reopen_recovers() {
     let live = fp(&db);
     drop(db);
     let recovered = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
-    assert_eq!(fp(&recovered), live, "post-recovery mutations must be durable");
+    assert_eq!(
+        fp(&recovered),
+        live,
+        "post-recovery mutations must be durable"
+    );
 }

@@ -7,18 +7,10 @@ use maybms::MayBms;
 use maybms_engine::{rel, DataType, Value};
 
 /// Bryant's stochastic matrix from Figure 1 (rows: F, SE, SL).
-const BRYANT: [[f64; 3]; 3] = [
-    [0.8, 0.05, 0.15],
-    [0.1, 0.6, 0.3],
-    [0.8, 0.0, 0.2],
-];
+const BRYANT: [[f64; 3]; 3] = [[0.8, 0.05, 0.15], [0.1, 0.6, 0.3], [0.8, 0.0, 0.2]];
 
 /// A second player so the test exercises per-player grouping.
-const DUNCAN: [[f64; 3]; 3] = [
-    [0.6, 0.2, 0.2],
-    [0.3, 0.5, 0.2],
-    [0.5, 0.1, 0.4],
-];
+const DUNCAN: [[f64; 3]; 3] = [[0.6, 0.2, 0.2], [0.3, 0.5, 0.2], [0.5, 0.1, 0.4]];
 
 const STATES: [&str; 3] = ["F", "SE", "SL"];
 
@@ -112,8 +104,7 @@ fn figure1_one_step_walk_is_r2() {
                 .tuples()
                 .iter()
                 .filter(|t| {
-                    t.data.value(0) == &Value::str(player)
-                        && t.data.value(1) == &Value::str(init)
+                    t.data.value(0) == &Value::str(player) && t.data.value(1) == &Value::str(init)
                 })
                 .map(|t| t.wsd.prob(wt).unwrap())
                 .sum();
@@ -149,7 +140,10 @@ fn figure1_three_step_walk_matches_matrix_power() {
             }
             other => panic!("unexpected player {other}"),
         };
-        assert!((p - expected).abs() < 1e-9, "{player} {init}->{fin}: {p} vs {expected}");
+        assert!(
+            (p - expected).abs() < 1e-9,
+            "{player} {init}->{fin}: {p} vs {expected}"
+        );
     }
 
     // The paper's second statement: the 3-step walk.
@@ -171,8 +165,8 @@ fn figure1_three_step_walk_matches_matrix_power() {
         let p = t.value(2).as_f64().unwrap();
         let j = STATES.iter().position(|s| *s == state).unwrap();
         let expected = match player {
-            "Bryant" => m3b[0][j],  // started at F
-            "Duncan" => m3d[1][j],  // started at SE
+            "Bryant" => m3b[0][j], // started at F
+            "Duncan" => m3d[1][j], // started at SE
             other => panic!("unexpected player {other}"),
         };
         assert!(
@@ -265,6 +259,10 @@ fn longer_walks_by_iterated_squaring() {
             .position(|s| *s == t.value(1).as_str().unwrap())
             .unwrap();
         let p = t.value(2).as_f64().unwrap();
-        assert!((p - m4[0][j]).abs() < 1e-9, "4-step {j}: {p} vs {}", m4[0][j]);
+        assert!(
+            (p - m4[0][j]).abs() < 1e-9,
+            "4-step {j}: {p} vs {}",
+            m4[0][j]
+        );
     }
 }

@@ -26,14 +26,30 @@ fn fixture() -> MayBms {
     for p in 0..PLAYERS {
         start.push(format!("({p}, {})", p % 4));
         for k in 0..16 {
-            ft.push(format!("({p}, {}, {}, 0.{})", k / 4, k % 4, 1 + (p + k) % 9));
+            ft.push(format!(
+                "({p}, {}, {}, 0.{})",
+                k / 4,
+                k % 4,
+                1 + (p + k) % 9
+            ));
         }
     }
     let readings: Vec<String> = (0..READINGS)
-        .map(|s| format!("({s}, 'room{:02}', {}.5, 0.{})", s % 20, 10 + s % 20, 1 + s % 9))
+        .map(|s| {
+            format!(
+                "({s}, 'room{:02}', {}.5, 0.{})",
+                s % 20,
+                10 + s % 20,
+                1 + s % 9
+            )
+        })
         .collect();
-    let rooms: Vec<String> = (0..20).map(|i| format!("('room{i:02}', {}, 'k{}')", i % 5, i % 3)).collect();
-    let alerts: Vec<String> = (0..30).map(|i| format!("({}, {})", i * 17 % READINGS, i % 4)).collect();
+    let rooms: Vec<String> = (0..20)
+        .map(|i| format!("('room{i:02}', {}, 'k{}')", i % 5, i % 3))
+        .collect();
+    let alerts: Vec<String> = (0..30)
+        .map(|i| format!("({}, {})", i * 17 % READINGS, i % 4))
+        .collect();
     db.run_script(&format!(
         "create table ft (player bigint, init bigint, final bigint, p double precision);
          insert into ft values {};
@@ -70,9 +86,15 @@ fn walk(steps: usize, lo: usize, hi: usize, agg: &str, by_state: bool) -> String
             1 => ("s.player".to_string(), "s.state".to_string()),
             _ => (format!("r{}.player", k - 1), format!("r{}.final", k - 1)),
         };
-        cond.push_str(&format!(" and r{k}.player = {player} and r{k}.init = {state}"));
+        cond.push_str(&format!(
+            " and r{k}.player = {player} and r{k}.init = {state}"
+        ));
     }
-    let keys = if by_state { format!("r{steps}.final") } else { format!("s.player, r{steps}.final") };
+    let keys = if by_state {
+        format!("r{steps}.final")
+    } else {
+        format!("s.player, r{steps}.final")
+    };
     format!("select {keys}, {agg} as p from {from} where {cond} group by {keys}")
 }
 
@@ -115,10 +137,16 @@ fn benchmark_join_shapes_plan_as_recorded() {
     let mut db = fixture();
     let mut got = String::new();
     for (name, sql) in shapes() {
-        got.push_str(&format!("== {name}\n{}", message(&mut db, &format!("explain {sql}"))));
+        got.push_str(&format!(
+            "== {name}\n{}",
+            message(&mut db, &format!("explain {sql}"))
+        ));
     }
     let want = include_str!("golden/plans.txt");
-    assert!(got == want, "plans changed; the new text of tests/golden/plans.txt would be:\n{got}");
+    assert!(
+        got == want,
+        "plans changed; the new text of tests/golden/plans.txt would be:\n{got}"
+    );
 }
 
 /// What ran, stage by stage, with the row counts each stage saw — which
@@ -143,7 +171,10 @@ fn benchmark_join_shapes_run_as_recorded() {
         }
     }
     let want = include_str!("golden/plans_analyzed.txt");
-    assert!(got == want, "runs changed; the new text of tests/golden/plans_analyzed.txt would be:\n{got}");
+    assert!(
+        got == want,
+        "runs changed; the new text of tests/golden/plans_analyzed.txt would be:\n{got}"
+    );
 }
 
 /// `EXPLAIN` of the benchmark's most expensive walk statement does none of
@@ -160,7 +191,11 @@ fn explain_runs_nothing() {
         let stats = db.last_stats().unwrap();
         let spans = maybms_obs::trace::spans_for_root(stats.root_span().expect("tracing was on"));
         let count = |label: &str| spans.iter().filter(|s| s.label == label).count();
-        (stats.pipeline_count(), count("pipeline"), count("breaker") + count("conf"))
+        (
+            stats.pipeline_count(),
+            count("pipeline"),
+            count("breaker") + count("conf"),
+        )
     }
     let mut db = fixture();
     let sql = walk(3, 10, 14, "conf()", true);
@@ -196,7 +231,10 @@ fn explain_fails_with_the_statements_static_errors() {
         let err = db.run(sql).unwrap_err();
         assert_eq!(db.run(&format!("explain {sql}")).unwrap_err(), err, "{sql}");
         if sql.contains("aconf") {
-            assert!(matches!(err, CoreError::Plan { .. }) && err.to_string().contains("outside (0, 1)"), "{err}");
+            assert!(
+                matches!(err, CoreError::Plan { .. }) && err.to_string().contains("outside (0, 1)"),
+                "{err}"
+            );
         }
     }
 }
@@ -214,7 +252,10 @@ fn explain_leaves_a_durable_database_unchanged() {
          insert into coin values ('heads', 1.0), ('tails', 1.0), ('edge', 0.5);",
     )
     .unwrap();
-    let (vars, wal) = (db.world_table().num_vars(), db.durability_status().unwrap().wal_bytes);
+    let (vars, wal) = (
+        db.world_table().num_vars(),
+        db.durability_status().unwrap().wal_bytes,
+    );
     for sql in [
         "explain select face, conf() as p from (repair key in coin weight by w) c group by face",
         "explain select possible face from (pick tuples from coin with probability 0.5) c",
@@ -234,13 +275,26 @@ fn explain_leaves_a_durable_database_unchanged() {
 #[test]
 fn between_bounds_imply_filters_on_every_step() {
     let mut db = fixture();
-    let sql = walk(3, 10, 15, "conf()", false)
-        .replace("s.player >= 10 and s.player < 15", "s.player between 10 and 14");
+    let sql = walk(3, 10, 15, "conf()", false).replace(
+        "s.player >= 10 and s.player < 15",
+        "s.player between 10 and 14",
+    );
     let plan = message(&mut db, &format!("explain {sql}"));
-    for step in ["r1.player = s.player", "r2.player = r1.player", "r3.player = r2.player"] {
-        assert_eq!(plan.matches(&format!("(implied by {step})")).count(), 2, "{step}: {plan}");
+    for step in [
+        "r1.player = s.player",
+        "r2.player = r1.player",
+        "r3.player = r2.player",
+    ] {
+        assert_eq!(
+            plan.matches(&format!("(implied by {step})")).count(),
+            2,
+            "{step}: {plan}"
+        );
     }
-    assert_eq!(db.query(&sql).unwrap(), db.query(&walk(3, 10, 15, "conf()", false)).unwrap());
+    assert_eq!(
+        db.query(&sql).unwrap(),
+        db.query(&walk(3, 10, 15, "conf()", false)).unwrap()
+    );
 }
 
 /// The Figure 1 three-step walk over a `w`-player window scans each step
@@ -263,6 +317,13 @@ fn walk_builds_and_probes_only_the_window() {
         let w = w as u64;
         // (rows in, rows out, build rows): the original restriction still
         // filters `start` (w rows reach the first probe).
-        assert_eq!(probes, vec![(w, 4 * w, 16 * w), (4 * w, 16 * w, 16 * w), (16 * w, 64 * w, 16 * w)]);
+        assert_eq!(
+            probes,
+            vec![
+                (w, 4 * w, 16 * w),
+                (4 * w, 16 * w, 16 * w),
+                (16 * w, 64 * w, 16 * w)
+            ]
+        );
     }
 }

@@ -45,16 +45,29 @@ const VIEWS: [View; 8] = [
 type ConfView = (&'static str, fn(&Metrics) -> u64, fn(&QueryStats) -> u64);
 
 const CONF_VIEWS: [ConfView; 4] = [
-    ("dnf_clauses", |m| m.dnf_clauses.get(), |q| q.dnf_clauses.get()),
-    ("dtree_nodes", |m| m.dtree_nodes.get(), |q| q.dtree_nodes.get()),
+    (
+        "dnf_clauses",
+        |m| m.dnf_clauses.get(),
+        |q| q.dnf_clauses.get(),
+    ),
+    (
+        "dtree_nodes",
+        |m| m.dtree_nodes.get(),
+        |q| q.dtree_nodes.get(),
+    ),
     ("samples", |m| m.mc_samples.get(), |q| q.samples.get()),
-    ("batches", |m| m.mc_batches.get(), |q| q.sample_batches.get()),
+    (
+        "batches",
+        |m| m.mc_batches.get(),
+        |q| q.sample_batches.get(),
+    ),
 ];
 
 fn registry() -> Vec<u64> {
     let m = maybms_obs::metrics();
     let pipe = VIEWS.iter().map(|(_, read, _)| read(m));
-    pipe.chain(CONF_VIEWS.iter().map(|(_, read, _)| read(m))).collect()
+    pipe.chain(CONF_VIEWS.iter().map(|(_, read, _)| read(m)))
+        .collect()
 }
 
 /// A case: its name, its SQL, and what makes it the case it stands for.
@@ -132,7 +145,9 @@ fn database() -> MayBms {
     let mut x: u64 = 5;
     let edges: Vec<String> = (0..300)
         .map(|i| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             format!("({}, {}, {})", i % 2, (x >> 33) % 30, (x >> 45) % 30)
         })
         .collect();
@@ -194,7 +209,11 @@ fn registry_spans_and_stats_are_one_record() {
             let root = stats.root_span().expect("tracing was on");
             let tree = trace::spans_for_root(root);
             let conf: Vec<_> = tree.iter().filter(|s| s.label == "conf").collect();
-            assert_eq!(conf.len() as u64, stats.conf_calls.get(), "{at}: conf spans");
+            assert_eq!(
+                conf.len() as u64,
+                stats.conf_calls.get(),
+                "{at}: conf spans"
+            );
             for (i, (name, _, total)) in CONF_VIEWS.iter().enumerate() {
                 let delta = after[VIEWS.len() + i] - before[VIEWS.len() + i];
                 assert_eq!(delta, total(stats), "{at}: registry {name} vs last_stats()");
@@ -205,7 +224,11 @@ fn registry_spans_and_stats_are_one_record() {
                         other => panic!("{at}: conf span {name} {other:?}"),
                     })
                     .sum();
-                assert_eq!(spans, total(stats), "{at}: conf spans {name} vs last_stats()");
+                assert_eq!(
+                    spans,
+                    total(stats),
+                    "{at}: conf spans {name} vs last_stats()"
+                );
             }
 
             let mut spans: Vec<_> = tree.into_iter().filter(|s| s.label == "pipeline").collect();

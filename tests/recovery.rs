@@ -22,7 +22,12 @@ fn fp(db: &MayBms) -> Vec<u8> {
     let tables: Catalog = db
         .table_names()
         .iter()
-        .map(|n| (n.to_string(), db.table(n).expect("listed table exists").clone()))
+        .map(|n| {
+            (
+                n.to_string(),
+                db.table(n).expect("listed table exists").clone(),
+            )
+        })
         .collect();
     store::fingerprint(&tables, db.world_table())
 }
@@ -112,7 +117,11 @@ fn wal_replay_restores_state_across_thread_counts() {
             fp(&db)
         };
         let db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
-        assert_eq!(fp(&db), original, "restart changed state at {threads} threads");
+        assert_eq!(
+            fp(&db),
+            original,
+            "restart changed state at {threads} threads"
+        );
         prints.push(original);
     }
     maybms_par::set_threads(before);
@@ -130,8 +139,9 @@ fn wal_replay_restores_state_across_thread_counts() {
 fn delta_wal_tail_reopens_to_memory_state_at_any_thread_count() {
     use maybms::store::{wal, Op};
     let batch = |lo: i64, hi: i64| {
-        let rows: Vec<String> =
-            (lo..hi).map(|k| format!("({k}, 'room{}', {}.25)", k % 17, k % 100)).collect();
+        let rows: Vec<String> = (lo..hi)
+            .map(|k| format!("({k}, 'room{}', {}.25)", k % 17, k % 100))
+            .collect();
         sql(format!("insert into big values {}", rows.join(", ")))
     };
     let mut stmts = vec![
@@ -179,12 +189,19 @@ fn delta_wal_tail_reopens_to_memory_state_at_any_thread_count() {
         assert!(log.len() < 400_000, "WAL tail is {} bytes", log.len());
         let db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
         assert_eq!(db.recovery_report().unwrap().replayed, tail.len());
-        assert_eq!(fp(&db), live, "reopen differs from memory at {threads} threads");
+        assert_eq!(
+            fp(&db),
+            live,
+            "reopen differs from memory at {threads} threads"
+        );
         assert!(db.table("big").unwrap().is_columnar());
         runs.push((live, log));
     }
     maybms_par::set_threads(before);
-    assert!(runs.windows(2).all(|w| w[0] == w[1]), "state or WAL depends on thread count");
+    assert!(
+        runs.windows(2).all(|w| w[0] == w[1]),
+        "state or WAL depends on thread count"
+    );
 }
 
 #[test]
@@ -198,7 +215,10 @@ fn snapshot_only_restart_replays_nothing() {
     };
     let db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
     let report = db.recovery_report().unwrap();
-    assert_eq!(report.replayed, 0, "checkpoint must leave nothing to replay");
+    assert_eq!(
+        report.replayed, 0,
+        "checkpoint must leave nothing to replay"
+    );
     assert_eq!(fp(&db), original);
     // A conf() query over the recovered uncertain table still works.
     let mut db = db;
@@ -242,13 +262,20 @@ fn double_recovery_equals_single_recovery() {
         assert!(db.recovery_report().unwrap().truncated_tail);
         fp(&db)
     };
-    let files_after_first: Vec<_> =
-        ["wal", "snapshot"].iter().map(|f| mem.read(f).ok()).collect();
+    let files_after_first: Vec<_> = ["wal", "snapshot"]
+        .iter()
+        .map(|f| mem.read(f).ok())
+        .collect();
     let db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
-    assert!(!db.recovery_report().unwrap().truncated_tail, "log is clean now");
+    assert!(
+        !db.recovery_report().unwrap().truncated_tail,
+        "log is clean now"
+    );
     assert_eq!(fp(&db), first);
-    let files_after_second: Vec<_> =
-        ["wal", "snapshot"].iter().map(|f| mem.read(f).ok()).collect();
+    let files_after_second: Vec<_> = ["wal", "snapshot"]
+        .iter()
+        .map(|f| mem.read(f).ok())
+        .collect();
     assert_eq!(files_after_first, files_after_second);
 }
 
@@ -272,8 +299,7 @@ enum Cmd {
 fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
     let cmd = prop_oneof![
         (0u8..3).prop_map(Cmd::Create),
-        (0u8..3, prop::collection::vec(-5i64..20, 1..4))
-            .prop_map(|(i, v)| Cmd::Insert(i, v)),
+        (0u8..3, prop::collection::vec(-5i64..20, 1..4)).prop_map(|(i, v)| Cmd::Insert(i, v)),
         (0u8..3, -5i64..20).prop_map(|(i, x)| Cmd::Update(i, x)),
         (0u8..3, -5i64..20).prop_map(|(i, x)| Cmd::Delete(i, x)),
         (0u8..3).prop_map(Cmd::Drop),
@@ -297,19 +323,13 @@ fn concretize(cmds: &[Cmd]) -> Vec<Stmt> {
             }
             Cmd::Insert(i, vals) => {
                 if exists.contains(&format!("t{i}")) {
-                    let rows: Vec<String> =
-                        vals.iter().map(|v| format!("({v}, 0.5)")).collect();
-                    out.push(sql(format!(
-                        "insert into t{i} values {}",
-                        rows.join(", ")
-                    )));
+                    let rows: Vec<String> = vals.iter().map(|v| format!("({v}, 0.5)")).collect();
+                    out.push(sql(format!("insert into t{i} values {}", rows.join(", "))));
                 }
             }
             Cmd::Update(i, x) => {
                 if exists.contains(&format!("t{i}")) {
-                    out.push(sql(format!(
-                        "update t{i} set a = a + 1 where a > {x}"
-                    )));
+                    out.push(sql(format!("update t{i} set a = a + 1 where a > {x}")));
                 }
             }
             Cmd::Delete(i, x) => {

@@ -10,7 +10,11 @@ fn db_with_uncertain() -> MayBms {
     db.register(
         "t",
         rel(
-            &[("k", DataType::Int), ("v", DataType::Int), ("p", DataType::Float)],
+            &[
+                ("k", DataType::Int),
+                ("v", DataType::Int),
+                ("p", DataType::Float),
+            ],
             vec![
                 vec![1.into(), 10.into(), Value::Float(0.5)],
                 vec![1.into(), 20.into(), Value::Float(0.5)],
@@ -19,7 +23,8 @@ fn db_with_uncertain() -> MayBms {
         ),
     )
     .unwrap();
-    db.run("create table u as select * from (pick tuples from t) x").unwrap();
+    db.run("create table u as select * from (pick tuples from t) x")
+        .unwrap();
     db
 }
 
@@ -71,7 +76,9 @@ fn select_distinct_forbidden_on_uncertain() {
 #[test]
 fn repair_key_requires_t_certain_input() {
     let mut db = db_with_uncertain();
-    let err = db.run("select * from (repair key k in u weight by p) r").unwrap_err();
+    let err = db
+        .run("select * from (repair key k in u weight by p) r")
+        .unwrap_err();
     assert!(err.to_string().contains("t-certain"), "{err}");
 }
 
@@ -116,7 +123,9 @@ fn tconf_incompatible_with_group_by() {
 fn not_in_subquery_rejected_at_parse_time() {
     // "uncertain subqueries in IN-conditions that occur positively" (§2.2).
     let mut db = db_with_uncertain();
-    let err = db.run("select * from t where k not in (select k from u)").unwrap_err();
+    let err = db
+        .run("select * from t where k not in (select k from u)")
+        .unwrap_err();
     assert!(matches!(err, CoreError::Parse(_)), "{err:?}");
 }
 
@@ -156,11 +165,16 @@ fn weight_errors_surface() {
         "neg",
         rel(
             &[("k", DataType::Int), ("w", DataType::Float)],
-            vec![vec![1.into(), Value::Float(-2.0)], vec![1.into(), Value::Float(1.0)]],
+            vec![
+                vec![1.into(), Value::Float(-2.0)],
+                vec![1.into(), Value::Float(1.0)],
+            ],
         ),
     )
     .unwrap();
-    let err = db.run("select * from (repair key k in neg weight by w) r").unwrap_err();
+    let err = db
+        .run("select * from (repair key k in neg weight by w) r")
+        .unwrap_err();
     assert!(err.to_string().contains("weight"), "{err}");
 }
 

@@ -155,8 +155,11 @@ fn data_cleaning_key_repair() {
             )
         })
         .unwrap();
-    let cities: Vec<&str> =
-        poss.tuples().iter().map(|t| t.value(0).as_str().unwrap()).collect();
+    let cities: Vec<&str> = poss
+        .tuples()
+        .iter()
+        .map(|t| t.value(0).as_str().unwrap())
+        .collect();
     assert_eq!(cities, vec!["Ithaca", "Oxford", "Providence"]);
 }
 
@@ -223,7 +226,11 @@ fn conf_matches_possible_worlds_enumeration() {
     db.register(
         "t",
         rel(
-            &[("g", DataType::Text), ("v", DataType::Int), ("p", DataType::Float)],
+            &[
+                ("g", DataType::Text),
+                ("v", DataType::Int),
+                ("p", DataType::Float),
+            ],
             vec![
                 vec!["a".into(), 1.into(), Value::Float(0.3)],
                 vec!["a".into(), 2.into(), Value::Float(0.7)],

@@ -16,10 +16,18 @@ fn load(rows: &[(i64, i64, u32)]) -> MayBms {
     db.register(
         "t",
         rel(
-            &[("g", DataType::Int), ("v", DataType::Int), ("p", DataType::Float)],
+            &[
+                ("g", DataType::Int),
+                ("v", DataType::Int),
+                ("p", DataType::Float),
+            ],
             rows.iter()
                 .map(|&(g, v, p)| {
-                    vec![Value::Int(g), Value::Int(v), Value::Float(f64::from(p) / 10.0)]
+                    vec![
+                        Value::Int(g),
+                        Value::Int(v),
+                        Value::Float(f64::from(p) / 10.0),
+                    ]
                 })
                 .collect(),
         ),
@@ -400,7 +408,10 @@ impl Conj {
             Conj::Ne(a, b) => format!("{} <> {}", col_sql(*a), col_sql(*b)),
             Conj::EqOr(a, b, c, d) => format!(
                 "({} = {} or {} = {})",
-                col_sql(*a), col_sql(*b), col_sql(*c), col_sql(*d)
+                col_sql(*a),
+                col_sql(*b),
+                col_sql(*c),
+                col_sql(*d)
             ),
         }
     }
@@ -428,12 +439,7 @@ impl Conj {
 }
 
 /// The conjuncts of one generated query over aliases `a0 … a{n-1}`.
-fn join_conjuncts(
-    n: usize,
-    links: &[u8],
-    restriction: (usize, u8, i64),
-    extra: u8,
-) -> Vec<Conj> {
+fn join_conjuncts(n: usize, links: &[u8], restriction: (usize, u8, i64), extra: u8) -> Vec<Conj> {
     let mut out = Vec::new();
     for i in 1..n {
         match (i, extra % 4) {

@@ -21,7 +21,9 @@ fn fresh() -> MayBms {
 #[test]
 fn order_by_ordinal() {
     let mut db = fresh();
-    let r = db.query("select name, salary from emp order by 2 desc limit 2").unwrap();
+    let r = db
+        .query("select name, salary from emp order by 2 desc limit 2")
+        .unwrap();
     assert_eq!(r.tuples()[0].value(0), &Value::str("ann"));
     assert_eq!(r.tuples()[1].value(0), &Value::str("bob"));
     assert!(db.query("select name from emp order by 9").is_err());
@@ -40,8 +42,11 @@ fn case_expression_end_to_end() {
              from emp order by name",
         )
         .unwrap();
-    let levels: Vec<&str> =
-        r.tuples().iter().map(|t| t.value(1).as_str().unwrap()).collect();
+    let levels: Vec<&str> = r
+        .tuples()
+        .iter()
+        .map(|t| t.value(1).as_str().unwrap())
+        .collect();
     assert_eq!(levels, vec!["senior", "senior", "mid", "mid", "junior"]);
 }
 
@@ -94,7 +99,7 @@ fn union_certain_with_uncertain_is_multiset() {
         panic!("expected uncertain union result");
     };
     assert_eq!(u.len(), 10); // 5 conditioned + 5 certain rows
-    // The certain half is unconditioned.
+                             // The certain half is unconditioned.
     let certain = u.tuples().iter().filter(|t| t.wsd.is_tautology()).count();
     assert_eq!(certain, 5);
 }
@@ -114,7 +119,7 @@ fn union_chain_is_left_associative() {
         )
         .unwrap();
     assert_eq!(r.len(), 3); // ann, bob (deduped) + eve
-    // Flipped: UNION at the end dedups everything before it.
+                            // Flipped: UNION at the end dedups everything before it.
     let r = db
         .query(
             "select name from emp where dept = 'eng'
@@ -140,12 +145,16 @@ fn union_checks_column_types_whatever_the_certainty() {
             let sql = format!("select salary from {l} {spelling} select name from {r}");
             let err = db.run(&sql).unwrap_err();
             assert!(
-                err.to_string().contains("UNION column type mismatch: bigint vs text"),
+                err.to_string()
+                    .contains("UNION column type mismatch: bigint vs text"),
                 "{sql}: {err}"
             );
             let sql = format!("select salary from {l} {spelling} select salary, name from {r}");
             let err = db.run(&sql).unwrap_err();
-            assert!(err.to_string().contains("UNION arity mismatch"), "{sql}: {err}");
+            assert!(
+                err.to_string().contains("UNION arity mismatch"),
+                "{sql}: {err}"
+            );
             // bigint ∪ double precision unifies.
             let sql = format!("select salary from {l} {spelling} select bonus from {r}");
             assert!(db.run(&sql).is_ok(), "{sql}");
@@ -178,8 +187,7 @@ fn explain_lists_breakers_between_pipelines() {
         "{message}"
     );
     // EXPLAIN ANALYZE measures the same steps.
-    let StatementResult::Ok { message } = db.run(&format!("explain analyze {sql}")).unwrap()
-    else {
+    let StatementResult::Ok { message } = db.run(&format!("explain analyze {sql}")).unwrap() else {
         panic!("EXPLAIN ANALYZE must return a message")
     };
     for line in [
@@ -191,8 +199,7 @@ fn explain_lists_breakers_between_pipelines() {
     }
     assert_eq!(db.last_stats().unwrap().pipeline_count(), 3);
     // A keyless FROM is a cross-product breaker.
-    let StatementResult::Ok { message } =
-        db.run("explain select * from emp a, emp b").unwrap()
+    let StatementResult::Ok { message } = db.run("explain select * from emp a, emp b").unwrap()
     else {
         panic!("EXPLAIN must return a message")
     };
@@ -216,8 +223,10 @@ fn subquery_in_from_with_alias_scoping() {
 #[test]
 fn join_sugar_mixed_with_comma_sources() {
     let mut db = fresh();
-    db.run("create table dept_heads (dept text, head text)").unwrap();
-    db.run("insert into dept_heads values ('eng', 'ann'), ('ops', 'cat')").unwrap();
+    db.run("create table dept_heads (dept text, head text)")
+        .unwrap();
+    db.run("insert into dept_heads values ('eng', 'ann'), ('ops', 'cat')")
+        .unwrap();
     let r = db
         .query(
             "select e.name, h.head
@@ -263,8 +272,14 @@ fn select_star_follows_from_order() {
             assert!(t.data.value(6).as_str().unwrap().starts_with('c'), "{t:?}");
         }
         // Qualified wildcards pick the same columns, in select-list order.
-        let r = db.query_uncertain(&format!("select b.*, a.* {from}")).unwrap();
-        assert_eq!(r.schema().names(), vec!["y", "bv", "x", "ax"], "select b.*, a.* {from}");
+        let r = db
+            .query_uncertain(&format!("select b.*, a.* {from}"))
+            .unwrap();
+        assert_eq!(
+            r.schema().names(),
+            vec!["y", "bv", "x", "ax"],
+            "select b.*, a.* {from}"
+        );
     }
 }
 
@@ -284,13 +299,23 @@ fn join_on_is_a_fused_hash_probe() {
         rows.sort();
         rows
     };
-    for (l, r, wsd_len) in [("a", "c", 0), ("(pick tuples from a) a", "(pick tuples from c) c", 2)] {
+    for (l, r, wsd_len) in [
+        ("a", "c", 0),
+        ("(pick tuples from a) a", "(pick tuples from c) c", 2),
+    ] {
         let on = format!("select * from {l} join {r} on a.x = c.x");
         let message = explain(&mut db, &on);
         assert!(message.contains("hash probe"), "{message}");
-        assert!(message.contains("pipeline (hash-join build side)"), "{message}");
+        assert!(
+            message.contains("pipeline (hash-join build side)"),
+            "{message}"
+        );
         let joined = rows(&mut db, &on);
-        assert_eq!(joined, rows(&mut db, &format!("select * from {l}, {r} where a.x = c.x")), "{on}");
+        assert_eq!(
+            joined,
+            rows(&mut db, &format!("select * from {l}, {r} where a.x = c.x")),
+            "{on}"
+        );
         assert_eq!(joined.len(), 3);
         assert!(joined.iter().all(|(_, n)| *n == wsd_len), "{joined:?}");
     }
@@ -305,7 +330,8 @@ fn walk_fixture() -> MayBms {
     )
     .unwrap();
     for p in 0..8 {
-        db.run(&format!("insert into start values ({p}, {})", p % 2)).unwrap();
+        db.run(&format!("insert into start values ({p}, {})", p % 2))
+            .unwrap();
         db.run(&format!(
             "insert into step1 values ({p}, 0, 0), ({p}, 0, 1), ({p}, 1, 0), ({p}, 1, 1)"
         ))
@@ -334,7 +360,9 @@ fn ambiguous_where_column_is_a_typed_error() {
     // A name only one source has still works unqualified, in both spellings.
     for sql in [
         format!("select ecount() from start s, step1 r1 where {join} and state = 1 and final = 0"),
-        format!("select ecount() from start s join step1 r1 on {join} and final = 0 where state = 1"),
+        format!(
+            "select ecount() from start s join step1 r1 on {join} and final = 0 where state = 1"
+        ),
     ] {
         let r = db.query(&sql).unwrap();
         assert_eq!(r.tuples()[0].value(0), &Value::Float(4.0), "{sql}");
@@ -355,13 +383,20 @@ fn join_on_plans_like_the_comma_spelling() {
                  where r1.player = s.player and r1.init = s.state \
                  and s.player >= 2 and s.player < 4";
     // Drop the echoed statement: the two spellings differ only there.
-    let plan = |db: &mut MayBms, sql: &str| explain(db, sql).split_once('\n').unwrap().1.to_string();
+    let plan =
+        |db: &mut MayBms, sql: &str| explain(db, sql).split_once('\n').unwrap().1.to_string();
     let on_plan = plan(&mut db, on);
     assert_eq!(on_plan, plan(&mut db, comma));
     // The restriction reached the build side as implied σ stages, and
     // both equalities are keys of the one probe.
-    assert!(on_plan.contains("(implied by r1.player = s.player)"), "{on_plan}");
-    assert!(on_plan.contains("hash probe [#0 = build #0, #1 = build #1]"), "{on_plan}");
+    assert!(
+        on_plan.contains("(implied by r1.player = s.player)"),
+        "{on_plan}"
+    );
+    assert!(
+        on_plan.contains("hash probe [#0 = build #0, #1 = build #1]"),
+        "{on_plan}"
+    );
     let StatementResult::Ok { message: ran } = db.run(&format!("explain analyze {on}")).unwrap()
     else {
         panic!("EXPLAIN ANALYZE must return a message")
@@ -400,17 +435,28 @@ fn implied_predicates_only_where_sound() {
     // divide by the zero key `r` holds and `s` does not.
     let q = "select s.k, r.x from s, r where s.k = r.k and 10 / s.k > 1";
     assert_eq!(db.query(q).unwrap().len(), 4);
-    assert!(!explain(&mut db, q).contains("implied"), "{}", explain(&mut db, q));
+    assert!(
+        !explain(&mut db, q).contains("implied"),
+        "{}",
+        explain(&mut db, q)
+    );
     // Same-typed key columns share a class: constants, ranges and IN
     // lists travel, in either direction, and the originals stay.
-    for (restriction, rows) in
-        [("s.k = 2", 2), ("r.k >= 2 and r.k < 5", 2), ("2 <= s.k", 3), ("r.k in (1, 5)", 2)]
-    {
+    for (restriction, rows) in [
+        ("s.k = 2", 2),
+        ("r.k >= 2 and r.k < 5", 2),
+        ("2 <= s.k", 3),
+        ("r.k in (1, 5)", 2),
+    ] {
         let q = format!("select s.k, r.x from s, r where s.k = r.k and {restriction}");
         assert_eq!(db.query(&q).unwrap().len(), rows, "{q}");
         let p = explain(&mut db, &q);
         assert!(p.contains("(implied by s.k = r.k)"), "{p}");
-        assert_eq!(p.matches("-> filter").count(), 2 * restriction.matches("k").count(), "{p}");
+        assert_eq!(
+            p.matches("-> filter").count(),
+            2 * restriction.matches("k").count(),
+            "{p}"
+        );
     }
     // A restriction the query already spells out on both sides is not
     // derived a second time.
@@ -421,11 +467,21 @@ fn implied_predicates_only_where_sound() {
     // derive nothing.
     for (q, rows) in [
         ("select s.k from s, r where s.k = r.x and s.k >= 2", 2),
-        ("select s.k from s, r where s.k <> r.k and s.x = r.x and s.k >= 2", 0),
-        ("select s.k from s, r where (s.k = r.k or s.x = r.x) and s.k >= 2", 3),
+        (
+            "select s.k from s, r where s.k <> r.k and s.x = r.x and s.k >= 2",
+            0,
+        ),
+        (
+            "select s.k from s, r where (s.k = r.k or s.x = r.x) and s.k >= 2",
+            3,
+        ),
     ] {
         assert_eq!(db.query(q).unwrap().len(), rows, "{q}");
-        assert!(!explain(&mut db, q).contains("implied"), "{}", explain(&mut db, q));
+        assert!(
+            !explain(&mut db, q).contains("implied"),
+            "{}",
+            explain(&mut db, q)
+        );
     }
     // `e.k = 'two'` raises on any row, and `e` has none: the copy on `r`
     // would raise where the query does not.
@@ -482,8 +538,10 @@ fn esum_with_computed_expression() {
 #[test]
 fn ecount_with_argument_skips_nulls() {
     let mut db = MayBms::new();
-    db.run("create table t (v bigint, p double precision)").unwrap();
-    db.run("insert into t values (1, 0.5), (null, 0.5)").unwrap();
+    db.run("create table t (v bigint, p double precision)")
+        .unwrap();
+    db.run("insert into t values (1, 0.5), (null, 0.5)")
+        .unwrap();
     let r = db
         .query(
             "select ecount(v) as ev, ecount() as e from
@@ -497,12 +555,16 @@ fn ecount_with_argument_skips_nulls() {
 #[test]
 fn insert_select_roundtrip_and_update_where() {
     let mut db = fresh();
-    db.run("create table archive (name text, salary bigint)").unwrap();
+    db.run("create table archive (name text, salary bigint)")
+        .unwrap();
     db.run("insert into archive select name, salary from emp where dept = 'eng'")
         .unwrap();
     assert_eq!(db.table("archive").unwrap().len(), 2);
-    db.run("update archive set salary = salary + 5 where name = 'ann'").unwrap();
-    let r = db.query("select salary from archive where name = 'ann'").unwrap();
+    db.run("update archive set salary = salary + 5 where name = 'ann'")
+        .unwrap();
+    let r = db
+        .query("select salary from archive where name = 'ann'")
+        .unwrap();
     assert_eq!(r.tuples()[0].value(0), &Value::Int(105));
 }
 
@@ -548,8 +610,11 @@ fn in_list_with_expressions_and_in_select_combined() {
              order by name",
         )
         .unwrap();
-    let names: Vec<&str> =
-        r.tuples().iter().map(|t| t.value(0).as_str().unwrap()).collect();
+    let names: Vec<&str> = r
+        .tuples()
+        .iter()
+        .map(|t| t.value(0).as_str().unwrap())
+        .collect();
     assert_eq!(names, vec!["cat", "dan"]);
 }
 
@@ -581,11 +646,17 @@ fn in_select_over_a_certain_subquery_is_a_semi_join() {
     let r = db.query(sql).unwrap();
     assert_eq!(r.tuples()[0].value(0), &Value::Int(4));
     let plan = explain(&mut db, sql);
-    assert_eq!(plan.matches("distinct (streaming, 1 keys)").count(), 1, "{plan}");
+    assert_eq!(
+        plan.matches("distinct (streaming, 1 keys)").count(),
+        1,
+        "{plan}"
+    );
 
     db.run("create table u as select * from (pick tuples from t with probability 0.5) p")
         .unwrap();
-    let plain = db.query("select a, ecount() as n from u group by a order by a").unwrap();
+    let plain = db
+        .query("select a, ecount() as n from u group by a order by a")
+        .unwrap();
     let filtered = db
         .query("select a, ecount() as n from u where a in (select a from t) group by a order by a")
         .unwrap();
@@ -604,12 +675,23 @@ fn in_select_over_an_uncertain_subquery_rejects_expectations() {
         .unwrap();
     let sub = "(select a from (pick tuples from t with probability 0.5) q)";
     for agg in ["ecount()", "esum(b)"] {
-        let err = db.query(&format!("select a, {agg} as n from u where a in {sub} group by a"));
-        assert!(matches!(err, Err(CoreError::Typing { .. })), "{agg}: {err:?}");
+        let err = db.query(&format!(
+            "select a, {agg} as n from u where a in {sub} group by a"
+        ));
+        assert!(
+            matches!(err, Err(CoreError::Typing { .. })),
+            "{agg}: {err:?}"
+        );
     }
-    let r = db.query(&format!("select a, conf() as p from u where a in {sub} group by a")).unwrap();
+    let r = db
+        .query(&format!(
+            "select a, conf() as p from u where a in {sub} group by a"
+        ))
+        .unwrap();
     assert_eq!(r.len(), 2);
-    let r = db.query(&format!("select possible a from u where a in {sub}")).unwrap();
+    let r = db
+        .query(&format!("select possible a from u where a in {sub}"))
+        .unwrap();
     assert_eq!(r.len(), 2);
 }
 
@@ -618,16 +700,34 @@ fn between_is_both_comparisons() {
     let mut db = fresh();
     for (range, spelled) in [
         ("salary between 75 and 90", "salary >= 75 and salary <= 90"),
-        ("salary not between 75 and 90", "(salary < 75 or salary > 90)"),
+        (
+            "salary not between 75 and 90",
+            "(salary < 75 or salary > 90)",
+        ),
         ("salary between 90 and 75", "salary >= 90 and salary <= 75"),
     ] {
         let q = |cond: &str| format!("select name from emp where {cond} order by name");
-        assert_eq!(db.query(&q(range)).unwrap(), db.query(&q(spelled)).unwrap(), "{range}");
+        assert_eq!(
+            db.query(&q(range)).unwrap(),
+            db.query(&q(spelled)).unwrap(),
+            "{range}"
+        );
     }
-    assert_eq!(db.query("select name from emp where salary between 75 and 90").unwrap().len(), 2);
+    assert_eq!(
+        db.query("select name from emp where salary between 75 and 90")
+            .unwrap()
+            .len(),
+        2
+    );
     // A NULL bound makes the comparison unknown: no row is kept.
-    for range in ["between null and 90", "between 75 and null", "not between null and null"] {
-        let r = db.query(&format!("select name from emp where salary {range}")).unwrap();
+    for range in [
+        "between null and 90",
+        "between 75 and null",
+        "not between null and null",
+    ] {
+        let r = db
+            .query(&format!("select name from emp where salary {range}"))
+            .unwrap();
         assert_eq!(r.len(), 0, "{range}");
     }
 }
@@ -644,12 +744,19 @@ fn distinct_applies_to_grouped_output() {
     // The keys-only grouping is itself the group breaker with no
     // aggregates; DISTINCT is one more over the one output column.
     let grouping = plan.find("distinct (streaming, 2 keys)").expect(&plan);
-    assert!(plan[grouping..].contains("distinct (streaming, 1 keys)"), "{plan}");
+    assert!(
+        plan[grouping..].contains("distinct (streaming, 1 keys)"),
+        "{plan}"
+    );
     // DISTINCT is over whole output rows: (1, 10), (1, 20), (2, 60) differ
     // in the aggregate and stay apart; (1, 1), (1, 1), (2, 2) do not.
-    let r = db.query("select distinct a, sum(b) as n from t group by a, b").unwrap();
+    let r = db
+        .query("select distinct a, sum(b) as n from t group by a, b")
+        .unwrap();
     assert_eq!(r.len(), 3);
-    let r = db.query("select distinct a, count(*) as n from t group by a, b").unwrap();
+    let r = db
+        .query("select distinct a, count(*) as n from t group by a, b")
+        .unwrap();
     assert_eq!(r.len(), 2);
     // …DISTINCT sees what HAVING lets through, and tconf() rows too.
     let r = db
@@ -703,16 +810,26 @@ fn int_keys_compare_exactly_in_filters_and_joins() {
     db.run("create table u (k bigint)").unwrap();
     for k in keys {
         // i64::MIN has no literal (its magnitude overflows): spell it.
-        let lit = if k == i64::MIN { format!("{} - 1", k + 1) } else { k.to_string() };
+        let lit = if k == i64::MIN {
+            format!("{} - 1", k + 1)
+        } else {
+            k.to_string()
+        };
         db.run(&format!("insert into t values ({lit})")).unwrap();
     }
     db.run("insert into u select k from t").unwrap();
     let ints = |db: &mut MayBms, sql: &str| -> Vec<i64> {
         let r = db.query(sql).unwrap();
-        r.tuples().iter().map(|t| t.value(0).as_int().unwrap()).collect()
+        r.tuples()
+            .iter()
+            .map(|t| t.value(0).as_int().unwrap())
+            .collect()
     };
     // Each key joins itself only.
-    assert_eq!(ints(&mut db, "select t.k from t, u where t.k = u.k order by 1"), keys);
+    assert_eq!(
+        ints(&mut db, "select t.k from t, u where t.k = u.k order by 1"),
+        keys
+    );
     for (i, k) in keys.iter().enumerate().skip(1) {
         let eq = format!("select k from t where k = {k}");
         assert_eq!(ints(&mut db, &eq), vec![*k], "{eq}");
