@@ -21,9 +21,10 @@ use std::sync::Arc;
 
 use maybms_bench::naive::{fused_chain, Step};
 use maybms_engine::ops::{AggFunc, AggState};
+use maybms_engine::vector::KernelCounts;
 use maybms_engine::{DataType, Expr, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
-use maybms_pipe::UStream;
+use maybms_pipe::{GroupedBatch, UStream};
 use maybms_urel::{URelation, UTuple};
 use proptest::prelude::*;
 
@@ -134,7 +135,14 @@ proptest! {
                             morsel,
                             (&maybms_obs::QueryStats::new(), "test"),
                             new_states,
-                            |sts: &mut Vec<AggState>, row, _| fold_row(sts, row),
+                            |sts: &mut [Vec<AggState>], rows: &GroupedBatch<'_>, _: &mut KernelCounts| {
+                                let mut row = Vec::new();
+                                for (j, &g) in rows.groups.iter().enumerate() {
+                                    rows.batch.write_row(j, &mut row);
+                                    fold_row(&mut sts[g as usize], &row)?;
+                                }
+                                Ok(())
+                            },
                             |a: &mut Vec<AggState>, b| {
                                 a.iter_mut().zip(b).try_for_each(|(x, y)| x.merge(y))?;
                                 Ok(())

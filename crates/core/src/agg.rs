@@ -28,9 +28,12 @@ use std::sync::Arc;
 
 use maybms_conf::{lineage_confidence, ConfMethod};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
-use maybms_engine::{DataType, EngineError, Expr, Field, Schema, Tuple, Value};
+use maybms_engine::vector::{self, KernelCounts};
+use maybms_engine::{
+    ColumnData, DataType, EngineError, Expr, Field, Schema, Tuple, Value, ValueRef,
+};
 use maybms_par::ThreadPool;
-use maybms_pipe::UStream;
+use maybms_pipe::{GroupedBatch, UStream};
 use maybms_urel::{URelation, UTuple, UrelError, WorldTable, Wsd};
 
 use crate::error::{typing, CoreError, Result};
@@ -233,6 +236,63 @@ fn remap_stream_err(e: UrelError) -> CoreError {
     e.into()
 }
 
+/// A §2.2 typing rule's error, tagged for [`remap_stream_err`].
+fn typing_err(message: &str) -> UrelError {
+    EngineError::TypeMismatch {
+        message: message.to_string(),
+    }
+    .into()
+}
+
+/// Slot `s` of row `j`'s group.
+fn slot<'a>(states: &'a mut [StreamAcc], groups: &[u32], j: usize, s: usize) -> &'a mut Partial {
+    &mut states[groups[j] as usize].parts[s]
+}
+
+/// The `AggState` of a standard aggregate's slot.
+fn std_state(part: &mut Partial) -> &mut AggState {
+    match part {
+        Partial::Std(st) => st,
+        _ => unreachable!("partial/spec lists are parallel"),
+    }
+}
+
+/// The first error of a grouped fold over one batch, in the scalar
+/// walk's order: rows at or after `limit` are not folded any more, and
+/// an error replaces the one found only at a strictly earlier row (so at
+/// one row, the first recorded wins).
+struct FirstError {
+    limit: usize,
+    error: Option<UrelError>,
+}
+
+impl FirstError {
+    fn new(rows: usize) -> FirstError {
+        FirstError {
+            limit: rows,
+            error: None,
+        }
+    }
+
+    fn at(&mut self, row: usize, error: impl FnOnce() -> UrelError) {
+        if row < self.limit {
+            self.limit = row;
+            self.error = Some(error());
+        }
+    }
+
+    /// An argument's evaluation error, from [`vector::eval_batch`].
+    fn at_eval(&mut self, err: Option<(usize, EngineError)>) {
+        if let Some((row, e)) = err {
+            self.at(row, || e.into());
+        }
+    }
+
+    fn into_result(self) -> maybms_urel::Result<()> {
+        self.error.map_or(Ok(()), Err)
+    }
+}
+
 /// Evaluate grouped aggregates **streaming**: the pipeline's fused stage
 /// chain runs morsel-by-morsel and every surviving row folds straight
 /// into a morsel-local group table ([`maybms_pipe::GroupTable`]) — the
@@ -314,73 +374,144 @@ pub fn aggregate_stream_with(
         wsds: Vec::new(),
         parts: aggs.iter().map(|(s, _)| Partial::new(s)).collect(),
     };
-    let fold = |acc: &mut StreamAcc, row: &[Value], wsd: &Wsd| -> maybms_urel::Result<()> {
-        if aggs.is_empty() && !wsd.is_tautology() {
-            return Err(EngineError::TypeMismatch {
-                message: DISTINCT_ON_UNCERTAIN.to_string(),
-            }
-            .into());
+    let fold = |states: &mut [StreamAcc],
+                rows: &GroupedBatch<'_>,
+                kernels: &mut KernelCounts|
+     -> maybms_urel::Result<()> {
+        let (groups, wsds) = (rows.groups, rows.wsds);
+        let prob = |j: usize| wsds.map_or(Ok(1.0), |w| w[j].prob(wt));
+        // The first row whose condition is not the tautology: where the
+        // t-certain aggregates raise their typing error.
+        let uncertain = wsds
+            .and_then(|w| w[..groups.len()].iter().position(|w| !w.is_tautology()))
+            .unwrap_or(groups.len());
+        let mut first = FirstError::new(groups.len());
+        if aggs.is_empty() {
+            first.at(uncertain, || typing_err(DISTINCT_ON_UNCERTAIN));
         }
         if needs_wsds {
-            acc.wsds.push(wsd.clone());
-        }
-        for (part, (spec, _)) in acc.parts.iter_mut().zip(aggs) {
-            match (part, spec) {
-                (Partial::Lineage, _) => {}
-                (Partial::Expect(sum), AggSpec::ESum(e)) => {
-                    let v = e.eval_values(row)?;
-                    if !v.is_null() {
-                        let x = v.as_f64().ok_or_else(|| EngineError::TypeMismatch {
-                            message: format!("{ESUM_NON_NUMERIC} {v}"),
-                        })?;
-                        sum.add(x * wsd.prob(wt)?);
-                    }
-                }
-                (Partial::Expect(sum), AggSpec::ECount(e)) => {
-                    if let Some(expr) = e {
-                        if expr.eval_values(row)?.is_null() {
-                            continue;
-                        }
-                    }
-                    sum.add(wsd.prob(wt)?);
-                }
-                (Partial::Std(st), AggSpec::Std { arg, .. }) => {
-                    if !wsd.is_tautology() {
-                        return Err(EngineError::TypeMismatch {
-                            message: STD_ON_UNCERTAIN.to_string(),
-                        }
-                        .into());
-                    }
-                    match arg {
-                        None => st.fold_present(),
-                        Some(e) => st.fold(&e.eval_values(row)?)?,
-                    }
-                }
-                (Partial::ArgMax { best, args }, AggSpec::ArgMax { arg, value }) => {
-                    if !wsd.is_tautology() {
-                        return Err(EngineError::TypeMismatch {
-                            message: ARGMAX_ON_UNCERTAIN.to_string(),
-                        }
-                        .into());
-                    }
-                    let v = value.eval_values(row)?;
-                    if v.is_null() {
-                        continue;
-                    }
-                    match best {
-                        Some(b) if v < *b => {}
-                        Some(b) if v == *b => args.push(arg.eval_values(row)?),
-                        _ => {
-                            *best = Some(v);
-                            args.clear();
-                            args.push(arg.eval_values(row)?);
-                        }
-                    }
-                }
-                _ => unreachable!("partial/spec lists are parallel"),
+            for (j, &g) in groups.iter().enumerate() {
+                let w = wsds.map(|w| w[j].clone()).unwrap_or_default();
+                states[g as usize].wsds.push(w);
             }
         }
-        Ok(())
+        // Slot by slot, each over the rows before the earliest error so
+        // far: a slot's error wins at a strictly earlier row, or at the
+        // same row in an earlier slot — the scalar walk's order.
+        for (s, (spec, _)) in aggs.iter().enumerate() {
+            match spec {
+                AggSpec::Conf | AggSpec::AConf { .. } => {}
+                AggSpec::ESum(e) | AggSpec::ECount(Some(e)) => {
+                    let (col, err) = vector::eval_batch(e, rows.batch, kernels);
+                    let stop = err
+                        .as_ref()
+                        .map_or(first.limit, |(k, _)| (*k).min(first.limit));
+                    for j in 0..stop {
+                        let x = match (spec, col.cell(j)) {
+                            (_, ValueRef::Null) => continue,
+                            (AggSpec::ECount(_), _) => 1.0,
+                            (_, ValueRef::Int(i)) => i as f64,
+                            (_, ValueRef::Float(f)) => f,
+                            _ => {
+                                let v = col.value_at(j);
+                                first.at(j, || typing_err(&format!("{ESUM_NON_NUMERIC} {v}")));
+                                break;
+                            }
+                        };
+                        match (prob(j), slot(states, groups, j, s)) {
+                            (Ok(p), Partial::Expect(sum)) => sum.add(x * p),
+                            (Err(e), _) => {
+                                first.at(j, || e.into());
+                                break;
+                            }
+                            _ => unreachable!("partial/spec lists are parallel"),
+                        }
+                    }
+                    first.at_eval(err);
+                }
+                AggSpec::ECount(None) => {
+                    for j in 0..first.limit {
+                        match (prob(j), slot(states, groups, j, s)) {
+                            (Ok(p), Partial::Expect(sum)) => sum.add(p),
+                            (Err(e), _) => {
+                                first.at(j, || e.into());
+                                break;
+                            }
+                            _ => unreachable!("partial/spec lists are parallel"),
+                        }
+                    }
+                }
+                AggSpec::Std { func, arg } => {
+                    let stop = first.limit.min(uncertain);
+                    let err = match arg {
+                        None => {
+                            for j in 0..stop {
+                                std_state(slot(states, groups, j, s)).fold_present();
+                            }
+                            None
+                        }
+                        Some(e) => {
+                            let (col, err) = vector::eval_batch(e, rows.batch, kernels);
+                            let stop = err.as_ref().map_or(stop, |(k, _)| (*k).min(stop));
+                            let folded = (0..stop).try_for_each(|j| {
+                                let st = std_state(slot(states, groups, j, s));
+                                let done = match col.data() {
+                                    _ if col.is_null(j) => Ok(()),
+                                    _ if *func == AggFunc::Count => Ok(st.fold_present()),
+                                    ColumnData::Int(v) => st.fold_i64(v[j]),
+                                    ColumnData::Float(v) => st.fold_f64(v[j]),
+                                    _ => st.fold(&col.value_at(j)),
+                                };
+                                done.map_err(|e| (j, e))
+                            });
+                            if let Err((j, e)) = folded {
+                                first.at(j, || e.into());
+                            }
+                            err
+                        }
+                    };
+                    first.at(uncertain, || typing_err(STD_ON_UNCERTAIN));
+                    first.at_eval(err);
+                }
+                AggSpec::ArgMax { arg, value } => {
+                    let (col, err) = vector::eval_batch(value, rows.batch, kernels);
+                    let stop = first.limit.min(uncertain);
+                    let stop = err.as_ref().map_or(stop, |(k, _)| (*k).min(stop));
+                    let mut row = Vec::new();
+                    for j in 0..stop {
+                        if col.is_null(j) {
+                            continue;
+                        }
+                        let v = col.value_at(j);
+                        let Partial::ArgMax { best, args } = slot(states, groups, j, s) else {
+                            unreachable!("partial/spec lists are parallel")
+                        };
+                        if best.as_ref().is_some_and(|b| v < *b) {
+                            continue;
+                        }
+                        // Only rows that match or beat the best so far
+                        // evaluate the arg expression, as the scalar walk.
+                        rows.batch.write_row(j, &mut row);
+                        let a = match arg.eval_values(&row) {
+                            Ok(a) => a,
+                            Err(e) => {
+                                first.at(j, || e.into());
+                                break;
+                            }
+                        };
+                        if best.as_ref() != Some(&v) {
+                            *best = Some(v);
+                            args.clear();
+                        }
+                        args.push(a);
+                    }
+                    first.at(uncertain, || typing_err(ARGMAX_ON_UNCERTAIN));
+                    first.at_eval(err);
+                }
+                AggSpec::TConf => unreachable!("the planner never groups tconf"),
+            }
+        }
+        first.into_result()
     };
     let merge = |a: &mut StreamAcc, b: StreamAcc| -> maybms_urel::Result<()> {
         a.wsds.extend(b.wsds);

@@ -47,7 +47,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::hash::FastMap;
 use crate::tuple::TupleBatch;
-use crate::types::Value;
+use crate::types::{Value, ValueRef};
 
 /// A null bitmap: bit `i` set ⇔ row `i` is NULL. Empty (no words) means
 /// "no nulls", the common fast path.
@@ -437,6 +437,23 @@ impl Column {
                     Value::Str(dict.get(codes[i]).clone())
                 }
             }
+        }
+    }
+
+    /// Row `i` as a borrowed [`ValueRef`] — equal to, and hashing like,
+    /// [`Column::value_at`], without building the `Value`.
+    #[inline]
+    pub fn cell(&self, i: usize) -> ValueRef<'_> {
+        debug_assert!(i < self.len);
+        match &self.data {
+            ColumnData::Const(v) => v.view(),
+            ColumnData::Values(v) => v[i].view(),
+            _ if self.nulls.is_null(i) => ValueRef::Null,
+            ColumnData::Int(v) => ValueRef::Int(v[i]),
+            ColumnData::Float(v) => ValueRef::Float(v[i]),
+            ColumnData::Bool(v) => ValueRef::Bool(v[i]),
+            ColumnData::Str(v) => ValueRef::Str(&v[i]),
+            ColumnData::Dict { codes, dict } => ValueRef::Str(dict.get(codes[i])),
         }
     }
 
@@ -881,6 +898,11 @@ impl ColumnBatch {
     /// All columns.
     pub fn columns(&self) -> &[Column] {
         &self.columns
+    }
+
+    /// The columns, by value.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
     }
 
     /// The rows at `sel`, in that order.

@@ -72,7 +72,7 @@ pub use error::{EngineError, Result};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use schema::{Field, Schema};
 pub use tuple::{rel, Relation, Tuple};
-pub use types::{DataType, Value};
+pub use types::{DataType, Value, ValueRef};
 
 /// Glob-import convenience: `use maybms_engine::prelude::*;`.
 pub mod prelude {

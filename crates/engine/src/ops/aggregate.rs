@@ -180,6 +180,7 @@ enum TypeClass {
     Bool,
 }
 
+#[inline]
 fn class_of(v: &Value) -> TypeClass {
     match v {
         Value::Int(_) | Value::Float(_) => TypeClass::Numeric,
@@ -284,64 +285,92 @@ impl AggState {
         }
     }
 
-    /// Fold one argument value (NULLs are skipped).
+    /// Fold one argument value (NULLs are skipped). Numbers go through
+    /// [`AggState::fold_i64`] / [`AggState::fold_f64`], so the typed
+    /// folds of a column and this one share every aggregate's arithmetic.
     pub fn fold(&mut self, v: &Value) -> Result<()> {
-        if v.is_null() {
-            return Ok(());
+        match (&mut *self, v) {
+            (_, Value::Null) => Ok(()),
+            (_, Value::Int(i)) => self.fold_i64(*i),
+            (_, Value::Float(f)) => self.fold_f64(*f),
+            (AggState::Count { n }, _) => {
+                *n += 1;
+                Ok(())
+            }
+            (AggState::Extremum { .. }, _) => self.fold_extremum(v),
+            (state, other) => Err(type_err(state.func(), other)),
         }
+    }
+
+    /// Fold one non-NULL integer argument.
+    #[inline]
+    pub fn fold_i64(&mut self, i: i64) -> Result<()> {
+        match self {
+            AggState::Count { n } => *n += 1,
+            AggState::Sum { n, isum, fsum, .. } => {
+                *isum += i128::from(i);
+                fsum.add(i as f64);
+                *n += 1;
+            }
+            AggState::Avg { n, fsum } => {
+                fsum.add(i as f64);
+                *n += 1;
+            }
+            AggState::Extremum { .. } => return self.fold_extremum(&Value::Int(i)),
+        }
+        Ok(())
+    }
+
+    /// Fold one non-NULL float argument.
+    #[inline]
+    pub fn fold_f64(&mut self, f: f64) -> Result<()> {
         match self {
             AggState::Count { n } => *n += 1,
             AggState::Sum {
-                n,
-                all_int,
-                isum,
-                fsum,
-            } => match v {
-                Value::Int(i) => {
-                    *isum += i128::from(*i);
-                    fsum.add(*i as f64);
-                    *n += 1;
+                n, all_int, fsum, ..
+            } => {
+                *all_int = false;
+                fsum.add(f);
+                *n += 1;
+            }
+            AggState::Avg { n, fsum } => {
+                fsum.add(f);
+                *n += 1;
+            }
+            AggState::Extremum { .. } => return self.fold_extremum(&Value::Float(f)),
+        }
+        Ok(())
+    }
+
+    /// `min` / `max` over one non-NULL value: numeric values compare
+    /// across `Int`/`Float` ([`Value`]'s order), any other mix of classes
+    /// is a type error.
+    #[inline]
+    fn fold_extremum(&mut self, v: &Value) -> Result<()> {
+        let AggState::Extremum { min, best } = self else {
+            unreachable!("only min/max keep an extremum")
+        };
+        match best {
+            None => *best = Some(v.clone()),
+            Some(b) => {
+                let (bc, vc) = (class_of(b), class_of(v));
+                if bc != vc {
+                    return Err(EngineError::TypeMismatch {
+                        message: format!(
+                            "{}() over mixed {} and {} values",
+                            if *min { "min" } else { "max" },
+                            bc.name(),
+                            vc.name()
+                        ),
+                    });
                 }
-                Value::Float(f) => {
-                    *all_int = false;
-                    fsum.add(*f);
-                    *n += 1;
+                // First-seen extremum: replace only on a strict
+                // improvement, so fold and morsel merge agree on ties.
+                let better = if *min { v < b } else { v > b };
+                if better {
+                    *best = Some(v.clone());
                 }
-                other => return Err(type_err(AggFunc::Sum, other)),
-            },
-            AggState::Avg { n, fsum } => match v {
-                Value::Int(i) => {
-                    fsum.add(*i as f64);
-                    *n += 1;
-                }
-                Value::Float(f) => {
-                    fsum.add(*f);
-                    *n += 1;
-                }
-                other => return Err(type_err(AggFunc::Avg, other)),
-            },
-            AggState::Extremum { min, best } => match best {
-                None => *best = Some(v.clone()),
-                Some(b) => {
-                    let (bc, vc) = (class_of(b), class_of(v));
-                    if bc != vc {
-                        return Err(EngineError::TypeMismatch {
-                            message: format!(
-                                "{}() over mixed {} and {} values",
-                                if *min { "min" } else { "max" },
-                                bc.name(),
-                                vc.name()
-                            ),
-                        });
-                    }
-                    // First-seen extremum: replace only on a strict
-                    // improvement, so fold and morsel merge agree on ties.
-                    let better = if *min { v < b } else { v > b };
-                    if better {
-                        *best = Some(v.clone());
-                    }
-                }
-            },
+            }
         }
         Ok(())
     }

@@ -63,8 +63,9 @@ impl DataType {
 /// A dynamically-typed scalar value.
 ///
 /// `Value` implements [`Eq`], [`Ord`] and [`Hash`] so it can be used
-/// directly as a join or grouping key. Floats are ordered with
-/// [`f64::total_cmp`]; `-0.0` is normalised to `0.0` and NaN is rejected at
+/// directly as a join or grouping key. Two `Int`s compare as `i64`; a
+/// `Float` on either side is ordered with [`f64::total_cmp`] (an `Int`
+/// widens, as in equality); `-0.0` is normalised to `0.0` and NaN is rejected at
 /// construction ([`Value::float`]) so the order restricted to engine-made
 /// values is the familiar numeric one. `NULL` sorts first, as in
 /// PostgreSQL's `NULLS FIRST`.
@@ -187,69 +188,118 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b) == Ordering::Equal,
-            (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
-                (*a as f64).total_cmp(b) == Ordering::Equal
-            }
-            (Value::Str(a), Value::Str(b)) => a == b,
-            _ => false,
-        }
+        self.view() == other.view()
     }
 }
 
 impl Eq for Value {}
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        let (ra, rb) = (self.variant_rank(), other.variant_rank());
-        if ra != rb {
-            return ra.cmp(&rb);
-        }
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
             (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
-            // Numeric rank: compare as floats (exact for |i| < 2^53, which
-            // covers every key the system generates).
-            (a, b) => {
-                let x = a.as_f64().expect("numeric rank implies numeric value");
-                let y = b.as_f64().expect("numeric rank implies numeric value");
-                x.total_cmp(&y)
-            }
+            (a, b) => match a.variant_rank().cmp(&b.variant_rank()) {
+                // Mixed numerics widen to `f64`, as `Value::eq` does.
+                Ordering::Equal => {
+                    let x = a.as_f64().expect("numeric rank implies numeric value");
+                    let y = b.as_f64().expect("numeric rank implies numeric value");
+                    x.total_cmp(&y)
+                }
+                rank => rank,
+            },
         }
     }
 }
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Hash for Value {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+/// A borrowed view of a [`Value`] — what a column cell reads as without
+/// building one (a string is a `&str`, not an `Arc` bump). Equality and
+/// hashing are defined here once; `Value`'s delegate to them, so a view
+/// and its value always agree.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 text.
+    Str(&'a str),
+}
+
+impl Value {
+    /// The borrowed view of this value.
+    #[inline]
+    pub fn view(&self) -> ValueRef<'_> {
         match self {
-            Value::Null => state.write_u8(0),
-            Value::Bool(b) => {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (ValueRef::Null, ValueRef::Null) => true,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a == b,
+            (ValueRef::Int(a), ValueRef::Int(b)) => a == b,
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.total_cmp(&b) == Ordering::Equal,
+            (ValueRef::Int(a), ValueRef::Float(b)) | (ValueRef::Float(b), ValueRef::Int(a)) => {
+                (a as f64).total_cmp(&b) == Ordering::Equal
+            }
+            (ValueRef::Str(a), ValueRef::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Hash for ValueRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            ValueRef::Null => state.write_u8(0),
+            ValueRef::Bool(b) => {
                 state.write_u8(1);
                 b.hash(state);
             }
             // Int and Float hash identically when numerically equal, to
             // match `PartialEq` (1 == 1.0 must imply same hash).
-            Value::Int(i) => {
+            ValueRef::Int(i) => {
                 state.write_u8(2);
-                canonical_f64_bits(*i as f64).hash(state);
+                canonical_f64_bits(i as f64).hash(state);
             }
-            Value::Float(f) => {
+            ValueRef::Float(f) => {
                 state.write_u8(2);
-                canonical_f64_bits(*f).hash(state);
+                canonical_f64_bits(f).hash(state);
             }
-            Value::Str(s) => {
+            ValueRef::Str(s) => {
                 state.write_u8(3);
                 s.hash(state);
             }

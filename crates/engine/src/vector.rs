@@ -42,6 +42,8 @@
 //! handled at run time by the Interrupt fallback instead, so eligibility
 //! never depends on the data.
 
+use std::borrow::Cow;
+use std::cmp::Ordering::{Equal, Greater, Less};
 use std::sync::Arc;
 
 use crate::column::{Column, ColumnBatch, ColumnBuilder, ColumnData, NullMask};
@@ -114,17 +116,18 @@ pub struct KernelCounts {
 }
 
 /// Evaluate `e` over every row of `batch`, counting the batch (and a
-/// scalar fallback) into `counts`. Returns the result column and, if
-/// evaluation errors, the first erroring row (scalar order) with its
-/// error — the column then holds the values of the rows before it.
-pub fn eval_batch(
+/// scalar fallback) into `counts`. Returns the result column — a bare
+/// column reference borrows the batch's — and, if evaluation errors, the
+/// first erroring row (scalar order) with its error; the column then
+/// holds the values of the rows before it.
+pub fn eval_batch<'a>(
     e: &Expr,
-    batch: &ColumnBatch,
+    batch: &'a ColumnBatch,
     counts: &mut KernelCounts,
-) -> (Column, Option<(usize, EngineError)>) {
+) -> (Cow<'a, Column>, Option<(usize, EngineError)>) {
     counts.batches += 1;
     match eval_vec(e, batch) {
-        Ok(col) => (col.into_owned(), None),
+        Ok(col) => (col, None),
         Err(Interrupt) => {
             counts.scalar_fallbacks += 1;
             // Scalar redo: pivot each row back out and run the scalar
@@ -136,10 +139,10 @@ pub fn eval_batch(
                 batch.write_row(i, &mut row);
                 match e.eval_values(&row) {
                     Ok(v) => b.push(&v),
-                    Err(err) => return (b.finish(), Some((i, err))),
+                    Err(err) => return (Cow::Owned(b.finish()), Some((i, err))),
                 }
             }
-            (b.finish(), None)
+            (Cow::Owned(b.finish()), None)
         }
     }
 }
@@ -223,67 +226,44 @@ pub fn selection(
     (sel, err)
 }
 
-/// Borrowed-or-owned column, so column references evaluate without
-/// copying the underlying vectors.
-enum CowCol<'a> {
-    Borrowed(&'a Column),
-    Owned(Column),
-}
-
-impl CowCol<'_> {
-    fn col(&self) -> &Column {
-        match self {
-            CowCol::Borrowed(c) => c,
-            CowCol::Owned(c) => c,
-        }
-    }
-
-    fn into_owned(self) -> Column {
-        match self {
-            CowCol::Borrowed(c) => c.clone(),
-            CowCol::Owned(c) => c,
-        }
-    }
-}
-
 /// The recursive kernel walk. Nodes outside the kernel set (CASE, IN,
 /// unbound references) Interrupt — the scalar redo owns their semantics.
-fn eval_vec<'a>(e: &Expr, batch: &'a ColumnBatch) -> Result<CowCol<'a>, Interrupt> {
+fn eval_vec<'a>(e: &Expr, batch: &'a ColumnBatch) -> Result<Cow<'a, Column>, Interrupt> {
     let n = batch.rows();
     Ok(match e {
-        Expr::Literal(v) => CowCol::Owned(Column::from_const(v.clone(), n)),
-        Expr::ColumnIdx(i) => CowCol::Borrowed(batch.columns().get(*i).ok_or(Interrupt)?),
+        Expr::Literal(v) => Cow::Owned(Column::from_const(v.clone(), n)),
+        Expr::ColumnIdx(i) => Cow::Borrowed(batch.columns().get(*i).ok_or(Interrupt)?),
         Expr::Binary { left, op, right } => {
             let l = eval_vec(left, batch)?;
             let r = eval_vec(right, batch)?;
             let out = match op {
-                BinaryOp::And | BinaryOp::Or => kleene(*op, l.col(), r.col())?,
-                BinaryOp::Concat => concat(l.col(), r.col()),
-                op if op.is_comparison() => cmp(*op, l.col(), r.col())?,
-                op => arith(*op, l.col(), r.col())?,
+                BinaryOp::And | BinaryOp::Or => kleene(*op, &l, &r)?,
+                BinaryOp::Concat => concat(&l, &r),
+                op if op.is_comparison() => cmp(*op, &l, &r)?,
+                op => arith(*op, &l, &r)?,
             };
-            CowCol::Owned(out)
+            Cow::Owned(out)
         }
         Expr::Unary {
             op: UnaryOp::Not,
             expr,
-        } => CowCol::Owned(not(eval_vec(expr, batch)?.col())?),
+        } => Cow::Owned(not(&*eval_vec(expr, batch)?)?),
         Expr::Unary {
             op: UnaryOp::Neg,
             expr,
-        } => CowCol::Owned(neg(eval_vec(expr, batch)?.col())?),
+        } => Cow::Owned(neg(&*eval_vec(expr, batch)?)?),
         Expr::IsNull { expr, negated } => {
             let c = eval_vec(expr, batch)?;
-            let col = c.col();
+            let col: &Column = &c;
             let mut out = Vec::with_capacity(col.len());
             for i in 0..col.len() {
                 out.push(col.is_null(i) != *negated);
             }
-            CowCol::Owned(Column::from_bools(out, NullMask::none()))
+            Cow::Owned(Column::from_bools(out, NullMask::none()))
         }
         Expr::Cast { expr, dtype } => {
             let c = eval_vec(expr, batch)?;
-            let col = c.col();
+            let col: &Column = &c;
             let out = match col.data() {
                 ColumnData::Const(v) => Column::from_const(
                     cast_value(v.clone(), *dtype).map_err(|_| Interrupt)?,
@@ -298,7 +278,7 @@ fn eval_vec<'a>(e: &Expr, batch: &'a ColumnBatch) -> Result<CowCol<'a>, Interrup
                     b.finish()
                 }
             };
-            CowCol::Owned(out)
+            Cow::Owned(out)
         }
         Expr::Column { .. } | Expr::InList { .. } | Expr::Case { .. } => return Err(Interrupt),
     })
@@ -475,6 +455,9 @@ fn cmp_rows(
     ord: impl Fn(usize) -> std::cmp::Ordering,
 ) -> Column {
     let n = l.len();
+    // The verdict per ordering, looked up instead of matched per row.
+    let verdicts = [Less, Equal, Greater].map(|o| op.verdict(o));
+    let verdict = |i| verdicts[(ord(i) as i8 + 1) as usize];
     let mut out = Vec::with_capacity(n);
     let mut nulls = NullMask::none();
     if l.has_nulls() || r.has_nulls() {
@@ -483,11 +466,11 @@ fn cmp_rows(
                 nulls.set_null(i);
                 out.push(false);
             } else {
-                out.push(op.verdict(ord(i)));
+                out.push(verdict(i));
             }
         }
     } else {
-        out.extend((0..n).map(|i| op.verdict(ord(i))));
+        out.extend((0..n).map(verdict));
     }
     Column::from_bools(out, nulls)
 }
@@ -501,10 +484,18 @@ fn cmp(op: BinaryOp, l: &Column, r: &Column) -> KRes {
     // Exactly `sql_cmp`: Int × Int compares as i64; any other numeric
     // pair (mixed Int/Float included) widens to f64 in total order.
     if let (Some(a), Some(b)) = (int_view(l), int_view(r)) {
-        return Ok(cmp_rows(op, l, r, |i| a.get(i).cmp(&b.get(i))));
+        return Ok(match (a, b) {
+            (IntV::S(v), IntV::C(c)) => cmp_rows(op, l, r, |i| v[i].cmp(&c)),
+            (a, b) => cmp_rows(op, l, r, |i| a.get(i).cmp(&b.get(i))),
+        });
     }
     if let (Some(a), Some(b)) = (num_view(l), num_view(r)) {
-        return Ok(cmp_rows(op, l, r, |i| a.get(i).total_cmp(&b.get(i))));
+        // `column op literal`, the common shape, gets its own loop.
+        return Ok(match (a, b) {
+            (NumV::F(v), NumV::C(c)) => cmp_rows(op, l, r, |i| v[i].total_cmp(&c)),
+            (NumV::C(c), NumV::F(v)) => cmp_rows(op, l, r, |i| c.total_cmp(&v[i])),
+            (a, b) => cmp_rows(op, l, r, |i| a.get(i).total_cmp(&b.get(i))),
+        });
     }
     // Dictionary fast path: equality against a string literal compares
     // u32 codes (within one dictionary, code equality ⇔ string equality).

@@ -385,6 +385,23 @@ impl Ticker {
         }
         Ok(())
     }
+
+    /// Count `n` output rows at once — as many real [`check`]s as `n`
+    /// calls of [`Ticker::tick`] would run.
+    #[inline]
+    pub fn tick_n(&mut self, n: usize) -> Result<(), GovError> {
+        let mut left = n;
+        while left > 0 {
+            let step = left.min((Ticker::EVERY - self.0) as usize);
+            left -= step;
+            self.0 += step as u32;
+            if self.0 >= Ticker::EVERY {
+                self.0 = 0;
+                check()?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// True iff the live statement's deadline has passed — the degraded-mode

@@ -43,14 +43,17 @@
 //! drops every skipped row and no stage before it can raise, so no output
 //! and no error is lost, at any thread count or morsel size.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-use maybms_engine::column::ColumnBatch;
+use maybms_engine::column::{ColumnBatch, StrDict};
 use maybms_engine::error::EngineError;
+use maybms_engine::hash::{fast_hash_one, FastHasher};
 use maybms_engine::tuple::{Tuple, TupleBatch};
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{ops, vector, BinaryOp, ColumnData, Expr, Value};
+use maybms_engine::{ops, vector, BinaryOp, ColumnData, Expr, Value, ValueRef};
 use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, Wsd, Zone, ZONE_ROWS};
@@ -107,26 +110,29 @@ pub(crate) fn stages_infallible(stages: &[Stage]) -> bool {
 }
 
 /// How many leading stages of `stages` are kernel-eligible: a run of
-/// σ/π whose expressions all pass [`vector::vectorisable`], ending at
-/// the first probe (probes — and the WSD bookkeeping that rides on them
-/// — stay row-wise; the batch pivots back to shared-row tuples there).
-/// This is the per-stage decision `EXPLAIN` reports.
+/// σ/π whose expressions all pass [`vector::vectorisable`], and hash
+/// probes, ending at the first σ/π that does not. The stages after it
+/// take the row-at-a-time walk. This is the per-stage decision `EXPLAIN`
+/// reports.
 pub(crate) fn vector_prefix_len(stages: &[Stage]) -> usize {
     stages
         .iter()
         .take_while(|s| match s {
             Stage::Filter(p) => vector::vectorisable(p),
             Stage::Project(es) => es.iter().all(vector::vectorisable),
-            Stage::Probe { .. } => false,
+            Stage::Probe { .. } => true,
         })
         .count()
 }
 
-/// One stage of the columnar plan, expressions remapped (where they
-/// predate the first projection) to the pivoted column subset.
+/// One stage of the columnar plan; σ/π expressions are remapped (where
+/// they read the source before any π or probe) to the pivoted subset.
 enum VecStage {
     Filter(Expr),
     Project(Vec<Expr>),
+    /// The probe at this stage index (its keys and build side are the
+    /// run's, see [`BuildSide`]).
+    Probe(usize),
 }
 
 /// The columnar execution plan for a pipeline's kernel-eligible prefix,
@@ -135,63 +141,74 @@ struct VecPrefix {
     /// Number of `stages` covered (the rest run row-wise).
     len: usize,
     stages: Vec<VecStage>,
-    /// Source columns to pivot — only those the prefix reads (up to and
-    /// including the first projection, which replaces the row shape).
+    /// Source columns to pivot — only those the leading σ/π read (up to
+    /// and including the first projection, which replaces the row shape),
+    /// unless a row-store source must reach a probe or the sink whole.
     pivot_cols: Vec<usize>,
 }
 
-/// Plan the columnar prefix, or `None` when nothing vectorises.
-fn plan_vec(stages: &[Stage]) -> Option<VecPrefix> {
+/// Plan the columnar prefix, or `None` when nothing vectorises. `to_sink`:
+/// the caller hands a prefix that covers every stage to a batch sink, so
+/// the rows it outputs need every column.
+fn plan_vec(source: &URelation, stages: &[Stage], to_sink: bool) -> Option<VecPrefix> {
     let len = vector_prefix_len(stages);
-    if len == 0 {
+    // A stage-less pipeline into a sink still reads the source as columns.
+    if len == 0 && !(to_sink && stages.is_empty()) {
         return None;
     }
-    let first_proj = stages[..len]
+    // Stages before the first π or probe read the source row shape; the
+    // ones after read the whole batch that stage built.
+    let reshape = stages[..len]
         .iter()
-        .position(|s| matches!(s, Stage::Project(_)));
-    // Stages up to (and including) the first projection read the source
-    // row shape; later prefix stages read the projected batch whole.
-    let remap_upto = first_proj.map_or(len, |p| p + 1);
+        .position(|s| !matches!(s, Stage::Filter(_)));
+    let remap_upto = match reshape.map(|k| &stages[k]) {
+        Some(Stage::Project(_)) => reshape.map_or(len, |k| k + 1),
+        _ => reshape.unwrap_or(len),
+    };
+    let whole = match reshape.map(|k| &stages[k]) {
+        Some(Stage::Probe { .. }) => true,
+        Some(_) => false,
+        None => to_sink && len == stages.len(),
+    };
     let mut pivot_cols = Vec::new();
-    for s in &stages[..remap_upto] {
-        match s {
-            Stage::Filter(p) => p.referenced_columns(&mut pivot_cols),
-            Stage::Project(es) => es
-                .iter()
-                .for_each(|e| e.referenced_columns(&mut pivot_cols)),
-            Stage::Probe { .. } => unreachable!("prefix stops at probes"),
+    if whole && at_rest(source).is_none() {
+        // A row store pivots this morsel once, whole; an at-rest source
+        // gathers the missing columns from storage instead (`widen`).
+        pivot_cols.extend(0..source.schema().len());
+    } else {
+        for s in &stages[..remap_upto] {
+            match s {
+                Stage::Filter(p) => p.referenced_columns(&mut pivot_cols),
+                Stage::Project(es) => es
+                    .iter()
+                    .for_each(|e| e.referenced_columns(&mut pivot_cols)),
+                Stage::Probe { .. } => unreachable!("the remapped stages end at a probe"),
+            }
         }
+        pivot_cols.sort_unstable();
+        pivot_cols.dedup();
     }
-    pivot_cols.sort_unstable();
-    pivot_cols.dedup();
     let map = |i: usize| {
         pivot_cols
             .binary_search(&i)
             .expect("referenced column collected above")
     };
-    let mut vec_stages = Vec::with_capacity(len);
-    for (k, s) in stages[..len].iter().enumerate() {
-        let remap = k < remap_upto;
-        match s {
-            Stage::Filter(p) => vec_stages.push(VecStage::Filter(if remap {
-                p.remap_columns(&map)
-            } else {
-                p.clone()
-            })),
-            Stage::Project(es) => vec_stages.push(VecStage::Project(
-                es.iter()
-                    .map(|e| {
-                        if remap {
-                            e.remap_columns(&map)
-                        } else {
-                            e.clone()
-                        }
-                    })
-                    .collect(),
-            )),
-            Stage::Probe { .. } => unreachable!("prefix stops at probes"),
+    let remap = |k: usize, e: &Expr| {
+        if k < remap_upto {
+            e.remap_columns(&map)
+        } else {
+            e.clone()
         }
-    }
+    };
+    let vec_stages = stages[..len]
+        .iter()
+        .enumerate()
+        .map(|(k, s)| match s {
+            Stage::Filter(p) => VecStage::Filter(remap(k, p)),
+            Stage::Project(es) => VecStage::Project(es.iter().map(|e| remap(k, e)).collect()),
+            Stage::Probe { .. } => VecStage::Probe(k),
+        })
+        .collect();
     Some(VecPrefix {
         len,
         stages: vec_stages,
@@ -350,101 +367,512 @@ pub(crate) fn drive<T: Send>(
     outputs.into_iter().collect()
 }
 
-/// Run the columnar prefix over one morsel. Returns the surviving rows'
-/// batch (when the prefix projected), their source indices (for
-/// conditions, and for the row values when it did not), and the morsel's
-/// pending error.
+/// The rows one morsel has in flight through the vectorised prefix.
+struct Flow {
+    /// Their values: the source's `pivot_cols` until the rows are
+    /// `whole`, the full row shape of the stage reached after.
+    batch: ColumnBatch,
+    whole: bool,
+    /// Each row's source row — the scalar walk's order.
+    src: Vec<u32>,
+    conds: Conds,
+}
+
+/// The conditions of a [`Flow`]'s rows.
+enum Conds {
+    /// Each row's source row's own.
+    Source,
+    /// Every row's is the tautology.
+    Certain,
+    /// One per row (after a probe conjoined them).
+    Rows(Vec<Wsd>),
+}
+
+impl Flow {
+    /// The morsel `range` of `source`: its `cols` sliced from storage, or
+    /// pivoted from a row store (counted by the pivot metrics).
+    fn scan(source: &URelation, range: Range<usize>, cols: &[usize], whole: bool) -> Flow {
+        let batch = match at_rest(source) {
+            Some(rest) => rest.slice_cols(range.start, range.len(), cols),
+            None => ColumnBatch::pivot(
+                range.len(),
+                source.tuples()[range.clone()]
+                    .iter()
+                    .map(|t| t.data.values()),
+                cols,
+            ),
+        };
+        Flow {
+            batch,
+            whole,
+            src: range.map(|i| i as u32).collect(),
+            conds: Conds::Source,
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.src.len()
+    }
+
+    /// Keep the rows at `sel`, in that order.
+    fn gather(self, sel: &[u32]) -> Flow {
+        Flow {
+            batch: self.batch.gather(sel),
+            whole: self.whole,
+            src: sel.iter().map(|&j| self.src[j as usize]).collect(),
+            conds: match self.conds {
+                Conds::Rows(w) => Conds::Rows(sel.iter().map(|&j| w[j as usize].clone()).collect()),
+                other => other,
+            },
+        }
+    }
+
+    /// Row `j`'s condition; `None` is the tautology.
+    fn cond<'a>(&'a self, source: &'a URelation, j: usize) -> Option<&'a Wsd> {
+        match &self.conds {
+            Conds::Source => Some(wsd_at(source, self.src[j] as usize)),
+            Conds::Certain => None,
+            Conds::Rows(w) => Some(&w[j]),
+        }
+    }
+
+    /// The rows with every column of their shape: an at-rest source's
+    /// columns are gathered (or sliced) from storage; a row store's were
+    /// pivoted whole.
+    fn widen(mut self, source: &URelation) -> Flow {
+        debug_assert!(
+            self.whole || at_rest(source).is_some(),
+            "a row store pivots whole"
+        );
+        if let (false, Some(rest)) = (self.whole, at_rest(source)) {
+            let (first, n) = (self.src.first().map_or(0, |&i| i as usize), self.rows());
+            let all: Vec<usize> = (0..rest.arity()).collect();
+            self.batch = if self.src.last().is_none_or(|&l| l as usize + 1 - first == n) {
+                rest.slice_cols(first, n, &all)
+            } else {
+                rest.gather(&self.src)
+            };
+        }
+        self.whole = true;
+        self
+    }
+
+    /// The rows' conditions for a sink: `None` when every one is the
+    /// tautology.
+    fn sink_conds(&self, source: &URelation) -> Option<Vec<Wsd>> {
+        let certain = (0..self.rows()).all(|j| self.cond(source, j).is_none_or(Wsd::is_tautology));
+        (!certain).then(|| {
+            (0..self.rows())
+                .map(|j| self.cond(source, j).cloned().unwrap_or_default())
+                .collect()
+        })
+    }
+}
+
+/// Run one σ/π stage over `flow` in place, returning its error, if any.
 ///
 /// Error discipline (replicating the row-major scalar order): whenever a
-/// stage errors at some row, the batch truncates to the rows *before*
-/// it and later stages keep running on them — any error they find is at
-/// a strictly earlier source row and replaces the pending one, so the
-/// error that survives is the one the scalar row-at-a-time walk would
-/// have hit first. Rows that survive every stage ahead of the error row
-/// still reach the sink, exactly as the scalar walk pushed them before
+/// stage errors at some row, the rows truncate to the ones *before* it
+/// and later stages keep running on them — any error they find is at a
+/// strictly earlier source row and wins over this one, so the error that
+/// survives is the one the scalar row-at-a-time walk would have hit
+/// first. Rows that survive every stage ahead of the error row still
+/// reach the sink, exactly as the scalar walk pushed them before
 /// erroring (the sink is discarded on error either way).
-fn run_vec(
-    pre: &VecPrefix,
-    source: &URelation,
-    range: Range<usize>,
-    tally: &mut StageTally,
-    kernels: &mut KernelCounts,
-) -> (Option<ColumnBatch>, Vec<u32>, Option<EngineError>) {
-    let mut src: Vec<u32> = range.clone().map(|i| i as u32).collect();
-    // Columnar-at-rest sources hand the prefix typed column slices
-    // straight from storage — no pivot, no row materialisation. Row
-    // stores pivot this one morsel (counted by the pivot metrics).
-    let mut batch = match at_rest(source) {
-        Some(rest) => rest.slice_cols(range.start, range.len(), &pre.pivot_cols),
-        None => ColumnBatch::pivot(
-            range.len(),
-            source.tuples()[range.clone()]
-                .iter()
-                .map(|t| t.data.values()),
-            &pre.pivot_cols,
-        ),
-    };
-    let mut pending = None;
-    let mut projected = false;
-    for (k, stage) in pre.stages.iter().enumerate() {
-        tally[k].0 += batch.rows() as u64;
-        match stage {
-            VecStage::Filter(p) => {
-                let (sel, err) = vector::selection(p, &batch, kernels);
-                if let Some((_, e)) = err {
-                    pending = Some(e);
-                }
-                batch = batch.gather(&sel);
-                src = sel.iter().map(|&j| src[j as usize]).collect();
-            }
-            VecStage::Project(es) => {
-                let mut n_valid = batch.rows();
-                let mut cols = Vec::with_capacity(es.len());
-                for e in es {
-                    let (col, err) = vector::eval_batch(e, &batch, kernels);
-                    if let Some((k, er)) = err {
-                        // Scalar order: expressions left to right within
-                        // a row, rows in order — a later expression's
-                        // error only wins at a strictly earlier row.
-                        if k < n_valid {
-                            n_valid = k;
-                            pending = Some(er);
-                        }
+fn step_vec(stage: &VecStage, flow: &mut Flow, kernels: &mut KernelCounts) -> Option<EngineError> {
+    match stage {
+        VecStage::Filter(p) => {
+            let (sel, err) = vector::selection(p, &flow.batch, kernels);
+            *flow = std::mem::replace(flow, Flow::empty()).gather(&sel);
+            err.map(|(_, e)| e)
+        }
+        VecStage::Project(es) => {
+            let mut n_valid = flow.rows();
+            let mut pending = None;
+            let mut cols = Vec::with_capacity(es.len());
+            for e in es {
+                let (col, err) = vector::eval_batch(e, &flow.batch, kernels);
+                if let Some((k, er)) = err {
+                    // Scalar order: expressions left to right within
+                    // a row, rows in order — a later expression's
+                    // error only wins at a strictly earlier row.
+                    if k < n_valid {
+                        n_valid = k;
+                        pending = Some(er);
                     }
-                    cols.push(col);
                 }
-                batch = ColumnBatch::from_columns(cols, n_valid);
-                src.truncate(n_valid);
-                projected = true;
+                cols.push(col.into_owned());
+            }
+            flow.batch = ColumnBatch::from_columns(cols, n_valid);
+            flow.whole = true;
+            flow.src.truncate(n_valid);
+            if let Conds::Rows(w) = &mut flow.conds {
+                w.truncate(n_valid);
+            }
+            pending
+        }
+        VecStage::Probe(_) => unreachable!("probes run in `Morsel::run`"),
+    }
+}
+
+impl Flow {
+    fn empty() -> Flow {
+        Flow {
+            batch: ColumnBatch::from_columns(Vec::new(), 0),
+            whole: false,
+            src: Vec::new(),
+            conds: Conds::Certain,
+        }
+    }
+}
+
+/// Rows a columnar morsel hands the vectorised prefix at a time: the
+/// columns of one vector stay in cache from stage to stage.
+const VECTOR_ROWS: usize = 2048;
+
+/// The source rows of `morsel`, split into the vectors the prefix runs
+/// on: [`VECTOR_ROWS`] at a time over an at-rest source, the whole morsel
+/// (one pivot) over a row store.
+fn vectors(source: &URelation, morsel: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let step = match at_rest(source) {
+        Some(_) => VECTOR_ROWS,
+        None => morsel.len().max(1),
+    };
+    let end = morsel.end;
+    morsel
+        .step_by(step)
+        .map(move |start| start..(start + step).min(end))
+}
+
+/// A probe stage's build side, ready for one pipeline run: its hash
+/// table, and — for a probe in the vectorised prefix — its rows as
+/// columns (the at-rest batch, or a row store pivoted once).
+struct BuildSide<'a> {
+    table: BuildTable,
+    columns: Option<(Cow<'a, ColumnBatch>, Cow<'a, [Wsd]>)>,
+    /// Every build row's condition is the tautology.
+    certain: bool,
+}
+
+/// Joined rows a batch probe emits per chunk at most: a probe with a
+/// large fan-out streams through the rest of the prefix in pieces.
+const PROBE_CHUNK: usize = 8192;
+
+/// One morsel's vectorised run of a [`run_sink`] pipeline.
+struct Morsel<'a, Sk> {
+    source: &'a URelation,
+    stages: &'a [Stage],
+    pre: &'a VecPrefix,
+    builds: &'a [Option<BuildSide<'a>>],
+    tally: &'a mut Tally,
+    sink: &'a mut Sk,
+    gov: maybms_gov::Ticker,
+}
+
+impl<Sk: MorselSink> Morsel<'_, Sk> {
+    /// Push `flow` through the prefix from stage `k`, then into the sink
+    /// (or the row walk for the stages after the prefix). A stage's own
+    /// error is returned only after everything it let through ran: those
+    /// rows precede it in the scalar walk.
+    fn run(&mut self, mut flow: Flow, k: usize) -> Result<()> {
+        if k == self.pre.len {
+            return self.finish(flow);
+        }
+        self.tally.stages[k].0 += flow.rows() as u64;
+        if let VecStage::Probe(p) = self.pre.stages[k] {
+            return self.probe(flow.widen(self.source), p);
+        }
+        let pending = step_vec(&self.pre.stages[k], &mut flow, &mut self.tally.kernels);
+        self.tally.stages[k].1 += flow.rows() as u64;
+        self.run(flow, k + 1)?;
+        pending.map_or(Ok(()), |e| Err(e.into()))
+    }
+
+    /// The batch probe at stage `k`: hash the key columns, verify each
+    /// candidate on typed values, conjoin the pair's conditions, and
+    /// gather the joined rows — probe row order, then candidate order,
+    /// as the row walk emits them.
+    fn probe(&mut self, flow: Flow, k: usize) -> Result<()> {
+        let (stages, builds) = (self.stages, self.builds);
+        let Stage::Probe {
+            left_keys,
+            right_keys,
+            ..
+        } = &stages[k]
+        else {
+            unreachable!("a probe plan stage is a probe")
+        };
+        let side = builds[k].as_ref().expect("probe stage has a build side");
+        let (bcols, bwsds) = side.columns.as_ref().expect("prefix probes are columnar");
+        let hashes = key_hashes(&flow.batch, left_keys);
+        let (mut pi, mut bi, mut conds) = (Vec::new(), Vec::new(), JoinedConds::default());
+        for (j, h) in hashes.iter().enumerate() {
+            let Some(h) = *h else { continue };
+            for &ri in side.table.candidates(h) {
+                let r = ri as usize;
+                let keys_eq = left_keys
+                    .iter()
+                    .zip(right_keys)
+                    .all(|(&a, &b)| flow.batch.column(a).cell(j) == bcols.column(b).cell(r));
+                if !keys_eq {
+                    continue; // hash collision
+                }
+                // An unsatisfiable conjunction drops the joined row; two
+                // tautologies need no conjoin.
+                let left = flow.cond(self.source, j).filter(|l| !l.is_tautology());
+                let joined = match (left, &bwsds[r]) {
+                    (None, _) if side.certain => None,
+                    (Some(l), w) => match l.conjoin(w) {
+                        Some(c) => Some(c),
+                        None => continue,
+                    },
+                    (None, w) if w.is_tautology() => None,
+                    (None, w) => Some(w.clone()),
+                };
+                pi.push(j as u32);
+                bi.push(ri);
+                conds.push(joined);
+                if pi.len() >= PROBE_CHUNK {
+                    let chunk = (std::mem::take(&mut pi), std::mem::take(&mut bi));
+                    self.emit(&flow, chunk, std::mem::take(&mut conds), k)?;
+                }
             }
         }
-        tally[k].1 += batch.rows() as u64;
+        self.emit(&flow, (pi, bi), conds, k)
     }
-    (projected.then_some(batch), src, pending)
+
+    /// Gather one chunk of joined rows and run it on from stage `k + 1`.
+    fn emit(
+        &mut self,
+        flow: &Flow,
+        (pi, bi): (Vec<u32>, Vec<u32>),
+        conds: JoinedConds,
+        k: usize,
+    ) -> Result<()> {
+        let Stage::Probe { build_first, .. } = self.stages[k] else {
+            unreachable!("a probe plan stage is a probe")
+        };
+        let builds = self.builds;
+        let (bcols, _) = builds[k]
+            .as_ref()
+            .and_then(|b| b.columns.as_ref())
+            .expect("prefix probes are columnar");
+        let (probe, build) = (flow.batch.gather(&pi), bcols.gather(&bi));
+        let halves = match build_first {
+            true => [build, probe],
+            false => [probe, build],
+        };
+        let n = pi.len();
+        self.tally.stages[k].1 += n as u64;
+        let joined = Flow {
+            batch: ColumnBatch::from_columns(
+                halves
+                    .into_iter()
+                    .flat_map(ColumnBatch::into_columns)
+                    .collect(),
+                n,
+            ),
+            whole: true,
+            src: pi.iter().map(|&j| flow.src[j as usize]).collect(),
+            conds: conds.finish(),
+        };
+        self.run(joined, k + 1)
+    }
+
+    /// The end of the prefix: the sink takes the batch, or the row walk
+    /// takes each row through the remaining stages.
+    fn finish(&mut self, flow: Flow) -> Result<()> {
+        let rest = &self.stages[self.pre.len..];
+        if rest.is_empty() {
+            let flow = flow.widen(self.source);
+            let wsds = flow.sink_conds(self.source);
+            self.gov.tick_n(flow.rows()).map_err(EngineError::Gov)?;
+            return self
+                .sink
+                .push_batch(&flow.batch, wsds.as_deref(), &mut self.tally.kernels);
+        }
+        let tables: Vec<Option<&BuildTable>> = self.builds[self.pre.len..]
+            .iter()
+            .map(|b| b.as_ref().map(|b| &b.table))
+            .collect();
+        let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
+        let mut rows = RowsSink::default();
+        let mut rowbuf: Vec<Value> = Vec::new();
+        let mut walked = Ok(());
+        let taut = Wsd::tautology();
+        for j in 0..flow.rows() {
+            // Never the source's row view: see `wsd_at`.
+            match flow.whole {
+                true => flow.batch.write_row(j, &mut rowbuf),
+                false => self.source.write_row(flow.src[j] as usize, &mut rowbuf),
+            }
+            walked = push_row(
+                &rowbuf,
+                flow.cond(self.source, j).unwrap_or(&taut),
+                rest,
+                &tables,
+                0,
+                &mut scratch,
+                &mut self.tally.stages[self.pre.len..],
+                &mut rows,
+                &mut self.gov,
+            );
+            if walked.is_err() {
+                break;
+            }
+        }
+        // The rows the walk let through precede its error, if any.
+        self.sink.push_rows(rows, &mut self.tally.kernels)?;
+        walked
+    }
+}
+
+/// The conditions of a probe's joined rows, kept as [`Conds::Certain`]
+/// until the first one that is not the tautology.
+#[derive(Default)]
+struct JoinedConds {
+    rows: usize,
+    wsds: Option<Vec<Wsd>>,
+}
+
+impl JoinedConds {
+    /// The next joined row's condition; `None` is the tautology.
+    fn push(&mut self, w: Option<Wsd>) {
+        match (&mut self.wsds, w) {
+            (Some(ws), w) => ws.push(w.unwrap_or_default()),
+            (None, Some(w)) => {
+                let mut ws = vec![Wsd::tautology(); self.rows];
+                ws.push(w);
+                self.wsds = Some(ws);
+            }
+            (None, None) => {}
+        }
+        self.rows += 1;
+    }
+
+    fn finish(self) -> Conds {
+        self.wsds.map_or(Conds::Certain, Conds::Rows)
+    }
+}
+
+/// The join-key hash of each row of `batch` over `keys` — exactly
+/// [`row_key_hash`] of the row, `None` when a key is NULL. A single
+/// dictionary-encoded key reads its hash from the dictionary's per-entry
+/// cache by code.
+fn key_hashes(batch: &ColumnBatch, keys: &[usize]) -> Vec<Option<u64>> {
+    let rows = 0..batch.rows();
+    if let [k] = keys {
+        let col = batch.column(*k);
+        if let ColumnData::Dict { codes, dict } = col.data() {
+            let entry = dict_hashes(dict);
+            return rows
+                .map(|j| (!col.is_null(j)).then(|| entry[codes[j] as usize]))
+                .collect();
+        }
+    }
+    rows.map(|j| {
+        let mut h = FastHasher::default();
+        for &k in keys {
+            match batch.column(k).cell(j) {
+                ValueRef::Null => return None,
+                v => v.hash(&mut h),
+            }
+        }
+        Some(h.finish())
+    })
+    .collect()
+}
+
+/// A dictionary's per-entry single-key hashes, computed once per
+/// dictionary and cached on it.
+fn dict_hashes(dict: &StrDict) -> &[u64] {
+    dict.cached_hashes(|entries| {
+        entries
+            .iter()
+            .map(|s| fast_hash_one(&ValueRef::Str(s)))
+            .collect()
+    })
 }
 
 /// A morsel-local consumer of rows that survive the stage chain. One
 /// sink exists per morsel; the caller merges finished sinks in morsel
 /// order, so a sink never needs to be thread-safe itself.
 pub(crate) trait MorselSink {
-    /// Consume one surviving row and its condition.
-    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<()>;
+    /// Consume a batch of surviving rows, in order, with their conditions
+    /// (`None`: every row's is the tautology).
+    fn push_batch(
+        &mut self,
+        batch: &ColumnBatch,
+        wsds: Option<&[Wsd]>,
+        kernels: &mut KernelCounts,
+    ) -> Result<()>;
+
+    /// Consume the rows the row walk let through, in order. By default
+    /// they pivot once into [`MorselSink::push_batch`].
+    fn push_rows(&mut self, rows: RowsSink, kernels: &mut KernelCounts) -> Result<()> {
+        let (tuples, wsds) = rows.finish();
+        let Some(first) = tuples.first() else {
+            return Ok(());
+        };
+        let cols: Vec<usize> = (0..first.values().len()).collect();
+        let batch = ColumnBatch::pivot(tuples.len(), tuples.iter().map(Tuple::values), &cols);
+        let certain = wsds.iter().all(Wsd::is_tautology);
+        self.push_batch(&batch, (!certain).then_some(&wsds[..]), kernels)
+    }
 }
 
 /// The materialising sink: rows into a morsel-local [`TupleBatch`],
-/// conditions alongside.
-struct RowsSink {
+/// conditions alongside — and the row walk's own buffer.
+#[derive(Default)]
+pub(crate) struct RowsSink {
+    /// Rows absorbed whole ([`MorselSink::push_rows`]), then `batch`'s.
+    tuples: Vec<Tuple>,
     batch: TupleBatch,
+    /// One per row, in the same order.
     wsds: Vec<Wsd>,
 }
 
-impl MorselSink for RowsSink {
-    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<()> {
+impl RowsSink {
+    fn push(&mut self, row: &[Value], wsd: &Wsd) {
         self.batch.begin_row();
         for v in row {
             self.batch.push_value(v.clone());
         }
         self.wsds.push(wsd.clone());
+    }
+
+    /// The rows and their conditions, in push order.
+    pub(crate) fn finish(self) -> (Vec<Tuple>, Vec<Wsd>) {
+        let mut tuples = self.tuples;
+        tuples.extend(self.batch.finish());
+        (tuples, self.wsds)
+    }
+}
+
+impl MorselSink for RowsSink {
+    fn push_batch(
+        &mut self,
+        batch: &ColumnBatch,
+        wsds: Option<&[Wsd]>,
+        _: &mut KernelCounts,
+    ) -> Result<()> {
+        for j in 0..batch.rows() {
+            self.batch.begin_row();
+            for c in batch.columns() {
+                self.batch.push_value(c.value_at(j));
+            }
+            self.wsds
+                .push(wsds.map(|w| w[j].clone()).unwrap_or_default());
+        }
+        Ok(())
+    }
+
+    fn push_rows(&mut self, rows: RowsSink, _: &mut KernelCounts) -> Result<()> {
+        let (tuples, wsds) = rows.finish();
+        let pending = std::mem::take(&mut self.batch).finish();
+        self.tuples.extend(pending);
+        self.tuples.extend(tuples);
+        self.wsds.extend(wsds);
         Ok(())
     }
 }
@@ -453,11 +881,11 @@ impl MorselSink for RowsSink {
 /// every surviving row into a fresh per-morsel sink built by
 /// `make_sink`. Returns the finished sinks **in morsel order**.
 ///
-/// The kernel-eligible σ/π prefix of the chain runs vectorised per
-/// morsel (slice or pivot → typed kernels → gather), pivoting back to
-/// rows for the remaining stages and the sink — output and errors
-/// bit-identical to the row-at-a-time walk that stages outside the
-/// prefix take.
+/// The kernel-eligible prefix of the chain — σ/π kernels and hash probes
+/// — runs on column batches per morsel (slice or pivot → typed kernels →
+/// gather) and hands the sink a batch; stages after it take the
+/// row-at-a-time walk, whose rows reach the sink at the morsel's end.
+/// Output and errors are bit-identical either way.
 pub(crate) fn run_sink<Sk, MK>(
     source: &URelation,
     stages: &[Stage],
@@ -470,21 +898,28 @@ where
     Sk: MorselSink + Send,
     MK: Fn() -> Sk + Sync,
 {
-    // Morsel-local build tables for the probe stages, on this pool.
-    let tables: Vec<Option<BuildTable>> = stages
+    let pre = plan_vec(source, stages, true);
+    let prefix = pre.as_ref().map_or(0, |p| p.len);
+    let certain = source.is_t_certain();
+    // Build sides for the probe stages, on this pool.
+    let builds: Vec<Option<BuildSide>> = stages
         .iter()
         .zip(&stats.stages)
-        .map(|(s, slot)| match s {
+        .enumerate()
+        .map(|(k, (s, slot))| match s {
             Stage::Probe {
                 build, right_keys, ..
             } => {
                 slot.build_rows.add(build.len() as u64);
-                Some(build_table(build, right_keys, pool, min_morsel))
+                Some(BuildSide {
+                    table: build_table(build, right_keys, pool, min_morsel),
+                    columns: (k < prefix).then(|| columns_of(build)),
+                    certain: build.is_t_certain(),
+                })
             }
             _ => None,
         })
         .collect();
-    let pre = plan_vec(stages);
 
     drive(
         candidate_ranges(source, stages, stats),
@@ -493,53 +928,53 @@ where
         stats,
         |range, tally| {
             let mut sink = make_sink();
-            let mut gov = maybms_gov::Ticker::new();
-            if let Some(pre) = &pre {
-                // Columnar prefix, then the row walk for the rest.
-                let rest = &stages[pre.len..];
-                let rest_tables = &tables[pre.len..];
-                let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
-                let (prefix_tally, rest_tally) = tally.stages.split_at_mut(pre.len);
-                let (batch, src, pending) =
-                    run_vec(pre, source, range, prefix_tally, &mut tally.kernels);
-                let mut rowbuf: Vec<Value> = Vec::new();
-                for (j, &si) in src.iter().enumerate() {
-                    // Never the source's row view: see `wsd_at`.
-                    match &batch {
-                        Some(b) => b.write_row(j, &mut rowbuf),
-                        None => source.write_row(si as usize, &mut rowbuf),
-                    }
-                    push_row(
-                        &rowbuf,
-                        wsd_at(source, si as usize),
-                        rest,
-                        rest_tables,
-                        0,
-                        &mut scratch,
-                        rest_tally,
-                        &mut sink,
-                        &mut gov,
-                    )?;
-                }
-                // Any row-walk error above was at an earlier source row
-                // than the prefix's pending error — row-major order.
-                if let Some(e) = pending {
-                    return Err(e.into());
-                }
-            } else {
-                let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
-                for t in &source.tuples()[range] {
-                    push_row(
-                        t.data.values(),
-                        &t.wsd,
+            match &pre {
+                Some(pre) => {
+                    let whole = pre.pivot_cols.len() == source.schema().len();
+                    let mut m = Morsel {
+                        source,
                         stages,
-                        &tables,
-                        0,
-                        &mut scratch,
-                        &mut tally.stages,
-                        &mut sink,
-                        &mut gov,
-                    )?;
+                        pre,
+                        builds: &builds,
+                        tally,
+                        sink: &mut sink,
+                        gov: maybms_gov::Ticker::new(),
+                    };
+                    for rows in vectors(source, range) {
+                        let mut flow = Flow::scan(source, rows, &pre.pivot_cols, whole);
+                        if certain {
+                            flow.conds = Conds::Certain;
+                        }
+                        m.run(flow, 0)?;
+                    }
+                }
+                None => {
+                    let tables: Vec<Option<&BuildTable>> = builds
+                        .iter()
+                        .map(|b| b.as_ref().map(|b| &b.table))
+                        .collect();
+                    let mut gov = maybms_gov::Ticker::new();
+                    let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
+                    let mut rows = RowsSink::default();
+                    let mut walked = Ok(());
+                    for t in &source.tuples()[range] {
+                        walked = push_row(
+                            t.data.values(),
+                            &t.wsd,
+                            stages,
+                            &tables,
+                            0,
+                            &mut scratch,
+                            &mut tally.stages,
+                            &mut rows,
+                            &mut gov,
+                        );
+                        if walked.is_err() {
+                            break;
+                        }
+                    }
+                    sink.push_rows(rows, &mut tally.kernels)?;
+                    walked?;
                 }
             }
             Ok(sink)
@@ -547,44 +982,36 @@ where
     )
 }
 
-/// Build a probe stage's hash table. A columnar-at-rest build side with
-/// a single dictionary-encoded key column hashes each *distinct*
-/// dictionary entry once (cached on the dictionary itself, so repeated
-/// joins against the same stored table never re-hash) and assigns row
-/// hashes by code lookup — no build-row materialisation. The hash values
-/// are exactly [`row_key_hash`]'s, so probe-side hashing, candidate
-/// verification, and NULL-key handling are unchanged.
+/// A relation's rows as columns: the at-rest batch and conditions, or a
+/// row store pivoted once (counted by the pivot metrics).
+fn columns_of(rel: &URelation) -> (Cow<'_, ColumnBatch>, Cow<'_, [Wsd]>) {
+    match rel.at_rest() {
+        Some((batch, wsds)) => (Cow::Borrowed(batch), Cow::Borrowed(wsds)),
+        None => {
+            let rows = rel.tuples();
+            let cols: Vec<usize> = (0..rel.schema().len()).collect();
+            let batch = ColumnBatch::pivot(rows.len(), rows.iter().map(|t| t.data.values()), &cols);
+            let wsds = rows.iter().map(|t| t.wsd.clone()).collect();
+            (Cow::Owned(batch), Cow::Owned(wsds))
+        }
+    }
+}
+
+/// Build a probe stage's hash table. A columnar-at-rest build side hashes
+/// its key columns without materialising a row ([`key_hashes`]: a
+/// single dictionary-encoded key hashes each *distinct* entry once, cached
+/// on the dictionary, so repeated joins against the same stored table
+/// never re-hash). The hash values are exactly [`row_key_hash`]'s, so
+/// either side may be hashed either way.
 fn build_table(
     build: &URelation,
     right_keys: &[usize],
     pool: &ThreadPool,
     min_morsel: usize,
 ) -> BuildTable {
-    if let ([k], Some(rest)) = (right_keys, at_rest(build)) {
-        let col = rest.column(*k);
-        if let maybms_engine::ColumnData::Dict { codes, dict } = col.data() {
-            let entry_hashes = dict.cached_hashes(|entries| {
-                entries
-                    .iter()
-                    .map(|s| {
-                        maybms_engine::ops::single_key_hash(&Value::Str(s.clone()))
-                            .expect("non-NULL string keys always hash")
-                    })
-                    .collect()
-            });
-            return BuildTable::build(
-                build.len(),
-                |i| {
-                    if col.is_null(i) {
-                        None // NULL keys never enter the table
-                    } else {
-                        Some(entry_hashes[codes[i] as usize])
-                    }
-                },
-                pool,
-                min_morsel,
-            );
-        }
+    if let Some(rest) = at_rest(build) {
+        let hashes = key_hashes(rest, right_keys);
+        return BuildTable::build(build.len(), |i| hashes[i], pool, min_morsel);
     }
     let rows = build.tuples();
     BuildTable::build(
@@ -606,50 +1033,73 @@ pub(crate) fn select(
     min_morsel: usize,
     stats: &PipelineStats,
 ) -> Result<Vec<usize>> {
-    let pre = plan_vec(stages);
+    let pre = plan_vec(source, stages, false);
     let partials = drive(
         candidate_ranges(source, stages, stats),
         pool,
         min_morsel,
         stats,
         |range, tally| {
-            let (src, pending, start) = match &pre {
-                Some(pre) => {
-                    let (_, src, pending) =
-                        run_vec(pre, source, range, &mut tally.stages, &mut tally.kernels);
-                    (src, pending, pre.len)
-                }
-                None => (range.map(|i| i as u32).collect(), None, 0),
-            };
             let mut sel = Vec::new();
-            if stages[start..].is_empty() {
-                // Fully vectorised chain: the selection is final — on a
-                // columnar-at-rest source no row is ever touched.
-                sel.extend(src.iter().map(|&si| si as usize));
-            } else {
-                let mut gov = maybms_gov::Ticker::new();
-                let mut rowbuf = Vec::new(); // never the row view: see `wsd_at`
-                'row: for &si in &src {
-                    gov.tick().map_err(EngineError::Gov)?;
-                    source.write_row(si as usize, &mut rowbuf);
-                    for (k, s) in stages[start..].iter().enumerate() {
-                        let Stage::Filter(p) = s else { unreachable!() };
-                        tally.stages[start + k].0 += 1;
-                        if !p.eval_predicate_values(&rowbuf)? {
-                            continue 'row;
-                        }
-                        tally.stages[start + k].1 += 1;
-                    }
-                    sel.push(si as usize);
-                }
+            for rows in vectors(source, range) {
+                select_rows(source, stages, pre.as_ref(), rows, tally, &mut sel)?;
             }
-            match pending {
-                Some(e) => Err(e.into()),
-                None => Ok(sel),
-            }
+            Ok(sel)
         },
     )?;
     Ok(partials.concat())
+}
+
+/// [`select`] over the source rows `range`, appending the survivors to
+/// `sel`.
+fn select_rows(
+    source: &URelation,
+    stages: &[Stage],
+    pre: Option<&VecPrefix>,
+    range: Range<usize>,
+    tally: &mut Tally,
+    sel: &mut Vec<usize>,
+) -> Result<()> {
+    let (src, pending, start) = match pre {
+        Some(pre) => {
+            let mut flow = Flow::scan(source, range, &pre.pivot_cols, false);
+            let mut pending = None;
+            for (k, stage) in pre.stages.iter().enumerate() {
+                tally.stages[k].0 += flow.rows() as u64;
+                if let Some(e) = step_vec(stage, &mut flow, &mut tally.kernels) {
+                    pending = Some(e);
+                }
+                tally.stages[k].1 += flow.rows() as u64;
+            }
+            (flow.src, pending, pre.len)
+        }
+        None => (range.map(|i| i as u32).collect(), None, 0),
+    };
+    if stages[start..].is_empty() {
+        // Fully vectorised chain: the selection is final — on a
+        // columnar-at-rest source no row is ever touched.
+        sel.extend(src.iter().map(|&si| si as usize));
+    } else {
+        let mut gov = maybms_gov::Ticker::new();
+        let mut rowbuf = Vec::new(); // never the row view: see `wsd_at`
+        'row: for &si in &src {
+            gov.tick().map_err(EngineError::Gov)?;
+            source.write_row(si as usize, &mut rowbuf);
+            for (k, s) in stages[start..].iter().enumerate() {
+                let Stage::Filter(p) = s else { unreachable!() };
+                tally.stages[start + k].0 += 1;
+                if !p.eval_predicate_values(&rowbuf)? {
+                    continue 'row;
+                }
+                tally.stages[start + k].1 += 1;
+            }
+            sel.push(si as usize);
+        }
+    }
+    match pending {
+        Some(e) => Err(e.into()),
+        None => Ok(()),
+    }
 }
 
 /// Run `stages` over `source` on the morsel driver, materialising the
@@ -663,33 +1113,32 @@ pub(crate) fn rows(
     min_morsel: usize,
     stats: &PipelineStats,
 ) -> Result<(Vec<Tuple>, Vec<Wsd>)> {
-    let sinks = run_sink(source, stages, pool, min_morsel, stats, || RowsSink {
-        batch: TupleBatch::new(),
-        wsds: Vec::new(),
-    })?;
+    let sinks = run_sink(source, stages, pool, min_morsel, stats, RowsSink::default)?;
     let mut tuples = Vec::new();
     let mut wsds = Vec::new();
     for sink in sinks {
-        tuples.extend(sink.batch.finish());
-        wsds.extend(sink.wsds);
+        let (t, w) = sink.finish();
+        tuples.extend(t);
+        wsds.extend(w);
     }
     Ok((tuples, wsds))
 }
 
-/// Push one in-flight row through `stages[depth..]`. `scratch[depth]`
-/// is the reusable value buffer of the constructing stage at `depth` —
-/// taken out around the recursion and always restored, so the morsel
-/// allocates nothing after warmup even across evaluation errors.
+/// Push one in-flight row through `stages[depth..]` into the row buffer
+/// `out`. `scratch[depth]` is the reusable value buffer of the
+/// constructing stage at `depth` — taken out around the recursion and
+/// always restored, so the morsel allocates nothing after warmup even
+/// across evaluation errors.
 #[allow(clippy::too_many_arguments)]
-fn push_row<Sk: MorselSink>(
+fn push_row(
     row: &[Value],
     wsd: &Wsd,
     stages: &[Stage],
-    tables: &[Option<BuildTable>],
+    tables: &[Option<&BuildTable>],
     depth: usize,
     scratch: &mut [Vec<Value>],
     tally: &mut StageTally,
-    sink: &mut Sk,
+    out: &mut RowsSink,
     gov: &mut maybms_gov::Ticker,
 ) -> Result<()> {
     let Some(stage) = stages.get(depth) else {
@@ -698,7 +1147,8 @@ fn push_row<Sk: MorselSink>(
         // product, so a runaway join would be uncancellable and blow
         // straight through a memory budget.
         gov.tick().map_err(EngineError::Gov)?;
-        return sink.push(row, wsd);
+        out.push(row, wsd);
+        return Ok(());
     };
     tally[depth].0 += 1;
     match stage {
@@ -713,7 +1163,7 @@ fn push_row<Sk: MorselSink>(
                     depth + 1,
                     scratch,
                     tally,
-                    sink,
+                    out,
                     gov,
                 )?;
             }
@@ -742,7 +1192,7 @@ fn push_row<Sk: MorselSink>(
                     depth + 1,
                     scratch,
                     tally,
-                    sink,
+                    out,
                     gov,
                 );
             }
@@ -758,9 +1208,7 @@ fn push_row<Sk: MorselSink>(
             let Some(h) = row_key_hash(row, left_keys) else {
                 return Ok(());
             };
-            let table = tables[depth]
-                .as_ref()
-                .expect("probe stage has a build table");
+            let table = tables[depth].expect("probe stage has a build table");
             let mut vals = std::mem::take(&mut scratch[depth]);
             let mut result = Ok(());
             for &ri in table.candidates(h) {
@@ -792,7 +1240,7 @@ fn push_row<Sk: MorselSink>(
                     depth + 1,
                     scratch,
                     tally,
-                    sink,
+                    out,
                     gov,
                 ) {
                     result = Err(e);

@@ -23,8 +23,12 @@
 //! with an accumulator holding member WSDs (for the per-group `conf()`
 //! fan-out) and running `esum`/`ecount` partial sums.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use maybms_engine::hash::{fast_hash_one, FastMap};
-use maybms_engine::{Expr, Value};
+use maybms_engine::vector::{self, KernelCounts};
+use maybms_engine::{Column, ColumnBatch, ColumnData, Expr, StrDict, Value};
 use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, Wsd};
@@ -88,16 +92,23 @@ impl<A> GroupTable<A> {
     /// The state for `key`, opening a new group (cloning the key and
     /// calling `new_state`) on first sight.
     pub fn entry(&mut self, key: &[Value], new_state: impl FnOnce() -> A) -> &mut A {
+        let g = self.group_of(key, new_state);
+        &mut self.states[g as usize]
+    }
+
+    /// The index of `key`'s group, opening it on first sight.
+    fn group_of(&mut self, key: &[Value], new_state: impl FnOnce() -> A) -> u32 {
         let h = fast_hash_one(key);
         let bucket = self.buckets.entry(h).or_default();
         match bucket.iter().find(|&&g| self.keys[g as usize] == key) {
-            Some(&g) => &mut self.states[g as usize],
+            Some(&g) => g,
             None => {
-                bucket.push(self.keys.len() as u32);
+                let g = self.keys.len() as u32;
+                bucket.push(g);
                 self.keys.push(key.to_vec());
                 self.states.push(new_state());
                 self.charge.add(Self::group_bytes(key.len()));
-                self.states.last_mut().expect("just pushed")
+                g
             }
         }
     }
@@ -132,52 +143,147 @@ impl<A> GroupTable<A> {
     pub fn into_parts(self) -> (Vec<Vec<Value>>, Vec<A>) {
         (self.keys, self.states)
     }
-
-    /// Open a new group, returning its index. The dense-code fast path
-    /// calls this only on a key's first sight (its own dense map
-    /// guarantees absence), so no bucket probe is needed — but the bucket
-    /// is still maintained, keeping the table valid as a merge target.
-    fn open_group(&mut self, key: Vec<Value>, state: A) -> u32 {
-        let g = self.keys.len() as u32;
-        self.buckets
-            .entry(fast_hash_one(&key[..]))
-            .or_default()
-            .push(g);
-        self.charge.add(Self::group_bytes(key.len()));
-        self.keys.push(key);
-        self.states.push(state);
-        g
-    }
-
-    /// The state of group `g` (an index returned by
-    /// [`GroupTable::open_group`]).
-    fn state_mut(&mut self, g: u32) -> &mut A {
-        &mut self.states[g as usize]
-    }
 }
 
-/// The grouped morsel sink: evaluates the (bound) key expressions into a
-/// scratch buffer, opens/looks up the group, and folds the row.
+/// One batch of rows for a grouped fold (the `fold` of
+/// [`UStream::collect_grouped`](crate::UStream::collect_grouped)).
+#[derive(Debug, Clone, Copy)]
+pub struct GroupedBatch<'a> {
+    /// Each row's group — an index into the fold's states — for the
+    /// batch's first `groups.len()` rows, the only ones to fold (a key
+    /// expression raised at the next one).
+    pub groups: &'a [u32],
+    /// The rows, in the pipeline's output shape.
+    pub batch: &'a ColumnBatch,
+    /// The rows' conditions; `None` when every one is the tautology.
+    pub wsds: Option<&'a [Wsd]>,
+}
+
+/// Per-morsel caches from a single key column's typed value to its
+/// group. They only shortcut [`GroupTable::group_of`], so a cache that
+/// misses — or is dropped when the next batch's key column is another
+/// dictionary or type — never changes a group.
+#[derive(Default)]
+enum KeyCache {
+    #[default]
+    Empty,
+    /// Dictionary code → group, for one dictionary: a dense vector when
+    /// the dictionary is not far larger than the batch, else hashed.
+    Dense(Arc<StrDict>, Vec<u32>),
+    Hashed(Arc<StrDict>, FastMap<u32, u32>),
+    Ints(FastMap<i64, u32>),
+}
+
+/// The grouped morsel sink: evaluates the (bound) key expressions over
+/// each batch, resolves every row's group, and hands the batch to the
+/// caller's fold.
 struct GroupSink<'a, A, NF, FF> {
     table: GroupTable<A>,
     key_exprs: &'a [Expr],
     new_state: &'a NF,
     fold: &'a FF,
-    scratch: Vec<Value>,
+    cache: KeyCache,
+    /// The NULL key's group, once opened.
+    null_group: Option<u32>,
+}
+
+impl<A, NF, FF> GroupSink<'_, A, NF, FF>
+where
+    NF: Fn() -> A,
+{
+    /// The group of each of the first `n` rows, keyed by `keys`.
+    fn group_ids(&mut self, keys: &[Cow<'_, Column>], n: usize) -> Vec<u32> {
+        let new_state = self.new_state;
+        let table = &mut self.table;
+        let mut ids = Vec::with_capacity(n);
+        let col = match keys {
+            [] if n > 0 => return vec![table.group_of(&[], new_state); n],
+            [col] => col,
+            _ => {
+                // Any other key shape: `Value` keys from the key columns.
+                let mut key = Vec::with_capacity(keys.len());
+                for j in 0..n {
+                    key.clear();
+                    key.extend(keys.iter().map(|c| c.value_at(j)));
+                    ids.push(table.group_of(&key, new_state));
+                }
+                return ids;
+            }
+        };
+        match (col.data(), &mut self.cache) {
+            (ColumnData::Dict { dict, .. }, KeyCache::Dense(d, _) | KeyCache::Hashed(d, _))
+                if Arc::ptr_eq(dict, d) => {}
+            (ColumnData::Dict { dict, .. }, cache) => {
+                *cache = match dict.len() <= 4 * n.max(256) {
+                    true => KeyCache::Dense(dict.clone(), vec![u32::MAX; dict.len()]),
+                    false => KeyCache::Hashed(dict.clone(), FastMap::default()),
+                }
+            }
+            (ColumnData::Int(_), KeyCache::Ints(_)) => {}
+            (ColumnData::Int(_), cache) => *cache = KeyCache::Ints(FastMap::default()),
+            _ => {}
+        }
+        let null_group = &mut self.null_group;
+        for j in 0..n {
+            let g = match (col.data(), &mut self.cache) {
+                _ if col.is_null(j) => {
+                    *null_group.get_or_insert_with(|| table.group_of(&[Value::Null], new_state))
+                }
+                (ColumnData::Dict { codes, dict }, KeyCache::Dense(_, map)) => {
+                    let slot = &mut map[codes[j] as usize];
+                    if *slot == u32::MAX {
+                        *slot =
+                            table.group_of(&[Value::Str(dict.get(codes[j]).clone())], new_state);
+                    }
+                    *slot
+                }
+                (ColumnData::Dict { codes, dict }, KeyCache::Hashed(_, map)) => {
+                    *map.entry(codes[j]).or_insert_with(|| {
+                        table.group_of(&[Value::Str(dict.get(codes[j]).clone())], new_state)
+                    })
+                }
+                (ColumnData::Int(v), KeyCache::Ints(map)) => *map
+                    .entry(v[j])
+                    .or_insert_with(|| table.group_of(&[Value::Int(v[j])], new_state)),
+                _ => table.group_of(&[col.value_at(j)], new_state),
+            };
+            ids.push(g);
+        }
+        ids
+    }
 }
 
 impl<A, NF, FF> MorselSink for GroupSink<'_, A, NF, FF>
 where
     NF: Fn() -> A,
-    FF: Fn(&mut A, &[Value], &Wsd) -> Result<()>,
+    FF: Fn(&mut [A], &GroupedBatch<'_>, &mut KernelCounts) -> Result<()>,
 {
-    fn push(&mut self, row: &[Value], wsd: &Wsd) -> Result<()> {
-        self.scratch.clear();
+    fn push_batch(
+        &mut self,
+        batch: &ColumnBatch,
+        wsds: Option<&[Wsd]>,
+        kernels: &mut KernelCounts,
+    ) -> Result<()> {
+        // Keys are evaluated left to right within a row, before the fold:
+        // the first key error is the earliest row's leftmost, and only
+        // the rows before it fold.
+        let (mut n, mut pending) = (batch.rows(), None);
+        let mut keys = Vec::with_capacity(self.key_exprs.len());
         for e in self.key_exprs {
-            self.scratch.push(e.eval_values(row)?);
+            let (col, err) = vector::eval_batch(e, batch, kernels);
+            if let Some((k, er)) = err.filter(|(k, _)| *k < n) {
+                (n, pending) = (k, Some(er));
+            }
+            keys.push(col);
         }
-        let state = self.table.entry(&self.scratch, self.new_state);
-        (self.fold)(state, row, wsd)
+        let groups = self.group_ids(&keys, n);
+        let rows = GroupedBatch {
+            groups: &groups,
+            batch,
+            wsds,
+        };
+        (self.fold)(&mut self.table.states, &rows, kernels)?;
+        pending.map_or(Ok(()), |e| Err(e.into()))
     }
 }
 
@@ -203,110 +309,26 @@ pub(crate) fn group_stream<A, NF, FF, MF>(
 where
     A: Send,
     NF: Fn() -> A + Sync,
-    FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
+    FF: Fn(&mut [A], &GroupedBatch<'_>, &mut KernelCounts) -> Result<()> + Sync,
     MF: FnMut(&mut A, A) -> Result<()>,
 {
+    let sinks = fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
+        table: GroupTable::new(),
+        key_exprs,
+        new_state: &new_state,
+        fold: &fold,
+        cache: KeyCache::Empty,
+        null_group: None,
+    })?;
     let mut merged = GroupTable::new();
-    if let Some(tables) = dense_dict_groups(
-        source, stages, key_exprs, pool, min_morsel, stats, &new_state, &fold,
-    )? {
-        for table in tables {
-            merged.merge_in(table, &mut merge)?;
-        }
-    } else {
-        let sinks = fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
-            table: GroupTable::new(),
-            key_exprs,
-            new_state: &new_state,
-            fold: &fold,
-            scratch: Vec::with_capacity(key_exprs.len()),
-        })?;
-        for sink in sinks {
-            merged.merge_in(sink.table, &mut merge)?;
-        }
+    for sink in sinks {
+        merged.merge_in(sink.table, &mut merge)?;
     }
     if key_exprs.is_empty() && merged.is_empty() {
         merged.entry(&[], &new_state);
     }
     stats.groups.add(merged.len() as u64);
     Ok(merged.into_parts())
-}
-
-/// The dictionary-code grouped fold: a stage-less pipeline grouping a
-/// columnar-at-rest source by one dictionary-encoded column resolves
-/// each row's group through a **dense code → group map** (one slot per
-/// dictionary entry, NULLs in their own slot) instead of evaluating,
-/// hashing, and comparing the key string — the key `Value` is built once
-/// per *group*, not per row. Rows are written straight out of the column
-/// batch ([`maybms_engine::ColumnBatch::write_row`]): the lazy row view
-/// is never materialised and nothing pivots.
-///
-/// Returns `None` when the shape doesn't apply (any recorded stage, a
-/// non-columnar source, multiple or non-column keys, a non-dictionary
-/// key column). It runs on the same morsel driver as every pipeline
-/// (governor checkpoint per morsel included), and determinism matches the
-/// hashed sink exactly: per-morsel first-seen group order, tables merged
-/// in morsel order.
-#[allow(clippy::too_many_arguments)]
-fn dense_dict_groups<A, NF, FF>(
-    source: &URelation,
-    stages: &[Stage],
-    key_exprs: &[Expr],
-    pool: &ThreadPool,
-    min_morsel: usize,
-    stats: &PipelineStats,
-    new_state: &NF,
-    fold: &FF,
-) -> Result<Option<Vec<GroupTable<A>>>>
-where
-    A: Send,
-    NF: Fn() -> A + Sync,
-    FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
-{
-    let [Expr::ColumnIdx(k)] = key_exprs else {
-        return Ok(None);
-    };
-    if !stages.is_empty() {
-        return Ok(None);
-    }
-    let Some((batch, wsds)) = source.at_rest() else {
-        return Ok(None);
-    };
-    let col = batch.column(*k);
-    let maybms_engine::ColumnData::Dict { codes, dict } = col.data() else {
-        return Ok(None);
-    };
-    let tables = fuse::drive(
-        fuse::candidate_ranges(source, stages, stats),
-        pool,
-        min_morsel,
-        stats,
-        |range, _| {
-            let mut table: GroupTable<A> = GroupTable::new();
-            let mut dense: Vec<u32> = vec![u32::MAX; dict.len()];
-            let mut null_group = u32::MAX;
-            let mut rowbuf: Vec<Value> = Vec::new();
-            for i in range {
-                let g = if col.is_null(i) {
-                    if null_group == u32::MAX {
-                        null_group = table.open_group(vec![Value::Null], new_state());
-                    }
-                    null_group
-                } else {
-                    let c = codes[i] as usize;
-                    if dense[c] == u32::MAX {
-                        let key = Value::Str(dict.get(codes[i]).clone());
-                        dense[c] = table.open_group(vec![key], new_state());
-                    }
-                    dense[c]
-                };
-                batch.write_row(i, &mut rowbuf);
-                fold(table.state_mut(g), &rowbuf, &wsds[i])?;
-            }
-            Ok(table)
-        },
-    )?;
-    Ok(Some(tables))
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ pub mod ustream;
 pub mod vertical;
 
 pub use build::BuildTable;
-pub use groupby::GroupTable;
+pub use groupby::{GroupTable, GroupedBatch};
 pub use ustream::UStream;
 
 /// Hash of a row slice's key columns (columnar single-key fast path),

@@ -29,12 +29,14 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use maybms_engine::ops::ProjectItem;
+use maybms_engine::vector::KernelCounts;
 use maybms_engine::{EngineError, Expr, Field, Schema, Value};
 use maybms_obs::{PipelineStats, QueryStats};
 use maybms_par::ThreadPool;
-use maybms_urel::{Result, URelation, UTuple, Wsd};
+use maybms_urel::{Result, URelation, UTuple};
 
 use crate::fuse::{self, Stage};
+use crate::GroupedBatch;
 
 /// The statement a pipeline run reports to when it ends, and the label
 /// it is reported under (why the pipeline breaks — what `EXPLAIN
@@ -277,12 +279,16 @@ impl UStream {
     /// the tables merge in morsel order — the input is never materialised.
     ///
     /// The accumulator is caller-defined: `new_state` opens a group,
-    /// `fold` absorbs one row (data values plus its WSD), `merge` absorbs
-    /// a later morsel's state into an earlier one. Determinism contract:
-    /// provided `fold`-then-`merge` equals folding the concatenated rows
-    /// (see [`maybms_engine::ops::ExactSum`] for float sums), the returned
-    /// `(keys, states)` — first-seen key order included — are identical to
-    /// a sequential scan at any thread count and morsel size.
+    /// `fold` absorbs one [`GroupedBatch`] — rows as columns, each row's
+    /// group (an index into the morsel's states) and its WSD — and
+    /// `merge` absorbs a later morsel's state into an earlier one. The
+    /// fold raises the error the scalar walk would meet first among the
+    /// batch's rows, and counts its vector kernels into the run's record.
+    /// Determinism contract: provided `fold`-then-`merge` equals folding
+    /// the concatenated rows (see [`maybms_engine::ops::ExactSum`] for
+    /// float sums), the returned `(keys, states)` — first-seen key order
+    /// included — are identical to a sequential scan at any thread count
+    /// and morsel size.
     ///
     /// With no group expressions a single global group is guaranteed,
     /// even over an empty input (SQL's scalar-aggregate behaviour).
@@ -305,7 +311,7 @@ impl UStream {
     where
         A: Send,
         NF: Fn() -> A + Sync,
-        FF: Fn(&mut A, &[Value], &Wsd) -> Result<()> + Sync,
+        FF: Fn(&mut [A], &GroupedBatch<'_>, &mut KernelCounts) -> Result<()> + Sync,
         MF: FnMut(&mut A, A) -> Result<()>,
     {
         let bound: Vec<Expr> = group_exprs
@@ -348,7 +354,7 @@ impl UStream {
 
     /// One label per recorded stage — the text `EXPLAIN` and
     /// `EXPLAIN ANALYZE` both print for it. Stages of the kernel-eligible
-    /// prefix are marked `(vectorised)`, filters whose zone maps decide
+    /// prefix (σ/π kernels and batch probes) are marked `(vectorised)`, filters whose zone maps decide
     /// which morsels run `(zone map)`; planner notes follow in
     /// parentheses.
     pub fn stage_labels(&self) -> Vec<String> {
@@ -375,7 +381,7 @@ impl UStream {
                             .zip(right_keys)
                             .map(|(l, r)| format!("#{l} = build #{r}"))
                             .collect();
-                        format!("hash probe [{}]", keys.join(", "))
+                        format!("hash probe [{}]{vec_mark}", keys.join(", "))
                     }
                 }
             })

@@ -102,7 +102,7 @@ pub const ZONE_ROWS: usize = 1024;
 pub type Zone = (i64, i64);
 
 /// A columnar U-relation body: data columns, parallel WSDs, and the
-/// lazily built `UTuple` view and zone maps (each built at most once
+/// lazily built `UTuple` view, zone maps and t-certainty (each built at most once
 /// between writes; all clones share them through the `Arc`).
 #[derive(Debug)]
 struct ColumnarURel {
@@ -111,6 +111,8 @@ struct ColumnarURel {
     rows: OnceLock<Vec<UTuple>>,
     /// Per data column: its zones if stored as `Int`.
     zones: OnceLock<Vec<Option<Vec<Zone>>>>,
+    /// Whether every condition is the tautology.
+    certain: OnceLock<bool>,
 }
 
 impl ColumnarURel {
@@ -121,6 +123,7 @@ impl ColumnarURel {
             wsds,
             rows: OnceLock::new(),
             zones: OnceLock::new(),
+            certain: OnceLock::new(),
         }
     }
 
@@ -289,6 +292,7 @@ impl URelation {
         let body = Arc::make_mut(arc);
         body.rows.take();
         body.zones.take();
+        body.certain.take();
         body
     }
 
@@ -387,10 +391,13 @@ impl URelation {
     }
 
     /// True iff every tuple is unconditional — the t-certain test (§2.2).
+    /// Cached on a columnar-at-rest body until its next write.
     pub fn is_t_certain(&self) -> bool {
         match &self.store {
             Store::Rows(t) => t.iter().all(|t| t.wsd.is_tautology()),
-            Store::Columnar(c) => c.wsds.iter().all(Wsd::is_tautology),
+            Store::Columnar(c) => *c
+                .certain
+                .get_or_init(|| c.wsds.iter().all(Wsd::is_tautology)),
         }
     }
 
