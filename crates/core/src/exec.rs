@@ -253,20 +253,12 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     // row. An uncertain subquery keeps its duplicates: equal values under
     // different conditions are disjunctive evidence, which `conf` /
     // `possible` downstream treat exactly — the reason the language
-    // restricts IN-subqueries to positive occurrences (§2.2) — but which
-    // `esum` / `ecount` would count once per condition.
+    // restricts IN-subqueries to positive occurrences (§2.2) — and which
+    // the planner keeps from `esum` / `ecount`.
     for probe in &b.in_probes {
         let mut sub = run(&probe.query, ctx)?;
         if sub.is_t_certain() {
             sub = distinct_rows(sub, ctx)?;
-        } else if matches!(&b.output, Output::Group { aggs, .. }
-            if aggs.iter().any(|(a, _)| matches!(a, AggSpec::ESum(_) | AggSpec::ECount(_))))
-        {
-            return Err(typing(
-                "esum / ecount over x IN (SELECT …) with an uncertain subquery would count a \
-                 row once per condition the subquery yields its value under (§2.2); make the \
-                 subquery t-certain (e.g. select possible) or use conf()",
-            ));
         }
         stream = probe.stages(stream, sub)?;
     }

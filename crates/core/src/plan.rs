@@ -34,7 +34,7 @@ use maybms_sql::{Expr as SExpr, FromItem, Query, QueryInput, Select, SelectItem}
 use maybms_urel::URelation;
 
 use crate::agg;
-use crate::error::{plan_err, Result};
+use crate::error::{plan_err, typing, Result};
 use crate::translate::{classify_item, scalar, AggSpec, Item};
 
 /// A planned query: its UNION chain of blocks (each later one with
@@ -137,7 +137,47 @@ pub(crate) enum Output {
     },
 }
 
+impl QueryPlan {
+    /// Whether a row of the result may carry a condition: decided from
+    /// the plan alone (a stored table as the catalog holds it), so it
+    /// holds for any run of it.
+    fn may_be_uncertain(&self) -> bool {
+        self.blocks().any(|b| {
+            matches!(b.output, Output::Project(_))
+                && (b.leaves.iter().any(|l| l.source.may_be_uncertain())
+                    || b.in_probes.iter().any(|p| p.query.may_be_uncertain()))
+        })
+    }
+
+    /// Whether the result may repeat a row once per condition an
+    /// uncertain IN-subquery matched it under.
+    fn in_duplicates(&self) -> bool {
+        self.blocks().any(|b| {
+            matches!(b.output, Output::Project(_))
+                && (b.leaves.iter().any(|l| l.source.in_duplicates())
+                    || b.in_probes.iter().any(|p| p.query.may_be_uncertain()))
+        })
+    }
+
+    fn blocks(&self) -> impl Iterator<Item = &Block> {
+        std::iter::once(&self.first).chain(self.rest.iter().map(|(_, b)| b))
+    }
+}
+
 impl Source {
+    fn may_be_uncertain(&self) -> bool {
+        match self {
+            Source::Unit => false,
+            Source::Table(table) => !table.is_t_certain(),
+            Source::Query(q) => q.may_be_uncertain(),
+            Source::RepairKey { .. } | Source::PickTuples { .. } => true,
+        }
+    }
+
+    fn in_duplicates(&self) -> bool {
+        matches!(self, Source::Query(q) if q.in_duplicates())
+    }
+
     /// The exact row count, where the catalog knows it.
     fn rows(&self) -> Option<usize> {
         match self {
@@ -296,7 +336,7 @@ fn plan_block(s: &Select, catalog: &BTreeMap<String, URelation>) -> Result<Block
         .partition(|c| matches!(c, SExpr::InSelect { .. }));
     let predicates: Vec<EExpr> = plain.iter().map(scalar).collect::<Result<_>>()?;
     let (joins, joined, from_order) = plan_joins(&mut leaves, &predicates)?;
-    let in_probes = in_selects
+    let in_probes: Vec<InProbe> = in_selects
         .iter()
         .map(|c| {
             let SExpr::InSelect { expr, query } = c else {
@@ -317,6 +357,21 @@ fn plan_block(s: &Select, catalog: &BTreeMap<String, URelation>) -> Result<Block
         .collect::<Result<_>>()?;
     let items = expand_items(s, &joined, &from_order)?;
     let (output, schema) = plan_output(s, &items, &joined)?;
+    // An uncertain IN-subquery keeps its duplicate matches — disjunctive
+    // evidence `conf` and `possible` read exactly — which `esum` /
+    // `ecount` would count once per condition, here or in any block that
+    // reads this one's rows through a FROM subquery.
+    let expects = matches!(&output, Output::Group { aggs, .. }
+        if aggs.iter().any(|(a, _)| matches!(a, AggSpec::ESum(_) | AggSpec::ECount(_))));
+    let duplicated = in_probes.iter().any(|p| p.query.may_be_uncertain())
+        || leaves.iter().any(|l| l.source.in_duplicates());
+    if expects && duplicated {
+        return Err(typing(
+            "esum / ecount over x IN (SELECT …) with an uncertain subquery would count a \
+             row once per condition the subquery yields its value under (§2.2); make the \
+             subquery t-certain (e.g. select possible) or use conf()",
+        ));
+    }
     // `select possible` deduplicates anyway; a plain projection's
     // DISTINCT is its group breaker.
     let grouped = !s.group_by.is_empty() || items.iter().any(|i| matches!(i, Item::Agg { .. }));

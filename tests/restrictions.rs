@@ -129,6 +129,41 @@ fn not_in_subquery_rejected_at_parse_time() {
     assert!(matches!(err, CoreError::Parse(_)), "{err:?}");
 }
 
+/// `x IN (SELECT …)` over an uncertain subquery keeps one row per
+/// condition the subquery yields `x` under, so `esum` / `ecount` must not
+/// read it — directly, or through a FROM subquery that holds the IN (at
+/// any depth). The planner decides, so `EXPLAIN` fails alike; `conf()`
+/// and a t-certain subquery stay fine.
+#[test]
+fn expectations_over_an_uncertain_in_subquery_rejected_through_from_subqueries() {
+    let mut db = db_with_uncertain();
+    let sub = "(select k from u)";
+    let direct = format!("select k, ecount() from u where k in {sub} group by k");
+    let nested = format!("select k, esum(v) from (select * from u where k in {sub}) s group by k");
+    let deeper = format!(
+        "select k, ecount() from (select * from (select k, v from u where k in {sub}) a) b group by k"
+    );
+    let want = db.run(&direct).unwrap_err();
+    assert!(matches!(want, CoreError::Typing { .. }), "{want:?}");
+    for sql in [&direct, &nested, &deeper] {
+        for q in [sql.to_string(), format!("explain {sql}")] {
+            let err = db.run(&q).unwrap_err();
+            assert_eq!(err.to_string(), want.to_string(), "{q}");
+        }
+    }
+    let ok = [
+        format!("select k, conf() from (select * from u where k in {sub}) s group by k"),
+        "select k, ecount() from (select * from u where k in (select k from t)) s group by k"
+            .to_string(),
+        format!(
+            "select k, ecount() from (select possible k from u where k in {sub}) s group by k"
+        ),
+    ];
+    for sql in ok {
+        assert!(db.run(&sql).is_ok(), "{sql}");
+    }
+}
+
 #[test]
 fn aggregates_in_scalar_position_rejected() {
     let mut db = db_with_uncertain();

@@ -839,3 +839,57 @@ fn int_keys_compare_exactly_in_filters_and_joins() {
         assert_eq!(ints(&mut db, &join), keys[i..], "{join}");
     }
 }
+
+/// Two `bigint`s compare as `i64`, not through `f64`: at ±2^53 (where
+/// `f64` stops telling neighbours apart) and at `i64::MIN` / `i64::MAX`,
+/// `ORDER BY`, `min()` / `max()` and a `GROUP BY` key all see every
+/// value as distinct and in integer order.
+#[test]
+fn bigint_order_is_exact_beyond_2_pow_53() {
+    let (p, m) = (1i64 << 53, i64::MIN);
+    let mut db = MayBms::new();
+    db.run_script(&format!(
+        "create table big (g bigint, v bigint);
+         insert into big values (1, {}), (1, {p}), (2, -{}), (2, -{p}),
+           (3, {}), (3, {} - 1), (1, {p});",
+        p + 1,
+        p + 1,
+        i64::MAX,
+        m + 1,
+    ))
+    .unwrap();
+    let mut ints = |sql: &str, col: usize| -> Vec<i64> {
+        let r = db.query(sql).unwrap();
+        r.tuples()
+            .iter()
+            .map(|t| t.value(col).as_int().unwrap())
+            .collect()
+    };
+    assert_eq!(
+        ints("select v from big order by v", 0),
+        [m, -p - 1, -p, p, p, p + 1, i64::MAX]
+    );
+    assert_eq!(
+        ints("select v from big order by v desc", 0),
+        [i64::MAX, p + 1, p, p, -p, -p - 1, m]
+    );
+    assert_eq!(
+        ints("select g, min(v) from big group by g order by g", 1),
+        [p, -p - 1, m]
+    );
+    assert_eq!(
+        ints("select g, max(v) from big group by g order by g", 1),
+        [p + 1, -p, i64::MAX]
+    );
+    assert_eq!(ints("select min(v), max(v) from big", 0), [m]);
+    assert_eq!(ints("select min(v), max(v) from big", 1), [i64::MAX]);
+    // Each value is its own group, in first-seen order.
+    assert_eq!(
+        ints("select v, count(*) from big group by v", 0),
+        [p + 1, p, -p - 1, -p, i64::MAX, m]
+    );
+    assert_eq!(
+        ints("select v, count(*) from big group by v", 1),
+        [1, 2, 1, 1, 1, 1]
+    );
+}
