@@ -184,17 +184,16 @@ enum Partial {
     Expect(ExactSum),
     /// A standard SQL aggregate's state.
     Std(AggState),
-    /// `argmax`: the running group maximum plus the arg values of the
-    /// rows attaining it, in member order (memory proportional to ties,
-    /// not group size). The arg expression is evaluated only for rows
-    /// that match or beat the best seen *so far* — losing rows never
-    /// evaluate it.
+    /// `argmax`: the running group maximum plus the rows attaining it,
+    /// in member order (memory proportional to ties, not group size). The
+    /// arg expression runs at finish, over the rows attaining the group's
+    /// final maximum only — so whether it raises, and where, does not
+    /// depend on how the rows were split into morsels.
     ArgMax {
         /// The largest non-NULL value seen.
         best: Option<Value>,
-        /// Arg values of the rows attaining `best`, in member order
-        /// (deduplicated first-seen at finish).
-        args: Vec<Value>,
+        /// The rows attaining `best`, in member order.
+        rows: Vec<Vec<Value>>,
     },
 }
 
@@ -206,7 +205,7 @@ impl Partial {
             AggSpec::Std { func, .. } => Partial::Std(AggState::new(*func)),
             AggSpec::ArgMax { .. } => Partial::ArgMax {
                 best: None,
-                args: Vec::new(),
+                rows: Vec::new(),
             },
             AggSpec::TConf => unreachable!("the planner never groups tconf"),
         }
@@ -360,10 +359,6 @@ pub fn aggregate_stream_with(
     pool: &maybms_par::ThreadPool,
     min_morsel: usize,
 ) -> Result<URelation> {
-    // The planner admits argmax only alone, and tconf never.
-    let has_argmax = aggs
-        .iter()
-        .any(|(s, _)| matches!(s, AggSpec::ArgMax { .. }));
     let schema = Arc::new(output_schema(key_fields, aggs, stream.schema()));
     let needs_wsds = aggs
         .iter()
@@ -473,37 +468,26 @@ pub fn aggregate_stream_with(
                     first.at(uncertain, || typing_err(STD_ON_UNCERTAIN));
                     first.at_eval(err);
                 }
-                AggSpec::ArgMax { arg, value } => {
+                AggSpec::ArgMax { value, .. } => {
                     let (col, err) = vector::eval_batch(value, rows.batch, kernels);
                     let stop = first.limit.min(uncertain);
                     let stop = err.as_ref().map_or(stop, |(k, _)| (*k).min(stop));
-                    let mut row = Vec::new();
-                    for j in 0..stop {
-                        if col.is_null(j) {
-                            continue;
-                        }
+                    for j in (0..stop).filter(|&j| !col.is_null(j)) {
                         let v = col.value_at(j);
-                        let Partial::ArgMax { best, args } = slot(states, groups, j, s) else {
+                        let Partial::ArgMax { best, rows: tied } = slot(states, groups, j, s)
+                        else {
                             unreachable!("partial/spec lists are parallel")
                         };
                         if best.as_ref().is_some_and(|b| v < *b) {
                             continue;
                         }
-                        // Only rows that match or beat the best so far
-                        // evaluate the arg expression, as the scalar walk.
-                        rows.batch.write_row(j, &mut row);
-                        let a = match arg.eval_values(&row) {
-                            Ok(a) => a,
-                            Err(e) => {
-                                first.at(j, || e.into());
-                                break;
-                            }
-                        };
                         if best.as_ref() != Some(&v) {
                             *best = Some(v);
-                            args.clear();
+                            tied.clear();
                         }
-                        args.push(a);
+                        let mut row = Vec::new();
+                        rows.batch.write_row(j, &mut row);
+                        tied.push(row);
                     }
                     first.at(uncertain, || typing_err(ARGMAX_ON_UNCERTAIN));
                     first.at_eval(err);
@@ -520,21 +504,21 @@ pub fn aggregate_stream_with(
                 (Partial::Lineage, Partial::Lineage) => {}
                 (Partial::Expect(x), Partial::Expect(y)) => x.merge(&y),
                 (Partial::Std(x), Partial::Std(y)) => x.merge(y)?,
-                (Partial::ArgMax { best, args }, Partial::ArgMax { best: ob, args: oa }) => {
+                (Partial::ArgMax { best, rows }, Partial::ArgMax { best: ob, rows: or }) => {
                     match (&*best, ob) {
                         (_, None) => {}
                         (None, Some(b)) => {
                             *best = Some(b);
-                            *args = oa;
+                            *rows = or;
                         }
                         (Some(a), Some(b)) => {
-                            // `self` is the earlier morsel: on ties its args
+                            // `self` is the earlier morsel: on ties its rows
                             // come first, matching the sequential member order.
                             if b > *a {
                                 *best = Some(b);
-                                *args = oa;
+                                *rows = or;
                             } else if b == *a {
-                                args.extend(oa);
+                                rows.extend(or);
                             }
                         }
                     }
@@ -566,8 +550,9 @@ pub fn aggregate_stream_with(
         .collect();
 
     // ---- finish ----------------------------------------------------
-    if has_argmax {
-        return Ok(finish_argmax(keys, states, schema));
+    // The planner admits argmax only alone, and tconf never.
+    if let [(AggSpec::ArgMax { arg, .. }, _)] = aggs {
+        return finish_argmax(keys, states, schema, arg);
     }
 
     let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<UTuple> {
@@ -587,27 +572,33 @@ pub fn aggregate_stream_with(
     Ok(URelation::new(schema, out))
 }
 
-/// `argmax` finish over the streamed per-group maxima: all distinct arg
-/// values attaining each group's maximum, in first-seen member order.
-fn finish_argmax(keys: Vec<Vec<Value>>, states: Vec<StreamAcc>, schema: Arc<Schema>) -> URelation {
+/// `argmax` finish over the streamed per-group maxima: `arg` over each
+/// row attaining its group's maximum, the distinct values in first-seen
+/// member order. Its first error is the first group's, first row's.
+fn finish_argmax(
+    keys: Vec<Vec<Value>>,
+    states: Vec<StreamAcc>,
+    schema: Arc<Schema>,
+    arg: &Expr,
+) -> Result<URelation> {
     let mut out = Vec::new();
     for (key, acc) in keys.into_iter().zip(states) {
-        let [Partial::ArgMax { best, args }] = &acc.parts[..] else {
+        let [Partial::ArgMax { rows, .. }] = &acc.parts[..] else {
             unreachable!("argmax is the only aggregate on this path")
         };
-        if best.is_none() {
-            continue; // no non-NULL value in the group
-        }
         let mut seen = std::collections::HashSet::new();
-        for a in args {
+        for row in rows {
+            let a = arg
+                .eval_values(row)
+                .map_err(|e| remap_stream_err(e.into()))?;
             if seen.insert(a.clone()) {
                 let mut row = key.clone();
-                row.push(a.clone());
+                row.push(a);
                 out.push(UTuple::certain(Tuple::new(row)));
             }
         }
     }
-    URelation::new(schema, out)
+    Ok(URelation::new(schema, out))
 }
 
 /// `tconf()`: per stored tuple, its marginal probability. Output (a

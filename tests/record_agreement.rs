@@ -2,7 +2,8 @@
 //! registry, the `pipeline` and `conf` trace spans and `last_stats()` are
 //! copies of the same per-pipeline and per-call tallies, so they agree
 //! exactly — at 1, 2 and 8 threads, for a join feeding `conf()`, a
-//! stage-less scan, the dense-dictionary GROUP BY, a filter-only `UPDATE`
+//! stage-less scan, a stage-less GROUP BY a text key, a σ ⋈ γ pipeline
+//! whose batch probe feeds the grouped breaker, a filter-only `UPDATE`
 //! whose zone maps skip most of the table,
 //! a predicate the vector kernels hand back to the scalar evaluator, and
 //! one confidence statement per estimator that can answer it.
@@ -78,7 +79,7 @@ fn all_by(qs: &QueryStats, answered: &maybms_obs::Counter) -> bool {
     qs.conf_calls.get() > 0 && answered.get() == qs.conf_calls.get()
 }
 
-const STATEMENTS: [Case; 8] = [
+const STATEMENTS: [Case; 9] = [
     (
         "join + group + conf over pick tuples: the d-tree",
         "select a.k, conf() as p from q a, q b where a.k = b.k group by a.k",
@@ -91,12 +92,31 @@ const STATEMENTS: [Case; 8] = [
             .all(|p| p.stages.is_empty() && p.morsels.get() == 0)
     }),
     (
-        "dense-dictionary group by",
+        "stage-less group by a text key",
         "select s, count(*) as n from t group by s",
         |qs| {
             qs.pipelines()
                 .iter()
                 .all(|p| p.stages.is_empty() && p.groups.get() == 37)
+        },
+    ),
+    (
+        "σ ⋈ γ: the batch probe into the grouped breaker",
+        "select m.f, count(*) as n, avg(t.w) as a from t, m \
+         where t.s = m.s and t.v > 20 group by m.f",
+        // The row walk's counts, stage by stage: 79 of every 100 rows pass
+        // the filter and each meets one dimension row.
+        |qs| {
+            let grouped = &qs.pipelines()[1];
+            let stages: Vec<(u64, u64)> = grouped
+                .stages
+                .iter()
+                .map(|s| (s.rows_in.get(), s.rows_out.get()))
+                .collect();
+            qs.pipeline_count() == 2
+                && stages == [(3000, 2370), (2370, 2370)]
+                && grouped.stages[1].label.contains("(vectorised)")
+                && grouped.groups.get() == 5
         },
     ),
     (
@@ -142,6 +162,7 @@ fn database() -> MayBms {
     // tuples of probability 0.1: no d-tree certifies them within an aconf
     // budget.
     let side: Vec<String> = (0..30).map(|i| format!("({i}, 0.1)")).collect();
+    let dims: Vec<String> = (0..37).map(|i| format!("('s{i}', {})", i % 5)).collect();
     let mut x: u64 = 5;
     let edges: Vec<String> = (0..300)
         .map(|i| {
@@ -161,11 +182,14 @@ fn database() -> MayBms {
          insert into v values {};
          create table r as select * from (pick tuples from v with probability w) x;
          create table e (g bigint, a bigint, b bigint);
-         insert into e values {};",
+         insert into e values {};
+         create table m (s text, f bigint);
+         insert into m values {};",
         rows.join(", "),
         picks.join(", "),
         side.join(", "),
         edges.join(", "),
+        dims.join(", "),
     ))
     .unwrap();
     db

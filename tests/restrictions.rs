@@ -155,9 +155,7 @@ fn expectations_over_an_uncertain_in_subquery_rejected_through_from_subqueries()
         format!("select k, conf() from (select * from u where k in {sub}) s group by k"),
         "select k, ecount() from (select * from u where k in (select k from t)) s group by k"
             .to_string(),
-        format!(
-            "select k, ecount() from (select possible k from u where k in {sub}) s group by k"
-        ),
+        format!("select k, ecount() from (select possible k from u where k in {sub}) s group by k"),
     ];
     for sql in ok {
         assert!(db.run(&sql).is_ok(), "{sql}");
