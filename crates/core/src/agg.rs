@@ -266,11 +266,9 @@ struct FirstError {
 }
 
 impl FirstError {
-    fn new(rows: usize) -> FirstError {
-        FirstError {
-            limit: rows,
-            error: None,
-        }
+    /// The rows below `stop` an argument's values exist for.
+    fn upto(&self, err: &Option<(usize, EngineError)>, stop: usize) -> usize {
+        err.as_ref().map_or(stop, |(k, _)| (*k).min(stop))
     }
 
     fn at(&mut self, row: usize, error: impl FnOnce() -> UrelError) {
@@ -285,10 +283,6 @@ impl FirstError {
         if let Some((row, e)) = err {
             self.at(row, || e.into());
         }
-    }
-
-    fn into_result(self) -> maybms_urel::Result<()> {
-        self.error.map_or(Ok(()), Err)
     }
 }
 
@@ -380,7 +374,18 @@ pub fn aggregate_stream_with(
         let uncertain = wsds
             .and_then(|w| w[..groups.len()].iter().position(|w| !w.is_tautology()))
             .unwrap_or(groups.len());
-        let mut first = FirstError::new(groups.len());
+        // An argument column for every row (none for `count(*)`, `ecount()`).
+        let mut eval_arg = |e: Option<&Expr>| match e {
+            Some(e) => {
+                let (col, err) = vector::eval_batch(e, rows.batch, kernels);
+                (Some(col), err)
+            }
+            None => (None, None),
+        };
+        let mut first = FirstError {
+            limit: groups.len(),
+            error: None,
+        };
         if aggs.is_empty() {
             first.at(uncertain, || typing_err(DISTINCT_ON_UNCERTAIN));
         }
@@ -396,19 +401,19 @@ pub fn aggregate_stream_with(
         for (s, (spec, _)) in aggs.iter().enumerate() {
             match spec {
                 AggSpec::Conf | AggSpec::AConf { .. } => {}
-                AggSpec::ESum(e) | AggSpec::ECount(Some(e)) => {
-                    let (col, err) = vector::eval_batch(e, rows.batch, kernels);
-                    let stop = err
-                        .as_ref()
-                        .map_or(first.limit, |(k, _)| (*k).min(first.limit));
-                    for j in 0..stop {
-                        let x = match (spec, col.cell(j)) {
-                            (_, ValueRef::Null) => continue,
+                AggSpec::ESum(_) | AggSpec::ECount(_) => {
+                    let (col, err) = eval_arg(match spec {
+                        AggSpec::ESum(e) | AggSpec::ECount(Some(e)) => Some(e),
+                        _ => None,
+                    });
+                    for j in 0..first.upto(&err, first.limit) {
+                        let x = match (spec, col.as_ref().map(|c| c.cell(j))) {
+                            (_, Some(ValueRef::Null)) => continue,
                             (AggSpec::ECount(_), _) => 1.0,
-                            (_, ValueRef::Int(i)) => i as f64,
-                            (_, ValueRef::Float(f)) => f,
+                            (_, Some(ValueRef::Int(i))) => i as f64,
+                            (_, Some(ValueRef::Float(f))) => f,
                             _ => {
-                                let v = col.value_at(j);
+                                let v = col.as_ref().map_or(Value::Null, |c| c.value_at(j));
                                 first.at(j, || typing_err(&format!("{ESUM_NON_NUMERIC} {v}")));
                                 break;
                             }
@@ -424,54 +429,32 @@ pub fn aggregate_stream_with(
                     }
                     first.at_eval(err);
                 }
-                AggSpec::ECount(None) => {
-                    for j in 0..first.limit {
-                        match (prob(j), slot(states, groups, j, s)) {
-                            (Ok(p), Partial::Expect(sum)) => sum.add(p),
-                            (Err(e), _) => {
-                                first.at(j, || e.into());
-                                break;
-                            }
-                            _ => unreachable!("partial/spec lists are parallel"),
-                        }
-                    }
-                }
                 AggSpec::Std { func, arg } => {
-                    let stop = first.limit.min(uncertain);
-                    let err = match arg {
-                        None => {
-                            for j in 0..stop {
-                                std_state(slot(states, groups, j, s)).fold_present();
-                            }
-                            None
-                        }
-                        Some(e) => {
-                            let (col, err) = vector::eval_batch(e, rows.batch, kernels);
-                            let stop = err.as_ref().map_or(stop, |(k, _)| (*k).min(stop));
-                            let folded = (0..stop).try_for_each(|j| {
-                                let st = std_state(slot(states, groups, j, s));
-                                let done = match col.data() {
-                                    _ if col.is_null(j) => Ok(()),
-                                    _ if *func == AggFunc::Count => Ok(st.fold_present()),
-                                    ColumnData::Int(v) => st.fold_i64(v[j]),
-                                    ColumnData::Float(v) => st.fold_f64(v[j]),
-                                    _ => st.fold(&col.value_at(j)),
-                                };
-                                done.map_err(|e| (j, e))
-                            });
-                            if let Err((j, e)) = folded {
-                                first.at(j, || e.into());
-                            }
-                            err
-                        }
-                    };
+                    let (col, err) = eval_arg(arg.as_ref());
+                    let stop = first.upto(&err, first.limit.min(uncertain));
+                    let folded = (0..stop).try_for_each(|j| {
+                        let st = std_state(slot(states, groups, j, s));
+                        let done = match col.as_ref().map(|c| (c, c.data())) {
+                            Some((c, _)) if c.is_null(j) => Ok(()),
+                            None => Ok(st.fold_present()),
+                            _ if *func == AggFunc::Count => Ok(st.fold_present()),
+                            Some((_, ColumnData::Int(v))) => st.fold_i64(v[j]),
+                            Some((_, ColumnData::Float(v))) => st.fold_f64(v[j]),
+                            Some((c, _)) => st.fold(&c.value_at(j)),
+                        };
+                        done.map_err(|e| (j, e))
+                    });
+                    if let Err((j, e)) = folded {
+                        first.at(j, || e.into());
+                    }
                     first.at(uncertain, || typing_err(STD_ON_UNCERTAIN));
                     first.at_eval(err);
                 }
                 AggSpec::ArgMax { value, .. } => {
-                    let (col, err) = vector::eval_batch(value, rows.batch, kernels);
-                    let stop = first.limit.min(uncertain);
-                    let stop = err.as_ref().map_or(stop, |(k, _)| (*k).min(stop));
+                    let (Some(col), err) = eval_arg(Some(value)) else {
+                        unreachable!("an argument evaluates to a column")
+                    };
+                    let stop = first.upto(&err, first.limit.min(uncertain));
                     for j in (0..stop).filter(|&j| !col.is_null(j)) {
                         let v = col.value_at(j);
                         let Partial::ArgMax { best, rows: tied } = slot(states, groups, j, s)
@@ -495,7 +478,7 @@ pub fn aggregate_stream_with(
                 AggSpec::TConf => unreachable!("the planner never groups tconf"),
             }
         }
-        first.into_result()
+        first.error.map_or(Ok(()), Err)
     };
     let merge = |a: &mut StreamAcc, b: StreamAcc| -> maybms_urel::Result<()> {
         a.wsds.extend(b.wsds);

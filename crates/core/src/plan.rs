@@ -142,19 +142,15 @@ impl QueryPlan {
     /// the plan alone (a stored table as the catalog holds it), so it
     /// holds for any run of it.
     fn may_be_uncertain(&self) -> bool {
-        self.blocks().any(|b| {
-            matches!(b.output, Output::Project(_))
-                && (b.leaves.iter().any(|l| l.source.may_be_uncertain())
-                    || b.in_probes.iter().any(|p| p.query.may_be_uncertain()))
-        })
+        self.projects_any(Source::may_be_uncertain)
     }
 
-    /// Whether the result may repeat a row once per condition an
-    /// uncertain IN-subquery matched it under.
-    fn in_duplicates(&self) -> bool {
+    /// Whether a plain projection in the chain reads a FROM source with
+    /// `leaf`, or a possibly uncertain IN-subquery.
+    fn projects_any(&self, leaf: fn(&Source) -> bool) -> bool {
         self.blocks().any(|b| {
             matches!(b.output, Output::Project(_))
-                && (b.leaves.iter().any(|l| l.source.in_duplicates())
+                && (b.leaves.iter().any(|l| leaf(&l.source))
                     || b.in_probes.iter().any(|p| p.query.may_be_uncertain()))
         })
     }
@@ -174,8 +170,10 @@ impl Source {
         }
     }
 
+    /// Whether the rows may repeat once per condition an uncertain
+    /// IN-subquery matched them under.
     fn in_duplicates(&self) -> bool {
-        matches!(self, Source::Query(q) if q.in_duplicates())
+        matches!(self, Source::Query(q) if q.projects_any(Source::in_duplicates))
     }
 
     /// The exact row count, where the catalog knows it.

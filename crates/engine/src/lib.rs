@@ -17,9 +17,9 @@
 //!   bit-identical to the scalar evaluator (scalar fallback on any
 //!   divergence);
 //! * [`ops`] — the value-level parts of the relational operators:
-//!   SELECT-list and ORDER BY items, mergeable aggregate states,
-//!   join-key hashing, and `repair key`'s partitioner (the operators
-//!   themselves run in `maybms-pipe`);
+//!   SELECT-list and ORDER BY items, mergeable aggregate states, and
+//!   `repair key`'s partitioner (the operators themselves run in
+//!   `maybms-pipe`, which hashes join keys as [`ValueRef`]s);
 //! * [`Expr::fold`] — bind-time constant folding that never moves or
 //!   drops a runtime error.
 //!

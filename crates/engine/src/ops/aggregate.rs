@@ -305,39 +305,40 @@ impl AggState {
     /// Fold one non-NULL integer argument.
     #[inline]
     pub fn fold_i64(&mut self, i: i64) -> Result<()> {
-        match self {
-            AggState::Count { n } => *n += 1,
-            AggState::Sum { n, isum, fsum, .. } => {
-                *isum += i128::from(i);
-                fsum.add(i as f64);
-                *n += 1;
-            }
-            AggState::Avg { n, fsum } => {
-                fsum.add(i as f64);
-                *n += 1;
-            }
-            AggState::Extremum { .. } => return self.fold_extremum(&Value::Int(i)),
-        }
-        Ok(())
+        self.fold_number(i as f64, Some(i))
     }
 
     /// Fold one non-NULL float argument.
     #[inline]
     pub fn fold_f64(&mut self, f: f64) -> Result<()> {
+        self.fold_number(f, None)
+    }
+
+    /// Fold a number: `x`, and the integer it is if it is one.
+    #[inline]
+    fn fold_number(&mut self, x: f64, int: Option<i64>) -> Result<()> {
         match self {
             AggState::Count { n } => *n += 1,
             AggState::Sum {
-                n, all_int, fsum, ..
+                n,
+                all_int,
+                isum,
+                fsum,
             } => {
-                *all_int = false;
-                fsum.add(f);
+                match int {
+                    Some(i) => *isum += i128::from(i),
+                    None => *all_int = false,
+                }
+                fsum.add(x);
                 *n += 1;
             }
             AggState::Avg { n, fsum } => {
-                fsum.add(f);
+                fsum.add(x);
                 *n += 1;
             }
-            AggState::Extremum { .. } => return self.fold_extremum(&Value::Float(f)),
+            AggState::Extremum { .. } => {
+                return self.fold_extremum(&int.map_or(Value::Float(x), Value::Int))
+            }
         }
         Ok(())
     }

@@ -4,8 +4,7 @@
 //! union, cross product, limit — run in `maybms-pipe`, once, over
 //! U-relations. What they share lives here: the items a SELECT list and
 //! an ORDER BY clause are made of ([`ProjectItem`], [`SortKey`]), the
-//! mergeable aggregate accumulators ([`AggState`], [`ExactSum`]), the
-//! join-key hashing both sides of a hash join must agree on, and
+//! mergeable aggregate accumulators ([`AggState`], [`ExactSum`]) and
 //! `repair key`'s partitioner ([`group_indices`]).
 //!
 //! # Parallel execution
@@ -20,7 +19,6 @@
 //! influence per-row results.
 
 mod aggregate;
-mod join;
 mod project;
 mod sort;
 
@@ -34,6 +32,5 @@ pub const PAR_MIN_ROWS: usize = 8192;
 pub const PAR_MIN_CHUNK: usize = 4096;
 
 pub use aggregate::{group_indices, group_indices_with, AggFunc, AggState, ExactSum};
-pub use join::{join_key_hash, join_keys_eq, single_key_hash};
 pub use project::ProjectItem;
 pub use sort::SortKey;

@@ -84,6 +84,18 @@ pub enum Value {
 }
 
 impl Value {
+    /// The borrowed view of this value.
+    #[inline]
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+
     /// Construct a text value.
     pub fn str(s: impl AsRef<str>) -> Value {
         Value::Str(Arc::from(s.as_ref()))
@@ -248,20 +260,6 @@ pub enum ValueRef<'a> {
     Float(f64),
     /// UTF-8 text.
     Str(&'a str),
-}
-
-impl Value {
-    /// The borrowed view of this value.
-    #[inline]
-    pub fn view(&self) -> ValueRef<'_> {
-        match self {
-            Value::Null => ValueRef::Null,
-            Value::Bool(b) => ValueRef::Bool(*b),
-            Value::Int(i) => ValueRef::Int(*i),
-            Value::Float(f) => ValueRef::Float(*f),
-            Value::Str(s) => ValueRef::Str(s),
-        }
-    }
 }
 
 impl PartialEq for ValueRef<'_> {

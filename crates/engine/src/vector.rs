@@ -109,14 +109,16 @@ pub fn shortcircuit_safe(e: &Expr) -> bool {
 /// its own kernel work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounts {
-    /// Calls of [`eval_batch`] (one per expression per morsel).
+    /// Kernel evaluations by [`eval_batch`] (one per kernel-eligible
+    /// expression per batch).
     pub batches: u64,
     /// Of those, the batches redone row by row after an [`Interrupt`].
     pub scalar_fallbacks: u64,
 }
 
 /// Evaluate `e` over every row of `batch`, counting the batch (and a
-/// scalar fallback) into `counts`. Returns the result column — a bare
+/// scalar fallback) into `counts`; an expression [`vectorisable`] rejects
+/// runs row by row at once and counts neither. Returns the result column — a bare
 /// column reference borrows the batch's — and, if evaluation errors, the
 /// first erroring row (scalar order) with its error; the column then
 /// holds the values of the rows before it.
@@ -125,11 +127,13 @@ pub fn eval_batch<'a>(
     batch: &'a ColumnBatch,
     counts: &mut KernelCounts,
 ) -> (Cow<'a, Column>, Option<(usize, EngineError)>) {
-    counts.batches += 1;
-    match eval_vec(e, batch) {
-        Ok(col) => (col, None),
-        Err(Interrupt) => {
-            counts.scalar_fallbacks += 1;
+    // An expression the kernels do not take runs row by row, uncounted.
+    let eligible = vectorisable(e);
+    counts.batches += u64::from(eligible);
+    match eligible.then(|| eval_vec(e, batch)) {
+        Some(Ok(col)) => (col, None),
+        attempt => {
+            counts.scalar_fallbacks += u64::from(attempt.is_some());
             // Scalar redo: pivot each row back out and run the scalar
             // evaluator — the authoritative semantics, short-circuiting
             // and error order included.

@@ -2,31 +2,44 @@
 //! U-relations.
 //!
 //! A source [`URelation`] is pushed through Filter/Project/Probe stages
-//! morsel by morsel. Each in-flight row carries its [`Wsd`]: probe stages
-//! conjoin the probe and build rows' conditions and drop the pair when
-//! the conjunction is unsatisfiable; a t-certain source is simply one
-//! whose conditions are all empty. The selection-vector fast path, the
-//! scratch-buffer recursion, and the morsel-ordered merge live here once.
+//! morsel by morsel, as column batches: each morsel is read in vectors of
+//! [`VECTOR_ROWS`] rows — typed column slices of an at-rest source, one
+//! pivot of a row store — and every stage turns a batch into the next. σ
+//! and π evaluate through the kernels of [`maybms_engine::vector`] (an
+//! expression the kernels do not take runs row by row over the batch); a
+//! probe hashes the key columns, verifies candidates on typed values,
+//! conjoins the pair's conditions — dropping the unsatisfiable — and
+//! gathers the joined rows from both sides' columns. A t-certain source
+//! is simply one whose conditions are all empty, and no conjoin runs for
+//! it. No `Value` row is built on the way: only a sink that materialises
+//! builds one.
 //!
-//! What happens to a row that survives the whole stage chain is
-//! pluggable: a [`MorselSink`] receives each output row. The default
-//! sink batches rows into a morsel-local
-//! [`TupleBatch`](maybms_engine::tuple::TupleBatch) (pipelines that
-//! *materialise*); the grouped-aggregation breaker
-//! ([`groupby`](crate::groupby)) instead folds each row straight into a
-//! morsel-local group table, so grouped plans never materialise their
-//! input at all.
+//! What happens to the rows that survive the whole chain is pluggable: a
+//! [`MorselSink`] receives each batch. The materialising sink builds a
+//! morsel-local [`TupleBatch`]; the grouped-aggregation breaker
+//! ([`groupby`](crate::groupby)) folds the batch into a morsel-local
+//! group table, so grouped plans never build their input's rows at all.
 //!
-//! Every pipeline — a filter-only selection ([`select`]), a sink walk
-//! ([`run_sink`]) and the grouped breaker's dense-code fold — runs on
-//! the one morsel driver, [`drive`]: it alone owns the chunk rule, the
-//! per-morsel governor checkpoint, and the flush of each morsel's
-//! [`Tally`] into the pipeline's [`PipelineStats`]. What a morsel *does*
-//! is the caller's body.
+//! Every pipeline — a filter-only selection ([`select`]) and a sink walk
+//! ([`run_sink`]) — runs on the one morsel driver, [`drive`]: it alone
+//! owns the chunk rule, the per-morsel governor checkpoint, and the flush
+//! of each morsel's [`Tally`] into the pipeline's [`PipelineStats`]. What
+//! a morsel *does* is the caller's body.
 //!
 //! Build tables for probe stages are constructed *here*, at execution
 //! time, morsel-locally on the caller's pool — deferring the build to
 //! the same pool and morsel size the rest of the pipeline uses.
+//!
+//! # Error order
+//!
+//! The output, and the first runtime error, are the row-major scalar
+//! walk's: each source row in order, depth-first through the stages. A
+//! batch runs stage by stage instead, and keeps that order by
+//! truncation: when a stage errors at some row, the rows before it run
+//! on — any error they raise later is at a strictly earlier row and wins
+//! — and the stage's own error is returned only after them. A probe's
+//! output keeps the walk's order too (probe row order, then candidate
+//! order), chunk by chunk.
 //!
 //! # Candidate ranges: the zone-map skip rule
 //!
@@ -53,17 +66,15 @@ use maybms_engine::error::EngineError;
 use maybms_engine::hash::{fast_hash_one, FastHasher};
 use maybms_engine::tuple::{Tuple, TupleBatch};
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{ops, vector, BinaryOp, ColumnData, Expr, Value, ValueRef};
+use maybms_engine::{vector, BinaryOp, ColumnData, Expr, Value, ValueRef};
 use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, Wsd, Zone, ZONE_ROWS};
 
 use crate::build::BuildTable;
-use crate::row_key_hash;
 
-/// The at-rest column batch of a columnar source. Kernel-eligible
-/// prefixes slice it directly instead of pivoting each morsel (the
-/// zero-pivot scan path).
+/// The at-rest column batch of a columnar source: morsels slice it
+/// instead of pivoting (the zero-pivot scan path).
 fn at_rest(source: &URelation) -> Option<&ColumnBatch> {
     source.at_rest().map(|(batch, _)| batch)
 }
@@ -109,111 +120,83 @@ pub(crate) fn stages_infallible(stages: &[Stage]) -> bool {
     })
 }
 
-/// How many leading stages of `stages` are kernel-eligible: a run of
-/// σ/π whose expressions all pass [`vector::vectorisable`], and hash
-/// probes, ending at the first σ/π that does not. The stages after it
-/// take the row-at-a-time walk. This is the per-stage decision `EXPLAIN`
-/// reports.
-pub(crate) fn vector_prefix_len(stages: &[Stage]) -> usize {
-    stages
-        .iter()
-        .take_while(|s| match s {
-            Stage::Filter(p) => vector::vectorisable(p),
-            Stage::Project(es) => es.iter().all(vector::vectorisable),
-            Stage::Probe { .. } => true,
-        })
-        .count()
+/// Does the vector kernels' code run this stage — what `EXPLAIN` marks
+/// `(vectorised)`? A σ/π does when its expressions pass
+/// [`vector::vectorisable`] (else they run row by row over the batch); a
+/// probe always does.
+pub(crate) fn vectorised(stage: &Stage) -> bool {
+    match stage {
+        Stage::Filter(p) => vector::vectorisable(p),
+        Stage::Project(es) => es.iter().all(vector::vectorisable),
+        Stage::Probe { .. } => true,
+    }
 }
 
-/// One stage of the columnar plan; σ/π expressions are remapped (where
-/// they read the source before any π or probe) to the pivoted subset.
+/// One stage as a morsel's batches run it; σ/π expressions are remapped
+/// (where they read the source before any π or probe) to the scanned
+/// column subset.
 enum VecStage {
     Filter(Expr),
     Project(Vec<Expr>),
-    /// The probe at this stage index (its keys and build side are the
-    /// run's, see [`BuildSide`]).
-    Probe(usize),
+    /// A probe: its keys are the stage's, its build side the run's (see
+    /// [`BuildSide`]).
+    Probe,
 }
 
-/// The columnar execution plan for a pipeline's kernel-eligible prefix,
-/// computed once per pipeline run (plan time), shared by every morsel.
-struct VecPrefix {
-    /// Number of `stages` covered (the rest run row-wise).
-    len: usize,
+/// How a pipeline's morsels read their source and run the stages,
+/// planned once per run and shared by every morsel.
+struct Plan {
     stages: Vec<VecStage>,
-    /// Source columns to pivot — only those the leading σ/π read (up to
-    /// and including the first projection, which replaces the row shape),
-    /// unless a row-store source must reach a probe or the sink whole.
-    pivot_cols: Vec<usize>,
+    /// Source columns to scan: those the leading σ/π read (up to and
+    /// including the first projection, which replaces the row shape) —
+    /// unless a row store must reach a probe or the sink whole.
+    cols: Vec<usize>,
 }
 
-/// Plan the columnar prefix, or `None` when nothing vectorises. `to_sink`:
-/// the caller hands a prefix that covers every stage to a batch sink, so
-/// the rows it outputs need every column.
-fn plan_vec(source: &URelation, stages: &[Stage], to_sink: bool) -> Option<VecPrefix> {
-    let len = vector_prefix_len(stages);
-    // A stage-less pipeline into a sink still reads the source as columns.
-    if len == 0 && !(to_sink && stages.is_empty()) {
-        return None;
-    }
+/// Plan `stages` over `source`. `to_sink`: a batch sink takes the rows
+/// that survive, so an all-σ chain must end with every column.
+fn plan(source: &URelation, stages: &[Stage], to_sink: bool) -> Plan {
     // Stages before the first π or probe read the source row shape; the
     // ones after read the whole batch that stage built.
-    let reshape = stages[..len]
-        .iter()
-        .position(|s| !matches!(s, Stage::Filter(_)));
-    let remap_upto = match reshape.map(|k| &stages[k]) {
-        Some(Stage::Project(_)) => reshape.map_or(len, |k| k + 1),
-        _ => reshape.unwrap_or(len),
+    let reshape = stages.iter().position(|s| !matches!(s, Stage::Filter(_)));
+    let (remap_upto, whole) = match reshape.map(|k| (k, &stages[k])) {
+        Some((k, Stage::Project(_))) => (k + 1, false),
+        Some((k, _)) => (k, true),
+        None => (stages.len(), to_sink),
     };
-    let whole = match reshape.map(|k| &stages[k]) {
-        Some(Stage::Probe { .. }) => true,
-        Some(_) => false,
-        None => to_sink && len == stages.len(),
-    };
-    let mut pivot_cols = Vec::new();
+    let mut cols = Vec::new();
     if whole && at_rest(source).is_none() {
-        // A row store pivots this morsel once, whole; an at-rest source
+        // A row store pivots each vector once, whole; an at-rest source
         // gathers the missing columns from storage instead (`widen`).
-        pivot_cols.extend(0..source.schema().len());
-    } else {
-        for s in &stages[..remap_upto] {
-            match s {
-                Stage::Filter(p) => p.referenced_columns(&mut pivot_cols),
-                Stage::Project(es) => es
-                    .iter()
-                    .for_each(|e| e.referenced_columns(&mut pivot_cols)),
-                Stage::Probe { .. } => unreachable!("the remapped stages end at a probe"),
-            }
-        }
-        pivot_cols.sort_unstable();
-        pivot_cols.dedup();
+        cols.extend(0..source.schema().len());
     }
+    for s in &stages[..remap_upto] {
+        match s {
+            Stage::Filter(p) => p.referenced_columns(&mut cols),
+            Stage::Project(es) => es.iter().for_each(|e| e.referenced_columns(&mut cols)),
+            Stage::Probe { .. } => unreachable!("the remapped stages end at a probe"),
+        }
+    }
+    cols.sort_unstable();
+    cols.dedup();
     let map = |i: usize| {
-        pivot_cols
-            .binary_search(&i)
+        cols.binary_search(&i)
             .expect("referenced column collected above")
     };
-    let remap = |k: usize, e: &Expr| {
-        if k < remap_upto {
-            e.remap_columns(&map)
-        } else {
-            e.clone()
-        }
+    let remap = |k: usize, e: &Expr| match k < remap_upto {
+        true => e.remap_columns(&map),
+        false => e.clone(),
     };
-    let vec_stages = stages[..len]
+    let stages = stages
         .iter()
         .enumerate()
         .map(|(k, s)| match s {
             Stage::Filter(p) => VecStage::Filter(remap(k, p)),
             Stage::Project(es) => VecStage::Project(es.iter().map(|e| remap(k, e)).collect()),
-            Stage::Probe { .. } => VecStage::Probe(k),
+            Stage::Probe { .. } => VecStage::Probe,
         })
         .collect();
-    Some(VecPrefix {
-        len,
-        stages: vec_stages,
-        pivot_cols,
-    })
+    Plan { stages, cols }
 }
 
 /// One morsel's counts, kept on the worker's stack and flushed into the
@@ -226,9 +209,6 @@ pub(crate) struct Tally {
     stages: Vec<(u64, u64)>,
     kernels: KernelCounts,
 }
-
-/// The `(rows in, rows out)` slots of a run of stages.
-type StageTally = [(u64, u64)];
 
 /// `column op literal`: column, operator, literal, column on the left?
 type ColCmp<'s> = (usize, BinaryOp, &'s Value, bool);
@@ -367,13 +347,31 @@ pub(crate) fn drive<T: Send>(
     outputs.into_iter().collect()
 }
 
-/// The rows one morsel has in flight through the vectorised prefix.
+/// Rows a morsel of an at-rest source hands the stages at a time: the
+/// columns of one vector stay in cache from stage to stage.
+const VECTOR_ROWS: usize = 2048;
+
+/// The source rows of `morsel`, split into the vectors the stages run
+/// on: [`VECTOR_ROWS`] at a time over an at-rest source, the whole morsel
+/// (one pivot) over a row store.
+fn vectors(source: &URelation, morsel: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let step = match at_rest(source) {
+        Some(_) => VECTOR_ROWS,
+        None => morsel.len().max(1),
+    };
+    let end = morsel.end;
+    morsel
+        .step_by(step)
+        .map(move |start| start..(start + step).min(end))
+}
+
+/// The rows one vector has in flight through the stages.
 struct Flow {
-    /// Their values: the source's `pivot_cols` until the rows are
+    /// Their values: the scanned source columns until the rows are
     /// `whole`, the full row shape of the stage reached after.
     batch: ColumnBatch,
     whole: bool,
-    /// Each row's source row — the scalar walk's order.
+    /// Each row's source row — its place in the scalar walk's order.
     src: Vec<u32>,
     conds: Conds,
 }
@@ -389,22 +387,22 @@ enum Conds {
 }
 
 impl Flow {
-    /// The morsel `range` of `source`: its `cols` sliced from storage, or
+    /// The source rows `range`: the plan's columns sliced from storage, or
     /// pivoted from a row store (counted by the pivot metrics).
-    fn scan(source: &URelation, range: Range<usize>, cols: &[usize], whole: bool) -> Flow {
+    fn scan(source: &URelation, range: Range<usize>, plan: &Plan) -> Flow {
         let batch = match at_rest(source) {
-            Some(rest) => rest.slice_cols(range.start, range.len(), cols),
+            Some(rest) => rest.slice_cols(range.start, range.len(), &plan.cols),
             None => ColumnBatch::pivot(
                 range.len(),
                 source.tuples()[range.clone()]
                     .iter()
                     .map(|t| t.data.values()),
-                cols,
+                &plan.cols,
             ),
         };
         Flow {
             batch,
-            whole,
+            whole: plan.cols.len() == source.schema().len(),
             src: range.map(|i| i as u32).collect(),
             conds: Conds::Source,
         }
@@ -414,15 +412,16 @@ impl Flow {
         self.src.len()
     }
 
-    /// Keep the rows at `sel`, in that order.
-    fn gather(self, sel: &[u32]) -> Flow {
+    /// The rows at `sel`, in that order.
+    fn gather(&self, sel: &[u32]) -> Flow {
         Flow {
             batch: self.batch.gather(sel),
             whole: self.whole,
             src: sel.iter().map(|&j| self.src[j as usize]).collect(),
-            conds: match self.conds {
+            conds: match &self.conds {
+                Conds::Source => Conds::Source,
+                Conds::Certain => Conds::Certain,
                 Conds::Rows(w) => Conds::Rows(sel.iter().map(|&j| w[j as usize].clone()).collect()),
-                other => other,
             },
         }
     }
@@ -440,17 +439,12 @@ impl Flow {
     /// columns are gathered (or sliced) from storage; a row store's were
     /// pivoted whole.
     fn widen(mut self, source: &URelation) -> Flow {
-        debug_assert!(
-            self.whole || at_rest(source).is_some(),
-            "a row store pivots whole"
-        );
         if let (false, Some(rest)) = (self.whole, at_rest(source)) {
             let (first, n) = (self.src.first().map_or(0, |&i| i as usize), self.rows());
             let all: Vec<usize> = (0..rest.arity()).collect();
-            self.batch = if self.src.last().is_none_or(|&l| l as usize + 1 - first == n) {
-                rest.slice_cols(first, n, &all)
-            } else {
-                rest.gather(&self.src)
+            self.batch = match self.src.last() {
+                Some(&last) if last as usize + 1 - first != n => rest.gather(&self.src),
+                _ => rest.slice_cols(first, n, &all),
             };
         }
         self.whole = true;
@@ -460,30 +454,25 @@ impl Flow {
     /// The rows' conditions for a sink: `None` when every one is the
     /// tautology.
     fn sink_conds(&self, source: &URelation) -> Option<Vec<Wsd>> {
-        let certain = (0..self.rows()).all(|j| self.cond(source, j).is_none_or(Wsd::is_tautology));
-        (!certain).then(|| {
+        let cond = |j| self.cond(source, j);
+        if (0..self.rows()).all(|j| cond(j).is_none_or(Wsd::is_tautology)) {
+            return None;
+        }
+        Some(
             (0..self.rows())
-                .map(|j| self.cond(source, j).cloned().unwrap_or_default())
-                .collect()
-        })
+                .map(|j| cond(j).cloned().unwrap_or_default())
+                .collect(),
+        )
     }
 }
 
-/// Run one σ/π stage over `flow` in place, returning its error, if any.
-///
-/// Error discipline (replicating the row-major scalar order): whenever a
-/// stage errors at some row, the rows truncate to the ones *before* it
-/// and later stages keep running on them — any error they find is at a
-/// strictly earlier source row and wins over this one, so the error that
-/// survives is the one the scalar row-at-a-time walk would have hit
-/// first. Rows that survive every stage ahead of the error row still
-/// reach the sink, exactly as the scalar walk pushed them before
-/// erroring (the sink is discarded on error either way).
-fn step_vec(stage: &VecStage, flow: &mut Flow, kernels: &mut KernelCounts) -> Option<EngineError> {
+/// Run one σ/π stage over `flow` in place, returning its error, if any
+/// (see the module docs' error order: the rows before the error row stay).
+fn step(stage: &VecStage, flow: &mut Flow, kernels: &mut KernelCounts) -> Option<EngineError> {
     match stage {
         VecStage::Filter(p) => {
             let (sel, err) = vector::selection(p, &flow.batch, kernels);
-            *flow = std::mem::replace(flow, Flow::empty()).gather(&sel);
+            *flow = flow.gather(&sel);
             err.map(|(_, e)| e)
         }
         VecStage::Project(es) => {
@@ -492,14 +481,11 @@ fn step_vec(stage: &VecStage, flow: &mut Flow, kernels: &mut KernelCounts) -> Op
             let mut cols = Vec::with_capacity(es.len());
             for e in es {
                 let (col, err) = vector::eval_batch(e, &flow.batch, kernels);
-                if let Some((k, er)) = err {
-                    // Scalar order: expressions left to right within
-                    // a row, rows in order — a later expression's
-                    // error only wins at a strictly earlier row.
-                    if k < n_valid {
-                        n_valid = k;
-                        pending = Some(er);
-                    }
+                // Scalar order: expressions left to right within a row,
+                // rows in order — a later expression's error only wins at
+                // a strictly earlier row.
+                if let Some((k, er)) = err.filter(|(k, _)| *k < n_valid) {
+                    (n_valid, pending) = (k, Some(er));
                 }
                 cols.push(col.into_owned());
             }
@@ -511,58 +497,30 @@ fn step_vec(stage: &VecStage, flow: &mut Flow, kernels: &mut KernelCounts) -> Op
             }
             pending
         }
-        VecStage::Probe(_) => unreachable!("probes run in `Morsel::run`"),
+        VecStage::Probe => unreachable!("probes run in `Morsel::probe`"),
     }
 }
 
-impl Flow {
-    fn empty() -> Flow {
-        Flow {
-            batch: ColumnBatch::from_columns(Vec::new(), 0),
-            whole: false,
-            src: Vec::new(),
-            conds: Conds::Certain,
-        }
-    }
-}
-
-/// Rows a columnar morsel hands the vectorised prefix at a time: the
-/// columns of one vector stay in cache from stage to stage.
-const VECTOR_ROWS: usize = 2048;
-
-/// The source rows of `morsel`, split into the vectors the prefix runs
-/// on: [`VECTOR_ROWS`] at a time over an at-rest source, the whole morsel
-/// (one pivot) over a row store.
-fn vectors(source: &URelation, morsel: Range<usize>) -> impl Iterator<Item = Range<usize>> {
-    let step = match at_rest(source) {
-        Some(_) => VECTOR_ROWS,
-        None => morsel.len().max(1),
-    };
-    let end = morsel.end;
-    morsel
-        .step_by(step)
-        .map(move |start| start..(start + step).min(end))
-}
-
-/// A probe stage's build side, ready for one pipeline run: its hash
-/// table, and — for a probe in the vectorised prefix — its rows as
-/// columns (the at-rest batch, or a row store pivoted once).
+/// A probe stage's build side, ready for one pipeline run: its rows as
+/// columns (the at-rest batch, or a row store pivoted once) and the hash
+/// table over them.
 struct BuildSide<'a> {
+    batch: Cow<'a, ColumnBatch>,
+    wsds: Cow<'a, [Wsd]>,
     table: BuildTable,
-    columns: Option<(Cow<'a, ColumnBatch>, Cow<'a, [Wsd]>)>,
     /// Every build row's condition is the tautology.
     certain: bool,
 }
 
-/// Joined rows a batch probe emits per chunk at most: a probe with a
-/// large fan-out streams through the rest of the prefix in pieces.
+/// Joined rows a probe emits per chunk at most: a probe with a large
+/// fan-out streams through the stages after it in pieces.
 const PROBE_CHUNK: usize = 8192;
 
-/// One morsel's vectorised run of a [`run_sink`] pipeline.
+/// One morsel's run of a [`run_sink`] pipeline.
 struct Morsel<'a, Sk> {
     source: &'a URelation,
     stages: &'a [Stage],
-    pre: &'a VecPrefix,
+    plan: &'a Plan,
     builds: &'a [Option<BuildSide<'a>>],
     tally: &'a mut Tally,
     sink: &'a mut Sk,
@@ -570,75 +528,68 @@ struct Morsel<'a, Sk> {
 }
 
 impl<Sk: MorselSink> Morsel<'_, Sk> {
-    /// Push `flow` through the prefix from stage `k`, then into the sink
-    /// (or the row walk for the stages after the prefix). A stage's own
-    /// error is returned only after everything it let through ran: those
-    /// rows precede it in the scalar walk.
+    /// Push `flow` through the stages from `k` on, then into the sink. A
+    /// stage's own error is returned only after everything it let through
+    /// ran: those rows precede it in the scalar walk.
     fn run(&mut self, mut flow: Flow, k: usize) -> Result<()> {
-        if k == self.pre.len {
-            return self.finish(flow);
-        }
+        let Some(stage) = self.plan.stages.get(k) else {
+            return self.finish(flow.widen(self.source));
+        };
         self.tally.stages[k].0 += flow.rows() as u64;
-        if let VecStage::Probe(p) = self.pre.stages[k] {
-            return self.probe(flow.widen(self.source), p);
+        if let VecStage::Probe = stage {
+            return self.probe(flow.widen(self.source), k);
         }
-        let pending = step_vec(&self.pre.stages[k], &mut flow, &mut self.tally.kernels);
+        let pending = step(stage, &mut flow, &mut self.tally.kernels);
         self.tally.stages[k].1 += flow.rows() as u64;
         self.run(flow, k + 1)?;
         pending.map_or(Ok(()), |e| Err(e.into()))
     }
 
-    /// The batch probe at stage `k`: hash the key columns, verify each
-    /// candidate on typed values, conjoin the pair's conditions, and
-    /// gather the joined rows — probe row order, then candidate order,
-    /// as the row walk emits them.
+    /// The probe at stage `k`: hash the key columns, verify each candidate
+    /// on typed values, conjoin the pair's conditions (no conjoin when both
+    /// sides are certain), and gather the joined rows — probe row order,
+    /// then candidate order, as the scalar walk emits them.
     fn probe(&mut self, flow: Flow, k: usize) -> Result<()> {
-        let (stages, builds) = (self.stages, self.builds);
         let Stage::Probe {
             left_keys,
             right_keys,
             ..
-        } = &stages[k]
+        } = &self.stages[k]
         else {
             unreachable!("a probe plan stage is a probe")
         };
-        let side = builds[k].as_ref().expect("probe stage has a build side");
-        let (bcols, bwsds) = side.columns.as_ref().expect("prefix probes are columnar");
-        let hashes = key_hashes(&flow.batch, left_keys);
-        let (mut pi, mut bi, mut conds) = (Vec::new(), Vec::new(), JoinedConds::default());
-        for (j, h) in hashes.iter().enumerate() {
-            let Some(h) = *h else { continue };
-            for &ri in side.table.candidates(h) {
-                let r = ri as usize;
-                let keys_eq = left_keys
-                    .iter()
-                    .zip(right_keys)
-                    .all(|(&a, &b)| flow.batch.column(a).cell(j) == bcols.column(b).cell(r));
+        let builds = self.builds;
+        let side = builds[k].as_ref().expect("a probe stage has a build side");
+        let certain = matches!(flow.conds, Conds::Certain) && side.certain;
+        let (mut pi, mut bi, mut wsds) = (Vec::new(), Vec::new(), Vec::new());
+        for (j, h) in key_hashes(&flow.batch, left_keys).into_iter().enumerate() {
+            let Some(h) = h else { continue };
+            for &r in side.table.candidates(h) {
+                let keys_eq = left_keys.iter().zip(right_keys).all(|(&a, &b)| {
+                    flow.batch.column(a).cell(j) == side.batch.column(b).cell(r as usize)
+                });
                 if !keys_eq {
                     continue; // hash collision
                 }
-                // An unsatisfiable conjunction drops the joined row; two
-                // tautologies need no conjoin.
-                let left = flow.cond(self.source, j).filter(|l| !l.is_tautology());
-                let joined = match (left, &bwsds[r]) {
-                    (None, _) if side.certain => None,
-                    (Some(l), w) => match l.conjoin(w) {
-                        Some(c) => Some(c),
-                        None => continue,
-                    },
-                    (None, w) if w.is_tautology() => None,
-                    (None, w) => Some(w.clone()),
-                };
+                if !certain {
+                    let right = &side.wsds[r as usize];
+                    let joined = match flow.cond(self.source, j) {
+                        Some(left) => left.conjoin(right),
+                        None => Some(right.clone()),
+                    };
+                    // An unsatisfiable conjunction drops the joined row.
+                    let Some(w) = joined else { continue };
+                    wsds.push(w);
+                }
                 pi.push(j as u32);
-                bi.push(ri);
-                conds.push(joined);
+                bi.push(r);
                 if pi.len() >= PROBE_CHUNK {
                     let chunk = (std::mem::take(&mut pi), std::mem::take(&mut bi));
-                    self.emit(&flow, chunk, std::mem::take(&mut conds), k)?;
+                    self.emit(&flow, chunk, std::mem::take(&mut wsds), k)?;
                 }
             }
         }
-        self.emit(&flow, (pi, bi), conds, k)
+        self.emit(&flow, (pi, bi), wsds, k)
     }
 
     /// Gather one chunk of joined rows and run it on from stage `k + 1`.
@@ -646,18 +597,16 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
         &mut self,
         flow: &Flow,
         (pi, bi): (Vec<u32>, Vec<u32>),
-        conds: JoinedConds,
+        wsds: Vec<Wsd>,
         k: usize,
     ) -> Result<()> {
         let Stage::Probe { build_first, .. } = self.stages[k] else {
             unreachable!("a probe plan stage is a probe")
         };
-        let builds = self.builds;
-        let (bcols, _) = builds[k]
+        let side = self.builds[k]
             .as_ref()
-            .and_then(|b| b.columns.as_ref())
-            .expect("prefix probes are columnar");
-        let (probe, build) = (flow.batch.gather(&pi), bcols.gather(&bi));
+            .expect("a probe stage has a build side");
+        let (probe, build) = (flow.batch.gather(&pi), side.batch.gather(&bi));
         let halves = match build_first {
             true => [build, probe],
             false => [probe, build],
@@ -674,91 +623,27 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
             ),
             whole: true,
             src: pi.iter().map(|&j| flow.src[j as usize]).collect(),
-            conds: conds.finish(),
+            conds: match wsds.is_empty() {
+                true => Conds::Certain,
+                false => Conds::Rows(wsds),
+            },
         };
         self.run(joined, k + 1)
     }
 
-    /// The end of the prefix: the sink takes the batch, or the row walk
-    /// takes each row through the remaining stages.
+    /// The end of the chain: the sink takes the batch.
     fn finish(&mut self, flow: Flow) -> Result<()> {
-        let rest = &self.stages[self.pre.len..];
-        if rest.is_empty() {
-            let flow = flow.widen(self.source);
-            let wsds = flow.sink_conds(self.source);
-            self.gov.tick_n(flow.rows()).map_err(EngineError::Gov)?;
-            return self
-                .sink
-                .push_batch(&flow.batch, wsds.as_deref(), &mut self.tally.kernels);
-        }
-        let tables: Vec<Option<&BuildTable>> = self.builds[self.pre.len..]
-            .iter()
-            .map(|b| b.as_ref().map(|b| &b.table))
-            .collect();
-        let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); rest.len()];
-        let mut rows = RowsSink::default();
-        let mut rowbuf: Vec<Value> = Vec::new();
-        let mut walked = Ok(());
-        let taut = Wsd::tautology();
-        for j in 0..flow.rows() {
-            // Never the source's row view: see `wsd_at`.
-            match flow.whole {
-                true => flow.batch.write_row(j, &mut rowbuf),
-                false => self.source.write_row(flow.src[j] as usize, &mut rowbuf),
-            }
-            walked = push_row(
-                &rowbuf,
-                flow.cond(self.source, j).unwrap_or(&taut),
-                rest,
-                &tables,
-                0,
-                &mut scratch,
-                &mut self.tally.stages[self.pre.len..],
-                &mut rows,
-                &mut self.gov,
-            );
-            if walked.is_err() {
-                break;
-            }
-        }
-        // The rows the walk let through precede its error, if any.
-        self.sink.push_rows(rows, &mut self.tally.kernels)?;
-        walked
+        let wsds = flow.sink_conds(self.source);
+        self.gov.tick_n(flow.rows()).map_err(EngineError::Gov)?;
+        self.sink
+            .push_batch(&flow.batch, wsds.as_deref(), &mut self.tally.kernels)
     }
 }
 
-/// The conditions of a probe's joined rows, kept as [`Conds::Certain`]
-/// until the first one that is not the tautology.
-#[derive(Default)]
-struct JoinedConds {
-    rows: usize,
-    wsds: Option<Vec<Wsd>>,
-}
-
-impl JoinedConds {
-    /// The next joined row's condition; `None` is the tautology.
-    fn push(&mut self, w: Option<Wsd>) {
-        match (&mut self.wsds, w) {
-            (Some(ws), w) => ws.push(w.unwrap_or_default()),
-            (None, Some(w)) => {
-                let mut ws = vec![Wsd::tautology(); self.rows];
-                ws.push(w);
-                self.wsds = Some(ws);
-            }
-            (None, None) => {}
-        }
-        self.rows += 1;
-    }
-
-    fn finish(self) -> Conds {
-        self.wsds.map_or(Conds::Certain, Conds::Rows)
-    }
-}
-
-/// The join-key hash of each row of `batch` over `keys` — exactly
-/// [`row_key_hash`] of the row, `None` when a key is NULL. A single
-/// dictionary-encoded key reads its hash from the dictionary's per-entry
-/// cache by code.
+/// The join-key hash of each row of `batch` over `keys`, `None` when a
+/// key is NULL: one [`FastHasher`] over the keys' [`ValueRef`]s — what a
+/// `Value` key hashes to. A single dictionary-encoded key reads its hash
+/// from the dictionary's per-entry cache by code.
 fn key_hashes(batch: &ColumnBatch, keys: &[usize]) -> Vec<Option<u64>> {
     let rows = 0..batch.rows();
     if let [k] = keys {
@@ -806,47 +691,14 @@ pub(crate) trait MorselSink {
         wsds: Option<&[Wsd]>,
         kernels: &mut KernelCounts,
     ) -> Result<()>;
-
-    /// Consume the rows the row walk let through, in order. By default
-    /// they pivot once into [`MorselSink::push_batch`].
-    fn push_rows(&mut self, rows: RowsSink, kernels: &mut KernelCounts) -> Result<()> {
-        let (tuples, wsds) = rows.finish();
-        let Some(first) = tuples.first() else {
-            return Ok(());
-        };
-        let cols: Vec<usize> = (0..first.values().len()).collect();
-        let batch = ColumnBatch::pivot(tuples.len(), tuples.iter().map(Tuple::values), &cols);
-        let certain = wsds.iter().all(Wsd::is_tautology);
-        self.push_batch(&batch, (!certain).then_some(&wsds[..]), kernels)
-    }
 }
 
 /// The materialising sink: rows into a morsel-local [`TupleBatch`],
-/// conditions alongside — and the row walk's own buffer.
+/// conditions alongside.
 #[derive(Default)]
-pub(crate) struct RowsSink {
-    /// Rows absorbed whole ([`MorselSink::push_rows`]), then `batch`'s.
-    tuples: Vec<Tuple>,
+struct RowsSink {
     batch: TupleBatch,
-    /// One per row, in the same order.
     wsds: Vec<Wsd>,
-}
-
-impl RowsSink {
-    fn push(&mut self, row: &[Value], wsd: &Wsd) {
-        self.batch.begin_row();
-        for v in row {
-            self.batch.push_value(v.clone());
-        }
-        self.wsds.push(wsd.clone());
-    }
-
-    /// The rows and their conditions, in push order.
-    pub(crate) fn finish(self) -> (Vec<Tuple>, Vec<Wsd>) {
-        let mut tuples = self.tuples;
-        tuples.extend(self.batch.finish());
-        (tuples, self.wsds)
-    }
 }
 
 impl MorselSink for RowsSink {
@@ -866,26 +718,11 @@ impl MorselSink for RowsSink {
         }
         Ok(())
     }
-
-    fn push_rows(&mut self, rows: RowsSink, _: &mut KernelCounts) -> Result<()> {
-        let (tuples, wsds) = rows.finish();
-        let pending = std::mem::take(&mut self.batch).finish();
-        self.tuples.extend(pending);
-        self.tuples.extend(tuples);
-        self.wsds.extend(wsds);
-        Ok(())
-    }
 }
 
 /// Run `stages` over every row of `source` on the morsel driver, feeding
-/// every surviving row into a fresh per-morsel sink built by
+/// the surviving rows of each vector into a fresh per-morsel sink built by
 /// `make_sink`. Returns the finished sinks **in morsel order**.
-///
-/// The kernel-eligible prefix of the chain — σ/π kernels and hash probes
-/// — runs on column batches per morsel (slice or pivot → typed kernels →
-/// gather) and hands the sink a batch; stages after it take the
-/// row-at-a-time walk, whose rows reach the sink at the morsel's end.
-/// Output and errors are bit-identical either way.
 pub(crate) fn run_sink<Sk, MK>(
     source: &URelation,
     stages: &[Stage],
@@ -898,29 +735,29 @@ where
     Sk: MorselSink + Send,
     MK: Fn() -> Sk + Sync,
 {
-    let pre = plan_vec(source, stages, true);
-    let prefix = pre.as_ref().map_or(0, |p| p.len);
+    let plan = plan(source, stages, true);
     let certain = source.is_t_certain();
     // Build sides for the probe stages, on this pool.
     let builds: Vec<Option<BuildSide>> = stages
         .iter()
         .zip(&stats.stages)
-        .enumerate()
-        .map(|(k, (s, slot))| match s {
+        .map(|(s, slot)| match s {
             Stage::Probe {
                 build, right_keys, ..
             } => {
                 slot.build_rows.add(build.len() as u64);
+                let (batch, wsds) = columns_of(build);
+                let hashes = key_hashes(&batch, right_keys);
                 Some(BuildSide {
-                    table: build_table(build, right_keys, pool, min_morsel),
-                    columns: (k < prefix).then(|| columns_of(build)),
+                    table: BuildTable::build(build.len(), |i| hashes[i], pool, min_morsel),
+                    batch,
+                    wsds,
                     certain: build.is_t_certain(),
                 })
             }
             _ => None,
         })
         .collect();
-
     drive(
         candidate_ranges(source, stages, stats),
         pool,
@@ -928,54 +765,21 @@ where
         stats,
         |range, tally| {
             let mut sink = make_sink();
-            match &pre {
-                Some(pre) => {
-                    let whole = pre.pivot_cols.len() == source.schema().len();
-                    let mut m = Morsel {
-                        source,
-                        stages,
-                        pre,
-                        builds: &builds,
-                        tally,
-                        sink: &mut sink,
-                        gov: maybms_gov::Ticker::new(),
-                    };
-                    for rows in vectors(source, range) {
-                        let mut flow = Flow::scan(source, rows, &pre.pivot_cols, whole);
-                        if certain {
-                            flow.conds = Conds::Certain;
-                        }
-                        m.run(flow, 0)?;
-                    }
+            let mut m = Morsel {
+                source,
+                stages,
+                plan: &plan,
+                builds: &builds,
+                tally,
+                sink: &mut sink,
+                gov: maybms_gov::Ticker::new(),
+            };
+            for rows in vectors(source, range) {
+                let mut flow = Flow::scan(source, rows, &plan);
+                if certain {
+                    flow.conds = Conds::Certain;
                 }
-                None => {
-                    let tables: Vec<Option<&BuildTable>> = builds
-                        .iter()
-                        .map(|b| b.as_ref().map(|b| &b.table))
-                        .collect();
-                    let mut gov = maybms_gov::Ticker::new();
-                    let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); stages.len()];
-                    let mut rows = RowsSink::default();
-                    let mut walked = Ok(());
-                    for t in &source.tuples()[range] {
-                        walked = push_row(
-                            t.data.values(),
-                            &t.wsd,
-                            stages,
-                            &tables,
-                            0,
-                            &mut scratch,
-                            &mut tally.stages,
-                            &mut rows,
-                            &mut gov,
-                        );
-                        if walked.is_err() {
-                            break;
-                        }
-                    }
-                    sink.push_rows(rows, &mut tally.kernels)?;
-                    walked?;
-                }
+                m.run(flow, 0)?;
             }
             Ok(sink)
         },
@@ -997,35 +801,11 @@ fn columns_of(rel: &URelation) -> (Cow<'_, ColumnBatch>, Cow<'_, [Wsd]>) {
     }
 }
 
-/// Build a probe stage's hash table. A columnar-at-rest build side hashes
-/// its key columns without materialising a row ([`key_hashes`]: a
-/// single dictionary-encoded key hashes each *distinct* entry once, cached
-/// on the dictionary, so repeated joins against the same stored table
-/// never re-hash). The hash values are exactly [`row_key_hash`]'s, so
-/// either side may be hashed either way.
-fn build_table(
-    build: &URelation,
-    right_keys: &[usize],
-    pool: &ThreadPool,
-    min_morsel: usize,
-) -> BuildTable {
-    if let Some(rest) = at_rest(build) {
-        let hashes = key_hashes(rest, right_keys);
-        return BuildTable::build(build.len(), |i| hashes[i], pool, min_morsel);
-    }
-    let rows = build.tuples();
-    BuildTable::build(
-        build.len(),
-        |i| row_key_hash(rows[i].data.values(), right_keys),
-        pool,
-        min_morsel,
-    )
-}
-
 /// Run an all-filter `stages` chain over `source` on the morsel driver
 /// and return the surviving source positions, in order — a selection
-/// vector end to end (columnar predicates produce the selection
-/// directly, so the output can share the source's row storage).
+/// vector end to end (predicates produce the selection directly, so the
+/// output can share the source's row storage; on a columnar-at-rest
+/// source no row is ever touched).
 pub(crate) fn select(
     source: &URelation,
     stages: &[Stage],
@@ -1033,7 +813,7 @@ pub(crate) fn select(
     min_morsel: usize,
     stats: &PipelineStats,
 ) -> Result<Vec<usize>> {
-    let pre = plan_vec(source, stages, false);
+    let plan = plan(source, stages, false);
     let partials = drive(
         candidate_ranges(source, stages, stats),
         pool,
@@ -1042,64 +822,22 @@ pub(crate) fn select(
         |range, tally| {
             let mut sel = Vec::new();
             for rows in vectors(source, range) {
-                select_rows(source, stages, pre.as_ref(), rows, tally, &mut sel)?;
+                let mut flow = Flow::scan(source, rows, &plan);
+                let mut pending = None;
+                for (k, stage) in plan.stages.iter().enumerate() {
+                    tally.stages[k].0 += flow.rows() as u64;
+                    pending = step(stage, &mut flow, &mut tally.kernels).or(pending);
+                    tally.stages[k].1 += flow.rows() as u64;
+                }
+                sel.extend(flow.src.iter().map(|&si| si as usize));
+                if let Some(e) = pending {
+                    return Err(e.into());
+                }
             }
             Ok(sel)
         },
     )?;
     Ok(partials.concat())
-}
-
-/// [`select`] over the source rows `range`, appending the survivors to
-/// `sel`.
-fn select_rows(
-    source: &URelation,
-    stages: &[Stage],
-    pre: Option<&VecPrefix>,
-    range: Range<usize>,
-    tally: &mut Tally,
-    sel: &mut Vec<usize>,
-) -> Result<()> {
-    let (src, pending, start) = match pre {
-        Some(pre) => {
-            let mut flow = Flow::scan(source, range, &pre.pivot_cols, false);
-            let mut pending = None;
-            for (k, stage) in pre.stages.iter().enumerate() {
-                tally.stages[k].0 += flow.rows() as u64;
-                if let Some(e) = step_vec(stage, &mut flow, &mut tally.kernels) {
-                    pending = Some(e);
-                }
-                tally.stages[k].1 += flow.rows() as u64;
-            }
-            (flow.src, pending, pre.len)
-        }
-        None => (range.map(|i| i as u32).collect(), None, 0),
-    };
-    if stages[start..].is_empty() {
-        // Fully vectorised chain: the selection is final — on a
-        // columnar-at-rest source no row is ever touched.
-        sel.extend(src.iter().map(|&si| si as usize));
-    } else {
-        let mut gov = maybms_gov::Ticker::new();
-        let mut rowbuf = Vec::new(); // never the row view: see `wsd_at`
-        'row: for &si in &src {
-            gov.tick().map_err(EngineError::Gov)?;
-            source.write_row(si as usize, &mut rowbuf);
-            for (k, s) in stages[start..].iter().enumerate() {
-                let Stage::Filter(p) = s else { unreachable!() };
-                tally.stages[start + k].0 += 1;
-                if !p.eval_predicate_values(&rowbuf)? {
-                    continue 'row;
-                }
-                tally.stages[start + k].1 += 1;
-            }
-            sel.push(si as usize);
-        }
-    }
-    match pending {
-        Some(e) => Err(e.into()),
-        None => Ok(()),
-    }
 }
 
 /// Run `stages` over `source` on the morsel driver, materialising the
@@ -1117,138 +855,8 @@ pub(crate) fn rows(
     let mut tuples = Vec::new();
     let mut wsds = Vec::new();
     for sink in sinks {
-        let (t, w) = sink.finish();
-        tuples.extend(t);
-        wsds.extend(w);
+        tuples.extend(sink.batch.finish());
+        wsds.extend(sink.wsds);
     }
     Ok((tuples, wsds))
-}
-
-/// Push one in-flight row through `stages[depth..]` into the row buffer
-/// `out`. `scratch[depth]` is the reusable value buffer of the
-/// constructing stage at `depth` — taken out around the recursion and
-/// always restored, so the morsel allocates nothing after warmup even
-/// across evaluation errors.
-#[allow(clippy::too_many_arguments)]
-fn push_row(
-    row: &[Value],
-    wsd: &Wsd,
-    stages: &[Stage],
-    tables: &[Option<&BuildTable>],
-    depth: usize,
-    scratch: &mut [Vec<Value>],
-    tally: &mut StageTally,
-    out: &mut RowsSink,
-    gov: &mut maybms_gov::Ticker,
-) -> Result<()> {
-    let Some(stage) = stages.get(depth) else {
-        // Morsel-boundary checks alone are not enough here: a probe
-        // chain can expand one source morsel into an unbounded cross
-        // product, so a runaway join would be uncancellable and blow
-        // straight through a memory budget.
-        gov.tick().map_err(EngineError::Gov)?;
-        out.push(row, wsd);
-        return Ok(());
-    };
-    tally[depth].0 += 1;
-    match stage {
-        Stage::Filter(p) => {
-            if p.eval_predicate_values(row)? {
-                tally[depth].1 += 1;
-                push_row(
-                    row,
-                    wsd,
-                    stages,
-                    tables,
-                    depth + 1,
-                    scratch,
-                    tally,
-                    out,
-                    gov,
-                )?;
-            }
-            Ok(())
-        }
-        Stage::Project(exprs) => {
-            let mut vals = std::mem::take(&mut scratch[depth]);
-            vals.clear();
-            let mut result = Ok(());
-            for e in exprs {
-                match e.eval_values(row) {
-                    Ok(v) => vals.push(v),
-                    Err(e) => {
-                        result = Err(e.into());
-                        break;
-                    }
-                }
-            }
-            if result.is_ok() {
-                tally[depth].1 += 1;
-                result = push_row(
-                    &vals,
-                    wsd,
-                    stages,
-                    tables,
-                    depth + 1,
-                    scratch,
-                    tally,
-                    out,
-                    gov,
-                );
-            }
-            scratch[depth] = vals;
-            result
-        }
-        Stage::Probe {
-            build,
-            left_keys,
-            right_keys,
-            build_first,
-        } => {
-            let Some(h) = row_key_hash(row, left_keys) else {
-                return Ok(());
-            };
-            let table = tables[depth].expect("probe stage has a build table");
-            let mut vals = std::mem::take(&mut scratch[depth]);
-            let mut result = Ok(());
-            for &ri in table.candidates(h) {
-                // Only a candidate touches the build's row view (a
-                // columnar-at-rest build side materialises it lazily).
-                let b = &build.tuples()[ri as usize];
-                let brow = b.data.values();
-                if !ops::join_keys_eq(row, left_keys, brow, right_keys) {
-                    continue; // hash collision
-                }
-                // An unsatisfiable conjunction drops the joined row.
-                let Some(joined) = wsd.conjoin(&b.wsd) else {
-                    continue;
-                };
-                let (first, second) = if *build_first {
-                    (brow, row)
-                } else {
-                    (row, brow)
-                };
-                vals.clear();
-                vals.extend_from_slice(first);
-                vals.extend_from_slice(second);
-                tally[depth].1 += 1;
-                if let Err(e) = push_row(
-                    &vals,
-                    &joined,
-                    stages,
-                    tables,
-                    depth + 1,
-                    scratch,
-                    tally,
-                    out,
-                    gov,
-                ) {
-                    result = Err(e);
-                    break;
-                }
-            }
-            scratch[depth] = vals;
-            result
-        }
-    }
 }

@@ -1,12 +1,14 @@
 //! Morsel-local grouped aggregation with a deterministic merge — the
 //! grouped-aggregation **breaker**, sibling of [`crate::build`].
 //!
-//! Before this module, every `GROUP BY` plan materialised its full input
-//! (the aggregation breaker collected the whole pipeline output, then a
-//! second pass grouped it). Here the grouping *is* the sink: each morsel
-//! of the fused stage chain folds its surviving rows into a **private**
-//! [`GroupTable`] — hashed key → accumulator state — and the private
-//! tables merge **in morsel order**:
+//! The grouping *is* the pipeline's sink: each morsel hands its
+//! surviving rows over as column batches, every row's group comes from
+//! the key columns — dictionary codes through a per-morsel code map (a
+//! vector unless the dictionary is far larger than the batch, else
+//! hashed), `i64`s through a hash map, any other key shape as `Value`
+//! keys built from the key columns alone — and the caller's fold takes
+//! the whole batch ([`GroupedBatch`]). No `Value` row is built. The
+//! morsels' private [`GroupTable`]s merge **in morsel order**:
 //!
 //! * a key's first-seen position is decided by the earliest morsel that
 //!   contains it, so the merged key order equals the sequential scan's
@@ -21,7 +23,8 @@
 //! The state type is the caller's: `maybms-core` reaches this module
 //! through [`UStream::collect_grouped`](crate::UStream::collect_grouped)
 //! with an accumulator holding member WSDs (for the per-group `conf()`
-//! fan-out) and running `esum`/`ecount` partial sums.
+//! fan-out), running `esum`/`ecount` partial sums and typed folds of
+//! the standard aggregates.
 
 use std::borrow::Cow;
 use std::sync::Arc;

@@ -14,51 +14,47 @@
 //!   hash-join *build* ([`build`]), grouped aggregation and `DISTINCT`
 //!   ([`groupby`]), and sort, union, cross product and limit
 //!   ([`breaker`]);
-//! * within a pipeline, fused `Scan → Filter → Project → (join-probe)`
-//!   stages consume the source in **morsels** (contiguous row ranges) and
-//!   push each row through the whole stage chain with **no intermediate
-//!   materialisation** — only the pipeline's final output is built, one
-//!   morsel-local [`TupleBatch`](maybms_engine::tuple::TupleBatch) at a
-//!   time;
+//! * within a pipeline, fused `Scan → Filter → Project → Probe` stages
+//!   consume the source in **morsels** (contiguous row ranges), each a
+//!   run of typed [`ColumnBatch`](maybms_engine::column::ColumnBatch)
+//!   vectors that pass through the whole stage chain with **no `Value`
+//!   row built**: σ and π evaluate through the kernels of
+//!   [`maybms_engine::vector`] (`EXPLAIN` marks those stages
+//!   `(vectorised)`; an expression the kernels do not take —
+//!   [`maybms_engine::vector::vectorisable`] — runs row by row over the
+//!   batch), and a hash probe hashes key columns, verifies candidates on
+//!   typed values and gathers the joined rows from both sides' columns.
+//!   Only a materialising sink builds rows, one morsel-local
+//!   [`TupleBatch`](maybms_engine::tuple::TupleBatch) at a time;
 //! * every in-flight row carries its world-set descriptor: probe stages
 //!   conjoin the two sides' WSDs and drop unsatisfiable pairs; a
-//!   t-certain table is the case where every WSD is empty, so certain
-//!   and uncertain queries share this one executor;
+//!   t-certain table is the case where every WSD is empty (no conjoin
+//!   runs), so certain and uncertain queries share this one executor;
 //! * hash-join **builds are morsel-local**: each morsel constructs a
 //!   private hash table and the per-key candidate lists are merged in
 //!   morsel order ([`BuildTable`]), so the merged table is identical to a
 //!   sequential build at any thread count;
 //! * grouped aggregation is **streaming**: the breaker's input pipeline
-//!   folds each surviving row into a morsel-local [`GroupTable`] of
-//!   mergeable accumulator states, merged in morsel order with global
-//!   first-seen key order ([`groupby`]) — `GROUP BY` plans never
+//!   hands each batch of surviving rows to a morsel-local [`GroupTable`]
+//!   of mergeable accumulator states — groups from the key columns
+//!   (dictionary codes, `i64`s, or `Value` keys), one fold per batch over
+//!   typed argument columns — merged in morsel order with global
+//!   first-seen key order ([`groupby`]); `GROUP BY` plans never
 //!   materialise their input;
-//! * the **kernel-eligible σ/π prefix** of a pipeline runs *columnar*:
-//!   predicates and projections evaluate through the vectorised kernels
-//!   of [`maybms_engine::vector`] over a typed
-//!   [`ColumnBatch`](maybms_engine::column::ColumnBatch) of only the
-//!   referenced source columns, and rows pivot back to shared-row tuples
-//!   at probes, breakers, and sinks (where the WSD bookkeeping lives).
-//!   Eligibility is decided per stage from the bound expressions
-//!   ([`maybms_engine::vector::vectorisable`]); `EXPLAIN` marks those
-//!   stages `(vectorised)`, and every other stage takes the
-//!   row-at-a-time walk;
 //! * when the source table is **columnar at rest** (every stored table),
-//!   a kernel-eligible scan skips the per-morsel pivot entirely: stages
-//!   borrow the stored column slices (dictionary codes included) and
-//!   the whole σ/π prefix runs **zero-pivot** — `EXPLAIN` marks the
+//!   morsels slice the stored columns (dictionary codes included) instead
+//!   of pivoting: the scan runs **zero-pivot** — `EXPLAIN` marks the
 //!   source `(columnar, zero-pivot)` and the
 //!   `maybms_pipe_pivots_total` / `maybms_pipe_pivot_rows_total`
-//!   counters stay flat. Dictionary-encoded text columns feed the
-//!   hash-join build side and the dense GROUP BY key path with u32
-//!   codes and pre-cached hashes instead of strings;
-//! * every pipeline — filter-only selection, sink walk, the dense-code
-//!   GROUP BY fold — runs on **one morsel driver**, which alone owns the
-//!   chunk rule, the zone-map skip, the governor checkpoint and the
-//!   per-morsel tally; each run keeps one [`maybms_obs::PipelineStats`] record and
-//!   hands it, when it ends, to the metrics registry, its `pipeline`
-//!   span and the statement's [`maybms_obs::QueryStats`] at once (this
-//!   crate adds to the registry nowhere else);
+//!   counters stay flat. Dictionary-encoded text keys hash by code from
+//!   per-entry hashes cached on the dictionary, on both sides of a join;
+//! * every pipeline — filter-only selection and sink walk — runs on
+//!   **one morsel driver**, which alone owns the chunk rule, the
+//!   zone-map skip, the governor checkpoint and the per-morsel tally;
+//!   each run keeps one [`maybms_obs::PipelineStats`] record and hands it,
+//!   when it ends, to the metrics registry, its `pipeline` span and the
+//!   statement's [`maybms_obs::QueryStats`] at once (this crate adds to
+//!   the registry nowhere else);
 //! * morsels run on the `maybms-par` pool and morsel outputs are
 //!   concatenated in morsel order. The determinism contract: **output —
 //!   values, WSDs, row order and the first runtime error — depends on
@@ -66,7 +62,7 @@
 //!   scalar walk of the same chain (property-tested against the
 //!   `maybms_bench::naive` oracle at 1/2/8 threads, over compacted and
 //!   row-major sources, in `crates/bench/tests/pipe_equiv.rs`,
-//!   `vec_equiv.rs` and `dict_equiv.rs`).
+//!   `vec_equiv.rs`, `dict_equiv.rs` and `group_equiv.rs`).
 //!
 //! The front end is [`UStream`]: a lazy pipeline over one source
 //! U-relation that `maybms-core` threads its select/project/join chains
@@ -87,15 +83,3 @@ pub mod vertical;
 pub use build::BuildTable;
 pub use groupby::{GroupTable, GroupedBatch};
 pub use ustream::UStream;
-
-/// Hash of a row slice's key columns (columnar single-key fast path),
-/// `None` when any key is NULL — what both the build and the probe side
-/// of a hash join bucket by.
-#[inline]
-pub(crate) fn row_key_hash(row: &[maybms_engine::Value], keys: &[usize]) -> Option<u64> {
-    if let [k] = keys {
-        maybms_engine::ops::single_key_hash(&row[*k])
-    } else {
-        maybms_engine::ops::join_key_hash(row, keys)
-    }
-}

@@ -358,13 +358,14 @@ impl UStream {
     /// which morsels run `(zone map)`; planner notes follow in
     /// parentheses.
     pub fn stage_labels(&self) -> Vec<String> {
-        let vectorised = fuse::vector_prefix_len(&self.stages);
         let mut labels: Vec<String> = self
             .stages
             .iter()
-            .enumerate()
-            .map(|(k, stage)| {
-                let vec_mark = if k < vectorised { " (vectorised)" } else { "" };
+            .map(|stage| {
+                let vec_mark = match fuse::vectorised(stage) {
+                    true => " (vectorised)",
+                    false => "",
+                };
                 match stage {
                     Stage::Filter(predicate) => format!("filter {predicate}{vec_mark}"),
                     Stage::Project(exprs) => {
