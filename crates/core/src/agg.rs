@@ -421,7 +421,7 @@ pub fn aggregate_stream_with(
                         match (prob(j), slot(states, groups, j, s)) {
                             (Ok(p), Partial::Expect(sum)) => sum.add(x * p),
                             (Err(e), _) => {
-                                first.at(j, || e.into());
+                                first.at(j, || e);
                                 break;
                             }
                             _ => unreachable!("partial/spec lists are parallel"),
@@ -436,11 +436,13 @@ pub fn aggregate_stream_with(
                         let st = std_state(slot(states, groups, j, s));
                         let done = match col.as_ref().map(|c| (c, c.data())) {
                             Some((c, _)) if c.is_null(j) => Ok(()),
-                            None => Ok(st.fold_present()),
-                            _ if *func == AggFunc::Count => Ok(st.fold_present()),
                             Some((_, ColumnData::Int(v))) => st.fold_i64(v[j]),
                             Some((_, ColumnData::Float(v))) => st.fold_f64(v[j]),
-                            Some((c, _)) => st.fold(&c.value_at(j)),
+                            Some((c, _)) if *func != AggFunc::Count => st.fold(&c.value_at(j)),
+                            _ => {
+                                st.fold_present();
+                                Ok(())
+                            }
                         };
                         done.map_err(|e| (j, e))
                     });
