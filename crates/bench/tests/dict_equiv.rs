@@ -1,14 +1,15 @@
 //! Dictionary-code paths ≡ string paths.
 //!
-//! The columnar store dictionary-encodes text columns, and two executor
-//! fast paths consume the u32 codes directly: the hash-join build side
-//! (`fuse::build_table`) and the dense-code grouped-aggregation sink
-//! (`groupby::dense_dict_groups`). Both must be *invisible*: joining or
-//! grouping on a compacted (dictionary-encoded, columnar-at-rest)
-//! U-relation has to produce output bit-identical to its row-major twin
-//! and to a sequential scalar reference — same tuples, same order, same
-//! group key variants — at 1/2/8 threads and morsel sizes down to a
-//! single row.
+//! The columnar store dictionary-encodes text columns, and the executor
+//! consumes the u32 codes directly: both sides of a hash join hash a
+//! text key by code (from per-entry hashes cached on the dictionary), and
+//! the grouped breaker maps codes to groups through a per-morsel code
+//! map. Both must be *invisible*: joining or grouping on a compacted
+//! (dictionary-encoded, columnar-at-rest) U-relation has to produce
+//! output bit-identical to its row-major twin and to a sequential scalar
+//! reference — same tuples, same order, same group key variants — at
+//! 1/2/8 threads and morsel sizes down to a single row.
+//! (`group_equiv.rs` covers the other key shapes and the aggregates.)
 //!
 //! The string universe is tiny (heavy duplication, so many rows share a
 //! code and hash buckets collide across distinct keys), and NULL keys are
@@ -102,11 +103,11 @@ proptest! {
         common::check_chain(&p, &steps);
     }
 
-    /// GROUP BY a text key: the dense-code sink over the compacted table
-    /// ≡ the hashed sink over the row-major one ≡ a sequential scan in
+    /// GROUP BY a text key: the code map over the compacted table ≡
+    /// `Value` keys over the row-major one ≡ a sequential scan in
     /// first-seen key order, bit-identically, at every thread count.
     #[test]
-    fn dense_dict_group_matches_hashed_group(
+    fn dict_code_group_matches_string_group(
         data in prop::collection::vec((arb_key(), arb_payload()), 0..32),
     ) {
         let t = table("t", data);

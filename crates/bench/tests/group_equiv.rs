@@ -4,14 +4,15 @@
 //! run on the morsel's columns, every row's group comes from the key
 //! columns (dictionary codes, an `i64` map, or `Value` keys) and the
 //! aggregates fold typed slices. That path is checked, at 1/2/8 threads
-//! and morsel sizes down to one row, over row-major and compacted
-//! (dictionary-encoded, columnar-at-rest) inputs, against
+//! and morsel sizes down to one row, over row-major sources and builds
+//! and their compacted (dictionary-encoded, columnar-at-rest) twins,
+//! against
 //!
 //! * materialising the chain with the scalar walk and grouping it with
 //!   the naive oracle (`maybms_bench::naive::aggregate_u`), and
-//! * a row-major twin: the same chain behind a `CASE` filter the kernels
-//!   do not take, so every row walks the stages one at a time and reaches
-//!   the breaker through the row walk's buffer;
+//! * the same chain behind a `CASE` filter the kernels do not take (it
+//!   runs row by row over the batch, and every stage after it sees the
+//!   rows it let through);
 //!
 //! and its first runtime error — which row, which key or aggregate slot,
 //! and its message — against a scalar, row-major fold. Keys are text,
@@ -206,9 +207,8 @@ fn case(
     (source, steps, grouping, aggs)
 }
 
-/// The steps behind a `CASE` filter (always true) that no kernel takes:
-/// every stage after it, probes included, runs on the row walk.
-fn row_walk_twin(steps: &[Step]) -> Vec<Step> {
+/// The steps behind a `CASE` filter (always true) that no kernel takes.
+fn behind_case(steps: &[Step]) -> Vec<Step> {
     let always = Expr::Case {
         branches: vec![(
             Expr::IsNull {
@@ -273,7 +273,7 @@ fn grouped(
     .map_err(|e| e.to_string())
 }
 
-/// Every run of the batch path and of the row-walk twin — row-major and
+/// Every run of the chain and of the chain behind `CASE` — row-major and
 /// compacted, 1/2/8 threads, morsels of 1 and 4 rows — returns the same
 /// rows (variants and float bits included) or the same error.
 fn runs(
@@ -283,9 +283,9 @@ fn runs(
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
 ) -> Result<Vec<Vec<Value>>, String> {
-    let twin = row_walk_twin(steps);
+    let twin = behind_case(steps);
     let first = grouped(source, steps, false, grouping, aggs, wt, 1, 1);
-    for (chain, name) in [(steps, "batch"), (&twin[..], "row walk")] {
+    for (chain, name) in [(steps, "chain"), (&twin[..], "behind CASE")] {
         for (src, compact) in [(source.clone(), false), (source.compact(), true)] {
             for threads in [1usize, 2, 8] {
                 for morsel in [1usize, 4] {

@@ -1,5 +1,5 @@
 //! Vectorised ≡ scalar: the columnar kernels and the pipeline executor's
-//! vectorised prefix must be **bit-identical** to the row-at-a-time
+//! batches must be **bit-identical** to the row-at-a-time
 //! evaluator — values (variant and float bits included), NULL
 //! propagation, row order, and the first runtime error (row *and*
 //! message).

@@ -451,18 +451,18 @@ impl Flow {
         self
     }
 
-    /// The rows' conditions for a sink: `None` when every one is the
-    /// tautology.
-    fn sink_conds(&self, source: &URelation) -> Option<Vec<Wsd>> {
-        let cond = |j| self.cond(source, j);
-        if (0..self.rows()).all(|j| cond(j).is_none_or(Wsd::is_tautology)) {
-            return None;
+    /// Settle the source rows' own conditions: [`Conds::Certain`] when
+    /// every one of these rows has the tautology — read off the rows in
+    /// flight, never the whole source — else one per row.
+    fn settle(mut self, source: &URelation) -> Flow {
+        if let Conds::Source = self.conds {
+            let own = |j| wsd_at(source, self.src[j] as usize);
+            self.conds = match (0..self.rows()).all(|j| own(j).is_tautology()) {
+                true => Conds::Certain,
+                false => Conds::Rows((0..self.rows()).map(|j| own(j).clone()).collect()),
+            };
         }
-        Some(
-            (0..self.rows())
-                .map(|j| cond(j).cloned().unwrap_or_default())
-                .collect(),
-        )
+        self
     }
 }
 
@@ -533,11 +533,11 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
     /// ran: those rows precede it in the scalar walk.
     fn run(&mut self, mut flow: Flow, k: usize) -> Result<()> {
         let Some(stage) = self.plan.stages.get(k) else {
-            return self.finish(flow.widen(self.source));
+            return self.finish(flow.widen(self.source).settle(self.source));
         };
         self.tally.stages[k].0 += flow.rows() as u64;
         if let VecStage::Probe = stage {
-            return self.probe(flow.widen(self.source), k);
+            return self.probe(flow.widen(self.source).settle(self.source), k);
         }
         let pending = step(stage, &mut flow, &mut self.tally.kernels);
         self.tally.stages[k].1 += flow.rows() as u64;
@@ -633,10 +633,13 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
 
     /// The end of the chain: the sink takes the batch.
     fn finish(&mut self, flow: Flow) -> Result<()> {
-        let wsds = flow.sink_conds(self.source);
+        let wsds = match &flow.conds {
+            Conds::Rows(w) => Some(&w[..]),
+            _ => None,
+        };
         self.gov.tick_n(flow.rows()).map_err(EngineError::Gov)?;
         self.sink
-            .push_batch(&flow.batch, wsds.as_deref(), &mut self.tally.kernels)
+            .push_batch(&flow.batch, wsds, &mut self.tally.kernels)
     }
 }
 
@@ -736,7 +739,6 @@ where
     MK: Fn() -> Sk + Sync,
 {
     let plan = plan(source, stages, true);
-    let certain = source.is_t_certain();
     // Build sides for the probe stages, on this pool.
     let builds: Vec<Option<BuildSide>> = stages
         .iter()
@@ -775,11 +777,7 @@ where
                 gov: maybms_gov::Ticker::new(),
             };
             for rows in vectors(source, range) {
-                let mut flow = Flow::scan(source, rows, &plan);
-                if certain {
-                    flow.conds = Conds::Certain;
-                }
-                m.run(flow, 0)?;
+                m.run(Flow::scan(source, rows, &plan), 0)?;
             }
             Ok(sink)
         },

@@ -353,10 +353,10 @@ impl UStream {
     }
 
     /// One label per recorded stage — the text `EXPLAIN` and
-    /// `EXPLAIN ANALYZE` both print for it. Stages of the kernel-eligible
-    /// prefix (σ/π kernels and batch probes) are marked `(vectorised)`, filters whose zone maps decide
-    /// which morsels run `(zone map)`; planner notes follow in
-    /// parentheses.
+    /// `EXPLAIN ANALYZE` both print for it. Stages the vector kernels run
+    /// (σ/π whose expressions they take, and every probe) are marked
+    /// `(vectorised)`, filters whose zone maps decide which morsels run
+    /// `(zone map)`; planner notes follow in parentheses.
     pub fn stage_labels(&self) -> Vec<String> {
         let mut labels: Vec<String> = self
             .stages
@@ -403,8 +403,8 @@ fn all_filters(stages: &[Stage]) -> bool {
 }
 
 /// How `EXPLAIN` and `EXPLAIN ANALYZE` name a pipeline's source of `rows`
-/// stored rows: columnar-at-rest sources are marked — their vectorised
-/// prefix borrows column slices instead of pivoting.
+/// stored rows: columnar-at-rest sources are marked — their morsels
+/// slice the stored columns instead of pivoting.
 pub fn source_label(rows: usize, columnar: bool) -> String {
     match columnar {
         true => format!("{rows} stored rows (columnar, zero-pivot)"),

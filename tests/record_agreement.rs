@@ -104,8 +104,8 @@ const STATEMENTS: [Case; 9] = [
         "σ ⋈ γ: the batch probe into the grouped breaker",
         "select m.f, count(*) as n, avg(t.w) as a from t, m \
          where t.s = m.s and t.v > 20 group by m.f",
-        // The row walk's counts, stage by stage: 79 of every 100 rows pass
-        // the filter and each meets one dimension row.
+        // The scalar walk's counts, stage by stage: 79 of every 100 rows
+        // pass the filter and each meets one dimension row.
         |qs| {
             let grouped = &qs.pipelines()[1];
             let stages: Vec<(u64, u64)> = grouped
