@@ -33,8 +33,10 @@
 //!
 //! # Planner eligibility
 //!
-//! [`vectorisable`] is the *plan-time* gate: structural only (no schema
-//! needed), it rejects `CASE`/`IN` (scalar semantics by design) and any
+//! [`vectorisable`] is the gate, decided per expression (and read by
+//! `EXPLAIN`): structural only (no schema needed — [`eval_batch`] runs
+//! an expression it rejects row by row, with no kernel attempt), it
+//! rejects `CASE`/`IN` (scalar semantics by design) and any
 //! `AND`/`OR` whose right side is not [`shortcircuit_safe`] — an
 //! eagerly-evaluated `1/0` guard would Interrupt every morsel, paying
 //! the vector attempt *and* the scalar redo. Type-dependent hazards

@@ -166,9 +166,7 @@ pub struct GroupedBatch<'a> {
 /// group. They only shortcut [`GroupTable::group_of`], so a cache that
 /// misses — or is dropped when the next batch's key column is another
 /// dictionary or type — never changes a group.
-#[derive(Default)]
 enum KeyCache {
-    #[default]
     Empty,
     /// Dictionary code → group, for one dictionary: a dense vector when
     /// the dictionary is not far larger than the batch, else hashed.
