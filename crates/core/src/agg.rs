@@ -248,14 +248,6 @@ fn slot<'a>(states: &'a mut [StreamAcc], groups: &[u32], j: usize, s: usize) -> 
     &mut states[groups[j] as usize].parts[s]
 }
 
-/// The `AggState` of a standard aggregate's slot.
-fn std_state(part: &mut Partial) -> &mut AggState {
-    match part {
-        Partial::Std(st) => st,
-        _ => unreachable!("partial/spec lists are parallel"),
-    }
-}
-
 /// The first error of a grouped fold over one batch, in the scalar
 /// walk's order: rows at or after `limit` are not folded any more, and
 /// an error replaces the one found only at a strictly earlier row (so at
@@ -433,7 +425,9 @@ pub fn aggregate_stream_with(
                     let (col, err) = eval_arg(arg.as_ref());
                     let stop = first.upto(&err, first.limit.min(uncertain));
                     let folded = (0..stop).try_for_each(|j| {
-                        let st = std_state(slot(states, groups, j, s));
+                        let Partial::Std(st) = slot(states, groups, j, s) else {
+                            unreachable!("partial/spec lists are parallel")
+                        };
                         let done = match col.as_ref().map(|c| (c, c.data())) {
                             Some((c, _)) if c.is_null(j) => Ok(()),
                             Some((_, ColumnData::Int(v))) => st.fold_i64(v[j]),

@@ -900,11 +900,6 @@ impl ColumnBatch {
         &self.columns
     }
 
-    /// The columns, by value.
-    pub fn into_columns(self) -> Vec<Column> {
-        self.columns
-    }
-
     /// The rows at `sel`, in that order.
     pub fn gather(&self, sel: &[u32]) -> ColumnBatch {
         ColumnBatch {

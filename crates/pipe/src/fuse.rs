@@ -426,12 +426,12 @@ impl Flow {
         }
     }
 
-    /// Row `j`'s condition; `None` is the tautology.
-    fn cond<'a>(&'a self, source: &'a URelation, j: usize) -> Option<&'a Wsd> {
+    /// Row `j`'s condition once [settled](Flow::settle); `None` is the
+    /// tautology.
+    fn cond(&self, j: usize) -> Option<&Wsd> {
         match &self.conds {
-            Conds::Source => Some(wsd_at(source, self.src[j] as usize)),
-            Conds::Certain => None,
             Conds::Rows(w) => Some(&w[j]),
+            _ => None,
         }
     }
 
@@ -573,7 +573,7 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
                 }
                 if !certain {
                     let right = &side.wsds[r as usize];
-                    let joined = match flow.cond(self.source, j) {
+                    let joined = match flow.cond(j) {
                         Some(left) => left.conjoin(right),
                         None => Some(right.clone()),
                     };
@@ -606,21 +606,16 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
         let side = self.builds[k]
             .as_ref()
             .expect("a probe stage has a build side");
-        let (probe, build) = (flow.batch.gather(&pi), side.batch.gather(&bi));
-        let halves = match build_first {
-            true => [build, probe],
-            false => [probe, build],
+        let probe = flow.batch.columns().iter().map(|c| c.gather(&pi));
+        let build = side.batch.columns().iter().map(|c| c.gather(&bi));
+        let columns = match build_first {
+            true => build.chain(probe).collect(),
+            false => probe.chain(build).collect(),
         };
         let n = pi.len();
         self.tally.stages[k].1 += n as u64;
         let joined = Flow {
-            batch: ColumnBatch::from_columns(
-                halves
-                    .into_iter()
-                    .flat_map(ColumnBatch::into_columns)
-                    .collect(),
-                n,
-            ),
+            batch: ColumnBatch::from_columns(columns, n),
             whole: true,
             src: pi.iter().map(|&j| flow.src[j as usize]).collect(),
             conds: match wsds.is_empty() {
