@@ -248,11 +248,10 @@ fn sort_and_union_breakers_are_checkpoints() {
     maybms_par::set_threads(before_threads);
 }
 
-/// A GROUP BY on a dictionary-encoded text column takes the dense-code
-/// fold, which runs on the same morsel driver as every pipeline: it
-/// passes a governor checkpoint per morsel (none at all before the fold
-/// moved onto the driver), and a cancel landing on any of them aborts
-/// with the typed error and an intact catalog.
+/// A GROUP BY on a dictionary-encoded text column (groups from the
+/// codes) runs on the same morsel driver as every pipeline: it passes a
+/// governor checkpoint per morsel, and a cancel landing on any of them
+/// aborts with the typed error and an intact catalog.
 #[test]
 fn dense_dictionary_group_by_is_a_checkpoint_per_morsel() {
     let _l = lock();
@@ -273,7 +272,7 @@ fn dense_dictionary_group_by_is_a_checkpoint_per_morsel() {
         };
         assert!(
             grouped.stages.is_empty() && grouped.groups.get() == 37,
-            "the dense-code fold"
+            "a stage-less group by a text key"
         );
         let morsels = grouped.morsels.get();
         assert!(
