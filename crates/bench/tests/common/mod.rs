@@ -9,9 +9,9 @@ use maybms_par::ThreadPool;
 use maybms_pipe::UStream;
 use maybms_urel::{URelation, Wsd};
 
-/// The `UStream` recording `steps` over `source`. With `compact`, every
-/// probe's build side is columnar at rest (dictionary-encoded text keys).
-pub fn stream(source: &URelation, steps: &[Step], compact: bool) -> maybms_urel::Result<UStream> {
+/// The `UStream` recording `steps` over `source`. With `dict`, every
+/// probe's build side has its text columns dictionary-encoded.
+pub fn stream(source: &URelation, steps: &[Step], dict: bool) -> maybms_urel::Result<UStream> {
     let mut s = UStream::new(source.clone());
     for step in steps {
         s = match step {
@@ -29,8 +29,8 @@ pub fn stream(source: &URelation, steps: &[Step], compact: bool) -> maybms_urel:
                 left_keys,
                 right_keys,
             } => {
-                let build = if compact {
-                    build.compact()
+                let build = if dict {
+                    build.dict_encode()
                 } else {
                     build.clone()
                 };
@@ -48,23 +48,23 @@ fn render(values: &[Value], wsd: &Wsd) -> String {
 }
 
 /// `UStream` ≡ oracle — values (variants included), WSDs, row order, and
-/// the first runtime error's message — over the row-major source and its
-/// compacted (columnar-at-rest) twin, at 1/2/8 threads and morsel sizes
+/// the first runtime error's message — over the source's plain columns
+/// and its dictionary-encoded twin, at 1/2/8 threads and morsel sizes
 /// down to a single row. Panics on divergence (the vendored proptest
 /// reports panics as case failures).
 pub fn check_chain(source: &URelation, steps: &[Step]) {
     let want = fused_chain(source, steps)
         .map(|rows| rows.iter().map(|(v, w)| render(v, w)).collect::<Vec<_>>())
         .map_err(|(row, e)| (row, e.to_string()));
-    for (layout, src, compact) in [
-        ("row-major", source.clone(), false),
-        ("compacted", source.compact(), true),
+    for (layout, src, dict) in [
+        ("plain", source.clone(), false),
+        ("dictionary-encoded", source.dict_encode(), true),
     ] {
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {
                 let at = format!("{layout} source, {threads} threads, morsel {morsel}");
-                let got = stream(&src, steps, compact)
+                let got = stream(&src, steps, dict)
                     .expect("chain binds")
                     .collect_with(&pool, morsel, (&maybms_obs::QueryStats::new(), "test"));
                 match (&want, got) {

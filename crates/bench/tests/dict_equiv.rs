@@ -4,11 +4,11 @@
 //! consumes the u32 codes directly: both sides of a hash join hash a
 //! text key by code (from per-entry hashes cached on the dictionary), and
 //! the grouped breaker maps codes to groups through a per-morsel code
-//! map. Both must be *invisible*: joining or grouping on a compacted
-//! (dictionary-encoded, columnar-at-rest) U-relation has to produce
-//! output bit-identical to its row-major twin and to a sequential scalar
-//! reference — same tuples, same order, same group key variants — at
-//! 1/2/8 threads and morsel sizes down to a single row.
+//! map. Both must be *invisible*: joining or grouping on a
+//! dictionary-encoded U-relation has to produce output bit-identical to
+//! its plain-column twin and to a sequential scalar reference — same
+//! tuples, same order, same group key variants — at 1/2/8 threads and
+//! morsel sizes down to a single row.
 //! (`group_equiv.rs` covers the other key shapes and the aggregates.)
 //!
 //! The string universe is tiny (heavy duplication, so many rows share a
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use maybms_bench::naive::{fused_chain, Step};
 use maybms_engine::ops::{AggFunc, AggState};
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{DataType, Expr, Schema, Tuple, Value};
+use maybms_engine::{ColumnData, DataType, Expr, Schema, Tuple, Value};
 use maybms_par::ThreadPool;
 use maybms_pipe::{GroupedBatch, UStream};
 use maybms_urel::{URelation, UTuple};
@@ -44,7 +44,7 @@ fn arb_payload() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// A row-major t-certain `(name_k: Text, name_v)` U-relation.
+/// A t-certain `(name_k: Text, name_v)` U-relation over plain columns.
 fn table(name: &str, rows: Vec<(Value, Value)>) -> URelation {
     let schema = Arc::new(Schema::from_pairs(&[
         (&format!("{name}_k"), DataType::Text),
@@ -86,15 +86,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hash join keyed on a text column: the dictionary-code build side
-    /// over compacted inputs ≡ the string build side over row-major ones
-    /// ≡ the scalar oracle, bit-identically, at every thread count.
+    /// over dictionary-encoded inputs ≡ the string build side over plain
+    /// ones ≡ the scalar oracle, bit-identically, at every thread count.
     #[test]
     fn dict_join_build_matches_string_path(
         build in prop::collection::vec((arb_key(), arb_payload()), 0..24),
         probe in prop::collection::vec((arb_key(), arb_payload()), 0..24),
     ) {
         let (b, p) = (table("b", build), table("p", probe));
-        prop_assert!(b.compact().is_columnar());
+        let coded = matches!(b.dict_encode().at_rest().0.column(0).data(), ColumnData::Dict { .. });
+        prop_assert_eq!(coded, b.tuples().iter().any(|t| !t.data.value(0).is_null()));
         let steps = [Step::Probe { build: b, left_keys: vec![0], right_keys: vec![0] }];
         // NULL never equals NULL: no output row may carry a NULL key.
         for (row, _) in fused_chain(&p, &steps).unwrap() {
@@ -103,8 +104,8 @@ proptest! {
         common::check_chain(&p, &steps);
     }
 
-    /// GROUP BY a text key: the code map over the compacted table ≡
-    /// `Value` keys over the row-major one ≡ a sequential scan in
+    /// GROUP BY a text key: the code map over the dictionary-encoded
+    /// table ≡ `Value` keys over the plain one ≡ a sequential scan in
     /// first-seen key order, bit-identically, at every thread count.
     #[test]
     fn dict_code_group_matches_string_group(
@@ -127,8 +128,7 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {
-                for source in [t.clone(), t.compact()] {
-                    let layout = if source.is_columnar() { "compacted" } else { "row-major" };
+                for (layout, source) in [("plain", t.clone()), ("dictionary-encoded", t.dict_encode())] {
                     let (keys, states) = UStream::new(source)
                         .collect_grouped(
                             &[Expr::ColumnIdx(0)],

@@ -4,9 +4,8 @@
 //! run on the morsel's columns, every row's group comes from the key
 //! columns (dictionary codes, an `i64` map, or `Value` keys) and the
 //! aggregates fold typed slices. That path is checked, at 1/2/8 threads
-//! and morsel sizes down to one row, over row-major sources and builds
-//! and their compacted (dictionary-encoded, columnar-at-rest) twins,
-//! against
+//! and morsel sizes down to one row, over sources and builds with plain
+//! columns and their dictionary-encoded twins, against
 //!
 //! * materialising the chain with the scalar walk and grouping it with
 //!   the naive oracle (`maybms_bench::naive::aggregate_u`), and
@@ -242,14 +241,14 @@ fn behind_case(steps: &[Step]) -> Vec<Step> {
 fn grouped(
     source: &URelation,
     steps: &[Step],
-    compact: bool,
+    dict: bool,
     grouping: &[Expr],
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
     threads: usize,
     morsel: usize,
 ) -> Result<Vec<Vec<Value>>, String> {
-    let stream = common::stream(source, steps, compact).expect("chain binds");
+    let stream = common::stream(source, steps, dict).expect("chain binds");
     let fields = (0..grouping.len())
         .map(|i| Field::new(format!("k{i}"), DataType::Unknown))
         .collect();
@@ -273,8 +272,8 @@ fn grouped(
     .map_err(|e| e.to_string())
 }
 
-/// Every run of the chain and of the chain behind `CASE` — row-major and
-/// compacted, 1/2/8 threads, morsels of 1 and 4 rows — returns the same
+/// Every run of the chain and of the chain behind `CASE` — plain and
+/// dictionary-encoded, 1/2/8 threads, morsels of 1 and 4 rows — returns the same
 /// rows (variants and float bits included) or the same error.
 fn runs(
     source: &URelation,
@@ -286,14 +285,14 @@ fn runs(
     let twin = behind_case(steps);
     let first = grouped(source, steps, false, grouping, aggs, wt, 1, 1);
     for (chain, name) in [(steps, "chain"), (&twin[..], "behind CASE")] {
-        for (src, compact) in [(source.clone(), false), (source.compact(), true)] {
+        for (src, dict) in [(source.clone(), false), (source.dict_encode(), true)] {
             for threads in [1usize, 2, 8] {
                 for morsel in [1usize, 4] {
-                    let got = grouped(&src, chain, compact, grouping, aggs, wt, threads, morsel);
+                    let got = grouped(&src, chain, dict, grouping, aggs, wt, threads, morsel);
                     assert_eq!(
                         format!("{got:?}"),
                         format!("{first:?}"),
-                        "{name}, compacted {compact}, {threads} threads, morsel {morsel}"
+                        "{name}, dictionary-encoded {dict}, {threads} threads, morsel {morsel}"
                     );
                 }
             }
@@ -469,11 +468,10 @@ proptest! {
     }
 
     /// Errors: keys that divide by zero, slots that divide by zero, meet
-    /// text (`sum`, `esum`) or an uncertain row, and a σ stage that
-    /// divides by zero, all at generated rows — every run raises the
-    /// error the scalar walk meets first, message included. (`min` /
-    /// `max` over text and numbers raise at the morsel merge instead:
-    /// not covered here.)
+    /// text (`sum`, `esum`), mix text and numbers (`min`, `max`) or meet
+    /// an uncertain row, and a σ stage that divides by zero, all at
+    /// generated rows — every run raises the error the scalar walk meets
+    /// first, message included.
     #[test]
     fn first_error_matches_the_scalar_walk(
         rows in prop::collection::vec(
@@ -483,7 +481,7 @@ proptest! {
         guard in prop_oneof![Just(false), Just(true)],
         probe in prop_oneof![Just(false), Just(true)],
         key_pick in 0u8..3,
-        slots in prop::collection::vec(0u8..8, 1..4),
+        slots in prop::collection::vec(0u8..10, 1..4),
     ) {
         let wt = world();
         // (k, x, d, e): `10 / d` and `10 / e` raise where d or e is 0.
@@ -525,6 +523,8 @@ proptest! {
                     3 => std(AggFunc::Min, ten_over(3)),
                     4 => std(AggFunc::Avg, ten_over(3)),
                     5 => AggSpec::ECount(Some(ten_over(2))),
+                    8 => std(AggFunc::Min, Expr::ColumnIdx(1)),
+                    9 => std(AggFunc::Max, Expr::ColumnIdx(1)),
                     _ => AggSpec::Std { func: AggFunc::Count, arg: None },
                 })
                 .enumerate()
@@ -544,8 +544,8 @@ proptest! {
 }
 
 /// A dictionary holding a thousand entries per stored row (every row but
-/// two deleted after compaction): grouping by it and probing it give the
-/// row-major twin's answer at every thread count.
+/// two deleted after encoding): grouping by it and probing it give the
+/// plain-column twin's answer at every thread count.
 #[test]
 fn orphan_heavy_dictionary_groups_like_its_twin() {
     let names: Vec<String> = (0..2000).map(|i| format!("n{i}")).collect();
@@ -554,7 +554,7 @@ fn orphan_heavy_dictionary_groups_like_its_twin() {
         .enumerate()
         .map(|(i, n)| (vec![Value::str(n), Value::Int(i as i64)], Wsd::tautology()))
         .collect();
-    let mut stored = relation(&["s", "v"], rows).compact();
+    let mut stored = relation(&["s", "v"], rows).dict_encode();
     let doomed: Vec<u32> = (0..2000).filter(|i| ![7, 1999].contains(i)).collect();
     stored.delete_rows(&doomed);
     assert_eq!(stored.len(), 2);

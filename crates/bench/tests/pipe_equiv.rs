@@ -288,7 +288,7 @@ proptest! {
 
     /// Fused UStream chains ≡ the row-major scalar oracle — data, WSDs
     /// (unsatisfiable conjunctions dropped), row order, first error —
-    /// over row-major and compacted sources at 1/2/8 threads and
+    /// over plain and dictionary-encoded sources at 1/2/8 threads and
     /// single-row morsels; collected per-stage stats are thread-invariant.
     #[test]
     fn ustream_chain_matches_oracle(
@@ -582,11 +582,11 @@ proptest! {
 
         let query = maybms_core::sql::parse_query(&sql).unwrap();
         let before = maybms_par::pool().threads();
-        for compact in [false, true] {
+        for dict in [false, true] {
             let catalog: std::collections::BTreeMap<String, URelation> = relations
                 .iter()
                 .enumerate()
-                .map(|(i, u)| (format!("t{i}"), if compact { u.compact() } else { u.clone() }))
+                .map(|(i, u)| (format!("t{i}"), if dict { u.dict_encode() } else { u.clone() }))
                 .collect();
             for threads in [1usize, 2, 8] {
                 maybms_par::set_threads(threads);
@@ -601,7 +601,7 @@ proptest! {
                         .map(|t| (t.data.values().to_vec(), t.wsd.clone()))
                         .collect(),
                 );
-                prop_assert_eq!(&got, &want, "{} (compact {}, {} threads)", sql, compact, threads);
+                prop_assert_eq!(&got, &want, "{} (dictionary-encoded {}, {} threads)", sql, dict, threads);
             }
         }
         maybms_par::set_threads(before);

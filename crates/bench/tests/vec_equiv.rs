@@ -12,8 +12,8 @@
 //!   [`Expr::eval_values`];
 //! * t-certain pipelines — random σ/π/⋈ `UStream` chains against the
 //!   row-major scalar oracle (`maybms_bench::naive::fused_chain`), over
-//!   row-major and compacted sources at 1/2/8 threads and single-row
-//!   morsels;
+//!   plain and dictionary-encoded sources at 1/2/8 threads and
+//!   single-row morsels;
 //! * uncertain pipelines — the same with WSDs riding along (conjunction
 //!   at probes, unsatisfiable pairs dropped) and error-raising data.
 //!
@@ -336,7 +336,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Pipeline executor ≡ scalar oracle on t-certain σ/π/⋈ chains, over
-    /// row-major and compacted sources, at 1/2/8 threads and morsel
+    /// plain and dictionary-encoded sources, at 1/2/8 threads and morsel
     /// sizes down to one row.
     #[test]
     fn pipeline_matches_scalar_oracle(
@@ -531,7 +531,7 @@ fn regression_int_comparisons_are_exact() {
         check_chain(&t, &[Step::Filter(A.binary(op, Expr::lit(p53 + 1)))]);
         check_chain(&t, &[Step::Project(vec![A.binary(op, B)])]);
     }
-    let equal = common::stream(&t.compact(), &[Step::Filter(A.eq(B))], true)
+    let equal = common::stream(&t.dict_encode(), &[Step::Filter(A.eq(B))], true)
         .unwrap()
         .collect()
         .unwrap();
@@ -548,7 +548,7 @@ fn regression_mixed_variant_column_concat() {
     ]);
     let steps = [Step::Project(vec![A.binary(BinaryOp::Concat, B)])];
     check_chain(&t, &steps);
-    let out = common::stream(&t.compact(), &steps, true)
+    let out = common::stream(&t.dict_encode(), &steps, true)
         .unwrap()
         .collect()
         .unwrap();

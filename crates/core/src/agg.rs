@@ -30,11 +30,11 @@ use maybms_conf::{lineage_confidence, ConfMethod};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
 use maybms_engine::vector::{self, KernelCounts};
 use maybms_engine::{
-    ColumnData, DataType, EngineError, Expr, Field, Schema, Tuple, Value, ValueRef,
+    BatchBuilder, ColumnData, DataType, EngineError, Expr, Field, Schema, Value, ValueRef,
 };
 use maybms_par::ThreadPool;
 use maybms_pipe::{GroupedBatch, UStream};
-use maybms_urel::{URelation, UTuple, UrelError, WorldTable, Wsd};
+use maybms_urel::{URelation, UrelError, WorldTable, Wsd};
 
 use crate::error::{typing, CoreError, Result};
 use crate::translate::AggSpec;
@@ -115,8 +115,8 @@ fn eval_group_rows(
     wt: &WorldTable,
     stats: &maybms_obs::QueryStats,
     pool: &ThreadPool,
-    eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<UTuple> + Sync,
-) -> Result<Vec<UTuple>> {
+    eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<Vec<Value>> + Sync,
+) -> Result<Vec<Vec<Value>>> {
     let n_aconf = aggs
         .iter()
         .filter(|(s, _)| matches!(s, AggSpec::AConf { .. }))
@@ -129,7 +129,7 @@ fn eval_group_rows(
         // Per-group confidence computation (#P-hard in general) dominates;
         // fan groups out in small chunks and merge rows in group order.
         let chunk = maybms_par::auto_chunk(n_groups, pool.threads(), 1);
-        let partials: Vec<Result<Vec<UTuple>>> =
+        let partials: Vec<Result<Vec<Vec<Value>>>> =
             pool.par_map_chunks(n_groups, chunk, |range| range.map(&row).collect());
         let mut out = Vec::with_capacity(n_groups);
         for p in partials {
@@ -534,7 +534,7 @@ pub fn aggregate_stream_with(
         return finish_argmax(keys, states, schema, arg);
     }
 
-    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<UTuple> {
+    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<Vec<Value>> {
         let acc = &states[g];
         let mut row = keys[g].clone();
         for (part, (spec, _)) in acc.parts.iter().zip(aggs) {
@@ -545,10 +545,12 @@ pub fn aggregate_stream_with(
                 Partial::ArgMax { .. } => unreachable!("argmax is finished separately"),
             });
         }
-        Ok(UTuple::certain(Tuple::new(row)))
+        Ok(row)
     };
-    let out = eval_group_rows(keys.len(), aggs, wt, stats, pool, eval_row)?;
-    Ok(URelation::new(schema, out))
+    let rows = eval_group_rows(keys.len(), aggs, wt, stats, pool, eval_row)?;
+    let mut out = BatchBuilder::new(schema.len());
+    rows.iter().for_each(|row| out.push_row(row));
+    Ok(URelation::certain_batch(schema, out.finish()))
 }
 
 /// `argmax` finish over the streamed per-group maxima: `arg` over each
@@ -560,7 +562,7 @@ fn finish_argmax(
     schema: Arc<Schema>,
     arg: &Expr,
 ) -> Result<URelation> {
-    let mut out = Vec::new();
+    let mut out = BatchBuilder::new(schema.len());
     for (key, acc) in keys.into_iter().zip(states) {
         let [Partial::ArgMax { rows, .. }] = &acc.parts[..] else {
             unreachable!("argmax is the only aggregate on this path")
@@ -571,18 +573,16 @@ fn finish_argmax(
                 .eval_values(row)
                 .map_err(|e| remap_stream_err(e.into()))?;
             if seen.insert(a.clone()) {
-                let mut row = key.clone();
-                row.push(a);
-                out.push(UTuple::certain(Tuple::new(row)));
+                out.push_row(key.iter().chain([&a]));
             }
         }
     }
-    Ok(URelation::new(schema, out))
+    Ok(URelation::certain_batch(schema, out.finish()))
 }
 
 /// `tconf()`: per stored tuple, its marginal probability. Output (a
 /// t-certain U-relation): the selected scalar columns plus the tconf
-/// column(s), one row per tuple.
+/// column(s), one row per tuple, appended to column builders.
 pub fn eval_tconf(
     u: &URelation,
     scalar_items: &[(Expr, String)],
@@ -596,19 +596,22 @@ pub fn eval_tconf(
     for n in tconf_names {
         fields.push(Field::new(n.clone(), DataType::Float));
     }
-    let mut out = Vec::with_capacity(u.len());
-    for t in u.tuples() {
-        let mut row: Vec<Value> = scalar_items
-            .iter()
-            .map(|(e, _)| e.eval(&t.data))
-            .collect::<std::result::Result<_, _>>()?;
-        let p = Value::float(t.wsd.prob(wt)?)?;
-        for _ in tconf_names {
-            row.push(p.clone());
+    let mut out = BatchBuilder::new(fields.len());
+    let (mut data, mut row) = (Vec::new(), Vec::new());
+    for (i, wsd) in u.at_rest().1.iter().enumerate() {
+        u.write_row(i, &mut data);
+        row.clear();
+        for (e, _) in scalar_items {
+            row.push(e.eval_values(&data)?);
         }
-        out.push(UTuple::certain(Tuple::new(row)));
+        let p = Value::float(wsd.prob(wt)?)?;
+        row.extend(tconf_names.iter().map(|_| p.clone()));
+        out.push_row(&row);
     }
-    Ok(URelation::new(Arc::new(Schema::new(fields)), out))
+    Ok(URelation::certain_batch(
+        Arc::new(Schema::new(fields)),
+        out.finish(),
+    ))
 }
 
 #[cfg(test)]

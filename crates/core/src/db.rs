@@ -154,7 +154,7 @@ impl MayBms {
     /// record that could not apply is never written; `INSERT` / `UPDATE`
     /// / `DELETE` then apply to the columnar table in place, at the cost
     /// of the rows they touch.
-    fn commit(&mut self, mut op: Op) -> Result<()> {
+    fn commit(&mut self, op: Op) -> Result<()> {
         // Abort-before-log: every catalog mutation passes through here,
         // and nothing is durable or installed until `store.log` below
         // succeeds — so honouring a pending cancel/deadline/budget abort
@@ -169,11 +169,6 @@ impl MayBms {
             }),
             reason,
         })?;
-        // Pivot a full table image once, before logging: the WAL encoder
-        // and `apply_op` then both find it columnar and neither pivots.
-        if let Op::PutTable { table, .. } = &mut op {
-            *table = table.compact();
-        }
         if let Some(store) = &mut self.store {
             store.log(&op, &self.wt)?;
         }
@@ -972,10 +967,9 @@ mod tests {
         assert_eq!(db.table("games").unwrap().len(), 1);
     }
 
-    /// Whether a columnar store's row view is still unbuilt, read without
-    /// building it: only a cold store gathers columns.
+    /// Whether a table's row view is still unbuilt.
     fn row_view_is_cold(t: &URelation) -> bool {
-        t.gather(&[]).is_columnar()
+        !t.has_row_view()
     }
 
     /// A conjunct the kernels cannot run (`IN`) is walked row by row over

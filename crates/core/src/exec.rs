@@ -23,11 +23,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use maybms_engine::{Expr as EExpr, Relation, Schema, Tuple};
+use maybms_engine::{ColumnBatch, Expr as EExpr, Relation, Schema};
 use maybms_pipe::{breaker, UStream};
 use maybms_sql::Query;
 use maybms_urel::{
-    pick_tuples_u, repair_key_u, PickTuplesOptions, RepairKeyOptions, URelation, UTuple, WorldTable,
+    pick_tuples_u, repair_key_u, PickTuplesOptions, RepairKeyOptions, URelation, WorldTable, Wsd,
 };
 
 use crate::agg;
@@ -314,10 +314,9 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
 /// Materialise what a FROM leaf reads.
 fn run_source(source: &Source, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     Ok(match source {
-        Source::Unit => URelation::new(
-            Schema::empty(),
-            vec![UTuple::certain(Tuple::new(Vec::new()))],
-        ),
+        Source::Unit => {
+            URelation::certain_batch(Schema::empty(), ColumnBatch::from_columns(Vec::new(), 1))
+        }
         Source::Table(table) => table.clone(),
         Source::Query(q) => run(q, ctx)?,
         Source::RepairKey { input, key, weight } => {
@@ -342,8 +341,8 @@ fn run_source(source: &Source, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
 /// The projection fuses onto the incoming stream; dedup is the breaker.
 fn possible(stream: UStream, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     let projected = ctx.collect(stream, "select possible breaker")?;
-    // Dedup by row reference, gathering only the surviving rows at the
-    // end (final clones are Arc bumps).
+    // Dedup over the row view, then gather the surviving rows' columns,
+    // now certain.
     let mut sel = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for (i, t) in projected.tuples().iter().enumerate() {
@@ -351,14 +350,9 @@ fn possible(stream: UStream, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             sel.push(i);
         }
     }
-    let tuples = sel
-        .iter()
-        .map(|&i| UTuple::certain(projected.tuples()[i].data.clone()))
-        .collect();
-    Ok(URelation::new(
-        Arc::new(projected.schema().without_qualifiers()),
-        tuples,
-    ))
+    let certain = vec![Wsd::tautology(); sel.len()];
+    let schema = Arc::new(projected.schema().without_qualifiers());
+    Ok(projected.gather_with(&sel, certain).with_schema(schema))
 }
 
 /// Run `stream` into the streaming group breaker, as the next pipeline of
@@ -401,16 +395,13 @@ fn distinct_rows(u: URelation, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     )
 }
 
-/// The group breaker and `tconf` emit keys-then-aggregates rows; restore
-/// the select order (`schema` is the block's, already in it).
+/// The group breaker and `tconf` emit keys-then-aggregates columns;
+/// restore the select order (`schema` is the block's, already in it).
+/// Their output is t-certain.
 fn reorder(out: URelation, order: &Option<Vec<usize>>, schema: &Arc<Schema>) -> URelation {
     let Some(order) = order else { return out };
-    let tuples = out
-        .tuples()
-        .iter()
-        .map(|t| UTuple::certain(t.data.take(order)))
-        .collect();
-    URelation::new(schema.clone(), tuples)
+    let batch = out.at_rest().0.slice_cols(0, out.len(), order);
+    URelation::certain_batch(schema.clone(), batch)
 }
 
 #[cfg(test)]

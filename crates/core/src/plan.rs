@@ -1,5 +1,5 @@
 //! The plan of a query: a value built from the parsed [`Query`] and a
-//! read-only catalog (schemas, row counts, the columnar flag) before
+//! read-only catalog (schemas, row counts, stored column types) before
 //! anything runs. [`crate::exec`] runs it; `EXPLAIN` prints it
 //! ([`QueryPlan::explain`]) and runs nothing.
 //!
@@ -204,8 +204,8 @@ impl Leaf {
     /// The `source:` line of a pipeline this leaf heads.
     fn describe(&self) -> String {
         match &self.source {
-            Source::Table(table) => source_label(table.len(), table.is_columnar()),
-            Source::Unit => source_label(1, false),
+            Source::Table(table) => source_label(table.len()),
+            Source::Unit => source_label(1),
             _ => format!("{} (materialised at run)", self.label),
         }
     }

@@ -1,15 +1,15 @@
-//! Catalog-level property: the columnar-at-rest store is invisible, and
-//! DML mutates it in place.
+//! Catalog-level property: the column store is invisible, and DML
+//! mutates it in place.
 //!
 //! Random DML sequences (INSERT / UPDATE / DELETE / CREATE TABLE AS)
-//! drive a live `MayBms` catalog — whose tables sit columnar-at-rest
-//! with dictionary-encoded text — while the same sequence is applied to
+//! drive a live `MayBms` catalog — whose tables are column batches with
+//! dictionary-encoded text — while the same sequence is applied to
 //! a plain row-major oracle `Vec`. After every statement the stored
 //! table must match the oracle **by variant and bit**: an `Int` must
 //! come back `Int` (never a numerically-equal `Float`), floats must
 //! round-trip to the exact bit pattern, and NULLs must stay NULL. After
-//! every INSERT / UPDATE / DELETE the table must still be columnar and
-//! the statement must not have pivoted a single row. A final query runs
+//! every INSERT / UPDATE / DELETE the statement must not have pivoted a
+//! single row nor built the table's row view. A final query runs
 //! on 1-, 2-, and 8-thread pools and must be bit-identical across all
 //! three.
 //!
@@ -18,8 +18,8 @@
 //! a write (copy-on-write), hashes cached on a dictionary that then
 //! grows, and a typed column changing variant.
 //!
-//! The pivot counters are process-global and CTAS pivots, so the tests
-//! of this binary serialize on one mutex.
+//! The pivot counters are process-global, so the tests of this binary
+//! serialize on one mutex.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -33,10 +33,11 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run one INSERT / UPDATE / DELETE and require that it left `table`
-/// columnar without pivoting any row.
+/// Run one INSERT / UPDATE / DELETE and require that it edited `table`'s
+/// columns in place: no row pivoted, and no row view built.
 fn run_in_place(db: &mut MayBms, sql: &str, table: &str) {
     let before = maybms_obs::metrics().pivot_rows.get();
+    let had_view = db.table(table).unwrap().has_row_view();
     db.run(sql).unwrap();
     assert_eq!(
         maybms_obs::metrics().pivot_rows.get(),
@@ -44,8 +45,8 @@ fn run_in_place(db: &mut MayBms, sql: &str, table: &str) {
         "{sql} pivoted rows"
     );
     assert!(
-        db.table(table).unwrap().is_columnar(),
-        "{sql} left {table} row-major"
+        had_view || !db.table(table).unwrap().has_row_view(),
+        "{sql} built {table}'s row view"
     );
 }
 
@@ -211,11 +212,11 @@ fn held_readers_are_unchanged_by_writes() {
     db.run("create table t (s text, n int)").unwrap();
     db.run("insert into t values ('a', 1), ('b', 2), ('a', 3)")
         .unwrap();
-    // Gathered while the row view is cold, so it shares the dictionary.
+    // A gather shares the table's dictionary.
     let gathered = db.table("t").unwrap().gather(&[2, 0]);
     let before = rows_of(&db, "t");
     let held = db.table("t").unwrap().clone();
-    let (batch, _) = gathered.at_rest().expect("cold gather stays columnar");
+    let (batch, _) = gathered.at_rest();
     let ColumnData::Dict {
         dict: held_dict, ..
     } = batch.column(0).data()
@@ -317,11 +318,11 @@ fn update_changing_a_typed_columns_variant_degrades_it() {
     db.run("create table t (n int, f float)").unwrap();
     db.run("insert into t values (1, 0.5), (2, 1.5), (null, null), (4, 2.5)")
         .unwrap();
-    let (batch, _) = db.table("t").unwrap().at_rest().unwrap();
+    let (batch, _) = db.table("t").unwrap().at_rest();
     assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
 
     run_in_place(&mut db, "update t set n = 2.5 where n = 2", "t");
-    let (batch, _) = db.table("t").unwrap().at_rest().unwrap();
+    let (batch, _) = db.table("t").unwrap().at_rest();
     assert!(matches!(batch.column(0).data(), ColumnData::Values(_)));
     assert!(matches!(batch.column(1).data(), ColumnData::Float(_)));
     run_in_place(&mut db, "insert into t values (5, 3)", "t");

@@ -1,8 +1,10 @@
-//! Acceptance: a kernel-eligible σ/π chain over a columnar-at-rest base
-//! table runs end-to-end with ZERO row→column pivots — the scan hands
-//! the vectorised prefix borrowed column slices straight out of the
-//! stored `ColumnBatch` — and both EXPLAIN and EXPLAIN ANALYZE mark the
-//! scan as columnar.
+//! Acceptance: a kernel-eligible σ/π chain over a stored table runs
+//! end-to-end with ZERO row→column pivots — the scan hands the
+//! vectorised prefix column slices straight out of the stored
+//! `ColumnBatch` — and both EXPLAIN and EXPLAIN ANALYZE mark the scan as
+//! columnar. Intermediates are column batches too: a `repair key`
+//! result, a FROM subquery and a `UNION ALL` feed later pipelines, and
+//! `CREATE TABLE AS` installs a result, without a pivot.
 //!
 //! One test function, in its own integration-test binary: the pivot
 //! counters are process-global, so nothing else may pivot between the
@@ -35,9 +37,8 @@ fn kernel_eligible_scan_is_zero_pivot_and_marked_in_explain() {
         ),
     )
     .unwrap();
-    // Registration installed the table columnar-at-rest (that was the
-    // one pivot this data ever pays). From here on: zero.
-    assert!(db.table("games").unwrap().is_columnar());
+    // Registration pivoted the rows into the stored columns: the one
+    // pivot this data ever pays. From here on: zero.
     let m = maybms_obs::metrics();
     let pivots_before = m.pivots.get();
     let pivot_rows_before = m.pivot_rows.get();
@@ -75,4 +76,51 @@ fn kernel_eligible_scan_is_zero_pivot_and_marked_in_explain() {
 
     // EXPLAIN ANALYZE executed the query — still not a single pivot.
     assert_eq!(m.pivots.get(), pivots_before);
+
+    // Intermediates feeding later pipelines stay columns.
+    db.run("create table teams (player text, team text)")
+        .unwrap();
+    db.run("insert into teams values ('p0', 'A'), ('p1', 'A'), ('p2', 'B'), ('p3', 'C')")
+        .unwrap();
+    let cases = [
+        // An inline `repair key` joined to a table.
+        (
+            "select t.team, conf() as p from \
+             (repair key player in games weight by pts) r, teams t \
+             where r.player = t.player group by t.team",
+            3,
+        ),
+        // A FROM subquery filtered by an outer σ.
+        (
+            "select s.player, s.q from (select player, pts + 1 as q from games) s \
+             where s.q > 48",
+            40,
+        ),
+        // A `UNION ALL` as a join's build side.
+        (
+            "select g.pts from games g, \
+             (select player from teams union all select player from teams where team = 'A') u \
+             where g.player = u.player and g.pts = 7",
+            18,
+        ),
+    ];
+    for (sql, rows) in cases {
+        let before = (m.pivots.get(), m.pivot_rows.get());
+        assert_eq!(db.query(sql).unwrap().len(), rows, "{sql}");
+        assert_eq!(
+            (m.pivots.get(), m.pivot_rows.get()),
+            before,
+            "{sql} pivoted"
+        );
+    }
+    // `CREATE TABLE AS` installs the `repair key` result as it is.
+    let before = (m.pivots.get(), m.pivot_rows.get());
+    db.run("create table rk as select * from (repair key player in games weight by pts) r")
+        .unwrap();
+    assert_eq!(
+        (m.pivots.get(), m.pivot_rows.get()),
+        before,
+        "CREATE TABLE AS pivoted"
+    );
+    assert_eq!(db.table("rk").unwrap().len(), 980);
 }

@@ -131,6 +131,21 @@ impl NullMask {
         out
     }
 
+    /// Mark the nulls among `other`'s first `len` rows, shifted down by
+    /// `at` rows (appending a column of `len` rows at row `at`).
+    fn append(&mut self, other: &NullMask, at: usize, len: usize) {
+        for (w, &word) in other.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let i = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if i < len {
+                    self.set_null(at + i);
+                }
+            }
+        }
+    }
+
     /// Mask for the contiguous rows `[start, start + len)`.
     pub fn slice(&self, start: usize, len: usize) -> NullMask {
         let mut out = NullMask::none();
@@ -539,8 +554,8 @@ impl Column {
     }
 
     /// Dictionary-encode a `Str` column (first-appearance code order);
-    /// every other representation is returned unchanged. The at-rest
-    /// compaction path for string columns.
+    /// every other representation is returned unchanged. How a table's
+    /// string columns are stored once it is installed.
     pub fn dict_encode(&self) -> Column {
         match &self.data {
             ColumnData::Str(v) => {
@@ -567,6 +582,64 @@ impl Column {
             }
             _ => self.clone(),
         }
+    }
+
+    /// The rows of `parts`, one part after another (see
+    /// [`ColumnBatch::concat`]).
+    fn concat(parts: &[&Column]) -> Column {
+        let parts: Vec<&Column> = parts.iter().copied().filter(|c| c.len > 0).collect();
+        let len = parts.iter().map(|c| c.len).sum();
+        // Every part's vector of one variant, joined; `None` on a mix.
+        macro_rules! join {
+            ($variant:ident) => {{
+                let mut out = Vec::with_capacity(len);
+                parts
+                    .iter()
+                    .try_for_each(|p| match &p.data {
+                        ColumnData::$variant(v) => {
+                            out.extend_from_slice(v);
+                            Some(())
+                        }
+                        _ => None,
+                    })
+                    .map(|()| ColumnData::$variant(out))
+            }};
+        }
+        let data = match parts.first().map(|c| &c.data) {
+            Some(ColumnData::Int(_)) => join!(Int),
+            Some(ColumnData::Float(_)) => join!(Float),
+            Some(ColumnData::Bool(_)) => join!(Bool),
+            Some(ColumnData::Str(_)) => join!(Str),
+            Some(ColumnData::Dict { dict, .. }) => {
+                let mut codes = Vec::with_capacity(len);
+                let shared = parts.iter().all(|p| match &p.data {
+                    ColumnData::Dict { codes: c, dict: d } if Arc::ptr_eq(d, dict) => {
+                        codes.extend_from_slice(c);
+                        true
+                    }
+                    _ => false,
+                });
+                shared.then(|| ColumnData::Dict {
+                    codes,
+                    dict: dict.clone(),
+                })
+            }
+            _ => None,
+        };
+        let Some(data) = data else {
+            let mut b = ColumnBuilder::new();
+            for p in parts {
+                (0..p.len).for_each(|i| b.push(&p.value_at(i)));
+            }
+            return b.finish();
+        };
+        let mut nulls = NullMask::none();
+        let mut at = 0;
+        for p in parts {
+            nulls.append(&p.nulls, at, p.len);
+            at += p.len;
+        }
+        Column { data, nulls, len }
     }
 
     /// Append `v` in place. A value of the column's own variant (or
@@ -663,7 +736,8 @@ impl Column {
     }
 
     /// Variant mismatch: re-type the column from its edited values, as
-    /// the at-rest compaction (build, then dictionary-encode) would.
+    /// building it and installing it as a table (dictionary-encoding)
+    /// would.
     fn rebuild(&mut self, edit: impl FnOnce(&mut Vec<Value>)) {
         let mut vals: Vec<Value> = (0..self.len).map(|i| self.value_at(i)).collect();
         edit(&mut vals);
@@ -827,6 +901,45 @@ fn backfill<T: Clone>(n: usize, v: T) -> impl Iterator<Item = T> {
     std::iter::repeat_n(v, n)
 }
 
+/// Column builders for rows an operator computes one at a time (the
+/// group breaker's output, `tconf`'s): each value goes straight into its
+/// typed column. No row store exists, so no pivot is counted.
+#[derive(Debug)]
+pub struct BatchBuilder {
+    columns: Vec<ColumnBuilder>,
+    rows: usize,
+}
+
+impl BatchBuilder {
+    /// Builders for `arity` columns.
+    pub fn new(arity: usize) -> BatchBuilder {
+        BatchBuilder {
+            columns: (0..arity).map(|_| ColumnBuilder::new()).collect(),
+            rows: 0,
+        }
+    }
+
+    /// Append one row of the builder's arity.
+    pub fn push_row<'a>(&mut self, row: impl IntoIterator<Item = &'a Value>) {
+        for (b, v) in self.columns.iter_mut().zip(row) {
+            b.push(v);
+        }
+        self.rows += 1;
+    }
+
+    /// Finish into a batch.
+    pub fn finish(self) -> ColumnBatch {
+        ColumnBatch {
+            columns: self
+                .columns
+                .into_iter()
+                .map(ColumnBuilder::finish)
+                .collect(),
+            rows: self.rows,
+        }
+    }
+}
+
 /// A column-major morsel: parallel [`Column`]s of one common length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnBatch {
@@ -847,19 +960,32 @@ impl ColumnBatch {
         let m = maybms_obs::metrics();
         m.pivots.inc();
         m.pivot_rows.add(n_rows as u64);
-        let mut builders: Vec<ColumnBuilder> =
-            (0..cols.len()).map(|_| ColumnBuilder::new()).collect();
-        let mut seen = 0usize;
+        let mut b = BatchBuilder::new(cols.len());
         for row in rows {
-            for (b, &c) in builders.iter_mut().zip(cols) {
-                b.push(&row[c]);
-            }
-            seen += 1;
+            b.push_row(cols.iter().map(|&c| &row[c]));
         }
-        debug_assert_eq!(seen, n_rows, "pivot row count mismatch");
+        debug_assert_eq!(b.rows, n_rows, "pivot row count mismatch");
+        b.finish()
+    }
+
+    /// `arity` columns of no rows (what building from no rows gives).
+    pub fn empty(arity: usize) -> ColumnBatch {
+        BatchBuilder::new(arity).finish()
+    }
+
+    /// The rows of `batches` (each of `arity` columns), one batch after
+    /// another. Per column, parts of one typed variant (`Dict`: of one
+    /// shared dictionary) join their vectors; any other mix is rebuilt
+    /// from its values, typed as [`ColumnBuilder`] types them — the
+    /// values, variants included, are the parts' own.
+    pub fn concat(arity: usize, batches: &[&ColumnBatch]) -> ColumnBatch {
+        let column = |c: usize| {
+            let parts: Vec<&Column> = batches.iter().map(|b| &b.columns[c]).collect();
+            Column::concat(&parts)
+        };
         ColumnBatch {
-            columns: builders.into_iter().map(ColumnBuilder::finish).collect(),
-            rows: n_rows,
+            columns: (0..arity).map(column).collect(),
+            rows: batches.iter().map(|b| b.rows).sum(),
         }
     }
 
@@ -922,7 +1048,7 @@ impl ColumnBatch {
     }
 
     /// Dictionary-encode every `Str` column (see [`Column::dict_encode`])
-    /// — the at-rest compaction applied once, when a table is installed.
+    /// — applied once, when a table is installed.
     pub fn dict_encode(&self) -> ColumnBatch {
         ColumnBatch {
             columns: self.columns.iter().map(Column::dict_encode).collect(),
@@ -1122,6 +1248,39 @@ mod tests {
     }
 
     #[test]
+    fn concat_joins_one_variant_and_rebuilds_a_mix() {
+        let values = |c: &Column| (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>();
+        let ints = Column::from_values(vec![1.into(), Value::Null]);
+        let more = Column::from_values(vec![Value::Null, 3.into(), 4.into()]);
+        let joined = Column::concat(&[&ints, &Column::from_const(Value::Null, 0), &more]);
+        assert!(matches!(joined.data(), ColumnData::Int(v) if v.len() == 5));
+        assert_eq!(values(&joined), [values(&ints), values(&more)].concat());
+        // One dictionary: codes join; two: rebuilt as plain strings.
+        let dict = Column::from_values(vec!["a".into(), Value::Null, "b".into()]).dict_encode();
+        let coded = Column::concat(&[&dict.slice(1, 2), &dict.gather(&[2, 0])]);
+        assert!(matches!(coded.data(), ColumnData::Dict { .. }));
+        assert_eq!(
+            values(&coded),
+            [Value::Null, "b".into(), "b".into(), "a".into()]
+        );
+        let other = Column::from_values(vec!["a".into()]).dict_encode();
+        assert!(matches!(
+            Column::concat(&[&dict, &other]).data(),
+            ColumnData::Str(_)
+        ));
+        // A mix of variants, and a constant: exactly what building the
+        // values gives.
+        let floats = Column::from_values(vec![Value::Float(1.0)]);
+        let seven = Column::from_const(7.into(), 2);
+        for parts in [vec![&ints, &floats], vec![&seven], vec![&seven, &more]] {
+            let want: Vec<Value> = parts.iter().flat_map(|c| values(c)).collect();
+            assert_eq!(Column::concat(&parts), Column::from_values(want));
+        }
+        let empty = ColumnBatch::concat(2, &[]);
+        assert_eq!((empty.rows(), empty.arity()), (0, 2));
+    }
+
+    #[test]
     fn batch_to_tuple_batch_matches_rows() {
         let rows: Vec<Vec<Value>> = vec![
             vec![Value::Int(1), Value::Null],
@@ -1241,8 +1400,9 @@ mod tests {
         assert_eq!(m.pivot_rows.get(), r1);
     }
 
-    /// What the at-rest compaction makes of `values`: the oracle every
-    /// in-place edit must agree with, representation included.
+    /// What building and installing `values` as a table makes of them:
+    /// the oracle every in-place edit must agree with, representation
+    /// included.
     fn stored_column(values: &[Value]) -> Column {
         Column::from_values(values.to_vec()).dict_encode()
     }

@@ -330,9 +330,8 @@ impl Expr {
         self.eval_values(tuple.values())
     }
 
-    /// Evaluate against a bare row slice (lets operators evaluate rows
-    /// staged in a [`crate::tuple::TupleBatch`] before they become
-    /// tuples). The expression must be bound.
+    /// Evaluate against a bare row slice (a row written out of a column
+    /// batch, no tuple built). The expression must be bound.
     pub fn eval_values(&self, row: &[Value]) -> Result<Value> {
         match self {
             Expr::Column { qualifier, name } => Err(EngineError::UnboundExpression {

@@ -67,7 +67,7 @@ pub mod tuple;
 pub mod types;
 pub mod vector;
 
-pub use column::{Column, ColumnBatch, ColumnBuilder, ColumnData, NullMask, StrDict};
+pub use column::{BatchBuilder, Column, ColumnBatch, ColumnBuilder, ColumnData, NullMask, StrDict};
 pub use error::{EngineError, Result};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use schema::{Field, Schema};

@@ -11,18 +11,14 @@
 //! ordering, and hashing are over the logical value slice, so tuples from
 //! different buffers compare like plain rows.
 //!
-//! Operators that merely choose or reorder rows (σ, sort, limit) work
-//! on **selection vectors**: they compute the indices of the surviving
-//! input rows and materialise the output once, cloning only `Arc`
-//! handles (`URelation::gather` in `maybms-urel`).
-//!
-//! Operators that construct genuinely new rows (π over expressions, ⋈
-//! output concatenation) assemble them through a [`TupleBatch`], which
-//! packs many rows into one shared buffer — one `Arc` allocation per
+//! Inside the engine relations are column batches (`URelation` in
+//! `maybms-urel`); tuples are the row view handed to code that walks
+//! rows. That view is assembled through a [`TupleBatch`], which packs
+//! many rows into one shared buffer — one `Arc` allocation per
 //! [`TupleBatch::CHUNK_VALUES`] values instead of one per row. Because
 //! every row of a chunk keeps the whole chunk alive, batches seal their
-//! buffer at a bounded chunk size: a selective operator downstream retains
-//! at most one chunk per surviving row, not an unbounded ancestor buffer.
+//! buffer at a bounded chunk size: a row kept alone retains at most one
+//! chunk, not an unbounded ancestor buffer.
 
 use std::fmt;
 use std::sync::Arc;
@@ -64,12 +60,6 @@ impl Tuple {
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.len as usize
-    }
-
-    /// A tuple with only the columns at `indices`, in that order.
-    pub fn take(&self, indices: &[usize]) -> Tuple {
-        let row = self.values();
-        Tuple::new(indices.iter().map(|&i| row[i].clone()).collect())
     }
 }
 
@@ -122,8 +112,8 @@ impl fmt::Display for Tuple {
 
 /// Bulk row builder: packs many new rows into shared value buffers.
 ///
-/// Joins and projections construct one fresh row per output tuple;
-/// allocating an `Arc` per row dominated their runtime. A `TupleBatch`
+/// A row view builds one fresh row per tuple; allocating an `Arc` per
+/// row would dominate its cost. A `TupleBatch`
 /// appends row values into a growing buffer and *seals* it into one shared
 /// `Arc<[Value]>` every [`TupleBatch::CHUNK_VALUES`] values; the emitted
 /// [`Tuple`]s are views into the sealed chunks. See the module docs for
@@ -163,15 +153,6 @@ impl TupleBatch {
     pub fn push_value(&mut self, v: Value) {
         self.values.push(v);
         self.rows.last_mut().expect("begin_row before push_value").1 += 1;
-    }
-
-    /// Append a full row that is the concatenation of two existing rows
-    /// (the join output shape).
-    pub fn push_concat(&mut self, left: &Tuple, right: &Tuple) {
-        self.begin_row();
-        self.values.extend_from_slice(left.values());
-        self.values.extend_from_slice(right.values());
-        self.rows.last_mut().expect("just begun").1 = left.len + right.len;
     }
 
     /// Number of rows pushed so far.
@@ -415,13 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn tuple_take() {
-        let t = Tuple::new(vec![1.into(), 2.into(), "x".into()]);
-        assert_eq!(t.arity(), 3);
-        assert_eq!(t.take(&[2, 0]), Tuple::new(vec!["x".into(), 1.into()]));
-    }
-
-    #[test]
     fn with_schema_requires_same_arity() {
         let r = sample();
         let narrow = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
@@ -450,10 +424,10 @@ mod tests {
     #[test]
     fn batch_rows_equal_individually_built_tuples() {
         let mut batch = TupleBatch::new();
-        batch.push_concat(
-            &Tuple::new(vec![1.into(), 2.into()]),
-            &Tuple::new(vec!["x".into()]),
-        );
+        batch.begin_row();
+        for v in [1.into(), 2.into(), "x".into()] {
+            batch.push_value(v);
+        }
         batch.begin_row();
         batch.push_value(7.into());
         batch.begin_row(); // empty row

@@ -8,7 +8,9 @@
 //! There is one implementation of each, over [`URelation`]: a t-certain
 //! input is the case where every condition is empty, and conditions ride
 //! along untouched except in the cross product, which conjoins them and
-//! drops unsatisfiable pairs exactly like a probe stage.
+//! drops unsatisfiable pairs exactly like a probe stage. Each only
+//! chooses or concatenates input rows, so each gathers (or concatenates)
+//! its inputs' columns and conditions.
 //!
 //! Every breaker opens one `breaker` trace span (attrs `kind`,
 //! `rows_in`, `rows_out`) and, where its work grows with its input,
@@ -18,11 +20,9 @@
 use std::sync::Arc;
 
 use maybms_engine::ops::SortKey;
-use maybms_engine::tuple::TupleBatch;
-use maybms_engine::{EngineError, Expr, Value};
+use maybms_engine::{ColumnBatch, EngineError, Expr, Value};
 use maybms_gov::Ticker;
 use maybms_obs::trace::Span;
-use maybms_urel::urelation::zip_batch;
 use maybms_urel::{Result, URelation};
 
 /// Open a breaker's span.
@@ -54,11 +54,13 @@ pub fn sort(input: &URelation, keys: &[SortKey]) -> Result<URelation> {
     let mut span = enter("sort", input.len())?;
     let mut gov = Ticker::new();
     let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(input.len());
-    for (i, t) in input.tuples().iter().enumerate() {
+    let mut row = Vec::new();
+    for i in 0..input.len() {
         gov.tick().map_err(EngineError::Gov)?;
+        input.write_row(i, &mut row);
         let kv = bound
             .iter()
-            .map(|(e, _)| e.eval_values(t.data.values()))
+            .map(|(e, _)| e.eval_values(&row))
             .collect::<std::result::Result<Vec<Value>, EngineError>>()?;
         decorated.push((kv, i));
     }
@@ -95,15 +97,13 @@ pub fn union_all(left: &URelation, right: &URelation) -> Result<URelation> {
             .into());
         }
     }
-    let mut span = enter("union", left.len() + right.len())?;
-    let mut gov = Ticker::new();
-    let mut tuples = Vec::with_capacity(left.len() + right.len());
-    for t in left.tuples().iter().chain(right.tuples()) {
-        gov.tick().map_err(EngineError::Gov)?;
-        tuples.push(t.clone());
-    }
-    span.attr("rows_out", tuples.len());
-    Ok(URelation::new(ls.clone(), tuples))
+    let rows = left.len() + right.len();
+    let mut span = enter("union", rows)?;
+    Ticker::new().tick_n(rows).map_err(EngineError::Gov)?;
+    let ((lb, lw), (rb, rw)) = (left.at_rest(), right.at_rest());
+    let batch = ColumnBatch::concat(ls.len(), &[lb, rb]);
+    span.attr("rows_out", rows);
+    Ok(URelation::from_batch(ls.clone(), batch, [lw, rw].concat()))
 }
 
 /// Cross product — the join of two sources no equality conjunct links.
@@ -112,24 +112,28 @@ pub fn union_all(left: &URelation, right: &URelation) -> Result<URelation> {
 pub fn cross(left: &URelation, right: &URelation) -> Result<URelation> {
     let mut span = enter("cross", left.len() + right.len())?;
     let schema = Arc::new(left.schema().join(right.schema()));
-    let mut batch = TupleBatch::new();
-    let mut wsds = Vec::new();
+    let ((lb, lw), (rb, rw)) = (left.at_rest(), right.at_rest());
+    let (mut li, mut ri, mut wsds) = (Vec::new(), Vec::new(), Vec::new());
     let mut gov = Ticker::new();
-    for l in left.tuples() {
-        for r in right.tuples() {
+    for (i, l) in lw.iter().enumerate() {
+        for (j, r) in rw.iter().enumerate() {
             // The output is quadratic in the inputs: without a per-pair
             // tick a cross product could neither be cancelled nor
             // stopped by a memory budget.
             gov.tick().map_err(EngineError::Gov)?;
-            let Some(wsd) = l.wsd.conjoin(&r.wsd) else {
+            let Some(wsd) = l.conjoin(r) else {
                 continue;
             };
-            batch.push_concat(&l.data, &r.data);
+            li.push(i as u32);
+            ri.push(j as u32);
             wsds.push(wsd);
         }
     }
+    let left_cols = lb.columns().iter().map(|c| c.gather(&li));
+    let columns = left_cols.chain(rb.columns().iter().map(|c| c.gather(&ri)));
+    let batch = ColumnBatch::from_columns(columns.collect(), wsds.len());
     span.attr("rows_out", wsds.len());
-    Ok(URelation::new(schema, zip_batch(batch, wsds)))
+    Ok(URelation::from_batch(schema, batch, wsds))
 }
 
 /// The first `n` stored rows. Only meaningful on a t-certain input —
@@ -149,7 +153,7 @@ mod tests {
     use maybms_urel::{Var, Wsd};
 
     fn scores() -> URelation {
-        let mut u = URelation::from_certain(&rel(
+        let u = URelation::from_certain(&rel(
             &[("p", DataType::Text), ("s", DataType::Int)],
             vec![
                 vec!["b".into(), 2.into()],
@@ -157,9 +161,8 @@ mod tests {
                 vec!["c".into(), 2.into()],
             ],
         ));
-        u.tuples_mut()[0].wsd = Wsd::of(Var(0), 0);
-        u.tuples_mut()[2].wsd = Wsd::of(Var(0), 1);
-        u
+        let wsds = vec![Wsd::of(Var(0), 0), Wsd::tautology(), Wsd::of(Var(0), 1)];
+        u.gather_with(&[0, 1, 2], wsds)
     }
 
     fn names(u: &URelation) -> Vec<&str> {
@@ -181,8 +184,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(names(&out), vec!["a", "b", "c"]);
-        // A columnar-at-rest input sorts the same.
-        let out = sort(&u.compact(), &[SortKey::asc(Expr::col("s"))]).unwrap();
+        // A dictionary-encoded input sorts the same.
+        let out = sort(&u.dict_encode(), &[SortKey::asc(Expr::col("s"))]).unwrap();
         assert_eq!(names(&out), vec!["b", "c", "a"]);
     }
 

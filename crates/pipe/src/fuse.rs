@@ -3,22 +3,21 @@
 //!
 //! A source [`URelation`] is pushed through Filter/Project/Probe stages
 //! morsel by morsel, as column batches: each morsel is read in vectors of
-//! [`VECTOR_ROWS`] rows — typed column slices of an at-rest source, one
-//! pivot of a row store — and every stage turns a batch into the next. σ
-//! and π evaluate through the kernels of [`maybms_engine::vector`] (an
+//! [`VECTOR_ROWS`] rows — typed slices of the source's columns — and
+//! every stage turns a batch into the next. σ and π evaluate through
+//! the kernels of [`maybms_engine::vector`] (an
 //! expression the kernels do not take runs row by row over the batch); a
 //! probe hashes the key columns, verifies candidates on typed values,
 //! conjoins the pair's conditions — dropping the unsatisfiable — and
 //! gathers the joined rows from both sides' columns. A t-certain source
 //! is simply one whose conditions are all empty, and no conjoin runs for
-//! it. No `Value` row is built on the way: only a sink that materialises
-//! builds one.
+//! it. No `Value` row is built on the way.
 //!
 //! What happens to the rows that survive the whole chain is pluggable: a
-//! [`MorselSink`] receives each batch. The materialising sink builds a
-//! morsel-local [`TupleBatch`]; the grouped-aggregation breaker
-//! ([`groupby`](crate::groupby)) folds the batch into a morsel-local
-//! group table, so grouped plans never build their input's rows at all.
+//! [`MorselSink`] receives each batch. The materialising sink keeps the
+//! batches, which concatenate into the result's columns ([`collect`]);
+//! the grouped-aggregation breaker ([`groupby`](crate::groupby)) folds
+//! each batch into a morsel-local group table.
 //!
 //! Every pipeline — a filter-only selection ([`select`]) and a sink walk
 //! ([`run_sink`]) — runs on the one morsel driver, [`drive`]: it alone
@@ -43,9 +42,9 @@
 //!
 //! # Candidate ranges: the zone-map skip rule
 //!
-//! [`drive`] reads only the rows [`candidate_ranges`] keeps. Over a
-//! columnar-at-rest source, the leading σ stages (before any π or probe)
-//! are walked while they are `column op literal`: a stage **contributes**
+//! [`drive`] reads only the rows [`candidate_ranges`] keeps. The leading
+//! σ stages (before any π or probe) are walked while they are
+//! `column op literal`: a stage **contributes**
 //! if its column has a zone map ([`URelation::zones`]: stored as `Int`)
 //! and [`Value::sql_cmp`] of an `Int` with the literal is defined; it is
 //! **passed over** if it cannot raise for its column's stored variant;
@@ -56,37 +55,21 @@
 //! drops every skipped row and no stage before it can raise, so no output
 //! and no error is lost, at any thread count or morsel size.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::Arc;
 
 use maybms_engine::column::{ColumnBatch, StrDict};
 use maybms_engine::error::EngineError;
 use maybms_engine::hash::{fast_hash_one, FastHasher};
-use maybms_engine::tuple::{Tuple, TupleBatch};
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{vector, BinaryOp, ColumnData, Expr, Value, ValueRef};
+use maybms_engine::{vector, BinaryOp, ColumnData, Expr, Schema, Value, ValueRef};
 use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
 use maybms_urel::{Result, URelation, Wsd, Zone, ZONE_ROWS};
 
 use crate::build::BuildTable;
-
-/// The at-rest column batch of a columnar source: morsels slice it
-/// instead of pivoting (the zero-pivot scan path).
-fn at_rest(source: &URelation) -> Option<&ColumnBatch> {
-    source.at_rest().map(|(batch, _)| batch)
-}
-
-/// Row `i`'s condition alone — unlike `tuples()[i]`, never forces a
-/// columnar-at-rest source to materialise its row view.
-fn wsd_at(source: &URelation, i: usize) -> &Wsd {
-    match source.at_rest() {
-        Some((_, wsds)) => &wsds[i],
-        None => &source.tuples()[i].wsd,
-    }
-}
 
 /// One bound, ready-to-run stage.
 pub(crate) enum Stage {
@@ -148,28 +131,23 @@ enum VecStage {
 struct Plan {
     stages: Vec<VecStage>,
     /// Source columns to scan: those the leading σ/π read (up to and
-    /// including the first projection, which replaces the row shape) —
-    /// unless a row store must reach a probe or the sink whole.
+    /// including the first projection, which replaces the row shape). A
+    /// probe or sink that needs the rest gathers it from the source
+    /// ([`Flow::widen`]).
     cols: Vec<usize>,
 }
 
-/// Plan `stages` over `source`. `to_sink`: a batch sink takes the rows
-/// that survive, so an all-σ chain must end with every column.
-fn plan(source: &URelation, stages: &[Stage], to_sink: bool) -> Plan {
+/// Plan `stages` over a source.
+fn plan(stages: &[Stage]) -> Plan {
     // Stages before the first π or probe read the source row shape; the
     // ones after read the whole batch that stage built.
     let reshape = stages.iter().position(|s| !matches!(s, Stage::Filter(_)));
-    let (remap_upto, whole) = match reshape.map(|k| (k, &stages[k])) {
-        Some((k, Stage::Project(_))) => (k + 1, false),
-        Some((k, _)) => (k, true),
-        None => (stages.len(), to_sink),
+    let remap_upto = match reshape.map(|k| (k, &stages[k])) {
+        Some((k, Stage::Project(_))) => k + 1,
+        Some((k, _)) => k,
+        None => stages.len(),
     };
     let mut cols = Vec::new();
-    if whole && at_rest(source).is_none() {
-        // A row store pivots each vector once, whole; an at-rest source
-        // gathers the missing columns from storage instead (`widen`).
-        cols.extend(0..source.schema().len());
-    }
     for s in &stages[..remap_upto] {
         match s {
             Stage::Filter(p) => p.referenced_columns(&mut cols),
@@ -216,9 +194,7 @@ type ColCmp<'s> = (usize, BinaryOp, &'s Value, bool);
 /// The stages of `stages` that contribute a zone map over `source` (the
 /// skip rule), with their index; reads only the stored column variants.
 pub(crate) fn zone_stages<'s>(source: &URelation, stages: &'s [Stage]) -> Vec<(usize, ColCmp<'s>)> {
-    let Some(batch) = at_rest(source) else {
-        return Vec::new();
-    };
+    let batch = source.at_rest().0;
     let mut out = Vec::new();
     for (k, stage) in stages.iter().enumerate() {
         let Stage::Filter(Expr::Binary { left, op, right }) = stage else {
@@ -314,7 +290,7 @@ pub(crate) fn drive<T: Send>(
     morsel: impl Fn(Range<usize>, &mut Tally) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     // Several morsels even on a one-thread pool: each is a governor
-    // checkpoint, and a row store pivots one morsel at a time.
+    // checkpoint.
     let kept = ranges.iter().map(Range::len).sum();
     let chunk = maybms_par::auto_chunk(kept, pool.threads(), min_morsel);
     let morsels: Vec<Range<usize>> = ranges
@@ -347,22 +323,16 @@ pub(crate) fn drive<T: Send>(
     outputs.into_iter().collect()
 }
 
-/// Rows a morsel of an at-rest source hands the stages at a time: the
-/// columns of one vector stay in cache from stage to stage.
+/// Rows a morsel hands the stages at a time: the columns of one vector
+/// stay in cache from stage to stage.
 const VECTOR_ROWS: usize = 2048;
 
-/// The source rows of `morsel`, split into the vectors the stages run
-/// on: [`VECTOR_ROWS`] at a time over an at-rest source, the whole morsel
-/// (one pivot) over a row store.
-fn vectors(source: &URelation, morsel: Range<usize>) -> impl Iterator<Item = Range<usize>> {
-    let step = match at_rest(source) {
-        Some(_) => VECTOR_ROWS,
-        None => morsel.len().max(1),
-    };
+/// The source rows of `morsel`, split into the vectors the stages run on.
+fn vectors(morsel: Range<usize>) -> impl Iterator<Item = Range<usize>> {
     let end = morsel.end;
     morsel
-        .step_by(step)
-        .map(move |start| start..(start + step).min(end))
+        .step_by(VECTOR_ROWS)
+        .map(move |start| start..(start + VECTOR_ROWS).min(end))
 }
 
 /// The rows one vector has in flight through the stages.
@@ -387,19 +357,13 @@ enum Conds {
 }
 
 impl Flow {
-    /// The source rows `range`: the plan's columns sliced from storage, or
-    /// pivoted from a row store (counted by the pivot metrics).
+    /// The source rows `range`: the plan's columns sliced from the
+    /// source's.
     fn scan(source: &URelation, range: Range<usize>, plan: &Plan) -> Flow {
-        let batch = match at_rest(source) {
-            Some(rest) => rest.slice_cols(range.start, range.len(), &plan.cols),
-            None => ColumnBatch::pivot(
-                range.len(),
-                source.tuples()[range.clone()]
-                    .iter()
-                    .map(|t| t.data.values()),
-                &plan.cols,
-            ),
-        };
+        let batch = source
+            .at_rest()
+            .0
+            .slice_cols(range.start, range.len(), &plan.cols);
         Flow {
             batch,
             whole: plan.cols.len() == source.schema().len(),
@@ -435,11 +399,11 @@ impl Flow {
         }
     }
 
-    /// The rows with every column of their shape: an at-rest source's
-    /// columns are gathered (or sliced) from storage; a row store's were
-    /// pivoted whole.
+    /// The rows with every column of their shape: the source columns not
+    /// scanned yet are gathered (or sliced) from the source.
     fn widen(mut self, source: &URelation) -> Flow {
-        if let (false, Some(rest)) = (self.whole, at_rest(source)) {
+        if !self.whole {
+            let rest = source.at_rest().0;
             let (first, n) = (self.src.first().map_or(0, |&i| i as usize), self.rows());
             let all: Vec<usize> = (0..rest.arity()).collect();
             self.batch = match self.src.last() {
@@ -456,7 +420,8 @@ impl Flow {
     /// flight, never the whole source — else one per row.
     fn settle(mut self, source: &URelation) -> Flow {
         if let Conds::Source = self.conds {
-            let own = |j| wsd_at(source, self.src[j] as usize);
+            let wsds = source.at_rest().1;
+            let own = |j: usize| &wsds[self.src[j] as usize];
             self.conds = match (0..self.rows()).all(|j| own(j).is_tautology()) {
                 true => Conds::Certain,
                 false => Conds::Rows((0..self.rows()).map(|j| own(j).clone()).collect()),
@@ -501,12 +466,11 @@ fn step(stage: &VecStage, flow: &mut Flow, kernels: &mut KernelCounts) -> Option
     }
 }
 
-/// A probe stage's build side, ready for one pipeline run: its rows as
-/// columns (the at-rest batch, or a row store pivoted once) and the hash
-/// table over them.
+/// A probe stage's build side, ready for one pipeline run: its columns
+/// and conditions, and the hash table over them.
 struct BuildSide<'a> {
-    batch: Cow<'a, ColumnBatch>,
-    wsds: Cow<'a, [Wsd]>,
+    batch: &'a ColumnBatch,
+    wsds: &'a [Wsd],
     table: BuildTable,
     /// Every build row's condition is the tautology.
     certain: bool,
@@ -628,13 +592,13 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
 
     /// The end of the chain: the sink takes the batch.
     fn finish(&mut self, flow: Flow) -> Result<()> {
-        let wsds = match &flow.conds {
-            Conds::Rows(w) => Some(&w[..]),
+        self.gov.tick_n(flow.rows()).map_err(EngineError::Gov)?;
+        let wsds = match flow.conds {
+            Conds::Rows(w) => Some(w),
             _ => None,
         };
-        self.gov.tick_n(flow.rows()).map_err(EngineError::Gov)?;
         self.sink
-            .push_batch(&flow.batch, wsds, &mut self.tally.kernels)
+            .push_batch(flow.batch, wsds, &mut self.tally.kernels)
     }
 }
 
@@ -685,34 +649,32 @@ pub(crate) trait MorselSink {
     /// (`None`: every row's is the tautology).
     fn push_batch(
         &mut self,
-        batch: &ColumnBatch,
-        wsds: Option<&[Wsd]>,
+        batch: ColumnBatch,
+        wsds: Option<Vec<Wsd>>,
         kernels: &mut KernelCounts,
     ) -> Result<()>;
 }
 
-/// The materialising sink: rows into a morsel-local [`TupleBatch`],
-/// conditions alongside.
+/// The materialising sink: keeps each morsel's batches and their
+/// conditions, in order.
 #[derive(Default)]
-struct RowsSink {
-    batch: TupleBatch,
+struct BatchSink {
+    batches: Vec<ColumnBatch>,
     wsds: Vec<Wsd>,
 }
 
-impl MorselSink for RowsSink {
+impl MorselSink for BatchSink {
     fn push_batch(
         &mut self,
-        batch: &ColumnBatch,
-        wsds: Option<&[Wsd]>,
+        batch: ColumnBatch,
+        wsds: Option<Vec<Wsd>>,
         _: &mut KernelCounts,
     ) -> Result<()> {
-        for j in 0..batch.rows() {
-            self.batch.begin_row();
-            for c in batch.columns() {
-                self.batch.push_value(c.value_at(j));
-            }
+        if batch.rows() > 0 {
+            let n = batch.rows();
             self.wsds
-                .push(wsds.map(|w| w[j].clone()).unwrap_or_default());
+                .extend(wsds.unwrap_or_else(|| vec![Wsd::tautology(); n]));
+            self.batches.push(batch);
         }
         Ok(())
     }
@@ -733,7 +695,7 @@ where
     Sk: MorselSink + Send,
     MK: Fn() -> Sk + Sync,
 {
-    let plan = plan(source, stages, true);
+    let plan = plan(stages);
     // Build sides for the probe stages, on this pool.
     let builds: Vec<Option<BuildSide>> = stages
         .iter()
@@ -743,8 +705,8 @@ where
                 build, right_keys, ..
             } => {
                 slot.build_rows.add(build.len() as u64);
-                let (batch, wsds) = columns_of(build);
-                let hashes = key_hashes(&batch, right_keys);
+                let (batch, wsds) = build.at_rest();
+                let hashes = key_hashes(batch, right_keys);
                 Some(BuildSide {
                     table: BuildTable::build(build.len(), |i| hashes[i], pool, min_morsel),
                     batch,
@@ -771,7 +733,7 @@ where
                 sink: &mut sink,
                 gov: maybms_gov::Ticker::new(),
             };
-            for rows in vectors(source, range) {
+            for rows in vectors(range) {
                 m.run(Flow::scan(source, rows, &plan), 0)?;
             }
             Ok(sink)
@@ -779,26 +741,10 @@ where
     )
 }
 
-/// A relation's rows as columns: the at-rest batch and conditions, or a
-/// row store pivoted once (counted by the pivot metrics).
-fn columns_of(rel: &URelation) -> (Cow<'_, ColumnBatch>, Cow<'_, [Wsd]>) {
-    match rel.at_rest() {
-        Some((batch, wsds)) => (Cow::Borrowed(batch), Cow::Borrowed(wsds)),
-        None => {
-            let rows = rel.tuples();
-            let cols: Vec<usize> = (0..rel.schema().len()).collect();
-            let batch = ColumnBatch::pivot(rows.len(), rows.iter().map(|t| t.data.values()), &cols);
-            let wsds = rows.iter().map(|t| t.wsd.clone()).collect();
-            (Cow::Owned(batch), Cow::Owned(wsds))
-        }
-    }
-}
-
 /// Run an all-filter `stages` chain over `source` on the morsel driver
 /// and return the surviving source positions, in order — a selection
-/// vector end to end (predicates produce the selection directly, so the
-/// output can share the source's row storage; on a columnar-at-rest
-/// source no row is ever touched).
+/// vector end to end (predicates produce the selection directly; no row
+/// is ever built).
 pub(crate) fn select(
     source: &URelation,
     stages: &[Stage],
@@ -806,7 +752,7 @@ pub(crate) fn select(
     min_morsel: usize,
     stats: &PipelineStats,
 ) -> Result<Vec<usize>> {
-    let plan = plan(source, stages, false);
+    let plan = plan(stages);
     let partials = drive(
         candidate_ranges(source, stages, stats),
         pool,
@@ -814,7 +760,7 @@ pub(crate) fn select(
         stats,
         |range, tally| {
             let mut sel = Vec::new();
-            for rows in vectors(source, range) {
+            for rows in vectors(range) {
                 let mut flow = Flow::scan(source, rows, &plan);
                 let mut pending = None;
                 for (k, stage) in plan.stages.iter().enumerate() {
@@ -833,23 +779,25 @@ pub(crate) fn select(
     Ok(partials.concat())
 }
 
-/// Run `stages` over `source` on the morsel driver, materialising the
-/// surviving rows and their conditions. Morsel outputs merge in morsel
-/// order; the output (and error row, if any) is identical to a
-/// sequential scan at any thread count.
-pub(crate) fn rows(
+/// Run `stages` over `source` on the morsel driver and materialise the
+/// surviving rows, under `schema`: the batches every morsel kept
+/// concatenate, in morsel order, into the result's columns. The output
+/// (and error row, if any) is identical to a sequential scan at any
+/// thread count.
+pub(crate) fn collect(
     source: &URelation,
     stages: &[Stage],
+    schema: Arc<Schema>,
     pool: &ThreadPool,
     min_morsel: usize,
     stats: &PipelineStats,
-) -> Result<(Vec<Tuple>, Vec<Wsd>)> {
-    let sinks = run_sink(source, stages, pool, min_morsel, stats, RowsSink::default)?;
-    let mut tuples = Vec::new();
-    let mut wsds = Vec::new();
+) -> Result<URelation> {
+    let sinks = run_sink(source, stages, pool, min_morsel, stats, BatchSink::default)?;
+    let (mut batches, mut wsds) = (Vec::new(), Vec::new());
     for sink in sinks {
-        tuples.extend(sink.batch.finish());
+        batches.extend(sink.batches);
         wsds.extend(sink.wsds);
     }
-    Ok((tuples, wsds))
+    let batch = ColumnBatch::concat(schema.len(), &batches.iter().collect::<Vec<_>>());
+    Ok(URelation::from_batch(schema, batch, wsds))
 }

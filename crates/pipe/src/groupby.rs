@@ -31,10 +31,10 @@ use std::sync::Arc;
 
 use maybms_engine::hash::{fast_hash_one, FastMap};
 use maybms_engine::vector::{self, KernelCounts};
-use maybms_engine::{Column, ColumnBatch, ColumnData, Expr, StrDict, Value};
+use maybms_engine::{Column, ColumnBatch, ColumnData, EngineError, Expr, StrDict, Value};
 use maybms_obs::PipelineStats;
 use maybms_par::ThreadPool;
-use maybms_urel::{Result, URelation, Wsd};
+use maybms_urel::{Result, URelation, UrelError, Wsd};
 
 use crate::fuse::{self, MorselSink, Stage};
 
@@ -261,8 +261,8 @@ where
 {
     fn push_batch(
         &mut self,
-        batch: &ColumnBatch,
-        wsds: Option<&[Wsd]>,
+        batch: ColumnBatch,
+        wsds: Option<Vec<Wsd>>,
         kernels: &mut KernelCounts,
     ) -> Result<()> {
         // Keys are evaluated left to right within a row, before the fold:
@@ -271,7 +271,7 @@ where
         let (mut n, mut pending) = (batch.rows(), None);
         let mut keys = Vec::with_capacity(self.key_exprs.len());
         for e in self.key_exprs {
-            let (col, err) = vector::eval_batch(e, batch, kernels);
+            let (col, err) = vector::eval_batch(e, &batch, kernels);
             if let Some((k, er)) = err.filter(|(k, _)| *k < n) {
                 (n, pending) = (k, Some(er));
             }
@@ -280,8 +280,8 @@ where
         let groups = self.group_ids(&keys, n);
         let rows = GroupedBatch {
             groups: &groups,
-            batch,
-            wsds,
+            batch: &batch,
+            wsds: wsds.as_deref(),
         };
         (self.fold)(&mut self.table.states, &rows, kernels)?;
         pending.map_or(Ok(()), |e| Err(e.into()))
@@ -292,6 +292,13 @@ where
 /// sink: per-morsel [`GroupTable`]s, merged in morsel order, the merged
 /// group count tallied into `stats`. Returns `(keys, states)` in
 /// first-seen order.
+///
+/// A run that fails is repeated as one morsel, and that run's error is
+/// returned: it is the scalar walk's first error. Split runs can meet
+/// another one first — a state may only fail when a later morsel's state
+/// merges into it (`min` / `max` over text in one morsel and numbers in
+/// the next), after a later row's error has already ended the run.
+/// Governor aborts are returned as they are.
 ///
 /// With no key expressions, a single global group is guaranteed (even
 /// over an empty input — SQL's scalar-aggregate behaviour).
@@ -313,18 +320,30 @@ where
     FF: Fn(&mut [A], &GroupedBatch<'_>, &mut KernelCounts) -> Result<()> + Sync,
     MF: FnMut(&mut A, A) -> Result<()>,
 {
-    let sinks = fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
-        table: GroupTable::new(),
-        key_exprs,
-        new_state: &new_state,
-        fold: &fold,
-        cache: KeyCache::Empty,
-        null_group: None,
-    })?;
-    let mut merged = GroupTable::new();
-    for sink in sinks {
-        merged.merge_in(sink.table, &mut merge)?;
-    }
+    let mut run = |min_morsel: usize, stats: &PipelineStats| -> Result<GroupTable<A>> {
+        let sinks = fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
+            table: GroupTable::new(),
+            key_exprs,
+            new_state: &new_state,
+            fold: &fold,
+            cache: KeyCache::Empty,
+            null_group: None,
+        })?;
+        let mut merged = GroupTable::new();
+        for sink in sinks {
+            merged.merge_in(sink.table, &mut merge)?;
+        }
+        Ok(merged)
+    };
+    let mut merged = match run(min_morsel, stats) {
+        Err(e) if !matches!(e, UrelError::Engine(EngineError::Gov(_))) => {
+            // The repeat is not this pipeline's record: its tally goes
+            // nowhere.
+            let unrecorded = PipelineStats::new("", vec![String::new(); stages.len()]);
+            return Err(run(source.len().max(1), &unrecorded).err().unwrap_or(e));
+        }
+        merged => merged?,
+    };
     if key_exprs.is_empty() && merged.is_empty() {
         merged.entry(&[], &new_state);
     }

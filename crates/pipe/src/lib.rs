@@ -24,8 +24,8 @@
 //!   [`maybms_engine::vector::vectorisable`] — runs row by row over the
 //!   batch), and a hash probe hashes key columns, verifies candidates on
 //!   typed values and gathers the joined rows from both sides' columns.
-//!   Only a materialising sink builds rows, one morsel-local
-//!   [`TupleBatch`](maybms_engine::tuple::TupleBatch) at a time;
+//!   A materialising sink keeps the batches, which concatenate into the
+//!   result's columns: a result is a column batch like a stored table;
 //! * every in-flight row carries its world-set descriptor: probe stages
 //!   conjoin the two sides' WSDs and drop unsatisfiable pairs; a
 //!   t-certain table is the case where every WSD is empty (no conjoin
@@ -41,9 +41,9 @@
 //!   typed argument columns — merged in morsel order with global
 //!   first-seen key order ([`groupby`]); `GROUP BY` plans never
 //!   materialise their input;
-//! * when the source table is **columnar at rest** (every stored table),
-//!   morsels slice the stored columns (dictionary codes included) instead
-//!   of pivoting: the scan runs **zero-pivot** — `EXPLAIN` marks the
+//! * every source — a stored table or an intermediate result — is
+//!   columns, so morsels slice them (dictionary codes included) instead
+//!   of pivoting: every scan runs **zero-pivot** — `EXPLAIN` marks the
 //!   source `(columnar, zero-pivot)` and the
 //!   `maybms_pipe_pivots_total` / `maybms_pipe_pivot_rows_total`
 //!   counters stay flat. Dictionary-encoded text keys hash by code from
@@ -60,8 +60,8 @@
 //!   values, WSDs, row order and the first runtime error — depends on
 //!   neither thread count nor morsel size**, and equals a row-major
 //!   scalar walk of the same chain (property-tested against the
-//!   `maybms_bench::naive` oracle at 1/2/8 threads, over compacted and
-//!   row-major sources, in `crates/bench/tests/pipe_equiv.rs`,
+//!   `maybms_bench::naive` oracle at 1/2/8 threads, over plain and
+//!   dictionary-encoded sources, in `crates/bench/tests/pipe_equiv.rs`,
 //!   `vec_equiv.rs`, `dict_equiv.rs` and `group_equiv.rs`).
 //!
 //! The front end is [`UStream`]: a lazy pipeline over one source

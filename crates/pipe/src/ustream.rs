@@ -33,7 +33,7 @@ use maybms_engine::vector::KernelCounts;
 use maybms_engine::{EngineError, Expr, Field, Schema, Value};
 use maybms_obs::{PipelineStats, QueryStats};
 use maybms_par::ThreadPool;
-use maybms_urel::{Result, URelation, UTuple};
+use maybms_urel::{Result, URelation};
 
 use crate::fuse::{self, Stage};
 use crate::GroupedBatch;
@@ -99,7 +99,7 @@ impl UStream {
             Expr::Literal(Value::Bool(false)) | Expr::Literal(Value::Null)
                 if fuse::stages_infallible(&self.stages) =>
             {
-                self.source = URelation::new(self.schema.clone(), Vec::new());
+                self.source = URelation::empty(self.schema.clone());
                 self.stages.clear();
                 self.notes.clear();
                 return Ok(self);
@@ -232,17 +232,12 @@ impl UStream {
             Ok(if stages.is_empty() {
                 source.with_schema(schema)
             } else if all_filters(stages) {
-                // Filter-only pipeline: gather shares rows (data + WSDs)
-                // with the source.
+                // Filter-only pipeline: gather the surviving rows' columns
+                // and conditions from the source.
                 let sel = fuse::select(&source, stages, pool, min_morsel, stats)?;
                 source.gather(&sel).with_schema(schema)
             } else {
-                let (tuples, wsds) = fuse::rows(&source, stages, pool, min_morsel, stats)?;
-                let rows = tuples
-                    .into_iter()
-                    .zip(wsds)
-                    .map(|(data, wsd)| UTuple::new(data, wsd));
-                URelation::new(schema, rows.collect())
+                fuse::collect(&source, stages, schema, pool, min_morsel, stats)?
             })
         })
     }
@@ -250,8 +245,8 @@ impl UStream {
     /// Run a **filter-only** pipeline and return the positions of the
     /// surviving source rows, in order, instead of gathering them — how
     /// `UPDATE` / `DELETE` find their targets. Same executor, span and
-    /// record as [`UStream::collect_with`]: zero-pivot and vectorised
-    /// over a columnar-at-rest source, morsel-parallel, governor-checked,
+    /// record as [`UStream::collect_with`]: zero-pivot and vectorised,
+    /// morsel-parallel, governor-checked,
     /// identical at any thread count. Errors, before running anything, on
     /// a stream holding a projection or join stage (its rows are not
     /// source rows).
@@ -337,10 +332,7 @@ impl UStream {
         let mut span = maybms_obs::trace::span("pipeline");
         span.attr("stages", self.stages.len());
         span.attr("source_rows", self.source.len());
-        let stats = PipelineStats::new(
-            source_label(self.source.len(), self.source.is_columnar()),
-            self.stage_labels(),
-        );
+        let stats = PipelineStats::new(source_label(self.source.len()), self.stage_labels());
         let UStream {
             source,
             stages,
@@ -403,13 +395,9 @@ fn all_filters(stages: &[Stage]) -> bool {
 }
 
 /// How `EXPLAIN` and `EXPLAIN ANALYZE` name a pipeline's source of `rows`
-/// stored rows: columnar-at-rest sources are marked — their morsels
-/// slice the stored columns instead of pivoting.
-pub fn source_label(rows: usize, columnar: bool) -> String {
-    match columnar {
-        true => format!("{rows} stored rows (columnar, zero-pivot)"),
-        false => format!("{rows} stored rows"),
-    }
+/// stored rows — columns its morsels slice, never pivot.
+pub fn source_label(rows: usize) -> String {
+    format!("{rows} stored rows (columnar, zero-pivot)")
 }
 
 #[cfg(test)]
@@ -431,12 +419,11 @@ mod tests {
                 vec!["Duncan".into(), "SL".into()],
             ],
         );
-        let mut u = URelation::from_certain(&base);
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
-        u.tuples_mut()[1].wsd = Wsd::of(x, 1);
-        u.tuples_mut()[2].wsd = Wsd::of(y, 0);
-        u.tuples_mut()[3].wsd = Wsd::of(y, 1);
-        (wt, u)
+        let wsds = vec![Wsd::of(x, 0), Wsd::of(x, 1), Wsd::of(y, 0), Wsd::of(y, 1)];
+        (
+            wt,
+            URelation::from_certain(&base).gather_with(&[0, 1, 2, 3], wsds),
+        )
     }
 
     /// Fused σ → probe → π: WSDs conjoin, the self-join's unsatisfiable
@@ -533,9 +520,9 @@ mod tests {
                 .map(|k| vec![k.into(), format!("s{}", k % 7).into()])
                 .collect(),
         );
-        // Columnar at rest (the zero-pivot scan) and row-major alike.
+        // Plain and dictionary-encoded string columns alike.
         for u in [
-            URelation::from_certain(&base).compact(),
+            URelation::from_certain(&base).dict_encode(),
             URelation::from_certain(&base),
         ] {
             let pred = Expr::col("k")

@@ -9,17 +9,15 @@
 //! independently). [`recompose`] joins the pieces back on `_tid` — one
 //! fused [`UStream`] chain of hash probes, conjoining their conditions.
 //!
-//! Decomposition runs on the engine's shared column-major machinery
-//! ([`maybms_engine::column`]): the input pivots once into a
-//! [`ColumnBatch`] and every piece is a selection of its columns — the
-//! same representation the vectorised expression kernels execute on.
+//! Decomposition is a selection of columns: every piece is the tuple-id
+//! column plus copies of the input's columns for its group, under the
+//! input's conditions — no row is built.
 
 use std::sync::Arc;
 
 use maybms_engine::column::{Column, ColumnBatch, NullMask};
 use maybms_engine::ops::ProjectItem;
 use maybms_engine::{DataType, Expr, Field, Schema};
-use maybms_urel::urelation::zip_batch;
 use maybms_urel::{Result, URelation, UrelError};
 
 use crate::UStream;
@@ -52,19 +50,10 @@ pub fn decompose(input: &URelation, groups: &[Vec<usize>]) -> Result<Vec<URelati
             }
         }
     }
-    // Vertical decomposition *is* a columnar operation: pivot the
-    // referenced columns once into the engine's shared column
-    // representation, then each piece is the system tid column plus a
-    // selection of the pivoted columns (cloned — groups may overlap).
+    // Each piece is the system tid column plus the group's columns
+    // (cloned — groups may overlap).
+    let (batch, wsds) = input.at_rest();
     let n = input.len();
-    let mut used: Vec<usize> = groups.iter().flatten().copied().collect();
-    used.sort_unstable();
-    used.dedup();
-    let pivot = ColumnBatch::pivot(n, input.tuples().iter().map(|t| t.data.values()), &used);
-    let pivot_idx = |c: usize| {
-        used.binary_search(&c)
-            .expect("group column collected above")
-    };
     let tid = Column::from_ints((0..n as i64).collect(), NullMask::none());
     let mut out = Vec::with_capacity(groups.len());
     for g in groups {
@@ -72,14 +61,11 @@ pub fn decompose(input: &URelation, groups: &[Vec<usize>]) -> Result<Vec<URelati
         let mut cols = vec![tid.clone()];
         for &c in g {
             fields.push(input.schema().field(c).clone());
-            cols.push(pivot.column(pivot_idx(c)).clone());
+            cols.push(batch.column(c).clone());
         }
         let schema = Arc::new(Schema::new(fields));
-        // Pivot back through the shared TupleBatch machinery: piece rows
-        // share chunked buffers instead of allocating each.
-        let batch = ColumnBatch::from_columns(cols, n).to_tuple_batch();
-        let wsds = input.tuples().iter().map(|t| t.wsd.clone()).collect();
-        out.push(URelation::new(schema, zip_batch(batch, wsds)));
+        let piece = ColumnBatch::from_columns(cols, n);
+        out.push(URelation::from_batch(schema, piece, wsds.to_vec()));
     }
     Ok(out)
 }
@@ -130,7 +116,7 @@ pub fn recompose(pieces: &[URelation]) -> Result<URelation> {
 mod tests {
     use super::*;
     use maybms_engine::{rel, DataType, Value};
-    use maybms_urel::{WorldTable, Wsd};
+    use maybms_urel::{UTuple, WorldTable, Wsd};
 
     fn sample() -> URelation {
         URelation::from_certain(&rel(
@@ -171,20 +157,21 @@ mod tests {
         let y = wt.new_var(&[0.9, 0.1]).unwrap(); // pts variant
         let u = sample();
         let mut pieces = decompose(&u, &[vec![0], vec![1], vec![2]]).unwrap();
-        // Two alternative teams for tuple 0.
-        let t0_team = pieces[1].tuples()[0].clone();
-        let mut alt = t0_team.clone();
-        alt.data = Tuple::new(vec![Value::Int(0), "MIA".into()]);
-        pieces[1].tuples_mut()[0].wsd = Wsd::of(x, 0);
-        let mut alt_tuple = alt;
-        alt_tuple.wsd = Wsd::of(x, 1);
-        pieces[1].tuples_mut().push(alt_tuple);
-        // Two alternative pts for tuple 0.
-        pieces[2].tuples_mut()[0].wsd = Wsd::of(y, 0);
-        let mut pts_alt = pieces[2].tuples()[0].clone();
-        pts_alt.data = Tuple::new(vec![Value::Int(0), Value::Int(50)]);
-        pts_alt.wsd = Wsd::of(y, 1);
-        pieces[2].tuples_mut().push(pts_alt);
+        // Piece `k`'s tuple 0 under `var ↦ 0`, plus an alternative value
+        // for it under `var ↦ 1`.
+        let alternative = |k: usize, var, value: Value| {
+            let mut rows = pieces[k].tuples().to_vec();
+            rows[0].wsd = Wsd::of(var, 0);
+            let alt = Tuple::new(vec![Value::Int(0), value]);
+            rows.push(UTuple::new(alt, Wsd::of(var, 1)));
+            URelation::new(pieces[k].schema().clone(), rows)
+        };
+        // Two alternative teams and two alternative pts for tuple 0.
+        let (team, pts) = (
+            alternative(1, x, "MIA".into()),
+            alternative(2, y, Value::Int(50)),
+        );
+        (pieces[1], pieces[2]) = (team, pts);
 
         let back = recompose(&pieces).unwrap();
         // Tuple 0 now has 4 variants (2 teams × 2 pts), tuple 1 has 1.

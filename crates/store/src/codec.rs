@@ -549,13 +549,10 @@ fn get_column(r: &mut Reader<'_>, rows: usize) -> DecodeResult<Column> {
     })
 }
 
-/// Encode a table in its columnar at-rest image: schema, row and column
-/// counts, each column, then each row's WSD. A row-major table is
-/// pivoted first; stored tables are columnar already, so this is an
-/// `Arc` clone for them.
+/// Encode a table in its at-rest image: schema, row and column counts,
+/// each column as it is encoded, then each row's WSD.
 pub fn put_urelation_any(w: &mut Writer, u: &URelation) {
-    let u = u.compact();
-    let (batch, wsds) = u.at_rest().expect("compact is columnar");
+    let (batch, wsds) = u.at_rest();
     put_schema(w, u.schema());
     w.put_u32(batch.rows() as u32);
     w.put_u32(batch.arity() as u32);
@@ -680,20 +677,20 @@ mod tests {
                 vec!["Duncan".into(), Value::Null],
             ],
         );
-        let mut u = URelation::from_certain(&base);
-        u.tuples_mut()[0].wsd = Wsd::from_assignments(vec![
+        let wsd = Wsd::from_assignments(vec![
             Assignment::new(Var(3), 1),
             Assignment::new(Var(0), 0),
             Assignment::new(Var(7), 2),
         ])
         .unwrap();
+        let u = URelation::from_certain(&base).gather_with(&[0, 1], vec![wsd, Wsd::tautology()]);
         let mut w = Writer::new();
         put_urelation_any(&mut w, &u);
         let bytes = w.finish();
         let mut r = Reader::new(&bytes);
         let got = get_urelation_any(&mut r).unwrap();
         assert_eq!(got, u);
-        assert!(got.is_columnar());
+        assert_eq!(got.at_rest().0, u.at_rest().0);
         assert!(r.is_exhausted());
     }
 
@@ -779,8 +776,8 @@ mod tests {
             Arc::new(schema),
             rows.into_iter().map(Tuple::new).collect(),
         );
-        let u = URelation::from_certain(&base).compact();
-        let (batch, _) = u.at_rest().expect("compact is columnar");
+        let u = URelation::from_certain(&base).dict_encode();
+        let (batch, _) = u.at_rest();
         assert!(matches!(batch.column(3).data(), ColumnData::Dict { .. }));
         assert!(matches!(batch.column(4).data(), ColumnData::Values(_)));
         assert!(matches!(
@@ -794,7 +791,7 @@ mod tests {
         let got = get_urelation_any(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(got, u);
-        assert!(got.is_columnar());
+        assert_eq!(got.at_rest().0, batch);
         // Representation-exact: re-encoding is byte-identical.
         let mut w2 = Writer::new();
         put_urelation_any(&mut w2, &got);
@@ -804,7 +801,7 @@ mod tests {
     #[test]
     fn columnar_codec_rejects_out_of_range_dictionary_code() {
         let base = rel(&[("s", DataType::Text)], vec![vec!["a".into()]]);
-        let u = URelation::from_certain(&base).compact();
+        let u = URelation::from_certain(&base).dict_encode();
         let mut w = Writer::new();
         put_urelation_any(&mut w, &u);
         let mut bytes = w.finish();

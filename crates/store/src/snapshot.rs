@@ -187,8 +187,8 @@ mod tests {
                 vec!["Duncan".into(), 25.into()],
             ],
         );
-        let mut u = URelation::from_certain(&base);
-        u.tuples_mut()[0].wsd = Wsd::of(x, 1);
+        let u = URelation::from_certain(&base)
+            .gather_with(&[0, 1], vec![Wsd::of(x, 1), Wsd::tautology()]);
         let mut tables = Catalog::new();
         tables.insert("games".into(), u);
         (tables, wt)
@@ -207,17 +207,19 @@ mod tests {
     }
 
     #[test]
-    fn columnar_table_roundtrips_columnar() {
+    fn dict_encoded_table_roundtrips_its_encoding() {
         let (mut tables, wt) = sample_state();
-        let compacted = tables["games"].compact();
-        assert!(compacted.is_columnar());
-        tables.insert("games".into(), compacted);
+        let encoded = tables["games"].dict_encode();
+        tables.insert("games".into(), encoded);
         let vfs = MemVfs::new();
         write(&vfs, 3, &tables, &wt).unwrap();
         let snap = load(&vfs).unwrap().unwrap();
         assert_eq!(snap.tables, tables);
-        // Representation survives: no re-pivot needed after recovery.
-        assert!(snap.tables["games"].is_columnar());
+        // Representation survives: the columns come back as stored.
+        assert_eq!(
+            snap.tables["games"].at_rest().0,
+            tables["games"].at_rest().0
+        );
     }
 
     #[test]

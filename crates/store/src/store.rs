@@ -110,10 +110,11 @@ fn check_positions(table: &str, positions: &[u32], rows: usize) -> std::result::
 /// (after the WAL append succeeds) and recovery replay, so the two can
 /// never disagree about what an [`Op`] means. The op is checked first
 /// ([`check_op`]) and applies whole or not at all. This is the one place
-/// a stored table is made columnar: `CREATE TABLE` and `PutTable` install
-/// columnar tables, and `INSERT` and the positional deltas mutate them in
-/// place. Errors are descriptive strings; callers wrap them with context
-/// (file offset on replay).
+/// a stored table's strings are dictionary-encoded: `PutTable` installs
+/// its table through [`URelation::dict_encode`], and `INSERT` and the
+/// positional deltas mutate tables in place (new strings join the
+/// dictionaries). Errors are descriptive strings; callers wrap them with
+/// context (file offset on replay).
 pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String> {
     check_op(tables, &op)?;
     fn target<'a>(tables: &'a mut Catalog, name: &str) -> &'a mut URelation {
@@ -121,10 +122,10 @@ pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String>
     }
     match op {
         Op::CreateTable { name, schema } => {
-            tables.insert(name, URelation::empty(Arc::new(schema)).compact());
+            tables.insert(name, URelation::empty(Arc::new(schema)));
         }
         Op::PutTable { name, table } => {
-            tables.insert(name, table.compact());
+            tables.insert(name, table.dict_encode());
         }
         Op::InsertRows { table, rows } => target(tables, &table).append_rows(&rows),
         Op::UpdateRows {
@@ -550,8 +551,8 @@ mod tests {
             store.log(op, &wt).unwrap();
             apply_op(&mut rec.tables, op.clone()).unwrap();
         }
-        // The deltas applied in place: still columnar, no row image.
-        assert!(rec.tables["t"].is_columnar());
+        // The deltas applied in place: no row view built.
+        assert!(!rec.tables["t"].has_row_view());
         let got: Vec<Value> = rec.tables["t"]
             .tuples()
             .iter()
@@ -603,10 +604,8 @@ mod tests {
         // Now a CTAS stores rows referencing var 1.
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
         let schema = Arc::new(Schema::from_pairs(&[("a", DataType::Int)]));
-        let mut table = URelation::empty(schema);
-        table
-            .tuples_mut()
-            .push(UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1)));
+        let row = UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1));
+        let table = URelation::new(schema, vec![row]);
         let op = Op::PutTable {
             name: "picks".into(),
             table,
@@ -922,12 +921,14 @@ mod tests {
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.25, 0.75]).unwrap();
-        let mut picks = URelation::empty(Arc::new(Schema::from_pairs(&[("s", DataType::Text)])));
-        picks.tuples_mut().push(UTuple::new(
-            Tuple::new(vec![Value::str("ab")]),
-            Wsd::of(x, 1),
-        ));
-        let picks = picks.compact();
+        let picks = URelation::new(
+            Arc::new(Schema::from_pairs(&[("s", DataType::Text)])),
+            vec![UTuple::new(
+                Tuple::new(vec![Value::str("ab")]),
+                Wsd::of(x, 1),
+            )],
+        )
+        .dict_encode();
         let t_schema = Schema::from_pairs(&[("a", DataType::Int)]);
         // The table image (tag 5 body, snapshot table): schema, rows,
         // columns, one dictionary column (entries, codes, nulls), WSDs.

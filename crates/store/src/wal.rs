@@ -420,8 +420,7 @@ mod tests {
                 vec!["x".into(), 3.into()],
             ],
         );
-        let table = URelation::from_certain(&base).compact();
-        assert!(table.is_columnar());
+        let table = URelation::from_certain(&base).dict_encode();
         let record = WalRecord {
             lsn: 7,
             world_ext: None,
@@ -433,10 +432,13 @@ mod tests {
         let payload = encode(&record);
         let decoded = decode_record(&payload).unwrap();
         assert_eq!(decoded, record);
-        let Op::PutTable { table, .. } = &decoded.op else {
+        let Op::PutTable { table: got, .. } = &decoded.op else {
             unreachable!()
         };
-        assert!(table.is_columnar());
+        let Op::PutTable { table, .. } = &record.op else {
+            unreachable!()
+        };
+        assert_eq!(got.at_rest().0, table.at_rest().0);
         // The encoding is canonical: decode then encode is the identity
         // for current tags.
         assert_eq!(encode(&decoded), payload);
@@ -459,7 +461,6 @@ mod tests {
         use maybms_urel::URelation;
         let base = rel(&[("n", DataType::Int)], vec![vec![1.into()]]);
         let table = URelation::from_certain(&base);
-        assert!(!table.is_columnar());
         let record = WalRecord {
             lsn: 1,
             world_ext: None,
@@ -468,16 +469,12 @@ mod tests {
                 table,
             },
         };
-        // Offset 8 (lsn) + 1 (world-ext tag): even a row-major table is
-        // written under tag 5, as its columnar image.
+        // Offset 8 (lsn) + 1 (world-ext tag): a table image is written
+        // under tag 5, as its columns.
         let payload = encode(&record);
         assert_eq!(payload[9], 5);
         let decoded = decode_record(&payload).unwrap();
         assert_eq!(decoded, record);
-        let Op::PutTable { table, .. } = &decoded.op else {
-            unreachable!()
-        };
-        assert!(table.is_columnar());
     }
 
     #[test]

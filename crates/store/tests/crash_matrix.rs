@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use maybms_engine::{DataType, Schema, Tuple, Value};
+use maybms_engine::{ColumnData, DataType, Schema, Tuple, Value};
 use maybms_store::{apply_op, fingerprint, Catalog, FaultMode, FaultVfs, MemVfs, Op, Store, Vfs};
 use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 
@@ -55,17 +55,23 @@ fn workload() -> Vec<Step> {
         ("b", DataType::Float),
         ("c", DataType::Text),
     ]);
-    let picks_schema = Schema::from_pairs(&[("a", DataType::Int)]);
-    let mut picks = URelation::empty(Arc::new(picks_schema));
-    picks.tuples_mut().push(UTuple::new(
-        Tuple::new(vec![Value::Int(10)]),
-        Wsd::of(Var(0), 1),
-    ));
-    picks.tuples_mut().push(UTuple::new(
-        Tuple::new(vec![Value::Int(20)]),
-        Wsd::from_assignments(vec![Assignment::new(Var(0), 0), Assignment::new(Var(1), 1)])
-            .expect("satisfiable"),
-    ));
+    let picks_schema = Schema::from_pairs(&[("a", DataType::Int), ("s", DataType::Text)]);
+    // Its text column is logged plain: installing it (live and on
+    // replay) is what dictionary-encodes it.
+    let picks = URelation::new(
+        Arc::new(picks_schema),
+        vec![
+            UTuple::new(
+                Tuple::new(vec![Value::Int(10), Value::str("u")]),
+                Wsd::of(Var(0), 1),
+            ),
+            UTuple::new(
+                Tuple::new(vec![Value::Int(20), Value::str("v")]),
+                Wsd::from_assignments(vec![Assignment::new(Var(0), 0), Assignment::new(Var(1), 1)])
+                    .expect("satisfiable"),
+            ),
+        ],
+    );
     vec![
         step(Op::CreateTable {
             name: "t".into(),
@@ -84,12 +90,12 @@ fn workload() -> Vec<Step> {
         }),
         Step {
             new_vars: vec![vec![0.5, 0.5], vec![0.3, 0.7]],
-            // Columnar-at-rest: this PutTable logs under the columnar
-            // WAL op tag and lands in version-2 snapshot bodies, so the
-            // whole fault matrix sweeps the columnar codec too.
+            // This PutTable logs a table image and lands in snapshot
+            // bodies, so the whole fault matrix sweeps the columnar
+            // codec too.
             action: Action::Apply(Op::PutTable {
                 name: "picks".into(),
-                table: picks.compact(),
+                table: picks,
             }),
         },
         Step {
@@ -145,7 +151,7 @@ fn workload() -> Vec<Step> {
                     vec![Value::str("bob")],
                 ],
             ))
-            .compact(),
+            .dict_encode(),
         }),
         step(Op::DropTable { name: "t".into() }),
         step(Op::CreateTable {
@@ -215,14 +221,19 @@ fn faulted_run(
     (mem, failed_step, opened, fault.triggered())
 }
 
-/// Recover fault-free and assert atomicity (state ∈ `allowed`), the one
-/// at-rest layout (every recovered table columnar, an empty one included)
-/// and idempotence (second recovery: same state, same bytes on disk).
+/// Recover fault-free and assert atomicity (state ∈ `allowed`), the
+/// at-rest encoding (no recovered table holds a plain text column: every
+/// installed table's strings are dictionary-encoded) and idempotence
+/// (second recovery: same state, same bytes on disk).
 fn check_recovery(mem: &MemVfs, allowed: &[&Vec<u8>], what: &str) {
     let (_, r1) = Store::open(Arc::new(mem.clone())).expect("recovery must succeed");
     let f1 = fingerprint(&r1.tables, &r1.wt);
     for (name, t) in &r1.tables {
-        assert!(t.is_columnar(), "{what}: table {name} recovered row-major");
+        let plain = |c: &maybms_engine::Column| matches!(c.data(), ColumnData::Str(_));
+        assert!(
+            !t.at_rest().0.columns().iter().any(plain),
+            "{what}: table {name} recovered with a plain text column"
+        );
     }
     assert!(
         allowed.iter().any(|a| **a == f1),

@@ -32,13 +32,29 @@ pub fn pick_tuples(
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
+    let (sel, wsds) = pick(input, options, wt)?;
+    let tuples = sel.iter().zip(wsds);
+    let tuples = tuples.map(|(&i, wsd)| UTuple::new(input.tuples()[i].clone(), wsd));
+    Ok(URelation::new(input.schema().clone(), tuples.collect()))
+}
+
+/// The tuples of `input` a `pick tuples` keeps, in order, and the
+/// condition each exists under.
+fn pick(
+    input: &Relation,
+    options: &PickTuplesOptions,
+    wt: &mut WorldTable,
+) -> Result<(Vec<usize>, Vec<Wsd>)> {
     let bound = options
         .probability
         .as_ref()
         .map(|e| e.bind(input.schema()))
         .transpose()?;
-    let mut out = Vec::with_capacity(input.len());
-    for t in input.tuples() {
+    let (mut sel, mut wsds) = (
+        Vec::with_capacity(input.len()),
+        Vec::with_capacity(input.len()),
+    );
+    for (i, t) in input.tuples().iter().enumerate() {
         let p = match &bound {
             None => 0.5,
             Some(e) => {
@@ -56,17 +72,18 @@ pub fn pick_tuples(
         if p == 0.0 {
             continue;
         }
-        if p == 1.0 {
-            out.push(UTuple::certain(t.clone()));
-            continue;
-        }
-        let var = wt.new_var(&[1.0 - p, p])?;
-        out.push(UTuple::new(t.clone(), Wsd::of(var, 1)));
+        sel.push(i);
+        wsds.push(if p == 1.0 {
+            Wsd::tautology()
+        } else {
+            Wsd::of(wt.new_var(&[1.0 - p, p])?, 1)
+        });
     }
-    Ok(URelation::new(input.schema().clone(), out))
+    Ok((sel, wsds))
 }
 
 /// `pick tuples` over a U-relation input; enforces t-certainty (§2.2).
+/// The output gathers the kept tuples' columns.
 pub fn pick_tuples_u(
     input: &URelation,
     options: &PickTuplesOptions,
@@ -81,7 +98,8 @@ pub fn pick_tuples_u(
         input.schema().clone(),
         input.tuples().iter().map(|t| t.data.clone()).collect(),
     );
-    pick_tuples(&certain, options, wt)
+    let (sel, wsds) = pick(&certain, options, wt)?;
+    Ok(input.gather_with(&sel, wsds))
 }
 
 #[cfg(test)]
@@ -214,9 +232,9 @@ mod tests {
     fn pick_tuples_u_requires_t_certain() {
         let mut wt = WorldTable::new();
         let r = three_rows();
-        let mut u = URelation::from_certain(&r);
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        u.tuples_mut()[0].wsd = Wsd::of(x, 1);
+        let wsds = vec![Wsd::of(x, 1), Wsd::tautology(), Wsd::tautology()];
+        let u = URelation::from_certain(&r).gather_with(&[0, 1, 2], wsds);
         assert!(matches!(
             pick_tuples_u(&u, &PickTuplesOptions::default(), &mut wt),
             Err(UrelError::NotTCertain { .. })

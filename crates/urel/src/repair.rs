@@ -41,6 +41,20 @@ pub fn repair_key(
     options: &RepairKeyOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
+    let (sel, wsds) = repair(input, key_exprs, options, wt)?;
+    let tuples = sel.iter().zip(wsds);
+    let tuples = tuples.map(|(&i, wsd)| UTuple::new(input.tuples()[i].clone(), wsd));
+    Ok(URelation::new(input.schema().clone(), tuples.collect()))
+}
+
+/// The tuples of `input` a `repair key` keeps, in output order, and the
+/// condition each exists under.
+fn repair(
+    input: &Relation,
+    key_exprs: &[Expr],
+    options: &RepairKeyOptions,
+    wt: &mut WorldTable,
+) -> Result<(Vec<usize>, Vec<Wsd>)> {
     // Evaluate weights up front.
     let weights: Vec<f64> = match &options.weight {
         None => vec![1.0; input.len()],
@@ -64,7 +78,10 @@ pub fn repair_key(
     };
 
     let groups = group_indices(input, key_exprs)?;
-    let mut out = Vec::with_capacity(input.len());
+    let (mut sel, mut wsds) = (
+        Vec::with_capacity(input.len()),
+        Vec::with_capacity(input.len()),
+    );
     // Scratch buffers reused across groups (no per-group allocation).
     let mut alive: Vec<usize> = Vec::new();
     let mut probs: Vec<f64> = Vec::new();
@@ -83,7 +100,8 @@ pub fn repair_key(
         if alive.len() == 1 {
             // A single alternative is chosen with probability 1: the tuple
             // stays certain and no variable is spent.
-            out.push(UTuple::certain(input.tuples()[alive[0]].clone()));
+            sel.push(alive[0]);
+            wsds.push(Wsd::tautology());
             continue;
         }
         let total: f64 = alive.iter().map(|&i| weights[i]).sum();
@@ -91,18 +109,16 @@ pub fn repair_key(
         probs.extend(alive.iter().map(|&i| weights[i] / total));
         let var = wt.new_var(&probs)?;
         for (alt, &i) in alive.iter().enumerate() {
-            out.push(UTuple::new(
-                input.tuples()[i].clone(),
-                Wsd::of(var, alt as u16),
-            ));
+            sel.push(i);
+            wsds.push(Wsd::of(var, alt as u16));
         }
     }
-    Ok(URelation::new(input.schema().clone(), out))
+    Ok((sel, wsds))
 }
 
-/// Convenience: `repair key` over a U-relation input, enforcing the
-/// language's typing rule that the input must be t-certain (§2.2 maps
-/// t-certain → uncertain).
+/// `repair key` over a U-relation input, enforcing the language's typing
+/// rule that the input must be t-certain (§2.2 maps t-certain →
+/// uncertain). The output gathers the kept tuples' columns.
 pub fn repair_key_u(
     input: &URelation,
     key_exprs: &[Expr],
@@ -118,7 +134,8 @@ pub fn repair_key_u(
         input.schema().clone(),
         input.tuples().iter().map(|t| t.data.clone()).collect(),
     );
-    repair_key(&certain, key_exprs, options, wt)
+    let (sel, wsds) = repair(&certain, key_exprs, options, wt)?;
+    Ok(input.gather_with(&sel, wsds))
 }
 
 #[cfg(test)]
@@ -328,9 +345,9 @@ mod tests {
             &[("k", DataType::Int)],
             vec![vec![1.into()], vec![1.into()]],
         );
-        let mut u = URelation::from_certain(&r);
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
+        let u =
+            URelation::from_certain(&r).gather_with(&[0, 1], vec![Wsd::of(x, 0), Wsd::tautology()]);
         let out = repair_key_u(&u, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt);
         assert!(matches!(out, Err(UrelError::NotTCertain { .. })));
     }

@@ -5,60 +5,48 @@
 //! A [`URelation`] pairs each data tuple with a [`Wsd`]. A U-relation with
 //! only tautological WSDs is a *typed-certain (t-certain) table* (§2.2).
 //!
-//! # Sharing invariants (zero-clone execution core)
-//!
-//! A [`UTuple`] is cheap to clone by construction: its `data` is an
-//! `Arc`-backed engine [`Tuple`] (clone = refcount bump) and its `wsd`
-//! stores small conjunctions inline (clone = a few words copied, no
-//! allocation for ≤ 2 assignments). Operators that only choose rows —
-//! selection, ordering, dedup — therefore run on selection vectors and
-//! materialise once through [`URelation::gather`]; only operators that
-//! build new rows (projection over expressions, join concatenation)
-//! allocate.
-//!
-//! # Columnar at rest
+//! # One layout: columns plus a condition sidecar
 //!
 //! A [`URelation`] is the one relation type the engine stores, scans and
 //! passes between operators (a t-certain table is one whose conditions
 //! are all empty); the engine's plain `Relation` row bag exists only at
 //! the API edge ([`URelation::from_certain`] / [`URelation::into_certain`]).
-//! It is backed by a row vector or by a column-major [`ColumnBatch`] over
-//! the data columns (dictionary-encoded strings included) with the
-//! per-tuple WSDs kept as a parallel sidecar vector — the at-rest
-//! representation catalog installs produce via [`URelation::compact`].
-//! The `UTuple` row view of a columnar store is materialised lazily,
-//! once ([`URelation::tuples`]). DML mutates the at-rest body **in place**
-//! ([`URelation::append_rows`], [`URelation::set_cells`],
-//! [`URelation::delete_rows`]) at a cost proportional to the rows
-//! touched, copy-on-write: the body is cloned first only if a reader (a
-//! held query result) still shares its `Arc`, so readers never observe a
-//! write. The row view is dropped by a write, not rebuilt.
-//! [`URelation::tuples_mut`] still decays the store to rows — that is
-//! for building query results, not for stored tables.
+//! Its body is always a column-major [`ColumnBatch`] over the data
+//! columns, with the per-tuple WSDs kept as a parallel sidecar vector,
+//! shared between clones through an `Arc`. Query results and stored
+//! tables alike: the executor's sinks keep the column batches its stages
+//! produced, operators that only choose or concatenate rows gather
+//! columns and conditions, and operators that compute new rows append to
+//! column builders. [`URelation::new`] and [`URelation::from_certain`] are
+//! the API-edge constructors, and they pivot their rows once. The store
+//! dictionary-encodes a table's strings when it installs it
+//! ([`URelation::dict_encode`]).
 //!
-//! A columnar body's **zone maps** ([`URelation::zones`]), which scans
-//! read to skip blocks a filter cannot match, live as its row view does:
-//! built on first use, shared by clones, dropped by every write. Never
-//! logged nor snapshotted, they are rebuilt after recovery by construction.
+//! The `UTuple` row view ([`URelation::tuples`]) is read-only, built
+//! lazily, once, for code that walks rows (lineage, world instantiation,
+//! result output). A [`UTuple`] is cheap to clone: its `data` is an
+//! `Arc`-backed engine [`Tuple`] and its `wsd` stores small conjunctions
+//! inline.
+//!
+//! DML mutates the body **in place** ([`URelation::append_rows`],
+//! [`URelation::set_cells`], [`URelation::delete_rows`]) at a cost
+//! proportional to the rows touched, copy-on-write: the body is cloned
+//! first only if a reader (a held query result) still shares its `Arc`,
+//! so readers never observe a write. The row view is dropped by a write,
+//! not rebuilt.
+//!
+//! The **zone maps** ([`URelation::zones`]), which scans read to skip
+//! blocks a filter cannot match, live as the row view does: built on
+//! first use, shared by clones, dropped by every write. Never logged nor
+//! snapshotted, they are rebuilt after recovery by construction.
 
 use std::sync::{Arc, OnceLock};
 
-use maybms_engine::tuple::TupleBatch;
-use maybms_engine::{Column, ColumnBatch, ColumnData, Relation, Schema, Tuple};
+use maybms_engine::{Column, ColumnBatch, ColumnData, Relation, Schema, Tuple, Value};
 
 use crate::error::Result;
 use crate::world_table::WorldTable;
 use crate::wsd::Wsd;
-
-/// Zip batch-built data rows with their WSDs into `UTuple`s.
-pub fn zip_batch(batch: TupleBatch, wsds: Vec<Wsd>) -> Vec<UTuple> {
-    batch
-        .finish()
-        .into_iter()
-        .zip(wsds)
-        .map(|(data, wsd)| UTuple::new(data, wsd))
-        .collect()
-}
 
 /// One uncertain tuple: data plus the condition under which it exists.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,25 +72,15 @@ impl UTuple {
     }
 }
 
-/// The physical backing of a [`URelation`] (see the module docs on
-/// columnar at rest).
-#[derive(Debug, Clone)]
-enum Store {
-    /// Row-major: the working representation updates mutate.
-    Rows(Vec<UTuple>),
-    /// Column-major data at rest plus WSD sidecar, shared via `Arc`.
-    Columnar(Arc<ColumnarURel>),
-}
-
-/// Rows per zone of a columnar store's zone maps ([`URelation::zones`]).
+/// Rows per zone of a body's zone maps ([`URelation::zones`]).
 pub const ZONE_ROWS: usize = 1024;
 
 /// One zone's `(min, max)` over its non-NULL values; a zone without any
 /// has `min > max` and matches nothing.
 pub type Zone = (i64, i64);
 
-/// A columnar U-relation body: data columns, parallel WSDs, and the
-/// lazily built `UTuple` view, zone maps and t-certainty (each built at most once
+/// A U-relation body: data columns, parallel WSDs, and the lazily built
+/// `UTuple` view, zone maps and t-certainty (each built at most once
 /// between writes; all clones share them through the `Arc`).
 #[derive(Debug)]
 struct ColumnarURel {
@@ -148,15 +126,13 @@ impl ColumnarURel {
     }
 
     fn rows(&self) -> &[UTuple] {
-        self.rows
-            .get_or_init(|| zip_batch(self.batch.to_tuple_batch(), self.wsds.clone()))
-    }
-
-    fn into_rows(self) -> Vec<UTuple> {
-        match self.rows.into_inner() {
-            Some(rows) => rows,
-            None => zip_batch(self.batch.to_tuple_batch(), self.wsds),
-        }
+        self.rows.get_or_init(|| {
+            let data = self.batch.to_tuple_batch().finish();
+            data.into_iter()
+                .zip(&self.wsds)
+                .map(|(data, wsd)| UTuple::new(data, wsd.clone()))
+                .collect()
+        })
     }
 }
 
@@ -172,10 +148,10 @@ impl Clone for ColumnarURel {
 #[derive(Debug, Clone)]
 pub struct URelation {
     schema: Arc<Schema>,
-    store: Store,
+    body: Arc<ColumnarURel>,
 }
 
-// Equality is logical — columnar-at-rest equals its row-major twin.
+// Equality is logical: the same tuples, whatever the column encodings.
 impl PartialEq for URelation {
     fn eq(&self, other: &URelation) -> bool {
         self.schema == other.schema && self.tuples() == other.tuples()
@@ -185,39 +161,44 @@ impl PartialEq for URelation {
 impl URelation {
     /// Empty U-relation.
     pub fn empty(schema: Arc<Schema>) -> URelation {
-        URelation {
-            schema,
-            store: Store::Rows(Vec::new()),
-        }
+        let batch = ColumnBatch::empty(schema.len());
+        URelation::from_batch(schema, batch, Vec::new())
     }
 
-    /// Build from parts (arity unchecked; callers construct from typed
-    /// operators).
+    /// Build from rows at the API edge, pivoting them once (counted by
+    /// the pivot metrics). Arity is unchecked, like
+    /// [`URelation::from_batch`].
     pub fn new(schema: Arc<Schema>, tuples: Vec<UTuple>) -> URelation {
-        URelation {
-            schema,
-            store: Store::Rows(tuples),
-        }
+        let cols: Vec<usize> = (0..schema.len()).collect();
+        let batch = ColumnBatch::pivot(tuples.len(), tuples.iter().map(|t| t.data.values()), &cols);
+        let wsds = tuples.into_iter().map(|t| t.wsd).collect();
+        URelation::from_batch(schema, batch, wsds)
     }
 
-    /// Build directly over an at-rest data batch plus WSD sidecar (the
-    /// storage decode / compaction path). Caller guarantees the batch
-    /// arity matches the schema and `wsds.len() == batch.rows()`, like
-    /// [`URelation::new`]'s unchecked discipline.
+    /// Build over a data batch plus WSD sidecar. Caller guarantees the
+    /// batch arity matches the schema and `wsds.len() == batch.rows()`
+    /// (operators construct both from typed inputs).
     pub fn from_batch(schema: Arc<Schema>, batch: ColumnBatch, wsds: Vec<Wsd>) -> URelation {
         debug_assert_eq!(batch.arity(), schema.len(), "batch arity mismatch");
         URelation {
             schema,
-            store: Store::Columnar(Arc::new(ColumnarURel::new(batch, wsds))),
+            body: Arc::new(ColumnarURel::new(batch, wsds)),
         }
     }
 
-    /// Lift a certain relation into a (t-certain) U-relation.
+    /// Build a t-certain U-relation over a data batch.
+    pub fn certain_batch(schema: Arc<Schema>, batch: ColumnBatch) -> URelation {
+        let wsds = vec![Wsd::tautology(); batch.rows()];
+        URelation::from_batch(schema, batch, wsds)
+    }
+
+    /// Lift a certain relation into a (t-certain) U-relation, pivoting
+    /// its rows once (counted by the pivot metrics).
     pub fn from_certain(rel: &Relation) -> URelation {
-        URelation {
-            schema: rel.schema().clone(),
-            store: Store::Rows(rel.tuples().iter().cloned().map(UTuple::certain).collect()),
-        }
+        let cols: Vec<usize> = (0..rel.schema().len()).collect();
+        let rows = rel.tuples();
+        let batch = ColumnBatch::pivot(rows.len(), rows.iter().map(Tuple::values), &cols);
+        URelation::certain_batch(rel.schema().clone(), batch)
     }
 
     /// The data schema.
@@ -225,71 +206,53 @@ impl URelation {
         &self.schema
     }
 
-    /// The tuples. For a columnar-at-rest store the `UTuple` view is
-    /// materialised once, on first call, and cached.
+    /// The tuples, as a read-only row view: built on the first call and
+    /// cached until the next write.
     pub fn tuples(&self) -> &[UTuple] {
-        match &self.store {
-            Store::Rows(t) => t,
-            Store::Columnar(c) => c.rows(),
-        }
+        self.body.rows()
     }
 
-    /// The at-rest data batch and WSD sidecar, if stored columnar —
-    /// the zero-pivot scan path.
-    pub fn at_rest(&self) -> Option<(&ColumnBatch, &[Wsd])> {
-        match &self.store {
-            Store::Rows(_) => None,
-            Store::Columnar(c) => Some((&c.batch, &c.wsds)),
-        }
+    /// Whether the row view is built (it is only on a
+    /// [`URelation::tuples`] call since the last write).
+    pub fn has_row_view(&self) -> bool {
+        self.body.rows.get().is_some()
+    }
+
+    /// The data batch and WSD sidecar — what scans slice (zero-pivot).
+    pub fn at_rest(&self) -> (&ColumnBatch, &[Wsd]) {
+        (&self.body.batch, &self.body.wsds)
     }
 
     /// The zone map of data column `col`: one [`Zone`] per [`ZONE_ROWS`]
-    /// rows, or `None` unless the store is columnar at rest and `col` is
-    /// stored as `Int`. Built for every `Int` column by the first call.
+    /// rows, or `None` unless `col` is stored as `Int`. Built for every
+    /// `Int` column by the first call.
     pub fn zones(&self, col: usize) -> Option<&[Zone]> {
-        let Store::Columnar(c) = &self.store else {
-            return None;
-        };
-        c.zones()[col].as_deref()
+        self.body.zones()[col].as_deref()
     }
 
-    /// True iff the canonical storage is column-major.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.store, Store::Columnar(_))
-    }
-
-    /// A columnar-at-rest copy: data columns pivoted once (counted by
-    /// the pivot metrics) and dictionary-encoded, WSDs in a parallel
-    /// sidecar. Already-columnar input returns a cheap `Arc` clone.
-    pub fn compact(&self) -> URelation {
-        match &self.store {
-            Store::Columnar(_) => self.clone(),
-            Store::Rows(tuples) => {
-                let cols: Vec<usize> = (0..self.schema.len()).collect();
-                let batch =
-                    ColumnBatch::pivot(tuples.len(), tuples.iter().map(|t| t.data.values()), &cols)
-                        .dict_encode();
-                let wsds = tuples.iter().map(|t| t.wsd.clone()).collect();
-                URelation {
-                    schema: self.schema.clone(),
-                    store: Store::Columnar(Arc::new(ColumnarURel::new(batch, wsds))),
-                }
-            }
+    /// The same relation with every plain string column
+    /// dictionary-encoded — how the store installs a table. A relation
+    /// without one is returned as a cheap `Arc` clone.
+    pub fn dict_encode(&self) -> URelation {
+        let batch = &self.body.batch;
+        if !batch
+            .columns()
+            .iter()
+            .any(|c| matches!(c.data(), ColumnData::Str(_)))
+        {
+            return self.clone();
         }
+        URelation::from_batch(
+            self.schema.clone(),
+            batch.dict_encode(),
+            self.body.wsds.clone(),
+        )
     }
 
-    /// The at-rest body for an in-place write: a row store is compacted
-    /// first (stored tables never are: the store installs every table
-    /// columnar), a shared body is cloned (copy-on-write), and the row
-    /// view and zone maps are dropped.
-    fn columnar_mut(&mut self) -> &mut ColumnarURel {
-        if !self.is_columnar() {
-            *self = self.compact();
-        }
-        let Store::Columnar(arc) = &mut self.store else {
-            unreachable!("just compacted")
-        };
-        let body = Arc::make_mut(arc);
+    /// The body for an in-place write: a shared body is cloned
+    /// (copy-on-write), and the row view and zone maps are dropped.
+    fn body_mut(&mut self) -> &mut ColumnarURel {
+        let body = Arc::make_mut(&mut self.body);
         body.rows.take();
         body.zones.take();
         body.certain.take();
@@ -299,7 +262,7 @@ impl URelation {
     /// Append `rows` in place (INSERT). Caller guarantees each row has
     /// the schema's arity.
     pub fn append_rows(&mut self, rows: &[UTuple]) {
-        let body = self.columnar_mut();
+        let body = self.body_mut();
         body.batch.append_rows(rows.iter().map(|t| t.data.values()));
         body.wsds.extend(rows.iter().map(|t| t.wsd.clone()));
     }
@@ -308,81 +271,44 @@ impl URelation {
     /// (UPDATE); conditions are untouched. `cells` is row-major over
     /// `positions`. Caller guarantees positions and columns are in range
     /// and `cells.len() == positions.len() * cols.len()`.
-    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &[maybms_engine::Value]) {
-        self.columnar_mut().batch.set_cells(positions, cols, cells);
+    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &[Value]) {
+        self.body_mut().batch.set_cells(positions, cols, cells);
     }
 
     /// Remove the tuples at `positions` (strictly increasing, in range)
     /// in place (DELETE), data and conditions alike.
     pub fn delete_rows(&mut self, positions: &[u32]) {
-        let body = self.columnar_mut();
+        let body = self.body_mut();
         body.batch.delete_rows(positions);
         maybms_engine::column::remove_sorted(&mut body.wsds, positions);
     }
 
     /// Write tuple `i`'s data values into `out` (cleared first) without
-    /// materialising the row view of a columnar store.
-    pub fn write_row(&self, i: usize, out: &mut Vec<maybms_engine::Value>) {
-        match &self.store {
-            Store::Rows(t) => {
-                out.clear();
-                out.extend_from_slice(t[i].data.values());
-            }
-            Store::Columnar(c) => c.batch.write_row(i, out),
-        }
-    }
-
-    /// Mutable row access for building query results. Decays a columnar
-    /// store to rows first; stored tables are written through
-    /// [`URelation::append_rows`] / [`URelation::set_cells`] /
-    /// [`URelation::delete_rows`] instead.
-    pub fn tuples_mut(&mut self) -> &mut Vec<UTuple> {
-        if matches!(self.store, Store::Columnar(_)) {
-            let store = std::mem::replace(&mut self.store, Store::Rows(Vec::new()));
-            if let Store::Columnar(arc) = store {
-                let rows = match Arc::try_unwrap(arc) {
-                    Ok(body) => body.into_rows(),
-                    Err(arc) => arc.rows().to_vec(),
-                };
-                self.store = Store::Rows(rows);
-            }
-        }
-        match &mut self.store {
-            Store::Rows(t) => t,
-            Store::Columnar(_) => unreachable!("just decayed"),
-        }
+    /// building the row view.
+    pub fn write_row(&self, i: usize, out: &mut Vec<Value>) {
+        self.body.batch.write_row(i, out);
     }
 
     /// Materialise a selection vector: the U-relation holding the tuples
-    /// at `indices`, in that order. Row data is shared with the input
-    /// (`UTuple` clones are cheap — see the module docs). Indices may
-    /// repeat; they must be in range. A columnar store whose row view is
-    /// cold gathers columns and WSDs instead, staying columnar.
+    /// at `indices`, in that order, gathered from the columns and the
+    /// condition sidecar. Indices may repeat; they must be in range.
     pub fn gather(&self, indices: &[usize]) -> URelation {
-        if let Store::Columnar(c) = &self.store {
-            if c.rows.get().is_none() {
-                debug_assert!(c.batch.rows() <= u32::MAX as usize);
-                let sel: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
-                let wsds = indices.iter().map(|&i| c.wsds[i].clone()).collect();
-                return URelation {
-                    schema: self.schema.clone(),
-                    store: Store::Columnar(Arc::new(ColumnarURel::new(c.batch.gather(&sel), wsds))),
-                };
-            }
-        }
-        let tuples = self.tuples();
-        URelation {
-            schema: self.schema.clone(),
-            store: Store::Rows(indices.iter().map(|&i| tuples[i].clone()).collect()),
-        }
+        let wsds = indices.iter().map(|&i| self.body.wsds[i].clone()).collect();
+        self.gather_with(indices, wsds)
+    }
+
+    /// [`URelation::gather`] with new conditions: the tuple at
+    /// `indices[j]` exists under `wsds[j]` (`repair key`, `pick tuples`,
+    /// `select possible`).
+    pub fn gather_with(&self, indices: &[usize], wsds: Vec<Wsd>) -> URelation {
+        debug_assert!(self.len() <= u32::MAX as usize);
+        let sel: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
+        URelation::from_batch(self.schema.clone(), self.body.batch.gather(&sel), wsds)
     }
 
     /// Number of stored tuples (representation size, *not* world count).
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Rows(t) => t.len(),
-            Store::Columnar(c) => c.batch.rows(),
-        }
+        self.body.batch.rows()
     }
 
     /// True iff no tuples are stored.
@@ -391,14 +317,12 @@ impl URelation {
     }
 
     /// True iff every tuple is unconditional — the t-certain test (§2.2).
-    /// Cached on a columnar-at-rest body until its next write.
+    /// Cached on the body until its next write.
     pub fn is_t_certain(&self) -> bool {
-        match &self.store {
-            Store::Rows(t) => t.iter().all(|t| t.wsd.is_tautology()),
-            Store::Columnar(c) => *c
-                .certain
-                .get_or_init(|| c.wsds.iter().all(Wsd::is_tautology)),
-        }
+        *self
+            .body
+            .certain
+            .get_or_init(|| self.body.wsds.iter().all(Wsd::is_tautology))
     }
 
     /// Replace the schema (same arity required by construction discipline).
@@ -408,11 +332,14 @@ impl URelation {
     }
 
     /// Forget the conditions, keeping every stored tuple, as a plain row
-    /// bag (a columnar store pivots its rows here, once). Only meaningful
-    /// for t-certain relations; this is how results leave the engine.
-    pub fn into_certain(mut self) -> Relation {
-        let tuples = std::mem::take(self.tuples_mut());
-        Relation::new_unchecked(self.schema, tuples.into_iter().map(|t| t.data).collect())
+    /// bag. Only meaningful for t-certain relations; this is how results
+    /// leave the engine.
+    pub fn into_certain(self) -> Relation {
+        let data = match self.body.rows.get() {
+            Some(rows) => rows.iter().map(|t| t.data.clone()).collect(),
+            None => self.body.batch.to_tuple_batch().finish(),
+        };
+        Relation::new_unchecked(self.schema, data)
     }
 
     /// Instantiate the relation in one world: keep tuples whose WSD the
@@ -499,6 +426,16 @@ mod tests {
         )
     }
 
+    /// `base()` with its tuples under `wsds`, in order.
+    fn conditioned(wsds: [Wsd; 2]) -> URelation {
+        let b = base();
+        let tuples = b.tuples().iter().cloned().zip(wsds);
+        URelation::new(
+            b.schema().clone(),
+            tuples.map(|(t, w)| UTuple::new(t, w)).collect(),
+        )
+    }
+
     #[test]
     fn from_certain_is_t_certain() {
         let u = URelation::from_certain(&base());
@@ -508,8 +445,7 @@ mod tests {
 
     #[test]
     fn conditioned_relation_is_not_t_certain() {
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(Var(0), 0);
+        let u = conditioned([Wsd::of(Var(0), 0), Wsd::tautology()]);
         assert!(!u.is_t_certain());
     }
 
@@ -517,9 +453,7 @@ mod tests {
     fn instantiate_filters_by_world() {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
-        u.tuples_mut()[1].wsd = Wsd::of(x, 1);
+        let u = conditioned([Wsd::of(x, 0), Wsd::of(x, 1)]);
         let w0 = u.instantiate(&[0]);
         assert_eq!(w0.len(), 1);
         assert_eq!(w0.tuples()[0].value(1), &Value::str("F"));
@@ -535,42 +469,50 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_data_wsds_and_equality() {
+    fn dict_encode_preserves_data_wsds_and_equality() {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
-        let c = u.compact();
-        assert!(c.is_columnar() && !u.is_columnar());
+        let u = conditioned([Wsd::of(x, 0), Wsd::tautology()]);
+        let c = u.dict_encode();
+        let is_dict =
+            |u: &URelation| matches!(u.at_rest().0.column(0).data(), ColumnData::Dict { .. });
+        assert!(is_dict(&c) && !is_dict(&u));
         assert_eq!(c.len(), 2);
         assert_eq!(c, u);
         assert!(!c.is_t_certain());
-        let (batch, wsds) = c.at_rest().expect("columnar store");
+        let (batch, wsds) = c.at_rest();
         assert_eq!(batch.rows(), 2);
         assert_eq!(wsds[0], Wsd::of(x, 0));
-        // Instantiation over the lazy row view matches the row store.
+        // Instantiation over the row view is encoding-blind.
         assert_eq!(c.instantiate(&[0]), u.instantiate(&[0]));
         assert_eq!(c.instantiate(&[1]), u.instantiate(&[1]));
+        // Nothing left to encode: the same body.
+        assert!(Arc::ptr_eq(&c.body, &c.dict_encode().body));
     }
 
     #[test]
-    fn columnar_mutation_decays_and_gather_stays_columnar_when_cold() {
-        let u = URelation::from_certain(&base()).compact();
-        let g = u.gather(&[1, 0]);
-        assert!(g.is_columnar());
+    fn gather_takes_columns_and_conditions_without_a_row_view() {
+        let u = conditioned([Wsd::tautology(), Wsd::of(Var(0), 1)]).dict_encode();
+        let g = u.gather(&[1, 0, 1]);
+        assert!(!u.has_row_view() && !g.has_row_view());
+        assert!(matches!(
+            g.at_rest().0.column(1).data(),
+            ColumnData::Dict { .. }
+        ));
         assert_eq!(g.tuples()[0], u.tuples()[1]);
-        let mut m = u.clone();
-        m.tuples_mut().pop();
-        assert!(!m.is_columnar());
-        assert_eq!(m.len(), 1);
+        assert_eq!(g.tuples()[2], u.tuples()[1]);
+        assert!(g.has_row_view());
+        let picked = u.gather_with(&[1], vec![Wsd::of(Var(1), 0)]);
+        assert_eq!(picked.len(), 1);
+        assert_eq!(picked.tuples()[0].data, u.tuples()[1].data);
+        assert_eq!(picked.tuples()[0].wsd, Wsd::of(Var(1), 0));
     }
 
     #[test]
     fn in_place_writes_keep_columns_conditions_and_readers() {
         let x = Var(0);
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[1].wsd = Wsd::of(x, 1);
-        let mut table = u.compact();
+        let u = conditioned([Wsd::tautology(), Wsd::of(x, 1)]);
+        let mut table = u.dict_encode();
         let reader = table.clone();
         let _ = table.tuples(); // warm row view: a write must drop it
         let extra = UTuple::new(
@@ -578,8 +520,8 @@ mod tests {
             Wsd::of(x, 0),
         );
         table.append_rows(std::slice::from_ref(&extra));
+        assert!(!table.has_row_view());
         table.set_cells(&[0, 2], &[1], &["SE".into(), Value::Null]);
-        assert!(table.is_columnar());
         let got: Vec<(Vec<Value>, Wsd)> = table
             .tuples()
             .iter()
@@ -604,16 +546,15 @@ mod tests {
         // A fresh empty table takes its first rows in place too.
         let mut empty = URelation::empty(u.schema().clone());
         empty.append_rows(&[extra]);
-        assert!(empty.is_columnar());
         assert_eq!(empty.len(), 1);
+        assert_eq!(empty.tuples()[0].wsd, Wsd::of(x, 0));
     }
 
     #[test]
     fn table_string_shows_condition_and_probability() {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.8, 0.2]).unwrap();
-        let mut u = URelation::from_certain(&base());
-        u.tuples_mut()[0].wsd = Wsd::of(x, 0);
+        let u = conditioned([Wsd::of(x, 0), Wsd::tautology()]);
         let s = u.to_table_string(&wt).unwrap();
         assert!(s.contains("condition"));
         assert!(s.contains("x0 ↦ 1"));

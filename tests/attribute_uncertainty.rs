@@ -32,20 +32,26 @@ fn build() -> (WorldTable, URelation) {
     let age_var = wt.new_var(&[0.6, 0.4]).unwrap();
 
     let mut pieces = decompose(&base, &[vec![0], vec![1], vec![2]]).unwrap();
+    // Piece `k` with Smith's value under `first`, plus `alt` for it.
+    let with_alternative = |k: usize, first: Wsd, alt: UTuple| {
+        let mut rows = pieces[k].tuples().to_vec();
+        rows[0].wsd = first;
+        rows.push(alt);
+        URelation::new(pieces[k].schema().clone(), rows)
+    };
     // Smith's city: Oxford (0.7) vs Cambridge (0.3).
-    pieces[1].tuples_mut()[0].wsd = Wsd::of(city_var, 0);
     let alt_city = UTuple::new(
         Tuple::new(vec![Value::Int(0), "Cambridge".into()]),
         Wsd::of(city_var, 1),
     );
-    pieces[1].tuples_mut().push(alt_city);
+    let city = with_alternative(1, Wsd::of(city_var, 0), alt_city);
     // Smith's age: 35 (0.6) vs 36 (0.4).
-    pieces[2].tuples_mut()[0].wsd = Wsd::of(age_var, 0);
     let alt_age = UTuple::new(
         Tuple::new(vec![Value::Int(0), Value::Int(36)]),
         Wsd::of(age_var, 1),
     );
-    pieces[2].tuples_mut().push(alt_age);
+    let age = with_alternative(2, Wsd::of(age_var, 0), alt_age);
+    (pieces[1], pieces[2]) = (city, age);
 
     (wt, recompose(&pieces).unwrap())
 }

@@ -137,6 +137,7 @@ fn wal_replay_restores_state_across_thread_counts() {
 /// bytes and the same fingerprint at 1, 2 and 8 threads.
 #[test]
 fn delta_wal_tail_reopens_to_memory_state_at_any_thread_count() {
+    use maybms::engine::ColumnData;
     use maybms::store::{wal, Op};
     let batch = |lo: i64, hi: i64| {
         let rows: Vec<String> = (lo..hi)
@@ -194,7 +195,11 @@ fn delta_wal_tail_reopens_to_memory_state_at_any_thread_count() {
             live,
             "reopen differs from memory at {threads} threads"
         );
-        assert!(db.table("big").unwrap().is_columnar());
+        let (stored, _) = db.table("big").unwrap().at_rest();
+        assert!(
+            matches!(stored.column(1).data(), ColumnData::Dict { .. }),
+            "the replayed text column lost its dictionary"
+        );
         runs.push((live, log));
     }
     maybms_par::set_threads(before);

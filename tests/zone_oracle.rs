@@ -1,11 +1,11 @@
 //! Zone maps never change what a scan returns or raises.
 //!
-//! The morsel driver skips the zones of a columnar-at-rest source that a
-//! leading `column op literal` filter cannot match (`maybms_pipe::fuse`,
-//! the skip rule). The oracle for every case here is the same scan with
-//! pruning disabled: the same stages over a row-store twin of the source,
-//! which has no zone maps. Rows, their order and the first error must be
-//! identical —
+//! The morsel driver skips the zones of a source that a leading
+//! `column op literal` filter cannot match (`maybms_pipe::fuse`, the skip
+//! rule). The oracle for every case here is the scan without any
+//! pruning: a scalar walk over the source's row view, each row in order
+//! through each conjunct in order ([`scalar_scan`]). Rows, their order
+//! and the first error must be identical —
 //!
 //! * over generated `Int` columns (sorted, shuffled, with NULLs, with
 //!   all-NULL zones, with values at ±2^53 and `i64::MIN` / `MAX`), each
@@ -24,7 +24,7 @@ use maybms::engine::{rel, BinaryOp, DataType, Expr, Value};
 use maybms::par::ThreadPool;
 use maybms::pipe::UStream;
 use maybms::store::MemVfs;
-use maybms::urel::{URelation, ZONE_ROWS};
+use maybms::urel::{URelation, UrelError, ZONE_ROWS};
 use maybms::{MayBms, StatementResult};
 use maybms_obs::QueryStats;
 
@@ -88,13 +88,43 @@ fn divides(col: &str) -> Conj {
     }
 }
 
-/// The row-store twin of `t`: same rows, no zone maps.
-fn unzoned(t: &URelation) -> URelation {
-    URelation::new(t.schema().clone(), t.tuples().to_vec())
+/// The oracle: the positions of the rows of `t` every conjunct keeps,
+/// by [`Expr::eval`] over the row view — row by row, conjunct by
+/// conjunct, the first error raised wins — or that error's text.
+fn scalar_scan(t: &URelation, conjs: &[Conj]) -> Result<Vec<usize>, String> {
+    let bound: Vec<Expr> = conjs
+        .iter()
+        .map(|c| c.expr.bind(t.schema()).unwrap())
+        .collect();
+    let mut kept = Vec::new();
+    'rows: for (i, row) in t.tuples().iter().enumerate() {
+        for e in &bound {
+            match e.eval(&row.data) {
+                Ok(Value::Bool(true)) => {}
+                Ok(Value::Bool(false) | Value::Null) => continue 'rows,
+                Ok(v) => panic!("predicate evaluated to {v}"),
+                Err(e) => return Err(UrelError::from(e).to_string()),
+            }
+        }
+        kept.push(i);
+    }
+    Ok(kept)
 }
 
 /// Rows (values and conditions) or the error's text.
 type Outcome = Result<Vec<(Vec<Value>, String)>, String>;
+
+/// [`outcome`] of the rows of `t` at `positions`.
+fn outcome_at(t: &URelation, positions: &Result<Vec<usize>, String>) -> Outcome {
+    positions.clone().map(|sel| {
+        sel.iter()
+            .map(|&i| {
+                let row = &t.tuples()[i];
+                (row.data.values().to_vec(), row.wsd.to_string())
+            })
+            .collect()
+    })
+}
 
 fn outcome(r: Result<URelation, impl ToString>) -> Outcome {
     r.map(|u| {
@@ -114,7 +144,7 @@ fn stream(source: &URelation, conjs: &[Conj]) -> UStream {
 
 /// The cached zone maps of `t` equal a fresh build over its batch.
 fn assert_zones_fresh(t: &URelation) {
-    let (batch, wsds) = t.at_rest().expect("stored tables are columnar");
+    let (batch, wsds) = t.at_rest();
     let fresh = URelation::from_batch(t.schema().clone(), batch.clone(), wsds.to_vec());
     for c in 0..t.schema().len() {
         assert_eq!(t.zones(c), fresh.zones(c), "zones of column {c}");
@@ -182,7 +212,7 @@ fn generated() -> URelation {
         ("d", DataType::Int),
         ("m", DataType::Int),
     ];
-    URelation::from_certain(&rel(&names, rows)).compact()
+    URelation::from_certain(&rel(&names, rows)).dict_encode()
 }
 
 /// The literals each generated column is compared with.
@@ -209,7 +239,6 @@ fn literals(col: &str) -> Vec<Value> {
 #[test]
 fn pruned_scans_equal_unpruned_scans() {
     let table = generated();
-    let twin = unzoned(&table);
     let zones = table.zones(2).expect("an Int column has zones");
     assert_eq!(zones.len(), 6);
     assert!(
@@ -238,10 +267,8 @@ fn pruned_scans_equal_unpruned_scans() {
                         5 => vec![p, cmp("m", BinaryOp::Lt, Value::Int(5), true)],
                         _ => vec![cmp("m", BinaryOp::GtEq, Value::Int(2), true), p],
                     };
-                    let want = outcome(stream(&twin, &conjs).collect());
-                    let want_positions = stream(&twin, &conjs)
-                        .select_positions(&pools[0], 1, (&qs, "oracle"))
-                        .map_err(|e| e.to_string());
+                    let want_positions = scalar_scan(&table, &conjs);
+                    let want = outcome_at(&table, &want_positions);
                     for (pool, min_morsel) in
                         pools.iter().map(|p| (p, 1)).chain([(&pools[1], 4096)])
                     {
@@ -337,23 +364,16 @@ fn sql_wheres() -> Vec<Vec<Conj>> {
 }
 
 /// Every WHERE of [`sql_wheres`] over `t` through SQL, at 1/2/8
-/// threads, against the same stages over its row-store twin; then the
-/// cached zones against a fresh build.
+/// threads, against the scalar walk over its rows; then the cached zones
+/// against a fresh build.
 fn check_sql(db: &mut MayBms) {
-    let twin = unzoned(db.table("t").unwrap());
+    let table = db.table("t").unwrap().clone();
     let before = maybms_par::current_threads();
     for conjs in sql_wheres() {
         let clause: Vec<&str> = conjs.iter().map(|c| c.sql.as_str()).collect();
         let sql = format!("select * from t where {}", clause.join(" and "));
-        let want = stream(&twin, &conjs)
-            .collect()
-            .map(|u| {
-                u.tuples()
-                    .iter()
-                    .map(|t| t.data.values().to_vec())
-                    .collect()
-            })
-            .map_err(|e| e.to_string());
+        let want = outcome_at(&table, &scalar_scan(&table, &conjs))
+            .map(|rows| rows.into_iter().map(|(values, _)| values).collect());
         for threads in [1, 2, 8] {
             maybms_par::set_threads(threads);
             assert_eq!(rows(db, &sql), want, "{sql} at {threads} threads");
@@ -454,7 +474,6 @@ fn dml_fixture() -> MayBms {
         ("flag", DataType::Int),
     ];
     db.register("u", rel(&schema, rows)).unwrap();
-    assert!(db.table("u").unwrap().is_columnar());
     db
 }
 
