@@ -94,10 +94,7 @@ pub fn pick_tuples_u(
             operation: "pick tuples".into(),
         });
     }
-    let certain = Relation::new_unchecked(
-        input.schema().clone(),
-        input.tuples().iter().map(|t| t.data.clone()).collect(),
-    );
+    let certain = input.clone().into_certain();
     let (sel, wsds) = pick(&certain, options, wt)?;
     Ok(input.gather_with(&sel, wsds))
 }

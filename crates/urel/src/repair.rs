@@ -130,10 +130,7 @@ pub fn repair_key_u(
             operation: "repair key".into(),
         });
     }
-    let certain = Relation::new_unchecked(
-        input.schema().clone(),
-        input.tuples().iter().map(|t| t.data.clone()).collect(),
-    );
+    let certain = input.clone().into_certain();
     let (sel, wsds) = repair(&certain, key_exprs, options, wt)?;
     Ok(input.gather_with(&sel, wsds))
 }
