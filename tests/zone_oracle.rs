@@ -89,8 +89,8 @@ fn divides(col: &str) -> Conj {
 }
 
 /// The oracle: the positions of the rows of `t` every conjunct keeps,
-/// by [`Expr::eval`] over the row view — row by row, conjunct by
-/// conjunct, the first error raised wins — or that error's text.
+/// by [`Expr::eval_predicate`] over the row view — row by row, conjunct
+/// by conjunct, the first error raised wins — or that error's text.
 fn scalar_scan(t: &URelation, conjs: &[Conj]) -> Result<Vec<usize>, String> {
     let bound: Vec<Expr> = conjs
         .iter()
@@ -99,10 +99,9 @@ fn scalar_scan(t: &URelation, conjs: &[Conj]) -> Result<Vec<usize>, String> {
     let mut kept = Vec::new();
     'rows: for (i, row) in t.tuples().iter().enumerate() {
         for e in &bound {
-            match e.eval(&row.data) {
-                Ok(Value::Bool(true)) => {}
-                Ok(Value::Bool(false) | Value::Null) => continue 'rows,
-                Ok(v) => panic!("predicate evaluated to {v}"),
+            match e.eval_predicate(&row.data) {
+                Ok(true) => {}
+                Ok(false) => continue 'rows,
                 Err(e) => return Err(UrelError::from(e).to_string()),
             }
         }
