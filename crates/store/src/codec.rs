@@ -17,7 +17,8 @@ use std::sync::Arc;
 use maybms_engine::{
     Column, ColumnBatch, ColumnData, DataType, Field, NullMask, Schema, StrDict, Tuple, Value,
 };
-use maybms_urel::{Assignment, URelation, UTuple, Var, Wsd};
+use maybms_urel::wsd::INLINE_WSD;
+use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 
 /// A bounds-checked decode failure at a byte offset (relative to the
 /// start of the buffer being decoded).
@@ -33,12 +34,13 @@ pub struct CodecError {
 pub type DecodeResult<T> = std::result::Result<T, CodecError>;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), byte-at-a-time with a
-// compile-time table.
+// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-16: sixteen
+// compile-time tables fold 16 input bytes per step, and the last
+// `len % 16` bytes go through the first table one at a time.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -51,19 +53,54 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    // `t[k][i]` is the CRC of byte `i` followed by `k` zero bytes.
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC-32 checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        // Byte `j` of the block is followed by `15 - j` more bytes, so it
+        // goes through table `15 - j`; the running CRC folds into the
+        // first four.
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xff) as usize]
+            ^ t[14][((x >> 8) & 0xff) as usize]
+            ^ t[13][((x >> 16) & 0xff) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -128,6 +165,34 @@ impl Writer {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    pub(crate) fn put_bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Fixed-width elements back to back, after one reservation.
+    fn put_array<T: Copy, const W: usize>(&mut self, xs: &[T], le: impl Fn(T) -> [u8; W]) {
+        self.buf.reserve(xs.len() * W);
+        for &x in xs {
+            self.buf.extend_from_slice(&le(x));
+        }
+    }
+
+    pub(crate) fn put_u32s(&mut self, xs: &[u32]) {
+        self.put_array(xs, u32::to_le_bytes);
+    }
+
+    pub(crate) fn put_i64s(&mut self, xs: &[i64]) {
+        self.put_array(xs, i64::to_le_bytes);
+    }
+
+    pub(crate) fn put_f64s(&mut self, xs: &[f64]) {
+        self.put_array(xs, |x| x.to_bits().to_le_bytes());
+    }
+
+    pub(crate) fn put_bools(&mut self, xs: &[bool]) {
+        self.put_array(xs, |b| [b as u8]);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -176,14 +241,35 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> DecodeResult<u8> {
-        Ok(self.take(1)?[0])
+    /// The bytes of `n` elements of `width` bytes each, behind one bounds
+    /// check. The multiply is checked, so a corrupt count fails here —
+    /// before anything is allocated for the elements.
+    fn take_n(&mut self, n: usize, width: usize) -> DecodeResult<&'a [u8]> {
+        match n.checked_mul(width) {
+            Some(len) => self.take(len),
+            None => self.fail(format!("{n} elements of {width} bytes overflow")),
+        }
     }
 
-    pub(crate) fn u16(&mut self) -> DecodeResult<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+    /// `n` fixed-width little-endian elements, decoded in one pass.
+    fn array<T, const W: usize>(
+        &mut self,
+        n: usize,
+        from: impl Fn([u8; W]) -> T,
+    ) -> DecodeResult<Vec<T>> {
+        Ok(self
+            .take_n(n, W)?
+            .chunks_exact(W)
+            .map(|c| from(c.try_into().expect("W bytes")))
+            .collect())
+    }
+
+    pub(crate) fn u32s(&mut self, n: usize) -> DecodeResult<Vec<u32>> {
+        self.array(n, u32::from_le_bytes)
+    }
+
+    pub(crate) fn u8(&mut self) -> DecodeResult<u8> {
+        Ok(self.take(1)?[0])
     }
 
     pub(crate) fn u32(&mut self) -> DecodeResult<u32> {
@@ -344,16 +430,29 @@ pub fn put_wsd(w: &mut Writer, wsd: &Wsd) {
     }
 }
 
-/// Decode a WSD; rejects conflicting assignment lists.
+/// Decode a WSD; rejects conflicting assignment lists. What this build
+/// writes — at most [`INLINE_WSD`] assignments, strictly sorted — decodes
+/// without an allocation; any other list goes through
+/// [`Wsd::from_assignments`], which sorts and de-duplicates it.
 pub fn get_wsd(r: &mut Reader<'_>) -> DecodeResult<Wsd> {
     let n = r.count("assignment")?;
-    let mut assignments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let var = Var(r.u32()?);
-        let alt = r.u16()?;
-        assignments.push(Assignment::new(var, alt));
-    }
-    match Wsd::from_assignments(assignments) {
+    let mut assignments = r.take_n(n, 6)?.chunks_exact(6).map(|b| {
+        Assignment::new(
+            Var(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            u16::from_le_bytes([b[4], b[5]]),
+        )
+    });
+    let wsd = if n <= INLINE_WSD {
+        let mut buf = [Assignment::new(Var(0), 0); INLINE_WSD];
+        for (slot, a) in buf.iter_mut().zip(&mut assignments) {
+            *slot = a;
+        }
+        let buf = &buf[..n];
+        Wsd::from_strictly_sorted(buf).or_else(|| Wsd::from_assignments(buf.to_vec()))
+    } else {
+        Wsd::from_assignments(assignments.collect())
+    };
+    match wsd {
         Some(wsd) => Ok(wsd),
         None => r.fail("unsatisfiable WSD (conflicting assignments)"),
     }
@@ -399,14 +498,17 @@ pub fn put_urelation(w: &mut Writer, u: &URelation) {
 /// Sparse null positions: count + ascending row indices. Written for
 /// typed columns only (`Values`/`Const` carry nulls in the values).
 fn put_nullmask(w: &mut Writer, col: &Column) {
+    let mask = col.nulls();
+    if !mask.any() {
+        w.put_u32(0);
+        return;
+    }
     let nulls: Vec<u32> = (0..col.len())
-        .filter(|&i| col.nulls().is_null(i))
+        .filter(|&i| mask.is_null(i))
         .map(|i| i as u32)
         .collect();
     w.put_u32(nulls.len() as u32);
-    for i in nulls {
-        w.put_u32(i);
-    }
+    w.put_u32s(&nulls);
 }
 
 fn get_nullmask(r: &mut Reader<'_>, rows: usize) -> DecodeResult<NullMask> {
@@ -432,23 +534,17 @@ fn put_column(w: &mut Writer, col: &Column) {
     match col.data() {
         ColumnData::Int(v) => {
             w.put_u8(0);
-            for &x in v {
-                w.put_i64(x);
-            }
+            w.put_i64s(v);
             put_nullmask(w, col);
         }
         ColumnData::Float(v) => {
             w.put_u8(1);
-            for &x in v {
-                w.put_f64(x);
-            }
+            w.put_f64s(v);
             put_nullmask(w, col);
         }
         ColumnData::Bool(v) => {
             w.put_u8(2);
-            for &x in v {
-                w.put_u8(x as u8);
-            }
+            w.put_bools(v);
             put_nullmask(w, col);
         }
         ColumnData::Str(v) => {
@@ -464,9 +560,7 @@ fn put_column(w: &mut Writer, col: &Column) {
             for e in dict.entries() {
                 w.put_str(e);
             }
-            for &c in codes {
-                w.put_u32(c);
-            }
+            w.put_u32s(codes);
             put_nullmask(w, col);
         }
         ColumnData::Values(v) => {
@@ -483,29 +577,24 @@ fn put_column(w: &mut Writer, col: &Column) {
 }
 
 fn get_column(r: &mut Reader<'_>, rows: usize) -> DecodeResult<Column> {
-    // Preallocation cap: corrupt row counts fail element-by-element
-    // before large allocations, as everywhere else in this module.
+    // Fixed-width vectors (`Int`, `Float`, `Bool`, dictionary codes) are
+    // taken whole: a row count the remaining bytes cannot hold fails on
+    // that one bounds check, before the vector is allocated. Strings and
+    // values vary in width, so they are read one at a time, with the
+    // preallocation capped so that a corrupt count fails element by
+    // element before it can drive a large allocation.
     let cap = rows.min(1 << 16);
     Ok(match r.u8()? {
         0 => {
-            let mut v = Vec::with_capacity(cap);
-            for _ in 0..rows {
-                v.push(r.i64()?);
-            }
+            let v = r.array(rows, i64::from_le_bytes)?;
             Column::from_ints(v, get_nullmask(r, rows)?)
         }
         1 => {
-            let mut v = Vec::with_capacity(cap);
-            for _ in 0..rows {
-                v.push(r.f64()?);
-            }
+            let v = r.array(rows, f64_of)?;
             Column::from_floats(v, get_nullmask(r, rows)?)
         }
         2 => {
-            let mut v = Vec::with_capacity(cap);
-            for _ in 0..rows {
-                v.push(r.u8()? != 0);
-            }
+            let v = r.array(rows, |[b]: [u8; 1]| b != 0)?;
             Column::from_bools(v, get_nullmask(r, rows)?)
         }
         3 => {
@@ -525,15 +614,15 @@ fn get_column(r: &mut Reader<'_>, rows: usize) -> DecodeResult<Column> {
             if dict.len() != n {
                 return r.fail("duplicate dictionary entry");
             }
-            let mut codes = Vec::with_capacity(cap);
-            for _ in 0..rows {
-                codes.push(r.u32()?);
-            }
+            let codes = r.u32s(rows)?;
             let nulls = get_nullmask(r, rows)?;
-            for (i, &c) in codes.iter().enumerate() {
-                if !nulls.is_null(i) && c as usize >= n {
-                    return r.fail(format!("dictionary code {c} out of range ({n} entries)"));
-                }
+            // A NULL row's code is a placeholder and may be anything.
+            let bad = codes
+                .iter()
+                .enumerate()
+                .find(|&(i, &c)| c as usize >= n && !nulls.is_null(i));
+            if let Some((_, c)) = bad {
+                return r.fail(format!("dictionary code {c} out of range ({n} entries)"));
             }
             Column::from_dict(codes, Arc::new(dict), nulls)
         }
@@ -598,15 +687,22 @@ pub fn get_urelation_any(r: &mut Reader<'_>) -> DecodeResult<URelation> {
     ))
 }
 
-/// Encode a list of probability distributions (world-table tail).
-pub fn put_dists(w: &mut Writer, dists: &[Vec<f64>]) {
+fn f64_of(b: [u8; 8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(b))
+}
+
+/// A count, then each distribution as its length and probabilities.
+fn put_dist_list<'a>(w: &mut Writer, dists: impl ExactSizeIterator<Item = &'a [f64]>) {
     w.put_u32(dists.len() as u32);
     for d in dists {
         w.put_u32(d.len() as u32);
-        for &p in d {
-            w.put_f64(p);
-        }
+        w.put_f64s(d);
     }
+}
+
+/// Encode a list of probability distributions (world-table tail).
+pub fn put_dists(w: &mut Writer, dists: &[Vec<f64>]) {
+    put_dist_list(w, dists.iter().map(Vec::as_slice));
 }
 
 /// Decode a list of probability distributions.
@@ -615,13 +711,38 @@ pub fn get_dists(r: &mut Reader<'_>) -> DecodeResult<Vec<Vec<f64>>> {
     let mut dists = Vec::with_capacity(n);
     for _ in 0..n {
         let len = r.count("alternative")?;
-        let mut d = Vec::with_capacity(len);
-        for _ in 0..len {
-            d.push(r.f64()?);
-        }
-        dists.push(d);
+        dists.push(r.array(len, f64_of)?);
     }
     Ok(dists)
+}
+
+/// Encode a whole world table as [`put_dists`] encodes its list of
+/// distributions, read straight from the table.
+pub fn put_world_table(w: &mut Writer, wt: &WorldTable) {
+    put_dist_list(w, wt.distributions());
+}
+
+/// Decode a [`put_world_table`] image straight into a world table. Each
+/// distribution is checked as [`WorldTable::new_var`] checks it; one that
+/// fails is corrupt at the offset of its alternatives.
+pub fn get_world_table(r: &mut Reader<'_>) -> DecodeResult<WorldTable> {
+    let n = r.count("distribution")?;
+    let mut wt = WorldTable::new();
+    for i in 0..n {
+        let len = r.count("alternative")?;
+        let at = r.offset();
+        let probs = r
+            .take_n(len, 8)?
+            .chunks_exact(8)
+            .map(|b| f64_of(b.try_into().expect("8 bytes")));
+        if let Err(e) = wt.push_var(probs) {
+            return Err(CodecError {
+                offset: at,
+                reason: format!("variable x{i} distribution invalid: {e}"),
+            });
+        }
+    }
+    Ok(wt)
 }
 
 #[cfg(test)]
@@ -634,6 +755,105 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    /// CRC-32 one bit at a time, straight from the reflected polynomial.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = (c >> 1) ^ (0xedb8_8320 & (c & 1).wrapping_neg());
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition_at_every_length_and_alignment() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64; // xorshift64, fixed seed
+        let buf: Vec<u8> = (0..316)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=300 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start}, len {len}");
+            }
+        }
+        assert_eq!(crc32_bitwise(b"123456789"), 0xcbf4_3926);
+    }
+
+    /// Decode a WSD from hand-written `(var, alt)` pairs.
+    fn wsd_of_bytes(pairs: &[(u32, u16)]) -> DecodeResult<Wsd> {
+        let mut w = Writer::new();
+        w.put_u32(pairs.len() as u32);
+        for &(v, a) in pairs {
+            w.put_u32(v);
+            w.put_u16(a);
+        }
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes);
+        let wsd = get_wsd(&mut r)?;
+        assert!(r.is_exhausted());
+        Ok(wsd)
+    }
+
+    #[test]
+    fn hand_written_wsds_decode_sorted_and_deduplicated() {
+        let asg = |v, a| Assignment::new(Var(v), a);
+        let decoded = |pairs: &[(u32, u16)]| wsd_of_bytes(pairs).unwrap().assignments().to_vec();
+        assert_eq!(decoded(&[]), vec![]);
+        assert_eq!(decoded(&[(5, 1)]), vec![asg(5, 1)]);
+        assert_eq!(decoded(&[(2, 0), (5, 1)]), vec![asg(2, 0), asg(5, 1)]);
+        // Unsorted decodes sorted; a repeat decodes once.
+        assert_eq!(decoded(&[(5, 1), (2, 0)]), vec![asg(2, 0), asg(5, 1)]);
+        assert_eq!(decoded(&[(5, 1), (5, 1)]), vec![asg(5, 1)]);
+        assert_eq!(
+            decoded(&[(9, 2), (5, 1), (2, 0), (5, 1)]),
+            vec![asg(2, 0), asg(5, 1), asg(9, 2)]
+        );
+        // Two alternatives of one variable are still refused.
+        for pairs in [&[(5, 0), (5, 1)][..], &[(7, 0), (5, 0), (5, 1)]] {
+            let e = wsd_of_bytes(pairs).unwrap_err();
+            assert!(e.reason.contains("unsatisfiable"), "{}", e.reason);
+        }
+    }
+
+    #[test]
+    fn fixed_width_columns_refuse_counts_past_the_buffer() {
+        // Tag, then 16 bytes: two `Int`s' worth.
+        let mut bytes = vec![0u8];
+        bytes.extend_from_slice(&[0; 16]);
+        for tag in [0u8, 1, 2, 4] {
+            bytes[0] = tag;
+            // `rows × 8` overflows `usize`, or asks for more than is there:
+            // either way the column fails where its values start.
+            let values_at = if tag == 4 { 5 } else { 1 }; // past the dictionary
+            for rows in [usize::MAX / 4 + 1, 1 << 20] {
+                let e = get_column(&mut Reader::new(&bytes), rows).unwrap_err();
+                assert_eq!(e.offset, values_at, "tag {tag}: {}", e.reason);
+            }
+        }
+        // Two `Int` rows fit; a null index equal to the row count does not.
+        let mut w = Writer::new();
+        w.put_u8(0);
+        w.put_i64s(&[7, 8]);
+        w.put_u32(1);
+        w.put_u32(2);
+        let bytes = w.finish();
+        let e = get_column(&mut Reader::new(&bytes), 2).unwrap_err();
+        assert!(e.reason.contains("null index 2"), "{}", e.reason);
+        let mut ok = bytes.clone();
+        let last = ok.len() - 4;
+        ok[last] = 1;
+        let col = get_column(&mut Reader::new(&ok), 2).unwrap();
+        assert!(col.is_null(1) && !col.is_null(0));
     }
 
     #[test]

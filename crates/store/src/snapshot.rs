@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use maybms_urel::{URelation, Var, WorldTable};
+use maybms_urel::{URelation, WorldTable};
 
 use crate::codec::{self, Reader, Writer};
 use crate::error::{check_magic, Result, StoreError};
@@ -46,45 +46,25 @@ pub struct Snapshot {
 }
 
 /// Serialize the full catalog state into a framed snapshot file image.
-pub fn encode(base_lsn: u64, tables: &Catalog, wt: &WorldTable) -> Result<Vec<u8>> {
+/// The payload is encoded in place behind the header, whose length and
+/// checksum are filled in once it is complete.
+pub fn encode(base_lsn: u64, tables: &Catalog, wt: &WorldTable) -> Vec<u8> {
+    let hdr = SNAPSHOT_MAGIC.len();
     let mut w = Writer::new();
+    w.put_bytes(SNAPSHOT_MAGIC);
+    w.put_u64(0); // [len] [crc], filled in below
     w.put_u64(base_lsn);
-    let dists = all_dists(wt)?;
-    codec::put_dists(&mut w, &dists);
+    codec::put_world_table(&mut w, wt);
     w.put_u32(tables.len() as u32);
     for (name, table) in tables {
         w.put_str(name);
         codec::put_urelation_any(&mut w, table);
     }
-    let payload = w.finish();
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
-}
-
-/// Every distribution in the world table, in variable order.
-pub fn all_dists(wt: &WorldTable) -> Result<Vec<Vec<f64>>> {
-    (0..wt.num_vars())
-        .map(|i| {
-            wt.distribution(Var(i as u32))
-                .map(<[f64]>::to_vec)
-                .map_err(|e| StoreError::corrupt(SNAPSHOT_FILE, 0, format!("world table: {e}")))
-        })
-        .collect()
-}
-
-/// Rebuild a world table from serialized distributions.
-pub fn world_table_from_dists(dists: &[Vec<f64>], path: &str) -> Result<WorldTable> {
-    let mut wt = WorldTable::new();
-    for (i, d) in dists.iter().enumerate() {
-        wt.new_var(d).map_err(|e| {
-            StoreError::corrupt(path, 0, format!("variable x{i} distribution invalid: {e}"))
-        })?;
-    }
-    Ok(wt)
+    let mut out = w.finish();
+    let (head, payload) = out.split_at_mut(hdr + 8);
+    head[hdr..hdr + 4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[hdr + 4..].copy_from_slice(&codec::crc32(payload).to_le_bytes());
+    out
 }
 
 /// Decode a snapshot file image.
@@ -127,8 +107,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
     let mk_err =
         |e: codec::CodecError| StoreError::corrupt(SNAPSHOT_FILE, base + e.offset, e.reason);
     let base_lsn = r.u64().map_err(mk_err)?;
-    let dists = codec::get_dists(&mut r).map_err(mk_err)?;
-    let wt = world_table_from_dists(&dists, SNAPSHOT_FILE)?;
+    let wt = codec::get_world_table(&mut r).map_err(mk_err)?;
     let ntables = r.u32().map_err(mk_err)? as usize;
     let mut tables = Catalog::new();
     for _ in 0..ntables {
@@ -152,7 +131,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
 /// Write a snapshot atomically: stage under [`SNAPSHOT_TMP`], fsync,
 /// rename over [`SNAPSHOT_FILE`].
 pub fn write(vfs: &dyn Vfs, base_lsn: u64, tables: &Catalog, wt: &WorldTable) -> Result<()> {
-    let image = encode(base_lsn, tables, wt)?;
+    let image = encode(base_lsn, tables, wt);
     let mut f = vfs.create(SNAPSHOT_TMP)?;
     f.append(&image)?;
     f.sync()?;
@@ -174,7 +153,7 @@ mod tests {
     use super::*;
     use crate::vfs::MemVfs;
     use maybms_engine::{rel, DataType};
-    use maybms_urel::Wsd;
+    use maybms_urel::{Var, Wsd};
 
     fn sample_state() -> (Catalog, WorldTable) {
         let mut wt = WorldTable::new();
@@ -192,6 +171,100 @@ mod tests {
         let mut tables = Catalog::new();
         tables.insert("games".into(), u);
         (tables, wt)
+    }
+
+    /// A catalog at size: one table with a column of every layout over
+    /// 4 096 rows (NULLs at rows 0, 63, 64 and the last), WSDs of 0, 1, 2
+    /// and 5 assignments, and a 70 000-variable world table.
+    fn state_at_size() -> (Catalog, WorldTable) {
+        use std::sync::Arc;
+
+        use maybms_engine::{Column, ColumnBatch, Field, NullMask, Schema, StrDict, Value};
+        use maybms_urel::Assignment;
+        const ROWS: usize = 4096;
+        const VARS: u32 = 70_000;
+        let mut wt = WorldTable::new();
+        for v in 0..VARS {
+            let dist: &[f64] = match v % 3 {
+                0 => &[1.0],
+                1 => &[0.25, 0.75],
+                _ => &[0.5, 0.125, 0.375],
+            };
+            wt.new_var(dist).unwrap();
+        }
+        let mut nulls = NullMask::none();
+        for i in [0, 63, 64, ROWS - 1] {
+            nulls.set_null(i);
+        }
+        let mut dict = StrDict::new();
+        for k in 0..10 {
+            dict.intern(&Arc::from(format!("d{k}")));
+        }
+        let n = ROWS as i64;
+        let columns = vec![
+            Column::from_ints((0..n).map(|i| i * 7919 - n).collect(), nulls.clone()),
+            Column::from_floats((0..n).map(|i| i as f64 / 3.0).collect(), nulls.clone()),
+            Column::from_bools((0..n).map(|i| i % 3 == 0).collect(), nulls.clone()),
+            Column::from_strs(
+                (0..n).map(|i| Arc::from(format!("s{i}"))).collect(),
+                nulls.clone(),
+            ),
+            Column::from_dict(
+                (0..ROWS as u32).map(|i| i % 10).collect(),
+                Arc::new(dict),
+                nulls,
+            ),
+            Column::from_raw_values(
+                (0..n)
+                    .map(|i| match i % 4 {
+                        0 => Value::Null,
+                        1 => Value::Int(i),
+                        2 => Value::str("v"),
+                        _ => Value::Float(-0.0),
+                    })
+                    .collect(),
+            ),
+            Column::from_const(Value::Int(3), ROWS),
+        ];
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("b", DataType::Bool),
+            Field::new("s", DataType::Text),
+            Field::new("d", DataType::Text),
+            Field::new("m", DataType::Unknown),
+            Field::new("c", DataType::Int),
+        ]);
+        let wsds = (0..ROWS as u32)
+            .map(|i| {
+                let width = [0, 1, 2, 5][i as usize % 4];
+                let vars = (0..width).map(|k| Var((i * 13 + k * 9_001) % VARS));
+                Wsd::from_assignments(vars.map(|v| Assignment::new(v, 0)).collect()).unwrap()
+            })
+            .collect();
+        let big = URelation::from_batch(
+            Arc::new(schema),
+            ColumnBatch::from_columns(columns, ROWS),
+            wsds,
+        );
+        let (mut tables, _) = sample_state();
+        tables.insert("big".into(), big);
+        (tables, wt)
+    }
+
+    #[test]
+    fn catalog_at_size_roundtrips_representation_exact() {
+        let (tables, wt) = state_at_size();
+        let image = encode(9, &tables, &wt);
+        let snap = decode(&image).unwrap();
+        assert_eq!(snap.base_lsn, 9);
+        assert_eq!(snap.tables, tables);
+        for (name, table) in &tables {
+            assert_eq!(snap.tables[name].at_rest(), table.at_rest(), "{name}");
+        }
+        assert_eq!(snap.wt.num_vars(), 70_000);
+        assert!(snap.wt.distributions().eq(wt.distributions()));
+        assert_eq!(encode(9, &snap.tables, &snap.wt), image);
     }
 
     #[test]
@@ -231,7 +304,7 @@ mod tests {
     #[test]
     fn bit_flip_is_reported_with_offset() {
         let (tables, wt) = sample_state();
-        let mut image = encode(7, &tables, &wt).unwrap();
+        let mut image = encode(7, &tables, &wt);
         let mid = image.len() / 2;
         image[mid] ^= 0x40;
         match decode(&image) {
@@ -241,9 +314,29 @@ mod tests {
     }
 
     #[test]
+    fn invalid_distribution_is_corrupt_at_its_offset() {
+        let (tables, wt) = sample_state();
+        let mut image = encode(7, &tables, &wt);
+        // Payload: base LSN, variable count, x0's length, then x0's
+        // probabilities. Make them sum to 1.1 and re-seal the checksum.
+        let hdr = SNAPSHOT_MAGIC.len() + 8;
+        let x0 = hdr + 8 + 4 + 4;
+        image[x0..x0 + 8].copy_from_slice(&0.9f64.to_bits().to_le_bytes());
+        let crc = codec::crc32(&image[hdr..]);
+        image[hdr - 4..hdr].copy_from_slice(&crc.to_le_bytes());
+        match decode(&image) {
+            Err(StoreError::Corrupt { offset, reason, .. }) => {
+                assert_eq!(offset, x0 as u64, "{reason}");
+                assert!(reason.contains("variable x0"), "{reason}");
+            }
+            other => panic!("expected corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn truncated_snapshot_is_corrupt_not_panic() {
         let (tables, wt) = sample_state();
-        let image = encode(7, &tables, &wt).unwrap();
+        let image = encode(7, &tables, &wt);
         for cut in 0..image.len() {
             assert!(decode(&image[..cut]).is_err(), "cut at {cut} decoded");
         }
@@ -256,7 +349,7 @@ mod tests {
         write(&vfs, 1, &tables, &wt).unwrap();
         // Stage a second snapshot but crash before its rename: create
         // the tmp file with half an image, never synced.
-        let image = encode(2, &tables, &wt).unwrap();
+        let image = encode(2, &tables, &wt);
         let mut f = vfs.create(SNAPSHOT_TMP).unwrap();
         f.append(&image[..image.len() / 2]).unwrap();
         drop(f);

@@ -239,7 +239,9 @@ impl Store {
         let mut next_lsn = base_lsn;
         let mut replayed = 0usize;
         let mut truncated_tail = false;
-        let wal_file = if vfs.exists(WAL_FILE)? {
+        // The WAL's length past its magic is known from here on: a reset
+        // leaves the header alone, anything else the valid prefix.
+        let (wal_file, wal_bytes) = if vfs.exists(WAL_FILE)? {
             let bytes = vfs.read(WAL_FILE)?;
             let scan = wal::scan(&bytes)?;
             let mut stale = 0usize;
@@ -269,7 +271,7 @@ impl Store {
             if stale > 0 && replayed == 0 {
                 // Every record predates the snapshot: finish the
                 // interrupted checkpoint by resetting the WAL.
-                Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?
+                (Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?, 0)
             } else {
                 if scan.valid_len < bytes.len() as u64 {
                     // Chop the torn tail so appends resume on a clean
@@ -279,20 +281,18 @@ impl Store {
                     })?;
                     truncated_tail = true;
                 }
-                if scan.valid_len < WAL_MAGIC.len() as u64 {
+                match scan.valid_len.checked_sub(WAL_MAGIC.len() as u64) {
+                    Some(len) => (vfs.open_append(WAL_FILE)?, len),
                     // The header itself tore; rewrite it.
-                    Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?
-                } else {
-                    vfs.open_append(WAL_FILE)?
+                    None => (Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?, 0),
                 }
             }
         } else {
             // A fresh directory's first WAL write deserves the same
             // transient-retry budget as any later append: a blip here
             // must not fail the whole open.
-            Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?
+            (Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?, 0)
         };
-        let wal_bytes = vfs.read(WAL_FILE)?.len().saturating_sub(WAL_MAGIC.len()) as u64;
         let m = maybms_obs::metrics();
         m.recovery_replayed.set(replayed as u64);
         m.recovery_truncated_tail.set(truncated_tail as u64);
@@ -684,12 +684,16 @@ mod tests {
         }
         // Tear the last record's bytes.
         let bytes = vfs.read(WAL_FILE).unwrap();
+        let last = wal::scan(&bytes).unwrap().records[2].0;
         vfs.truncate(WAL_FILE, bytes.len() as u64 - 3).unwrap();
         drop(store);
         vfs.crash();
-        let (_, rec1) = open_mem(&vfs);
+        let (store1, rec1) = open_mem(&vfs);
         assert!(rec1.truncated_tail);
         let wal_after_1 = vfs.read(WAL_FILE).unwrap();
+        // The torn record is gone from the file and from the replay debt.
+        assert_eq!(wal_after_1.len() as u64, last);
+        assert_eq!(store1.status().wal_bytes, last - WAL_MAGIC.len() as u64);
         let (_, rec2) = open_mem(&vfs);
         assert!(!rec2.truncated_tail); // second recovery finds a clean log
         assert_eq!(vfs.read(WAL_FILE).unwrap(), wal_after_1);
@@ -1002,10 +1006,7 @@ mod tests {
             "4d415942534e5003 59000000 485b88d4 0600000000000000 {dists} 01000000 0100000070 {image}"
         );
         let tables = Catalog::from([("p".to_string(), picks)]);
-        assert_eq!(
-            hex(&snapshot::encode(6, &tables, &wt).unwrap()),
-            unspaced(&snap)
-        );
+        assert_eq!(hex(&snapshot::encode(6, &tables, &wt)), unspaced(&snap));
     }
 
     #[test]

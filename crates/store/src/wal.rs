@@ -151,46 +151,49 @@ fn get_rows(r: &mut Reader<'_>) -> codec::DecodeResult<Vec<UTuple>> {
 
 fn put_u32s(w: &mut Writer, xs: &[u32]) {
     w.put_u32(xs.len() as u32);
-    for &x in xs {
-        w.put_u32(x);
-    }
+    w.put_u32s(xs);
 }
 
 fn get_u32s(r: &mut Reader<'_>, what: &str) -> codec::DecodeResult<Vec<u32>> {
     let n = r.count(what)?;
-    (0..n).map(|_| r.u32()).collect()
+    r.u32s(n)
 }
 
 /// Encode a record payload (no framing) from its parts — borrowed, so
 /// logging never copies the op.
 pub fn encode_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
     let mut w = Writer::new();
+    put_record(&mut w, lsn, world_ext, op);
+    w.finish()
+}
+
+fn put_record(w: &mut Writer, lsn: u64, world_ext: &WorldExt, op: &Op) {
     w.put_u64(lsn);
     match world_ext {
         None => w.put_u8(0),
         Some((first, dists)) => {
             w.put_u8(1);
             w.put_u32(*first);
-            codec::put_dists(&mut w, dists);
+            codec::put_dists(w, dists);
         }
     }
     match op {
         Op::CreateTable { name, schema } => {
             w.put_u8(0);
             w.put_str(name);
-            codec::put_schema(&mut w, schema);
+            codec::put_schema(w, schema);
         }
         Op::PutTable { name, table } => {
             // The columnar image, dictionaries included, so the table
             // replays without a re-pivot.
             w.put_u8(5);
             w.put_str(name);
-            codec::put_urelation_any(&mut w, table);
+            codec::put_urelation_any(w, table);
         }
         Op::InsertRows { table, rows } => {
             w.put_u8(2);
             w.put_str(table);
-            put_rows(&mut w, rows);
+            put_rows(w, rows);
         }
         Op::DropTable { name } => {
             w.put_u8(4);
@@ -204,20 +207,19 @@ pub fn encode_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
         } => {
             w.put_u8(6);
             w.put_str(table);
-            put_u32s(&mut w, positions);
-            put_u32s(&mut w, columns);
+            put_u32s(w, positions);
+            put_u32s(w, columns);
             w.put_u32(cells.len() as u32);
             for v in cells {
-                codec::put_value(&mut w, v);
+                codec::put_value(w, v);
             }
         }
         Op::DeleteRows { table, positions } => {
             w.put_u8(7);
             w.put_str(table);
-            put_u32s(&mut w, positions);
+            put_u32s(w, positions);
         }
     }
-    w.finish()
 }
 
 /// Decode a record payload.
@@ -286,13 +288,16 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
     Ok(WalRecord { lsn, world_ext, op })
 }
 
-/// Frame a record for appending: `[len][crc][payload]`.
+/// Frame a record for appending: `[len][crc][payload]`, the payload
+/// encoded in place behind the frame header.
 pub fn frame_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
-    let payload = encode_record(lsn, world_ext, op);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut w = Writer::new();
+    w.put_u64(0); // [len] [crc], filled in below
+    put_record(&mut w, lsn, world_ext, op);
+    let mut out = w.finish();
+    let (head, payload) = out.split_at_mut(8);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&codec::crc32(payload).to_le_bytes());
     out
 }
 

@@ -20,10 +20,16 @@ const DIST_TOLERANCE: f64 = 1e-6;
 pub type World = Vec<u16>;
 
 /// Registry of all random variables in a database.
+///
+/// Every probability lives in one flat vector, variable after variable;
+/// `ends[v]` is where variable `v`'s alternatives end (and `v + 1`'s
+/// begin), so registering a variable allocates nothing of its own.
 #[derive(Debug, Clone, Default)]
 pub struct WorldTable {
-    /// `dists[v]` = probabilities of variable v's alternatives.
-    dists: Vec<Vec<f64>>,
+    /// The alternatives' probabilities of every variable, in id order.
+    probs: Vec<f64>,
+    /// `ends[v]` = one past the last index of variable `v` in `probs`.
+    ends: Vec<usize>,
 }
 
 impl WorldTable {
@@ -36,54 +42,37 @@ impl WorldTable {
     /// probabilities. The distribution must be non-empty, contain only
     /// finite values in `[0, 1]`, and sum to 1 (±1e-6).
     pub fn new_var(&mut self, probs: &[f64]) -> Result<Var> {
-        if probs.is_empty() {
-            return Err(UrelError::BadDistribution {
-                message: "empty distribution".into(),
-            });
+        self.push_var(probs.iter().copied())
+    }
+
+    /// [`WorldTable::new_var`] over an iterator: the probabilities go
+    /// straight into the table's storage and are checked there. A
+    /// distribution that fails the check leaves the table as it was.
+    pub fn push_var(&mut self, probs: impl IntoIterator<Item = f64>) -> Result<Var> {
+        let start = self.probs.len();
+        self.probs.extend(probs);
+        if let Err(e) = check_distribution(&self.probs[start..]) {
+            self.probs.truncate(start);
+            return Err(e);
         }
-        if probs.len() > u16::MAX as usize {
-            return Err(UrelError::BadDistribution {
-                message: format!("domain size {} exceeds u16::MAX", probs.len()),
-            });
-        }
-        let mut sum = 0.0;
-        for &p in probs {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(UrelError::BadDistribution {
-                    message: format!("probability {p} outside [0, 1]"),
-                });
-            }
-            sum += p;
-        }
-        if (sum - 1.0).abs() > DIST_TOLERANCE {
-            return Err(UrelError::BadDistribution {
-                message: format!("distribution sums to {sum}, expected 1"),
-            });
-        }
-        let var = Var(self.dists.len() as u32);
-        self.dists.push(probs.to_vec());
+        let var = Var(self.ends.len() as u32);
+        self.ends.push(self.probs.len());
         Ok(var)
     }
 
     /// Number of registered variables.
     pub fn num_vars(&self) -> usize {
-        self.dists.len()
+        self.ends.len()
     }
 
     /// Domain size of `var`.
     pub fn domain_size(&self, var: Var) -> Result<usize> {
-        self.dists
-            .get(var.0 as usize)
-            .map(Vec::len)
-            .ok_or(UrelError::UnknownVariable { var: var.0 })
+        self.distribution(var).map(<[f64]>::len)
     }
 
     /// Probability of an assignment.
     pub fn prob(&self, a: Assignment) -> Result<f64> {
-        let dist = self
-            .dists
-            .get(a.var.0 as usize)
-            .ok_or(UrelError::UnknownVariable { var: a.var.0 })?;
+        let dist = self.distribution(a.var)?;
         dist.get(a.alt as usize)
             .copied()
             .ok_or(UrelError::BadAlternative {
@@ -95,17 +84,29 @@ impl WorldTable {
 
     /// The full distribution of `var`.
     pub fn distribution(&self, var: Var) -> Result<&[f64]> {
-        self.dists
-            .get(var.0 as usize)
-            .map(Vec::as_slice)
-            .ok_or(UrelError::UnknownVariable { var: var.0 })
+        let v = var.0 as usize;
+        if v >= self.ends.len() {
+            return Err(UrelError::UnknownVariable { var: var.0 });
+        }
+        Ok(self.dist(v))
+    }
+
+    /// Every variable's distribution, in id order.
+    pub fn distributions(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        (0..self.ends.len()).map(|v| self.dist(v))
+    }
+
+    /// Variable `v`'s slice of `probs` (`v` in range).
+    fn dist(&self, v: usize) -> &[f64] {
+        let start = if v == 0 { 0 } else { self.ends[v - 1] };
+        &self.probs[start..self.ends[v]]
     }
 
     /// Number of possible worlds (product of domain sizes), or `None` when
     /// it exceeds `u128`.
     pub fn world_count(&self) -> Option<u128> {
         let mut n: u128 = 1;
-        for d in &self.dists {
+        for d in self.distributions() {
             n = n.checked_mul(d.len() as u128)?;
         }
         Some(n)
@@ -113,12 +114,12 @@ impl WorldTable {
 
     /// Probability of a full world (product over all variables).
     pub fn world_prob(&self, world: &[u16]) -> Result<f64> {
-        if world.len() != self.dists.len() {
+        if world.len() != self.num_vars() {
             return Err(UrelError::BadDistribution {
                 message: format!(
                     "world has {} assignments, expected {}",
                     world.len(),
-                    self.dists.len()
+                    self.num_vars()
                 ),
             });
         }
@@ -131,8 +132,7 @@ impl WorldTable {
 
     /// Sample a world (independent draw per variable).
     pub fn sample_world<R: Rng + ?Sized>(&self, rng: &mut R) -> World {
-        self.dists
-            .iter()
+        self.distributions()
             .map(|d| sample_categorical(d, rng))
             .collect()
     }
@@ -150,10 +150,40 @@ impl WorldTable {
         }
         Ok(WorldIter {
             table: self,
-            current: vec![0; self.dists.len()],
+            current: vec![0; self.num_vars()],
             done: false,
         })
     }
+}
+
+/// `new_var`'s check: non-empty, at most `u16::MAX` alternatives, each
+/// finite in `[0, 1]`, summing to 1 (±[`DIST_TOLERANCE`]).
+fn check_distribution(probs: &[f64]) -> Result<()> {
+    if probs.is_empty() {
+        return Err(UrelError::BadDistribution {
+            message: "empty distribution".into(),
+        });
+    }
+    if probs.len() > u16::MAX as usize {
+        return Err(UrelError::BadDistribution {
+            message: format!("domain size {} exceeds u16::MAX", probs.len()),
+        });
+    }
+    let mut sum = 0.0;
+    for &p in probs {
+        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
+            return Err(UrelError::BadDistribution {
+                message: format!("probability {p} outside [0, 1]"),
+            });
+        }
+        sum += p;
+    }
+    if (sum - 1.0).abs() > DIST_TOLERANCE {
+        return Err(UrelError::BadDistribution {
+            message: format!("distribution sums to {sum}, expected 1"),
+        });
+    }
+    Ok(())
 }
 
 /// Sample an index from a categorical distribution.
@@ -200,7 +230,7 @@ impl Iterator for WorldIter<'_> {
                 break;
             }
             i -= 1;
-            let dom = self.table.dists[i].len() as u16;
+            let dom = self.table.dist(i).len() as u16;
             if self.current[i] + 1 < dom {
                 self.current[i] += 1;
                 for c in &mut self.current[i + 1..] {

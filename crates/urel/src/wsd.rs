@@ -118,15 +118,21 @@ impl Wsd {
     /// every public constructor establishes); inlines short lists.
     fn from_sorted(assignments: Vec<Assignment>) -> Wsd {
         if assignments.len() <= INLINE_WSD {
-            let mut buf = [PAD; INLINE_WSD];
-            buf[..assignments.len()].copy_from_slice(&assignments);
-            Wsd(Repr::Inline {
-                len: assignments.len() as u8,
-                buf,
-            })
+            Wsd::inline(&assignments)
         } else {
             Wsd(Repr::Heap(assignments))
         }
+    }
+
+    /// The inline form of a sorted, conflict-free list of at most
+    /// [`INLINE_WSD`] assignments.
+    fn inline(assignments: &[Assignment]) -> Wsd {
+        let mut buf = [PAD; INLINE_WSD];
+        buf[..assignments.len()].copy_from_slice(assignments);
+        Wsd(Repr::Inline {
+            len: assignments.len() as u8,
+            buf,
+        })
     }
 
     /// Build from assignments. Returns `None` when two assignments bind the
@@ -140,6 +146,23 @@ impl Wsd {
             }
         }
         Some(Wsd::from_sorted(assignments))
+    }
+
+    /// Build from a list already strictly sorted by variable — the form
+    /// [`Wsd::assignments`] returns — without sorting or, up to
+    /// [`INLINE_WSD`] assignments, allocating. `None` unless every
+    /// variable is greater than the one before it; any list
+    /// [`Wsd::from_assignments`] accepts is then still accepted there, and
+    /// both build the same WSD.
+    pub fn from_strictly_sorted(assignments: &[Assignment]) -> Option<Wsd> {
+        if assignments.windows(2).any(|w| w[0].var >= w[1].var) {
+            return None;
+        }
+        Some(if assignments.len() <= INLINE_WSD {
+            Wsd::inline(assignments)
+        } else {
+            Wsd(Repr::Heap(assignments.to_vec()))
+        })
     }
 
     /// The assignments, sorted by variable.
@@ -317,6 +340,20 @@ mod tests {
     fn from_assignments_sorts_and_dedups() {
         let w = Wsd::from_assignments(vec![asg(2, 1), asg(0, 3), asg(2, 1)]).unwrap();
         assert_eq!(w.assignments(), &[asg(0, 3), asg(2, 1)]);
+    }
+
+    #[test]
+    fn from_strictly_sorted_refuses_what_needs_sorting() {
+        let sorted = [asg(0, 3), asg(2, 1), asg(7, 0)];
+        for n in 0..=sorted.len() {
+            assert_eq!(
+                Wsd::from_strictly_sorted(&sorted[..n]),
+                Wsd::from_assignments(sorted[..n].to_vec())
+            );
+        }
+        assert!(Wsd::from_strictly_sorted(&[asg(2, 1), asg(0, 3)]).is_none());
+        assert!(Wsd::from_strictly_sorted(&[asg(2, 1), asg(2, 1)]).is_none());
+        assert!(Wsd::from_strictly_sorted(&[asg(2, 0), asg(2, 1)]).is_none());
     }
 
     #[test]
