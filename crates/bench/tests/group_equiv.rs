@@ -22,10 +22,13 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use maybms_bench::naive::{aggregate_u, fused_chain, Step};
 use maybms_core::agg::{aggregate_stream_with, ACONF_SEED};
+use maybms_core::exec::{eval_query, ExecCtx};
+use maybms_core::sql::parse_query;
 use maybms_core::translate::AggSpec;
 use maybms_core::CoreError;
 use maybms_engine::ops::{AggFunc, AggState};
@@ -540,6 +543,85 @@ proptest! {
             _ => false,
         };
         prop_assert!(agree, "scalar walk {:?} vs batch path {:?}", want, got);
+    }
+}
+
+/// [`arb_source`]'s rows, some of them under a condition of probability
+/// 0 (variable 3's alternative 1 in [`possible_world`]), led by a
+/// zero-probability copy of the last row — which stays possible.
+fn arb_possible_source() -> impl Strategy<Value = URelation> {
+    let row = (
+        (text(), bigint(), double()),
+        (mixed(), number()),
+        arb_wsd(),
+        any::<bool>(),
+    );
+    prop::collection::vec(row, 1..16).prop_map(|rows| {
+        let zero = |w: &Wsd| {
+            w.conjoin(&Wsd::of(Var(3), 1))
+                .expect("arb_wsd has no variable 3")
+        };
+        let n = rows.len();
+        let mut out: Vec<(Vec<Value>, Wsd)> = Vec::new();
+        for (i, ((kd, ki, kf), (km, x), w, impossible)) in rows.into_iter().enumerate() {
+            let data = vec![kd, ki, kf, km, x];
+            if i + 1 == n {
+                out.insert(0, (data.clone(), zero(&Wsd::tautology())));
+            }
+            let w = match impossible && i + 1 < n {
+                true => zero(&w),
+                false => w,
+            };
+            out.push((data, w));
+        }
+        relation(&["kd", "ki", "kf", "km", "x"], out)
+    })
+}
+
+/// [`world`] plus variable 3, whose alternative 1 has probability 0.
+fn possible_world() -> WorldTable {
+    let mut wt = world();
+    wt.new_var(&[1.0, 0.0]).unwrap();
+    wt
+}
+
+/// `sql` over the catalog `{t}`, its t-certain rows as values.
+fn query_rows(sql: &str, t: URelation, wt: &mut WorldTable) -> Vec<Vec<Value>> {
+    let catalog = BTreeMap::from([("t".to_string(), t)]);
+    let stats = maybms_obs::QueryStats::new();
+    let mut ctx = ExecCtx::new(&catalog, wt, &stats);
+    let out = eval_query(&parse_query(sql).unwrap(), &mut ctx).unwrap();
+    let rows = out.as_certain().expect("a t-certain result").tuples();
+    rows.iter().map(|t| t.values().to_vec()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `select possible` ≡ `select distinct` over the rows whose
+    /// probability is > 0, in the same order and with the same value
+    /// variants: NULLs, `1` next to `1.0`, a zero-probability duplicate
+    /// ahead of its possible twin, plain and dictionary-encoded text.
+    #[test]
+    fn possible_is_distinct_over_the_possible_rows(source in arb_possible_source()) {
+        let mut wt = possible_world();
+        let wsds = source.at_rest().1;
+        let keep: Vec<usize> =
+            (0..source.len()).filter(|&i| wsds[i].prob(&wt).unwrap() > 0.0).collect();
+        let kept = source.gather_with(&keep, vec![Wsd::tautology(); keep.len()]);
+        for cols in ["kd, ki, kf, km, x", "km", "kd, km", "x, kf"] {
+            for dict in [false, true] {
+                let layout = |u: &URelation| if dict { u.dict_encode() } else { u.clone() };
+                let possible = format!("select possible {cols} from t");
+                let got = query_rows(&possible, layout(&source), &mut wt);
+                let distinct = format!("select distinct {cols} from t");
+                let want = query_rows(&distinct, layout(&kept), &mut wt);
+                prop_assert_eq!(
+                    format!("{:?}", got), format!("{:?}", want),
+                    "{}, dictionary-encoded {}", cols, dict
+                );
+            }
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 
 use maybms_bench::naive;
 use maybms_core::agg;
-use maybms_engine::{ops, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
 use maybms_pipe::{breaker, UStream};
 use maybms_urel::{URelation, WorldTable};
 use proptest::prelude::*;
@@ -82,39 +82,63 @@ proptest! {
         prop_assert_eq!(a.tuples(), b.tuples());
     }
 
-    /// repair key: the optimized construction (scratch grouping, inline
-    /// WSDs) produces the identical U-relation to the seed construction —
-    /// same rows, same variables, same conditions.
+    /// repair key: the columnar construction (one engine group table,
+    /// a counting sort, inline WSDs) produces the identical U-relation to
+    /// the seed construction — same rows, same conditions, and the same
+    /// variables bit for bit — over NULL keys, a two-column key with a
+    /// text column (plain and dictionary-encoded) and zero weights; a
+    /// group whose weights are all zero is the same error on both sides.
     #[test]
     fn repair_key_matches_naive(
-        rows in prop::collection::vec((0i64..6, 1u32..10), 1..40),
+        rows in prop::collection::vec(
+            (prop::option::of(0i64..6), prop::sample::select(vec!["a", "b"]), 0u32..10),
+            1..40,
+        ),
+        two_keys in any::<bool>(),
     ) {
         let schema = Arc::new(Schema::from_pairs(&[
             ("k", DataType::Int),
+            ("s", DataType::Text),
             ("w", DataType::Float),
         ]));
         let input = Relation::new_unchecked(
             schema,
             rows.iter()
-                .map(|&(k, w)| Tuple::new(vec![
-                    Value::Int(k),
+                .map(|&(k, s, w)| Tuple::new(vec![
+                    k.map_or(Value::Null, Value::Int),
+                    Value::str(s),
                     Value::Float(f64::from(w) / 10.0),
                 ]))
                 .collect(),
         );
+        let keys = match two_keys {
+            true => vec![Expr::col("k"), Expr::col("s")],
+            false => vec![Expr::col("k")],
+        };
         let opts = maybms_urel::repair::RepairKeyOptions {
             weight: Some(Expr::col("w")),
         };
-        let mut wt_a = WorldTable::new();
-        let a = maybms_urel::repair::repair_key(&input, &[Expr::col("k")], &opts, &mut wt_a)
-            .unwrap();
         let mut wt_b = WorldTable::new();
-        let b = naive::repair_key(&input, &[Expr::col("k")], &opts, &mut wt_b).unwrap();
-        prop_assert_eq!(a.tuples(), b.tuples());
-        prop_assert_eq!(wt_a.num_vars(), wt_b.num_vars());
+        let b = naive::repair_key(&input, &keys, &opts, &mut wt_b);
+        let plain = URelation::from_certain(&input);
+        for u in [plain.clone(), plain.dict_encode()] {
+            let mut wt_a = WorldTable::new();
+            let a = maybms_urel::repair_key_u(&u, &keys, &opts, &mut wt_a);
+            match (&a, &b) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.tuples(), b.tuples());
+                    prop_assert_eq!(dist_bits(&wt_a), dist_bits(&wt_b));
+                }
+                (Err(ea), Err(eb)) => {
+                    prop_assert_eq!(ea, eb);
+                    prop_assert_eq!(wt_a.num_vars(), 0);
+                }
+                _ => prop_assert!(false, "{:?} vs {:?}", a, b),
+            }
+        }
     }
 
-    /// pick tuples: identical output and world table.
+    /// pick tuples: identical output and world table, bit for bit.
     #[test]
     fn pick_tuples_matches_naive(
         rows in prop::collection::vec((0i64..6, 0u32..=10), 1..40),
@@ -140,6 +164,88 @@ proptest! {
         let mut wt_b = WorldTable::new();
         let b = naive::pick_tuples(&input, &opts, &mut wt_b).unwrap();
         prop_assert_eq!(a.tuples(), b.tuples());
-        prop_assert_eq!(wt_a.num_vars(), wt_b.num_vars());
+        prop_assert_eq!(dist_bits(&wt_a), dist_bits(&wt_b));
     }
+
+    /// The first error of repair key and pick tuples is the seed scalar
+    /// walk's: weights (or probabilities) row by row — non-numeric, NULL,
+    /// negative, NaN or out of range — before any key, and a key that
+    /// divides by zero at its earliest row. Sums stay finite.
+    #[test]
+    fn first_errors_match_naive(
+        rows in prop::collection::vec((0i64..4, arb_weight()), 1..24),
+        divide in any::<bool>(),
+    ) {
+        let schema = Arc::new(Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("w", DataType::Unknown),
+        ]));
+        let input = Relation::new_unchecked(
+            schema,
+            rows.iter()
+                .map(|(k, w)| Tuple::new(vec![Value::Int(*k), w.clone()]))
+                .collect(),
+        );
+        let key = match divide {
+            true => Expr::lit(1i64).binary(BinaryOp::Div, Expr::col("k")),
+            false => Expr::col("k"),
+        };
+        let repair = maybms_urel::repair::RepairKeyOptions {
+            weight: Some(Expr::col("w")),
+        };
+        let (mut wt_a, mut wt_b) = (WorldTable::new(), WorldTable::new());
+        let keys = [key];
+        let a = maybms_urel::repair_key(&input, &keys, &repair, &mut wt_a);
+        let b = naive::repair_key(&input, &keys, &repair, &mut wt_b);
+        match (&a, &b) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a.tuples(), b.tuples()),
+            (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
+            _ => prop_assert!(false, "repair key: {:?} vs {:?}", a, b),
+        }
+        // The same column as a probability, through an expression that
+        // divides by zero where `k` is 0 when `divide` is set.
+        let p = match divide {
+            true => Expr::col("w").binary(BinaryOp::Div, Expr::col("k")),
+            false => Expr::col("w"),
+        };
+        let pick = maybms_urel::pick::PickTuplesOptions { probability: Some(p) };
+        let (mut wt_a, mut wt_b) = (WorldTable::new(), WorldTable::new());
+        let a = maybms_urel::pick_tuples(&input, &pick, &mut wt_a);
+        let b = naive::pick_tuples(&input, &pick, &mut wt_b);
+        match (&a, &b) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.tuples(), b.tuples());
+                prop_assert_eq!(dist_bits(&wt_a), dist_bits(&wt_b));
+            }
+            (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
+            _ => prop_assert!(false, "pick tuples: {:?} vs {:?}", a, b),
+        }
+    }
+}
+
+/// A weight / probability cell: mostly valid (finite, in `[0, 1]`),
+/// sometimes each kind of bad value.
+fn arb_weight() -> impl Strategy<Value = Value> {
+    let valid = || (0u32..=4).prop_map(|i| Value::Float(f64::from(i) / 4.0));
+    prop_oneof![
+        valid(),
+        valid(),
+        valid(),
+        valid(),
+        valid(),
+        valid(),
+        (0i64..=1).prop_map(Value::Int),
+        Just(Value::Null),
+        Just(Value::str("x")),
+        Just(Value::Float(-0.5)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(1.5)),
+    ]
+}
+
+/// Every variable's distribution, bit for bit.
+fn dist_bits(wt: &WorldTable) -> Vec<Vec<u64>> {
+    wt.distributions()
+        .map(|d| d.iter().map(|p| p.to_bits()).collect())
+        .collect()
 }

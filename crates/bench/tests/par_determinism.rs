@@ -3,7 +3,7 @@
 //! `maybms-par` callers promise that parallel output is **identical** to
 //! the sequential path — same tuples, same order, same WSDs, bit-equal
 //! confidence values — at any thread count. These properties check that
-//! promise on explicit 1/2/8-thread pools with chunk sizes small enough
+//! promise on explicit 1/2/8-thread pools with morsels small enough
 //! that tiny random inputs really split across tasks, over adversarial
 //! input families: NULL join keys (which must never match), cross-type
 //! numeric keys (1 == 1.0), and conflicting WSDs (whose join pairs must
@@ -11,10 +11,12 @@
 //! scalar oracle are `pipe_equiv.rs` and `vec_equiv.rs`.)
 
 use maybms_conf::{dklr, karp_luby::KarpLuby, Dnf};
-use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_engine::group::GroupTable;
+use maybms_engine::vector::KernelCounts;
+use maybms_engine::{BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
 use maybms_obs::QueryStats;
 use maybms_par::ThreadPool;
-use maybms_pipe::UStream;
+use maybms_pipe::{GroupedBatch, UStream};
 use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -22,9 +24,6 @@ use std::sync::Arc;
 /// Thread counts every property is checked at (1 must equal 2 must equal
 /// 8 must equal the sequential reference).
 const THREADS: [usize; 3] = [1, 2, 8];
-
-/// Chunk size small enough that 0..24-row relations split across tasks.
-const TINY_CHUNK: usize = 3;
 
 fn arb_num() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -128,15 +127,46 @@ fn arb_dnf() -> impl Strategy<Value = (WorldTable, Dnf)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Grouping: chunk-local groups merged in chunk order equal the
-    /// sequential first-seen key order and ascending member lists.
+    /// Grouping: one engine group table over the whole relation in one
+    /// pass equals the grouped breaker's morsel-local tables merged in
+    /// morsel order — first-seen key order and each group's member rows
+    /// in ascending order — at 1/2/8 threads with single-row morsels.
     #[test]
-    fn par_group_indices_identical(r in arb_relation()) {
+    fn par_group_table_identical(r in arb_relation()) {
         let exprs = [Expr::col("k")];
-        let seq = ops::group_indices(&r, &exprs).unwrap();
+        let bound = [exprs[0].bind(r.schema()).unwrap()];
+        let u = URelation::from_certain(&r);
+        let mut table: GroupTable<Vec<Tuple>> = GroupTable::new();
+        let (ids, err) =
+            table.group_batch(&bound, u.at_rest().0, &mut KernelCounts::default(), &Vec::new);
+        prop_assert!(err.is_none());
+        for (i, &g) in ids.iter().enumerate() {
+            table.states_mut()[g as usize].push(r.tuples()[i].clone());
+        }
+        let seq = table.into_parts();
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let par = ops::group_indices_with(&r, &exprs, &pool, TINY_CHUNK).unwrap();
+            let par = UStream::new(u.clone())
+                .collect_grouped(
+                    &exprs,
+                    &pool,
+                    1,
+                    (&QueryStats::new(), "test"),
+                    Vec::new,
+                    |states: &mut [Vec<Tuple>], rows: &GroupedBatch<'_>, _: &mut KernelCounts| {
+                        for (j, &g) in rows.groups.iter().enumerate() {
+                            let mut row = Vec::new();
+                            rows.batch.write_row(j, &mut row);
+                            states[g as usize].push(Tuple::new(row));
+                        }
+                        Ok(())
+                    },
+                    |a: &mut Vec<Tuple>, b| {
+                        a.extend(b);
+                        Ok(())
+                    },
+                )
+                .unwrap();
             prop_assert_eq!(&seq, &par, "threads = {}", threads);
         }
     }

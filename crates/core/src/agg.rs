@@ -11,8 +11,9 @@
 //!
 //! There is one aggregator, [`aggregate_stream`] — the streaming group
 //! breaker: a pipeline's rows fold into morsel-local group tables and the
-//! result is a t-certain [`URelation`] (`DISTINCT` is the same breaker
-//! with no aggregates). Its reference for the property tests is the
+//! result is a t-certain [`URelation`] (`DISTINCT`, and with it `select
+//! possible`'s dedup, is the same breaker with no aggregates). Its
+//! reference for the property tests is the
 //! naive `maybms_bench::naive::aggregate_u`.
 //!
 //! Per-group aggregate evaluation (in particular the per-group `conf()`
@@ -280,8 +281,9 @@ impl FirstError {
 
 /// Evaluate grouped aggregates **streaming**: the pipeline's fused stage
 /// chain runs morsel-by-morsel and every surviving row folds straight
-/// into a morsel-local group table ([`maybms_pipe::GroupTable`]) — the
-/// joined input is never materialised. Per group the fold accumulates
+/// into a morsel-local group table
+/// ([`GroupTable`](maybms_engine::group::GroupTable)) — the joined input
+/// is never materialised. Per group the fold accumulates
 /// member WSDs and running `esum`/`ecount` partial sums; the
 /// deterministic morsel-ordered merge then feeds the group scheduler
 /// (`eval_group_rows`: per-group `conf()` fan-out, `(group, slot)`
@@ -317,7 +319,7 @@ pub fn aggregate_stream(
         wt,
         stats,
         &pool,
-        maybms_engine::ops::PAR_MIN_CHUNK,
+        maybms_pipe::PAR_MIN_CHUNK,
     )
 }
 

@@ -698,7 +698,7 @@ fn target_positions(
     }
     let sel = stream.select_positions(
         &maybms_par::pool(),
-        maybms_engine::ops::PAR_MIN_CHUNK,
+        maybms_pipe::PAR_MIN_CHUNK,
         (stats, "DML target scan"),
     )?;
     sel.into_iter()

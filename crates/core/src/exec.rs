@@ -7,9 +7,11 @@
 //! IN-probe as **fused stages**, and the block's output — a projection,
 //! `select possible`, `tconf`, or the **streaming group breaker**
 //! ([`agg::aggregate_stream`]: `GROUP BY`, aggregates, `DISTINCT`) — is
-//! its one materialisation. Nothing else materialises but the other
-//! breakers: hash-join build sides and [`maybms_pipe::breaker`]'s sort,
-//! union, cross product and limit. Every pipeline and breaker is recorded
+//! its one materialisation (`select possible` then deduplicates its
+//! possible rows through the same group breaker). Nothing else
+//! materialises but the other breakers: hash-join build sides and
+//! [`maybms_pipe::breaker`]'s sort, union, cross product and limit.
+//! Every pipeline and breaker is recorded
 //! into the statement's [`maybms_obs::QueryStats`] in run order — what
 //! `EXPLAIN ANALYZE` prints.
 //!
@@ -49,7 +51,7 @@ pub struct ExecCtx<'a> {
     /// collected is an order-independent sum or max.
     pub stats: &'a maybms_obs::QueryStats,
     /// Minimum morsel size of every pipeline this context runs
-    /// ([`maybms_engine::ops::PAR_MIN_CHUNK`]; the determinism tests pin
+    /// ([`maybms_pipe::PAR_MIN_CHUNK`]; the determinism tests pin
     /// it to a single row, as they do on `collect_with`).
     pub min_morsel: usize,
 }
@@ -65,7 +67,7 @@ impl<'a> ExecCtx<'a> {
             catalog,
             wt,
             stats,
-            min_morsel: maybms_engine::ops::PAR_MIN_CHUNK,
+            min_morsel: maybms_pipe::PAR_MIN_CHUNK,
         }
     }
 
@@ -338,21 +340,23 @@ fn run_source(source: &Source, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
 
 /// `select possible …` (§2.2) over the projected `stream`: drop
 /// zero-probability tuples, deduplicate — mapping uncertain to t-certain.
-/// The projection fuses onto the incoming stream; dedup is the breaker.
+/// The projection fuses onto the incoming stream; the rows with a
+/// positive probability, now certain, go through the `DISTINCT` group
+/// breaker (first-seen order).
 fn possible(stream: UStream, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     let projected = ctx.collect(stream, "select possible breaker")?;
-    // Dedup over the row view, then gather the surviving rows' columns,
-    // now certain.
     let mut sel = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for (i, t) in projected.tuples().iter().enumerate() {
-        if t.wsd.prob(ctx.wt)? > 0.0 && seen.insert(&t.data) {
+    for (i, wsd) in projected.at_rest().1.iter().enumerate() {
+        if wsd.prob(ctx.wt)? > 0.0 {
             sel.push(i);
         }
     }
     let certain = vec![Wsd::tautology(); sel.len()];
     let schema = Arc::new(projected.schema().without_qualifiers());
-    Ok(projected.gather_with(&sel, certain).with_schema(schema))
+    distinct_rows(
+        projected.gather_with(&sel, certain).with_schema(schema),
+        ctx,
+    )
 }
 
 /// Run `stream` into the streaming group breaker, as the next pipeline of

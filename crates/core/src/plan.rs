@@ -1207,6 +1207,9 @@ impl Explain {
             }
         };
         self.pipeline(&label, "", &source, &last);
+        if let Output::Possible(_) = &b.output {
+            self.distinct(&b.schema, "", "the possible rows");
+        }
         if let Output::Group {
             having: Some(h), ..
         } = &b.output

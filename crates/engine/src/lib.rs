@@ -17,9 +17,12 @@
 //!   bit-identical to the scalar evaluator (scalar fallback on any
 //!   divergence);
 //! * [`ops`] — the value-level parts of the relational operators:
-//!   SELECT-list and ORDER BY items, mergeable aggregate states, and
-//!   `repair key`'s partitioner (the operators themselves run in
-//!   `maybms-pipe`, which hashes join keys as [`ValueRef`]s);
+//!   SELECT-list and ORDER BY items and mergeable aggregate states (the
+//!   operators themselves run in `maybms-pipe`, which hashes join keys
+//!   as [`ValueRef`]s);
+//! * [`group`] — the one hash grouping: [`group::GroupTable`] turns key
+//!   columns into group ids for `GROUP BY`, `DISTINCT`, `select
+//!   possible` and `repair key`;
 //! * [`Expr::fold`] — bind-time constant folding that never moves or
 //!   drops a runtime error.
 //!
@@ -29,9 +32,11 @@
 //! or catalog of its own.
 //!
 //! Everything is deterministic, matching the execution model the paper's
-//! rewrites target: large batches run chunk-parallel on the vendored
-//! `maybms-par` pool, but the output (order and values) is identical to
-//! the sequential path at any thread count (see [`ops`]).
+//! rewrites target: `maybms-pipe` runs these parts chunk-parallel on the
+//! vendored `maybms-par` pool, and the output (order and values) is
+//! identical to the sequential path at any thread count — group tables
+//! merge in input order ([`group::GroupTable::merge_in`]), float sums
+//! are exact ([`ops::ExactSum`]).
 //!
 //! ## Quick example
 //!
@@ -60,6 +65,7 @@ pub mod column;
 pub mod error;
 pub mod expr;
 mod fold;
+pub mod group;
 pub mod hash;
 pub mod ops;
 pub mod schema;

@@ -1,11 +1,10 @@
-//! Aggregation state: SUM / COUNT / AVG / MIN / MAX as mergeable folds,
-//! and grouping by index lists.
+//! Aggregation state: SUM / COUNT / AVG / MIN / MAX as mergeable folds.
 //!
 //! Only *certain* SQL aggregation is defined here. The uncertainty-aware
 //! aggregates of MayBMS (`conf`, `aconf`, `esum`, `ecount`, `argmax`)
 //! live in `maybms-core`, which folds these accumulator states
 //! ([`AggState`]) next to its own on the streaming group breaker of
-//! `maybms-pipe`; [`group_indices`] is `repair key`'s partitioner.
+//! `maybms-pipe`. Grouping itself is [`crate::group::GroupTable`].
 //!
 //! # Mergeable accumulators
 //!
@@ -22,9 +21,6 @@
 //! morsel split is bit-identical to the sequential scan.
 
 use crate::error::{EngineError, Result};
-use crate::expr::Expr;
-use crate::hash::{fast_hash_one, FastMap};
-use crate::tuple::Relation;
 use crate::types::Value;
 
 /// A standard SQL aggregate function.
@@ -440,139 +436,9 @@ fn type_err(func: AggFunc, v: &Value) -> EngineError {
     }
 }
 
-// ---------------------------------------------------------------------
-// Grouping by index lists (used by repair-key and maybms-core)
-// ---------------------------------------------------------------------
-
-/// Partition the input by the values of `group_exprs`.
-///
-/// Returns `(group key values, tuple indices)` per group, in first-seen
-/// order. An empty `group_exprs` yields a single global group (even over an
-/// empty input, matching SQL's scalar-aggregate behaviour). Large inputs
-/// evaluate the group keys chunk-parallel on the process-wide pool; the
-/// result (key order and member order) is identical to the sequential
-/// scan.
-pub fn group_indices(
-    input: &Relation,
-    group_exprs: &[Expr],
-) -> Result<Vec<(Vec<Value>, Vec<usize>)>> {
-    if !group_exprs.is_empty() && input.len() >= super::PAR_MIN_ROWS {
-        let pool = maybms_par::pool();
-        if pool.threads() > 1 {
-            return group_indices_with(input, group_exprs, &pool, super::PAR_MIN_CHUNK);
-        }
-    }
-    let bound: Vec<Expr> = group_exprs
-        .iter()
-        .map(|e| e.bind(input.schema()))
-        .collect::<Result<_>>()?;
-    if bound.is_empty() {
-        return Ok(vec![(Vec::new(), (0..input.len()).collect())]);
-    }
-    // Hashed grouping over a reusable scratch key: the key values are
-    // evaluated into `scratch`, matched against existing groups through a
-    // hash bucket (verified by value equality), and only a *new* group
-    // clones the key out of the scratch — no per-row key allocation.
-    let mut buckets: FastMap<u64, Vec<usize>> = Default::default();
-    let mut out: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-    let mut scratch: Vec<Value> = Vec::with_capacity(bound.len());
-    for (i, t) in input.tuples().iter().enumerate() {
-        scratch.clear();
-        for e in &bound {
-            scratch.push(e.eval(t)?);
-        }
-        let h = fast_hash_one(&scratch[..]);
-        let bucket = buckets.entry(h).or_default();
-        match bucket.iter().find(|&&g| out[g].0 == scratch) {
-            Some(&g) => out[g].1.push(i),
-            None => {
-                bucket.push(out.len());
-                out.push((scratch.clone(), vec![i]));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// [`group_indices`] on an explicit pool: each chunk of rows groups
-/// locally (keeping the key hash alongside each local group), then the
-/// chunk results merge sequentially in chunk order.
-///
-/// Determinism: global first-seen key order equals the sequential scan
-/// (the earliest chunk containing a key merges first), and each group's
-/// member list stays in ascending row order (chunks are disjoint,
-/// ascending ranges merged in order).
-pub fn group_indices_with(
-    input: &Relation,
-    group_exprs: &[Expr],
-    pool: &maybms_par::ThreadPool,
-    min_chunk: usize,
-) -> Result<Vec<(Vec<Value>, Vec<usize>)>> {
-    let bound: Vec<Expr> = group_exprs
-        .iter()
-        .map(|e| e.bind(input.schema()))
-        .collect::<Result<_>>()?;
-    if bound.is_empty() {
-        return Ok(vec![(Vec::new(), (0..input.len()).collect())]);
-    }
-    type LocalGroups = Vec<(u64, Vec<Value>, Vec<usize>)>;
-    let chunk = maybms_par::auto_chunk(input.len(), pool.threads(), min_chunk);
-    let partials: Vec<Result<LocalGroups>> = pool.par_map_chunks(input.len(), chunk, |range| {
-        let mut buckets: FastMap<u64, Vec<usize>> = Default::default();
-        let mut local: LocalGroups = Vec::new();
-        let mut scratch: Vec<Value> = Vec::with_capacity(bound.len());
-        for i in range {
-            let t = &input.tuples()[i];
-            scratch.clear();
-            for e in &bound {
-                scratch.push(e.eval(t)?);
-            }
-            let h = fast_hash_one(&scratch[..]);
-            let bucket = buckets.entry(h).or_default();
-            match bucket.iter().find(|&&g| local[g].1 == scratch) {
-                Some(&g) => local[g].2.push(i),
-                None => {
-                    bucket.push(local.len());
-                    local.push((h, scratch.clone(), vec![i]));
-                }
-            }
-        }
-        Ok(local)
-    });
-    let mut buckets: FastMap<u64, Vec<usize>> = Default::default();
-    let mut out: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-    for partial in partials {
-        for (h, key, members) in partial? {
-            let bucket = buckets.entry(h).or_default();
-            match bucket.iter().find(|&&g| out[g].0 == key) {
-                Some(&g) => out[g].1.extend(members),
-                None => {
-                    bucket.push(out.len());
-                    out.push((key, members));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::rel;
-    use crate::types::DataType;
-
-    fn games() -> Relation {
-        rel(
-            &[("player", DataType::Text), ("pts", DataType::Int)],
-            vec![
-                vec!["Bryant".into(), 30.into()],
-                vec!["Bryant".into(), 40.into()],
-                vec!["Duncan".into(), 20.into()],
-                vec!["Duncan".into(), Value::Null],
-            ],
-        )
-    }
 
     /// Fold `values` into a fresh `func` state and finish it.
     fn fold_all(func: AggFunc, values: &[Value]) -> Result<Value> {
@@ -677,49 +543,6 @@ mod tests {
                 }
                 assert_eq!(merged.finish().unwrap(), whole, "{func:?}, split {split}");
             }
-        }
-    }
-
-    #[test]
-    fn group_indices_null_is_a_key() {
-        // NULL % 20 is NULL; NULL is a valid group key.
-        let key = Expr::col("pts").binary(crate::expr::BinaryOp::Mod, Expr::lit(20i64));
-        assert_eq!(group_indices(&games(), &[key]).unwrap().len(), 3); // 10, 0, NULL
-                                                                       // No key: one global group, even over an empty input.
-        let empty = rel(&[("x", DataType::Int)], vec![]);
-        assert_eq!(group_indices(&empty, &[]).unwrap(), vec![(vec![], vec![])]);
-        assert!(group_indices(&empty, &[Expr::col("x")]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn group_indices_first_seen_order() {
-        let gs = group_indices(&games(), &[Expr::col("player")]).unwrap();
-        assert_eq!(gs.len(), 2);
-        assert_eq!(gs[0].0[0], Value::str("Bryant"));
-        assert_eq!(gs[0].1, vec![0, 1]);
-        assert_eq!(gs[1].1, vec![2, 3]);
-    }
-
-    #[test]
-    fn parallel_group_indices_identical_to_sequential() {
-        // Interleaved keys (incl. NULL) across chunk boundaries.
-        let r = rel(
-            &[("k", DataType::Unknown)],
-            (0..100)
-                .map(|i| {
-                    vec![match i % 7 {
-                        0 => Value::Null,
-                        j => Value::Int(j as i64 % 3),
-                    }]
-                })
-                .collect(),
-        );
-        let exprs = [Expr::col("k")];
-        let seq = group_indices(&r, &exprs).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = maybms_par::ThreadPool::new(threads);
-            let par = group_indices_with(&r, &exprs, &pool, 9).unwrap();
-            assert_eq!(seq, par, "threads = {threads}");
         }
     }
 

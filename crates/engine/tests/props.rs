@@ -1,11 +1,13 @@
 //! Property tests for the relational engine's value-level parts:
-//! aggregate folds and constant folding. (The operators run in
+//! grouping, aggregate folds and constant folding. (The operators run in
 //! `maybms-pipe`; their properties live in `crates/bench/tests`.)
 
 use std::sync::Arc;
 
-use maybms_engine::ops::{self, AggFunc, AggState};
-use maybms_engine::{BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_engine::group::GroupTable;
+use maybms_engine::ops::{AggFunc, AggState};
+use maybms_engine::vector::KernelCounts;
+use maybms_engine::{BinaryOp, ColumnBatch, DataType, Expr, Relation, Schema, Tuple, Value};
 use proptest::prelude::*;
 
 /// A small integer-pair relation with schema (k: Int, v: Int).
@@ -35,13 +37,28 @@ fn sum_v(r: &Relation, members: impl Iterator<Item = usize>) -> Value {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Grouped sums add up to the global sum.
+    /// Grouped sums add up to the global sum: one group table over the
+    /// relation's columns, `sum(v)` folded per group.
     #[test]
     fn group_sums_total(r in arb_relation(32, 5)) {
-        let total_grouped: i64 = ops::group_indices(&r, &[Expr::col("k")])
-            .unwrap()
+        let batch = ColumnBatch::pivot(r.len(), r.tuples().iter().map(Tuple::values), &[0, 1]);
+        let mut table = GroupTable::new();
+        let new_state = || AggState::new(AggFunc::Sum);
+        let (ids, err) = table.group_batch(
+            &[Expr::col("k").bind(r.schema()).unwrap()],
+            &batch,
+            &mut KernelCounts::default(),
+            &new_state,
+        );
+        prop_assert!(err.is_none());
+        for (i, &g) in ids.iter().enumerate() {
+            table.states_mut()[g as usize].fold(r.tuples()[i].value(1)).unwrap();
+        }
+        let total_grouped: i64 = table
+            .into_parts()
+            .1
             .into_iter()
-            .map(|(_, members)| sum_v(&r, members.into_iter()).as_int().unwrap_or(0))
+            .map(|st| st.finish().unwrap().as_int().unwrap_or(0))
             .sum();
         let total = sum_v(&r, 0..r.len()).as_int().unwrap_or(0);
         prop_assert_eq!(total_grouped, total);

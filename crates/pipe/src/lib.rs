@@ -35,12 +35,12 @@
 //!   morsel order ([`BuildTable`]), so the merged table is identical to a
 //!   sequential build at any thread count;
 //! * grouped aggregation is **streaming**: the breaker's input pipeline
-//!   hands each batch of surviving rows to a morsel-local [`GroupTable`]
-//!   of mergeable accumulator states — groups from the key columns
-//!   (dictionary codes, `i64`s, or `Value` keys), one fold per batch over
-//!   typed argument columns — merged in morsel order with global
-//!   first-seen key order ([`groupby`]); `GROUP BY` plans never
-//!   materialise their input;
+//!   hands each batch of surviving rows to a morsel-local
+//!   [`GroupTable`](maybms_engine::group::GroupTable) of mergeable
+//!   accumulator states — groups from the key columns (dictionary codes,
+//!   `i64`s, or `Value` keys), one fold per batch over typed argument
+//!   columns — merged in morsel order with global first-seen key order
+//!   ([`groupby`]); `GROUP BY` plans never materialise their input;
 //! * every source — a stored table or an intermediate result — is
 //!   columns, so morsels slice them (dictionary codes included) instead
 //!   of pivoting: every scan runs **zero-pivot** — `EXPLAIN` marks the
@@ -81,5 +81,10 @@ pub mod ustream;
 pub mod vertical;
 
 pub use build::BuildTable;
-pub use groupby::{GroupTable, GroupedBatch};
+pub use groupby::GroupedBatch;
 pub use ustream::UStream;
+
+/// Minimum morsel size the executor hands to the pool: a task is only
+/// worth queueing once it holds a few thousand rows. The determinism
+/// tests pin smaller morsels through the `_with` entry points.
+pub const PAR_MIN_CHUNK: usize = 4096;

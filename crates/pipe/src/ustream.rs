@@ -214,7 +214,7 @@ impl UStream {
     /// in parallel for large sources; output is identical either way.
     pub fn collect(self) -> Result<URelation> {
         let (pool, stats) = (maybms_par::pool(), QueryStats::new());
-        self.collect_with(&pool, maybms_engine::ops::PAR_MIN_CHUNK, (&stats, "output"))
+        self.collect_with(&pool, crate::PAR_MIN_CHUNK, (&stats, "output"))
     }
 
     /// [`UStream::collect`] on an explicit pool and minimum morsel size
@@ -270,8 +270,9 @@ impl UStream {
 
     /// Run the pipeline with **grouped aggregation as the breaker**: every
     /// morsel's surviving rows fold straight into a morsel-local
-    /// [`crate::GroupTable`] keyed by the (bound-here) `group_exprs`, and
-    /// the tables merge in morsel order — the input is never materialised.
+    /// [`GroupTable`](maybms_engine::group::GroupTable) keyed by the
+    /// (bound-here) `group_exprs`, and the tables merge in morsel order —
+    /// the input is never materialised.
     ///
     /// The accumulator is caller-defined: `new_state` opens a group,
     /// `fold` absorbs one [`GroupedBatch`] — rows as columns, each row's

@@ -11,7 +11,8 @@
 use maybms_engine::{Expr, Relation};
 
 use crate::error::{Result, UrelError};
-use crate::urelation::{URelation, UTuple};
+use crate::repair::numbers;
+use crate::urelation::URelation;
 use crate::world_table::WorldTable;
 use crate::wsd::Wsd;
 
@@ -22,48 +23,56 @@ pub struct PickTuplesOptions {
     pub probability: Option<Expr>,
 }
 
-/// Apply `pick tuples from R [independently] [with probability e]`.
-///
-/// Probabilities must lie in `[0, 1]`. A tuple with probability 0 exists in
-/// no subset and is dropped; probability 1 keeps the tuple certain without
-/// spending a variable.
+/// Apply `pick tuples` to a certain relation: [`pick_tuples_u`] over the
+/// relation lifted with [`URelation::from_certain`].
 pub fn pick_tuples(
     input: &Relation,
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
-    let (sel, wsds) = pick(input, options, wt)?;
-    let tuples = sel.iter().zip(wsds);
-    let tuples = tuples.map(|(&i, wsd)| UTuple::new(input.tuples()[i].clone(), wsd));
-    Ok(URelation::new(input.schema().clone(), tuples.collect()))
+    pick_tuples_u(&URelation::from_certain(input), options, wt)
+}
+
+/// Apply `pick tuples from R [independently] [with probability e]` to a
+/// U-relation, which must be t-certain (§2.2). The output gathers the
+/// kept tuples' columns.
+///
+/// Probabilities must lie in `[0, 1]`. A tuple with probability 0 exists in
+/// no subset and is dropped; probability 1 keeps the tuple certain without
+/// spending a variable. A failed call leaves `wt` as it found it.
+pub fn pick_tuples_u(
+    input: &URelation,
+    options: &PickTuplesOptions,
+    wt: &mut WorldTable,
+) -> Result<URelation> {
+    if !input.is_t_certain() {
+        return Err(UrelError::NotTCertain {
+            operation: "pick tuples".into(),
+        });
+    }
+    let vars = wt.num_vars();
+    let (sel, wsds) = pick(input, options, wt).inspect_err(|_| wt.truncate(vars))?;
+    Ok(input.gather_with(&sel, wsds))
 }
 
 /// The tuples of `input` a `pick tuples` keeps, in order, and the
-/// condition each exists under.
+/// condition each exists under. The first error is the scalar walk's:
+/// rows in order, and within a row an evaluation error, then a
+/// non-numeric value, then one outside `[0, 1]`.
 fn pick(
-    input: &Relation,
+    input: &URelation,
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
 ) -> Result<(Vec<usize>, Vec<Wsd>)> {
-    let bound = options
-        .probability
-        .as_ref()
-        .map(|e| e.bind(input.schema()))
-        .transpose()?;
-    let (mut sel, mut wsds) = (
-        Vec::with_capacity(input.len()),
-        Vec::with_capacity(input.len()),
-    );
-    for (i, t) in input.tuples().iter().enumerate() {
-        let p = match &bound {
-            None => 0.5,
-            Some(e) => {
-                let v = e.eval(t)?;
-                v.as_f64().ok_or_else(|| UrelError::BadProbability {
-                    message: format!("probability expression produced non-numeric value {v}"),
-                })?
-            }
-        };
+    let (ps, err) = match &options.probability {
+        None => (vec![0.5; input.len()], None),
+        Some(e) => {
+            let bad = |message| UrelError::BadProbability { message };
+            numbers(e, input, "probability", bad)?
+        }
+    };
+    let (mut sel, mut wsds) = (Vec::with_capacity(ps.len()), Vec::with_capacity(ps.len()));
+    for (i, &p) in ps.iter().enumerate() {
         if !p.is_finite() || !(0.0..=1.0).contains(&p) {
             return Err(UrelError::BadProbability {
                 message: format!("tuple probability {p} outside [0, 1]"),
@@ -79,24 +88,7 @@ fn pick(
             Wsd::of(wt.new_var(&[1.0 - p, p])?, 1)
         });
     }
-    Ok((sel, wsds))
-}
-
-/// `pick tuples` over a U-relation input; enforces t-certainty (§2.2).
-/// The output gathers the kept tuples' columns.
-pub fn pick_tuples_u(
-    input: &URelation,
-    options: &PickTuplesOptions,
-    wt: &mut WorldTable,
-) -> Result<URelation> {
-    if !input.is_t_certain() {
-        return Err(UrelError::NotTCertain {
-            operation: "pick tuples".into(),
-        });
-    }
-    let certain = input.clone().into_certain();
-    let (sel, wsds) = pick(&certain, options, wt)?;
-    Ok(input.gather_with(&sel, wsds))
+    err.map_or(Ok((sel, wsds)), Err)
 }
 
 #[cfg(test)]
@@ -209,6 +201,48 @@ mod tests {
             &mut wt,
         );
         assert!(matches!(out, Err(UrelError::BadProbability { .. })));
+    }
+
+    /// A `pick tuples` that fails at a later row leaves the world table
+    /// bit-identical to how it found it.
+    #[test]
+    fn failed_pick_leaves_the_world_table_unchanged() {
+        let bits = |wt: &WorldTable| -> Vec<Vec<u64>> {
+            wt.distributions()
+                .map(|d| d.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        };
+        let mut wt = WorldTable::new();
+        wt.new_var(&[0.5, 0.5]).unwrap();
+        let before = bits(&wt);
+        let r = rel(
+            &[("p", DataType::Float)],
+            vec![
+                vec![Value::Float(0.3)],
+                vec![Value::Float(0.6)],
+                vec![Value::Float(1.5)],
+            ],
+        );
+        let options = PickTuplesOptions {
+            probability: Some(Expr::col("p")),
+        };
+        let out = pick_tuples(&r, &options, &mut wt);
+        assert!(
+            matches!(out, Err(UrelError::BadProbability { .. })),
+            "{out:?}"
+        );
+        assert_eq!(bits(&wt), before);
+        // An evaluation error after two good rows: the same.
+        let r = rel(
+            &[("p", DataType::Int)],
+            vec![vec![2.into()], vec![4.into()], vec![0.into()]],
+        );
+        let options = PickTuplesOptions {
+            probability: Some(Expr::lit(1i64).binary(maybms_engine::BinaryOp::Div, Expr::col("p"))),
+        };
+        let out = pick_tuples(&r, &options, &mut wt);
+        assert!(matches!(out, Err(UrelError::Engine(_))), "{out:?}");
+        assert_eq!(bits(&wt), before);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! pair. Choices of different groups are pairwise independent; the
 //! alternatives within a group are mutually exclusive.
 
-use maybms_engine::ops::group_indices;
-use maybms_engine::{Expr, Relation};
+use maybms_engine::group::GroupTable;
+use maybms_engine::vector::{self, KernelCounts};
+use maybms_engine::{EngineError, Expr, Relation, ValueRef};
 
 use crate::error::{Result, UrelError};
-use crate::urelation::{URelation, UTuple};
+use crate::urelation::URelation;
 use crate::world_table::WorldTable;
 use crate::wsd::Wsd;
 
@@ -26,73 +27,100 @@ pub struct RepairKeyOptions {
 }
 
 /// Apply `repair key` to a certain relation, registering fresh variables in
-/// `wt`. `key_exprs` are the key attributes (any scalar expressions over
-/// the input are accepted, matching `repair key <attributes>`).
-///
-/// Tuples with weight 0 are possible in *no* repair and are dropped.
-/// Negative, NaN, or non-numeric weights are errors, as is a group whose
-/// weights sum to 0.
-///
-/// The output schema equals the input schema (Figure 1: `R2` has the same
-/// data columns as `FT`, plus conditions).
+/// `wt`: [`repair_key_u`] over the relation lifted with
+/// [`URelation::from_certain`].
 pub fn repair_key(
     input: &Relation,
     key_exprs: &[Expr],
     options: &RepairKeyOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
-    let (sel, wsds) = repair(input, key_exprs, options, wt)?;
-    let tuples = sel.iter().zip(wsds);
-    let tuples = tuples.map(|(&i, wsd)| UTuple::new(input.tuples()[i].clone(), wsd));
-    Ok(URelation::new(input.schema().clone(), tuples.collect()))
+    repair_key_u(&URelation::from_certain(input), key_exprs, options, wt)
+}
+
+/// `repair key` over a U-relation input, registering fresh variables in
+/// `wt`. `key_exprs` are the key attributes (any scalar expressions over
+/// the input are accepted, matching `repair key <attributes>`). The input
+/// must be t-certain — the language's typing rule (§2.2 maps t-certain →
+/// uncertain) — and the output gathers the kept tuples' columns.
+///
+/// Tuples with weight 0 are possible in *no* repair and are dropped.
+/// Negative, NaN, or non-numeric weights are errors, as is a group whose
+/// weights sum to 0. A failed call leaves `wt` as it found it.
+///
+/// The output schema equals the input schema (Figure 1: `R2` has the same
+/// data columns as `FT`, plus conditions).
+pub fn repair_key_u(
+    input: &URelation,
+    key_exprs: &[Expr],
+    options: &RepairKeyOptions,
+    wt: &mut WorldTable,
+) -> Result<URelation> {
+    if !input.is_t_certain() {
+        return Err(UrelError::NotTCertain {
+            operation: "repair key".into(),
+        });
+    }
+    let vars = wt.num_vars();
+    let (sel, wsds) = repair(input, key_exprs, options, wt).inspect_err(|_| wt.truncate(vars))?;
+    Ok(input.gather_with(&sel, wsds))
 }
 
 /// The tuples of `input` a `repair key` keeps, in output order, and the
 /// condition each exists under.
 fn repair(
-    input: &Relation,
+    input: &URelation,
     key_exprs: &[Expr],
     options: &RepairKeyOptions,
     wt: &mut WorldTable,
 ) -> Result<(Vec<usize>, Vec<Wsd>)> {
-    // Evaluate weights up front.
-    let weights: Vec<f64> = match &options.weight {
+    // Weights first: their errors come before any key's.
+    let weights = match &options.weight {
         None => vec![1.0; input.len()],
         Some(w) => {
-            let bound = w.bind(input.schema())?;
-            let mut ws = Vec::with_capacity(input.len());
-            for t in input.tuples() {
-                let v = bound.eval(t)?;
-                let x = v.as_f64().ok_or_else(|| UrelError::BadWeight {
-                    message: format!("weight expression produced non-numeric value {v}"),
-                })?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(UrelError::BadWeight {
-                        message: format!("weight {x} is negative or not finite"),
-                    });
-                }
-                ws.push(x);
+            let bad = |message| UrelError::BadWeight { message };
+            let (ws, err) = numbers(w, input, "weight", bad)?;
+            if let Some(x) = ws.iter().find(|x| !x.is_finite() || **x < 0.0) {
+                return Err(bad(format!("weight {x} is negative or not finite")));
             }
-            ws
+            err.map_or(Ok(ws), Err)?
         }
     };
+    let bound: Vec<Expr> = key_exprs
+        .iter()
+        .map(|e| e.bind(input.schema()))
+        .collect::<std::result::Result<_, EngineError>>()?;
+    let mut table = GroupTable::new();
+    let batch = input.at_rest().0;
+    let (ids, err) = table.group_batch(&bound, batch, &mut KernelCounts::default(), &|| ());
+    if let Some(e) = err {
+        return Err(e.into());
+    }
+    // Counting sort by group: groups in first-seen order, each group's
+    // members in ascending row order.
+    let mut starts = vec![0usize; table.len() + 1];
+    for &g in &ids {
+        starts[g as usize + 1] += 1;
+    }
+    for g in 1..starts.len() {
+        starts[g] += starts[g - 1];
+    }
+    let mut members = vec![0usize; ids.len()];
+    let mut next = starts.clone();
+    for (i, &g) in ids.iter().enumerate() {
+        members[next[g as usize]] = i;
+        next[g as usize] += 1;
+    }
 
-    let groups = group_indices(input, key_exprs)?;
-    let (mut sel, mut wsds) = (
-        Vec::with_capacity(input.len()),
-        Vec::with_capacity(input.len()),
-    );
+    let (mut sel, mut wsds) = (Vec::with_capacity(ids.len()), Vec::with_capacity(ids.len()));
     // Scratch buffers reused across groups (no per-group allocation).
     let mut alive: Vec<usize> = Vec::new();
     let mut probs: Vec<f64> = Vec::new();
-    for (_key, indices) in groups {
+    for group in starts.windows(2).map(|w| &members[w[0]..w[1]]) {
         // Keep only alternatives with positive weight.
         alive.clear();
-        alive.extend(indices.iter().copied().filter(|&i| weights[i] > 0.0));
+        alive.extend(group.iter().copied().filter(|&i| weights[i] > 0.0));
         if alive.is_empty() {
-            if indices.is_empty() {
-                continue;
-            }
             return Err(UrelError::BadWeight {
                 message: "all weights in a repair-key group are zero".into(),
             });
@@ -106,7 +134,15 @@ fn repair(
         }
         let total: f64 = alive.iter().map(|&i| weights[i]).sum();
         probs.clear();
-        probs.extend(alive.iter().map(|&i| weights[i] / total));
+        if total.is_finite() {
+            probs.extend(alive.iter().map(|&i| weights[i] / total));
+        } else {
+            // Finite weights whose sum overflows: scale by the largest
+            // first (only here, so every other distribution keeps its bits).
+            let max = alive.iter().map(|&i| weights[i]).fold(0.0, f64::max);
+            let total: f64 = alive.iter().map(|&i| weights[i] / max).sum();
+            probs.extend(alive.iter().map(|&i| weights[i] / max / total));
+        }
         let var = wt.new_var(&probs)?;
         for (alt, &i) in alive.iter().enumerate() {
             sel.push(i);
@@ -116,23 +152,32 @@ fn repair(
     Ok((sel, wsds))
 }
 
-/// `repair key` over a U-relation input, enforcing the language's typing
-/// rule that the input must be t-certain (§2.2 maps t-certain →
-/// uncertain). The output gathers the kept tuples' columns.
-pub fn repair_key_u(
+/// `e`'s value on each row of `input` as an `f64`, up to the first row
+/// where it fails to evaluate or is not a number, and that row's error
+/// (`bad` of a message naming the `what` expression). The caller checks
+/// the range of the values before it: the scalar walk's first error.
+pub(crate) fn numbers(
+    e: &Expr,
     input: &URelation,
-    key_exprs: &[Expr],
-    options: &RepairKeyOptions,
-    wt: &mut WorldTable,
-) -> Result<URelation> {
-    if !input.is_t_certain() {
-        return Err(UrelError::NotTCertain {
-            operation: "repair key".into(),
-        });
+    what: &str,
+    bad: fn(String) -> UrelError,
+) -> Result<(Vec<f64>, Option<UrelError>)> {
+    let e = e.bind(input.schema())?;
+    let batch = input.at_rest().0;
+    let (col, err) = vector::eval_batch(&e, batch, &mut KernelCounts::default());
+    let mut xs = Vec::with_capacity(batch.rows());
+    for j in 0..err.as_ref().map_or(batch.rows(), |(k, _)| *k) {
+        match col.cell(j) {
+            ValueRef::Int(i) => xs.push(i as f64),
+            ValueRef::Float(f) => xs.push(f),
+            _ => {
+                let v = col.value_at(j);
+                let message = format!("{what} expression produced non-numeric value {v}");
+                return Ok((xs, Some(bad(message))));
+            }
+        }
     }
-    let certain = input.clone().into_certain();
-    let (sel, wsds) = repair(&certain, key_exprs, options, wt)?;
-    Ok(input.gather_with(&sel, wsds))
+    Ok((xs, err.map(|(_, e)| e.into())))
 }
 
 #[cfg(test)]
@@ -316,6 +361,84 @@ mod tests {
             &mut wt,
         );
         assert!(matches!(out, Err(UrelError::BadWeight { .. })));
+    }
+
+    /// Finite weights whose sum overflows `f64` still make a
+    /// distribution; a group whose sum is finite keeps the plain
+    /// quotients' bits.
+    #[test]
+    fn overflowing_weight_sum_is_rescaled() {
+        let mut wt = WorldTable::new();
+        let big = 2f64.powi(1023);
+        let r = rel(
+            &[("k", DataType::Int), ("w", DataType::Float)],
+            vec![
+                vec![1.into(), Value::Float(big)],
+                vec![1.into(), Value::Float(big)],
+                vec![1.into(), Value::Float(big / 2.0)],
+                vec![2.into(), Value::Float(0.1)],
+                vec![2.into(), Value::Float(0.2)],
+            ],
+        );
+        let options = RepairKeyOptions {
+            weight: Some(Expr::col("w")),
+        };
+        let out = repair_key(&r, &[Expr::col("k")], &options, &mut wt).unwrap();
+        assert_eq!(out.len(), 5);
+        let d = wt.distribution(crate::var::Var(0)).unwrap();
+        assert_eq!(d, &[1.0 / 2.5, 1.0 / 2.5, 0.5 / 2.5]);
+        let d = wt.distribution(crate::var::Var(1)).unwrap();
+        let total = 0.1 + 0.2;
+        assert_eq!(d, &[0.1 / total, 0.2 / total]);
+    }
+
+    /// Every variable's distribution, bit for bit.
+    fn table_bits(wt: &WorldTable) -> Vec<Vec<u64>> {
+        wt.distributions()
+            .map(|d| d.iter().map(|p| p.to_bits()).collect())
+            .collect()
+    }
+
+    /// A `repair key` that fails at a later group — all of its weights
+    /// zero, or more alternatives than a variable can have — leaves the
+    /// world table bit-identical to how it found it.
+    #[test]
+    fn failed_repair_leaves_the_world_table_unchanged() {
+        let mut wt = WorldTable::new();
+        wt.new_var(&[0.25, 0.75]).unwrap();
+        let before = table_bits(&wt);
+        let zero_last = rel(
+            &[("k", DataType::Int), ("w", DataType::Float)],
+            vec![
+                vec![1.into(), Value::Float(1.0)],
+                vec![1.into(), Value::Float(2.0)],
+                vec![2.into(), Value::Float(1.0)],
+                vec![2.into(), Value::Float(3.0)],
+                vec![3.into(), Value::Float(0.0)],
+            ],
+        );
+        let options = RepairKeyOptions {
+            weight: Some(Expr::col("w")),
+        };
+        let out = repair_key(&zero_last, &[Expr::col("k")], &options, &mut wt);
+        assert!(matches!(out, Err(UrelError::BadWeight { .. })), "{out:?}");
+        assert_eq!(table_bits(&wt), before);
+        let mut rows: Vec<Vec<Value>> = vec![vec![0.into()], vec![0.into()]];
+        rows.extend((0..=u16::MAX as i64).map(|_| vec![1.into()]));
+        let too_wide = rel(&[("k", DataType::Int)], rows);
+        let out = repair_key(
+            &too_wide,
+            &[Expr::col("k")],
+            &RepairKeyOptions::default(),
+            &mut wt,
+        );
+        assert!(
+            matches!(out, Err(UrelError::BadDistribution { .. })),
+            "{out:?}"
+        );
+        assert_eq!(table_bits(&wt), before);
+        // The table still works: the next variable takes the next id.
+        assert_eq!(wt.new_var(&[1.0]).unwrap(), crate::var::Var(1));
     }
 
     #[test]

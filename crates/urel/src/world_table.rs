@@ -60,6 +60,17 @@ impl WorldTable {
         Ok(var)
     }
 
+    /// Forget every variable from id `num_vars` on, restoring the table
+    /// a failed `repair key` / `pick tuples` started from (ids are
+    /// sequential, so the variables it registered are the last ones).
+    pub(crate) fn truncate(&mut self, num_vars: usize) {
+        if num_vars < self.ends.len() {
+            self.probs
+                .truncate(num_vars.checked_sub(1).map_or(0, |v| self.ends[v]));
+            self.ends.truncate(num_vars);
+        }
+    }
+
     /// Number of registered variables.
     pub fn num_vars(&self) -> usize {
         self.ends.len()

@@ -599,6 +599,24 @@ fn arithmetic_in_weight_expressions() {
     assert!((p0 - expected).abs() < 1e-9);
 }
 
+/// Finite weights whose sum overflows `f64` are still a distribution:
+/// two equal weights of 1e308 are 0.5 / 0.5.
+#[test]
+fn repair_key_weights_whose_sum_overflows() {
+    let mut db = MayBms::new();
+    db.run_script(
+        "create table t (k bigint, v bigint, w double precision);
+         insert into t values (1, 1, 1e308), (1, 2, 1e308);",
+    )
+    .unwrap();
+    let r = db
+        .query("select v, conf() as p from (repair key k in t weight by w) r group by v order by v")
+        .unwrap();
+    let p: Vec<Value> = r.tuples().iter().map(|t| t.value(1).clone()).collect();
+    assert_eq!(p, vec![Value::Float(0.5), Value::Float(0.5)]);
+    assert_eq!(db.world_table().num_vars(), 1);
+}
+
 #[test]
 fn in_list_with_expressions_and_in_select_combined() {
     let mut db = fresh();
