@@ -199,8 +199,8 @@ proptest! {
     }
 
     /// ORDER BY + LIMIT on a t-certain input (the one world it has):
-    /// the sort and limit breakers equal the naive sort's first rows,
-    /// order included.
+    /// the bounded sort and the limit breaker, run as the executor runs
+    /// them, equal the naive sort's first rows, order included.
     #[test]
     fn sort_limit_commutes(
         rows in prop::collection::vec((0i64..4, 0i64..4), 0..12),
@@ -212,7 +212,7 @@ proptest! {
         );
         let keys = [SortKey::desc(Expr::col("v")), SortKey::asc(Expr::col("k"))];
         let u = URelation::from_certain(&certain);
-        let got = breaker::limit(&breaker::sort(&u, &keys).unwrap(), n);
+        let got = breaker::limit(&breaker::sort(&u, &keys, Some(n)).unwrap(), n);
         prop_assert!(got.is_t_certain());
         let want = naive::sort(&certain, &keys).unwrap();
         let want: Vec<_> = want.tuples().iter().take(n).cloned().collect();

@@ -25,6 +25,62 @@ fn arb_num() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Sort-key numerics: [`arb_num`]'s, plus `Int`s around ±2^53 (where
+/// widening to `f64` rounds) and at the ends of `i64`.
+fn arb_sort_num() -> impl Strategy<Value = Value> {
+    let two53 = 1i64 << 53;
+    prop_oneof![
+        arb_num(),
+        arb_num(),
+        prop::sample::select(vec![
+            i64::MIN,
+            i64::MIN + 1,
+            -two53 - 1,
+            -two53,
+            two53,
+            two53 + 1,
+            i64::MAX - 1,
+            i64::MAX,
+        ])
+        .prop_map(Value::Int),
+    ]
+}
+
+/// A numeric value as an `Int` (a `Float` truncates).
+fn as_int(v: Value) -> Value {
+    match v {
+        Value::Float(f) => Value::Int(f as i64),
+        v => v,
+    }
+}
+
+/// A numeric value as a `Float` (an `Int` widens).
+fn as_float(v: Value) -> Value {
+    match v {
+        Value::Int(i) => Value::Float(i as f64),
+        v => v,
+    }
+}
+
+/// Sort key `pick` over (k, v, s): a column, an arithmetic expression,
+/// or one that can fail (`1 / k` divides by zero, `s + 1` adds to text).
+fn sort_key(pick: u8, ascending: bool) -> ops::SortKey {
+    let expr = match pick {
+        0 => Expr::col("k"),
+        1 => Expr::col("v"),
+        2 => Expr::col("s"),
+        3 => Expr::col("k")
+            .binary(BinaryOp::Mul, Expr::lit(Value::Float(0.5)))
+            .binary(BinaryOp::Add, Expr::col("v")),
+        4 => Expr::lit(1i64).binary(BinaryOp::Div, Expr::col("k")),
+        _ => Expr::col("s").binary(BinaryOp::Add, Expr::lit(1i64)),
+    };
+    match ascending {
+        true => ops::SortKey::asc(expr),
+        false => ops::SortKey::desc(expr),
+    }
+}
+
 /// Text payload (exercises `Arc<str>` sharing through the operators).
 fn arb_text() -> impl Strategy<Value = Value> {
     prop::sample::select(vec!["a", "b", "c"]).prop_map(Value::str)
@@ -72,14 +128,71 @@ proptest! {
         prop_assert_eq!(got.into_certain().tuples(), naive::distinct(&r).tuples());
     }
 
-    /// sort: the decorated-key sort breaker equals the clone-based sort
-    /// exactly (stability included).
+    /// sort: the column-keyed sort breaker, bounded or not, equals the
+    /// clone-based sort's first rows exactly (stability and variants
+    /// included), and fails with its first error. Keys are 1–3 of `k`,
+    /// `v`, `s`, an arithmetic expression and two that can fail, each
+    /// either direction; inputs are typed columns (`k` all `Int`, `v`
+    /// all `Float`), mixed-variant ones, their dictionary-encoded twins,
+    /// and a `union_all` of an `Int` half and a `Float` half of `k`.
     #[test]
-    fn sort_matches_naive(r in arb_relation()) {
-        let keys = [ops::SortKey::desc(Expr::col("v")), ops::SortKey::asc(Expr::col("k"))];
-        let a = breaker::sort(&URelation::from_certain(&r), &keys).unwrap().into_certain();
-        let b = naive::sort(&r, &keys).unwrap();
-        prop_assert_eq!(a.tuples(), b.tuples());
+    fn sort_matches_naive(
+        rows in prop::collection::vec((arb_sort_num(), arb_num(), arb_text()), 0..24),
+        keys in prop::collection::vec((0u8..6, any::<bool>()), 1..4),
+        limit in prop::option::of(0usize..1000),
+        shape in 0u8..3,
+    ) {
+        let keys: Vec<ops::SortKey> = keys.into_iter().map(|(k, asc)| sort_key(k, asc)).collect();
+        let limit = limit.map(|n| n % (rows.len() + 3));
+        let relation = |rows: &[(Value, Value, Value)]| {
+            Relation::new_unchecked(
+                schema3(),
+                rows.iter()
+                    .map(|(k, v, s)| Tuple::new(vec![k.clone(), v.clone(), s.clone()]))
+                    .collect(),
+            )
+        };
+        let mid = rows.len() / 2;
+        let rows: Vec<_> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, (k, v, s))| match shape {
+                0 => (as_int(k), as_float(v), s),
+                1 => (k, v, s),
+                _ => (if i < mid { as_int(k) } else { as_float(k) }, v, s),
+            })
+            .collect();
+        let r = relation(&rows);
+        let inputs = match shape {
+            0 | 1 => {
+                let u = URelation::from_certain(&r);
+                vec![u.dict_encode(), u]
+            }
+            _ => {
+                let (left, right) = rows.split_at(mid);
+                let halves = [left, right].map(|h| URelation::from_certain(&relation(h)));
+                vec![breaker::union_all(&halves[0], &halves[1]).unwrap()]
+            }
+        };
+        let want = naive::sort(&r, &keys);
+        for u in inputs {
+            match (breaker::sort(&u, &keys, limit), &want) {
+                (Ok(got), Ok(want)) => {
+                    // Debug-printed values: a variant swap among ties
+                    // (`1` for `1.0`) is a difference.
+                    let rows = |ts: &[Tuple]| -> Vec<String> {
+                        ts.iter().map(|t| format!("{:?}", t.values())).collect()
+                    };
+                    let n = limit.unwrap_or(usize::MAX);
+                    let want = rows(&want.tuples()[..want.len().min(n)]);
+                    prop_assert_eq!(rows(got.into_certain().tuples()), want);
+                }
+                (Err(got), Err(want)) => {
+                    prop_assert_eq!(got, maybms_urel::UrelError::Engine(want.clone()));
+                }
+                (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
+            }
+        }
     }
 
     /// repair key: the columnar construction (one engine group table,

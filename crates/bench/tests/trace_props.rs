@@ -348,12 +348,13 @@ fn each_breaker_is_one_span_at_any_thread_count() {
             .collect();
         breakers.sort();
         // (heads, 2) and (tails, 2) pass HAVING; toss 2 adds them again
-        // plus (edge, 2): 5 rows union, dedup to 3, sort 3, keep 2.
+        // plus (edge, 2): 5 rows union, dedup to 3, the LIMIT-bounded
+        // sort keeps the top 2 of 3, the limit passes them on.
         assert_eq!(
             breakers,
             vec![
-                ("limit".to_string(), 3, 2),
-                ("sort".to_string(), 3, 3),
+                ("limit".to_string(), 2, 2),
+                ("sort".to_string(), 3, 2),
                 ("union".to_string(), 5, 5),
             ],
             "threads = {threads}"

@@ -159,12 +159,12 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         };
     }
     if !plan.sort.is_empty() {
-        let sorted = breaker::sort(&result, &plan.sort)?;
-        ctx.breaker(
-            format!("sort ({} keys)", plan.sort.len()),
-            result.len(),
-            &sorted,
-        );
+        // A LIMIT bounds the sort to a top-n; the limit breaker below
+        // still runs, so its typing rule reads the sorted result and a
+        // sort key's error comes first.
+        let bound = plan.limit.map(|n| n as usize);
+        let sorted = breaker::sort(&result, &plan.sort, bound)?;
+        ctx.breaker(plan.sort_label(), result.len(), &sorted);
         result = sorted;
     }
     if let Some(n) = plan.limit {

@@ -1089,6 +1089,16 @@ impl QueryPlan {
         explain.query(self)?;
         Ok(explain.text)
     }
+
+    /// What `EXPLAIN` and the recorded breaker call the sort: `sort (K
+    /// keys)`, or `sort (K keys, top n)` when a `LIMIT n` bounds it.
+    pub(crate) fn sort_label(&self) -> String {
+        let keys = self.sort.len();
+        match self.limit {
+            Some(n) => format!("sort ({keys} keys, top {n})"),
+            None => format!("sort ({keys} keys)"),
+        }
+    }
 }
 
 /// The `EXPLAIN` walk over a plan, in run order.
@@ -1134,7 +1144,7 @@ impl Explain {
             }
         }
         if !q.sort.is_empty() {
-            let _ = writeln!(self.text, "breaker: sort ({} keys)", q.sort.len());
+            let _ = writeln!(self.text, "breaker: {}", q.sort_label());
         }
         if let Some(n) = q.limit {
             let _ = writeln!(self.text, "breaker: limit {n}");

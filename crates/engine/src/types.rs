@@ -160,17 +160,6 @@ impl Value {
         }
     }
 
-    /// Rank used to order values of different variants.
-    fn variant_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 2,
-            Value::Float(_) => 2, // shares rank with Int: numeric comparison
-            Value::Str(_) => 3,
-        }
-    }
-
     /// SQL equality: `NULL = x` is unknown, surfaced here as `None`.
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         if self.is_null() || other.is_null() {
@@ -184,18 +173,9 @@ impl Value {
     /// [`Value::eq`] and join keys do; a `Float` on either side widens the
     /// other to `f64` (total order).
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                Some(x.total_cmp(&y))
-            }
-        }
+        let (a, b) = (self.view(), other.view());
+        let comparable = !self.is_null() && a.rank() == b.rank();
+        comparable.then(|| a.cmp(&b))
     }
 }
 
@@ -211,22 +191,7 @@ impl Eq for Value {}
 impl Ord for Value {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
-            (a, b) => match a.variant_rank().cmp(&b.variant_rank()) {
-                // Mixed numerics widen to `f64`, as `Value::eq` does.
-                Ordering::Equal => {
-                    let x = a.as_f64().expect("numeric rank implies numeric value");
-                    let y = b.as_f64().expect("numeric rank implies numeric value");
-                    x.total_cmp(&y)
-                }
-                rank => rank,
-            },
-        }
+        self.view().cmp(&other.view())
     }
 }
 
@@ -245,9 +210,9 @@ impl Hash for Value {
 }
 
 /// A borrowed view of a [`Value`] — what a column cell reads as without
-/// building one (a string is a `&str`, not an `Arc` bump). Equality and
-/// hashing are defined here once; `Value`'s delegate to them, so a view
-/// and its value always agree.
+/// building one (a string is a `&str`, not an `Arc` bump). Equality,
+/// order and hashing are defined here once; `Value`'s delegate to them,
+/// so a view and its value always agree.
 #[derive(Debug, Clone, Copy)]
 pub enum ValueRef<'a> {
     /// SQL NULL.
@@ -276,6 +241,48 @@ impl PartialEq for ValueRef<'_> {
             (ValueRef::Str(a), ValueRef::Str(b)) => a == b,
             _ => false,
         }
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl ValueRef<'_> {
+    /// Rank used to order values of different variants: NULL, then
+    /// Bool, then numeric (`Int` and `Float` share one), then text.
+    #[inline]
+    fn rank(self) -> u8 {
+        match self {
+            ValueRef::Null => 0,
+            ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) | ValueRef::Float(_) => 2,
+            ValueRef::Str(_) => 3,
+        }
+    }
+}
+
+/// The engine's total order (what `ORDER BY` sorts by): NULL first, then
+/// Bool, then numeric, then text. Two `Int`s compare as `i64`; any other
+/// numeric pair widens to `f64` under [`f64::total_cmp`], as equality
+/// does; text compares by bytes.
+impl Ord for ValueRef<'_> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (*self, *other) {
+            (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(&b),
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.total_cmp(&b),
+            (ValueRef::Int(a), ValueRef::Float(b)) => (a as f64).total_cmp(&b),
+            (ValueRef::Float(a), ValueRef::Int(b)) => a.total_cmp(&(b as f64)),
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a.cmp(&b),
+            (ValueRef::Str(a), ValueRef::Str(b)) => a.as_bytes().cmp(b.as_bytes()),
+            (a, b) => a.rank().cmp(&b.rank()),
+        }
+    }
+}
+
+impl PartialOrd for ValueRef<'_> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -415,6 +422,41 @@ mod tests {
         let b = Value::Float(1.5);
         let c = Value::Int(2);
         assert!(a < b && b < c && a < c);
+    }
+
+    #[test]
+    fn value_ref_order_is_the_engine_order() {
+        let two53 = 1i64 << 53;
+        let ascending = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Float(-1e19),
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Float(-0.5),
+            Value::Int(0),
+            Value::Float(0.5),
+            Value::Int(two53),
+            Value::Int(two53 + 1),
+            Value::Int(i64::MAX),
+            Value::Float(1e19),
+            Value::str(""),
+            Value::str("B"),
+            Value::str("a"),
+            Value::str("é"),
+        ];
+        for (i, a) in ascending.iter().enumerate() {
+            for (j, b) in ascending.iter().enumerate() {
+                assert_eq!(a.view().cmp(&b.view()), i.cmp(&j), "{a:?} vs {b:?}");
+                assert_eq!(a.cmp(b), i.cmp(&j), "{a:?} vs {b:?}");
+            }
+        }
+        // Int × Int is exact; a Float on either side widens the Int.
+        let (big, wide) = (Value::Int(two53 + 1), Value::Float(two53 as f64));
+        assert_eq!(big.cmp(&Value::Int(two53)), Ordering::Greater);
+        assert_eq!(big.cmp(&wide), Ordering::Equal);
+        assert_eq!(wide.view().cmp(&big.view()), Ordering::Equal);
     }
 
     #[test]

@@ -782,8 +782,9 @@ impl PipelineStats {
 pub enum Step {
     /// A pipeline, labelled by why it broke, and its record.
     Pipeline(String, std::sync::Arc<PipelineStats>),
-    /// A materialising breaker: what ran (`sort (2 keys)`, `union (all)`,
-    /// …), the rows it took and the rows it gave.
+    /// A materialising breaker: what ran (`sort (2 keys)`, `sort (1 keys,
+    /// top 20)` under a `LIMIT`, `union (all)`, …), the rows it took and
+    /// the rows it gave.
     Breaker(String, usize, usize),
 }
 

@@ -10,17 +10,22 @@
 //! along untouched except in the cross product, which conjoins them and
 //! drops unsatisfiable pairs exactly like a probe stage. Each only
 //! chooses or concatenates input rows, so each gathers (or concatenates)
-//! its inputs' columns and conditions.
+//! its inputs' columns and conditions; none builds a `Value` row. The
+//! sort evaluates its keys as columns and, under a `LIMIT n`, keeps only
+//! the first n rows (a bounded top-n, not a full sort).
 //!
 //! Every breaker opens one `breaker` trace span (attrs `kind`,
 //! `rows_in`, `rows_out`) and, where its work grows with its input,
-//! ticks the governor per row, so `ORDER BY`, `UNION` and a keyless join
-//! are as cancellable as a scan.
+//! ticks the governor once per input row (amortised, see
+//! [`Ticker`]), so `ORDER BY`, `UNION` and a keyless join are as
+//! cancellable as a scan.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use maybms_engine::ops::SortKey;
-use maybms_engine::{ColumnBatch, EngineError, Expr, Value};
+use maybms_engine::vector::{eval_batch, KernelCounts};
+use maybms_engine::{Column, ColumnBatch, ColumnData, EngineError, Expr, NullMask, StrDict};
 use maybms_gov::Ticker;
 use maybms_obs::trace::Span;
 use maybms_urel::{Result, URelation};
@@ -40,42 +45,140 @@ fn enter(kind: &'static str, rows_in: usize) -> Result<Span> {
     Ok(span)
 }
 
-/// Stable sort of the representation by `keys` (NULLs first, engine
-/// total order; ties keep input order).
+/// The rows of the representation ordered by `keys` (NULLs first, the
+/// engine's total order; ties keep input order), cut to the first
+/// `limit` when one is given — `ORDER BY … LIMIT n` as one bounded
+/// top-n. With no bound, or a bound of at least the row count, every
+/// row is kept.
 ///
-/// Sorts a selection vector decorated with the key values — each key is
-/// evaluated once per row, so an evaluation error surfaces before any
-/// comparison — and gathers the permuted rows once at the end.
-pub fn sort(input: &URelation, keys: &[SortKey]) -> Result<URelation> {
+/// Each key is evaluated once over the whole input batch (a bare column
+/// borrows it), so an evaluation error surfaces before any comparison:
+/// the lowest erroring row's, and within it the leftmost key's — the
+/// error a row-by-row walk raises. The comparator is chosen once per
+/// key column (typed slices, dictionary strings, or
+/// [`ValueRef`](maybms_engine::ValueRef) order for mixed and constant
+/// columns) and ends on the input position, so the order is strict:
+/// selecting the first `limit` positions and sorting only those gives
+/// exactly a stable full sort's first rows. Only the kept rows' columns
+/// and conditions are gathered.
+pub fn sort(input: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result<URelation> {
     let bound: Vec<(Expr, bool)> = keys
         .iter()
         .map(|k| Ok((k.expr.bind(input.schema())?, k.ascending)))
         .collect::<Result<_>>()?;
     let mut span = enter("sort", input.len())?;
-    let mut gov = Ticker::new();
-    let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(input.len());
-    let mut row = Vec::new();
-    for i in 0..input.len() {
-        gov.tick().map_err(EngineError::Gov)?;
-        input.write_row(i, &mut row);
-        let kv = bound
-            .iter()
-            .map(|(e, _)| e.eval_values(&row))
-            .collect::<std::result::Result<Vec<Value>, EngineError>>()?;
-        decorated.push((kv, i));
-    }
-    decorated.sort_by(|(ka, ia), (kb, ib)| {
-        for ((a, b), (_, asc)) in ka.iter().zip(kb).zip(&bound) {
-            let ord = if *asc { a.cmp(b) } else { b.cmp(a) };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+    let (batch, wsds) = input.at_rest();
+    Ticker::new()
+        .tick_n(batch.rows())
+        .map_err(EngineError::Gov)?;
+    let mut counts = KernelCounts::default();
+    let mut first_err: Option<(usize, EngineError)> = None;
+    let mut columns = Vec::with_capacity(bound.len());
+    for (e, _) in &bound {
+        let (col, err) = eval_batch(e, batch, &mut counts);
+        if let Some((row, err)) = err {
+            // Strictly lower only: at a tie the leftmost key's error stands.
+            if first_err.as_ref().is_none_or(|(first, _)| row < *first) {
+                first_err = Some((row, err));
             }
         }
-        ia.cmp(ib) // stability tiebreak
-    });
-    let sel: Vec<usize> = decorated.into_iter().map(|(_, i)| i).collect();
+        columns.push(col);
+    }
+    if let Some((_, err)) = first_err {
+        return Err(err.into());
+    }
+    let keys: Vec<SortColumn<'_>> = columns
+        .iter()
+        .zip(&bound)
+        .map(|(col, (_, ascending))| SortColumn::new(col, *ascending))
+        .collect();
+    let order = |a: &u32, b: &u32| {
+        keys.iter()
+            .map(|k| k.cmp(*a as usize, *b as usize))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.cmp(b))
+    };
+    debug_assert!(batch.rows() <= u32::MAX as usize);
+    let mut sel: Vec<u32> = (0..batch.rows() as u32).collect();
+    match limit {
+        Some(0) => sel.clear(),
+        Some(n) if n < sel.len() => {
+            sel.select_nth_unstable_by(n - 1, order);
+            sel.truncate(n);
+        }
+        _ => {}
+    }
+    sel.sort_unstable_by(order);
+    let kept = sel.iter().map(|&i| wsds[i as usize].clone()).collect();
     span.attr("rows_out", sel.len());
-    Ok(input.gather(&sel))
+    Ok(URelation::from_batch(
+        input.schema().clone(),
+        batch.gather(&sel),
+        kept,
+    ))
+}
+
+/// One evaluated sort key: its column's comparator, chosen once.
+struct SortColumn<'a> {
+    order: KeyOrder<'a>,
+    /// The null mask when the typed column has nulls (NULL sorts first).
+    nulls: Option<&'a NullMask>,
+    ascending: bool,
+}
+
+/// How one key column compares two of its rows.
+enum KeyOrder<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Bool(&'a [bool]),
+    Str(&'a [Arc<str>]),
+    Dict(&'a [u32], &'a StrDict),
+    /// Mixed-variant and constant columns: the engine's
+    /// [`ValueRef`](maybms_engine::ValueRef) order, nulls included.
+    Cells(&'a Column),
+}
+
+impl<'a> SortColumn<'a> {
+    fn new(col: &'a Column, ascending: bool) -> SortColumn<'a> {
+        let order = match col.data() {
+            ColumnData::Int(v) => KeyOrder::Int(v),
+            ColumnData::Float(v) => KeyOrder::Float(v),
+            ColumnData::Bool(v) => KeyOrder::Bool(v),
+            ColumnData::Str(v) => KeyOrder::Str(v),
+            ColumnData::Dict { codes, dict } => KeyOrder::Dict(codes, dict),
+            ColumnData::Values(_) | ColumnData::Const(_) => KeyOrder::Cells(col),
+        };
+        let typed = !matches!(order, KeyOrder::Cells(_));
+        SortColumn {
+            order,
+            nulls: (typed && col.nulls().any()).then(|| col.nulls()),
+            ascending,
+        }
+    }
+
+    #[inline]
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        let ord = match self.nulls.map(|m| (m.is_null(a), m.is_null(b))) {
+            Some((na, nb)) if na || nb => nb.cmp(&na),
+            _ => match &self.order {
+                KeyOrder::Int(v) => v[a].cmp(&v[b]),
+                KeyOrder::Float(v) => v[a].total_cmp(&v[b]),
+                KeyOrder::Bool(v) => v[a].cmp(&v[b]),
+                KeyOrder::Str(v) => v[a].as_bytes().cmp(v[b].as_bytes()),
+                KeyOrder::Dict(codes, _) if codes[a] == codes[b] => Ordering::Equal,
+                KeyOrder::Dict(codes, dict) => {
+                    let (x, y) = (dict.get(codes[a]), dict.get(codes[b]));
+                    x.as_bytes().cmp(y.as_bytes())
+                }
+                KeyOrder::Cells(col) => col.cell(a).cmp(&col.cell(b)),
+            },
+        };
+        if self.ascending {
+            ord
+        } else {
+            ord.reverse()
+        }
+    }
 }
 
 /// Multiset union (§2.2: `union` over uncertain relations is the
@@ -149,7 +252,7 @@ pub fn limit(input: &URelation, n: usize) -> URelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType};
+    use maybms_engine::{rel, DataType, Value};
     use maybms_urel::{Var, Wsd};
 
     fn scores() -> URelation {
@@ -175,26 +278,43 @@ mod tests {
     #[test]
     fn sort_is_stable_and_carries_conditions() {
         let u = scores();
-        let out = sort(&u, &[SortKey::asc(Expr::col("s"))]).unwrap();
+        let out = sort(&u, &[SortKey::asc(Expr::col("s"))], None).unwrap();
         assert_eq!(names(&out), vec!["b", "c", "a"]);
         assert_eq!(out.tuples()[1].wsd, Wsd::of(Var(0), 1));
         let out = sort(
             &u,
             &[SortKey::desc(Expr::col("s")), SortKey::asc(Expr::col("p"))],
+            None,
         )
         .unwrap();
         assert_eq!(names(&out), vec!["a", "b", "c"]);
         // A dictionary-encoded input sorts the same.
-        let out = sort(&u.dict_encode(), &[SortKey::asc(Expr::col("s"))]).unwrap();
+        let out = sort(&u.dict_encode(), &[SortKey::asc(Expr::col("s"))], None).unwrap();
         assert_eq!(names(&out), vec!["b", "c", "a"]);
+    }
+
+    #[test]
+    fn bounded_sort_keeps_the_first_rows() {
+        let u = scores();
+        let key = [SortKey::asc(Expr::col("s"))];
+        for (n, want) in [(0, vec![]), (1, vec!["b"]), (2, vec!["b", "c"])] {
+            let out = sort(&u, &key, Some(n)).unwrap();
+            assert_eq!(names(&out), want);
+        }
+        let out = sort(&u, &key, Some(2)).unwrap();
+        assert_eq!(out.tuples()[1].wsd, Wsd::of(Var(0), 1));
+        for n in [3, 9] {
+            let out = sort(&u, &key, Some(n)).unwrap();
+            assert_eq!(names(&out), vec!["b", "c", "a"]);
+        }
     }
 
     #[test]
     fn sort_key_errors_surface_before_sorting() {
         let u = scores();
-        assert!(sort(&u, &[SortKey::asc(Expr::col("nope"))]).is_err());
+        assert!(sort(&u, &[SortKey::asc(Expr::col("nope"))], None).is_err());
         let bad = Expr::col("p").binary(maybms_engine::BinaryOp::Add, Expr::lit(1i64));
-        assert!(sort(&u, &[SortKey::asc(bad)]).is_err());
+        assert!(sort(&u, &[SortKey::asc(bad)], Some(1)).is_err());
     }
 
     #[test]

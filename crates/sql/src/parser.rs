@@ -358,8 +358,12 @@ impl Parser {
             }
         }
         let limit = if self.eat_kw(K::Limit) {
-            match self.bump() {
-                Some(Token::Int(n)) if n >= 0 => Some(n as u64),
+            // Peek first: the error names the offending token itself.
+            match self.peek() {
+                Some(&Token::Int(n)) if n >= 0 => {
+                    self.pos += 1;
+                    Some(n as u64)
+                }
                 _ => return Err(self.error("expected a non-negative integer after LIMIT")),
             }
         } else {
@@ -1212,6 +1216,37 @@ group by R1.player, R2.Final;";
         let err = parse_query("select from").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("syntax error"), "{msg}");
+    }
+
+    #[test]
+    fn bad_limit_names_its_own_token() {
+        let expected = "expected a non-negative integer after LIMIT";
+        for (sql, found, col) in [
+            ("select k from t limit -1", "-", 23),
+            ("select k from t limit x;", "x", 23),
+            ("select k from t limit 1.5", "1.5", 23),
+        ] {
+            let Err(ParseError::Syntax {
+                message,
+                line,
+                col: at,
+            }) = parse_query(sql)
+            else {
+                panic!("{sql} must be a syntax error")
+            };
+            assert_eq!(message, format!("{expected}, found `{found}`"), "{sql}");
+            assert_eq!((line, at), (1, col), "{sql}");
+        }
+        // At the end of the input there is no token to name.
+        let err = parse_query("select k from t limit").unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Syntax {
+                message: expected.into(),
+                line: 0,
+                col: 0,
+            }
+        );
     }
 
     #[test]

@@ -232,19 +232,26 @@ fn sort_and_union_breakers_are_checkpoints() {
         "entry + two ticks of {} rows",
         maybms_gov::Ticker::EVERY
     );
+    // A LIMIT bounds the sort to a top-n, which reads every input row
+    // all the same: the same checkpoints.
+    let top = format!("{sorted} limit 5");
+    assert_eq!(checkpoints(&mut db, &top), total);
     // Every checkpoint past the scan's is the sort's: a cancel landing on
     // any of them aborts with the typed error and an intact catalog.
     let baseline = fp(&db);
-    for nth in base + 1..=total {
-        testing::abort_at_checkpoint(nth, AbortKind::Cancel);
-        let err = db
-            .run(&sorted)
-            .expect_err("cancel inside the sort must abort");
-        testing::clear();
-        assert!(matches_kind(AbortKind::Cancel, &err), "nth={nth}: {err}");
-        assert_eq!(fp(&db), baseline, "nth={nth}: abort mutated state");
+    for q in [&sorted, &top] {
+        for nth in base + 1..=total {
+            testing::abort_at_checkpoint(nth, AbortKind::Cancel);
+            let err = db.run(q).expect_err("cancel inside the sort must abort");
+            testing::clear();
+            assert!(
+                matches_kind(AbortKind::Cancel, &err),
+                "{q} nth={nth}: {err}"
+            );
+            assert_eq!(fp(&db), baseline, "{q} nth={nth}: abort mutated state");
+        }
+        db.run(q).expect("the session survives");
     }
-    db.run(&sorted).expect("the session survives");
     maybms_par::set_threads(before_threads);
 }
 

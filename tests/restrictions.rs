@@ -94,6 +94,14 @@ fn limit_forbidden_on_uncertain_result() {
     let mut db = db_with_uncertain();
     let err = db.run("select * from u limit 1").unwrap_err();
     assert!(matches!(err, CoreError::Typing { .. }), "{err:?}");
+    // The LIMIT bounds the sort under it, but the typing rule still
+    // holds, and a sort key's error still comes before it.
+    let err = db.run("select * from u order by k limit 1").unwrap_err();
+    assert!(matches!(err, CoreError::Typing { .. }), "{err:?}");
+    let err = db
+        .run("select * from u order by 1 / (k - k) limit 1")
+        .unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err:?}");
     assert!(db.run("select k, conf() from u group by k limit 1").is_ok());
 }
 

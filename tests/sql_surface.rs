@@ -181,7 +181,7 @@ fn explain_lists_breakers_between_pipelines() {
             "#2 pipeline (output)",
             "breaker: union (all)",
             "#3 pipeline (distinct (streaming, 1 keys)) if t-certain (decided at run)",
-            "breaker: sort (1 keys)",
+            "breaker: sort (1 keys, top 2)",
             "breaker: limit 2",
         ],
         "{message}"
@@ -192,8 +192,8 @@ fn explain_lists_breakers_between_pipelines() {
     };
     for line in [
         "breaker: union (all) [in 7, out 7]",
-        "breaker: sort (1 keys) [in 5, out 5]",
-        "breaker: limit 2 [in 5, out 2]",
+        "breaker: sort (1 keys, top 2) [in 5, out 2]",
+        "breaker: limit 2 [in 2, out 2]",
     ] {
         assert!(message.contains(line), "missing `{line}` in:\n{message}");
     }
