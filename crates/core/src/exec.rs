@@ -158,17 +158,20 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             merged
         };
     }
+    // The LIMIT typing rule reads the relation the LIMIT applies to, not
+    // the sort's top-n of it, so whether a query is accepted never
+    // depends on which rows come first.
+    let certain = result.is_t_certain();
     if !plan.sort.is_empty() {
         // A LIMIT bounds the sort to a top-n; the limit breaker below
-        // still runs, so its typing rule reads the sorted result and a
-        // sort key's error comes first.
+        // still runs after it, so a sort key's error comes first.
         let bound = plan.limit.map(|n| n as usize);
         let sorted = breaker::sort(&result, &plan.sort, bound)?;
         ctx.breaker(plan.sort_label(), result.len(), &sorted);
         result = sorted;
     }
     if let Some(n) = plan.limit {
-        if !result.is_t_certain() {
+        if !certain {
             return Err(typing(
                 "LIMIT on an uncertain relation would truncate the representation, \
                  changing its possible-worlds semantics; compute a t-certain result first",

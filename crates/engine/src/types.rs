@@ -173,10 +173,41 @@ impl Value {
     /// [`Value::eq`] and join keys do; a `Float` on either side widens the
     /// other to `f64` (total order).
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        let (a, b) = (self.view(), other.view());
-        let comparable = !self.is_null() && a.rank() == b.rank();
-        comparable.then(|| a.cmp(&b))
+        let comparable = match (self, other) {
+            (Value::Null, _) | (_, Value::Null) => false,
+            (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => true,
+            (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
+        };
+        comparable.then(|| self.cmp(other))
     }
+}
+
+/// The engine's total order (what `ORDER BY` sorts by): NULL first, then
+/// Bool, then numeric, then text. Two `Int`s compare as `i64`; any other
+/// numeric pair widens to `f64` under [`f64::total_cmp`], as equality
+/// does; text compares by bytes. Written once and expanded for both
+/// [`Value`] and [`ValueRef`]: comparing two `Value`s through their views
+/// instead would add a second variant dispatch per side to every call.
+macro_rules! total_order {
+    ($t:ident, $a:expr, $b:expr) => {
+        match ($a, $b) {
+            ($t::Int(a), $t::Int(b)) => a.cmp(b),
+            ($t::Float(a), $t::Float(b)) => a.total_cmp(b),
+            ($t::Int(a), $t::Float(b)) => (*a as f64).total_cmp(b),
+            ($t::Float(a), $t::Int(b)) => a.total_cmp(&(*b as f64)),
+            ($t::Bool(a), $t::Bool(b)) => a.cmp(b),
+            ($t::Str(a), $t::Str(b)) => a.as_bytes().cmp(b.as_bytes()),
+            (a, b) => {
+                let rank = |v: &$t| match v {
+                    $t::Null => 0,
+                    $t::Bool(_) => 1,
+                    $t::Int(_) | $t::Float(_) => 2,
+                    $t::Str(_) => 3,
+                };
+                rank(a).cmp(&rank(b))
+            }
+        }
+    };
 }
 
 impl PartialEq for Value {
@@ -191,7 +222,7 @@ impl Eq for Value {}
 impl Ord for Value {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.view().cmp(&other.view())
+        total_order!(Value, self, other)
     }
 }
 
@@ -210,9 +241,10 @@ impl Hash for Value {
 }
 
 /// A borrowed view of a [`Value`] — what a column cell reads as without
-/// building one (a string is a `&str`, not an `Arc` bump). Equality,
-/// order and hashing are defined here once; `Value`'s delegate to them,
-/// so a view and its value always agree.
+/// building one (a string is a `&str`, not an `Arc` bump). Equality and
+/// hashing are defined here once and `Value`'s delegate to them; the
+/// order is one `total_order!` expanded for both. A view and its value
+/// always agree.
 #[derive(Debug, Clone, Copy)]
 pub enum ValueRef<'a> {
     /// SQL NULL.
@@ -246,36 +278,10 @@ impl PartialEq for ValueRef<'_> {
 
 impl Eq for ValueRef<'_> {}
 
-impl ValueRef<'_> {
-    /// Rank used to order values of different variants: NULL, then
-    /// Bool, then numeric (`Int` and `Float` share one), then text.
-    #[inline]
-    fn rank(self) -> u8 {
-        match self {
-            ValueRef::Null => 0,
-            ValueRef::Bool(_) => 1,
-            ValueRef::Int(_) | ValueRef::Float(_) => 2,
-            ValueRef::Str(_) => 3,
-        }
-    }
-}
-
-/// The engine's total order (what `ORDER BY` sorts by): NULL first, then
-/// Bool, then numeric, then text. Two `Int`s compare as `i64`; any other
-/// numeric pair widens to `f64` under [`f64::total_cmp`], as equality
-/// does; text compares by bytes.
 impl Ord for ValueRef<'_> {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        match (*self, *other) {
-            (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(&b),
-            (ValueRef::Float(a), ValueRef::Float(b)) => a.total_cmp(&b),
-            (ValueRef::Int(a), ValueRef::Float(b)) => (a as f64).total_cmp(&b),
-            (ValueRef::Float(a), ValueRef::Int(b)) => a.total_cmp(&(b as f64)),
-            (ValueRef::Bool(a), ValueRef::Bool(b)) => a.cmp(&b),
-            (ValueRef::Str(a), ValueRef::Str(b)) => a.as_bytes().cmp(b.as_bytes()),
-            (a, b) => a.rank().cmp(&b.rank()),
-        }
+        total_order!(ValueRef, self, other)
     }
 }
 

@@ -20,12 +20,11 @@
 //! [`Ticker`]), so `ORDER BY`, `UNION` and a keyless join are as
 //! cancellable as a scan.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use maybms_engine::ops::SortKey;
 use maybms_engine::vector::{eval_batch, KernelCounts};
-use maybms_engine::{Column, ColumnBatch, ColumnData, EngineError, Expr, NullMask, StrDict};
+use maybms_engine::{ColumnBatch, EngineError, Expr};
 use maybms_gov::Ticker;
 use maybms_obs::trace::Span;
 use maybms_urel::{Result, URelation};
@@ -54,10 +53,9 @@ fn enter(kind: &'static str, rows_in: usize) -> Result<Span> {
 /// Each key is evaluated once over the whole input batch (a bare column
 /// borrows it), so an evaluation error surfaces before any comparison:
 /// the lowest erroring row's, and within it the leftmost key's — the
-/// error a row-by-row walk raises. The comparator is chosen once per
-/// key column (typed slices, dictionary strings, or
-/// [`ValueRef`](maybms_engine::ValueRef) order for mixed and constant
-/// columns) and ends on the input position, so the order is strict:
+/// error a row-by-row walk raises. Rows compare by their key cells in
+/// [`ValueRef`](maybms_engine::ValueRef) order, the engine's one total
+/// order, and then by input position, so the order is strict:
 /// selecting the first `limit` positions and sorting only those gives
 /// exactly a stable full sort's first rows. Only the kept rows' columns
 /// and conditions are gathered.
@@ -67,7 +65,7 @@ pub fn sort(input: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result
         .map(|k| Ok((k.expr.bind(input.schema())?, k.ascending)))
         .collect::<Result<_>>()?;
     let mut span = enter("sort", input.len())?;
-    let (batch, wsds) = input.at_rest();
+    let batch = input.at_rest().0;
     Ticker::new()
         .tick_n(batch.rows())
         .map_err(EngineError::Gov)?;
@@ -87,19 +85,22 @@ pub fn sort(input: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result
     if let Some((_, err)) = first_err {
         return Err(err.into());
     }
-    let keys: Vec<SortColumn<'_>> = columns
-        .iter()
-        .zip(&bound)
-        .map(|(col, (_, ascending))| SortColumn::new(col, *ascending))
-        .collect();
-    let order = |a: &u32, b: &u32| {
-        keys.iter()
-            .map(|k| k.cmp(*a as usize, *b as usize))
+    let order = |&a: &usize, &b: &usize| {
+        columns
+            .iter()
+            .zip(&bound)
+            .map(|(col, (_, ascending))| {
+                let ord = col.cell(a).cmp(&col.cell(b));
+                if *ascending {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
             .find(|o| o.is_ne())
-            .unwrap_or_else(|| a.cmp(b))
+            .unwrap_or_else(|| a.cmp(&b))
     };
-    debug_assert!(batch.rows() <= u32::MAX as usize);
-    let mut sel: Vec<u32> = (0..batch.rows() as u32).collect();
+    let mut sel: Vec<usize> = (0..batch.rows()).collect();
     match limit {
         Some(0) => sel.clear(),
         Some(n) if n < sel.len() => {
@@ -109,76 +110,8 @@ pub fn sort(input: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result
         _ => {}
     }
     sel.sort_unstable_by(order);
-    let kept = sel.iter().map(|&i| wsds[i as usize].clone()).collect();
     span.attr("rows_out", sel.len());
-    Ok(URelation::from_batch(
-        input.schema().clone(),
-        batch.gather(&sel),
-        kept,
-    ))
-}
-
-/// One evaluated sort key: its column's comparator, chosen once.
-struct SortColumn<'a> {
-    order: KeyOrder<'a>,
-    /// The null mask when the typed column has nulls (NULL sorts first).
-    nulls: Option<&'a NullMask>,
-    ascending: bool,
-}
-
-/// How one key column compares two of its rows.
-enum KeyOrder<'a> {
-    Int(&'a [i64]),
-    Float(&'a [f64]),
-    Bool(&'a [bool]),
-    Str(&'a [Arc<str>]),
-    Dict(&'a [u32], &'a StrDict),
-    /// Mixed-variant and constant columns: the engine's
-    /// [`ValueRef`](maybms_engine::ValueRef) order, nulls included.
-    Cells(&'a Column),
-}
-
-impl<'a> SortColumn<'a> {
-    fn new(col: &'a Column, ascending: bool) -> SortColumn<'a> {
-        let order = match col.data() {
-            ColumnData::Int(v) => KeyOrder::Int(v),
-            ColumnData::Float(v) => KeyOrder::Float(v),
-            ColumnData::Bool(v) => KeyOrder::Bool(v),
-            ColumnData::Str(v) => KeyOrder::Str(v),
-            ColumnData::Dict { codes, dict } => KeyOrder::Dict(codes, dict),
-            ColumnData::Values(_) | ColumnData::Const(_) => KeyOrder::Cells(col),
-        };
-        let typed = !matches!(order, KeyOrder::Cells(_));
-        SortColumn {
-            order,
-            nulls: (typed && col.nulls().any()).then(|| col.nulls()),
-            ascending,
-        }
-    }
-
-    #[inline]
-    fn cmp(&self, a: usize, b: usize) -> Ordering {
-        let ord = match self.nulls.map(|m| (m.is_null(a), m.is_null(b))) {
-            Some((na, nb)) if na || nb => nb.cmp(&na),
-            _ => match &self.order {
-                KeyOrder::Int(v) => v[a].cmp(&v[b]),
-                KeyOrder::Float(v) => v[a].total_cmp(&v[b]),
-                KeyOrder::Bool(v) => v[a].cmp(&v[b]),
-                KeyOrder::Str(v) => v[a].as_bytes().cmp(v[b].as_bytes()),
-                KeyOrder::Dict(codes, _) if codes[a] == codes[b] => Ordering::Equal,
-                KeyOrder::Dict(codes, dict) => {
-                    let (x, y) = (dict.get(codes[a]), dict.get(codes[b]));
-                    x.as_bytes().cmp(y.as_bytes())
-                }
-                KeyOrder::Cells(col) => col.cell(a).cmp(&col.cell(b)),
-            },
-        };
-        if self.ascending {
-            ord
-        } else {
-            ord.reverse()
-        }
-    }
+    Ok(input.gather(&sel))
 }
 
 /// Multiset union (§2.2: `union` over uncertain relations is the

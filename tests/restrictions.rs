@@ -102,6 +102,15 @@ fn limit_forbidden_on_uncertain_result() {
         .run("select * from u order by 1 / (k - k) limit 1")
         .unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err:?}");
+    // The rule reads the sort's whole input, not its top rows: an empty
+    // top-n, or a top row that happens to be certain, is still refused.
+    for q in [
+        "select * from u order by k limit 0",
+        "select * from t union all select * from u order by k limit 1",
+    ] {
+        let err = db.run(q).unwrap_err();
+        assert!(matches!(err, CoreError::Typing { .. }), "{q}: {err:?}");
+    }
     assert!(db.run("select k, conf() from u group by k limit 1").is_ok());
 }
 
