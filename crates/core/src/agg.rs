@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use maybms_conf::{lineage_confidence, ConfMethod};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
-use maybms_engine::vector::{self, KernelCounts};
+use maybms_engine::vector::{self, FirstError, KernelCounts};
 use maybms_engine::{
     BatchBuilder, ColumnData, DataType, EngineError, Expr, Field, Schema, Value, ValueRef,
 };
@@ -249,36 +249,6 @@ fn slot<'a>(states: &'a mut [StreamAcc], groups: &[u32], j: usize, s: usize) -> 
     &mut states[groups[j] as usize].parts[s]
 }
 
-/// The first error of a grouped fold over one batch, in the scalar
-/// walk's order: rows at or after `limit` are not folded any more, and
-/// an error replaces the one found only at a strictly earlier row (so at
-/// one row, the first recorded wins).
-struct FirstError {
-    limit: usize,
-    error: Option<UrelError>,
-}
-
-impl FirstError {
-    /// The rows below `stop` an argument's values exist for.
-    fn upto(&self, err: &Option<(usize, EngineError)>, stop: usize) -> usize {
-        err.as_ref().map_or(stop, |(k, _)| (*k).min(stop))
-    }
-
-    fn at(&mut self, row: usize, error: impl FnOnce() -> UrelError) {
-        if row < self.limit {
-            self.limit = row;
-            self.error = Some(error());
-        }
-    }
-
-    /// An argument's evaluation error, from [`vector::eval_batch`].
-    fn at_eval(&mut self, err: Option<(usize, EngineError)>) {
-        if let Some((row, e)) = err {
-            self.at(row, || e.into());
-        }
-    }
-}
-
 /// Evaluate grouped aggregates **streaming**: the pipeline's fused stage
 /// chain runs morsel-by-morsel and every surviving row folds straight
 /// into a morsel-local group table
@@ -376,10 +346,7 @@ pub fn aggregate_stream_with(
             }
             None => (None, None),
         };
-        let mut first = FirstError {
-            limit: groups.len(),
-            error: None,
-        };
+        let mut first = FirstError::new(groups.len());
         if aggs.is_empty() {
             first.at(uncertain, || typing_err(DISTINCT_ON_UNCERTAIN));
         }
@@ -476,7 +443,7 @@ pub fn aggregate_stream_with(
                 AggSpec::TConf => unreachable!("the planner never groups tconf"),
             }
         }
-        first.error.map_or(Ok(()), Err)
+        first.result()
     };
     let merge = |a: &mut StreamAcc, b: StreamAcc| -> maybms_urel::Result<()> {
         a.wsds.extend(b.wsds);
@@ -600,8 +567,9 @@ pub fn eval_tconf(
     }
     let mut out = BatchBuilder::new(fields.len());
     let (mut data, mut row) = (Vec::new(), Vec::new());
-    for (i, wsd) in u.at_rest().1.iter().enumerate() {
-        u.write_row(i, &mut data);
+    let (batch, wsds) = u.at_rest();
+    for (i, wsd) in wsds.iter().enumerate() {
+        batch.write_row(i, &mut data);
         row.clear();
         for (e, _) in scalar_items {
             row.push(e.eval_values(&data)?);

@@ -10,16 +10,20 @@
 //! physically to the write-ahead log *before* it is installed in memory,
 //! so a crash at any instant loses at most the statement in flight.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use maybms_engine::{Field, Relation, Schema, Tuple, Value};
+use maybms_engine::vector::{self, FirstError, KernelCounts};
+use maybms_engine::{
+    BatchBuilder, Column, ColumnBatch, ColumnData, Field, Relation, Schema, Value,
+};
 use maybms_obs::StatementKind;
 use maybms_pipe::UStream;
 use maybms_sql::{parse_statement, parse_statements, InsertSource, Statement};
 use maybms_store::{Op, Store, StoreError, StoreStatus, Vfs};
-use maybms_urel::{URelation, UTuple, WorldTable};
+use maybms_urel::{URelation, WorldTable};
 
 use crate::error::{plan_err, unsupported, CoreError, Result};
 use crate::exec::{eval_query, run, ExecCtx, QueryOutput};
@@ -151,9 +155,10 @@ impl MayBms {
     /// the in-memory catalog. Ordering matters: the record hits disk
     /// first, so the catalog never holds a change the log could lose.
     /// The op is checked against the catalog before it is logged, so a
-    /// record that could not apply is never written; `INSERT` / `UPDATE`
-    /// / `DELETE` then apply to the columnar table in place, at the cost
-    /// of the rows they touch.
+    /// record that could not apply is never written. `INSERT` and
+    /// `UPDATE` carry their cells as one column batch — built, logged and
+    /// applied as columns — and, like `DELETE`'s positions, apply to the
+    /// columnar table in place, at the cost of the rows they touch.
     fn commit(&mut self, op: Op) -> Result<()> {
         // Abort-before-log: every catalog mutation passes through here,
         // and nothing is durable or installed until `store.log` below
@@ -215,10 +220,11 @@ impl MayBms {
                 name: name.to_string(),
             }));
         }
+        // The record is the installed image, dictionaries included.
         let schema = Arc::new(u.schema().without_qualifiers());
         self.commit(Op::PutTable {
             name: key,
-            table: u.with_schema(schema),
+            table: u.with_schema(schema).dict_encode(),
         })
     }
 
@@ -500,6 +506,8 @@ impl MayBms {
         }
     }
 
+    /// `INSERT`: the source's rows as one column batch in the table's
+    /// column order, type-checked whole and logged as one record.
     fn insert(
         &mut self,
         table: &str,
@@ -507,96 +515,98 @@ impl MayBms {
         source: &InsertSource,
         stats: &maybms_obs::QueryStats,
     ) -> Result<usize> {
-        // Evaluate the source first (it may read the target table).
-        let rows: Vec<Tuple> = match source {
-            InsertSource::Values(rows) => {
-                let empty = Tuple::new(Vec::new());
-                rows.iter()
-                    .map(|row| {
-                        let vals: Vec<Value> = row
-                            .iter()
-                            .map(|e| Ok(scalar(e)?.eval(&empty)?))
-                            .collect::<Result<_>>()?;
-                        Ok(Tuple::new(vals))
-                    })
-                    .collect::<Result<_>>()?
+        let selected: URelation;
+        let (key, schema, src, rows, mut first) = match source {
+            InsertSource::Values(values) => {
+                // Every row is evaluated before the target is looked up, so
+                // an evaluation error comes first: a literal is its value,
+                // any other item a column over one row of no columns.
+                let one = ColumnBatch::from_columns(Vec::new(), 1);
+                let item = |e: &maybms_sql::Expr| -> Result<Value> {
+                    let e = match scalar(e)? {
+                        maybms_engine::Expr::Literal(v) => return Ok(v),
+                        e => e,
+                    };
+                    match vector::eval_batch(&e, &one, &mut KernelCounts::default()) {
+                        (_, Some((_, err))) => Err(err.into()),
+                        (col, None) => Ok(col.value_at(0)),
+                    }
+                };
+                let values: Vec<Vec<Value>> = values
+                    .iter()
+                    .map(|row| row.iter().map(item).collect())
+                    .collect::<Result<_>>()?;
+                let (key, schema, src, width) = self.insert_target(table, columns)?;
+                // The rows before the first of another arity form the batch;
+                // that row's arity error stands unless a type error in an
+                // earlier row comes first.
+                let ok = values.iter().position(|r| r.len() != width);
+                let ok = ok.unwrap_or(values.len());
+                let mut b = BatchBuilder::new(width);
+                values[..ok].iter().for_each(|r| b.push_row(r));
+                let error = values.get(ok).map(|r| arity_error(r.len(), width, columns));
+                let first = FirstError { limit: ok, error };
+                (key, schema, src, Cow::Owned(b.finish()), first)
             }
             InsertSource::Query(q) => {
+                let plan = plan_query(q, &self.tables)?;
+                let (key, schema, src, width) = self.insert_target(table, columns)?;
+                // The select list's arity is the plan's: checked before a
+                // row is read, so it never depends on the data.
+                if plan.schema.len() != width {
+                    return Err(arity_error(plan.schema.len(), width, columns));
+                }
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
-                let out = eval_query(q, &mut ctx)?;
-                match out {
-                    QueryOutput::Certain(r) => r.into_tuples(),
-                    QueryOutput::Uncertain(_) => {
-                        return Err(unsupported(
-                            "INSERT … SELECT from an uncertain query; materialise it with \
-                             CREATE TABLE AS instead (conditions must be preserved)",
-                        ))
-                    }
+                selected = run(&plan, &mut ctx)?;
+                if !selected.is_t_certain() {
+                    return Err(unsupported(
+                        "INSERT … SELECT from an uncertain query; materialise it with \
+                         CREATE TABLE AS instead (conditions must be preserved)",
+                    ));
                 }
+                let first = FirstError::new(selected.len());
+                (key, schema, src, Cow::Borrowed(selected.at_rest().0), first)
             }
         };
-        let (key, target) = self.stored(table)?;
-        let arity = target.schema().len();
-        // Column mapping.
-        let mapping: Option<Vec<usize>> = match columns {
-            None => None,
-            Some(cols) => Some(
-                cols.iter()
-                    .map(|c| Ok(target.schema().index_of(None, c)?))
-                    .collect::<Result<_>>()?,
-            ),
-        };
-        // Validate every row and assemble the physical insert set before
-        // anything is logged or installed: a mid-statement arity or type
-        // error must leave both the WAL and the table untouched.
-        let mut new_rows = Vec::with_capacity(rows.len());
-        for row in rows {
-            let tuple = match &mapping {
-                None => {
-                    if row.arity() != arity {
-                        return Err(CoreError::Engine(
-                            maybms_engine::EngineError::SchemaMismatch {
-                                message: format!(
-                                    "INSERT row arity {} vs table arity {arity}",
-                                    row.arity()
-                                ),
-                            },
-                        ));
-                    }
-                    row
+        // The table's columns: a listed one from the source, checked row by
+        // row (lowest row, then leftmost column, errs first), an unlisted
+        // one all NULL. Nothing is logged or installed before every check.
+        let n = rows.rows();
+        let cols: Vec<Column> = schema
+            .fields()
+            .iter()
+            .zip(src)
+            .map(|(field, src)| match src {
+                Some(k) => {
+                    check_types(field, rows.column(k), first.limit, &mut first);
+                    spelled_out(rows.column(k))
                 }
-                Some(map) => {
-                    if row.arity() != map.len() {
-                        return Err(CoreError::Engine(
-                            maybms_engine::EngineError::SchemaMismatch {
-                                message: format!(
-                                    "INSERT row arity {} vs column list {}",
-                                    row.arity(),
-                                    map.len()
-                                ),
-                            },
-                        ));
-                    }
-                    let mut vals = vec![Value::Null; arity];
-                    for (v, &i) in row.values().iter().zip(map) {
-                        vals[i] = v.clone();
-                    }
-                    Tuple::new(vals)
-                }
-            };
-            for (field, v) in target.schema().fields().iter().zip(tuple.values()) {
-                check_cell_type(field, v)?;
-            }
-            new_rows.push(UTuple::certain(tuple));
-        }
-        let n = new_rows.len();
+                None => Column::from_const(Value::Null, n),
+            })
+            .collect();
+        first.result()?;
         if n > 0 {
             self.commit(Op::InsertRows {
                 table: key,
-                rows: new_rows,
+                rows: ColumnBatch::from_columns(cols, n),
             })?;
         }
         Ok(n)
+    }
+
+    /// What an `INSERT` into `table` writes.
+    fn insert_target(&self, table: &str, columns: Option<&[String]>) -> Result<InsertTarget> {
+        let (key, target) = self.stored(table)?;
+        let schema = target.schema().clone();
+        let mut src: Vec<Option<usize>> = (0..schema.len()).map(Some).collect();
+        if let Some(cols) = columns {
+            src.fill(None);
+            for (k, c) in cols.iter().enumerate() {
+                src[schema.index_of(None, c)?] = Some(k);
+            }
+        }
+        let width = columns.map_or(schema.len(), <[String]>::len);
+        Ok((key, schema, src, width))
     }
 
     /// The stored table `name`, or the engine's not-found error.
@@ -628,31 +638,35 @@ impl MayBms {
             })
             .collect::<Result<_>>()?;
         let positions = target_positions(target, filter, stats)?;
-        // Evaluate the SET expressions on the hit rows only, off to the
-        // side: the changed cells are logged physically (replaying
-        // expressions would be fragile) and an evaluation or type error
+        // Evaluate the SET items over the hit rows, gathered once, off to the
+        // side: the cells are logged physically (replaying expressions would
+        // be fragile), and the first error — lowest row, then leftmost item —
         // leaves the table and the log untouched.
-        let mut cells = Vec::with_capacity(positions.len() * sets.len());
-        let mut row = Vec::new();
-        let mut gov = maybms_gov::Ticker::new();
-        for &p in &positions {
-            gov.tick()
-                .map_err(|g| CoreError::Engine(maybms_engine::EngineError::Gov(g)))?;
-            target.write_row(p as usize, &mut row);
-            for (c, e) in &sets {
-                let v = e.eval_values(&row)?;
-                check_cell_type(schema.field(*c as usize), &v)?;
-                cells.push(v);
-            }
-        }
         let n = positions.len();
+        maybms_gov::Ticker::new()
+            .tick_n(n)
+            .map_err(|g| CoreError::Engine(maybms_engine::EngineError::Gov(g)))?;
+        let hits = target.at_rest().0.gather(&positions);
+        let mut first = FirstError::new(n);
+        let mut counts = KernelCounts::default();
+        let cells: Vec<Column> = sets
+            .iter()
+            .map(|(c, e)| {
+                let (col, err) = vector::eval_batch(e, &hits, &mut counts);
+                let stop = first.upto(&err, first.limit);
+                check_types(schema.field(*c as usize), &col, stop, &mut first);
+                first.at_eval(err);
+                spelled_out(&col)
+            })
+            .collect();
+        first.result()?;
         if n > 0 {
             let columns = sets.iter().map(|(c, _)| *c).collect();
             self.commit(Op::UpdateRows {
                 table: key,
                 positions,
                 columns,
-                cells,
+                cells: ColumnBatch::from_columns(cells, n),
             })?;
         }
         Ok(n)
@@ -706,21 +720,60 @@ fn target_positions(
         .collect()
 }
 
-/// Reject a value from another type family than its column's declared
-/// type (text / numeric / boolean). NULL fits every column, a column of
-/// unknown type (`CREATE TABLE AS` over an untyped expression) takes
-/// anything, and integers and floats share the numeric family — they are
-/// stored as given.
-fn check_cell_type(field: &Field, v: &Value) -> Result<()> {
+/// An `INSERT`'s target: the catalog key, the schema, for each column
+/// the source column that fills it (`None`: NULL; a column listed twice
+/// takes its last listing), and the source arity.
+type InsertTarget = (String, Arc<Schema>, Vec<Option<usize>>, usize);
+
+/// A source row of `got` values where the table or its column list
+/// wants `width`.
+fn arity_error(got: usize, width: usize, columns: Option<&[String]>) -> CoreError {
+    let wants = columns.map_or("table arity", |_| "column list");
+    let message = format!("INSERT row arity {got} vs {wants} {width}");
+    CoreError::Engine(maybms_engine::EngineError::SchemaMismatch { message })
+}
+
+/// `col` as a logged column: a dictionary column (read from a stored
+/// table) is spelled out as its strings, so a record never carries a
+/// whole dictionary.
+fn spelled_out(col: &Column) -> Column {
+    match col.data() {
+        ColumnData::Dict { .. } => {
+            Column::from_values((0..col.len()).map(|i| col.value_at(i)).collect())
+        }
+        _ => col.clone(),
+    }
+}
+
+/// Record in `first` the first of `col`'s rows below `stop` whose value
+/// is from another type family than `field`'s declared type (text /
+/// numeric / boolean). NULL fits every column, a column of unknown type
+/// (`CREATE TABLE AS` over an untyped expression) takes anything, and
+/// integers and floats share the numeric family — they are stored as
+/// given.
+fn check_types(field: &Field, col: &Column, stop: usize, first: &mut FirstError<CoreError>) {
     use maybms_engine::DataType::{Float, Int, Unknown};
-    match (field.dtype, v.data_type()) {
-        (Unknown, _) | (_, Unknown) | (Int | Float, Int | Float) => Ok(()),
-        (want, got) if want == got => Ok(()),
-        (want, got) => Err(CoreError::Engine(
-            maybms_engine::EngineError::TypeMismatch {
-                message: format!("column {} is {want} but the value {v} is {got}", field.name),
-            },
-        )),
+    let fits = |got| match (field.dtype, got) {
+        (Unknown, _) | (_, Unknown) | (Int | Float, Int | Float) => true,
+        (want, got) => want == got,
+    };
+    // A typed column's values share one type: its first non-NULL row
+    // speaks for all of them.
+    let per_row = matches!(col.data(), ColumnData::Values(_));
+    let present = (0..stop).filter(|&j| !col.is_null(j));
+    let bad = present
+        .take(if per_row { stop } else { 1 })
+        .find(|&j| !fits(col.value_at(j).data_type()));
+    if let Some(j) = bad {
+        let (want, v) = (field.dtype, col.value_at(j));
+        let message = format!(
+            "column {} is {want} but the value {v} is {}",
+            field.name,
+            v.data_type()
+        );
+        first.at(j, || {
+            maybms_engine::EngineError::TypeMismatch { message }.into()
+        });
     }
 }
 
@@ -916,17 +969,68 @@ mod tests {
         db.run("create table t (a bigint, b text, c boolean)")
             .unwrap();
         db.run("insert into t values (1, 'x', true)").unwrap();
+        // A source whose columns take anything: after a NULL row, a row
+        // with one bad cell in its last column, then one with two.
+        db.run("create table src as select null as p, null as q, null as r from t")
+            .unwrap();
+        db.run("insert into src values (5, 'b1', 9), ('x', 8, true)")
+            .unwrap();
         let before = rows_of(&db);
-        for sql in [
-            "insert into t values ('x', 3, true)",
-            "insert into t values (2, 'y', false), (3, 4, true)",
-            "insert into t (c, a) values (1, 1)",
-            "update t set a = 'seven'",
-            "update t set b = a",
-            "update t set c = 0",
+        let mismatch = |col: &str, want: &str, v: &str, got: &str| {
+            format!("type mismatch: column {col} is {want} but the value {v} is {got}")
+        };
+        for (sql, want) in [
+            (
+                "insert into t values ('x', 3, true)",
+                mismatch("a", "bigint", "x", "text"),
+            ),
+            (
+                "insert into t values (2, 'y', false), (3, 4, true)",
+                mismatch("b", "text", "4", "bigint"),
+            ),
+            (
+                "insert into t (c, a) values (1, 1)",
+                mismatch("c", "boolean", "1", "bigint"),
+            ),
+            (
+                "update t set a = 'seven'",
+                mismatch("a", "bigint", "seven", "text"),
+            ),
+            ("update t set b = a", mismatch("b", "text", "1", "bigint")),
+            (
+                "update t set c = 0",
+                mismatch("c", "boolean", "0", "bigint"),
+            ),
+            // All VALUES are evaluated before any row is checked.
+            (
+                "insert into t values ('x', 'y', true), (1/0, 'z', true)",
+                "division by zero".into(),
+            ),
+            (
+                "insert into t values (1, 'a', true), (3)",
+                "INSERT row arity 1 vs table arity 3".into(),
+            ),
+            // Row by row, each `SET` item evaluated and checked in turn.
+            (
+                "update t set a = 1 / (a - 1), b = 7",
+                "division by zero".into(),
+            ),
+            (
+                "update t set b = 7, a = 1 / (a - 1)",
+                mismatch("b", "text", "7", "bigint"),
+            ),
+            // The lowest row first, then the leftmost target column.
+            (
+                "insert into t select p, q, r from src",
+                mismatch("c", "boolean", "9", "bigint"),
+            ),
+            (
+                "insert into t (c, b) select q, p from src",
+                mismatch("b", "text", "5", "bigint"),
+            ),
         ] {
             let err = db.run(sql).unwrap_err();
-            assert!(err.to_string().contains("type mismatch"), "{sql}: {err}");
+            assert!(err.to_string().contains(&want), "{sql}: {err}");
             assert_eq!(rows_of(&db), before, "{sql} changed the table");
         }
         // NULL fits everywhere, integers and floats share a family, and a
@@ -942,6 +1046,60 @@ mod tests {
         db.run("create table t (a bigint, b text)").unwrap();
         assert!(db.run("insert into t values ('x', 3)").is_err());
         assert_eq!(db.table("t").unwrap().len(), 0);
+    }
+
+    /// `INSERT … SELECT` and `UPDATE` log the cells they write, never the
+    /// dictionary of the stored column those cells were read from.
+    #[test]
+    fn logged_cells_never_carry_a_source_dictionary() {
+        let mut db = MayBms::open_with_vfs(Arc::new(maybms_store::MemVfs::new())).unwrap();
+        db.run("create table s (k bigint, name text)").unwrap();
+        let rows: Vec<String> = (0..2000).map(|i| format!("({i}, 'name {i}')")).collect();
+        db.run(&format!("insert into s values {}", rows.join(", ")))
+            .unwrap();
+        db.run("create table t (name text)").unwrap();
+        for sql in [
+            "insert into t select name from s where k = 7",
+            "update s set name = name where k = 7",
+        ] {
+            let wal = |db: &MayBms| db.durability_status().unwrap().wal_bytes;
+            let before = wal(&db);
+            db.run(sql).unwrap();
+            let logged = wal(&db) - before;
+            assert!(logged < 200, "{sql} logged {logged} bytes");
+        }
+    }
+
+    /// Whether `INSERT … SELECT` is accepted never depends on the data:
+    /// the select list's arity is checked against the plan, before a row
+    /// is read, so an empty result is refused like a full one.
+    #[test]
+    fn insert_select_arity_is_checked_before_any_row_is_read() {
+        let mut db = MayBms::new();
+        db.run("create table t (a bigint)").unwrap();
+        db.run("create table u (x bigint, y bigint)").unwrap();
+        db.run("insert into u values (1, 2)").unwrap();
+        for (sql, want) in [
+            (
+                "insert into t select x, y from u where x > 5",
+                "INSERT row arity 2 vs table arity 1",
+            ),
+            (
+                "insert into t select x, y from u",
+                "INSERT row arity 2 vs table arity 1",
+            ),
+            (
+                "insert into t (a) select x, y from u where x > 5",
+                "INSERT row arity 2 vs column list 1",
+            ),
+        ] {
+            let err = db.run(sql).unwrap_err();
+            assert!(err.to_string().contains(want), "{sql}: {err}");
+        }
+        assert!(db.table("t").unwrap().is_empty());
+        db.run("insert into t select x from u where x > 5").unwrap();
+        db.run("insert into t select y from u").unwrap();
+        assert_eq!(db.table("t").unwrap().len(), 1);
     }
 
     #[test]

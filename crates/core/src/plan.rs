@@ -1046,7 +1046,7 @@ fn column_equality(e: &EExpr) -> Option<(usize, usize)> {
 /// `<=`, `>`, `>=` (either way round) or `col IN (literals)` — and can
 /// raise no runtime error on any value the column may hold: the column
 /// has a declared type and every literal is of its type family (stored
-/// values are, see `check_cell_type`) or NULL. Such a predicate holds
+/// values are, see `db::check_types`) or NULL. Such a predicate holds
 /// for one column of a join-equality class iff it holds for them all.
 fn restricted_column(e: &EExpr, schema: &Schema) -> Option<usize> {
     use BinaryOp::{Eq, Gt, GtEq, Lt, LtEq};

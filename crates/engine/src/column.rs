@@ -32,7 +32,7 @@
 //!   `Arc` bump), keeping the bijection.
 //!
 //! A batch at rest in the catalog is also what DML edits:
-//! [`ColumnBatch::append_rows`], [`ColumnBatch::set_cells`] and
+//! [`ColumnBatch::append`], [`ColumnBatch::set_cells`] and
 //! [`ColumnBatch::delete_rows`] change it in place, keeping every
 //! invariant above — the result is the batch a fresh pivot of the edited
 //! rows would build, except that dictionary entries no row uses any more
@@ -1056,32 +1056,32 @@ impl ColumnBatch {
         }
     }
 
-    /// Append `rows` (each of this batch's arity) in place — the INSERT
-    /// path: typed vectors grow and dictionaries extend in
-    /// first-appearance order, exactly what re-pivoting the whole table
-    /// would produce, at the cost of the new rows only.
-    pub fn append_rows<'a>(&mut self, rows: impl Iterator<Item = &'a [Value]>) {
-        for row in rows {
-            debug_assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-            for (c, v) in self.columns.iter_mut().zip(row) {
-                c.push(v);
-            }
-            self.rows += 1;
+    /// Append the rows of `rows` (a batch of this batch's arity) in place
+    /// — the INSERT path: each value goes through [`Column::push`], so
+    /// typed vectors grow and dictionaries extend in first-appearance
+    /// order, exactly what re-pivoting the whole table would produce, at
+    /// the cost of the new rows only.
+    pub fn append(&mut self, rows: &ColumnBatch) {
+        debug_assert_eq!(rows.arity(), self.arity(), "batch arity mismatch");
+        for (c, src) in self.columns.iter_mut().zip(&rows.columns) {
+            (0..rows.rows).for_each(|j| c.push(&src.value_at(j)));
         }
+        self.rows += rows.rows;
     }
 
-    /// Overwrite the cells at `positions` × `cols` in place. `cells` is
-    /// row-major: `cells[p * cols.len() + c]` lands at row
-    /// `positions[p]`, column `cols[c]`.
-    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &[Value]) {
-        assert_eq!(
-            cells.len(),
-            positions.len() * cols.len(),
-            "cell count mismatch"
+    /// Overwrite the cells at `positions` × `cols` in place through
+    /// [`Column::set`]: row `j` of `cells`' column `k` lands at row
+    /// `positions[j]`, column `cols[k]`. Row by row, so a column assigned
+    /// twice takes its values (and new dictionary entries) in the order
+    /// a walk over the rows would.
+    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &ColumnBatch) {
+        assert!(
+            cells.rows == positions.len() && cells.arity() == cols.len(),
+            "cell batch shape mismatch"
         );
-        for (p, row) in positions.iter().zip(cells.chunks(cols.len().max(1))) {
-            for (c, v) in cols.iter().zip(row) {
-                self.columns[*c as usize].set(*p as usize, v);
+        for (j, &p) in positions.iter().enumerate() {
+            for (&c, src) in cols.iter().zip(&cells.columns) {
+                self.columns[c as usize].set(p as usize, &src.value_at(j));
             }
         }
     }
@@ -1571,16 +1571,19 @@ mod tests {
         let mut batch =
             ColumnBatch::pivot(5, rows.iter().map(|r| r.as_slice()), &[0, 1, 2]).dict_encode();
         let extra = [vec![Value::Int(5), Value::Null, Value::Float(5.0)]];
-        batch.append_rows(extra.iter().map(|r| r.as_slice()));
+        batch.append(&ColumnBatch::pivot(
+            1,
+            extra.iter().map(|r| r.as_slice()),
+            &[0, 1, 2],
+        ));
+        let cells = [
+            vec![Value::Float(-1.0), Value::Int(10)],
+            vec![Value::Null, Value::Int(40)],
+        ];
         batch.set_cells(
             &[1, 4],
             &[2, 0],
-            &[
-                Value::Float(-1.0),
-                Value::Int(10),
-                Value::Null,
-                Value::Int(40),
-            ],
+            &ColumnBatch::pivot(2, cells.iter().map(|r| r.as_slice()), &[0, 1]),
         );
         batch.delete_rows(&[0, 3]);
         let mut got = Vec::new();

@@ -271,11 +271,6 @@ impl Relation {
         Ok(())
     }
 
-    /// Consume into the tuple vector.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        self.tuples
-    }
-
     /// Replace the schema (e.g. re-qualifying after aliasing). The new
     /// schema must have the same arity.
     pub fn with_schema(self, schema: Arc<Schema>) -> Result<Relation> {

@@ -153,6 +153,57 @@ pub fn eval_batch<'a>(
     }
 }
 
+/// The first error of a walk over a batch's rows and, within a row, its
+/// items (sort keys, a grouped fold's slots, DML's columns), found item
+/// by item in the walk's order: rows at or after `limit` are not looked
+/// at any more, and an error replaces the one found only at a strictly
+/// earlier row — so at one row, the first recorded (the leftmost item's)
+/// wins.
+#[derive(Debug)]
+pub struct FirstError<E> {
+    /// The rows still looked at: those before the first error's.
+    pub limit: usize,
+    /// The first error so far.
+    pub error: Option<E>,
+}
+
+impl<E: From<EngineError>> FirstError<E> {
+    /// No error yet, over `rows` rows.
+    pub fn new(rows: usize) -> FirstError<E> {
+        FirstError {
+            limit: rows,
+            error: None,
+        }
+    }
+
+    /// The rows below `stop` an item's values exist for, given its
+    /// [`eval_batch`] error.
+    pub fn upto(&self, err: &Option<(usize, EngineError)>, stop: usize) -> usize {
+        err.as_ref().map_or(stop, |(k, _)| (*k).min(stop))
+    }
+
+    /// Record `error` at `row`, unless one at an earlier or the same row
+    /// stands.
+    pub fn at(&mut self, row: usize, error: impl FnOnce() -> E) {
+        if row < self.limit {
+            self.limit = row;
+            self.error = Some(error());
+        }
+    }
+
+    /// An item's evaluation error, from [`eval_batch`].
+    pub fn at_eval(&mut self, err: Option<(usize, EngineError)>) {
+        if let Some((row, e)) = err {
+            self.at(row, || e.into());
+        }
+    }
+
+    /// The error found, if any.
+    pub fn result(self) -> std::result::Result<(), E> {
+        self.error.map_or(Ok(()), Err)
+    }
+}
+
 /// Evaluate a predicate over `batch` into a selection vector of the
 /// passing rows (SQL `WHERE`: NULL and `false` drop the row, any other
 /// non-boolean result is the scalar evaluator's type error). On error,

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use maybms_engine::ops::SortKey;
-use maybms_engine::vector::{eval_batch, KernelCounts};
+use maybms_engine::vector::{eval_batch, FirstError, KernelCounts};
 use maybms_engine::{ColumnBatch, EngineError, Expr};
 use maybms_gov::Ticker;
 use maybms_obs::trace::Span;
@@ -70,21 +70,16 @@ pub fn sort(input: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result
         .tick_n(batch.rows())
         .map_err(EngineError::Gov)?;
     let mut counts = KernelCounts::default();
-    let mut first_err: Option<(usize, EngineError)> = None;
-    let mut columns = Vec::with_capacity(bound.len());
-    for (e, _) in &bound {
-        let (col, err) = eval_batch(e, batch, &mut counts);
-        if let Some((row, err)) = err {
-            // Strictly lower only: at a tie the leftmost key's error stands.
-            if first_err.as_ref().is_none_or(|(first, _)| row < *first) {
-                first_err = Some((row, err));
-            }
-        }
-        columns.push(col);
-    }
-    if let Some((_, err)) = first_err {
-        return Err(err.into());
-    }
+    let mut first = FirstError::<EngineError>::new(batch.rows());
+    let columns: Vec<_> = bound
+        .iter()
+        .map(|(e, _)| {
+            let (col, err) = eval_batch(e, batch, &mut counts);
+            first.at_eval(err);
+            col
+        })
+        .collect();
+    first.result()?;
     let order = |&a: &usize, &b: &usize| {
         columns
             .iter()

@@ -15,10 +15,10 @@
 use std::sync::Arc;
 
 use maybms_engine::{
-    Column, ColumnBatch, ColumnData, DataType, Field, NullMask, Schema, StrDict, Tuple, Value,
+    Column, ColumnBatch, ColumnData, DataType, Field, NullMask, Schema, StrDict, Value,
 };
 use maybms_urel::wsd::INLINE_WSD;
-use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
+use maybms_urel::{Assignment, URelation, Var, WorldTable, Wsd};
 
 /// A bounds-checked decode failure at a byte offset (relative to the
 /// start of the buffer being decoded).
@@ -458,34 +458,20 @@ pub fn get_wsd(r: &mut Reader<'_>) -> DecodeResult<Wsd> {
     }
 }
 
-/// Encode one uncertain tuple (data row + condition).
-pub fn put_utuple(w: &mut Writer, t: &UTuple) {
-    w.put_u32(t.data.arity() as u32);
-    for v in t.data.values() {
-        put_value(w, v);
-    }
-    put_wsd(w, &t.wsd);
-}
-
-/// Decode one uncertain tuple.
-pub fn get_utuple(r: &mut Reader<'_>) -> DecodeResult<UTuple> {
-    let arity = r.count("column")?;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(get_value(r)?);
-    }
-    let wsd = get_wsd(r)?;
-    Ok(UTuple::new(Tuple::new(values), wsd))
-}
-
-/// Encode a whole U-relation as schema + rows: the logical image,
+/// Encode a whole U-relation as schema + rows, each row its arity, its
+/// values and its WSD: the logical image, walked cell by cell and
 /// independent of the storage representation ([`crate::fingerprint`]
 /// compares these). Tables are stored with [`put_urelation_any`].
 pub fn put_urelation(w: &mut Writer, u: &URelation) {
+    let (batch, wsds) = u.at_rest();
     put_schema(w, u.schema());
-    w.put_u32(u.len() as u32);
-    for t in u.tuples() {
-        put_utuple(w, t);
+    w.put_u32(batch.rows() as u32);
+    for (i, wsd) in wsds.iter().enumerate() {
+        w.put_u32(batch.arity() as u32);
+        for col in batch.columns() {
+            put_value(w, &col.value_at(i));
+        }
+        put_wsd(w, wsd);
     }
 }
 
@@ -638,32 +624,26 @@ fn get_column(r: &mut Reader<'_>, rows: usize) -> DecodeResult<Column> {
     })
 }
 
-/// Encode a table in its at-rest image: schema, row and column counts,
-/// each column as it is encoded, then each row's WSD.
-pub fn put_urelation_any(w: &mut Writer, u: &URelation) {
-    let (batch, wsds) = u.at_rest();
-    put_schema(w, u.schema());
+/// Encode a column batch: row and column counts, then each column as it
+/// is encoded. The cell codec of every stored image: a table body (with
+/// its schema and WSDs, [`put_urelation_any`]) and the rows `INSERT` and
+/// `UPDATE` log.
+pub fn put_batch(w: &mut Writer, batch: &ColumnBatch) {
     w.put_u32(batch.rows() as u32);
     w.put_u32(batch.arity() as u32);
     for col in batch.columns() {
         put_column(w, col);
     }
-    for wsd in wsds {
-        put_wsd(w, wsd);
-    }
 }
 
-/// Decode a [`put_urelation_any`] image, restoring the exact storage
-/// representation — recovery never re-pivots.
-pub fn get_urelation_any(r: &mut Reader<'_>) -> DecodeResult<URelation> {
-    let schema = get_schema(r)?;
+/// Decode a [`put_batch`] image, restoring each column's exact storage
+/// representation. `arity`, when the caller knows it, is the column
+/// count the image must declare — checked before any column is read.
+pub fn get_batch(r: &mut Reader<'_>, arity: Option<usize>) -> DecodeResult<ColumnBatch> {
     let rows = r.u32()? as usize;
     let ncols = r.count("column")?;
-    if ncols != schema.len() {
-        return r.fail(format!(
-            "column count {ncols} does not match schema arity {}",
-            schema.len()
-        ));
+    if let Some(arity) = arity.filter(|&a| a != ncols) {
+        return r.fail(format!("column count {ncols} does not match arity {arity}"));
     }
     let mut cols = Vec::with_capacity(ncols);
     for k in 0..ncols {
@@ -676,15 +656,30 @@ pub fn get_urelation_any(r: &mut Reader<'_>) -> DecodeResult<URelation> {
         }
         cols.push(c);
     }
-    let mut wsds = Vec::with_capacity(rows.min(1 << 16));
-    for _ in 0..rows {
+    Ok(ColumnBatch::from_columns(cols, rows))
+}
+
+/// Encode a table in its at-rest image: schema, the column batch
+/// ([`put_batch`]), then each row's WSD.
+pub fn put_urelation_any(w: &mut Writer, u: &URelation) {
+    let (batch, wsds) = u.at_rest();
+    put_schema(w, u.schema());
+    put_batch(w, batch);
+    for wsd in wsds {
+        put_wsd(w, wsd);
+    }
+}
+
+/// Decode a [`put_urelation_any`] image, restoring the exact storage
+/// representation — recovery never re-pivots.
+pub fn get_urelation_any(r: &mut Reader<'_>) -> DecodeResult<URelation> {
+    let schema = get_schema(r)?;
+    let batch = get_batch(r, Some(schema.len()))?;
+    let mut wsds = Vec::with_capacity(batch.rows().min(1 << 16));
+    for _ in 0..batch.rows() {
         wsds.push(get_wsd(r)?);
     }
-    Ok(URelation::from_batch(
-        Arc::new(schema),
-        ColumnBatch::from_columns(cols, rows),
-        wsds,
-    ))
+    Ok(URelation::from_batch(Arc::new(schema), batch, wsds))
 }
 
 fn f64_of(b: [u8; 8]) -> f64 {
@@ -748,7 +743,7 @@ pub fn get_world_table(r: &mut Reader<'_>) -> DecodeResult<WorldTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::rel;
+    use maybms_engine::{rel, Tuple};
 
     #[test]
     fn crc32_known_vectors() {

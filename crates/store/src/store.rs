@@ -50,10 +50,10 @@ pub fn check_op(tables: &Catalog, op: &Op) -> std::result::Result<(), String> {
         }
         Op::InsertRows { table, rows } => {
             let arity = existing("insert into", table)?.schema().len();
-            if let Some(t) = rows.iter().find(|t| t.data.arity() != arity) {
+            if rows.arity() != arity {
                 return Err(format!(
                     "insert into {table}: row arity {} does not match table arity {arity}",
-                    t.data.arity()
+                    rows.arity()
                 ));
             }
         }
@@ -71,10 +71,11 @@ pub fn check_op(tables: &Catalog, op: &Op) -> std::result::Result<(), String> {
                     t.schema().len()
                 ));
             }
-            if positions.len().checked_mul(columns.len()) != Some(cells.len()) {
+            if (cells.rows(), cells.arity()) != (positions.len(), columns.len()) {
                 return Err(format!(
-                    "update {table}: cell count {} is not {} positions × {} columns",
-                    cells.len(),
+                    "update {table}: {} × {} cells for {} positions × {} columns",
+                    cells.rows(),
+                    cells.arity(),
                     positions.len(),
                     columns.len()
                 ));
@@ -111,10 +112,11 @@ fn check_positions(table: &str, positions: &[u32], rows: usize) -> std::result::
 /// never disagree about what an [`Op`] means. The op is checked first
 /// ([`check_op`]) and applies whole or not at all. This is the one place
 /// a stored table's strings are dictionary-encoded: `PutTable` installs
-/// its table through [`URelation::dict_encode`], and `INSERT` and the
-/// positional deltas mutate tables in place (new strings join the
-/// dictionaries). Errors are descriptive strings; callers wrap them with
-/// context (file offset on replay).
+/// its table through [`URelation::dict_encode`] (an `Arc` clone for an
+/// image logged as installed), and `INSERT` / `UPDATE` push / set their
+/// batches' cells into the table's columns in place (new strings join
+/// the dictionaries). Errors are descriptive strings; callers wrap them
+/// with context (file offset on replay).
 pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String> {
     check_op(tables, &op)?;
     fn target<'a>(tables: &'a mut Catalog, name: &str) -> &'a mut URelation {
@@ -127,7 +129,7 @@ pub fn apply_op(tables: &mut Catalog, op: Op) -> std::result::Result<(), String>
         Op::PutTable { name, table } => {
             tables.insert(name, table.dict_encode());
         }
-        Op::InsertRows { table, rows } => target(tables, &table).append_rows(&rows),
+        Op::InsertRows { table, rows } => target(tables, &table).append(&rows),
         Op::UpdateRows {
             table,
             positions,
@@ -468,8 +470,8 @@ pub fn fingerprint(tables: &Catalog, wt: &WorldTable) -> Vec<u8> {
     for (name, table) in tables {
         w.put_str(name);
         codec::put_urelation(&mut w, table);
-        for t in table.tuples() {
-            referenced.extend(t.wsd.vars().map(|v| v.0));
+        for wsd in table.at_rest().1 {
+            referenced.extend(wsd.vars().map(|v| v.0));
         }
     }
     referenced.sort_unstable();
@@ -497,11 +499,16 @@ mod tests {
     use super::*;
     use crate::vfs::MemVfs;
     use crate::wal::WorldExt;
-    use maybms_engine::{DataType, Schema, Tuple, Value};
+    use maybms_engine::{BatchBuilder, ColumnBatch, DataType, Schema, Tuple, Value};
     use maybms_urel::{URelation, UTuple, Wsd};
 
-    fn row(vals: Vec<Value>) -> UTuple {
-        UTuple::certain(Tuple::new(vals))
+    /// `rows`, each of `arity` values, as a column batch.
+    fn batch(arity: usize, rows: &[&[Value]]) -> ColumnBatch {
+        let mut b = BatchBuilder::new(arity);
+        for r in rows {
+            b.push_row(r.iter());
+        }
+        b.finish()
     }
 
     fn open_mem(vfs: &MemVfs) -> (Store, Recovered) {
@@ -530,17 +537,17 @@ mod tests {
             },
             Op::InsertRows {
                 table: "t".into(),
-                rows: vec![row(vec![Value::Int(1)]), row(vec![Value::Int(2)])],
+                rows: batch(1, &[&[Value::Int(1)], &[Value::Int(2)]]),
             },
             Op::InsertRows {
                 table: "t".into(),
-                rows: vec![row(vec![Value::Int(3)])],
+                rows: batch(1, &[&[Value::Int(3)]]),
             },
             Op::UpdateRows {
                 table: "t".into(),
                 positions: vec![0, 2],
                 columns: vec![0],
-                cells: vec![Value::Int(10), Value::Null],
+                cells: batch(1, &[&[Value::Int(10)], &[Value::Null]]),
             },
             Op::DeleteRows {
                 table: "t".into(),
@@ -755,14 +762,14 @@ mod tests {
             },
             Op::InsertRows {
                 table: "t".into(),
-                rows: vec![row(vec![Value::Int(1)]), row(vec![Value::Int(2)])],
+                rows: batch(1, &[&[Value::Int(1)], &[Value::Int(2)]]),
             },
         ];
-        let update = |positions: Vec<u32>, columns: Vec<u32>, cells: Vec<Value>| Op::UpdateRows {
+        let update = |positions: Vec<u32>, columns: Vec<u32>, cells: &[&[Value]]| Op::UpdateRows {
             table: "t".into(),
             positions,
             columns,
-            cells,
+            cells: batch(1, cells),
         };
         let bad = [
             (
@@ -787,21 +794,30 @@ mod tests {
                 "strictly increasing",
             ),
             (
-                update(vec![2], vec![0], vec![Value::Int(0)]),
+                update(vec![2], vec![0], &[&[Value::Int(0)]]),
                 "out of range",
             ),
             (
-                update(vec![0], vec![1], vec![Value::Int(0)]),
+                update(vec![0], vec![1], &[&[Value::Int(0)]]),
                 "column 1 out of range",
             ),
             (
-                update(vec![0, 1], vec![0], vec![Value::Int(0)]),
-                "cell count 1 is not 2 positions",
+                update(vec![0, 1], vec![0], &[&[Value::Int(0)]]),
+                "1 × 1 cells for 2 positions × 1 columns",
+            ),
+            (
+                Op::UpdateRows {
+                    table: "t".into(),
+                    positions: vec![0],
+                    columns: vec![0],
+                    cells: batch(2, &[&[Value::Int(0), Value::Int(1)]]),
+                },
+                "1 × 2 cells for 1 positions × 1 columns",
             ),
             (
                 Op::InsertRows {
                     table: "t".into(),
-                    rows: vec![row(vec![])],
+                    rows: batch(0, &[&[]]),
                 },
                 "row arity 0 does not match table arity 1",
             ),
@@ -882,7 +898,7 @@ mod tests {
             },
             Op::InsertRows {
                 table: "t".into(),
-                rows: vec![row(vec![Value::Int(1)])],
+                rows: batch(1, &[&[Value::Int(1)]]),
             },
         ];
         for (k, op) in ops.into_iter().enumerate() {
@@ -897,9 +913,10 @@ mod tests {
 
     #[test]
     fn wal_of_an_older_version_is_refused_untouched() {
+        // Version 2 logged `INSERT` and `UPDATE` as row images.
         let vfs = populated(false);
-        set_version(&vfs, WAL_FILE, 1);
-        assert_refused(&vfs, WAL_FILE, 1, WAL_MAGIC[7]);
+        set_version(&vfs, WAL_FILE, 2);
+        assert_refused(&vfs, WAL_FILE, 2, WAL_MAGIC[7]);
     }
 
     #[test]
@@ -953,10 +970,11 @@ mod tests {
                 None,
                 Op::InsertRows {
                     table: "t".into(),
-                    rows: vec![row(vec![Value::Int(1)])],
+                    rows: batch(1, &[&[Value::Int(1)]]),
                 },
-                "24000000 e92fc191 0100000000000000 00 02 0100000074 \
-                 01000000 01000000 02 0100000000000000 00000000"
+                // Rows, columns, an `Int` column (values, nulls).
+                "24000000 a29a9df1 0100000000000000 00 02 0100000074 \
+                 01000000 01000000 00 0100000000000000 00000000"
                     .into(),
             ),
             (
@@ -980,10 +998,12 @@ mod tests {
                     table: "t".into(),
                     positions: vec![0],
                     columns: vec![0],
-                    cells: vec![Value::Null],
+                    cells: batch(1, &[&[Value::Null]]),
                 },
-                "24000000 fc0a09c1 0400000000000000 00 06 0100000074 \
-                 01000000 00000000 01000000 00000000 01000000 00"
+                // Positions, columns, then the cells: rows, columns, one
+                // all-NULL `Const` column.
+                "29000000 86036d64 0400000000000000 00 06 0100000074 \
+                 01000000 00000000 01000000 00000000 01000000 01000000 06 00"
                     .into(),
             ),
             (
@@ -998,7 +1018,7 @@ mod tests {
         let unspaced = |s: &str| s.split_whitespace().collect::<String>();
         for (lsn, (ext, op, want)) in records.into_iter().enumerate() {
             let frame = wal::frame_record(lsn as u64, &ext, &op);
-            assert_eq!(hex(&frame), unspaced(&want), "{}", op.describe());
+            assert_eq!(hex(&frame), unspaced(&want), "{op:?}");
         }
         // Magic "MAYBSNP\x03", [len] [crc], base LSN, the world table, one
         // named table.
@@ -1017,7 +1037,7 @@ mod tests {
             &mut tables,
             Op::InsertRows {
                 table: "x".into(),
-                rows: vec![]
+                rows: ColumnBatch::empty(1)
             }
         )
         .is_err());

@@ -3,7 +3,7 @@
 //! File layout:
 //!
 //! ```text
-//! [8-byte magic "MAYBWAL\x02"]
+//! [8-byte magic "MAYBWAL\x03"]
 //! repeat: [u32 payload_len][u32 crc32(payload)][payload]
 //! ```
 //!
@@ -20,8 +20,8 @@
 //! not decode is genuine corruption (bit rot, hand editing) and is an
 //! error carrying the file offset.
 
-use maybms_engine::Value;
-use maybms_urel::{URelation, UTuple};
+use maybms_engine::ColumnBatch;
+use maybms_urel::URelation;
 
 use crate::codec::{self, Reader, Writer};
 use crate::error::{check_magic, Result, StoreError};
@@ -31,12 +31,14 @@ pub const WAL_FILE: &str = "wal";
 
 /// Magic bytes heading every WAL file (version byte last). A file with
 /// another version is refused, not read.
-pub const WAL_MAGIC: &[u8; 8] = b"MAYBWAL\x02";
+pub const WAL_MAGIC: &[u8; 8] = b"MAYBWAL\x03";
 
 /// A logged catalog mutation: the *physical result* of a statement
 /// (per §2.3, updates are just modifications of the representation
 /// tables, so results — including `repair key` / `pick tuples` output —
-/// log as plain rows).
+/// log as plain rows). Every body that carries cells carries them as
+/// columns, in the one cell codec a stored table image uses
+/// ([`codec::put_batch`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// `CREATE TABLE`: an empty table with the given schema.
@@ -47,24 +49,24 @@ pub enum Op {
         schema: maybms_engine::Schema,
     },
     /// Store a full table image (`CREATE TABLE AS`, programmatic
-    /// registration). The rows may carry WSDs.
+    /// registration), as it is installed. The rows may carry WSDs.
     PutTable {
         /// Catalog key (lowercased).
         name: String,
         /// The stored U-relation.
         table: URelation,
     },
-    /// `INSERT`: rows appended to an existing table.
+    /// `INSERT`: certain rows appended to an existing table, one column
+    /// per table column.
     InsertRows {
         /// Catalog key (lowercased).
         table: String,
         /// The appended rows.
-        rows: Vec<UTuple>,
+        rows: ColumnBatch,
     },
-    /// `UPDATE`: the post-image of the changed cells only. `cells` is
-    /// row-major — `cells[p * columns.len() + c]` lands at row
-    /// `positions[p]`, column `columns[c]` — and conditions are
-    /// untouched.
+    /// `UPDATE`: the post-image of the changed cells only — row `j` of
+    /// `cells`' column `k` lands at row `positions[j]`, column
+    /// `columns[k]` — and conditions are untouched.
     UpdateRows {
         /// Catalog key (lowercased).
         table: String,
@@ -72,8 +74,8 @@ pub enum Op {
         positions: Vec<u32>,
         /// The assigned columns (schema indices), in `SET` order.
         columns: Vec<u32>,
-        /// `positions.len() * columns.len()` new values.
-        cells: Vec<Value>,
+        /// One row per position, one column per assigned column.
+        cells: ColumnBatch,
     },
     /// `DELETE`: the positions of the removed rows.
     DeleteRows {
@@ -87,33 +89,6 @@ pub enum Op {
         /// Catalog key (lowercased).
         name: String,
     },
-}
-
-impl Op {
-    /// Short human-readable label (for EXPLAIN-style status output).
-    pub fn describe(&self) -> String {
-        match self {
-            Op::CreateTable { name, .. } => format!("create {name}"),
-            Op::PutTable { name, table } => format!("put {name} ({} rows)", table.len()),
-            Op::InsertRows { table, rows } => format!("insert {table} (+{} rows)", rows.len()),
-            Op::UpdateRows {
-                table,
-                positions,
-                columns,
-                ..
-            } => {
-                format!(
-                    "update {table} ({} rows × {} columns)",
-                    positions.len(),
-                    columns.len()
-                )
-            }
-            Op::DeleteRows { table, positions } => {
-                format!("delete {table} (-{} rows)", positions.len())
-            }
-            Op::DropTable { name } => format!("drop {name}"),
-        }
-    }
 }
 
 /// New random variables the operation's rows may reference:
@@ -133,22 +108,6 @@ pub struct WalRecord {
     pub op: Op,
 }
 
-fn put_rows(w: &mut Writer, rows: &[UTuple]) {
-    w.put_u32(rows.len() as u32);
-    for t in rows {
-        codec::put_utuple(w, t);
-    }
-}
-
-fn get_rows(r: &mut Reader<'_>) -> codec::DecodeResult<Vec<UTuple>> {
-    let n = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        rows.push(codec::get_utuple(r)?);
-    }
-    Ok(rows)
-}
-
 fn put_u32s(w: &mut Writer, xs: &[u32]) {
     w.put_u32(xs.len() as u32);
     w.put_u32s(xs);
@@ -157,14 +116,6 @@ fn put_u32s(w: &mut Writer, xs: &[u32]) {
 fn get_u32s(r: &mut Reader<'_>, what: &str) -> codec::DecodeResult<Vec<u32>> {
     let n = r.count(what)?;
     r.u32s(n)
-}
-
-/// Encode a record payload (no framing) from its parts — borrowed, so
-/// logging never copies the op.
-pub fn encode_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_record(&mut w, lsn, world_ext, op);
-    w.finish()
 }
 
 fn put_record(w: &mut Writer, lsn: u64, world_ext: &WorldExt, op: &Op) {
@@ -193,7 +144,7 @@ fn put_record(w: &mut Writer, lsn: u64, world_ext: &WorldExt, op: &Op) {
         Op::InsertRows { table, rows } => {
             w.put_u8(2);
             w.put_str(table);
-            put_rows(w, rows);
+            codec::put_batch(w, rows);
         }
         Op::DropTable { name } => {
             w.put_u8(4);
@@ -209,10 +160,7 @@ fn put_record(w: &mut Writer, lsn: u64, world_ext: &WorldExt, op: &Op) {
             w.put_str(table);
             put_u32s(w, positions);
             put_u32s(w, columns);
-            w.put_u32(cells.len() as u32);
-            for v in cells {
-                codec::put_value(w, v);
-            }
+            codec::put_batch(w, cells);
         }
         Op::DeleteRows { table, positions } => {
             w.put_u8(7);
@@ -247,7 +195,7 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
         },
         2 => Op::InsertRows {
             table: r.str()?,
-            rows: get_rows(&mut r)?,
+            rows: codec::get_batch(&mut r, None)?,
         },
         4 => Op::DropTable { name: r.str()? },
         5 => Op::PutTable {
@@ -255,18 +203,13 @@ pub fn decode_record(payload: &[u8]) -> codec::DecodeResult<WalRecord> {
             table: codec::get_urelation_any(&mut r)?,
         },
         // The deltas decode structurally; whether positions, columns and
-        // cell count fit each other and the table is `check_op`'s call,
-        // made before a record is logged and again before it replays.
+        // cells fit each other and the table is `check_op`'s call, made
+        // before a record is logged and again before it replays.
         6 => Op::UpdateRows {
             table: r.str()?,
             positions: get_u32s(&mut r, "position")?,
             columns: get_u32s(&mut r, "column")?,
-            cells: {
-                let n = r.count("cell")?;
-                (0..n)
-                    .map(|_| codec::get_value(&mut r))
-                    .collect::<codec::DecodeResult<_>>()?
-            },
+            cells: codec::get_batch(&mut r, None)?,
         },
         7 => Op::DeleteRows {
             table: r.str()?,
@@ -387,6 +330,11 @@ mod tests {
         }
     }
 
+    /// A record's payload: its frame without `[len] [crc]`.
+    fn encode_record(lsn: u64, world_ext: &WorldExt, op: &Op) -> Vec<u8> {
+        frame_record(lsn, world_ext, op)[8..].to_vec()
+    }
+
     fn encode(rec: &WalRecord) -> Vec<u8> {
         encode_record(rec.lsn, &rec.world_ext, &rec.op)
     }
@@ -482,28 +430,48 @@ mod tests {
         assert_eq!(decoded, record);
     }
 
+    /// A batch with one column per value list.
+    fn batch(rows: usize, cols: Vec<Vec<maybms_engine::Value>>) -> ColumnBatch {
+        let cols = cols.into_iter().map(maybms_engine::Column::from_values);
+        ColumnBatch::from_columns(cols.collect(), rows)
+    }
+
     #[test]
-    fn delta_records_roundtrip_byte_identical() {
+    fn row_records_roundtrip_byte_identical() {
         use maybms_engine::Value;
         for op in [
+            Op::InsertRows {
+                table: "t".into(),
+                rows: batch(
+                    2,
+                    vec![
+                        vec![Value::Int(1), Value::Null],
+                        vec![Value::str("x"), Value::str("y;'z")],
+                        vec![Value::Null, Value::Null],
+                    ],
+                ),
+            },
+            Op::InsertRows {
+                table: "t".into(),
+                rows: ColumnBatch::empty(2),
+            },
             Op::UpdateRows {
                 table: "t".into(),
                 positions: vec![0, 3, 4],
                 columns: vec![2, 0],
-                cells: vec![
-                    Value::Float(-0.0),
-                    Value::Int(1),
-                    Value::Null,
-                    Value::str("x"),
-                    Value::Float(0.1 + 0.2),
-                    Value::Bool(true),
-                ],
+                cells: batch(
+                    3,
+                    vec![
+                        vec![Value::Float(-0.0), Value::Null, Value::Float(0.1 + 0.2)],
+                        vec![Value::Int(1), Value::str("x"), Value::Bool(true)],
+                    ],
+                ),
             },
             Op::UpdateRows {
                 table: "t".into(),
                 positions: vec![],
                 columns: vec![1],
-                cells: vec![],
+                cells: ColumnBatch::empty(1),
             },
             Op::DeleteRows {
                 table: "t".into(),
@@ -524,12 +492,17 @@ mod tests {
             assert_eq!(decoded, record);
             assert_eq!(encode(&decoded), payload);
         }
-        // Tags 6 and 7, after lsn (8 bytes) and the world-ext tag.
+        // Tags 2, 6 and 7, after lsn (8 bytes) and the world-ext tag.
+        let insert = Op::InsertRows {
+            table: "t".into(),
+            rows: batch(1, vec![vec![Value::Int(1)]]),
+        };
+        assert_eq!(encode_record(0, &None, &insert)[9], 2);
         let update = Op::UpdateRows {
             table: "t".into(),
             positions: vec![0],
             columns: vec![0],
-            cells: vec![Value::Int(1)],
+            cells: batch(1, vec![vec![Value::Int(1)]]),
         };
         assert_eq!(encode_record(0, &None, &update)[9], 6);
         let delete = Op::DeleteRows {
@@ -565,12 +538,19 @@ mod tests {
 
     #[test]
     fn truncated_or_padded_delta_records_are_corrupt_with_an_offset() {
-        // Declared cells that are not there, and bytes nobody declared.
+        // Declared cells that are not there, a hostile column count, and
+        // bytes nobody declared.
         let mut w = op_header(0, 6, "t");
         put_u32s(&mut w, &[0]);
         put_u32s(&mut w, &[0]);
+        w.put_u32(1); // rows
+        w.put_u32(1); // columns
+        w.put_u8(0); // an `Int` column, whose one value is missing
+        assert_corrupt(w.finish(), "need 8 bytes, 0 remain");
+        let mut w = op_header(0, 2, "t");
         w.put_u32(1);
-        assert_corrupt(w.finish(), "cell count 1 exceeds remaining bytes");
+        w.put_u32(u32::MAX);
+        assert_corrupt(w.finish(), "column count");
         let mut w = op_header(0, 7, "t");
         put_u32s(&mut w, &[0]);
         w.put_u8(0);

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use maybms_engine::{ColumnData, DataType, Schema, Tuple, Value};
+use maybms_engine::{BatchBuilder, ColumnBatch, ColumnData, DataType, Schema, Tuple, Value};
 use maybms_store::{apply_op, fingerprint, Catalog, FaultMode, FaultVfs, MemVfs, Op, Store, Vfs};
 use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 
@@ -41,8 +41,13 @@ fn step(op: Op) -> Step {
     }
 }
 
-fn certain(vals: Vec<Value>) -> UTuple {
-    UTuple::certain(Tuple::new(vals))
+/// `rows`, each of `arity` values, as a column batch.
+fn batch(arity: usize, rows: &[&[Value]]) -> ColumnBatch {
+    let mut b = BatchBuilder::new(arity);
+    for r in rows {
+        b.push_row(r.iter());
+    }
+    b.finish()
 }
 
 /// A workload touching every op kind, with uncertainty (world-table
@@ -79,14 +84,17 @@ fn workload() -> Vec<Step> {
         }),
         step(Op::InsertRows {
             table: "t".into(),
-            rows: vec![
-                certain(vec![Value::Int(1), Value::Float(1.5), Value::str("x")]),
-                certain(vec![
-                    Value::Int(2),
-                    Value::Float(0.1 + 0.2), // not exactly 0.3: bit-exactness matters
-                    Value::str("y;'z"),
-                ]),
-            ],
+            rows: batch(
+                3,
+                &[
+                    &[Value::Int(1), Value::Float(1.5), Value::str("x")],
+                    &[
+                        Value::Int(2),
+                        Value::Float(0.1 + 0.2), // not exactly 0.3: bit-exactness matters
+                        Value::str("y;'z"),
+                    ],
+                ],
+            ),
         }),
         Step {
             new_vars: vec![vec![0.5, 0.5], vec![0.3, 0.7]],
@@ -107,7 +115,7 @@ fn workload() -> Vec<Step> {
             new_vars: vec![vec![0.2, 0.8]],
             action: Action::Apply(Op::InsertRows {
                 table: "t".into(),
-                rows: vec![certain(vec![Value::Int(3), Value::Null, Value::Null])],
+                rows: batch(3, &[&[Value::Int(3), Value::Null, Value::Null]]),
             }),
         },
         // Positional deltas on the un-checkpointed tail, on a certain
@@ -117,12 +125,13 @@ fn workload() -> Vec<Step> {
             table: "t".into(),
             positions: vec![0, 2],
             columns: vec![2, 1],
-            cells: vec![
-                Value::str("new"),
-                Value::Null,
-                Value::str("x"),
-                Value::Int(7),
-            ],
+            cells: batch(
+                2,
+                &[
+                    &[Value::str("new"), Value::Null],
+                    &[Value::str("x"), Value::Int(7)],
+                ],
+            ),
         }),
         step(Op::DeleteRows {
             table: "t".into(),
@@ -132,7 +141,7 @@ fn workload() -> Vec<Step> {
             table: "picks".into(),
             positions: vec![1],
             columns: vec![0],
-            cells: vec![Value::Int(21)],
+            cells: batch(1, &[&[Value::Int(21)]]),
         }),
         step(Op::DeleteRows {
             table: "picks".into(),
@@ -160,7 +169,7 @@ fn workload() -> Vec<Step> {
         }),
         step(Op::InsertRows {
             table: "t2".into(),
-            rows: vec![certain(vec![Value::Int(99)])],
+            rows: batch(1, &[&[Value::Int(99)]]),
         }),
     ]
 }

@@ -28,7 +28,7 @@
 //! `Arc`-backed engine [`Tuple`] and its `wsd` stores small conjunctions
 //! inline.
 //!
-//! DML mutates the body **in place** ([`URelation::append_rows`],
+//! DML mutates the body **in place** ([`URelation::append`],
 //! [`URelation::set_cells`], [`URelation::delete_rows`]) at a cost
 //! proportional to the rows touched, copy-on-write: the body is cloned
 //! first only if a reader (a held query result) still shares its `Arc`,
@@ -42,7 +42,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use maybms_engine::{Column, ColumnBatch, ColumnData, Relation, Schema, Tuple, Value};
+use maybms_engine::{Column, ColumnBatch, ColumnData, Relation, Schema, Tuple};
 
 use crate::error::Result;
 use crate::world_table::WorldTable;
@@ -259,19 +259,20 @@ impl URelation {
         body
     }
 
-    /// Append `rows` in place (INSERT). Caller guarantees each row has
-    /// the schema's arity.
-    pub fn append_rows(&mut self, rows: &[UTuple]) {
+    /// Append the certain rows of `rows` in place (INSERT). Caller
+    /// guarantees the batch has the schema's arity.
+    pub fn append(&mut self, rows: &ColumnBatch) {
         let body = self.body_mut();
-        body.batch.append_rows(rows.iter().map(|t| t.data.values()));
-        body.wsds.extend(rows.iter().map(|t| t.wsd.clone()));
+        body.batch.append(rows);
+        body.wsds
+            .extend(std::iter::repeat_n(Wsd::tautology(), rows.rows()));
     }
 
     /// Overwrite the data cells at `positions` × `cols` in place
-    /// (UPDATE); conditions are untouched. `cells` is row-major over
-    /// `positions`. Caller guarantees positions and columns are in range
-    /// and `cells.len() == positions.len() * cols.len()`.
-    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &[Value]) {
+    /// (UPDATE) with `cells`' rows, one per position, and columns, one
+    /// per entry of `cols`; conditions are untouched. Caller guarantees
+    /// positions and columns are in range and the batch has that shape.
+    pub fn set_cells(&mut self, positions: &[u32], cols: &[u32], cells: &ColumnBatch) {
         self.body_mut().batch.set_cells(positions, cols, cells);
     }
 
@@ -281,12 +282,6 @@ impl URelation {
         let body = self.body_mut();
         body.batch.delete_rows(positions);
         maybms_engine::column::remove_sorted(&mut body.wsds, positions);
-    }
-
-    /// Write tuple `i`'s data values into `out` (cleared first) without
-    /// building the row view.
-    pub fn write_row(&self, i: usize, out: &mut Vec<Value>) {
-        self.body.batch.write_row(i, out);
     }
 
     /// Materialise a selection vector: the U-relation holding the tuples
@@ -515,13 +510,18 @@ mod tests {
         let mut table = u.dict_encode();
         let reader = table.clone();
         let _ = table.tuples(); // warm row view: a write must drop it
-        let extra = UTuple::new(
-            Tuple::new(vec!["Duncan".into(), "SL".into()]),
-            Wsd::of(x, 0),
+        let extra = ColumnBatch::from_columns(
+            vec![
+                Column::from_values(vec!["Duncan".into()]),
+                Column::from_values(vec!["SL".into()]),
+            ],
+            1,
         );
-        table.append_rows(std::slice::from_ref(&extra));
+        table.append(&extra);
         assert!(!table.has_row_view());
-        table.set_cells(&[0, 2], &[1], &["SE".into(), Value::Null]);
+        let cells =
+            ColumnBatch::from_columns(vec![Column::from_values(vec!["SE".into(), Value::Null])], 2);
+        table.set_cells(&[0, 2], &[1], &cells);
         let got: Vec<(Vec<Value>, Wsd)> = table
             .tuples()
             .iter()
@@ -532,22 +532,22 @@ mod tests {
             vec![
                 (vec!["Bryant".into(), "SE".into()], Wsd::tautology()),
                 (vec!["Bryant".into(), "SE".into()], Wsd::of(x, 1)),
-                (vec!["Duncan".into(), Value::Null], Wsd::of(x, 0)),
+                (vec!["Duncan".into(), Value::Null], Wsd::tautology()),
             ]
         );
         table.delete_rows(&[0, 2]);
         assert_eq!(table.len(), 1);
         assert_eq!(table.tuples()[0].wsd, Wsd::of(x, 1));
         let mut row = Vec::new();
-        table.write_row(0, &mut row);
+        table.at_rest().0.write_row(0, &mut row);
         assert_eq!(row, vec![Value::str("Bryant"), Value::str("SE")]);
         // The reader that shared the body saw none of it.
         assert_eq!(reader, u);
         // A fresh empty table takes its first rows in place too.
         let mut empty = URelation::empty(u.schema().clone());
-        empty.append_rows(&[extra]);
+        empty.append(&extra);
         assert_eq!(empty.len(), 1);
-        assert_eq!(empty.tuples()[0].wsd, Wsd::of(x, 0));
+        assert!(empty.is_t_certain());
     }
 
     #[test]

@@ -23,7 +23,9 @@ fail() {
 # --- Phase 1: populate, checkpoint mid-script, then die hard. ---------
 # The shell reads statements from stdin; feed it the demo workload plus a
 # checkpoint, then SIGKILL it while it waits for more input — the WAL
-# tail after the checkpoint must survive without any shutdown path.
+# tail after the checkpoint (an INSERT … VALUES, an UPDATE and an
+# INSERT … SELECT: every record body that carries cells) must survive
+# without any shutdown path.
 mkfifo "$DATA_DIR/stdin"
 "$SHELL_BIN" --data-dir "$DATA_DIR/db" < "$DATA_DIR/stdin" > "$DATA_DIR/phase1.out" 2>&1 &
 SHELL_PID=$!
@@ -31,16 +33,19 @@ SHELL_PID=$!
     cat scripts/nba_demo.sql
     echo "\\checkpoint"
     echo "insert into ft values ('PostCrash', 'F', 'F', 0.5);"
+    echo "update ft set p = 0.125 where player = 'PostCrash';"
+    echo "insert into states select 'Copied' || player, init from ft where player = 'PostCrash';"
     # Keep stdin open so the shell stays alive until the SIGKILL.
     sleep 60
 } > "$DATA_DIR/stdin" &
 FEED_PID=$!
 
-# Wait for the post-checkpoint insert to be acknowledged in the output:
-# a line ending in exactly `INSERT 1` (the demo's own `INSERT 17` must not
-# match) after the CHECKPOINT line.
+# Wait for the last post-checkpoint statement to be acknowledged in the
+# output: a line ending in exactly `INSERT 1` (the demo's own `INSERT 17`
+# must not match) after the `UPDATE 1` that follows the CHECKPOINT line.
 acknowledged() {
-    awk '/CHECKPOINT/ { seen = 1 } seen && /(^| )INSERT 1$/ { ok = 1 } END { exit !ok }' \
+    awk '/CHECKPOINT/ { seen = 1 } seen && /(^| )UPDATE 1$/ { updated = 1 }
+         updated && /(^| )INSERT 1$/ { ok = 1 } END { exit !ok }' \
         "$DATA_DIR/phase1.out" 2>/dev/null
 }
 for _ in $(seq 1 100); do
@@ -48,7 +53,7 @@ for _ in $(seq 1 100); do
     kill -0 "$SHELL_PID" 2>/dev/null || fail "shell died early: $(cat "$DATA_DIR/phase1.out")"
     sleep 0.1
 done
-acknowledged || fail "post-checkpoint insert never acknowledged: $(cat "$DATA_DIR/phase1.out")"
+acknowledged || fail "post-checkpoint writes never acknowledged: $(cat "$DATA_DIR/phase1.out")"
 
 kill -9 "$SHELL_PID" 2>/dev/null
 kill "$FEED_PID" 2>/dev/null
@@ -60,30 +65,37 @@ wait "$FEED_PID" 2>/dev/null
 
 # --- Phase 2: restart on the same directory and query. ----------------
 RESTART_OUT="$DATA_DIR/phase2.out"
-printf "select player, init from ft where player = 'PostCrash';\nselect count(*) as n from ft;\n" \
+printf "%s\n" \
+    "select player, init, p from ft where player = 'PostCrash';" \
+    "select player, state from states where player = 'CopiedPostCrash';" \
+    "select count(*) as n from ft;" \
     | "$SHELL_BIN" --data-dir "$DATA_DIR/db" > "$RESTART_OUT" 2>&1 \
     || fail "restart failed: $(cat "$RESTART_OUT")"
 
 grep -q "Recovered" "$RESTART_OUT" || fail "banner did not report recovery: $(cat "$RESTART_OUT")"
 grep -q "PostCrash" "$RESTART_OUT" || fail "WAL-tail row lost across the crash: $(cat "$RESTART_OUT")"
+grep -q "0.125" "$RESTART_OUT" || fail "WAL-tail UPDATE lost across the crash: $(cat "$RESTART_OUT")"
+grep -q "CopiedPostCrash" "$RESTART_OUT" \
+    || fail "WAL-tail INSERT … SELECT lost across the crash: $(cat "$RESTART_OUT")"
 
 # --- Phase 3: a directory in an older format is refused, untouched. ----
-# Rewrite the WAL's version byte (the 8th, last of the magic) to 1, the
-# format before the current one. The shell must exit non-zero naming the
-# version, and leave every file byte-identical: no truncate, no reset.
-printf '\001' | dd of="$DATA_DIR/db/wal" bs=1 seek=7 count=1 conv=notrunc 2>/dev/null \
+# Rewrite the WAL's version byte (the 8th, last of the magic) to 2, the
+# format before the current one (it logged INSERT and UPDATE as row
+# images). The shell must exit non-zero naming the version, and leave
+# every file byte-identical: no truncate, no reset.
+printf '\002' | dd of="$DATA_DIR/db/wal" bs=1 seek=7 count=1 conv=notrunc 2>/dev/null \
     || fail "could not rewrite the WAL version byte"
 cp -R "$DATA_DIR/db" "$DATA_DIR/before"
 OLD_OUT="$DATA_DIR/phase3.out"
 if echo "select count(*) as n from ft;" \
     | "$SHELL_BIN" --data-dir "$DATA_DIR/db" > "$OLD_OUT" 2>&1; then
-    fail "shell opened a version-1 WAL: $(cat "$OLD_OUT")"
+    fail "shell opened a version-2 WAL: $(cat "$OLD_OUT")"
 fi
-grep -q "version 1" "$OLD_OUT" || fail "refusal does not name the version: $(cat "$OLD_OUT")"
+grep -q "version 2" "$OLD_OUT" || fail "refusal does not name the version: $(cat "$OLD_OUT")"
 [ "$(ls "$DATA_DIR/db")" = "$(ls "$DATA_DIR/before")" ] || fail "refused open changed the file list"
 for f in "$DATA_DIR/before"/*; do
     cmp -s "$f" "$DATA_DIR/db/$(basename "$f")" || fail "refused open changed $(basename "$f")"
 done
 
-echo "crash_smoke: OK (kill -9 survived: snapshot + WAL tail recovered, query verified; \
-version-1 WAL refused untouched)"
+echo "crash_smoke: OK (kill -9 survived: snapshot + WAL tail of INSERT, UPDATE and \
+INSERT … SELECT recovered, queries verified; version-2 WAL refused untouched)"

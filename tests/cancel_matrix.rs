@@ -255,6 +255,37 @@ fn sort_and_union_breakers_are_checkpoints() {
     maybms_par::set_threads(before_threads);
 }
 
+/// `UPDATE` evaluates its `SET` items over all its hit rows at once, and
+/// passes one checkpoint per `Ticker::EVERY` of them — as many as a walk
+/// ticking once per row — before the commit's own; a cancel landing on
+/// any of them leaves the catalog intact.
+#[test]
+fn dml_passes_a_checkpoint_per_ticker_stride_of_rows() {
+    let _l = lock();
+    let before_threads = maybms_par::current_threads();
+    maybms_par::set_threads(1);
+    let mem = MemVfs::new();
+    let mut db = seed(&mem);
+    db.run("create table big (k bigint, v bigint)").unwrap();
+    let rows: Vec<String> = (0..3000).map(|i| format!("({i}, {i})")).collect();
+    let insert = format!("insert into big values {}", rows.join(", "));
+    // The commit's checkpoint only.
+    assert_eq!(checkpoints(&mut db, &insert), 1);
+    db.run("insert into big select k, v from big").unwrap();
+    // 6 000 hit rows: five strides, then the commit.
+    let update = "update big set v = v + 1, k = k - 1";
+    assert_eq!(checkpoints(&mut db, update), 6);
+    let baseline = fp(&db);
+    for nth in 1..=6 {
+        testing::abort_at_checkpoint(nth, AbortKind::Cancel);
+        let err = db.run(update).expect_err("a cancel must abort the update");
+        testing::clear();
+        assert!(matches_kind(AbortKind::Cancel, &err), "nth={nth}: {err}");
+        assert_eq!(fp(&db), baseline, "nth={nth}: abort mutated state");
+    }
+    maybms_par::set_threads(before_threads);
+}
+
 /// A GROUP BY on a dictionary-encoded text column (groups from the
 /// codes) runs on the same morsel driver as every pipeline: it passes a
 /// governor checkpoint per morsel, and a cancel landing on any of them

@@ -182,8 +182,8 @@ fn delta_wal_tail_reopens_to_memory_state_at_any_thread_count() {
                     rec.op,
                     Op::InsertRows { .. } | Op::UpdateRows { .. } | Op::DeleteRows { .. }
                 ),
-                "DML logged {}",
-                rec.op.describe()
+                "DML logged {:?}",
+                rec.op
             );
         }
         // The tail is a sliver of the 12 000-row table it edits.
