@@ -2,15 +2,15 @@
 //!
 //! Prints median wall time of the full SQL pipeline (repair-key + conf)
 //! per (players, steps) cell, plus a correctness column: the walk output
-//! distribution sums to 1 per player. E1b then times exact `conf()` alone
-//! on one walk-shaped group (the lineage of "some player ends in state
-//! 2") at 4× steps of players: linear d-tree cost shows as a ratio near
-//! 4 per row.
+//! distribution sums to 1 per player (a NO fails the run). E1b then
+//! times exact `conf()` alone on one walk-shaped group (the lineage of
+//! "some player ends in state 2") at 4× steps of players: linear d-tree
+//! cost shows as a ratio near 4 per row.
 
 use std::time::Instant;
 
 use maybms_bench::workloads;
-use maybms_conf::exact::{self, ExactOptions};
+use maybms_conf::exact;
 use maybms_core::MayBms;
 
 fn run_walk(players: usize, steps: usize) -> (f64, bool) {
@@ -58,6 +58,7 @@ fn main() {
         "{:<10} {:>6} {:>12} {:>8}",
         "players", "steps", "median ms", "sums=1"
     );
+    let mut all_ok = true;
     for players in [4usize, 16, 64, 256] {
         for steps in [1usize, 2, 3, 4] {
             let mut times = Vec::new();
@@ -75,8 +76,10 @@ fn main() {
                 times[times.len() / 2],
                 if ok { "yes" } else { "NO" }
             );
+            all_ok &= ok;
         }
     }
+    assert!(all_ok, "a walk's final distribution does not sum to 1");
 
     println!("\nE1b — exact conf() of one walk-shaped group (16 clauses per player)");
     println!(
@@ -90,9 +93,9 @@ fn main() {
         let mut nodes = 0;
         for _ in 0..7 {
             let t0 = Instant::now();
-            let (_, s) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
+            let (_, s) = exact::probability_with(&dnf, &wt).unwrap();
             times.push(t0.elapsed().as_secs_f64() * 1e3);
-            nodes = s.decompositions + s.eliminations + s.leaves;
+            nodes = s.nodes();
         }
         times.sort_by(f64::total_cmp);
         let median = times[times.len() / 2];

@@ -1,4 +1,4 @@
-//! Seeded workload generators for the experiment suite (DESIGN.md §3).
+//! Seeded workload generators for the experiment harnesses (§3).
 //!
 //! Every generator is deterministic in its seed so experiment tables are
 //! reproducible run-to-run.
@@ -107,46 +107,6 @@ pub fn random_dnf(seed: u64, p: DnfParams) -> (WorldTable, Dnf) {
     (wt, Dnf::new(clauses))
 }
 
-/// A block-structured DNF: `blocks` independent groups of `per_block`
-/// clauses over `vars_per_block` shared variables — the family where
-/// independence decomposition shines (E7).
-pub fn block_dnf(
-    seed: u64,
-    blocks: usize,
-    per_block: usize,
-    vars_per_block: usize,
-    domain: u16,
-) -> (WorldTable, Dnf) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut wt = WorldTable::new();
-    let mut clauses = Vec::new();
-    for _ in 0..blocks {
-        let vars: Vec<Var> = (0..vars_per_block)
-            .map(|_| {
-                let p = 1.0 / f64::from(domain);
-                let mut dist = vec![p; domain as usize];
-                dist[0] = 1.0 - p * f64::from(domain - 1);
-                wt.new_var(&dist).expect("valid distribution")
-            })
-            .collect();
-        for _ in 0..per_block {
-            let len = rng.gen_range(1..=vars.len());
-            let mut assignments = Vec::new();
-            let mut used = std::collections::HashSet::new();
-            while assignments.len() < len {
-                let v = vars[rng.gen_range(0..vars.len())];
-                if used.insert(v) {
-                    assignments.push(Assignment::new(v, rng.gen_range(0..domain)));
-                }
-            }
-            if let Some(w) = Wsd::from_assignments(assignments) {
-                clauses.push(w);
-            }
-        }
-    }
-    (wt, Dnf::new(clauses))
-}
-
 /// The lineage of one `walk3_state_conf` group — "some player ends in
 /// state 2" over `players` three-step walks on four states, one
 /// four-valued variable per step and state — 16 three-literal clauses per
@@ -213,30 +173,6 @@ pub fn overhead_pair(seed: u64, rows: usize, keys: i64) -> (Relation, WorldTable
     (certain, wt, uncertain)
 }
 
-/// E6 workload: a key-violating relation with `groups` keys ×
-/// `alternatives` rows per key and random positive weights.
-pub fn repair_input(seed: u64, groups: usize, alternatives: usize) -> Relation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::with_capacity(groups * alternatives);
-    for g in 0..groups {
-        for a in 0..alternatives {
-            rows.push(vec![
-                Value::Int(g as i64),
-                Value::Int(a as i64),
-                Value::Float(rng.gen_range(0.1..10.0)),
-            ]);
-        }
-    }
-    maybms_engine::rel(
-        &[
-            ("k", DataType::Int),
-            ("alt", DataType::Int),
-            ("w", DataType::Float),
-        ],
-        rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,27 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn block_dnf_decomposes() {
-        let (wt, d) = block_dnf(1, 4, 3, 2, 2);
-        assert_eq!(wt.num_vars(), 8);
-        assert!(d.len() <= 12);
-        // Exact must agree with naive.
-        let e = maybms_conf::exact::probability(&d, &wt).unwrap();
-        let n = maybms_conf::naive::probability(&d, &wt, 1 << 20).unwrap();
-        assert!((e - n).abs() < 1e-9);
-    }
-
-    #[test]
     fn overhead_pair_matches() {
         let (certain, wt, uncertain) = overhead_pair(5, 100, 10);
         assert_eq!(certain.len(), 100);
         assert_eq!(uncertain.len(), 100);
         assert_eq!(wt.num_vars(), 100); // 2^100 worlds represented
-    }
-
-    #[test]
-    fn repair_input_shape() {
-        let r = repair_input(9, 10, 4);
-        assert_eq!(r.len(), 40);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Implemented here:
 //!
-//! * [`stopping_rule_seeded`] — the Stopping Rule Algorithm (SRA): sample
+//! * `stopping_rule` — the Stopping Rule Algorithm (SRA): sample
 //!   until the running sum reaches `Υ₁ = 1 + (1+ε)Υ`, output `Υ₁/N`;
 //! * [`approximate_seeded`] — the full 𝒜𝒜 algorithm: (1) a coarse SRA run,
 //!   (2) a variance-estimation phase on sample *pairs*, (3) the final run
@@ -218,25 +218,6 @@ fn phase_seed(seed: u64, phase: u64) -> u64 {
     maybms_par::derive_seed(seed, phase)
 }
 
-/// Stopping Rule Algorithm: keep invoking the estimator until the running
-/// sum of outcomes reaches `Υ₁ = 1 + (1+ε)Υ`; output `μ̂ = Υ₁ / N`.
-///
-/// For outcomes in `[0,1]` with mean `μ > 0`:
-/// `P(|μ̂ − μ| ≤ ε·μ) > 1 − δ` (DKLR Theorem 1).
-///
-/// The stream `seed` is consumed in order and no draw is made past the
-/// one the rule stops at. At every batch boundary the sample cap is
-/// enforced and the governor consulted: a deadline cuts the run into a
-/// degraded partial estimate ([`Approximation::cut_batch`]); cancellation
-/// and memory aborts propagate as errors.
-pub fn stopping_rule_seeded(
-    kl: &KarpLuby,
-    options: &DklrOptions,
-    seed: u64,
-) -> Result<Approximation> {
-    with_sampler(kl, options, |sampler| stopping_rule(sampler, options, seed))
-}
-
 /// Validate `options`, short-circuit constant DNFs, and otherwise run
 /// `driver` over a fresh sampler. The report's `drawn` becomes the
 /// sampler's own count of draws (the drivers fill in their account of
@@ -258,7 +239,17 @@ fn with_sampler(
     })
 }
 
-/// [`stopping_rule_seeded`] over a caller's sampler.
+/// Stopping Rule Algorithm: keep invoking the estimator until the running
+/// sum of outcomes reaches `Υ₁ = 1 + (1+ε)Υ`; output `μ̂ = Υ₁ / N`.
+///
+/// For outcomes in `[0,1]` with mean `μ > 0`:
+/// `P(|μ̂ − μ| ≤ ε·μ) > 1 − δ` (DKLR Theorem 1).
+///
+/// The stream `seed` is consumed in order and no draw is made past the
+/// one the rule stops at. At every batch boundary the sample cap is
+/// enforced and the governor consulted: a deadline cuts the run into a
+/// degraded partial estimate ([`Approximation::cut_batch`]); cancellation
+/// and memory aborts propagate as errors.
 fn stopping_rule(
     sampler: &mut Sampler<'_>,
     options: &DklrOptions,
@@ -486,6 +477,15 @@ mod tests {
 
     fn clause(pairs: &[(Var, u16)]) -> Wsd {
         Wsd::from_assignments(pairs.iter().map(|&(v, a)| Assignment::new(v, a)).collect()).unwrap()
+    }
+
+    /// The Stopping Rule Algorithm alone, at stream `seed`.
+    fn stopping_rule_seeded(
+        kl: &KarpLuby,
+        options: &DklrOptions,
+        seed: u64,
+    ) -> Result<Approximation> {
+        with_sampler(kl, options, |sampler| stopping_rule(sampler, options, seed))
     }
 
     /// A DNF whose clauses overlap, with known probability.

@@ -18,8 +18,12 @@
 //!   `P = 1 − Π(1 − P(componentᵢ))`;
 //! * **single-clause leaves** — product of the assignment probabilities;
 //! * **variable-elimination nodes** (Shannon expansion over a variable's
-//!   alternatives) — `P = Σ_a P(x = a) · P(DNF | x = a)`, with the variable
-//!   chosen by a pluggable heuristic.
+//!   alternatives) — `P = Σ_a P(x = a) · P(DNF | x = a)`, eliminating the
+//!   variable that occurs in the most clauses, ties to the smallest id
+//!   (it maximises the chance that conditioning decomposes the rest).
+//!
+//! A node that splits into independent parts is partitioned; only a
+//! connected node eliminates a variable.
 //!
 //! # Nodes over a compiled lineage
 //!
@@ -60,41 +64,7 @@ use maybms_urel::{Result, UrelError, WorldTable};
 
 use crate::dnf::{CompiledLineage, Dnf};
 
-/// Heuristic for picking the variable to eliminate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum VarChoice {
-    /// The variable occurring in the most clauses, ties to the smallest
-    /// id (default; maximises the chance that conditioning decomposes the
-    /// rest).
-    #[default]
-    MaxOccurrence,
-    /// The variable with the smallest domain (fewest recursive branches).
-    MinDomain,
-    /// The smallest variable id (baseline for the E7 ablation).
-    First,
-}
-
-/// The paper's two ablation knobs (E7a and E7b of `exp_ablation`).
-#[derive(Debug, Clone, Copy)]
-pub struct ExactOptions {
-    /// Variable-elimination heuristic.
-    pub var_choice: VarChoice,
-    /// When `false`, skip independence partitioning (ablation).
-    pub decompose: bool,
-}
-
-impl ExactOptions {
-    /// The configuration used by `conf()`: decomposition on,
-    /// max-occurrence elimination.
-    pub fn standard() -> ExactOptions {
-        ExactOptions {
-            var_choice: VarChoice::MaxOccurrence,
-            decompose: true,
-        }
-    }
-}
-
-/// Statistics of one exact computation (d-tree shape), for benches/tests.
+/// Statistics of one exact computation: the shape of its d-tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExactStats {
     /// Number of independent-partition nodes.
@@ -114,18 +84,14 @@ impl ExactStats {
     }
 }
 
-/// Exact probability of `dnf` with the standard options.
+/// Exact probability of `dnf`.
 pub fn probability(dnf: &Dnf, wt: &WorldTable) -> Result<f64> {
-    probability_with(dnf, wt, &ExactOptions::standard()).map(|(p, _)| p)
+    probability_with(dnf, wt).map(|(p, _)| p)
 }
 
-/// Exact probability with explicit options; also returns d-tree statistics.
-pub fn probability_with(
-    dnf: &Dnf,
-    wt: &WorldTable,
-    options: &ExactOptions,
-) -> Result<(f64, ExactStats)> {
-    let (p, stats) = bounded(&CompiledLineage::new(dnf, wt)?, options, usize::MAX)?;
+/// Exact probability of `dnf` and the statistics of its d-tree.
+pub fn probability_with(dnf: &Dnf, wt: &WorldTable) -> Result<(f64, ExactStats)> {
+    let (p, stats) = bounded(&CompiledLineage::new(dnf, wt)?, usize::MAX)?;
     Ok((p.expect("an unbounded d-tree always answers"), stats))
 }
 
@@ -134,13 +100,11 @@ pub fn probability_with(
 /// statement's deadline — the `aconf()` cascade then samples.
 pub(crate) fn bounded(
     lineage: &CompiledLineage,
-    options: &ExactOptions,
     limit: usize,
 ) -> Result<(Option<f64>, ExactStats)> {
     let vars = lineage.num_vars();
     let mut tree = DTree {
         lineage,
-        options,
         limit,
         stats: ExactStats::default(),
         fixed: vec![FREE; vars],
@@ -183,7 +147,6 @@ const FREE: u16 = u16::MAX;
 /// The per-call state of one d-tree evaluation.
 struct DTree<'a> {
     lineage: &'a CompiledLineage,
-    options: &'a ExactOptions,
     /// Nodes the tree may expand ([`usize::MAX`]: unbounded).
     limit: usize,
     stats: ExactStats,
@@ -259,17 +222,15 @@ impl DTree<'_> {
             let product = |&c| live(lineage, &self.fixed, c).fold(1.0, |p, l| p * lineage.prob(l));
             return Ok(clauses.first().map_or(0.0, product));
         }
-        if self.options.decompose {
-            if let Some((ends, order)) = self.components(clauses) {
-                self.stats.decompositions += 1;
-                let mut none = 1.0;
-                let mut start = 0;
-                for end in ends {
-                    none *= 1.0 - self.node(&order[start..end], depth + 1)?;
-                    start = end;
-                }
-                return Ok(1.0 - none);
+        if let Some((ends, order)) = self.components(clauses) {
+            self.stats.decompositions += 1;
+            let mut none = 1.0;
+            let mut start = 0;
+            for end in ends {
+                none *= 1.0 - self.node(&order[start..end], depth + 1)?;
+                start = end;
             }
+            return Ok(1.0 - none);
         }
         self.stats.eliminations += 1;
         let x = self.choose_var(clauses);
@@ -394,7 +355,8 @@ impl DTree<'_> {
         Some((ends.collect(), order.into_iter().map(|(_, c)| c).collect()))
     }
 
-    /// Pick the elimination variable according to the heuristic.
+    /// The elimination variable: the one in the most clauses, ties to the
+    /// smallest id.
     fn choose_var(&mut self, clauses: &[u32]) -> u32 {
         self.epoch += 1;
         let (lineage, fixed, epoch) = (self.lineage, &self.fixed[..], self.epoch);
@@ -409,15 +371,7 @@ impl DTree<'_> {
                 }
                 slot[vi] += 1;
                 // Only `v`'s count moved, so the leader is `v` or unchanged.
-                if best.is_none_or(|b| match self.options.var_choice {
-                    VarChoice::MaxOccurrence => {
-                        (slot[vi], Reverse(v)) > (slot[b as usize], Reverse(b))
-                    }
-                    VarChoice::MinDomain => {
-                        (lineage.distribution(v).len(), v) < (lineage.distribution(b).len(), b)
-                    }
-                    VarChoice::First => v < b,
-                }) {
+                if best.is_none_or(|b| (slot[vi], Reverse(v)) > (slot[b as usize], Reverse(b))) {
                     best = Some(v);
                 }
             }
@@ -452,7 +406,7 @@ mod tests {
         let x = wt.new_var(&[0.7, 0.3]).unwrap();
         let y = wt.new_var(&[0.4, 0.6]).unwrap();
         let d = Dnf::new(vec![clause(&[(x, 1)]), clause(&[(y, 1)])]);
-        let (p, stats) = probability_with(&d, &wt, &ExactOptions::standard()).unwrap();
+        let (p, stats) = probability_with(&d, &wt).unwrap();
         assert!((p - 0.72).abs() < 1e-12);
         assert_eq!(stats.decompositions, 1);
         assert_eq!(stats.eliminations, 0);
@@ -465,7 +419,7 @@ mod tests {
         let y = wt.new_var(&[0.5, 0.5]).unwrap();
         // (x=1 ∧ y=1) ∨ (x=0): P = 0.25 + 0.5 = 0.75
         let d = Dnf::new(vec![clause(&[(x, 1), (y, 1)]), clause(&[(x, 0)])]);
-        let (p, stats) = probability_with(&d, &wt, &ExactOptions::standard()).unwrap();
+        let (p, stats) = probability_with(&d, &wt).unwrap();
         assert!((p - 0.75).abs() < 1e-12);
         assert!(stats.eliminations >= 1);
     }
@@ -515,75 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn all_heuristics_agree() {
-        let mut wt = WorldTable::new();
-        let v: Vec<Var> = (0..4)
-            .map(|_| wt.new_var(&[0.5, 0.3, 0.2]).unwrap())
-            .collect();
-        let d = Dnf::new(vec![
-            clause(&[(v[0], 0), (v[1], 1)]),
-            clause(&[(v[1], 2), (v[2], 0)]),
-            clause(&[(v[2], 1), (v[3], 2)]),
-            clause(&[(v[0], 2)]),
-        ]);
-        let standard = probability(&d, &wt).unwrap();
-        for var_choice in [
-            VarChoice::MaxOccurrence,
-            VarChoice::MinDomain,
-            VarChoice::First,
-        ] {
-            for decompose in [true, false] {
-                let (p, _) = probability_with(
-                    &d,
-                    &wt,
-                    &ExactOptions {
-                        var_choice,
-                        decompose,
-                    },
-                )
-                .unwrap();
-                assert!(
-                    (p - standard).abs() < 1e-9,
-                    "{var_choice:?} decompose={decompose}: {p} vs {standard}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn decomposition_reduces_eliminations_on_block_dnfs() {
-        // 6 independent blocks of 2 clauses sharing one variable each:
-        // with decomposition the eliminations stay per-block; without it
-        // the recursion interleaves blocks and balloons.
-        let mut wt = WorldTable::new();
-        let mut clauses = Vec::new();
-        for _ in 0..6 {
-            let x = wt.new_var(&[0.5, 0.5]).unwrap();
-            let y = wt.new_var(&[0.5, 0.5]).unwrap();
-            clauses.push(clause(&[(x, 1), (y, 1)]));
-            clauses.push(clause(&[(x, 0), (y, 0)]));
-        }
-        let d = Dnf::new(clauses);
-        let with = probability_with(&d, &wt, &ExactOptions::standard()).unwrap();
-        let without = probability_with(
-            &d,
-            &wt,
-            &ExactOptions {
-                decompose: false,
-                ..ExactOptions::standard()
-            },
-        )
-        .unwrap();
-        assert!((with.0 - without.0).abs() < 1e-9);
-        assert!(
-            with.1.eliminations < without.1.eliminations,
-            "with: {:?}, without: {:?}",
-            with.1,
-            without.1
-        );
-    }
-
-    #[test]
     fn duplicates_and_supersets_are_absorbed_before_the_dtree() {
         let mut wt = WorldTable::new();
         let x = wt.new_var(&[0.7, 0.3]).unwrap();
@@ -595,7 +480,7 @@ mod tests {
             clause(&[(x, 1), (y, 0)]),
             clause(&[(y, 1)]),
         ]);
-        let (p, stats) = probability_with(&d, &wt, &ExactOptions::standard()).unwrap();
+        let (p, stats) = probability_with(&d, &wt).unwrap();
         assert_eq!(p.to_bits(), (1.0 - (1.0 - 0.3) * (1.0 - 0.6f64)).to_bits());
         assert_eq!(
             stats,
@@ -614,7 +499,7 @@ mod tests {
             clause(&[(y, 1), (z, 0)]),
             clause(&[(x, 0), (z, 1)]),
         ]);
-        let (p, stats) = probability_with(&d, &wt, &ExactOptions::standard()).unwrap();
+        let (p, stats) = probability_with(&d, &wt).unwrap();
         assert!((p - (0.7 * (0.5 * 0.6 + 0.5) + 0.3 * 0.6)).abs() < 1e-15);
         assert_eq!(
             stats,

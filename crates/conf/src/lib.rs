@@ -7,8 +7,8 @@
 //!   descriptors) and their compiled form, the one both engines
 //!   consume;
 //! * [`exact`] — the Koch–Olteanu decomposition-tree algorithm:
-//!   independence partitioning + variable elimination with pluggable
-//!   heuristics (§2.3, "Exact confidence computation");
+//!   independence partitioning + max-occurrence variable elimination
+//!   (§2.3, "Exact confidence computation");
 //! * [`karp_luby`] — the Karp–Luby unbiased DNF estimator adapted to
 //!   multi-valued variable assignments (§2.3, "Approximate confidence
 //!   computation");
@@ -285,7 +285,7 @@ fn cascade(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<(f64, ConfE
                 .sum(),
         ),
     };
-    let (p, stats) = exact::bounded(&lineage, &exact::ExactOptions::standard(), limit)?;
+    let (p, stats) = exact::bounded(&lineage, limit)?;
     effort.dtree_nodes = stats.nodes() as u64;
     effort.budget = if limit == usize::MAX { 0 } else { limit as u64 };
     let (None, ConfMethod::Approx { seed, .. }) = (p, method) else {

@@ -1,30 +1,13 @@
 //! Property tests: the exact d-tree algorithm against the enumeration
-//! oracle on random DNFs, in every heuristic configuration, and against
-//! the recorded output of the recursion it replaced; Karp–Luby
-//! statistical sanity.
+//! oracle on random DNFs and against the recorded output of the
+//! recursion it replaced; Karp–Luby statistical sanity.
 
-use maybms_conf::exact::{self, ExactOptions, VarChoice};
+use maybms_conf::exact;
 use maybms_conf::{naive, Dnf};
 use maybms_urel::{Assignment, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Every ablation configuration of the exact engine.
-fn all_options() -> impl Iterator<Item = ExactOptions> {
-    [
-        VarChoice::MaxOccurrence,
-        VarChoice::MinDomain,
-        VarChoice::First,
-    ]
-    .into_iter()
-    .flat_map(|var_choice| {
-        [true, false].map(|decompose| ExactOptions {
-            var_choice,
-            decompose,
-        })
-    })
-}
 
 /// A random world table (n variables with domains 2–3) plus a random DNF
 /// over it.
@@ -120,17 +103,12 @@ fn arb_lineage() -> impl Strategy<Value = (WorldTable, Dnf)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Exact == naive for every options combination.
+    /// Exact == naive.
     #[test]
     fn exact_equals_naive((wt, dnf) in arb_dnf()) {
         let oracle = naive::probability(&dnf, &wt, 1 << 20).unwrap();
-        for opts in all_options() {
-            let (p, _) = exact::probability_with(&dnf, &wt, &opts).unwrap();
-            prop_assert!(
-                (p - oracle).abs() < 1e-9,
-                "opts {:?}: exact {} oracle {}", opts, p, oracle
-            );
-        }
+        let p = exact::probability(&dnf, &wt).unwrap();
+        prop_assert!((p - oracle).abs() < 1e-9, "exact {} oracle {}", p, oracle);
     }
 
     /// The compiled d-tree == naive to 1e-12 on lineage with duplicates,
@@ -139,13 +117,11 @@ proptest! {
     #[test]
     fn compiled_exact_equals_naive_on_structured_lineage((wt, dnf) in arb_lineage()) {
         let oracle = naive::probability(&dnf, &wt, 1 << 20).unwrap();
-        for opts in all_options() {
-            let (p, _) = exact::probability_with(&dnf, &wt, &opts).unwrap();
-            prop_assert!(
-                (p - oracle).abs() <= 1e-12,
-                "opts {:?}: exact {} oracle {} on {:?}", opts, p, oracle, dnf
-            );
-        }
+        let p = exact::probability(&dnf, &wt).unwrap();
+        prop_assert!(
+            (p - oracle).abs() <= 1e-12,
+            "exact {} oracle {} on {:?}", p, oracle, dnf
+        );
     }
 
     /// Probabilities are always within [0, 1].
@@ -217,30 +193,27 @@ fn seeded_lineage(rng: &mut StdRng) -> (WorldTable, Dnf) {
 }
 
 /// The exact engine's output — probability bits and d-tree shape — over
-/// 2 000 seeded lineages in every ablation configuration, folded into one
-/// FNV-1a digest. The value was recorded from the recursion over `Dnf`s
-/// that the compiled d-tree replaced, so it pins what must not move:
-/// bit-identical probabilities and equal node counts, i.e. the variable
-/// choice with its tie-break, the component and multiplication order and
-/// what absorption drops.
+/// 2 000 seeded lineages, folded into one FNV-1a digest. It matches the
+/// recursion over `Dnf`s that the compiled d-tree replaced, so it pins
+/// what must not move: bit-identical probabilities and equal node counts,
+/// i.e. the variable choice with its tie-break, the component and
+/// multiplication order and what absorption drops.
 #[test]
 fn exact_reproduces_the_recorded_dtree() {
-    const RECORDED: u64 = 0x8199_198b_42b8_e7c6;
+    const RECORDED: u64 = 0x933f_e368_f412_2329;
     let mut rng = StdRng::seed_from_u64(22);
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for _ in 0..2000 {
         let (wt, dnf) = seeded_lineage(&mut rng);
-        for opts in all_options() {
-            let (p, s) = exact::probability_with(&dnf, &wt, &opts).unwrap();
-            for x in [
-                p.to_bits(),
-                s.decompositions as u64,
-                s.eliminations as u64,
-                s.leaves as u64,
-                s.max_depth as u64,
-            ] {
-                digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
-            }
+        let (p, s) = exact::probability_with(&dnf, &wt).unwrap();
+        for x in [
+            p.to_bits(),
+            s.decompositions as u64,
+            s.eliminations as u64,
+            s.leaves as u64,
+            s.max_depth as u64,
+        ] {
+            digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
         }
     }
     assert_eq!(digest, RECORDED, "digest {digest:#018x}");

@@ -8,7 +8,7 @@
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use maybms_conf::exact::{self, ExactOptions, ExactStats};
+use maybms_conf::exact::{self, ExactStats};
 use maybms_conf::{confidence_with_effort, ConfMethod, Dnf};
 use maybms_engine::EngineError;
 use maybms_gov::{testing, AbortKind, GovError};
@@ -70,7 +70,7 @@ fn walk_lineage_has_the_closed_form_and_a_fixed_dtree_shape() {
     let _g = lock();
     for players in [1, 7, 80] {
         let (wt, dnf, closed) = walk_lineage(players, players as u64);
-        let (p, stats) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
+        let (p, stats) = exact::probability_with(&dnf, &wt).unwrap();
         assert!(
             (p - closed).abs() <= 1e-12,
             "{players} players: {p} vs {closed}"
@@ -154,7 +154,7 @@ fn hierarchical_lineage_is_tractable_for_the_dtree() {
     let mut shapes = Vec::new();
     for bs in [100, 1_000, 10_000] {
         let (wt, dnf, closed, tuples) = hierarchical_lineage(bs, &mut StdRng::seed_from_u64(7));
-        let (p, stats) = exact::probability_with(&dnf, &wt, &ExactOptions::standard()).unwrap();
+        let (p, stats) = exact::probability_with(&dnf, &wt).unwrap();
         assert!(
             (p - closed).abs() <= 1e-12,
             "{bs} join values: {p} vs {closed}"
@@ -228,7 +228,7 @@ fn absorption_checks_the_governor_every_1024_subset_tests() {
     const ARMED: u64 = u64::MAX / 2;
     testing::abort_at_checkpoint(ARMED, AbortKind::Cancel);
     let guard = maybms_gov::begin_statement();
-    let out = exact::probability_with(&dnf, &wt, &ExactOptions::standard());
+    let out = exact::probability_with(&dnf, &wt);
     let left = testing::remaining().expect("injection armed");
     drop(guard);
     testing::clear();

@@ -31,7 +31,8 @@ use maybms_conf::{lineage_confidence, ConfMethod};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
 use maybms_engine::vector::{self, FirstError, KernelCounts};
 use maybms_engine::{
-    BatchBuilder, ColumnData, DataType, EngineError, Expr, Field, Schema, Value, ValueRef,
+    BatchBuilder, Column, ColumnBatch, ColumnBuilder, ColumnData, DataType, EngineError, Expr,
+    Field, Schema, Value, ValueRef,
 };
 use maybms_par::ThreadPool;
 use maybms_pipe::{GroupedBatch, UStream};
@@ -550,37 +551,46 @@ fn finish_argmax(
 }
 
 /// `tconf()`: per stored tuple, its marginal probability. Output (a
-/// t-certain U-relation): the selected scalar columns plus the tconf
-/// column(s), one row per tuple, appended to column builders.
+/// t-certain U-relation): the selected scalar columns, each evaluated over
+/// the whole batch, plus the tconf column(s). The first error is the row
+/// walk's: lowest row, then leftmost item, the tuple's probability last.
 pub fn eval_tconf(
     u: &URelation,
     scalar_items: &[(Expr, String)],
     tconf_names: &[String],
     wt: &WorldTable,
 ) -> Result<URelation> {
-    let mut fields: Vec<Field> = scalar_items
+    let (batch, wsds) = u.at_rest();
+    let mut first = FirstError::<CoreError>::new(wsds.len());
+    let mut columns: Vec<Column> = scalar_items
+        .iter()
+        .map(|(e, _)| {
+            let (col, err) = vector::eval_batch(e, batch, &mut KernelCounts::default());
+            first.at_eval(err);
+            col.into_owned()
+        })
+        .collect();
+    // No item errs before `first.limit`, so a probability that fails
+    // there is the walk's first error.
+    let mut probs = ColumnBuilder::new();
+    for wsd in &wsds[..first.limit] {
+        probs.push(&Value::float(wsd.prob(wt)?)?);
+    }
+    first.result()?;
+    let probs = probs.finish();
+    columns.extend(tconf_names.iter().map(|_| probs.clone()));
+    let fields = scalar_items
         .iter()
         .map(|(e, n)| Field::new(n.clone(), e.data_type(u.schema())))
+        .chain(
+            tconf_names
+                .iter()
+                .map(|n| Field::new(n.clone(), DataType::Float)),
+        )
         .collect();
-    for n in tconf_names {
-        fields.push(Field::new(n.clone(), DataType::Float));
-    }
-    let mut out = BatchBuilder::new(fields.len());
-    let (mut data, mut row) = (Vec::new(), Vec::new());
-    let (batch, wsds) = u.at_rest();
-    for (i, wsd) in wsds.iter().enumerate() {
-        batch.write_row(i, &mut data);
-        row.clear();
-        for (e, _) in scalar_items {
-            row.push(e.eval_values(&data)?);
-        }
-        let p = Value::float(wsd.prob(wt)?)?;
-        row.extend(tconf_names.iter().map(|_| p.clone()));
-        out.push_row(&row);
-    }
     Ok(URelation::certain_batch(
         Arc::new(Schema::new(fields)),
-        out.finish(),
+        ColumnBatch::from_columns(columns, wsds.len()),
     ))
 }
 

@@ -287,7 +287,9 @@ impl MayBms {
     /// is timed into the process-wide query metrics and, when the
     /// slow-query log is enabled (`MAYBMS_SLOW_MS` or
     /// [`maybms_obs::set_slow_log_threshold`]), slow statements are
-    /// reported on stderr with their stats summary.
+    /// reported on stderr with their stats summary. A statement that
+    /// fails, and `EXPLAIN ANALYZE`, leave the world table as they found
+    /// it.
     pub fn execute(&mut self, stmt: &Statement) -> Result<StatementResult> {
         let root = maybms_obs::trace::span("statement");
         self.execute_traced(stmt, root)
@@ -304,6 +306,7 @@ impl MayBms {
         // budget / pending `\cancel`); the guard disarms them on every
         // exit path, including panics.
         let gov = maybms_gov::begin_statement();
+        let vars = self.wt.num_vars();
         let stats = Arc::new(maybms_obs::QueryStats::new());
         if root.is_active() {
             stats.set_root_span(root.id());
@@ -331,6 +334,14 @@ impl MayBms {
             })
         };
         let elapsed = t0.elapsed();
+        // A statement that stores nothing leaves no variables behind: a
+        // failed one (an error, a governor abort, a caught panic) and
+        // `EXPLAIN ANALYZE` forget those it registered, except the ones
+        // `commit` logged, which are durable.
+        if result.is_err() || matches!(stmt, Statement::Explain { analyze: true, .. }) {
+            let durable = self.store.as_ref().map_or(0, Store::durable_vars);
+            self.wt.truncate(vars.max(durable));
+        }
         // Governor aborts: count by kind, once per statement (checks keep
         // failing after the first abort, so counting at check sites would
         // multiply). The label doubles as the root span's abort attribute.

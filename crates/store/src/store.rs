@@ -373,6 +373,12 @@ impl Store {
         r
     }
 
+    /// World-table variables already durable: in the snapshot or logged
+    /// with a WAL record. A session must keep them.
+    pub fn durable_vars(&self) -> usize {
+        self.durable_vars
+    }
+
     /// Append one mutation to the WAL and fsync it. `wt` is the *live*
     /// world table: any variables beyond the durable count are logged
     /// with the record, so rows referencing them commit atomically.

@@ -61,9 +61,10 @@ impl WorldTable {
     }
 
     /// Forget every variable from id `num_vars` on, restoring the table
-    /// a failed `repair key` / `pick tuples` started from (ids are
-    /// sequential, so the variables it registered are the last ones).
-    pub(crate) fn truncate(&mut self, num_vars: usize) {
+    /// a failed `repair key` / `pick tuples` or statement started from
+    /// (ids are sequential, so the variables it registered are the last
+    /// ones). Nothing kept may refer to a forgotten variable.
+    pub fn truncate(&mut self, num_vars: usize) {
         if num_vars < self.ends.len() {
             self.probs
                 .truncate(num_vars.checked_sub(1).map_or(0, |v| self.ends[v]));

@@ -5,8 +5,8 @@
 //! and prove that
 //!
 //! * the statement fails with exactly the injected [`GovError`],
-//! * the catalog (in-memory *and* durable) is bit-identical to the
-//!   pre-statement state, and
+//! * the catalog (in-memory *and* durable) and the world table are
+//!   bit-identical to the pre-statement state, and
 //! * the session stays healthy: the next statement succeeds.
 //!
 //! Plus the graceful-degradation contract for `aconf` (a deadline that
@@ -44,6 +44,15 @@ fn fp(db: &MayBms) -> Vec<u8> {
         })
         .collect();
     store::fingerprint(&tables, db.world_table())
+}
+
+/// The world table's variable count and every probability's bits. `fp`
+/// sees only the variables a stored table references, so a statement
+/// that leaks variables passes it; this does not.
+fn world(db: &MayBms) -> (usize, Vec<u64>) {
+    let wt = db.world_table();
+    let bits = wt.distributions().flatten().map(|p| p.to_bits()).collect();
+    (wt.num_vars(), bits)
 }
 
 const SEED_SQL: &[&str] = &[
@@ -118,6 +127,7 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
                 let mem = MemVfs::new();
                 let mut db = seed(&mem);
                 let baseline = fp(&db);
+                let world_before = world(&db);
                 let wal_before = mem.read("wal").unwrap();
                 let mut completed = false;
                 for nth in 1..=MAX_SWEEP {
@@ -141,6 +151,11 @@ fn abort_at_every_checkpoint_leaves_state_unchanged() {
                                 fp(&db),
                                 baseline,
                                 "{label}/{kind:?}/t{threads} nth={nth}: abort mutated state"
+                            );
+                            assert_eq!(
+                                world(&db),
+                                world_before,
+                                "{label}/{kind:?}/t{threads} nth={nth}: abort left variables"
                             );
                             // …and nothing leaked into the durable log.
                             assert_eq!(

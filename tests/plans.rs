@@ -270,6 +270,68 @@ fn explain_leaves_a_durable_database_unchanged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+const REPAIRED: &str = "(repair key player in ft weight by w) r";
+
+/// `ft` and `kept`, a stored `repair key` of it (two variables), in
+/// memory and on a fresh data directory named after `test`; then `stmt`
+/// must leave the world table as it found it, `kept`'s variables
+/// included, across a reopen too.
+fn leaves_no_variables(test: &str, stmt: impl Fn(&mut MayBms)) {
+    let dir = std::env::temp_dir().join(format!("maybms-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for durable in [false, true] {
+        let mut db = if durable {
+            MayBms::open(&dir).unwrap()
+        } else {
+            MayBms::new()
+        };
+        db.run_script(&format!(
+            "create table ft (player bigint, fin text, w double precision);
+             insert into ft values (1, 'F', 0.5), (1, 'SE', 0.5), (2, 'F', 0.2), (2, 'SL', 0.8);
+             create table kept as select * from {REPAIRED};"
+        ))
+        .unwrap();
+        assert_eq!(db.world_table().num_vars(), 2);
+        stmt(&mut db);
+        assert_eq!(db.world_table().num_vars(), 2, "durable: {durable}");
+        let kept = "select fin, conf() as p from kept group by fin order by fin";
+        let before = db.query(kept).unwrap();
+        if durable {
+            db.reopen().unwrap();
+            assert_eq!(db.world_table().num_vars(), 2);
+        }
+        assert_eq!(db.query(kept).unwrap(), before);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A statement that fails with division by zero after an inline
+/// `repair key` forgets the variables the `repair key` registered.
+#[test]
+fn failed_statement_leaves_no_variables() {
+    leaves_no_variables("failed", |db| {
+        let err = db
+            .run(&format!(
+                "select fin, conf() as p from {REPAIRED} where 1 / (player - player) > 0 group by fin"
+            ))
+            .unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "{err}");
+    });
+}
+
+/// `EXPLAIN ANALYZE` runs its query but stores nothing, so it forgets the
+/// variables an inline `repair key` registered.
+#[test]
+fn explain_analyze_leaves_no_variables() {
+    leaves_no_variables("analyze", |db| {
+        let plan = message(
+            db,
+            &format!("explain analyze select fin, conf() as p from {REPAIRED} group by fin"),
+        );
+        assert!(plan.contains("REPAIR KEY"), "{plan}");
+    });
+}
+
 /// `BETWEEN` is its two comparisons, so a range on the walk's start player
 /// reaches every step table as implied σ stages.
 #[test]

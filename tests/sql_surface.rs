@@ -521,6 +521,35 @@ fn tconf_with_wildcard() {
     assert!((p_ann - 0.1).abs() < 1e-12);
 }
 
+/// `tconf()`'s scalar items report the row walk's first error: the lowest
+/// row, then the leftmost item — here `y` overflows on the first row while
+/// `x`, the item left of it, divides by zero only on the second.
+#[test]
+fn tconf_reports_the_first_error_by_row_then_item() {
+    let mut db = MayBms::new();
+    db.run_script(
+        "create table t (a bigint, b bigint, p double precision);
+         insert into t values (9223372036854775800, 1, 0.5), (1, 0, 0.5);",
+    )
+    .unwrap();
+    let from = "from (pick tuples from t with probability p) r";
+    let err = db
+        .run(&format!(
+            "select a / b as x, a + 10 as y, tconf() as p {from}"
+        ))
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "arithmetic error: integer overflow in 9223372036854775800 + 10"
+    );
+    let err = db
+        .run(&format!(
+            "select a / (b - b) as x, a + 10 as y, tconf() as p {from}"
+        ))
+        .unwrap_err();
+    assert_eq!(err.to_string(), "arithmetic error: division by zero");
+}
+
 #[test]
 fn esum_with_computed_expression() {
     let mut db = fresh();
