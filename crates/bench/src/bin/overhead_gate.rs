@@ -28,21 +28,20 @@ use maybms_bench::workloads;
 use maybms_core::MayBms;
 use maybms_obs::trace;
 
-/// Names and values of the query-governor and store-retry counters. With
-/// no limits armed the governor must never abort, degrade, or retry
-/// anything, so a nonzero delta means the measured reps were perturbed
-/// (e.g. the run was launched with a statement timeout or
-/// `MAYBMS_STORE_FAULT_EVERY` exported) and the timings are invalid.
-const GOV_COUNTERS: [&str; 6] = [
+/// Names and values of the query-governor counters. With no limits
+/// armed the governor must never abort or degrade anything, so a nonzero
+/// delta means the measured reps were perturbed (e.g. the run was
+/// launched with a statement timeout exported) and the timings are
+/// invalid.
+const GOV_COUNTERS: [&str; 5] = [
     "cancelled",
     "deadline",
     "mem_rejected",
     "degraded_conf",
     "panics",
-    "store_retries",
 ];
 
-fn gov_metric_mark() -> [u64; 6] {
+fn gov_metric_mark() -> [u64; 5] {
     let m = maybms_obs::metrics();
     [
         m.gov_cancelled.get(),
@@ -50,7 +49,6 @@ fn gov_metric_mark() -> [u64; 6] {
         m.gov_mem_rejected.get(),
         m.gov_degraded_conf.get(),
         m.gov_panics.get(),
-        m.store_retries.get(),
     ]
 }
 
@@ -164,7 +162,7 @@ fn main() {
             now - then,
             0,
             "governor counter `{name}` moved by {} during the run; the measured reps \
-             were perturbed (statement limits or store fault injection armed?)",
+             were perturbed (statement limits armed?)",
             now - then
         );
     }

@@ -10,6 +10,7 @@
 
 use maybms_bench::naive::{self, fused_chain, Step};
 use maybms_engine::ops::{ProjectItem, SortKey};
+use maybms_engine::vector::KernelCounts;
 use maybms_engine::{rel, BinaryOp, DataType, Expr, Relation, Value};
 use maybms_pipe::{breaker, UStream};
 use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
@@ -212,7 +213,8 @@ proptest! {
         );
         let keys = [SortKey::desc(Expr::col("v")), SortKey::asc(Expr::col("k"))];
         let u = URelation::from_certain(&certain);
-        let got = breaker::limit(&breaker::sort(&u, &keys, Some(n)).unwrap(), n);
+        let sorted = breaker::sort(&u, &keys, Some(n), &mut KernelCounts::default()).unwrap();
+        let got = breaker::limit(&sorted, n);
         prop_assert!(got.is_t_certain());
         let want = naive::sort(&certain, &keys).unwrap();
         let want: Vec<_> = want.tuples().iter().take(n).cloned().collect();

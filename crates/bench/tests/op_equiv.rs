@@ -9,6 +9,7 @@
 
 use maybms_bench::naive;
 use maybms_core::agg;
+use maybms_engine::vector::KernelCounts;
 use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
 use maybms_pipe::{breaker, UStream};
 use maybms_urel::{URelation, WorldTable};
@@ -176,7 +177,7 @@ proptest! {
         };
         let want = naive::sort(&r, &keys);
         for u in inputs {
-            match (breaker::sort(&u, &keys, limit), &want) {
+            match (breaker::sort(&u, &keys, limit, &mut KernelCounts::default()), &want) {
                 (Ok(got), Ok(want)) => {
                     // Debug-printed values: a variant swap among ties
                     // (`1` for `1.0`) is a difference.

@@ -554,22 +554,26 @@ fn finish_argmax(
 /// t-certain U-relation): the selected scalar columns, each evaluated over
 /// the whole batch, plus the tconf column(s). The first error is the row
 /// walk's: lowest row, then leftmost item, the tuple's probability last.
+/// The items' kernel batches are recorded on `stats`.
 pub fn eval_tconf(
     u: &URelation,
     scalar_items: &[(Expr, String)],
     tconf_names: &[String],
     wt: &WorldTable,
+    stats: &maybms_obs::QueryStats,
 ) -> Result<URelation> {
     let (batch, wsds) = u.at_rest();
     let mut first = FirstError::<CoreError>::new(wsds.len());
+    let mut counts = KernelCounts::default();
     let mut columns: Vec<Column> = scalar_items
         .iter()
         .map(|(e, _)| {
-            let (col, err) = vector::eval_batch(e, batch, &mut KernelCounts::default());
+            let (col, err) = vector::eval_batch(e, batch, &mut counts);
             first.at_eval(err);
             col.into_owned()
         })
         .collect();
+    stats.record_kernels(counts.batches, counts.scalar_fallbacks);
     // No item errs before `first.limit`, so a probability that fails
     // there is the walk's first error.
     let mut probs = ColumnBuilder::new();
@@ -802,7 +806,9 @@ mod tests {
     #[test]
     fn tconf_per_tuple() {
         let (wt, u) = ti_setup();
-        let out = eval_tconf(&u, &[(col(&u, "g"), "g".into())], &["p".to_string()], &wt).unwrap();
+        let qs = maybms_obs::QueryStats::new();
+        let items = [(col(&u, "g"), "g".into())];
+        let out = eval_tconf(&u, &items, &["p".to_string()], &wt, &qs).unwrap();
         assert!(out.is_t_certain());
         assert_eq!(out.len(), 3);
         assert_eq!(out.tuples()[0].data.value(1), &Value::Float(0.5));

@@ -86,11 +86,7 @@ impl MayBms {
     /// recovery: load the latest snapshot, replay the WAL tail, truncate
     /// a torn final record if the last session died mid-append.
     pub fn open(dir: impl AsRef<Path>) -> Result<MayBms> {
-        // `MAYBMS_STORE_FAULT_EVERY=N` (the CI chaos leg) interposes
-        // deterministic transient faults the store must retry through.
-        Self::open_with_vfs(maybms_store::maybe_chaos(Arc::new(
-            maybms_store::StdVfs::open(dir)?,
-        )))
+        Self::open_with_vfs(Arc::new(maybms_store::StdVfs::open(dir)?))
     }
 
     /// [`MayBms::open`] over an arbitrary [`Vfs`] — the fault-injection
@@ -288,8 +284,8 @@ impl MayBms {
     /// slow-query log is enabled (`MAYBMS_SLOW_MS` or
     /// [`maybms_obs::set_slow_log_threshold`]), slow statements are
     /// reported on stderr with their stats summary. A statement that
-    /// fails, and `EXPLAIN ANALYZE`, leave the world table as they found
-    /// it.
+    /// fails, `EXPLAIN ANALYZE` and a query with a t-certain result leave
+    /// the world table as they found it.
     pub fn execute(&mut self, stmt: &Statement) -> Result<StatementResult> {
         let root = maybms_obs::trace::span("statement");
         self.execute_traced(stmt, root)
@@ -335,10 +331,18 @@ impl MayBms {
         };
         let elapsed = t0.elapsed();
         // A statement that stores nothing leaves no variables behind: a
-        // failed one (an error, a governor abort, a caught panic) and
-        // `EXPLAIN ANALYZE` forget those it registered, except the ones
-        // `commit` logged, which are durable.
-        if result.is_err() || matches!(stmt, Statement::Explain { analyze: true, .. }) {
+        // failed one (an error, a governor abort, a caught panic),
+        // `EXPLAIN ANALYZE` and a query with a t-certain result (which
+        // references no variable) forget those it registered, except the
+        // ones `commit` logged, which are durable. Later ids still start
+        // above every stored one and keep their order among themselves.
+        // An uncertain result keeps its variables: its rows' WSDs name
+        // them.
+        let stores_nothing = match &result {
+            Err(_) | Ok(StatementResult::Query(QueryOutput::Certain(_))) => true,
+            Ok(_) => matches!(stmt, Statement::Explain { analyze: true, .. }),
+        };
+        if stores_nothing {
             let durable = self.store.as_ref().map_or(0, Store::durable_vars);
             self.wt.truncate(vars.max(durable));
         }
@@ -533,20 +537,23 @@ impl MayBms {
                 // an evaluation error comes first: a literal is its value,
                 // any other item a column over one row of no columns.
                 let one = ColumnBatch::from_columns(Vec::new(), 1);
-                let item = |e: &maybms_sql::Expr| -> Result<Value> {
+                let mut counts = KernelCounts::default();
+                let mut item = |e: &maybms_sql::Expr| -> Result<Value> {
                     let e = match scalar(e)? {
                         maybms_engine::Expr::Literal(v) => return Ok(v),
                         e => e,
                     };
-                    match vector::eval_batch(&e, &one, &mut KernelCounts::default()) {
+                    match vector::eval_batch(&e, &one, &mut counts) {
                         (_, Some((_, err))) => Err(err.into()),
                         (col, None) => Ok(col.value_at(0)),
                     }
                 };
-                let values: Vec<Vec<Value>> = values
+                let values: Result<Vec<Vec<Value>>> = values
                     .iter()
-                    .map(|row| row.iter().map(item).collect())
-                    .collect::<Result<_>>()?;
+                    .map(|row| row.iter().map(&mut item).collect())
+                    .collect();
+                stats.record_kernels(counts.batches, counts.scalar_fallbacks);
+                let values = values?;
                 let (key, schema, src, width) = self.insert_target(table, columns)?;
                 // The rows before the first of another arity form the batch;
                 // that row's arity error stands unless a type error in an
@@ -670,6 +677,7 @@ impl MayBms {
                 spelled_out(&col)
             })
             .collect();
+        stats.record_kernels(counts.batches, counts.scalar_fallbacks);
         first.result()?;
         if n > 0 {
             let columns = sets.iter().map(|(c, _)| *c).collect();

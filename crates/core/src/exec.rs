@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use maybms_engine::vector::KernelCounts;
 use maybms_engine::{ColumnBatch, Expr as EExpr, Relation, Schema};
 use maybms_pipe::{breaker, UStream};
 use maybms_sql::Query;
@@ -166,7 +167,11 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         // A LIMIT bounds the sort to a top-n; the limit breaker below
         // still runs after it, so a sort key's error comes first.
         let bound = plan.limit.map(|n| n as usize);
-        let sorted = breaker::sort(&result, &plan.sort, bound)?;
+        let mut counts = KernelCounts::default();
+        let sorted = breaker::sort(&result, &plan.sort, bound, &mut counts);
+        ctx.stats
+            .record_kernels(counts.batches, counts.scalar_fallbacks);
+        let sorted = sorted?;
         ctx.breaker(plan.sort_label(), result.len(), &sorted);
         result = sorted;
     }
@@ -281,7 +286,7 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         } => {
             let rows = ctx.collect(stream, "tconf breaker")?;
             reorder(
-                agg::eval_tconf(&rows, scalars, names, ctx.wt)?,
+                agg::eval_tconf(&rows, scalars, names, ctx.wt, ctx.stats)?,
                 order,
                 &b.schema,
             )

@@ -687,8 +687,10 @@ fn plan_from_item(
             probability,
             alias,
         } => {
-            // `independently` is the only supported semantics (see
-            // DESIGN.md §5.5); the keyword is accepted in both spellings.
+            // `independently` is the only supported semantics (a
+            // correlated choice among the 2^n subsets would be one
+            // variable of exponential domain; see `maybms_urel::pick`);
+            // the keyword is accepted in both spellings.
             let (input, schema) = plan_input(input, catalog)?;
             let probability = probability
                 .as_ref()

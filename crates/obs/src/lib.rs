@@ -373,6 +373,9 @@ pub struct Metrics {
     pub gov_mem_rejected: Counter,
     pub gov_degraded_conf: Counter,
     pub gov_panics: Counter,
+    /// Always 0: the store retries no I/O error (each one poisons it).
+    /// Kept only because the benchmark harness reads it as
+    /// `store.retries`; it goes when that harness next changes.
     pub store_retries: Counter,
 }
 
@@ -549,11 +552,6 @@ pub fn render_prometheus() -> String {
         "maybms_gov_panics_total",
         "Statement panics caught and reported as internal errors",
         &m.gov_panics,
-    );
-    counter(
-        "maybms_store_retries_total",
-        "Transient store I/O failures retried",
-        &m.store_retries,
     );
     let mut gauge = |name: &str, help: &str, g: &Gauge| {
         out.push_str(&format!(
@@ -823,6 +821,12 @@ pub struct QueryStats {
     pub degraded_conf: Counter,
     /// Rows in the statement's result.
     pub rows_returned: Counter,
+    /// Vector-kernel batches evaluated outside any pipeline (sort keys,
+    /// DML items, `tconf()` items) and, of those, the batches redone row
+    /// by row ([`QueryStats::record_kernels`]).
+    kernel_batches: Counter,
+    /// See `kernel_batches`.
+    kernel_fallbacks: Counter,
     /// Worst observed relative standard error at estimator stop, as f64
     /// bits (positive floats order like their bit patterns, so
     /// `fetch_max` on bits is max on values).
@@ -884,12 +888,36 @@ impl QueryStats {
         self.pipelines().len()
     }
 
-    /// Vector-kernel batches this statement's pipelines redid scalar.
+    /// Record vector-kernel work done outside any pipeline: `batches`
+    /// evaluated and, of those, `fallbacks` redone row by row. The one
+    /// write of those counts, to this record and to the registry.
+    pub fn record_kernels(&self, batches: u64, fallbacks: u64) {
+        self.kernel_batches.add(batches);
+        self.kernel_fallbacks.add(fallbacks);
+        let m = metrics();
+        m.vector_batches.add(batches);
+        m.scalar_fallbacks.add(fallbacks);
+    }
+
+    /// Vector-kernel batches this statement evaluated, in its pipelines
+    /// and outside them.
+    pub fn vector_batches(&self) -> u64 {
+        let piped: u64 = self
+            .pipelines()
+            .iter()
+            .map(|p| p.vector_batches.get())
+            .sum();
+        piped + self.kernel_batches.get()
+    }
+
+    /// Of [`QueryStats::vector_batches`], the batches redone row by row.
     pub fn scalar_fallbacks(&self) -> u64 {
-        self.pipelines()
+        let piped: u64 = self
+            .pipelines()
             .iter()
             .map(|p| p.scalar_fallbacks.get())
-            .sum()
+            .sum();
+        piped + self.kernel_fallbacks.get()
     }
 
     /// Record one estimator run's relative standard error at stop.

@@ -58,8 +58,13 @@ fn enter(kind: &'static str, rows_in: usize) -> Result<Span> {
 /// order, and then by input position, so the order is strict:
 /// selecting the first `limit` positions and sorting only those gives
 /// exactly a stable full sort's first rows. Only the kept rows' columns
-/// and conditions are gathered.
-pub fn sort(input: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result<URelation> {
+/// and conditions are gathered. The key evaluations count into `counts`.
+pub fn sort(
+    input: &URelation,
+    keys: &[SortKey],
+    limit: Option<usize>,
+    counts: &mut KernelCounts,
+) -> Result<URelation> {
     let bound: Vec<(Expr, bool)> = keys
         .iter()
         .map(|k| Ok((k.expr.bind(input.schema())?, k.ascending)))
@@ -69,12 +74,11 @@ pub fn sort(input: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result
     Ticker::new()
         .tick_n(batch.rows())
         .map_err(EngineError::Gov)?;
-    let mut counts = KernelCounts::default();
     let mut first = FirstError::<EngineError>::new(batch.rows());
     let columns: Vec<_> = bound
         .iter()
         .map(|(e, _)| {
-            let (col, err) = eval_batch(e, batch, &mut counts);
+            let (col, err) = eval_batch(e, batch, counts);
             first.at_eval(err);
             col
         })
@@ -194,6 +198,11 @@ mod tests {
         ));
         let wsds = vec![Wsd::of(Var(0), 0), Wsd::tautology(), Wsd::of(Var(0), 1)];
         u.gather_with(&[0, 1, 2], wsds)
+    }
+
+    /// [`super::sort`] with its kernel counts dropped.
+    fn sort(u: &URelation, keys: &[SortKey], limit: Option<usize>) -> Result<URelation> {
+        super::sort(u, keys, limit, &mut KernelCounts::default())
     }
 
     fn names(u: &URelation) -> Vec<&str> {

@@ -19,11 +19,6 @@ pub enum StoreError {
         op: &'static str,
         /// The underlying error message.
         message: String,
-        /// Whether the failure is classified as transient (momentary
-        /// contention, an interrupted syscall, an injected chaos fault):
-        /// the store retries these with bounded deterministic backoff
-        /// before poisoning; persistent failures poison immediately.
-        transient: bool,
     },
     /// A durable file failed validation (bad magic, CRC mismatch on the
     /// snapshot, an undecodable record, a replay that references a
@@ -58,18 +53,6 @@ impl StoreError {
             reason: reason.into(),
         }
     }
-
-    /// Whether this failure is worth retrying (see [`StoreError::Io`]'s
-    /// `transient` field); corruption and poisoning never are.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            StoreError::Io {
-                transient: true,
-                ..
-            }
-        )
-    }
 }
 
 /// Check a durable file's 8-byte `header` against `magic`: seven name
@@ -94,18 +77,8 @@ pub(crate) fn check_magic(path: &str, header: &[u8], magic: &[u8; 8]) -> Result<
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io {
-                path,
-                op,
-                message,
-                transient,
-            } => {
-                let kind = if *transient {
-                    "transient storage I/O error"
-                } else {
-                    "storage I/O error"
-                };
-                write!(f, "{kind}: {op} {path}: {message}")
+            StoreError::Io { path, op, message } => {
+                write!(f, "storage I/O error: {op} {path}: {message}")
             }
             StoreError::Corrupt {
                 path,

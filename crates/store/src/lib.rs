@@ -32,5 +32,5 @@ pub mod wal;
 pub use error::{Result, StoreError};
 pub use snapshot::Catalog;
 pub use store::{apply_op, check_op, fingerprint, Recovered, Store, StoreStatus};
-pub use vfs::{maybe_chaos, ChaosVfs, FaultMode, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
+pub use vfs::{FaultMode, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{Op, WalRecord, WorldExt};

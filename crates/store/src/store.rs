@@ -17,10 +17,13 @@
 //!   order, stop cleanly at the first torn record and truncate it away.
 //!   Recovery is idempotent: recovering twice yields the same state and
 //!   the same files as recovering once.
-//! * **Poisoning.** Once an append or checkpoint fails, the in-memory
-//!   catalog may be ahead of the durable state; the store refuses
-//!   further writes ([`StoreError::Poisoned`]) until reopened, so the
-//!   two cannot silently diverge.
+//! * **Poisoning.** Every I/O error gets one policy: it is returned as
+//!   a typed [`StoreError`], never retried. Once an append or checkpoint
+//!   fails, the in-memory catalog may be ahead of the durable state; the
+//!   store refuses further writes ([`StoreError::Poisoned`]) until
+//!   reopened, which runs recovery again, so the two cannot silently
+//!   diverge. A failed fsync is not retried because the kernel may
+//!   already have dropped the dirty pages it could not write.
 
 use std::sync::Arc;
 
@@ -273,27 +276,22 @@ impl Store {
             if stale > 0 && replayed == 0 {
                 // Every record predates the snapshot: finish the
                 // interrupted checkpoint by resetting the WAL.
-                (Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?, 0)
+                (Self::reset_wal(vfs.as_ref())?, 0)
             } else {
                 if scan.valid_len < bytes.len() as u64 {
                     // Chop the torn tail so appends resume on a clean
                     // record boundary.
-                    Self::retry_transient(|| {
-                        vfs.truncate(WAL_FILE, scan.valid_len.max(WAL_MAGIC.len() as u64))
-                    })?;
+                    vfs.truncate(WAL_FILE, scan.valid_len.max(WAL_MAGIC.len() as u64))?;
                     truncated_tail = true;
                 }
                 match scan.valid_len.checked_sub(WAL_MAGIC.len() as u64) {
                     Some(len) => (vfs.open_append(WAL_FILE)?, len),
                     // The header itself tore; rewrite it.
-                    None => (Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?, 0),
+                    None => (Self::reset_wal(vfs.as_ref())?, 0),
                 }
             }
         } else {
-            // A fresh directory's first WAL write deserves the same
-            // transient-retry budget as any later append: a blip here
-            // must not fail the whole open.
-            (Self::retry_transient(|| Self::reset_wal(vfs.as_ref()))?, 0)
+            (Self::reset_wal(vfs.as_ref())?, 0)
         };
         let m = maybms_obs::metrics();
         m.recovery_replayed.set(replayed as u64);
@@ -345,27 +343,6 @@ impl Store {
         }
     }
 
-    /// Run `f`, retrying *transient* failures with bounded, jitterless,
-    /// deterministic exponential backoff (1/2/4/8 ms). Persistent
-    /// failures — and transient ones that outlive the retry budget —
-    /// surface for the caller to poison on. Each retry counts in the
-    /// `maybms_store_retries_total` metric.
-    fn retry_transient<T>(mut f: impl FnMut() -> Result<T>) -> Result<T> {
-        const BACKOFF_MS: [u64; 4] = [1, 2, 4, 8];
-        let mut attempt = 0usize;
-        loop {
-            match f() {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempt < BACKOFF_MS.len() => {
-                    std::thread::sleep(std::time::Duration::from_millis(BACKOFF_MS[attempt]));
-                    maybms_obs::metrics().store_retries.inc();
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     fn poison<T>(&mut self, r: Result<T>) -> Result<T> {
         if let Err(e) = &r {
             self.poisoned = Some(e.to_string());
@@ -401,23 +378,12 @@ impl Store {
         let mut span = maybms_obs::trace::span("wal_append");
         span.attr("bytes", frame.len());
         let t0 = std::time::Instant::now();
-        // Transient append/fsync failures retry after truncating the WAL
-        // back to the pre-append boundary, so a half-written frame from a
-        // failed attempt can never linger mid-log. Only a persistent
-        // failure (or an exhausted retry budget) poisons the store.
-        let pre_len = WAL_MAGIC.len() as u64 + self.wal_bytes;
-        let mut first = true;
-        let vfs = self.vfs.clone();
-        let wal_file = &mut self.wal_file;
-        let r = Self::retry_transient(|| {
-            if !first {
-                vfs.truncate(WAL_FILE, pre_len)?;
-            }
-            first = false;
+        let r = {
             let _fsync = maybms_obs::trace::span("wal_fsync");
-            wal_file.append(&frame)?;
-            wal_file.sync()
-        });
+            self.wal_file
+                .append(&frame)
+                .and_then(|()| self.wal_file.sync())
+        };
         self.poison(r)?;
         let m = maybms_obs::metrics();
         m.wal_appends.inc();
@@ -435,13 +401,9 @@ impl Store {
         let mut span = maybms_obs::trace::span("checkpoint");
         span.attr("tables", tables.len());
         let t0 = std::time::Instant::now();
-        // Both checkpoint halves are idempotent, so transient failures
-        // retry wholesale: rewriting `snapshot.tmp` or the WAL header
-        // from scratch is always safe.
-        let r =
-            Self::retry_transient(|| snapshot::write(self.vfs.as_ref(), self.next_lsn, tables, wt));
+        let r = snapshot::write(self.vfs.as_ref(), self.next_lsn, tables, wt);
         self.poison(r)?;
-        let r = Self::retry_transient(|| Self::reset_wal(self.vfs.as_ref()));
+        let r = Self::reset_wal(self.vfs.as_ref());
         self.wal_file = self.poison(r)?;
         self.durable_vars = wt.num_vars();
         self.wal_bytes = 0;

@@ -12,7 +12,9 @@
 //!   crash-matrix tests simulate a power cut with;
 //! * [`FaultVfs`] — wraps a `MemVfs` and fails (or tears) the Nth
 //!   mutating operation, after which every operation fails: the process
-//!   is "dead" from that point, and the harness crashes + recovers.
+//!   is "dead" from that point, and the harness crashes + recovers. In
+//!   [`FaultMode::Outage`] it instead fails a run of operations and then
+//!   heals, so a live process can reopen its poisoned store.
 //!
 //! Paths are flat file names relative to the data directory (the store
 //! uses only `wal`, `snapshot`, and `snapshot.tmp`).
@@ -31,24 +33,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::{Result, StoreError};
 
-/// Build a (persistent) I/O error for `path`/`op` from a message.
+/// Build an I/O error for `path`/`op` from a message.
 fn io_err(path: &str, op: &'static str, message: impl ToString) -> StoreError {
     StoreError::Io {
         path: path.to_string(),
         op,
         message: message.to_string(),
-        transient: false,
-    }
-}
-
-/// Build a *transient* I/O error — the store retries these with bounded
-/// backoff before poisoning.
-fn io_transient(path: &str, op: &'static str, message: impl ToString) -> StoreError {
-    StoreError::Io {
-        path: path.to_string(),
-        op,
-        message: message.to_string(),
-        transient: true,
     }
 }
 
@@ -123,11 +113,11 @@ struct StdFile {
 
 impl VfsFile for StdFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        // Handles from `create` carry a plain cursor, and `truncate` may
-        // shrink the file underneath one (the transient-retry path does
-        // exactly that); writing at a stale cursor past EOF would punch a
-        // zero-filled hole. Append means append: seek to the real end
-        // first (a no-op for O_APPEND handles from `open_append`).
+        // Handles from `create` carry a plain cursor, and `truncate`
+        // through another handle may shrink the file underneath one;
+        // writing at a stale cursor past EOF would punch a zero-filled
+        // hole. Append means append: seek to the real end first (a no-op
+        // for O_APPEND handles from `open_append`).
         use std::io::Seek as _;
         self.file
             .seek(std::io::SeekFrom::End(0))
@@ -358,13 +348,12 @@ pub enum FaultMode {
     /// erroring (a torn write); other operations behave like
     /// [`FaultMode::FailStop`].
     Torn,
-    /// Starting at the fault point, the next `failures` mutating
-    /// operations fail with *transient* errors (no effect on the file),
-    /// then everything succeeds again — momentary contention rather than
-    /// a dead process. Exercises the store's retry-before-poison path.
-    Transient {
+    /// Starting at the fault point, the next `ops` mutating operations
+    /// fail like [`FaultMode::FailStop`], then the VFS heals: an outage
+    /// the process outlives. Exercises reopening a poisoned store.
+    Outage {
         /// How many consecutive mutating operations fail.
-        failures: u32,
+        ops: u32,
     },
 }
 
@@ -379,8 +368,9 @@ struct FaultState {
 
 /// Fault-injection wrapper around [`MemVfs`]: mutating operations
 /// (`create`, `append`, `sync`, `truncate`, `rename`, `remove`) are
-/// counted, the `fail_at`-th fails per [`FaultMode`], and every
-/// operation after that fails too — the process is considered dead.
+/// counted and the `fail_at`-th fails per [`FaultMode`]. Unless the mode
+/// is an [`FaultMode::Outage`], every operation after that fails too —
+/// the process is considered dead.
 #[derive(Debug, Clone)]
 pub struct FaultVfs {
     inner: MemVfs,
@@ -410,7 +400,7 @@ impl FaultVfs {
     }
 
     /// Whether the process is dead (a [`FaultMode::FailStop`]/[`Torn`]
-    /// fault fired). Transient faults never kill the process.
+    /// fault fired). An outage never kills the process.
     ///
     /// [`Torn`]: FaultMode::Torn
     fn dead(&self) -> bool {
@@ -421,15 +411,15 @@ impl FaultVfs {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        !matches!(s.mode, FaultMode::Transient { .. })
+        !matches!(s.mode, FaultMode::Outage { .. })
     }
 
     /// Count one mutating op and report the fault to apply, if any. For
     /// fail-stop/torn modes, the `fail_at`-th op gets the mode and every
-    /// later op errors (the process is dead). For transient mode, ops
-    /// `fail_at .. fail_at + failures` get the mode; everything else
-    /// succeeds. Returns the mode on the exact failing op so `append`
-    /// can tear.
+    /// later op errors (the process is dead). For an outage, ops
+    /// `fail_at .. fail_at + ops` get the mode; everything else
+    /// succeeds. Returns the mode on the exact failing op so `append` can
+    /// tear.
     fn step(&self, path: &str, op: &'static str) -> Result<Option<FaultMode>> {
         let mut s = match self.state.lock() {
             Ok(g) => g,
@@ -437,8 +427,8 @@ impl FaultVfs {
         };
         s.counter += 1;
         match s.mode {
-            FaultMode::Transient { failures } => {
-                if s.counter >= s.fail_at && s.counter < s.fail_at + failures as u64 {
+            FaultMode::Outage { ops } => {
+                if s.counter >= s.fail_at && s.counter < s.fail_at + ops as u64 {
                     self.triggered.store(true, Ordering::SeqCst);
                     Ok(Some(s.mode))
                 } else {
@@ -476,40 +466,16 @@ impl VfsFile for FaultHandle {
                 let _ = self.inner.append(&data[..half]);
                 Err(io_err(&self.path, "append", "injected fault: torn write"))
             }
-            Some(FaultMode::FailStop) => {
-                Err(io_err(&self.path, "append", "injected fault: write failed"))
-            }
-            Some(FaultMode::Transient { .. }) => Err(io_transient(
-                &self.path,
-                "append",
-                "injected fault: transient write failure",
-            )),
+            Some(_) => Err(io_err(&self.path, "append", "injected fault: write failed")),
         }
     }
 
     fn sync(&mut self) -> Result<()> {
         match self.fault.step(&self.path, "fsync")? {
             None => self.inner.sync(),
-            Some(FaultMode::Transient { .. }) => Err(io_transient(
-                &self.path,
-                "fsync",
-                "injected fault: transient fsync failure",
-            )),
             // A failed fsync promotes nothing: unsynced bytes stay
             // volatile and die with the crash.
             Some(_) => Err(io_err(&self.path, "fsync", "injected fault: fsync failed")),
-        }
-    }
-}
-
-impl FaultVfs {
-    /// Fail a non-appending mutating op per the stepped fault mode.
-    fn fault_err(path: &str, op: &'static str, mode: FaultMode) -> StoreError {
-        match mode {
-            FaultMode::Transient { .. } => {
-                io_transient(path, op, format!("injected fault: transient {op} failure"))
-            }
-            _ => io_err(path, op, format!("injected fault: {op} failed")),
         }
     }
 }
@@ -536,7 +502,7 @@ impl Vfs for FaultVfs {
                 fault: self.clone(),
                 path: path.to_string(),
             })),
-            Some(mode) => Err(Self::fault_err(path, "create", mode)),
+            Some(_) => Err(io_err(path, "create", "injected fault: create failed")),
         }
     }
 
@@ -558,160 +524,26 @@ impl Vfs for FaultVfs {
     fn truncate(&self, path: &str, len: u64) -> Result<()> {
         match self.step(path, "truncate")? {
             None => self.inner.truncate(path, len),
-            Some(mode) => Err(Self::fault_err(path, "truncate", mode)),
+            Some(_) => Err(io_err(path, "truncate", "injected fault: truncate failed")),
         }
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
         match self.step(from, "rename")? {
             None => self.inner.rename(from, to),
-            Some(mode) => Err(Self::fault_err(from, "rename", mode)),
+            Some(_) => Err(io_err(from, "rename", "injected fault: rename failed")),
         }
     }
 
     fn remove(&self, path: &str) -> Result<()> {
         match self.step(path, "remove")? {
             None => self.inner.remove(path),
-            Some(mode) => Err(Self::fault_err(path, "remove", mode)),
+            Some(_) => Err(io_err(path, "remove", "injected fault: remove failed")),
         }
     }
 
     fn location(&self) -> String {
         "<memory, fault-injected>".into()
-    }
-}
-
-// ---------------------------------------------------------------------
-// ChaosVfs — periodic transient faults, for the CI chaos leg.
-// ---------------------------------------------------------------------
-
-/// Shared mutating-op counter behind a [`ChaosVfs`] and its handles.
-#[derive(Debug)]
-struct ChaosState {
-    every: u64,
-    counter: std::sync::atomic::AtomicU64,
-}
-
-impl ChaosState {
-    /// Tick the mutating-op counter; `Err` on the chaos beat.
-    fn step(&self, path: &str, op: &'static str) -> Result<()> {
-        let n = self.counter.fetch_add(1, Ordering::SeqCst) + 1;
-        if n.is_multiple_of(self.every) {
-            return Err(io_transient(
-                path,
-                op,
-                format!("chaos: transient {op} failure"),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Deterministic chaos wrapper: every `every`-th mutating operation
-/// fails once with a *transient* error (the operation is not performed);
-/// the retry that follows lands on a different count and succeeds.
-/// [`maybe_chaos`] installs it from `MAYBMS_STORE_FAULT_EVERY`.
-#[derive(Debug)]
-pub struct ChaosVfs {
-    inner: Arc<dyn Vfs>,
-    state: Arc<ChaosState>,
-}
-
-impl ChaosVfs {
-    /// Wrap `inner`, failing every `every`-th mutating op transiently.
-    pub fn new(inner: Arc<dyn Vfs>, every: u64) -> ChaosVfs {
-        ChaosVfs {
-            inner,
-            state: Arc::new(ChaosState {
-                every: every.max(1),
-                counter: std::sync::atomic::AtomicU64::new(0),
-            }),
-        }
-    }
-
-    fn step(&self, path: &str, op: &'static str) -> Result<()> {
-        self.state.step(path, op)
-    }
-}
-
-/// Wrap `vfs` in a [`ChaosVfs`] when `MAYBMS_STORE_FAULT_EVERY` is set
-/// to a positive count; otherwise return it unchanged.
-pub fn maybe_chaos(vfs: Arc<dyn Vfs>) -> Arc<dyn Vfs> {
-    match std::env::var("MAYBMS_STORE_FAULT_EVERY")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        Some(every) if every > 0 => Arc::new(ChaosVfs::new(vfs, every)),
-        _ => vfs,
-    }
-}
-
-/// Append handle that routes through the shared chaos counter.
-struct ChaosHandle {
-    inner: Box<dyn VfsFile>,
-    state: Arc<ChaosState>,
-    path: String,
-}
-
-impl VfsFile for ChaosHandle {
-    fn append(&mut self, data: &[u8]) -> Result<()> {
-        self.state.step(&self.path, "append")?;
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.state.step(&self.path, "fsync")?;
-        self.inner.sync()
-    }
-}
-
-impl Vfs for ChaosVfs {
-    fn read(&self, path: &str) -> Result<Vec<u8>> {
-        self.inner.read(path)
-    }
-
-    fn exists(&self, path: &str) -> Result<bool> {
-        self.inner.exists(path)
-    }
-
-    fn create(&self, path: &str) -> Result<Box<dyn VfsFile>> {
-        self.step(path, "create")?;
-        Ok(Box::new(ChaosHandle {
-            inner: self.inner.create(path)?,
-            state: self.state.clone(),
-            path: path.to_string(),
-        }))
-    }
-
-    fn open_append(&self, path: &str) -> Result<Box<dyn VfsFile>> {
-        Ok(Box::new(ChaosHandle {
-            inner: self.inner.open_append(path)?,
-            state: self.state.clone(),
-            path: path.to_string(),
-        }))
-    }
-
-    fn truncate(&self, path: &str, len: u64) -> Result<()> {
-        self.step(path, "truncate")?;
-        self.inner.truncate(path, len)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.step(from, "rename")?;
-        self.inner.rename(from, to)
-    }
-
-    fn remove(&self, path: &str) -> Result<()> {
-        self.step(path, "remove")?;
-        self.inner.remove(path)
-    }
-
-    fn location(&self) -> String {
-        format!(
-            "{} (chaos: 1/{} transient faults)",
-            self.inner.location(),
-            self.state.every
-        )
     }
 }
 
@@ -772,6 +604,20 @@ mod tests {
         let mut f = fault.create("wal").unwrap(); // op 1
         assert!(f.append(b"abcdef").is_err()); // op 2: torn
         assert_eq!(mem.read("wal").unwrap(), b"abc");
+    }
+
+    #[test]
+    fn outage_fails_a_run_of_ops_then_heals() {
+        let mem = MemVfs::new();
+        let fault = FaultVfs::new(mem.clone(), 2, FaultMode::Outage { ops: 2 });
+        let mut f = fault.create("wal").unwrap(); // op 1
+        assert!(f.append(b"lost").is_err()); // op 2: outage
+        assert!(f.sync().is_err()); // op 3: outage
+        assert!(fault.triggered());
+        assert!(fault.read("wal").unwrap().is_empty()); // not dead
+        f.append(b"kept").unwrap(); // op 4: healed
+        f.sync().unwrap();
+        assert_eq!(mem.read("wal").unwrap(), b"kept");
     }
 
     #[test]

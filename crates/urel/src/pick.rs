@@ -5,8 +5,9 @@
 //! absent, alternative 1 = present with the tuple's probability (default
 //! 0.5 — the uniform distribution over all subsets). The `independently`
 //! keyword makes the tuple-independence explicit; it is the semantics we
-//! implement in both spellings (see DESIGN.md §5.5 — materialising the
-//! correlated 2^n-ary choice is intentionally not supported).
+//! implement in both spellings. The alternative, one correlated choice
+//! among the 2^n subsets, would be a single variable with a domain
+//! exponential in the table size, so it is intentionally not supported.
 
 use maybms_engine::{Expr, Relation};
 

@@ -4,7 +4,9 @@
 //!
 //! The original demo scraped www.nba.com and served a PHP front-end; here
 //! a seeded generator stands in for the scrape and the console for the
-//! browser (see DESIGN.md §1 for the substitution argument).
+//! browser. The what-if queries read only the tables, not where their
+//! rows came from, so generated rows of the same schema run the same SQL
+//! through the same engine.
 //!
 //! Run with: `cargo run --example nba_whatif`
 

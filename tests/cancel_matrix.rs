@@ -11,9 +11,9 @@
 //!
 //! Plus the graceful-degradation contract for `aconf` (a deadline that
 //! cuts the sample stream yields a deterministic partial estimate, the
-//! same at any thread count) and the transient-storage-fault contract
-//! (short fault → retried through, long outage → poisoned store that
-//! `reopen` recovers once the outage ends).
+//! same at any thread count) and the storage-fault contract (any I/O
+//! error poisons the store at once, keeping the catalog intact, and
+//! `reopen` recovers it once the outage ends).
 //!
 //! Governor state is process-global, so every test here serializes on
 //! one mutex (they share a test binary, which shares the statics).
@@ -603,36 +603,10 @@ fn aconf_checkpoints_are_its_batch_boundaries() {
 }
 
 // ---------------------------------------------------------------------
-// Transient-storage-fault contract.
+// Storage-fault contract.
 // ---------------------------------------------------------------------
 
 const INSERT_SQL: &str = "insert into games values ('Ginobili', 17, 0.9)";
-
-#[test]
-fn transient_wal_fault_is_retried_without_poisoning() {
-    let _l = lock();
-    let mem = MemVfs::new();
-    drop(seed(&mem));
-    // First mutating file op after reopen (the WAL append for the next
-    // statement) fails once, transiently.
-    let fault = FaultVfs::new(mem.clone(), 1, FaultMode::Transient { failures: 1 });
-    let mut db = MayBms::open_with_vfs(Arc::new(fault.clone())).unwrap();
-    let retries_before = maybms_obs::metrics().store_retries.get();
-    db.run(INSERT_SQL)
-        .expect("one transient fault must be retried through");
-    assert!(fault.triggered(), "fault window was never reached");
-    assert!(
-        maybms_obs::metrics().store_retries.get() > retries_before,
-        "retry counter did not move"
-    );
-    // Not poisoned: further mutations and a restart both see the insert.
-    db.run("update games set pts = pts + 1 where player = 'Ginobili'")
-        .unwrap();
-    let live = fp(&db);
-    drop(db);
-    let recovered = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
-    assert_eq!(fp(&recovered), live, "retried statements must be durable");
-}
 
 #[test]
 fn persistent_fault_poisons_the_store_and_preserves_state() {
@@ -664,41 +638,36 @@ fn persistent_fault_poisons_the_store_and_preserves_state() {
 }
 
 #[test]
-fn long_transient_outage_poisons_and_reopen_recovers() {
+fn outage_poisons_at_once_and_reopen_recovers() {
     let _l = lock();
     let mem = MemVfs::new();
     drop(seed(&mem));
-    // An outage longer than the retry budget: every attempt of the next
-    // statement's WAL append (initial + all backoff retries) fails.
-    let fault = FaultVfs::new(mem.clone(), 1, FaultMode::Transient { failures: 40 });
+    // A one-op outage: the next statement's WAL append fails, then the
+    // VFS heals. The store does not retry it.
+    let fault = FaultVfs::new(mem.clone(), 1, FaultMode::Outage { ops: 1 });
     let mut db = MayBms::open_with_vfs(Arc::new(fault.clone())).unwrap();
     let baseline = fp(&db);
     let err = db
         .run(INSERT_SQL)
-        .expect_err("outage must exhaust the retry budget");
+        .expect_err("a failed WAL append must fail its statement");
+    assert!(fault.triggered(), "fault window was never reached");
     assert!(err.gov_abort().is_none());
     assert!(
         db.run(INSERT_SQL).is_err(),
-        "store must be poisoned after the outage"
+        "store must be poisoned by the first failed append"
     );
     assert_eq!(fp(&db), baseline, "poisoning statement mutated the catalog");
-    // Recovery is read-only over a clean log, so `\reopen` works even
-    // mid-outage; mutations come back once the fault window is spent.
-    let mut healthy = false;
-    for _ in 0..20 {
-        db.reopen().expect("reopen must recover a poisoned store");
-        if db.run(INSERT_SQL).is_ok() {
-            healthy = true;
-            break;
-        }
-    }
-    assert!(healthy, "store never recovered after the outage window");
-    // Exactly one insert landed (every failed attempt stayed off the WAL).
+    // Recovery is read-only over a clean log; once the outage is over,
+    // `reopen` brings the store back and mutations land again.
+    db.reopen().expect("reopen must recover a poisoned store");
+    db.run(INSERT_SQL)
+        .expect("a reopened store accepts mutations after the outage");
+    // Exactly one insert landed (the failed append stayed off the WAL).
     let n = db
         .query("select player from games where player = 'Ginobili'")
         .unwrap()
         .len();
-    assert_eq!(n, 1, "aborted attempts must not leave rows behind");
+    assert_eq!(n, 1, "the failed attempt must not leave a row behind");
     let live = fp(&db);
     drop(db);
     let recovered = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();

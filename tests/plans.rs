@@ -332,6 +332,21 @@ fn explain_analyze_leaves_no_variables() {
     });
 }
 
+/// A query with a t-certain result references no variable, so reads over
+/// an inline `repair key` give theirs back; a later `insert` logs none.
+#[test]
+fn certain_query_leaves_no_variables() {
+    leaves_no_variables("certain", |db| {
+        for _ in 0..3 {
+            db.query(&format!(
+                "select fin, conf() as p from {REPAIRED} group by fin"
+            ))
+            .unwrap();
+        }
+        db.run("insert into ft values (3, 'F', 1.0)").unwrap();
+    });
+}
+
 /// `BETWEEN` is its two comparisons, so a range on the walk's start player
 /// reaches every step table as implied σ stages.
 #[test]

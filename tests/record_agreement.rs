@@ -4,7 +4,8 @@
 //! exactly — at 1, 2 and 8 threads, for a join feeding `conf()`, a
 //! stage-less scan, a stage-less GROUP BY a text key, a σ ⋈ γ pipeline
 //! whose batch probe feeds the grouped breaker, a filter-only `UPDATE`
-//! whose zone maps skip most of the table,
+//! whose zone maps skip most of the table, an `UPDATE` whose one kernel
+//! batch, its `SET` item, runs outside any pipeline,
 //! a predicate the vector kernels hand back to the scalar evaluator, and
 //! one confidence statement per estimator that can answer it.
 //!
@@ -18,7 +19,7 @@ use maybms_obs::{Metrics, PipelineStats, QueryStats};
 /// A per-pipeline count, read off the registry and off one record.
 type View = (&'static str, fn(&Metrics) -> u64, fn(&PipelineStats) -> u64);
 
-const VIEWS: [View; 8] = [
+const VIEWS: [View; 6] = [
     ("pipelines", |m| m.pipelines.get(), |_| 1),
     ("morsels", |m| m.morsels.get(), |p| p.morsels.get()),
     ("rows_in", |m| m.rows_in.get(), |p| p.rows_in.get()),
@@ -29,23 +30,29 @@ const VIEWS: [View; 8] = [
         |p| p.join_build_rows(),
     ),
     ("groups", |m| m.groups.get(), |p| p.groups.get()),
+];
+
+/// A statement-wide count: its registry counter and its `QueryStats`
+/// total.
+type Total = (&'static str, fn(&Metrics) -> u64, fn(&QueryStats) -> u64);
+
+/// Vector-kernel batches, in the statement's pipelines and outside them
+/// (sort keys, DML items, `tconf()` items).
+const KERNEL_VIEWS: [Total; 2] = [
     (
         "vector_batches",
         |m| m.vector_batches.get(),
-        |p| p.vector_batches.get(),
+        |q| q.vector_batches(),
     ),
     (
         "scalar_fallbacks",
         |m| m.scalar_fallbacks.get(),
-        |p| p.scalar_fallbacks.get(),
+        |q| q.scalar_fallbacks(),
     ),
 ];
 
-/// A per-call confidence count: its registry counter, its `QueryStats`
-/// total and its `conf` span attribute.
-type ConfView = (&'static str, fn(&Metrics) -> u64, fn(&QueryStats) -> u64);
-
-const CONF_VIEWS: [ConfView; 4] = [
+/// Per-call confidence counts, each also a `conf` span attribute.
+const CONF_VIEWS: [Total; 4] = [
     (
         "dnf_clauses",
         |m| m.dnf_clauses.get(),
@@ -67,8 +74,8 @@ const CONF_VIEWS: [ConfView; 4] = [
 fn registry() -> Vec<u64> {
     let m = maybms_obs::metrics();
     let pipe = VIEWS.iter().map(|(_, read, _)| read(m));
-    pipe.chain(CONF_VIEWS.iter().map(|(_, read, _)| read(m)))
-        .collect()
+    let totals = KERNEL_VIEWS.iter().chain(&CONF_VIEWS);
+    pipe.chain(totals.map(|(_, read, _)| read(m))).collect()
 }
 
 /// A case: its name, its SQL, and what makes it the case it stands for.
@@ -79,7 +86,7 @@ fn all_by(qs: &QueryStats, answered: &maybms_obs::Counter) -> bool {
     qs.conf_calls.get() > 0 && answered.get() == qs.conf_calls.get()
 }
 
-const STATEMENTS: [Case; 9] = [
+const STATEMENTS: [Case; 10] = [
     (
         "join + group + conf over pick tuples: the d-tree",
         "select a.k, conf() as p from q a, q b where a.k = b.k group by a.k",
@@ -128,6 +135,11 @@ const STATEMENTS: [Case; 9] = [
                 p.rows_out.get() == 100 && p.rows_in.get() == 1024 && p.zones_read.get() == 1
             })
         },
+    ),
+    (
+        "SET item: a kernel batch outside any pipeline",
+        "update t set w = w * 2",
+        |qs| qs.vector_batches() == 1 && qs.pipelines().iter().all(|p| p.vector_batches.get() == 0),
     ),
     (
         "scalar fallback",
@@ -212,7 +224,9 @@ fn registry_spans_and_stats_are_one_record() {
             trace::set_enabled(true);
             db.run(sql).unwrap_or_else(|e| panic!("{at}: {e}"));
             trace::set_enabled(false);
-            let after = registry();
+            let delta: Vec<u64> = registry().iter().zip(&before).map(|(a, b)| a - b).collect();
+            let (pipe, totals) = delta.split_at(VIEWS.len());
+            let (kernels, conf_totals) = totals.split_at(KERNEL_VIEWS.len());
             let stats = db.last_stats().unwrap();
             assert!(
                 shape(stats),
@@ -223,11 +237,7 @@ fn registry_spans_and_stats_are_one_record() {
             let pipelines = stats.pipelines();
             for (i, (name, _, count)) in VIEWS.iter().enumerate() {
                 let sum: u64 = pipelines.iter().map(|p| count(p)).sum();
-                assert_eq!(
-                    after[i] - before[i],
-                    sum,
-                    "{at}: registry {name} vs last_stats()"
-                );
+                assert_eq!(pipe[i], sum, "{at}: registry {name} vs last_stats()");
             }
 
             let root = stats.root_span().expect("tracing was on");
@@ -238,9 +248,19 @@ fn registry_spans_and_stats_are_one_record() {
                 stats.conf_calls.get(),
                 "{at}: conf spans"
             );
+            for (i, (name, _, total)) in KERNEL_VIEWS.iter().enumerate() {
+                assert_eq!(
+                    kernels[i],
+                    total(stats),
+                    "{at}: registry {name} vs last_stats()"
+                );
+            }
             for (i, (name, _, total)) in CONF_VIEWS.iter().enumerate() {
-                let delta = after[VIEWS.len() + i] - before[VIEWS.len() + i];
-                assert_eq!(delta, total(stats), "{at}: registry {name} vs last_stats()");
+                assert_eq!(
+                    conf_totals[i],
+                    total(stats),
+                    "{at}: registry {name} vs last_stats()"
+                );
                 let spans: u64 = conf
                     .iter()
                     .map(|s| match attr(s, name) {

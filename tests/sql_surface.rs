@@ -643,6 +643,11 @@ fn repair_key_weights_whose_sum_overflows() {
         .unwrap();
     let p: Vec<Value> = r.tuples().iter().map(|t| t.value(1).clone()).collect();
     assert_eq!(p, vec![Value::Float(0.5), Value::Float(0.5)]);
+    // The t-certain read gives its variable back; stored, the one key
+    // group is one variable.
+    assert_eq!(db.world_table().num_vars(), 0);
+    db.run("create table r as select * from (repair key k in t weight by w) r")
+        .unwrap();
     assert_eq!(db.world_table().num_vars(), 1);
 }
 
