@@ -58,7 +58,10 @@
 //! (per-batch RNGs from SplitMix64 of `(seed, batch)`,
 //! [`karp_luby::SAMPLE_BATCH`]). Statements parallelise across groups,
 //! in `maybms-core`, and nowhere below — fanning a d-tree's independent
-//! partitions out to the pool measured slower on the compiled form.
+//! partitions out to the pool measured slower on the compiled form. The
+//! groups of a statement fan out when there are at least 8 of them, or
+//! at least 2 whose lineage totals at least 1 024 clauses (a few large
+//! d-trees); that rule reads neither the thread count nor a clock.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -22,7 +22,10 @@
 //! slot) from [`ACONF_SEED`] rather than a running counter, so the output
 //! is identical at any thread count, and it alone decides whether the
 //! groups fan out to the `maybms-par` pool (an `aconf` run itself is
-//! single-threaded). Which estimator a `conf` / `aconf` slot runs is
+//! single-threaded): groups with a `conf` / `aconf` slot fan out when
+//! there are at least 8 of them, or at least 2 whose lineage totals
+//! [`CONF_FANOUT_MIN_CLAUSES`] clauses; groups without lineage run in a
+//! loop. Which estimator a `conf` / `aconf` slot runs is
 //! [`maybms_conf::lineage_confidence`]'s choice.
 
 use std::sync::Arc;
@@ -99,6 +102,30 @@ impl ConfSlots<'_> {
     }
 }
 
+/// Total lineage clauses at and above which a statement's `conf` /
+/// `aconf` groups fan out even when there are fewer than 8 of them. A
+/// d-tree costs ~300 ns a node and ~1.3 nodes a clause, so 1 024 clauses
+/// are ≈ 0.4 ms of work; below that (4 groups of 32 clauses, say) a loop
+/// is cheaper than waking the pool.
+pub const CONF_FANOUT_MIN_CLAUSES: usize = 1024;
+
+/// Whether a statement's groups fan out to the pool: at least 2 groups,
+/// some slot is `conf` / `aconf` (`clauses` is then their total lineage
+/// size), and either at least 8 groups or at least
+/// [`CONF_FANOUT_MIN_CLAUSES`] clauses. Groups without lineage never fan
+/// out: their aggregates are finished sums. The 8-group branch stays for
+/// lineage of any size because an `aconf` group that samples costs ~30×
+/// its d-tree, and whether it samples is not known before its d-tree
+/// attempt. The decision reads neither the thread count nor a clock, so
+/// `EXPLAIN ANALYZE` can print it; a one-thread pool runs the groups in a
+/// loop whatever it says.
+pub(crate) fn groups_fan_out(n_groups: usize, lineage: Option<usize>) -> bool {
+    match lineage {
+        Some(clauses) => n_groups >= 2 && (n_groups >= 8 || clauses >= CONF_FANOUT_MIN_CLAUSES),
+        None => false,
+    }
+}
+
 /// One output row per group, in group order — the scheduler behind the
 /// group breaker's finish. It owns two decisions:
 ///
@@ -106,13 +133,17 @@ impl ConfSlots<'_> {
 ///   seed `ACONF_SEED + g·n_aconf + j`, the sequence a sequential running
 ///   bump over the groups produces, so rows are identical whether groups
 ///   evaluate in a loop or fan out;
-/// * **the statement's one level of parallelism** — with at least 8 groups
-///   on a multi-thread pool the groups fan out, otherwise they run in a
-///   loop. An `aconf` run never fans out below this: batch-level fan-out
-///   of its sample stream measured a median 0.98× of sequential on two
-///   cores and was removed.
+/// * **the statement's one level of parallelism** — the groups fan out
+///   when [`groups_fan_out`] says so for `n_groups` and `lineage` (the
+///   groups' total lineage clauses, `None` without a `conf` / `aconf`
+///   slot) and the pool has more than one thread; otherwise they run in a
+///   loop. The decision is recorded in `stats` for `EXPLAIN ANALYZE`. An
+///   `aconf` run never fans out below this: batch-level fan-out of its
+///   sample stream measured a median 0.98× of sequential on two cores and
+///   was removed.
 fn eval_group_rows(
     n_groups: usize,
+    lineage: Option<usize>,
     aggs: &[(AggSpec, String)],
     wt: &WorldTable,
     stats: &maybms_obs::QueryStats,
@@ -127,7 +158,16 @@ fn eval_group_rows(
         let seed = ACONF_SEED.wrapping_add(g as u64 * n_aconf);
         eval_row(g, &mut ConfSlots { wt, stats, seed })
     };
-    if n_groups >= 8 && pool.threads() > 1 {
+    let fan_out = groups_fan_out(n_groups, lineage);
+    if lineage.is_some() {
+        let decision = if fan_out {
+            &stats.groups_fanned_out
+        } else {
+            &stats.groups_looped
+        };
+        decision.inc();
+    }
+    if fan_out && pool.threads() > 1 {
         // Per-group confidence computation (#P-hard in general) dominates;
         // fan groups out in small chunks and merge rows in group order.
         let chunk = maybms_par::auto_chunk(n_groups, pool.threads(), 1);
@@ -517,7 +557,8 @@ pub fn aggregate_stream_with(
         }
         Ok(row)
     };
-    let rows = eval_group_rows(keys.len(), aggs, wt, stats, pool, eval_row)?;
+    let lineage = needs_wsds.then(|| states.iter().map(|acc| acc.wsds.len()).sum());
+    let rows = eval_group_rows(keys.len(), lineage, aggs, wt, stats, pool, eval_row)?;
     let mut out = BatchBuilder::new(schema.len());
     rows.iter().for_each(|row| out.push_row(row));
     Ok(URelation::certain_batch(schema, out.finish()))
@@ -657,6 +698,21 @@ mod tests {
         )
         .unwrap();
         (wt, u)
+    }
+
+    #[test]
+    fn groups_fan_out_by_count_and_lineage() {
+        // Groups without lineage never fan out, however many.
+        assert!(!groups_fan_out(100, None));
+        // One group has nothing to fan out to.
+        assert!(!groups_fan_out(1, Some(100_000)));
+        // At least 8 groups fan out at any lineage size.
+        assert!(groups_fan_out(8, Some(8)));
+        assert!(!groups_fan_out(7, Some(CONF_FANOUT_MIN_CLAUSES - 1)));
+        // A few groups fan out once their lineage is large enough.
+        assert!(groups_fan_out(2, Some(CONF_FANOUT_MIN_CLAUSES)));
+        assert!(groups_fan_out(4, Some(4 * 1280)));
+        assert!(!groups_fan_out(4, Some(4 * 32)));
     }
 
     #[test]

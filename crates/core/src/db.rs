@@ -574,6 +574,7 @@ impl MayBms {
                 if plan.schema.len() != width {
                     return Err(arity_error(plan.schema.len(), width, columns));
                 }
+                let vars = self.wt.num_vars();
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 selected = run(&plan, &mut ctx)?;
                 if !selected.is_t_certain() {
@@ -582,6 +583,11 @@ impl MayBms {
                          CREATE TABLE AS instead (conditions must be preserved)",
                     ));
                 }
+                // The rows are t-certain, so they name none of the variables
+                // the SELECT registered: forget them before `commit` would
+                // log them (never the durable ones).
+                let durable = self.store.as_ref().map_or(0, Store::durable_vars);
+                self.wt.truncate(vars.max(durable));
                 let first = FirstError::new(selected.len());
                 (key, schema, src, Cow::Borrowed(selected.at_rest().0), first)
             }
@@ -880,6 +886,15 @@ fn render_analyze(
         let rse = stats.max_rel_stderr();
         if rse > 0.0 {
             s.push_str(&format!(", max rel stderr {rse:.4}"));
+        }
+        match [stats.groups_fanned_out.get(), stats.groups_looped.get()] {
+            [0, 0] => {}
+            [_, 0] => s.push_str("; groups fanned out"),
+            [0, _] => s.push_str("; groups in a loop"),
+            [out, looped] => s.push_str(&format!(
+                "; groups fanned out in {out} of {} aggregations",
+                out + looped
+            )),
         }
         s.push('\n');
         if stats.requested().is_some() {

@@ -819,6 +819,14 @@ pub struct QueryStats {
     /// `aconf()` estimates in this statement that a governor deadline
     /// cut early (degraded: partial seeded mean, achieved stderr).
     pub degraded_conf: Counter,
+    /// Group breakers with a `conf` / `aconf` slot whose groups the
+    /// scheduler fanned out to the pool. The decision depends on the
+    /// groups' count and lineage size only, never on the thread count or
+    /// a clock.
+    pub groups_fanned_out: Counter,
+    /// Group breakers with a `conf` / `aconf` slot whose groups the
+    /// scheduler ran in a loop (the same decision).
+    pub groups_looped: Counter,
     /// Rows in the statement's result.
     pub rows_returned: Counter,
     /// Vector-kernel batches evaluated outside any pipeline (sort keys,

@@ -1,37 +1,47 @@
 //! Morsel-local parallel hash-table build with a deterministic merge.
 //!
-//! The materialising joins build their hash table in one sequential scan
-//! (or, in the `*_with` parallel paths, via a bucketed pre-pass). A
-//! morsel-driven executor wants the build itself to be morsel-granular:
-//! each morsel of build rows constructs a **private** table mapping key
-//! hash → ascending row indices, and the private tables are merged into
-//! hash-partitioned shards by concatenating every key's candidate lists
-//! **in morsel order**. Because morsels cover ascending row ranges and
-//! rows within a morsel are visited in order, the merged candidate list
-//! of every key is the ascending row order a sequential build would have
-//! produced — regardless of thread count, scheduling, or the iteration
-//! order of the intermediate maps (per-key lists are keyed merges, never
-//! order-of-iteration merges).
+//! The table is flat (CSR-shaped): each hash-partitioned shard holds one
+//! `rows` array, and an index maps a key hash to its `(start, len)` slice
+//! of it, so a build allocates O(shards × morsels) times, never once per
+//! key. Each morsel of build rows emits its `(hash, row)` pairs per
+//! target shard, in row order; each shard then walks its pairs **in
+//! morsel order** twice — once counting rows per hash, once placing each
+//! row at its hash's cursor (a counting sort by hash). Because morsels
+//! cover ascending row ranges and rows within a morsel are visited in
+//! order, every key's slice is the ascending row order a sequential
+//! build would have produced — regardless of thread count, scheduling,
+//! or the iteration order of the index (which only decides where a
+//! slice sits in `rows`, never what it holds).
 
 use maybms_engine::hash::FastMap;
 use maybms_par::ThreadPool;
+
+/// One hash-partitioned shard: every key's build rows, contiguous and
+/// ascending, sliced through `index`.
+#[derive(Debug)]
+struct Shard {
+    /// Key hash → `(start, len)` of its slice of `rows`.
+    index: FastMap<u64, (u32, u32)>,
+    rows: Vec<u32>,
+}
 
 /// A hash-partitioned join build table: key hash → build-row indices in
 /// ascending (sequential insertion) order.
 #[derive(Debug)]
 pub struct BuildTable {
     /// Shard `p` owns the keys with `hash % parts == p`.
-    parts: Vec<FastMap<u64, Vec<u32>>>,
+    parts: Vec<Shard>,
     /// Governor working-memory tally: charged once per build from the
-    /// merged shard sizes, credited when the table drops.
+    /// shards' index entries and row arrays, credited when the table
+    /// drops.
     _charge: maybms_gov::MemCharge,
 }
 
 impl BuildTable {
     /// Build over rows `0..len`, hashing row `i` with `hash_of(i)`
-    /// (`None` = NULL key, never inserted). Morsel-local tables are
-    /// merged deterministically as described in the module docs; a
-    /// one-thread pool degenerates to a single sequential scan.
+    /// (`None` = NULL key, never inserted). Shards are filled
+    /// deterministically as described in the module docs; a one-thread
+    /// pool degenerates to a single sequential scan.
     pub fn build<F>(len: usize, hash_of: F, pool: &ThreadPool, min_chunk: usize) -> BuildTable
     where
         F: Fn(usize) -> Option<u64> + Sync,
@@ -42,42 +52,50 @@ impl BuildTable {
             1
         };
         let chunk = maybms_par::auto_chunk(len, pool.threads(), min_chunk);
-        // Morsel-local build: each morsel owns `nparts` private maps (one
-        // per target shard) so the merge below touches only its own
-        // shard's entries — total work stays O(rows + distinct keys).
-        let locals: Vec<Vec<FastMap<u64, Vec<u32>>>> = pool.par_map_chunks(len, chunk, |range| {
-            let mut maps: Vec<FastMap<u64, Vec<u32>>> =
-                (0..nparts).map(|_| FastMap::default()).collect();
+        // Morsel-local pass: each morsel emits its `(hash, row)` pairs into
+        // one list per target shard, in row order.
+        let locals: Vec<Vec<Vec<(u64, u32)>>> = pool.par_map_chunks(len, chunk, |range| {
+            let mut pairs: Vec<Vec<(u64, u32)>> = (0..nparts)
+                .map(|_| Vec::with_capacity(range.len() / nparts + 1))
+                .collect();
             for i in range {
                 if let Some(h) = hash_of(i) {
-                    maps[(h as usize) % nparts]
-                        .entry(h)
-                        .or_default()
-                        .push(i as u32);
+                    pairs[(h as usize) % nparts].push((h, i as u32));
                 }
             }
-            maps
+            pairs
         });
-        // Chunk-ordered merge, one shard per task: every key's candidate
-        // list is the concatenation of its morsel-local lists in morsel
-        // order — the sequential ascending row order.
-        let parts: Vec<FastMap<u64, Vec<u32>>> =
-            pool.par_map((0..nparts).collect::<Vec<_>>(), |p| {
-                let mut table: FastMap<u64, Vec<u32>> =
-                    FastMap::with_capacity_and_hasher(len / nparts + 1, Default::default());
-                for morsel in &locals {
-                    for (h, rows) in &morsel[p] {
-                        table.entry(*h).or_default().extend_from_slice(rows);
-                    }
-                }
-                table
-            });
+        // One shard per task: count per hash, lay the slices out, then
+        // place every row at its hash's cursor — all in morsel order, so
+        // each slice is ascending.
+        let parts: Vec<Shard> = pool.par_map((0..nparts).collect::<Vec<_>>(), |p| {
+            let pairs = || locals.iter().flat_map(|morsel| &morsel[p]);
+            let total: usize = locals.iter().map(|morsel| morsel[p].len()).sum();
+            let mut index: FastMap<u64, (u32, u32)> =
+                FastMap::with_capacity_and_hasher(total, Default::default());
+            for &(h, _) in pairs() {
+                index.entry(h).or_default().1 += 1;
+            }
+            // Each slot becomes `(start, 0)`; its length counts back up as
+            // the rows land.
+            let mut next = 0u32;
+            for slot in index.values_mut() {
+                let count = slot.1;
+                *slot = (next, 0);
+                next += count;
+            }
+            let mut rows = vec![0u32; total];
+            for &(h, r) in pairs() {
+                let slot = index.get_mut(&h).expect("every hash was counted");
+                rows[(slot.0 + slot.1) as usize] = r;
+                slot.1 += 1;
+            }
+            Shard { index, rows }
+        });
         let mut charge = maybms_gov::MemCharge::new();
         for part in &parts {
-            // Entry overhead plus each key's candidate list.
-            let entry = std::mem::size_of::<(u64, Vec<u32>)>();
-            let rows: usize = part.values().map(Vec::len).sum();
-            charge.add(part.len() * entry + rows * std::mem::size_of::<u32>());
+            let entry = std::mem::size_of::<(u64, (u32, u32))>();
+            charge.add(part.index.len() * entry + part.rows.len() * std::mem::size_of::<u32>());
         }
         BuildTable {
             parts,
@@ -90,10 +108,11 @@ impl BuildTable {
     /// verification by the caller.
     #[inline]
     pub fn candidates(&self, h: u64) -> &[u32] {
-        self.parts[(h as usize) % self.parts.len()]
-            .get(&h)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let shard = &self.parts[(h as usize) % self.parts.len()];
+        match shard.index.get(&h) {
+            Some(&(start, len)) => &shard.rows[start as usize..(start + len) as usize],
+            None => &[],
+        }
     }
 }
 

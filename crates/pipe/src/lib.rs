@@ -30,10 +30,12 @@
 //!   conjoin the two sides' WSDs and drop unsatisfiable pairs; a
 //!   t-certain table is the case where every WSD is empty (no conjoin
 //!   runs), so certain and uncertain queries share this one executor;
-//! * hash-join **builds are morsel-local**: each morsel constructs a
-//!   private hash table and the per-key candidate lists are merged in
-//!   morsel order ([`BuildTable`]), so the merged table is identical to a
-//!   sequential build at any thread count;
+//! * hash-join **builds are morsel-local and flat**: each morsel emits
+//!   its `(hash, row)` pairs per shard, and each shard lays them out in
+//!   morsel order as one row array sliced per key ([`BuildTable`]), so
+//!   every key's candidates are the ascending rows a sequential build
+//!   gives at any thread count, and a build allocates per shard and
+//!   morsel, never per key;
 //! * grouped aggregation is **streaming**: the breaker's input pipeline
 //!   hands each batch of surviving rows to a morsel-local
 //!   [`GroupTable`](maybms_engine::group::GroupTable) of mergeable

@@ -13,9 +13,12 @@
 //!
 //! The paper's point (§2.4) is that conditions are just "pairs of
 //! integers" riding on relational tuples, and almost every WSD produced by
-//! `repair key` / `pick tuples` and their joins holds **0–2** assignments.
+//! `repair key` / `pick tuples` and their joins holds **0–3** assignments
+//! (a three-step random walk conjoins three `repair key` conditions).
 //! [`Wsd`] therefore stores up to [`INLINE_WSD`] assignments inline
 //! (no heap allocation at all) and spills to a `Vec` only beyond that.
+//! Three slots cost nothing over two: the enum is 32 bytes either way,
+//! the third slot filling padding the heap variant's `Vec` leaves.
 //! Constructing, cloning, and conjoining the common small conjunctions is
 //! allocation-free, which is what keeps per-output-row cost of the
 //! U-relational join near the certain join's. The assignment list is
@@ -31,7 +34,7 @@ use crate::var::{Assignment, Var};
 use crate::world_table::WorldTable;
 
 /// Number of assignments a [`Wsd`] stores without heap allocation.
-pub const INLINE_WSD: usize = 2;
+pub const INLINE_WSD: usize = 3;
 
 /// Padding value for unused inline slots (never observed through the
 /// public API, which always bounds reads by `len`).
@@ -206,9 +209,11 @@ impl Wsd {
     /// workhorse of the join translation: joined tuples whose conditions
     /// conflict exist in no common world and are dropped.
     ///
-    /// Allocation-free whenever the result fits inline (both operands hold
-    /// at most [`INLINE_WSD`] assignments combined — the common case for
-    /// joins of `repair key` / `pick tuples` outputs).
+    /// Allocation-free whenever the result fits inline (at most
+    /// [`INLINE_WSD`] assignments once shared variables merge — the common
+    /// case for joins of `repair key` / `pick tuples` outputs): the merge
+    /// runs in a stack buffer and spills to the heap only when the result
+    /// needs it.
     pub fn conjoin(&self, other: &Wsd) -> Option<Wsd> {
         let (a, b) = (self.assignments(), other.assignments());
         // Tautologies are identities; the clone below is an inline copy or
@@ -219,38 +224,18 @@ impl Wsd {
         if a.is_empty() {
             return Some(other.clone());
         }
-        if a.len() + b.len() <= INLINE_WSD {
-            let mut buf = [PAD; INLINE_WSD];
+        if a.len() + b.len() <= 2 * INLINE_WSD {
+            let mut buf = [PAD; 2 * INLINE_WSD];
             let len = merge_into(a, b, &mut buf)?;
-            return Some(Wsd(Repr::Inline {
-                len: len as u8,
-                buf,
-            }));
+            return Some(if len <= INLINE_WSD {
+                Wsd::inline(&buf[..len])
+            } else {
+                Wsd(Repr::Heap(buf[..len].to_vec()))
+            });
         }
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].var.cmp(&b[j].var) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if a[i].alt != b[j].alt {
-                        return None;
-                    }
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
+        let mut out = vec![PAD; a.len() + b.len()];
+        let len = merge_into(a, b, &mut out)?;
+        out.truncate(len);
         Some(Wsd::from_sorted(out))
     }
 
@@ -275,11 +260,7 @@ impl Wsd {
 /// Merge two sorted conflict-checked slices into `buf`; returns the merged
 /// length or `None` on a variable conflict. Caller guarantees
 /// `a.len() + b.len() <= buf.len()`.
-fn merge_into(
-    a: &[Assignment],
-    b: &[Assignment],
-    buf: &mut [Assignment; INLINE_WSD],
-) -> Option<usize> {
+fn merge_into(a: &[Assignment], b: &[Assignment], buf: &mut [Assignment]) -> Option<usize> {
     let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].var.cmp(&b[j].var) {
@@ -430,7 +411,7 @@ mod tests {
     #[test]
     fn inline_heap_boundary_is_invisible() {
         use std::collections::HashSet;
-        // 0, 1, 2 assignments: inline; 3+: heap.
+        // 0–3 assignments: inline; 4+: heap.
         let sizes: Vec<Wsd> = (0..5)
             .map(|n| Wsd::from_assignments((0..n).map(|v| asg(v, 1)).collect()).unwrap())
             .collect();
@@ -467,5 +448,74 @@ mod tests {
         assert_eq!(c.assignments(), &[asg(1, 0), asg(3, 1)]);
         // Identical singletons conjoin to themselves.
         assert_eq!(a.conjoin(&a).unwrap(), a);
+    }
+
+    fn is_inline(w: &Wsd) -> bool {
+        matches!(w.0, Repr::Inline { .. })
+    }
+
+    /// The third inline slot fills padding: the enum stays 32 bytes.
+    #[test]
+    fn wsd_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Wsd>(), 32);
+    }
+
+    /// A three-way conjunction (a three-step walk's condition) is inline,
+    /// and so is a conjunction of operands that share a variable and
+    /// together list more than [`INLINE_WSD`] assignments.
+    #[test]
+    fn three_literal_conjunctions_are_inline() {
+        let ab = Wsd::of(Var(0), 1).conjoin(&Wsd::of(Var(1), 0)).unwrap();
+        let abc = ab.conjoin(&Wsd::of(Var(2), 1)).unwrap();
+        assert!(is_inline(&abc));
+        assert_eq!(abc.assignments(), &[asg(0, 1), asg(1, 0), asg(2, 1)]);
+        let x12 = Wsd::from_assignments(vec![asg(1, 0), asg(2, 0)]).unwrap();
+        let x23 = Wsd::from_assignments(vec![asg(2, 0), asg(3, 1)]).unwrap();
+        let shared = x12.conjoin(&x23).unwrap();
+        assert!(is_inline(&shared));
+        assert_eq!(shared.assignments(), &[asg(1, 0), asg(2, 0), asg(3, 1)]);
+        let wide = Wsd::from_assignments((0..3).map(|v| asg(v, 0)).collect()).unwrap();
+        let wide2 = Wsd::from_assignments((1..4).map(|v| asg(v, 0)).collect()).unwrap();
+        assert!(!is_inline(&wide.conjoin(&wide2).unwrap()));
+    }
+
+    /// Over generated pairs of every size on both sides of the stack
+    /// buffer, `conjoin` equals `from_assignments` of the concatenation —
+    /// conflicts included — and is inline exactly when the result fits.
+    #[test]
+    fn conjoin_matches_from_assignments_of_the_concatenation() {
+        fn next(state: &mut u64, m: u64) -> u64 {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state % m
+        }
+        // Up to 8 bindings over 10 variables, the first binding of each
+        // variable kept.
+        fn side(state: &mut u64) -> Wsd {
+            let mut list: Vec<Assignment> = Vec::new();
+            for _ in 0..next(state, 9) {
+                let a = asg(next(state, 10) as u32, next(state, 2) as u16);
+                if list.iter().all(|b| b.var != a.var) {
+                    list.push(a);
+                }
+            }
+            Wsd::from_assignments(list).unwrap()
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut conflicts = 0;
+        for _ in 0..4000 {
+            let (a, b) = (side(&mut state), side(&mut state));
+            let mut both = a.assignments().to_vec();
+            both.extend_from_slice(b.assignments());
+            let want = Wsd::from_assignments(both);
+            let got = a.conjoin(&b);
+            assert_eq!(got, want, "{a:?} ∧ {b:?}");
+            match got {
+                Some(w) => assert_eq!(is_inline(&w), w.len() <= INLINE_WSD, "{w:?}"),
+                None => conflicts += 1,
+            }
+        }
+        assert!(conflicts > 0, "the generator must reach a conflict");
     }
 }

@@ -1,9 +1,11 @@
 //! SQL-level `aconf` determinism: the rows of a grouped `aconf` statement
-//! are bit-identical at 1/2/8 execution threads — with fewer than 8 groups
-//! (the group scheduler runs them in a loop) and with at least 8 (it fans
-//! them out), answered exactly by the d-tree or sampled past its budget —
-//! and after a checkpoint and re-open, and every estimate sits inside its
-//! ε of the exact `conf()` of the same group.
+//! are bit-identical at 1/2/8 execution threads — on both branches of the
+//! group scheduler: a loop (fewer than 8 groups whose lineage totals fewer
+//! than 1 024 clauses, or groups without lineage) and a fan-out (at least
+//! 8 groups, or fewer whose lineage totals at least 1 024 clauses),
+//! answered exactly by the d-tree or sampled past its budget — and after a
+//! checkpoint and re-open, and every estimate sits inside its ε of the
+//! exact `conf()` of the same group.
 //!
 //! The thread count is process-global, so the whole check is one test.
 
@@ -12,7 +14,10 @@ use std::sync::Arc;
 use maybms::store::MemVfs;
 use maybms::MayBms;
 
-const PLAYERS: usize = 12;
+/// Players in the transition table; the small walks read the first
+/// `FEW` of them.
+const PLAYERS: usize = 120;
+const FEW: usize = 12;
 const STATES: usize = 3;
 
 /// A two-hop random walk per player (Figure 1's shape): `hop1`, `hop2` are
@@ -70,11 +75,23 @@ fn seed(mem: &MemVfs) -> MayBms {
 const SAMPLED: &str = "select e.g, aconf(0.1, 0.05) as p, aconf(0.2, 0.1) as q, conf() as e \
                        from pr, e, pt where pr.a = e.a and e.b = pt.b group by e.g";
 
-fn walk(keys: &str, aggs: &str) -> String {
+fn walk(keys: &str, aggs: &str, players: usize) -> String {
     format!(
-        "select {keys}, {aggs} from hop1 a, hop2 b \
-         where a.init = 0 and b.player = a.player and b.init = a.final group by {keys}"
+        "select {keys}, {aggs} from hop1 a, hop2 b where a.init = 0 and a.player < {players} \
+         and b.player = a.player and b.init = a.final group by {keys}"
     )
+}
+
+/// One statement of the determinism check and what its run must show.
+struct Case {
+    groups: usize,
+    sql: String,
+    /// `aconf` slots per group.
+    aconf_slots: u64,
+    /// Whether its `aconf` calls sample past the d-tree budget.
+    sampled: bool,
+    /// The scheduler's decision: `[fanned out, in a loop]` breakers.
+    schedule: [u64; 2],
 }
 
 /// Every value of every row, floats by their bits.
@@ -100,40 +117,82 @@ fn aconf_rows_are_bit_identical_across_threads_scheduling_branches_and_reopen() 
     let mut db = seed(&mem);
     // Two aconf slots per group exercise the (group, slot) seed numbering.
     let aggs = "aconf(0.1, 0.05) as p, aconf(0.2, 0.1) as q, conf() as e";
+    let fanned = [1, 0];
+    let looped = [0, 1];
     let queries = [
         // 3 groups of 36 clauses (12 independent players each): the
         // scheduler's loop branch; the d-tree certifies every aconf.
-        (STATES, walk("b.final", aggs), false),
+        Case {
+            groups: STATES,
+            sql: walk("b.final", aggs, FEW),
+            aconf_slots: 2,
+            sampled: false,
+            schedule: looped,
+        },
         // 36 groups of 3 pairwise-exclusive clauses: the fan-out branch,
         // also certified.
-        (PLAYERS * STATES, walk("a.player, b.final", aggs), false),
+        Case {
+            groups: FEW * STATES,
+            sql: walk("a.player, b.final", aggs, FEW),
+            aconf_slots: 2,
+            sampled: false,
+            schedule: fanned,
+        },
+        // 3 groups of 360 clauses, 1 080 in all: fewer than 8 groups, but
+        // enough lineage to fan out.
+        Case {
+            groups: STATES,
+            sql: walk("b.final", aggs, PLAYERS),
+            aconf_slots: 2,
+            sampled: false,
+            schedule: fanned,
+        },
+        // 360 groups without lineage: `ecount()` only, in a loop however
+        // many groups there are (nothing is recorded: no conf slot).
+        Case {
+            groups: PLAYERS * STATES,
+            sql: walk("a.player, b.final", "ecount() as n", PLAYERS),
+            aconf_slots: 0,
+            sampled: false,
+            schedule: [0, 0],
+        },
         // 8 groups past the d-tree budget: the fan-out branch, sampled.
-        (8, SAMPLED.to_string(), true),
+        Case {
+            groups: 8,
+            sql: SAMPLED.to_string(),
+            aconf_slots: 2,
+            sampled: true,
+            schedule: fanned,
+        },
     ];
-    for (groups, sql, sampled) in &queries {
+    for case in &queries {
+        let sql = &case.sql;
         maybms_par::set_threads(1);
         let reference = bits(&mut db, sql);
-        assert_eq!(reference.len(), *groups);
+        assert_eq!(reference.len(), case.groups);
         let stats = db.last_stats().unwrap();
-        let n_aconf = 2 * *groups as u64;
-        let by_sampler = if *sampled { n_aconf } else { 0 };
+        let n_aconf = case.aconf_slots * case.groups as u64;
+        let by_sampler = if case.sampled { n_aconf } else { 0 };
         assert_eq!(stats.answered[2].get(), by_sampler, "{sql}");
         assert_eq!(stats.aconf_exact.get(), n_aconf - by_sampler, "{sql}");
-        assert_eq!(stats.samples.get() > 0, *sampled, "{sql}");
+        assert_eq!(stats.samples.get() > 0, case.sampled, "{sql}");
+        let schedule = [stats.groups_fanned_out.get(), stats.groups_looped.get()];
+        assert_eq!(schedule, case.schedule, "{sql}");
         for threads in [2usize, 8] {
             maybms_par::set_threads(threads);
             assert_eq!(bits(&mut db, sql), reference, "threads = {threads}: {sql}");
+            let stats = db.last_stats().unwrap();
+            let schedule = [stats.groups_fanned_out.get(), stats.groups_looped.get()];
+            assert_eq!(schedule, case.schedule, "threads = {threads}: {sql}");
         }
     }
     // The same statements against the checkpointed, re-opened database.
-    let before: Vec<_> = queries
-        .iter()
-        .map(|(_, sql, _)| bits(&mut db, sql))
-        .collect();
+    let before: Vec<_> = queries.iter().map(|c| bits(&mut db, &c.sql)).collect();
     db.checkpoint().unwrap();
     drop(db);
     let mut db = MayBms::open_with_vfs(Arc::new(mem.clone())).unwrap();
-    for ((_, sql, _), rows) in queries.iter().zip(&before) {
+    for (case, rows) in queries.iter().zip(&before) {
+        let sql = &case.sql;
         assert_eq!(
             &bits(&mut db, sql),
             rows,
@@ -142,8 +201,8 @@ fn aconf_rows_are_bit_identical_across_threads_scheduling_branches_and_reopen() 
     }
     // Both slots of every group land inside their ε of the exact answer
     // (a fixed seed makes this a fact about these rows, not a gamble).
-    for (_, sql, _) in &queries {
-        let rel = db.query(sql).unwrap();
+    for case in queries.iter().filter(|c| c.aconf_slots > 0) {
+        let rel = db.query(&case.sql).unwrap();
         let n = rel.schema().len();
         for t in rel.tuples() {
             let [p, q, e] = [n - 3, n - 2, n - 1].map(|c| t.value(c).as_f64().unwrap());

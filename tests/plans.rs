@@ -347,6 +347,23 @@ fn certain_query_leaves_no_variables() {
     });
 }
 
+/// An `INSERT … SELECT` stores t-certain rows, which name no variable, so
+/// it forgets the variables its SELECT's inline `repair key` registered
+/// and its WAL record carries none; the rows equal the SELECT run alone.
+#[test]
+fn insert_select_of_certain_rows_leaves_no_variables() {
+    leaves_no_variables("insert_select", |db| {
+        let select = format!("select fin, conf() as p from {REPAIRED} group by fin");
+        let alone = db.query(&select).unwrap();
+        db.run_script(&format!(
+            "create table res (fin text, p double precision);
+             insert into res {select};"
+        ))
+        .unwrap();
+        assert_eq!(db.query("select fin, p from res").unwrap(), alone);
+    });
+}
+
 /// `BETWEEN` is its two comparisons, so a range on the walk's start player
 /// reaches every step table as implied σ stages.
 #[test]
