@@ -3,15 +3,21 @@
 //! Prints median wall time of the full SQL pipeline (repair-key + conf)
 //! per (players, steps) cell, plus a correctness column: the walk output
 //! distribution sums to 1 per player (a NO fails the run). E1b then
-//! times exact `conf()` alone on one walk-shaped group (the lineage of
-//! "some player ends in state 2") at 4× steps of players: linear d-tree
-//! cost shows as a ratio near 4 per row.
+//! times exact `conf()` alone — `lineage_confidence`, members in the
+//! order given, one scratch reused call after call, as a statement's
+//! groups run — on walk groups (the lineage of "some player ends in
+//! state 2"): a `walk2_conf` group (4 clauses), a `walk3_conf` one (16)
+//! and `walk3_state_conf`-shaped ones at 4× steps of players. It prints
+//! µs a call and ns a d-tree node, the two figures ROADMAP direction 3
+//! (b) sets targets for; linear d-tree cost reads as a flat ns-a-node
+//! column. It asserts no timing.
 
 use std::time::Instant;
 
 use maybms_bench::workloads;
-use maybms_conf::exact;
+use maybms_conf::{lineage_confidence, ConfMethod, ConfScratch};
 use maybms_core::MayBms;
+use maybms_obs::QueryStats;
 
 fn run_walk(players: usize, steps: usize) -> (f64, bool) {
     let (ft, states) = workloads::nba(42, players);
@@ -81,33 +87,38 @@ fn main() {
     }
     assert!(all_ok, "a walk's final distribution does not sum to 1");
 
-    println!("\nE1b — exact conf() of one walk-shaped group (16 clauses per player)");
+    println!("\nE1b — exact conf() of one walk group, members in order, one scratch");
     println!(
-        "{:<10} {:>8} {:>12} {:>10} {:>12}",
-        "players", "clauses", "median ms", "ratio", "d-tree nodes"
+        "{:<8} {:>6} {:>8} {:>12} {:>12} {:>10}",
+        "players", "steps", "clauses", "us a call", "d-tree nodes", "ns a node"
     );
-    let mut last: Option<f64> = None;
-    for players in [20usize, 80, 320, 1280] {
-        let (wt, dnf) = workloads::walk_group_dnf(7, players);
-        let mut times = Vec::new();
-        let mut nodes = 0;
+    let stats = QueryStats::new();
+    let mut scratch = ConfScratch::new(&stats);
+    for (players, steps) in [(1, 2), (1, 3), (20, 3), (80, 3), (320, 3), (1280, 3)] {
+        let (wt, members) = workloads::walk_group(7, players, steps);
+        // Enough calls a batch to time a 4-clause call (~5 ms a batch).
+        let calls = (40_000 / members.len()).max(1);
+        let mut conf = || lineage_confidence(&members, &wt, ConfMethod::Exact, &mut scratch);
+        let nodes = conf().unwrap().1.dtree_nodes;
+        let mut per_call = Vec::new();
         for _ in 0..7 {
             let t0 = Instant::now();
-            let (_, s) = exact::probability_with(&dnf, &wt).unwrap();
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            nodes = s.nodes();
+            for _ in 0..calls {
+                conf().unwrap();
+            }
+            per_call.push(t0.elapsed().as_secs_f64() * 1e6 / calls as f64);
         }
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        let ratio = last.map_or(String::from("-"), |l| format!("{:.2}", median / l));
+        per_call.sort_by(f64::total_cmp);
+        let us = per_call[per_call.len() / 2];
         println!(
-            "{:<10} {:>8} {:>12.3} {:>10} {:>12}",
+            "{:<8} {:>6} {:>8} {:>12.3} {:>12} {:>10.1}",
             players,
-            dnf.len(),
-            median,
-            ratio,
-            nodes
+            steps,
+            members.len(),
+            us,
+            nodes,
+            us * 1e3 / nodes as f64
         );
-        last = Some(median);
     }
+    println!("targets (ROADMAP 3 b): <= 100 ns a node; <= 0.5 us a 4-clause call");
 }

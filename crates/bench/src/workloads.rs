@@ -107,36 +107,49 @@ pub fn random_dnf(seed: u64, p: DnfParams) -> (WorldTable, Dnf) {
     (wt, Dnf::new(clauses))
 }
 
-/// The lineage of one `walk3_state_conf` group — "some player ends in
-/// state 2" over `players` three-step walks on four states, one
-/// four-valued variable per step and state — 16 three-literal clauses per
-/// player, the players independent (E1b).
-pub fn walk_group_dnf(seed: u64, players: usize) -> (WorldTable, Dnf) {
+/// The lineage of one walk group, in member order — "some player ends in
+/// state 2" over `players` walks of `steps` steps on four states, one
+/// four-valued variable per step and state, as `repair key player, init`
+/// creates them: `4^(steps − 1)` clauses of `steps` literals per player,
+/// the players independent (E1b). Three steps make a `walk3_state_conf`
+/// group (16 clauses a player), two a `walk2_conf` one (4).
+pub fn walk_group(seed: u64, players: usize, steps: u32) -> (WorldTable, Vec<Wsd>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut wt = WorldTable::new();
-    let mut clauses = Vec::with_capacity(16 * players);
+    let paths = 4usize.pow(steps - 1);
+    let mut clauses = Vec::with_capacity(paths * players);
     for _ in 0..players {
-        let mut step = || -> Vec<Var> {
-            (0..4)
-                .map(|_| {
-                    let w: Vec<f64> = (0..4).map(|_| rng.gen_range(0.05..1.0)).collect();
-                    let total: f64 = w.iter().sum();
-                    let dist: Vec<f64> = w.iter().map(|x| x / total).collect();
-                    wt.new_var(&dist).expect("valid distribution")
+        let vars: Vec<Vec<Var>> = (0..steps)
+            .map(|_| {
+                (0..4)
+                    .map(|_| {
+                        let w: Vec<f64> = (0..4).map(|_| rng.gen_range(0.05..1.0)).collect();
+                        let total: f64 = w.iter().sum();
+                        let dist: Vec<f64> = w.iter().map(|x| x / total).collect();
+                        wt.new_var(&dist).expect("valid distribution")
+                    })
+                    .collect()
+            })
+            .collect();
+        for path in 0..paths {
+            // The states after each step but the last: `path`'s base-4
+            // digits, most significant first; the last step ends in 2.
+            let mut state = 0;
+            let lits = (0..steps)
+                .map(|i| {
+                    let next = match steps - 1 - i {
+                        0 => 2,
+                        rest => (path / 4usize.pow(rest - 1)) % 4,
+                    };
+                    let a = Assignment::new(vars[i as usize][state], next as u16);
+                    state = next;
+                    a
                 })
-                .collect()
-        };
-        let (s1, s2, s3) = (step(), step(), step());
-        for (a, b) in (0..4u16).flat_map(|a| (0..4u16).map(move |b| (a, b))) {
-            let path = vec![
-                Assignment::new(s1[0], a),
-                Assignment::new(s2[a as usize], b),
-                Assignment::new(s3[b as usize], 2),
-            ];
-            clauses.push(Wsd::from_assignments(path).expect("distinct variables"));
+                .collect();
+            clauses.push(Wsd::from_assignments(lits).expect("distinct variables"));
         }
     }
-    (wt, Dnf::new(clauses))
+    (wt, clauses)
 }
 
 /// E5 workload: a pair of relations (certain twin + uncertain twin over a

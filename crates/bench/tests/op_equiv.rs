@@ -237,7 +237,8 @@ proptest! {
         let plain = URelation::from_certain(&input);
         for u in [plain.clone(), plain.dict_encode()] {
             let mut wt_a = WorldTable::new();
-            let a = maybms_urel::repair_key_u(&u, &keys, &opts, &mut wt_a);
+            let counts = &mut maybms_engine::vector::KernelCounts::default();
+            let a = maybms_urel::repair_key_u(&u, &keys, &opts, &mut wt_a, counts);
             match (&a, &b) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(a.tuples(), b.tuples());

@@ -9,10 +9,15 @@
 //! # The compiled form
 //!
 //! Both engines read a DNF through one `CompiledLineage`, built once
-//! per `conf` / `aconf` call: the clauses in sorted order, variables
-//! renamed to dense local ids in global-id order, literals flattened to
+//! per `conf` / `aconf` call: the clauses in the order they are handed
+//! over (sorted for `aconf`, member order for `conf`), variables renamed
+//! to dense local ids in global-id order, literals flattened to
 //! `(local variable, alternative)` runs, distributions flattened once —
-//! no `Wsd` is cloned and the world table is not read again.
+//! no `Wsd` is cloned and the world table is not read again. A reusable
+//! open-addressing table (`VarIds`) numbers the variables in first-seen
+//! order, one probe a literal; only the distinct variables are then
+//! sorted, and their ranks rename the literals. A call compiles into its
+//! scratch's buffers, so a statement's groups reuse one allocation.
 
 use maybms_urel::{Result, UrelError, Var, WorldTable, Wsd};
 
@@ -44,8 +49,8 @@ impl Dnf {
         Dnf { clauses }
     }
 
-    /// Build from the WSDs of a group of tuples (the `conf()` aggregate's
-    /// input).
+    /// Build from the WSDs of a group of tuples, cloned and sorted
+    /// (`conf()` itself compiles a group's members in place).
     pub fn from_wsds<'a>(wsds: impl IntoIterator<Item = &'a Wsd>) -> Dnf {
         Dnf::new(wsds.into_iter().cloned().collect())
     }
@@ -84,14 +89,17 @@ impl Dnf {
     }
 }
 
+/// A literal of a compiled lineage: `(local variable, alternative)`.
+pub(crate) type Lit = (u32, u16);
+
 /// A DNF compiled for the confidence engines (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledLineage {
     /// Clause `i`'s literals are `lits[clause_start[i]..clause_start[i + 1]]`.
     clause_start: Vec<usize>,
-    /// All clauses' `(local variable, alternative)` literals, by variable
-    /// within a clause (local ids fit `u32` as world-table ids do).
-    lits: Vec<(u32, u16)>,
+    /// All clauses' literals, by variable within a clause (local ids fit
+    /// `u32` as world-table ids do).
+    lits: Vec<Lit>,
     /// Local variable `v`'s distribution is
     /// `probs[var_start[v]..var_start[v + 1]]`.
     var_start: Vec<usize>,
@@ -115,32 +123,63 @@ impl CompiledLineage {
     /// Compile `dnf` against the world table. Errors on a variable the
     /// table does not know or an alternative outside its domain.
     pub(crate) fn new(dnf: &Dnf, wt: &WorldTable) -> Result<CompiledLineage> {
-        let vars = dnf.vars();
         let mut out = CompiledLineage::default();
-        out.var_start.reserve(vars.len());
-        for &v in &vars {
-            out.probs.extend_from_slice(wt.distribution(v)?);
-            out.var_start.push(out.probs.len());
-        }
-        out.clause_start.reserve(dnf.len());
-        for c in dnf.clauses() {
-            for a in c.assignments() {
-                let local = vars
-                    .binary_search(&a.var)
-                    .expect("dnf.vars() covers every clause") as u32;
-                let domain = out.distribution(local).len();
-                if a.alt as usize >= domain {
-                    return Err(UrelError::BadAlternative {
-                        var: a.var.0,
-                        alt: a.alt,
-                        domain,
-                    });
-                }
-                out.lits.push((local, a.alt));
-            }
-            out.clause_start.push(out.lits.len());
-        }
+        out.compile(dnf.clauses(), wt, &mut VarIds::default())?;
         Ok(out)
+    }
+
+    /// Compile `clauses`, in the order given, into this lineage's buffers
+    /// (`ids` is scratch). The error is the one a lookup of every variable
+    /// in id order, then a check of every literal in clause order, finds
+    /// first: the smallest unknown variable, else the first alternative
+    /// outside its domain.
+    pub(crate) fn compile<'w>(
+        &mut self,
+        clauses: impl IntoIterator<Item = &'w Wsd>,
+        wt: &WorldTable,
+        ids: &mut VarIds,
+    ) -> Result<()> {
+        self.clause_start.truncate(1);
+        self.lits.clear();
+        self.var_start.truncate(1);
+        self.probs.clear();
+        ids.begin();
+        for c in clauses {
+            for a in c.assignments() {
+                self.lits.push((ids.id(a.var.0), a.alt));
+            }
+            self.clause_start.push(self.lits.len());
+        }
+        // Local ids in global-id order: rank the distinct variables.
+        ids.seen.sort_unstable();
+        ids.rank.resize(ids.seen.len(), 0);
+        for (rank, &(var, first)) in ids.seen.iter().enumerate() {
+            ids.rank[first as usize] = rank as u32;
+            self.probs.extend_from_slice(wt.distribution(Var(var))?);
+            self.var_start.push(self.probs.len());
+        }
+        for lit in &mut self.lits {
+            lit.0 = ids.rank[lit.0 as usize];
+        }
+        let in_domain = |&(v, alt): &Lit| (alt as usize) < self.distribution(v).len();
+        match self.lits.iter().find(|l| !in_domain(l)) {
+            None => Ok(()),
+            Some(&(local, alt)) => Err(UrelError::BadAlternative {
+                var: ids.seen[local as usize].0,
+                alt,
+                domain: self.distribution(local).len(),
+            }),
+        }
+    }
+
+    /// Every clause's literals, clause after clause.
+    pub(crate) fn literals(&self) -> &[Lit] {
+        &self.lits
+    }
+
+    /// Where clause `i`'s literals sit in [`CompiledLineage::literals`].
+    pub(crate) fn clause_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.clause_start[i]..self.clause_start[i + 1]
     }
 
     /// Number of clauses.
@@ -154,8 +193,8 @@ impl CompiledLineage {
     }
 
     /// Clause `i`'s `(local variable, alternative)` literals, by variable.
-    pub(crate) fn clause(&self, i: usize) -> &[(u32, u16)] {
-        &self.lits[self.clause_start[i]..self.clause_start[i + 1]]
+    pub(crate) fn clause(&self, i: usize) -> &[Lit] {
+        &self.lits[self.clause_range(i)]
     }
 
     /// Where local variable `v`'s alternatives sit in the flattened
@@ -170,7 +209,7 @@ impl CompiledLineage {
     }
 
     /// The probability of one literal.
-    pub(crate) fn prob(&self, (v, alt): (u32, u16)) -> f64 {
+    pub(crate) fn prob(&self, (v, alt): Lit) -> f64 {
         self.probs[self.var_start[v as usize] + alt as usize]
     }
 
@@ -178,6 +217,71 @@ impl CompiledLineage {
     /// as `Wsd::prob` multiplies.
     pub(crate) fn clause_prob(&self, i: usize) -> f64 {
         self.clause(i).iter().fold(1.0, |p, &l| p * self.prob(l))
+    }
+}
+
+/// Global variable id → first-seen id, for one compile at a time: an
+/// open-addressing table (Fibonacci hashing, linear probing) whose slots
+/// are empty unless stamped with the current epoch, so starting over
+/// clears nothing. It grows when half full.
+#[derive(Debug, Default)]
+pub(crate) struct VarIds {
+    /// `(epoch, variable, first-seen id)`.
+    slots: Vec<(u64, u32, u32)>,
+    /// `log2(slots.len())`.
+    bits: u32,
+    epoch: u64,
+    /// The variables seen, `(variable, first-seen id)`; in first-seen
+    /// order until a compile sorts them.
+    pub(crate) seen: Vec<(u32, u32)>,
+    /// First-seen id → local id.
+    rank: Vec<u32>,
+}
+
+impl VarIds {
+    /// Forget every variable.
+    pub(crate) fn begin(&mut self) {
+        self.epoch += 1;
+        self.seen.clear();
+        if self.slots.is_empty() {
+            self.resize(6);
+        }
+    }
+
+    /// `var`'s first-seen id, the next one if it is new.
+    pub(crate) fn id(&mut self, var: u32) -> u32 {
+        if 2 * (self.seen.len() + 1) > self.slots.len() {
+            self.resize(self.bits + 1);
+        }
+        let slot = self.probe(var);
+        let entry = &mut self.slots[slot];
+        if entry.0 != self.epoch {
+            *entry = (self.epoch, var, self.seen.len() as u32);
+            self.seen.push((var, entry.2));
+        }
+        entry.2
+    }
+
+    /// The slot holding `var`, or the empty slot where it would go.
+    fn probe(&self, var: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i =
+            (u64::from(var).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize;
+        while self.slots[i].0 == self.epoch && self.slots[i].1 != var {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// A table of `2^bits` slots holding the variables seen so far.
+    fn resize(&mut self, bits: u32) {
+        self.bits = bits;
+        self.slots.clear();
+        self.slots.resize(1 << bits, (0, 0, 0));
+        for &(var, id) in &self.seen {
+            let slot = self.probe(var);
+            self.slots[slot] = (self.epoch, var, id);
+        }
     }
 }
 

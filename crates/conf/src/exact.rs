@@ -27,27 +27,49 @@
 //!
 //! # Nodes over a compiled lineage
 //!
-//! A call compiles its DNF once (`CompiledLineage`). A node is a list of
-//! clause indices; the variables conditioned on along the path live in one
-//! per-call `fixed[var]` array, and a clause's *live* literals are those
-//! of unfixed variables. Shannon expansion on `x = a` is a filter (drop
-//! clauses binding `x` elsewhere) plus one store into `fixed` — no `Dnf`
-//! or `Wsd` is rebuilt. Partitioning (union–find) and variable choice use
-//! per-variable slots stamped with an epoch: no hash map, no re-zeroing.
+//! A call compiles its DNF once (`CompiledLineage`) and walks it in one
+//! reusable `DTreeScratch`: a node is a range of a clause stack, and a
+//! clause there is a range of a literal arena holding its *live* literals
+//! — those of variables not yet conditioned on — in variable order. The
+//! arena starts as the compiled literals. Shannon expansion on `x = a`
+//! drops the clauses binding `x` elsewhere and takes `x` out of the
+//! others: a clause that does not mention `x` keeps its range, one that
+//! starts or ends with `x = a` narrows it, and only a clause holding
+//! `x = a` in its middle is copied to the arena's top. A child's clauses
+//! and copies are popped when it returns, so a call allocates only when
+//! its stacks outgrow every earlier call's. No pass re-filters a literal.
+//!
+//! A node counts each variable's clauses once (per-variable slots stamped
+//! with an epoch: no hash map, no re-zeroing). A variable in every clause
+//! proves the node connected and is the one to eliminate; otherwise a
+//! union–find over the clauses decides. The parts of a partition are
+//! connected by construction, so they skip that test.
 //!
 //! # Absorption
 //!
-//! The root and every Shannon child are absorbed before they expand: a
-//! clause with no live literal makes the node `true`, equal clauses
-//! collapse to one, and a clause containing another clause goes. Clauses
-//! sort by (first live literal, live length, live literals), so equal
-//! clauses are adjacent and the clauses strictly shorter than `c` that
-//! start with a given literal of `c` form one contiguous run, found by
-//! binary search. Every clause `d ⊂ c` starts with a literal of `c`, so
-//! checking `c` against those runs alone drops exactly what an all-pairs
-//! check would, at O(n·k·(log n + run)) for `n` clauses of `k` literals
-//! instead of O(n²·k). Walk lineage, whose clauses have equal length,
-//! does no subset test at all.
+//! The root is absorbed before it expands: a clause with no live literal
+//! makes the node `true`, equal clauses collapse to one, and a clause
+//! containing another clause goes. Clauses sort by (first live literal,
+//! live length, live literals), so equal clauses are adjacent and the
+//! clauses strictly shorter than `c` that start with a given literal of
+//! `c` form one contiguous run, found by binary search. Every clause
+//! `d ⊂ c` starts with a literal of `c`, so checking `c` against those
+//! runs alone drops exactly what an all-pairs check would, at
+//! O(n·k·(log n + run)) for `n` clauses of `k` literals instead of
+//! O(n²·k). Walk lineage, whose clauses have equal length, does no subset
+//! test at all.
+//!
+//! Every node's clause set is absorbed, and a Shannon child on `x = a`
+//! needs the same pass only when it mixes shortened clauses (that lost
+//! `x = a`) with untouched ones (that never held `x`). Two shortened
+//! clauses were distinct and free of containment before, and still are;
+//! two untouched ones did not change; and an untouched clause inside a
+//! shortened one would have been inside its original. Only a shortened
+//! clause can equal or swallow an untouched one, so only a child holding
+//! both kinds is absorbed again. What is dropped is the same set either
+//! way, and the clause order inside a node never reaches a probability:
+//! a partition orders its parts by their smallest variable, the choice
+//! rule reads counts, and a leaf holds one clause.
 //!
 //! # Checkpoints
 //!
@@ -62,7 +84,7 @@ use std::cmp::Reverse;
 use maybms_gov::{GovError, Ticker};
 use maybms_urel::{Result, UrelError, WorldTable};
 
-use crate::dnf::{CompiledLineage, Dnf};
+use crate::dnf::{CompiledLineage, Dnf, Lit};
 
 /// Statistics of one exact computation: the shape of its d-tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,31 +113,30 @@ pub fn probability(dnf: &Dnf, wt: &WorldTable) -> Result<f64> {
 
 /// Exact probability of `dnf` and the statistics of its d-tree.
 pub fn probability_with(dnf: &Dnf, wt: &WorldTable) -> Result<(f64, ExactStats)> {
-    let (p, stats) = bounded(&CompiledLineage::new(dnf, wt)?, usize::MAX)?;
+    let lineage = CompiledLineage::new(dnf, wt)?;
+    let (p, stats) = bounded(&lineage, usize::MAX, &mut DTreeScratch::default())?;
     Ok((p.expect("an unbounded d-tree always answers"), stats))
 }
 
-/// The d-tree over `lineage` within `limit` nodes: `None` (and the stats
-/// of the nodes it expanded) when it needs more or, bounded, meets the
-/// statement's deadline — the `aconf()` cascade then samples.
+/// The d-tree over `lineage` within `limit` nodes, in `scratch`: `None`
+/// (and the stats of the nodes it expanded) when it needs more or,
+/// bounded, meets the statement's deadline — the `aconf()` cascade then
+/// samples. What an earlier call left in `scratch` never reaches the
+/// answer.
 pub(crate) fn bounded(
     lineage: &CompiledLineage,
     limit: usize,
+    scratch: &mut DTreeScratch,
 ) -> Result<(Option<f64>, ExactStats)> {
-    let vars = lineage.num_vars();
+    scratch.reset(lineage);
     let mut tree = DTree {
         lineage,
         limit,
         stats: ExactStats::default(),
-        fixed: vec![FREE; vars],
-        stamp: vec![0; vars],
-        slot: vec![0; vars],
-        epoch: 0,
-        key: vec![((0, 0), 0); lineage.num_clauses()],
-        parent: Vec::new(),
         ticker: Ticker::new(),
+        s: scratch,
     };
-    match tree.absorbed((0..lineage.num_clauses() as u32).collect(), 1) {
+    match tree.root() {
         Ok(p) => Ok((Some(p), tree.stats)),
         Err(Halt::Spent) => Ok((None, tree.stats)),
         Err(Halt::Failed(e)) => Err(e),
@@ -140,41 +161,82 @@ fn halt(g: GovError, limit: usize) -> Halt {
 
 type Step<T> = std::result::Result<T, Halt>;
 
-/// `fixed[v]` of a variable not conditioned on. Domains hold at most
-/// `u16::MAX` alternatives, so no alternative is `u16::MAX`.
-const FREE: u16 = u16::MAX;
+/// A clause of a node: its live literals, `lits[start..start + len]` of
+/// the scratch's arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Clause {
+    start: u32,
+    len: u32,
+}
 
-/// The per-call state of one d-tree evaluation.
+impl Clause {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The buffers of d-tree evaluation, reused call after call (see the
+/// module docs). Nothing in them outlives a call's meaning: each call
+/// resets the stacks, and the epoch only grows.
+#[derive(Debug, Default)]
+pub(crate) struct DTreeScratch {
+    /// The literal arena: the compiled literals, then Shannon copies.
+    lits: Vec<Lit>,
+    /// The clause stack: each node's clauses are a range of it.
+    clauses: Vec<Clause>,
+    /// Where each part of the partitions on the current path ends.
+    ends: Vec<usize>,
+    /// Per-variable slots: `slot[v]` holds while `stamp[v] == epoch`.
+    stamp: Vec<u64>,
+    slot: Vec<u32>,
+    epoch: u64,
+    /// Union–find parents over a node's clause positions.
+    parent: Vec<u32>,
+    /// Per root, its part's smallest variable, then the part's number.
+    low: Vec<u32>,
+    /// A partition's parts in order: `(smallest variable, root)`, then
+    /// `(clauses, root)`, then `(next stack slot, root)`.
+    parts: Vec<(u32, u32)>,
+    /// Absorption: which of a node's clauses survive.
+    keep: Vec<bool>,
+}
+
+impl DTreeScratch {
+    /// Start a call over `lineage`: the root's clauses on an empty stack.
+    fn reset(&mut self, lineage: &CompiledLineage) {
+        self.lits.clear();
+        self.lits.extend_from_slice(lineage.literals());
+        self.clauses.clear();
+        self.clauses.extend((0..lineage.num_clauses()).map(|i| {
+            let r = lineage.clause_range(i);
+            Clause {
+                start: r.start as u32,
+                len: r.len() as u32,
+            }
+        }));
+        self.ends.clear();
+        let vars = lineage.num_vars();
+        if self.stamp.len() < vars {
+            self.stamp.resize(vars, 0);
+            self.slot.resize(vars, 0);
+        }
+    }
+
+    /// A clause's live literals.
+    fn live(&self, c: Clause) -> &[Lit] {
+        &self.lits[c.range()]
+    }
+}
+
+/// One call's d-tree evaluation over its scratch.
 struct DTree<'a> {
     lineage: &'a CompiledLineage,
     /// Nodes the tree may expand ([`usize::MAX`]: unbounded).
     limit: usize,
     stats: ExactStats,
-    /// Each variable's alternative along the current path, or [`FREE`].
-    fixed: Vec<u16>,
-    /// Per-variable slots: `slot[v]` holds while `stamp[v] == epoch`.
-    stamp: Vec<u64>,
-    slot: Vec<u32>,
-    epoch: u64,
-    /// Absorption sort key per clause: first live literal, live length.
-    key: Vec<((u32, u16), u32)>,
-    /// Union–find parents over a node's clause positions.
-    parent: Vec<u32>,
     /// Amortised checkpoint of the absorption's subset tests.
     ticker: Ticker,
-}
-
-/// The literals of clause `c` whose variable is not fixed.
-fn live<'l>(
-    lineage: &'l CompiledLineage,
-    fixed: &'l [u16],
-    c: u32,
-) -> impl Iterator<Item = (u32, u16)> + 'l {
-    lineage
-        .clause(c as usize)
-        .iter()
-        .copied()
-        .filter(move |&(v, _)| fixed[v as usize] == FREE)
+    s: &'a mut DTreeScratch,
 }
 
 /// Union–find root of `i`, compressing the path.
@@ -202,181 +264,273 @@ impl DTree<'_> {
         Ok(())
     }
 
-    /// Absorb `clauses` (the root or a Shannon child), then evaluate them.
-    fn absorbed(&mut self, clauses: Vec<u32>, depth: usize) -> Step<f64> {
-        match self.absorb(clauses)? {
-            Some(kept) => self.node(&kept, depth),
-            None => self.enter(depth).map(|()| {
-                self.stats.leaves += 1;
-                1.0
-            }),
-        }
+    /// A `true` leaf at `depth`.
+    fn verum(&mut self, depth: usize) -> Step<f64> {
+        self.enter(depth)?;
+        self.stats.leaves += 1;
+        Ok(1.0)
     }
 
-    /// Evaluate a node whose clauses are absorbed and none of them `true`.
-    fn node(&mut self, clauses: &[u32], depth: usize) -> Step<f64> {
+    /// The root: absorbed, then evaluated.
+    fn root(&mut self) -> Step<f64> {
+        if !self.absorb(0)? {
+            return self.verum(1);
+        }
+        self.node(0, self.s.clauses.len(), 1, false)
+    }
+
+    /// Evaluate the node `clauses[lo..hi]`, absorbed and none of them
+    /// `true`; `connected` when it is known not to split.
+    fn node(&mut self, lo: usize, hi: usize, depth: usize, connected: bool) -> Step<f64> {
         self.enter(depth)?;
         let lineage = self.lineage;
-        if let [] | [_] = clauses {
+        if hi - lo <= 1 {
             self.stats.leaves += 1;
-            let product = |&c| live(lineage, &self.fixed, c).fold(1.0, |p, l| p * lineage.prob(l));
-            return Ok(clauses.first().map_or(0.0, product));
+            let product = |&c| self.s.live(c).iter().fold(1.0, |p, &l| p * lineage.prob(l));
+            return Ok(self.s.clauses[lo..hi].first().map_or(0.0, product));
         }
-        if let Some((ends, order)) = self.components(clauses) {
-            self.stats.decompositions += 1;
-            let mut none = 1.0;
-            let mut start = 0;
-            for end in ends {
-                none *= 1.0 - self.node(&order[start..end], depth + 1)?;
-                start = end;
+        let (x, count) = self.choose_var(lo, hi);
+        if !connected && count < hi - lo {
+            let (base, first) = (self.s.clauses.len(), self.s.ends.len());
+            if self.partition(lo, hi) {
+                self.stats.decompositions += 1;
+                let mut none = 1.0;
+                let mut start = base;
+                for k in first..self.s.ends.len() {
+                    let end = self.s.ends[k];
+                    none *= 1.0 - self.node(start, end, depth + 1, true)?;
+                    start = end;
+                }
+                self.s.clauses.truncate(base);
+                self.s.ends.truncate(first);
+                return Ok(1.0 - none);
             }
-            return Ok(1.0 - none);
         }
         self.stats.eliminations += 1;
-        let x = self.choose_var(clauses);
         let mut total = 0.0;
         for (alt, &p_alt) in lineage.distribution(x).iter().enumerate() {
             if p_alt == 0.0 {
                 continue;
             }
-            let alt = alt as u16;
-            let child = clauses
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    lineage
-                        .clause(c as usize)
-                        .iter()
-                        .all(|&(v, a)| v != x || a == alt)
-                })
-                .collect();
-            self.fixed[x as usize] = alt;
-            let p = self.absorbed(child, depth + 1);
-            self.fixed[x as usize] = FREE;
+            let (top, arena) = (self.s.clauses.len(), self.s.lits.len());
+            let p = match self.shannon(lo, hi, x, alt as u16)? {
+                false => self.verum(depth + 1),
+                true => self.node(top, self.s.clauses.len(), depth + 1, false),
+            };
+            self.s.clauses.truncate(top);
+            self.s.lits.truncate(arena);
             total += p_alt * p?;
         }
         Ok(total)
     }
 
-    /// Absorption (see the module docs): `None` when a clause has no live
-    /// literal (the node is `true`), else the surviving clauses in sort
-    /// order.
-    fn absorb(&mut self, mut clauses: Vec<u32>) -> Step<Option<Vec<u32>>> {
-        let (lineage, fixed, limit) = (self.lineage, &self.fixed[..], self.limit);
-        let (mut shortest, mut longest) = (u32::MAX, 0);
-        for &c in &clauses {
-            let mut lits = live(lineage, fixed, c);
-            let Some(first) = lits.next() else {
-                return Ok(None);
+    /// Push the Shannon child of `clauses[lo..hi]` on `x = alt` and absorb
+    /// it if it needs to be (see the module docs): `false` when it is
+    /// `true`.
+    fn shannon(&mut self, lo: usize, hi: usize, x: u32, alt: u16) -> Step<bool> {
+        let top = self.s.clauses.len();
+        let (mut shortened, mut untouched) = (false, false);
+        for i in lo..hi {
+            let c = self.s.clauses[i];
+            let live = self.s.live(c);
+            let k = live.iter().position(|&(v, _)| v >= x).unwrap_or(live.len());
+            let child = match live.get(k) {
+                Some(&(v, a)) if v == x => {
+                    if a != alt {
+                        continue;
+                    }
+                    if c.len == 1 {
+                        return Ok(false);
+                    }
+                    shortened = true;
+                    let len = c.len - 1;
+                    match k as u32 {
+                        0 => Clause {
+                            start: c.start + 1,
+                            len,
+                        },
+                        k if k == len => Clause {
+                            start: c.start,
+                            len,
+                        },
+                        k => {
+                            let start = self.s.lits.len() as u32;
+                            let (head, tail) = (c.start as usize, (c.start + k) as usize);
+                            self.s.lits.extend_from_within(head..tail);
+                            self.s.lits.extend_from_within(tail + 1..c.range().end);
+                            Clause { start, len }
+                        }
+                    }
+                }
+                _ => {
+                    untouched = true;
+                    c
+                }
             };
-            let len = 1 + lits.count() as u32;
-            self.key[c as usize] = (first, len);
-            (shortest, longest) = (shortest.min(len), longest.max(len));
+            self.s.clauses.push(child);
         }
-        let (key, ticker) = (&self.key[..], &mut self.ticker);
-        let cmp = |&a: &u32, &b: &u32| {
-            key[a as usize]
-                .cmp(&key[b as usize])
-                .then_with(|| live(lineage, fixed, a).cmp(live(lineage, fixed, b)))
+        if shortened && untouched {
+            self.absorb(top)?;
+        }
+        Ok(true)
+    }
+
+    /// Absorb the clauses on the stack from `lo` up (see the module
+    /// docs): `false` when one has no live literal (the node is `true`),
+    /// else the survivors stay, in sort order.
+    fn absorb(&mut self, lo: usize) -> Step<bool> {
+        let DTreeScratch {
+            lits,
+            clauses,
+            keep,
+            ..
+        } = &mut *self.s;
+        if clauses[lo..].iter().any(|c| c.len == 0) {
+            return Ok(false);
+        }
+        let lits = &lits[..];
+        let order = |a: &Clause, b: &Clause| {
+            let (la, lb) = (&lits[a.range()], &lits[b.range()]);
+            (la[0], a.len).cmp(&(lb[0], b.len)).then_with(|| la.cmp(lb))
         };
-        clauses.sort_unstable_by(cmp);
-        clauses.dedup_by(|a, b| cmp(a, b).is_eq());
-        debug_assert!(clauses.windows(2).all(|w| cmp(&w[0], &w[1]).is_lt()));
-        if shortest == longest {
-            return Ok(Some(clauses));
+        // Members often arrive in this order already, distinct.
+        if !clauses[lo..].is_sorted_by(|a, b| order(a, b).is_lt()) {
+            clauses[lo..].sort_unstable_by(order);
+            let mut kept = lo;
+            for i in lo..clauses.len() {
+                if kept == lo || order(&clauses[kept - 1], &clauses[i]).is_ne() {
+                    clauses[kept] = clauses[i];
+                    kept += 1;
+                }
+            }
+            clauses.truncate(kept);
         }
-        let mut keep = vec![true; clauses.len()];
-        for (i, &c) in clauses.iter().enumerate() {
-            let len = key[c as usize].1;
-            'lits: for lit in live(lineage, fixed, c) {
-                let lo = clauses.partition_point(|&d| key[d as usize].0 < lit);
-                let hi = clauses.partition_point(|&d| key[d as usize] < (lit, len));
-                for &d in &clauses[lo..hi] {
-                    ticker.tick().map_err(|g| halt(g, limit))?;
-                    let mut sup = live(lineage, fixed, c);
-                    if live(lineage, fixed, d).all(|l| sup.find(|m| m.0 >= l.0) == Some(l)) {
+        let node = &clauses[lo..];
+        let (shortest, longest) = node
+            .iter()
+            .fold((u32::MAX, 0), |(s, l), c| (s.min(c.len), l.max(c.len)));
+        if shortest == longest {
+            return Ok(true);
+        }
+        keep.clear();
+        keep.resize(node.len(), true);
+        let first = |d: &Clause| lits[d.start as usize];
+        for (i, &c) in node.iter().enumerate() {
+            'lits: for &lit in &lits[c.range()] {
+                let from = node.partition_point(|d| first(d) < lit);
+                let to = node.partition_point(|d| (first(d), d.len) < (lit, c.len));
+                for d in &node[from..to] {
+                    self.ticker.tick().map_err(|g| halt(g, self.limit))?;
+                    let mut sup = lits[c.range()].iter();
+                    if lits[d.range()]
+                        .iter()
+                        .all(|l| sup.find(|m| m.0 >= l.0) == Some(l))
+                    {
                         keep[i] = false;
                         break 'lits;
                     }
                 }
             }
         }
-        let mut keep = keep.into_iter();
-        clauses.retain(|_| keep.next() == Some(true));
-        Ok(Some(clauses))
+        let mut kept = lo;
+        for i in lo..clauses.len() {
+            if keep[i - lo] {
+                clauses[kept] = clauses[i];
+                kept += 1;
+            }
+        }
+        clauses.truncate(kept);
+        Ok(true)
     }
 
-    /// Split a node's clauses into the connected components of the
-    /// clause–variable graph: the clause indices component by component,
-    /// smallest variable first, and where each component ends. `None`
-    /// when the node is connected.
-    fn components(&mut self, clauses: &[u32]) -> Option<(Vec<usize>, Vec<u32>)> {
-        self.epoch += 1;
-        let (lineage, fixed, epoch) = (self.lineage, &self.fixed[..], self.epoch);
-        let (stamp, slot, parent) = (&mut self.stamp, &mut self.slot, &mut self.parent);
-        let n = clauses.len() as u32;
-        parent.clear();
-        parent.extend(0..n);
-        for (i, &c) in (0..n).zip(clauses) {
-            for (v, _) in live(lineage, fixed, c) {
+    /// Split the node `clauses[lo..hi]` into the connected components of
+    /// the clause–variable graph: push its clauses part by part, smallest
+    /// variable first, and where each part ends. `false` (and nothing
+    /// pushed) when the node is connected.
+    fn partition(&mut self, lo: usize, hi: usize) -> bool {
+        let s = &mut *self.s;
+        s.epoch += 1;
+        let n = hi - lo;
+        s.parent.clear();
+        s.parent.extend(0..n as u32);
+        for (i, &c) in (0..n as u32).zip(&s.clauses[lo..hi]) {
+            for &(v, _) in &s.lits[c.range()] {
                 let v = v as usize;
-                if stamp[v] == epoch {
-                    let (ri, rj) = (find(parent, i), find(parent, slot[v]));
-                    parent[ri as usize] = rj;
+                if s.stamp[v] == s.epoch {
+                    let (ri, rj) = (find(&mut s.parent, i), find(&mut s.parent, s.slot[v]));
+                    s.parent[ri as usize] = rj;
                 } else {
-                    stamp[v] = epoch;
-                    slot[v] = i;
+                    s.stamp[v] = s.epoch;
+                    s.slot[v] = i;
                 }
             }
         }
         // After this pass every clause's parent is its root.
-        if (0..n).filter(|&i| find(parent, i) == i).count() == 1 {
-            return None;
+        let roots = (0..n as u32)
+            .filter(|&i| find(&mut s.parent, i) == i)
+            .count();
+        if roots == 1 {
+            return false;
         }
-        // A component's smallest variable — its clauses' smallest first
-        // live variable, per root in `low` — is unique to it: sort by it.
-        let mut low = vec![u32::MAX; n as usize];
-        for (i, &c) in clauses.iter().enumerate() {
-            let first = live(lineage, fixed, c)
-                .next()
-                .expect("absorbed clauses are not true")
-                .0;
-            let r = parent[i] as usize;
-            low[r] = low[r].min(first);
+        // A part's smallest variable — its clauses' smallest first live
+        // variable, per root in `low` — is unique to it: order by it.
+        s.low.clear();
+        s.low.resize(n, u32::MAX);
+        for (i, c) in s.clauses[lo..hi].iter().enumerate() {
+            let r = s.parent[i] as usize;
+            s.low[r] = s.low[r].min(s.lits[c.start as usize].0);
         }
-        let mut order: Vec<(u32, u32)> = clauses
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (low[parent[i] as usize], c))
-            .collect();
-        order.sort_unstable();
-        let ends =
-            (1..=order.len()).filter(|&k| order.get(k).is_none_or(|o| o.0 != order[k - 1].0));
-        Some((ends.collect(), order.into_iter().map(|(_, c)| c).collect()))
+        s.parts.clear();
+        s.parts.extend(
+            (0..n as u32)
+                .filter(|&i| s.parent[i as usize] == i)
+                .map(|r| (s.low[r as usize], r)),
+        );
+        s.parts.sort_unstable();
+        for (k, part) in s.parts.iter_mut().enumerate() {
+            s.low[part.1 as usize] = k as u32;
+            part.0 = 0;
+        }
+        for &r in &s.parent {
+            s.parts[s.low[r as usize] as usize].0 += 1;
+        }
+        let mut end = s.clauses.len();
+        for part in &mut s.parts {
+            (part.0, end) = (end as u32, end + part.0 as usize);
+            s.ends.push(end);
+        }
+        s.clauses.resize(end, Clause::default());
+        for i in 0..n {
+            let part = &mut s.parts[s.low[s.parent[i] as usize] as usize];
+            s.clauses[part.0 as usize] = s.clauses[lo + i];
+            part.0 += 1;
+        }
+        true
     }
 
-    /// The elimination variable: the one in the most clauses, ties to the
+    /// The elimination variable of `clauses[lo..hi]` and the number of
+    /// clauses it is in: the variable in the most clauses, ties to the
     /// smallest id.
-    fn choose_var(&mut self, clauses: &[u32]) -> u32 {
-        self.epoch += 1;
-        let (lineage, fixed, epoch) = (self.lineage, &self.fixed[..], self.epoch);
-        let (stamp, slot) = (&mut self.stamp, &mut self.slot);
-        let mut best: Option<u32> = None;
-        for &c in clauses {
-            for (v, _) in live(lineage, fixed, c) {
+    fn choose_var(&mut self, lo: usize, hi: usize) -> (u32, usize) {
+        let s = &mut *self.s;
+        s.epoch += 1;
+        // The leader and its count; a node with two clauses, none true,
+        // mentions a variable, so the count ends above 0.
+        let mut best = (0, Reverse(u32::MAX));
+        for &c in &s.clauses[lo..hi] {
+            for &(v, _) in &s.lits[c.range()] {
                 let vi = v as usize;
-                if stamp[vi] != epoch {
-                    stamp[vi] = epoch;
-                    slot[vi] = 0;
+                if s.stamp[vi] != s.epoch {
+                    s.stamp[vi] = s.epoch;
+                    s.slot[vi] = 0;
                 }
-                slot[vi] += 1;
+                s.slot[vi] += 1;
                 // Only `v`'s count moved, so the leader is `v` or unchanged.
-                if best.is_none_or(|b| (slot[vi], Reverse(v)) > (slot[b as usize], Reverse(b))) {
-                    best = Some(v);
-                }
+                best = best.max((s.slot[vi], Reverse(v)));
             }
         }
-        best.expect("a node with two clauses, none true, mentions a variable")
+        let (count, Reverse(x)) = best;
+        (x, count as usize)
     }
 }
 

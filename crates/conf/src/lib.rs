@@ -38,17 +38,27 @@
 //!
 //! `B` is a node count with no setting, so answers are bit-identical at any
 //! thread count. [`confidence_with_effort`] runs steps 2–3 on a [`Dnf`].
-//! A call's one [`ConfEffort`] is written once, to the metrics registry,
-//! the `conf` span and the statement's `QueryStats`.
+//! A call's one [`ConfEffort`] sets the `conf` span's attributes and is
+//! added to its [`ConfScratch`]'s tally, which the scratch writes to the
+//! metrics registry and the statement's `QueryStats` once, when dropped.
 //!
-//! # Compile once
+//! # Compile once, into one scratch
 //!
 //! A `conf` / `aconf` call compiles its group's lineage once into a
-//! `dnf::CompiledLineage`. The d-tree recurses over clause-index lists of
-//! it; the Karp–Luby sampler adds CDFs and draws every sample from it
-//! without allocating or touching the world table, and DKLR
-//! ([`dklr::approximate_seeded`]) pulls samples from a seeded batch
-//! stream only as it needs them.
+//! `dnf::CompiledLineage`: `conf()` in member order, since the d-tree's
+//! answer is a function of the clause set, and `aconf()` in sorted `Dnf`
+//! order, which its budget and sampler read. The d-tree walks ranges of
+//! one clause stack and one literal arena over it; the Karp–Luby sampler
+//! adds CDFs and draws every sample from it without allocating or
+//! touching the world table, and DKLR ([`dklr::approximate_seeded`])
+//! pulls samples from a seeded batch stream only as it needs them.
+//!
+//! The compiled lineage, the d-tree's stacks and its per-variable slots
+//! live in a [`ConfScratch`] that the caller passes in: a statement's
+//! groups reuse one per loop or fan-out chunk, so a call allocates only
+//! when it outgrows every earlier one. A call never reads what an
+//! earlier one left there — not after a spent `aconf` budget, not after
+//! a governor abort.
 //!
 //! # Parallelism and determinism
 //!
@@ -71,8 +81,6 @@ pub mod dnf;
 pub mod exact;
 pub mod karp_luby;
 pub mod naive;
-
-use std::collections::HashSet;
 
 use maybms_obs::trace::Span;
 use maybms_obs::QueryStats;
@@ -177,33 +185,12 @@ impl ConfEffort {
         })
     }
 
-    /// End a call — the one place its effort leaves this crate: add it to
-    /// the metrics registry and to the statement's [`QueryStats`] if any,
-    /// and set the `conf` span's attributes, three copies of one record.
-    fn finish(self, mut span: Span, stats: Option<&QueryStats>) -> ConfEffort {
-        let m = maybms_obs::metrics();
-        m.dnf_clauses.add(self.dnf_clauses);
-        m.dtree_nodes.add(self.dtree_nodes);
-        m.mc_samples.add(self.samples);
-        m.mc_batches.add(self.batches);
-        m.gov_degraded_conf.add(self.cut_batch.is_some() as u64);
-        if let Some(qs) = stats {
-            qs.conf_calls.inc();
-            qs.answered[self.estimator as usize].inc();
-            qs.dnf_clauses.add(self.dnf_clauses);
-            qs.dtree_nodes.add(self.dtree_nodes);
-            qs.samples.add(self.samples);
-            qs.samples_drawn.add(self.samples_drawn);
-            qs.sample_batches.add(self.batches);
-            qs.record_rel_stderr(self.rel_stderr);
-            qs.degraded_conf.add(self.cut_batch.is_some() as u64);
-            if self.epsilon > 0.0 {
-                qs.record_requested(self.epsilon, self.delta);
-                qs.max_budget.set_max(self.budget);
-                qs.aconf_exact
-                    .add((self.estimator != Estimator::Sampler) as u64);
-            }
-        }
+    /// End a call — the one place its effort leaves this crate: set the
+    /// `conf` span's attributes and add it to `tally`, which its scratch
+    /// writes to the metrics registry and the statement's [`QueryStats`]
+    /// once, when it is dropped.
+    fn finish(self, mut span: Span, tally: &mut Tally) -> ConfEffort {
+        tally.add(&self);
         span.attr("method", self.estimator.method());
         span.attr("dnf_clauses", self.dnf_clauses);
         span.attr("dtree_nodes", self.dtree_nodes);
@@ -225,35 +212,206 @@ impl ConfEffort {
     }
 }
 
+/// The summed efforts of a scratch's calls, not yet written out: sums,
+/// maxima (of finite values, as [`QueryStats::record_rel_stderr`] keeps
+/// them) and the tightest `(ε, δ)` — all the registry and [`QueryStats`]
+/// keep of them.
+#[derive(Debug, Default)]
+struct Tally {
+    calls: u64,
+    answered: [u64; 3],
+    dnf_clauses: u64,
+    dtree_nodes: u64,
+    samples: u64,
+    samples_drawn: u64,
+    batches: u64,
+    degraded: u64,
+    max_rel_stderr: f64,
+    requested: Option<(f64, f64)>,
+    max_budget: u64,
+    aconf_exact: u64,
+}
+
+impl Tally {
+    fn add(&mut self, e: &ConfEffort) {
+        self.calls += 1;
+        self.answered[e.estimator as usize] += 1;
+        self.dnf_clauses += e.dnf_clauses;
+        self.dtree_nodes += e.dtree_nodes;
+        self.samples += e.samples;
+        self.samples_drawn += e.samples_drawn;
+        self.batches += e.batches;
+        self.degraded += e.cut_batch.is_some() as u64;
+        if e.rel_stderr.is_finite() {
+            self.max_rel_stderr = self.max_rel_stderr.max(e.rel_stderr);
+        }
+        if e.epsilon > 0.0 {
+            let (eps, delta) = self.requested.unwrap_or((e.epsilon, e.delta));
+            self.requested = Some((eps.min(e.epsilon), delta.min(e.delta)));
+            self.max_budget = self.max_budget.max(e.budget);
+            self.aconf_exact += (e.estimator != Estimator::Sampler) as u64;
+        }
+    }
+
+    /// Add the calls to the registry and to `stats` if any, and start
+    /// over.
+    fn flush(&mut self, stats: Option<&QueryStats>) {
+        if self.calls == 0 {
+            return;
+        }
+        let m = maybms_obs::metrics();
+        m.dnf_clauses.add(self.dnf_clauses);
+        m.dtree_nodes.add(self.dtree_nodes);
+        m.mc_samples.add(self.samples);
+        m.mc_batches.add(self.batches);
+        m.gov_degraded_conf.add(self.degraded);
+        if let Some(qs) = stats {
+            qs.conf_calls.add(self.calls);
+            for (counter, &n) in qs.answered.iter().zip(&self.answered) {
+                counter.add(n);
+            }
+            qs.dnf_clauses.add(self.dnf_clauses);
+            qs.dtree_nodes.add(self.dtree_nodes);
+            qs.samples.add(self.samples);
+            qs.samples_drawn.add(self.samples_drawn);
+            qs.sample_batches.add(self.batches);
+            qs.record_rel_stderr(self.max_rel_stderr);
+            qs.degraded_conf.add(self.degraded);
+            if let Some((epsilon, delta)) = self.requested {
+                qs.record_requested(epsilon, delta);
+                qs.max_budget.set_max(self.max_budget);
+                qs.aconf_exact.add(self.aconf_exact);
+            }
+        }
+        *self = Tally::default();
+    }
+}
+
+/// The reusable state of a run of confidence calls on one thread — a
+/// statement's groups, or one fan-out chunk of them: the compiled
+/// lineage's buffers, the d-tree's stacks and slots, and the calls'
+/// tally. Reuse changes no answer: each call starts from its own
+/// lineage. Dropping it writes the calls' effort to the metrics registry
+/// and to the [`QueryStats`] it was made for, so each shared counter is
+/// written once per scratch, not once per call.
+pub struct ConfScratch<'s> {
+    stats: Option<&'s QueryStats>,
+    tally: Tally,
+    lineage: CompiledLineage,
+    ids: dnf::VarIds,
+    /// An `aconf()` call's members in `Dnf` order.
+    order: Vec<u32>,
+    tree: exact::DTreeScratch,
+}
+
+impl<'s> ConfScratch<'s> {
+    /// A scratch whose calls are recorded on `stats` (and the registry).
+    pub fn new(stats: &'s QueryStats) -> ConfScratch<'s> {
+        ConfScratch::recording(Some(stats))
+    }
+
+    /// A scratch whose calls are recorded on the registry and on `stats`
+    /// if any.
+    fn recording(stats: Option<&'s QueryStats>) -> ConfScratch<'s> {
+        ConfScratch {
+            stats,
+            tally: Tally::default(),
+            lineage: CompiledLineage::default(),
+            ids: dnf::VarIds::default(),
+            order: Vec::new(),
+            tree: exact::DTreeScratch::default(),
+        }
+    }
+
+    /// Steps 2–3 of the cascade over the compiled lineage: the d-tree,
+    /// within its budget for `aconf`, then the sampler if it ran out.
+    /// `effort` holds the call's request and clause count.
+    fn cascade(&mut self, method: ConfMethod, effort: &mut ConfEffort) -> Result<f64> {
+        effort.estimator = Estimator::DTree;
+        let options = DklrOptions::new(effort.epsilon, effort.delta);
+        let lineage = &self.lineage;
+        let limit = match method {
+            ConfMethod::Exact => usize::MAX,
+            ConfMethod::Approx { .. } => options.node_budget(
+                (0..lineage.num_clauses())
+                    .map(|i| lineage.clause_prob(i))
+                    .sum(),
+            ),
+        };
+        let (p, stats) = exact::bounded(lineage, limit, &mut self.tree)?;
+        effort.dtree_nodes = stats.nodes() as u64;
+        effort.budget = if limit == usize::MAX { 0 } else { limit as u64 };
+        let (None, ConfMethod::Approx { seed, .. }) = (p, method) else {
+            return Ok(p.expect("an unbounded d-tree always answers"));
+        };
+        let sampler = KarpLuby::compiled(std::mem::take(&mut self.lineage));
+        let a = dklr::approximate_seeded(&sampler, &options, seed)?;
+        effort.estimator = Estimator::Sampler;
+        (effort.samples, effort.samples_drawn, effort.batches) = (a.samples, a.drawn, a.batches);
+        (effort.rel_stderr, effort.cut_batch) = (a.rel_stderr, a.cut_batch);
+        Ok(a.estimate)
+    }
+}
+
+impl Drop for ConfScratch<'_> {
+    fn drop(&mut self) {
+        self.tally.flush(self.stats);
+    }
+}
+
 /// The probability of a group's lineage — its member tuples' WSDs — by the
 /// estimator cascade (see the crate docs), plus the call's effort, also
-/// added to `stats` and the registry and set on the call's `conf` span.
-pub fn lineage_confidence<'a>(
-    lineage: impl Iterator<Item = &'a Wsd> + Clone,
+/// set on the call's `conf` span and added to `scratch`'s tally. `conf()`
+/// compiles the members in the order given: the d-tree's answer is a
+/// function of the clause set. `aconf()` compiles them in `Dnf` order,
+/// which its node budget and sampler read.
+pub fn lineage_confidence(
+    members: &[Wsd],
     wt: &WorldTable,
     method: ConfMethod,
-    stats: &QueryStats,
+    scratch: &mut ConfScratch<'_>,
 ) -> Result<(f64, ConfEffort)> {
     let span = maybms_obs::trace::span("conf");
-    let (p, effort) = if independent(lineage.clone()) {
-        let mut effort = ConfEffort::requested(method)?;
+    let mut effort = ConfEffort {
+        dnf_clauses: members.len() as u64,
+        ..ConfEffort::requested(method)?
+    };
+    let p = if independent(members, &mut scratch.ids) {
         let mut none = 1.0;
-        for wsd in lineage {
-            effort.dnf_clauses += 1;
+        for wsd in members {
             none *= 1.0 - wsd.prob(wt)?;
         }
-        (1.0 - none, effort)
+        1.0 - none
     } else {
-        cascade(&Dnf::from_wsds(lineage), wt, method)?
+        let s = &mut *scratch;
+        match method {
+            ConfMethod::Exact => s.lineage.compile(members, wt, &mut s.ids)?,
+            ConfMethod::Approx { .. } => {
+                s.order.clear();
+                s.order.extend(0..members.len() as u32);
+                s.order
+                    .sort_unstable_by(|&a, &b| members[a as usize].cmp(&members[b as usize]));
+                let sorted = s.order.iter().map(|&i| &members[i as usize]);
+                s.lineage.compile(sorted, wt, &mut s.ids)?
+            }
+        }
+        s.cascade(method, &mut effort)?
     };
-    Ok((p, effort.finish(span, Some(stats))))
+    Ok((p, effort.finish(span, &mut scratch.tally)))
 }
 
 /// Is this lineage tuple-independent — every member at most one
-/// assignment, no variable in two members?
-fn independent<'a>(mut lineage: impl Iterator<Item = &'a Wsd>) -> bool {
-    let mut seen = HashSet::new();
-    lineage.all(|wsd| wsd.len() <= 1 && wsd.vars().all(|v| seen.insert(v)))
+/// assignment, no variable in two members? (`ids` is scratch.)
+fn independent(members: &[Wsd], ids: &mut dnf::VarIds) -> bool {
+    if members.iter().any(|w| w.len() > 1) {
+        return false;
+    }
+    ids.begin();
+    members.iter().flat_map(Wsd::vars).all(|v| {
+        let seen = ids.seen.len();
+        ids.id(v.0);
+        ids.seen.len() > seen
+    })
 }
 
 /// The probability of a DNF lineage event by steps 2–3 of the cascade, on
@@ -265,51 +423,15 @@ pub fn confidence_with_effort(
     method: ConfMethod,
 ) -> Result<(f64, ConfEffort)> {
     let span = maybms_obs::trace::span("conf");
-    let (p, effort) = cascade(dnf, wt, method)?;
-    Ok((p, effort.finish(span, None)))
-}
-
-/// Steps 2–3 of the cascade: the d-tree, within its budget for `aconf`,
-/// then the sampler over the same compiled lineage if it ran out.
-fn cascade(dnf: &Dnf, wt: &WorldTable, method: ConfMethod) -> Result<(f64, ConfEffort)> {
-    let requested = ConfEffort::requested(method)?;
     let mut effort = ConfEffort {
-        estimator: Estimator::DTree,
         dnf_clauses: dnf.len() as u64,
-        ..requested
+        ..ConfEffort::requested(method)?
     };
-    let lineage = CompiledLineage::new(dnf, wt)?;
-    let options = DklrOptions::new(effort.epsilon, effort.delta);
-    let limit = match method {
-        ConfMethod::Exact => usize::MAX,
-        ConfMethod::Approx { .. } => options.node_budget(
-            (0..lineage.num_clauses())
-                .map(|i| lineage.clause_prob(i))
-                .sum(),
-        ),
-    };
-    let (p, stats) = exact::bounded(&lineage, limit)?;
-    effort.dtree_nodes = stats.nodes() as u64;
-    effort.budget = if limit == usize::MAX { 0 } else { limit as u64 };
-    let (None, ConfMethod::Approx { seed, .. }) = (p, method) else {
-        return Ok((p.expect("an unbounded d-tree always answers"), effort));
-    };
-    let a = dklr::approximate_seeded(&KarpLuby::compiled(lineage), &options, seed)?;
-    let (samples, samples_drawn, batches) = (a.samples, a.drawn, a.batches);
-    let (rel_stderr, cut_batch) = (a.rel_stderr, a.cut_batch);
-    let estimator = Estimator::Sampler;
-    Ok((
-        a.estimate,
-        ConfEffort {
-            estimator,
-            samples,
-            samples_drawn,
-            batches,
-            rel_stderr,
-            cut_batch,
-            ..effort
-        },
-    ))
+    let mut scratch = ConfScratch::recording(None);
+    let s = &mut scratch;
+    s.lineage.compile(dnf.clauses(), wt, &mut s.ids)?;
+    let p = s.cascade(method, &mut effort)?;
+    Ok((p, effort.finish(span, &mut scratch.tally)))
 }
 
 #[cfg(test)]
@@ -329,7 +451,9 @@ mod tests {
 
     /// [`lineage_confidence`] as a statement-less call.
     fn conf(lineage: &[Wsd], wt: &WorldTable, method: ConfMethod) -> (f64, ConfEffort) {
-        lineage_confidence(lineage.iter(), wt, method, &QueryStats::new()).unwrap()
+        let stats = QueryStats::new();
+        let mut scratch = ConfScratch::new(&stats);
+        lineage_confidence(lineage, wt, method, &mut scratch).unwrap()
     }
 
     #[test]
@@ -561,7 +685,9 @@ mod tests {
                 delta,
                 seed: 1,
             };
-            assert!(lineage_confidence(members.iter(), &wt, method, &QueryStats::new()).is_err());
+            let stats = QueryStats::new();
+            let mut scratch = ConfScratch::new(&stats);
+            assert!(lineage_confidence(&members, &wt, method, &mut scratch).is_err());
             assert!(confidence_with_effort(&Dnf::from_wsds(&members), &wt, method).is_err());
         }
     }

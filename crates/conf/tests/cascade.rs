@@ -17,7 +17,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use maybms_conf::dklr::aconf_seeded_report;
-use maybms_conf::{exact, lineage_confidence, ConfEffort, ConfMethod, Dnf, Estimator};
+use maybms_conf::{exact, lineage_confidence, ConfEffort, ConfMethod, ConfScratch, Dnf, Estimator};
 use maybms_engine::EngineError;
 use maybms_gov::{testing, AbortKind, GovError};
 use maybms_obs::QueryStats;
@@ -192,7 +192,9 @@ fn method(i: usize) -> ConfMethod {
 }
 
 fn aconf(case: &Case, method: ConfMethod) -> Result<(f64, ConfEffort)> {
-    lineage_confidence(case.lineage.iter(), &case.wt, method, &QueryStats::new())
+    let stats = QueryStats::new();
+    let mut scratch = ConfScratch::new(&stats);
+    lineage_confidence(&case.lineage, &case.wt, method, &mut scratch)
 }
 
 /// Every case at every accuracy, fanned out over a pool of `threads`:

@@ -1,9 +1,11 @@
 //! Property tests: the exact d-tree algorithm against the enumeration
 //! oracle on random DNFs and against the recorded output of the
-//! recursion it replaced; Karp–Luby statistical sanity.
+//! recursion it replaced, in any member order; Karp–Luby statistical
+//! sanity.
 
 use maybms_conf::exact;
-use maybms_conf::{naive, Dnf};
+use maybms_conf::{lineage_confidence, naive, ConfMethod, ConfScratch, Dnf, Estimator};
+use maybms_obs::QueryStats;
 use maybms_urel::{Assignment, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -217,6 +219,41 @@ fn exact_reproduces_the_recorded_dtree() {
         }
     }
     assert_eq!(digest, RECORDED, "digest {digest:#018x}");
+}
+
+/// `conf()` compiles a group's members in the order they arrive, and the
+/// d-tree's answer and shape are a function of the clause set: members in
+/// any order — duplicates and supersets included — give the sorted
+/// `Dnf`'s probability bits and node count, through one reused scratch.
+/// (Tuple-independent lineage is the member-order product instead.)
+#[test]
+fn conf_is_bit_identical_in_any_member_order() {
+    let mut rng = StdRng::seed_from_u64(40);
+    let stats = QueryStats::new();
+    let mut scratch = ConfScratch::new(&stats);
+    let mut checked = 0;
+    for _ in 0..500 {
+        let (wt, dnf) = seeded_lineage(&mut rng);
+        let (p, s) = exact::probability_with(&dnf, &wt).unwrap();
+        let mut members = dnf.clauses().to_vec();
+        for _ in 0..3 {
+            for i in (1..members.len()).rev() {
+                members.swap(i, rng.gen_range(0..i + 1));
+            }
+            let (q, effort) =
+                lineage_confidence(&members, &wt, ConfMethod::Exact, &mut scratch).unwrap();
+            if effort.estimator == Estimator::Product {
+                continue;
+            }
+            assert_eq!(
+                (q.to_bits(), effort.dtree_nodes),
+                (p.to_bits(), s.nodes() as u64),
+                "{members:?}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 1000, "{checked} d-tree calls");
 }
 
 /// Statistical check of the DKLR (ε, δ) guarantee on a fixed DNF family —

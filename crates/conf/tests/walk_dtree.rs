@@ -1,7 +1,8 @@
 //! The exact d-tree on the lineage shape `conf_exact` spends its time on —
 //! "some player of a random walk ends in state s", 16 three-literal
 //! clauses per player — and on a hierarchical join's lineage, plus the
-//! governor's hold on it. The governor is
+//! governor's hold on it and the reuse of one scratch across calls that
+//! end anywhere in the tree. The governor is
 //! process-global, so this file is its own test binary and its tests
 //! serialise on one lock.
 
@@ -9,9 +10,12 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use maybms_conf::exact::{self, ExactStats};
-use maybms_conf::{confidence_with_effort, ConfMethod, Dnf};
+use maybms_conf::{
+    confidence_with_effort, lineage_confidence, ConfEffort, ConfMethod, ConfScratch, Dnf, Estimator,
+};
 use maybms_engine::EngineError;
 use maybms_gov::{testing, AbortKind, GovError};
+use maybms_obs::QueryStats;
 use maybms_urel::{Assignment, UrelError, Var, WorldTable, Wsd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -236,4 +240,105 @@ fn absorption_checks_the_governor_every_1024_subset_tests() {
     let nodes = (stats.decompositions + stats.eliminations + stats.leaves) as u64;
     assert_eq!(nodes, 2048 + 4, "{stats:?}");
     assert_eq!(ARMED - left, nodes + 2048 / 1024);
+}
+
+/// Random 2-DNF `xᵢ ∧ xⱼ` over 30 variables of probability 0.1: no d-tree
+/// decomposes it within an `aconf` budget, so the attempt stops mid-tree.
+fn dense_2dnf() -> (WorldTable, Vec<Wsd>) {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut wt = WorldTable::new();
+    let x: Vec<Var> = (0..30).map(|_| wt.new_var(&[0.9, 0.1]).unwrap()).collect();
+    let lineage = (0..150)
+        .filter_map(|_| {
+            let (i, j) = (rng.gen_range(0..30usize), rng.gen_range(0..30usize));
+            (i != j).then(|| clause(&[(x[i], 1), (x[j], 1)]))
+        })
+        .collect();
+    (wt, lineage)
+}
+
+/// `members` in a seeded random order.
+fn shuffled(members: &[Wsd], seed: u64) -> Vec<Wsd> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = members.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..i + 1));
+    }
+    out
+}
+
+/// One call on a fresh thread with a fresh scratch.
+fn fresh(wt: &WorldTable, members: &[Wsd], method: ConfMethod) -> (u64, ConfEffort) {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let stats = QueryStats::new();
+            let mut scratch = ConfScratch::new(&stats);
+            let (p, effort) = lineage_confidence(members, wt, method, &mut scratch).unwrap();
+            (p.to_bits(), effort)
+        })
+        .join()
+        .unwrap()
+    })
+}
+
+/// One scratch serves call after call, as a statement's groups use it.
+/// Interleaved on one thread — lineages of 1 280, 4 and 16 clauses, the
+/// 1 280 again in shuffled member order, an `aconf` attempt that spends
+/// its node budget mid-tree, and a governor abort mid-tree — every answer
+/// is a fresh scratch's on a fresh thread, probability bits and effort.
+#[test]
+fn a_reused_scratch_answers_as_a_fresh_one() {
+    let _g = lock();
+    let (wt_big, big, _) = walk_lineage(80, 11);
+    let (wt_walk, walk, _) = walk_lineage(1, 12);
+    let (wt_dense, dense) = dense_2dnf();
+    let big = big.clauses().to_vec();
+    let (four, sixteen) = (walk.clauses()[..4].to_vec(), walk.clauses().to_vec());
+    let big_shuffled = shuffled(&big, 3);
+    let exact = ConfMethod::Exact;
+    let approx = ConfMethod::Approx {
+        epsilon: 0.1,
+        delta: 0.05,
+        seed: 7,
+    };
+    let calls = [
+        (&wt_big, &big, exact),
+        (&wt_walk, &four, exact),
+        (&wt_dense, &dense, approx),
+        (&wt_walk, &sixteen, exact),
+        (&wt_big, &big_shuffled, exact),
+    ];
+    let expected: Vec<_> = calls
+        .iter()
+        .map(|&(wt, m, method)| fresh(wt, m, method))
+        .collect();
+    let spent = expected[2].1;
+    assert_eq!(spent.estimator, Estimator::Sampler, "{spent:?}");
+    assert_eq!(spent.dtree_nodes, spent.budget, "{spent:?}");
+    assert_eq!(expected[4], expected[0], "member order moved conf()");
+    let stats = QueryStats::new();
+    let mut scratch = ConfScratch::new(&stats);
+    for round in 0..3u64 {
+        for (i, &(wt, members, method)) in calls.iter().enumerate() {
+            let (p, effort) = lineage_confidence(members, wt, method, &mut scratch).unwrap();
+            assert_eq!(
+                (p.to_bits(), effort),
+                expected[i],
+                "round {round}, call {i}"
+            );
+        }
+        // A governor abort leaves the scratch's stacks mid-tree.
+        testing::abort_at_checkpoint(100 + round * 300, AbortKind::Cancel);
+        let guard = maybms_gov::begin_statement();
+        let out = lineage_confidence(&big, &wt_big, exact, &mut scratch);
+        drop(guard);
+        testing::clear();
+        assert!(
+            matches!(
+                out,
+                Err(UrelError::Engine(EngineError::Gov(GovError::Cancelled)))
+            ),
+            "round {round}: {out:?}"
+        );
+    }
 }

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use maybms_conf::{lineage_confidence, ConfMethod};
+use maybms_conf::{lineage_confidence, ConfMethod, ConfScratch};
 use maybms_engine::ops::{AggFunc, AggState, ExactSum};
 use maybms_engine::vector::{self, FirstError, KernelCounts};
 use maybms_engine::{
@@ -67,25 +67,22 @@ pub const ACONF_SEED: u64 = 0x5eed;
 
 /// What one group's `conf`/`aconf` slots evaluate with; handed to the row
 /// evaluator by `eval_group_rows`.
-struct ConfSlots<'a> {
+struct ConfSlots<'a, 's> {
     wt: &'a WorldTable,
-    stats: &'a maybms_obs::QueryStats,
+    /// The scratch of the loop or fan-out chunk the group runs in.
+    scratch: &'a mut ConfScratch<'s>,
     /// Seed of the group's previous `aconf` slot.
     seed: u64,
 }
 
-impl ConfSlots<'_> {
+impl ConfSlots<'_, '_> {
     /// The value of a `conf` / `aconf` aggregate over `lineage`; the call
     /// records its effort (estimator, d-tree nodes, samples, achieved
-    /// relative standard error) into the statement's collector itself.
-    /// Everything it adds is an order-independent sum or max, so the
-    /// totals are identical at any thread count even though groups fan
-    /// out.
-    fn eval<'w>(
-        &mut self,
-        spec: &AggSpec,
-        lineage: impl Iterator<Item = &'w Wsd> + Clone,
-    ) -> Result<Value> {
+    /// relative standard error) into its scratch, which adds it to the
+    /// statement's collector when the loop or chunk ends. Everything it
+    /// adds is an order-independent sum or max, so the totals are
+    /// identical at any thread count even though groups fan out.
+    fn eval(&mut self, spec: &AggSpec, lineage: &[Wsd]) -> Result<Value> {
         let method = match spec {
             AggSpec::AConf { epsilon, delta } => {
                 self.seed = self.seed.wrapping_add(1);
@@ -97,16 +94,17 @@ impl ConfSlots<'_> {
             }
             _ => ConfMethod::Exact,
         };
-        let (p, _) = lineage_confidence(lineage, self.wt, method, self.stats)?;
+        let (p, _) = lineage_confidence(lineage, self.wt, method, self.scratch)?;
         Ok(Value::float(p)?)
     }
 }
 
 /// Total lineage clauses at and above which a statement's `conf` /
 /// `aconf` groups fan out even when there are fewer than 8 of them. A
-/// d-tree costs ~300 ns a node and ~1.3 nodes a clause, so 1 024 clauses
-/// are ≈ 0.4 ms of work; below that (4 groups of 32 clauses, say) a loop
-/// is cheaper than waking the pool.
+/// d-tree costs ~130–170 ns a node (`exp_walk` E1b's 1 280-clause group,
+/// 2 vCPUs) and ~1.3 nodes a clause, so 1 024 clauses are ≈ 0.2 ms of
+/// work; below that (4 groups of 32 clauses, say) a loop is cheaper than
+/// waking the pool.
 pub const CONF_FANOUT_MIN_CLAUSES: usize = 1024;
 
 /// Whether a statement's groups fan out to the pool: at least 2 groups,
@@ -140,7 +138,8 @@ pub(crate) fn groups_fan_out(n_groups: usize, lineage: Option<usize>) -> bool {
 ///   loop. The decision is recorded in `stats` for `EXPLAIN ANALYZE`. An
 ///   `aconf` run never fans out below this: batch-level fan-out of its
 ///   sample stream measured a median 0.98× of sequential on two cores and
-///   was removed.
+///   was removed. The loop, and each fan-out chunk, reuses one
+///   [`ConfScratch`] for its groups' calls.
 fn eval_group_rows(
     n_groups: usize,
     lineage: Option<usize>,
@@ -148,15 +147,15 @@ fn eval_group_rows(
     wt: &WorldTable,
     stats: &maybms_obs::QueryStats,
     pool: &ThreadPool,
-    eval_row: impl Fn(usize, &mut ConfSlots<'_>) -> Result<Vec<Value>> + Sync,
+    eval_row: impl Fn(usize, &mut ConfSlots<'_, '_>) -> Result<Vec<Value>> + Sync,
 ) -> Result<Vec<Vec<Value>>> {
     let n_aconf = aggs
         .iter()
         .filter(|(s, _)| matches!(s, AggSpec::AConf { .. }))
         .count() as u64;
-    let row = |g: usize| {
+    let row = |g: usize, scratch: &mut ConfScratch<'_>| {
         let seed = ACONF_SEED.wrapping_add(g as u64 * n_aconf);
-        eval_row(g, &mut ConfSlots { wt, stats, seed })
+        eval_row(g, &mut ConfSlots { wt, scratch, seed })
     };
     let fan_out = groups_fan_out(n_groups, lineage);
     if lineage.is_some() {
@@ -172,14 +171,18 @@ fn eval_group_rows(
         // fan groups out in small chunks and merge rows in group order.
         let chunk = maybms_par::auto_chunk(n_groups, pool.threads(), 1);
         let partials: Vec<Result<Vec<Vec<Value>>>> =
-            pool.par_map_chunks(n_groups, chunk, |range| range.map(&row).collect());
+            pool.par_map_chunks(n_groups, chunk, |range| {
+                let mut scratch = ConfScratch::new(stats);
+                range.map(|g| row(g, &mut scratch)).collect()
+            });
         let mut out = Vec::with_capacity(n_groups);
         for p in partials {
             out.extend(p?);
         }
         Ok(out)
     } else {
-        (0..n_groups).map(row).collect()
+        let mut scratch = ConfScratch::new(stats);
+        (0..n_groups).map(|g| row(g, &mut scratch)).collect()
     }
 }
 
@@ -544,12 +547,12 @@ pub fn aggregate_stream_with(
         return finish_argmax(keys, states, schema, arg);
     }
 
-    let eval_row = |g: usize, conf: &mut ConfSlots<'_>| -> Result<Vec<Value>> {
+    let eval_row = |g: usize, conf: &mut ConfSlots<'_, '_>| -> Result<Vec<Value>> {
         let acc = &states[g];
         let mut row = keys[g].clone();
         for (part, (spec, _)) in acc.parts.iter().zip(aggs) {
             row.push(match part {
-                Partial::Lineage => conf.eval(spec, acc.wsds.iter())?,
+                Partial::Lineage => conf.eval(spec, &acc.wsds)?,
                 Partial::Expect(sum) => Value::float(sum.round())?,
                 Partial::Std(st) => st.finish()?,
                 Partial::ArgMax { .. } => unreachable!("argmax is finished separately"),

@@ -334,14 +334,22 @@ fn run_source(source: &Source, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             let options = RepairKeyOptions {
                 weight: weight.clone(),
             };
-            repair_key_u(&input, key, &options, ctx.wt)?
+            let mut counts = KernelCounts::default();
+            let out = repair_key_u(&input, key, &options, ctx.wt, &mut counts);
+            ctx.stats
+                .record_kernels(counts.batches, counts.scalar_fallbacks);
+            out?
         }
         Source::PickTuples { input, probability } => {
             let input = run_source(input, ctx)?;
             let options = PickTuplesOptions {
                 probability: probability.clone(),
             };
-            pick_tuples_u(&input, &options, ctx.wt)?
+            let mut counts = KernelCounts::default();
+            let out = pick_tuples_u(&input, &options, ctx.wt, &mut counts);
+            ctx.stats
+                .record_kernels(counts.batches, counts.scalar_fallbacks);
+            out?
         }
     })
 }

@@ -7,7 +7,9 @@
 //! from the key columns: dictionary codes through a code map (a vector
 //! unless the dictionary is far larger than the batch, else hashed),
 //! `i64`s through a hash map, NULL through one remembered group, and any
-//! other key shape as `Value` keys built from the key columns alone. No
+//! other key shape by hashing and comparing its cells as
+//! [`ValueRef`](crate::ValueRef)s, exactly as `fast_hash_one(&[Value])`
+//! and `Value` equality would. A key is built only for a new group; no
 //! `Value` row is built.
 //!
 //! Tables merge deterministically ([`GroupTable::merge_in`]): absorbing
@@ -21,7 +23,9 @@ use std::sync::Arc;
 use crate::column::{Column, ColumnBatch, ColumnData, StrDict};
 use crate::error::EngineError;
 use crate::expr::Expr;
-use crate::hash::{fast_hash_one, FastMap};
+use std::hash::{Hash, Hasher};
+
+use crate::hash::{fast_hash_one, FastHasher, FastMap};
 use crate::types::Value;
 use crate::vector::{self, KernelCounts};
 
@@ -113,16 +117,47 @@ impl<A> GroupTable<A> {
 
     /// The index of `key`'s group, opening it on first sight.
     fn group_of(&mut self, key: &[Value], new_state: impl FnOnce() -> A) -> u32 {
-        let h = fast_hash_one(key);
+        let found = |k: &[Value]| k == key;
+        self.group_hashed(fast_hash_one(key), found, || key.to_vec(), new_state)
+    }
+
+    /// The group of row `j` of the key columns `keys`: its cells hashed
+    /// and compared in place, the key built only for a new group.
+    fn group_of_row(
+        &mut self,
+        keys: &[Cow<'_, Column>],
+        j: usize,
+        new_state: impl FnOnce() -> A,
+    ) -> u32 {
+        // What `fast_hash_one(&[Value])` hashes: the length, then each value.
+        let mut h = FastHasher::default();
+        h.write_usize(keys.len());
+        keys.iter().for_each(|c| c.cell(j).hash(&mut h));
+        let found = |k: &[Value]| k.iter().zip(keys).all(|(v, c)| v.view() == c.cell(j));
+        let key = || keys.iter().map(|c| c.value_at(j)).collect();
+        self.group_hashed(h.finish(), found, key, new_state)
+    }
+
+    /// The group in bucket `h` whose key is `found`, else a new group for
+    /// `key()`.
+    fn group_hashed(
+        &mut self,
+        h: u64,
+        found: impl Fn(&[Value]) -> bool,
+        key: impl FnOnce() -> Vec<Value>,
+        new_state: impl FnOnce() -> A,
+    ) -> u32 {
         let bucket = self.buckets.entry(h).or_default();
-        match bucket.iter().find(|&&g| self.keys[g as usize] == key) {
+        match bucket.iter().find(|&&g| found(&self.keys[g as usize])) {
             Some(&g) => g,
             None => {
+                let key = key();
+                debug_assert_eq!(h, fast_hash_one(&key[..]), "{key:?}");
                 let g = self.keys.len() as u32;
                 bucket.push(g);
-                self.keys.push(key.to_vec());
-                self.states.push(new_state());
                 self.charge.add(Self::group_bytes(key.len()));
+                self.keys.push(key);
+                self.states.push(new_state());
                 g
             }
         }
@@ -164,13 +199,7 @@ impl<A> GroupTable<A> {
             [] if n > 0 => return vec![self.group_of(&[], new_state); n],
             [col] => col,
             _ => {
-                // Any other key shape: `Value` keys from the key columns.
-                let mut key = Vec::with_capacity(keys.len());
-                for j in 0..n {
-                    key.clear();
-                    key.extend(keys.iter().map(|c| c.value_at(j)));
-                    ids.push(self.group_of(&key, new_state));
-                }
+                ids.extend((0..n).map(|j| self.group_of_row(keys, j, new_state)));
                 return ids;
             }
         };
@@ -212,7 +241,7 @@ impl<A> GroupTable<A> {
                 (ColumnData::Int(v), KeyCache::Ints(map)) => *map
                     .entry(v[j])
                     .or_insert_with(|| self.group_of(&[Value::Int(v[j])], new_state)),
-                _ => self.group_of(&[col.value_at(j)], new_state),
+                _ => self.group_of_row(keys, j, new_state),
             };
             ids.push(g);
         }

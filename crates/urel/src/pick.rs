@@ -9,6 +9,7 @@
 //! among the 2^n subsets, would be a single variable with a domain
 //! exponential in the table size, so it is intentionally not supported.
 
+use maybms_engine::vector::KernelCounts;
 use maybms_engine::{Expr, Relation};
 
 use crate::error::{Result, UrelError};
@@ -31,7 +32,8 @@ pub fn pick_tuples(
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
-    pick_tuples_u(&URelation::from_certain(input), options, wt)
+    let input = URelation::from_certain(input);
+    pick_tuples_u(&input, options, wt, &mut KernelCounts::default())
 }
 
 /// Apply `pick tuples from R [independently] [with probability e]` to a
@@ -40,11 +42,14 @@ pub fn pick_tuples(
 ///
 /// Probabilities must lie in `[0, 1]`. A tuple with probability 0 exists in
 /// no subset and is dropped; probability 1 keeps the tuple certain without
-/// spending a variable. A failed call leaves `wt` as it found it.
+/// spending a variable. A failed call leaves `wt` as it found it. The
+/// probability expression's kernel batches are counted in `kernels`,
+/// failed or not.
 pub fn pick_tuples_u(
     input: &URelation,
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
+    kernels: &mut KernelCounts,
 ) -> Result<URelation> {
     if !input.is_t_certain() {
         return Err(UrelError::NotTCertain {
@@ -52,7 +57,7 @@ pub fn pick_tuples_u(
         });
     }
     let vars = wt.num_vars();
-    let (sel, wsds) = pick(input, options, wt).inspect_err(|_| wt.truncate(vars))?;
+    let (sel, wsds) = pick(input, options, wt, kernels).inspect_err(|_| wt.truncate(vars))?;
     Ok(input.gather_with(&sel, wsds))
 }
 
@@ -64,12 +69,13 @@ fn pick(
     input: &URelation,
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
+    kernels: &mut KernelCounts,
 ) -> Result<(Vec<usize>, Vec<Wsd>)> {
     let (ps, err) = match &options.probability {
         None => (vec![0.5; input.len()], None),
         Some(e) => {
             let bad = |message| UrelError::BadProbability { message };
-            numbers(e, input, "probability", bad)?
+            numbers(e, input, "probability", bad, kernels)?
         }
     };
     let (mut sel, mut wsds) = (Vec::with_capacity(ps.len()), Vec::with_capacity(ps.len()));
@@ -268,7 +274,12 @@ mod tests {
         let wsds = vec![Wsd::of(x, 1), Wsd::tautology(), Wsd::tautology()];
         let u = URelation::from_certain(&r).gather_with(&[0, 1, 2], wsds);
         assert!(matches!(
-            pick_tuples_u(&u, &PickTuplesOptions::default(), &mut wt),
+            pick_tuples_u(
+                &u,
+                &PickTuplesOptions::default(),
+                &mut wt,
+                &mut KernelCounts::default()
+            ),
             Err(UrelError::NotTCertain { .. })
         ));
     }

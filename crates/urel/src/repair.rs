@@ -35,7 +35,8 @@ pub fn repair_key(
     options: &RepairKeyOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
-    repair_key_u(&URelation::from_certain(input), key_exprs, options, wt)
+    let input = URelation::from_certain(input);
+    repair_key_u(&input, key_exprs, options, wt, &mut KernelCounts::default())
 }
 
 /// `repair key` over a U-relation input, registering fresh variables in
@@ -49,12 +50,14 @@ pub fn repair_key(
 /// weights sum to 0. A failed call leaves `wt` as it found it.
 ///
 /// The output schema equals the input schema (Figure 1: `R2` has the same
-/// data columns as `FT`, plus conditions).
+/// data columns as `FT`, plus conditions). The weight and key
+/// expressions' kernel batches are counted in `kernels`, failed or not.
 pub fn repair_key_u(
     input: &URelation,
     key_exprs: &[Expr],
     options: &RepairKeyOptions,
     wt: &mut WorldTable,
+    kernels: &mut KernelCounts,
 ) -> Result<URelation> {
     if !input.is_t_certain() {
         return Err(UrelError::NotTCertain {
@@ -62,7 +65,8 @@ pub fn repair_key_u(
         });
     }
     let vars = wt.num_vars();
-    let (sel, wsds) = repair(input, key_exprs, options, wt).inspect_err(|_| wt.truncate(vars))?;
+    let (sel, wsds) =
+        repair(input, key_exprs, options, wt, kernels).inspect_err(|_| wt.truncate(vars))?;
     Ok(input.gather_with(&sel, wsds))
 }
 
@@ -73,13 +77,14 @@ fn repair(
     key_exprs: &[Expr],
     options: &RepairKeyOptions,
     wt: &mut WorldTable,
+    kernels: &mut KernelCounts,
 ) -> Result<(Vec<usize>, Vec<Wsd>)> {
     // Weights first: their errors come before any key's.
     let weights = match &options.weight {
         None => vec![1.0; input.len()],
         Some(w) => {
             let bad = |message| UrelError::BadWeight { message };
-            let (ws, err) = numbers(w, input, "weight", bad)?;
+            let (ws, err) = numbers(w, input, "weight", bad, kernels)?;
             if let Some(x) = ws.iter().find(|x| !x.is_finite() || **x < 0.0) {
                 return Err(bad(format!("weight {x} is negative or not finite")));
             }
@@ -92,7 +97,7 @@ fn repair(
         .collect::<std::result::Result<_, EngineError>>()?;
     let mut table = GroupTable::new();
     let batch = input.at_rest().0;
-    let (ids, err) = table.group_batch(&bound, batch, &mut KernelCounts::default(), &|| ());
+    let (ids, err) = table.group_batch(&bound, batch, kernels, &|| ());
     if let Some(e) = err {
         return Err(e.into());
     }
@@ -156,15 +161,17 @@ fn repair(
 /// where it fails to evaluate or is not a number, and that row's error
 /// (`bad` of a message naming the `what` expression). The caller checks
 /// the range of the values before it: the scalar walk's first error.
+/// The evaluation's kernel batches are counted in `kernels`.
 pub(crate) fn numbers(
     e: &Expr,
     input: &URelation,
     what: &str,
     bad: fn(String) -> UrelError,
+    kernels: &mut KernelCounts,
 ) -> Result<(Vec<f64>, Option<UrelError>)> {
     let e = e.bind(input.schema())?;
     let batch = input.at_rest().0;
-    let (col, err) = vector::eval_batch(&e, batch, &mut KernelCounts::default());
+    let (col, err) = vector::eval_batch(&e, batch, kernels);
     let mut xs = Vec::with_capacity(batch.rows());
     for j in 0..err.as_ref().map_or(batch.rows(), |(k, _)| *k) {
         match col.cell(j) {
@@ -468,7 +475,9 @@ mod tests {
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
         let u =
             URelation::from_certain(&r).gather_with(&[0, 1], vec![Wsd::of(x, 0), Wsd::tautology()]);
-        let out = repair_key_u(&u, &[Expr::col("k")], &RepairKeyOptions::default(), &mut wt);
+        let keys = [Expr::col("k")];
+        let counts = &mut KernelCounts::default();
+        let out = repair_key_u(&u, &keys, &RepairKeyOptions::default(), &mut wt, counts);
         assert!(matches!(out, Err(UrelError::NotTCertain { .. })));
     }
 

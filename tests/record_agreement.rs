@@ -5,7 +5,8 @@
 //! stage-less scan, a stage-less GROUP BY a text key, a σ ⋈ γ pipeline
 //! whose batch probe feeds the grouped breaker, a filter-only `UPDATE`
 //! whose zone maps skip most of the table, an `UPDATE` whose one kernel
-//! batch, its `SET` item, runs outside any pipeline,
+//! batch, its `SET` item, runs outside any pipeline, a `repair key` whose
+//! weight and key batches run outside any pipeline too,
 //! a predicate the vector kernels hand back to the scalar evaluator, and
 //! one confidence statement per estimator that can answer it.
 //!
@@ -86,7 +87,7 @@ fn all_by(qs: &QueryStats, answered: &maybms_obs::Counter) -> bool {
     qs.conf_calls.get() > 0 && answered.get() == qs.conf_calls.get()
 }
 
-const STATEMENTS: [Case; 10] = [
+const STATEMENTS: [Case; 11] = [
     (
         "join + group + conf over pick tuples: the d-tree",
         "select a.k, conf() as p from q a, q b where a.k = b.k group by a.k",
@@ -140,6 +141,14 @@ const STATEMENTS: [Case; 10] = [
         "SET item: a kernel batch outside any pipeline",
         "update t set w = w * 2",
         |qs| qs.vector_batches() == 1 && qs.pipelines().iter().all(|p| p.vector_batches.get() == 0),
+    ),
+    (
+        "repair key: its weight and key batches outside any pipeline",
+        "select k, conf() as p from (repair key k in p weight by w) x group by k",
+        |qs| {
+            let piped: u64 = qs.pipelines().iter().map(|p| p.vector_batches.get()).sum();
+            qs.vector_batches() == piped + 2 && all_by(qs, &qs.answered[1])
+        },
     ),
     (
         "scalar fallback",
