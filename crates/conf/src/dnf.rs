@@ -14,11 +14,12 @@
 //! to dense local ids in global-id order, literals flattened to
 //! `(local variable, alternative)` runs, distributions flattened once —
 //! no `Wsd` is cloned and the world table is not read again. A reusable
-//! open-addressing table (`VarIds`) numbers the variables in first-seen
-//! order, one probe a literal; only the distinct variables are then
-//! sorted, and their ranks rename the literals. A call compiles into its
+//! hash map (`VarIds`) numbers the variables in first-seen order, one
+//! lookup a literal; only the distinct variables are then sorted, and
+//! their ranks rename the literals. A call compiles into its
 //! scratch's buffers, so a statement's groups reuse one allocation.
 
+use maybms_engine::hash::FastMap;
 use maybms_urel::{Result, UrelError, Var, WorldTable, Wsd};
 
 /// A DNF over variable assignments: the disjunction of its clauses.
@@ -220,17 +221,11 @@ impl CompiledLineage {
     }
 }
 
-/// Global variable id → first-seen id, for one compile at a time: an
-/// open-addressing table (Fibonacci hashing, linear probing) whose slots
-/// are empty unless stamped with the current epoch, so starting over
-/// clears nothing. It grows when half full.
+/// Global variable id → first-seen id, for one compile at a time, kept
+/// across compiles so a statement's groups reuse one table.
 #[derive(Debug, Default)]
 pub(crate) struct VarIds {
-    /// `(epoch, variable, first-seen id)`.
-    slots: Vec<(u64, u32, u32)>,
-    /// `log2(slots.len())`.
-    bits: u32,
-    epoch: u64,
+    ids: FastMap<u32, u32>,
     /// The variables seen, `(variable, first-seen id)`; in first-seen
     /// order until a compile sorts them.
     pub(crate) seen: Vec<(u32, u32)>,
@@ -241,47 +236,17 @@ pub(crate) struct VarIds {
 impl VarIds {
     /// Forget every variable.
     pub(crate) fn begin(&mut self) {
-        self.epoch += 1;
+        self.ids.clear();
         self.seen.clear();
-        if self.slots.is_empty() {
-            self.resize(6);
-        }
     }
 
     /// `var`'s first-seen id, the next one if it is new.
     pub(crate) fn id(&mut self, var: u32) -> u32 {
-        if 2 * (self.seen.len() + 1) > self.slots.len() {
-            self.resize(self.bits + 1);
-        }
-        let slot = self.probe(var);
-        let entry = &mut self.slots[slot];
-        if entry.0 != self.epoch {
-            *entry = (self.epoch, var, self.seen.len() as u32);
-            self.seen.push((var, entry.2));
-        }
-        entry.2
-    }
-
-    /// The slot holding `var`, or the empty slot where it would go.
-    fn probe(&self, var: u32) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i =
-            (u64::from(var).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize;
-        while self.slots[i].0 == self.epoch && self.slots[i].1 != var {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// A table of `2^bits` slots holding the variables seen so far.
-    fn resize(&mut self, bits: u32) {
-        self.bits = bits;
-        self.slots.clear();
-        self.slots.resize(1 << bits, (0, 0, 0));
-        for &(var, id) in &self.seen {
-            let slot = self.probe(var);
-            self.slots[slot] = (self.epoch, var, id);
-        }
+        let next = self.seen.len() as u32;
+        *self.ids.entry(var).or_insert_with(|| {
+            self.seen.push((var, next));
+            next
+        })
     }
 }
 

@@ -393,7 +393,11 @@ impl DTree<'_> {
             let (la, lb) = (&lits[a.range()], &lits[b.range()]);
             (la[0], a.len).cmp(&(lb[0], b.len)).then_with(|| la.cmp(lb))
         };
-        // Members often arrive in this order already, distinct.
+        // Walk groups arrive in this order, distinct: counted on the
+        // conf_exact and conf_approx benchmark workloads, every absorption
+        // was at the root and found its clauses sorted. Skipping the sort
+        // and the dedup makes a 4- or 16-clause call 1.1–1.5× faster
+        // (exp_walk E1b, interleaved runs).
         if !clauses[lo..].is_sorted_by(|a, b| order(a, b).is_lt()) {
             clauses[lo..].sort_unstable_by(order);
             let mut kept = lo;

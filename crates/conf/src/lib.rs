@@ -39,8 +39,9 @@
 //! `B` is a node count with no setting, so answers are bit-identical at any
 //! thread count. [`confidence_with_effort`] runs steps 2–3 on a [`Dnf`].
 //! A call's one [`ConfEffort`] sets the `conf` span's attributes and is
-//! added to its [`ConfScratch`]'s tally, which the scratch writes to the
-//! metrics registry and the statement's `QueryStats` once, when dropped.
+//! added to its [`ConfScratch`]'s [`ConfTally`] (which owns how calls add
+//! up), and the scratch writes that to the metrics registry and the
+//! statement's `QueryStats` once, when dropped.
 //!
 //! # Compile once, into one scratch
 //!
@@ -83,7 +84,7 @@ pub mod karp_luby;
 pub mod naive;
 
 use maybms_obs::trace::Span;
-use maybms_obs::QueryStats;
+use maybms_obs::{ConfTally, QueryStats};
 use maybms_urel::{Result, WorldTable, Wsd};
 
 use crate::dklr::DklrOptions;
@@ -189,8 +190,24 @@ impl ConfEffort {
     /// `conf` span's attributes and add it to `tally`, which its scratch
     /// writes to the metrics registry and the statement's [`QueryStats`]
     /// once, when it is dropped.
-    fn finish(self, mut span: Span, tally: &mut Tally) -> ConfEffort {
-        tally.add(&self);
+    fn finish(self, mut span: Span, tally: &mut ConfTally) -> ConfEffort {
+        let aconf = self.epsilon > 0.0;
+        let mut answered = [0; 3];
+        answered[self.estimator as usize] = 1;
+        tally.add(&ConfTally {
+            calls: 1,
+            answered,
+            dnf_clauses: self.dnf_clauses,
+            dtree_nodes: self.dtree_nodes,
+            samples: self.samples,
+            samples_drawn: self.samples_drawn,
+            batches: self.batches,
+            degraded: self.cut_batch.is_some() as u64,
+            rel_stderr: self.rel_stderr,
+            requested: aconf.then_some((self.epsilon, self.delta)),
+            budget: self.budget,
+            aconf_exact: (aconf && self.estimator != Estimator::Sampler) as u64,
+        });
         span.attr("method", self.estimator.method());
         span.attr("dnf_clauses", self.dnf_clauses);
         span.attr("dtree_nodes", self.dtree_nodes);
@@ -212,81 +229,6 @@ impl ConfEffort {
     }
 }
 
-/// The summed efforts of a scratch's calls, not yet written out: sums,
-/// maxima (of finite values, as [`QueryStats::record_rel_stderr`] keeps
-/// them) and the tightest `(ε, δ)` — all the registry and [`QueryStats`]
-/// keep of them.
-#[derive(Debug, Default)]
-struct Tally {
-    calls: u64,
-    answered: [u64; 3],
-    dnf_clauses: u64,
-    dtree_nodes: u64,
-    samples: u64,
-    samples_drawn: u64,
-    batches: u64,
-    degraded: u64,
-    max_rel_stderr: f64,
-    requested: Option<(f64, f64)>,
-    max_budget: u64,
-    aconf_exact: u64,
-}
-
-impl Tally {
-    fn add(&mut self, e: &ConfEffort) {
-        self.calls += 1;
-        self.answered[e.estimator as usize] += 1;
-        self.dnf_clauses += e.dnf_clauses;
-        self.dtree_nodes += e.dtree_nodes;
-        self.samples += e.samples;
-        self.samples_drawn += e.samples_drawn;
-        self.batches += e.batches;
-        self.degraded += e.cut_batch.is_some() as u64;
-        if e.rel_stderr.is_finite() {
-            self.max_rel_stderr = self.max_rel_stderr.max(e.rel_stderr);
-        }
-        if e.epsilon > 0.0 {
-            let (eps, delta) = self.requested.unwrap_or((e.epsilon, e.delta));
-            self.requested = Some((eps.min(e.epsilon), delta.min(e.delta)));
-            self.max_budget = self.max_budget.max(e.budget);
-            self.aconf_exact += (e.estimator != Estimator::Sampler) as u64;
-        }
-    }
-
-    /// Add the calls to the registry and to `stats` if any, and start
-    /// over.
-    fn flush(&mut self, stats: Option<&QueryStats>) {
-        if self.calls == 0 {
-            return;
-        }
-        let m = maybms_obs::metrics();
-        m.dnf_clauses.add(self.dnf_clauses);
-        m.dtree_nodes.add(self.dtree_nodes);
-        m.mc_samples.add(self.samples);
-        m.mc_batches.add(self.batches);
-        m.gov_degraded_conf.add(self.degraded);
-        if let Some(qs) = stats {
-            qs.conf_calls.add(self.calls);
-            for (counter, &n) in qs.answered.iter().zip(&self.answered) {
-                counter.add(n);
-            }
-            qs.dnf_clauses.add(self.dnf_clauses);
-            qs.dtree_nodes.add(self.dtree_nodes);
-            qs.samples.add(self.samples);
-            qs.samples_drawn.add(self.samples_drawn);
-            qs.sample_batches.add(self.batches);
-            qs.record_rel_stderr(self.max_rel_stderr);
-            qs.degraded_conf.add(self.degraded);
-            if let Some((epsilon, delta)) = self.requested {
-                qs.record_requested(epsilon, delta);
-                qs.max_budget.set_max(self.max_budget);
-                qs.aconf_exact.add(self.aconf_exact);
-            }
-        }
-        *self = Tally::default();
-    }
-}
-
 /// The reusable state of a run of confidence calls on one thread — a
 /// statement's groups, or one fan-out chunk of them: the compiled
 /// lineage's buffers, the d-tree's stacks and slots, and the calls'
@@ -296,7 +238,7 @@ impl Tally {
 /// written once per scratch, not once per call.
 pub struct ConfScratch<'s> {
     stats: Option<&'s QueryStats>,
-    tally: Tally,
+    tally: ConfTally,
     lineage: CompiledLineage,
     ids: dnf::VarIds,
     /// An `aconf()` call's members in `Dnf` order.
@@ -315,7 +257,7 @@ impl<'s> ConfScratch<'s> {
     fn recording(stats: Option<&'s QueryStats>) -> ConfScratch<'s> {
         ConfScratch {
             stats,
-            tally: Tally::default(),
+            tally: ConfTally::default(),
             lineage: CompiledLineage::default(),
             ids: dnf::VarIds::default(),
             order: Vec::new(),

@@ -928,11 +928,26 @@ impl QueryStats {
         piped + self.kernel_fallbacks.get()
     }
 
-    /// Record one estimator run's relative standard error at stop.
-    pub fn record_rel_stderr(&self, rse: f64) {
-        if rse.is_finite() && rse > 0.0 {
-            self.max_rel_stderr_bits
-                .fetch_max(rse.to_bits(), Ordering::Relaxed);
+    /// Add a run of confidence calls (see [`ConfTally::flush`]).
+    fn record_conf(&self, t: &ConfTally) {
+        self.conf_calls.add(t.calls);
+        for (counter, &n) in self.answered.iter().zip(&t.answered) {
+            counter.add(n);
+        }
+        self.dnf_clauses.add(t.dnf_clauses);
+        self.dtree_nodes.add(t.dtree_nodes);
+        self.samples.add(t.samples);
+        self.samples_drawn.add(t.samples_drawn);
+        self.sample_batches.add(t.batches);
+        self.degraded_conf.add(t.degraded);
+        // A tally's error is 0 or positive, so its bits order like it.
+        self.max_rel_stderr_bits
+            .fetch_max(t.rel_stderr.to_bits(), Ordering::Relaxed);
+        if t.requested.is_some() {
+            let mut r = self.requested.lock().expect("requested (ε, δ) poisoned");
+            *r = tighter(*r, t.requested);
+            self.max_budget.set_max(t.budget);
+            self.aconf_exact.add(t.aconf_exact);
         }
     }
 
@@ -940,12 +955,6 @@ impl QueryStats {
     /// approximate computation ran).
     pub fn max_rel_stderr(&self) -> f64 {
         f64::from_bits(self.max_rel_stderr_bits.load(Ordering::Relaxed))
-    }
-
-    /// Record the `(ε, δ)` one `aconf` call asked for.
-    pub fn record_requested(&self, epsilon: f64, delta: f64) {
-        let mut r = self.requested.lock().expect("requested (ε, δ) poisoned");
-        *r = Some(r.map_or((epsilon, delta), |(e, d)| (e.min(epsilon), d.min(delta))));
     }
 
     /// The tightest requested `(ε, δ)` — what [`QueryStats::max_rel_stderr`]
@@ -990,6 +999,92 @@ impl QueryStats {
             s.push_str(&format!(", {fallbacks} scalar fallback(s)"));
         }
         s
+    }
+}
+
+/// Confidence calls' effort, summed as [`QueryStats`] and the registry
+/// keep it: counts add up, and a tally keeps the worst finite relative
+/// standard error, the tightest requested `(ε, δ)` and the largest node
+/// budget. `maybms-conf` adds each call of a run to one tally
+/// ([`ConfTally::add`]) and writes the run out once
+/// ([`ConfTally::flush`]), so the run writes each shared counter once,
+/// not once a call.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConfTally {
+    /// Calls ([`QueryStats::conf_calls`]).
+    pub calls: u64,
+    /// Of those, the calls each estimator answered
+    /// ([`QueryStats::answered`]).
+    pub answered: [u64; 3],
+    /// DNF clauses submitted.
+    pub dnf_clauses: u64,
+    /// D-tree nodes expanded.
+    pub dtree_nodes: u64,
+    /// Monte Carlo samples consumed.
+    pub samples: u64,
+    /// Monte Carlo samples computed.
+    pub samples_drawn: u64,
+    /// Seeded sample batches consumed.
+    pub batches: u64,
+    /// Estimates a governor deadline cut.
+    pub degraded: u64,
+    /// The worst relative standard error at estimator stop; 0 when no
+    /// call had a finite positive one.
+    pub rel_stderr: f64,
+    /// The tightest `(ε, δ)` an `aconf` call asked for, if any did.
+    pub requested: Option<(f64, f64)>,
+    /// The largest `aconf` node budget.
+    pub budget: u64,
+    /// `aconf()` calls answered exactly ([`QueryStats::aconf_exact`]).
+    pub aconf_exact: u64,
+}
+
+impl ConfTally {
+    /// Add `other`'s calls.
+    pub fn add(&mut self, other: &ConfTally) {
+        self.calls += other.calls;
+        for (n, m) in self.answered.iter_mut().zip(other.answered) {
+            *n += m;
+        }
+        self.dnf_clauses += other.dnf_clauses;
+        self.dtree_nodes += other.dtree_nodes;
+        self.samples += other.samples;
+        self.samples_drawn += other.samples_drawn;
+        self.batches += other.batches;
+        self.degraded += other.degraded;
+        if other.rel_stderr.is_finite() && other.rel_stderr > self.rel_stderr {
+            self.rel_stderr = other.rel_stderr;
+        }
+        self.requested = tighter(self.requested, other.requested);
+        self.budget = self.budget.max(other.budget);
+        self.aconf_exact += other.aconf_exact;
+    }
+
+    /// Write the calls to the metrics registry and to `stats` if any, and
+    /// start over.
+    pub fn flush(&mut self, stats: Option<&QueryStats>) {
+        if self.calls == 0 {
+            return;
+        }
+        let m = metrics();
+        m.dnf_clauses.add(self.dnf_clauses);
+        m.dtree_nodes.add(self.dtree_nodes);
+        m.mc_samples.add(self.samples);
+        m.mc_batches.add(self.batches);
+        m.gov_degraded_conf.add(self.degraded);
+        if let Some(qs) = stats {
+            qs.record_conf(self);
+        }
+        *self = ConfTally::default();
+    }
+}
+
+/// The component-wise tighter of two requested `(ε, δ)`.
+fn tighter(a: Option<(f64, f64)>, b: Option<(f64, f64)>) -> Option<(f64, f64)> {
+    match (a, b) {
+        (Some((e, d)), Some((f, g))) => Some((e.min(f), d.min(g))),
+        (a, None) => a,
+        (None, b) => b,
     }
 }
 
@@ -1204,8 +1299,15 @@ mod tests {
         assert_eq!(qs.scalar_fallbacks(), 1);
         qs.relabel_last_pipeline("hash-join probe side");
         assert!(matches!(&qs.steps()[0], Step::Pipeline(l, _) if l == "hash-join probe side"));
-        qs.record_rel_stderr(0.02);
-        qs.record_rel_stderr(0.01);
+        let mut tally = ConfTally::default();
+        for rel_stderr in [0.02, f64::INFINITY, 0.01] {
+            tally.add(&ConfTally {
+                calls: 1,
+                rel_stderr,
+                ..ConfTally::default()
+            });
+        }
+        tally.flush(Some(&qs));
         assert_eq!(qs.max_rel_stderr(), 0.02);
         let s = qs.summary();
         assert!(
@@ -1213,6 +1315,40 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("1 scalar fallback(s)"), "{s}");
+    }
+
+    #[test]
+    fn a_conf_tally_is_written_as_its_calls_would_be() {
+        let call = |answered: usize, requested, budget, rel_stderr| {
+            let mut t = ConfTally {
+                calls: 1,
+                dtree_nodes: 21,
+                budget,
+                rel_stderr,
+                requested,
+                aconf_exact: (requested.is_some() && answered < 2) as u64,
+                ..ConfTally::default()
+            };
+            t.answered[answered] = 1;
+            t
+        };
+        let mut tally = ConfTally::default();
+        for c in [
+            call(1, None, 0, 0.0),
+            call(1, Some((0.1, 0.01)), 61, 0.0),
+            call(2, Some((0.05, 0.2)), 90, f64::NAN),
+        ] {
+            tally.add(&c);
+        }
+        let qs = QueryStats::new();
+        tally.flush(Some(&qs));
+        tally.flush(Some(&qs));
+        assert_eq!(qs.conf_calls.get(), 3);
+        assert_eq!(qs.answered.each_ref().map(Counter::get), [0, 2, 1]);
+        assert_eq!(qs.dtree_nodes.get(), 63);
+        assert_eq!(qs.requested(), Some((0.05, 0.01)));
+        assert_eq!((qs.max_budget.get(), qs.aconf_exact.get()), (90, 1));
+        assert_eq!(qs.max_rel_stderr(), 0.0);
     }
 
     #[test]
