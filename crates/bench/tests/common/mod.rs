@@ -66,7 +66,7 @@ pub fn check_chain(source: &URelation, steps: &[Step]) {
                 let at = format!("{layout} source, {threads} threads, morsel {morsel}");
                 let got = stream(&src, steps, dict)
                     .expect("chain binds")
-                    .collect_with(&pool, morsel, (&maybms_obs::QueryStats::new(), "test"));
+                    .collect_with(&pool, morsel, &maybms_obs::QueryStats::new());
                 match (&want, got) {
                     (Ok(w), Ok(g)) => {
                         let g: Vec<String> = g

@@ -134,7 +134,7 @@ proptest! {
                             &[Expr::ColumnIdx(0)],
                             &pool,
                             morsel,
-                            (&maybms_obs::QueryStats::new(), "test"),
+                            &maybms_obs::QueryStats::new(),
                             new_states,
                             |sts: &mut [Vec<AggState>], rows: &GroupedBatch<'_>, _: &mut KernelCounts| {
                                 let mut row = Vec::new();

@@ -151,7 +151,7 @@ proptest! {
                     &exprs,
                     &pool,
                     1,
-                    (&QueryStats::new(), "test"),
+                    &QueryStats::new(),
                     Vec::new,
                     |states: &mut [Vec<Tuple>], rows: &GroupedBatch<'_>, _: &mut KernelCounts| {
                         for (j, &g) in rows.groups.iter().enumerate() {
@@ -188,7 +188,7 @@ proptest! {
         };
         let p1 = ThreadPool::new(1);
         let qs = QueryStats::new();
-        let reference = build_stream().collect_with(&p1, 1, (&qs, "test")).unwrap();
+        let reference = build_stream().collect_with(&p1, 1, &qs).unwrap();
         let fingerprint = |ps: &maybms_obs::PipelineStats| -> Vec<(u64, u64, u64)> {
             let pipeline = (ps.rows_in.get(), ps.rows_out.get(), ps.join_build_rows());
             let stages = ps.stages.iter().map(|s| (s.rows_in.get(), s.rows_out.get(), s.build_rows.get()));
@@ -198,7 +198,7 @@ proptest! {
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let qs = maybms_obs::QueryStats::new();
-            let got = build_stream().collect_with(&pool, 1, (&qs, "par determinism")).unwrap();
+            let got = build_stream().collect_with(&pool, 1, &qs).unwrap();
             prop_assert_eq!(got.tuples(), reference.tuples(), "threads = {}", threads);
             prints.push(fingerprint(&qs.pipelines()[0]));
         }
@@ -239,7 +239,7 @@ fn self_join(u: &URelation) -> URelation {
             UStream::new(u.clone())
                 .hash_join(u.clone(), &[0], &[0])
                 .unwrap()
-                .collect_with(&ThreadPool::new(threads), 1, (&QueryStats::new(), "test"))
+                .collect_with(&ThreadPool::new(threads), 1, &QueryStats::new())
                 .unwrap()
         })
         .collect();

@@ -31,26 +31,19 @@ use maybms_pipe::UStream;
 use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 use proptest::prelude::*;
 
-/// Per-stage `(label, rows_in, rows_out, build_rows)` fingerprint of a
+/// Per-stage `(rows_in, rows_out, build_rows)` fingerprint of a
 /// pipeline's record, plus its pipeline-level rows in / out and group
 /// count. Everything in here is part of the determinism contract —
 /// bit-identical at any thread count and morsel size. (Morsel counts,
 /// vector-kernel batches and wall times are *not*: morsel boundaries
 /// depend on the pool.)
-type PipelineFingerprint = (Vec<(String, u64, u64, u64)>, [u64; 3]);
+type PipelineFingerprint = (Vec<(u64, u64, u64)>, [u64; 3]);
 
 fn stage_fingerprint(ps: &maybms_obs::PipelineStats) -> PipelineFingerprint {
     (
         ps.stages
             .iter()
-            .map(|s| {
-                (
-                    s.label.clone(),
-                    s.rows_in.get(),
-                    s.rows_out.get(),
-                    s.build_rows.get(),
-                )
-            })
+            .map(|s| (s.rows_in.get(), s.rows_out.get(), s.build_rows.get()))
             .collect(),
         [ps.rows_in.get(), ps.rows_out.get(), ps.groups.get()],
     )
@@ -308,7 +301,7 @@ proptest! {
                 let pool = ThreadPool::new(threads);
                 let qs = maybms_obs::QueryStats::new();
                 let s = stream(&u1, &steps, false).unwrap();
-                s.collect_with(&pool, 1, (&qs, "property pipeline")).unwrap();
+                s.collect_with(&pool, 1, &qs).unwrap();
                 fingerprints.push(stage_fingerprint(&qs.pipelines()[0]));
             }
             prop_assert_eq!(&fingerprints[1], &fingerprints[0], "stats, threads 2 vs 1");

@@ -301,7 +301,7 @@ impl MayBms {
         // Arm the statement's governor limits (session timeout / memory
         // budget / pending `\cancel`); the guard disarms them on every
         // exit path, including panics.
-        let gov = maybms_gov::begin_statement();
+        let _gov = maybms_gov::begin_statement();
         let vars = self.wt.num_vars();
         let stats = Arc::new(maybms_obs::QueryStats::new());
         if root.is_active() {
@@ -396,7 +396,7 @@ impl MayBms {
         if let Some(label) = gov_abort_label {
             root.attr("gov_abort", label);
         }
-        if let Some(slack) = gov.deadline_slack_nanos() {
+        if let Some(slack) = maybms_gov::deadline_slack_nanos() {
             root.attr("deadline_slack_ms", slack as f64 / 1e6);
         }
         if maybms_gov::statement_peak_bytes() > 0 {
@@ -440,7 +440,7 @@ impl MayBms {
                 query,
                 analyze: false,
             } => {
-                let plan = plan_query(query, &self.tables)?.explain()?;
+                let plan = plan_query(query, &self.tables)?.explain(None)?;
                 let message = format!(
                     "EXPLAIN {query}\npipeline decomposition (morsel-driven executor, planned):\n{plan}"
                 );
@@ -452,11 +452,16 @@ impl MayBms {
             } => {
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let t0 = std::time::Instant::now();
-                let out = eval_query(query, &mut ctx)?;
+                let plan = plan_query(query, ctx.catalog)?;
+                let out = run(&plan, &mut ctx)?;
                 let elapsed = t0.elapsed();
-                Ok(StatementResult::Ok {
-                    message: render_analyze(query, stats, &out, elapsed),
-                })
+                let message = format!(
+                    "EXPLAIN ANALYZE {query}\npipeline decomposition (morsel-driven executor, \
+                     measured):\n{}{}",
+                    plan.explain(Some(&stats.steps()))?,
+                    render_analyze(stats, &out, elapsed)
+                );
+                Ok(StatementResult::Ok { message })
             }
             Statement::CreateTable { name, columns } => {
                 let fields: Vec<Field> = columns
@@ -735,11 +740,7 @@ fn target_positions(
     for c in &conjuncts {
         stream = stream.filter(&scalar(c)?)?;
     }
-    let sel = stream.select_positions(
-        &maybms_par::pool(),
-        maybms_pipe::PAR_MIN_CHUNK,
-        (stats, "DML target scan"),
-    )?;
+    let sel = stream.select_positions(&maybms_par::pool(), maybms_pipe::PAR_MIN_CHUNK, stats)?;
     sel.into_iter()
         .map(|i| u32::try_from(i).map_err(|_| plan_err("table exceeds 2^32 rows")))
         .collect()
@@ -802,68 +803,15 @@ fn check_types(field: &Field, col: &Column, stop: usize, first: &mut FirstError<
     }
 }
 
-/// Render what a run of `EXPLAIN ANALYZE` recorded into `stats`, in run
-/// order: per-pipeline wall time and morsel counts, per-stage `[in, out]`
-/// row counts (plus hash-join build sizes and group counts), each
-/// breaker's rows in and out, and the confidence-estimator effort.
+/// The lines `EXPLAIN ANALYZE` prints after its plan walk: the
+/// confidence-estimator effort the run recorded into `stats`, governor
+/// accounting, scalar fallbacks, and the result.
 fn render_analyze(
-    query: &maybms_sql::Query,
     stats: &maybms_obs::QueryStats,
-    out: &QueryOutput,
+    out: &URelation,
     elapsed: std::time::Duration,
 ) -> String {
-    let mut s = format!("EXPLAIN ANALYZE {query}\n");
-    s.push_str("pipeline decomposition (morsel-driven executor, measured):\n");
-    let mut i = 0;
-    for step in stats.steps() {
-        let (label, p) = match step {
-            maybms_obs::Step::Breaker(what, rows_in, rows_out) => {
-                s.push_str(&format!("breaker: {what} [in {rows_in}, out {rows_out}]\n"));
-                continue;
-            }
-            maybms_obs::Step::Pipeline(label, p) => (label, p),
-        };
-        if p.stages.is_empty() && p.morsels.get() == 0 {
-            // A stage-less pipeline (bare scan feeding a breaker) passes
-            // its source through without driving any morsels.
-            s.push_str(&format!(
-                "#{} pipeline ({label}) [source passthrough]\n",
-                i + 1
-            ));
-        } else {
-            s.push_str(&format!(
-                "#{} pipeline ({label}) [{:.3} ms, {} morsel(s)]\n",
-                i + 1,
-                p.wall_nanos.get() as f64 / 1e6,
-                p.morsels.get(),
-            ));
-        }
-        s.push_str(&format!("   source: {}", p.source));
-        if p.zones.get() > 0 {
-            s.push_str(&format!(
-                ", zones read {} of {}",
-                p.zones_read.get(),
-                p.zones.get()
-            ));
-        }
-        s.push('\n');
-        for st in &p.stages {
-            s.push_str(&format!(
-                "   -> {} [in {}, out {}",
-                st.label,
-                st.rows_in.get(),
-                st.rows_out.get()
-            ));
-            if st.build_rows.get() > 0 {
-                s.push_str(&format!(", build {}", st.build_rows.get()));
-            }
-            s.push_str("]\n");
-        }
-        if p.groups.get() > 0 {
-            s.push_str(&format!("   groups: {}\n", p.groups.get()));
-        }
-        i += 1;
-    }
+    let mut s = String::new();
     if stats.conf_calls.get() > 0 {
         s.push_str(&format!(
             "estimator: {} conf call(s) (product {}, d-tree {}, sampler {}), \
@@ -932,10 +880,11 @@ fn render_analyze(
     if fallbacks > 0 {
         s.push_str(&format!("scalar fallbacks: {fallbacks}\n"));
     }
-    let (rows, kind) = match out {
-        QueryOutput::Certain(r) => (r.len(), "t-certain"),
-        QueryOutput::Uncertain(u) => (u.len(), "uncertain"),
+    let kind = match out.is_t_certain() {
+        true => "t-certain",
+        false => "uncertain",
     };
+    let rows = out.len();
     s.push_str(&format!(
         "result: {rows} {kind} rows in {:.3} ms\n",
         elapsed.as_secs_f64() * 1e3

@@ -99,7 +99,10 @@ impl From<EngineError> for CoreError {
 
 impl From<UrelError> for CoreError {
     fn from(e: UrelError) -> Self {
-        CoreError::Urel(e)
+        match e {
+            UrelError::Typing { message } => CoreError::Typing { message },
+            e => CoreError::Urel(e),
+        }
     }
 }
 

@@ -11,9 +11,11 @@
 //! possible rows through the same group breaker). Nothing else
 //! materialises but the other breakers: hash-join build sides and
 //! [`maybms_pipe::breaker`]'s sort, union, cross product and limit.
-//! Every pipeline and breaker is recorded
-//! into the statement's [`maybms_obs::QueryStats`] in run order — what
-//! `EXPLAIN ANALYZE` prints.
+//! Every pipeline and breaker records its numbers into the statement's
+//! [`maybms_obs::QueryStats`] in run order, and so does each decision the
+//! data made (a dedup skipped, a join built on its prefix); the run
+//! formats no text. `EXPLAIN ANALYZE` lays those steps over the plan's
+//! `EXPLAIN` walk ([`QueryPlan::explain`]).
 //!
 //! The run makes the decisions the plan leaves to the data (see
 //! [`crate::plan`]): which side of the first join to build, whether a
@@ -27,6 +29,7 @@ use std::sync::Arc;
 
 use maybms_engine::vector::KernelCounts;
 use maybms_engine::{ColumnBatch, Expr as EExpr, Relation, Schema};
+use maybms_obs::Step;
 use maybms_pipe::{breaker, UStream};
 use maybms_sql::Query;
 use maybms_urel::{
@@ -72,15 +75,24 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Materialise `stream` as the statement's next pipeline, labelled by
-    /// why it breaks.
-    fn collect(&self, stream: UStream, label: &str) -> Result<URelation> {
-        Ok(stream.collect_with(&maybms_par::pool(), self.min_morsel, (self.stats, label))?)
+    /// Materialise `stream` as the statement's next pipeline.
+    fn collect(&self, stream: UStream) -> Result<URelation> {
+        Ok(stream.collect_with(&maybms_par::pool(), self.min_morsel, self.stats)?)
     }
 
     /// Record a breaker that turned `rows_in` rows into `out`.
-    fn breaker(&self, what: String, rows_in: usize, out: &URelation) {
-        self.stats.record_breaker(what, rows_in, out.len());
+    fn breaker(&self, rows_in: usize, out: &URelation) {
+        self.stats.record(Step::Breaker(rows_in, out.len()));
+    }
+
+    /// `DISTINCT` over `u` when it is t-certain — the dedup of a `UNION`
+    /// or an IN-subquery — or else a record that it did not run.
+    fn dedup_if_certain(&mut self, u: URelation) -> Result<URelation> {
+        if u.is_t_certain() {
+            return distinct_rows(u, self);
+        }
+        self.stats.record(Step::DedupSkipped);
+        Ok(u)
     }
 }
 
@@ -148,15 +160,10 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         // require conditions beyond per-tuple conjunctions.
         // The breaker is the copy; a dedup is the `distinct` pipeline
         // that follows it and reports its own reduction.
-        ctx.breaker(
-            "union (all)".to_string(),
-            result.len() + next.len(),
-            &merged,
-        );
-        result = if !*all && merged.is_t_certain() {
-            distinct_rows(merged, ctx)?
-        } else {
-            merged
+        ctx.breaker(result.len() + next.len(), &merged);
+        result = match all {
+            true => merged,
+            false => ctx.dedup_if_certain(merged)?,
         };
     }
     // The LIMIT typing rule reads the relation the LIMIT applies to, not
@@ -172,7 +179,7 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
         ctx.stats
             .record_kernels(counts.batches, counts.scalar_fallbacks);
         let sorted = sorted?;
-        ctx.breaker(plan.sort_label(), result.len(), &sorted);
+        ctx.breaker(result.len(), &sorted);
         result = sorted;
     }
     if let Some(n) = plan.limit {
@@ -183,7 +190,7 @@ pub fn run(plan: &QueryPlan, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             ));
         }
         let kept = breaker::limit(&result, n as usize);
-        ctx.breaker(format!("limit {n}"), result.len(), &kept);
+        ctx.breaker(result.len(), &kept);
         result = kept;
     }
     debug_assert_eq!(
@@ -211,47 +218,31 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     let mut stream = streams[0].take().expect("a block has a leaf");
 
     // ---- joins ---------------------------------------------------------
-    for (i, join) in b.joins.iter().enumerate() {
-        let (first, leaf) = (&b.leaves[0].label, &b.leaves[join.leaf]);
+    for join in &b.joins {
         let input = streams[join.leaf].take().expect("every leaf joins once");
         stream = if join.prefix_keys.is_empty() {
             // No equality conjunct: a cross product breaks the pipeline
             // on both sides.
-            let left = ctx.collect(stream, "cross product input")?;
-            let right = ctx.collect(input, "cross product input")?;
+            let left = ctx.collect(stream)?;
+            let right = ctx.collect(input)?;
             let product = breaker::cross(&left, &right)?;
-            ctx.breaker("cross".to_string(), left.len() + right.len(), &product);
+            ctx.breaker(left.len() + right.len(), &product);
             UStream::new(product)
         } else {
             // A breaker either way: one side materialises (morsel-locally
             // hashed at run time), the other streams through the probe.
             // Which one is known once the leaf has yielded its rows.
-            let collected = ctx.collect(input, "hash-join build side")?;
-            let swap = join.adaptive && first_rows < collected.len();
-            if swap {
-                ctx.stats.relabel_last_pipeline("hash-join probe side");
-                let build = ctx.collect(stream, "hash-join build side")?;
-                let (rows, probe_rows) = (build.len(), collected.len());
-                let why = format!(
-                    "build: {first}, {rows} rows (probe side {}: {probe_rows})",
-                    leaf.label
-                );
-                UStream::new(collected)
-                    .hash_join_build_first(build, &join.leaf_keys, &join.prefix_keys)?
-                    .annotate(why)
+            let collected = ctx.collect(input)?;
+            if join.adaptive && first_rows < collected.len() {
+                ctx.stats.record(Step::BuiltOnPrefix);
+                let build = ctx.collect(stream)?;
+                UStream::new(collected).hash_join_build_first(
+                    build,
+                    &join.leaf_keys,
+                    &join.prefix_keys,
+                )?
             } else {
-                let probe_side = match i {
-                    0 => format!("{first}: at most {first_rows}"),
-                    _ => "the joined prefix".to_string(),
-                };
-                let why = format!(
-                    "build: {}, {} rows (probe side {probe_side})",
-                    leaf.label,
-                    collected.len()
-                );
-                stream
-                    .hash_join(collected, &join.prefix_keys, &join.leaf_keys)?
-                    .annotate(why)
+                stream.hash_join(collected, &join.prefix_keys, &join.leaf_keys)?
             }
         };
         stream = filter(stream, &join.then)?;
@@ -266,10 +257,8 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     // restricts IN-subqueries to positive occurrences (§2.2) — and which
     // the planner keeps from `esum` / `ecount`.
     for probe in &b.in_probes {
-        let mut sub = run(&probe.query, ctx)?;
-        if sub.is_t_certain() {
-            sub = distinct_rows(sub, ctx)?;
-        }
+        let sub = run(&probe.query, ctx)?;
+        let sub = ctx.dedup_if_certain(sub)?;
         stream = probe.stages(stream, sub)?;
     }
 
@@ -277,14 +266,14 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
     let out = match &b.output {
         // Plain projection: one more fused stage, then the single
         // materialisation of the whole block.
-        Output::Project(items) => ctx.collect(stream.project(items)?, "output")?,
+        Output::Project(items) => ctx.collect(stream.project(items)?)?,
         Output::Possible(items) => possible(stream.project(items)?, ctx)?,
         Output::TConf {
             scalars,
             names,
             order,
         } => {
-            let rows = ctx.collect(stream, "tconf breaker")?;
+            let rows = ctx.collect(stream)?;
             reorder(
                 agg::eval_tconf(&rows, scalars, names, ctx.wt, ctx.stats)?,
                 order,
@@ -302,7 +291,7 @@ fn run_block(b: &Block, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
             let out = group(stream, grouping, *keys, key_fields.clone(), aggs, ctx)?;
             let out = reorder(out, order, &b.schema);
             match having {
-                Some(h) => ctx.collect(UStream::new(out).filter(h)?, "having")?,
+                Some(h) => ctx.collect(UStream::new(out).filter(h)?)?,
                 None => out,
             }
         }
@@ -360,7 +349,7 @@ fn run_source(source: &Source, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
 /// positive probability, now certain, go through the `DISTINCT` group
 /// breaker (first-seen order).
 fn possible(stream: UStream, ctx: &mut ExecCtx<'_>) -> Result<URelation> {
-    let projected = ctx.collect(stream, "select possible breaker")?;
+    let projected = ctx.collect(stream)?;
     let mut sel = Vec::new();
     for (i, wsd) in projected.at_rest().1.iter().enumerate() {
         if wsd.prob(ctx.wt)? > 0.0 {

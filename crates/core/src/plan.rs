@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use maybms_engine::ops::{ProjectItem, SortKey};
 use maybms_engine::{BinaryOp, DataType, Expr as EExpr, Field, Schema};
+use maybms_obs::{PipelineStats, Step};
 use maybms_pipe::{ustream::source_label, UStream};
 use maybms_sql::{Expr as SExpr, FromItem, Query, QueryInput, Select, SelectItem};
 use maybms_urel::URelation;
@@ -86,10 +87,11 @@ pub(crate) enum Source {
 }
 
 /// A conjunct bound to the row it filters, and — for one the planner
-/// derived — what `EXPLAIN` says about it.
+/// derived — the two columns of the block's FROM row (every leaf's
+/// columns, in FROM order) whose equality carried it there.
 pub(crate) struct Filter {
     pub(crate) pred: EExpr,
-    pub(crate) note: Option<String>,
+    pub(crate) implied: Option<(usize, usize)>,
 }
 
 /// One greedy join step: leaf `leaf` joins the prefix by one hash probe
@@ -201,12 +203,12 @@ impl Leaf {
         }
     }
 
-    /// The `source:` line of a pipeline this leaf heads.
-    fn describe(&self) -> String {
+    /// What a pipeline this leaf heads reads.
+    fn input(&self) -> Input {
         match &self.source {
-            Source::Table(table) => source_label(table.len()),
-            Source::Unit => source_label(1),
-            _ => format!("{} (materialised at run)", self.label),
+            Source::Table(table) => Input::Stored(table.len()),
+            Source::Unit => Input::Stored(1),
+            _ => Input::Run(format!("{} (materialised at run)", self.label)),
         }
     }
 }
@@ -232,15 +234,10 @@ impl InProbe {
     }
 }
 
-/// `filters` as fused σ stages on `stream`; a derived one's note follows
-/// its stage label when it records a stage at all.
+/// `filters` as fused σ stages on `stream`.
 pub(crate) fn filter(mut stream: UStream, filters: &[Filter]) -> Result<UStream> {
     for f in filters {
-        let before = stream.stage_count();
         stream = stream.filter(&f.pred)?;
-        if let Some(note) = f.note.clone().filter(|_| stream.stage_count() > before) {
-            stream = stream.annotate(note);
-        }
     }
     Ok(stream)
 }
@@ -819,7 +816,7 @@ fn plan_joins(
         .map(|p| {
             Ok(Filter {
                 pred: p.bind(&whole)?,
-                note: None,
+                implied: None,
             })
         })
         .collect::<Result<_>>()?;
@@ -851,11 +848,9 @@ fn plan_joins(
             };
             let copy = conjuncts[next].pred.remap_columns(&|_| to);
             if conjuncts.iter().all(|known| known.pred != copy) {
-                let name = |g: usize| whole.field(g).qualified_name();
-                let note = format!("implied by {} = {}", name(a), name(b));
                 conjuncts.push(Filter {
                     pred: copy,
-                    note: Some(note),
+                    implied: Some((a, b)),
                 });
             }
         }
@@ -947,7 +942,7 @@ fn take_ready(conjuncts: &mut Vec<Filter>, at: &dyn Fn(usize) -> Option<usize>) 
         .into_iter()
         .map(|c| Filter {
             pred: pred(&c),
-            note: c.note,
+            implied: c.implied,
         })
         .collect()
 }
@@ -1081,51 +1076,143 @@ fn restricted_column(e: &EExpr, schema: &Schema) -> Option<usize> {
 
 impl QueryPlan {
     /// The `EXPLAIN` text: every pipeline and breaker a run of this plan
-    /// executes, in order, with the stage lines `EXPLAIN ANALYZE` measures.
-    /// The stages are laid over empty inputs; nothing runs.
-    pub fn explain(&self) -> Result<String> {
+    /// executes, in order, with its stages. The stages are laid over empty
+    /// inputs; nothing runs. Given the `steps` a run of the plan recorded,
+    /// the same walk is `EXPLAIN ANALYZE`'s: each line ends with what its
+    /// step measured, and every step is laid over exactly one line.
+    pub fn explain(&self, steps: Option<&[Step]>) -> Result<String> {
         let mut explain = Explain {
             text: String::new(),
             pipelines: 0,
+            steps,
+            next: 0,
         };
         explain.query(self)?;
+        debug_assert!(
+            steps.is_none_or(|s| explain.next == s.len()),
+            "the walk left recorded steps unused: {:?}",
+            &steps.unwrap_or_default()[explain.next..]
+        );
         Ok(explain.text)
     }
+}
 
-    /// What `EXPLAIN` and the recorded breaker call the sort: `sort (K
-    /// keys)`, or `sort (K keys, top n)` when a `LIMIT n` bounds it.
-    pub(crate) fn sort_label(&self) -> String {
-        let keys = self.sort.len();
-        match self.limit {
-            Some(n) => format!("sort ({keys} keys, top {n})"),
-            None => format!("sort ({keys} keys)"),
-        }
+/// What a pipeline reads: stored rows, or rows the run materialises
+/// (`EXPLAIN ANALYZE` says how many there were).
+enum Input {
+    Stored(usize),
+    Run(String),
+}
+
+/// When the dedup of a `UNION`'s or an IN-subquery's rows runs.
+const IF_CERTAIN: &str = " if t-certain (decided at run)";
+
+/// Why a pipeline feeding the group breaker breaks.
+fn stream_label(keys: usize, aggs: usize) -> String {
+    match aggs {
+        0 => format!("distinct (streaming, {keys} keys)"),
+        _ => format!("grouped aggregation (streaming, {keys} keys, {aggs} aggs)"),
     }
 }
 
-/// The `EXPLAIN` walk over a plan, in run order.
-struct Explain {
+/// The `EXPLAIN` walk over a plan, in run order — the one place a plan
+/// becomes text. With a run's recorded steps (`EXPLAIN ANALYZE`), each
+/// pipeline and breaker of the walk takes the next one.
+struct Explain<'s> {
     text: String,
     pipelines: usize,
+    steps: Option<&'s [Step]>,
+    /// The next recorded step to lay over the walk.
+    next: usize,
 }
 
-impl Explain {
-    /// The next pipeline: why it breaks, under what condition it runs at
-    /// all (`when`), its source and its stages.
-    fn pipeline(&mut self, label: &str, when: &str, source: &str, stream: &UStream) {
-        self.pipelines += 1;
-        let _ = writeln!(
-            self.text,
-            "#{} pipeline ({label}){when}\n     source: {source}",
-            self.pipelines
+impl<'s> Explain<'s> {
+    /// The next recorded step, as `pick` reads it — `None` when there are
+    /// no steps (`EXPLAIN`), or when the run did not record what the walk
+    /// reached (a debug build fails).
+    fn take<T>(&mut self, pick: impl Fn(&'s Step) -> Option<T>) -> Option<T> {
+        let steps = self.steps?;
+        let got = steps.get(self.next).and_then(pick);
+        debug_assert!(
+            got.is_some(),
+            "the walk and the run disagree at recorded step {}: {steps:?}",
+            self.next
         );
-        for stage in stream.stage_labels() {
-            let wsd = if stage.starts_with("hash probe") {
-                " (WSD conjunction)"
-            } else {
-                ""
+        self.next += usize::from(got.is_some());
+        got
+    }
+
+    /// Whether the run recorded `marker` `ahead` steps from the next one.
+    fn recorded(&self, ahead: usize, marker: fn(&Step) -> bool) -> bool {
+        let step = self.steps.and_then(|s| s.get(self.next + ahead));
+        step.is_some_and(marker)
+    }
+
+    /// The next pipeline: why it breaks, under what condition it runs at
+    /// all (`when`; only a dedup is conditional), what it reads and its
+    /// stages.
+    fn pipeline(&mut self, label: &str, when: &str, source: &Input, stream: &UStream) {
+        self.pipelines += 1;
+        let _ = write!(self.text, "#{} pipeline ({label}){when}", self.pipelines);
+        let skipped = !when.is_empty() && self.recorded(0, |s| matches!(s, Step::DedupSkipped));
+        let rec: Option<&PipelineStats> = match skipped {
+            true => {
+                self.next += 1;
+                self.text.push_str(" [not run]");
+                None
+            }
+            false => self.take(|s| match s {
+                Step::Pipeline(p) => Some(&**p),
+                _ => None,
+            }),
+        };
+        match rec {
+            Some(p) if p.stages.is_empty() && p.morsels.get() == 0 => {
+                self.text.push_str(" [source passthrough]")
+            }
+            Some(p) => {
+                let ms = p.wall_nanos.get() as f64 / 1e6;
+                let _ = write!(self.text, " [{ms:.3} ms, {} morsel(s)]", p.morsels.get());
+            }
+            None => {}
+        }
+        let _ = match source {
+            Input::Stored(rows) => write!(self.text, "\n     source: {}", source_label(*rows)),
+            Input::Run(what) => write!(self.text, "\n     source: {what}"),
+        };
+        let _ = match (source, rec) {
+            (Input::Stored(_), Some(p)) if p.zones.get() > 0 => write!(
+                self.text,
+                " [zones read {} of {}]",
+                p.zones_read.get(),
+                p.zones.get()
+            ),
+            (Input::Run(_), Some(p)) => write!(self.text, " [{} rows]", p.source_rows),
+            _ => Ok(()),
+        };
+        self.text.push('\n');
+        let labels = stream.stage_labels();
+        debug_assert!(
+            rec.is_none_or(|p| p.stages.len() == labels.len()),
+            "a run of `{label}` recorded other stages than {labels:?}"
+        );
+        for (k, stage) in labels.iter().enumerate() {
+            let wsd = match stage.starts_with("hash probe") {
+                true => " (WSD conjunction)",
+                false => "",
             };
-            let _ = writeln!(self.text, "     -> {stage}{wsd}");
+            let _ = write!(self.text, "     -> {stage}{wsd}");
+            if let Some(st) = rec.and_then(|p| p.stages.get(k)) {
+                let (rows_in, rows_out) = (st.rows_in.get(), st.rows_out.get());
+                let _ = match st.build_rows.get() {
+                    0 => write!(self.text, " [in {rows_in}, out {rows_out}]"),
+                    b => write!(self.text, " [in {rows_in}, out {rows_out}, build {b}]"),
+                };
+            }
+            self.text.push('\n');
+        }
+        if let Some(p) = rec.filter(|p| p.groups.get() > 0) {
+            let _ = writeln!(self.text, "     groups: {}", p.groups.get());
         }
     }
 
@@ -1133,23 +1220,40 @@ impl Explain {
     /// they are t-certain) or DISTINCT.
     fn distinct(&mut self, schema: &Arc<Schema>, when: &str, source: &str) {
         let stream = UStream::new(URelation::empty(schema.clone()));
-        self.pipeline(&agg::stream_label(schema.len(), 0), when, source, &stream);
+        let label = stream_label(schema.len(), 0);
+        self.pipeline(&label, when, &Input::Run(source.into()), &stream);
+    }
+
+    /// The next breaker.
+    fn breaker(&mut self, what: &str) {
+        let _ = write!(self.text, "breaker: {what}");
+        if let Some((rows_in, rows_out)) = self.take(|s| match s {
+            Step::Breaker(rows_in, rows_out) => Some((*rows_in, *rows_out)),
+            _ => None,
+        }) {
+            let _ = write!(self.text, " [in {rows_in}, out {rows_out}]");
+        }
+        self.text.push('\n');
     }
 
     fn query(&mut self, q: &QueryPlan) -> Result<()> {
         self.block(&q.first)?;
         for (all, block) in &q.rest {
             self.block(block)?;
-            self.text.push_str("breaker: union (all)\n");
+            self.breaker("union (all)");
             if !all {
-                self.distinct(&q.schema, " if t-certain (decided at run)", "the union");
+                self.distinct(&q.schema, IF_CERTAIN, "the union");
             }
         }
         if !q.sort.is_empty() {
-            let _ = writeln!(self.text, "breaker: {}", q.sort_label());
+            let keys = q.sort.len();
+            self.breaker(&match q.limit {
+                Some(n) => format!("sort ({keys} keys, top {n})"),
+                None => format!("sort ({keys} keys)"),
+            });
         }
         if let Some(n) = q.limit {
-            let _ = writeln!(self.text, "breaker: limit {n}");
+            self.breaker(&format!("limit {n}"));
         }
         Ok(())
     }
@@ -1165,20 +1269,39 @@ impl Explain {
                 self.query(q)?;
             }
         }
+        // The block's FROM row, which names an implied filter's columns.
+        let from_row = Schema::new(
+            b.leaves
+                .iter()
+                .flat_map(|l| l.schema.fields().iter().cloned())
+                .collect(),
+        );
+        let leaf_stream =
+            |leaf: &Leaf| noted(UStream::new(leaf.explain_rows()), &leaf.filters, &from_row);
         let empty = |schema: &Arc<Schema>| URelation::empty(schema.clone());
         let first = &b.leaves[0];
-        let (mut stream, mut source) = (first.stream(first.explain_rows())?, first.describe());
+        let (mut stream, mut source) = (leaf_stream(first)?, first.input());
         for (i, join) in b.joins.iter().enumerate() {
             let leaf = &b.leaves[join.leaf];
-            let input = leaf.stream(leaf.explain_rows())?;
+            let input = leaf_stream(leaf)?;
             stream = if join.prefix_keys.is_empty() {
                 self.pipeline("cross product input", "", &source, &stream);
-                self.pipeline("cross product input", "", &leaf.describe(), &input);
-                self.text.push_str("breaker: cross\n");
-                source = "the cross product".to_string();
+                self.pipeline("cross product input", "", &leaf.input(), &input);
+                self.breaker("cross");
+                source = Input::Run("the cross product".into());
                 UStream::new(empty(&Arc::new(stream.schema().join(&leaf.schema))))
             } else {
-                self.pipeline("hash-join build side", "", &leaf.describe(), &input);
+                // A run that built on the prefix streamed the leaf through
+                // the probe instead (recorded after the leaf's pipeline).
+                if join.adaptive && self.recorded(1, |s| matches!(s, Step::BuiltOnPrefix)) {
+                    self.pipeline("hash-join probe side", "", &leaf.input(), &input);
+                    self.take(|s| matches!(s, Step::BuiltOnPrefix).then_some(()));
+                    self.pipeline("hash-join build side", "", &source, &stream);
+                    source = Input::Run("the hash-join probe side".into());
+                    stream = UStream::new(empty(stream.schema()));
+                } else {
+                    self.pipeline("hash-join build side", "", &leaf.input(), &input);
+                }
                 let prefix = match first.source.rows() {
                     Some(rows) => format!("{}: at most {rows}", first.label),
                     None => first.label.clone(),
@@ -1196,15 +1319,11 @@ impl Explain {
                     .hash_join(build, &join.prefix_keys, &join.leaf_keys)?
                     .annotate(why)
             };
-            stream = filter(stream, &join.then)?;
+            stream = noted(stream, &join.then, &from_row)?;
         }
         for probe in &b.in_probes {
             self.query(&probe.query)?;
-            self.distinct(
-                &probe.query.schema,
-                " if t-certain (decided at run)",
-                "the subquery",
-            );
+            self.distinct(&probe.query.schema, IF_CERTAIN, "the subquery");
             stream = probe.stages(stream, empty(&probe.query.schema))?;
         }
         let (label, last) = match &b.output {
@@ -1215,7 +1334,7 @@ impl Explain {
             ),
             Output::TConf { .. } => ("tconf breaker".to_string(), stream),
             Output::Group { grouping, aggs, .. } => {
-                (agg::stream_label(grouping.len(), aggs.len()), stream)
+                (stream_label(grouping.len(), aggs.len()), stream)
             }
         };
         self.pipeline(&label, "", &source, &last);
@@ -1226,16 +1345,27 @@ impl Explain {
             having: Some(h), ..
         } = &b.output
         {
-            self.pipeline(
-                "having",
-                "",
-                "the groups",
-                &UStream::new(empty(&b.schema)).filter(h)?,
-            );
+            let groups = UStream::new(empty(&b.schema)).filter(h)?;
+            self.pipeline("having", "", &Input::Run("the groups".into()), &groups);
         }
         if b.distinct {
             self.distinct(&b.schema, "", "the block's rows");
         }
         Ok(())
     }
+}
+
+/// `filters` as σ stages on `stream`, as [`filter`] lays them, with the
+/// stage of each implied one noting the equality of `from_row` columns
+/// that carried it there.
+fn noted(mut stream: UStream, filters: &[Filter], from_row: &Schema) -> Result<UStream> {
+    for f in filters {
+        let before = stream.stage_count();
+        stream = stream.filter(&f.pred)?;
+        if let Some((a, b)) = f.implied.filter(|_| stream.stage_count() > before) {
+            let name = |g: usize| from_row.field(g).qualified_name();
+            stream = stream.annotate(format!("implied by {} = {}", name(a), name(b)));
+        }
+    }
+    Ok(stream)
 }

@@ -224,18 +224,6 @@ pub fn armed_cancel_ms() -> Option<u64> {
 // Statement lifecycle
 // ---------------------------------------------------------------------
 
-/// The limits a [`StatementGuard`] installed — what `core::db` reports
-/// in EXPLAIN ANALYZE and classification.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecLimits {
-    /// Armed deadline, ms.
-    pub deadline_ms: Option<u64>,
-    /// Armed budget, bytes.
-    pub mem_budget_bytes: Option<u64>,
-    /// One-shot cancel watchdog delay armed for this statement, ms.
-    pub cancel_after_ms: Option<u64>,
-}
-
 /// The `\cancel` watchdog's handle: cancels the statement it was issued
 /// for (and only that statement — a fired token for a finished statement
 /// is a no-op).
@@ -259,9 +247,7 @@ impl CancelToken {
 /// [`begin_statement`]; drop (normal return, error, or panic unwind)
 /// clears every per-statement limit.
 #[derive(Debug)]
-pub struct StatementGuard {
-    limits: ExecLimits,
-}
+pub struct StatementGuard(());
 
 /// Install the session's armed limits for one statement. Resets the
 /// statement-peak tally, consumes a pending `\cancel` arming (spawning
@@ -279,9 +265,7 @@ pub fn begin_statement() -> StatementGuard {
     let budget = BUDGET_BYTES.load(Ordering::Relaxed);
     let armed_cancel = ARMED_CANCEL_MS.swap(OFF, Ordering::Relaxed);
 
-    let mut limits = ExecLimits::default();
     if timeout != OFF {
-        limits.deadline_ms = Some(timeout);
         DEADLINE_LIMIT_MS.store(timeout, Ordering::Relaxed);
         DEADLINE_NANOS.store(
             maybms_obs::monotonic_nanos().saturating_add(timeout.saturating_mul(1_000_000)),
@@ -291,39 +275,19 @@ pub fn begin_statement() -> StatementGuard {
         DEADLINE_NANOS.store(OFF, Ordering::Relaxed);
     }
     MEM_BUDGET.store(budget, Ordering::Relaxed);
-    if budget != OFF {
-        limits.mem_budget_bytes = Some(budget);
-    }
     if armed_cancel != OFF {
-        limits.cancel_after_ms = Some(armed_cancel);
         let token = CancelToken { epoch };
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(armed_cancel));
             token.cancel();
         });
     }
-    let armed = limits.deadline_ms.is_some()
-        || limits.mem_budget_bytes.is_some()
-        || limits.cancel_after_ms.is_some()
+    let armed = timeout != OFF
+        || budget != OFF
+        || armed_cancel != OFF
         || INJECT_AFTER.load(Ordering::Relaxed) != OFF;
     ACTIVE.store(armed, Ordering::Release);
-    StatementGuard { limits }
-}
-
-impl StatementGuard {
-    /// The limits this guard installed.
-    pub fn limits(&self) -> ExecLimits {
-        self.limits
-    }
-
-    /// Nanoseconds left until this statement's deadline (negative when
-    /// already past it); `None` when no deadline is armed.
-    pub fn deadline_slack_nanos(&self) -> Option<i64> {
-        match DEADLINE_NANOS.load(Ordering::Relaxed) {
-            OFF => None,
-            dl => Some(dl as i64 - maybms_obs::monotonic_nanos() as i64),
-        }
-    }
+    StatementGuard(())
 }
 
 impl Drop for StatementGuard {
@@ -404,25 +368,6 @@ impl Ticker {
     }
 }
 
-/// True iff the live statement's deadline has passed — the degraded-mode
-/// probe `aconf` uses to cut its sample stream without erroring. One
-/// relaxed load when no deadline is armed.
-#[inline]
-pub fn deadline_exceeded() -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return false;
-    }
-    // The injection hook maps Deadline aborts onto this probe too, so
-    // the cancellation matrix exercises the degraded path.
-    if inject_tick() == Some(AbortKind::Deadline) {
-        return true;
-    }
-    match DEADLINE_NANOS.load(Ordering::Relaxed) {
-        OFF => false,
-        dl => maybms_obs::monotonic_nanos() >= dl,
-    }
-}
-
 #[cold]
 fn check_armed() -> Result<(), GovError> {
     if let Some(kind) = inject_tick() {
@@ -500,15 +445,9 @@ fn inject_tick() -> Option<AbortKind> {
 
 /// Charge `bytes` of operator working memory to the tally.
 #[inline]
-pub fn charge(bytes: usize) {
+fn charge(bytes: usize) {
     let used = MEM_USED.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     MEM_PEAK.fetch_max(used, Ordering::Relaxed);
-}
-
-/// Credit `bytes` back (the charging allocation was dropped).
-#[inline]
-pub fn credit(bytes: usize) {
-    MEM_USED.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
 /// Peak tracked working memory charged since the current statement
@@ -520,9 +459,7 @@ pub fn statement_peak_bytes() -> u64 {
 }
 
 /// Nanoseconds left until the live statement's deadline (negative when
-/// already past it); `None` when no deadline is armed. The free-function
-/// twin of [`StatementGuard::deadline_slack_nanos`] for reporting code
-/// that runs under the guard without holding it (`EXPLAIN ANALYZE`).
+/// already past it); `None` when no deadline is armed.
 pub fn deadline_slack_nanos() -> Option<i64> {
     match DEADLINE_NANOS.load(Ordering::Relaxed) {
         OFF => None,
@@ -621,9 +558,8 @@ mod tests {
         set_statement_timeout_ms(None);
         set_mem_budget_mb(None);
         let g = begin_statement();
-        assert!(g.limits().deadline_ms.is_none());
         assert!(check().is_ok());
-        assert!(!deadline_exceeded());
+        assert_eq!(deadline_slack_nanos(), None);
         drop(g);
         assert!(check().is_ok());
     }
@@ -633,14 +569,12 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         set_statement_timeout_ms(Some(1));
         let g = begin_statement();
-        assert_eq!(g.limits().deadline_ms, Some(1));
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(matches!(
             check(),
             Err(GovError::DeadlineExceeded { limit_ms: 1 })
         ));
-        assert!(deadline_exceeded());
-        assert!(g.deadline_slack_nanos().unwrap() < 0);
+        assert!(deadline_slack_nanos().unwrap() < 0);
         drop(g);
         assert!(check().is_ok());
         set_statement_timeout_ms(None);
@@ -708,11 +642,11 @@ mod tests {
         arm_cancel(1);
         assert_eq!(armed_cancel_ms(), Some(1));
         let g = begin_statement();
-        assert_eq!(g.limits().cancel_after_ms, Some(1));
         assert_eq!(armed_cancel_ms(), None, "arming is one-shot");
         let t0 = std::time::Instant::now();
         loop {
-            if check().is_err() {
+            if let Err(e) = check() {
+                assert_eq!(e, GovError::Cancelled);
                 break;
             }
             assert!(t0.elapsed().as_secs() < 5, "watchdog never fired");

@@ -643,8 +643,6 @@ pub fn latency_report() -> String {
 /// they are bit-identical at any thread count.
 #[derive(Debug, Default)]
 pub struct StageStats {
-    /// The stage's display label (`UStream::stage_labels` in maybms-pipe).
-    pub label: String,
     /// Rows entering the stage.
     pub rows_in: Counter,
     /// Rows the stage passed downstream.
@@ -653,15 +651,17 @@ pub struct StageStats {
     pub build_rows: Counter,
 }
 
-/// The one record of a pipeline run: source description, per-stage row
-/// counts, and the pipeline's morsel, row, vector-kernel and group
-/// tallies. The morsel driver flushes into it once per morsel
+/// The one record of a pipeline run: source size, per-stage row counts,
+/// and the pipeline's morsel, row, vector-kernel and group tallies. It
+/// holds numbers only: the plan names the pipeline and its stages
+/// (`EXPLAIN ANALYZE` lays this record over the `EXPLAIN` walk). The
+/// morsel driver flushes into it once per morsel
 /// ([`PipelineStats::flush_morsel`]); [`PipelineStats::finish`] then
 /// copies it into every view.
 #[derive(Debug)]
 pub struct PipelineStats {
-    /// Source description (`"2 stored rows (columnar, zero-pivot)"`).
-    pub source: String,
+    /// Rows in the source the pipeline ran over.
+    pub source_rows: u64,
     /// One slot per fused stage, in stage order.
     pub stages: Vec<StageStats>,
     /// Morsels executed (0 for a stage-less pipeline: it passes its
@@ -688,18 +688,12 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// A zeroed record of a run starting now over `source`, with one
-    /// slot per stage label.
-    pub fn new(source: impl Into<String>, stage_labels: Vec<String>) -> PipelineStats {
+    /// A zeroed record of a run starting now over `source_rows` rows,
+    /// with one slot per stage.
+    pub fn new(source_rows: usize, stages: usize) -> PipelineStats {
         PipelineStats {
-            source: source.into(),
-            stages: stage_labels
-                .into_iter()
-                .map(|label| StageStats {
-                    label,
-                    ..StageStats::default()
-                })
-                .collect(),
+            source_rows: source_rows as u64,
+            stages: (0..stages).map(|_| StageStats::default()).collect(),
             morsels: Counter::new(),
             rows_in: Counter::new(),
             zones: Counter::new(),
@@ -744,10 +738,10 @@ impl PipelineStats {
     /// End the run — the one place its numbers leave the pipeline: add
     /// the tally to the registry (`pipeline_seconds` included), set the
     /// `pipeline` span's measured attributes, and register the record on
-    /// the statement, labelled by why the pipeline broke. A run that
-    /// drove no morsel (a stage-less pass-through, an empty source) has
-    /// no tally for the span: it keeps only `stages` and `source_rows`.
-    pub fn finish(self, span: &mut trace::Span, (qs, label): (&QueryStats, &str)) {
+    /// the statement. A run that drove no morsel (a stage-less
+    /// pass-through, an empty source) has no tally for the span: it keeps
+    /// only `stages` and `source_rows`.
+    pub fn finish(self, span: &mut trace::Span, qs: &QueryStats) {
         let wall = self.started.elapsed();
         self.wall_nanos.add(nanos(wall));
         let m = metrics();
@@ -769,21 +763,27 @@ impl PipelineStats {
         if self.groups.get() > 0 {
             span.attr("groups", self.groups.get());
         }
-        let step = Step::Pipeline(label.to_string(), std::sync::Arc::new(self));
-        qs.steps.lock().expect("step registry poisoned").push(step);
+        qs.record(Step::Pipeline(std::sync::Arc::new(self)));
     }
 }
 
-/// One step of an executed plan, in execution order — what `EXPLAIN
-/// ANALYZE` lists.
+/// One step of an executed plan, in execution order: the numbers
+/// `EXPLAIN ANALYZE` lays over the plan's `EXPLAIN` walk, which names
+/// every step.
 #[derive(Debug, Clone)]
 pub enum Step {
-    /// A pipeline, labelled by why it broke, and its record.
-    Pipeline(String, std::sync::Arc<PipelineStats>),
-    /// A materialising breaker: what ran (`sort (2 keys)`, `sort (1 keys,
-    /// top 20)` under a `LIMIT`, `union (all)`, …), the rows it took and
-    /// the rows it gave.
-    Breaker(String, usize, usize),
+    /// A pipeline's record.
+    Pipeline(std::sync::Arc<PipelineStats>),
+    /// A materialising breaker (sort, union, cross product, limit): the
+    /// rows it took and the rows it gave.
+    Breaker(usize, usize),
+    /// A conditional dedup that did not run: the rows of a `UNION`
+    /// (not `ALL`) or of an IN-subquery were not t-certain.
+    DedupSkipped,
+    /// The first join built on the prefix — its leaf yielded more rows
+    /// than the first leaf holds — and streamed the leaf through the
+    /// probe. Recorded right after the leaf's pipeline.
+    BuiltOnPrefix,
 }
 
 /// Per-statement statistics: the pipelines and breakers that ran, in
@@ -853,25 +853,12 @@ impl QueryStats {
         QueryStats::default()
     }
 
-    /// Record a breaker that turned `rows_in` rows into `rows_out`.
-    pub fn record_breaker(&self, what: String, rows_in: usize, rows_out: usize) {
+    /// Record the next step of the run.
+    pub fn record(&self, step: Step) {
         self.steps
             .lock()
             .expect("step registry poisoned")
-            .push(Step::Breaker(what, rows_in, rows_out));
-    }
-
-    /// Rename the most recent pipeline — for one whose role its own
-    /// output decides (the adaptive side of a hash join).
-    pub fn relabel_last_pipeline(&self, label: &str) {
-        let mut steps = self.steps.lock().expect("step registry poisoned");
-        if let Some(Step::Pipeline(l, _)) = steps
-            .iter_mut()
-            .rev()
-            .find(|s| matches!(s, Step::Pipeline(..)))
-        {
-            *l = label.to_string();
-        }
+            .push(step);
     }
 
     /// The executed pipelines and breakers, in execution order.
@@ -882,7 +869,7 @@ impl QueryStats {
     /// The registered pipelines, in execution order.
     pub fn pipelines(&self) -> Vec<std::sync::Arc<PipelineStats>> {
         let pipeline = |s| {
-            if let Step::Pipeline(_, p) = s {
+            if let Step::Pipeline(p) = s {
                 Some(p)
             } else {
                 None
@@ -1270,23 +1257,20 @@ mod tests {
     #[test]
     fn a_finished_pipeline_is_one_record_in_every_view() {
         let qs = QueryStats::new();
-        let p = PipelineStats::new(
-            "3 stored rows",
-            vec!["filter x > 1".into(), "project [x]".into()],
-        );
+        let p = PipelineStats::new(3, 2);
         p.flush_morsel(5, &[(5, 4), (4, 4)], 2, 1);
         p.flush_morsel(1, &[(1, 1), (1, 1)], 2, 0);
         p.stages[1].build_rows.add(7);
         let before = (metrics().pipelines.get(), metrics().rows_in.get());
         let mut span = trace::span("pipeline");
-        p.finish(&mut span, (&qs, "output"));
+        p.finish(&mut span, &qs);
         // Other tests share the registry: it moved by at least this run.
         assert!(metrics().pipelines.get() > before.0);
         assert!(metrics().rows_in.get() >= before.1 + 6);
-        let [Step::Pipeline(label, p)] = &qs.steps()[..] else {
+        let [Step::Pipeline(p)] = &qs.steps()[..] else {
             panic!("one pipeline step")
         };
-        assert_eq!(label, "output");
+        assert_eq!(p.source_rows, 3);
         assert_eq!(
             (p.morsels.get(), p.rows_in.get(), p.rows_out.get()),
             (2, 6, 5)
@@ -1297,8 +1281,6 @@ mod tests {
         );
         assert_eq!((p.join_build_rows(), p.vector_batches.get()), (7, 4));
         assert_eq!(qs.scalar_fallbacks(), 1);
-        qs.relabel_last_pipeline("hash-join probe side");
-        assert!(matches!(&qs.steps()[0], Step::Pipeline(l, _) if l == "hash-join probe side"));
         let mut tally = ConfTally::default();
         for rel_stderr in [0.02, f64::INFINITY, 0.01] {
             tally.add(&ConfTally {

@@ -132,7 +132,7 @@ where
         Err(e) if !matches!(e, UrelError::Engine(EngineError::Gov(_))) => {
             // The repeat is not this pipeline's record: its tally goes
             // nowhere.
-            let unrecorded = PipelineStats::new("", vec![String::new(); stages.len()]);
+            let unrecorded = PipelineStats::new(source.len(), stages.len());
             return Err(run(source.len().max(1), &unrecorded).err().unwrap_or(e));
         }
         merged => merged?,

@@ -20,10 +20,11 @@
 //! [`UStream::collect_grouped`] — opens one `pipeline` span, keeps one
 //! [`PipelineStats`] record, and ends with
 //! [`PipelineStats::finish`], which hands that record to the metrics
-//! registry, the span and the statement's [`QueryStats`] (with the label
-//! `EXPLAIN ANALYZE` prints for the pipeline). A stage-less stream passes
-//! its source through without driving a morsel, and is still one
-//! pipeline in every view; its span carries no morsel tally.
+//! registry, the span and the statement's [`QueryStats`]. The record holds
+//! numbers only: a run formats no text ([`UStream::stage_labels`] and
+//! [`source_label`] are for the plan's `EXPLAIN` walk). A stage-less
+//! stream passes its source through without driving a morsel, and is
+//! still one pipeline in every view; its span carries no morsel tally.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -37,11 +38,6 @@ use maybms_urel::{Result, URelation};
 
 use crate::fuse::{self, Stage};
 use crate::GroupedBatch;
-
-/// The statement a pipeline run reports to when it ends, and the label
-/// it is reported under (why the pipeline breaks — what `EXPLAIN
-/// ANALYZE` prints).
-pub type Statement<'a> = (&'a QueryStats, &'a str);
 
 /// A lazily evaluated U-relational pipeline: a source plus fused stages
 /// (run by the crate's stage walker, `fuse`).
@@ -136,8 +132,8 @@ impl UStream {
     }
 
     /// Say why the planner recorded the last stage: `note` follows that
-    /// stage's `EXPLAIN` / `EXPLAIN ANALYZE` label in parentheses. Never
-    /// changes what the stage does.
+    /// stage's `EXPLAIN` label in parentheses. Never changes what the
+    /// stage does.
     pub fn annotate(mut self, note: String) -> UStream {
         if let Some(last) = self.stages.len().checked_sub(1) {
             self.notes.push((last, note));
@@ -214,7 +210,7 @@ impl UStream {
     /// in parallel for large sources; output is identical either way.
     pub fn collect(self) -> Result<URelation> {
         let (pool, stats) = (maybms_par::pool(), QueryStats::new());
-        self.collect_with(&pool, crate::PAR_MIN_CHUNK, (&stats, "output"))
+        self.collect_with(&pool, crate::PAR_MIN_CHUNK, &stats)
     }
 
     /// [`UStream::collect`] on an explicit pool and minimum morsel size
@@ -226,7 +222,7 @@ impl UStream {
         self,
         pool: &ThreadPool,
         min_morsel: usize,
-        statement: Statement<'_>,
+        statement: &QueryStats,
     ) -> Result<URelation> {
         self.run(statement, |source, stages, schema, stats| {
             Ok(if stages.is_empty() {
@@ -254,7 +250,7 @@ impl UStream {
         self,
         pool: &ThreadPool,
         min_morsel: usize,
-        statement: Statement<'_>,
+        statement: &QueryStats,
     ) -> Result<Vec<usize>> {
         if !all_filters(&self.stages) {
             return Err(EngineError::InvalidOperator {
@@ -299,7 +295,7 @@ impl UStream {
         group_exprs: &[Expr],
         pool: &ThreadPool,
         min_morsel: usize,
-        statement: Statement<'_>,
+        statement: &QueryStats,
         new_state: NF,
         fold: FF,
         merge: MF,
@@ -327,13 +323,13 @@ impl UStream {
     /// not.
     fn run<T>(
         self,
-        statement: Statement<'_>,
+        statement: &QueryStats,
         body: impl FnOnce(URelation, &[Stage], Arc<Schema>, &PipelineStats) -> Result<T>,
     ) -> Result<T> {
         let mut span = maybms_obs::trace::span("pipeline");
         span.attr("stages", self.stages.len());
         span.attr("source_rows", self.source.len());
-        let stats = PipelineStats::new(source_label(self.source.len()), self.stage_labels());
+        let stats = PipelineStats::new(self.source.len(), self.stages.len());
         let UStream {
             source,
             stages,
@@ -345,8 +341,8 @@ impl UStream {
         out
     }
 
-    /// One label per recorded stage — the text `EXPLAIN` and
-    /// `EXPLAIN ANALYZE` both print for it. Stages the vector kernels run
+    /// One label per recorded stage — the text the plan's `EXPLAIN` walk
+    /// prints for it (`EXPLAIN ANALYZE` is the same walk). Stages the vector kernels run
     /// (σ/π whose expressions they take, and every probe) are marked
     /// `(vectorised)`, filters whose zone maps decide which morsels run
     /// `(zone map)`; planner notes follow in parentheses.
@@ -395,8 +391,8 @@ fn all_filters(stages: &[Stage]) -> bool {
     stages.iter().all(|s| matches!(s, Stage::Filter(_)))
 }
 
-/// How `EXPLAIN` and `EXPLAIN ANALYZE` name a pipeline's source of `rows`
-/// stored rows — columns its morsels slice, never pivot.
+/// How `EXPLAIN` names a pipeline's source of `rows` stored rows —
+/// columns its morsels slice, never pivot.
 pub fn source_label(rows: usize) -> String {
     format!("{rows} stored rows (columnar, zero-pivot)")
 }
@@ -458,9 +454,7 @@ mod tests {
         };
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let got = chain()
-                .collect_with(&pool, 1, (&QueryStats::new(), "test"))
-                .unwrap();
+            let got = chain().collect_with(&pool, 1, &QueryStats::new()).unwrap();
             assert_eq!(rows(&got), want, "threads = {threads}");
         }
         assert_eq!(rows(&chain().collect().unwrap()), want);
@@ -484,7 +478,7 @@ mod tests {
                 false => s.hash_join(build.clone(), &[0], &[0]),
             };
             s.unwrap()
-                .collect_with(&ThreadPool::new(2), 1, (&QueryStats::new(), "test"))
+                .collect_with(&ThreadPool::new(2), 1, &QueryStats::new())
                 .unwrap()
         };
         let (plain, swapped) = (join(false), join(true));
@@ -536,7 +530,7 @@ mod tests {
                     let got = UStream::new(u.clone())
                         .filter(&pred)
                         .unwrap()
-                        .select_positions(&pool, min_morsel, (&QueryStats::new(), "test"))
+                        .select_positions(&pool, min_morsel, &QueryStats::new())
                         .unwrap();
                     assert_eq!(got, want, "threads {threads}, morsel {min_morsel}");
                 }
@@ -545,13 +539,13 @@ mod tests {
             // No predicate: every row. A constant-false one: none.
             let qs = QueryStats::new();
             let all = UStream::new(u.clone())
-                .select_positions(&pool, 64, (&qs, "test"))
+                .select_positions(&pool, 64, &qs)
                 .unwrap();
             assert_eq!(all, (0..500).collect::<Vec<_>>());
             let none = UStream::new(u.clone())
                 .filter(&Expr::lit(false))
                 .unwrap()
-                .select_positions(&pool, 64, (&QueryStats::new(), "test"))
+                .select_positions(&pool, 64, &QueryStats::new())
                 .unwrap();
             assert!(none.is_empty());
             // Rows a projection built have no source position.
@@ -559,7 +553,7 @@ mod tests {
                 .project(&[ProjectItem::new(Expr::ColumnIdx(0), "k")])
                 .unwrap();
             assert!(projected
-                .select_positions(&pool, 64, (&QueryStats::new(), "test"))
+                .select_positions(&pool, 64, &QueryStats::new())
                 .is_err());
         }
     }

@@ -57,6 +57,12 @@ pub enum UrelError {
         /// Description.
         message: String,
     },
+    /// A MayBMS typing rule (§2.2) that reads t-certainty off the rows,
+    /// raised where the rows are read (the group breaker's fold).
+    Typing {
+        /// What rule was violated.
+        message: String,
+    },
 }
 
 impl fmt::Display for UrelError {
@@ -85,6 +91,7 @@ impl fmt::Display for UrelError {
             UrelError::BadDecomposition { message } => {
                 write!(f, "invalid vertical decomposition: {message}")
             }
+            UrelError::Typing { message } => write!(f, "typing error: {message}"),
         }
     }
 }

@@ -177,6 +177,153 @@ fn benchmark_join_shapes_run_as_recorded() {
     );
 }
 
+/// `EXPLAIN ANALYZE` is the `EXPLAIN` walk with the run's recorded steps
+/// laid over it: every step shows up exactly once, in run order (a
+/// pipeline as its header and one `[in, out]` per stage, a breaker as its
+/// `[in, out]`, a dedup that did not run as `[not run]`, a join built on
+/// its prefix as a `hash-join probe side` pipeline), and every stage line
+/// is the statement's `EXPLAIN` stage line plus those numbers.
+#[test]
+fn explain_analyze_lays_every_step_over_the_plan() {
+    use maybms_obs::Step;
+    // Name, SQL, whether the first join builds on its prefix, whether a
+    // conditional dedup is skipped.
+    let shapes = [
+        (
+            "union of certain blocks",
+            "select sensor from alerts where level = 1 union select sensor from alerts where level = 2",
+            false,
+            false,
+        ),
+        (
+            "union of uncertain blocks",
+            "select sensor from genuine where sensor < 20 union select sensor from genuine where sensor >= 590",
+            false,
+            true,
+        ),
+        (
+            "union all",
+            "select room from rooms union all select room from rooms where floor = 1",
+            false,
+            false,
+        ),
+        (
+            "certain IN-subquery",
+            "select sensor, temp from readings where sensor in (select sensor from alerts where level >= 2)",
+            false,
+            false,
+        ),
+        (
+            "uncertain IN-subquery",
+            "select room from rooms where room in (select room from genuine where sensor < 40)",
+            false,
+            true,
+        ),
+        (
+            "cross product",
+            "select a.sensor, m.floor from alerts a, rooms m where a.level = 3 and m.floor = 0",
+            false,
+            false,
+        ),
+        (
+            "having",
+            "select room, count(*) as n from readings group by room having n > 29",
+            false,
+            false,
+        ),
+        ("distinct", "select distinct floor from rooms", false, false),
+        (
+            "select possible",
+            "select possible room from genuine where sensor < 50",
+            false,
+            false,
+        ),
+        (
+            "tconf",
+            "select sensor, tconf() as p from genuine where sensor < 10",
+            false,
+            false,
+        ),
+        (
+            "FROM subquery, order by, limit",
+            "select q.room, q.n from (select room, count(*) as n from readings group by room) q, \
+             rooms m where q.room = m.room and m.floor = 2 order by q.n limit 3",
+            false,
+            false,
+        ),
+        (
+            "join_fact_selective",
+            &shapes()[5].1,
+            true,
+            false,
+        ),
+        ("walk", &walk(3, 10, 15, "conf()", false), false, false),
+    ];
+    let mut db = fixture();
+    for (name, sql, swapped, skipped) in shapes {
+        let planned = message(&mut db, &format!("explain {sql}"));
+        let ran = message(&mut db, &format!("explain analyze {sql}"));
+        let steps = db.last_stats().unwrap().steps();
+        // The steps, as the render must show them.
+        let numbers = |rows_in: u64, rows_out: u64, build: u64| match build {
+            0 => format!("[in {rows_in}, out {rows_out}]"),
+            _ => format!("[in {rows_in}, out {rows_out}, build {build}]"),
+        };
+        let mut want = Vec::new();
+        for step in &steps {
+            match step {
+                Step::Pipeline(p) => {
+                    want.push("pipeline".to_string());
+                    want.extend(p.stages.iter().map(|st| {
+                        numbers(st.rows_in.get(), st.rows_out.get(), st.build_rows.get())
+                    }));
+                }
+                Step::Breaker(rows_in, rows_out) => {
+                    want.push(numbers(*rows_in as u64, *rows_out as u64, 0))
+                }
+                Step::DedupSkipped => want.push("not run".to_string()),
+                Step::BuiltOnPrefix => {}
+            }
+        }
+        // What the render shows, line by line.
+        let bracket = |l: &str| l[l.rfind(" [").expect("measured") + 1..].to_string();
+        let got: Vec<String> = ran
+            .lines()
+            .filter_map(|l| match l {
+                l if l.starts_with('#') && l.ends_with("[not run]") => Some("not run".into()),
+                l if l.starts_with('#') => Some("pipeline".into()),
+                l if l.starts_with("breaker:") || l.starts_with("     -> ") => Some(bracket(l)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(got, want, "{name}: recorded steps vs\n{ran}");
+        assert_eq!(
+            steps.iter().any(|s| matches!(s, Step::BuiltOnPrefix)),
+            swapped,
+            "{name}: {steps:?}"
+        );
+        assert_eq!(
+            ran.contains("pipeline (hash-join probe side)"),
+            swapped,
+            "{name}: {ran}"
+        );
+        assert_eq!(ran.contains("[not run]"), skipped, "{name}: {ran}");
+        // Stage by stage, the plan's line plus the measured numbers.
+        let stage_lines = |text: &str| -> Vec<String> {
+            let stages = text.lines().filter(|l| l.starts_with("     -> "));
+            stages.map(str::to_string).collect()
+        };
+        let (planned, measured) = (stage_lines(&planned), stage_lines(&ran));
+        assert_eq!(planned.len(), measured.len(), "{name}:\n{ran}");
+        for (plan, line) in planned.iter().zip(&measured) {
+            assert!(
+                line.starts_with(plan.as_str()) && line[plan.len()..].starts_with(" [in "),
+                "{name}: `{line}` is not `{plan}` measured"
+            );
+        }
+    }
+}
+
 /// `EXPLAIN` of the benchmark's most expensive walk statement does none of
 /// its work: no pipeline is collected, no breaker runs, no confidence is
 /// computed — its span tree holds none of them — while the statement
@@ -405,7 +552,9 @@ fn walk_builds_and_probes_only_the_window() {
             .pipelines()
             .iter()
             .flat_map(|p| p.stages.iter())
-            .filter(|s| s.label.starts_with("hash probe"))
+            // The probes: the only stages that build (every build side
+            // here holds rows).
+            .filter(|s| s.build_rows.get() > 0)
             .map(|s| (s.rows_in.get(), s.rows_out.get(), s.build_rows.get()))
             .collect();
         let w = w as u64;

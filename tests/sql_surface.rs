@@ -401,7 +401,9 @@ fn join_on_plans_like_the_comma_spelling() {
     else {
         panic!("EXPLAIN ANALYZE must return a message")
     };
-    assert!(ran.contains("build: step1 r1, 8 rows"), "{ran}");
+    // The run built on step1 r1 (its first pipeline), 8 rows.
+    assert!(ran.contains("#1 pipeline (hash-join build side)"), "{ran}");
+    assert!(ran.contains(", build 8]\n"), "{ran}");
     let rows = db.query(on).unwrap();
     assert_eq!(rows.tuples(), db.query(comma).unwrap().tuples());
     assert_eq!(rows.len(), 4);

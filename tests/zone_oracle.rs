@@ -280,14 +280,10 @@ fn pruned_scans_equal_unpruned_scans() {
                                 .join(" and "),
                             pool.threads()
                         );
-                        let got =
-                            stream(&table, &conjs).collect_with(pool, min_morsel, (&qs, "test"));
+                        let got = stream(&table, &conjs).collect_with(pool, min_morsel, &qs);
                         assert_eq!(outcome(got), want, "{what}");
-                        let positions = stream(&table, &conjs).select_positions(
-                            pool,
-                            min_morsel,
-                            (&qs, "test"),
-                        );
+                        let positions =
+                            stream(&table, &conjs).select_positions(pool, min_morsel, &qs);
                         assert_eq!(
                             positions.map_err(|e| e.to_string()),
                             want_positions,
@@ -319,7 +315,7 @@ fn a_point_lookup_reads_one_zone() {
     let qs = QueryStats::new();
     let conjs = [cmp("sorted", BinaryOp::Eq, Value::Int(10), true)];
     let got = stream(&table, &conjs)
-        .collect_with(&ThreadPool::new(2), 1, (&qs, "test"))
+        .collect_with(&ThreadPool::new(2), 1, &qs)
         .unwrap();
     assert_eq!(got.len(), 1);
     let p = &qs.pipelines()[0];
