@@ -129,9 +129,12 @@ proptest! {
             let pool = ThreadPool::new(threads);
             for morsel in [1usize, 4] {
                 for (layout, source) in [("plain", t.clone()), ("dictionary-encoded", t.dict_encode())] {
+                    // The fold reads whole rows: every column.
+                    let every: Vec<usize> = (0..source.schema().len()).collect();
                     let (keys, states) = UStream::new(source)
                         .collect_grouped(
                             &[Expr::ColumnIdx(0)],
+                            &every,
                             &pool,
                             morsel,
                             &maybms_obs::QueryStats::new(),

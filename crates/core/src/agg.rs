@@ -494,8 +494,22 @@ pub fn aggregate_stream_with(
         }
         Ok(())
     };
-    let (full_keys, states) =
-        stream.collect_grouped(grouping, pool, min_morsel, stats, new_state, fold, merge)?;
+    // What the fold reads besides the keys: the arguments it evaluates
+    // (none for `conf`, `aconf`, `ecount()` and `count(*)`), and every
+    // column for `argmax`, which keeps whole rows.
+    let mut reads = Vec::new();
+    for (spec, _) in aggs {
+        match spec {
+            AggSpec::ESum(e) | AggSpec::ECount(Some(e)) | AggSpec::Std { arg: Some(e), .. } => {
+                e.referenced_columns(&mut reads)
+            }
+            AggSpec::ArgMax { .. } => reads.extend(0..stream.schema().len()),
+            _ => {}
+        }
+    }
+    let (full_keys, states) = stream.collect_grouped(
+        grouping, &reads, pool, min_morsel, stats, new_state, fold, merge,
+    )?;
     // Reduce keys to the selected prefix for output.
     let keys: Vec<Vec<Value>> = full_keys
         .into_iter()

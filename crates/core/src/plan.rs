@@ -1191,23 +1191,30 @@ impl<'s> Explain<'s> {
             _ => Ok(()),
         };
         self.text.push('\n');
-        let labels = stream.stage_labels();
+        let (labels, widths) = (stream.stage_labels(), stream.stage_widths());
         debug_assert!(
             rec.is_none_or(|p| p.stages.len() == labels.len()),
             "a run of `{label}` recorded other stages than {labels:?}"
         );
         for (k, stage) in labels.iter().enumerate() {
-            let wsd = match stage.starts_with("hash probe") {
+            let probe = stage.starts_with("hash probe");
+            let wsd = match probe {
                 true => " (WSD conjunction)",
                 false => "",
             };
             let _ = write!(self.text, "     -> {stage}{wsd}");
             if let Some(st) = rec.and_then(|p| p.stages.get(k)) {
                 let (rows_in, rows_out) = (st.rows_in.get(), st.rows_out.get());
-                let _ = match st.build_rows.get() {
-                    0 => write!(self.text, " [in {rows_in}, out {rows_out}]"),
-                    b => write!(self.text, " [in {rows_in}, out {rows_out}, build {b}]"),
-                };
+                let _ = write!(self.text, " [in {rows_in}, out {rows_out}");
+                if probe {
+                    let (build, gathered) = (st.build_rows.get(), st.gathered.get());
+                    let _ = write!(
+                        self.text,
+                        ", build {build}, gathered {gathered} of {}",
+                        widths[k]
+                    );
+                }
+                self.text.push(']');
             }
             self.text.push('\n');
         }

@@ -6,11 +6,12 @@
 //! key expressions over a [`ColumnBatch`] and resolves every row's group
 //! from the key columns: dictionary codes through a code map (a vector
 //! unless the dictionary is far larger than the batch, else hashed),
-//! `i64`s through a hash map, NULL through one remembered group, and any
-//! other key shape by hashing and comparing its cells as
-//! [`ValueRef`](crate::ValueRef)s, exactly as `fast_hash_one(&[Value])`
-//! and `Value` equality would. A key is built only for a new group; no
-//! `Value` row is built.
+//! one `Int` column's `i64`s through a hash map, NULL through one
+//! remembered group, and any other key shape by hashing and comparing its
+//! cells as [`ValueRef`]s, exactly as
+//! `fast_hash_one(&[Value])` and `Value` equality would — a key of
+//! several `Int` columns from their `i64` slices, without reading a cell.
+//! A key is built only for a new group; no `Value` row is built.
 //!
 //! Tables merge deterministically ([`GroupTable::merge_in`]): absorbing
 //! tables in input order reproduces the sequential first-seen key order,
@@ -26,7 +27,7 @@ use crate::expr::Expr;
 use std::hash::{Hash, Hasher};
 
 use crate::hash::{fast_hash_one, FastHasher, FastMap};
-use crate::types::Value;
+use crate::types::{Value, ValueRef};
 use crate::vector::{self, KernelCounts};
 
 /// A hashed group → state table in first-seen key order.
@@ -129,12 +130,25 @@ impl<A> GroupTable<A> {
         j: usize,
         new_state: impl FnOnce() -> A,
     ) -> u32 {
-        // What `fast_hash_one(&[Value])` hashes: the length, then each value.
-        let mut h = FastHasher::default();
-        h.write_usize(keys.len());
-        keys.iter().for_each(|c| c.cell(j).hash(&mut h));
-        let found = |k: &[Value]| k.iter().zip(keys).all(|(v, c)| v.view() == c.cell(j));
         let key = || keys.iter().map(|c| c.value_at(j)).collect();
+        self.group_of_cells(keys.len(), |c| keys[c].cell(j), key, new_state)
+    }
+
+    /// The group of the key whose `n` cells `cell` reads, hashed and
+    /// compared as [`ValueRef`]s — what `fast_hash_one(&[Value])` hashes
+    /// (the length, then each value) and `Value` equality compares —
+    /// with `key()` built only for a new group.
+    fn group_of_cells<'c>(
+        &mut self,
+        n: usize,
+        cell: impl Fn(usize) -> ValueRef<'c>,
+        key: impl FnOnce() -> Vec<Value>,
+        new_state: impl FnOnce() -> A,
+    ) -> u32 {
+        let mut h = FastHasher::default();
+        h.write_usize(n);
+        (0..n).for_each(|c| cell(c).hash(&mut h));
+        let found = |k: &[Value]| k.iter().enumerate().all(|(c, v)| v.view() == cell(c));
         self.group_hashed(h.finish(), found, key, new_state)
     }
 
@@ -198,10 +212,7 @@ impl<A> GroupTable<A> {
         let col = match keys {
             [] if n > 0 => return vec![self.group_of(&[], new_state); n],
             [col] => col,
-            _ => {
-                ids.extend((0..n).map(|j| self.group_of_row(keys, j, new_state)));
-                return ids;
-            }
+            _ => return self.multi_column_ids(keys, n, new_state),
         };
         let mut cache = std::mem::replace(&mut self.cache, KeyCache::Empty);
         match (col.data(), &cache) {
@@ -247,6 +258,42 @@ impl<A> GroupTable<A> {
         }
         self.cache = cache;
         ids
+    }
+
+    /// [`GroupTable::group_ids`] for a key of several columns. When
+    /// every key column is `Int`, a row's group is found from its `i64`s,
+    /// hashed and compared as [`GroupTable::group_of_row`] does its cells
+    /// (`2.0` in a group's key equals `2`), and a row with a NULL cell
+    /// through `group_of_row`. No row allocates.
+    fn multi_column_ids(
+        &mut self,
+        keys: &[Cow<'_, Column>],
+        n: usize,
+        new_state: &impl Fn() -> A,
+    ) -> Vec<u32> {
+        let ints: Option<Vec<&[i64]>> = keys
+            .iter()
+            .map(|c| match c.data() {
+                ColumnData::Int(v) => Some(&v[..]),
+                _ => None,
+            })
+            .collect();
+        let Some(ints) = ints else {
+            return (0..n)
+                .map(|j| self.group_of_row(keys, j, new_state))
+                .collect();
+        };
+        let nulls = keys.iter().any(|c| c.has_nulls());
+        (0..n)
+            .map(|j| {
+                if nulls && keys.iter().any(|c| c.is_null(j)) {
+                    return self.group_of_row(keys, j, new_state);
+                }
+                let key = || ints.iter().map(|v| Value::Int(v[j])).collect();
+                let cell = |c: usize| ValueRef::Int(ints[c][j]);
+                self.group_of_cells(ints.len(), cell, key, new_state)
+            })
+            .collect()
     }
 
     /// Absorb a **later** table: `other`'s groups are visited in its
@@ -395,6 +442,65 @@ mod tests {
         let mut t: GroupTable<()> = GroupTable::new();
         let (ids, _) = t.group_batch(&[], &empty, &mut KernelCounts::default(), &|| ());
         assert!(ids.is_empty() && t.is_empty());
+    }
+
+    /// A key of two `Int` columns, grouped from its `i64`s, gets the ids
+    /// `group_of_row` gives the same cells: with a NULL in either column,
+    /// a key repeated in a later batch, and a later batch whose second
+    /// column is `Float` (`2.0` joins `2`'s group).
+    #[test]
+    fn int_pair_keys_group_as_their_cells_do() {
+        let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        let batches: Vec<Vec<Value>> = vec![
+            // (1, 2), (1, NULL), (NULL, 2), (1, 2), (2, 1), (NULL, NULL)
+            [(1, 2), (1, -1), (-1, 2), (1, 2), (2, 1), (-1, -1)]
+                .iter()
+                .flat_map(|&(a, b)| [(a >= 0).then_some(a), (b >= 0).then_some(b)])
+                .map(int)
+                .collect(),
+            // (2, 1) and (1, NULL) again, then new keys — (1, 0) is not
+            // (1, NULL), whatever `i64` a NULL cell holds.
+            [(2, 1), (1, -1), (1, 0), (3, 3)]
+                .iter()
+                .flat_map(|&(a, b)| [(a >= 0).then_some(a), (b >= 0).then_some(b)])
+                .map(int)
+                .collect(),
+            // The second column as `Float`: (1, 2.0) is (1, 2)'s group.
+            vec![
+                Value::Int(1),
+                Value::Float(2.0),
+                Value::Int(3),
+                Value::Float(3.5),
+                Value::Int(2),
+                Value::Null,
+            ],
+        ];
+        let column = |cells: &[Value], c: usize, typed: bool| {
+            let values: Vec<Value> = cells.iter().skip(c).step_by(2).cloned().collect();
+            match typed {
+                true => Column::from_values(values),
+                false => Column::from_raw_values(values),
+            }
+        };
+        let keys = [Expr::ColumnIdx(0), Expr::ColumnIdx(1)];
+        let (mut typed, mut cells) = (GroupTable::<()>::new(), GroupTable::<()>::new());
+        let mut all = Vec::new();
+        for (b, batch) in batches.iter().enumerate() {
+            let n = batch.len() / 2;
+            let make =
+                |t| ColumnBatch::from_columns(vec![column(batch, 0, t), column(batch, 1, t)], n);
+            let (typed_batch, cell_batch) = (make(true), make(false));
+            if b < 2 {
+                assert!(matches!(typed_batch.column(1).data(), ColumnData::Int(_)));
+            }
+            let counts = &mut KernelCounts::default();
+            let (a, _) = typed.group_batch(&keys, &typed_batch, counts, &|| ());
+            let (c, _) = cells.group_batch(&keys, &cell_batch, counts, &|| ());
+            assert_eq!(a, c, "batch {b}");
+            all.extend(a);
+        }
+        assert_eq!(all, [0, 1, 2, 0, 3, 4, 3, 1, 5, 6, 0, 7, 8]);
+        assert_eq!(typed.into_parts().0, cells.into_parts().0);
     }
 
     /// A dictionary-encoded key groups like its plain twin, and the

@@ -639,8 +639,8 @@ pub fn latency_report() -> String {
 
 /// Per-stage collection slot of a [`PipelineStats`]: how many rows
 /// entered and survived one fused stage, plus (for probes) the build
-/// size. Totals are order-independent sums of per-morsel tallies, so
-/// they are bit-identical at any thread count.
+/// size and the columns gathered. Row totals are order-independent sums
+/// of per-morsel tallies, so they are bit-identical at any thread count.
 #[derive(Debug, Default)]
 pub struct StageStats {
     /// Rows entering the stage.
@@ -649,6 +649,9 @@ pub struct StageStats {
     pub rows_out: Counter,
     /// Hash-join build rows (probe stages only; 0 otherwise).
     pub build_rows: Counter,
+    /// Columns of its joined rows a probe gathered: those a later stage
+    /// or the sink reads (probe stages only; 0 otherwise).
+    pub gathered: Counter,
 }
 
 /// The one record of a pipeline run: source size, per-stage row counts,

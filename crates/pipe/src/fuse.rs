@@ -60,7 +60,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-use maybms_engine::column::{ColumnBatch, StrDict};
+use maybms_engine::column::{Column, ColumnBatch, StrDict};
 use maybms_engine::error::EngineError;
 use maybms_engine::hash::{fast_hash_one, FastHasher};
 use maybms_engine::vector::KernelCounts;
@@ -122,8 +122,11 @@ enum VecStage {
     Filter(Expr),
     Project(Vec<Expr>),
     /// A probe: its keys are the stage's, its build side the run's (see
-    /// [`BuildSide`]).
-    Probe,
+    /// [`BuildSide`]). `live` marks the joined row's columns a later stage
+    /// or the sink reads: the only ones it gathers.
+    Probe {
+        live: Vec<bool>,
+    },
 }
 
 /// How a pipeline's morsels read their source and run the stages,
@@ -135,10 +138,82 @@ struct Plan {
     /// probe or sink that needs the rest gathers it from the source
     /// ([`Flow::widen`]).
     cols: Vec<usize>,
+    /// The source columns a probe or the sink reads of the rows
+    /// [`Flow::widen`] completes: the only ones it gathers.
+    widen: Vec<bool>,
 }
 
-/// Plan `stages` over a source.
-fn plan(stages: &[Stage]) -> Plan {
+/// The width of the rows each stage of `stages` outputs, over a source of
+/// `arity` columns.
+pub(crate) fn widths(arity: usize, stages: &[Stage]) -> Vec<usize> {
+    let mut w = arity;
+    stages
+        .iter()
+        .map(|s| {
+            w = match s {
+                Stage::Filter(_) => w,
+                Stage::Project(es) => es.len(),
+                Stage::Probe { build, .. } => w + build.schema().len(),
+            };
+            w
+        })
+        .collect()
+}
+
+/// Which columns each probe of `stages` must gather, and which source
+/// columns [`Flow::widen`] must: the liveness walk, from the sink's
+/// `reads` (positions of the last stage's rows) back to the source. A σ
+/// adds the columns it reads; a π replaces the set with what all of its
+/// expressions read (every one is evaluated, so no error moves); a probe
+/// splits the set over its two halves and adds its keys on the stream
+/// side. Every other column only ever holds a NULL constant.
+fn liveness(
+    arity: usize,
+    stages: &[Stage],
+    reads: &[usize],
+) -> (Vec<Option<Vec<bool>>>, Vec<bool>) {
+    let widths = widths(arity, stages);
+    let width_in = |k: usize| k.checked_sub(1).map_or(arity, |j| widths[j]);
+    let mut live = vec![false; width_in(stages.len())];
+    reads.iter().for_each(|&c| live[c] = true);
+    let mut probes = vec![None; stages.len()];
+    // Rows are widened at the first stage that is not a σ (or the sink);
+    // after a π they already are whole.
+    let reshape = stages.iter().position(|s| !matches!(s, Stage::Filter(_)));
+    let mut widen = reshape.is_none().then(|| live.clone());
+    for (k, stage) in stages.iter().enumerate().rev() {
+        let mut read = Vec::new();
+        match stage {
+            Stage::Filter(p) => p.referenced_columns(&mut read),
+            Stage::Project(es) => {
+                live = vec![false; width_in(k)];
+                es.iter().for_each(|e| e.referenced_columns(&mut read));
+            }
+            Stage::Probe {
+                left_keys,
+                build_first,
+                ..
+            } => {
+                let offset = match build_first {
+                    true => widths[k] - width_in(k),
+                    false => 0,
+                };
+                let stream = live[offset..offset + width_in(k)].to_vec();
+                probes[k] = Some(std::mem::replace(&mut live, stream));
+                read.extend(left_keys);
+            }
+        }
+        read.into_iter().for_each(|c| live[c] = true);
+        if Some(k) == reshape {
+            widen = Some(live.clone());
+        }
+    }
+    (probes, widen.expect("rows are widened somewhere"))
+}
+
+/// Plan `stages` over a source of `arity` columns for a sink that reads
+/// the columns `reads` of their output.
+fn plan(arity: usize, stages: &[Stage], reads: &[usize]) -> Plan {
     // Stages before the first π or probe read the source row shape; the
     // ones after read the whole batch that stage built.
     let reshape = stages.iter().position(|s| !matches!(s, Stage::Filter(_)));
@@ -165,16 +240,23 @@ fn plan(stages: &[Stage]) -> Plan {
         true => e.remap_columns(&map),
         false => e.clone(),
     };
+    let (mut probes, widen) = liveness(arity, stages, reads);
     let stages = stages
         .iter()
         .enumerate()
         .map(|(k, s)| match s {
             Stage::Filter(p) => VecStage::Filter(remap(k, p)),
             Stage::Project(es) => VecStage::Project(es.iter().map(|e| remap(k, e)).collect()),
-            Stage::Probe { .. } => VecStage::Probe,
+            Stage::Probe { .. } => VecStage::Probe {
+                live: probes[k].take().expect("a probe's output liveness"),
+            },
         })
         .collect();
-    Plan { stages, cols }
+    Plan {
+        stages,
+        cols,
+        widen,
+    }
 }
 
 /// One morsel's counts, kept on the worker's stack and flushed into the
@@ -399,17 +481,24 @@ impl Flow {
         }
     }
 
-    /// The rows with every column of their shape: the source columns not
-    /// scanned yet are gathered (or sliced) from the source.
-    fn widen(mut self, source: &URelation) -> Flow {
+    /// The rows with every column of their shape: the `live` source
+    /// columns are gathered (or sliced) from the source, the others are a
+    /// NULL constant no stage or sink reads.
+    fn widen(mut self, source: &URelation, live: &[bool]) -> Flow {
         if !self.whole {
             let rest = source.at_rest().0;
             let (first, n) = (self.src.first().map_or(0, |&i| i as usize), self.rows());
-            let all: Vec<usize> = (0..rest.arity()).collect();
-            self.batch = match self.src.last() {
-                Some(&last) if last as usize + 1 - first != n => rest.gather(&self.src),
-                _ => rest.slice_cols(first, n, &all),
-            };
+            let contiguous = self.src.last().is_none_or(|&l| l as usize + 1 - first == n);
+            let columns = rest
+                .columns()
+                .iter()
+                .zip(live)
+                .map(|(c, &live)| match live {
+                    false => Column::from_const(Value::Null, n),
+                    true if contiguous => c.slice(first, n),
+                    true => c.gather(&self.src),
+                });
+            self.batch = ColumnBatch::from_columns(columns.collect(), n);
         }
         self.whole = true;
         self
@@ -462,7 +551,7 @@ fn step(stage: &VecStage, flow: &mut Flow, kernels: &mut KernelCounts) -> Option
             }
             pending
         }
-        VecStage::Probe => unreachable!("probes run in `Morsel::probe`"),
+        VecStage::Probe { .. } => unreachable!("probes run in `Morsel::probe`"),
     }
 }
 
@@ -496,12 +585,13 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
     /// stage's own error is returned only after everything it let through
     /// ran: those rows precede it in the scalar walk.
     fn run(&mut self, mut flow: Flow, k: usize) -> Result<()> {
+        let widen = &self.plan.widen;
         let Some(stage) = self.plan.stages.get(k) else {
-            return self.finish(flow.widen(self.source).settle(self.source));
+            return self.finish(flow.widen(self.source, widen).settle(self.source));
         };
         self.tally.stages[k].0 += flow.rows() as u64;
-        if let VecStage::Probe = stage {
-            return self.probe(flow.widen(self.source).settle(self.source), k);
+        if let VecStage::Probe { .. } = stage {
+            return self.probe(flow.widen(self.source, widen).settle(self.source), k);
         }
         let pending = step(stage, &mut flow, &mut self.tally.kernels);
         self.tally.stages[k].1 += flow.rows() as u64;
@@ -525,14 +615,16 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
         let builds = self.builds;
         let side = builds[k].as_ref().expect("a probe stage has a build side");
         let certain = matches!(flow.conds, Conds::Certain) && side.certain;
+        let keys: Vec<KeyPair> = left_keys
+            .iter()
+            .zip(right_keys)
+            .map(|(&a, &b)| KeyPair::new(flow.batch.column(a), side.batch.column(b)))
+            .collect();
         let (mut pi, mut bi, mut wsds) = (Vec::new(), Vec::new(), Vec::new());
         for (j, h) in key_hashes(&flow.batch, left_keys).into_iter().enumerate() {
             let Some(h) = h else { continue };
             for &r in side.table.candidates(h) {
-                let keys_eq = left_keys.iter().zip(right_keys).all(|(&a, &b)| {
-                    flow.batch.column(a).cell(j) == side.batch.column(b).cell(r as usize)
-                });
-                if !keys_eq {
+                if !keys.iter().all(|key| key.eq(j, r as usize)) {
                     continue; // hash collision
                 }
                 if !certain {
@@ -556,7 +648,8 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
         self.emit(&flow, (pi, bi), wsds, k)
     }
 
-    /// Gather one chunk of joined rows and run it on from stage `k + 1`.
+    /// Gather one chunk of joined rows — the live columns; the others
+    /// are a NULL constant — and run it on from stage `k + 1`.
     fn emit(
         &mut self,
         flow: &Flow,
@@ -564,19 +657,28 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
         wsds: Vec<Wsd>,
         k: usize,
     ) -> Result<()> {
-        let Stage::Probe { build_first, .. } = self.stages[k] else {
+        let (Stage::Probe { build_first, .. }, VecStage::Probe { live }) =
+            (&self.stages[k], &self.plan.stages[k])
+        else {
             unreachable!("a probe plan stage is a probe")
         };
         let side = self.builds[k]
             .as_ref()
             .expect("a probe stage has a build side");
-        let probe = flow.batch.columns().iter().map(|c| c.gather(&pi));
-        let build = side.batch.columns().iter().map(|c| c.gather(&bi));
-        let columns = match build_first {
-            true => build.chain(probe).collect(),
-            false => probe.chain(build).collect(),
-        };
         let n = pi.len();
+        let (probe, build) = ((&flow.batch, &pi), (side.batch, &bi));
+        let (left, right) = match build_first {
+            true => (build, probe),
+            false => (probe, build),
+        };
+        let columns = (left.0.columns().iter().map(|c| (c, left.1)))
+            .chain(right.0.columns().iter().map(|c| (c, right.1)))
+            .zip(live)
+            .map(|((c, sel), &live)| match live {
+                true => c.gather(sel),
+                false => Column::from_const(Value::Null, n),
+            })
+            .collect();
         self.tally.stages[k].1 += n as u64;
         let joined = Flow {
             batch: ColumnBatch::from_columns(columns, n),
@@ -599,6 +701,32 @@ impl<Sk: MorselSink> Morsel<'_, Sk> {
         };
         self.sink
             .push_batch(flow.batch, wsds, &mut self.tally.kernels)
+    }
+}
+
+/// One key pair of a probe, compared for a probe row and a build row:
+/// two `Int` columns on their `i64`s, any other pair as [`ValueRef`]s.
+/// Neither row's key is NULL: [`key_hashes`] skips such a probe row, and
+/// the build side never holds one.
+enum KeyPair<'c> {
+    Ints(&'c [i64], &'c [i64]),
+    Cells(&'c Column, &'c Column),
+}
+
+impl<'c> KeyPair<'c> {
+    fn new(probe: &'c Column, build: &'c Column) -> KeyPair<'c> {
+        match (probe.data(), build.data()) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => KeyPair::Ints(a, b),
+            _ => KeyPair::Cells(probe, build),
+        }
+    }
+
+    #[inline]
+    fn eq(&self, j: usize, r: usize) -> bool {
+        match self {
+            KeyPair::Ints(a, b) => a[j] == b[r],
+            KeyPair::Cells(a, b) => a.cell(j) == b.cell(r),
+        }
     }
 }
 
@@ -683,9 +811,14 @@ impl MorselSink for BatchSink {
 /// Run `stages` over every row of `source` on the morsel driver, feeding
 /// the surviving rows of each vector into a fresh per-morsel sink built by
 /// `make_sink`. Returns the finished sinks **in morsel order**.
+///
+/// The sink reads the columns `reads` of the rows it is handed; the
+/// others hold a NULL constant. The pipeline gathers only what the sink
+/// or a later stage reads (see [`liveness`]).
 pub(crate) fn run_sink<Sk, MK>(
     source: &URelation,
     stages: &[Stage],
+    reads: &[usize],
     pool: &ThreadPool,
     min_morsel: usize,
     stats: &PipelineStats,
@@ -695,16 +828,22 @@ where
     Sk: MorselSink + Send,
     MK: Fn() -> Sk + Sync,
 {
-    let plan = plan(stages);
+    let plan = plan(source.schema().len(), stages, reads);
     // Build sides for the probe stages, on this pool.
     let builds: Vec<Option<BuildSide>> = stages
         .iter()
+        .zip(&plan.stages)
         .zip(&stats.stages)
-        .map(|(s, slot)| match s {
-            Stage::Probe {
-                build, right_keys, ..
-            } => {
+        .map(|((s, vs), slot)| match (s, vs) {
+            (
+                Stage::Probe {
+                    build, right_keys, ..
+                },
+                VecStage::Probe { live },
+            ) => {
                 slot.build_rows.add(build.len() as u64);
+                slot.gathered
+                    .add(live.iter().filter(|&&l| l).count() as u64);
                 let (batch, wsds) = build.at_rest();
                 let hashes = key_hashes(batch, right_keys);
                 Some(BuildSide {
@@ -752,7 +891,8 @@ pub(crate) fn select(
     min_morsel: usize,
     stats: &PipelineStats,
 ) -> Result<Vec<usize>> {
-    let plan = plan(stages);
+    // Positions are its output: no column of the rows is read.
+    let plan = plan(source.schema().len(), stages, &[]);
     let partials = drive(
         candidate_ranges(source, stages, stats),
         pool,
@@ -792,7 +932,16 @@ pub(crate) fn collect(
     min_morsel: usize,
     stats: &PipelineStats,
 ) -> Result<URelation> {
-    let sinks = run_sink(source, stages, pool, min_morsel, stats, BatchSink::default)?;
+    let every: Vec<usize> = (0..schema.len()).collect();
+    let sinks = run_sink(
+        source,
+        stages,
+        &every,
+        pool,
+        min_morsel,
+        stats,
+        BatchSink::default,
+    )?;
     let (mut batches, mut wsds) = (Vec::new(), Vec::new());
     for sink in sinks {
         batches.extend(sink.batches);

@@ -86,7 +86,8 @@ where
 /// Run a fused stage chain with grouped aggregation as the terminal
 /// sink: per-morsel [`GroupTable`]s, merged in morsel order, the merged
 /// group count tallied into `stats`. Returns `(keys, states)` in
-/// first-seen order.
+/// first-seen order. `fold` reads the columns `reads` of its batches
+/// besides the keys (the pipeline gathers no other).
 ///
 /// A run that fails is repeated as one morsel, and that run's error is
 /// returned: it is the scalar walk's first error. Split runs can meet
@@ -102,6 +103,7 @@ pub(crate) fn group_stream<A, NF, FF, MF>(
     source: &URelation,
     stages: &[Stage],
     key_exprs: &[Expr],
+    reads: &[usize],
     pool: &ThreadPool,
     min_morsel: usize,
     stats: &PipelineStats,
@@ -115,16 +117,25 @@ where
     FF: Fn(&mut [A], &GroupedBatch<'_>, &mut KernelCounts) -> Result<()> + Sync,
     MF: FnMut(&mut A, A) -> Result<()>,
 {
+    // The sink reads the key columns and what the fold reads.
+    let mut reads = reads.to_vec();
+    key_exprs
+        .iter()
+        .for_each(|e| e.referenced_columns(&mut reads));
     let mut run = |min_morsel: usize, stats: &PipelineStats| -> Result<GroupTable<A>> {
-        let sinks = fuse::run_sink(source, stages, pool, min_morsel, stats, || GroupSink {
-            table: GroupTable::new(),
-            key_exprs,
-            new_state: &new_state,
-            fold: &fold,
+        let sinks = fuse::run_sink(source, stages, &reads, pool, min_morsel, stats, || {
+            GroupSink {
+                table: GroupTable::new(),
+                key_exprs,
+                new_state: &new_state,
+                fold: &fold,
+            }
         })?;
-        let mut merged = GroupTable::new();
-        for sink in sinks {
-            merged.merge_in(sink.table, &mut merge)?;
+        // The first morsel's table is kept; the later ones merge into it.
+        let mut tables = sinks.into_iter().map(|sink| sink.table);
+        let mut merged = tables.next().unwrap_or_default();
+        for table in tables {
+            merged.merge_in(table, &mut merge)?;
         }
         Ok(merged)
     };

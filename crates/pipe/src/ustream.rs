@@ -273,7 +273,10 @@ impl UStream {
     /// The accumulator is caller-defined: `new_state` opens a group,
     /// `fold` absorbs one [`GroupedBatch`] — rows as columns, each row's
     /// group (an index into the morsel's states) and its WSD — and
-    /// `merge` absorbs a later morsel's state into an earlier one. The
+    /// `merge` absorbs a later morsel's state into an earlier one.
+    /// `fold` reads only the columns `reads` (positions in
+    /// [`UStream::schema`]) besides the keys: every other column of its
+    /// batches is a NULL constant, and no probe gathers it. The
     /// fold raises the error the scalar walk would meet first among the
     /// batch's rows, and counts its vector kernels into the run's record.
     /// Determinism contract: provided `fold`-then-`merge` equals folding
@@ -293,6 +296,7 @@ impl UStream {
     pub fn collect_grouped<A, NF, FF, MF>(
         self,
         group_exprs: &[Expr],
+        reads: &[usize],
         pool: &ThreadPool,
         min_morsel: usize,
         statement: &QueryStats,
@@ -312,7 +316,7 @@ impl UStream {
             .collect::<std::result::Result<_, EngineError>>()?;
         self.run(statement, |source, stages, _, stats| {
             crate::groupby::group_stream(
-                &source, stages, &bound, pool, min_morsel, stats, new_state, fold, merge,
+                &source, stages, &bound, reads, pool, min_morsel, stats, new_state, fold, merge,
             )
         })
     }
@@ -339,6 +343,11 @@ impl UStream {
         let out = body(source, &stages, schema, &stats);
         stats.finish(&mut span, statement);
         out
+    }
+
+    /// The width of the rows each recorded stage outputs.
+    pub fn stage_widths(&self) -> Vec<usize> {
+        fuse::widths(self.source.schema().len(), &self.stages)
     }
 
     /// One label per recorded stage — the text the plan's `EXPLAIN` walk

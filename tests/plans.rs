@@ -264,29 +264,39 @@ fn explain_analyze_lays_every_step_over_the_plan() {
         let planned = message(&mut db, &format!("explain {sql}"));
         let ran = message(&mut db, &format!("explain analyze {sql}"));
         let steps = db.last_stats().unwrap().steps();
-        // The steps, as the render must show them.
-        let numbers = |rows_in: u64, rows_out: u64, build: u64| match build {
-            0 => format!("[in {rows_in}, out {rows_out}]"),
-            _ => format!("[in {rows_in}, out {rows_out}, build {build}]"),
-        };
+        // The steps, as the render must show them; a probe's numbers end
+        // with the columns it gathered of its joined row's (the plan's
+        // width, which the render supplies).
+        let numbers = |rows_in: u64, rows_out: u64| format!("[in {rows_in}, out {rows_out}]");
         let mut want = Vec::new();
         for step in &steps {
             match step {
                 Step::Pipeline(p) => {
                     want.push("pipeline".to_string());
                     want.extend(p.stages.iter().map(|st| {
-                        numbers(st.rows_in.get(), st.rows_out.get(), st.build_rows.get())
+                        let (rows_in, rows_out) = (st.rows_in.get(), st.rows_out.get());
+                        match st.build_rows.get() {
+                            0 => numbers(rows_in, rows_out),
+                            build => format!(
+                                "[in {rows_in}, out {rows_out}, build {build}, gathered {} of",
+                                st.gathered.get()
+                            ),
+                        }
                     }));
                 }
                 Step::Breaker(rows_in, rows_out) => {
-                    want.push(numbers(*rows_in as u64, *rows_out as u64, 0))
+                    want.push(numbers(*rows_in as u64, *rows_out as u64))
                 }
                 Step::DedupSkipped => want.push("not run".to_string()),
                 Step::BuiltOnPrefix => {}
             }
         }
-        // What the render shows, line by line.
-        let bracket = |l: &str| l[l.rfind(" [").expect("measured") + 1..].to_string();
+        // What the render shows, line by line (a probe's width cut).
+        let bracket = |l: &str| {
+            let numbers = &l[l.rfind(" [").expect("measured") + 1..];
+            let cut = numbers.rfind(" of ").map_or(numbers.len(), |k| k + 3);
+            numbers[..cut].to_string()
+        };
         let got: Vec<String> = ran
             .lines()
             .filter_map(|l| match l {
@@ -536,6 +546,35 @@ fn between_bounds_imply_filters_on_every_step() {
         db.query(&sql).unwrap(),
         db.query(&walk(3, 10, 15, "conf()", false)).unwrap()
     );
+}
+
+/// A probe gathers only the columns of its joined rows that a later stage
+/// or the group breaker reads: walk3's probes keep the next step's keys
+/// and the group keys (`s.player`, then `r3.final`), and
+/// `join_dim_group`'s keeps `r.temp` and `m.floor` — `count(*)` reads no
+/// column.
+#[test]
+fn probes_gather_only_the_columns_read_later() {
+    let mut db = fixture();
+    let shapes = shapes();
+    for ((name, sql), gathered, last) in [
+        (&shapes[1], vec![3, 3, 2], "gathered 2 of 14]"),
+        (&shapes[4], vec![2], "gathered 2 of 7]"),
+    ] {
+        let ran = message(&mut db, &format!("explain analyze {sql}"));
+        let probes: Vec<&str> = ran.lines().filter(|l| l.contains("hash probe")).collect();
+        assert!(probes.last().unwrap().ends_with(last), "{name}:\n{ran}");
+        db.query(sql).unwrap();
+        let stats = db.last_stats().unwrap();
+        let recorded: Vec<u64> = stats
+            .pipelines()
+            .iter()
+            .flat_map(|p| p.stages.iter())
+            .filter(|s| s.build_rows.get() > 0)
+            .map(|s| s.gathered.get())
+            .collect();
+        assert_eq!(recorded, gathered, "{name}");
+    }
 }
 
 /// The Figure 1 three-step walk over a `w`-player window scans each step

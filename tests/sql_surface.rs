@@ -401,9 +401,10 @@ fn join_on_plans_like_the_comma_spelling() {
     else {
         panic!("EXPLAIN ANALYZE must return a message")
     };
-    // The run built on step1 r1 (its first pipeline), 8 rows.
+    // The run built on step1 r1 (its first pipeline), 8 rows, and the
+    // probe gathered the two columns the projection reads.
     assert!(ran.contains("#1 pipeline (hash-join build side)"), "{ran}");
-    assert!(ran.contains(", build 8]\n"), "{ran}");
+    assert!(ran.contains(", build 8, gathered 2 of 5]\n"), "{ran}");
     let rows = db.query(on).unwrap();
     assert_eq!(rows.tuples(), db.query(comma).unwrap().tuples());
     assert_eq!(rows.len(), 4);
