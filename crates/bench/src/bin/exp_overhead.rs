@@ -24,7 +24,6 @@ fn main() {
     );
     for rows in [1_000usize, 5_000, 10_000, 50_000] {
         let (certain, _wt, uncertain) = overhead_pair(21, rows, (rows / 10) as i64);
-        let certain = URelation::from_certain(&certain);
         let pred = Expr::col("v").binary(BinaryOp::Lt, Expr::lit(500i64));
         // σ then self-⋈ on k: one fused chain, timed end to end.
         let run = |u: &URelation| {

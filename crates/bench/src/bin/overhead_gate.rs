@@ -116,7 +116,7 @@ fn main() {
         "create table u as select k from (repair key k in t weight by prob) x where k < {CONF_CALLS}"
     ))
     .expect("repair key over (k, v, prob)");
-    run_mix(&mut db); // warm-up: lazy row views, dictionaries, the pool
+    run_mix(&mut db); // warm-up: zone maps, dictionaries, the pool
     let gov_mark = gov_metric_mark();
 
     let (mut plain, mut traced) = (Vec::with_capacity(reps), Vec::with_capacity(reps));

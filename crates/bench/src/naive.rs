@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 
 use maybms_conf::{confidence_with_effort, ConfMethod, Dnf};
 use maybms_core::translate::AggSpec;
-use maybms_engine::{ops, EngineError, Expr, Relation, Tuple, Value};
+use maybms_engine::{ops, EngineError, Expr, Tuple, Value};
 use maybms_urel::{URelation, UTuple, WorldTable, Wsd};
 
 /// One stage of a fused chain. Expressions are bound (`ColumnIdx`) to
@@ -51,43 +51,59 @@ pub fn fused_chain(
     steps: &[Step],
 ) -> Result<Vec<(Vec<Value>, Wsd)>, (usize, EngineError)> {
     type Out = Vec<(Vec<Value>, Wsd)>;
-    fn walk(row: &[Value], wsd: &Wsd, steps: &[Step], out: &mut Out) -> Result<(), EngineError> {
+    /// `builds[k]`: the rows of step `k`'s build side (empty for a
+    /// non-probe step), built once for the whole walk.
+    fn walk(
+        row: &[Value],
+        wsd: &Wsd,
+        steps: &[Step],
+        builds: &[Vec<UTuple>],
+        out: &mut Out,
+    ) -> Result<(), EngineError> {
         let Some((step, rest)) = steps.split_first() else {
             out.push((row.to_vec(), wsd.clone()));
             return Ok(());
         };
+        let (build, builds) = builds.split_first().expect("one entry a step");
         match step {
-            Step::Filter(p) if p.eval_predicate_values(row)? => walk(row, wsd, rest, out)?,
+            Step::Filter(p) if p.eval_predicate_values(row)? => walk(row, wsd, rest, builds, out)?,
             Step::Filter(_) => {}
             Step::Project(es) => {
                 let vals: Vec<Value> = es
                     .iter()
                     .map(|e| e.eval_values(row))
                     .collect::<Result<_, _>>()?;
-                walk(&vals, wsd, rest, out)?;
+                walk(&vals, wsd, rest, builds, out)?;
             }
             Step::Probe {
-                build,
                 left_keys,
                 right_keys,
+                ..
             } => {
-                for b in build.tuples() {
-                    let brow = b.data.values();
+                for b in build {
+                    let brow = b.values();
                     let keys_eq = left_keys
                         .iter()
                         .zip(right_keys)
                         .all(|(&l, &r)| row[l].sql_eq(&brow[r]) == Some(true));
                     if let (true, Some(w)) = (keys_eq, wsd.conjoin(&b.wsd)) {
-                        walk(&[row, brow].concat(), &w, rest, out)?;
+                        walk(&[row, brow].concat(), &w, rest, builds, out)?;
                     }
                 }
             }
         }
         Ok(())
     }
+    let builds: Vec<Vec<UTuple>> = steps
+        .iter()
+        .map(|s| match s {
+            Step::Probe { build, .. } => build.tuples(),
+            _ => Vec::new(),
+        })
+        .collect();
     let mut out = Vec::new();
     for (i, t) in source.tuples().iter().enumerate() {
-        walk(t.data.values(), &t.wsd, steps, &mut out).map_err(|e| (i, e))?;
+        walk(t.values(), &t.wsd, steps, &builds, &mut out).map_err(|e| (i, e))?;
     }
     Ok(out)
 }
@@ -104,9 +120,10 @@ pub fn nested_loop_join(
 ) -> Result<Vec<(Vec<Value>, Wsd)>, EngineError> {
     let mut out: Vec<(Vec<Value>, Wsd)> = vec![(Vec::new(), Wsd::tautology())];
     for source in sources {
+        let rows = source.tuples();
         let mut next = Vec::new();
         for (row, wsd) in &out {
-            for t in source.tuples() {
+            for t in &rows {
                 if let Some(w) = wsd.conjoin(&t.wsd) {
                     next.push(([row.as_slice(), t.data.values()].concat(), w));
                 }
@@ -159,11 +176,12 @@ pub fn aggregate_u(
     fn msg<T, E: std::fmt::Display>(r: Result<T, E>) -> Result<T, String> {
         r.map_err(|e| e.to_string())
     }
+    let rows = u.tuples();
     let mut groups: Vec<(Vec<Value>, Vec<&UTuple>)> = Vec::new();
     if grouping.is_empty() {
         groups.push((Vec::new(), Vec::new()));
     }
-    for t in u.tuples() {
+    for t in &rows {
         let key: Vec<Value> = msg(grouping.iter().map(|e| e.eval(&t.data)).collect())?;
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, members)) => members.push(t),
@@ -347,28 +365,29 @@ pub fn deep_clone(t: &Tuple) -> Tuple {
 }
 
 /// Seed `distinct`: the double clone (seen-set + output).
-pub fn distinct(input: &Relation) -> Relation {
+pub fn distinct(input: &URelation) -> URelation {
     let mut seen = HashSet::with_capacity(input.len());
     let mut out = Vec::new();
     for t in input.tuples() {
-        if seen.insert(deep_clone(t)) {
-            out.push(deep_clone(t));
+        if seen.insert(deep_clone(&t.data)) {
+            out.push(UTuple::certain(deep_clone(&t.data)));
         }
     }
-    Relation::new_unchecked(input.schema().clone(), out)
+    URelation::new(input.schema().clone(), out).expect("rows of the input's arity")
 }
 
 /// Seed `sort`: decorate, sort, clone each tuple into place.
-pub fn sort(input: &Relation, keys: &[ops::SortKey]) -> Result<Relation, EngineError> {
+pub fn sort(input: &URelation, keys: &[ops::SortKey]) -> Result<URelation, EngineError> {
     let bound: Vec<(Expr, bool)> = keys
         .iter()
         .map(|k| Ok((k.expr.bind(input.schema())?, k.ascending)))
         .collect::<Result<_, EngineError>>()?;
+    let rows = input.tuples();
     let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(input.len());
-    for (i, t) in input.tuples().iter().enumerate() {
+    for (i, t) in rows.iter().enumerate() {
         let kv: Vec<Value> = bound
             .iter()
-            .map(|(e, _)| e.eval(t))
+            .map(|(e, _)| e.eval(&t.data))
             .collect::<Result<_, EngineError>>()?;
         decorated.push((kv, i));
     }
@@ -384,27 +403,28 @@ pub fn sort(input: &Relation, keys: &[ops::SortKey]) -> Result<Relation, EngineE
     });
     let tuples = decorated
         .into_iter()
-        .map(|(_, i)| deep_clone(&input.tuples()[i]))
+        .map(|(_, i)| UTuple::certain(deep_clone(&rows[i].data)))
         .collect();
-    Ok(Relation::new_unchecked(input.schema().clone(), tuples))
+    Ok(URelation::new(input.schema().clone(), tuples).expect("rows of the input's arity"))
 }
 
 /// Seed `repair key`: SipHash `Vec<Value>`-keyed grouping, deep-cloned
 /// output rows, and per-row heap-allocated WSD construction.
 pub fn repair_key(
-    input: &Relation,
+    input: &URelation,
     key_exprs: &[Expr],
     options: &maybms_urel::repair::RepairKeyOptions,
     wt: &mut maybms_urel::WorldTable,
 ) -> maybms_urel::Result<URelation> {
     use maybms_urel::{Assignment, UrelError, Wsd};
+    let rows = input.tuples();
     let weights: Vec<f64> = match &options.weight {
         None => vec![1.0; input.len()],
         Some(w) => {
             let bound = w.bind(input.schema())?;
             let mut ws = Vec::with_capacity(input.len());
-            for t in input.tuples() {
-                let v = bound.eval(t)?;
+            for t in &rows {
+                let v = bound.eval(&t.data)?;
                 let x = v.as_f64().ok_or_else(|| UrelError::BadWeight {
                     message: format!("weight expression produced non-numeric value {v}"),
                 })?;
@@ -425,10 +445,10 @@ pub fn repair_key(
         .collect::<Result<_, EngineError>>()?;
     let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, t) in input.tuples().iter().enumerate() {
+    for (i, t) in rows.iter().enumerate() {
         let key: Vec<Value> = bound
             .iter()
-            .map(|e| e.eval(t))
+            .map(|e| e.eval(&t.data))
             .collect::<Result<_, EngineError>>()?;
         match index.get(&key) {
             Some(&g) => groups[g].push(i),
@@ -451,7 +471,7 @@ pub fn repair_key(
             });
         }
         if alive.len() == 1 {
-            out.push(UTuple::certain(deep_clone(&input.tuples()[alive[0]])));
+            out.push(UTuple::certain(deep_clone(&rows[alive[0]].data)));
             continue;
         }
         let total: f64 = alive.iter().map(|&i| weights[i]).sum();
@@ -460,16 +480,16 @@ pub fn repair_key(
         for (alt, &i) in alive.iter().enumerate() {
             let wsd = Wsd::from_assignments(vec![Assignment::new(var, alt as u16)])
                 .expect("single assignment is satisfiable");
-            out.push(UTuple::new(deep_clone(&input.tuples()[i]), wsd));
+            out.push(UTuple::new(deep_clone(&rows[i].data), wsd));
         }
     }
-    Ok(URelation::new(input.schema().clone(), out))
+    URelation::new(input.schema().clone(), out)
 }
 
 /// Seed `pick tuples`: deep-cloned rows and heap-built single-assignment
 /// WSDs.
 pub fn pick_tuples(
-    input: &Relation,
+    input: &URelation,
     options: &maybms_urel::pick::PickTuplesOptions,
     wt: &mut maybms_urel::WorldTable,
 ) -> maybms_urel::Result<URelation> {
@@ -484,7 +504,7 @@ pub fn pick_tuples(
         let p = match &bound {
             None => 0.5,
             Some(e) => {
-                let v = e.eval(t)?;
+                let v = e.eval(&t.data)?;
                 v.as_f64().ok_or_else(|| UrelError::BadProbability {
                     message: format!("probability expression produced non-numeric value {v}"),
                 })?
@@ -499,13 +519,13 @@ pub fn pick_tuples(
             continue;
         }
         if p == 1.0 {
-            out.push(UTuple::certain(deep_clone(t)));
+            out.push(UTuple::certain(deep_clone(&t.data)));
             continue;
         }
         let var = wt.new_var(&[1.0 - p, p])?;
         let wsd = Wsd::from_assignments(vec![Assignment::new(var, 1)])
             .expect("single assignment is satisfiable");
-        out.push(UTuple::new(deep_clone(t), wsd));
+        out.push(UTuple::new(deep_clone(&t.data), wsd));
     }
-    Ok(URelation::new(input.schema().clone(), out))
+    URelation::new(input.schema().clone(), out)
 }

@@ -6,9 +6,9 @@
 use std::sync::Arc;
 
 use maybms_conf::Dnf;
-use maybms_engine::{DataType, Expr, Field, Relation, Schema, Tuple, Value};
+use maybms_engine::{DataType, Expr, Field, Schema, Tuple, Value};
 use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
-use maybms_urel::{Assignment, URelation, Var, WorldTable, Wsd};
+use maybms_urel::{Assignment, URelation, UTuple, Var, WorldTable, Wsd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,7 +18,7 @@ pub const STATES: [&str; 3] = ["F", "SE", "SL"];
 /// Generate the NBA what-if scenario (§3 / Figure 1): `players` random
 /// per-player stochastic matrices as the `FT` relation plus an initial
 /// `States` table.
-pub fn nba(seed: u64, players: usize) -> (Relation, Relation) {
+pub fn nba(seed: u64, players: usize) -> (URelation, URelation) {
     let mut rng = StdRng::seed_from_u64(seed);
     let ft_schema = Arc::new(Schema::new(vec![
         Field::new("player", DataType::Text),
@@ -52,10 +52,11 @@ pub fn nba(seed: u64, players: usize) -> (Relation, Relation) {
         let init = STATES[rng.gen_range(0..STATES.len())];
         states.push(Tuple::new(vec![Value::str(&name), Value::str(init)]));
     }
-    (
-        Relation::new_unchecked(ft_schema, ft),
-        Relation::new_unchecked(states_schema, states),
-    )
+    let certain = |schema, rows: Vec<Tuple>| {
+        URelation::new(schema, rows.into_iter().map(UTuple::certain).collect())
+            .expect("rows of the schema's arity")
+    };
+    (certain(ft_schema, ft), certain(states_schema, states))
 }
 
 /// Parameters of a random DNF family (experiment E2/E7).
@@ -156,7 +157,7 @@ pub fn walk_group(seed: u64, players: usize, steps: u32) -> (WorldTable, Vec<Wsd
 /// fresh world table). The uncertain twin conditions every row on a fresh
 /// Boolean variable, so it represents 2^rows worlds while storing the same
 /// number of tuples.
-pub fn overhead_pair(seed: u64, rows: usize, keys: i64) -> (Relation, WorldTable, URelation) {
+pub fn overhead_pair(seed: u64, rows: usize, keys: i64) -> (URelation, WorldTable, URelation) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut data = Vec::with_capacity(rows);
     for _ in 0..rows {
@@ -166,7 +167,7 @@ pub fn overhead_pair(seed: u64, rows: usize, keys: i64) -> (Relation, WorldTable
             Value::Float(rng.gen_range(0.05..1.0)),
         ]);
     }
-    let certain = maybms_engine::rel(
+    let certain = maybms_urel::rel(
         &[
             ("k", DataType::Int),
             ("v", DataType::Int),

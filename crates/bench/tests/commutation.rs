@@ -11,9 +11,10 @@
 use maybms_bench::naive::{self, fused_chain, Step};
 use maybms_engine::ops::{ProjectItem, SortKey};
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{rel, BinaryOp, DataType, Expr, Relation, Value};
+use maybms_engine::{BinaryOp, DataType, Expr, Value};
 use maybms_pipe::{breaker, UStream};
 use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
+use maybms_urel::rel;
 use maybms_urel::repair::{repair_key, RepairKeyOptions};
 use maybms_urel::{URelation, WorldTable};
 use proptest::prelude::*;
@@ -75,8 +76,8 @@ fn arb_repaired(max_rows: usize) -> impl Strategy<Value = (WorldTable, URelation
 
 /// The oracle's rows for one world: the chain `steps(instance)` walked
 /// over the world's instance of `u`.
-fn oracle(inst: &Relation, steps: &[Step]) -> Vec<Vec<Value>> {
-    fused_chain(&URelation::from_certain(inst), steps)
+fn oracle(inst: &URelation, steps: &[Step]) -> Vec<Vec<Value>> {
+    fused_chain(inst, steps)
         .expect("chains here never raise")
         .into_iter()
         .map(|(row, _)| row)
@@ -149,7 +150,7 @@ proptest! {
             UStream::new(u.clone()).hash_join(u.clone(), &[0], &[0]).unwrap().collect().unwrap();
         assert_commutes(&wt, &translated, |w| {
             let inst = u.instantiate(w);
-            oracle(&inst, &[probe(URelation::from_certain(&inst))])
+            oracle(&inst, &[probe(inst.clone())])
         })?;
     }
 
@@ -178,7 +179,7 @@ proptest! {
         assert_commutes(&wt, &translated, |w| {
             let inst = u.instantiate(w);
             oracle(&inst, &[
-                probe(URelation::from_certain(&inst)),
+                probe(inst.clone()),
                 Step::Project(vec![Expr::ColumnIdx(1)]),
                 Step::Filter(Expr::ColumnIdx(0).binary(BinaryOp::Lt, Expr::lit(bound))),
             ])
@@ -212,12 +213,11 @@ proptest! {
             rows.iter().map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)]).collect(),
         );
         let keys = [SortKey::desc(Expr::col("v")), SortKey::asc(Expr::col("k"))];
-        let u = URelation::from_certain(&certain);
-        let sorted = breaker::sort(&u, &keys, Some(n), &mut KernelCounts::default()).unwrap();
+        let sorted = breaker::sort(&certain, &keys, Some(n), &mut KernelCounts::default()).unwrap();
         let got = breaker::limit(&sorted, n);
         prop_assert!(got.is_t_certain());
         let want = naive::sort(&certain, &keys).unwrap();
-        let want: Vec<_> = want.tuples().iter().take(n).cloned().collect();
-        prop_assert_eq!(got.into_certain().tuples(), &want[..]);
+        let want: Vec<_> = want.tuples().into_iter().take(n).collect();
+        prop_assert_eq!(got.tuples(), want);
     }
 }

@@ -54,7 +54,7 @@ fn table(name: &str, rows: Vec<(Value, Value)>) -> URelation {
         .into_iter()
         .map(|(k, v)| UTuple::certain(Tuple::new(vec![k, v])))
         .collect();
-    URelation::new(schema, tuples)
+    URelation::new(schema, tuples).unwrap()
 }
 
 /// `count(*)`, `sum(v)`, `min(v)` — one state per aggregate.

@@ -63,7 +63,7 @@ fn relation(names: &[&str], rows: Vec<(Vec<Value>, Wsd)>) -> URelation {
         .into_iter()
         .map(|(v, w)| UTuple::new(Tuple::new(v), w))
         .collect();
-    URelation::new(Arc::new(Schema::from_pairs(&pairs)), tuples)
+    URelation::new(Arc::new(Schema::from_pairs(&pairs)), tuples).unwrap()
 }
 
 fn text() -> impl Strategy<Value = Value> {
@@ -142,7 +142,7 @@ fn case(
     key_pick: u8,
     menu: u8,
 ) -> Case {
-    let certain = |u: URelation| URelation::from_certain(&u.into_certain());
+    let certain = |u: URelation| u;
     let (source, builds) = match menu {
         0..=2 => (source, builds),
         _ => (certain(source), builds.into_iter().map(certain).collect()),
@@ -591,7 +591,10 @@ fn query_rows(sql: &str, t: URelation, wt: &mut WorldTable) -> Vec<Vec<Value>> {
     let stats = maybms_obs::QueryStats::new();
     let mut ctx = ExecCtx::new(&catalog, wt, &stats);
     let out = eval_query(&parse_query(sql).unwrap(), &mut ctx).unwrap();
-    let rows = out.as_certain().expect("a t-certain result").tuples();
+    let maybms_core::QueryOutput::Certain(out) = out else {
+        panic!("a t-certain result")
+    };
+    let rows = out.tuples();
     rows.iter().map(|t| t.values().to_vec()).collect()
 }
 
@@ -640,7 +643,7 @@ fn orphan_heavy_dictionary_groups_like_its_twin() {
     let doomed: Vec<u32> = (0..2000).filter(|i| ![7, 1999].contains(i)).collect();
     stored.delete_rows(&doomed);
     assert_eq!(stored.len(), 2);
-    let twin = URelation::new(stored.schema().clone(), stored.tuples().to_vec());
+    let twin = URelation::new(stored.schema().clone(), stored.tuples().to_vec()).unwrap();
     let wt = WorldTable::new();
     let aggs = vec![
         (

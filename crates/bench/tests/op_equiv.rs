@@ -10,9 +10,9 @@
 use maybms_bench::naive;
 use maybms_core::agg;
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{ops, BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_engine::{ops, BinaryOp, DataType, Expr, Schema, Tuple, Value};
 use maybms_pipe::{breaker, UStream};
-use maybms_urel::{URelation, WorldTable};
+use maybms_urel::{URelation, UTuple, WorldTable};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -95,11 +95,16 @@ fn schema3() -> Arc<Schema> {
     ]))
 }
 
+/// The t-certain relation of `rows` under `schema`.
+fn certain(schema: Arc<Schema>, rows: Vec<Tuple>) -> URelation {
+    URelation::new(schema, rows.into_iter().map(UTuple::certain).collect()).unwrap()
+}
+
 /// A relation over (k, v, s) with NULLs and cross-type numeric duplicates
 /// in the key column.
-fn arb_relation() -> impl Strategy<Value = Relation> {
+fn arb_relation() -> impl Strategy<Value = URelation> {
     prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..24).prop_map(|rows| {
-        Relation::new_unchecked(
+        certain(
             schema3(),
             rows.into_iter()
                 .map(|(k, v, s)| Tuple::new(vec![k, v, s]))
@@ -117,7 +122,7 @@ proptest! {
     fn distinct_matches_naive(r in arb_relation()) {
         let keys: Vec<Expr> = (0..r.schema().len()).map(Expr::ColumnIdx).collect();
         let got = agg::aggregate_stream(
-            UStream::new(URelation::from_certain(&r)),
+            UStream::new(r.clone()),
             &keys,
             keys.len(),
             r.schema().fields().to_vec(),
@@ -126,7 +131,7 @@ proptest! {
             &maybms_obs::QueryStats::new(),
         )
         .unwrap();
-        prop_assert_eq!(got.into_certain().tuples(), naive::distinct(&r).tuples());
+        prop_assert_eq!(got.tuples(), naive::distinct(&r).tuples());
     }
 
     /// sort: the column-keyed sort breaker, bounded or not, equals the
@@ -146,7 +151,7 @@ proptest! {
         let keys: Vec<ops::SortKey> = keys.into_iter().map(|(k, asc)| sort_key(k, asc)).collect();
         let limit = limit.map(|n| n % (rows.len() + 3));
         let relation = |rows: &[(Value, Value, Value)]| {
-            Relation::new_unchecked(
+            certain(
                 schema3(),
                 rows.iter()
                     .map(|(k, v, s)| Tuple::new(vec![k.clone(), v.clone(), s.clone()]))
@@ -165,13 +170,10 @@ proptest! {
             .collect();
         let r = relation(&rows);
         let inputs = match shape {
-            0 | 1 => {
-                let u = URelation::from_certain(&r);
-                vec![u.dict_encode(), u]
-            }
+            0 | 1 => vec![r.dict_encode(), r.clone()],
             _ => {
                 let (left, right) = rows.split_at(mid);
-                let halves = [left, right].map(|h| URelation::from_certain(&relation(h)));
+                let halves = [left, right].map(relation);
                 vec![breaker::union_all(&halves[0], &halves[1]).unwrap()]
             }
         };
@@ -181,12 +183,12 @@ proptest! {
                 (Ok(got), Ok(want)) => {
                     // Debug-printed values: a variant swap among ties
                     // (`1` for `1.0`) is a difference.
-                    let rows = |ts: &[Tuple]| -> Vec<String> {
+                    let rows = |ts: &[UTuple]| -> Vec<String> {
                         ts.iter().map(|t| format!("{:?}", t.values())).collect()
                     };
                     let n = limit.unwrap_or(usize::MAX);
                     let want = rows(&want.tuples()[..want.len().min(n)]);
-                    prop_assert_eq!(rows(got.into_certain().tuples()), want);
+                    prop_assert_eq!(rows(&got.tuples()), want);
                 }
                 (Err(got), Err(want)) => {
                     prop_assert_eq!(got, maybms_urel::UrelError::Engine(want.clone()));
@@ -215,7 +217,7 @@ proptest! {
             ("s", DataType::Text),
             ("w", DataType::Float),
         ]));
-        let input = Relation::new_unchecked(
+        let input = certain(
             schema,
             rows.iter()
                 .map(|&(k, s, w)| Tuple::new(vec![
@@ -234,8 +236,7 @@ proptest! {
         };
         let mut wt_b = WorldTable::new();
         let b = naive::repair_key(&input, &keys, &opts, &mut wt_b);
-        let plain = URelation::from_certain(&input);
-        for u in [plain.clone(), plain.dict_encode()] {
+        for u in [input.clone(), input.dict_encode()] {
             let mut wt_a = WorldTable::new();
             let counts = &mut maybms_engine::vector::KernelCounts::default();
             let a = maybms_urel::repair_key_u(&u, &keys, &opts, &mut wt_a, counts);
@@ -262,7 +263,7 @@ proptest! {
             ("v", DataType::Int),
             ("p", DataType::Float),
         ]));
-        let input = Relation::new_unchecked(
+        let input = certain(
             schema,
             rows.iter()
                 .map(|&(v, p)| Tuple::new(vec![
@@ -295,7 +296,7 @@ proptest! {
             ("k", DataType::Int),
             ("w", DataType::Unknown),
         ]));
-        let input = Relation::new_unchecked(
+        let input = certain(
             schema,
             rows.iter()
                 .map(|(k, w)| Tuple::new(vec![Value::Int(*k), w.clone()]))

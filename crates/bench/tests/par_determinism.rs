@@ -13,7 +13,7 @@
 use maybms_conf::{dklr, karp_luby::KarpLuby, Dnf};
 use maybms_engine::group::GroupTable;
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{BinaryOp, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_engine::{BinaryOp, DataType, Expr, Schema, Tuple, Value};
 use maybms_obs::QueryStats;
 use maybms_par::ThreadPool;
 use maybms_pipe::{GroupedBatch, UStream};
@@ -45,14 +45,15 @@ fn schema3() -> Arc<Schema> {
     ]))
 }
 
-fn arb_relation() -> impl Strategy<Value = Relation> {
+fn arb_relation() -> impl Strategy<Value = URelation> {
     prop::collection::vec((arb_num(), arb_num(), arb_text()), 0..24).prop_map(|rows| {
-        Relation::new_unchecked(
+        URelation::new(
             schema3(),
             rows.into_iter()
-                .map(|(k, v, s)| Tuple::new(vec![k, v, s]))
+                .map(|(k, v, s)| UTuple::certain(Tuple::new(vec![k, v, s])))
                 .collect(),
         )
+        .unwrap()
     })
 }
 
@@ -81,7 +82,7 @@ fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
                     UTuple::new(Tuple::new(vec![k, v, s]), wsd)
                 })
                 .collect();
-            (wt, URelation::new(schema3(), tuples))
+            (wt, URelation::new(schema3(), tuples).unwrap())
         })
 }
 
@@ -132,22 +133,22 @@ proptest! {
     /// morsel order — first-seen key order and each group's member rows
     /// in ascending order — at 1/2/8 threads with single-row morsels.
     #[test]
-    fn par_group_table_identical(r in arb_relation()) {
+    fn par_group_table_identical(u in arb_relation()) {
         let exprs = [Expr::col("k")];
-        let bound = [exprs[0].bind(r.schema()).unwrap()];
-        let u = URelation::from_certain(&r);
+        let bound = [exprs[0].bind(u.schema()).unwrap()];
+        let rows = u.tuples();
         let mut table: GroupTable<Vec<Tuple>> = GroupTable::new();
         let (ids, err) =
             table.group_batch(&bound, u.at_rest().0, &mut KernelCounts::default(), &Vec::new);
         prop_assert!(err.is_none());
         for (i, &g) in ids.iter().enumerate() {
-            table.states_mut()[g as usize].push(r.tuples()[i].clone());
+            table.states_mut()[g as usize].push(rows[i].data.clone());
         }
         let seq = table.into_parts();
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             // The fold copies whole rows: it reads every column.
-            let every: Vec<usize> = (0..r.schema().len()).collect();
+            let every: Vec<usize> = (0..u.schema().len()).collect();
             let par = UStream::new(u.clone())
                 .collect_grouped(
                     &exprs,
@@ -265,7 +266,8 @@ fn unsatisfiable_wsd_pairs_drop_in_parallel_join() {
             UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 0)),
             UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1)),
         ],
-    );
+    )
+    .unwrap();
     let joined = self_join(&u);
     assert_eq!(joined.len(), 2, "only the self-consistent pairs survive");
     assert_eq!(joined.tuples()[0].wsd, Wsd::of(x, 0));
@@ -275,7 +277,7 @@ fn unsatisfiable_wsd_pairs_drop_in_parallel_join() {
 /// NULL keys never match, in parallel exactly as sequentially.
 #[test]
 fn null_keys_never_match_in_parallel_join() {
-    let r = maybms_engine::rel(
+    let r = maybms_urel::rel(
         &[("k", DataType::Int)],
         vec![
             vec![Value::Null],
@@ -284,9 +286,5 @@ fn null_keys_never_match_in_parallel_join() {
             vec![1.into()],
         ],
     );
-    assert_eq!(
-        self_join(&URelation::from_certain(&r)).len(),
-        4,
-        "2×2 non-NULL pairs only"
-    );
+    assert_eq!(self_join(&r).len(), 4, "2×2 non-NULL pairs only");
 }

@@ -125,7 +125,7 @@ fn arb_urelation() -> impl Strategy<Value = (WorldTable, URelation)> {
                 .zip(raw_wsds.into_iter().chain(std::iter::repeat(Vec::new())))
                 .map(|((k, v, s), raw)| UTuple::new(Tuple::new(vec![k, v, s]), wsd_of(raw)))
                 .collect();
-            (wt, URelation::new(uschema(), tuples))
+            (wt, URelation::new(uschema(), tuples).unwrap())
         })
 }
 
@@ -328,7 +328,7 @@ proptest! {
         key_pick in 0u8..3,
         agg_pick in 0u8..6,
     ) {
-        let certain = |u: URelation| URelation::from_certain(&u.into_certain());
+        let certain = |u: URelation| u;
         let (u1, u2) = if agg_pick >= 4 { (certain(u1), certain(u2)) } else { (u1, u2) };
         let (chain, numeric) = build_uchain(&u1, &u2, &tokens);
         let eager = chain.collect().unwrap();
@@ -558,7 +558,7 @@ proptest! {
                         UTuple::new(Tuple::new(data), wsd_of(raw))
                     })
                     .collect();
-                URelation::new(schema.clone(), tuples)
+                URelation::new(schema.clone(), tuples).unwrap()
             })
             .collect();
         let (texts, predicates): (Vec<String>, Vec<Expr>) =

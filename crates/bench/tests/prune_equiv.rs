@@ -98,7 +98,7 @@ fn relation(rows: &[RawRow], uncertain: bool, dict: bool) -> URelation {
             UTuple::new(Tuple::new(values), wsd)
         })
         .collect();
-    let u = URelation::new(schema(), tuples);
+    let u = URelation::new(schema(), tuples).unwrap();
     match dict {
         true => u.dict_encode(),
         false => u,

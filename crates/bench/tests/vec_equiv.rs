@@ -250,6 +250,7 @@ fn certain(names: &[&str], rows: Vec<Vec<Value>>) -> URelation {
             .map(|r| UTuple::certain(Tuple::new(r)))
             .collect(),
     )
+    .unwrap()
 }
 
 /// Two all-numeric tables: `t0` (3 columns) and `t1` (2 columns).
@@ -392,7 +393,7 @@ fn arb_urelation() -> impl Strategy<Value = URelation> {
                     UTuple::new(Tuple::new(vec![k, v, s]), wsd)
                 })
                 .collect();
-            URelation::new(uschema(), tuples)
+            URelation::new(uschema(), tuples).unwrap()
         })
 }
 
@@ -646,7 +647,8 @@ fn ustream_constant_filters_fold_at_bind() {
             Tuple::new(vec![Value::Int(1), Value::Int(2), Value::str("a")]),
             Wsd::tautology(),
         )],
-    );
+    )
+    .unwrap();
     // σ_true records no stage.
     let s = UStream::new(u.clone()).filter(&Expr::lit(true)).unwrap();
     assert_eq!(s.stage_count(), 0);

@@ -379,9 +379,10 @@ pub fn confidence_with_effort(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType, Expr, Value};
+    use maybms_engine::{DataType, Expr, Value};
     use maybms_obs::trace::{self, AttrValue};
     use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
+    use maybms_urel::rel;
     use maybms_urel::repair::{repair_key, RepairKeyOptions};
     use maybms_urel::{Assignment, URelation, Var};
     use rand::rngs::StdRng;

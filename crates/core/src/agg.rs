@@ -621,8 +621,9 @@ pub fn eval_tconf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType};
+    use maybms_engine::DataType;
     use maybms_urel::pick::{pick_tuples, PickTuplesOptions};
+    use maybms_urel::rel;
 
     /// The group breaker over a plain scan of `u`, on the process pool.
     fn aggregate(
@@ -703,15 +704,15 @@ mod tests {
         ];
         let out = aggregate(&u, &["g"], &aggs, &wt).unwrap();
         assert!(out.is_t_certain());
-        let rows: Vec<&[Value]> = out.tuples().iter().map(|t| t.data.values()).collect();
+        let rows = out.tuples();
         // group a: esum = 10*0.5 + 20*0.5 = 15, ecount = 1.0;
         // group b: esum = 30*0.25 = 7.5, ecount = 0.25.
         assert_eq!(
-            rows[0],
+            rows[0].values(),
             [Value::str("a"), Value::Float(15.0), Value::Float(1.0)]
         );
         assert_eq!(
-            rows[1],
+            rows[1].values(),
             [Value::str("b"), Value::Float(7.5), Value::Float(0.25)]
         );
     }
@@ -748,10 +749,10 @@ mod tests {
 
     #[test]
     fn std_aggregates_work_on_certain() {
-        let u = URelation::from_certain(&rel(
+        let u = rel(
             &[("v", DataType::Int)],
             vec![vec![1.into()], vec![2.into()]],
-        ));
+        );
         let sum = AggSpec::Std {
             func: AggFunc::Sum,
             arg: Some(col(&u, "v")),
@@ -764,7 +765,7 @@ mod tests {
     fn argmax_outputs_all_maximisers() {
         // Every arg value attaining the group maximum, in member order,
         // at any thread count down to single-row morsels.
-        let u = URelation::from_certain(&rel(
+        let u = rel(
             &[
                 ("team", DataType::Text),
                 ("player", DataType::Text),
@@ -776,7 +777,7 @@ mod tests {
                 vec!["LAL".into(), "Fisher".into(), 10.into()],
                 vec!["SAS".into(), "Duncan".into(), 25.into()],
             ],
-        ));
+        );
         let aggs = [(
             AggSpec::ArgMax {
                 arg: col(&u, "player"),
@@ -825,7 +826,7 @@ mod tests {
         // No GROUP BY over an empty stream still yields one row (SQL
         // scalar-aggregate behaviour).
         let wt = WorldTable::new();
-        let u = URelation::from_certain(&rel(&[("v", DataType::Int)], vec![]));
+        let u = rel(&[("v", DataType::Int)], vec![]);
         let aggs = [
             (AggSpec::ECount(None), "ec".to_string()),
             (AggSpec::Conf, "p".to_string()),

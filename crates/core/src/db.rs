@@ -16,9 +16,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use maybms_engine::vector::{self, FirstError, KernelCounts};
-use maybms_engine::{
-    BatchBuilder, Column, ColumnBatch, ColumnData, Field, Relation, Schema, Value,
-};
+use maybms_engine::{BatchBuilder, Column, ColumnBatch, ColumnData, Field, Schema, Value};
 use maybms_obs::StatementKind;
 use maybms_pipe::UStream;
 use maybms_sql::{parse_statement, parse_statements, InsertSource, Statement};
@@ -186,7 +184,7 @@ impl MayBms {
     /// table in it — a Monte Carlo view of the whole database. Certain
     /// tables come back unchanged; uncertain tables keep exactly the
     /// tuples whose conditions the sampled world satisfies (§2.1).
-    pub fn sample_instance(&self, seed: u64) -> Vec<(String, Relation)> {
+    pub fn sample_instance(&self, seed: u64) -> Vec<(String, URelation)> {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let world = self.wt.sample_world(&mut rng);
@@ -203,13 +201,23 @@ impl MayBms {
         self.last_stats.as_ref()
     }
 
-    /// Register a certain relation as a table (programmatic loading).
-    pub fn register(&mut self, name: &str, relation: Relation) -> Result<()> {
-        self.register_u(name, URelation::from_certain(&relation))
+    /// Register a relation, certain or not, as a table (programmatic
+    /// loading). Its values must fit their columns' declared types, as
+    /// `INSERT`'s must: the first that does not (lowest row, then
+    /// leftmost column) is the error, and nothing is logged.
+    pub fn register(&mut self, name: &str, relation: URelation) -> Result<()> {
+        let batch = relation.at_rest().0;
+        let mut first = FirstError::new(batch.rows());
+        for (field, col) in relation.schema().fields().iter().zip(batch.columns()) {
+            check_types(field, col, first.limit, &mut first);
+        }
+        first.result()?;
+        self.install(name, relation)
     }
 
-    /// Register a U-relation directly.
-    pub fn register_u(&mut self, name: &str, u: URelation) -> Result<()> {
+    /// Log and install `u` as the new table `name`, unchecked (`CREATE
+    /// TABLE`, `CREATE TABLE AS`).
+    fn install(&mut self, name: &str, u: URelation) -> Result<()> {
         let key = name.to_ascii_lowercase();
         if self.tables.contains_key(&key) {
             return Err(CoreError::Engine(maybms_engine::EngineError::TableExists {
@@ -252,7 +260,7 @@ impl MayBms {
     }
 
     /// Run a query and require a t-certain result.
-    pub fn query(&mut self, sql: &str) -> Result<Relation> {
+    pub fn query(&mut self, sql: &str) -> Result<URelation> {
         match self.run(sql)? {
             StatementResult::Query(QueryOutput::Certain(r)) => Ok(r),
             StatementResult::Query(QueryOutput::Uncertain(_)) => Err(plan_err(
@@ -265,10 +273,10 @@ impl MayBms {
         }
     }
 
-    /// Run a query, lifting the result to a U-relation.
+    /// Run a query, certain or not, to its U-relation.
     pub fn query_uncertain(&mut self, sql: &str) -> Result<URelation> {
         match self.run(sql)? {
-            StatementResult::Query(out) => Ok(out.into_urelation()),
+            StatementResult::Query(out) => Ok(out.relation().clone()),
             StatementResult::Ok { message } => {
                 Err(plan_err(format!("statement was not a query ({message})")))
             }
@@ -374,7 +382,7 @@ impl MayBms {
             Ok(_) => None,
         };
         if let Ok(StatementResult::Query(out)) = &result {
-            stats.rows_returned.add(out.len() as u64);
+            stats.rows_returned.add(out.relation().len() as u64);
         }
         // The statement's latency kind: conf-bearing queries are
         // classified after execution (whether conf() ran is a property
@@ -469,7 +477,7 @@ impl MayBms {
                     .map(|c| Ok(Field::new(c.name.clone(), data_type_of(&c.type_name)?)))
                     .collect::<Result<_>>()?;
                 let u = URelation::empty(Arc::new(Schema::new(fields)));
-                self.register_u(name, u)?;
+                self.install(name, u)?;
                 Ok(StatementResult::Ok {
                     message: "CREATE TABLE".into(),
                 })
@@ -477,7 +485,7 @@ impl MayBms {
             Statement::CreateTableAs { name, query } => {
                 let mut ctx = ExecCtx::new(&self.tables, &mut self.wt, stats);
                 let out = run(&plan_query(query, &self.tables)?, &mut ctx)?;
-                self.register_u(name, out)?;
+                self.install(name, out)?;
                 Ok(StatementResult::Ok {
                     message: "CREATE TABLE AS".into(),
                 })
@@ -895,7 +903,8 @@ fn render_analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType};
+    use maybms_engine::DataType;
+    use maybms_urel::rel;
 
     fn db_with_games() -> MayBms {
         let mut db = MayBms::new();
@@ -1108,16 +1117,11 @@ mod tests {
         assert_eq!(db.table("games").unwrap().len(), 1);
     }
 
-    /// Whether a table's row view is still unbuilt.
-    fn row_view_is_cold(t: &URelation) -> bool {
-        !t.has_row_view()
-    }
-
     /// A conjunct the kernels cannot run (`IN`) is walked row by row over
-    /// the rows the vectorised ones keep, written out of the columns: the
-    /// stored table's row view is never built, by DML or by SELECT.
+    /// the rows the vectorised ones keep, written out of the columns, by
+    /// DML and by SELECT alike.
     #[test]
-    fn a_row_walked_conjunct_leaves_the_row_view_cold() {
+    fn a_row_walked_conjunct_keeps_the_rows_the_vectorised_ones_keep() {
         let mut db = MayBms::new();
         db.run("create table alerts (sensor bigint, room text, level bigint)")
             .unwrap();
@@ -1135,14 +1139,13 @@ mod tests {
             panic!()
         };
         assert_eq!(message, "DELETE 5");
-        assert!(row_view_is_cold(&reader));
+        assert_eq!(reader.len(), 5000);
         let r = db
             .query(
                 "select sensor from alerts where sensor >= 200 and room in ('r1') and sensor < 230",
             )
             .unwrap();
         assert_eq!(r.len(), 4);
-        assert!(row_view_is_cold(db.table("alerts").unwrap()));
     }
 
     #[test]
@@ -1439,7 +1442,7 @@ mod tests {
         let t = db.table("picks").unwrap();
         let bryant = t
             .tuples()
-            .iter()
+            .into_iter()
             .find(|t| t.data.value(0) == &Value::str("Bryant"))
             .unwrap();
         assert_eq!(bryant.data.value(1), &Value::Int(0));

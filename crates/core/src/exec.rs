@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{ColumnBatch, Expr as EExpr, Relation, Schema};
+use maybms_engine::{ColumnBatch, Expr as EExpr, Schema};
 use maybms_obs::Step;
 use maybms_pipe::{breaker, UStream};
 use maybms_sql::Query;
@@ -96,52 +96,31 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// The result of a query: a t-certain table or an uncertain one.
+/// The result of a query: a t-certain table or an uncertain one, both
+/// U-relations (a t-certain one has only empty conditions).
 #[derive(Debug, Clone)]
 pub enum QueryOutput {
     /// A typed-certain table (§2.2): plain relational output.
-    Certain(Relation),
+    Certain(URelation),
     /// An uncertain table: the U-relational representation.
     Uncertain(URelation),
 }
 
 impl QueryOutput {
-    /// View as a U-relation (lifting certain tables).
-    pub fn into_urelation(self) -> URelation {
+    /// The result's U-relation, certain or not.
+    pub fn relation(&self) -> &URelation {
         match self {
-            QueryOutput::Certain(r) => URelation::from_certain(&r),
-            QueryOutput::Uncertain(u) => u,
-        }
-    }
-
-    /// The number of stored (representation) rows.
-    pub fn len(&self) -> usize {
-        match self {
-            QueryOutput::Certain(r) => r.len(),
-            QueryOutput::Uncertain(u) => u.len(),
-        }
-    }
-
-    /// True when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The certain relation, if this output is t-certain.
-    pub fn as_certain(&self) -> Option<&Relation> {
-        match self {
-            QueryOutput::Certain(r) => Some(r),
-            QueryOutput::Uncertain(_) => None,
+            QueryOutput::Certain(u) | QueryOutput::Uncertain(u) => u,
         }
     }
 }
 
-/// Plan and run a query to the public result type: a t-certain result
-/// is handed out as a plain relation.
+/// Plan and run a query to the public result type, tagged t-certain or
+/// not.
 pub fn eval_query(q: &Query, ctx: &mut ExecCtx<'_>) -> Result<QueryOutput> {
     let u = run(&plan_query(q, ctx.catalog)?, ctx)?;
     Ok(if u.is_t_certain() {
-        QueryOutput::Certain(u.into_certain())
+        QueryOutput::Certain(u)
     } else {
         QueryOutput::Uncertain(u)
     })
@@ -416,14 +395,15 @@ fn reorder(out: URelation, order: &Option<Vec<usize>>, schema: &Arc<Schema>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType, Value};
+    use maybms_engine::{DataType, Value};
     use maybms_sql::parse_query;
+    use maybms_urel::rel;
 
     fn fixture() -> (BTreeMap<String, URelation>, WorldTable) {
         let mut catalog = BTreeMap::new();
         catalog.insert(
             "games".to_string(),
-            URelation::from_certain(&rel(
+            rel(
                 &[
                     ("player", DataType::Text),
                     ("team", DataType::Text),
@@ -434,17 +414,17 @@ mod tests {
                     vec!["Bryant".into(), "LAL".into(), 30.into()],
                     vec!["Duncan".into(), "SAS".into(), 25.into()],
                 ],
-            )),
+            ),
         );
         catalog.insert(
             "teams".to_string(),
-            URelation::from_certain(&rel(
+            rel(
                 &[("team", DataType::Text), ("city", DataType::Text)],
                 vec![
                     vec!["LAL".into(), "Los Angeles".into()],
                     vec!["SAS".into(), "San Antonio".into()],
                 ],
-            )),
+            ),
         );
         (catalog, WorldTable::new())
     }
@@ -457,7 +437,7 @@ mod tests {
         eval_query(&q, &mut ctx)
     }
 
-    fn certain(sql: &str) -> Relation {
+    fn certain(sql: &str) -> URelation {
         match run(sql).unwrap() {
             QueryOutput::Certain(r) => r,
             QueryOutput::Uncertain(_) => panic!("expected certain output"),
@@ -501,7 +481,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         let bryant = r
             .tuples()
-            .iter()
+            .into_iter()
             .find(|t| t.value(0) == &Value::str("Bryant"))
             .unwrap();
         assert_eq!(bryant.value(1), &Value::Int(70));
@@ -659,11 +639,9 @@ mod tests {
     #[test]
     fn query_output_helpers() {
         let out = run("select * from games").unwrap();
-        assert_eq!(out.len(), 3);
-        assert!(!out.is_empty());
-        assert!(out.as_certain().is_some());
-        let u = out.into_urelation();
-        assert!(u.is_t_certain());
+        assert!(matches!(out, QueryOutput::Certain(_)));
+        assert_eq!(out.relation().len(), 3);
+        assert!(out.relation().is_t_certain());
     }
 
     #[test]

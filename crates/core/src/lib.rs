@@ -25,7 +25,8 @@
 //!
 //! ```
 //! use maybms_core::MayBms;
-//! use maybms_engine::{rel, DataType, Value};
+//! use maybms_engine::{DataType, Value};
+//! use maybms_urel::rel;
 //!
 //! let mut db = MayBms::new();
 //! db.register(

@@ -11,7 +11,8 @@
 //! snapshot and the assertion.
 
 use maybms_core::{MayBms, StatementResult};
-use maybms_engine::{rel, DataType, Value};
+use maybms_engine::{DataType, Value};
+use maybms_urel::rel;
 
 #[test]
 fn kernel_eligible_scan_is_zero_pivot_and_marked_in_explain() {

@@ -1104,8 +1104,8 @@ impl ColumnBatch {
         }
     }
 
-    /// Pivot back to row-major tuples sharing chunked buffers (the same
-    /// [`TupleBatch`] machinery the row operators use).
+    /// Pivot back to row-major tuples sharing chunked buffers (the row
+    /// view a relation's rows are built as on request).
     pub fn to_tuple_batch(&self) -> TupleBatch {
         let mut batch = TupleBatch::new();
         for i in 0..self.rows {

@@ -9,7 +9,8 @@
 //! * [`types`] — dynamically-typed scalar [`types::Value`] with a total
 //!   order and hash (join/group keys), NaN-free floats;
 //! * [`schema`] — named, typed, qualifier-aware columns;
-//! * [`mod@tuple`] — rows and materialised bag [`tuple::Relation`]s;
+//! * [`mod@tuple`] — [`Tuple`] rows and the [`tuple::TupleBatch`] that
+//!   builds them: the row view of a relation, made on request;
 //! * [`expr`] — scalar expressions with SQL three-valued logic;
 //! * [`mod@column`] — column-major morsels: typed column vectors with null
 //!   bitmaps (MonetDB/X100-style);
@@ -43,18 +44,16 @@
 //! ```
 //! use maybms_engine::prelude::*;
 //!
-//! let ft = rel(
-//!     &[("player", DataType::Text), ("p", DataType::Float)],
-//!     vec![
-//!         vec!["Bryant".into(), Value::Float(0.8)],
-//!         vec!["Duncan".into(), Value::Float(0.6)],
-//!     ],
-//! );
+//! let schema = Schema::from_pairs(&[("player", DataType::Text), ("p", DataType::Float)]);
+//! let ft = [
+//!     Tuple::new(vec!["Bryant".into(), Value::Float(0.8)]),
+//!     Tuple::new(vec!["Duncan".into(), Value::Float(0.6)]),
+//! ];
 //! let fit = Expr::col("p")
 //!     .binary(BinaryOp::Gt, Expr::lit(Value::Float(0.7)))
-//!     .bind(ft.schema())
+//!     .bind(&schema)
 //!     .unwrap();
-//! let hits = ft.tuples().iter().filter(|t| fit.eval_predicate(t).unwrap()).count();
+//! let hits = ft.iter().filter(|t| fit.eval_predicate(t).unwrap()).count();
 //! assert_eq!(hits, 1);
 //! ```
 
@@ -77,7 +76,7 @@ pub use column::{BatchBuilder, Column, ColumnBatch, ColumnBuilder, ColumnData, N
 pub use error::{EngineError, Result};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use schema::{Field, Schema};
-pub use tuple::{rel, Relation, Tuple};
+pub use tuple::Tuple;
 pub use types::{DataType, Value, ValueRef};
 
 /// Glob-import convenience: `use maybms_engine::prelude::*;`.
@@ -86,6 +85,6 @@ pub mod prelude {
     pub use crate::expr::{BinaryOp, Expr, UnaryOp};
     pub use crate::ops::{AggFunc, ProjectItem, SortKey};
     pub use crate::schema::{Field, Schema};
-    pub use crate::tuple::{rel, Relation, Tuple};
+    pub use crate::tuple::Tuple;
     pub use crate::types::{DataType, Value};
 }

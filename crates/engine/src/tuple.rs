@@ -1,4 +1,4 @@
-//! Tuples and materialised relations.
+//! Tuples: the row view of a relation.
 //!
 //! # Sharing invariants (zero-clone execution core)
 //!
@@ -23,8 +23,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::error::{EngineError, Result};
-use crate::schema::Schema;
 use crate::types::Value;
 
 /// A single row of values: a cheap-to-clone view into a shared buffer
@@ -155,16 +153,6 @@ impl TupleBatch {
         self.rows.last_mut().expect("begin_row before push_value").1 += 1;
     }
 
-    /// Number of rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.done.len() + self.rows.len()
-    }
-
-    /// True iff no rows were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Seal the pending chunk: move its values into one shared buffer and
     /// emit the pending rows as views.
     fn seal(&mut self) {
@@ -191,224 +179,9 @@ impl TupleBatch {
     }
 }
 
-/// A fully materialised t-certain relation: a schema plus a bag of
-/// tuples — what the API edge hands out and takes in (`MayBms::query`,
-/// `repair_key` / `pick_tuples` inputs, one instantiated world). Inside
-/// the engine every relation is a `URelation`; a `Relation` has no
-/// at-rest layout of its own.
-///
-/// Relations are *bags* (SQL multiset semantics); `distinct` is an explicit
-/// operator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Relation {
-    schema: Arc<Schema>,
-    tuples: Vec<Tuple>,
-}
-
-impl Relation {
-    /// An empty relation with the given schema.
-    pub fn empty(schema: Arc<Schema>) -> Relation {
-        Relation {
-            schema,
-            tuples: Vec::new(),
-        }
-    }
-
-    /// Build a relation, checking every tuple's arity against the schema.
-    pub fn new(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Result<Relation> {
-        for t in &tuples {
-            if t.arity() != schema.len() {
-                return Err(EngineError::SchemaMismatch {
-                    message: format!(
-                        "tuple arity {} does not match schema arity {}",
-                        t.arity(),
-                        schema.len()
-                    ),
-                });
-            }
-        }
-        Ok(Relation { schema, tuples })
-    }
-
-    /// Build without arity checks; caller guarantees uniformity. Used by
-    /// operators that construct rows from a known schema.
-    pub fn new_unchecked(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Relation {
-        Relation { schema, tuples }
-    }
-
-    /// The relation's schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// The tuples, in storage order.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
-    }
-
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True iff the relation holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append a tuple (arity-checked).
-    pub fn push(&mut self, tuple: Tuple) -> Result<()> {
-        if tuple.arity() != self.schema.len() {
-            return Err(EngineError::SchemaMismatch {
-                message: format!(
-                    "tuple arity {} does not match schema arity {}",
-                    tuple.arity(),
-                    self.schema.len()
-                ),
-            });
-        }
-        self.tuples.push(tuple);
-        Ok(())
-    }
-
-    /// Replace the schema (e.g. re-qualifying after aliasing). The new
-    /// schema must have the same arity.
-    pub fn with_schema(self, schema: Arc<Schema>) -> Result<Relation> {
-        if schema.len() != self.schema.len() {
-            return Err(EngineError::SchemaMismatch {
-                message: format!(
-                    "cannot replace schema of arity {} with arity {}",
-                    self.schema.len(),
-                    schema.len()
-                ),
-            });
-        }
-        Ok(Relation {
-            schema,
-            tuples: self.tuples,
-        })
-    }
-
-    /// Render as an aligned ASCII table (for examples and debugging).
-    pub fn to_table_string(&self) -> String {
-        let headers: Vec<String> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| f.qualified_name())
-            .collect();
-        let rows: Vec<Vec<String>> = self
-            .tuples()
-            .iter()
-            .map(|t| t.values().iter().map(|v| v.to_string()).collect())
-            .collect();
-        let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-        for row in &rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let sep = |out: &mut String| {
-            out.push('+');
-            for w in &widths {
-                out.push_str(&"-".repeat(w + 2));
-                out.push('+');
-            }
-            out.push('\n');
-        };
-        sep(&mut out);
-        out.push('|');
-        for (h, w) in headers.iter().zip(&widths) {
-            out.push_str(&format!(" {h:<w$} |"));
-        }
-        out.push('\n');
-        sep(&mut out);
-        for row in &rows {
-            out.push('|');
-            for (cell, w) in row.iter().zip(&widths) {
-                out.push_str(&format!(" {cell:<w$} |"));
-            }
-            out.push('\n');
-        }
-        sep(&mut out);
-        out.push_str(&format!("({} rows)\n", rows.len()));
-        out
-    }
-}
-
-impl fmt::Display for Relation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_table_string())
-    }
-}
-
-/// Build a relation from literal rows; panics on ragged input
-/// (test/example helper).
-///
-/// ```
-/// use maybms_engine::{rel, types::DataType};
-/// let r = rel(
-///     &[("player", DataType::Text), ("pts", DataType::Int)],
-///     vec![vec!["Bryant".into(), 81i64.into()]],
-/// );
-/// assert_eq!(r.len(), 1);
-/// ```
-pub fn rel(pairs: &[(&str, crate::types::DataType)], rows: Vec<Vec<Value>>) -> Relation {
-    let schema = Arc::new(Schema::from_pairs(pairs));
-    Relation::new(schema, rows.into_iter().map(Tuple::new).collect())
-        .expect("rel(): ragged literal rows")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DataType;
-
-    fn sample() -> Relation {
-        rel(
-            &[("player", DataType::Text), ("pts", DataType::Int)],
-            vec![
-                vec!["Bryant".into(), 81.into()],
-                vec!["James".into(), 56.into()],
-            ],
-        )
-    }
-
-    #[test]
-    fn new_checks_arity() {
-        let schema = Arc::new(Schema::from_pairs(&[("a", DataType::Int)]));
-        let bad = Relation::new(schema, vec![Tuple::new(vec![1.into(), 2.into()])]);
-        assert!(matches!(bad, Err(EngineError::SchemaMismatch { .. })));
-    }
-
-    #[test]
-    fn push_checks_arity() {
-        let mut r = sample();
-        assert!(r.push(Tuple::new(vec!["X".into()])).is_err());
-        assert!(r.push(Tuple::new(vec!["X".into(), 3.into()])).is_ok());
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn with_schema_requires_same_arity() {
-        let r = sample();
-        let narrow = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
-        assert!(r.clone().with_schema(narrow).is_err());
-        let renamed = Arc::new(Schema::from_pairs(&[
-            ("p", DataType::Text),
-            ("n", DataType::Int),
-        ]));
-        assert!(r.with_schema(renamed).is_ok());
-    }
-
-    #[test]
-    fn table_string_contains_headers_and_rows() {
-        let s = sample().to_table_string();
-        assert!(s.contains("player"));
-        assert!(s.contains("Bryant"));
-        assert!(s.contains("(2 rows)"));
-    }
 
     #[test]
     fn tuple_display() {
@@ -443,7 +216,6 @@ mod tests {
             batch.push_value(Value::Int(i as i64));
             batch.push_value(Value::Int((i * 2) as i64));
         }
-        assert_eq!(batch.len(), n);
         let rows = batch.finish();
         assert_eq!(rows.len(), n);
         for (i, row) in rows.iter().enumerate() {

@@ -2,34 +2,31 @@
 //! grouping, aggregate folds and constant folding. (The operators run in
 //! `maybms-pipe`; their properties live in `crates/bench/tests`.)
 
-use std::sync::Arc;
-
 use maybms_engine::group::GroupTable;
 use maybms_engine::ops::{AggFunc, AggState};
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{BinaryOp, ColumnBatch, DataType, Expr, Relation, Schema, Tuple, Value};
+use maybms_engine::{BinaryOp, ColumnBatch, DataType, Expr, Schema, Tuple, Value};
 use proptest::prelude::*;
 
-/// A small integer-pair relation with schema (k: Int, v: Int).
-fn arb_relation(max_rows: usize, key_range: i64) -> impl Strategy<Value = Relation> {
+/// The schema of [`arb_rows`]: (k: Int, v: Int).
+fn kv_schema() -> Schema {
+    Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)])
+}
+
+/// Small integer-pair rows over [`kv_schema`].
+fn arb_rows(max_rows: usize, key_range: i64) -> impl Strategy<Value = Vec<Tuple>> {
     prop::collection::vec((0..key_range, -50i64..50), 0..max_rows).prop_map(|rows| {
-        let schema = Arc::new(Schema::from_pairs(&[
-            ("k", DataType::Int),
-            ("v", DataType::Int),
-        ]));
-        let tuples = rows
-            .into_iter()
+        rows.into_iter()
             .map(|(k, v)| Tuple::new(vec![k.into(), v.into()]))
-            .collect();
-        Relation::new(schema, tuples).unwrap()
+            .collect()
     })
 }
 
 /// `sum(v)` over the rows at `members`, as an [`AggState`] fold.
-fn sum_v(r: &Relation, members: impl Iterator<Item = usize>) -> Value {
+fn sum_v(r: &[Tuple], members: impl Iterator<Item = usize>) -> Value {
     let mut st = AggState::new(AggFunc::Sum);
     for i in members {
-        st.fold(r.tuples()[i].value(1)).unwrap();
+        st.fold(r[i].value(1)).unwrap();
     }
     st.finish().unwrap()
 }
@@ -40,19 +37,19 @@ proptest! {
     /// Grouped sums add up to the global sum: one group table over the
     /// relation's columns, `sum(v)` folded per group.
     #[test]
-    fn group_sums_total(r in arb_relation(32, 5)) {
-        let batch = ColumnBatch::pivot(r.len(), r.tuples().iter().map(Tuple::values), &[0, 1]);
+    fn group_sums_total(r in arb_rows(32, 5)) {
+        let batch = ColumnBatch::pivot(r.len(), r.iter().map(Tuple::values), &[0, 1]);
         let mut table = GroupTable::new();
         let new_state = || AggState::new(AggFunc::Sum);
         let (ids, err) = table.group_batch(
-            &[Expr::col("k").bind(r.schema()).unwrap()],
+            &[Expr::col("k").bind(&kv_schema()).unwrap()],
             &batch,
             &mut KernelCounts::default(),
             &new_state,
         );
         prop_assert!(err.is_none());
         for (i, &g) in ids.iter().enumerate() {
-            table.states_mut()[g as usize].fold(r.tuples()[i].value(1)).unwrap();
+            table.states_mut()[g as usize].fold(r[i].value(1)).unwrap();
         }
         let total_grouped: i64 = table
             .into_parts()

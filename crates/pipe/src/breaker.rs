@@ -184,18 +184,19 @@ pub fn limit(input: &URelation, n: usize) -> URelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType, Value};
+    use maybms_engine::{DataType, Value};
+    use maybms_urel::rel;
     use maybms_urel::{Var, Wsd};
 
     fn scores() -> URelation {
-        let u = URelation::from_certain(&rel(
+        let u = rel(
             &[("p", DataType::Text), ("s", DataType::Int)],
             vec![
                 vec!["b".into(), 2.into()],
                 vec!["a".into(), 3.into()],
                 vec!["c".into(), 2.into()],
             ],
-        ));
+        );
         let wsds = vec![Wsd::of(Var(0), 0), Wsd::tautology(), Wsd::of(Var(0), 1)];
         u.gather_with(&[0, 1, 2], wsds)
     }
@@ -205,10 +206,10 @@ mod tests {
         super::sort(u, keys, limit, &mut KernelCounts::default())
     }
 
-    fn names(u: &URelation) -> Vec<&str> {
+    fn names(u: &URelation) -> Vec<String> {
         u.tuples()
             .iter()
-            .map(|t| t.data.value(0).as_str().unwrap())
+            .map(|t| t.data.value(0).as_str().unwrap().to_string())
             .collect()
     }
 
@@ -258,12 +259,9 @@ mod tests {
     fn union_checks_arity_and_types() {
         let u = scores();
         assert_eq!(union_all(&u, &u).unwrap().len(), 6);
-        let ints = URelation::from_certain(&rel(&[("x", DataType::Int)], vec![vec![1.into()]]));
-        let floats = URelation::from_certain(&rel(
-            &[("x", DataType::Float)],
-            vec![vec![Value::Float(0.5)]],
-        ));
-        let texts = URelation::from_certain(&rel(&[("x", DataType::Text)], vec![vec!["a".into()]]));
+        let ints = rel(&[("x", DataType::Int)], vec![vec![1.into()]]);
+        let floats = rel(&[("x", DataType::Float)], vec![vec![Value::Float(0.5)]]);
+        let texts = rel(&[("x", DataType::Text)], vec![vec!["a".into()]]);
         assert_eq!(union_all(&ints, &floats).unwrap().len(), 2);
         assert!(union_all(&ints, &texts).is_err());
         assert!(union_all(&ints, &u).is_err());

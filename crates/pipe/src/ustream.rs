@@ -409,7 +409,8 @@ pub fn source_label(rows: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType};
+    use maybms_engine::DataType;
+    use maybms_urel::rel;
     use maybms_urel::{Var, WorldTable, Wsd};
 
     fn setup() -> (WorldTable, URelation) {
@@ -426,10 +427,7 @@ mod tests {
             ],
         );
         let wsds = vec![Wsd::of(x, 0), Wsd::of(x, 1), Wsd::of(y, 0), Wsd::of(y, 1)];
-        (
-            wt,
-            URelation::from_certain(&base).gather_with(&[0, 1, 2, 3], wsds),
-        )
+        (wt, base.gather_with(&[0, 1, 2, 3], wsds))
     }
 
     /// Fused σ → probe → π: WSDs conjoin, the self-join's unsatisfiable
@@ -525,10 +523,7 @@ mod tests {
                 .collect(),
         );
         // Plain and dictionary-encoded string columns alike.
-        for u in [
-            URelation::from_certain(&base).dict_encode(),
-            URelation::from_certain(&base),
-        ] {
+        for u in [base.dict_encode(), base] {
             let pred = Expr::col("k")
                 .binary(maybms_engine::BinaryOp::Gt, Expr::lit(40i64))
                 .and(Expr::col("s").eq(Expr::lit("s3")));

@@ -115,11 +115,12 @@ pub fn recompose(pieces: &[URelation]) -> Result<URelation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType, Value};
+    use maybms_engine::{DataType, Value};
+    use maybms_urel::rel;
     use maybms_urel::{UTuple, WorldTable, Wsd};
 
     fn sample() -> URelation {
-        URelation::from_certain(&rel(
+        rel(
             &[
                 ("player", DataType::Text),
                 ("team", DataType::Text),
@@ -129,7 +130,7 @@ mod tests {
                 vec!["Bryant".into(), "LAL".into(), 81.into()],
                 vec!["Duncan".into(), "SAS".into(), 25.into()],
             ],
-        ))
+        )
     }
 
     #[test]
@@ -160,11 +161,11 @@ mod tests {
         // Piece `k`'s tuple 0 under `var ↦ 0`, plus an alternative value
         // for it under `var ↦ 1`.
         let alternative = |k: usize, var, value: Value| {
-            let mut rows = pieces[k].tuples().to_vec();
+            let mut rows = pieces[k].tuples();
             rows[0].wsd = Wsd::of(var, 0);
             let alt = Tuple::new(vec![Value::Int(0), value]);
             rows.push(UTuple::new(alt, Wsd::of(var, 1)));
-            URelation::new(pieces[k].schema().clone(), rows)
+            URelation::new(pieces[k].schema().clone(), rows).unwrap()
         };
         // Two alternative teams and two alternative pts for tuple 0.
         let (team, pts) = (
@@ -179,7 +180,7 @@ mod tests {
         // All four combinations for Bryant must exist and be satisfiable.
         let bryant: Vec<_> = back
             .tuples()
-            .iter()
+            .into_iter()
             .filter(|t| t.data.value(0) == &Value::str("Bryant"))
             .collect();
         assert_eq!(bryant.len(), 4);

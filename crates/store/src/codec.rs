@@ -743,7 +743,8 @@ pub fn get_world_table(r: &mut Reader<'_>) -> DecodeResult<WorldTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, Tuple};
+    use maybms_engine::Tuple;
+    use maybms_urel::{rel, UTuple};
 
     #[test]
     fn crc32_known_vectors() {
@@ -898,7 +899,7 @@ mod tests {
             Assignment::new(Var(7), 2),
         ])
         .unwrap();
-        let u = URelation::from_certain(&base).gather_with(&[0, 1], vec![wsd, Wsd::tautology()]);
+        let u = base.gather_with(&[0, 1], vec![wsd, Wsd::tautology()]);
         let mut w = Writer::new();
         put_urelation_any(&mut w, &u);
         let bytes = w.finish();
@@ -987,11 +988,9 @@ mod tests {
                 Value::Null,
             ],
         ];
-        let base = maybms_engine::Relation::new_unchecked(
-            Arc::new(schema),
-            rows.into_iter().map(Tuple::new).collect(),
-        );
-        let u = URelation::from_certain(&base).dict_encode();
+        let rows = rows.into_iter().map(|r| UTuple::certain(Tuple::new(r)));
+        let base = URelation::new(Arc::new(schema), rows.collect()).unwrap();
+        let u = base.dict_encode();
         let (batch, _) = u.at_rest();
         assert!(matches!(batch.column(3).data(), ColumnData::Dict { .. }));
         assert!(matches!(batch.column(4).data(), ColumnData::Values(_)));
@@ -1016,7 +1015,7 @@ mod tests {
     #[test]
     fn columnar_codec_rejects_out_of_range_dictionary_code() {
         let base = rel(&[("s", DataType::Text)], vec![vec!["a".into()]]);
-        let u = URelation::from_certain(&base).dict_encode();
+        let u = base.dict_encode();
         let mut w = Writer::new();
         put_urelation_any(&mut w, &u);
         let mut bytes = w.finish();

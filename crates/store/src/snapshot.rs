@@ -152,7 +152,8 @@ pub fn load(vfs: &dyn Vfs) -> Result<Option<Snapshot>> {
 mod tests {
     use super::*;
     use crate::vfs::MemVfs;
-    use maybms_engine::{rel, DataType};
+    use maybms_engine::DataType;
+    use maybms_urel::rel;
     use maybms_urel::{Var, Wsd};
 
     fn sample_state() -> (Catalog, WorldTable) {
@@ -166,8 +167,7 @@ mod tests {
                 vec!["Duncan".into(), 25.into()],
             ],
         );
-        let u = URelation::from_certain(&base)
-            .gather_with(&[0, 1], vec![Wsd::of(x, 1), Wsd::tautology()]);
+        let u = base.gather_with(&[0, 1], vec![Wsd::of(x, 1), Wsd::tautology()]);
         let mut tables = Catalog::new();
         tables.insert("games".into(), u);
         (tables, wt)

@@ -526,8 +526,6 @@ mod tests {
             store.log(op, &wt).unwrap();
             apply_op(&mut rec.tables, op.clone()).unwrap();
         }
-        // The deltas applied in place: no row view built.
-        assert!(!rec.tables["t"].has_row_view());
         let got: Vec<Value> = rec.tables["t"]
             .tuples()
             .iter()
@@ -580,7 +578,7 @@ mod tests {
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
         let schema = Arc::new(Schema::from_pairs(&[("a", DataType::Int)]));
         let row = UTuple::new(Tuple::new(vec![Value::Int(1)]), Wsd::of(x, 1));
-        let table = URelation::new(schema, vec![row]);
+        let table = URelation::new(schema, vec![row]).unwrap();
         let op = Op::PutTable {
             name: "picks".into(),
             table,
@@ -917,6 +915,7 @@ mod tests {
                 Wsd::of(x, 1),
             )],
         )
+        .unwrap()
         .dict_encode();
         let t_schema = Schema::from_pairs(&[("a", DataType::Int)]);
         // The table image (tag 5 body, snapshot table): schema, rows,

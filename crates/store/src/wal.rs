@@ -362,8 +362,8 @@ mod tests {
 
     #[test]
     fn columnar_put_table_roundtrips_and_reencodes_byte_identical() {
-        use maybms_engine::{rel, Value};
-        use maybms_urel::URelation;
+        use maybms_engine::Value;
+        use maybms_urel::rel;
         let base = rel(
             &[("s", DataType::Text), ("n", DataType::Int)],
             vec![
@@ -373,7 +373,7 @@ mod tests {
                 vec!["x".into(), 3.into()],
             ],
         );
-        let table = URelation::from_certain(&base).dict_encode();
+        let table = base.dict_encode();
         let record = WalRecord {
             lsn: 7,
             world_ext: None,
@@ -410,10 +410,8 @@ mod tests {
 
     #[test]
     fn put_table_always_logs_under_the_columnar_tag() {
-        use maybms_engine::rel;
-        use maybms_urel::URelation;
-        let base = rel(&[("n", DataType::Int)], vec![vec![1.into()]]);
-        let table = URelation::from_certain(&base);
+        use maybms_urel::rel;
+        let table = rel(&[("n", DataType::Int)], vec![vec![1.into()]]);
         let record = WalRecord {
             lsn: 1,
             world_ext: None,

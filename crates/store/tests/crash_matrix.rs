@@ -76,7 +76,8 @@ fn workload() -> Vec<Step> {
                     .expect("satisfiable"),
             ),
         ],
-    );
+    )
+    .unwrap();
     vec![
         step(Op::CreateTable {
             name: "t".into(),
@@ -151,7 +152,7 @@ fn workload() -> Vec<Step> {
             name: "names".into(),
             // Dictionary-encoded text column (with a NULL slot) through
             // the crash matrix: the dictionary must survive any fault.
-            table: URelation::from_certain(&maybms_engine::rel(
+            table: maybms_urel::rel(
                 &[("who", DataType::Text)],
                 vec![
                     vec![Value::str("ann")],
@@ -159,7 +160,7 @@ fn workload() -> Vec<Step> {
                     vec![Value::str("ann")],
                     vec![Value::str("bob")],
                 ],
-            ))
+            )
             .dict_encode(),
         }),
         step(Op::DropTable { name: "t".into() }),

@@ -8,7 +8,8 @@
 //! * [`var`] / [`world_table`] — finite independent random variables,
 //!   their distributions, world sampling and enumeration;
 //! * [`wsd`] — world-set descriptors: the per-tuple condition columns;
-//! * [`urelation`] — U-relations and the t-certain test;
+//! * [`urelation`] — U-relations, the one relation type (a t-certain
+//!   table is one with empty conditions), and the t-certain test;
 //! * [`repair`] / [`pick`] — the `repair key` and `pick tuples`
 //!   hypothesis-space constructs (§2.2);
 //! * [`worlds`] — exponential possible-world enumeration, used as the
@@ -21,7 +22,8 @@
 //! ## Example: Figure 1's one-step random walk
 //!
 //! ```
-//! use maybms_engine::{rel, DataType, Expr, Value};
+//! use maybms_engine::{DataType, Expr, Value};
+//! use maybms_urel::rel;
 //! use maybms_urel::repair::{repair_key, RepairKeyOptions};
 //! use maybms_urel::world_table::WorldTable;
 //!
@@ -60,7 +62,7 @@ pub mod wsd;
 pub use error::{Result, UrelError};
 pub use pick::{pick_tuples, pick_tuples_u, PickTuplesOptions};
 pub use repair::{repair_key, repair_key_u, RepairKeyOptions};
-pub use urelation::{URelation, UTuple, Zone, ZONE_ROWS};
+pub use urelation::{rel, URelation, UTuple, Zone, ZONE_ROWS};
 pub use var::{Assignment, Var};
 pub use world_table::{World, WorldTable};
 pub use wsd::Wsd;

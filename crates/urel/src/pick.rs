@@ -10,7 +10,7 @@
 //! exponential in the table size, so it is intentionally not supported.
 
 use maybms_engine::vector::KernelCounts;
-use maybms_engine::{Expr, Relation};
+use maybms_engine::Expr;
 
 use crate::error::{Result, UrelError};
 use crate::repair::numbers;
@@ -25,15 +25,14 @@ pub struct PickTuplesOptions {
     pub probability: Option<Expr>,
 }
 
-/// Apply `pick tuples` to a certain relation: [`pick_tuples_u`] over the
-/// relation lifted with [`URelation::from_certain`].
+/// Apply `pick tuples` to a t-certain relation: [`pick_tuples_u`]
+/// without a kernel tally.
 pub fn pick_tuples(
-    input: &Relation,
+    input: &URelation,
     options: &PickTuplesOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
-    let input = URelation::from_certain(input);
-    pick_tuples_u(&input, options, wt, &mut KernelCounts::default())
+    pick_tuples_u(input, options, wt, &mut KernelCounts::default())
 }
 
 /// Apply `pick tuples from R [independently] [with probability e]` to a
@@ -101,9 +100,10 @@ fn pick(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType, Value};
+    use crate::urelation::rel;
+    use maybms_engine::{DataType, Value};
 
-    fn three_rows() -> Relation {
+    fn three_rows() -> URelation {
         rel(
             &[("v", DataType::Int)],
             vec![vec![1.into()], vec![2.into()], vec![3.into()]],
@@ -272,7 +272,7 @@ mod tests {
         let r = three_rows();
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
         let wsds = vec![Wsd::of(x, 1), Wsd::tautology(), Wsd::tautology()];
-        let u = URelation::from_certain(&r).gather_with(&[0, 1, 2], wsds);
+        let u = r.gather_with(&[0, 1, 2], wsds);
         assert!(matches!(
             pick_tuples_u(
                 &u,

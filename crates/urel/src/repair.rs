@@ -12,7 +12,7 @@
 
 use maybms_engine::group::GroupTable;
 use maybms_engine::vector::{self, KernelCounts};
-use maybms_engine::{EngineError, Expr, Relation, ValueRef};
+use maybms_engine::{EngineError, Expr, ValueRef};
 
 use crate::error::{Result, UrelError};
 use crate::urelation::URelation;
@@ -26,17 +26,15 @@ pub struct RepairKeyOptions {
     pub weight: Option<Expr>,
 }
 
-/// Apply `repair key` to a certain relation, registering fresh variables in
-/// `wt`: [`repair_key_u`] over the relation lifted with
-/// [`URelation::from_certain`].
+/// Apply `repair key` to a t-certain relation, registering fresh
+/// variables in `wt`: [`repair_key_u`] without a kernel tally.
 pub fn repair_key(
-    input: &Relation,
+    input: &URelation,
     key_exprs: &[Expr],
     options: &RepairKeyOptions,
     wt: &mut WorldTable,
 ) -> Result<URelation> {
-    let input = URelation::from_certain(input);
-    repair_key_u(&input, key_exprs, options, wt, &mut KernelCounts::default())
+    repair_key_u(input, key_exprs, options, wt, &mut KernelCounts::default())
 }
 
 /// `repair key` over a U-relation input, registering fresh variables in
@@ -190,10 +188,11 @@ pub(crate) fn numbers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_engine::{rel, DataType, Value};
+    use crate::urelation::rel;
+    use maybms_engine::{DataType, Value};
 
     /// The paper's FT fragment for Bryant (Figure 1).
-    fn ft_bryant() -> Relation {
+    fn ft_bryant() -> URelation {
         rel(
             &[
                 ("player", DataType::Text),
@@ -473,8 +472,7 @@ mod tests {
             vec![vec![1.into()], vec![1.into()]],
         );
         let x = wt.new_var(&[0.5, 0.5]).unwrap();
-        let u =
-            URelation::from_certain(&r).gather_with(&[0, 1], vec![Wsd::of(x, 0), Wsd::tautology()]);
+        let u = r.gather_with(&[0, 1], vec![Wsd::of(x, 0), Wsd::tautology()]);
         let keys = [Expr::col("k")];
         let counts = &mut KernelCounts::default();
         let out = repair_key_u(&u, &keys, &RepairKeyOptions::default(), &mut wt, counts);

@@ -7,42 +7,43 @@
 //!
 //! # One layout: columns plus a condition sidecar
 //!
-//! A [`URelation`] is the one relation type the engine stores, scans and
-//! passes between operators (a t-certain table is one whose conditions
-//! are all empty); the engine's plain `Relation` row bag exists only at
-//! the API edge ([`URelation::from_certain`] / [`URelation::into_certain`]).
-//! Its body is always a column-major [`ColumnBatch`] over the data
-//! columns, with the per-tuple WSDs kept as a parallel sidecar vector,
-//! shared between clones through an `Arc`. Query results and stored
-//! tables alike: the executor's sinks keep the column batches its stages
-//! produced, operators that only choose or concatenate rows gather
-//! columns and conditions, and operators that compute new rows append to
-//! column builders. [`URelation::new`] and [`URelation::from_certain`] are
-//! the API-edge constructors, and they pivot their rows once. The store
-//! dictionary-encodes a table's strings when it installs it
+//! A [`URelation`] is the one relation type: the engine stores, scans
+//! and passes it between operators, and the API hands it out and takes
+//! it in. A t-certain table — a registered table, a t-certain query
+//! result, one instantiated world — is one whose conditions are all
+//! empty; there is no separate row-bag type for certain data. Its body
+//! is always a column-major [`ColumnBatch`] over the data columns, with
+//! the per-tuple WSDs kept as a parallel sidecar vector, shared between
+//! clones through an `Arc`. Query results and stored tables alike: the
+//! executor's sinks keep the column batches its stages produced,
+//! operators that only choose or concatenate rows gather columns and
+//! conditions, and operators that compute new rows append to column
+//! builders. [`URelation::new`] (and [`rel`], its literal-rows form) is
+//! the API-edge constructor from rows, and it pivots them once. The
+//! store dictionary-encodes a table's strings when it installs it
 //! ([`URelation::dict_encode`]).
 //!
-//! The `UTuple` row view ([`URelation::tuples`]) is read-only, built
-//! lazily, once, for code that walks rows (lineage, world instantiation,
-//! result output). A [`UTuple`] is cheap to clone: its `data` is an
-//! `Arc`-backed engine [`Tuple`] and its `wsd` stores small conjunctions
-//! inline.
+//! Rows exist only as a transient view: [`URelation::tuples`] builds a
+//! fresh `Vec<UTuple>` on each call, for code that walks rows (oracles,
+//! tests, result output), and nothing keeps it. A [`UTuple`] is cheap to
+//! clone: its `data` is an `Arc`-backed engine [`Tuple`] and its `wsd`
+//! stores small conjunctions inline. [`URelation::to_table_string`] is
+//! the one renderer, for certain and uncertain relations alike.
 //!
 //! DML mutates the body **in place** ([`URelation::append`],
 //! [`URelation::set_cells`], [`URelation::delete_rows`]) at a cost
 //! proportional to the rows touched, copy-on-write: the body is cloned
 //! first only if a reader (a held query result) still shares its `Arc`,
-//! so readers never observe a write. The row view is dropped by a write,
-//! not rebuilt.
+//! so readers never observe a write.
 //!
 //! The **zone maps** ([`URelation::zones`]), which scans read to skip
-//! blocks a filter cannot match, live as the row view does: built on
-//! first use, shared by clones, dropped by every write. Never logged nor
-//! snapshotted, they are rebuilt after recovery by construction.
+//! blocks a filter cannot match, are built on first use, shared by
+//! clones and dropped by every write. Never logged nor snapshotted, they
+//! are rebuilt after recovery by construction.
 
 use std::sync::{Arc, OnceLock};
 
-use maybms_engine::{Column, ColumnBatch, ColumnData, Relation, Schema, Tuple};
+use maybms_engine::{Column, ColumnBatch, ColumnData, DataType, EngineError, Schema, Tuple, Value};
 
 use crate::error::Result;
 use crate::world_table::WorldTable;
@@ -70,6 +71,16 @@ impl UTuple {
     pub fn new(data: Tuple, wsd: Wsd) -> UTuple {
         UTuple { data, wsd }
     }
+
+    /// The data values, in schema order.
+    pub fn values(&self) -> &[Value] {
+        self.data.values()
+    }
+
+    /// The data value at column `idx`.
+    pub fn value(&self, idx: usize) -> &Value {
+        self.data.value(idx)
+    }
 }
 
 /// Rows per zone of a body's zone maps ([`URelation::zones`]).
@@ -80,13 +91,12 @@ pub const ZONE_ROWS: usize = 1024;
 pub type Zone = (i64, i64);
 
 /// A U-relation body: data columns, parallel WSDs, and the lazily built
-/// `UTuple` view, zone maps and t-certainty (each built at most once
-/// between writes; all clones share them through the `Arc`).
+/// zone maps and t-certainty (each built at most once between writes;
+/// all clones share them through the `Arc`).
 #[derive(Debug)]
 struct ColumnarURel {
     batch: ColumnBatch,
     wsds: Vec<Wsd>,
-    rows: OnceLock<Vec<UTuple>>,
     /// Per data column: its zones if stored as `Int`.
     zones: OnceLock<Vec<Option<Vec<Zone>>>>,
     /// Whether every condition is the tautology.
@@ -99,7 +109,6 @@ impl ColumnarURel {
         ColumnarURel {
             batch,
             wsds,
-            rows: OnceLock::new(),
             zones: OnceLock::new(),
             certain: OnceLock::new(),
         }
@@ -124,20 +133,10 @@ impl ColumnarURel {
         self.zones
             .get_or_init(|| self.batch.columns().iter().map(zones).collect())
     }
-
-    fn rows(&self) -> &[UTuple] {
-        self.rows.get_or_init(|| {
-            let data = self.batch.to_tuple_batch().finish();
-            data.into_iter()
-                .zip(&self.wsds)
-                .map(|(data, wsd)| UTuple::new(data, wsd.clone()))
-                .collect()
-        })
-    }
 }
 
 // The copy-on-write clone a writer takes when a reader shares the body:
-// the row view and zone maps are about to go stale, so they are not copied.
+// the zone maps are about to go stale, so they are not copied.
 impl Clone for ColumnarURel {
     fn clone(&self) -> ColumnarURel {
         ColumnarURel::new(self.batch.clone(), self.wsds.clone())
@@ -166,13 +165,22 @@ impl URelation {
     }
 
     /// Build from rows at the API edge, pivoting them once (counted by
-    /// the pivot metrics). Arity is unchecked, like
-    /// [`URelation::from_batch`].
-    pub fn new(schema: Arc<Schema>, tuples: Vec<UTuple>) -> URelation {
+    /// the pivot metrics). Every row must have the schema's arity.
+    pub fn new(schema: Arc<Schema>, tuples: Vec<UTuple>) -> Result<URelation> {
+        if let Some(t) = tuples.iter().find(|t| t.data.arity() != schema.len()) {
+            return Err(EngineError::SchemaMismatch {
+                message: format!(
+                    "tuple arity {} does not match schema arity {}",
+                    t.data.arity(),
+                    schema.len()
+                ),
+            }
+            .into());
+        }
         let cols: Vec<usize> = (0..schema.len()).collect();
-        let batch = ColumnBatch::pivot(tuples.len(), tuples.iter().map(|t| t.data.values()), &cols);
+        let batch = ColumnBatch::pivot(tuples.len(), tuples.iter().map(|t| t.values()), &cols);
         let wsds = tuples.into_iter().map(|t| t.wsd).collect();
-        URelation::from_batch(schema, batch, wsds)
+        Ok(URelation::from_batch(schema, batch, wsds))
     }
 
     /// Build over a data batch plus WSD sidecar. Caller guarantees the
@@ -192,30 +200,18 @@ impl URelation {
         URelation::from_batch(schema, batch, wsds)
     }
 
-    /// Lift a certain relation into a (t-certain) U-relation, pivoting
-    /// its rows once (counted by the pivot metrics).
-    pub fn from_certain(rel: &Relation) -> URelation {
-        let cols: Vec<usize> = (0..rel.schema().len()).collect();
-        let rows = rel.tuples();
-        let batch = ColumnBatch::pivot(rows.len(), rows.iter().map(Tuple::values), &cols);
-        URelation::certain_batch(rel.schema().clone(), batch)
-    }
-
     /// The data schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
-    /// The tuples, as a read-only row view: built on the first call and
-    /// cached until the next write.
-    pub fn tuples(&self) -> &[UTuple] {
-        self.body.rows()
-    }
-
-    /// Whether the row view is built (it is only on a
-    /// [`URelation::tuples`] call since the last write).
-    pub fn has_row_view(&self) -> bool {
-        self.body.rows.get().is_some()
+    /// The tuples, as a row view built on this call (nothing keeps it).
+    pub fn tuples(&self) -> Vec<UTuple> {
+        let data = self.body.batch.to_tuple_batch().finish();
+        data.into_iter()
+            .zip(&self.body.wsds)
+            .map(|(data, wsd)| UTuple::new(data, wsd.clone()))
+            .collect()
     }
 
     /// The data batch and WSD sidecar — what scans slice (zero-pivot).
@@ -250,10 +246,9 @@ impl URelation {
     }
 
     /// The body for an in-place write: a shared body is cloned
-    /// (copy-on-write), and the row view and zone maps are dropped.
+    /// (copy-on-write), and the zone maps are dropped.
     fn body_mut(&mut self) -> &mut ColumnarURel {
         let body = Arc::make_mut(&mut self.body);
-        body.rows.take();
         body.zones.take();
         body.certain.take();
         body
@@ -326,49 +321,44 @@ impl URelation {
         self
     }
 
-    /// Forget the conditions, keeping every stored tuple, as a plain row
-    /// bag. Only meaningful for t-certain relations; this is how results
-    /// leave the engine.
-    pub fn into_certain(self) -> Relation {
-        let data = match self.body.rows.get() {
-            Some(rows) => rows.iter().map(|t| t.data.clone()).collect(),
-            None => self.body.batch.to_tuple_batch().finish(),
-        };
-        Relation::new_unchecked(self.schema, data)
-    }
-
-    /// Instantiate the relation in one world: keep tuples whose WSD the
-    /// world satisfies (semantics of the representation, §2.1).
-    pub fn instantiate(&self, world: &[u16]) -> Relation {
-        let tuples = self
-            .tuples()
-            .iter()
-            .filter(|t| t.wsd.satisfied_by(world))
-            .map(|t| t.data.clone())
+    /// Instantiate the relation in one world (semantics of the
+    /// representation, §2.1): the t-certain relation of the tuples whose
+    /// WSD the world satisfies, gathered from the columns.
+    pub fn instantiate(&self, world: &[u16]) -> URelation {
+        let wsds = &self.body.wsds;
+        let keep: Vec<usize> = (0..wsds.len())
+            .filter(|&i| wsds[i].satisfied_by(world))
             .collect();
-        Relation::new_unchecked(self.schema.clone(), tuples)
+        self.gather_with(&keep, vec![Wsd::tautology(); keep.len()])
     }
 
-    /// Render the relation the way Figure 1 prints U-relations: data
-    /// columns, a `condition` column, and a `P` column with the
-    /// condition's probability.
+    /// Render as an aligned table. A t-certain relation prints its data
+    /// columns and a `(N rows)` footer; any other prints them the way
+    /// Figure 1 prints U-relations, with a `condition` column, a `P`
+    /// column holding the condition's probability, and a `(N tuples)`
+    /// footer.
     pub fn to_table_string(&self, wt: &WorldTable) -> Result<String> {
+        let certain = self.is_t_certain();
         let mut headers: Vec<String> = self
             .schema
             .fields()
             .iter()
             .map(|f| f.qualified_name())
             .collect();
-        headers.push("condition".into());
-        headers.push("P".into());
+        if !certain {
+            headers.push("condition".into());
+            headers.push("P".into());
+        }
         let mut rows = Vec::with_capacity(self.len());
         for t in self.tuples() {
-            let mut row: Vec<String> = t.data.values().iter().map(|v| v.to_string()).collect();
-            row.push(t.wsd.to_string());
-            row.push(format!("{:.6}", t.wsd.prob(wt)?));
+            let mut row: Vec<String> = t.values().iter().map(|v| v.to_string()).collect();
+            if !certain {
+                row.push(t.wsd.to_string());
+                row.push(format!("{:.6}", t.wsd.prob(wt)?));
+            }
             rows.push(row);
         }
-        let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
+        let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
         for row in &rows {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.chars().count());
@@ -383,35 +373,52 @@ impl URelation {
             }
             out.push('\n');
         };
-        hline(&mut out);
-        out.push('|');
-        for (h, w) in headers.iter().zip(&widths) {
-            let pad = w - h.chars().count();
-            out.push_str(&format!(" {h}{} |", " ".repeat(pad)));
-        }
-        out.push('\n');
-        hline(&mut out);
-        for row in &rows {
+        let line = |out: &mut String, cells: &[String]| {
             out.push('|');
-            for (cell, w) in row.iter().zip(&widths) {
+            for (cell, w) in cells.iter().zip(&widths) {
                 let pad = w - cell.chars().count();
                 out.push_str(&format!(" {cell}{} |", " ".repeat(pad)));
             }
             out.push('\n');
+        };
+        hline(&mut out);
+        line(&mut out, &headers);
+        hline(&mut out);
+        for row in &rows {
+            line(&mut out, row);
         }
         hline(&mut out);
-        out.push_str(&format!("({} tuples)\n", rows.len()));
+        let unit = if certain { "rows" } else { "tuples" };
+        out.push_str(&format!("({} {unit})\n", rows.len()));
         Ok(out)
     }
+}
+
+/// Build a t-certain relation from literal rows; panics on ragged input
+/// (test/example helper).
+///
+/// ```
+/// use maybms_engine::DataType;
+/// use maybms_urel::rel;
+/// let r = rel(
+///     &[("player", DataType::Text), ("pts", DataType::Int)],
+///     vec![vec!["Bryant".into(), 81i64.into()]],
+/// );
+/// assert_eq!(r.len(), 1);
+/// assert!(r.is_t_certain());
+/// ```
+pub fn rel(pairs: &[(&str, DataType)], rows: Vec<Vec<Value>>) -> URelation {
+    let schema = Arc::new(Schema::from_pairs(pairs));
+    let rows = rows.into_iter().map(|r| UTuple::certain(Tuple::new(r)));
+    URelation::new(schema, rows.collect()).expect("rel(): ragged literal rows")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::var::Var;
-    use maybms_engine::{rel, DataType, Value};
 
-    fn base() -> Relation {
+    fn base() -> URelation {
         rel(
             &[("player", DataType::Text), ("state", DataType::Text)],
             vec![
@@ -424,18 +431,47 @@ mod tests {
     /// `base()` with its tuples under `wsds`, in order.
     fn conditioned(wsds: [Wsd; 2]) -> URelation {
         let b = base();
-        let tuples = b.tuples().iter().cloned().zip(wsds);
+        let tuples = b.tuples().into_iter().zip(wsds);
         URelation::new(
             b.schema().clone(),
-            tuples.map(|(t, w)| UTuple::new(t, w)).collect(),
+            tuples.map(|(t, w)| UTuple::new(t.data, w)).collect(),
         )
+        .unwrap()
     }
 
     #[test]
-    fn from_certain_is_t_certain() {
-        let u = URelation::from_certain(&base());
+    fn literal_rows_are_t_certain() {
+        let u = base();
         assert!(u.is_t_certain());
         assert_eq!(u.len(), 2);
+    }
+
+    #[test]
+    fn new_refuses_a_row_longer_than_the_schema() {
+        let schema = Arc::new(Schema::from_pairs(&[("a", DataType::Int)]));
+        let long = UTuple::certain(Tuple::new(vec![1.into(), 2.into()]));
+        let got = URelation::new(schema, vec![long]);
+        assert!(matches!(
+            got,
+            Err(crate::UrelError::Engine(EngineError::SchemaMismatch { .. }))
+        ));
+    }
+
+    #[test]
+    fn new_refuses_a_row_shorter_than_the_schema() {
+        let schema = Arc::new(Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+        ]));
+        let rows = vec![
+            UTuple::certain(Tuple::new(vec![1.into(), 2.into()])),
+            UTuple::certain(Tuple::new(vec![3.into()])),
+        ];
+        let got = URelation::new(schema, rows);
+        assert!(matches!(
+            got,
+            Err(crate::UrelError::Engine(EngineError::SchemaMismatch { .. }))
+        ));
     }
 
     #[test]
@@ -451,16 +487,10 @@ mod tests {
         let u = conditioned([Wsd::of(x, 0), Wsd::of(x, 1)]);
         let w0 = u.instantiate(&[0]);
         assert_eq!(w0.len(), 1);
+        assert!(w0.is_t_certain());
         assert_eq!(w0.tuples()[0].value(1), &Value::str("F"));
         let w1 = u.instantiate(&[1]);
         assert_eq!(w1.tuples()[0].value(1), &Value::str("SE"));
-    }
-
-    #[test]
-    fn into_certain_drops_conditions() {
-        let u = URelation::from_certain(&base());
-        let r = u.into_certain();
-        assert_eq!(r.len(), 2);
     }
 
     #[test]
@@ -478,7 +508,7 @@ mod tests {
         let (batch, wsds) = c.at_rest();
         assert_eq!(batch.rows(), 2);
         assert_eq!(wsds[0], Wsd::of(x, 0));
-        // Instantiation over the row view is encoding-blind.
+        // Instantiation is encoding-blind.
         assert_eq!(c.instantiate(&[0]), u.instantiate(&[0]));
         assert_eq!(c.instantiate(&[1]), u.instantiate(&[1]));
         // Nothing left to encode: the same body.
@@ -486,17 +516,15 @@ mod tests {
     }
 
     #[test]
-    fn gather_takes_columns_and_conditions_without_a_row_view() {
+    fn gather_takes_columns_and_conditions() {
         let u = conditioned([Wsd::tautology(), Wsd::of(Var(0), 1)]).dict_encode();
         let g = u.gather(&[1, 0, 1]);
-        assert!(!u.has_row_view() && !g.has_row_view());
         assert!(matches!(
             g.at_rest().0.column(1).data(),
             ColumnData::Dict { .. }
         ));
         assert_eq!(g.tuples()[0], u.tuples()[1]);
         assert_eq!(g.tuples()[2], u.tuples()[1]);
-        assert!(g.has_row_view());
         let picked = u.gather_with(&[1], vec![Wsd::of(Var(1), 0)]);
         assert_eq!(picked.len(), 1);
         assert_eq!(picked.tuples()[0].data, u.tuples()[1].data);
@@ -509,7 +537,6 @@ mod tests {
         let u = conditioned([Wsd::tautology(), Wsd::of(x, 1)]);
         let mut table = u.dict_encode();
         let reader = table.clone();
-        let _ = table.tuples(); // warm row view: a write must drop it
         let extra = ColumnBatch::from_columns(
             vec![
                 Column::from_values(vec!["Duncan".into()]),
@@ -518,14 +545,13 @@ mod tests {
             1,
         );
         table.append(&extra);
-        assert!(!table.has_row_view());
         let cells =
             ColumnBatch::from_columns(vec![Column::from_values(vec!["SE".into(), Value::Null])], 2);
         table.set_cells(&[0, 2], &[1], &cells);
         let got: Vec<(Vec<Value>, Wsd)> = table
             .tuples()
-            .iter()
-            .map(|t| (t.data.values().to_vec(), t.wsd.clone()))
+            .into_iter()
+            .map(|t| (t.values().to_vec(), t.wsd))
             .collect();
         assert_eq!(
             got,
@@ -560,5 +586,28 @@ mod tests {
         assert!(s.contains("x0 ↦ 1"));
         assert!(s.contains("0.800000"));
         assert!(s.contains("⊤"));
+        assert!(s.ends_with("(2 tuples)\n"), "{s}");
+    }
+
+    #[test]
+    fn certain_table_string_has_no_conditions_and_counts_rows() {
+        let s = base().to_table_string(&WorldTable::new()).unwrap();
+        assert!(s.contains("player") && s.contains("Bryant"));
+        assert!(!s.contains("condition") && !s.contains("⊤"));
+        assert!(s.ends_with("(2 rows)\n"), "{s}");
+    }
+
+    #[test]
+    fn table_string_sizes_non_ascii_cells_by_characters() {
+        let r = rel(
+            &[("name", DataType::Text)],
+            vec![vec!["Gasol".into()], vec!["Ginóbili".into()]],
+        );
+        let s = r.to_table_string(&WorldTable::new()).unwrap();
+        // "Ginóbili" is 8 characters (9 bytes): every line is as wide.
+        let lines: Vec<&str> = s.lines().take(6).collect();
+        assert_eq!(lines[0], "+----------+");
+        assert_eq!(lines[4], "| Ginóbili |");
+        assert!(lines.iter().all(|l| l.chars().count() == 12), "{s}");
     }
 }

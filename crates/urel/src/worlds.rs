@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use maybms_engine::{Relation, Tuple};
+use maybms_engine::Tuple;
 
 use crate::error::Result;
 use crate::urelation::URelation;
@@ -16,13 +16,13 @@ use crate::world_table::WorldTable;
 /// Default cap on oracle enumeration.
 pub const DEFAULT_WORLD_LIMIT: u128 = 1 << 20;
 
-/// For each world: instantiate `u` and pass the certain relation to `f`,
+/// For each world: instantiate `u` and pass the t-certain relation to `f`,
 /// accumulating `(result, world probability)`.
 pub fn map_worlds<T>(
     wt: &WorldTable,
     u: &URelation,
     limit: u128,
-    mut f: impl FnMut(&Relation) -> T,
+    mut f: impl FnMut(&URelation) -> T,
 ) -> Result<Vec<(T, f64)>> {
     let mut out = Vec::new();
     for (world, p) in wt.enumerate_worlds(limit)? {
@@ -36,7 +36,11 @@ pub fn map_worlds<T>(
 pub fn tuple_marginal(wt: &WorldTable, u: &URelation, tuple: &Tuple, limit: u128) -> Result<f64> {
     let mut p = 0.0;
     for (world, wp) in wt.enumerate_worlds(limit)? {
-        if u.instantiate(&world).tuples().contains(tuple) {
+        if u.instantiate(&world)
+            .tuples()
+            .iter()
+            .any(|t| t.data == *tuple)
+        {
             p += wp;
         }
     }
@@ -56,8 +60,8 @@ pub fn tuple_distribution(
         let inst = u.instantiate(&world);
         let mut seen = std::collections::HashSet::new();
         for t in inst.tuples() {
-            if seen.insert(t.clone()) {
-                *dist.entry(t.clone()).or_insert(0.0) += wp;
+            if seen.insert(t.data.clone()) {
+                *dist.entry(t.data).or_insert(0.0) += wp;
             }
         }
     }
@@ -70,7 +74,7 @@ pub fn expectation(
     wt: &WorldTable,
     u: &URelation,
     limit: u128,
-    f: impl Fn(&Relation) -> f64,
+    f: impl Fn(&URelation) -> f64,
 ) -> Result<f64> {
     let mut e = 0.0;
     for (world, wp) in wt.enumerate_worlds(limit)? {
@@ -84,7 +88,8 @@ mod tests {
     use super::*;
     use crate::pick::{pick_tuples, PickTuplesOptions};
     use crate::repair::{repair_key, RepairKeyOptions};
-    use maybms_engine::{rel, DataType, Expr, Value};
+    use crate::urelation::rel;
+    use maybms_engine::{DataType, Expr, Value};
 
     #[test]
     fn tuple_marginal_on_pick_tuples() {
@@ -151,7 +156,7 @@ mod tests {
     fn map_worlds_probabilities_sum_to_one() {
         let mut wt = WorldTable::new();
         wt.new_var(&[0.25, 0.75]).unwrap();
-        let u = URelation::from_certain(&rel(&[("x", DataType::Int)], vec![]));
+        let u = rel(&[("x", DataType::Int)], vec![]);
         let rs = map_worlds(&wt, &u, 100, |r| r.len()).unwrap();
         let total: f64 = rs.iter().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-12);

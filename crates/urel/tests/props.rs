@@ -4,11 +4,11 @@
 //! instantiation is checked on the executor SQL runs, in
 //! `crates/bench/tests/commutation.rs`.)
 
-use maybms_engine::{rel, DataType, Expr, Value};
+use maybms_engine::{DataType, Expr, Value};
 use maybms_urel::repair::{repair_key, RepairKeyOptions};
 use maybms_urel::world_table::WorldTable;
 use maybms_urel::wsd::Wsd;
-use maybms_urel::{Assignment, Var};
+use maybms_urel::{rel, Assignment, Var};
 use proptest::prelude::*;
 
 // ---------- generators ----------------------------------------------------

@@ -25,7 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("== Raw staging data ==");
-    println!("{}", db.query("select * from staging order by cust")?);
+    println!(
+        "{}",
+        db.query("select * from staging order by cust")?
+            .to_table_string(db.world_table())?
+    );
 
     // One record per customer per world, weighted by source trust.
     println!("== Candidate golden records with confidence ==");
@@ -35,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          group by R.cust, R.name, R.city
          order by R.cust, p desc",
     )?;
-    println!("{golden}");
+    println!("{}", golden.to_table_string(db.world_table())?);
 
     // Per-attribute marginals: what is the probability distribution of
     // each customer's *city*, regardless of the name?
@@ -46,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          group by R.cust, R.city
          order by R.cust, p desc",
     )?;
-    println!("{cities}");
+    println!("{}", cities.to_table_string(db.world_table())?);
 
     // A cleaning constraint: we know customer 1 is in the UK; Cambridge(MA)
     // records were mis-geocoded. Condition the space by filtering before
@@ -60,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          group by R.cust, R.name, R.city
          order by R.cust, p desc",
     )?;
-    println!("{cleaned}");
+    println!("{}", cleaned.to_table_string(db.world_table())?);
 
     // Expected number of distinct spellings in the clean table — a data
     // quality metric via ecount.
@@ -71,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          group by R.cust
          order by R.cust",
     )?;
-    println!("{quality}");
+    println!("{}", quality.to_table_string(db.world_table())?);
 
     // Decision: accept the maximum-confidence repair per customer.
     println!("== Accepted golden records (argmax over confidence) ==");
@@ -85,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "select cust, argmax(name || ' @ ' || city, p) as golden
          from scored group by cust order by cust",
     )?;
-    println!("{accepted}");
+    println!("{}", accepted.to_table_string(db.world_table())?);
 
     Ok(())
 }

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Exact, via the query language: expected number of fit players.
     let expected = db.query("select ecount() as expected_fit from squad")?;
     println!("Expected fit players (exact, by linearity):");
-    println!("{expected}");
+    println!("{}", expected.to_table_string(db.world_table())?);
 
     // Monte Carlo, via world sampling: P(at least 3 of 5 fit).
     let runs: u64 = 20_000;

@@ -11,7 +11,8 @@
 //! Run with: `cargo run --example nba_whatif`
 
 use maybms::MayBms;
-use maybms_engine::{rel, DataType, Value};
+use maybms_engine::{DataType, Value};
+use maybms_urel::rel;
 
 const STATES: [&str; 3] = ["F", "SE", "SL"]; // fit / seriously / slightly injured
 
@@ -111,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          order by R1.player, p desc;",
     )?;
     println!("Three-day fitness forecast (P of each state after 3 days):");
-    println!("{walk3}");
+    println!("{}", walk3.to_table_string(db.world_table())?);
 
     // Probability each player is *fit* for the must-win match.
     let fit = db.query(
@@ -123,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          order by p_fit desc;",
     )?;
     println!("P(fit in 3 days) — who can the coach count on:");
-    println!("{fit}");
+    println!("{}", fit.to_table_string(db.world_table())?);
 
     println!("=== Team management: skill availability ===\n");
     db.run("create table skills (player text, skill text)")?;
@@ -151,7 +152,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          order by p_available desc;",
     )?;
     println!("P(someone with each skill is playing), given fitness forecasts:");
-    println!("{skills}");
+    println!("{}", skills.to_table_string(db.world_table())?);
 
     println!("=== Performance prediction: expected weighted points ===\n");
     db.run("create table recent (player text, game bigint, pts bigint, w double precision)")?;
@@ -168,7 +169,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          order by predicted_pts desc;",
     )?;
     println!("Predicted points (recency-weighted expectation):");
-    println!("{predicted}");
+    println!("{}", predicted.to_table_string(db.world_table())?);
 
     Ok(())
 }

@@ -19,7 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("== The dirty census table (certain) ==");
-    println!("{}", db.query("select * from census")?);
+    println!(
+        "{}",
+        db.query("select * from census")?
+            .to_table_string(db.world_table())?
+    );
 
     // `repair key` turns key violations into a space of possible worlds:
     // each person lives in exactly one city per world, weighted by record
@@ -31,13 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          group by R.name, R.city
          order by R.name, p desc",
     )?;
-    println!("{conf}");
+    println!("{}", conf.to_table_string(db.world_table())?);
 
     // `possible` lists tuples that occur in at least one world (§2.2).
     println!("== Possible cities ==");
     let possible =
         db.query("select possible R.city from (repair key name in census weight by quality) R")?;
-    println!("{possible}");
+    println!("{}", possible.to_table_string(db.world_table())?);
 
     // `pick tuples` represents every subset of a table — here: which
     // sensors survive the night, independently (§2.2).
@@ -48,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "select ecount() as expected_live
          from (pick tuples from sensors independently with probability works) s",
     )?;
-    println!("{live}");
+    println!("{}", live.to_table_string(db.world_table())?);
 
     // tconf(): the marginal probability of each representation tuple.
     println!("== Per-tuple marginals of a self-join ==");
@@ -58,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
               (pick tuples from sensors independently with probability works) b
          where a.id = b.id",
     )?;
-    println!("{marginals}");
+    println!("{}", marginals.to_table_string(db.world_table())?);
 
     // Everything is still SQL: updates are representation-level edits (§2.3).
     db.run("update census set quality = 5.0 where city = 'Ithaca'")?;
@@ -69,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          group by R.name, R.city
          order by R.name, p desc",
     )?;
-    println!("{conf}");
+    println!("{}", conf.to_table_string(db.world_table())?);
 
     Ok(())
 }

@@ -31,11 +31,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("== Roster ==");
-    println!("{}", db.query("select * from roster order by salary desc")?);
+    println!(
+        "{}",
+        db.query("select * from roster order by salary desc")?
+            .to_table_string(db.world_table())?
+    );
 
     // Baseline skill availability with the full roster.
     let baseline = skill_availability(&mut db, "")?;
-    println!("== Baseline availability ==\n{baseline}");
+    println!(
+        "== Baseline availability ==\n{}",
+        baseline.to_table_string(db.world_table())?
+    );
 
     // What-if: lay off each player in turn, check the two constraints.
     println!("== Lay-off analysis (need shooting ≥ {SHOOTING_MIN}, passing ≥ {PASSING_MIN}) ==\n");
@@ -96,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 fn skill_availability(
     db: &mut MayBms,
     roster_filter: &str,
-) -> Result<maybms_engine::Relation, Box<dyn std::error::Error>> {
+) -> Result<maybms_urel::URelation, Box<dyn std::error::Error>> {
     let sql = format!(
         "select s.skill, conf() as p from
            (pick tuples from

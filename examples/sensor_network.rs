@@ -27,7 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("== Raw readings ==");
-    println!("{}", db.query("select * from readings order by sensor")?);
+    println!(
+        "{}",
+        db.query("select * from readings order by sensor")?
+            .to_table_string(db.world_table())?
+    );
 
     // The *true* set of readings is a random subset: a reading exists iff
     // it was genuine.
@@ -46,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          group by room
          order by p_alarm desc",
     )?;
-    println!("{alarms}");
+    println!("{}", alarms.to_table_string(db.world_table())?);
 
     // Expected number of genuine readings per room (network health).
     println!("== Expected genuine readings per room ==");
@@ -54,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "select room, ecount() as expected_readings
          from genuine group by room order by room",
     )?;
-    println!("{health}");
+    println!("{}", health.to_table_string(db.world_table())?);
 
     // Expected heat load: esum of temperatures per room.
     println!("== Expected sum of genuine temperatures per room ==");
@@ -62,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "select room, esum(temp) as expected_heat
          from genuine group by room order by room",
     )?;
-    println!("{load}");
+    println!("{}", load.to_table_string(db.world_table())?);
 
     // Calibration hypotheses: sensor 5 is drifting by one of three offsets,
     // mutually exclusive — a repair-key space joined with the readings.
@@ -74,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          from genuine r, (repair key sensor in drift weight by w) d
          where r.sensor = d.sensor",
     )?;
-    println!("{corrected}");
+    println!("{}", corrected.to_table_string(db.world_table())?);
 
     // Which sensor most likely produced the lab's hottest genuine reading?
     println!("== Most likely hottest lab sensor ==");
@@ -85,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          where r.room = 'lab'",
     )?;
     let hottest = db.query("select argmax(sensor, p) as sensor from lab_max")?;
-    println!("{hottest}");
+    println!("{}", hottest.to_table_string(db.world_table())?);
 
     Ok(())
 }

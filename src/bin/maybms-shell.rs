@@ -55,7 +55,7 @@
 use std::io::{BufRead, Write};
 use std::time::Instant;
 
-use maybms::{MayBms, QueryOutput, StatementResult};
+use maybms::{MayBms, StatementResult};
 
 fn main() {
     maybms_obs::trace::init_from_env();
@@ -263,17 +263,12 @@ fn execute(sql: &str, db: &mut MayBms, timing: bool) {
     let t0 = Instant::now();
     match db.run(sql) {
         Ok(StatementResult::Ok { message }) => println!("{message}"),
-        Ok(StatementResult::Query(QueryOutput::Certain(rel))) => {
-            print!("{}", rel.to_table_string());
-        }
-        Ok(StatementResult::Query(QueryOutput::Uncertain(u))) => {
-            // Render as Figure 1 renders U-relations: data columns plus
-            // condition and P.
-            match u.to_table_string(db.world_table()) {
-                Ok(s) => print!("{s}"),
-                Err(e) => println!("error rendering result: {e}"),
-            }
-        }
+        // One renderer: a t-certain result prints its data columns, an
+        // uncertain one adds condition and P as Figure 1 does.
+        Ok(StatementResult::Query(out)) => match out.relation().to_table_string(db.world_table()) {
+            Ok(s) => print!("{s}"),
+            Err(e) => println!("error rendering result: {e}"),
+        },
         Err(e) => println!("error: {e}"),
     }
     if timing {

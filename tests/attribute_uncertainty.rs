@@ -9,14 +9,15 @@
 use std::sync::Arc;
 
 use maybms::MayBms;
-use maybms_engine::{rel, DataType, Tuple, Value};
+use maybms_engine::{DataType, Tuple, Value};
 use maybms_pipe::vertical::{decompose, recompose};
+use maybms_urel::rel;
 use maybms_urel::{URelation, UTuple, WorldTable, Wsd};
 
 /// Build a relation where one tuple's `city` and `age` attributes each
 /// have two independent alternatives.
 fn build() -> (WorldTable, URelation) {
-    let base = URelation::from_certain(&rel(
+    let base = rel(
         &[
             ("name", DataType::Text),
             ("city", DataType::Text),
@@ -26,7 +27,7 @@ fn build() -> (WorldTable, URelation) {
             vec!["Smith".into(), "Oxford".into(), 35.into()],
             vec!["Jones".into(), "Ithaca".into(), 40.into()],
         ],
-    ));
+    );
     let mut wt = WorldTable::new();
     let city_var = wt.new_var(&[0.7, 0.3]).unwrap();
     let age_var = wt.new_var(&[0.6, 0.4]).unwrap();
@@ -34,10 +35,10 @@ fn build() -> (WorldTable, URelation) {
     let mut pieces = decompose(&base, &[vec![0], vec![1], vec![2]]).unwrap();
     // Piece `k` with Smith's value under `first`, plus `alt` for it.
     let with_alternative = |k: usize, first: Wsd, alt: UTuple| {
-        let mut rows = pieces[k].tuples().to_vec();
+        let mut rows = pieces[k].tuples();
         rows[0].wsd = first;
         rows.push(alt);
-        URelation::new(pieces[k].schema().clone(), rows)
+        URelation::new(pieces[k].schema().clone(), rows).unwrap()
     };
     // Smith's city: Oxford (0.7) vs Cambridge (0.3).
     let alt_city = UTuple::new(
@@ -105,7 +106,7 @@ fn marginals_per_attribute_via_brute_force() {
 fn recomposed_table_queryable_through_sql() {
     let (wt, u) = build();
     // Move the constructed world table + table into a database by
-    // re-simulating through pick/repair is unnecessary: register_u keeps
+    // re-simulating through pick/repair is unnecessary: register keeps
     // the URelation, but MayBms owns a fresh world table. Instead verify
     // the query path at the algebra level and the facade path for the
     // certain projection.
@@ -129,7 +130,7 @@ fn recomposed_table_queryable_through_sql() {
     // Most likely world: Oxford, 35.
     let smith = r
         .tuples()
-        .iter()
+        .into_iter()
         .find(|t| t.value(0) == &Value::str("Smith"))
         .unwrap();
     assert_eq!(smith.value(1), &Value::str("Oxford"));

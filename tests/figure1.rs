@@ -4,7 +4,8 @@
 //! checked against the matrix power M³ computed independently.
 
 use maybms::MayBms;
-use maybms_engine::{rel, DataType, Value};
+use maybms_engine::{DataType, Value};
+use maybms_urel::rel;
 
 /// Bryant's stochastic matrix from Figure 1 (rows: F, SE, SL).
 const BRYANT: [[f64; 3]; 3] = [[0.8, 0.05, 0.15], [0.1, 0.6, 0.3], [0.8, 0.0, 0.2]];
@@ -218,7 +219,8 @@ fn figure1_aconf_agrees_with_conf() {
         let pa = a.value(2).as_f64().unwrap();
         assert!(
             ((pe - pa) / pe).abs() < 0.05,
-            "aconf {pa} too far from conf {pe} for {e}"
+            "aconf {pa} too far from conf {pe} for {}",
+            e.data
         );
     }
 }

@@ -3,7 +3,8 @@
 //! an error that names the rule.
 
 use maybms::{CoreError, MayBms};
-use maybms_engine::{rel, DataType, Value};
+use maybms_engine::{DataType, Value};
+use maybms_urel::rel;
 
 fn db_with_uncertain() -> MayBms {
     let mut db = MayBms::new();

@@ -4,7 +4,8 @@
 //! independently computed ground truth.
 
 use maybms::MayBms;
-use maybms_engine::{rel, DataType, Value};
+use maybms_engine::{DataType, Value};
+use maybms_urel::rel;
 
 /// §3 "Team management": "we compute for each skill … the probability that
 /// someone with that skill will be playing in the team given the current
@@ -155,11 +156,8 @@ fn data_cleaning_key_repair() {
             )
         })
         .unwrap();
-    let cities: Vec<&str> = poss
-        .tuples()
-        .iter()
-        .map(|t| t.value(0).as_str().unwrap())
-        .collect();
+    let view = poss.tuples();
+    let cities: Vec<&str> = view.iter().map(|t| t.value(0).as_str().unwrap()).collect();
     assert_eq!(cities, vec!["Ithaca", "Oxford", "Providence"]);
 }
 

@@ -3,7 +3,8 @@
 //! enumeration on randomly generated databases.
 
 use maybms::MayBms;
-use maybms_engine::{rel, DataType, Value};
+use maybms_engine::{DataType, Value};
+use maybms_urel::rel;
 use proptest::prelude::*;
 
 /// Rows for a `(g, v, p)` table with probabilities in {0.1, …, 0.9}.
@@ -219,7 +220,8 @@ proptest! {
         let u = db.table("picked").unwrap().clone();
         for (world, _wp) in db.world_table().enumerate_worlds(1 << 16).unwrap() {
             let inst = u.instantiate(&world);
-            let col = |i: usize| inst.tuples().iter().map(move |t| t.value(i).as_int().unwrap());
+            let rows = inst.tuples();
+            let col = |i: usize| rows.iter().map(move |t| t.value(i).as_int().unwrap());
             let mut truth: Vec<i64> = col(1).filter(|v| *v >= 2).chain(col(0)).collect();
             let mut got: Vec<i64> = out
                 .instantiate(&world)
@@ -247,12 +249,11 @@ proptest! {
             .unwrap();
         let u = db.table("picked").unwrap().clone();
         for (world, _wp) in db.world_table().enumerate_worlds(1 << 16).unwrap() {
-            let inst = u.instantiate(&world);
-            let mut truth: Vec<(i64, i64)> = inst
-                .tuples()
+            let rows = u.instantiate(&world).tuples();
+            let mut truth: Vec<(i64, i64)> = rows
                 .iter()
                 .flat_map(|x| {
-                    inst.tuples().iter().map(move |y| {
+                    rows.iter().map(move |y| {
                         (x.value(1).as_int().unwrap(), y.value(0).as_int().unwrap())
                     })
                 })
@@ -345,8 +346,8 @@ proptest! {
         prop_assert_eq!(out.len(), truth.len());
         for t in out.tuples() {
             let (c, n) = truth[&t.value(0).as_int().unwrap()];
-            prop_assert!((t.value(1).as_f64().unwrap() - c).abs() < 1e-9, "conf {} vs {}", t, c);
-            prop_assert!((t.value(2).as_f64().unwrap() - n).abs() < 1e-9, "ecount {} vs {}", t, n);
+            prop_assert!((t.value(1).as_f64().unwrap() - c).abs() < 1e-9, "conf {} vs {}", t.data, c);
+            prop_assert!((t.value(2).as_f64().unwrap() - n).abs() < 1e-9, "ecount {} vs {}", t.data, n);
         }
     }
 }

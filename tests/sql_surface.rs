@@ -42,11 +42,8 @@ fn case_expression_end_to_end() {
              from emp order by name",
         )
         .unwrap();
-    let levels: Vec<&str> = r
-        .tuples()
-        .iter()
-        .map(|t| t.value(1).as_str().unwrap())
-        .collect();
+    let view = r.tuples();
+    let levels: Vec<&str> = view.iter().map(|t| t.value(1).as_str().unwrap()).collect();
     assert_eq!(levels, vec!["senior", "senior", "mid", "mid", "junior"]);
 }
 
@@ -665,11 +662,8 @@ fn in_list_with_expressions_and_in_select_combined() {
              order by name",
         )
         .unwrap();
-    let names: Vec<&str> = r
-        .tuples()
-        .iter()
-        .map(|t| t.value(0).as_str().unwrap())
-        .collect();
+    let view = r.tuples();
+    let names: Vec<&str> = view.iter().map(|t| t.value(0).as_str().unwrap()).collect();
     assert_eq!(names, vec!["cat", "dan"]);
 }
 
@@ -716,7 +710,8 @@ fn in_select_over_a_certain_subquery_is_a_semi_join() {
         .query("select a, ecount() as n from u where a in (select a from t) group by a order by a")
         .unwrap();
     assert_eq!(filtered, plain);
-    let counts: Vec<&Value> = filtered.tuples().iter().map(|t| t.value(1)).collect();
+    let view = filtered.tuples();
+    let counts: Vec<&Value> = view.iter().map(|t| t.value(1)).collect();
     assert_eq!(counts, [&Value::Float(1.0), &Value::Float(1.0)]);
 }
 
@@ -793,7 +788,8 @@ fn distinct_applies_to_grouped_output() {
     // Three (a, b) groups, two distinct values of a.
     let sql = "select distinct a from t group by a, b";
     let r = db.query(sql).unwrap();
-    let a: Vec<&Value> = r.tuples().iter().map(|t| t.value(0)).collect();
+    let view = r.tuples();
+    let a: Vec<&Value> = view.iter().map(|t| t.value(0)).collect();
     assert_eq!(a, [&Value::Int(1), &Value::Int(2)]);
     let plan = explain(&mut db, sql);
     // The keys-only grouping is itself the group breaker with no
@@ -947,4 +943,56 @@ fn bigint_order_is_exact_beyond_2_pow_53() {
         ints("select v, count(*) from big group by v", 1),
         [1, 2, 1, 1, 1, 1]
     );
+}
+
+/// `register` checks each column's values against its declared type as
+/// `INSERT` does: a text value in a `bigint` column is refused before
+/// anything is installed, where it used to be stored and fail only when a
+/// later query compared it.
+#[test]
+fn register_refuses_a_value_insert_refuses() {
+    use maybms_engine::DataType::{Float, Int, Text};
+    use maybms_urel::rel;
+    let mut db = MayBms::new();
+    let bad = rel(&[("x", Int)], vec![vec!["abc".into()], vec![3.into()]]);
+    let err = db.register("t", bad).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoreError::Engine(maybms_engine::EngineError::TypeMismatch { .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "type mismatch: column x is bigint but the value abc is text"
+    );
+    assert!(
+        db.table("t").is_err(),
+        "a refused table must not be installed"
+    );
+    db.run("create table t (x bigint)").unwrap();
+    let insert = db.run("insert into t values ('zzz')").unwrap_err();
+    assert!(
+        insert.to_string().contains("column x is bigint"),
+        "{insert}"
+    );
+    // The first bad value is the lowest row's, then the leftmost column's.
+    let late = rel(
+        &[("a", Text), ("b", Int)],
+        vec![vec!["ok".into(), 1.into()], vec![2.into(), "no".into()]],
+    );
+    let err = db.register("u", late).unwrap_err();
+    assert!(err.to_string().contains("column a is text"), "{err}");
+    // NULL fits any column and integers fit a float column.
+    let fine = rel(
+        &[("x", Int), ("y", Float)],
+        vec![
+            vec![Value::Null, 1.into()],
+            vec![4.into(), Value::Float(0.5)],
+        ],
+    );
+    db.register("v", fine).unwrap();
+    let r = db.query("select x from v where x > 1").unwrap();
+    assert_eq!(r.tuples()[0].value(0), &Value::Int(4));
 }
