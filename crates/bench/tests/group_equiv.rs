@@ -142,7 +142,11 @@ fn case(
     key_pick: u8,
     menu: u8,
 ) -> Case {
-    let certain = |u: URelation| u;
+    // Keep every row under an empty condition: the t-certain twin.
+    let certain = |u: URelation| {
+        let all: Vec<usize> = (0..u.len()).collect();
+        u.gather_with(&all, vec![Wsd::tautology(); all.len()])
+    };
     let (source, builds) = match menu {
         0..=2 => (source, builds),
         _ => (certain(source), builds.into_iter().map(certain).collect()),

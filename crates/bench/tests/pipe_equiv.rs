@@ -328,7 +328,11 @@ proptest! {
         key_pick in 0u8..3,
         agg_pick in 0u8..6,
     ) {
-        let certain = |u: URelation| u;
+        // Keep every row under an empty condition: the t-certain twin.
+        let certain = |u: URelation| {
+            let all: Vec<usize> = (0..u.len()).collect();
+            u.gather_with(&all, vec![Wsd::tautology(); all.len()])
+        };
         let (u1, u2) = if agg_pick >= 4 { (certain(u1), certain(u2)) } else { (u1, u2) };
         let (chain, numeric) = build_uchain(&u1, &u2, &tokens);
         let eager = chain.collect().unwrap();

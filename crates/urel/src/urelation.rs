@@ -323,8 +323,12 @@ impl URelation {
 
     /// Instantiate the relation in one world (semantics of the
     /// representation, §2.1): the t-certain relation of the tuples whose
-    /// WSD the world satisfies, gathered from the columns.
+    /// WSD the world satisfies, gathered from the columns. A t-certain
+    /// relation holds in every world and comes back sharing its body.
     pub fn instantiate(&self, world: &[u16]) -> URelation {
+        if self.is_t_certain() {
+            return self.clone();
+        }
         let wsds = &self.body.wsds;
         let keep: Vec<usize> = (0..wsds.len())
             .filter(|&i| wsds[i].satisfied_by(world))
@@ -491,6 +495,8 @@ mod tests {
         assert_eq!(w0.tuples()[0].value(1), &Value::str("F"));
         let w1 = u.instantiate(&[1]);
         assert_eq!(w1.tuples()[0].value(1), &Value::str("SE"));
+        // A t-certain relation holds in every world: the same body.
+        assert!(Arc::ptr_eq(&w1.body, &w1.instantiate(&[0]).body));
     }
 
     #[test]
